@@ -102,14 +102,22 @@ func appendMerge(segs []mpitype.Segment, s mpitype.Segment) []mpitype.Segment {
 // row-major element order (matching the order elements occupy in the
 // caller's buffer).
 func relSegments(shape, start, count, stride []int64, elem int64) []mpitype.Segment {
-	nd := len(shape)
-	if nd == 0 {
-		return []mpitype.Segment{{Off: 0, Len: elem}}
-	}
 	for _, c := range count {
 		if c == 0 {
 			return nil
 		}
+	}
+	// Fold trailing dimensions that are selected whole into the element: a
+	// full, unit-stride dimension is contiguous with the one outside it, so
+	// the walk below only iterates dimensions that actually select. A FLASH
+	// block count=[80,8,8,8] of shape=[640,8,8,8] is one step, not 5120.
+	nd := len(shape)
+	for nd > 0 && start[nd-1] == 0 && count[nd-1] == shape[nd-1] && stride[nd-1] == 1 {
+		elem *= shape[nd-1]
+		nd--
+	}
+	if nd == 0 {
+		return []mpitype.Segment{{Off: 0, Len: elem}}
 	}
 	dimStride := make([]int64, nd)
 	dimStride[nd-1] = elem

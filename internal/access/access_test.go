@@ -311,3 +311,89 @@ func TestMemSegmentsNaturalAndMapped(t *testing.T) {
 		t.Fatalf("zero count: %v %v", segs, err)
 	}
 }
+
+// naiveSegments is the reference for relSegments' dimension folding: every
+// selected element visited one at a time in buffer order, adjacent ones
+// merged. No dimension is treated specially.
+func naiveSegments(h *cdf.Header, v *cdf.Var, req Request) []mpitype.Segment {
+	elem := int64(v.Type.Size())
+	var segs []mpitype.Segment
+	for _, off := range oracleOffsets(h, v, req) {
+		segs = appendMerge(segs, mpitype.Segment{Off: off, Len: elem})
+	}
+	return segs
+}
+
+// TestCoalescedSegmentsMatchNaiveWalk: over random shapes, starts, counts and
+// strides — biased towards whole trailing dimensions, the case relSegments
+// folds — fixed and record variables produce exactly the segment list of the
+// element-by-element walk.
+func TestCoalescedSegmentsMatchNaiveWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	folded := 0
+	for iter := 0; iter < 2000; iter++ {
+		nd := 1 + rng.Intn(4)
+		rec := rng.Intn(2) == 0
+		h := &cdf.Header{Version: 1}
+		v := cdf.Var{Name: "v", Type: nctype.Double}
+		for i := 0; i < nd; i++ {
+			n := int64(1 + rng.Intn(5))
+			if rec && i == 0 {
+				n = 0 // the record dimension
+			}
+			h.Dims = append(h.Dims, cdf.Dim{Name: string(rune('a' + i)), Len: n})
+			v.DimIDs = append(v.DimIDs, i)
+		}
+		// A second record variable interleaves the records.
+		h.Vars = []cdf.Var{v, {Name: "w", Type: nctype.Int, DimIDs: []int{0}}}
+		if !rec {
+			h.Vars = h.Vars[:1]
+		}
+		if err := h.ComputeLayout(1); err != nil {
+			t.Fatal(err)
+		}
+		h.NumRecs = int64(1 + rng.Intn(5))
+		start := make([]int64, nd)
+		count := make([]int64, nd)
+		stride := make([]int64, nd)
+		whole := rng.Intn(nd + 1) // this many trailing dimensions selected whole
+		for i := 0; i < nd; i++ {
+			bound := h.Dims[i].Len
+			if rec && i == 0 {
+				bound = h.NumRecs
+			}
+			if i >= nd-whole {
+				start[i], count[i], stride[i] = 0, bound, 1
+				continue
+			}
+			start[i] = rng.Int63n(bound)
+			stride[i] = 1 + rng.Int63n(3)
+			count[i] = rng.Int63n((bound-start[i]-1)/stride[i]+1) + 1
+			if rng.Intn(16) == 0 {
+				count[i] = 0
+			}
+		}
+		if whole > 0 {
+			folded++
+		}
+		req, err := Validate(h, &h.Vars[0], start, count, stride, false)
+		if err != nil {
+			t.Fatalf("iter %d: %v", iter, err)
+		}
+		got := FileSegments(h, &h.Vars[0], req)
+		want := naiveSegments(h, &h.Vars[0], req)
+		if len(got) != len(want) {
+			t.Fatalf("iter %d (rec=%v shape=%v start=%v count=%v stride=%v): %d segments %v, want %d %v",
+				iter, rec, h.Dims, start, count, stride, len(got), got, len(want), want)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("iter %d (rec=%v shape=%v start=%v count=%v stride=%v): segment %d = %+v, want %+v",
+					iter, rec, h.Dims, start, count, stride, i, got[i], want[i])
+			}
+		}
+	}
+	if folded < 500 {
+		t.Fatalf("only %d of 2000 cases had a whole trailing dimension; the fold is under-tested", folded)
+	}
+}

@@ -22,8 +22,10 @@ package analysis
 //     - ReturnsPooled / StoresPooledParams: the function hands its caller a
 //       live bufpool buffer — as a []byte/[][]byte result, or by storing
 //       one into a caller-owned slice/field passed as a parameter (bufpool).
-//     - PutsParams: parameters that may reach bufpool.Put/PutAll (bufpool:
-//       passing a live buffer to such a helper discharges it).
+//     - PutsParams: parameters that may reach bufpool.Put/PutAll, or leave
+//       the rank through Comm.Send (bufpool: passing a live buffer to such
+//       a helper discharges it). Comm.Recv is the other end of that
+//       transfer: it ReturnsPooled, so custody lands on the receiver.
 //     - WaitsParams / ReturnsAsyncOp: *pfs.AsyncOp parameters that may
 //       reach Wait, and functions whose result is a fresh AsyncOp the
 //       caller must Wait (asyncwait).
@@ -78,7 +80,8 @@ type Summary struct {
 	// StoresPooledParams: bitmask of parameters into whose elements/fields
 	// the function may store a live bufpool buffer.
 	StoresPooledParams uint64
-	// PutsParams: bitmask of parameters that may reach bufpool.Put/PutAll.
+	// PutsParams: bitmask of parameters that may reach bufpool.Put/PutAll
+	// or be given to another rank with Comm.Send.
 	PutsParams uint64
 
 	// WaitsParams: bitmask of *pfs.AsyncOp parameters that may reach Wait.
@@ -138,8 +141,17 @@ func (e *Engine) Node(fn *types.Func) *FuncNode {
 	return e.nodes[fn]
 }
 
+// recvSummary is the one summary the engine is told instead of computing:
+// Comm.Recv is the receiving end of Comm.Send's ownership transfer
+// (internal/mpi, "Buffer ownership"), so what it returns is the receiver's
+// to put — a fact its body, a mailbox dequeue, cannot show.
+var recvSummary = Summary{ReturnsPooled: true}
+
 // Summary returns fn's summary, or nil for functions outside the module.
 func (e *Engine) Summary(fn *types.Func) *Summary {
+	if isMethodOn(fn, "mpi", "Comm", "Recv") {
+		return &recvSummary
+	}
 	if nd := e.Node(fn); nd != nil {
 		return &nd.Sum
 	}
@@ -534,6 +546,16 @@ func argRootObj(pkg *Package, e ast.Expr) types.Object {
 // and Wait on parameters, accounting touches.
 func (e *Engine) scanDirect(nd *FuncNode, pass *Pass) {
 	sum := &nd.Sum
+	// putsRoot records that the buffer rooted at obj leaves this function's
+	// custody, when obj is one of its parameters.
+	putsRoot := func(obj types.Object) {
+		if obj == nil {
+			return
+		}
+		if i := paramIndex(nd.Fn, obj); i >= 0 {
+			sum.PutsParams |= 1 << uint(i)
+		}
+	}
 	var walk func(n ast.Node, inClosure bool)
 	walk = func(n ast.Node, inClosure bool) {
 		ast.Inspect(n, func(m ast.Node) bool {
@@ -556,11 +578,7 @@ func (e *Engine) scanDirect(nd *FuncNode, pass *Pass) {
 				}
 			}
 			if isBufpoolCall(pass, call, "Put", "PutAll") {
-				if obj := putArgObj(pass, call); obj != nil {
-					if i := paramIndex(nd.Fn, obj); i >= 0 {
-						sum.PutsParams |= 1 << uint(i)
-					}
-				}
+				putsRoot(putArgObj(pass, call))
 			}
 			// p.Wait() on an AsyncOp parameter (or a field path rooted at
 			// one, e.g. pend.op.Wait()).
@@ -577,6 +595,11 @@ func (e *Engine) scanDirect(nd *FuncNode, pass *Pass) {
 				return true
 			}
 			switch {
+			case isMethodOn(callee, "mpi", "Comm", "Send"):
+				// A send moves the buffer, not a copy (internal/mpi, "Buffer
+				// ownership"): the sender's custody ends here as at a Put,
+				// and the receiver's begins at Recv (recvSummary).
+				putsRoot(argRootObj(nd.Pkg, call.Args[len(call.Args)-1]))
 			case isMethodOn(callee, "pfs", "chunkStore", "writeAt", "readAt", "truncate"):
 				sum.Touches = true
 			case isMethodOn(callee, "pfs", "FS", "charge"):
@@ -635,10 +658,18 @@ func (e *Engine) scanPooled(nd *FuncNode, pass *Pass) {
 		changed = false
 		ast.Inspect(nd.Decl.Body, func(n ast.Node) bool {
 			as, ok := n.(*ast.AssignStmt)
-			if !ok || len(as.Lhs) != len(as.Rhs) {
+			if !ok {
 				return true
 			}
-			for i, lhs := range as.Lhs {
+			lhss := as.Lhs
+			if len(as.Rhs) == 1 {
+				// blob, src := c.Recv(...): the buffer is the first result.
+				lhss = lhss[:1]
+			}
+			if len(lhss) != len(as.Rhs) {
+				return true
+			}
+			for i, lhs := range lhss {
 				if !isPooledExpr(as.Rhs[i]) {
 					continue
 				}

@@ -117,11 +117,15 @@ func TestModuleSummaries(t *testing.T) {
 		t.Error("File.WriteVecAsync: ReturnsAsyncOp = false")
 	}
 
-	// bufpool facts: recycleRound puts both generations; packWriteRound
+	// bufpool facts: recycleRound puts the received messages; packWriteRound
 	// parks pooled buffers in its parts parameter (index 6); encodeWriteMsg
-	// returns a pooled buffer.
-	if s := sum(mpiio, "recycleRound"); !s.PutsParam(0) || !s.PutsParam(1) {
-		t.Errorf("recycleRound: PutsParams = %b, want bits 0 and 1", s.PutsParams)
+	// returns a pooled buffer; sparseExchange gives its parts (index 1) away
+	// through Comm.Send and returns what Comm.Recv handed it.
+	if s := sum(mpiio, "recycleRound"); !s.PutsParam(0) {
+		t.Errorf("recycleRound: PutsParams = %b, want bit 0", s.PutsParams)
+	}
+	if s := sum(mpiio, "sparseExchange"); !s.PutsParam(1) || !s.ReturnsPooled {
+		t.Errorf("sparseExchange: PutsParams = %b, ReturnsPooled = %v, want bit 1 and true", s.PutsParams, s.ReturnsPooled)
 	}
 	if s := sum(mpiio, "File.packWriteRound"); !s.StoresPooledParam(6) {
 		t.Errorf("File.packWriteRound: StoresPooledParams = %b, want bit 6 (parts)", s.StoresPooledParams)

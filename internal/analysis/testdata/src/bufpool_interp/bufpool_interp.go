@@ -1,12 +1,16 @@
 // Package fix is the golden fixture for the interprocedural bufpool
 // upgrade: pooled buffers move through cross-package helpers — returned by
 // one (ReturnsPooled), parked into a caller slice by another
-// (StoresPooledParam), and discharged by a third (PutsParam). The same
+// (StoresPooledParam), discharged by a third (PutsParam), and moved between
+// ranks by a fourth (Comm.Send discharges, Comm.Recv acquires). The same
 // fixture must be CLEAN under the intraprocedural checker (the
 // strictly-more proof in the harness).
 package fix
 
-import "fixture/bufpool_interp/helper"
+import (
+	"fixture/bufpool_interp/helper"
+	"pnetcdf/internal/mpi"
+)
 
 func use(b []byte) {}
 
@@ -62,3 +66,22 @@ func transferCaller(n int) {
 	b := transferred(n)
 	use(b)
 } // want `bufpool buffer b reaches function end without bufpool\.Put`
+
+// receivedLeak hands its generation to the exchange — the sends discharge
+// it — but drops what it received: the receiver owns those buffers now.
+func receivedLeak(c *mpi.Comm, n int) {
+	parts := make([][]byte, c.Size())
+	helper.Fill(parts, n)
+	msgs := helper.Exchange(c, parts)
+	use(msgs[0])
+} // want `bufpool buffer msgs reaches function end without bufpool\.Put`
+
+// receivedRecycled is the exchange round done right: the sender puts
+// nothing, the receiver puts what arrived.
+func receivedRecycled(c *mpi.Comm, n int) {
+	parts := make([][]byte, c.Size())
+	helper.Fill(parts, n)
+	msgs := helper.Exchange(c, parts)
+	use(msgs[0])
+	helper.ReleaseAll(msgs)
+}

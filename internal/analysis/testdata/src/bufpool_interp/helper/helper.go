@@ -1,9 +1,12 @@
 // Package helper moves pooled buffers across the package boundary in the
-// three summary shapes: returning one, parking them in a caller slice, and
-// putting them back.
+// summary shapes: returning one, parking them in a caller slice, putting
+// them back, and moving them to another rank.
 package helper
 
-import "pnetcdf/internal/bufpool"
+import (
+	"pnetcdf/internal/bufpool"
+	"pnetcdf/internal/mpi"
+)
 
 // Encode returns a pooled buffer whose custody passes to the caller.
 func Encode(n int) []byte {
@@ -23,4 +26,20 @@ func Fill(parts [][]byte, n int) {
 	for i := range parts {
 		parts[i] = Encode(n)
 	}
+}
+
+// Exchange gives every parked buffer to its destination rank and returns
+// what this rank received (custody of parts ends at Comm.Send; custody of
+// the result begins at Comm.Recv, like sparseExchange).
+func Exchange(c *mpi.Comm, parts [][]byte) [][]byte {
+	for dst := range parts {
+		c.Send(dst, 1, parts[dst])
+		parts[dst] = nil
+	}
+	out := make([][]byte, len(parts))
+	for range parts {
+		blob, src := c.Recv(mpi.AnySource, 1)
+		out[src] = blob
+	}
+	return out
 }

@@ -407,3 +407,49 @@ func TestHeaderGrowthProbeOnOpen(t *testing.T) {
 		return r.Close()
 	})
 }
+
+// TestDefinitionLimits: cdf.Decode refuses more than MaxVars variables (or
+// MaxAttrs attributes in one list), so DefVar and PutAttr refuse them first,
+// with the same typed error on every rank: a dataset at the limits goes
+// through Close and Open, and the one beyond them cannot be created.
+func TestDefinitionLimits(t *testing.T) {
+	fsys := testFS()
+	runWorld(t, 2, func(c *mpi.Comm) error {
+		d, err := Create(c, fsys, "limits.nc", nctype.Clobber, nil)
+		if err != nil {
+			return err
+		}
+		x, err := d.DefDim("x", 2)
+		if err != nil {
+			return err
+		}
+		for i := 0; i < nctype.MaxVars; i++ {
+			if _, err := d.DefVar(fmt.Sprintf("v%d", i), nctype.Byte, []int{x}); err != nil {
+				return fmt.Errorf("variable %d of %d: %w", i+1, nctype.MaxVars, err)
+			}
+		}
+		if _, err := d.DefVar("one_too_many", nctype.Byte, []int{x}); !errors.Is(err, nctype.ErrMaxVars) {
+			return fmt.Errorf("rank %d, variable %d: err = %v, want ErrMaxVars", c.Rank(), nctype.MaxVars+1, err)
+		}
+		for i := 0; i < nctype.MaxAttrs; i++ {
+			if err := d.PutAttr(GlobalID, fmt.Sprintf("a%d", i), nctype.Byte, []int8{1}); err != nil {
+				return fmt.Errorf("attribute %d of %d: %w", i+1, nctype.MaxAttrs, err)
+			}
+		}
+		if err := d.PutAttr(GlobalID, "one_too_many", nctype.Byte, []int8{1}); !errors.Is(err, nctype.ErrMaxAttrs) {
+			return fmt.Errorf("rank %d, attribute %d: err = %v, want ErrMaxAttrs", c.Rank(), nctype.MaxAttrs+1, err)
+		}
+		if err := d.Close(); err != nil {
+			return err
+		}
+		r, err := Open(c, fsys, "limits.nc", nctype.NoWrite, nil)
+		if err != nil {
+			return fmt.Errorf("reopen at the limits: %w", err)
+		}
+		if r.NumVars() != nctype.MaxVars || len(r.Header().GAttrs) != nctype.MaxAttrs {
+			return fmt.Errorf("reopened %d variables and %d global attributes, want %d and %d",
+				r.NumVars(), len(r.Header().GAttrs), nctype.MaxVars, nctype.MaxAttrs)
+		}
+		return r.Close()
+	})
+}

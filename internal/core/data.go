@@ -196,35 +196,36 @@ func (d *Dataset) wholeVar(varid int, data any) ([]int64, []int64, error) {
 // PutVaraTypeAll collectively writes (start, count) taking the elements of
 // buf selected by memtype (element units), like ncmpi_put_vara_all with an
 // MPI derived datatype. memtype.Size() must equal the request's element
-// count.
+// count. The flexible calls read memtype's flattened runs in place; a
+// Datatype is immutable, so nothing is cloned per call.
 func (d *Dataset) PutVaraTypeAll(varid int, start, count []int64, buf any, memtype mpitype.Datatype) error {
-	return d.putFlex(varid, start, count, nil, buf, memtype.Segments(), memtype.Size(), true)
+	return d.putFlex(varid, start, count, nil, buf, memtype.Runs(), memtype.Size(), true)
 }
 
 // GetVaraTypeAll collectively reads (start, count) scattering into the
 // elements of buf selected by memtype.
 func (d *Dataset) GetVaraTypeAll(varid int, start, count []int64, buf any, memtype mpitype.Datatype) error {
-	return d.getFlex(varid, start, count, nil, buf, memtype.Segments(), memtype.Size(), true)
+	return d.getFlex(varid, start, count, nil, buf, memtype.Runs(), memtype.Size(), true)
 }
 
 // PutVarsTypeAll is the strided flexible collective write.
 func (d *Dataset) PutVarsTypeAll(varid int, start, count, stride []int64, buf any, memtype mpitype.Datatype) error {
-	return d.putFlex(varid, start, count, stride, buf, memtype.Segments(), memtype.Size(), true)
+	return d.putFlex(varid, start, count, stride, buf, memtype.Runs(), memtype.Size(), true)
 }
 
 // GetVarsTypeAll is the strided flexible collective read.
 func (d *Dataset) GetVarsTypeAll(varid int, start, count, stride []int64, buf any, memtype mpitype.Datatype) error {
-	return d.getFlex(varid, start, count, stride, buf, memtype.Segments(), memtype.Size(), true)
+	return d.getFlex(varid, start, count, stride, buf, memtype.Runs(), memtype.Size(), true)
 }
 
 // PutVaraType is the independent flexible write.
 func (d *Dataset) PutVaraType(varid int, start, count []int64, buf any, memtype mpitype.Datatype) error {
-	return d.putFlex(varid, start, count, nil, buf, memtype.Segments(), memtype.Size(), false)
+	return d.putFlex(varid, start, count, nil, buf, memtype.Runs(), memtype.Size(), false)
 }
 
 // GetVaraType is the independent flexible read.
 func (d *Dataset) GetVaraType(varid int, start, count []int64, buf any, memtype mpitype.Datatype) error {
-	return d.getFlex(varid, start, count, nil, buf, memtype.Segments(), memtype.Size(), false)
+	return d.getFlex(varid, start, count, nil, buf, memtype.Runs(), memtype.Size(), false)
 }
 
 // putCommon routes the high-level calls: an imap turns into memory element

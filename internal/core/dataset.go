@@ -323,6 +323,11 @@ func (d *Dataset) DefVar(name string, t nctype.Type, dimids []int) (int, error) 
 	if !t.Valid(d.hdr.Version) {
 		return -1, nctype.ErrBadType
 	}
+	if len(d.hdr.Vars) >= nctype.MaxVars {
+		// cdf.Decode refuses a longer var_list: one more variable would
+		// make a file that can be written but never reopened.
+		return -1, nctype.ErrMaxVars
+	}
 	for pos, id := range dimids {
 		if id < 0 || id >= len(d.hdr.Dims) {
 			return -1, nctype.ErrBadDim
@@ -382,6 +387,9 @@ func (d *Dataset) PutAttr(varid int, name string, t nctype.Type, value any) erro
 	}
 	if !d.define {
 		return nctype.ErrNotInDefine
+	}
+	if len(*attrs) >= nctype.MaxAttrs {
+		return nctype.ErrMaxAttrs
 	}
 	*attrs = append(*attrs, a)
 	return nil

@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -53,7 +54,9 @@ func (c *Comm) fanIn(root int, ctx int64, combine func(local, child []byte) []by
 }
 
 // fanOut distributes data down a binomial tree rooted at root and returns
-// the received payload (the root returns data unchanged).
+// the received payload (the root returns data unchanged). Interior ranks
+// forward the slice they received, so one backing array reaches every
+// member: data must be a buffer nobody writes to again.
 func (c *Comm) fanOut(root int, ctx int64, data []byte) []byte {
 	p := c.Size()
 	vrank := (c.rank - root + p) % p
@@ -88,12 +91,25 @@ func (c *Comm) fanOut(root int, ctx int64, data []byte) []byte {
 	return data
 }
 
-// Bcast broadcasts data from root to every member and returns each member's
-// copy, like MPI_Bcast. Non-root callers pass nil (or anything; it is
-// replaced by the root's payload).
+// Bcast broadcasts data from root to every member, like MPI_Bcast. Non-root
+// callers pass nil (or anything; it is replaced by the root's payload). The
+// root gets data back and may reuse it at once: what travels is one copy of
+// it, and every non-root member receives that same copy — a shared backing
+// array they must treat as read-only (copy before modifying).
 func (c *Comm) Bcast(root int, data []byte) []byte {
+	if c.rank == root && c.Size() > 1 {
+		c.bcastOwned(root, bytes.Clone(data))
+		return data
+	}
+	return c.bcastOwned(root, data)
+}
+
+// bcastOwned is Bcast for a wire buffer the caller built for this call and
+// never writes again: it travels as it is, and the root's return value
+// aliases what the other members received.
+func (c *Comm) bcastOwned(root int, wire []byte) []byte {
 	ctx := c.nextOpCtx("Bcast")
-	return c.fanOut(root, ctx, data)
+	return c.fanOut(root, ctx, wire)
 }
 
 // Gather collects each member's payload at root, like MPI_Gatherv (payloads
@@ -102,7 +118,7 @@ func (c *Comm) Bcast(root int, data []byte) []byte {
 func (c *Comm) Gather(root int, data []byte) [][]byte {
 	ctx := c.nextOpCtx("Gather")
 	if c.rank != root {
-		c.send(root, tagData, ctx, data)
+		c.send(root, tagData, ctx, bytes.Clone(data))
 		return nil
 	}
 	out := make([][]byte, c.Size())
@@ -118,12 +134,13 @@ func (c *Comm) Gather(root int, data []byte) [][]byte {
 // rank, like MPI_Allgatherv.
 func (c *Comm) Allgather(data []byte) [][]byte {
 	parts := c.Gather(0, data)
-	blob := c.Bcast(0, encodeParts(parts))
+	blob := c.bcastOwned(0, encodeParts(parts))
 	return decodeParts(blob)
 }
 
 // Scatter distributes parts[i] from root to rank i, like MPI_Scatterv.
-// Non-root callers pass nil.
+// Non-root callers pass nil. Each part is copied once, so the root keeps
+// parts and every member owns what it receives.
 func (c *Comm) Scatter(root int, parts [][]byte) []byte {
 	ctx := c.nextOpCtx("Scatter")
 	if c.rank == root {
@@ -132,7 +149,7 @@ func (c *Comm) Scatter(root int, parts [][]byte) []byte {
 		}
 		for r := 0; r < c.Size(); r++ {
 			if r != root {
-				c.send(r, tagData, ctx, parts[r])
+				c.send(r, tagData, ctx, bytes.Clone(parts[r]))
 			}
 		}
 		return append([]byte(nil), parts[root]...)
@@ -142,6 +159,8 @@ func (c *Comm) Scatter(root int, parts [][]byte) []byte {
 
 // Alltoall sends parts[i] to rank i and returns the payloads received from
 // every rank, indexed by source, like MPI_Alltoallv. Entries may be empty.
+// Each part is copied once: parts is only read (ranks may even share one),
+// and every member owns what it receives.
 func (c *Comm) Alltoall(parts [][]byte) [][]byte {
 	if len(parts) != c.Size() {
 		c.Abort(fmt.Errorf("mpi: Alltoall with %d parts on %d ranks", len(parts), c.Size()))
@@ -151,7 +170,7 @@ func (c *Comm) Alltoall(parts [][]byte) [][]byte {
 	out[c.rank] = append([]byte(nil), parts[c.rank]...)
 	for r := 0; r < c.Size(); r++ {
 		if r != c.rank {
-			c.send(r, tagData, ctx, parts[r])
+			c.send(r, tagData, ctx, bytes.Clone(parts[r]))
 		}
 	}
 	for i := 0; i < c.Size()-1; i++ {
@@ -234,7 +253,7 @@ func (c *Comm) ReduceI64(root int, vals []int64, op Op) []int64 {
 // like MPI_Allreduce.
 func (c *Comm) AllreduceI64(vals []int64, op Op) []int64 {
 	res := c.ReduceI64(0, vals, op)
-	return DecodeI64s(c.Bcast(0, EncodeI64s(res)))
+	return DecodeI64s(c.bcastOwned(0, EncodeI64s(res)))
 }
 
 // ReduceF64 reduces elementwise float64 vectors to root. The combination
@@ -261,7 +280,7 @@ func (c *Comm) ReduceF64(root int, vals []float64, op Op) []float64 {
 // AllreduceF64 reduces elementwise and distributes the result to all.
 func (c *Comm) AllreduceF64(vals []float64, op Op) []float64 {
 	res := c.ReduceF64(0, vals, op)
-	return DecodeF64s(c.Bcast(0, EncodeF64s(res)))
+	return DecodeF64s(c.bcastOwned(0, EncodeF64s(res)))
 }
 
 // ExscanI64 computes the exclusive prefix reduction: rank r receives the

@@ -15,6 +15,23 @@
 // parallel I/O benchmark runs under one coherent simulated timeline while
 // the data movement itself is performed for real, byte for byte.
 //
+// # Buffer ownership
+//
+// A message carries the sender's slice, not a copy of it: sends stay eager
+// (they never block), and what moves is custody of the buffer. After
+// Send(dst, tag, data) the sender must neither write to data nor recycle
+// it; the matching Recv returns the same backing array and the receiver
+// owns it from then on. The virtual-time cost model still charges the
+// transfer of every byte — only the host memcpy is gone.
+//
+// Collectives keep MPI's contract that an input buffer is reusable as soon
+// as the call returns. Those that build their own wire buffers (reductions,
+// Allgather, barrier tokens) hand them over as they are. Gather, Scatter and
+// Alltoall copy each caller-owned part once, so every received slice has a
+// single owner. Bcast copies the root's payload once and passes that one
+// copy down the tree: the non-root members all receive the same backing
+// array and must treat it as read-only (see Bcast).
+//
 // The paper's experiments ran on IBM SP-2 systems; this package is the
 // substitution for that hardware (see DESIGN.md §2).
 package mpi
@@ -320,7 +337,10 @@ func (w *World) transferTime(nbytes int) float64 {
 }
 
 // send delivers data from the calling rank to comm rank dst under context
-// ctx. The payload is copied, making sends eager and deadlock-free.
+// ctx. Sends are eager — the message is queued at the receiver and send
+// returns, so no pattern of sends can deadlock — and the message carries
+// data itself: the caller gives the slice up (package comment, "Buffer
+// ownership").
 func (c *Comm) send(dst, tag int, ctx int64, data []byte) {
 	c.sendCore(dst, tag, ctx, data, false)
 }
@@ -343,15 +363,13 @@ func (c *Comm) sendCore(dst, tag int, ctx int64, data []byte, ftMode bool) {
 			return
 		}
 	}
-	cp := make([]byte, len(data))
-	copy(cp, data)
 	c.proc.stats.Add(iostat.MPIMsgsSent, 1)
 	c.proc.stats.Add(iostat.MPIBytesSent, int64(len(data)))
 	arrival := c.proc.clock + c.world.transferTime(len(data))
 	c.proc.clock += c.world.net.SendOverhead
 	box := c.world.boxes[c.group[dst]]
 	box.mu.Lock()
-	box.queue = append(box.queue, message{src: c.rank, tag: tag, ctx: ctx, data: cp, arrival: arrival})
+	box.queue = append(box.queue, message{src: c.rank, tag: tag, ctx: ctx, data: data, arrival: arrival})
 	box.cond.Signal()
 	box.mu.Unlock()
 }
@@ -408,7 +426,10 @@ func (c *Comm) recvCore(src, tag int, ctx int64, pinned *revokeInfo) message {
 	}
 }
 
-// Send transmits data to rank dst with a user tag (>= 0).
+// Send transmits data to rank dst with a user tag (>= 0). It transfers
+// ownership: the receiver's Recv returns data's own backing array, so the
+// caller must not modify or reuse data afterwards. A caller that needs its
+// buffer back sends a copy.
 func (c *Comm) Send(dst, tag int, data []byte) {
 	if tag < 0 {
 		c.Abort(fmt.Errorf("mpi: negative user tag %d", tag))
@@ -417,14 +438,15 @@ func (c *Comm) Send(dst, tag int, data []byte) {
 }
 
 // Recv blocks for a message from src (or AnySource) with the given tag (or
-// AnyTag) and returns its payload and actual source rank.
+// AnyTag) and returns its payload and actual source rank. The payload is the
+// slice the sender passed to Send, now owned by the caller.
 func (c *Comm) Recv(src, tag int) ([]byte, int) {
 	m := c.recv(src, tag, c.ctx)
 	return m.data, m.src
 }
 
 // Sendrecv performs a simultaneous send and receive; sends are eager so the
-// head-to-head exchange cannot deadlock.
+// head-to-head exchange cannot deadlock. sendData is given up as in Send.
 func (c *Comm) Sendrecv(dst, sendTag int, sendData []byte, src, recvTag int) ([]byte, int) {
 	c.Send(dst, sendTag, sendData)
 	return c.Recv(src, recvTag)
@@ -464,7 +486,7 @@ func (c *Comm) newCommID() int64 {
 		id = c.world.commSeq
 		c.world.mu.Unlock()
 	}
-	return decodeInt64(c.Bcast(0, encodeInt64(id)))
+	return decodeInt64(c.bcastOwned(0, encodeInt64(id)))
 }
 
 // Dup returns a communicator with the same group but an isolated message
@@ -518,7 +540,7 @@ func (c *Comm) Split(color, key int) *Comm {
 		base = c.world.commSeq - int64(len(colors)) + 1
 		c.world.mu.Unlock()
 	}
-	base = decodeInt64(c.Bcast(0, encodeInt64(base)))
+	base = decodeInt64(c.bcastOwned(0, encodeInt64(base)))
 	colorIdx := 0
 	for i, col := range colors {
 		if col == color {

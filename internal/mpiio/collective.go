@@ -225,9 +225,9 @@ func (f *File) writeRoundsSerial(plan collectivePlan, segs []pfs.Segment, prefix
 			}
 			sAgg.End()
 		}
-		// The write is down; recycle this round's buffers. The self-delivered
-		// entry aliases parts[rank], so it is returned exactly once.
-		recycleRound(parts, msgs, f.comm.Rank())
+		// The write is down; recycle the messages this rank received (parts
+		// is empty again: the exchange handed every buffer to its receiver).
+		recycleRound(msgs)
 		// Collective error agreement: every rank learns whether any
 		// aggregator failed this round, so all ranks return the same error
 		// and nobody proceeds into the next round's exchange alone.
@@ -344,7 +344,7 @@ func (f *File) buildReplies(cov *coverage, reqsBySrc map[int][]reqSeg, replies [
 		for _, rq := range reqs {
 			total += rq.len
 		}
-		//nclint:escape -- reply buffers travel through the reply exchange; recycleRound(replies, back) puts them, and the abort paths put them before bailing
+		//nclint:escape -- the reply exchange gives each buffer to the requesting rank (sparseExchange nils the slot here) and that rank's recycleRound(back) puts it; the abort path puts the never-sent replies before bailing
 		out := bufpool.GetDirty(int(total))[:0]
 		for _, rq := range reqs {
 			out = append(out, cov.extract(rq.off, rq.len)...)
@@ -411,15 +411,16 @@ func (f *File) readRoundsSerial(plan collectivePlan, segs []pfs.Segment, prefix 
 		if cov != nil {
 			bufpool.Put(cov.data)
 		}
-		recycleRound(parts, msgs, f.comm.Rank())
+		recycleRound(msgs)
 		// Collective error agreement BEFORE the reply exchange: a failed
 		// aggregator has no data to send back, so all ranks must learn of
 		// the failure here or the reply exchange would hang.
 		if err := f.comm.AgreeError(roundErr); err != nil {
 			// A peer failed after this aggregator built its replies: the
-			// reply exchange never runs, so the reply buffers must go back
-			// to the pool here (leak found by nclint's bufpool checker).
-			recycleRound(replies, nil, f.comm.Rank())
+			// reply exchange never runs, so the reply buffers — still this
+			// rank's, never handed over — must go back to the pool here
+			// (leak found by nclint's bufpool checker).
+			bufpool.PutAll(replies)
 			sRound.End()
 			return err
 		}
@@ -430,7 +431,7 @@ func (f *File) readRoundsSerial(plan collectivePlan, segs []pfs.Segment, prefix 
 		sScatter := f.sp.Begin(span.Scatter)
 		scatterReplies(buf, myReqs, back)
 		sScatter.End()
-		recycleRound(replies, back, f.comm.Rank())
+		recycleRound(back)
 		prog.roundAgreed(r)
 		sRound.End()
 	}
@@ -643,23 +644,24 @@ func intersectRange(segs []pfs.Segment, prefix []int64, span segSpan, lo, hi int
 	return out
 }
 
-// recycleRound returns one exchange round's buffers to the pool: every
-// locally encoded message in parts, and every received blob in msgs except
-// the self-delivered one — sparseExchange delivers to self by reference, so
-// msgs[self] aliases parts[self] and must be returned exactly once. The
-// slots are nilled by PutAll, so a generation slice the pipelined path
-// keeps across rounds cannot alias pooled memory after release.
-func recycleRound(parts, msgs [][]byte, self int) {
-	if self >= 0 && self < len(msgs) {
-		msgs[self] = nil
-	}
-	bufpool.PutAll(parts)
+// recycleRound returns the messages a rank received in one exchange to the
+// pool. Buffer custody (DESIGN.md §9): a pooled message belongs to the rank
+// holding it in a slot — the encoder until sparseExchange hands it over and
+// nils that slot, the receiver from then on — so every buffer sits in
+// exactly one slot of one rank, and this call on the receiving rank is its
+// single Put. PutAll nils the slots, so a generation slice the pipelined
+// path keeps across rounds cannot alias pooled memory after release.
+func recycleRound(msgs [][]byte) {
 	bufpool.PutAll(msgs)
 }
 
 // sparseExchange delivers parts[dst] to each dst with a non-nil entry and
 // returns the blobs this rank received, indexed by source (nil when a source
-// sent nothing). The expected receive count is agreed via an Allreduce, as
+// sent nothing). Messages move by ownership, not by copy: the receiver gets
+// the sender's buffer itself and each delivered slot of parts is nilled, so
+// on return parts is empty and the sender holds none of what it packed (a
+// slot whose send did not happen — the exchange unwound first — stays with
+// the sender). The expected receive count is agreed via an Allreduce, as
 // ROMIO exchanges counts before payloads. kill, when non-nil, is the
 // mid-exchange rank-kill hook: it runs after this rank's sends are out but
 // before its receives complete — the window where a crash strands both the
@@ -672,19 +674,22 @@ func sparseExchange(c *mpi.Comm, parts [][]byte, tag int, kill func()) [][]byte 
 		}
 	}
 	totals := c.AllreduceI64(counts, mpi.OpSum)
-	for dst, p := range parts {
-		if p != nil && dst != c.Rank() {
-			c.Send(dst, tag, p)
+	out := make([][]byte, c.Size())
+	expect := int(totals[c.Rank()])
+	for dst := range parts {
+		if parts[dst] == nil {
+			continue
 		}
+		if dst == c.Rank() {
+			out[dst] = parts[dst]
+			expect--
+		} else {
+			c.Send(dst, tag, parts[dst])
+		}
+		parts[dst] = nil
 	}
 	if kill != nil {
 		kill()
-	}
-	out := make([][]byte, c.Size())
-	expect := int(totals[c.Rank()])
-	if parts[c.Rank()] != nil {
-		out[c.Rank()] = parts[c.Rank()]
-		expect--
 	}
 	for i := 0; i < expect; i++ {
 		blob, src := c.Recv(mpi.AnySource, tag)
@@ -701,7 +706,7 @@ func encodeWriteMsg(reqs []reqSeg, buf []byte) []byte {
 	for _, r := range reqs {
 		total += r.len
 	}
-	//nclint:escape -- the encoded message is the exchange payload; every round ends with recycleRound putting both the local parts and the received blobs
+	//nclint:escape -- the sender gives the message up at sparseExchange (slot nilled); the receiving aggregator's recycleRound puts it once its write is down
 	msg := bufpool.GetDirty(8 + 16*len(reqs) + int(total))
 	binary.BigEndian.PutUint64(msg, uint64(len(reqs)))
 	p := 8
@@ -762,7 +767,7 @@ func assembleWriteVec(entries []writeEntry) ([]pfs.Segment, [][]byte) {
 }
 
 func encodeReadMsg(reqs []reqSeg) []byte {
-	//nclint:escape -- the encoded request is the exchange payload; recycleRound puts it at the end of its round
+	//nclint:escape -- the sender gives the request up at sparseExchange (slot nilled); the receiving aggregator's recycleRound puts it after decoding
 	msg := bufpool.GetDirty(8 + 16*len(reqs))
 	binary.BigEndian.PutUint64(msg, uint64(len(reqs)))
 	p := 8

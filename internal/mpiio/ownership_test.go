@@ -1,0 +1,140 @@
+package mpiio
+
+import (
+	"bytes"
+	"fmt"
+	"testing"
+
+	"pnetcdf/internal/bufpool"
+	"pnetcdf/internal/iostat"
+	"pnetcdf/internal/mpi"
+	"pnetcdf/internal/mpitype"
+)
+
+// TestSparseExchangeHandsBuffersOver pins the custody rule of recycleRound:
+// after sparseExchange the sender holds nothing it packed (every sent slot
+// of parts is nil, the self slot included), and what a receiver gets is the
+// sender's pooled buffer itself, not a copy.
+func TestSparseExchangeHandsBuffersOver(t *testing.T) {
+	const p = 5
+	// sent[src][dst] is the array src packed for dst. Written before the
+	// exchange, read by dst after it: the message delivery orders the two.
+	var sent [p][p]*byte
+	runWorld(t, p, func(c *mpi.Comm) error {
+		me := c.Rank()
+		parts := make([][]byte, p)
+		for dst := 0; dst < p; dst++ {
+			if (me+dst)%3 == 0 && dst != me {
+				continue // a sparse pattern: some pairs exchange nothing
+			}
+			b := bufpool.GetDirty(4096 + dst)
+			for i := range b {
+				b[i] = byte(me*16 + dst)
+			}
+			parts[dst] = b
+			sent[me][dst] = &b[0]
+		}
+		out := sparseExchange(c, parts, roundTag(0, 0), nil)
+		for dst, slot := range parts {
+			if slot != nil {
+				return fmt.Errorf("rank %d: parts[%d] still holds a buffer after the exchange", me, dst)
+			}
+		}
+		for src, blob := range out {
+			skipped := (src+me)%3 == 0 && src != me
+			if skipped != (blob == nil) {
+				return fmt.Errorf("rank %d: message from %d present=%v, want %v", me, src, blob != nil, !skipped)
+			}
+			if blob == nil {
+				continue
+			}
+			if len(blob) != 4096+me || blob[0] != byte(src*16+me) || blob[len(blob)-1] != byte(src*16+me) {
+				return fmt.Errorf("rank %d: wrong message from %d", me, src)
+			}
+			if &blob[0] != sent[src][me] {
+				return fmt.Errorf("rank %d: message from %d is a copy, not the sender's buffer", me, src)
+			}
+		}
+		recycleRound(out)
+		return nil
+	})
+}
+
+// TestExchangeOwnershipStress runs 128 multi-round 8-rank collectives over
+// one file — serial and pipelined loops, each 32 times a write followed by a
+// read-back — with every block stamped with its rank, iteration and index
+// (the index fixes which two-phase round carries it). Exchange buffers move
+// between ranks by ownership and cycle through the pool the whole time, so a
+// message recycled while its receiver (or the aggregator's in-flight iovec)
+// still reads it, or put twice and handed to two encoders, shows up as a
+// wrong byte in the read-back, and under -race as a data race.
+func TestExchangeOwnershipStress(t *testing.T) {
+	const (
+		p       = 8
+		block   = 512
+		nBlocks = 32 // per rank: 16 KiB, 128 KiB in the file
+		iters   = 32
+	)
+	for _, pipeline := range []string{"disable", "enable"} {
+		fsys := testFS()
+		info := mpi.NewInfo().
+			Set("cb_buffer_size", "4096").
+			Set("cb_nodes", "4").
+			Set("cb_pipeline", pipeline)
+		var rounds, piped int64 // rank 0's counters, read after the world has ended
+		runWorld(t, p, func(c *mpi.Comm) error {
+			me := c.Rank()
+			c.Proc().SetStats(iostat.New())
+			f, err := Open(c, fsys, "own", ModeRdWr|ModeCreate, info)
+			if err != nil {
+				return err
+			}
+			// Rank r owns every p-th block: each rank sends to every
+			// aggregator in every round.
+			view, err := mpitype.Vector(nBlocks, block, p*block, mpitype.Contig(1))
+			if err != nil {
+				return err
+			}
+			if err := f.SetView(int64(me)*block, view); err != nil {
+				return err
+			}
+			data := make([]byte, nBlocks*block)
+			got := make([]byte, len(data))
+			for it := 0; it < iters; it++ {
+				for b := 0; b < nBlocks; b++ {
+					for i := 0; i < block; i++ {
+						data[b*block+i] = byte(me*37 + it*11 + b*5 + i)
+					}
+				}
+				if err := f.WriteAtAll(0, data); err != nil {
+					return err
+				}
+				for i := range got {
+					got[i] = 0xEE
+				}
+				if err := f.ReadAtAll(0, got); err != nil {
+					return err
+				}
+				if !bytes.Equal(got, data) {
+					i := 0
+					for got[i] == data[i] {
+						i++
+					}
+					return fmt.Errorf("cb_pipeline=%s rank %d iter %d: read-back differs at byte %d (block %d): got %#x, want %#x",
+						pipeline, me, it, i, i/block, got[i], data[i])
+				}
+			}
+			if me == 0 {
+				rounds = c.Proc().Stats().Get(iostat.IOTwoPhaseRounds)
+				piped = c.Proc().Stats().Get(iostat.IOPipelinedRounds)
+			}
+			return f.Close()
+		})
+		if rounds < 2*2*iters {
+			t.Fatalf("cb_pipeline=%s: %d rounds over %d collectives; the stress needs multi-round exchanges", pipeline, rounds, 2*iters)
+		}
+		if (pipeline == "enable") != (piped > 0) {
+			t.Fatalf("cb_pipeline=%s: %d pipelined rounds", pipeline, piped)
+		}
+	}
+}

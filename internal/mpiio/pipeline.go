@@ -27,12 +27,13 @@ package mpiio
 // exchange, exactly like the serial path — a failed aggregator has nothing
 // to send back.
 //
-// Buffer lifetime follows the in-flight-generation pattern: two
-// generations of pooled parts/msgs are alive at once, each recycled
-// (recycleRound → bufpool.PutAll) only after the owning I/O's Wait, since
-// the aggregator's iovec references the received message payloads in
-// place. Output is byte-identical to the serial path; only virtual and
-// wall-clock timing differ.
+// Buffer lifetime follows the in-flight-generation pattern: the exchange
+// hands every packed message to its receiver (sparseExchange), so a rank
+// holds only what it received, and on the write side two generations of
+// received messages are alive at once, each recycled (recycleRound →
+// bufpool.PutAll) only after the owning I/O's Wait, since the aggregator's
+// iovec references the message payloads in place. Output is byte-identical
+// to the serial path; only virtual and wall-clock timing differ.
 
 import (
 	"pnetcdf/internal/bufpool"
@@ -41,13 +42,6 @@ import (
 	"pnetcdf/internal/pfs"
 	"pnetcdf/internal/span"
 )
-
-// roundBufs is one generation of exchange state: the locally encoded
-// per-destination messages and the received blobs of one round.
-type roundBufs struct {
-	parts [][]byte
-	msgs  [][]byte
-}
 
 // pendingWrite is the backend half of an in-flight write round.
 type pendingWrite struct {
@@ -64,26 +58,28 @@ type pendingWrite struct {
 // returned error is already agreed (identical on every rank).
 func (f *File) writeRoundsPipelined(plan collectivePlan, segs []pfs.Segment, prefix []int64,
 	spans []segSpan, buf []byte, myAgg int, prog *ftProgress) error {
-	var gens [2]roundBufs
-	for g := range gens {
-		gens[g].parts = make([][]byte, f.comm.Size())
-	}
+	parts := make([][]byte, f.comm.Size())
+	// Received messages, by generation (r & 1): round r's stay live while
+	// its write is in flight, i.e. across round r+1's exchange.
+	var msgs [2][][]byte
 	var scratch []reqSeg
 	var entries []writeEntry
 	var pend pendingWrite
 	// A communicator revocation unwinds this loop as a panic from any of
 	// its collectives. Before the failover above replays rounds, the
 	// in-flight async write must be joined — a background WriteVec racing
-	// the replay could interleave stale bytes — and both buffer
-	// generations released (PutAll nils slots, so a partially recycled
+	// the replay could interleave stale bytes — and every buffer this rank
+	// still holds released: what it packed but never handed over, and both
+	// received generations (PutAll nils slots, so a partially recycled
 	// generation is safe to recycle again).
 	defer func() {
 		if rec := recover(); rec != nil {
 			if pend.active && pend.op != nil {
 				pend.op.Wait()
 			}
-			for g := range gens {
-				recycleRound(gens[g].parts, gens[g].msgs, f.comm.Rank())
+			bufpool.PutAll(parts)
+			for g := range msgs {
+				recycleRound(msgs[g])
 			}
 			panic(rec)
 		}
@@ -108,7 +104,7 @@ func (f *File) writeRoundsPipelined(plan collectivePlan, segs []pfs.Segment, pre
 			f.sp.Record(span.AggWrite, int(pend.r), pend.issued, f.comm.Clock(), pend.bytes)
 		}
 		pend.op = nil
-		recycleRound(gens[pend.g].parts, gens[pend.g].msgs, f.comm.Rank())
+		recycleRound(msgs[pend.g])
 		if err := f.comm.AgreeError(roundErr); err != nil {
 			return err
 		}
@@ -126,10 +122,10 @@ func (f *File) writeRoundsPipelined(plan collectivePlan, segs []pfs.Segment, pre
 		sRound := f.sp.Begin(span.Round)
 		sRound.SetRound(int(r))
 		sPack := f.sp.Begin(span.Pack)
-		scratch = f.packWriteRound(plan, segs, prefix, spans, buf, r, gens[g].parts, scratch, sPack)
+		scratch = f.packWriteRound(plan, segs, prefix, spans, buf, r, parts, scratch, sPack)
 		sPack.End()
 		sXchg := f.sp.Begin(span.Exchange)
-		gens[g].msgs = sparseExchange(f.comm, gens[g].parts, roundTag(r, 0), kill)
+		msgs[g] = sparseExchange(f.comm, parts, roundTag(r, 0), kill)
 		sXchg.End()
 		sRound.End()
 		// Deferred boundary: only now wait on round r-1's write and agree
@@ -137,7 +133,7 @@ func (f *File) writeRoundsPipelined(plan collectivePlan, segs []pfs.Segment, pre
 		// is dead too — every rank bails here together (drain: nothing is
 		// left in flight).
 		if err := finish(); err != nil {
-			recycleRound(gens[g].parts, gens[g].msgs, f.comm.Rank())
+			recycleRound(msgs[g])
 			return err
 		}
 		// Backend of round r: decode (the iovec references the message
@@ -145,7 +141,7 @@ func (f *File) writeRoundsPipelined(plan collectivePlan, segs []pfs.Segment, pre
 		// issue the aggregator write asynchronously.
 		pend = pendingWrite{active: true, g: g, r: r, issued: f.comm.Clock()}
 		if myAgg >= 0 {
-			entries = decodeWriteMsgs(gens[g].msgs, entries[:0])
+			entries = decodeWriteMsgs(msgs[g], entries[:0])
 			if len(entries) > 0 {
 				wsegs, iov := assembleWriteVec(entries)
 				for _, s := range wsegs {
@@ -184,18 +180,23 @@ type pendingRead struct {
 // error is already agreed (identical on every rank).
 func (f *File) readRoundsPipelined(plan collectivePlan, segs []pfs.Segment, prefix []int64,
 	spans []segSpan, buf []byte, myAgg int, prog *ftProgress) error {
-	var gens [2]roundBufs
+	// Only the request bookkeeping needs generations (r & 1): round r's
+	// requests must survive until its scatter, after round r+1 has packed.
+	// The request messages themselves are decoded and recycled inside the
+	// frontend.
 	var myReqs, reqBufs [2][][]reqSeg
-	for g := range gens {
-		gens[g].parts = make([][]byte, f.comm.Size())
+	for g := range myReqs {
 		myReqs[g] = make([][]reqSeg, f.comm.Size()) // agg rank -> requests, in order
 		reqBufs[g] = make([][]reqSeg, plan.naggs)
 	}
+	parts := make([][]byte, f.comm.Size())
 	replies := make([][]byte, f.comm.Size())
+	var msgs [][]byte
 	var pend pendingRead
 	// Revocation drain, mirroring writeRoundsPipelined: join the in-flight
-	// read-ahead and release its coverage plus both generations before the
-	// failover replays (see that loop's comment).
+	// read-ahead and release its coverage plus every exchange buffer this
+	// rank still holds before the failover replays (see that loop's
+	// comment).
 	defer func() {
 		if rec := recover(); rec != nil {
 			if pend.active && pend.op != nil {
@@ -204,9 +205,9 @@ func (f *File) readRoundsPipelined(plan collectivePlan, segs []pfs.Segment, pref
 			if pend.cov != nil {
 				bufpool.Put(pend.cov.data)
 			}
-			for g := range gens {
-				recycleRound(gens[g].parts, gens[g].msgs, f.comm.Rank())
-			}
+			bufpool.PutAll(parts)
+			bufpool.PutAll(replies)
+			recycleRound(msgs)
 			panic(rec)
 		}
 	}()
@@ -223,15 +224,15 @@ func (f *File) readRoundsPipelined(plan collectivePlan, segs []pfs.Segment, pref
 		sRound := f.sp.Begin(span.Round)
 		sRound.SetRound(int(r))
 		sPack := f.sp.Begin(span.Pack)
-		f.packReadRound(plan, segs, prefix, spans, r, gens[g].parts, myReqs[g], reqBufs[g], sPack)
+		f.packReadRound(plan, segs, prefix, spans, r, parts, myReqs[g], reqBufs[g], sPack)
 		sPack.End()
 		sXchg := f.sp.Begin(span.Exchange)
-		gens[g].msgs = sparseExchange(f.comm, gens[g].parts, roundTag(r, 0), kill)
+		msgs = sparseExchange(f.comm, parts, roundTag(r, 0), kill)
 		sXchg.End()
 		sRound.End()
 		pend = pendingRead{active: true, g: g, r: r, issued: f.comm.Clock()}
 		if myAgg >= 0 {
-			pend.reqsBySrc = decodeReadMsgs(gens[g].msgs)
+			pend.reqsBySrc = decodeReadMsgs(msgs)
 			if len(pend.reqsBySrc) > 0 {
 				cov := newCoverage(pend.reqsBySrc)
 				pend.cov = cov
@@ -242,7 +243,7 @@ func (f *File) readRoundsPipelined(plan collectivePlan, segs []pfs.Segment, pref
 				f.killPoint(fault.KillAfterIssue)
 			}
 		}
-		recycleRound(gens[g].parts, gens[g].msgs, f.comm.Rank())
+		recycleRound(msgs)
 	}
 
 	frontend(0)
@@ -283,7 +284,7 @@ func (f *File) readRoundsPipelined(plan collectivePlan, segs []pfs.Segment, pref
 		sScatter.SetRound(int(r))
 		scatterReplies(buf, myReqs[cur.g], back)
 		sScatter.End()
-		recycleRound(replies, back, f.comm.Rank())
+		recycleRound(back)
 		if cur.cov != nil {
 			bufpool.Put(cur.cov.data)
 		}

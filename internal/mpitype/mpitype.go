@@ -46,6 +46,11 @@ func (d Datatype) Segments() []Segment {
 	return append([]Segment(nil), d.segs...)
 }
 
+// Runs returns the flattened typemap itself, not a copy, for callers that
+// only walk it. A Datatype is immutable and shared freely (the view cache,
+// the MPI-IO layer), so the slice must not be modified.
+func (d Datatype) Runs() []Segment { return d.segs }
+
 // NumSegments returns the number of contiguous pieces per instance.
 func (d Datatype) NumSegments() int { return len(d.segs) }
 

@@ -20,6 +20,8 @@ var (
 	ErrBadDim         = errors.New("netcdf: invalid dimension ID or size")
 	ErrUnlimPos       = errors.New("netcdf: unlimited dimension must be first (most significant)")
 	ErrMaxDims        = errors.New("netcdf: too many dimensions")
+	ErrMaxVars        = errors.New("netcdf: too many variables")
+	ErrMaxAttrs       = errors.New("netcdf: too many attributes")
 	ErrNameInUse      = errors.New("netcdf: name already in use")
 	ErrMultiUnlimited = errors.New("netcdf: only one unlimited dimension allowed")
 	ErrEdge           = errors.New("netcdf: start+count exceeds dimension bound")

@@ -73,7 +73,7 @@ func TestErrorsDistinct(t *testing.T) {
 	errs := []error{
 		ErrBadID, ErrExists, ErrInDefine, ErrNotInDefine, ErrInvalidArg,
 		ErrPerm, ErrNotVar, ErrNotDim, ErrNotAtt, ErrBadName, ErrBadType,
-		ErrBadDim, ErrUnlimPos, ErrMaxDims, ErrNameInUse, ErrMultiUnlimited,
+		ErrBadDim, ErrUnlimPos, ErrMaxDims, ErrMaxVars, ErrMaxAttrs, ErrNameInUse, ErrMultiUnlimited,
 		ErrEdge, ErrStride, ErrNotNC, ErrVersion, ErrVarSize, ErrNoRecVars,
 		ErrClosed, ErrCountMismatch, ErrTypeMismatch, ErrConsistency,
 		ErrIndepMode, ErrCollMode, ErrNullComm,

@@ -234,6 +234,11 @@ func (d *Dataset) DefVar(name string, t nctype.Type, dimids []int) (int, error) 
 	if !t.Valid(d.hdr.Version) {
 		return -1, nctype.ErrBadType
 	}
+	if len(d.hdr.Vars) >= nctype.MaxVars {
+		// cdf.Decode refuses a longer var_list: one more variable would
+		// make a file that can be written but never reopened.
+		return -1, nctype.ErrMaxVars
+	}
 	if len(dimids) > nctype.MaxDims {
 		return -1, nctype.ErrMaxDims
 	}
@@ -302,7 +307,7 @@ func (d *Dataset) PutAttr(varid int, name string, t nctype.Type, value any) erro
 		return nctype.ErrNotInDefine
 	}
 	if len(*attrs) >= nctype.MaxAttrs {
-		return nctype.ErrInvalidArg
+		return nctype.ErrMaxAttrs
 	}
 	*attrs = append(*attrs, a)
 	return nil

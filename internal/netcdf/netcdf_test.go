@@ -2,6 +2,7 @@ package netcdf
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -976,5 +977,50 @@ func TestOptionsAndHeaderAccessors(t *testing.T) {
 	}
 	if _, err := d.VarShape(9); !errors.Is(err, nctype.ErrNotVar) {
 		t.Fatalf("VarShape bad id: %v", err)
+	}
+}
+
+// TestDefinitionLimits: cdf.Decode refuses more than MaxVars variables (or
+// MaxAttrs attributes in one list), so the define calls must refuse them
+// first — a dataset at the limit reopens, and the one beyond it cannot be
+// made.
+func TestDefinitionLimits(t *testing.T) {
+	store := &MemStore{}
+	d, err := Create(store, nctype.Clobber)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, err := d.DefDim("x", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < nctype.MaxVars; i++ {
+		if _, err := d.DefVar(fmt.Sprintf("v%d", i), nctype.Byte, []int{x}); err != nil {
+			t.Fatalf("variable %d of %d: %v", i+1, nctype.MaxVars, err)
+		}
+	}
+	if _, err := d.DefVar("one_too_many", nctype.Byte, []int{x}); !errors.Is(err, nctype.ErrMaxVars) {
+		t.Fatalf("variable %d: err = %v, want ErrMaxVars", nctype.MaxVars+1, err)
+	}
+	for i := 0; i < nctype.MaxAttrs; i++ {
+		if err := d.PutAttr(GlobalID, fmt.Sprintf("a%d", i), nctype.Byte, []int8{1}); err != nil {
+			t.Fatalf("attribute %d of %d: %v", i+1, nctype.MaxAttrs, err)
+		}
+	}
+	if err := d.PutAttr(GlobalID, "one_too_many", nctype.Byte, []int8{1}); !errors.Is(err, nctype.ErrMaxAttrs) {
+		t.Fatalf("attribute %d: err = %v, want ErrMaxAttrs", nctype.MaxAttrs+1, err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Open(store, nctype.NoWrite)
+	if err != nil {
+		t.Fatalf("reopen at the limits: %v", err)
+	}
+	if n := len(r.Header().Vars); n != nctype.MaxVars {
+		t.Fatalf("reopened %d variables, want %d", n, nctype.MaxVars)
+	}
+	if n := len(r.Header().GAttrs); n != nctype.MaxAttrs {
+		t.Fatalf("reopened %d global attributes, want %d", n, nctype.MaxAttrs)
 	}
 }

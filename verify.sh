@@ -12,10 +12,11 @@
 #   PIPELINE=0  skip the PNETCDF_CB_PIPELINE=0 re-run of the collective
 #            suites and the serial-vs-pipelined byte-identity check
 #            (on by default; see DESIGN.md §13).
-#   BENCH=1  smoke-run every benchmark once (catches bit-rotted bench code),
-#            then run the FLASH I/O benchmark with statistics and emit
-#            results/BENCH_flashio.json, and record the pipelined-vs-serial
-#            checkpoint wall clock in results/BENCH_pipeline.txt (slower;
+#   BENCH=1  run the repository's benchmark (benchmark/README.md: five
+#            pinned workloads, end-to-end and per-layer, ~2 min), write this
+#            PR's row of the perf trajectory to results/BENCH_<pr>.json and
+#            compare it with the previous PR's committed row; any
+#            end-to-end metric worse than its bound fails the run (slower;
 #            not part of the gate).
 #   FAULT=1  re-run the fault-injection suites under the race detector and
 #            drive a FLASH checkpoint at a 1% transient fault rate with a
@@ -79,12 +80,16 @@ if [ "${PIPELINE:-1}" = "1" ]; then
 fi
 
 if [ "${BENCH:-0}" = "1" ]; then
+    # One row per PR: results/BENCH_<n>.json is generated, never edited, and
+    # the previous PR's row is the committed baseline. A PR that changes
+    # performance bumps both numbers and commits its row; -compare prints a
+    # verdict per (workload, metric) and exits non-zero on any "worse".
+    bench_prev=11
+    bench_this=12
     mkdir -p results
-    go test -run '^$' -bench . -benchtime 1x ./...
-    go run ./cmd/flashio-bench -block 8 -files checkpoint -procs 4,8 \
-        -stats -json results/BENCH_flashio.json
-    go test -run '^$' -bench 'BenchmarkFlashCheckpoint8' -benchtime 5x . \
-        | tee results/BENCH_pipeline.txt
+    go run ./benchmark -seed 1 -out "results/BENCH_${bench_this}.json"
+    go run ./benchmark -compare "results/BENCH_${bench_prev}.json" \
+        "results/BENCH_${bench_this}.json"
 fi
 
 if [ "${FAULT:-0}" = "1" ]; then
