@@ -9,8 +9,10 @@ package pnetcdf_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
+	"pnetcdf/internal/cdf"
 	"pnetcdf/internal/core"
 	"pnetcdf/internal/mpi"
 	"pnetcdf/internal/mpiio"
@@ -217,5 +219,135 @@ func TestAllocsFlashRoundTrip(t *testing.T) {
 	}
 	if limit := payload / 10; r.AllocedBytesPerOp() > limit {
 		t.Errorf("checkpoint read-back allocates %d B/op, want <= 10%% of payload = %d", r.AllocedBytesPerOp(), limit)
+	}
+}
+
+// metaHeader builds the header of the metadata-heavy shape — nvars
+// one-dimensional variables with two attributes each, the benchmark's
+// meta_defs — through the Header methods, as the libraries do.
+func metaHeader(tb testing.TB, nvars int) *cdf.Header {
+	h := &cdf.Header{Version: 2}
+	h.AddDim(cdf.Dim{Name: "n", Len: 16})
+	for i := 0; i < nvars; i++ {
+		units, err := cdf.MakeAttr("units", nctype.Char, "m s-1 kg")
+		if err != nil {
+			tb.Fatal(err)
+		}
+		scale, err := cdf.MakeAttr("scale_factor", nctype.Double, []float64{float64(i)})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		h.AddVar(cdf.Var{
+			Name: fmt.Sprintf("variable_%05d", (i*7919)%nvars), Type: nctype.Float,
+			DimIDs: []int{0}, Attrs: []cdf.Attr{units, scale},
+		})
+	}
+	if err := h.ComputeLayout(1); err != nil {
+		tb.Fatal(err)
+	}
+	return h
+}
+
+// TestAllocsHeaderCodec pins what the metadata path allocates on a
+// 4096-variable header, per call: Encode one buffer of exactly the encoded
+// size; Decode one name and one attribute list per variable (attribute names
+// repeat from variable to variable and are shared, dimension IDs and
+// attribute values are carved from a few shared arrays) plus the name index;
+// Validate and FindVar nothing.
+func TestAllocsHeaderCodec(t *testing.T) {
+	const nvars = 4096
+	h := metaHeader(t, nvars)
+	img := h.Encode()
+	if got := testing.AllocsPerRun(10, func() { h.Encode() }); got != 1 {
+		t.Errorf("Encode: %v allocations, want 1", got)
+	}
+	var dec *cdf.Header
+	got := testing.AllocsPerRun(10, func() {
+		var err error
+		if dec, err = cdf.Decode(img); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// 2 per variable; the constant covers the two lists, the shared arrays
+	// (one per doubling, ~13 each for IDs and values) and the index's table.
+	t.Logf("Decode of %d variables (%d bytes): %v allocations", nvars, len(img), got)
+	if limit := float64(2*nvars + 64); got > limit {
+		t.Errorf("Decode: %v allocations for %d variables, want <= 2 per variable + 64 = %v", got, nvars, limit)
+	}
+	for _, hdr := range []*cdf.Header{h, dec} {
+		if got := testing.AllocsPerRun(10, func() {
+			if err := hdr.Validate(); err != nil {
+				t.Fatal(err)
+			}
+		}); got != 0 {
+			t.Errorf("Validate: %v allocations, want 0", got)
+		}
+		if got := testing.AllocsPerRun(10, func() {
+			for i := range hdr.Vars {
+				if hdr.FindVar(hdr.Vars[i].Name) != i {
+					t.Fatal("FindVar missed")
+				}
+			}
+			if hdr.FindVar("absent") != -1 {
+				t.Fatal("FindVar found a name no variable carries")
+			}
+		}); got != 0 {
+			t.Errorf("FindVar: %v allocations, want 0", got)
+		}
+	}
+	// Adding to the header allocates only when the list or the index grows.
+	if got := testing.AllocsPerRun(100, func() { dec.RenameVar(7, "renamed"); dec.RenameVar(7, "variable_x") }); got != 0 {
+		t.Errorf("RenameVar: %v allocations, want 0", got)
+	}
+}
+
+// TestAllocsNumRecsUpdate: a record-growing put rewrites the 4- or 8-byte
+// numrecs field, not the header around it. On a 4096-variable record dataset
+// (a header of ~200 KB) every such put used to encode the whole header.
+func TestAllocsNumRecsUpdate(t *testing.T) {
+	const nvars, puts = 4096, 32
+	fsys := pfs.New(pfs.DefaultConfig())
+	var perPut, hdrBytes int64
+	err := mpi.Run(1, mpi.DefaultNet(), func(c *mpi.Comm) error {
+		d, err := core.Create(c, fsys, "recs.nc", nctype.Bit64Offset, nil)
+		if err != nil {
+			return err
+		}
+		rec, _ := d.DefDim("time", 0)
+		x, _ := d.DefDim("x", 2)
+		for i := 0; i < nvars; i++ {
+			if _, err := d.DefVar(fmt.Sprintf("variable_%05d", i), nctype.Float, []int{rec, x}); err != nil {
+				return err
+			}
+		}
+		if err := d.EndDef(); err != nil {
+			return err
+		}
+		hdrBytes = d.Header().EncodedSize()
+		row := []float32{1, 2}
+		put := func(r int64) error { return d.PutVaraAll(0, []int64{r, 0}, []int64{1, 2}, row) }
+		if err := put(0); err != nil { // warm the pools and the view cache
+			return err
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for r := int64(1); r <= puts; r++ {
+			if err := put(r); err != nil {
+				return err
+			}
+		}
+		runtime.ReadMemStats(&after)
+		perPut = int64(after.TotalAlloc-before.TotalAlloc) / puts
+		if d.NumRecs() != puts+1 {
+			return fmt.Errorf("NumRecs = %d, want %d", d.NumRecs(), puts+1)
+		}
+		return d.Close()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("record-growing put: %d B/put next to a %d-byte header", perPut, hdrBytes)
+	if perPut > hdrBytes/4 {
+		t.Errorf("a record-growing put allocates %d B, want <= 1/4 of the %d-byte header it does not rewrite", perPut, hdrBytes)
 	}
 }

@@ -105,12 +105,9 @@ func (h *Header) CheckLayout(fileSize int64) []LayoutIssue {
 // CheckFile decodes and fully validates a file image: header syntax,
 // structural rules (Validate) and layout invariants (CheckLayout).
 func CheckFile(img []byte) (*Header, []LayoutIssue, error) {
-	h, err := Decode(img)
+	h, err := Decode(img) // Decode applies Validate itself
 	if err != nil {
 		return nil, nil, err
-	}
-	if err := h.Validate(); err != nil {
-		return h, nil, err
 	}
 	return h, h.CheckLayout(int64(len(img))), nil
 }

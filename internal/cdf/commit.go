@@ -2,6 +2,7 @@ package cdf
 
 import (
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 )
 
@@ -71,18 +72,67 @@ func VerifyJournalImage(image []byte, crc uint32) bool {
 // and returns the journaled header image, or nil when none is present or it
 // fails verification.
 func RecoverJournal(img []byte) []byte {
-	if len(img) < JournalTrailerSize {
+	return readJournal(int64(len(img)), func(buf []byte, off int64) error {
+		copy(buf, img[off:])
+		return nil
+	})
+}
+
+// ReadHeader fetches and decodes the header of a file of the given size
+// through read, which fills buf from file offset off (the package performs
+// no I/O of its own). It probes 64 KiB and quadruples the probe for as long
+// as Decode reports ErrTruncated. Any other failure cannot be cured by more
+// bytes — as a header still truncated with the whole file read cannot — and
+// is settled by the commit journal at the file's tail: a torn in-place
+// header is recovered from it (recovered is true), otherwise the decode
+// error stands.
+//
+// blob is the image h was decoded from. It is nil only when read failed; on
+// a decode error it is the last probe, so that a caller's peers can decode
+// it to the same error.
+func ReadHeader(size int64, read func(buf []byte, off int64) error) (h *Header, blob []byte, recovered bool, err error) {
+	for probe := int64(64 << 10); ; probe *= 4 {
+		blob = make([]byte, min(probe, size))
+		if rerr := read(blob, 0); rerr != nil {
+			return nil, nil, false, rerr
+		}
+		if h, err = Decode(blob); err == nil {
+			return h, blob, false, nil
+		}
+		if probe >= size || !errors.Is(err, ErrTruncated) {
+			break
+		}
+	}
+	if img := readJournal(size, read); img != nil {
+		if jh, jerr := Decode(img); jerr == nil {
+			return jh, img, true, nil
+		}
+	}
+	return nil, blob, false, err
+}
+
+// readJournal reads and verifies the commit journal terminating the file,
+// returning the journaled header image or nil.
+func readJournal(size int64, read func(buf []byte, off int64) error) []byte {
+	if size < JournalTrailerSize {
 		return nil
 	}
-	n, crc, ok := ParseJournalTrailer(img[len(img)-JournalTrailerSize:])
-	if !ok || n > int64(len(img)-JournalTrailerSize) {
+	tr := make([]byte, JournalTrailerSize)
+	if read(tr, size-JournalTrailerSize) != nil {
 		return nil
 	}
-	image := img[int64(len(img))-JournalTrailerSize-n : int64(len(img))-JournalTrailerSize]
-	if !VerifyJournalImage(image, crc) {
+	n, crc, ok := ParseJournalTrailer(tr)
+	if !ok || n > size-JournalTrailerSize {
 		return nil
 	}
-	return image
+	img := make([]byte, n)
+	if read(img, size-JournalTrailerSize-n) != nil {
+		return nil
+	}
+	if !VerifyJournalImage(img, crc) {
+		return nil
+	}
+	return img
 }
 
 // MaxRecsForSize returns the largest record count the file size can hold —

@@ -11,15 +11,54 @@ type headerReader struct {
 	buf     []byte
 	pos     int
 	version int
+
+	// Dimension-ID lists and attribute values are cut from shared arrays.
+	ids  arena[int]
+	vals arena[byte]
 }
 
-var errTruncated = fmt.Errorf("%w: truncated header", nctype.ErrNotNC)
+// ErrTruncated reports that the buffer ended before the header did: the one
+// decode failure that more bytes of the same file can cure. It wraps
+// nctype.ErrNotNC, which is what a truncated file is.
+var ErrTruncated = fmt.Errorf("%w: truncated header", nctype.ErrNotNC)
 
 func (r *headerReader) need(n int) error {
 	if r.pos+n > len(r.buf) {
-		return errTruncated
+		return ErrTruncated
 	}
 	return nil
+}
+
+// atMost bounds a decoded element count by what the unread bytes could
+// encode at minSize bytes an element, so that a hostile count cannot size an
+// allocation.
+func (r *headerReader) atMost(n, minSize int64) int {
+	return int(min(n, int64(len(r.buf)-r.pos)/minSize))
+}
+
+// arena hands out slices cut from shared backing arrays, so that a header's
+// many short lists cost a handful of allocations, not one each.
+type arena[T any] struct {
+	free  []T
+	taken int
+}
+
+// carve returns n zeroed elements with capacity n: appending to one list
+// cannot reach its neighbour. A fresh backing array is as large as all that
+// was carved before it (k lists cost O(log k) allocations and at most twice
+// their memory) but no larger than limit, which the caller derives from the
+// unread input; n itself must already be known to fit.
+func (a *arena[T]) carve(n, limit int) []T {
+	if n == 0 {
+		return []T{}
+	}
+	if len(a.free) < n {
+		a.free = make([]T, max(n, min(a.taken, limit)))
+	}
+	s := a.free[:n:n]
+	a.free = a.free[n:]
+	a.taken += n
+	return s
 }
 
 func (r *headerReader) uint32() (uint32, error) {
@@ -73,7 +112,10 @@ func (r *headerReader) skipPad() error {
 	return nil
 }
 
-func (r *headerReader) name() (string, error) {
+// name reads a name. When it equals like — the name in the same place of
+// the previous list, which is what the attributes of consecutive variables
+// mostly carry — that string is shared instead of allocating another.
+func (r *headerReader) name(like string) (string, error) {
 	n, err := r.nonNeg()
 	if err != nil {
 		return "", err
@@ -84,7 +126,10 @@ func (r *headerReader) name() (string, error) {
 	if err := r.need(int(n)); err != nil {
 		return "", err
 	}
-	s := string(r.buf[r.pos : r.pos+int(n)])
+	s := like
+	if string(r.buf[r.pos:r.pos+int(n)]) != like {
+		s = string(r.buf[r.pos : r.pos+int(n)])
+	}
 	r.pos += int(n)
 	return s, r.skipPad()
 }
@@ -107,7 +152,9 @@ func (r *headerReader) tagList(wantTag uint32) (int64, error) {
 	return 0, fmt.Errorf("%w: bad list tag %#x", nctype.ErrNotNC, tag)
 }
 
-func (r *headerReader) attrs() ([]Attr, error) {
+// attrs reads an attribute list; prev is the list read before it, whose
+// names it may share (see name).
+func (r *headerReader) attrs(prev []Attr) ([]Attr, error) {
 	n, err := r.tagList(nctype.TagAttribute)
 	if err != nil {
 		return nil, err
@@ -115,10 +162,15 @@ func (r *headerReader) attrs() ([]Attr, error) {
 	if n > nctype.MaxAttrs {
 		return nil, fmt.Errorf("%w: %d attributes", nctype.ErrNotNC, n)
 	}
-	attrs := make([]Attr, 0, n)
+	nn := nonNegSize(r.version)
+	attrs := make([]Attr, 0, r.atMost(n, 2*nn+4))
 	for i := int64(0); i < n; i++ {
 		var a Attr
-		if a.Name, err = r.name(); err != nil {
+		like := ""
+		if i < int64(len(prev)) {
+			like = prev[i].Name
+		}
+		if a.Name, err = r.name(like); err != nil {
 			return nil, err
 		}
 		t, err := r.uint32()
@@ -135,13 +187,14 @@ func (r *headerReader) attrs() ([]Attr, error) {
 		// Bound Nelems by the buffer before multiplying so the byte count
 		// cannot overflow, and the copy below cannot over-allocate.
 		if a.Nelems > int64(len(r.buf)) {
-			return nil, errTruncated
+			return nil, ErrTruncated
 		}
 		nbytes := a.Nelems * int64(a.Type.Size())
 		if nbytes < 0 || int64(r.pos)+nbytes > int64(len(r.buf)) {
-			return nil, errTruncated
+			return nil, ErrTruncated
 		}
-		a.Values = append([]byte(nil), r.buf[r.pos:r.pos+int(nbytes)]...)
+		a.Values = r.vals.carve(int(nbytes), len(r.buf)-r.pos)
+		copy(a.Values, r.buf[r.pos:])
 		r.pos += int(nbytes)
 		if err := r.skipPad(); err != nil {
 			return nil, err
@@ -175,9 +228,11 @@ func Decode(buf []byte) (*Header, error) {
 	if ndims > nctype.MaxDims {
 		return nil, fmt.Errorf("%w: %d dimensions", nctype.ErrNotNC, ndims)
 	}
+	nn := nonNegSize(version)
+	h.Dims = make([]Dim, 0, r.atMost(ndims, 2*nn))
 	for i := int64(0); i < ndims; i++ {
 		var d Dim
-		if d.Name, err = r.name(); err != nil {
+		if d.Name, err = r.name(""); err != nil {
 			return nil, err
 		}
 		if d.Len, err = r.nonNeg(); err != nil {
@@ -186,7 +241,7 @@ func Decode(buf []byte) (*Header, error) {
 		h.Dims = append(h.Dims, d)
 	}
 	// gatt_list
-	if h.GAttrs, err = r.attrs(); err != nil {
+	if h.GAttrs, err = r.attrs(nil); err != nil {
 		return nil, err
 	}
 	// var_list
@@ -197,9 +252,11 @@ func Decode(buf []byte) (*Header, error) {
 	if nvars > nctype.MaxVars {
 		return nil, fmt.Errorf("%w: %d variables", nctype.ErrNotNC, nvars)
 	}
+	h.Vars = make([]Var, 0, r.atMost(nvars, 4*nn+8+offsetSize(version)))
+	var prev []Attr
 	for i := int64(0); i < nvars; i++ {
 		var v Var
-		if v.Name, err = r.name(); err != nil {
+		if v.Name, err = r.name(""); err != nil {
 			return nil, err
 		}
 		nd, err := r.nonNeg()
@@ -209,7 +266,10 @@ func Decode(buf []byte) (*Header, error) {
 		if nd > nctype.MaxDims {
 			return nil, nctype.ErrMaxDims
 		}
-		v.DimIDs = make([]int, nd)
+		if err := r.need(int(nd * nn)); err != nil {
+			return nil, err
+		}
+		v.DimIDs = r.ids.carve(int(nd), (len(r.buf)-r.pos)/int(nn))
 		for j := range v.DimIDs {
 			id, err := r.nonNeg()
 			if err != nil {
@@ -220,8 +280,11 @@ func Decode(buf []byte) (*Header, error) {
 			}
 			v.DimIDs[j] = int(id)
 		}
-		if v.Attrs, err = r.attrs(); err != nil {
+		if v.Attrs, err = r.attrs(prev); err != nil {
 			return nil, err
+		}
+		if len(v.Attrs) > 0 {
+			prev = v.Attrs
 		}
 		t, err := r.uint32()
 		if err != nil {
@@ -242,6 +305,8 @@ func Decode(buf []byte) (*Header, error) {
 		}
 		h.Vars = append(h.Vars, v)
 	}
+	h.dimIdx.extend(len(h.Dims), h.dimName)
+	h.varIdx.extend(len(h.Vars), h.varName)
 	if err := h.Validate(); err != nil {
 		return nil, err
 	}

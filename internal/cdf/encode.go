@@ -59,7 +59,7 @@ func (w *headerWriter) offset(v int64) {
 
 func (w *headerWriter) name(s string) {
 	w.nonNeg(int64(len(s)))
-	w.bytes([]byte(s))
+	w.buf = append(w.buf, s...)
 	w.pad4()
 }
 
@@ -87,8 +87,8 @@ func (w *headerWriter) attrs(attrs []Attr) {
 // Encode serializes the header to its on-disk byte representation.
 // ComputeLayout must have been called (Begin/VSize populated).
 func (h *Header) Encode() []byte {
-	w := &headerWriter{version: h.Version}
-	w.bytes([]byte{'C', 'D', 'F', byte(h.Version)})
+	w := &headerWriter{buf: make([]byte, 0, h.EncodedSize()), version: h.Version}
+	w.buf = append(w.buf, 'C', 'D', 'F', byte(h.Version))
 	w.nonNeg(h.NumRecs)
 	// dim_list
 	w.tagList(nctype.TagDimension, len(h.Dims))
@@ -112,6 +112,19 @@ func (h *Header) Encode() []byte {
 		w.nonNeg(v.VSize)
 		w.offset(v.Begin)
 	}
+	return w.buf
+}
+
+// NumRecsOffset is the file offset of the numrecs field: it follows the
+// 4-byte magic in every format version.
+const NumRecsOffset = 4
+
+// EncodeNumRecs returns the on-disk image of the numrecs field alone (4
+// bytes, 8 in CDF-5): what a record-growing write has to update, whatever
+// the size of the header around it.
+func (h *Header) EncodeNumRecs() []byte {
+	w := &headerWriter{version: h.Version}
+	w.nonNeg(h.NumRecs)
 	return w.buf
 }
 

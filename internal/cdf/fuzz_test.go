@@ -1,6 +1,8 @@
 package cdf
 
 import (
+	"encoding/binary"
+	"runtime"
 	"testing"
 
 	"pnetcdf/internal/nctype"
@@ -33,6 +35,79 @@ func mkAttr(name string, t nctype.Type, vals []byte) Attr {
 	return Attr{Name: name, Type: t, Nelems: int64(len(vals)) / int64(t.Size()), Values: vals}
 }
 
+// hostileCountImages builds tiny buffers that declare the largest counts
+// Decode admits — MaxDims dimensions, MaxAttrs attributes, MaxVars
+// variables, a MaxDims-dimensional variable, an attribute as long as the
+// buffer — with little or nothing behind them. Decode sizes its lists from
+// counts, so each must be bounded by the bytes actually present.
+func hostileCountImages() [][]byte {
+	var out [][]byte
+	for _, version := range []int{1, 2, 5} {
+		w := func() *headerWriter {
+			w := &headerWriter{version: version}
+			w.buf = append(w.buf, 'C', 'D', 'F', byte(version))
+			w.nonNeg(0)
+			return w
+		}
+		dims := w()
+		dims.tagList(nctype.TagDimension, nctype.MaxDims)
+		out = append(out, dims.buf)
+
+		gatts := w()
+		gatts.tagList(nctype.TagDimension, 0)
+		gatts.tagList(nctype.TagAttribute, nctype.MaxAttrs)
+		out = append(out, gatts.buf)
+
+		long := w()
+		long.tagList(nctype.TagDimension, 0)
+		long.tagList(nctype.TagAttribute, 1)
+		long.name("a")
+		long.uint32(uint32(nctype.Byte))
+		long.nonNeg(int64(len(long.buf)) + nonNegSize(version)) // nelems = the buffer's own length
+		out = append(out, long.buf)
+
+		vars := w()
+		vars.tagList(nctype.TagDimension, 0)
+		vars.tagList(nctype.TagAttribute, 0)
+		vars.tagList(nctype.TagVariable, nctype.MaxVars)
+		out = append(out, vars.buf)
+
+		wide := w()
+		wide.tagList(nctype.TagDimension, 1)
+		wide.name("x")
+		wide.nonNeg(1)
+		wide.tagList(nctype.TagAttribute, 0)
+		wide.tagList(nctype.TagVariable, nctype.MaxVars)
+		wide.name("v")
+		wide.nonNeg(nctype.MaxDims)
+		out = append(out, wide.buf)
+		// ... and the same with a sign-extended count, where the format has room.
+		huge := append([]byte(nil), wide.buf...)
+		binary.BigEndian.PutUint32(huge[len(huge)-4:], 0xFFFFFFFF)
+		out = append(out, huge)
+	}
+	return out
+}
+
+// TestDecodeHostileCountsBoundedAllocation: what Decode allocates for a
+// count is bounded by the bytes that could back it, not by the count.
+func TestDecodeHostileCountsBoundedAllocation(t *testing.T) {
+	for i, img := range hostileCountImages() {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Decode(img)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("image %d: Decode accepted it", i)
+		}
+		// A Var is 88 bytes in memory against 28 on disk, the worst ratio of
+		// any list element; 16x the buffer plus a constant covers every list.
+		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(16*len(img)+4096); got > limit {
+			t.Errorf("image %d (%d bytes): Decode allocated %d bytes, want <= %d", i, len(img), got, limit)
+		}
+	}
+}
+
 // FuzzDecode: the header decoder must never panic or over-allocate on
 // hostile input — only return a header or an error. Seeds cover the three
 // format versions plus images truncated at every crash point a torn header
@@ -59,6 +134,9 @@ func FuzzDecode(f *testing.F) {
 			evil[i] = 0xFF
 		}
 		f.Add(evil)
+	}
+	for _, img := range hostileCountImages() {
+		f.Add(img)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h, err := Decode(data)

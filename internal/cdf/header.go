@@ -5,7 +5,8 @@
 // data encoding.
 //
 // The package is pure encoding/decoding and layout arithmetic; it performs
-// no I/O. Both the serial library (internal/netcdf) and the parallel library
+// no I/O of its own (ReadHeader drives a read function its caller supplies).
+// Both the serial library (internal/netcdf) and the parallel library
 // (internal/core) share it, which is what guarantees that files written by
 // one are readable by the other — the property the paper relies on when it
 // keeps "the original netCDF file format (version 3)".
@@ -13,6 +14,7 @@ package cdf
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"pnetcdf/internal/nctype"
@@ -55,6 +57,10 @@ type Var struct {
 }
 
 // Header is the in-memory model of a classic-format file header.
+//
+// Dims and Vars may be read, built as literals and appended to freely; the
+// libraries add and rename through AddDim, AddVar, RenameDim and RenameVar,
+// which keep the name indexes behind FindDim and FindVar current.
 type Header struct {
 	// Version is 1 (CDF-1), 2 (CDF-2) or 5 (CDF-5).
 	Version int
@@ -63,6 +69,44 @@ type Header struct {
 	Dims    []Dim
 	GAttrs  []Attr
 	Vars    []Var
+
+	dimIdx, varIdx nameIndex
+}
+
+func (h *Header) dimName(i int) string { return h.Dims[i].Name }
+func (h *Header) varName(i int) string { return h.Vars[i].Name }
+
+// AddDim appends a dimension and returns its ID.
+func (h *Header) AddDim(d Dim) int {
+	h.Dims = append(h.Dims, d)
+	h.dimIdx.extend(len(h.Dims), h.dimName)
+	return len(h.Dims) - 1
+}
+
+// AddVar appends a variable and returns its ID. The list doubles when full:
+// append's 1.25x steps would copy a list of thousands five times over, and a
+// Var is the largest thing a header holds many of.
+func (h *Header) AddVar(v Var) int {
+	if len(h.Vars) == cap(h.Vars) {
+		h.Vars = slices.Grow(h.Vars, max(len(h.Vars), 1))
+	}
+	h.Vars = append(h.Vars, v)
+	h.varIdx.extend(len(h.Vars), h.varName)
+	return len(h.Vars) - 1
+}
+
+// RenameDim gives dimension id a new name.
+func (h *Header) RenameDim(id int, name string) {
+	h.dimIdx.extend(len(h.Dims), h.dimName)
+	h.dimIdx.rename(id, h.Dims[id].Name, name)
+	h.Dims[id].Name = name
+}
+
+// RenameVar gives variable id a new name.
+func (h *Header) RenameVar(id int, name string) {
+	h.varIdx.extend(len(h.Vars), h.varName)
+	h.varIdx.rename(id, h.Vars[id].Name, name)
+	h.Vars[id].Name = name
 }
 
 // UnlimitedDimID returns the index of the record dimension, or -1.
@@ -98,17 +142,24 @@ func (h *Header) VarShape(v *Var) []int64 {
 
 // FindDim returns the ID of the dimension with the given name, or -1.
 func (h *Header) FindDim(name string) int {
-	for i, d := range h.Dims {
-		if d.Name == name {
+	if id, ok := h.dimIdx.lookup(name); ok && id < len(h.Dims) && h.Dims[id].Name == name {
+		return id
+	}
+	for i := h.dimIdx.n; i < len(h.Dims); i++ {
+		if h.Dims[i].Name == name {
 			return i
 		}
 	}
 	return -1
 }
 
-// FindVar returns the ID of the variable with the given name, or -1.
+// FindVar returns the ID of the variable with the given name, or -1. It
+// only reads the header, so concurrent lookups are safe.
 func (h *Header) FindVar(name string) int {
-	for i := range h.Vars {
+	if id, ok := h.varIdx.lookup(name); ok && id < len(h.Vars) && h.Vars[id].Name == name {
+		return id
+	}
+	for i := h.varIdx.n; i < len(h.Vars); i++ {
 		if h.Vars[i].Name == name {
 			return i
 		}
@@ -163,6 +214,7 @@ func (h *Header) Clone() *Header {
 		nv.Attrs = cloneAttrs(v.Attrs)
 		c.Vars[i] = nv
 	}
+	c.dimIdx, c.varIdx = h.dimIdx.clone(), h.varIdx.clone()
 	return c
 }
 
@@ -234,16 +286,17 @@ func (h *Header) Validate() error {
 	if h.Version != 1 && h.Version != 2 && h.Version != 5 {
 		return fmt.Errorf("%w: version %d", nctype.ErrVersion, h.Version)
 	}
-	seenDim := map[string]bool{}
+	if i := h.dimIdx.firstDup(len(h.Dims), h.dimName); i >= 0 {
+		return fmt.Errorf("%w: dimension %q", nctype.ErrNameInUse, h.Dims[i].Name)
+	}
+	if i := h.varIdx.firstDup(len(h.Vars), h.varName); i >= 0 {
+		return fmt.Errorf("%w: variable %q", nctype.ErrNameInUse, h.Vars[i].Name)
+	}
 	unlimited := 0
 	for _, d := range h.Dims {
 		if err := CheckName(d.Name); err != nil {
 			return err
 		}
-		if seenDim[d.Name] {
-			return fmt.Errorf("%w: dimension %q", nctype.ErrNameInUse, d.Name)
-		}
-		seenDim[d.Name] = true
 		if d.Len < 0 {
 			return fmt.Errorf("%w: dimension %q length %d", nctype.ErrBadDim, d.Name, d.Len)
 		}
@@ -257,16 +310,11 @@ func (h *Header) Validate() error {
 	if err := validateAttrs(h.GAttrs, h.Version); err != nil {
 		return err
 	}
-	seenVar := map[string]bool{}
 	for i := range h.Vars {
 		v := &h.Vars[i]
 		if err := CheckName(v.Name); err != nil {
 			return err
 		}
-		if seenVar[v.Name] {
-			return fmt.Errorf("%w: variable %q", nctype.ErrNameInUse, v.Name)
-		}
-		seenVar[v.Name] = true
 		if !v.Type.Valid(h.Version) {
 			return fmt.Errorf("%w: variable %q type %v", nctype.ErrBadType, v.Name, v.Type)
 		}
@@ -289,15 +337,13 @@ func (h *Header) Validate() error {
 }
 
 func validateAttrs(attrs []Attr, version int) error {
-	seen := map[string]bool{}
+	if i := firstDupUnindexed(len(attrs), func(i int) string { return attrs[i].Name }); i >= 0 {
+		return fmt.Errorf("%w: attribute %q", nctype.ErrNameInUse, attrs[i].Name)
+	}
 	for _, a := range attrs {
 		if err := CheckName(a.Name); err != nil {
 			return err
 		}
-		if seen[a.Name] {
-			return fmt.Errorf("%w: attribute %q", nctype.ErrNameInUse, a.Name)
-		}
-		seen[a.Name] = true
 		if !a.Type.Valid(version) {
 			return fmt.Errorf("%w: attribute %q type %v", nctype.ErrBadType, a.Name, a.Type)
 		}

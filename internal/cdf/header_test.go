@@ -2,6 +2,7 @@ package cdf
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"pnetcdf/internal/nctype"
@@ -114,8 +115,14 @@ func TestDecodeTruncatedEverywhere(t *testing.T) {
 	h := simpleHeader(t, 1)
 	buf := h.Encode()
 	for n := 0; n < len(buf); n++ {
-		if _, err := Decode(buf[:n]); err == nil {
+		_, err := Decode(buf[:n])
+		if err == nil {
 			t.Fatalf("Decode accepted %d-byte prefix of %d-byte header", n, len(buf))
+		}
+		// Past the magic, a prefix of a sound header fails as truncated and
+		// nothing else: that is what lets a reader grow its probe.
+		if !errors.Is(err, nctype.ErrNotNC) || errors.Is(err, ErrTruncated) != (n >= 4) {
+			t.Fatalf("%d-byte prefix: err = %v", n, err)
 		}
 	}
 }

@@ -23,6 +23,8 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
+	"sort"
 
 	"pnetcdf/internal/cdf"
 	"pnetcdf/internal/iostat"
@@ -131,34 +133,42 @@ func Open(comm *mpi.Comm, fsys *pfs.FS, path string, omode int, info *mpi.Info) 
 	if err != nil {
 		return nil, err
 	}
-	// Root fetches the header (growing the probe if needed, falling back to
-	// the commit journal when the in-place header is torn) and broadcasts a
-	// status first, so a root-side read failure is a collective error rather
-	// than a hang.
+	// Root fetches the header (cdf.ReadHeader: growing probes, then the commit
+	// journal when the in-place header is torn) and broadcasts a status
+	// first, so a root-side read failure is a collective error rather than a
+	// hang.
+	var hdr *cdf.Header
 	var blob []byte
 	var recovered bool
-	var rootErr error
+	var herr error // this rank's failure to read or decode the header
 	if comm.Rank() == 0 {
-		blob, recovered, rootErr = readHeaderBlob(f)
+		var size int64
+		if size, herr = f.Size(); herr == nil {
+			hdr, blob, recovered, herr = cdf.ReadHeader(size, f.ReadRaw)
+		}
 	}
 	status := int64(0)
-	if rootErr != nil {
+	if herr != nil && blob == nil { // the read itself failed: nothing to broadcast
 		status = 1
 	} else if recovered {
 		status = 2
 	}
 	status = mpi.DecodeI64s(comm.Bcast(0, mpi.EncodeI64s([]int64{status})))[0]
 	if status == 1 {
-		if rootErr != nil {
-			return nil, rootErr
+		if herr != nil {
+			return nil, herr
 		}
 		return nil, fmt.Errorf("pnetcdf: open %s: header read failed on root", path)
 	}
 	recovered = status == 2
+	// The root keeps the header it decoded while probing; the others decode
+	// the broadcast image — to the same error, when it is undecodable.
 	blob = comm.Bcast(0, blob)
-	hdr, err := cdf.Decode(blob)
-	if err != nil {
-		return nil, err
+	if comm.Rank() != 0 {
+		hdr, herr = cdf.Decode(blob)
+	}
+	if herr != nil {
+		return nil, herr
 	}
 	if recovered {
 		// The journaled (new) header may declare records that were lost with
@@ -194,63 +204,6 @@ func Open(comm *mpi.Comm, fsys *pfs.FS, path string, omode int, info *mpi.Info) 
 		return nil, err
 	}
 	return d, nil
-}
-
-// readHeaderBlob reads enough of the file to decode the header. When the
-// in-place header is torn (a crash during commit), it falls back to the
-// commit journal at the file's tail; recovered reports that fallback.
-func readHeaderBlob(f *mpiio.File) (blob []byte, recovered bool, err error) {
-	size, err := f.Size()
-	if err != nil {
-		return nil, false, err
-	}
-	probe := int64(64 << 10)
-	for {
-		if probe > size {
-			probe = size
-		}
-		buf := make([]byte, probe)
-		if err := f.ReadRaw(buf, 0); err != nil {
-			return nil, false, err
-		}
-		if _, derr := cdf.Decode(buf); derr == nil {
-			return buf, false, nil
-		}
-		if probe >= size {
-			if img := recoverJournal(f, size); img != nil {
-				return img, true, nil
-			}
-			return buf, false, nil // undecodable; the caller reports it
-		}
-		probe *= 4
-	}
-}
-
-// recoverJournal reads and verifies the commit journal terminating the
-// file, returning the journaled header image or nil.
-func recoverJournal(f *mpiio.File, size int64) []byte {
-	if size < cdf.JournalTrailerSize {
-		return nil
-	}
-	tr := make([]byte, cdf.JournalTrailerSize)
-	if err := f.ReadRaw(tr, size-cdf.JournalTrailerSize); err != nil {
-		return nil
-	}
-	n, crc, ok := cdf.ParseJournalTrailer(tr)
-	if !ok || n > size-cdf.JournalTrailerSize {
-		return nil
-	}
-	img := make([]byte, n)
-	if err := f.ReadRaw(img, size-cdf.JournalTrailerSize-n); err != nil {
-		return nil
-	}
-	if !cdf.VerifyJournalImage(img, crc) {
-		return nil
-	}
-	if _, err := cdf.Decode(img); err != nil {
-		return nil
-	}
-	return img
 }
 
 // Comm returns the dataset's communicator.
@@ -305,8 +258,7 @@ func (d *Dataset) DefDim(name string, size int64) (int, error) {
 	if size == 0 && d.hdr.UnlimitedDimID() >= 0 {
 		return -1, nctype.ErrMultiUnlimited
 	}
-	d.hdr.Dims = append(d.hdr.Dims, cdf.Dim{Name: name, Len: size})
-	return len(d.hdr.Dims) - 1, nil
+	return d.hdr.AddDim(cdf.Dim{Name: name, Len: size}), nil
 }
 
 // DefVar defines a variable over previously defined dimensions.
@@ -336,10 +288,9 @@ func (d *Dataset) DefVar(name string, t nctype.Type, dimids []int) (int, error) 
 			return -1, nctype.ErrUnlimPos
 		}
 	}
-	d.hdr.Vars = append(d.hdr.Vars, cdf.Var{
+	return d.hdr.AddVar(cdf.Var{
 		Name: name, Type: t, DimIDs: append([]int(nil), dimids...),
-	})
-	return len(d.hdr.Vars) - 1, nil
+	}), nil
 }
 
 func (d *Dataset) attrsOf(varid int) (*[]cdf.Attr, error) {
@@ -460,7 +411,10 @@ func (d *Dataset) EndDef() error {
 		return err
 	}
 	d.invalidateViews()
-	if !d.comm.AgreeSame(d.hdr.Encode()) {
+	// One encoding per rank serves the consistency check and, on the root,
+	// the commit: nothing below changes the header.
+	img := d.hdr.Encode()
+	if !d.comm.AgreeSame(img) {
 		return nctype.ErrConsistency
 	}
 	d.define = false
@@ -470,7 +424,7 @@ func (d *Dataset) EndDef() error {
 		}
 		d.oldLayout = nil
 	}
-	if err := d.writeHeaderCollective(); err != nil {
+	if err := d.commitCollective(img); err != nil {
 		return err
 	}
 	if d.fill {
@@ -501,19 +455,29 @@ func (d *Dataset) Redef() error {
 	return nil
 }
 
-// writeHeaderCollective has the root commit the header image; the outcome
-// is agreed so every rank returns the same error and nobody runs ahead
-// against a header that never landed.
+// writeHeaderCollective commits the current header; only the root, which
+// writes it, encodes it.
 func (d *Dataset) writeHeaderCollective() error {
+	var img []byte
+	if d.comm.Rank() == 0 {
+		img = d.hdr.Encode()
+	}
+	return d.commitCollective(img)
+}
+
+// commitCollective has the root commit img, the encoding of the current
+// header; the outcome is agreed so every rank returns the same error and
+// nobody runs ahead against a header that never landed.
+func (d *Dataset) commitCollective(img []byte) error {
 	var werr error
 	if d.comm.Rank() == 0 {
-		werr = d.commitHeader()
+		werr = d.commitHeader(img)
 	}
 	return d.comm.AgreeError(werr)
 }
 
-// commitHeader publishes the current header crash-consistently
-// (write-new / validate / publish):
+// commitHeader publishes blob, the encoding of the current header,
+// crash-consistently (write-new / validate / publish):
 //
 //  1. journal the new image past EOF (a torn journal has no valid trailer
 //     and is ignored on recovery);
@@ -525,10 +489,9 @@ func (d *Dataset) writeHeaderCollective() error {
 // invalid in-place header plus a complete journal holding the new one —
 // Open and ncvalidate recover from the journal, so the file always
 // classifies as old or new, never a torn hybrid.
-func (d *Dataset) commitHeader() error {
+func (d *Dataset) commitHeader(blob []byte) error {
 	sc := d.sp.Begin(span.HeaderCommit)
 	defer sc.End()
-	blob := d.hdr.Encode()
 	sc.SetBytes(int64(len(blob)))
 	size, err := d.f.Size()
 	if err != nil {
@@ -569,10 +532,11 @@ func (d *Dataset) commitHeader() error {
 	return nil
 }
 
-// relocate moves data after a header-growing Redef. Non-overlapping moves
-// are divided among the processes ("moving the existing data to the
-// extended area is performed in parallel", paper §4.3); overlapping moves
-// fall back to the root walking back to front.
+// relocate moves data after a header-growing Redef. Moves whose
+// destinations clear all the old data are divided among the processes
+// ("moving the existing data to the extended area is performed in
+// parallel", paper §4.3); otherwise a destination may be another move's
+// source, and the root walks them back to front.
 func (d *Dataset) relocate(old *cdf.Header) error {
 	type move struct{ from, to, n int64 }
 	var moves []move
@@ -591,19 +555,19 @@ func (d *Dataset) relocate(old *cdf.Header) error {
 			moves = append(moves, move{ov.Begin, nv.Begin, ov.VSize})
 		}
 	}
-	// Sort by descending destination.
-	for i := 1; i < len(moves); i++ {
-		for j := i; j > 0 && moves[j-1].to < moves[j].to; j-- {
-			moves[j-1], moves[j] = moves[j], moves[j-1]
-		}
-	}
-	overlapping := false
+	// Descending destination; destinations are distinct.
+	sort.Slice(moves, func(a, b int) bool { return moves[a].to > moves[b].to })
+	// Ranks may take moves independently only when nothing is written where
+	// something is still to be read — by that move or by one another rank
+	// has not reached yet: every destination lies past every source.
+	lowestTo, highestFromEnd := int64(math.MaxInt64), int64(0)
 	for _, m := range moves {
-		if m.from != m.to && m.to < m.from+m.n {
-			overlapping = true
-			break
+		if m.from != m.to && m.n > 0 {
+			lowestTo = min(lowestTo, m.to)
+			highestFromEnd = max(highestFromEnd, m.from+m.n)
 		}
 	}
+	overlapping := lowestTo < highestFromEnd
 	buf := make([]byte, 1<<20)
 	doMove := func(m move) error {
 		remaining := m.n
@@ -727,17 +691,12 @@ func (d *Dataset) syncNumRecs() error {
 func (d *Dataset) writeNumRecs() error {
 	var werr error
 	if !d.ro && d.comm.Rank() == 0 && d.hdr.NumRecs > d.persistedNumRecs {
-		full := d.hdr.Encode()
-		// numrecs sits right after the 4-byte magic; 4 or 8 bytes by version.
-		n := 8
-		if d.hdr.Version != 5 {
-			n = 4
-		}
-		werr = d.f.WriteRaw(full[4:4+n], 4)
+		field := d.hdr.EncodeNumRecs()
+		werr = d.f.WriteRaw(field, cdf.NumRecsOffset)
 		if werr == nil {
 			d.persistedNumRecs = d.hdr.NumRecs
 		}
-		d.st.Add(iostat.NCHeaderWriteBytes, int64(n))
+		d.st.Add(iostat.NCHeaderWriteBytes, int64(len(field)))
 	}
 	return d.comm.AgreeError(werr)
 }

@@ -29,7 +29,7 @@ func (d *Dataset) RenameDim(dimid int, newName string) error {
 	if !d.define && len(newName) > len(d.hdr.Dims[dimid].Name) {
 		return nctype.ErrNotInDefine
 	}
-	d.hdr.Dims[dimid].Name = newName
+	d.hdr.RenameDim(dimid, newName)
 	if !d.define {
 		return d.writeHeaderCollective()
 	}
@@ -56,7 +56,7 @@ func (d *Dataset) RenameVar(varid int, newName string) error {
 	if !d.define && len(newName) > len(d.hdr.Vars[varid].Name) {
 		return nctype.ErrNotInDefine
 	}
-	d.hdr.Vars[varid].Name = newName
+	d.hdr.RenameVar(varid, newName)
 	if !d.define {
 		return d.writeHeaderCollective()
 	}

@@ -343,16 +343,9 @@ func (c *Comm) AgreeError(err error) error {
 // consistency checks.
 func (c *Comm) AgreeSame(data []byte) bool {
 	ref := c.Bcast(0, data)
-	same := int64(1)
-	if len(ref) != len(data) {
-		same = 0
-	} else {
-		for i := range ref {
-			if ref[i] != data[i] {
-				same = 0
-				break
-			}
-		}
+	same := int64(0)
+	if bytes.Equal(ref, data) {
+		same = 1
 	}
 	return c.AllreduceI64([]int64{same}, OpLAnd)[0] == 1
 }

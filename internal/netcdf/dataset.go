@@ -3,6 +3,7 @@ package netcdf
 import (
 	"errors"
 	"fmt"
+	"sort"
 
 	"pnetcdf/internal/cdf"
 	"pnetcdf/internal/nctype"
@@ -93,34 +94,14 @@ func Open(store Store, mode int, opts ...Option) (*Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Read a generous prefix, growing if the header is larger. When the
-	// in-place header is torn (a crash during a header commit), fall back
-	// to the commit journal at the file's tail.
-	probe := int64(64 << 10)
-	recovered := false
-	var hdr *cdf.Header
-	for {
-		if probe > size {
-			probe = size
-		}
-		buf := make([]byte, probe)
-		if err := readFull(store, buf, 0); err != nil {
-			return nil, err
-		}
-		hdr, err = cdf.Decode(buf)
-		if err == nil {
-			break
-		}
-		if probe >= size {
-			if img := recoverStoreJournal(store, size); img != nil {
-				if h2, derr := cdf.Decode(img); derr == nil {
-					hdr, recovered = h2, true
-					break
-				}
-			}
-			return nil, err
-		}
-		probe *= 4
+	// cdf.ReadHeader probes a growing prefix and, when the in-place header
+	// is torn (a crash during a header commit), falls back to the commit
+	// journal at the file's tail.
+	hdr, _, recovered, err := cdf.ReadHeader(size, func(buf []byte, off int64) error {
+		return readFull(store, buf, off)
+	})
+	if err != nil {
+		return nil, err
 	}
 	if recovered {
 		// The journaled (new) header may declare records lost with the
@@ -148,30 +129,6 @@ func Open(store Store, mode int, opts ...Option) (*Dataset, error) {
 		}
 	}
 	return d, nil
-}
-
-// recoverStoreJournal reads and verifies the commit journal terminating
-// the store, returning the journaled header image or nil.
-func recoverStoreJournal(store Store, size int64) []byte {
-	if size < cdf.JournalTrailerSize {
-		return nil
-	}
-	tr := make([]byte, cdf.JournalTrailerSize)
-	if err := readFull(store, tr, size-cdf.JournalTrailerSize); err != nil {
-		return nil
-	}
-	n, crc, ok := cdf.ParseJournalTrailer(tr)
-	if !ok || n > size-cdf.JournalTrailerSize {
-		return nil
-	}
-	img := make([]byte, n)
-	if err := readFull(store, img, size-cdf.JournalTrailerSize-n); err != nil {
-		return nil
-	}
-	if !cdf.VerifyJournalImage(img, crc) {
-		return nil
-	}
-	return img
 }
 
 // Header exposes the in-memory header (read-only use: inquiry, dumps).
@@ -216,8 +173,7 @@ func (d *Dataset) DefDim(name string, size int64) (int, error) {
 	if size == 0 && d.hdr.UnlimitedDimID() >= 0 {
 		return -1, nctype.ErrMultiUnlimited
 	}
-	d.hdr.Dims = append(d.hdr.Dims, cdf.Dim{Name: name, Len: size})
-	return len(d.hdr.Dims) - 1, nil
+	return d.hdr.AddDim(cdf.Dim{Name: name, Len: size}), nil
 }
 
 // DefVar defines a variable over previously defined dimensions.
@@ -250,10 +206,9 @@ func (d *Dataset) DefVar(name string, t nctype.Type, dimids []int) (int, error) 
 			return -1, nctype.ErrUnlimPos
 		}
 	}
-	d.hdr.Vars = append(d.hdr.Vars, cdf.Var{
+	return d.hdr.AddVar(cdf.Var{
 		Name: name, Type: t, DimIDs: append([]int(nil), dimids...),
-	})
-	return len(d.hdr.Vars) - 1, nil
+	}), nil
 }
 
 // attrsOf returns the attribute list for varid (GlobalID for global
@@ -422,12 +377,8 @@ func (d *Dataset) relocate(old *cdf.Header) error {
 		}
 		moves = append(moves, move{from: ov.Begin, to: nv.Begin, n: ov.VSize})
 	}
-	// Highest destination first.
-	for i := 1; i < len(moves); i++ {
-		for j := i; j > 0 && moves[j-1].to < moves[j].to; j-- {
-			moves[j-1], moves[j] = moves[j], moves[j-1]
-		}
-	}
+	// Highest destination first; destinations are distinct.
+	sort.Slice(moves, func(a, b int) bool { return moves[a].to > moves[b].to })
 	buf := make([]byte, 1<<20)
 	for _, m := range moves {
 		if m.from == m.to || m.n == 0 {

@@ -80,13 +80,18 @@ if [ "${PIPELINE:-1}" = "1" ]; then
 fi
 
 if [ "${BENCH:-0}" = "1" ]; then
-    # One row per PR: results/BENCH_<n>.json is generated, never edited, and
-    # the previous PR's row is the committed baseline. A PR that changes
-    # performance bumps both numbers and commits its row; -compare prints a
-    # verdict per (workload, metric) and exits non-zero on any "worse".
-    bench_prev=11
-    bench_this=12
-    mkdir -p results
+    # One row per PR: results/BENCH_<n>.json is generated, never edited. The
+    # baseline is the highest-numbered row committed at HEAD and this PR's
+    # row is the next number (re-running before the commit overwrites it);
+    # -compare prints a verdict per (workload, metric) and exits non-zero on
+    # any "worse". A PR that changes performance commits its row.
+    bench_prev=$(git ls-tree --name-only HEAD results/ \
+        | sed -n 's|^results/BENCH_\([0-9][0-9]*\)\.json$|\1|p' | sort -n | tail -1)
+    if [ -z "$bench_prev" ]; then
+        echo "BENCH: no results/BENCH_<n>.json is committed at HEAD to compare with" >&2
+        exit 1
+    fi
+    bench_this=$((bench_prev + 1))
     go run ./benchmark -seed 1 -out "results/BENCH_${bench_this}.json"
     go run ./benchmark -compare "results/BENCH_${bench_prev}.json" \
         "results/BENCH_${bench_this}.json"
