@@ -14,6 +14,7 @@ import (
 
 	"pnetcdf/internal/cdf"
 	"pnetcdf/internal/core"
+	"pnetcdf/internal/iostat"
 	"pnetcdf/internal/mpi"
 	"pnetcdf/internal/mpiio"
 	"pnetcdf/internal/mpitype"
@@ -84,8 +85,115 @@ func TestAllocsCollectiveRound(t *testing.T) {
 	if res.AllocedBytesPerOp() > budget {
 		t.Errorf("collective write allocates %d B/op, want <= %d", res.AllocedBytesPerOp(), budget)
 	}
-	if res.AllocsPerOp() > 1000 {
-		t.Errorf("collective write allocates %d objects/op, want <= 1000", res.AllocsPerOp())
+	// 322 objects measured (403 before the aggregator's round became a merge
+	// over per-collective scratch): the fixed machinery again, with headroom.
+	if res.AllocsPerOp() > 400 {
+		t.Errorf("collective write allocates %d objects/op, want <= 400", res.AllocsPerOp())
+	}
+}
+
+// roundsAllocs runs one 4-rank collective over an interleaved view of 128-byte
+// blocks (2064 per rank, two aggregators) with the given cb_buffer_size and
+// returns the objects and bytes all ranks together allocated inside the
+// WriteAtAll or ReadAtAll call alone, plus the rounds it took.
+func roundsAllocs(tb testing.TB, read bool, pipeline string, cbBuffer int) (objs, bytes, rounds int64) {
+	const ranks, blockLen, nBlocks = 4, 128, 2064
+	cfg := pfs.DefaultConfig()
+	cfg.StripeSize = 4096 // file domains of exactly 129 x 4096 bytes
+	fs := pfs.New(cfg)
+	err := mpi.Run(ranks, mpi.DefaultNet(), func(c *mpi.Comm) error {
+		st := iostat.New()
+		c.Proc().SetStats(st)
+		info := mpi.NewInfo().Set("cb_nodes", "2").Set("cb_pipeline", pipeline).
+			Set("cb_buffer_size", fmt.Sprint(cbBuffer))
+		f, err := mpiio.Open(c, fs, "rounds.nc", mpiio.ModeRdWr|mpiio.ModeCreate, info)
+		if err != nil {
+			return err
+		}
+		ft, err := mpitype.Vector(nBlocks, blockLen, ranks*blockLen, mpitype.Contig(1))
+		if err != nil {
+			return err
+		}
+		if err := f.SetView(int64(c.Rank())*blockLen, ft); err != nil {
+			return err
+		}
+		buf := make([]byte, nBlocks*blockLen)
+		op := f.WriteAtAll
+		if read {
+			if err := f.WriteAtAll(0, buf); err != nil {
+				return err
+			}
+			op = f.ReadAtAll
+		}
+		if err := op(0, buf); err != nil { // warm the pools and the chunk store
+			return err
+		}
+		r0 := st.Get(iostat.IOTwoPhaseRounds)
+		var before, after runtime.MemStats
+		c.Barrier()
+		if c.Rank() == 0 {
+			runtime.ReadMemStats(&before)
+		}
+		c.Barrier()
+		if err := op(0, buf); err != nil {
+			return err
+		}
+		c.Barrier()
+		if c.Rank() == 0 {
+			runtime.ReadMemStats(&after)
+			objs, bytes = int64(after.Mallocs-before.Mallocs), int64(after.TotalAlloc-before.TotalAlloc)
+			rounds = st.Get(iostat.IOTwoPhaseRounds) - r0
+		}
+		return f.Close()
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return objs, bytes, rounds
+}
+
+// TestAllocsPerRoundIsConstant: the round loops keep their working memory in
+// one per-collective value, so what a collective allocates beyond its first
+// round is only what each further round's collectives, messages and file
+// request cost inside mpi and pfs. A 129-round collective may allocate no
+// more than the 1-round collective of the same shape plus perRound objects
+// and perRoundBytes bytes for each extra round, all four ranks together —
+// for write and read, serial and pipelined. An assembly that allocated per
+// round (staging slices, a sort's scratch: 512 entries per aggregator per
+// round here) would add tens of objects and ~25 KB a round.
+func TestAllocsPerRoundIsConstant(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops buffers under the race detector; the pins do not hold")
+	}
+	// Measured: 43-52 objects per extra round (11-13 per rank: the two
+	// allreduces' encode/decode buffers in mpi, the request's cost-model
+	// tables and async handle in pfs; nothing in mpiio), where the sorting
+	// aggregator took 70-78 for a write round and 132-143 for a read round.
+	// The 129-round collective allocates fewer bytes than the 1-round one —
+	// its buffers are 129 times smaller — so the byte allowance only has to
+	// catch per-round staging coming back.
+	const (
+		perRound      = 60
+		perRoundBytes = 2048
+	)
+	for _, read := range []bool{false, true} {
+		for _, pipeline := range []string{"disable", "enable"} {
+			o1, b1, r1 := roundsAllocs(t, read, pipeline, 1<<20)
+			oN, bN, rN := roundsAllocs(t, read, pipeline, 4096)
+			if r1 != 1 || rN != 129 {
+				t.Fatalf("read=%v pipeline=%s: %d and %d rounds, want 1 and 129", read, pipeline, r1, rN)
+			}
+			t.Logf("read=%v pipeline=%s: 1 round %d objects %d B; 129 rounds %d objects %d B: %.1f objects, %.0f B per extra round",
+				read, pipeline, o1, b1, oN, bN, float64(oN-o1)/128, float64(bN-b1)/128)
+			if limit := o1 + 128*perRound; oN > limit {
+				t.Errorf("read=%v pipeline=%s: 129 rounds allocate %d objects, want <= %d (1 round) + 128 x %d",
+					read, pipeline, oN, o1, perRound)
+			}
+			if limit := b1 + 128*perRoundBytes; bN > limit {
+				t.Errorf("read=%v pipeline=%s: 129 rounds allocate %d B, want <= %d (1 round) + 128 x %d",
+					read, pipeline, bN, b1, perRoundBytes)
+			}
+		}
 	}
 }
 

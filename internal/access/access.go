@@ -129,7 +129,16 @@ func relSegments(shape, start, count, stride []int64, elem int64) []mpitype.Segm
 	for i := 0; i < last; i++ {
 		outer *= count[i]
 	}
-	var segs []mpitype.Segment
+	// Sized once: the walk emits one run per row, or one per element when the
+	// innermost iterated dimension is strided. After the fold that dimension
+	// is partial or strided, so unit-stride rows never abut and the count is
+	// exact; only a strided row ending on the array edge can merge into the
+	// next and leave the capacity an upper bound.
+	n := outer
+	if stride[last] != 1 {
+		n *= count[last]
+	}
+	segs := make([]mpitype.Segment, 0, n)
 	idx := make([]int64, last)
 	for o := int64(0); o < outer; o++ {
 		base := int64(0)
@@ -173,7 +182,7 @@ func FileSegments(h *cdf.Header, v *cdf.Var, req Request) []mpitype.Segment {
 		}
 		inner := relSegments(innerShape, req.Start[1:], req.Count[1:], req.Stride[1:], elem)
 		recSize := h.RecSize()
-		var segs []mpitype.Segment
+		segs := make([]mpitype.Segment, 0, req.Count[0]*int64(len(inner)))
 		for r := int64(0); r < req.Count[0]; r++ {
 			rec := req.Start[0] + r*req.Stride[0]
 			base := v.Begin + rec*recSize
@@ -195,7 +204,10 @@ func FileSegments(h *cdf.Header, v *cdf.Var, req Request) []mpitype.Segment {
 }
 
 // FileView wraps the request's extents into an MPI datatype suitable for an
-// MPI-IO file view (displacement 0, absolute offsets, byte units).
+// MPI-IO file view (displacement 0, absolute offsets, byte units). The
+// extents are built once: FileSegments emits an ascending, merged list, which
+// FromSegments adopts as the typemap, and a whole-request access through the
+// view reads that same list (Datatype.SegmentsForRange).
 func FileView(h *cdf.Header, v *cdf.Var, req Request) (mpitype.Datatype, error) {
 	segs := FileSegments(h, v, req)
 	end := int64(0)

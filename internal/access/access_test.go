@@ -397,3 +397,68 @@ func TestCoalescedSegmentsMatchNaiveWalk(t *testing.T) {
 		t.Fatalf("only %d of 2000 cases had a whole trailing dimension; the fold is under-tested", folded)
 	}
 }
+
+// TestFileViewBuildsExtentsOnce: a many-row request — the Figure 6 X
+// partition's shape, 16 384 rows of 128 bytes — is flattened into one exactly
+// sized list that FromSegments adopts and a whole-request access reads in
+// place: a handful of allocations and one list's worth of bytes, where
+// growing, copying and re-deriving the list used to take dozens and five
+// lists' worth.
+func TestFileViewBuildsExtentsOnce(t *testing.T) {
+	h := &cdf.Header{Version: 1}
+	h.Dims = []cdf.Dim{{Name: "z", Len: 128}, {Name: "y", Len: 128}, {Name: "x", Len: 256}}
+	h.Vars = []cdf.Var{{Name: "tt", DimIDs: []int{0, 1, 2}, Type: nctype.Float}}
+	if err := h.ComputeLayout(1); err != nil {
+		t.Fatal(err)
+	}
+	v := &h.Vars[0]
+	req, err := Validate(h, v, []int64{0, 0, 32}, []int64{128, 128, 32}, nil, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	segs := FileSegments(h, v, req)
+	if len(segs) != 128*128 || cap(segs) != len(segs) {
+		t.Fatalf("FileSegments: %d segments in capacity %d, want 16384 sized exactly", len(segs), cap(segs))
+	}
+	view, err := FileView(h, v, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	whole, err := view.SegmentsForRange(0, 0, view.Size())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &whole[0] != &view.Runs()[0] {
+		t.Fatal("the whole-request access through the view re-derived the extent list")
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		view, err := FileView(h, v, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := view.SegmentsForRange(0, 0, view.Size()); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 6 {
+		t.Errorf("FileView + whole-view flatten: %v allocations, want <= 6 (shape, strides, index, the list)", allocs)
+	}
+}
+
+// TestStridedSegmentsCapacityIsABound: a strided innermost dimension emits
+// one run per element, except where a row's last element abuts the next
+// row's first; the presized list then has spare capacity, never too little.
+func TestStridedSegmentsCapacityIsABound(t *testing.T) {
+	// Rows of 3 elements, elements 0 and 2 selected: element 2 of a row and
+	// element 0 of the next are adjacent bytes.
+	segs := relSegments([]int64{4, 3}, []int64{0, 0}, []int64{4, 2}, []int64{1, 2}, 4)
+	want := []mpitype.Segment{{Off: 0, Len: 4}, {Off: 8, Len: 8}, {Off: 20, Len: 8}, {Off: 32, Len: 8}, {Off: 44, Len: 4}}
+	if len(segs) != len(want) || cap(segs) != 8 {
+		t.Fatalf("relSegments = %v (cap %d), want %v in capacity 8", segs, cap(segs), want)
+	}
+	for i := range want {
+		if segs[i] != want[i] {
+			t.Fatalf("relSegments = %v, want %v", segs, want)
+		}
+	}
+}

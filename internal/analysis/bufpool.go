@@ -651,6 +651,13 @@ func (a *bufAnalysis) applyCalls(n ast.Node, live bufState) {
 			delete(live, put)
 		}
 		for _, stored := range storesPooledRoots(a.pass, call) {
+			// A callee filling this function's own [][]byte parameter is
+			// the same transfer as a direct element store into it (see
+			// assign): the summary engine propagates StoresPooledParam to
+			// this function, so the obligation lands at its call sites.
+			if stored.Pos() < a.bodyPos {
+				continue
+			}
 			live[stored] = true
 		}
 		return true

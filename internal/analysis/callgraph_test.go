@@ -120,12 +120,15 @@ func TestModuleSummaries(t *testing.T) {
 	// bufpool facts: recycleRound puts the received messages; packWriteRound
 	// parks pooled buffers in its parts parameter (index 6); encodeWriteMsg
 	// returns a pooled buffer; sparseExchange gives its parts (index 1) away
-	// through Comm.Send and returns what Comm.Recv handed it.
+	// through Comm.Send and parks what Comm.Recv handed it in its out
+	// parameter (index 2) — both through deliver, one hop down.
 	if s := sum(mpiio, "recycleRound"); !s.PutsParam(0) {
 		t.Errorf("recycleRound: PutsParams = %b, want bit 0", s.PutsParams)
 	}
-	if s := sum(mpiio, "sparseExchange"); !s.PutsParam(1) || !s.ReturnsPooled {
-		t.Errorf("sparseExchange: PutsParams = %b, ReturnsPooled = %v, want bit 1 and true", s.PutsParams, s.ReturnsPooled)
+	for _, name := range []string{"deliver", "sparseExchange"} {
+		if s := sum(mpiio, name); !s.PutsParam(1) || !s.StoresPooledParam(2) {
+			t.Errorf("%s: PutsParams = %b, StoresPooledParams = %b, want bit 1 and bit 2", name, s.PutsParams, s.StoresPooledParams)
+		}
 	}
 	if s := sum(mpiio, "File.packWriteRound"); !s.StoresPooledParam(6) {
 		t.Errorf("File.packWriteRound: StoresPooledParams = %b, want bit 6 (parts)", s.StoresPooledParams)

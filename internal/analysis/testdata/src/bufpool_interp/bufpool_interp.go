@@ -43,6 +43,19 @@ func generationRecycled(n int) {
 	helper.ReleaseAll(parts)
 }
 
+// fillThrough fills its caller's slice through the helper. It is clean: the
+// store lands in a parameter, so custody passes on to whoever called it (its
+// own summary becomes StoresPooledParam, one more hop along the chain).
+func fillThrough(parts [][]byte, n int) {
+	helper.Fill(parts, n)
+}
+
+// fillThroughLeak is that caller, dropping the generation.
+func fillThroughLeak(n int) {
+	parts := make([][]byte, 4)
+	fillThrough(parts, n)
+} // want `bufpool buffer parts reaches function end without bufpool\.Put`
+
 // errPathLeak puts on the happy path but leaks on the error bail.
 func errPathLeak(n int, err error) error {
 	b := helper.Encode(n)

@@ -17,8 +17,14 @@ const (
 	numClasses = maxShift - minShift + 1
 )
 
-// Pools hold *[]byte so Put does not box a slice header per call.
-var pools [numClasses]sync.Pool
+// Pools hold *[]byte: a slice header stored in an interface directly would
+// be boxed on every Put. The boxes themselves cycle through headers — get
+// empties the one it took from a class pool and parks it there, Put refills
+// one — so a Get/Put cycle allocates nothing once both pools are warm.
+var (
+	pools   [numClasses]sync.Pool
+	headers sync.Pool
+)
 
 // class returns the index of the smallest class holding n bytes, or -1 when
 // n exceeds the largest class.
@@ -39,7 +45,11 @@ func get(n int) []byte {
 		return make([]byte, n)
 	}
 	if v := pools[c].Get(); v != nil {
-		return (*(v.(*[]byte)))[:n]
+		h := v.(*[]byte)
+		b := *h
+		*h = nil // a parked header must not keep the buffer alive
+		headers.Put(h)
+		return b[:n]
 	}
 	return make([]byte, n, 1<<(minShift+c))
 }
@@ -65,8 +75,12 @@ func Put(b []byte) {
 	if c < 1<<minShift || c&(c-1) != 0 || c > 1<<maxShift {
 		return
 	}
-	b = b[:c]
-	pools[class(c)].Put(&b)
+	h, _ := headers.Get().(*[]byte)
+	if h == nil {
+		h = new([]byte)
+	}
+	*h = b[:c]
+	pools[class(c)].Put(h)
 }
 
 // PutAll returns every non-nil buffer in bufs to its pool and nils the

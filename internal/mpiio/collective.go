@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
 
 	"pnetcdf/internal/bufpool"
 	"pnetcdf/internal/fault"
@@ -24,8 +23,9 @@ import (
 //     most cb_buffer_size bytes.
 //  3. In each round ranks exchange the pieces of their requests falling in
 //     each aggregator's window (a sparse exchange: counts via Allreduce,
-//     then point-to-point), and aggregators perform few large contiguous
-//     file accesses on everyone's behalf.
+//     then point-to-point), and aggregators merge the pieces they received
+//     (merge.go) into few large contiguous file accesses on everyone's
+//     behalf.
 //
 // The exchange moves the real bytes; the pfs cost model rewards the
 // resulting contiguity, which is where the collective-vs-independent gap in
@@ -86,6 +86,16 @@ func (f *File) usePipeline(plan collectivePlan) bool {
 // surfaces here as a communicator revocation; the failover path
 // (failover.go) drains, shrinks, and replays the incomplete rounds over
 // the survivors.
+//
+// Overlap: MPI leaves the result of ranks writing the same bytes in one
+// collective undefined; here it is fixed. An aggregator lands the pieces it
+// received in (file offset, source rank) order, so when several ranks write
+// the same byte range the highest rank's data is what the file holds — under
+// every hint setting (serial or pipelined rounds, any cb_nodes, either
+// partition), because identical ranges are clipped identically by every
+// window. Ranges that only partly overlap land in that same order window by
+// window: deterministic for a given configuration, but which rank wins a
+// shared byte can then depend on where the window boundaries fall.
 func (f *File) WriteAtAll(off int64, buf []byte) error {
 	if f.closed {
 		return ErrClosed
@@ -184,14 +194,72 @@ func (f *File) packWriteRound(plan collectivePlan, segs []pfs.Segment, prefix []
 	return scratch
 }
 
+// exchangeScratch, writeScratch and readScratch are the working memory of one
+// collective call's round loop: every slice a round needs is made once per
+// call (or grown to the largest round seen) and reused by every later round,
+// so a round allocates nothing here. The serial and the pipelined loop of a
+// direction use the same value; the pipelined loops keep two generations
+// (r & 1) of part of it live at once, the serial loops only generation 0.
+type exchangeScratch struct {
+	parts  [][]byte // packed messages by destination rank; empty between exchanges
+	counts []int64  // sparseExchange's messages-per-destination vector
+}
+
+// byRank returns the i-th size-entry table of slots: the by-rank message
+// tables of one scratch are slices of one array.
+func byRank(slots [][]byte, i, size int) [][]byte {
+	return slots[i*size : (i+1)*size : (i+1)*size]
+}
+
+type writeScratch struct {
+	exchangeScratch
+	// msgs[g] holds generation g's received messages by source rank, alive
+	// until that round's write is down.
+	msgs [2][][]byte
+	clip []reqSeg // this rank's clip of one window
+	wv   writeVec // the aggregator's assembled round
+}
+
+func newWriteScratch(plan collectivePlan, gens int) *writeScratch {
+	size := plan.commSize
+	slots := make([][]byte, (1+gens)*size)
+	s := &writeScratch{}
+	s.parts, s.counts = byRank(slots, 0, size), make([]int64, size)
+	for g := 0; g < gens; g++ {
+		s.msgs[g] = byRank(slots, 1+g, size)
+	}
+	return s
+}
+
+type readScratch struct {
+	exchangeScratch
+	msgs    [][]byte      // received requests by source rank; recycled once merged
+	replies [][]byte      // reply messages by destination rank
+	back    [][]byte      // received replies by source rank
+	reqs    [2][][]reqSeg // generation g's requests by aggregator index
+	cov     [2]coverage   // generation g's coverage, on an aggregator
+}
+
+func newReadScratch(plan collectivePlan, gens int) *readScratch {
+	size := plan.commSize
+	slots := make([][]byte, 4*size)
+	s := &readScratch{}
+	s.parts, s.counts = byRank(slots, 0, size), make([]int64, size)
+	s.msgs, s.replies, s.back = byRank(slots, 1, size), byRank(slots, 2, size), byRank(slots, 3, size)
+	reqs := make([][]reqSeg, gens*plan.naggs)
+	for g := 0; g < gens; g++ {
+		s.reqs[g] = reqs[g*plan.naggs : (g+1)*plan.naggs : (g+1)*plan.naggs]
+	}
+	return s
+}
+
 // writeRoundsSerial is the classic two-phase round loop: pack → exchange →
 // aggregator write → error agreement, one round fully finished before the
 // next begins. It returns the agreed error (identical on every rank).
 func (f *File) writeRoundsSerial(plan collectivePlan, segs []pfs.Segment, prefix []int64,
 	spans []segSpan, buf []byte, myAgg int, prog *ftProgress) error {
-	parts := make([][]byte, f.comm.Size())
-	var scratch []reqSeg
-	var entries []writeEntry
+	s := newWriteScratch(plan, 1)
+	parts, msgs := s.parts, s.msgs[0]
 	kill := f.killHook(fault.KillMidExchange)
 	for r := int64(0); r < plan.rounds; r++ {
 		f.killPoint(fault.KillBeforePack)
@@ -200,27 +268,25 @@ func (f *File) writeRoundsSerial(plan collectivePlan, segs []pfs.Segment, prefix
 		// Phase 1: each rank slices its request per aggregator window and
 		// ships segment lists plus payload (pooled message buffers).
 		sPack := f.sp.Begin(span.Pack)
-		scratch = f.packWriteRound(plan, segs, prefix, spans, buf, r, parts, scratch, sPack)
+		s.clip = f.packWriteRound(plan, segs, prefix, spans, buf, r, parts, s.clip, sPack)
 		sPack.End()
 		sXchg := f.sp.Begin(span.Exchange)
-		msgs := sparseExchange(f.comm, parts, roundTag(r, 0), kill)
+		sparseExchange(f.comm, parts, msgs, s.counts, roundTag(r, 0), kill)
 		sXchg.End()
-		// Phase 2: aggregators issue large vectored writes whose iovec points
-		// straight into the received message payloads — no coalescing copy
-		// (transient errors retried under the file's retry policy).
+		// Phase 2: aggregators merge what they received into one large
+		// vectored write whose iovec points straight into the message
+		// payloads — no coalescing copy (transient errors retried under the
+		// file's retry policy). A message the merge rejects fails the round
+		// like a failed write does.
 		var roundErr error
 		if myAgg >= 0 {
 			sAgg := f.sp.Begin(span.AggWrite)
-			entries = decodeWriteMsgs(msgs, entries[:0])
-			if len(entries) > 0 {
-				wsegs, iov := assembleWriteVec(entries)
-				var wn int64
-				for _, s := range wsegs {
-					wn += s.Len
-				}
-				sAgg.SetBytes(wn)
+			lo, hi := plan.window(myAgg, r)
+			roundErr = s.wv.assemble(msgs, lo, hi)
+			if roundErr == nil && len(s.wv.iov) > 0 {
+				sAgg.SetBytes(s.wv.bytes)
 				roundErr = f.doPF(func(t float64) (float64, error) {
-					return f.pf.WriteVec(t, wsegs, iov)
+					return f.pf.WriteVec(t, s.wv.segs, s.wv.iov)
 				})
 			}
 			sAgg.End()
@@ -308,59 +374,61 @@ func (f *File) collReadSegs(segs []pfs.Segment, buf []byte, vErr error, prog *ft
 }
 
 // packReadRound clips this rank's request to every aggregator's round-r
-// window, encodes the request messages into parts, and records the
-// per-aggregator request order in myReqs so replies can be scattered back
-// into the caller's buffer. reqBufs is the per-aggregator clip scratch,
-// owned by the caller (the pipelined loop keeps one per generation: round
-// r's requests must survive until round r's scatter, which the pipeline
-// runs after round r+1 has already packed).
+// window and encodes the request messages into parts. reqs[a] keeps the
+// clip sent to aggregator a — the order replies are scattered back into the
+// caller's buffer — and is owned by the caller (the pipelined loop keeps one
+// per generation: round r's requests must survive until round r's scatter,
+// which the pipeline runs after round r+1 has already packed). It returns
+// how many aggregators were sent a request, which is how many replies this
+// rank will receive.
 func (f *File) packReadRound(plan collectivePlan, segs []pfs.Segment, prefix []int64,
-	spans []segSpan, r int64, parts [][]byte, myReqs [][]reqSeg, reqBufs [][]reqSeg, sPack span.Active) {
+	spans []segSpan, r int64, parts [][]byte, reqs [][]reqSeg, sPack span.Active) (sent int) {
 	clear(parts)
-	clear(myReqs)
 	for a := 0; a < plan.naggs; a++ {
+		reqs[a] = reqs[a][:0]
 		lo, hi := plan.window(a, r)
 		if hi <= lo {
 			continue
 		}
-		reqBufs[a] = intersectRange(segs, prefix, spans[a], lo, hi, reqBufs[a][:0])
-		reqs := reqBufs[a]
-		if len(reqs) == 0 {
+		reqs[a] = intersectRange(segs, prefix, spans[a], lo, hi, reqs[a])
+		if len(reqs[a]) == 0 {
 			continue
 		}
 		ar := plan.aggRank(a)
-		parts[ar] = encodeReadMsg(reqs)
-		myReqs[ar] = reqs
+		parts[ar] = encodeReadMsg(reqs[a])
+		sent++
 		f.st.Add(iostat.IOExchangeBytes, int64(len(parts[ar])))
 		sPack.AddBytes(int64(len(parts[ar])))
 	}
+	return sent
 }
 
-// buildReplies extracts each source rank's bytes from the aggregator's
-// coverage into pooled per-source reply buffers.
-func (f *File) buildReplies(cov *coverage, reqsBySrc map[int][]reqSeg, replies [][]byte) {
-	for src, reqs := range reqsBySrc {
-		var total int64
-		for _, rq := range reqs {
-			total += rq.len
+// buildReplies copies each requesting rank's bytes out of the aggregator's
+// coverage, from the positions the merge recorded, into pooled per-rank reply
+// buffers.
+func (f *File) buildReplies(cov *coverage, replies [][]byte) {
+	for k := range cov.merge.cur {
+		c := &cov.merge.cur[k]
+		//nclint:escape -- the reply exchange gives each buffer to the requesting rank (deliver nils the slot here) and that rank's recycleRound(back) puts it; the abort path puts the never-sent replies before bailing
+		out := bufpool.GetDirty(int(c.bytes))[:0]
+		for _, rq := range cov.reqs[c.first : c.first+c.n] {
+			out = append(out, cov.data[rq.pos:rq.pos+rq.len]...)
 		}
-		//nclint:escape -- the reply exchange gives each buffer to the requesting rank (sparseExchange nils the slot here) and that rank's recycleRound(back) puts it; the abort path puts the never-sent replies before bailing
-		out := bufpool.GetDirty(int(total))[:0]
-		for _, rq := range reqs {
-			out = append(out, cov.extract(rq.off, rq.len)...)
-		}
-		replies[src] = out
+		replies[c.src] = out
 		f.st.Add(iostat.IOExchangeBytes, int64(len(out)))
 	}
 }
 
 // scatterReplies copies the reply blobs back into the caller's buffer in
-// the per-aggregator request order recorded at pack time.
-func scatterReplies(buf []byte, myReqs [][]reqSeg, back [][]byte) {
+// the request order recorded at pack time: the reply of the rank serving
+// aggregator index a answers reqs[a].
+func scatterReplies(buf []byte, plan collectivePlan, reqs [][]reqSeg, back [][]byte) {
 	for src, blob := range back {
-		reqs := myReqs[src]
+		if blob == nil {
+			continue
+		}
 		pos := int64(0)
-		for _, rq := range reqs {
+		for _, rq := range reqs[plan.aggIndex(src)] {
 			copy(buf[rq.bufPos:rq.bufPos+rq.len], blob[pos:pos+rq.len])
 			pos += rq.len
 		}
@@ -372,10 +440,9 @@ func scatterReplies(buf []byte, myReqs [][]reqSeg, back [][]byte) {
 // time. It returns the agreed error (identical on every rank).
 func (f *File) readRoundsSerial(plan collectivePlan, segs []pfs.Segment, prefix []int64,
 	spans []segSpan, buf []byte, myAgg int, prog *ftProgress) error {
-	parts := make([][]byte, f.comm.Size())
-	replies := make([][]byte, f.comm.Size())
-	myReqs := make([][]reqSeg, f.comm.Size()) // agg rank -> requests, in order
-	reqBufs := make([][]reqSeg, plan.naggs)
+	s := newReadScratch(plan, 1)
+	parts, msgs, replies, back := s.parts, s.msgs, s.replies, s.back
+	reqs, cov := s.reqs[0], &s.cov[0]
 	kill := f.killHook(fault.KillMidExchange)
 	for r := int64(0); r < plan.rounds; r++ {
 		f.killPoint(fault.KillBeforePack)
@@ -384,32 +451,28 @@ func (f *File) readRoundsSerial(plan collectivePlan, segs []pfs.Segment, prefix 
 		// Phase 1: ship request segment lists to aggregators; remember the
 		// order so replies can be scattered back into buf.
 		sPack := f.sp.Begin(span.Pack)
-		f.packReadRound(plan, segs, prefix, spans, r, parts, myReqs, reqBufs, sPack)
+		sent := f.packReadRound(plan, segs, prefix, spans, r, parts, reqs, sPack)
 		sPack.End()
 		sXchg := f.sp.Begin(span.Exchange)
-		msgs := sparseExchange(f.comm, parts, roundTag(r, 0), kill)
+		sparseExchange(f.comm, parts, msgs, s.counts, roundTag(r, 0), kill)
 		sXchg.End()
 		// Phase 2: aggregators read merged coverage and reply per source.
-		clear(replies)
 		var roundErr error
-		var cov *coverage
 		if myAgg >= 0 {
 			sAgg := f.sp.Begin(span.AggRead)
-			reqsBySrc := decodeReadMsgs(msgs)
-			if len(reqsBySrc) > 0 {
-				cov = newCoverage(reqsBySrc)
+			lo, hi := plan.window(myAgg, r)
+			roundErr = cov.assemble(msgs, lo, hi)
+			if roundErr == nil && !cov.empty() {
 				sAgg.SetBytes(int64(len(cov.data)))
 				roundErr = f.doPF(func(t float64) (float64, error) {
 					return f.pf.ReadV(t, cov.segs, cov.data)
 				})
 				if roundErr == nil {
-					f.buildReplies(cov, reqsBySrc, replies)
+					f.buildReplies(cov, replies)
 				}
 			}
 			sAgg.End()
-		}
-		if cov != nil {
-			bufpool.Put(cov.data)
+			cov.release()
 		}
 		recycleRound(msgs)
 		// Collective error agreement BEFORE the reply exchange: a failed
@@ -424,12 +487,15 @@ func (f *File) readRoundsSerial(plan collectivePlan, segs []pfs.Segment, prefix 
 			sRound.End()
 			return err
 		}
+		// The reply leg agrees nothing: the round is known good, so every
+		// aggregator this rank sent a request to answers it, and nobody else
+		// does.
 		sReply := f.sp.Begin(span.ReplyXchg)
-		back := sparseExchange(f.comm, replies, roundTag(r, 1), nil)
+		deliver(f.comm, replies, back, roundTag(r, 1), sent, nil)
 		sReply.End()
 		// Scatter replies into buf.
 		sScatter := f.sp.Begin(span.Scatter)
-		scatterReplies(buf, myReqs, back)
+		scatterReplies(buf, plan, reqs, back)
 		sScatter.End()
 		recycleRound(back)
 		prog.roundAgreed(r)
@@ -611,6 +677,21 @@ func segPrefix(segs []pfs.Segment) []int64 {
 // segSpan is a half-open index range of a rank's segment list.
 type segSpan struct{ i0, i1 int }
 
+// firstEndingAfter returns the first index in [i0, i1) of a segment ending
+// past off, or i1: where a clip to a range starting at off begins. segs is
+// ascending and disjoint, so segment ends ascend too.
+func firstEndingAfter(segs []pfs.Segment, i0, i1 int, off int64) int {
+	for i0 < i1 {
+		mid := int(uint(i0+i1) >> 1)
+		if segs[mid].Off+segs[mid].Len > off {
+			i1 = mid
+		} else {
+			i0 = mid + 1
+		}
+	}
+	return i0
+}
+
 // spans returns, per aggregator, the indices of segs overlapping that
 // aggregator's file domain — the per-aggregator slicing done once, outside
 // the round loop.
@@ -618,8 +699,13 @@ func (p collectivePlan) spans(segs []pfs.Segment) []segSpan {
 	out := make([]segSpan, p.naggs)
 	for a := 0; a < p.naggs; a++ {
 		dLo, dHi := p.boundary(a), p.boundary(a+1)
-		i0 := sort.Search(len(segs), func(i int) bool { return segs[i].Off+segs[i].Len > dLo })
-		i1 := i0 + sort.Search(len(segs)-i0, func(i int) bool { return segs[i0+i].Off >= dHi })
+		i0 := firstEndingAfter(segs, 0, len(segs), dLo)
+		// The first segment starting at or past dHi is the first one ending
+		// past it, unless a segment straddles dHi: that one still overlaps.
+		i1 := firstEndingAfter(segs, i0, len(segs), dHi)
+		if i1 < len(segs) && segs[i1].Off < dHi {
+			i1++
+		}
 		out[a] = segSpan{i0: i0, i1: i1}
 	}
 	return out
@@ -629,11 +715,7 @@ func (p collectivePlan) spans(segs []pfs.Segment) []segSpan {
 // appending to out (reused across rounds). Buffer positions come from the
 // precomputed prefix sums.
 func intersectRange(segs []pfs.Segment, prefix []int64, span segSpan, lo, hi int64, out []reqSeg) []reqSeg {
-	// Binary search within the span for the first segment ending after lo.
-	i := span.i0 + sort.Search(span.i1-span.i0, func(k int) bool {
-		return segs[span.i0+k].Off+segs[span.i0+k].Len > lo
-	})
-	for ; i < span.i1 && segs[i].Off < hi; i++ {
+	for i := firstEndingAfter(segs, span.i0, span.i1, lo); i < span.i1 && segs[i].Off < hi; i++ {
 		s := segs[i]
 		cLo := max64(s.Off, lo)
 		cHi := min64(s.Off+s.Len, hi)
@@ -656,26 +738,33 @@ func recycleRound(msgs [][]byte) {
 }
 
 // sparseExchange delivers parts[dst] to each dst with a non-nil entry and
-// returns the blobs this rank received, indexed by source (nil when a source
-// sent nothing). Messages move by ownership, not by copy: the receiver gets
-// the sender's buffer itself and each delivered slot of parts is nilled, so
-// on return parts is empty and the sender holds none of what it packed (a
-// slot whose send did not happen — the exchange unwound first — stays with
-// the sender). The expected receive count is agreed via an Allreduce, as
-// ROMIO exchanges counts before payloads. kill, when non-nil, is the
+// fills out, indexed by source, with the blobs this rank received (a source
+// that sent nothing leaves its slot nil; out must come in empty). Messages
+// move by ownership, not by copy: the receiver gets the sender's buffer itself
+// and each delivered slot of parts is nilled, so on return parts is empty and
+// the sender holds none of what it packed (a slot whose send did not happen —
+// the exchange unwound first — stays with the sender). The expected receive
+// count is agreed via an Allreduce over counts (scratch, one entry per rank),
+// as ROMIO exchanges counts before payloads. kill, when non-nil, is the
 // mid-exchange rank-kill hook: it runs after this rank's sends are out but
 // before its receives complete — the window where a crash strands both the
 // count agreement's promises and the peers' pending receives.
-func sparseExchange(c *mpi.Comm, parts [][]byte, tag int, kill func()) [][]byte {
-	counts := make([]int64, c.Size())
+func sparseExchange(c *mpi.Comm, parts, out [][]byte, counts []int64, tag int, kill func()) {
 	for dst, p := range parts {
+		counts[dst] = 0
 		if p != nil {
 			counts[dst] = 1
 		}
 	}
 	totals := c.AllreduceI64(counts, mpi.OpSum)
-	out := make([][]byte, c.Size())
-	expect := int(totals[c.Rank()])
+	deliver(c, parts, out, tag, int(totals[c.Rank()]), kill)
+}
+
+// deliver is the point-to-point half of sparseExchange for a caller that
+// already knows how many messages it will receive (expect, the self-addressed
+// one included): the reply leg of a read round, where a rank hears from
+// exactly the aggregators it sent a request to.
+func deliver(c *mpi.Comm, parts, out [][]byte, tag, expect int, kill func()) {
 	for dst := range parts {
 		if parts[dst] == nil {
 			continue
@@ -695,11 +784,11 @@ func sparseExchange(c *mpi.Comm, parts [][]byte, tag int, kill func()) [][]byte 
 		blob, src := c.Recv(mpi.AnySource, tag)
 		out[src] = blob
 	}
-	return out
 }
 
 // Message formats. Write: n, n*(off,len), payload. Read request: n,
-// n*(off,len). Read reply: payload only.
+// n*(off,len). Read reply: payload only. The aggregator's side of both
+// headers is the merge in merge.go.
 
 func encodeWriteMsg(reqs []reqSeg, buf []byte) []byte {
 	var total int64
@@ -721,53 +810,8 @@ func encodeWriteMsg(reqs []reqSeg, buf []byte) []byte {
 	return msg
 }
 
-type writeEntry struct {
-	off  int64
-	data []byte
-}
-
-func decodeWriteMsgs(msgs [][]byte, entries []writeEntry) []writeEntry {
-	for _, msg := range msgs {
-		if msg == nil {
-			continue
-		}
-		n := int64(binary.BigEndian.Uint64(msg))
-		hdr := msg[8:]
-		payload := msg[8+16*n:]
-		pos := int64(0)
-		for i := int64(0); i < n; i++ {
-			off := int64(binary.BigEndian.Uint64(hdr[i*16:]))
-			l := int64(binary.BigEndian.Uint64(hdr[i*16+8:]))
-			entries = append(entries, writeEntry{off: off, data: payload[pos : pos+l]})
-			pos += l
-		}
-	}
-	return entries
-}
-
-// assembleWriteVec sorts and merges entries into a vectored write whose
-// iovec references the entries' payload bytes in place — the message blobs
-// themselves are the write buffers (the zero-copy half of the two-phase
-// write; the pfs cost model sees only the merged segments, identical to the
-// old coalesced path).
-func assembleWriteVec(entries []writeEntry) ([]pfs.Segment, [][]byte) {
-	sort.Slice(entries, func(i, j int) bool { return entries[i].off < entries[j].off })
-	segs := make([]pfs.Segment, 0, len(entries))
-	iov := make([][]byte, 0, len(entries))
-	for _, e := range entries {
-		l := int64(len(e.data))
-		if n := len(segs); n > 0 && segs[n-1].Off+segs[n-1].Len == e.off {
-			segs[n-1].Len += l
-		} else {
-			segs = append(segs, pfs.Segment{Off: e.off, Len: l})
-		}
-		iov = append(iov, e.data)
-	}
-	return segs, iov
-}
-
 func encodeReadMsg(reqs []reqSeg) []byte {
-	//nclint:escape -- the sender gives the request up at sparseExchange (slot nilled); the receiving aggregator's recycleRound puts it after decoding
+	//nclint:escape -- the sender gives the request up at sparseExchange (slot nilled); the receiving aggregator's recycleRound puts it once the coverage is assembled
 	msg := bufpool.GetDirty(8 + 16*len(reqs))
 	binary.BigEndian.PutUint64(msg, uint64(len(reqs)))
 	p := 8
@@ -777,73 +821,4 @@ func encodeReadMsg(reqs []reqSeg) []byte {
 		p += 16
 	}
 	return msg
-}
-
-// decodeReadMsgs returns requests per source rank.
-func decodeReadMsgs(msgs [][]byte) map[int][]reqSeg {
-	out := map[int][]reqSeg{}
-	for src, msg := range msgs {
-		if msg == nil {
-			continue
-		}
-		n := int64(binary.BigEndian.Uint64(msg))
-		hdr := msg[8:]
-		reqs := make([]reqSeg, n)
-		for i := int64(0); i < n; i++ {
-			reqs[i] = reqSeg{
-				off: int64(binary.BigEndian.Uint64(hdr[i*16:])),
-				len: int64(binary.BigEndian.Uint64(hdr[i*16+8:])),
-			}
-		}
-		out[src] = reqs
-	}
-	return out
-}
-
-// coverage is the merged byte ranges an aggregator reads, with extraction by
-// absolute offset.
-type coverage struct {
-	segs   []pfs.Segment
-	starts []int64 // prefix positions of each segment within data
-	data   []byte
-}
-
-func newCoverage(reqsBySrc map[int][]reqSeg) *coverage {
-	var all []pfs.Segment
-	for _, reqs := range reqsBySrc {
-		for _, r := range reqs {
-			all = append(all, pfs.Segment{Off: r.off, Len: r.len})
-		}
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].Off < all[j].Off })
-	var segs []pfs.Segment
-	for _, s := range all {
-		if n := len(segs); n > 0 && s.Off <= segs[n-1].Off+segs[n-1].Len {
-			end := max64(segs[n-1].Off+segs[n-1].Len, s.Off+s.Len)
-			segs[n-1].Len = end - segs[n-1].Off
-		} else {
-			segs = append(segs, s)
-		}
-	}
-	var total int64
-	starts := make([]int64, len(segs))
-	for i, s := range segs {
-		starts[i] = total
-		total += s.Len
-	}
-	// Pooled and dirty: ReadV fills every byte (the segments exactly cover it).
-	return &coverage{segs: segs, starts: starts, data: bufpool.GetDirty(int(total))}
-}
-
-// extract returns the l bytes at absolute file offset off, which must lie
-// within one coverage segment (guaranteed: requests were merged into it).
-func (c *coverage) extract(off, l int64) []byte {
-	i := sort.Search(len(c.segs), func(i int) bool {
-		return c.segs[i].Off+c.segs[i].Len > off
-	})
-	if i == len(c.segs) || off < c.segs[i].Off || off+l > c.segs[i].Off+c.segs[i].Len {
-		panic(fmt.Sprintf("mpiio: extract [%d,%d) outside coverage", off, off+l))
-	}
-	p := c.starts[i] + (off - c.segs[i].Off)
-	return c.data[p : p+l]
 }

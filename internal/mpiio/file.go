@@ -240,7 +240,9 @@ func (f *File) SetView(disp int64, filetype mpitype.Datatype) error {
 }
 
 // viewSegments maps [off, off+n) data bytes of the view to absolute file
-// segments, in increasing file order.
+// segments, in increasing file order. The list is read-only: for an access
+// that covers the whole view it is the filetype's own typemap (a pfs.Segment
+// is an mpitype.Segment), shared with the view cache above.
 func (f *File) viewSegments(off, n int64) ([]pfs.Segment, error) {
 	if n == 0 {
 		return nil, nil
@@ -248,15 +250,7 @@ func (f *File) viewSegments(off, n int64) ([]pfs.Segment, error) {
 	if f.ftype.Size() == 0 {
 		return []pfs.Segment{{Off: f.disp + off, Len: n}}, nil
 	}
-	segs, err := f.ftype.SegmentsForRangeSpan(f.disp, off, n, f.sp)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]pfs.Segment, len(segs))
-	for i, s := range segs {
-		out[i] = pfs.Segment{Off: s.Off, Len: s.Len}
-	}
-	return out, nil
+	return f.ftype.SegmentsForRangeSpan(f.disp, off, n, f.sp)
 }
 
 // Size returns the current file size in bytes.

@@ -34,7 +34,8 @@ func TestSparseExchangeHandsBuffersOver(t *testing.T) {
 			parts[dst] = b
 			sent[me][dst] = &b[0]
 		}
-		out := sparseExchange(c, parts, roundTag(0, 0), nil)
+		out := make([][]byte, p)
+		sparseExchange(c, parts, out, make([]int64, p), roundTag(0, 0), nil)
 		for dst, slot := range parts {
 			if slot != nil {
 				return fmt.Errorf("rank %d: parts[%d] still holds a buffer after the exchange", me, dst)

@@ -1,6 +1,8 @@
 package mpiio
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"pnetcdf/internal/mpi"
@@ -263,11 +265,11 @@ func placeAggregators(comm *mpi.Comm, bounds []int64, segs []pfs.Segment) []int 
 	for a := range order {
 		order[a] = a
 	}
-	sort.Slice(order, func(i, j int) bool {
-		if totals[order[i]] != totals[order[j]] {
-			return totals[order[i]] > totals[order[j]]
+	slices.SortFunc(order, func(a, b int) int {
+		if c := cmp.Compare(totals[b], totals[a]); c != 0 {
+			return c
 		}
-		return order[i] < order[j]
+		return cmp.Compare(a, b)
 	})
 	taken := make([]bool, size)
 	out := make([]int, naggs)

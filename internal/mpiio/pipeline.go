@@ -34,6 +34,11 @@ package mpiio
 // bufpool.PutAll) only after the owning I/O's Wait, since the aggregator's
 // iovec references the message payloads in place. Output is byte-identical
 // to the serial path; only virtual and wall-clock timing differ.
+//
+// The pipelined and the serial loop of a direction differ only in that
+// ordering. Packing, the exchange, the aggregator's merge of what it received
+// (merge.go) and the reply/scatter step are the same routines over the same
+// scratch (writeScratch, readScratch); the pipeline adds the generation index.
 
 import (
 	"pnetcdf/internal/bufpool"
@@ -43,27 +48,27 @@ import (
 	"pnetcdf/internal/span"
 )
 
-// pendingWrite is the backend half of an in-flight write round.
+// pendingWrite is the backend half of an in-flight write round. The
+// assembled segments and iovec it writes are the scratch's writeVec: round
+// r+1 assembles only after round r's Wait, so one suffices.
 type pendingWrite struct {
 	active bool
 	g      int   // generation index (r & 1)
 	r      int64 // round index
 	op     *pfs.AsyncOp
 	issued float64 // rank clock at issue time
-	bytes  int64
-	retry  func(t float64) (float64, error)
+	err    error   // the round's messages did not merge: nothing was issued
 }
 
 // writeRoundsPipelined runs the write rounds as a depth-2 pipeline. The
 // returned error is already agreed (identical on every rank).
 func (f *File) writeRoundsPipelined(plan collectivePlan, segs []pfs.Segment, prefix []int64,
 	spans []segSpan, buf []byte, myAgg int, prog *ftProgress) error {
-	parts := make([][]byte, f.comm.Size())
-	// Received messages, by generation (r & 1): round r's stay live while
-	// its write is in flight, i.e. across round r+1's exchange.
-	var msgs [2][][]byte
-	var scratch []reqSeg
-	var entries []writeEntry
+	// Received messages go by generation (msgs[r & 1]): round r's stay
+	// live while its write is in flight, i.e. across round r+1's exchange.
+	// Everything else in the scratch is shared by both generations.
+	s := newWriteScratch(plan, 2)
+	parts, msgs, wv := s.parts, s.msgs, &s.wv
 	var pend pendingWrite
 	// A communicator revocation unwinds this loop as a panic from any of
 	// its collectives. Before the failover above replays rounds, the
@@ -94,14 +99,16 @@ func (f *File) writeRoundsPipelined(plan collectivePlan, segs []pfs.Segment, pre
 			return nil
 		}
 		pend.active = false
-		var roundErr error
+		roundErr := pend.err
 		if pend.op != nil {
-			roundErr = f.waitPF(pend.op, pend.issued, pend.retry)
+			roundErr = f.waitPF(pend.op, pend.issued, func(t float64) (float64, error) {
+				return f.pf.WriteVec(t, wv.segs, wv.iov)
+			})
 			// Recorded as a closed leaf under the open coll_write span with
 			// explicit times: [issue, completion] genuinely overlaps the
 			// next round's pack/exchange spans. Round tagged explicitly —
 			// the owning round span closed before the write completed.
-			f.sp.Record(span.AggWrite, int(pend.r), pend.issued, f.comm.Clock(), pend.bytes)
+			f.sp.Record(span.AggWrite, int(pend.r), pend.issued, f.comm.Clock(), wv.bytes)
 		}
 		pend.op = nil
 		recycleRound(msgs[pend.g])
@@ -122,10 +129,10 @@ func (f *File) writeRoundsPipelined(plan collectivePlan, segs []pfs.Segment, pre
 		sRound := f.sp.Begin(span.Round)
 		sRound.SetRound(int(r))
 		sPack := f.sp.Begin(span.Pack)
-		scratch = f.packWriteRound(plan, segs, prefix, spans, buf, r, parts, scratch, sPack)
+		s.clip = f.packWriteRound(plan, segs, prefix, spans, buf, r, parts, s.clip, sPack)
 		sPack.End()
 		sXchg := f.sp.Begin(span.Exchange)
-		msgs[g] = sparseExchange(f.comm, parts, roundTag(r, 0), kill)
+		sparseExchange(f.comm, parts, msgs[g], s.counts, roundTag(r, 0), kill)
 		sXchg.End()
 		sRound.End()
 		// Deferred boundary: only now wait on round r-1's write and agree
@@ -136,21 +143,16 @@ func (f *File) writeRoundsPipelined(plan collectivePlan, segs []pfs.Segment, pre
 			recycleRound(msgs[g])
 			return err
 		}
-		// Backend of round r: decode (the iovec references the message
+		// Backend of round r: merge (the iovec references the message
 		// payloads in place — the generation stays live until Wait) and
-		// issue the aggregator write asynchronously.
+		// issue the aggregator write asynchronously. Round r-1's write is
+		// down, so its segments and iovec can be overwritten.
 		pend = pendingWrite{active: true, g: g, r: r, issued: f.comm.Clock()}
 		if myAgg >= 0 {
-			entries = decodeWriteMsgs(msgs[g], entries[:0])
-			if len(entries) > 0 {
-				wsegs, iov := assembleWriteVec(entries)
-				for _, s := range wsegs {
-					pend.bytes += s.Len
-				}
-				pend.op = f.pf.WriteVecAsync(f.comm.Clock(), wsegs, iov)
-				pend.retry = func(t float64) (float64, error) {
-					return f.pf.WriteVec(t, wsegs, iov)
-				}
+			lo, hi := plan.window(myAgg, r)
+			pend.err = wv.assemble(msgs[g], lo, hi)
+			if pend.err == nil && len(wv.iov) > 0 {
+				pend.op = f.pf.WriteVecAsync(f.comm.Clock(), wv.segs, wv.iov)
 				f.killPoint(fault.KillAfterIssue)
 			}
 		}
@@ -162,16 +164,16 @@ func (f *File) writeRoundsPipelined(plan collectivePlan, segs []pfs.Segment, pre
 }
 
 // pendingRead is the backend half of an in-flight read round: the issued
-// coverage read plus everything needed to build and scatter its replies.
+// coverage read. What it reads into, and everything needed to build and
+// scatter its replies, is the scratch's generation g.
 type pendingRead struct {
-	active    bool
-	g         int
-	r         int64
-	op        *pfs.AsyncOp
-	issued    float64
-	cov       *coverage
-	reqsBySrc map[int][]reqSeg
-	retry     func(t float64) (float64, error)
+	active bool
+	g      int
+	r      int64
+	op     *pfs.AsyncOp
+	issued float64
+	sent   int   // aggregators this rank sent a request to: replies to expect
+	err    error // the round's requests did not merge: nothing was issued
 }
 
 // readRoundsPipelined runs the read rounds with one round of aggregator
@@ -180,21 +182,15 @@ type pendingRead struct {
 // error is already agreed (identical on every rank).
 func (f *File) readRoundsPipelined(plan collectivePlan, segs []pfs.Segment, prefix []int64,
 	spans []segSpan, buf []byte, myAgg int, prog *ftProgress) error {
-	// Only the request bookkeeping needs generations (r & 1): round r's
-	// requests must survive until its scatter, after round r+1 has packed.
-	// The request messages themselves are decoded and recycled inside the
-	// frontend.
-	var myReqs, reqBufs [2][][]reqSeg
-	for g := range myReqs {
-		myReqs[g] = make([][]reqSeg, f.comm.Size()) // agg rank -> requests, in order
-		reqBufs[g] = make([][]reqSeg, plan.naggs)
-	}
-	parts := make([][]byte, f.comm.Size())
-	replies := make([][]byte, f.comm.Size())
-	var msgs [][]byte
+	// The request bookkeeping and the coverage go by generation (r & 1):
+	// round r's must survive until its scatter, after round r+1 has packed
+	// and assembled. The request messages themselves are merged and recycled
+	// inside the frontend — a coverage references none of their bytes.
+	s := newReadScratch(plan, 2)
+	parts, msgs, replies, back := s.parts, s.msgs, s.replies, s.back
 	var pend pendingRead
 	// Revocation drain, mirroring writeRoundsPipelined: join the in-flight
-	// read-ahead and release its coverage plus every exchange buffer this
+	// read-ahead and release both coverages plus every exchange buffer this
 	// rank still holds before the failover replays (see that loop's
 	// comment).
 	defer func() {
@@ -202,21 +198,21 @@ func (f *File) readRoundsPipelined(plan collectivePlan, segs []pfs.Segment, pref
 			if pend.active && pend.op != nil {
 				pend.op.Wait()
 			}
-			if pend.cov != nil {
-				bufpool.Put(pend.cov.data)
+			for g := range s.cov {
+				s.cov[g].release()
 			}
 			bufpool.PutAll(parts)
 			bufpool.PutAll(replies)
 			recycleRound(msgs)
+			recycleRound(back)
 			panic(rec)
 		}
 	}()
 
 	// frontend packs round r, exchanges its request lists, and issues the
 	// aggregator's coverage read asynchronously. The request exchange
-	// buffers are released immediately — decodeReadMsgs copies the request
-	// segments out — but myReqs/reqBufs generations survive until round r's
-	// scatter.
+	// buffers are released immediately, but the s.reqs and s.cov generations
+	// survive until round r's scatter.
 	kill := f.killHook(fault.KillMidExchange)
 	frontend := func(r int64) {
 		f.killPoint(fault.KillBeforePack)
@@ -224,22 +220,19 @@ func (f *File) readRoundsPipelined(plan collectivePlan, segs []pfs.Segment, pref
 		sRound := f.sp.Begin(span.Round)
 		sRound.SetRound(int(r))
 		sPack := f.sp.Begin(span.Pack)
-		f.packReadRound(plan, segs, prefix, spans, r, parts, myReqs[g], reqBufs[g], sPack)
+		sent := f.packReadRound(plan, segs, prefix, spans, r, parts, s.reqs[g], sPack)
 		sPack.End()
 		sXchg := f.sp.Begin(span.Exchange)
-		msgs = sparseExchange(f.comm, parts, roundTag(r, 0), kill)
+		sparseExchange(f.comm, parts, msgs, s.counts, roundTag(r, 0), kill)
 		sXchg.End()
 		sRound.End()
-		pend = pendingRead{active: true, g: g, r: r, issued: f.comm.Clock()}
+		pend = pendingRead{active: true, g: g, r: r, issued: f.comm.Clock(), sent: sent}
 		if myAgg >= 0 {
-			pend.reqsBySrc = decodeReadMsgs(msgs)
-			if len(pend.reqsBySrc) > 0 {
-				cov := newCoverage(pend.reqsBySrc)
-				pend.cov = cov
+			cov := &s.cov[g]
+			lo, hi := plan.window(myAgg, r)
+			pend.err = cov.assemble(msgs, lo, hi)
+			if pend.err == nil && !cov.empty() {
 				pend.op = f.pf.ReadVAsync(f.comm.Clock(), cov.segs, cov.data)
-				pend.retry = func(t float64) (float64, error) {
-					return f.pf.ReadV(t, cov.segs, cov.data)
-				}
 				f.killPoint(fault.KillAfterIssue)
 			}
 		}
@@ -250,19 +243,20 @@ func (f *File) readRoundsPipelined(plan collectivePlan, segs []pfs.Segment, pref
 	for r := int64(0); r < plan.rounds; r++ {
 		cur := pend
 		pend = pendingRead{}
-		var roundErr error
+		cov := &s.cov[cur.g]
+		roundErr := cur.err
 		if cur.op != nil {
-			roundErr = f.waitPF(cur.op, cur.issued, cur.retry)
-			f.sp.Record(span.AggRead, int(r), cur.issued, f.comm.Clock(), int64(len(cur.cov.data)))
+			roundErr = f.waitPF(cur.op, cur.issued, func(t float64) (float64, error) {
+				return f.pf.ReadV(t, cov.segs, cov.data)
+			})
+			f.sp.Record(span.AggRead, int(r), cur.issued, f.comm.Clock(), int64(len(cov.data)))
 		}
 		// Agreement stays BEFORE the reply exchange (a failed aggregator
 		// has no data to send back), and before the next read-ahead is
 		// issued — on failure nothing is in flight and every rank returns
 		// the same error.
 		if err := f.comm.AgreeError(roundErr); err != nil {
-			if cur.cov != nil {
-				bufpool.Put(cur.cov.data)
-			}
+			cov.release()
 			return err
 		}
 		// Read-ahead: round r+1's coverage read overlaps round r's reply
@@ -270,24 +264,22 @@ func (f *File) readRoundsPipelined(plan collectivePlan, segs []pfs.Segment, pref
 		if r+1 < plan.rounds {
 			frontend(r + 1)
 		}
-		clear(replies)
-		if cur.cov != nil {
-			f.buildReplies(cur.cov, cur.reqsBySrc, replies)
+		if !cov.empty() {
+			f.buildReplies(cov, replies)
 		}
+		cov.release()
 		// Reply/scatter spans sit under the coll span (their round span
-		// closed during the frontend); tag them with their round.
+		// closed during the frontend); tag them with their round. Like the
+		// serial loop's, the reply leg agrees nothing: cur.sent replies come.
 		sReply := f.sp.Begin(span.ReplyXchg)
 		sReply.SetRound(int(r))
-		back := sparseExchange(f.comm, replies, roundTag(r, 1), nil)
+		deliver(f.comm, replies, back, roundTag(r, 1), cur.sent, nil)
 		sReply.End()
 		sScatter := f.sp.Begin(span.Scatter)
 		sScatter.SetRound(int(r))
-		scatterReplies(buf, myReqs[cur.g], back)
+		scatterReplies(buf, plan, s.reqs[cur.g], back)
 		sScatter.End()
 		recycleRound(back)
-		if cur.cov != nil {
-			bufpool.Put(cur.cov.data)
-		}
 		prog.roundAgreed(r)
 	}
 	f.st.Add(iostat.IOPipelinedRounds, plan.rounds)

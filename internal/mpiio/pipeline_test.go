@@ -10,7 +10,6 @@ import (
 
 	"pnetcdf/internal/iostat"
 	"pnetcdf/internal/mpi"
-	"pnetcdf/internal/pfs"
 )
 
 // pipelineImage runs a 4-rank interleaved multi-round collective write
@@ -59,16 +58,7 @@ func pipelineImage(t *testing.T, pipeline string) ([]byte, map[iostat.Counter]in
 		mu.Unlock()
 		return nil
 	})
-	pf, _, err := fsys.Open("pipe", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	img := make([]byte, pf.Size())
-	sf := pfs.NewSerialFile(pf, 0)
-	if _, err := sf.ReadAt(img, 0); err != nil {
-		t.Fatal(err)
-	}
-	return img, sum
+	return fileImage(t, fsys, "pipe"), sum
 }
 
 // TestPipelinedMatchesSerialBytes: the pipelined round loop must be a pure

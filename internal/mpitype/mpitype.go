@@ -69,56 +69,86 @@ func Contig(n int64) Datatype {
 	return Datatype{size: n, extent: n, segs: []Segment{{0, n}}}
 }
 
-// FromSegments builds a type from explicit segments (they are sorted and
-// merged). extent < end-of-last-segment is an error.
+// FromSegments builds a type from explicit segments. extent <
+// end-of-last-segment is an error, and so are negative and overlapping
+// segments.
+//
+// Ownership: input that already is a flattened typemap — ascending, no empty
+// segment, every segment starting past the end of the one before — is adopted,
+// not copied: the Datatype keeps segs itself, so the caller must not modify
+// the slice afterwards (every constructor in this package, access.FileView and
+// core's request fusion hand over a list they built and drop it). Any other
+// input is normalized into a fresh list — empty segments dropped, sorted,
+// adjacent segments merged — and the caller keeps its slice.
 func FromSegments(segs []Segment, extent int64) (Datatype, error) {
-	cleaned := make([]Segment, 0, len(segs))
+	var size int64
+	flat := true
+	prevEnd := int64(-1)
 	for _, s := range segs {
 		if s.Len < 0 || s.Off < 0 {
 			return Datatype{}, fmt.Errorf("mpitype: negative segment %+v", s)
 		}
-		if s.Len > 0 {
-			cleaned = append(cleaned, s)
+		if s.Len == 0 || s.Off <= prevEnd {
+			flat = false
 		}
-	}
-	// Constructors generate ascending segments; skip the sort when input is
-	// already ordered (the common case) so building large flattened views
-	// stays linear.
-	ordered := true
-	for i := 1; i < len(cleaned); i++ {
-		if cleaned[i].Off < cleaned[i-1].Off {
-			ordered = false
-			break
-		}
-	}
-	if !ordered {
-		sort.Slice(cleaned, func(i, j int) bool { return cleaned[i].Off < cleaned[j].Off })
-	}
-	var merged []Segment
-	var size int64
-	for _, s := range cleaned {
-		if n := len(merged); n > 0 {
-			last := &merged[n-1]
-			if s.Off < last.Off+last.Len {
-				return Datatype{}, fmt.Errorf("mpitype: overlapping segments at %d", s.Off)
-			}
-			if s.Off == last.Off+last.Len {
-				last.Len += s.Len
-				size += s.Len
-				continue
-			}
-		}
-		merged = append(merged, s)
+		prevEnd = s.Off + s.Len
 		size += s.Len
 	}
+	if !flat {
+		var err error
+		if segs, err = normalize(segs); err != nil {
+			return Datatype{}, err
+		}
+	}
+	if len(segs) == 0 {
+		segs = nil
+	}
 	end := int64(0)
-	if len(merged) > 0 {
-		end = merged[len(merged)-1].Off + merged[len(merged)-1].Len
+	if n := len(segs); n > 0 {
+		end = segs[n-1].Off + segs[n-1].Len
 	}
 	if extent < end {
 		return Datatype{}, fmt.Errorf("mpitype: extent %d smaller than typemap end %d", extent, end)
 	}
-	return Datatype{size: size, extent: extent, segs: merged}, nil
+	return Datatype{size: size, extent: extent, segs: segs}, nil
+}
+
+// normalize returns the flattened typemap of non-negative segments in any
+// order: a copy with empty segments dropped, sorted by offset, adjacent
+// segments merged. Overlap is an error.
+func normalize(segs []Segment) ([]Segment, error) {
+	out := make([]Segment, 0, len(segs))
+	ordered := true
+	for _, s := range segs {
+		if s.Len == 0 {
+			continue
+		}
+		if n := len(out); n > 0 && s.Off < out[n-1].Off {
+			ordered = false
+		}
+		out = append(out, s)
+	}
+	// Constructors generate ascending segments; the sort is for callers that
+	// list blocks out of order (Indexed, Hindexed).
+	if !ordered {
+		sort.Slice(out, func(i, j int) bool { return out[i].Off < out[j].Off })
+	}
+	n := 0
+	for _, s := range out {
+		if n > 0 {
+			last := &out[n-1]
+			if s.Off < last.Off+last.Len {
+				return nil, fmt.Errorf("mpitype: overlapping segments at %d", s.Off)
+			}
+			if s.Off == last.Off+last.Len {
+				last.Len += s.Len
+				continue
+			}
+		}
+		out[n] = s
+		n++
+	}
+	return out[:n], nil
 }
 
 // Contiguous replicates base count times back to back, like
@@ -305,6 +335,11 @@ func (d Datatype) Tiled(dst []Segment, disp int64, count int64) []Segment {
 // skips the first skipUnits data units, and returns the absolute segments
 // covering the next nUnits data units. This is how a file view plus a file
 // pointer offset turns into I/O extents.
+//
+// The result is read-only: a range that is exactly one instance placed at
+// offset 0 — every access through a view built from absolute offsets, which
+// is what the libraries above install — is the typemap itself (Runs), not a
+// copy of it.
 func (d Datatype) SegmentsForRange(disp, skipUnits, nUnits int64) ([]Segment, error) {
 	if d.size == 0 {
 		if nUnits == 0 {
@@ -312,9 +347,12 @@ func (d Datatype) SegmentsForRange(disp, skipUnits, nUnits int64) ([]Segment, er
 		}
 		return nil, errors.New("mpitype: reading data units through an empty type")
 	}
-	var out []Segment
 	tileIdx := skipUnits / d.size
 	skip := skipUnits % d.size
+	if skip == 0 && nUnits == d.size && disp+tileIdx*d.extent == 0 {
+		return d.segs, nil
+	}
+	var out []Segment
 	for nUnits > 0 {
 		base := disp + tileIdx*d.extent
 		for _, s := range d.segs {

@@ -468,3 +468,152 @@ func TestIndexedLengthMismatch(t *testing.T) {
 		t.Fatal("hindexed length mismatch accepted")
 	}
 }
+
+// TestFromSegmentsAdoptsFlattenedInput: input that already is a typemap is
+// kept, not copied — the Datatype's runs are the caller's array — while
+// anything else is normalized into a fresh list and the caller's slice is
+// left as it was. Every rejection holds on both routes.
+func TestFromSegmentsAdoptsFlattenedInput(t *testing.T) {
+	flat := []Segment{{0, 4}, {8, 4}, {20, 2}}
+	d, err := FromSegments(flat, 30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &d.Runs()[0] != &flat[0] || d.NumSegments() != 3 || d.Size() != 10 || d.Extent() != 30 {
+		t.Fatalf("flattened input was not adopted as is: %v size %d", d.Runs(), d.Size())
+	}
+	if got := d.Segments(); &got[0] == &flat[0] {
+		t.Fatal("Segments must still return a copy")
+	}
+
+	// Not pre-merged: adjacency still merges, into a list of the type's own.
+	adjacent := []Segment{{0, 4}, {4, 4}, {20, 2}}
+	d, err = FromSegments(adjacent, 30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !segsEq(d.Runs(), []Segment{{0, 8}, {20, 2}}) || d.Size() != 10 {
+		t.Fatalf("adjacent input merged to %v", d.Runs())
+	}
+	if !segsEq(adjacent, []Segment{{0, 4}, {4, 4}, {20, 2}}) {
+		t.Fatalf("the caller's unmerged slice was modified: %v", adjacent)
+	}
+
+	// Descending input is not a typemap: it is sorted into a copy, never
+	// adopted in the caller's order.
+	desc := []Segment{{20, 2}, {8, 4}, {0, 4}}
+	d, err = FromSegments(desc, 30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !segsEq(d.Runs(), flat) || &d.Runs()[0] == &desc[0] {
+		t.Fatalf("descending input gave %v", d.Runs())
+	}
+	if !segsEq(desc, []Segment{{20, 2}, {8, 4}, {0, 4}}) {
+		t.Fatalf("the caller's descending slice was modified: %v", desc)
+	}
+
+	// Empty segments are dropped, and an all-empty list is the empty type.
+	d, err = FromSegments([]Segment{{0, 4}, {6, 0}, {8, 4}}, 12)
+	if err != nil || !segsEq(d.Runs(), []Segment{{0, 4}, {8, 4}}) {
+		t.Fatalf("empty segment not dropped: %v, %v", d.Runs(), err)
+	}
+	if d, err = FromSegments([]Segment{{3, 0}}, 5); err != nil || d.Runs() != nil || d.Size() != 0 {
+		t.Fatalf("all-empty input gave %v, %v", d.Runs(), err)
+	}
+
+	for name, bad := range map[string][]Segment{
+		"overlap in ascending input":  {{0, 4}, {8, 4}, {10, 4}},
+		"overlap in descending input": {{10, 4}, {8, 4}, {0, 4}},
+		"duplicate":                   {{0, 4}, {0, 4}},
+		"negative offset":             {{0, 4}, {-8, 4}},
+		"negative length":             {{0, 4}, {8, -4}},
+		"negative after overlap":      {{0, 4}, {2, 4}, {9, -1}},
+	} {
+		if _, err := FromSegments(bad, 100); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
+	if _, err := FromSegments(flat, 21); err == nil {
+		t.Error("adopted input with a short extent accepted")
+	}
+}
+
+// unitOffsets is the oracle for SegmentsForRange: the absolute offset of
+// every data unit of the range, one by one, merged into runs.
+func unitOffsets(d Datatype, disp, skip, n int64) []Segment {
+	var out []Segment
+	for k := skip; k < skip+n; k++ {
+		tile, within := k/d.Size(), k%d.Size()
+		for _, s := range d.Runs() {
+			if within < s.Len {
+				off := disp + tile*d.Extent() + s.Off + within
+				if m := len(out); m > 0 && out[m-1].Off+out[m-1].Len == off {
+					out[m-1].Len++
+				} else {
+					out = append(out, Segment{off, 1})
+				}
+				break
+			}
+			within -= s.Len
+		}
+	}
+	return out
+}
+
+// TestSegmentsForRangeWholeTileFastPath: a range that is exactly one instance
+// landing at offset 0 returns the typemap itself; on 2000 random views and
+// ranges — tile-aligned and not, displacement zero and not — every answer,
+// from either path, equals the unit-by-unit oracle.
+func TestSegmentsForRangeWholeTileFastPath(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	shared := 0
+	for i := 0; i < 2000; i++ {
+		var segs []Segment
+		off := int64(rng.Intn(3))
+		for k := 1 + rng.Intn(6); k > 0; k-- {
+			l := int64(1 + rng.Intn(5))
+			segs = append(segs, Segment{off, l})
+			off += l + int64(rng.Intn(4)) // gap 0 leaves a pair FromSegments merges
+		}
+		d, err := FromSegments(segs, off+int64(rng.Intn(3)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var disp, skip int64
+		n := d.Size()
+		if rng.Intn(2) == 0 {
+			disp = int64(rng.Intn(20))
+		}
+		switch rng.Intn(4) {
+		case 0: // the whole first tile
+		case 1: // a whole later tile
+			skip = int64(1+rng.Intn(3)) * d.Size()
+		case 2: // tile-aligned start, any length
+			skip = int64(rng.Intn(3)) * d.Size()
+			n = int64(1 + rng.Intn(int(3*d.Size())))
+		default:
+			skip = int64(rng.Intn(int(2 * d.Size())))
+			n = int64(1 + rng.Intn(int(3*d.Size())))
+		}
+		got, err := d.SegmentsForRange(disp, skip, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := unitOffsets(d, disp, skip, n); !segsEq(got, want) {
+			t.Fatalf("view %v extent %d: SegmentsForRange(%d, %d, %d) = %v, want %v",
+				d.Runs(), d.Extent(), disp, skip, n, got, want)
+		}
+		whole := disp == 0 && skip == 0 && n == d.Size()
+		if is := &got[0] == &d.Runs()[0]; is != whole {
+			t.Fatalf("view %v: SegmentsForRange(%d, %d, %d) shares the typemap = %v, want %v",
+				d.Runs(), disp, skip, n, is, whole)
+		}
+		if whole {
+			shared++
+		}
+	}
+	if shared < 100 {
+		t.Fatalf("only %d of 2000 cases took the whole-tile path", shared)
+	}
+}

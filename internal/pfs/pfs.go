@@ -38,14 +38,14 @@ import (
 
 	"pnetcdf/internal/fault"
 	"pnetcdf/internal/iostat"
+	"pnetcdf/internal/mpitype"
 	"pnetcdf/internal/span"
 )
 
-// Segment is one contiguous file extent of an I/O request.
-type Segment struct {
-	Off int64
-	Len int64
-}
+// Segment is one contiguous file extent of an I/O request: the same type as
+// a flattened datatype's run, so the extents a file view resolves to are the
+// request list itself and no layer converts between the two.
+type Segment = mpitype.Segment
 
 // Config describes the simulated storage system.
 type Config struct {

@@ -168,7 +168,7 @@ func TestManyClientsBeatOneClient(t *testing.T) {
 
 	oneFS := New(cfg)
 	f1, _ := oneFS.Create("f", 0)
-	oneDone, _ := f1.WriteV(0, []Segment{{0, total}}, make([]byte, total))
+	oneDone, _ := f1.WriteV(0, []Segment{{Off: 0, Len: total}}, make([]byte, total))
 
 	nClients := 8
 	manyFS := New(cfg)
@@ -181,7 +181,7 @@ func TestManyClientsBeatOneClient(t *testing.T) {
 		go func(c int) {
 			defer wg.Done()
 			off := int64(c) * share
-			dones[c], _ = f2.WriteV(0, []Segment{{off, share}}, make([]byte, share))
+			dones[c], _ = f2.WriteV(0, []Segment{{Off: off, Len: share}}, make([]byte, share))
 		}(c)
 	}
 	wg.Wait()
@@ -205,7 +205,7 @@ func TestSeekPenaltyForDiscontiguity(t *testing.T) {
 
 	fsA := New(cfg)
 	fA, _ := fsA.Create("f", 0)
-	contig, _ := fA.WriteV(0, []Segment{{0, total}}, make([]byte, total))
+	contig, _ := fA.WriteV(0, []Segment{{Off: 0, Len: total}}, make([]byte, total))
 
 	fsB := New(cfg)
 	fB, _ := fsB.Create("f", 0)
@@ -227,17 +227,17 @@ func TestReadsFasterThanWrites(t *testing.T) {
 	f, _ := fs.Create("f", 0)
 	n := int64(32 << 20)
 	buf := make([]byte, n)
-	wDone, _ := f.WriteV(0, []Segment{{0, n}}, buf)
+	wDone, _ := f.WriteV(0, []Segment{{Off: 0, Len: n}}, buf)
 	fs.ResetClock()
-	rDone, _ := f.ReadV(0, []Segment{{0, n}}, buf)
+	rDone, _ := f.ReadV(0, []Segment{{Off: 0, Len: n}}, buf)
 	if rDone >= wDone {
 		t.Fatalf("read (%.3fs) not faster than write (%.3fs)", rDone, wDone)
 	}
 }
 
 func TestMergeSegments(t *testing.T) {
-	got := merge([]Segment{{10, 5}, {15, 5}, {30, 2}, {0, 4}, {31, 10}})
-	want := []Segment{{0, 4}, {10, 10}, {30, 11}}
+	got := merge([]Segment{{Off: 10, Len: 5}, {Off: 15, Len: 5}, {Off: 30, Len: 2}, {Off: 0, Len: 4}, {Off: 31, Len: 10}})
+	want := []Segment{{Off: 0, Len: 4}, {Off: 10, Len: 10}, {Off: 30, Len: 11}}
 	if len(got) != len(want) {
 		t.Fatalf("merge = %v, want %v", got, want)
 	}

@@ -4,7 +4,9 @@ package pnetcdf_test
 // of packing subarrays into external bytes and of driving a collective write
 // round through the MPI-IO layer. Unlike the sim-MB/s figures, these measure
 // the simulator's own ns/op and allocs/op; results/BENCH_wallclock.json
-// records their trajectory.
+// records their trajectory. The aggregator's assembly step alone — the merge
+// of one round's received messages — is BenchmarkAggregatorAssemble in
+// internal/mpiio/wallclock_bench_test.go, next to the unexported code it times.
 
 import (
 	"testing"
