@@ -22,9 +22,7 @@ import (
 	"pnetcdf/internal/pfs"
 )
 
-func collectiveWriteOnce(tb testing.TB) { collectiveWritePipeline(tb, "enable") }
-
-func collectiveWritePipeline(tb testing.TB, pipeline string) {
+func collectiveWriteOnce(tb testing.TB) {
 	const ranks = 4
 	const blockLen = 64 << 10
 	const nBlocks = 4 // 256 KiB per rank
@@ -32,7 +30,6 @@ func collectiveWritePipeline(tb testing.TB, pipeline string) {
 	err := mpi.Run(ranks, mpi.DefaultNet(), func(c *mpi.Comm) error {
 		info := mpi.NewInfo()
 		info.Set("cb_buffer_size", "131072")
-		info.Set("cb_pipeline", pipeline)
 		f, err := mpiio.Open(c, fs, "alloc.nc", mpiio.ModeRdWr|mpiio.ModeCreate, info)
 		if err != nil {
 			return err
@@ -96,7 +93,7 @@ func TestAllocsCollectiveRound(t *testing.T) {
 // blocks (2064 per rank, two aggregators) with the given cb_buffer_size and
 // returns the objects and bytes all ranks together allocated inside the
 // WriteAtAll or ReadAtAll call alone, plus the rounds it took.
-func roundsAllocs(tb testing.TB, read bool, pipeline string, cbBuffer int) (objs, bytes, rounds int64) {
+func roundsAllocs(tb testing.TB, read bool, cbBuffer int) (objs, bytes, rounds int64) {
 	const ranks, blockLen, nBlocks = 4, 128, 2064
 	cfg := pfs.DefaultConfig()
 	cfg.StripeSize = 4096 // file domains of exactly 129 x 4096 bytes
@@ -104,8 +101,7 @@ func roundsAllocs(tb testing.TB, read bool, pipeline string, cbBuffer int) (objs
 	err := mpi.Run(ranks, mpi.DefaultNet(), func(c *mpi.Comm) error {
 		st := iostat.New()
 		c.Proc().SetStats(st)
-		info := mpi.NewInfo().Set("cb_nodes", "2").Set("cb_pipeline", pipeline).
-			Set("cb_buffer_size", fmt.Sprint(cbBuffer))
+		info := mpi.NewInfo().Set("cb_nodes", "2").Set("cb_buffer_size", fmt.Sprint(cbBuffer))
 		f, err := mpiio.Open(c, fs, "rounds.nc", mpiio.ModeRdWr|mpiio.ModeCreate, info)
 		if err != nil {
 			return err
@@ -158,7 +154,7 @@ func roundsAllocs(tb testing.TB, read bool, pipeline string, cbBuffer int) (objs
 // request cost inside mpi and pfs. A 129-round collective may allocate no
 // more than the 1-round collective of the same shape plus perRound objects
 // and perRoundBytes bytes for each extra round, all four ranks together —
-// for write and read, serial and pipelined. An assembly that allocated per
+// for write and read. An assembly that allocated per
 // round (staging slices, a sort's scratch: 512 entries per aggregator per
 // round here) would add tens of objects and ~25 KB a round.
 func TestAllocsPerRoundIsConstant(t *testing.T) {
@@ -177,54 +173,72 @@ func TestAllocsPerRoundIsConstant(t *testing.T) {
 		perRoundBytes = 2048
 	)
 	for _, read := range []bool{false, true} {
-		for _, pipeline := range []string{"disable", "enable"} {
-			o1, b1, r1 := roundsAllocs(t, read, pipeline, 1<<20)
-			oN, bN, rN := roundsAllocs(t, read, pipeline, 4096)
-			if r1 != 1 || rN != 129 {
-				t.Fatalf("read=%v pipeline=%s: %d and %d rounds, want 1 and 129", read, pipeline, r1, rN)
-			}
-			t.Logf("read=%v pipeline=%s: 1 round %d objects %d B; 129 rounds %d objects %d B: %.1f objects, %.0f B per extra round",
-				read, pipeline, o1, b1, oN, bN, float64(oN-o1)/128, float64(bN-b1)/128)
-			if limit := o1 + 128*perRound; oN > limit {
-				t.Errorf("read=%v pipeline=%s: 129 rounds allocate %d objects, want <= %d (1 round) + 128 x %d",
-					read, pipeline, oN, o1, perRound)
-			}
-			if limit := b1 + 128*perRoundBytes; bN > limit {
-				t.Errorf("read=%v pipeline=%s: 129 rounds allocate %d B, want <= %d (1 round) + 128 x %d",
-					read, pipeline, bN, b1, perRoundBytes)
-			}
+		o1, b1, r1 := roundsAllocs(t, read, 1<<20)
+		oN, bN, rN := roundsAllocs(t, read, 4096)
+		if r1 != 1 || rN != 129 {
+			t.Fatalf("read=%v: %d and %d rounds, want 1 and 129", read, r1, rN)
+		}
+		t.Logf("read=%v: 1 round %d objects %d B; 129 rounds %d objects %d B: %.1f objects, %.0f B per extra round",
+			read, o1, b1, oN, bN, float64(oN-o1)/128, float64(bN-b1)/128)
+		if limit := o1 + 128*perRound; oN > limit {
+			t.Errorf("read=%v: 129 rounds allocate %d objects, want <= %d (1 round) + 128 x %d", read, oN, o1, perRound)
+		}
+		if limit := b1 + 128*perRoundBytes; bN > limit {
+			t.Errorf("read=%v: 129 rounds allocate %d B, want <= %d (1 round) + 128 x %d", read, bN, b1, perRoundBytes)
 		}
 	}
 }
 
-// TestAllocsPipelinedVsSerial pins the depth-2 pipeline's steady-state
-// allocation cost against the serial loop's. The pipeline keeps TWO
-// generations of round buffers alive, but both come from (and return to)
-// the shared pools, so after warm-up its bytes/op and allocs/op must stay
-// within a modest factor of serial — a leak of the in-flight generation
-// (recycleRound skipped on some path) would show up here as unpooled
-// per-round churn.
-func TestAllocsPipelinedVsSerial(t *testing.T) {
-	measure := func(pipeline string) testing.BenchmarkResult {
-		return measureAllocs(t, func(tb testing.TB) { collectiveWritePipeline(tb, pipeline) })
+// TestAllocsOneRoundIssuesNoAsyncOp: a one-round collective's aggregator
+// request is synchronous, so it allocates no more than the classic serial
+// round loop did — 201 objects for the write and 249 for the read of
+// roundsAllocs' shape, all four ranks together, measured on that loop before
+// it was deleted. Issued asynchronously the two aggregators' requests cost 6
+// objects more on the write and 8 on the read (handle, channel, goroutine);
+// FLASH's 27 one-round collectives per checkpoint must not start paying
+// them. Background allocation only ever adds (a single run reads up to 20
+// high), so the smallest of many runs is compared, the read with 2 to spare.
+func TestAllocsOneRoundIssuesNoAsyncOp(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops buffers under the race detector; the pins do not hold")
 	}
-	serial := measure("disable")
-	piped := measure("enable")
-	t.Logf("serial:    %d allocs/op, %d B/op", serial.AllocsPerOp(), serial.AllocedBytesPerOp())
-	t.Logf("pipelined: %d allocs/op, %d B/op", piped.AllocsPerOp(), piped.AllocedBytesPerOp())
-	// Absolute pins (same fixed machinery as TestAllocsCollectiveRound).
-	if piped.AllocedBytesPerOp() > 8<<20 {
-		t.Errorf("pipelined write allocates %d B/op, want <= %d", piped.AllocedBytesPerOp(), 8<<20)
+	for _, pin := range []struct {
+		read bool
+		objs int64
+	}{{false, 201}, {true, 249 + 2}} {
+		best := int64(-1)
+		for i := 0; i < 40; i++ {
+			objs, _, rounds := roundsAllocs(t, pin.read, 1<<20)
+			if rounds != 1 {
+				t.Fatalf("read=%v: %d rounds, want 1", pin.read, rounds)
+			}
+			if best < 0 || objs < best {
+				best = objs
+			}
+		}
+		t.Logf("read=%v: one round allocates %d objects", pin.read, best)
+		if best > pin.objs {
+			t.Errorf("read=%v: a one-round collective allocates %d objects, want <= %d", pin.read, best, pin.objs)
+		}
 	}
-	if piped.AllocsPerOp() > 2000 {
-		t.Errorf("pipelined write allocates %d objects/op, want <= 2000", piped.AllocsPerOp())
+}
+
+// TestAllocsManyRoundWrite pins the steady-state allocation cost of a
+// many-round collective write. The round loop keeps TWO generations of round
+// buffers alive, but both come from (and return to) the shared pools, so
+// after warm-up its bytes/op and allocs/op stay at the fixed machinery's — a
+// leak of the in-flight generation (recycleRound skipped on some path) would
+// show up here as unpooled per-round churn.
+func TestAllocsManyRoundWrite(t *testing.T) {
+	res := measureAllocs(t, collectiveWriteOnce)
+	t.Logf("many-round write: %d allocs/op, %d B/op", res.AllocsPerOp(), res.AllocedBytesPerOp())
+	// Absolute pins (same fixed machinery as TestAllocsCollectiveRound), loose
+	// enough to hold under the race detector, where sync.Pool drops buffers.
+	if res.AllocedBytesPerOp() > 8<<20 {
+		t.Errorf("many-round write allocates %d B/op, want <= %d", res.AllocedBytesPerOp(), 8<<20)
 	}
-	// Relative pin: the second generation must reuse pooled memory, not
-	// double the per-op footprint. 1.5x leaves room for the extra AsyncOp,
-	// closures, and one extra warm generation per pool class.
-	if sb := serial.AllocedBytesPerOp(); sb > 0 && float64(piped.AllocedBytesPerOp()) > 1.5*float64(sb) {
-		t.Errorf("pipelined B/op %d exceeds 1.5x serial %d — generation buffers not pooled",
-			piped.AllocedBytesPerOp(), sb)
+	if res.AllocsPerOp() > 2000 {
+		t.Errorf("many-round write allocates %d objects/op, want <= 2000", res.AllocsPerOp())
 	}
 }
 

@@ -16,9 +16,8 @@
 //	flashio-bench -json BENCH_flashio.json   # machine-readable results
 //	flashio-bench -fault-rate 0.01 -stats    # inject transient faults; see
 //	                                         # the retry counters for the cost
-//	flashio-bench -cb-buffer-size 65536 -cb-nodes 2 -cb-pipeline disable
-//	                                    # force multi-round collectives and
-//	                                    # compare serial vs pipelined rounds
+//	flashio-bench -cb-buffer-size 65536 -cb-nodes 2
+//	                                    # force multi-round collectives
 //	flashio-bench -out f.nc             # dump the raw output image (for
 //	                                    # ncdiff byte-identity checks)
 //	flashio-bench -ft-timeout 200ms -kill-rank 3 -kill-point mid_exchange
@@ -66,7 +65,6 @@ var (
 	jsonOut   = flag.String("json", "", "write machine-readable results (implies -stats) to this file")
 	faultRate = flag.Float64("fault-rate", 0, "transient-fault probability per 64 KiB transferred (0 disables injection)")
 	cbPart    = flag.String("cb-partition", "", "two-phase file-domain partitioning: even or balanced (default: library default)")
-	cbPipe    = flag.String("cb-pipeline", "", "pipelined two-phase rounds: enable or disable (default: library default)")
 	cbBuf     = flag.Int64("cb-buffer-size", 0, "aggregator staging-buffer bytes per two-phase round (default: library default; small values force multi-round collectives)")
 	cbNodes   = flag.Int("cb-nodes", 0, "number of collective-buffering aggregators (default: library default; ROMIO practice is the I/O-node count)")
 	outFile   = flag.String("out", "", "dump the raw image of each PnetCDF output file to this path (disables Discard; last run wins)")
@@ -178,7 +176,7 @@ func main() {
 			}
 		}
 		for _, kind := range kinds {
-			hints := cmdutil.CollHints(*cbPart, *cbPipe)
+			hints := cmdutil.PartitionHints(*cbPart)
 			if *cbBuf > 0 || *cbNodes > 0 {
 				if hints == nil {
 					hints = mpi.NewInfo()

@@ -44,7 +44,6 @@ var (
 	metricsAt = flag.String("metrics-addr", "", "serve live JSON metrics on this address for the duration of the sweep")
 	faultRate = flag.Float64("fault-rate", 0, "transient-fault probability per 64 KiB transferred (0 disables injection)")
 	cbPart    = flag.String("cb-partition", "", "two-phase file-domain partitioning: even or balanced (default: library default)")
-	cbPipe    = flag.String("cb-pipeline", "", "pipelined two-phase rounds: enable or disable (default: library default)")
 	faultSeed = flag.Uint64("fault-seed", 1, "seed for the deterministic fault schedule")
 	ftTimeout = flag.String("ft-timeout", "", "deadline for the rank-failure detector (e.g. 200ms); sets "+mpi.FTTimeoutEnv+" for the runs (empty keeps detection off)")
 	cpuProf   = flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -130,7 +129,7 @@ func main() {
 			Trace:   trace,
 			Spans:   spans,
 			Fault:   bench.FaultOptions{Rate: *faultRate, Seed: *faultSeed},
-			Hints:   cmdutil.CollHints(*cbPart, *cbPipe),
+			Hints:   cmdutil.PartitionHints(*cbPart),
 		})
 		cmdutil.Fatal(tool, err)
 		reg.Set("last_chart", fig.Op)

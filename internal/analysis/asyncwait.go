@@ -19,8 +19,8 @@ import (
 // module engine and is a no-op without it):
 //
 //   - An obligation starts when an AsyncOp-returning call is bound to a
-//     local, or stored into a field of a local struct (pend.op = ... — the
-//     pipelined pattern; custody follows the root local).
+//     local, or stored into a field of a local struct (pend.op = ...; custody
+//     follows the root local).
 //   - It is discharged by op.Wait(), by passing the handle (or a field path
 //     rooted at it) to a function whose summary Waits that parameter
 //     (mpiio's waitPF), by a local closure that does either (the finish()
@@ -31,9 +31,12 @@ import (
 //     `if op != nil { op.Wait() }` shape), and an early return inside such
 //     a branch is not reported.
 //   - Loop bodies are analyzed twice, the second pass seeded with the
-//     first's fall-through state, so the depth-2 pipeline's loop-carried
-//     obligation (issue in round r, Wait at the round r+1 boundary) is
-//     checked against every in-loop return path.
+//     first's fall-through state, so a loop-carried obligation (issue in
+//     round r, Wait at the round r+1 boundary) is checked against every
+//     in-loop return path.
+//   - A deferred Wait covers every exit — unless it sits under a recover()
+//     guard (the round loops' revocation drain): that one runs only while a
+//     panic unwinds and discharges nothing on the paths that return.
 //
 // Deliberate exceptions carry //nclint:allow=asyncwait -- <why> on the
 // reported line.
@@ -493,6 +496,12 @@ func (a *awAnalysis) deferStmt(s *ast.DeferStmt) {
 	}
 	if fl, ok := s.Call.Fun.(*ast.FuncLit); ok {
 		ast.Inspect(fl.Body, func(n ast.Node) bool {
+			// A Wait under `if rec := recover(); rec != nil` runs only
+			// while a panic unwinds: it discharges nothing on the paths
+			// that return.
+			if is, ok := n.(*ast.IfStmt); ok && guardedByRecover(is) {
+				return false
+			}
 			if call, ok := n.(*ast.CallExpr); ok {
 				mark(call)
 			}
@@ -501,6 +510,25 @@ func (a *awAnalysis) deferStmt(s *ast.DeferStmt) {
 		return
 	}
 	mark(s.Call)
+}
+
+// guardedByRecover reports whether the if statement's init or condition
+// calls recover().
+func guardedByRecover(is *ast.IfStmt) bool {
+	found := false
+	look := func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok {
+			if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "recover" {
+				found = true
+			}
+		}
+		return !found
+	}
+	if is.Init != nil {
+		ast.Inspect(is.Init, look)
+	}
+	ast.Inspect(is.Cond, look)
+	return found
 }
 
 // identObjsIn collects the objects of identifiers mentioned in an

@@ -137,9 +137,9 @@ func TestModuleSummaries(t *testing.T) {
 		t.Error("encodeWriteMsg: ReturnsPooled = false")
 	}
 
-	// collsym fact: the serial round loop reaches collective agreement.
-	if s := sum(mpiio, "File.writeRoundsSerial"); !s.HasCollectives() {
-		t.Error("File.writeRoundsSerial: no collectives in summary")
+	// collsym fact: the round loop reaches collective agreement.
+	if s := sum(mpiio, "File.writeRounds"); !s.HasCollectives() {
+		t.Error("File.writeRounds: no collectives in summary")
 	}
 
 	// accounting facts: the public vectored I/O paths touch the store,

@@ -1,8 +1,9 @@
 // Package fix is the golden fixture for the asyncwait checker, built on
 // the real pnetcdf/internal/pfs AsyncOp. It covers the blessed discharge
 // shapes (direct Wait, waiting helper, nil-guard, return transfer, closure
-// pair, annotated exception) and the leak shapes (plain drop, error-path
-// bail, loop-carried read-ahead, discarded result, non-local store). The
+// pair, round loop, annotated exception) and the leak shapes (plain drop,
+// error-path bail, loop-carried read-ahead, discarded result, non-local
+// store, a Wait only on the panic path). The
 // checker requires the engine, so the fixture is trivially clean under the
 // intraprocedural runner.
 package fix
@@ -76,7 +77,7 @@ func discarded(f *pfs.File) {
 	f.WriteVecAsync(0, nil, nil) // want `AsyncOp result is discarded`
 }
 
-// pending mimics the pipelined pendingRead/pendingWrite custody root.
+// pending is a struct custody root: a local whose field carries the op.
 type pending struct {
 	op *pfs.AsyncOp
 }
@@ -146,6 +147,45 @@ func loopCarried(f *pfs.File, rounds int, stop func(int) bool) error {
 	}
 	return nil
 }
+
+// roundLoop is fine: the two-phase round loop's shape — the op is issued and
+// waited inside one iteration, with the work that hides it in between, and a
+// deferred handler joins it if that work panics.
+func roundLoop(f *pfs.File, rounds int, hide func()) {
+	var inflight *pfs.AsyncOp
+	defer func() {
+		if rec := recover(); rec != nil {
+			if inflight != nil {
+				inflight.Wait()
+			}
+			panic(rec)
+		}
+	}()
+	for r := 0; r < rounds; r++ {
+		if r > 0 {
+			inflight = f.ReadVAsync(0, nil, nil)
+			hide()
+		}
+		if inflight != nil {
+			inflight.Wait()
+			inflight = nil
+		}
+	}
+}
+
+// recoverOnlyWait: a Wait that runs only while a panic unwinds does not
+// cover the paths that return.
+func recoverOnlyWait(f *pfs.File, hide func()) {
+	var inflight *pfs.AsyncOp
+	defer func() {
+		if rec := recover(); rec != nil {
+			inflight.Wait()
+			panic(rec)
+		}
+	}()
+	inflight = f.WriteVecAsync(0, nil, nil)
+	hide()
+} // want `AsyncOp inflight reaches function end without Wait`
 
 // allowed is the annotated exception: a hand-proved invariant the analysis
 // cannot see.

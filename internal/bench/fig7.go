@@ -77,7 +77,7 @@ type Fig7Options struct {
 	// DumpFile, when non-empty, writes the raw image of each PnetCDF run's
 	// output file to this host path (later runs overwrite earlier ones, so
 	// single-point sweeps give a deterministic artifact). Used for
-	// byte-identity checks between hint settings (verify.sh PIPELINE=0);
+	// byte-identity checks between hint settings (ncdiff);
 	// incompatible with Discard, which drops the data being dumped.
 	DumpFile string
 }

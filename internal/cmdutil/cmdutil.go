@@ -119,22 +119,3 @@ func PartitionHints(value string) *mpi.Info {
 	Usagef("bad -cb-partition %q: want even or balanced", value)
 	return nil
 }
-
-// CollHints merges the shared collective-path flags into one MPI-IO hint
-// set: -cb-partition (even, balanced) and -cb-pipeline (enable, disable).
-// Empty values leave the library default; nil is returned when neither flag
-// is set. Unknown values are usage errors.
-func CollHints(partition, pipeline string) *mpi.Info {
-	info := PartitionHints(partition)
-	switch pipeline {
-	case "":
-		return info
-	case "enable", "disable":
-		if info == nil {
-			info = mpi.NewInfo()
-		}
-		return info.Set("cb_pipeline", pipeline)
-	}
-	Usagef("bad -cb-pipeline %q: want enable or disable", pipeline)
-	return nil
-}

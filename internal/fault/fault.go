@@ -44,8 +44,10 @@ var (
 // Named rank-kill points inside the two-phase collective path (mpiio
 // consults KillCheck at each). They bracket the interesting windows of a
 // round: before any state is packed, after the rank's sends are out but
-// before its receives complete, and — pipelined path only — after the
-// aggregator's async I/O is issued but before its Wait.
+// before its receives complete, and — on an aggregator with something to
+// move — after its I/O request is issued but before the round is agreed: the
+// request is then in flight (not yet waited), or, in the one round of a
+// collective that issues it synchronously, already down.
 const (
 	KillBeforePack  = "before_pack"
 	KillMidExchange = "mid_exchange"

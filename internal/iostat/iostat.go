@@ -120,10 +120,11 @@ const (
 	// off between attempts.
 	IORetries
 	IOBackoffTimeNs
-	// IOPipelinedRounds counts two-phase rounds executed on the pipelined
-	// collective path (cb_pipeline); IOOverlapTimeNs is the virtual time
-	// aggregator I/O spent in flight while the rank was doing other work
-	// (the overlap the depth-2 pipeline buys — zero on the serial path).
+	// IOPipelinedRounds counts the rounds of collectives that ran more than
+	// one round — the ones whose aggregator I/O was in flight behind a
+	// neighbouring round's communication; IOOverlapTimeNs is the virtual
+	// time that I/O spent in flight while the rank was doing other work
+	// (zero for a one-round collective, whose request is synchronous).
 	IOPipelinedRounds
 	IOOverlapTimeNs
 	// IOCollAborts counts collective data-access calls that returned an

@@ -6,7 +6,6 @@ import (
 	"math"
 
 	"pnetcdf/internal/bufpool"
-	"pnetcdf/internal/fault"
 	"pnetcdf/internal/iostat"
 	"pnetcdf/internal/mpi"
 	"pnetcdf/internal/pfs"
@@ -43,8 +42,8 @@ type reqSeg struct {
 // tags of a round derive directly from the round index r via roundTag —
 // there is no separately incremented counter to skew — sub 0 for the
 // request/payload exchange, sub 1 for the read-reply exchange. Distinct
-// per-round tags also let the pipelined path run round r's reply exchange
-// after round r+1's request exchange without cross-talk.
+// per-round tags also let round r's reply exchange run after round r+1's
+// request exchange (rounds.go) without cross-talk.
 const (
 	collTagBase  = 1 << 20
 	collTagLimit = collTagBase << 1
@@ -71,15 +70,6 @@ func (f *File) fallbackIndependent(err error) error {
 	return f.agreeAbort(f.comm.AgreeError(err))
 }
 
-// usePipeline reports whether a planned collective should run the depth-2
-// pipelined round loop (pipeline.go). plan.rounds is agreed by every rank
-// and hints must match across the communicator (an MPI requirement), so all
-// ranks take the same branch. One round has nothing to overlap with; the
-// serial loop is strictly simpler there.
-func (f *File) usePipeline(plan collectivePlan) bool {
-	return f.hints.CBPipeline && plan.rounds > 1
-}
-
 // WriteAtAll collectively writes len(buf) view-data bytes at view offset
 // off. Every communicator member must call it (possibly with an empty
 // buffer). With the failure detector armed, a peer crash mid-collective
@@ -91,11 +81,11 @@ func (f *File) usePipeline(plan collectivePlan) bool {
 // collective undefined; here it is fixed. An aggregator lands the pieces it
 // received in (file offset, source rank) order, so when several ranks write
 // the same byte range the highest rank's data is what the file holds — under
-// every hint setting (serial or pipelined rounds, any cb_nodes, either
-// partition), because identical ranges are clipped identically by every
-// window. Ranges that only partly overlap land in that same order window by
-// window: deterministic for a given configuration, but which rank wins a
-// shared byte can then depend on where the window boundaries fall.
+// every hint setting (any round count, any cb_nodes, either partition),
+// because identical ranges are clipped identically by every window. Ranges
+// that only partly overlap land in that same order window by window:
+// deterministic for a given configuration, but which rank wins a shared byte
+// can then depend on where the window boundaries fall.
 func (f *File) WriteAtAll(off int64, buf []byte) error {
 	if f.closed {
 		return ErrClosed
@@ -131,8 +121,8 @@ func (f *File) WriteAtAll(off int64, buf []byte) error {
 // segment list whose payload is the linearized buf (bufPos i maps through
 // segPrefix). WriteAtAll calls it with the view mapping of its request;
 // the failover path calls it again on the shrunken communicator with the
-// unfinished clip of the same request. prog (may be nil) records how far
-// the call provably got, for the failover's resume-point agreement.
+// unfinished clip of the same request. prog records how far the call
+// provably got, for the failover's resume-point agreement.
 func (f *File) collWriteSegs(segs []pfs.Segment, buf []byte, vErr error, prog *ftProgress, t0 float64) error {
 	n := segsLen(segs)
 	sPlan := f.sp.Begin(span.Plan)
@@ -141,9 +131,7 @@ func (f *File) collWriteSegs(segs []pfs.Segment, buf []byte, vErr error, prog *f
 	if err != nil {
 		return f.agreeAbort(err)
 	}
-	if prog != nil {
-		prog.planOK, prog.plan = true, plan
-	}
+	prog.planOK, prog.plan = true, plan
 	if !ok {
 		f.recordAccess("coll_write", iostat.IOCollWriteCalls, iostat.IOBytesWritten,
 			iostat.IOWriteExtents, iostat.IOWriteTimeNs, segs, n, t0)
@@ -156,24 +144,19 @@ func (f *File) collWriteSegs(segs []pfs.Segment, buf []byte, vErr error, prog *f
 	// instead of a rescan of the whole segment list.
 	prefix := segPrefix(segs)
 	spans := plan.spans(segs)
-	var cerr error
-	if f.usePipeline(plan) {
-		cerr = f.writeRoundsPipelined(plan, segs, prefix, spans, buf, myAgg, prog)
-	} else {
-		cerr = f.writeRoundsSerial(plan, segs, prefix, spans, buf, myAgg, prog)
+	if err := f.writeRounds(plan, segs, prefix, spans, buf, myAgg, prog); err != nil {
+		return f.agreeAbort(err)
 	}
-	if cerr != nil {
-		return f.agreeAbort(cerr)
-	}
-	f.st.Add(iostat.IOTwoPhaseRounds, plan.rounds)
+	f.countRounds(plan)
 	f.recordAccess("coll_write", iostat.IOCollWriteCalls, iostat.IOBytesWritten,
 		iostat.IOWriteExtents, iostat.IOWriteTimeNs, segs, n, t0)
 	return nil
 }
 
 // packWriteRound clips this rank's request to every aggregator's round-r
-// window and encodes the write messages into parts (phase 1 of the round).
-// Shared by the serial and pipelined loops; returns the reused clip scratch.
+// window and encodes the write messages into parts (phase 1 of the round):
+// segment lists plus payload, in pooled buffers. Returns the reused clip
+// scratch.
 func (f *File) packWriteRound(plan collectivePlan, segs []pfs.Segment, prefix []int64,
 	spans []segSpan, buf []byte, r int64, parts [][]byte, scratch []reqSeg, sPack span.Active) []reqSeg {
 	clear(parts)
@@ -197,9 +180,9 @@ func (f *File) packWriteRound(plan collectivePlan, segs []pfs.Segment, prefix []
 // exchangeScratch, writeScratch and readScratch are the working memory of one
 // collective call's round loop: every slice a round needs is made once per
 // call (or grown to the largest round seen) and reused by every later round,
-// so a round allocates nothing here. The serial and the pipelined loop of a
-// direction use the same value; the pipelined loops keep two generations
-// (r & 1) of part of it live at once, the serial loops only generation 0.
+// so a round allocates nothing here. Part of it comes in two generations
+// (r & 1), both live at once while a round's request is in flight; a
+// one-round plan needs, and makes, only generation 0.
 type exchangeScratch struct {
 	parts  [][]byte // packed messages by destination rank; empty between exchanges
 	counts []int64  // sparseExchange's messages-per-destination vector
@@ -220,8 +203,8 @@ type writeScratch struct {
 	wv   writeVec // the aggregator's assembled round
 }
 
-func newWriteScratch(plan collectivePlan, gens int) *writeScratch {
-	size := plan.commSize
+func newWriteScratch(plan collectivePlan) *writeScratch {
+	size, gens := plan.commSize, plan.generations()
 	slots := make([][]byte, (1+gens)*size)
 	s := &writeScratch{}
 	s.parts, s.counts = byRank(slots, 0, size), make([]int64, size)
@@ -240,71 +223,18 @@ type readScratch struct {
 	cov     [2]coverage   // generation g's coverage, on an aggregator
 }
 
-func newReadScratch(plan collectivePlan, gens int) *readScratch {
+func newReadScratch(plan collectivePlan) *readScratch {
 	size := plan.commSize
 	slots := make([][]byte, 4*size)
 	s := &readScratch{}
 	s.parts, s.counts = byRank(slots, 0, size), make([]int64, size)
 	s.msgs, s.replies, s.back = byRank(slots, 1, size), byRank(slots, 2, size), byRank(slots, 3, size)
-	reqs := make([][]reqSeg, gens*plan.naggs)
+	n, gens := plan.naggs, plan.generations()
+	reqs := make([][]reqSeg, gens*n)
 	for g := 0; g < gens; g++ {
-		s.reqs[g] = reqs[g*plan.naggs : (g+1)*plan.naggs : (g+1)*plan.naggs]
+		s.reqs[g] = reqs[g*n : (g+1)*n : (g+1)*n]
 	}
 	return s
-}
-
-// writeRoundsSerial is the classic two-phase round loop: pack → exchange →
-// aggregator write → error agreement, one round fully finished before the
-// next begins. It returns the agreed error (identical on every rank).
-func (f *File) writeRoundsSerial(plan collectivePlan, segs []pfs.Segment, prefix []int64,
-	spans []segSpan, buf []byte, myAgg int, prog *ftProgress) error {
-	s := newWriteScratch(plan, 1)
-	parts, msgs := s.parts, s.msgs[0]
-	kill := f.killHook(fault.KillMidExchange)
-	for r := int64(0); r < plan.rounds; r++ {
-		f.killPoint(fault.KillBeforePack)
-		sRound := f.sp.Begin(span.Round)
-		sRound.SetRound(int(r))
-		// Phase 1: each rank slices its request per aggregator window and
-		// ships segment lists plus payload (pooled message buffers).
-		sPack := f.sp.Begin(span.Pack)
-		s.clip = f.packWriteRound(plan, segs, prefix, spans, buf, r, parts, s.clip, sPack)
-		sPack.End()
-		sXchg := f.sp.Begin(span.Exchange)
-		sparseExchange(f.comm, parts, msgs, s.counts, roundTag(r, 0), kill)
-		sXchg.End()
-		// Phase 2: aggregators merge what they received into one large
-		// vectored write whose iovec points straight into the message
-		// payloads — no coalescing copy (transient errors retried under the
-		// file's retry policy). A message the merge rejects fails the round
-		// like a failed write does.
-		var roundErr error
-		if myAgg >= 0 {
-			sAgg := f.sp.Begin(span.AggWrite)
-			lo, hi := plan.window(myAgg, r)
-			roundErr = s.wv.assemble(msgs, lo, hi)
-			if roundErr == nil && len(s.wv.iov) > 0 {
-				sAgg.SetBytes(s.wv.bytes)
-				roundErr = f.doPF(func(t float64) (float64, error) {
-					return f.pf.WriteVec(t, s.wv.segs, s.wv.iov)
-				})
-			}
-			sAgg.End()
-		}
-		// The write is down; recycle the messages this rank received (parts
-		// is empty again: the exchange handed every buffer to its receiver).
-		recycleRound(msgs)
-		// Collective error agreement: every rank learns whether any
-		// aggregator failed this round, so all ranks return the same error
-		// and nobody proceeds into the next round's exchange alone.
-		if err := f.comm.AgreeError(roundErr); err != nil {
-			sRound.End()
-			return err
-		}
-		prog.roundAgreed(r)
-		sRound.End()
-	}
-	return nil
 }
 
 // ReadAtAll collectively reads len(buf) view-data bytes at view offset off.
@@ -327,9 +257,9 @@ func (f *File) ReadAtAll(off int64, buf []byte) error {
 		segs, vErr := f.viewSegments(off, int64(len(buf)))
 		return f.collReadSegs(segs, buf, vErr, &prog, t0)
 	})
-	if rv, ok := mpi.AsRevoked(cerr); ok {
+	if _, ok := mpi.AsRevoked(cerr); ok {
 		cerr = mpi.CatchRevoked(func() error {
-			return f.failoverRead(off, buf, &prog, rv, t0)
+			return f.failoverRead(off, buf, &prog, t0)
 		})
 	}
 	return cerr
@@ -345,9 +275,7 @@ func (f *File) collReadSegs(segs []pfs.Segment, buf []byte, vErr error, prog *ft
 	if err != nil {
 		return f.agreeAbort(err)
 	}
-	if prog != nil {
-		prog.planOK, prog.plan = true, plan
-	}
+	prog.planOK, prog.plan = true, plan
 	if !ok {
 		f.recordAccess("coll_read", iostat.IOCollReadCalls, iostat.IOBytesRead,
 			iostat.IOReadExtents, iostat.IOReadTimeNs, segs, n, t0)
@@ -358,16 +286,10 @@ func (f *File) collReadSegs(segs []pfs.Segment, buf []byte, vErr error, prog *ft
 	// the per-aggregator segment spans.
 	prefix := segPrefix(segs)
 	spans := plan.spans(segs)
-	var cerr error
-	if f.usePipeline(plan) {
-		cerr = f.readRoundsPipelined(plan, segs, prefix, spans, buf, myAgg, prog)
-	} else {
-		cerr = f.readRoundsSerial(plan, segs, prefix, spans, buf, myAgg, prog)
+	if err := f.readRounds(plan, segs, prefix, spans, buf, myAgg, prog); err != nil {
+		return f.agreeAbort(err)
 	}
-	if cerr != nil {
-		return f.agreeAbort(cerr)
-	}
-	f.st.Add(iostat.IOTwoPhaseRounds, plan.rounds)
+	f.countRounds(plan)
 	f.recordAccess("coll_read", iostat.IOCollReadCalls, iostat.IOBytesRead,
 		iostat.IOReadExtents, iostat.IOReadTimeNs, segs, n, t0)
 	return nil
@@ -376,9 +298,9 @@ func (f *File) collReadSegs(segs []pfs.Segment, buf []byte, vErr error, prog *ft
 // packReadRound clips this rank's request to every aggregator's round-r
 // window and encodes the request messages into parts. reqs[a] keeps the
 // clip sent to aggregator a — the order replies are scattered back into the
-// caller's buffer — and is owned by the caller (the pipelined loop keeps one
-// per generation: round r's requests must survive until round r's scatter,
-// which the pipeline runs after round r+1 has already packed). It returns
+// caller's buffer — and is owned by the caller (the round loop keeps one per
+// generation: round r's requests must survive until round r's scatter, which
+// runs after round r+1 has already packed). It returns
 // how many aggregators were sent a request, which is how many replies this
 // rank will receive.
 func (f *File) packReadRound(plan collectivePlan, segs []pfs.Segment, prefix []int64,
@@ -435,75 +357,6 @@ func scatterReplies(buf []byte, plan collectivePlan, reqs [][]reqSeg, back [][]b
 	}
 }
 
-// readRoundsSerial is the classic two-phase read loop: request exchange →
-// aggregator read → agreement → reply exchange → scatter, one round at a
-// time. It returns the agreed error (identical on every rank).
-func (f *File) readRoundsSerial(plan collectivePlan, segs []pfs.Segment, prefix []int64,
-	spans []segSpan, buf []byte, myAgg int, prog *ftProgress) error {
-	s := newReadScratch(plan, 1)
-	parts, msgs, replies, back := s.parts, s.msgs, s.replies, s.back
-	reqs, cov := s.reqs[0], &s.cov[0]
-	kill := f.killHook(fault.KillMidExchange)
-	for r := int64(0); r < plan.rounds; r++ {
-		f.killPoint(fault.KillBeforePack)
-		sRound := f.sp.Begin(span.Round)
-		sRound.SetRound(int(r))
-		// Phase 1: ship request segment lists to aggregators; remember the
-		// order so replies can be scattered back into buf.
-		sPack := f.sp.Begin(span.Pack)
-		sent := f.packReadRound(plan, segs, prefix, spans, r, parts, reqs, sPack)
-		sPack.End()
-		sXchg := f.sp.Begin(span.Exchange)
-		sparseExchange(f.comm, parts, msgs, s.counts, roundTag(r, 0), kill)
-		sXchg.End()
-		// Phase 2: aggregators read merged coverage and reply per source.
-		var roundErr error
-		if myAgg >= 0 {
-			sAgg := f.sp.Begin(span.AggRead)
-			lo, hi := plan.window(myAgg, r)
-			roundErr = cov.assemble(msgs, lo, hi)
-			if roundErr == nil && !cov.empty() {
-				sAgg.SetBytes(int64(len(cov.data)))
-				roundErr = f.doPF(func(t float64) (float64, error) {
-					return f.pf.ReadV(t, cov.segs, cov.data)
-				})
-				if roundErr == nil {
-					f.buildReplies(cov, replies)
-				}
-			}
-			sAgg.End()
-			cov.release()
-		}
-		recycleRound(msgs)
-		// Collective error agreement BEFORE the reply exchange: a failed
-		// aggregator has no data to send back, so all ranks must learn of
-		// the failure here or the reply exchange would hang.
-		if err := f.comm.AgreeError(roundErr); err != nil {
-			// A peer failed after this aggregator built its replies: the
-			// reply exchange never runs, so the reply buffers — still this
-			// rank's, never handed over — must go back to the pool here
-			// (leak found by nclint's bufpool checker).
-			bufpool.PutAll(replies)
-			sRound.End()
-			return err
-		}
-		// The reply leg agrees nothing: the round is known good, so every
-		// aggregator this rank sent a request to answers it, and nobody else
-		// does.
-		sReply := f.sp.Begin(span.ReplyXchg)
-		deliver(f.comm, replies, back, roundTag(r, 1), sent, nil)
-		sReply.End()
-		// Scatter replies into buf.
-		sScatter := f.sp.Begin(span.Scatter)
-		scatterReplies(buf, plan, reqs, back)
-		sScatter.End()
-		recycleRound(back)
-		prog.roundAgreed(r)
-		sRound.End()
-	}
-	return nil
-}
-
 // collectivePlan holds the agreed two-phase geometry. Boundaries are an
 // explicit table: bounds[k] separates aggregator k-1's file domain from
 // aggregator k's (bounds[0] = gmin, bounds[naggs] = gmax), so even and
@@ -533,6 +386,16 @@ func (f *File) agreeAbort(err error) error {
 		f.st.Add(iostat.IOCollAborts, 1)
 	}
 	return err
+}
+
+// countRounds accounts a completed collective's rounds. A plan of more than
+// one round had every aggregator request but one in flight behind another
+// round's communication (rounds.go); those are the pipelined rounds.
+func (f *File) countRounds(plan collectivePlan) {
+	f.st.Add(iostat.IOTwoPhaseRounds, plan.rounds)
+	if plan.rounds > 1 {
+		f.st.Add(iostat.IOPipelinedRounds, plan.rounds)
+	}
 }
 
 // collectivePlan agrees on the aggregate range and domain layout. Returns
@@ -637,6 +500,10 @@ func (f *File) recordPlan(p collectivePlan) {
 	})
 }
 
+// generations is how many rounds of the plan can be live at once: the round
+// whose aggregator request is in flight and the neighbour hiding it.
+func (p collectivePlan) generations() int { return int(min(p.rounds, 2)) }
+
 // aggRank maps aggregator index a to the communicator rank serving it.
 func (p collectivePlan) aggRank(a int) int { return p.aggRanks[a] }
 
@@ -659,7 +526,7 @@ func (p collectivePlan) window(a int, r int64) (lo, hi int64) {
 	dLo := p.boundary(a)
 	dHi := p.boundary(a + 1)
 	lo = dLo + r*p.cbbuf
-	hi = min64(lo+p.cbbuf, dHi)
+	hi = min(lo+p.cbbuf, dHi)
 	return lo, hi
 }
 
@@ -717,8 +584,8 @@ func (p collectivePlan) spans(segs []pfs.Segment) []segSpan {
 func intersectRange(segs []pfs.Segment, prefix []int64, span segSpan, lo, hi int64, out []reqSeg) []reqSeg {
 	for i := firstEndingAfter(segs, span.i0, span.i1, lo); i < span.i1 && segs[i].Off < hi; i++ {
 		s := segs[i]
-		cLo := max64(s.Off, lo)
-		cHi := min64(s.Off+s.Len, hi)
+		cLo := max(s.Off, lo)
+		cHi := min(s.Off+s.Len, hi)
 		if cHi > cLo {
 			out = append(out, reqSeg{off: cLo, len: cHi - cLo, bufPos: prefix[i] + (cLo - s.Off)})
 		}
@@ -731,8 +598,8 @@ func intersectRange(segs []pfs.Segment, prefix []int64, span segSpan, lo, hi int
 // holding it in a slot — the encoder until sparseExchange hands it over and
 // nils that slot, the receiver from then on — so every buffer sits in
 // exactly one slot of one rank, and this call on the receiving rank is its
-// single Put. PutAll nils the slots, so a generation slice the pipelined
-// path keeps across rounds cannot alias pooled memory after release.
+// single Put. PutAll nils the slots, so a generation slice the round loop
+// keeps across rounds cannot alias pooled memory after release.
 func recycleRound(msgs [][]byte) {
 	bufpool.PutAll(msgs)
 }

@@ -42,8 +42,10 @@ package mpiio
 // replay).
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 
 	"pnetcdf/internal/fault"
 	"pnetcdf/internal/iostat"
@@ -97,12 +99,8 @@ type ftProgress struct {
 	agreed int64
 }
 
-// roundAgreed marks round r complete. Nil-safe: the failover replay runs
-// its rounds with no progress tracker.
+// roundAgreed marks round r complete.
 func (p *ftProgress) roundAgreed(r int64) {
-	if p == nil {
-		return
-	}
 	if r+1 > p.agreed {
 		p.agreed = r + 1
 	}
@@ -275,7 +273,7 @@ func (f *File) failoverWrite(off int64, buf []byte, prog *ftProgress, rv *mpi.Er
 // a revocation: replay the not-yet-scattered rounds' clip of this rank's
 // request on the survivor communicator and scatter the bytes into the
 // caller's buffer. Reads always recover fully.
-func (f *File) failoverRead(off int64, buf []byte, prog *ftProgress, rv *mpi.ErrRevoked, t0 float64) error {
+func (f *File) failoverRead(off int64, buf []byte, prog *ftProgress, t0 float64) error {
 	sf := f.sp.Begin(span.FTFailover)
 	defer sf.End()
 	resume, err := f.failoverShrink(prog, false)
@@ -304,7 +302,6 @@ func (f *File) failoverRead(off int64, buf []byte, prog *ftProgress, rv *mpi.Err
 		copy(buf[q.bufPos:q.bufPos+q.len], rbuf[pos:pos+q.len])
 		pos += q.len
 	}
-	_ = rv
 	return nil
 }
 
@@ -313,7 +310,7 @@ func mergeExtents(exts []Extent) []Extent {
 	if len(exts) == 0 {
 		return nil
 	}
-	sortExtents(exts)
+	slices.SortFunc(exts, func(a, b Extent) int { return cmp.Compare(a.Off, b.Off) })
 	out := exts[:1]
 	for _, e := range exts[1:] {
 		last := &out[len(out)-1]
@@ -354,14 +351,6 @@ func subtractExtents(from, cover []Extent) []Extent {
 		}
 	}
 	return out
-}
-
-func sortExtents(exts []Extent) {
-	for i := 1; i < len(exts); i++ {
-		for j := i; j > 0 && exts[j-1].Off > exts[j].Off; j-- {
-			exts[j-1], exts[j] = exts[j], exts[j-1]
-		}
-	}
 }
 
 // segsLen sums a segment list's byte length.

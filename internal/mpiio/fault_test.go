@@ -149,7 +149,7 @@ func TestPipelinedWriteCrashDrainsAndAgrees(t *testing.T) {
 	in := fault.New(fault.Config{Seed: 13})
 	fsys.SetFault(in)
 	const n = 4
-	info := mpi.NewInfo().Set("cb_buffer_size", "65536").Set("cb_nodes", "2").Set("cb_pipeline", "enable")
+	info := mpi.NewInfo().Set("cb_buffer_size", "65536").Set("cb_nodes", "2")
 	errs := make([]error, n)
 	aborts := make([]int64, n)
 	overlap := make([]int64, n)
@@ -209,7 +209,7 @@ func TestPipelinedWriteCrashDrainsAndAgrees(t *testing.T) {
 // multi-round pipelined run under a high transient rate must still produce
 // a byte-identical image to the clean run, with the retries accounted.
 func TestPipelinedTransientFaultsBitIdentical(t *testing.T) {
-	info := mpi.NewInfo().Set("cb_buffer_size", "4096").Set("cb_nodes", "2").Set("cb_pipeline", "enable")
+	info := mpi.NewInfo().Set("cb_buffer_size", "4096").Set("cb_nodes", "2")
 	const per = 64 << 10
 	write := func(fsys *pfs.FS) ([]byte, int64) {
 		t.Helper()

@@ -66,13 +66,6 @@ type Hints struct {
 	// (buckets are stripe-multiple wide; more buckets = finer splits, one
 	// Allreduce of this many int64s per collective call).
 	CBPartitionBuckets int
-	// CBPipeline enables the depth-2 software pipeline in the two-phase
-	// collective path: round r's aggregator I/O is issued asynchronously
-	// and overlaps round r+1's pack/exchange (DESIGN.md §13). Output is
-	// byte-identical to the serial path. Default on; the
-	// PNETCDF_CB_PIPELINE=0 environment variable or the cb_pipeline hint
-	// disables it.
-	CBPipeline bool
 }
 
 func resolveHints(comm *mpi.Comm, info *mpi.Info) Hints {
@@ -87,13 +80,9 @@ func resolveHints(comm *mpi.Comm, info *mpi.Info) Hints {
 		IndWrBufferSize:    4 << 20,
 		CBPartition:        PartitionEven,
 		CBPartitionBuckets: 256,
-		CBPipeline:         true,
 	}
 	if v := os.Getenv("PNETCDF_CB_PARTITION"); v == PartitionBalanced || v == PartitionEven {
 		h.CBPartition = v
-	}
-	if os.Getenv("PNETCDF_CB_PIPELINE") == "0" {
-		h.CBPipeline = false
 	}
 	if n := int(info.GetInt("cb_nodes", int64(h.CBNodes))); n >= 1 {
 		h.CBNodes = min(n, comm.Size())
@@ -122,7 +111,6 @@ func resolveHints(comm *mpi.Comm, info *mpi.Info) Hints {
 	if v := info.GetInt("cb_partition_buckets", int64(h.CBPartitionBuckets)); v >= 1 && v <= 1<<20 {
 		h.CBPartitionBuckets = int(v)
 	}
-	h.CBPipeline = info.GetBool("cb_pipeline", h.CBPipeline)
 	return h
 }
 
@@ -315,11 +303,12 @@ func (f *File) doPF(op func(t float64) (float64, error)) error {
 // clock at issue time): it joins the background byte movement, credits the
 // virtual time the I/O spent in flight while the rank was doing other work
 // to io_overlap_ns, and advances the rank clock to max(clock, end) — the
-// pipelined path's analogue of doPF's SetClock(done).
+// asynchronous analogue of doPF's SetClock(done).
 //
 // A transient injected error is re-issued synchronously through doPF with
 // the supplied retry closure (async writes are idempotent full rewrites, so
-// the retry semantics match the serial path); permanent errors propagate.
+// the retry semantics match a synchronous request's); permanent errors
+// propagate.
 func (f *File) waitPF(op *pfs.AsyncOp, issueClock float64, retry func(t float64) (float64, error)) error {
 	end, err := op.Wait()
 	now := f.comm.Clock()
@@ -392,25 +381,4 @@ func (f *File) recordAccess(op string, calls, bytes, exts, timeNs iostat.Counter
 		Layer: "mpiio", Op: op, Rank: f.comm.Rank(),
 		Off: off, Len: n, Extents: len(segs), Start: start, End: end,
 	})
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -14,8 +14,9 @@ import (
 	"pnetcdf/internal/mpitype"
 )
 
-// The failover matrix: kill one rank at each crash point, on the serial
-// and the pipelined round loop, during collective writes and reads. The
+// The failover matrix: kill one rank at each crash point of the round loop,
+// aggregator or not, in a round whose aggregator request is asynchronous and
+// in the one that is synchronous, during collective writes and reads. The
 // invariants under test are the acceptance criteria of DESIGN.md §8:
 // no survivor hangs, every survivor returns the same error, the file is
 // byte-identical to an undisturbed run everywhere outside the dead rank's
@@ -30,16 +31,11 @@ const (
 
 // ftioHints forces a deterministic multi-round two-phase shape: two
 // aggregators at even ranks 0 and 2, 64 KiB rounds.
-func ftioHints(pipelined bool) *mpi.Info {
+func ftioHints() *mpi.Info {
 	info := mpi.NewInfo()
 	info.Set("cb_buffer_size", "65536")
 	info.Set("cb_nodes", "2")
 	info.Set("cb_partition", "even")
-	if pipelined {
-		info.Set("cb_pipeline", "enable")
-	} else {
-		info.Set("cb_pipeline", "disable")
-	}
 	return info
 }
 
@@ -65,7 +61,7 @@ type ftioResult struct {
 // runFTWrite runs an n-rank collective write of disjoint per-rank regions
 // with victim killed at (point, occurrence), returning the file image and
 // the survivors' results indexed by original rank.
-func runFTWrite(t *testing.T, pipelined bool, victim int, point string, occurrence int64) ([]byte, map[int]ftioResult) {
+func runFTWrite(t *testing.T, victim int, point string, occurrence int64) ([]byte, map[int]ftioResult) {
 	t.Helper()
 	fsys := testFS()
 	inj := fault.New(fault.Config{Seed: 1})
@@ -76,7 +72,7 @@ func runFTWrite(t *testing.T, pipelined bool, victim int, point string, occurren
 	err := mpi.RunFT(ftioProcs, mpi.DefaultNet(), ftioTimeout, func(c *mpi.Comm) error {
 		rank := c.Rank()
 		c.Proc().SetStats(iostat.New())
-		f, err := Open(c, fsys, "ftw", ModeRdWr|ModeCreate, ftioHints(pipelined))
+		f, err := Open(c, fsys, "ftw", ModeRdWr|ModeCreate, ftioHints())
 		if err != nil {
 			return err
 		}
@@ -192,29 +188,28 @@ func checkFTWrite(t *testing.T, img []byte, results map[int]ftioResult, victim i
 }
 
 func TestFTKillWriteFailover(t *testing.T) {
+	// Rank 1 is no aggregator, rank 2 is one. Each domain takes 8 rounds, so
+	// occurrence 7 of a point is the last round — the one whose write is
+	// synchronous. after_issue is passed only by aggregators, once per
+	// round they have something to write.
 	cases := []struct {
 		name       string
-		pipelined  bool
 		victim     int
 		point      string
 		occurrence int64
 	}{
-		{"serial/before_pack/r1", false, 1, fault.KillBeforePack, 2},
-		{"serial/mid_exchange/r1", false, 1, fault.KillMidExchange, 2},
-		{"serial/before_pack/agg2", false, 2, fault.KillBeforePack, 4},
-		{"serial/mid_exchange/agg2", false, 2, fault.KillMidExchange, 0},
-		{"pipelined/before_pack/r1", true, 1, fault.KillBeforePack, 2},
-		{"pipelined/mid_exchange/r1", true, 1, fault.KillMidExchange, 2},
-		{"pipelined/before_pack/agg2", true, 2, fault.KillBeforePack, 4},
-		{"pipelined/mid_exchange/agg2", true, 2, fault.KillMidExchange, 0},
-		// after_issue exists only where writes are issued asynchronously,
-		// and only aggregators pass it (ranks 0 and 2 under ftioHints).
-		{"pipelined/after_issue/agg2", true, 2, fault.KillAfterIssue, 2},
-		{"pipelined/after_issue/last-round", true, 2, fault.KillAfterIssue, 7},
+		{"before_pack/r1", 1, fault.KillBeforePack, 2},
+		{"before_pack/r1/last-round", 1, fault.KillBeforePack, 7},
+		{"before_pack/agg2", 2, fault.KillBeforePack, 4},
+		{"mid_exchange/r1", 1, fault.KillMidExchange, 2},
+		{"mid_exchange/agg2", 2, fault.KillMidExchange, 0},
+		{"mid_exchange/agg2/last-round", 2, fault.KillMidExchange, 7},
+		{"after_issue/agg2", 2, fault.KillAfterIssue, 2},
+		{"after_issue/agg2/last-round", 2, fault.KillAfterIssue, 7},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			img, results := runFTWrite(t, tc.pipelined, tc.victim, tc.point, tc.occurrence)
+			img, results := runFTWrite(t, tc.victim, tc.point, tc.occurrence)
 			checkFTWrite(t, img, results, tc.victim)
 		})
 	}
@@ -223,25 +218,27 @@ func TestFTKillWriteFailover(t *testing.T) {
 // TestFTKillReadFailover: reads recover fully — after the failover every
 // survivor's buffer matches the file exactly, with no degraded error.
 func TestFTKillReadFailover(t *testing.T) {
+	// Occurrence 0 is the first round — the one whose coverage read is
+	// synchronous.
 	cases := []struct {
 		name       string
-		pipelined  bool
 		victim     int
 		point      string
 		occurrence int64
 	}{
-		{"serial/before_pack", false, 1, fault.KillBeforePack, 2},
-		{"serial/mid_exchange", false, 2, fault.KillMidExchange, 1},
-		{"pipelined/before_pack", true, 1, fault.KillBeforePack, 2},
-		{"pipelined/mid_exchange", true, 2, fault.KillMidExchange, 1},
-		{"pipelined/after_issue", true, 2, fault.KillAfterIssue, 2},
+		{"before_pack/r1", 1, fault.KillBeforePack, 2},
+		{"before_pack/agg2/first-round", 2, fault.KillBeforePack, 0},
+		{"mid_exchange/r1/first-round", 1, fault.KillMidExchange, 0},
+		{"mid_exchange/agg2", 2, fault.KillMidExchange, 1},
+		{"after_issue/agg2", 2, fault.KillAfterIssue, 2},
+		{"after_issue/agg2/first-round", 2, fault.KillAfterIssue, 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			fsys := testFS()
 			// Seed the file undisturbed, then kill during the read-back.
 			runWorld(t, ftioProcs, func(c *mpi.Comm) error {
-				f, err := Open(c, fsys, "ftr", ModeRdWr|ModeCreate, ftioHints(tc.pipelined))
+				f, err := Open(c, fsys, "ftr", ModeRdWr|ModeCreate, ftioHints())
 				if err != nil {
 					return err
 				}
@@ -262,7 +259,7 @@ func TestFTKillReadFailover(t *testing.T) {
 			err := mpi.RunFT(ftioProcs, mpi.DefaultNet(), ftioTimeout, func(c *mpi.Comm) error {
 				rank := c.Rank()
 				c.Proc().SetStats(iostat.New())
-				f, err := Open(c, fsys, "ftr", ModeRdOnly, ftioHints(tc.pipelined))
+				f, err := Open(c, fsys, "ftr", ModeRdOnly, ftioHints())
 				if err != nil {
 					return err
 				}
@@ -298,53 +295,51 @@ func TestFTKillReadFailover(t *testing.T) {
 // TestFTCleanRunByteIdentical: the detector being armed must not change a
 // single output byte or trigger any FT machinery on a fault-free run.
 func TestFTCleanRunByteIdentical(t *testing.T) {
-	for _, pipelined := range []bool{false, true} {
-		run := func(detector bool) []byte {
-			fsys := testFS()
-			fn := func(c *mpi.Comm) error {
-				c.Proc().SetStats(iostat.New())
-				f, err := Open(c, fsys, "clean", ModeRdWr|ModeCreate, ftioHints(pipelined))
-				if err != nil {
-					return err
-				}
-				if err := f.SetView(int64(c.Rank())*ftioRegion, mpitype.Contig(ftioRegion)); err != nil {
-					return err
-				}
-				if err := f.WriteAtAll(0, ftioPattern(c.Rank(), ftioRegion)); err != nil {
-					return err
-				}
-				for _, ctr := range []iostat.Counter{
-					iostat.FTFailuresDetected, iostat.FTCommShrinks,
-					iostat.FTFailoverRounds, iostat.FTDegradedCompletions,
-				} {
-					if v := c.Proc().Stats().Get(ctr); v != 0 {
-						return fmt.Errorf("clean run: %s = %d", ctr, v)
-					}
-				}
-				return f.Close()
-			}
-			var err error
-			if detector {
-				err = mpi.RunFT(ftioProcs, mpi.DefaultNet(), ftioTimeout, fn)
-			} else {
-				err = mpi.Run(ftioProcs, mpi.DefaultNet(), fn)
-			}
+	run := func(detector bool) []byte {
+		fsys := testFS()
+		fn := func(c *mpi.Comm) error {
+			c.Proc().SetStats(iostat.New())
+			f, err := Open(c, fsys, "clean", ModeRdWr|ModeCreate, ftioHints())
 			if err != nil {
-				t.Fatalf("world: %v", err)
+				return err
 			}
-			pf, _, err := fsys.Open("clean", 0)
-			if err != nil {
-				t.Fatal(err)
+			if err := f.SetView(int64(c.Rank())*ftioRegion, mpitype.Contig(ftioRegion)); err != nil {
+				return err
 			}
-			img := make([]byte, pf.Size())
-			if _, err := pf.ReadAt(0, img, 0); err != nil {
-				t.Fatal(err)
+			if err := f.WriteAtAll(0, ftioPattern(c.Rank(), ftioRegion)); err != nil {
+				return err
 			}
-			return img
+			for _, ctr := range []iostat.Counter{
+				iostat.FTFailuresDetected, iostat.FTCommShrinks,
+				iostat.FTFailoverRounds, iostat.FTDegradedCompletions,
+			} {
+				if v := c.Proc().Stats().Get(ctr); v != 0 {
+					return fmt.Errorf("clean run: %s = %d", ctr, v)
+				}
+			}
+			return f.Close()
 		}
-		if !bytes.Equal(run(false), run(true)) {
-			t.Fatalf("pipelined=%v: detector changed output bytes on a fault-free run", pipelined)
+		var err error
+		if detector {
+			err = mpi.RunFT(ftioProcs, mpi.DefaultNet(), ftioTimeout, fn)
+		} else {
+			err = mpi.Run(ftioProcs, mpi.DefaultNet(), fn)
 		}
+		if err != nil {
+			t.Fatalf("world: %v", err)
+		}
+		pf, _, err := fsys.Open("clean", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		img := make([]byte, pf.Size())
+		if _, err := pf.ReadAt(0, img, 0); err != nil {
+			t.Fatal(err)
+		}
+		return img
+	}
+	if !bytes.Equal(run(false), run(true)) {
+		t.Fatal("detector changed output bytes on a fault-free run")
 	}
 }
 
@@ -359,7 +354,7 @@ func TestFTWithoutDetectorStillAgrees(t *testing.T) {
 	inj.KillRank(17, fault.KillBeforePack)
 	fsys.SetFault(inj)
 	runWorld(t, 2, func(c *mpi.Comm) error {
-		f, err := Open(c, fsys, "nodet", ModeRdWr|ModeCreate, ftioHints(false))
+		f, err := Open(c, fsys, "nodet", ModeRdWr|ModeCreate, ftioHints())
 		if err != nil {
 			return err
 		}

@@ -274,7 +274,7 @@ func (cov *coverage) assemble(msgs [][]byte, lo, hi int64) error {
 		return err
 	}
 	if !cov.empty() {
-		//nclint:escape -- parked in the coverage, which outlives the read it is issued for; release puts it once the replies are built, on the abort path and in the pipelined loop's revocation drain
+		//nclint:escape -- parked in the coverage, which outlives the read it is issued for; release puts it once the replies are built, on the abort path and in the round loop's revocation drain
 		cov.data = bufpool.GetDirty(int(total))
 	}
 	return nil
@@ -294,7 +294,7 @@ func (cov *coverage) place(msgs [][]byte, lo, hi int64) (total int64, err error)
 		k := len(cov.segs)
 		if k > 0 && c.off <= cov.segs[k-1].Off+cov.segs[k-1].Len {
 			last := &cov.segs[k-1]
-			last.Len = max64(last.Len, c.off+c.len-last.Off)
+			last.Len = max(last.Len, c.off+c.len-last.Off)
 		} else {
 			if k > 0 {
 				segStart += cov.segs[k-1].Len

@@ -73,7 +73,7 @@ func refCoverage(msgs [][]byte) ([]pfs.Segment, map[int][]covReq) {
 	var segs []pfs.Segment
 	for _, e := range all {
 		if n := len(segs); n > 0 && e.off <= segs[n-1].Off+segs[n-1].Len {
-			segs[n-1].Len = max64(segs[n-1].Off+segs[n-1].Len, e.off+e.len) - segs[n-1].Off
+			segs[n-1].Len = max(segs[n-1].Off+segs[n-1].Len, e.off+e.len) - segs[n-1].Off
 		} else {
 			segs = append(segs, pfs.Segment{Off: e.off, Len: e.len})
 		}
@@ -163,7 +163,7 @@ func randomRound(rng *rand.Rand, payload bool) (msgs [][]byte, hi int64) {
 		}
 		ents := randomSource(rng, n, span)
 		for _, e := range ents {
-			hi = max64(hi, e.Off+e.Len)
+			hi = max(hi, e.Off+e.Len)
 		}
 		msgs[src] = buildMsg(rng, ents, payload)
 	}

@@ -61,10 +61,10 @@ func TestSparseExchangeHandsBuffersOver(t *testing.T) {
 	})
 }
 
-// TestExchangeOwnershipStress runs 128 multi-round 8-rank collectives over
-// one file — serial and pipelined loops, each 32 times a write followed by a
-// read-back — with every block stamped with its rank, iteration and index
-// (the index fixes which two-phase round carries it). Exchange buffers move
+// TestExchangeOwnershipStress runs 64 multi-round 8-rank collectives over
+// one file — 32 times a write followed by a read-back — with every block
+// stamped with its rank, iteration and index (the index fixes which
+// two-phase round carries it). Exchange buffers move
 // between ranks by ownership and cycle through the pool the whole time, so a
 // message recycled while its receiver (or the aggregator's in-flight iovec)
 // still reads it, or put twice and handed to two encoders, shows up as a
@@ -76,66 +76,63 @@ func TestExchangeOwnershipStress(t *testing.T) {
 		nBlocks = 32 // per rank: 16 KiB, 128 KiB in the file
 		iters   = 32
 	)
-	for _, pipeline := range []string{"disable", "enable"} {
-		fsys := testFS()
-		info := mpi.NewInfo().
-			Set("cb_buffer_size", "4096").
-			Set("cb_nodes", "4").
-			Set("cb_pipeline", pipeline)
-		var rounds, piped int64 // rank 0's counters, read after the world has ended
-		runWorld(t, p, func(c *mpi.Comm) error {
-			me := c.Rank()
-			c.Proc().SetStats(iostat.New())
-			f, err := Open(c, fsys, "own", ModeRdWr|ModeCreate, info)
-			if err != nil {
-				return err
-			}
-			// Rank r owns every p-th block: each rank sends to every
-			// aggregator in every round.
-			view, err := mpitype.Vector(nBlocks, block, p*block, mpitype.Contig(1))
-			if err != nil {
-				return err
-			}
-			if err := f.SetView(int64(me)*block, view); err != nil {
-				return err
-			}
-			data := make([]byte, nBlocks*block)
-			got := make([]byte, len(data))
-			for it := 0; it < iters; it++ {
-				for b := 0; b < nBlocks; b++ {
-					for i := 0; i < block; i++ {
-						data[b*block+i] = byte(me*37 + it*11 + b*5 + i)
-					}
-				}
-				if err := f.WriteAtAll(0, data); err != nil {
-					return err
-				}
-				for i := range got {
-					got[i] = 0xEE
-				}
-				if err := f.ReadAtAll(0, got); err != nil {
-					return err
-				}
-				if !bytes.Equal(got, data) {
-					i := 0
-					for got[i] == data[i] {
-						i++
-					}
-					return fmt.Errorf("cb_pipeline=%s rank %d iter %d: read-back differs at byte %d (block %d): got %#x, want %#x",
-						pipeline, me, it, i, i/block, got[i], data[i])
-				}
-			}
-			if me == 0 {
-				rounds = c.Proc().Stats().Get(iostat.IOTwoPhaseRounds)
-				piped = c.Proc().Stats().Get(iostat.IOPipelinedRounds)
-			}
-			return f.Close()
-		})
-		if rounds < 2*2*iters {
-			t.Fatalf("cb_pipeline=%s: %d rounds over %d collectives; the stress needs multi-round exchanges", pipeline, rounds, 2*iters)
+	fsys := testFS()
+	info := mpi.NewInfo().
+		Set("cb_buffer_size", "4096").
+		Set("cb_nodes", "4")
+	var rounds, piped int64 // rank 0's counters, read after the world has ended
+	runWorld(t, p, func(c *mpi.Comm) error {
+		me := c.Rank()
+		c.Proc().SetStats(iostat.New())
+		f, err := Open(c, fsys, "own", ModeRdWr|ModeCreate, info)
+		if err != nil {
+			return err
 		}
-		if (pipeline == "enable") != (piped > 0) {
-			t.Fatalf("cb_pipeline=%s: %d pipelined rounds", pipeline, piped)
+		// Rank r owns every p-th block: each rank sends to every
+		// aggregator in every round.
+		view, err := mpitype.Vector(nBlocks, block, p*block, mpitype.Contig(1))
+		if err != nil {
+			return err
 		}
+		if err := f.SetView(int64(me)*block, view); err != nil {
+			return err
+		}
+		data := make([]byte, nBlocks*block)
+		got := make([]byte, len(data))
+		for it := 0; it < iters; it++ {
+			for b := 0; b < nBlocks; b++ {
+				for i := 0; i < block; i++ {
+					data[b*block+i] = byte(me*37 + it*11 + b*5 + i)
+				}
+			}
+			if err := f.WriteAtAll(0, data); err != nil {
+				return err
+			}
+			for i := range got {
+				got[i] = 0xEE
+			}
+			if err := f.ReadAtAll(0, got); err != nil {
+				return err
+			}
+			if !bytes.Equal(got, data) {
+				i := 0
+				for got[i] == data[i] {
+					i++
+				}
+				return fmt.Errorf("rank %d iter %d: read-back differs at byte %d (block %d): got %#x, want %#x",
+					me, it, i, i/block, got[i], data[i])
+			}
+		}
+		if me == 0 {
+			rounds = c.Proc().Stats().Get(iostat.IOTwoPhaseRounds)
+			piped = c.Proc().Stats().Get(iostat.IOPipelinedRounds)
+		}
+		return f.Close()
+	})
+	if rounds < 2*2*iters {
+		t.Fatalf("%d rounds over %d collectives; the stress needs multi-round exchanges", rounds, 2*iters)
+	}
+	if piped != rounds {
+		t.Fatalf("%d of %d rounds counted as pipelined; every collective here has many rounds", piped, rounds)
 	}
 }

@@ -4,122 +4,153 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"os"
 	"sync"
 	"testing"
 
 	"pnetcdf/internal/iostat"
 	"pnetcdf/internal/mpi"
+	"pnetcdf/internal/mpitype"
+	"pnetcdf/internal/pfs"
 )
 
-// pipelineImage runs a 4-rank interleaved multi-round collective write
-// (tiny cb_buffer_size so the plan has many rounds) with the pipeline
-// toggled by hint, reads it back collectively, and returns the raw file
-// image plus the summed stats across ranks.
-func pipelineImage(t *testing.T, pipeline string) ([]byte, map[iostat.Counter]int64) {
-	t.Helper()
+// TestRoundScheduleLeavesOneFileImage: how a collective's rounds are
+// scheduled — how many there are, which aggregator requests ran
+// asynchronously behind a neighbouring round — may not show in the file. The
+// same 4-rank interleaved write and read-back, at cb_buffer_size giving 1, 2,
+// 3 and many rounds, with 1, 2 and 4 aggregators and both partitions, must
+// leave the one expected image; io_pipelined_rounds and io_overlap_ns are 0
+// when the plan has one round (nothing ran asynchronously) and positive
+// above it.
+func TestRoundScheduleLeavesOneFileImage(t *testing.T) {
+	const (
+		ranks, block, nBlocks = 4, 1024, 64
+		per                   = block * nBlocks
+		total                 = ranks * per // 256 KiB
+	)
+	data := make([][]byte, ranks)
+	want := make([]byte, total)
+	for r := range data {
+		data[r] = make([]byte, per)
+		rand.New(rand.NewSource(int64(r) + 1)).Read(data[r])
+		for b := 0; b < nBlocks; b++ {
+			copy(want[(b*ranks+r)*block:], data[r][b*block:(b+1)*block])
+		}
+	}
+	view, err := mpitype.Vector(nBlocks, block, ranks*block, mpitype.Contig(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := pfs.DefaultConfig()
+	cfg.StripeSize = 4096 // so that even file domains are total/cb_nodes wide
+	for _, nodes := range []int{1, 2, 4} {
+		domain := total / nodes
+		for _, rounds := range []int{1, 2, 3, domain / 4096} {
+			for _, partition := range []string{PartitionEven, PartitionBalanced} {
+				name := fmt.Sprintf("cb_nodes=%d/rounds=%d/%s", nodes, rounds, partition)
+				fsys := pfs.New(cfg)
+				info := mpi.NewInfo().
+					Set("cb_buffer_size", fmt.Sprint((domain+rounds-1)/rounds)).
+					Set("cb_nodes", fmt.Sprint(nodes)).
+					Set("cb_partition", partition)
+				var mu sync.Mutex
+				sum := map[iostat.Counter]int64{}
+				runWorld(t, ranks, func(c *mpi.Comm) error {
+					st := iostat.New()
+					c.Proc().SetStats(st)
+					f, err := Open(c, fsys, "img", ModeRdWr|ModeCreate, info)
+					if err != nil {
+						return err
+					}
+					if err := f.SetView(int64(c.Rank())*block, view); err != nil {
+						return err
+					}
+					if err := f.WriteAtAll(0, data[c.Rank()]); err != nil {
+						return err
+					}
+					got := make([]byte, per)
+					if err := f.ReadAtAll(0, got); err != nil {
+						return err
+					}
+					if !bytes.Equal(got, data[c.Rank()]) {
+						return fmt.Errorf("rank %d: round trip mismatch", c.Rank())
+					}
+					mu.Lock()
+					for _, k := range []iostat.Counter{iostat.IOPipelinedRounds, iostat.IOOverlapTimeNs} {
+						sum[k] += st.Get(k)
+					}
+					if c.Rank() == 0 {
+						sum[iostat.IOTwoPhaseRounds] = st.Get(iostat.IOTwoPhaseRounds) / 2 // per collective
+					}
+					mu.Unlock()
+					return f.Close()
+				})
+				if got := fileImage(t, fsys, "img"); !bytes.Equal(got, want) {
+					t.Errorf("%s: the file is not the expected image", name)
+				}
+				// Balanced domains need not be equally wide, so only the
+				// even partition pins the exact count.
+				ran := sum[iostat.IOTwoPhaseRounds]
+				if (partition == PartitionEven && ran != int64(rounds)) || (ran == 1) != (rounds == 1) {
+					t.Errorf("%s: each collective ran %d rounds", name, ran)
+				}
+				piped, overlap := sum[iostat.IOPipelinedRounds], sum[iostat.IOOverlapTimeNs]
+				if ran == 1 && (piped != 0 || overlap != 0) {
+					t.Errorf("%s: one round, yet io_pipelined_rounds = %d, io_overlap_ns = %d", name, piped, overlap)
+				}
+				if ran > 1 && (piped == 0 || overlap == 0) {
+					t.Errorf("%s: %d rounds, yet io_pipelined_rounds = %d, io_overlap_ns = %d — nothing overlapped",
+						name, ran, piped, overlap)
+				}
+			}
+		}
+	}
+}
+
+// TestOneRoundCollectiveIssuesNoAsyncOp: a one-round plan has no neighbouring
+// round to hide a request behind, so the round loop issues it synchronously —
+// the classic two-phase sequence, at its cost in collectives: the plan's
+// allreduce, the exchange's count allreduce and one error agreement, for a
+// write and for a read (whose reply leg agrees nothing).
+func TestOneRoundCollectiveIssuesNoAsyncOp(t *testing.T) {
 	fsys := testFS()
-	info := mpi.NewInfo().
-		Set("cb_buffer_size", "4096").
-		Set("cb_nodes", "2").
-		Set("cb_pipeline", pipeline)
-	const per = 64 << 10
-	var mu sync.Mutex
-	sum := map[iostat.Counter]int64{}
 	runWorld(t, 4, func(c *mpi.Comm) error {
-		c.Proc().SetStats(iostat.New())
-		f, err := Open(c, fsys, "pipe", ModeRdWr|ModeCreate, info)
+		st := iostat.New()
+		c.Proc().SetStats(st)
+		// Even file domains: a balanced plan agrees a histogram and the
+		// aggregator placement on top.
+		f, err := Open(c, fsys, "one", ModeRdWr|ModeCreate, mpi.NewInfo().Set("cb_partition", PartitionEven))
 		if err != nil {
 			return err
 		}
-		if err := f.SetView(0, blockView(c.Rank(), 4, 4*per)); err != nil {
-			return err
+		// Measured, not hardcoded: what one allreduce and one agreement
+		// cost in primitive collectives.
+		collectives := func(op func() error) (int64, error) {
+			base := st.Get(iostat.MPICollectives)
+			err := op()
+			return st.Get(iostat.MPICollectives) - base, err
 		}
-		data := make([]byte, per)
-		rng := rand.New(rand.NewSource(int64(c.Rank()) + 1))
-		rng.Read(data)
-		if err := f.WriteAtAll(0, data); err != nil {
-			return err
-		}
-		got := make([]byte, per)
-		if err := f.ReadAtAll(0, got); err != nil {
-			return err
-		}
-		if !bytes.Equal(got, data) {
-			return fmt.Errorf("rank %d: round trip mismatch (pipeline=%s)", c.Rank(), pipeline)
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		mu.Lock()
-		for _, k := range []iostat.Counter{iostat.IOPipelinedRounds, iostat.IOOverlapTimeNs, iostat.IOTwoPhaseRounds} {
-			sum[k] += c.Proc().Stats().Get(k)
-		}
-		mu.Unlock()
-		return nil
-	})
-	return fileImage(t, fsys, "pipe"), sum
-}
-
-// TestPipelinedMatchesSerialBytes: the pipelined round loop must be a pure
-// scheduling change — the file image it produces is byte-identical to the
-// serial loop's, while its stats show the overlap actually happened
-// (io_pipelined_rounds and io_overlap_ns nonzero) and the serial run shows
-// none.
-func TestPipelinedMatchesSerialBytes(t *testing.T) {
-	serial, sstats := pipelineImage(t, "disable")
-	piped, pstats := pipelineImage(t, "enable")
-	if !bytes.Equal(serial, piped) {
-		t.Fatal("pipelined collective produced different bytes than serial")
-	}
-	if pstats[iostat.IOPipelinedRounds] == 0 {
-		t.Fatal("pipelined run recorded no io_pipelined_rounds")
-	}
-	if pstats[iostat.IOOverlapTimeNs] == 0 {
-		t.Fatal("pipelined run recorded no io_overlap_ns — nothing overlapped")
-	}
-	if sstats[iostat.IOPipelinedRounds] != 0 || sstats[iostat.IOOverlapTimeNs] != 0 {
-		t.Fatalf("serial run recorded pipeline counters: %v", sstats)
-	}
-	if pstats[iostat.IOTwoPhaseRounds] != sstats[iostat.IOTwoPhaseRounds] {
-		t.Fatalf("round counts differ: pipelined %d vs serial %d",
-			pstats[iostat.IOTwoPhaseRounds], sstats[iostat.IOTwoPhaseRounds])
-	}
-}
-
-// TestPipelineSingleRoundFallsBackToSerial: a one-round plan has nothing to
-// overlap with, so the dispatcher must take the serial loop even with the
-// pipeline enabled.
-func TestPipelineSingleRoundFallsBackToSerial(t *testing.T) {
-	fsys := testFS()
-	runWorld(t, 4, func(c *mpi.Comm) error {
-		c.Proc().SetStats(iostat.New())
-		// Explicit enable: the fallback must come from the plan being
-		// single-round, not from the hint (or the PNETCDF_CB_PIPELINE=0
-		// verify pass) turning the pipeline off.
-		info := mpi.NewInfo().Set("cb_pipeline", "enable")
-		f, err := Open(c, fsys, "one", ModeRdWr|ModeCreate, info)
+		allreduce, _ := collectives(func() error { c.AllreduceI64([]int64{1}, mpi.OpSum); return nil })
+		agree, err := collectives(func() error { return c.AgreeError(nil) })
 		if err != nil {
 			return err
 		}
-		// The default (no hint, no env override) must be pipeline-on.
-		if os.Getenv("PNETCDF_CB_PIPELINE") == "" {
-			def, err := Open(c, fsys, "defaults", ModeRdWr|ModeCreate, nil)
+		buf := make([]byte, 4096)
+		for _, op := range []func(int64, []byte) error{f.WriteAtAll, f.ReadAtAll} {
+			n, err := collectives(func() error { return op(int64(c.Rank())*4096, buf) })
 			if err != nil {
 				return err
 			}
-			if !def.Hints().CBPipeline {
-				return fmt.Errorf("cb_pipeline not on by default")
-			}
-			if err := def.Close(); err != nil {
-				return err
+			if want := 2*allreduce + agree; n != want {
+				return fmt.Errorf("rank %d: a one-round write, then read, entered %d collectives, want %d each", c.Rank(), n, want)
 			}
 		}
-		if err := f.WriteAtAll(int64(c.Rank())*4096, make([]byte, 4096)); err != nil {
-			return err
+		if st.Get(iostat.IOTwoPhaseRounds) != 2 {
+			return fmt.Errorf("rank %d: %d rounds over two collectives, want one each", c.Rank(), st.Get(iostat.IOTwoPhaseRounds))
 		}
-		if got := c.Proc().Stats().Get(iostat.IOPipelinedRounds); got != 0 {
-			return fmt.Errorf("rank %d: single-round plan ran pipelined (%d rounds)", c.Rank(), got)
+		for _, k := range []iostat.Counter{iostat.IOPipelinedRounds, iostat.IOOverlapTimeNs} {
+			if got := st.Get(k); got != 0 {
+				return fmt.Errorf("rank %d: one-round collectives recorded %s = %d", c.Rank(), k, got)
+			}
 		}
 		return f.Close()
 	})

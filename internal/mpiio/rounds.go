@@ -1,0 +1,261 @@
+package mpiio
+
+// The two-phase round loops (DESIGN.md §13): one per direction. A round has
+// a frontend every rank runs (pack, exchange) and a backend only aggregators
+// run (merge what was received, one vectored pfs request). The loops order
+// them so that an aggregator's request is in flight while the ranks do the
+// neighbouring round's communication:
+//
+//	write round r:  issue(r) → [pack(r+1) → exchange(r+1)] → wait(r) → agree(r)
+//	read round r:   pack(r) → exchange(r) → issue(r) → [replies(r-1) → scatter(r-1)]
+//	                → wait(r) → agree(r)
+//
+// The bracketed step is what hides the request, and it is the whole rule for
+// when a request is asynchronous (pfs.WriteVecAsync/ReadVAsync): only when
+// that step exists — every write round but the last, every read round but
+// the first. The remaining round's request is an ordinary synchronous one,
+// so a one-round plan is exactly pack → exchange → WriteVec/ReadV → agree
+// (→ replies → scatter): no AsyncOp, no goroutine, nothing to drain.
+//
+// At most one request is in flight per rank — the fault injector's per-rank
+// occurrence counters stay in program order, so seeded fault runs remain
+// deterministic, and the crash-truncate path never races a second write.
+//
+// A write round's error agreement therefore comes after the next round's
+// exchange (which needs no agreement to be safe — sparseExchange agrees its
+// counts internally); a read round's stays before its reply exchange — a
+// failed aggregator has nothing to send back. Every rank runs the identical
+// collective sequence, so the PR 2 invariants hold: no hangs, the same error
+// on every rank, and no duplicate writes on retry (a transient async failure
+// is re-issued synchronously at Wait; writes are idempotent full rewrites).
+//
+// Buffer lifetime follows the in-flight-generation pattern (r & 1): the
+// exchange hands every packed message to its receiver (sparseExchange), so a
+// rank holds only what it received. On the write side two generations of
+// received messages are alive at once, each recycled (recycleRound →
+// bufpool.PutAll) only after the owning request's Wait, since the
+// aggregator's iovec references the message payloads in place; on the read
+// side it is the request bookkeeping and the coverage that go by generation.
+// The file's bytes do not depend on the round count or on which requests
+// were asynchronous.
+
+import (
+	"pnetcdf/internal/bufpool"
+	"pnetcdf/internal/fault"
+	"pnetcdf/internal/pfs"
+	"pnetcdf/internal/span"
+)
+
+// writeRounds runs the write rounds of one collective. The returned error is
+// already agreed (identical on every rank).
+func (f *File) writeRounds(plan collectivePlan, segs []pfs.Segment, prefix []int64,
+	spans []segSpan, buf []byte, myAgg int, prog *ftProgress) error {
+	// Received messages go by generation (msgs[r & 1]): round r's stay live
+	// while its write is in flight, i.e. across round r+1's exchange.
+	// Everything else in the scratch is shared by both generations.
+	s := newWriteScratch(plan)
+	parts, msgs, wv := s.parts, s.msgs, &s.wv
+	var inflight *pfs.AsyncOp
+	// A communicator revocation unwinds this loop as a panic from any of
+	// its collectives. Before the failover replays rounds, the in-flight
+	// write must be joined — a background WriteVec racing the replay could
+	// interleave stale bytes — and every buffer this rank still holds
+	// released: what it packed but never handed over, and both received
+	// generations (PutAll nils slots, so a partially recycled generation is
+	// safe to recycle again).
+	defer func() {
+		if rec := recover(); rec != nil {
+			if inflight != nil {
+				inflight.Wait()
+			}
+			bufpool.PutAll(parts)
+			for g := range msgs {
+				recycleRound(msgs[g])
+			}
+			panic(rec)
+		}
+	}()
+
+	// frontend packs round r and exchanges it into generation r & 1. The
+	// round span covers only this; the aggregator's write is recorded on its
+	// own, under the collective, with the interval it really took.
+	kill := f.killHook(fault.KillMidExchange)
+	frontend := func(r int64) {
+		f.killPoint(fault.KillBeforePack)
+		sRound := f.sp.Begin(span.Round)
+		sRound.SetRound(int(r))
+		sPack := f.sp.Begin(span.Pack)
+		s.clip = f.packWriteRound(plan, segs, prefix, spans, buf, r, parts, s.clip, sPack)
+		sPack.End()
+		sXchg := f.sp.Begin(span.Exchange)
+		sparseExchange(f.comm, parts, msgs[r&1], s.counts, roundTag(r, 0), kill)
+		sXchg.End()
+		sRound.End()
+	}
+	// Retried under the file's retry policy; also what a transient failure
+	// of the asynchronous request falls back to.
+	write := func(t float64) (float64, error) {
+		return f.pf.WriteVec(t, wv.segs, wv.iov)
+	}
+
+	frontend(0)
+	for r := int64(0); r < plan.rounds; r++ {
+		g, last := r&1, r+1 == plan.rounds
+		// Backend: merge what this aggregator received into one vectored
+		// write whose iovec points straight into the message payloads — no
+		// coalescing copy. A message the merge rejects fails the round like
+		// a failed write does.
+		var roundErr error
+		io := false
+		if myAgg >= 0 {
+			lo, hi := plan.window(myAgg, r)
+			roundErr = wv.assemble(msgs[g], lo, hi)
+			io = roundErr == nil && len(wv.iov) > 0
+		}
+		issued := f.comm.Clock()
+		if io {
+			if last {
+				roundErr = f.doPF(write)
+			} else {
+				inflight = f.pf.WriteVecAsync(issued, wv.segs, wv.iov)
+			}
+			f.killPoint(fault.KillAfterIssue)
+		}
+		if !last {
+			frontend(r + 1)
+		}
+		if inflight != nil {
+			roundErr = f.waitPF(inflight, issued, write)
+			inflight = nil
+		}
+		if io {
+			f.sp.Record(span.AggWrite, int(r), issued, f.comm.Clock(), wv.bytes)
+		}
+		// The write is down; recycle the messages it referenced.
+		recycleRound(msgs[g])
+		// Collective error agreement: every rank learns whether any
+		// aggregator failed this round, so all ranks return the same error.
+		// On failure the freshly exchanged next generation is dead too —
+		// every rank bails here together, with nothing left in flight.
+		if err := f.comm.AgreeError(roundErr); err != nil {
+			recycleRound(msgs[g^1])
+			return err
+		}
+		prog.roundAgreed(r)
+	}
+	return nil
+}
+
+// readRounds runs the read rounds of one collective: round r's coverage read
+// is in flight while round r-1's replies travel and scatter. The returned
+// error is already agreed (identical on every rank).
+func (f *File) readRounds(plan collectivePlan, segs []pfs.Segment, prefix []int64,
+	spans []segSpan, buf []byte, myAgg int, prog *ftProgress) error {
+	// The request bookkeeping and the coverage go by generation (r & 1):
+	// round r's must survive until its scatter, after round r+1 has packed
+	// and assembled. The request messages themselves are merged and recycled
+	// inside the round — a coverage references none of their bytes.
+	s := newReadScratch(plan)
+	parts, msgs, replies, back := s.parts, s.msgs, s.replies, s.back
+	var sent [2]int // aggregators this rank sent a request to: replies to expect
+	var inflight *pfs.AsyncOp
+	// Revocation drain, mirroring writeRounds: join the in-flight read and
+	// release both coverages plus every exchange buffer this rank still
+	// holds before the failover replays (see that loop's comment).
+	defer func() {
+		if rec := recover(); rec != nil {
+			if inflight != nil {
+				inflight.Wait()
+			}
+			for g := range s.cov {
+				s.cov[g].release()
+			}
+			bufpool.PutAll(parts)
+			bufpool.PutAll(replies)
+			recycleRound(msgs)
+			recycleRound(back)
+			panic(rec)
+		}
+	}()
+
+	// answer finishes an agreed round: every aggregator replies to each rank
+	// it heard from, out of its coverage, and the replies are scattered into
+	// buf. The reply leg agrees nothing: the round is known good, so every
+	// aggregator this rank sent a request to answers it, and nobody else
+	// does. Its spans sit under the collective, tagged with their round.
+	answer := func(r int64) {
+		g := r & 1
+		if cov := &s.cov[g]; !cov.empty() {
+			f.buildReplies(cov, replies)
+			cov.release()
+		}
+		sReply := f.sp.Begin(span.ReplyXchg)
+		sReply.SetRound(int(r))
+		deliver(f.comm, replies, back, roundTag(r, 1), sent[g], nil)
+		sReply.End()
+		sScatter := f.sp.Begin(span.Scatter)
+		sScatter.SetRound(int(r))
+		scatterReplies(buf, plan, s.reqs[g], back)
+		sScatter.End()
+		recycleRound(back)
+		prog.roundAgreed(r)
+	}
+
+	kill := f.killHook(fault.KillMidExchange)
+	for r := int64(0); r < plan.rounds; r++ {
+		g := r & 1
+		// Frontend: ship request segment lists to the aggregators; reqs[g]
+		// remembers the order so the replies can be scattered back.
+		f.killPoint(fault.KillBeforePack)
+		sRound := f.sp.Begin(span.Round)
+		sRound.SetRound(int(r))
+		sPack := f.sp.Begin(span.Pack)
+		sent[g] = f.packReadRound(plan, segs, prefix, spans, r, parts, s.reqs[g], sPack)
+		sPack.End()
+		sXchg := f.sp.Begin(span.Exchange)
+		sparseExchange(f.comm, parts, msgs, s.counts, roundTag(r, 0), kill)
+		sXchg.End()
+		sRound.End()
+		// Backend: merge the requests into one coverage read.
+		cov := &s.cov[g]
+		read := func(t float64) (float64, error) {
+			return f.pf.ReadV(t, cov.segs, cov.data)
+		}
+		var roundErr error
+		io := false
+		if myAgg >= 0 {
+			lo, hi := plan.window(myAgg, r)
+			roundErr = cov.assemble(msgs, lo, hi)
+			io = roundErr == nil && !cov.empty()
+		}
+		recycleRound(msgs)
+		issued := f.comm.Clock()
+		if io {
+			if r == 0 {
+				roundErr = f.doPF(read)
+			} else {
+				inflight = f.pf.ReadVAsync(issued, cov.segs, cov.data)
+			}
+			f.killPoint(fault.KillAfterIssue)
+		}
+		if r > 0 {
+			answer(r - 1)
+		}
+		if inflight != nil {
+			roundErr = f.waitPF(inflight, issued, read)
+			inflight = nil
+		}
+		if io {
+			f.sp.Record(span.AggRead, int(r), issued, f.comm.Clock(), int64(len(cov.data)))
+		}
+		// Agreement comes BEFORE the reply exchange: a failed aggregator
+		// has no data to send back, so all ranks must learn of the failure
+		// here or the reply exchange would hang. Nothing is in flight.
+		if err := f.comm.AgreeError(roundErr); err != nil {
+			cov.release()
+			return err
+		}
+	}
+	answer(plan.rounds - 1)
+	return nil
+}

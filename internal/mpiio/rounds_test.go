@@ -32,8 +32,8 @@ func fileImage(t *testing.T, fsys *pfs.FS, name string) []byte {
 // documented at WriteAtAll: when every rank writes the same bytes in one
 // collective — through the same strided view — the file holds the highest
 // rank's data, and the same image comes out of every configuration: two and
-// eight ranks, serial and pipelined rounds, one aggregator and one per rank,
-// even and balanced file domains. With an unstable sort in the aggregator
+// eight ranks, one aggregator and one per rank, even and balanced file
+// domains (many rounds each). With an unstable sort in the aggregator
 // the winner depended on the sort's internals.
 func TestOverlappingCollectiveWriteHighestRankWins(t *testing.T) {
 	const (
@@ -55,32 +55,29 @@ func TestOverlappingCollectiveWriteHighestRankWins(t *testing.T) {
 		for b := 0; b < blocks; b++ {
 			copy(want[disp+b*stride:], data[p-1][b*blockLen:(b+1)*blockLen])
 		}
-		for _, pipeline := range []string{"disable", "enable"} {
-			for _, nodes := range []int{1, p} {
-				for _, partition := range []string{PartitionEven, PartitionBalanced} {
-					name := fmt.Sprintf("p%d/%s/cb_nodes=%d/%s", p, pipeline, nodes, partition)
-					fsys := testFS()
-					info := mpi.NewInfo().
-						Set("cb_buffer_size", "4096").
-						Set("cb_nodes", fmt.Sprint(nodes)).
-						Set("cb_pipeline", pipeline).
-						Set("cb_partition", partition)
-					runWorld(t, p, func(c *mpi.Comm) error {
-						f, err := Open(c, fsys, "overlap", ModeRdWr|ModeCreate, info)
-						if err != nil {
-							return err
-						}
-						if err := f.SetView(disp, view); err != nil {
-							return err
-						}
-						if err := f.WriteAtAll(0, data[c.Rank()]); err != nil {
-							return err
-						}
-						return f.Close()
-					})
-					if got := fileImage(t, fsys, "overlap"); !bytes.Equal(got, want) {
-						t.Errorf("%s: file does not hold rank %d's data", name, p-1)
+		for _, nodes := range []int{1, p} {
+			for _, partition := range []string{PartitionEven, PartitionBalanced} {
+				name := fmt.Sprintf("p%d/cb_nodes=%d/%s", p, nodes, partition)
+				fsys := testFS()
+				info := mpi.NewInfo().
+					Set("cb_buffer_size", "4096").
+					Set("cb_nodes", fmt.Sprint(nodes)).
+					Set("cb_partition", partition)
+				runWorld(t, p, func(c *mpi.Comm) error {
+					f, err := Open(c, fsys, "overlap", ModeRdWr|ModeCreate, info)
+					if err != nil {
+						return err
 					}
+					if err := f.SetView(disp, view); err != nil {
+						return err
+					}
+					if err := f.WriteAtAll(0, data[c.Rank()]); err != nil {
+						return err
+					}
+					return f.Close()
+				})
+				if got := fileImage(t, fsys, "overlap"); !bytes.Equal(got, want) {
+					t.Errorf("%s: file does not hold rank %d's data", name, p-1)
 				}
 			}
 		}
@@ -90,10 +87,10 @@ func TestOverlappingCollectiveWriteHighestRankWins(t *testing.T) {
 // readWriteCollectives runs one multi-round collective write and read of the
 // same shape on 4 ranks and returns rank 0's mpi_collectives for each, the
 // cost of one allreduce, and the round count.
-func readWriteCollectives(t *testing.T, pipeline string) (write, read, allreduce, rounds int64) {
+func readWriteCollectives(t *testing.T) (write, read, allreduce, rounds int64) {
 	t.Helper()
 	fsys := testFS()
-	info := mpi.NewInfo().Set("cb_buffer_size", "4096").Set("cb_nodes", "2").Set("cb_pipeline", pipeline)
+	info := mpi.NewInfo().Set("cb_buffer_size", "4096").Set("cb_nodes", "2")
 	const per = 32 << 10
 	runWorld(t, 4, func(c *mpi.Comm) error {
 		st := iostat.New()
@@ -138,19 +135,16 @@ func readWriteCollectives(t *testing.T, pipeline string) (write, read, allreduce
 // hear from; a read of R rounds now enters exactly as many collectives as
 // the write of the same shape, R allreduces fewer than before.
 func TestReadReplyLegAgreesNothing(t *testing.T) {
-	for _, pipeline := range []string{"disable", "enable"} {
-		write, read, ar, rounds := readWriteCollectives(t, pipeline)
-		if rounds < 8 {
-			t.Fatalf("pipeline=%s: only %d rounds; the shape no longer forces many", pipeline, rounds)
-		}
-		if read != write {
-			t.Errorf("pipeline=%s: read entered %d collectives, write %d — a read round must cost what a write round does",
-				pipeline, read, write)
-		}
-		if read < 2*rounds*ar || read >= 3*rounds*ar {
-			t.Errorf("pipeline=%s: read of %d rounds entered %d collectives (allreduce = %d); want two agreements per round plus the plan's",
-				pipeline, rounds, read, ar)
-		}
+	write, read, ar, rounds := readWriteCollectives(t)
+	if rounds < 8 {
+		t.Fatalf("only %d rounds; the shape no longer forces many", rounds)
+	}
+	if read != write {
+		t.Errorf("read entered %d collectives, write %d — a read round must cost what a write round does", read, write)
+	}
+	if read < 2*rounds*ar || read >= 3*rounds*ar {
+		t.Errorf("read of %d rounds entered %d collectives (allreduce = %d); want two agreements per round plus the plan's",
+			rounds, read, ar)
 	}
 }
 
@@ -162,73 +156,69 @@ func TestReadReplyLegAgreesNothing(t *testing.T) {
 // typed error, everyone else ErrPeerFailed), and the handle stays usable.
 func TestReadRoundPartialAggregatorFailure(t *testing.T) {
 	const n, per = 4, 64 << 10
-	for _, pipeline := range []string{"disable", "enable"} {
-		fsys := testFS()
-		info := mpi.NewInfo().Set("cb_buffer_size", "4096").Set("cb_nodes", "2").Set("cb_pipeline", pipeline)
-		errs := make([]error, n)
-		runWorld(t, n, func(c *mpi.Comm) error {
-			f, err := Open(c, fsys, "partial", ModeRdWr|ModeCreate, info)
-			if err != nil {
-				return err
-			}
-			if err := f.SetView(0, blockView(c.Rank(), n, n*per)); err != nil {
-				return err
-			}
-			want := bytes.Repeat([]byte{byte('a' + c.Rank())}, per)
-			if err := f.WriteAtAll(0, want); err != nil {
-				return err
-			}
-			c.Barrier()
-			if c.Rank() == 0 {
-				// Each read attempt fails with probability 0.8 and is retried
-				// 8 times: about one coverage read in eight fails for good.
-				fsys.SetFault(fault.New(fault.Config{Seed: 7, ReadErrRate: 0.8, FaultUnit: 1 << 20}))
-			}
-			c.Barrier()
-			got := make([]byte, per)
-			errs[c.Rank()] = f.ReadAtAll(0, got)
-			c.Barrier()
-			if c.Rank() == 0 {
-				fsys.SetFault(nil)
-			}
-			c.Barrier()
-			if err := f.ReadAtAll(0, got); err != nil {
-				return fmt.Errorf("rank %d: read after the failed one: %w", c.Rank(), err)
-			}
-			if !bytes.Equal(got, want) {
-				return fmt.Errorf("rank %d: read after the failed one returned wrong bytes", c.Rank())
-			}
-			return f.Close()
-		})
-		exhausted := 0
-		for r, err := range errs {
-			switch {
-			case errors.Is(err, fault.ErrRetriesExhausted):
-				exhausted++
-			case errors.Is(err, mpi.ErrPeerFailed):
-			default:
-				t.Fatalf("pipeline=%s rank %d: error %v, want retries exhausted or peer failed", pipeline, r, err)
-			}
+	fsys := testFS()
+	info := mpi.NewInfo().Set("cb_buffer_size", "4096").Set("cb_nodes", "2")
+	errs := make([]error, n)
+	runWorld(t, n, func(c *mpi.Comm) error {
+		f, err := Open(c, fsys, "partial", ModeRdWr|ModeCreate, info)
+		if err != nil {
+			return err
 		}
-		if exhausted != 1 {
-			t.Errorf("pipeline=%s: %d aggregators failed in the aborting round, want exactly one (the partial case)", pipeline, exhausted)
+		if err := f.SetView(0, blockView(c.Rank(), n, n*per)); err != nil {
+			return err
 		}
+		want := bytes.Repeat([]byte{byte('a' + c.Rank())}, per)
+		if err := f.WriteAtAll(0, want); err != nil {
+			return err
+		}
+		c.Barrier()
+		if c.Rank() == 0 {
+			// Each read attempt fails with probability 0.8 and is retried
+			// 8 times: about one coverage read in eight fails for good.
+			fsys.SetFault(fault.New(fault.Config{Seed: 7, ReadErrRate: 0.8, FaultUnit: 1 << 20}))
+		}
+		c.Barrier()
+		got := make([]byte, per)
+		errs[c.Rank()] = f.ReadAtAll(0, got)
+		c.Barrier()
+		if c.Rank() == 0 {
+			fsys.SetFault(nil)
+		}
+		c.Barrier()
+		if err := f.ReadAtAll(0, got); err != nil {
+			return fmt.Errorf("rank %d: read after the failed one: %w", c.Rank(), err)
+		}
+		if !bytes.Equal(got, want) {
+			return fmt.Errorf("rank %d: read after the failed one returned wrong bytes", c.Rank())
+		}
+		return f.Close()
+	})
+	exhausted := 0
+	for r, err := range errs {
+		switch {
+		case errors.Is(err, fault.ErrRetriesExhausted):
+			exhausted++
+		case errors.Is(err, mpi.ErrPeerFailed):
+		default:
+			t.Fatalf("rank %d: error %v, want retries exhausted or peer failed", r, err)
+		}
+	}
+	if exhausted != 1 {
+		t.Errorf("%d aggregators failed in the aborting round, want exactly one (the partial case)", exhausted)
 	}
 }
 
 // TestViewTypemapIsNotWrittenThrough: an access covering the whole view hands
 // the filetype's own typemap down the stack as the request list (no copy is
 // made between SetView and the file system), so nothing below may write
-// through it — collective rounds under both partitions and loop shapes, and
-// the independent sieving paths, leave it exactly as it was installed.
+// through it — collective rounds under both partitions, and the independent
+// sieving paths, leave it exactly as it was installed.
 func TestViewTypemapIsNotWrittenThrough(t *testing.T) {
 	const ranks, blocks, blockLen = 4, 64, 96
-	for _, hints := range [][2]string{
-		{"enable", PartitionEven}, {"disable", PartitionBalanced},
-	} {
+	for _, partition := range []string{PartitionEven, PartitionBalanced} {
 		fsys := testFS()
 		info := mpi.NewInfo().Set("cb_buffer_size", "4096").Set("cb_nodes", "2").
-			Set("cb_pipeline", hints[0]).Set("cb_partition", hints[1])
+			Set("cb_partition", partition)
 		runWorld(t, ranks, func(c *mpi.Comm) error {
 			// Absolute offsets, displacement 0: what core installs.
 			var segs []mpitype.Segment

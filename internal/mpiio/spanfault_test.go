@@ -9,6 +9,36 @@ import (
 	"pnetcdf/internal/span"
 )
 
+// checkRoundSpanShape asserts the one shape a collective's spans take at
+// every round count: a round span holds only the round's frontend (pack,
+// exchange), and the aggregator's I/O, the reply exchange and the scatter are
+// round-tagged children of the collective span itself. It returns how many
+// aggregator I/O spans the rank recorded.
+func checkRoundSpanShape(t *testing.T, rank int, spans []span.Span) (agg int) {
+	t.Helper()
+	byID := make(map[int64]span.Span, len(spans))
+	for _, s := range spans {
+		byID[s.ID] = s
+	}
+	for _, s := range spans {
+		parent := byID[s.Parent].Phase
+		switch s.Phase {
+		case span.Pack, span.Exchange:
+			if parent != span.Round {
+				t.Errorf("rank %d: %s span under %q, want under its round span", rank, s.Phase, parent)
+			}
+		case span.AggWrite, span.AggRead, span.ReplyXchg, span.Scatter:
+			if s.Round < 0 || (parent != span.CollWrite && parent != span.CollRead) {
+				t.Errorf("rank %d: %s span (round %d) under %q, want round-tagged under the collective", rank, s.Phase, s.Round, parent)
+			}
+			if s.Phase == span.AggWrite || s.Phase == span.AggRead {
+				agg++
+			}
+		}
+	}
+	return agg
+}
+
 // TestSpansClosedUnderTransientFaults: under an aggressive transient fault
 // rate the collective path retries its way to success — and because every
 // span is closed by defer (or explicitly before each error return), the
@@ -53,17 +83,19 @@ func TestSpansClosedUnderTransientFaults(t *testing.T) {
 		if open := rec.Open(); open != 0 {
 			t.Errorf("rank %d: %d spans still open after faulted run", r, open)
 		}
+		checkRoundSpanShape(t, r, rec.Spans()) // one-round collectives
 		if rec.Len() == 0 {
 			t.Errorf("rank %d: no spans recorded; instrumentation not active", r)
 		}
 	}
 }
 
-// TestSpansClosedUnderPipelinedFaults: the pipelined round loop records
+// TestSpansClosedUnderPipelinedFaults: a many-round collective records
 // agg_write/agg_read as closed leaves at Wait and keeps two generations of
 // round state alive; under transient faults (observed at Wait, retried
 // synchronously) every span must still be closed on every rank, and the
-// overlapped aggregator leaves must actually be present in the trace.
+// aggregator leaves must actually be present in the trace, in the same shape
+// the one-round collectives above record.
 func TestSpansClosedUnderPipelinedFaults(t *testing.T) {
 	fsys := testFS()
 	in := fault.New(fault.Config{
@@ -71,7 +103,7 @@ func TestSpansClosedUnderPipelinedFaults(t *testing.T) {
 	})
 	fsys.SetFault(in)
 	const n = 4
-	info := mpi.NewInfo().Set("cb_buffer_size", "4096").Set("cb_nodes", "2").Set("cb_pipeline", "enable")
+	info := mpi.NewInfo().Set("cb_buffer_size", "4096").Set("cb_nodes", "2")
 	recs := make([]*span.Recorder, n)
 	runWorld(t, n, func(c *mpi.Comm) error {
 		proc := c.Proc()
@@ -104,14 +136,10 @@ func TestSpansClosedUnderPipelinedFaults(t *testing.T) {
 		if open := rec.Open(); open != 0 {
 			t.Errorf("rank %d: %d spans still open after pipelined faulted run", r, open)
 		}
-		for _, s := range rec.Spans() {
-			if (s.Phase == span.AggWrite || s.Phase == span.AggRead) && s.Round >= 0 {
-				aggLeaves++
-			}
-		}
+		aggLeaves += checkRoundSpanShape(t, r, rec.Spans())
 	}
 	if aggLeaves == 0 {
-		t.Fatal("no round-tagged aggregator spans recorded; pipelined path not exercised")
+		t.Fatal("no aggregator spans recorded; the round loop was not exercised")
 	}
 }
 
@@ -123,7 +151,7 @@ func TestSpansClosedAfterPipelinedCrashAbort(t *testing.T) {
 	in := fault.New(fault.Config{Seed: 29})
 	fsys.SetFault(in)
 	const n = 4
-	info := mpi.NewInfo().Set("cb_buffer_size", "65536").Set("cb_nodes", "2").Set("cb_pipeline", "enable")
+	info := mpi.NewInfo().Set("cb_buffer_size", "65536").Set("cb_nodes", "2")
 	recs := make([]*span.Recorder, n)
 	errs := make([]error, n)
 	runWorld(t, n, func(c *mpi.Comm) error {

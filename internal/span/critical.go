@@ -81,17 +81,18 @@ func collIndexes(spans []Span) map[int]map[int64]int {
 // Returns rounds sorted by (Coll, Round).
 //
 // A round's spans come from two places: children of its round span
-// (pack/exchange, plus everything else on the serial path), and floating
-// leaves recorded directly under the collective span with an explicit
-// Round tag — the pipelined path's agg_write/agg_read/reply_xchg/scatter,
-// whose intervals genuinely overlap the next round's span. Per (rank,
+// (pack/exchange), and floating leaves recorded directly under the
+// collective span with an explicit Round tag — agg_write/agg_read/
+// reply_xchg/scatter, whose intervals can genuinely overlap a neighbouring
+// round's span. Traces recorded before there was one round loop also nest
+// those four under the round span; they are attributed the same way, so
+// committed traces still import. Per (rank,
 // collective) the rounds are walked in index order with a time cursor:
 // round r is charged max(0, lastEnd_r − max(roundStart_r, cursor)) and the
 // cursor advances to lastEnd_r, so an aggregator I/O that completes inside
 // round r+1's window is attributed to round r without the overlapped
 // stretch being counted twice — per-rank round works never sum past wall
-// time. Serial traces (no overlap) get the historical attribution
-// unchanged.
+// time. Traces with no overlap get the historical attribution unchanged.
 func CriticalPath(spans []Span) []RoundCritical {
 	idx := index(spans)
 	colls := collIndexes(spans)
@@ -144,7 +145,7 @@ func CriticalPath(spans []Span) []RoundCritical {
 	}
 
 	// Pass 2: attribute the working spans — children of a round span, or
-	// round-tagged leaves directly under a collective span (the pipelined
+	// round-tagged leaves directly under a collective span (the possibly
 	// overlapped phases). Leaves deeper in the tree (e.g. plan_domain under
 	// the plan span, which reuses Round as a domain index) stay out.
 	attribute := func(ra *roundAgg, s *Span) {

@@ -11,9 +11,6 @@
 #   LINT=0   skip the nclint pass (escape hatch while iterating).
 #   CB_PARTITION=0  skip the cb_partition=balanced re-run of the collective
 #            suites (on by default; see DESIGN.md §12).
-#   PIPELINE=0  skip the PNETCDF_CB_PIPELINE=0 re-run of the collective
-#            suites and the serial-vs-pipelined byte-identity check
-#            (on by default; see DESIGN.md §13).
 #   BENCH=1  run the repository's benchmark (benchmark/README.md: five
 #            pinned workloads, end-to-end and per-layer, ~2 min), write this
 #            PR's row of the perf trajectory to results/BENCH_<pr>.json and
@@ -65,24 +62,6 @@ if [ "${CB_PARTITION:-1}" = "1" ]; then
     # produce the same bytes, under cb_partition=balanced.
     PNETCDF_CB_PARTITION=balanced go test \
         ./internal/mpiio/ ./internal/core/ ./internal/integration/ ./internal/bench/
-fi
-
-if [ "${PIPELINE:-1}" = "1" ]; then
-    # Re-run the collective-path suites with the depth-2 round pipeline
-    # disabled (DESIGN.md §13): the serial loop must pass every test, and a
-    # multi-round FLASH checkpoint must be byte-identical under both
-    # settings (pipelining is a scheduling change only).
-    PNETCDF_CB_PIPELINE=0 go test \
-        ./internal/mpiio/ ./internal/core/ ./internal/integration/ ./internal/bench/
-    pipedir=$(mktemp -d)
-    go run ./cmd/flashio-bench -block 8 -procs 8 -blocks-per-proc 20 \
-        -files checkpoint -cb-buffer-size 65536 -cb-nodes 2 \
-        -cb-pipeline enable -out "$pipedir/piped.nc" > /dev/null
-    go run ./cmd/flashio-bench -block 8 -procs 8 -blocks-per-proc 20 \
-        -files checkpoint -cb-buffer-size 65536 -cb-nodes 2 \
-        -cb-pipeline disable -out "$pipedir/serial.nc" > /dev/null
-    go run ./cmd/ncdiff "$pipedir/piped.nc" "$pipedir/serial.nc"
-    rm -rf "$pipedir"
 fi
 
 if [ "${BENCH:-0}" = "1" ]; then

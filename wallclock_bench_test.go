@@ -100,36 +100,22 @@ func BenchmarkPackContig(b *testing.B) {
 // BenchmarkFlashCheckpoint8 measures the real-CPU cost of a full 8-rank
 // FLASH checkpoint (8x8x8 blocks) with the staging buffer sized below the
 // aggregator file domains, so every per-variable collective runs several
-// two-phase rounds — the regime the depth-2 pipeline targets. The
-// pipelined/serial pair is the PR's headline wall-clock comparison
-// (EXPERIMENTS.md "Pipelined two-phase rounds"): with cb_pipeline on, the
-// aggregator's PFS store runs on a background goroutine while the ranks
-// pack and exchange the next round; with it off, the same work is strictly
-// interleaved on the rank goroutines.
+// two-phase rounds: the aggregator's PFS store runs on a background
+// goroutine while the ranks pack and exchange the next round.
 func BenchmarkFlashCheckpoint8(b *testing.B) {
-	for _, mode := range []string{"pipelined", "serial"} {
-		hint := "enable"
-		if mode == "serial" {
-			hint = "disable"
-		}
-		b.Run(mode, func(b *testing.B) {
-			cfg := flash.Default8()
-			info := mpi.NewInfo().
-				Set("cb_pipeline", hint).
-				Set("cb_buffer_size", "65536")
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				fsys := pfs.New(pfs.DefaultConfig())
-				err := mpi.Run(8, mpi.DefaultNet(), func(c *mpi.Comm) error {
-					_, err := flash.WriteCheckpointPnetCDF(c, fsys, "f.nc", cfg, info)
-					return err
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
+	cfg := flash.Default8()
+	info := mpi.NewInfo().Set("cb_buffer_size", "65536")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fsys := pfs.New(pfs.DefaultConfig())
+		err := mpi.Run(8, mpi.DefaultNet(), func(c *mpi.Comm) error {
+			_, err := flash.WriteCheckpointPnetCDF(c, fsys, "f.nc", cfg, info)
+			return err
 		})
+		if err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
