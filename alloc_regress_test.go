@@ -9,6 +9,7 @@ package pnetcdf_test
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"testing"
 
@@ -471,5 +472,114 @@ func TestAllocsNumRecsUpdate(t *testing.T) {
 	t.Logf("record-growing put: %d B/put next to a %d-byte header", perPut, hdrBytes)
 	if perPut > hdrBytes/4 {
 		t.Errorf("a record-growing put allocates %d B, want <= 1/4 of the %d-byte header it does not rewrite", perPut, hdrBytes)
+	}
+}
+
+// flexCallAllocs measures what one blocking flexible collective call allocates
+// in steady state, per rank: 8 ranks on one open dataset repeat the same
+// FLASH-shaped put (or get) n and then 2n times between barriers, and the
+// difference over n x ranks calls cancels everything that is not per call.
+// The minimum over a few tries drops the runs in which a GC emptied the
+// buffer pools.
+func flexCallAllocs(tb testing.TB, read bool) (objs, bytes float64) {
+	const ranks, blocks, nb, guard, n, tries = 8, 8, 8, 4, 24, 5
+	const edge = nb + 2*guard
+	memtype, err := mpitype.Subarray(
+		[]int64{blocks, edge, edge, edge}, []int64{blocks, nb, nb, nb}, []int64{0, guard, guard, guard}, 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	fsys := pfs.New(pfs.DefaultConfig())
+	objs, bytes = math.MaxFloat64, math.MaxFloat64
+	err = mpi.Run(ranks, mpi.DefaultNet(), func(c *mpi.Comm) error {
+		d, err := core.Create(c, fsys, "percall.nc", nctype.Clobber, nil)
+		if err != nil {
+			return err
+		}
+		dims := make([]int, 4)
+		for i, n := range []int64{ranks * blocks, nb, nb, nb} {
+			if dims[i], err = d.DefDim(fmt.Sprintf("d%d", i), n); err != nil {
+				return err
+			}
+		}
+		v, err := d.DefVar("unk", nctype.Double, dims)
+		if err != nil {
+			return err
+		}
+		if err := d.EndDef(); err != nil {
+			return err
+		}
+		buf := make([]float64, blocks*edge*edge*edge)
+		start, count := []int64{int64(c.Rank() * blocks), 0, 0, 0}, []int64{blocks, nb, nb, nb}
+		call := func() error { return d.PutVaraTypeAll(v, start, count, buf, memtype) }
+		if err := call(); err != nil { // the file's chunk store, the pools, the view cache
+			return err
+		}
+		if read {
+			call = func() error { return d.GetVaraTypeAll(v, start, count, buf, memtype) }
+		}
+		segment := func(calls int) (o, b int64, err error) {
+			var before, after runtime.MemStats
+			c.Barrier()
+			if c.Rank() == 0 {
+				runtime.ReadMemStats(&before)
+			}
+			c.Barrier()
+			for i := 0; i < calls && err == nil; i++ {
+				err = call()
+			}
+			c.Barrier()
+			if c.Rank() == 0 {
+				runtime.ReadMemStats(&after)
+			}
+			return int64(after.Mallocs - before.Mallocs), int64(after.TotalAlloc - before.TotalAlloc), err
+		}
+		for try := 0; try <= tries; try++ { // try 0 warms
+			o1, b1, err := segment(n)
+			if err != nil {
+				return err
+			}
+			o2, b2, err := segment(2 * n)
+			if err != nil {
+				return err
+			}
+			if c.Rank() == 0 && try > 0 {
+				objs = min(objs, float64(o2-o1)/(n*ranks))
+				bytes = min(bytes, float64(b2-b1)/(n*ranks))
+			}
+		}
+		return d.Close()
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return objs, bytes
+}
+
+// TestAllocsPerBlockingCall pins the per-call cost of the blocking flexible
+// put and get at what the two separate data paths measured before they became
+// prepare + complete (DESIGN.md §16). The benchmark's 3% allocation bound is
+// about 125 B and 1.4 objects per call on flash_ckpt_r (4.2 KB and 46 objects
+// per call), which TestAllocsFlashRoundTrip's payload-relative limits cannot
+// see: an op record on the heap, a split into write and read lists, or a
+// longer agreement vector would each cost more than that.
+func TestAllocsPerBlockingCall(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops buffers under the race detector; the byte pins do not hold")
+	}
+	for _, tc := range []struct {
+		name             string
+		read             bool
+		maxObjs, maxByte float64 // the highest of six measurements at the parent of the one-path change
+	}{
+		{"put", false, 36.38, 2064},
+		{"get", true, 37.38, 2984},
+	} {
+		objs, bytes := flexCallAllocs(t, tc.read)
+		t.Logf("%s: %.2f objects, %.0f B per call per rank", tc.name, objs, bytes)
+		if objs > tc.maxObjs || bytes > tc.maxByte {
+			t.Errorf("blocking flexible %s allocates %.2f objects and %.0f B per call, want <= %.2f and <= %.0f",
+				tc.name, objs, bytes, tc.maxObjs, tc.maxByte)
+		}
 	}
 }

@@ -19,7 +19,8 @@
 //     and the design-choice ablations.
 //
 // See README.md for a tour, DESIGN.md for the system inventory and
-// EXPERIMENTS.md for paper-vs-measured results. The benchmarks in
-// bench_test.go regenerate every figure series at test-friendly scale;
-// cmd/pnetcdf-bench and cmd/flashio-bench run them at paper scale.
+// EXPERIMENTS.md for paper-vs-measured results. cmd/pnetcdf-bench and
+// cmd/flashio-bench regenerate the figure series and the ablations;
+// benchmark/ is the per-PR performance trajectory, and alloc_regress_test.go
+// here pins what the hot paths may allocate.
 package pnetcdf

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"pnetcdf/internal/mpi"
@@ -67,31 +68,61 @@ func TestCDF5Parallel(t *testing.T) {
 	}
 }
 
+// A batch whose extents overlap on ONE rank is refused on every rank before a
+// byte moves: the offender returns nctype.ErrOverlap, its peers
+// mpi.ErrPeerFailed (the AgreeError convention), the queue is consumed
+// everywhere and the dataset stays usable. Before the refusal rode in the
+// agreement reduction the offender bailed out after it and its peers entered
+// the collective write alone (a world abort at any rank count above 1).
 func TestWaitAllOverlapRejected(t *testing.T) {
-	fsys := testFS()
-	runWorld(t, 1, func(c *mpi.Comm) error {
-		d, err := Create(c, fsys, "ov.nc", nctype.Clobber, nil)
-		if err != nil {
-			return err
-		}
-		x, _ := d.DefDim("x", 8)
-		v, _ := d.DefVar("v", nctype.Int, []int{x})
-		if err := d.EndDef(); err != nil {
-			return err
-		}
-		if _, err := d.IPutVara(v, []int64{0}, []int64{4}, make([]int32, 4)); err != nil {
-			return err
-		}
-		if _, err := d.IPutVara(v, []int64{2}, []int64{4}, make([]int32, 4)); err != nil {
-			return err
-		}
-		if err := d.WaitAll(); err == nil {
-			return errors.New("overlapping nonblocking writes accepted")
-		}
-		// The queue is still drainable after clearing.
-		d.pending = d.pending[:0]
-		return d.Close()
-	})
+	for _, ranks := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("ranks=%d", ranks), func(t *testing.T) {
+			fsys := testFS()
+			runWorld(t, ranks, func(c *mpi.Comm) error {
+				d, err := Create(c, fsys, "ov.nc", nctype.Clobber, nil)
+				if err != nil {
+					return err
+				}
+				x, _ := d.DefDim("x", int64(8*ranks))
+				v, _ := d.DefVar("v", nctype.Int, []int{x})
+				if err := d.EndDef(); err != nil {
+					return err
+				}
+				mine := int64(8 * c.Rank())
+				base := []int32{1, 2, 3, 4, 5, 6, 7, 8}
+				if err := d.PutVaraAll(v, []int64{mine}, []int64{8}, base); err != nil {
+					return err
+				}
+				// Every rank queues one good write; rank 0 adds one that overlaps it.
+				if _, err := d.IPutVara(v, []int64{mine}, []int64{4}, []int32{-1, -1, -1, -1}); err != nil {
+					return err
+				}
+				if c.Rank() == 0 {
+					if _, err := d.IPutVara(v, []int64{2}, []int64{4}, []int32{-2, -2, -2, -2}); err != nil {
+						return err
+					}
+				}
+				err = d.WaitAll()
+				if want := map[bool]error{true: nctype.ErrOverlap, false: mpi.ErrPeerFailed}[c.Rank() == 0]; !errors.Is(err, want) {
+					return fmt.Errorf("rank %d: WaitAll over an overlapping batch: %v, want %v", c.Rank(), err, want)
+				}
+				if n := d.PendingRequests(); n != 0 {
+					return fmt.Errorf("rank %d: %d requests still queued after the refusal", c.Rank(), n)
+				}
+				got := make([]int32, 8)
+				if err := d.GetVaraAll(v, []int64{mine}, []int64{8}, got); err != nil {
+					return err
+				}
+				if !slices.Equal(got, base) {
+					return fmt.Errorf("rank %d: a refused batch reached the file: %v", c.Rank(), got)
+				}
+				if err := d.PutVaraAll(v, []int64{mine}, []int64{8}, got); err != nil {
+					return fmt.Errorf("rank %d: put after the refusal: %v", c.Rank(), err)
+				}
+				return d.Close()
+			})
+		})
+	}
 }
 
 func TestMixedIPutIGetSameWaitAll(t *testing.T) {

@@ -73,7 +73,11 @@ type Dataset struct {
 	views map[viewKey]mpitype.Datatype
 
 	oldLayout *cdf.Header
-	pending   []pendingOp // nonblocking iput/iget queue
+	// pending is the iput/iget queue; a blocking call's one op lives in its
+	// spare capacity while complete runs. agree is complete's reduction
+	// vector, kept here so a call allocates neither.
+	pending []pendingOp
+	agree   [agreeLen]int64
 
 	// st/tr/sp are the rank's iostat collectors and span recorder, cached
 	// from the communicator (nil = off).

@@ -1,127 +1,105 @@
 package core
 
 import (
+	"bytes"
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"pnetcdf/internal/access"
+	"pnetcdf/internal/bufpool"
 	"pnetcdf/internal/cdf"
+	"pnetcdf/internal/iostat"
 	"pnetcdf/internal/mpi"
 	"pnetcdf/internal/mpitype"
 	"pnetcdf/internal/nctype"
-	"pnetcdf/internal/netcdf"
+	"pnetcdf/internal/span"
 )
 
-// Nonblocking (batched) data access. The paper's record-variable discussion
-// (§4.2.2) observes that record interleaving destroys contiguity and that
-// collecting "multiple I/O requests over a number of record variables"
-// recovers large transfers. IPutVara/IGetVara queue requests; WaitAll fuses
-// every queued request into a single collective MPI-IO operation (one write,
-// one read), so accesses to many variables — e.g. one record of each of 24
-// FLASH unknowns — reach the file system as one large, mostly contiguous
-// request instead of many small ones.
-
-// Consistency note: between IPutVara and WaitAll the queued data exists
-// only in the queue — the file still holds the old bytes. IPutVara
-// invalidates the local prefetched copy, but a *blocking* GetVara issued in
-// that window would read the file and observe stale data. The data paths
-// guard the window: a blocking read of a variable with a queued write
-// returns nctype.ErrPending (see getFlex) until WaitAll lands the write.
+// The one data path (DESIGN.md §16). Every put and get is an op record that
+// prepare (data.go) fills and complete finishes. A blocking call completes
+// its one op at once; IPutVara/IGetVara leave theirs in the queue and WaitAll
+// completes the queue. The paper's record-variable discussion (§4.2.2)
+// observes that record interleaving destroys contiguity and that collecting
+// "multiple I/O requests over a number of record variables" recovers large
+// transfers: complete fuses the ops it is given into one MPI-IO write and one
+// read, so accesses to many variables — e.g. one record of each of 24 FLASH
+// unknowns — reach the file system as one large, mostly contiguous request.
+// One op fuses to itself.
+//
+// Consistency note: between IPutVara and WaitAll the queued data exists only
+// in the queue — the file still holds the old bytes. IPutVara invalidates
+// the local prefetched copy, and a blocking read of a variable with a queued
+// write is refused with nctype.ErrPending (on every rank, see complete)
+// until WaitAll lands the write.
 type pendingOp struct {
-	write    bool
-	varid    int
-	v        *cdf.Var
-	req      access.Request
-	ext      []byte // writes: encoded external data
-	data     any    // reads: destination buffer
-	rangeErr error  // writes: deferred NC_ERANGE from the conversion
+	write   bool
+	cached  bool // reads: served from the prefetched copy (decided by complete)
+	varid   int
+	v       *cdf.Var
+	req     access.Request
+	ext     []byte            // writes: encoded external data, pooled
+	data    any               // user memory; its first NElems elements when memsegs == nil
+	memsegs []mpitype.Segment // element runs into data; nil = contiguous
+	// err is surfaced once the completion is over: NC_ERANGE from a write's
+	// conversion (the wrapped values still land), ErrEdge for a read beyond
+	// the agreed record count (the op moves nothing).
+	err error
 }
+
+// moves reports whether op takes part in the file transfer of the given
+// direction.
+func (op *pendingOp) moves(write bool) bool {
+	return op.write == write && !op.cached && (write || op.err == nil)
+}
+
+func (op *pendingOp) extSize() int { return int(op.req.NElems) * op.v.Type.Size() }
 
 // IPutVara queues a nonblocking subarray write. The data is converted and
 // buffered immediately, so the caller may reuse the slice. Returns a request
-// index (diagnostic only; WaitAll completes all requests).
+// index (diagnostic only; WaitAll completes all requests). A conversion range
+// error is deferred with the operation and surfaced by WaitAll, matching the
+// blocking PutVara's return.
 func (d *Dataset) IPutVara(varid int, start, count []int64, data any) (int, error) {
-	if err := d.checkData(); err != nil {
-		return -1, err
-	}
-	if d.ro {
-		return -1, nctype.ErrPerm
-	}
-	v, err := d.varByID(varid)
-	if err != nil {
-		return -1, err
-	}
-	req, err := access.Validate(d.hdr, v, start, count, nil, true)
-	if err != nil {
-		return -1, err
-	}
-	linear, err := netcdf.SliceHead(data, req.NElems)
-	if err != nil {
-		return -1, err
-	}
-	ext, encErr := cdf.EncodeSlice(nil, v.Type, linear)
-	if encErr != nil && encErr != cdf.ErrRange {
-		return -1, encErr
-	}
-	d.invalidate(varid)
-	// netCDF range semantics: out-of-range values are written wrapped and
-	// NC_ERANGE is reported — but the write is queued, so the error is
-	// deferred with the operation and surfaced by WaitAll, matching the
-	// blocking PutVara's return.
-	d.pending = append(d.pending, pendingOp{write: true, varid: varid, v: v, req: req, ext: ext, rangeErr: encErr})
-	return len(d.pending) - 1, nil
+	return d.enqueue(true, varid, start, count, data)
 }
 
 // IGetVara queues a nonblocking subarray read into data, which must remain
 // valid until WaitAll.
 func (d *Dataset) IGetVara(varid int, start, count []int64, data any) (int, error) {
+	return d.enqueue(false, varid, start, count, data)
+}
+
+func (d *Dataset) enqueue(write bool, varid int, start, count []int64, data any) (int, error) {
 	if err := d.checkData(); err != nil {
 		return -1, err
 	}
-	v, err := d.varByID(varid)
+	op, err := d.prepare(write, varid, start, count, nil, data, nil, -1)
 	if err != nil {
 		return -1, err
 	}
-	req, err := access.Validate(d.hdr, v, start, count, nil, false)
-	if err != nil {
-		return -1, err
-	}
-	if cdf.SliceLen(data) < int(req.NElems) {
-		return -1, nctype.ErrCountMismatch
-	}
-	d.pending = append(d.pending, pendingOp{write: false, varid: varid, v: v, req: req, data: data})
+	d.pending = append(d.pending, op)
 	return len(d.pending) - 1, nil
-}
-
-// pendingWrite reports whether a queued (not yet waited) write targets
-// varid — the stale-read window getFlex guards against.
-func (d *Dataset) pendingWrite(varid int) bool {
-	for i := range d.pending {
-		if d.pending[i].write && d.pending[i].varid == varid {
-			return true
-		}
-	}
-	return false
 }
 
 // PendingRequests reports the queue length.
 func (d *Dataset) PendingRequests() int { return len(d.pending) }
 
 // WaitAll collectively completes all queued requests: one fused collective
-// write followed by one fused collective read. Every process must call it,
-// even with an empty queue.
+// write followed by one fused collective read, each entered only if some
+// rank has something for it. Every process must call it, even with an empty
+// queue.
 //
 // The queue is consumed by completion — success OR error. The fused
 // accesses agree their errors collectively, so on failure every rank
-// returns the same error with an empty queue: a caller that retries
-// WaitAll after a transient fault re-runs an empty (no-op) batch instead
-// of double-applying the queued writes, and Close no longer wedges on
+// returns an error with an empty queue: a caller that retries WaitAll after
+// a transient fault re-runs an empty (no-op) batch instead of
+// double-applying the queued writes, and Close does not wedge on
 // "nonblocking requests pending" with no way to drain them.
 //
-// If the batch itself succeeds but a queued IPutVara converted
-// out-of-range values, WaitAll returns cdf.ErrRange after completing every
-// operation — the deferred form of the blocking path's "write wrapped
-// values, report NC_ERANGE" contract.
+// If the batch itself succeeds but a queued IPutVara converted out-of-range
+// values, WaitAll returns cdf.ErrRange after completing every operation —
+// the deferred form of "write wrapped values, report NC_ERANGE".
 func (d *Dataset) WaitAll() error {
 	if err := d.checkData(); err != nil {
 		return err
@@ -129,175 +107,346 @@ func (d *Dataset) WaitAll() error {
 	if d.indep {
 		return nctype.ErrIndepMode
 	}
-	err := d.waitAll()
-	d.pending = d.pending[:0]
-	return err
+	return d.complete(0, true)
 }
 
-// waitAll runs the fused batch; WaitAll clears the queue around it.
-func (d *Dataset) waitAll() error {
-	var writes, reads []*pendingOp
-	for i := range d.pending {
-		op := &d.pending[i]
+// Slots of the agreement vector (reduced with OpMax), and the values of
+// agreeRead above "some rank reads the file".
+const (
+	agreeNumRecs  = iota // record count: ranks that entered with a stale one adopt the maximum
+	agreeWriteEnd        // records the batch's writes reach (0 for fixed-size writes); -1 = no rank writes
+	agreeRead            // 1 = some rank needs the file for a read; above that, the batch is refused
+	agreeLen
+
+	refusePending = 2 // a blocking read of a variable some rank has a queued write for
+	refuseLocal   = 3 // a rank rejected its own batch (overlap)
+)
+
+// complete is the second half of every put and get, and the only code that
+// moves data: it finishes d.pending[from:] — agree, grow NumRecs, write, serve
+// prefetch hits, read, decode, account — and removes those ops from the
+// queue whether it succeeds or not. Blocking calls pass their own op
+// (from = the queue length before it), WaitAll the whole queue (from = 0).
+//
+// A collective completion issues exactly one reduction. Everything a rank
+// could decide differently from its peers rides in it, so a direction is
+// entered by all ranks or by none, NumRecs grows on all or none, and a
+// batch one rank must refuse is refused everywhere before a byte moves.
+func (d *Dataset) complete(from int, collective bool) error {
+	ops := d.pending[from:]
+	defer func() {
+		for i := range ops {
+			bufpool.Put(ops[i].ext)
+		}
+		clear(ops) // drop the references to user memory
+		d.pending = d.pending[:from]
+	}()
+	vec := d.agree[:]
+	vec[agreeNumRecs], vec[agreeWriteEnd], vec[agreeRead] = d.hdr.NumRecs, -1, 0
+	for i := range ops {
+		op := &ops[i]
 		if op.write {
-			writes = append(writes, op)
-		} else {
-			reads = append(reads, op)
-		}
-	}
-	// Agree on record growth — and on whether any rank queued a write at
-	// all — across every process in one reduction.
-	last := int64(-1)
-	for _, op := range writes {
-		if op.req.LastRecord > last {
-			last = op.req.LastRecord
-		}
-	}
-	anyWrites := int64(0)
-	if len(writes) > 0 {
-		anyWrites = 1
-	}
-	agreed := d.comm.AllreduceI64([]int64{last, anyWrites}, mpi.OpMax)
-	if last = agreed[0]; last >= d.hdr.NumRecs {
-		d.hdr.NumRecs = last + 1
-		if err := d.writeNumRecs(); err != nil {
-			return err
-		}
-	}
-	// Fused write — skipped collectively when no rank queued one, so a
-	// read-only batch never issues a collective write (which a NoWrite
-	// file would refuse).
-	if agreed[1] != 0 {
-		wview, wbuf, _, err := fuse(d.hdr, writes)
-		if err != nil {
-			return err
-		}
-		if err := d.f.SetView(0, wview); err != nil {
-			return err
-		}
-		if err := d.f.WriteAtAll(0, wbuf); err != nil {
-			return err
-		}
-	}
-	// Serve reads of prefetched variables from the local copy, like the
-	// blocking path does — the fused collective read covers only the
-	// misses. The file-system collective below still runs on every rank
-	// (with an empty request where everything was cached), so ranks whose
-	// caches diverge — invalidation is local — stay in lockstep.
-	uncached := reads[:0]
-	for _, op := range reads {
-		if _, ok := d.cache[op.varid]; !ok {
-			uncached = append(uncached, op)
-			continue
-		}
-		ext := make([]byte, int(op.req.NElems)*op.v.Type.Size())
-		d.cachedRead(op.varid, op.req, ext)
-		linear, err := netcdf.SliceHead(op.data, op.req.NElems)
-		if err != nil {
-			return err
-		}
-		if err := cdf.DecodeSlice(ext, op.v.Type, linear); err != nil {
-			return err
-		}
-	}
-	reads = uncached
-	// Fused read.
-	rview, rbuf, windows, err := fuse(d.hdr, reads)
-	if err != nil {
-		return err
-	}
-	if err := d.f.SetView(0, rview); err != nil {
-		return err
-	}
-	if err := d.f.ReadAtAll(0, rbuf); err != nil {
-		return err
-	}
-	// Reassemble each op's external bytes (the windows alias rbuf, which the
-	// read has now filled) and decode into the caller's buffer.
-	for i, op := range reads {
-		var chunk []byte
-		if len(windows[i]) == 1 {
-			chunk = windows[i][0]
-		} else {
-			var n int64
-			for _, w := range windows[i] {
-				n += int64(len(w))
-			}
-			chunk = make([]byte, 0, n)
-			for _, w := range windows[i] {
-				chunk = append(chunk, w...)
+			vec[agreeWriteEnd] = max(vec[agreeWriteEnd], op.req.LastRecord+1)
+		} else if _, op.cached = d.cache[op.varid]; !op.cached {
+			vec[agreeRead] = max(vec[agreeRead], 1)
+			// A queued write this completion does not carry has not reached
+			// the file: reading the variable now would return stale bytes.
+			if d.pendingWrite(from, op.varid) {
+				vec[agreeRead] = refusePending
 			}
 		}
-		linear, err := netcdf.SliceHead(op.data, op.req.NElems)
-		if err != nil {
-			return err
-		}
-		if err := cdf.DecodeSlice(chunk, op.v.Type, linear); err != nil {
+	}
+	// Overlap is found while planning, ahead of the reduction, so that the
+	// rank that finds it does not leave its peers alone in the collective.
+	wplan, localErr := d.plan(ops, true)
+	rplan, err := d.plan(ops, false)
+	if localErr == nil {
+		localErr = err
+	}
+	if localErr != nil {
+		vec[agreeRead] = refuseLocal
+	}
+	agreed := vec
+	if collective {
+		agreed = d.comm.AllreduceI64(vec, mpi.OpMax)
+	}
+	d.hdr.NumRecs = max(d.hdr.NumRecs, agreed[agreeNumRecs])
+	switch {
+	case localErr != nil:
+		return localErr
+	case agreed[agreeRead] == refuseLocal:
+		return mpi.ErrPeerFailed
+	case agreed[agreeRead] == refusePending:
+		return nctype.ErrPending
+	}
+	// Record growth: collective ops grow together and persist the count;
+	// independent ops grow locally and reconcile at EndIndepData/Sync.
+	if end := agreed[agreeWriteEnd]; end > d.hdr.NumRecs {
+		d.hdr.NumRecs = end
+		if !collective {
+			d.numrecsDirty = true
+		} else if err := d.writeNumRecs(); err != nil {
 			return err
 		}
 	}
-	// Every operation landed; surface any deferred conversion range error.
-	for _, op := range writes {
-		if op.rangeErr != nil {
-			return op.rangeErr
+	if agreed[agreeWriteEnd] >= 0 {
+		if err := d.put(ops, wplan, collective); err != nil {
+			return err
+		}
+	}
+	for i := range ops {
+		op := &ops[i]
+		switch {
+		case op.cached:
+			ext := bufpool.GetDirty(op.extSize())
+			d.cachedRead(op, ext)
+			err := d.decode(op, ext)
+			bufpool.Put(ext)
+			if err != nil {
+				return err
+			}
+		case !op.write && op.req.LastRecord >= d.hdr.NumRecs:
+			// Checked against the agreed count, after the batch's own
+			// growth. The rank stays in the collective read below with
+			// whatever else it has, so its peers are not left alone.
+			op.err = fmt.Errorf("%w: record %d of %d", nctype.ErrEdge, op.req.LastRecord, d.hdr.NumRecs)
+		}
+	}
+	if agreed[agreeRead] != 0 {
+		if err := d.get(ops, rplan, collective); err != nil {
+			return err
+		}
+	}
+	for i := range ops {
+		if ops[i].err != nil {
+			return ops[i].err
 		}
 	}
 	return nil
 }
 
-// fuse merges the file extents of several operations into one view plus a
-// matching linear buffer. For writes the buffer carries the data (in file
-// order). The returned windows[i] alias the buffer regions belonging to
-// operation i, in that op's own file order — for reads, the caller fills the
-// buffer first and concatenates the windows afterwards.
-func fuse(h *cdf.Header, ops []*pendingOp) (mpitype.Datatype, []byte, [][][]byte, error) {
-	type piece struct {
-		seg  mpitype.Segment
-		op   int
-		data []byte // writes only
-	}
-	var pieces []piece
-	var total int64
-	for i, op := range ops {
-		segs := access.FileSegments(h, op.v, op.req)
-		pos := int64(0)
-		for _, s := range segs {
-			p := piece{seg: s, op: i}
-			if op.write {
-				p.data = op.ext[pos : pos+s.Len]
-			}
-			pos += s.Len
-			pieces = append(pieces, p)
-			total += s.Len
+// pendingWrite reports whether a queued write below index from targets varid.
+func (d *Dataset) pendingWrite(from int, varid int) bool {
+	for i := range d.pending[:from] {
+		if d.pending[i].write && d.pending[i].varid == varid {
+			return true
 		}
 	}
-	sort.SliceStable(pieces, func(a, b int) bool { return pieces[a].seg.Off < pieces[b].seg.Off })
-	buf := make([]byte, total)
-	segs := make([]mpitype.Segment, 0, len(pieces))
-	// Per-op windows: pieces are globally ascending in file offset, so each
-	// op's windows appear in its own ascending file order — the order
-	// FileSegments maps to the op's linear buffer.
-	windows := make([][][]byte, len(ops))
-	pos := int64(0)
-	for _, p := range pieces {
-		if n := len(segs); n > 0 && segs[n-1].Off+segs[n-1].Len > p.seg.Off {
-			return mpitype.Datatype{}, nil, nil, fmt.Errorf("pnetcdf: overlapping nonblocking requests at offset %d", p.seg.Off)
+	return false
+}
+
+// recordAccess accumulates one direction's counters and trace event: ops
+// put/get calls moving n bytes since start.
+func (d *Dataset) recordAccess(op string, collective bool, coll, indep, bytes, timeNs iostat.Counter, ops int, n int64, start float64) {
+	if d.st == nil && d.tr == nil || ops == 0 {
+		return
+	}
+	k := indep
+	if collective {
+		k = coll
+		op = "coll_" + op
+	}
+	end := d.comm.Clock()
+	d.st.Add(k, int64(ops))
+	d.st.Add(bytes, n)
+	d.st.AddTime(timeNs, end-start)
+	d.tr.Record(iostat.Event{
+		Layer: "pnetcdf", Op: op, Rank: d.comm.Rank(),
+		Off: -1, Len: n, Start: start, End: end,
+	})
+}
+
+// put is the write direction of a completion: assemble the external
+// buffer, install the fused view, write.
+func (d *Dataset) put(ops []pendingOp, plan []piece, collective bool) error {
+	sc := d.sp.Begin(span.NCPut)
+	defer sc.End()
+	sEnc := d.sp.Begin(span.Encode)
+	n, total, one := moving(ops, true)
+	var buf []byte
+	if plan != nil {
+		// Pooled and dirty: fuse copies every op's bytes into place.
+		buf = bufpool.GetDirty(total)
+		defer bufpool.Put(buf)
+	} else if n == 1 {
+		buf = one.ext // one op fuses to itself
+	}
+	view, _, err := d.fuse(ops, plan, true, buf)
+	sEnc.SetBytes(int64(total))
+	sEnc.End()
+	if err != nil {
+		return err
+	}
+	sView := d.sp.Begin(span.ViewResolve)
+	err = d.f.SetView(0, view)
+	sView.End()
+	if err != nil {
+		return err
+	}
+	t0 := d.comm.Clock()
+	if collective {
+		err = d.f.WriteAtAll(0, buf)
+	} else {
+		err = d.f.WriteAt(0, buf)
+	}
+	if err == nil {
+		d.recordAccess("put", collective, iostat.NCCollPuts, iostat.NCIndepPuts,
+			iostat.NCBytesPut, iostat.NCPutTimeNs, n, int64(total), t0)
+	}
+	return err
+}
+
+// get is the read direction: install the fused view, read, hand every op its
+// bytes and decode them into user memory.
+func (d *Dataset) get(ops []pendingOp, plan []piece, collective bool) error {
+	sc := d.sp.Begin(span.NCGet)
+	defer sc.End()
+	n, total, _ := moving(ops, false)
+	// Pooled and dirty: the read fills every byte.
+	buf := bufpool.GetDirty(total)
+	defer bufpool.Put(buf)
+	sView := d.sp.Begin(span.ViewResolve)
+	view, windows, err := d.fuse(ops, plan, false, buf)
+	if err == nil {
+		err = d.f.SetView(0, view)
+	}
+	sView.End()
+	if err != nil {
+		return err
+	}
+	t0 := d.comm.Clock()
+	if collective {
+		err = d.f.ReadAtAll(0, buf)
+	} else {
+		err = d.f.ReadAt(0, buf)
+	}
+	if err != nil {
+		return err
+	}
+	d.recordAccess("get", collective, iostat.NCCollGets, iostat.NCIndepGets,
+		iostat.NCBytesGot, iostat.NCGetTimeNs, n, int64(total), t0)
+	// Decode shares the encode phase tag: both are the external<->native
+	// conversion step.
+	sDec := d.sp.Begin(span.Encode)
+	defer sDec.End()
+	sDec.SetBytes(int64(total))
+	for i := range ops {
+		op := &ops[i]
+		if !op.moves(false) {
+			continue
+		}
+		if err := d.decode(op, gather(buf, windows, i)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// gather returns ops[i]'s external bytes out of the filled read buffer.
+func gather(buf []byte, windows [][][]byte, i int) []byte {
+	switch {
+	case windows == nil:
+		return buf // one op: the whole buffer is its own
+	case len(windows[i]) == 1:
+		return windows[i][0]
+	}
+	return bytes.Join(windows[i], nil)
+}
+
+// decode converts a read's external bytes into the caller's memory, scattering
+// run-length over the flattened typemap when it is not contiguous — no decoded
+// intermediate.
+func (d *Dataset) decode(op *pendingOp, ext []byte) error {
+	if op.memsegs == nil {
+		return cdf.DecodeSlice(ext, op.v.Type, op.data)
+	}
+	return cdf.DecodeSegs(ext, op.v.Type, op.memsegs, op.data)
+}
+
+// moving counts the ops that take part in one direction's file transfer, sums
+// their external bytes and returns the last of them (the only one, when n is
+// 1).
+func moving(ops []pendingOp, write bool) (n, bytes int, one *pendingOp) {
+	for i := range ops {
+		if ops[i].moves(write) {
+			one = &ops[i]
+			bytes += one.extSize()
+			n++
+		}
+	}
+	return n, bytes, one
+}
+
+// piece is one file extent of one op in a multi-op direction.
+type piece struct {
+	seg mpitype.Segment
+	op  int   // index into the completion's ops
+	pos int64 // where the extent's bytes sit in the op's own external buffer
+}
+
+// plan lists, in file order, the extents of the ops moving in one direction
+// and rejects a batch whose extents overlap (the fused view must ascend).
+// Fewer than two ops need no plan: one op fuses to itself.
+func (d *Dataset) plan(ops []pendingOp, write bool) ([]piece, error) {
+	n, _, _ := moving(ops, write)
+	if n < 2 {
+		return nil, nil
+	}
+	pieces := make([]piece, 0, n)
+	for i := range ops {
+		if !ops[i].moves(write) {
+			continue
+		}
+		pos := int64(0)
+		for _, s := range access.FileSegments(d.hdr, ops[i].v, ops[i].req) {
+			pieces = append(pieces, piece{seg: s, op: i, pos: pos})
+			pos += s.Len
+		}
+	}
+	slices.SortStableFunc(pieces, func(a, b piece) int { return cmp.Compare(a.seg.Off, b.seg.Off) })
+	for k := 1; k < len(pieces); k++ {
+		if prev := pieces[k-1].seg; prev.Off+prev.Len > pieces[k].seg.Off {
+			return nil, fmt.Errorf("%w at offset %d", nctype.ErrOverlap, pieces[k].seg.Off)
+		}
+	}
+	return pieces, nil
+}
+
+// fuse builds the file view this rank brings to one direction of a
+// completion, over buf, the linear buffer matching it. With no plan there is
+// at most one op and fusing is the identity: the view is the cached
+// per-variable view and buf is the op's own buffer — nothing is copied or
+// sorted. With a plan, the extents merge in file order: a write's bytes are
+// copied into place, and for a read windows[i] lists the regions of buf that
+// belong to ops[i] in that op's own element order — ascending file offset, the order
+// FileSegments maps to its linear buffer. A rank with nothing to move gets
+// the zero view: its share of a collective its peers need.
+func (d *Dataset) fuse(ops []pendingOp, plan []piece, write bool, buf []byte) (view mpitype.Datatype, windows [][][]byte, err error) {
+	if plan == nil {
+		if _, _, one := moving(ops, write); one != nil {
+			view, err = d.fileView(one.varid, one.v, one.req)
+		}
+		return view, nil, err
+	}
+	if !write {
+		windows = make([][][]byte, len(ops))
+	}
+	segs := make([]mpitype.Segment, 0, len(plan))
+	pos, end := int64(0), int64(0)
+	for _, p := range plan {
+		op := &ops[p.op]
+		if !op.moves(write) {
+			continue // a read dropped after planning: beyond the agreed record count
+		}
+		if window := buf[pos : pos+p.seg.Len]; write {
+			copy(window, op.ext[p.pos:])
+		} else {
+			windows[p.op] = append(windows[p.op], window)
 		}
 		segs = append(segs, p.seg)
-		window := buf[pos : pos+p.seg.Len]
-		if p.data != nil {
-			copy(window, p.data)
-		}
-		windows[p.op] = append(windows[p.op], window)
 		pos += p.seg.Len
+		end = p.seg.Off + p.seg.Len
 	}
-	end := int64(0)
-	if len(segs) > 0 {
-		end = segs[len(segs)-1].Off + segs[len(segs)-1].Len
-	}
-	view, err := mpitype.FromSegments(segs, end)
-	if err != nil {
-		return mpitype.Datatype{}, nil, nil, err
-	}
-	return view, buf, windows, nil
+	view, err = mpitype.FromSegments(segs, end)
+	return view, windows, err
 }

@@ -60,32 +60,21 @@ func (d *Dataset) prefetch(info *mpi.Info) error {
 	return nil
 }
 
-// cachedRead serves a validated read request from the prefetched copy,
-// returning false if the variable is not cached. The extracted bytes land
-// in ext (the external buffer getFlex decodes).
-func (d *Dataset) cachedRead(varid int, req access.Request, ext []byte) bool {
-	img, ok := d.cache[varid]
-	if !ok {
-		return false
-	}
-	v := &d.hdr.Vars[varid]
-	segs := access.FileSegments(d.hdr, v, req)
+// cachedRead fills ext, the external buffer complete decodes, with a read
+// op's bytes from the variable's prefetched copy.
+func (d *Dataset) cachedRead(op *pendingOp, ext []byte) {
+	img := d.cache[op.varid]
 	pos := int64(0)
-	for _, s := range segs {
-		rel := s.Off - v.Begin
+	for _, s := range access.FileSegments(d.hdr, op.v, op.req) {
+		rel := s.Off - op.v.Begin
 		copy(ext[pos:pos+s.Len], img[rel:rel+s.Len])
 		pos += s.Len
 	}
 	d.comm.Proc().Advance(float64(pos) / memcpyBytesPerSec)
-	return true
 }
 
 // invalidate drops a variable's prefetched copy after a write.
-func (d *Dataset) invalidate(varid int) {
-	if d.cache != nil {
-		delete(d.cache, varid)
-	}
-}
+func (d *Dataset) invalidate(varid int) { delete(d.cache, varid) }
 
 // PrefetchedVars reports which variable IDs currently have local copies
 // (diagnostic).

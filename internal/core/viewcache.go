@@ -31,7 +31,7 @@ type viewKey struct {
 }
 
 func geomKey(req access.Request) string {
-	b := make([]byte, 0, 10*(len(req.Start)+len(req.Count)+len(req.Stride)))
+	b := make([]byte, 0, 64) // constant, so it stays on the stack; append grows it for the rare long key
 	for _, v := range req.Start {
 		b = binary.AppendUvarint(b, uint64(v))
 	}

@@ -40,4 +40,5 @@ var (
 	ErrCollMode    = errors.New("pnetcdf: independent call while in collective data mode")
 	ErrNullComm    = errors.New("pnetcdf: nil communicator")
 	ErrPending     = errors.New("pnetcdf: variable has a pending nonblocking write; call WaitAll before reading")
+	ErrOverlap     = errors.New("pnetcdf: overlapping nonblocking requests")
 )

@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
 # Repo verification: build, vet, lint, race-test. The default pass includes
-# the seed corpora of the native fuzz targets — FuzzDecode and the two-phase
-# wire decoders FuzzAssembleWrite/FuzzAssembleRead — run as unit tests (seeds
+# the seed corpora of the native fuzz targets — FuzzDecode, the two-phase
+# wire decoders FuzzAssembleWrite/FuzzAssembleRead and the "blocking ≡
+# queued" property FuzzBlockingEquivalentToQueued — run as unit tests (seeds
 # and committed regression inputs only; no timed fuzzing in the gate), the
 # concurrent sharded-lock PFS stress test under the race detector
 # (TestConcurrentShardedStress), and the nclint invariant suite
@@ -54,7 +55,7 @@ go test -race ./...
 # The fuzz targets' seeds, by name: without -fuzz each f.Add seed and each
 # file under testdata/fuzz runs once as a unit test. (To fuzz for real:
 # go test ./internal/mpiio -run '^$' -fuzz FuzzAssembleWrite -fuzztime 30s.)
-go test -run 'Fuzz' ./internal/cdf/ ./internal/mpiio/
+go test -run 'Fuzz' ./internal/cdf/ ./internal/mpiio/ ./internal/integration/
 
 if [ "${CB_PARTITION:-1}" = "1" ]; then
     # Re-run the collective-path suites with balanced file domains as the
