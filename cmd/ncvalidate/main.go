@@ -30,35 +30,43 @@ func main() {
 			bad = true
 			continue
 		}
-		h, issues, err := cdf.CheckFile(img)
-		if err != nil {
-			// An unreadable in-place header may be a crash mid header
-			// commit; classify it by the commit journal at the tail.
-			if rec := cdf.RecoverJournal(img); rec != nil {
-				if rh, rerr := cdf.Decode(rec); rerr == nil {
-					fmt.Printf("%s: TORN HEADER, recoverable: commit journal holds a valid header (%d dims, %d vars, %d records); reopen writable to repair\n",
-						path, len(rh.Dims), len(rh.Vars), rh.NumRecs)
-					bad = true
-					continue
-				}
-			}
-			fmt.Printf("%s: INVALID: %v\n", path, err)
-			bad = true
-			continue
-		}
-		if len(issues) > 0 {
-			fmt.Printf("%s: %d layout issue(s):\n", path, len(issues))
-			for _, iss := range issues {
-				fmt.Printf("  - %s\n", iss)
-			}
-			bad = true
-			continue
-		}
-		kind := map[int]string{1: "classic", 2: "64-bit offset", 5: "64-bit data"}[h.Version]
-		fmt.Printf("%s: OK (%s format, %d dims, %d vars, %d records)\n",
-			path, kind, len(h.Dims), len(h.Vars), h.NumRecs)
+		report, clean := classify(img)
+		fmt.Printf("%s: %s\n", path, report)
+		bad = bad || !clean
 	}
 	if bad {
 		os.Exit(1)
 	}
+}
+
+// classify reports on one file image; clean is false for anything but a
+// sound file.
+func classify(img []byte) (report string, clean bool) {
+	h, issues, err := cdf.CheckFile(img)
+	if err != nil {
+		// An unreadable in-place header may be a crash mid header
+		// commit; classify it by the commit journal at the tail.
+		if rec := cdf.RecoverJournal(img); rec != nil {
+			if rh, rerr := cdf.Decode(rec); rerr == nil {
+				return fmt.Sprintf("TORN HEADER, recoverable: commit journal holds a valid header (%d dims, %d vars, %d records); reopen writable to repair",
+					len(rh.Dims), len(rh.Vars), rh.NumRecs), false
+			}
+		}
+		// No magic and no journal: the file's first commit (which writes
+		// the magic last and needs no journal, there being no older header
+		// to protect) died, or never ran.
+		if len(img) == 0 || len(img) >= 4 && [4]byte(img[:4]) == [4]byte{} {
+			return "creation never completed: no header was ever committed", false
+		}
+		return fmt.Sprintf("INVALID: %v", err), false
+	}
+	if len(issues) > 0 {
+		report = fmt.Sprintf("%d layout issue(s):", len(issues))
+		for _, iss := range issues {
+			report += fmt.Sprintf("\n  - %s", iss)
+		}
+		return report, false
+	}
+	kind := map[int]string{1: "classic", 2: "64-bit offset", 5: "64-bit data"}[h.Version]
+	return fmt.Sprintf("OK (%s format, %d dims, %d vars, %d records)", kind, len(h.Dims), len(h.Vars), h.NumRecs), true
 }

@@ -6,27 +6,97 @@ import (
 	"hash/crc32"
 )
 
-// Crash-consistent header commit support.
+// Crash-consistent header commit support: CommitHeader writes a header,
+// ReadHeader finds it again, and both libraries (internal/netcdf and
+// internal/core) go through this one pair.
 //
 // An in-place header rewrite cannot be atomic: a crash mid-write leaves a
-// torn header. The commit protocol therefore journals the new header image
-// past the end of the data before touching the header region:
+// torn header. What protects against that depends on whether there is an old
+// header to lose.
+//
+// First commit — the file holds nothing (size 0: Create truncated it and no
+// header was ever published). There is no old header to journal and no magic
+// to invalidate:
+//
+//  1. extend the file, sparsely, to the size the header declares;
+//  2. write the new header body (bytes 4..);
+//  3. publish: write the magic (bytes 0..4) last.
+//
+// A crash leaves either a file without a magic and without a journal — the
+// creation never completed, nothing opens it, exactly what Create left — or
+// the complete new header over a file of the declared size. The extension
+// comes first so that a valid magic never sits on a file shorter than its
+// header says.
+//
+// Recommit — the file holds bytes (Redef→EndDef, a data-mode attribute
+// overwrite, the open-time repair, the serial library's Sync). The new image
+// is journaled past the end of the data before the header region is touched:
 //
 //  1. write [image][trailer] at EOF (the journal);
 //  2. invalidate the in-place magic (zero the first 4 bytes);
 //  3. write the new header body (bytes 4..);
-//  4. publish: write the magic (bytes 0..4) last.
+//  4. publish: write the magic (bytes 0..4) last;
+//  5. erase the journal, so its bytes cannot masquerade as record data once
+//     the record section grows over the region.
 //
 // A crash at any byte leaves one of two states: the old header intact
 // (steps 1 and earlier — a torn journal has no valid trailer and is
 // ignored), or an unreadable in-place header plus a complete journal from
-// which the new header is recovered. Trailing journal bytes after a
-// successful commit are legal — CheckLayout explicitly tolerates files
-// larger than the header declares — and are overwritten harmlessly by
-// later record appends.
+// which the new header is recovered. A crash during the erase is harmless:
+// the new header is already live, and trailing bytes are legal — CheckLayout
+// tolerates files larger than the header declares.
 //
 // The trailer sits at the very end so it can be found from the file size
 // alone: [imageLen 8B BE][crc32(image) 4B BE][magic "PNCJ" 4B].
+
+// CommitFile is the file CommitHeader writes through; the package performs
+// no I/O of its own.
+type CommitFile interface {
+	Size() (int64, error)
+	// WriteAt writes all of p at off, bypassing any cache whose write-back
+	// order is not the call order.
+	WriteAt(p []byte, off int64) error
+	// SetSize sets the file's length without moving data; bytes past the old
+	// end read as zeros.
+	SetSize(size int64) error
+}
+
+// CommitHeader publishes img, a header's encoding, crash-consistently (see
+// the protocol above; which of its two shapes runs is decided by the file's
+// size alone). declaredEnd is the file size that header declares
+// (Header.FileSize): a first commit extends the file to it, a recommit parks
+// its journal past it — past everything the file holds or declares, so the
+// journal never sits where an unwritten variable would later be read as
+// zero-fill. written is the number of bytes handed to f.WriteAt by the steps
+// that completed, also when err is not nil.
+func CommitHeader(f CommitFile, img []byte, declaredEnd int64) (written int64, err error) {
+	size, err := f.Size()
+	if err != nil {
+		return 0, err
+	}
+	type step struct {
+		p   []byte
+		off int64
+	}
+	var steps []step
+	end := max(declaredEnd, int64(len(img)))
+	if size == 0 {
+		if err := f.SetSize(end); err != nil {
+			return 0, err
+		}
+		steps = []step{{img[4:], 4}, {img[:4], 0}}
+	} else {
+		journal, jOff := EncodeJournal(img), max(size, end)
+		steps = []step{{journal, jOff}, {make([]byte, 4), 0}, {img[4:], 4}, {img[:4], 0}, {make([]byte, len(journal)), jOff}}
+	}
+	for _, s := range steps {
+		if err := f.WriteAt(s.p, s.off); err != nil {
+			return written, err
+		}
+		written += int64(len(s.p))
+	}
+	return written, nil
+}
 
 // JournalMagic terminates a valid commit journal.
 const JournalMagic = "PNCJ"
@@ -80,27 +150,55 @@ func RecoverJournal(img []byte) []byte {
 
 // ReadHeader fetches and decodes the header of a file of the given size
 // through read, which fills buf from file offset off (the package performs
-// no I/O of its own). It probes 64 KiB and quadruples the probe for as long
-// as Decode reports ErrTruncated. Any other failure cannot be cured by more
-// bytes — as a header still truncated with the whole file read cannot — and
-// is settled by the commit journal at the file's tail: a torn in-place
-// header is recovered from it (recovered is true), otherwise the decode
-// error stands.
+// no I/O of its own). It holds a prefix of the file and, for as long as
+// Decode reports ErrTruncated, extends it — reading only the missing tail,
+// so no byte is fetched twice — to the next step of 64 KiB × 4ⁿ or to the
+// end of the file.
 //
-// blob is the image h was decoded from. It is nil only when read failed; on
-// a decode error it is the last probe, so that a caller's peers can decode
-// it to the same error.
+// A truncated decode that got as far as a variable knows more: data starts
+// no earlier than the header ends, so the smallest begin read so far bounds
+// the header, and the next extension stops there when that is short of the
+// step. The bound only ever trims: a begin inside the bytes already held is
+// ignored, and one past the step or the file changes nothing. A begin that
+// lies — it points into the header, which CheckLayout reports — costs the one
+// extension it cut short, after which it is inside the bytes held. Either
+// way the bytes read are the prefix held at the end, never more than the
+// step a probe without the bound would have reached.
+//
+// Any failure other than ErrTruncated cannot be cured by more bytes — as a
+// header still truncated with the whole file read cannot — and is settled by
+// the commit journal at the file's tail: a torn in-place header is recovered
+// from it (recovered is true), otherwise the decode error stands.
+//
+// blob is the image h was decoded from, exactly: the header's own bytes or
+// the journaled image. It is nil only when read failed; on a decode error it
+// is everything read from the front of the file, so that a caller's peers
+// can decode it to the same error.
 func ReadHeader(size int64, read func(buf []byte, off int64) error) (h *Header, blob []byte, recovered bool, err error) {
-	for probe := int64(64 << 10); ; probe *= 4 {
-		blob = make([]byte, min(probe, size))
-		if rerr := read(blob, 0); rerr != nil {
+	bound := int64(0)
+	for step := int64(64 << 10); ; {
+		held := int64(len(blob))
+		end := min(step, size)
+		trimmed := held < bound && bound < end
+		if trimmed {
+			end = bound
+		}
+		grown := make([]byte, end)
+		copy(grown, blob)
+		if rerr := read(grown[held:], held); rerr != nil {
 			return nil, nil, false, rerr
 		}
-		if h, err = Decode(blob); err == nil {
-			return h, blob, false, nil
+		blob = grown
+		var r headerReader
+		if h, err = r.decode(blob); err == nil {
+			return h, blob[:r.pos], false, nil
 		}
-		if probe >= size || !errors.Is(err, ErrTruncated) {
+		if end >= size || !errors.Is(err, ErrTruncated) {
 			break
+		}
+		bound = r.minBegin
+		if !trimmed {
+			step *= 4
 		}
 	}
 	if img := readJournal(size, read); img != nil {

@@ -3,6 +3,7 @@ package cdf
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 
 	"pnetcdf/internal/nctype"
 )
@@ -11,6 +12,12 @@ type headerReader struct {
 	buf     []byte
 	pos     int
 	version int
+
+	// minBegin is the smallest begin among the variables read so far
+	// (math.MaxInt64 before the first). Data starts no earlier than the
+	// header ends, so it bounds where a valid header ends even when the
+	// buffer did not reach that far; ReadHeader trims its next probe by it.
+	minBegin int64
 
 	// Dimension-ID lists and attribute values are cut from shared arrays.
 	ids  arena[int]
@@ -207,6 +214,14 @@ func (r *headerReader) attrs(prev []Attr) ([]Attr, error) {
 // Decode parses an on-disk header image. The buffer must contain at least
 // the complete header; trailing bytes (data) are ignored.
 func Decode(buf []byte) (*Header, error) {
+	var r headerReader
+	return r.decode(buf)
+}
+
+// decode is Decode on a reader the caller keeps: afterwards r.pos is where
+// the header ended in buf (on success) and r.minBegin what the variables
+// read before a failure said about where it must.
+func (r *headerReader) decode(buf []byte) (*Header, error) {
 	if len(buf) < 4 || buf[0] != 'C' || buf[1] != 'D' || buf[2] != 'F' {
 		return nil, nctype.ErrNotNC
 	}
@@ -214,7 +229,7 @@ func Decode(buf []byte) (*Header, error) {
 	if version != 1 && version != 2 && version != 5 {
 		return nil, fmt.Errorf("%w: CDF-%d", nctype.ErrVersion, version)
 	}
-	r := &headerReader{buf: buf, pos: 4, version: version}
+	*r = headerReader{buf: buf, pos: 4, version: version, minBegin: math.MaxInt64}
 	h := &Header{Version: version}
 	var err error
 	if h.NumRecs, err = r.nonNeg(); err != nil {
@@ -303,6 +318,7 @@ func Decode(buf []byte) (*Header, error) {
 		if v.Begin < 0 {
 			return nil, fmt.Errorf("%w: variable %q begin %d", nctype.ErrNotNC, v.Name, v.Begin)
 		}
+		r.minBegin = min(r.minBegin, v.Begin)
 		h.Vars = append(h.Vars, v)
 	}
 	h.dimIdx.extend(len(h.Dims), h.dimName)

@@ -1,6 +1,7 @@
 package cdf
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
 	"runtime"
@@ -146,8 +147,26 @@ func FuzzDecode(f *testing.F) {
 	for _, img := range hostileCountImages() {
 		f.Add(img)
 	}
+	// Headers longer than ReadHeader's first step, with begins that bound the
+	// next one usefully, uselessly and wrongly.
+	for _, tc := range probeCases(f) {
+		f.Add(tc.img)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h, err := Decode(data)
+		// ReadHeader on a file holding exactly these bytes reaches Decode's
+		// verdict, whatever they claim about where the data begins, without
+		// reading a byte twice.
+		file := &countingFile{size: int64(len(data)), head: data}
+		rh, blob, recovered, rerr := ReadHeader(file.size, file.read)
+		switch {
+		case recovered:
+		case (err == nil) != (rerr == nil):
+			t.Fatalf("Decode: %v, ReadHeader: %v", err, rerr)
+		case err == nil && (!rh.Equal(h) || !bytes.Equal(blob, data[:len(blob)]) || file.bytes != file.reach):
+			t.Fatalf("ReadHeader: another header, an image of %d bytes that is not the file's prefix, or %d bytes read to reach byte %d",
+				len(blob), file.bytes, file.reach)
+		}
 		if err != nil {
 			return
 		}

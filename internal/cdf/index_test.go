@@ -217,16 +217,20 @@ func TestFindVarConcurrentReaders(t *testing.T) {
 }
 
 // countingFile serves reads from an image that is mostly not there: size
-// bytes long, of which only the given prefix and tail hold anything.
+// bytes long, of which only the given prefix and tail hold anything. reach is
+// how far into the file the reads got, the journal's at the tail aside.
 type countingFile struct {
-	size         int64
-	head, tail   []byte
-	calls, bytes int64
+	size                int64
+	head, tail          []byte
+	calls, bytes, reach int64
 }
 
 func (f *countingFile) read(buf []byte, off int64) error {
 	f.calls++
 	f.bytes += int64(len(buf))
+	if off < f.size-int64(len(f.tail)) {
+		f.reach = max(f.reach, off+int64(len(buf)))
+	}
 	clear(buf)
 	for i := range buf {
 		switch at := off + int64(i); {
@@ -237,6 +241,64 @@ func (f *countingFile) read(buf []byte, off int64) error {
 		}
 	}
 	return nil
+}
+
+// restartingProbe is what the probe that restarted from byte 0 and knew no
+// bound read to find a header of hdrLen bytes in a file of size bytes: every
+// step of 64 KiB × 4ⁿ up to the first that holds the header.
+func restartingProbe(hdrLen, size int64) (calls, bytes int64) {
+	for step := int64(64 << 10); ; step *= 4 {
+		calls++
+		bytes += min(step, size)
+		if step >= hdrLen || step >= size {
+			return calls, bytes
+		}
+	}
+}
+
+// probeCase is one header ReadHeader must find, and what finding it may cost
+// beyond never costing more bytes than restartingProbe.
+type probeCase struct {
+	name       string
+	img        []byte
+	size       int64
+	reach      int64 // the file prefix it ends up holding
+	extraCalls int64 // calls it may make beyond restartingProbe's
+}
+
+// probeCases are the open-time probe's contract. big is a header of about
+// 130 KiB — the first step truncates it, the second holds it — laid out
+// tightly, under a 1 MiB nc_header_align_size, and with begins that are
+// useless (past the file, inside the bytes already held) or wrong (inside the
+// header, beyond them).
+func probeCases(t testing.TB) []probeCase {
+	big := func(hAlign int64, rebase func(h *Header)) []byte {
+		h := literalHeader(4, 3000)
+		if err := h.ComputeLayout(hAlign); err != nil {
+			t.Fatal(err)
+		}
+		if rebase != nil {
+			rebase(h)
+		}
+		return h.Encode()
+	}
+	const size = 64 << 20
+	tight := big(1, nil)
+	hdrLen := int64(len(tight))
+	pastTheFile := func(h *Header) {
+		for i := range h.Vars {
+			h.Vars[i].Begin += size
+		}
+	}
+	return []probeCase{
+		{name: "inside the first step", img: fuzzSeedHeader(2), size: size, reach: 64 << 10},
+		{name: "second step, trimmed to the first begin", img: tight, size: size, reach: hdrLen},
+		{name: "header padded to 1 MiB", img: big(1<<20, nil), size: size, reach: 256 << 10},
+		{name: "every begin past the file", img: big(1, pastTheFile), size: size, reach: 256 << 10},
+		{name: "a begin inside the bytes held", img: big(1, func(h *Header) { h.Vars[0].Begin = 100 }), size: size, reach: 256 << 10},
+		{name: "a begin inside the header", img: big(1, func(h *Header) { h.Vars[0].Begin = 70_000 }), size: size, reach: 256 << 10, extraCalls: 1},
+		{name: "file ends inside the second step", img: tight, size: hdrLen + 10, reach: hdrLen},
+	}
 }
 
 // TestReadHeaderProbes: the probe grows only while the header is truncated.
@@ -282,18 +344,27 @@ func TestReadHeaderProbes(t *testing.T) {
 		t.Fatalf("torn header, bad journal: err = %v, recovered = %v", err, recovered)
 	}
 
-	// A header of ~100 KiB: the first probe truncates it, the second holds it.
+	// Headers found: no byte is read twice, no read goes past what a
+	// bound-less probe would have held, and the image handed back is the
+	// header's own bytes, not the probe.
+	for _, tc := range probeCases(t) {
+		f := &countingFile{size: tc.size, head: tc.img}
+		h, blob, recovered, err := ReadHeader(tc.size, f.read)
+		if err != nil || recovered || string(blob) != string(tc.img) {
+			t.Fatalf("%s: err = %v, recovered = %v, blob is %d of the header's %d bytes", tc.name, err, recovered, len(blob), len(tc.img))
+		}
+		if want, _ := Decode(tc.img); !h.Equal(want) {
+			t.Fatalf("%s: decoded a different header", tc.name)
+		}
+		calls, bytes := restartingProbe(int64(len(tc.img)), tc.size)
+		if f.bytes != f.reach || f.reach != tc.reach || f.bytes > bytes || f.calls > calls+tc.extraCalls {
+			t.Fatalf("%s: %d reads of %d bytes reaching byte %d, want byte %d reached once; the restarting probe made %d reads of %d bytes",
+				tc.name, f.calls, f.bytes, f.reach, tc.reach, calls, bytes)
+		}
+	}
 	big := literalHeader(4, 3000)
 	if err := big.ComputeLayout(1); err != nil {
 		t.Fatal(err)
-	}
-	f = &countingFile{size: size, head: big.Encode()}
-	h, _, recovered, err = ReadHeader(size, f.read)
-	if err != nil || recovered || len(h.Vars) != 3000 {
-		t.Fatalf("large header: err = %v, recovered = %v", err, recovered)
-	}
-	if f.calls != 2 || f.bytes != 64<<10+256<<10 {
-		t.Fatalf("large header: %d reads of %d bytes, want probes of 64 KiB and 256 KiB", f.calls, f.bytes)
 	}
 
 	// The same header cut short by the end of the file: truncated for good.

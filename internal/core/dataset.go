@@ -137,10 +137,10 @@ func Open(comm *mpi.Comm, fsys *pfs.FS, path string, omode int, info *mpi.Info) 
 	if err != nil {
 		return nil, err
 	}
-	// Root fetches the header (cdf.ReadHeader: growing probes, then the commit
-	// journal when the in-place header is torn) and broadcasts a status
-	// first, so a root-side read failure is a collective error rather than a
-	// hang.
+	// Root fetches the header (cdf.ReadHeader: a growing prefix, then the
+	// commit journal when the in-place header is torn) and broadcasts a
+	// status first, so a root-side read failure is a collective error rather
+	// than a hang.
 	var hdr *cdf.Header
 	var blob []byte
 	var recovered bool
@@ -166,7 +166,8 @@ func Open(comm *mpi.Comm, fsys *pfs.FS, path string, omode int, info *mpi.Info) 
 	}
 	recovered = status == 2
 	// The root keeps the header it decoded while probing; the others decode
-	// the broadcast image — to the same error, when it is undecodable.
+	// the broadcast image: the header's own bytes, or — when the root could
+	// not decode them — all it read, which they decode to the same error.
 	blob = comm.Bcast(0, blob)
 	if comm.Rank() != 0 {
 		hdr, herr = cdf.Decode(blob)
@@ -480,58 +481,28 @@ func (d *Dataset) commitCollective(img []byte) error {
 	return d.comm.AgreeError(werr)
 }
 
-// commitHeader publishes blob, the encoding of the current header,
-// crash-consistently (write-new / validate / publish):
-//
-//  1. journal the new image past EOF (a torn journal has no valid trailer
-//     and is ignored on recovery);
-//  2. invalidate the in-place magic;
-//  3. write the new header body;
-//  4. publish the magic last.
-//
-// A crash at any injected byte leaves either the old header intact or an
-// invalid in-place header plus a complete journal holding the new one —
-// Open and ncvalidate recover from the journal, so the file always
-// classifies as old or new, never a torn hybrid.
-func (d *Dataset) commitHeader(blob []byte) error {
+// rawFile is the root's view-bypassing handle on the file, in the shape
+// cdf.CommitHeader writes through.
+type rawFile struct{ f *mpiio.File }
+
+func (r rawFile) Size() (int64, error)              { return r.f.Size() }
+func (r rawFile) WriteAt(p []byte, off int64) error { return r.f.WriteRaw(p, off) }
+func (r rawFile) SetSize(size int64) error          { return r.f.SetSizeRaw(size) }
+
+// commitHeader publishes img, the encoding of the current header, through
+// cdf.CommitHeader — the one crash-consistent commit both libraries share: a
+// file Create has just truncated gets body-then-magic, any other the
+// journaled rewrite that Open and ncvalidate recover from.
+func (d *Dataset) commitHeader(img []byte) error {
 	sc := d.sp.Begin(span.HeaderCommit)
 	defer sc.End()
-	sc.SetBytes(int64(len(blob)))
-	size, err := d.f.Size()
+	sc.SetBytes(int64(len(img)))
+	written, err := cdf.CommitHeader(rawFile{d.f}, img, d.hdr.FileSize())
+	d.st.Add(iostat.NCHeaderWriteBytes, written)
 	if err != nil {
 		return err
 	}
-	// The journal goes past everything the file holds or declares: past the
-	// current size AND past the declared data end, so it never sits inside a
-	// region that an unwritten variable would later read as zero-fill.
-	jOff := size
-	if end := d.hdr.FileSize(); jOff < end {
-		jOff = end
-	}
-	if end := int64(len(blob)); jOff < end {
-		jOff = end
-	}
-	journal := cdf.EncodeJournal(blob)
-	if err := d.f.WriteRaw(journal, jOff); err != nil {
-		return err
-	}
-	if err := d.f.WriteRaw([]byte{0, 0, 0, 0}, 0); err != nil {
-		return err
-	}
-	if err := d.f.WriteRaw(blob[4:], 4); err != nil {
-		return err
-	}
-	if err := d.f.WriteRaw(blob[:4], 0); err != nil {
-		return err
-	}
-	// Publish complete: erase the journal so its bytes cannot masquerade as
-	// record data once the record section grows over this region. A crash
-	// during the erase is harmless — the new header is already live.
-	if err := d.f.WriteRaw(make([]byte, len(journal)), jOff); err != nil {
-		return err
-	}
 	d.st.Add(iostat.NCHeaderCommits, 1)
-	d.st.Add(iostat.NCHeaderWriteBytes, int64(len(blob)))
 	d.persistedNumRecs = d.hdr.NumRecs
 	return nil
 }

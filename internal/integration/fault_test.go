@@ -203,3 +203,75 @@ func TestParallelHeaderCommitCrashSweep(t *testing.T) {
 		})
 	}
 }
+
+// TestFirstCommitCrashSweep arms crash points in the commit Create→EndDef
+// runs against the file it has just truncated: in the header body, in the
+// magic that is written last, and past everything the commit writes; torn in
+// place and with the tail lost. That commit has no journal — there is no old
+// header to protect — so the wreck is one of two things: a file without magic
+// and without journal, on which Open fails with ErrNotNC on every rank (the
+// creation never completed; ErrVersion when the magic tore before its version
+// byte), or the complete new header over a file of the size it declares.
+func TestFirstCommitCrashSweep(t *testing.T) {
+	for _, at := range []int64{0, 2, 3, 4, 5, 40, 100, 200, 4096, 1 << 20} {
+		for _, truncate := range []bool{false, true} {
+			at, truncate := at, truncate
+			t.Run(fmt.Sprintf("crash@%d,truncate=%v", at, truncate), func(t *testing.T) {
+				fsys := pfs.New(pfs.DefaultConfig())
+				in := fault.New(fault.Config{Seed: 7})
+				fsys.SetFault(in)
+				err := mpi.Run(2, mpi.DefaultNet(), func(c *mpi.Comm) error {
+					d, err := core.Create(c, fsys, "c.nc", nctype.Clobber, nil)
+					if err != nil {
+						return err
+					}
+					tdim, _ := d.DefDim("time", 0)
+					x, _ := d.DefDim("x", 16)
+					if _, err := d.DefVar("grid", nctype.Int, []int{x}); err != nil {
+						return err
+					}
+					if _, err := d.DefVar("v", nctype.Double, []int{tdim, x}); err != nil {
+						return err
+					}
+					if c.Rank() == 0 {
+						in.ArmCrash(at, truncate)
+					}
+					c.Barrier()
+					err = d.EndDef()
+					if errors.Is(err, fault.ErrCrashed) || errors.Is(err, mpi.ErrPeerFailed) {
+						return nil // process died mid-commit; abandon the file
+					}
+					return err // nil: the commit writes nothing at the crash byte
+				})
+				fsys.SetFault(nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				img := readPFSFile(t, fsys, "c.nc")
+				h, issues, err := cdf.CheckFile(append([]byte(nil), img...))
+				if err == nil {
+					if len(issues) != 0 || len(h.Vars) != 2 || int64(len(img)) != h.FileSize() {
+						t.Fatalf("a header was published over a %d-byte file: %d vars, declares %d bytes, issues %v", len(img), len(h.Vars), h.FileSize(), issues)
+					}
+					return
+				}
+				if cdf.RecoverJournal(img) != nil {
+					t.Fatal("a first commit left a journal behind")
+				}
+				var opened [2]error
+				err = mpi.Run(2, mpi.DefaultNet(), func(c *mpi.Comm) error {
+					_, opened[c.Rank()] = core.Open(c, fsys, "c.nc", nctype.NoWrite, nil)
+					return nil
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for rank, err := range opened {
+					if !errors.Is(err, nctype.ErrNotNC) && !(at == 3 && errors.Is(err, nctype.ErrVersion)) {
+						t.Fatalf("rank %d opened a file whose creation never completed: %v", rank, err)
+					}
+				}
+			})
+		}
+	}
+}

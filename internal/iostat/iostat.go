@@ -153,15 +153,17 @@ const (
 	// put/get calls.
 	NCBytesPut
 	NCBytesGot
-	// NCHeaderWriteBytes is header (and numrecs) bytes written by the
-	// root; NCHeaderBcastBytes is header bytes broadcast at open.
+	// NCHeaderWriteBytes is the bytes the root wrote for the header: every
+	// step of every commit (a journaled recommit writes the image three
+	// times) and each numrecs update. NCHeaderBcastBytes is header bytes
+	// broadcast at open.
 	NCHeaderWriteBytes
 	NCHeaderBcastBytes
 	// NCNumRecsSyncs counts record-count reconciliations.
 	NCNumRecsSyncs
 	// NCHeaderCommits counts crash-consistent header commit sequences
-	// (journal + publish); NCHeaderRecoveries counts opens that had to
-	// recover the header from the commit journal.
+	// (cdf.CommitHeader, either shape); NCHeaderRecoveries counts opens that
+	// had to recover the header from the commit journal.
 	NCHeaderCommits
 	NCHeaderRecoveries
 	// NCPutTimeNs / NCGetTimeNs are virtual wall time inside put/get calls.

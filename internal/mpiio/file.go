@@ -361,6 +361,19 @@ func (f *File) WriteRaw(buf []byte, off int64) error {
 	return nil
 }
 
+// SetSizeRaw sets the file size from this rank alone: SetSize without the
+// collective, for the root's header commit. Independent.
+func (f *File) SetSizeRaw(size int64) error {
+	if f.closed {
+		return ErrClosed
+	}
+	if f.amode&ModeRdOnly != 0 {
+		return ErrReadOnly
+	}
+	f.pf.Truncate(size)
+	return nil
+}
+
 // recordAccess accumulates one data-access call's counters and trace event.
 // start is the rank's clock when the call was entered; the clock has already
 // been advanced to completion.

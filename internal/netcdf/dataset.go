@@ -426,49 +426,23 @@ func (d *Dataset) Redef() error {
 	return nil
 }
 
-// writeHeader publishes the header crash-consistently: journal the new
-// image past the declared data end, invalidate the in-place magic, write
-// the body, publish the magic last, then erase the journal. The sequence
-// bypasses the write-back cache — commit ordering through an LRU cache is
-// undefined — and drops the cache's stale view of the touched ranges
-// first. A crash at any byte leaves the old header intact or a journal to
-// recover the new one from (see internal/cdf/commit.go).
+// writeHeader publishes the header through cdf.CommitHeader, the one
+// crash-consistent commit both libraries share (internal/cdf/commit.go): a
+// store Create has just truncated gets body-then-magic, any other the
+// journaled rewrite Open recovers from.
 func (d *Dataset) writeHeader() error {
-	blob := d.hdr.Encode()
-	size, err := d.store.Size()
-	if err != nil {
-		return err
-	}
-	jOff := size
-	if end := d.hdr.FileSize(); jOff < end {
-		jOff = end
-	}
-	if end := int64(len(blob)); jOff < end {
-		jOff = end
-	}
-	journal := cdf.EncodeJournal(blob)
-	if err := d.cache.discardRange(0, int64(len(blob))); err != nil {
-		return err
-	}
-	if err := d.cache.discardRange(jOff, int64(len(journal))); err != nil {
-		return err
-	}
-	if err := writeFull(d.store, journal, jOff); err != nil {
-		return err
-	}
-	if err := writeFull(d.store, []byte{0, 0, 0, 0}, 0); err != nil {
-		return err
-	}
-	if err := writeFull(d.store, blob[4:], 4); err != nil {
-		return err
-	}
-	if err := writeFull(d.store, blob[:4], 0); err != nil {
-		return err
-	}
-	// Publish complete: erase the journal so its bytes cannot masquerade as
-	// record data once the record section grows over this region.
-	return writeFull(d.store, make([]byte, len(journal)), jOff)
+	_, err := cdf.CommitHeader(uncached{d.cache}, d.hdr.Encode(), d.hdr.FileSize())
+	return err
 }
+
+// uncached is the store under the write-back cache, in the shape
+// cdf.CommitHeader writes through: commit ordering through an LRU cache is
+// undefined, so each write goes straight down (pageCache.writeThrough).
+type uncached struct{ c *pageCache }
+
+func (u uncached) Size() (int64, error)              { return u.c.store.Size() }
+func (u uncached) SetSize(size int64) error          { return u.c.store.Truncate(size) }
+func (u uncached) WriteAt(p []byte, off int64) error { return u.c.writeThrough(p, off) }
 
 // Sync flushes buffered data and the current record count to the store.
 func (d *Dataset) Sync() error {

@@ -248,3 +248,50 @@ func TestRecoveredFileRepairsInPlaceHeader(t *testing.T) {
 		t.Fatalf("in-place header still torn after write-mode open: %v", err)
 	}
 }
+
+// TestFirstCommitCrashSweep is the serial library's half of the sweep in
+// internal/integration: crash points in the commit Create→EndDef runs against
+// the store it has just truncated. There is no old header, so no journal; the
+// wreck has no magic and no journal and does not open, or it is the complete
+// new header over a store of the size it declares.
+func TestFirstCommitCrashSweep(t *testing.T) {
+	for _, at := range []int64{0, 2, 3, 4, 5, 40, 100, 200, 4096, 1 << 20} {
+		for _, truncate := range []bool{false, true} {
+			in := fault.New(fault.Config{Seed: 1})
+			ms := &MemStore{Data: []byte("left over from the file Create clobbers")}
+			d, err := Create(fault.NewFaultyStore(ms, in), nctype.Clobber)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tdim, _ := d.DefDim("time", 0)
+			xdim, _ := d.DefDim("x", 16)
+			if _, err := d.DefVar("grid", nctype.Int, []int{xdim}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := d.DefVar("v", nctype.Double, []int{tdim, xdim}); err != nil {
+				t.Fatal(err)
+			}
+			in.ArmCrash(at, truncate)
+			if err := d.EndDef(); err != nil && !errors.Is(err, fault.ErrCrashed) {
+				t.Fatalf("crash@%d: EndDef failed for a non-injected reason: %v", at, err)
+			}
+			// Abandon the handle (the process died); inspect the wreckage.
+			img := append([]byte(nil), ms.Data...)
+			h, issues, err := cdf.CheckFile(append([]byte(nil), img...))
+			if err == nil {
+				if len(issues) != 0 || len(h.Vars) != 2 || int64(len(img)) != h.FileSize() {
+					t.Fatalf("crash@%d truncate=%v: a header was published over a %d-byte store: %d vars, declares %d bytes, issues %v",
+						at, truncate, len(img), len(h.Vars), h.FileSize(), issues)
+				}
+				continue
+			}
+			if cdf.RecoverJournal(img) != nil {
+				t.Fatalf("crash@%d truncate=%v: a first commit left a journal behind", at, truncate)
+			}
+			_, err = Open(&MemStore{Data: img}, nctype.NoWrite)
+			if !errors.Is(err, nctype.ErrNotNC) && !(at == 3 && errors.Is(err, nctype.ErrVersion)) {
+				t.Fatalf("crash@%d truncate=%v: opened a store whose creation never completed: %v", at, truncate, err)
+			}
+		}
+	}
+}

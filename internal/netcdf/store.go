@@ -244,10 +244,7 @@ func (c *pageCache) WriteAt(p []byte, off int64) error {
 	// Large aligned writes bypass the cache; overlapping pages must be
 	// dropped (they would otherwise resurrect stale data).
 	if int64(len(p)) >= 4*c.pageSize {
-		if err := c.discardRange(off, int64(len(p))); err != nil {
-			return err
-		}
-		return writeFull(c.store, p, off)
+		return c.writeThrough(p, off)
 	}
 	for len(p) > 0 {
 		idx := off / c.pageSize
@@ -266,6 +263,16 @@ func (c *pageCache) WriteAt(p []byte, off int64) error {
 		off += n
 	}
 	return nil
+}
+
+// writeThrough writes p straight to the store after dropping the cache's
+// view of the range; dirty pages the range only partly covers are flushed
+// first, not dropped.
+func (c *pageCache) writeThrough(p []byte, off int64) error {
+	if err := c.discardRange(off, int64(len(p))); err != nil {
+		return err
+	}
+	return writeFull(c.store, p, off)
 }
 
 func (c *pageCache) flushRange(off, n int64) error {

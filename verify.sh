@@ -87,7 +87,7 @@ if [ "${FAULT:-0}" = "1" ]; then
     # Explicit -timeout: these suites exercise crash/retry paths whose
     # failure mode is a hang, so bound them well below the 10m default.
     go test -race -timeout 300s \
-        -run 'Fault|Crash|Retr|Agree|Short|Transient|Journal|Recover' \
+        -run 'Fault|Crash|Commit|Retr|Agree|Short|Transient|Journal|Recover' \
         ./internal/fault/ ./internal/cdf/ ./internal/netcdf/ \
         ./internal/mpiio/ ./internal/core/ ./internal/integration/
     go run ./cmd/flashio-bench -block 8 -procs 8 -blocks-per-proc 20 \
