@@ -20,7 +20,7 @@
 //	                                    # force multi-round collectives
 //	flashio-bench -out f.nc             # dump the raw output image (for
 //	                                    # ncdiff byte-identity checks)
-//	flashio-bench -ft-timeout 200ms -kill-rank 3 -kill-point mid_exchange
+//	flashio-bench -kill-rank 3 -kill-point mid_exchange
 //	                                    # kill a rank mid-collective; the
 //	                                    # survivors detect, shrink and fail
 //	                                    # over (see ft_* counters)
@@ -69,7 +69,6 @@ var (
 	cbNodes   = flag.Int("cb-nodes", 0, "number of collective-buffering aggregators (default: library default; ROMIO practice is the I/O-node count)")
 	outFile   = flag.String("out", "", "dump the raw image of each PnetCDF output file to this path (disables Discard; last run wins)")
 	faultSeed = flag.Uint64("fault-seed", 1, "seed for the deterministic fault schedule")
-	ftTimeout = flag.String("ft-timeout", "", "deadline for the rank-failure detector (e.g. 200ms); sets "+mpi.FTTimeoutEnv+" for the runs (empty keeps detection off)")
 	killRank  = flag.Int("kill-rank", -1, "world rank to kill at -kill-point during the PnetCDF runs (-1 disables)")
 	killPoint = flag.String("kill-point", "", "crash point for -kill-rank: before_pack, mid_exchange or after_issue")
 	killOcc   = flag.Int64("kill-occurrence", 0, "which passage of -kill-rank through -kill-point fires (0-based)")
@@ -100,14 +99,6 @@ func main() {
 	defer cmdutil.StartProfiles(tool, *cpuProf, *memProf)()
 	if (*killRank >= 0) != (*killPoint != "") {
 		cmdutil.Usagef("flashio-bench: -kill-rank and -kill-point must be set together")
-	}
-	if *killPoint != "" && *ftTimeout == "" {
-		cmdutil.Usagef("flashio-bench: -kill-point needs -ft-timeout (without the detector the survivors would hang by design)")
-	}
-	if *ftTimeout != "" {
-		if err := os.Setenv(mpi.FTTimeoutEnv, *ftTimeout); err != nil {
-			cmdutil.Fatal(tool, err)
-		}
 	}
 	machine := bench.ASCIFrost()
 	collect := *stats || *jsonOut != ""

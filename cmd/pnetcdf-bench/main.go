@@ -27,7 +27,6 @@ import (
 	"pnetcdf/internal/cmdutil"
 	"pnetcdf/internal/iostat"
 	"pnetcdf/internal/metrics"
-	"pnetcdf/internal/mpi"
 	"pnetcdf/internal/span"
 )
 
@@ -45,7 +44,6 @@ var (
 	faultRate = flag.Float64("fault-rate", 0, "transient-fault probability per 64 KiB transferred (0 disables injection)")
 	cbPart    = flag.String("cb-partition", "", "two-phase file-domain partitioning: even or balanced (default: library default)")
 	faultSeed = flag.Uint64("fault-seed", 1, "seed for the deterministic fault schedule")
-	ftTimeout = flag.String("ft-timeout", "", "deadline for the rank-failure detector (e.g. 200ms); sets "+mpi.FTTimeoutEnv+" for the runs (empty keeps detection off)")
 	cpuProf   = flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProf   = flag.String("memprofile", "", "write a heap profile to this file on exit")
 )
@@ -53,11 +51,6 @@ var (
 func main() {
 	flag.Parse()
 	defer cmdutil.StartProfiles(tool, *cpuProf, *memProf)()
-	if *ftTimeout != "" {
-		if err := os.Setenv(mpi.FTTimeoutEnv, *ftTimeout); err != nil {
-			cmdutil.Fatal(tool, err)
-		}
-	}
 	machine := bench.SDSCBlueHorizon()
 	if *ablate {
 		runAblations(machine)

@@ -20,10 +20,10 @@ type FaultOptions struct {
 	Seed uint64
 	// KillPoint, when non-empty, arms a one-shot rank kill at the named
 	// two-phase crash point (fault.KillBeforePack, fault.KillMidExchange,
-	// fault.KillAfterIssue). The failure-tolerance path (DESIGN.md §8) only
-	// engages when the deadline detector is also on (PNETCDF_FT_TIMEOUT);
-	// without it a kill deadlocks the survivors by design, so the bench
-	// flags set both together.
+	// fault.KillAfterIssue). The survivors detect the death, shrink and
+	// fail over (DESIGN.md §8); detection is always on and costs the run
+	// mpi.FTDetectLatency of virtual time, so a kill run's MB/s is lower
+	// than a clean one's for a reason the model accounts for.
 	KillPoint string
 	// KillRank is the world rank to kill (meaningful with KillPoint).
 	KillRank int

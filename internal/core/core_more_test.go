@@ -439,8 +439,9 @@ func TestHeaderGrowthProbeOnOpen(t *testing.T) {
 	})
 }
 
-// TestDefinitionLimits: cdf.Decode refuses more than MaxVars variables (or
-// MaxAttrs attributes in one list), so DefVar and PutAttr refuse them first,
+// TestDefinitionLimits: cdf.Decode refuses more than MaxVars variables,
+// MaxDims dimensions (in the file or on one variable) or MaxAttrs attributes
+// in one list, so DefVar, DefDim and PutAttr refuse them first, at the call,
 // with the same typed error on every rank: a dataset at the limits goes
 // through Close and Open, and the one beyond them cannot be created.
 func TestDefinitionLimits(t *testing.T) {
@@ -454,7 +455,24 @@ func TestDefinitionLimits(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		for i := 0; i < nctype.MaxVars; i++ {
+		all := []int{x}
+		for i := 1; i < nctype.MaxDims; i++ {
+			id, err := d.DefDim(fmt.Sprintf("d%d", i), 1)
+			if err != nil {
+				return fmt.Errorf("dimension %d of %d: %w", i+1, nctype.MaxDims, err)
+			}
+			all = append(all, id)
+		}
+		if _, err := d.DefDim("one_too_many", 1); !errors.Is(err, nctype.ErrMaxDims) {
+			return fmt.Errorf("rank %d, dimension %d: err = %v, want ErrMaxDims", c.Rank(), nctype.MaxDims+1, err)
+		}
+		if _, err := d.DefVar("too_wide", nctype.Byte, append([]int{x}, all...)); !errors.Is(err, nctype.ErrMaxDims) {
+			return fmt.Errorf("rank %d, variable of %d dimensions: err = %v, want ErrMaxDims at the call", c.Rank(), nctype.MaxDims+1, err)
+		}
+		if _, err := d.DefVar("widest", nctype.Byte, all); err != nil {
+			return fmt.Errorf("variable of %d dimensions: %w", nctype.MaxDims, err)
+		}
+		for i := 1; i < nctype.MaxVars; i++ {
 			if _, err := d.DefVar(fmt.Sprintf("v%d", i), nctype.Byte, []int{x}); err != nil {
 				return fmt.Errorf("variable %d of %d: %w", i+1, nctype.MaxVars, err)
 			}
@@ -477,9 +495,9 @@ func TestDefinitionLimits(t *testing.T) {
 		if err != nil {
 			return fmt.Errorf("reopen at the limits: %w", err)
 		}
-		if r.NumVars() != nctype.MaxVars || len(r.Header().GAttrs) != nctype.MaxAttrs {
-			return fmt.Errorf("reopened %d variables and %d global attributes, want %d and %d",
-				r.NumVars(), len(r.Header().GAttrs), nctype.MaxVars, nctype.MaxAttrs)
+		if r.NumVars() != nctype.MaxVars || len(r.Header().GAttrs) != nctype.MaxAttrs || len(r.Header().Dims) != nctype.MaxDims {
+			return fmt.Errorf("reopened %d variables, %d global attributes and %d dimensions, want %d, %d and %d",
+				r.NumVars(), len(r.Header().GAttrs), len(r.Header().Dims), nctype.MaxVars, nctype.MaxAttrs, nctype.MaxDims)
 		}
 		return r.Close()
 	})

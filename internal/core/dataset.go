@@ -263,6 +263,10 @@ func (d *Dataset) DefDim(name string, size int64) (int, error) {
 	if size == 0 && d.hdr.UnlimitedDimID() >= 0 {
 		return -1, nctype.ErrMultiUnlimited
 	}
+	if len(d.hdr.Dims) >= nctype.MaxDims {
+		// As with MaxVars below: cdf.Decode refuses a longer dim_list.
+		return -1, nctype.ErrMaxDims
+	}
 	return d.hdr.AddDim(cdf.Dim{Name: name, Len: size}), nil
 }
 
@@ -284,6 +288,9 @@ func (d *Dataset) DefVar(name string, t nctype.Type, dimids []int) (int, error) 
 		// cdf.Decode refuses a longer var_list: one more variable would
 		// make a file that can be written but never reopened.
 		return -1, nctype.ErrMaxVars
+	}
+	if len(dimids) > nctype.MaxDims {
+		return -1, nctype.ErrMaxDims
 	}
 	for pos, id := range dimids {
 		if id < 0 || id >= len(d.hdr.Dims) {

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"pnetcdf/internal/cdf"
 	"pnetcdf/internal/core"
@@ -23,8 +22,6 @@ import (
 	"pnetcdf/internal/pfs"
 )
 
-const ftDetectTimeout = 20 * time.Millisecond
-
 // TestFlashCheckpointRankFailure is the headline scenario: an 8-process
 // FLASH checkpoint with one non-root rank killed mid-exchange. The
 // survivors must detect the death, shrink, fail over, and finish a file
@@ -34,7 +31,7 @@ func TestFlashCheckpointRankFailure(t *testing.T) {
 	const nprocs, victim = 8, 3
 	cfg := flashCfg()
 
-	writeOnce := func(fsys *pfs.FS, ft bool) (stats map[string]int64, degraded []error) {
+	writeOnce := func(fsys *pfs.FS) (stats map[string]int64, degraded []error) {
 		t.Helper()
 		var mu sync.Mutex
 		stats = map[string]int64{}
@@ -58,27 +55,21 @@ func TestFlashCheckpointRankFailure(t *testing.T) {
 			mu.Unlock()
 			return nil
 		}
-		var err error
-		if ft {
-			err = mpi.RunFT(nprocs, mpi.DefaultNet(), ftDetectTimeout, fn)
-		} else {
-			err = mpi.Run(nprocs, mpi.DefaultNet(), fn)
-		}
-		if err != nil {
+		if err := mpi.Run(nprocs, mpi.DefaultNet(), fn); err != nil {
 			t.Fatal(err)
 		}
 		return stats, degraded
 	}
 
 	cleanFS := pfs.New(pfs.DefaultConfig())
-	writeOnce(cleanFS, false)
+	writeOnce(cleanFS)
 	clean := readPFSFile(t, cleanFS, "chk.nc")
 
 	killFS := pfs.New(pfs.DefaultConfig())
 	inj := fault.New(fault.Config{Seed: 1})
 	inj.KillRankAt(victim, fault.KillMidExchange, 6)
 	killFS.SetFault(inj)
-	stats, degraded := writeOnce(killFS, true)
+	stats, degraded := writeOnce(killFS)
 	killed := readPFSFile(t, killFS, "chk.nc")
 
 	if inj.Injected() == 0 {
@@ -169,7 +160,7 @@ func TestRecordVarNumRecsAfterRankFailure(t *testing.T) {
 	fsys := pfs.New(pfs.DefaultConfig())
 	inj := fault.New(fault.Config{Seed: 5})
 	fsys.SetFault(inj)
-	err := mpi.RunFT(nprocs, mpi.DefaultNet(), ftDetectTimeout, func(c *mpi.Comm) error {
+	err := mpi.Run(nprocs, mpi.DefaultNet(), func(c *mpi.Comm) error {
 		// The in-place shrink renumbers c.Rank() mid-run (ULFM semantics);
 		// pin this process's data placement to its original rank.
 		rank := c.Rank()

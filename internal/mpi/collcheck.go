@@ -8,17 +8,18 @@ import (
 // Runtime collective-sequence checking, the dynamic complement of nclint's
 // static collsym checker (internal/analysis): MPI requires every member of a
 // communicator to call collective operations in the same order, and a
-// violation normally shows up as a hang (one rank waits in a Barrier for a
-// peer that is inside a Bcast) or, worse, as one collective silently
-// consuming another's messages, since both derive the same context from the
-// lockstep sequence counter.
+// violation normally shows up late, as an *ErrDeadlock once the whole world
+// has run dry (one rank waits in a Barrier for a peer that is inside a
+// Bcast) or, worse, as one collective silently consuming another's
+// messages, since both derive the same context from the lockstep sequence
+// counter.
 //
 // With PNETCDF_CHECK_COLLECTIVES=1 in the environment, every collective
 // entry registers its operation name under its context (commID<<32 | seq) in
 // a world-level table before any message moves. The first rank to arrive
 // records its op; any rank arriving at the same context with a different op
 // aborts the whole world with an error naming both ranks and both
-// operations — a diagnosis instead of a deadlock. Off by default: the check
+// operations — a diagnosis at the first wrong call. Off by default: the check
 // costs a map operation under a mutex per collective per rank.
 const collCheckEnv = "PNETCDF_CHECK_COLLECTIVES"
 

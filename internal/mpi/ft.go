@@ -5,13 +5,24 @@ package mpi
 // its peers blocked in recv forever. This file adds the three ULFM
 // primitives on top of the simulated runtime:
 //
-//   - a deadline-based failure detector: with PNETCDF_FT_TIMEOUT set (or
-//     RunFT), a rank blocked in a point-to-point or collective receive for
-//     longer than the deadline while a member of its communicator is dead
-//     REVOKES the communicator. Detection is wall-clock (the virtual clock
-//     does not advance while a rank is blocked, which is exactly the
-//     condition being detected). A background ticker wakes blocked
-//     receivers so deadlines fire without any message traffic.
+//   - a failure detector that works by quiescence and is always on. Ranks
+//     die only via Comm.Die (the fault injector's KillRank calls it), so
+//     "dead" is ground truth here and nothing has to be guessed from
+//     silence. The world counts the ranks that are neither parked in a
+//     receive nor gone; the goroutine that brings the count to zero runs
+//     the detector, because at that instant no message can ever be sent
+//     again and the world's state is the same on every run of the same
+//     program. Every communicator some rank is parked on that has a dead
+//     member (beyond what the receive is pinned to) is REVOKED, at the
+//     latest clock among the ranks parked on it plus FTDetectLatency of
+//     virtual time — the delay a real runtime's heartbeat pays, charged
+//     where the simulator charges everything else. If no parked
+//     communicator has a dead member, nothing can ever wake the parked
+//     ranks: the world aborts with *ErrDeadlock, which names each of them
+//     and what it waits on. Global quiescence, not "my source is dead", is
+//     the rule because of AnySource receives (sparseExchange, the gather
+//     collectives); and Die itself revokes nothing, because that would
+//     interrupt the survivors wherever the scheduler happened to have them.
 //
 //   - revocation: once a communicator is revoked, every pending and future
 //     operation on it panics *ErrRevoked carrying the same failed-rank set
@@ -25,36 +36,37 @@ package mpi
 //     contexts in a reserved band) and a dense survivor communicator for
 //     everything afterwards.
 //
-// Ranks die only via Comm.Die (the fault injector's KillRank calls it), so
-// "dead" is always ground truth here; the deadline models the detection
-// delay a real ULFM runtime pays, not uncertainty about liveness. With the
-// detector disabled a dead rank hangs its peers exactly like real MPI —
-// the fault suites run under go test -timeout for that reason.
+// There is no wall clock, no background goroutine and nothing to configure:
+// a world is its ranks.
 //
-// Honest limits: a single failure per communicator generation is detected
-// and agreed symmetrically. Cascading failures (a second rank dying during
-// revocation handling) are best-effort: no survivor hangs, but ranks may
-// observe different generations and the run degrades to a world abort
-// rather than a clean failover.
+// Honest limits: every death known at a quiescence is detected and agreed
+// symmetrically — the failed set is whatever was dead at that instant, the
+// same on every survivor. A rank that dies later, while the survivors are
+// handling the first revocation, is detected the same way (the pinned
+// receives of AgreeFT park, the world goes quiet, the generation grows),
+// but the handlers above this package treat that second *ErrRevoked as
+// final: no survivor hangs, there is no second failover.
 
 import (
 	"errors"
 	"fmt"
-	"os"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"pnetcdf/internal/iostat"
 	"pnetcdf/internal/span"
 )
 
-// FTTimeoutEnv names the environment variable that arms the failure
-// detector for Run: a Go duration ("250ms", "2s"). Empty, unparsable, or
-// non-positive values leave detection off (today's semantics: a dead rank
-// hangs its peers).
-const FTTimeoutEnv = "PNETCDF_FT_TIMEOUT"
+// FTDetectLatency is the virtual time, in seconds, between the moment the
+// last survivor blocks on a communicator that lost a member and the moment
+// the communicator is revoked: the heartbeat timeout of a ULFM runtime,
+// which a survivor pays once per failure and which is why a failover shows
+// up in sim-MB/s at all. It is a constant of the model — not a hint, flag,
+// environment variable or NetConfig field — because nothing in the
+// reproduction depends on tuning it.
+const FTDetectLatency = 0.3
 
 // ftCtxBit marks a message context as belonging to the post-revocation
 // agreement band: bit 30 set, the revocation generation in bits 24-29, and
@@ -107,10 +119,6 @@ func CatchRevoked(fn func() error) (err error) {
 	return fn()
 }
 
-// ErrWorldFT is returned by FT entry points when the world was started
-// without a failure detector.
-var ErrWorldFT = errors.New("mpi: world has no failure detector (set PNETCDF_FT_TIMEOUT or use RunFT)")
-
 // rankKilled is the panic payload of Comm.Die: a simulated rank crash. Run
 // treats it as a benign exit of that one goroutine — no world abort, no
 // error — leaving its peers to detect the silence.
@@ -119,24 +127,35 @@ type rankKilled struct {
 	reason error
 }
 
-// ftState is the world's failure-tolerance state; nil when detection is
-// off.
+// ftState is the world's failure-detector state, part of World by value.
 type ftState struct {
-	timeout time.Duration
-	dead    []atomic.Bool // by world rank
-	deadN   atomic.Int32  // fast-path gate: number of dead ranks
-	revGen  atomic.Int64  // fast-path gate: total revocations issued
+	// running counts the ranks that are neither parked in recvCore nor
+	// gone (returned, died, unwound), plus one for a detector at work.
+	//
+	// Invariant: the count may over-state the running ranks for an
+	// instant, never under-state them. A rank takes itself off the count
+	// under its own mailbox lock, after a scan of its queue found no match;
+	// whoever then makes that mailbox worth another scan — a sender, an
+	// abort, a revocation — puts the owner back on the count under the same
+	// lock, before the owner has woken (World.wake). So zero is exact:
+	// every live rank is asleep on a queue that holds nothing for it, and
+	// no rank is left to send.
+	running atomic.Int32
+
+	revGen atomic.Int64 // fast-path gate: total revocations issued
 
 	mu      sync.Mutex
 	revoked map[int64]*revokeState // commID -> revocation
 }
 
-// revokeState is one communicator's revocation: the agreed failed set and
-// the shrunken-communicator IDs allocated per generation (shared-memory
-// agreement — every survivor reads the same ID without messaging).
+// revokeState is one communicator's revocation: the agreed failed set, the
+// virtual time it was detected, and the shrunken-communicator IDs allocated
+// per generation (shared-memory agreement — every survivor reads the same ID
+// without messaging).
 type revokeState struct {
 	failed []int // world ranks, sorted
 	gen    int
+	at     float64       // virtual time of the latest generation's detection
 	shrunk map[int]int64 // generation -> commID of the Shrink result
 }
 
@@ -145,97 +164,211 @@ type revokeState struct {
 type revokeInfo struct {
 	failed []int // world ranks, sorted
 	gen    int
+	at     float64
 }
 
-func newFTState(n int, timeout time.Duration) *ftState {
-	return &ftState{
-		timeout: timeout,
-		dead:    make([]atomic.Bool, n),
-		revoked: map[int64]*revokeState{},
+// ParkedRecv describes one rank blocked in a receive: who it is and what
+// it waits for. The detector reads these at quiescence; *ErrDeadlock
+// carries them to the caller.
+type ParkedRecv struct {
+	WorldRank int   // the blocked rank
+	Comm      int64 // ID of the communicator it receives on (0 is the world)
+	Source    int   // rank of Comm it waits for, or AnySource
+	Tag       int   // tag it waits for, or AnyTag
+	Seq       int64 // collective sequence number on Comm (low context bits); 0 for a user Recv
+
+	group  []int // the communicator's members (world ranks)
+	pinned []int // failed world ranks this receive already knows about
+	clock  float64
+}
+
+// ErrDeadlock is the error Run returns when every live rank is blocked in a
+// receive and no communicator any of them waits on has lost a member: no
+// message can ever arrive, and there is no failure to recover from — a
+// receive from a rank that returned without sending, mismatched
+// collectives, or a dead rank none of the blocked ones shares a
+// communicator with. Parked lists the blocked ranks in world-rank order.
+type ErrDeadlock struct {
+	Parked []ParkedRecv
+}
+
+func (e *ErrDeadlock) Error() string {
+	var b strings.Builder
+	b.WriteString("mpi: deadlock: every live rank is blocked in a receive that no message can satisfy:")
+	for i, p := range e.Parked {
+		if i > 0 {
+			b.WriteByte(';')
+		}
+		fmt.Fprintf(&b, " rank %d waits on ", p.WorldRank)
+		if p.Source == AnySource {
+			b.WriteString("any source")
+		} else {
+			fmt.Fprintf(&b, "rank %d", p.Source)
+		}
+		fmt.Fprintf(&b, " of communicator %d (", p.Comm)
+		switch {
+		case p.Seq&ftCtxBit != 0:
+			b.WriteString("post-revocation agreement, ")
+		case p.Seq != 0:
+			fmt.Fprintf(&b, "collective %d, ", p.Seq)
+		}
+		if p.Tag == AnyTag {
+			b.WriteString("any tag)")
+		} else {
+			fmt.Fprintf(&b, "tag %d)", p.Tag)
+		}
+	}
+	return b.String()
+}
+
+// wake makes b's owner scan its queue again; the caller holds b.mu. A
+// parked owner is put back on the running count first, on its behalf,
+// and only then marked awake: the count is already right by the time the
+// owner, or anyone else, can look (see ftState.running).
+func (w *World) wake(b *mailbox) {
+	if b.parked {
+		w.ft.running.Add(1)
+		b.parked = false
+		b.cond.Signal()
 	}
 }
 
-// ftTimeoutFromEnv parses PNETCDF_FT_TIMEOUT; zero means detection off.
-func ftTimeoutFromEnv() time.Duration {
-	v := os.Getenv(FTTimeoutEnv)
-	if v == "" {
-		return 0
+// rankExited takes a rank that returned, died or unwound off the running
+// count; like a parking rank, the one that brings it to zero runs the
+// detector.
+func (w *World) rankExited() {
+	if w.ft.running.Add(-1) == 0 {
+		w.quiescent()
 	}
-	d, err := time.ParseDuration(v)
-	if err != nil || d <= 0 {
-		return 0
-	}
-	return d
 }
 
-// FTEnabled reports whether the world runs a failure detector.
-func (c *Comm) FTEnabled() bool { return c.world.ft != nil }
+// quiescent runs the detector; the caller just brought the running count
+// to zero and holds no mailbox lock. The detector keeps one credit on the
+// count for as long as it works: the ranks it wakes start running while it
+// is still walking the mailboxes, and one of them parking again (a survivor
+// waiting in AgreeFT for a peer the walk has not reached) must not be
+// taken for a second quiescence. If the count is zero again once the
+// credit is returned, everything woken has already gone back to sleep, and
+// that is one.
+func (w *World) quiescent() {
+	for {
+		w.ft.running.Add(1)
+		woke := w.detect()
+		if w.ft.running.Add(-1) > 0 || !woke {
+			return
+		}
+	}
+}
+
+// detect is the failure detector proper. It runs with the world quiescent
+// and reports whether it woke anyone (false: no rank is parked, the world
+// is simply over).
+//
+// It snapshots every parked receive BEFORE its first wake: a woken
+// survivor runs at once, and mpiio adopts the shrunken communicator in
+// place (*f.comm = *nc), so a communicator read after that is no longer the
+// one the rank was parked on.
+func (w *World) detect() bool {
+	var parked []ParkedRecv
+	for _, b := range w.boxes {
+		b.mu.Lock()
+		if b.parked {
+			parked = append(parked, b.wait)
+		}
+		b.mu.Unlock()
+	}
+	if len(parked) == 0 {
+		return false
+	}
+	type verdict struct {
+		comm int64
+		dead []int   // world ranks
+		at   float64 // latest clock among the ranks parked on comm
+	}
+	var verdicts []verdict
+	for _, p := range parked {
+		var dead []int
+		for _, wr := range p.group {
+			if w.boxes[wr].dead.Load() && !containsInt(p.pinned, wr) {
+				dead = append(dead, wr)
+			}
+		}
+		if len(dead) == 0 {
+			continue
+		}
+		i := 0
+		for i < len(verdicts) && verdicts[i].comm != p.Comm {
+			i++
+		}
+		if i == len(verdicts) {
+			verdicts = append(verdicts, verdict{comm: p.Comm})
+		}
+		v := &verdicts[i]
+		for _, wr := range dead {
+			if !containsInt(v.dead, wr) {
+				v.dead = append(v.dead, wr)
+			}
+		}
+		v.at = max(v.at, p.clock)
+	}
+	if len(verdicts) == 0 {
+		w.abort(&ErrDeadlock{Parked: parked})
+		return true
+	}
+	for _, v := range verdicts {
+		w.revoke(v.comm, v.dead, v.at+FTDetectLatency)
+	}
+	return true
+}
 
 // Die terminates the calling rank mid-operation, simulating a crash: the
 // rank's goroutine unwinds (deferred cleanups run, matching a real
-// process's closed descriptors) and never communicates again. With the
-// failure detector armed its peers revoke the communicators it belonged
-// to; without it they hang, like real MPI. Never returns.
+// process's closed descriptors) and never communicates again. It wakes
+// nobody: its peers run on until they can go no further without it, and
+// the detector then revokes the communicators it belonged to. Never
+// returns.
 func (c *Comm) Die(reason error) {
 	wr := c.group[c.rank]
-	if ft := c.world.ft; ft != nil {
-		if !ft.dead[wr].Swap(true) {
-			ft.deadN.Add(1)
-		}
-		// Wake every blocked receiver: their deadline countdown starts at
-		// their own wait start, but an early check costs nothing.
-		c.world.broadcastAll()
-	}
+	c.world.boxes[wr].dead.Store(true)
 	panic(rankKilled{rank: wr, reason: reason})
 }
 
-// broadcastAll wakes every rank blocked in recv (deadline checks and
-// revocation discovery). Never called with any box lock held.
-func (w *World) broadcastAll() {
-	for _, b := range w.boxes {
-		b.mu.Lock()
-		b.cond.Broadcast()
-		b.mu.Unlock()
-	}
-}
-
-// revoke merges failedWorld into commID's revocation, bumping the
-// generation only when the failed set actually grew, and wakes all ranks
-// so they observe it. Idempotent: concurrent detectors of the same death
-// merge to one generation.
-func (w *World) revoke(commID int64, failedWorld []int) {
-	ft := w.ft
+// revoke opens commID's next revocation generation: failedWorld — members
+// found dead that no earlier generation knew about — joins the failed set,
+// detected at virtual time at, and every parked rank is woken to observe it
+// (those parked on other communicators scan, find nothing and park again).
+// Only the detector calls it.
+func (w *World) revoke(commID int64, failedWorld []int, at float64) {
+	ft := &w.ft
 	ft.mu.Lock()
 	rs := ft.revoked[commID]
 	if rs == nil {
+		if ft.revoked == nil {
+			ft.revoked = map[int64]*revokeState{}
+		}
 		rs = &revokeState{shrunk: map[int]int64{}}
 		ft.revoked[commID] = rs
 	}
-	grew := false
-	for _, wr := range failedWorld {
-		if !containsInt(rs.failed, wr) {
-			rs.failed = append(rs.failed, wr)
-			grew = true
-		}
-	}
-	if grew {
-		sort.Ints(rs.failed)
-		rs.gen++
-		ft.revGen.Add(1)
-	}
+	rs.failed = append(rs.failed, failedWorld...)
+	sort.Ints(rs.failed)
+	rs.gen++
+	rs.at = at
+	ft.revGen.Add(1)
 	ft.mu.Unlock()
-	if grew {
-		if cc := w.ccheck; cc != nil {
-			cc.purgeComm(commID)
-		}
-		w.broadcastAll()
+	if cc := w.ccheck; cc != nil {
+		cc.purgeComm(commID)
+	}
+	for _, b := range w.boxes {
+		b.mu.Lock()
+		w.wake(b)
+		b.mu.Unlock()
 	}
 }
 
 // revokedInfo snapshots the calling communicator's revocation state.
 func (c *Comm) revokedInfo() (revokeInfo, bool) {
-	ft := c.world.ft
-	if ft == nil || ft.revGen.Load() == 0 {
+	ft := &c.world.ft
+	if ft.revGen.Load() == 0 {
 		return revokeInfo{}, false
 	}
 	ft.mu.Lock()
@@ -244,7 +377,7 @@ func (c *Comm) revokedInfo() (revokeInfo, bool) {
 		ft.mu.Unlock()
 		return revokeInfo{}, false
 	}
-	ri := revokeInfo{failed: append([]int(nil), rs.failed...), gen: rs.gen}
+	ri := revokeInfo{failed: append([]int(nil), rs.failed...), gen: rs.gen, at: rs.at}
 	ft.mu.Unlock()
 	return ri, true
 }
@@ -269,13 +402,17 @@ func (c *Comm) revokedErr(ri revokeInfo) *ErrRevoked {
 	return &ErrRevoked{Failed: failed, Gen: ri.gen}
 }
 
-// panicRevoked raises the revocation on the calling rank, recording the
-// detection (ft_failures_detected + an ft_detect span) once per generation.
+// panicRevoked raises the revocation on the calling rank. The first time
+// the rank meets a generation it pays for the detection: its clock moves to
+// the revocation's time, and the wait is recorded (ft_failures_detected +
+// an ft_detect span of that length).
 func (c *Comm) panicRevoked(ri revokeInfo) {
 	if c.ftObserved < ri.gen {
 		c.ftObserved = ri.gen
+		blocked := c.proc.clock
+		c.proc.clock = max(blocked, ri.at)
 		c.proc.stats.Add(iostat.FTFailuresDetected, 1)
-		c.proc.spans.Record(span.FTDetect, ri.gen, c.proc.clock, c.proc.clock, 0)
+		c.proc.spans.Record(span.FTDetect, ri.gen, blocked, c.proc.clock, 0)
 	}
 	panic(c.revokedErr(ri))
 }
@@ -292,49 +429,6 @@ func (c *Comm) ftCheckRevoked(pinned *revokeInfo) {
 		return // the revocation the caller is already handling
 	}
 	c.panicRevoked(ri)
-}
-
-// deadInGroup returns the dead members of the group as world ranks.
-// Fast path: one atomic load when nobody has died.
-func (c *Comm) deadInGroup() []int {
-	ft := c.world.ft
-	if ft.deadN.Load() == 0 {
-		return nil
-	}
-	var dead []int
-	for _, wr := range c.group {
-		if ft.dead[wr].Load() {
-			dead = append(dead, wr)
-		}
-	}
-	return dead
-}
-
-// ftCheckDeadline is the detector: called with the receiver's box lock
-// held, it revokes the communicator once the rank has been blocked past the
-// deadline while a member (beyond any pinned failed set) is dead. Returns
-// true if it revoked (the caller re-loops and the revocation check fires).
-// The box lock is dropped around the revocation broadcast — holding one box
-// while locking all of them would deadlock against a concurrent revoker.
-func (c *Comm) ftCheckDeadline(box *mailbox, waitStart time.Time, pinned *revokeInfo) bool {
-	ft := c.world.ft
-	dead := c.deadInGroup()
-	if pinned != nil {
-		filtered := dead[:0]
-		for _, wr := range dead {
-			if !containsInt(pinned.failed, wr) {
-				filtered = append(filtered, wr)
-			}
-		}
-		dead = filtered
-	}
-	if len(dead) == 0 || time.Since(waitStart) < ft.timeout {
-		return false
-	}
-	box.mu.Unlock()
-	c.world.revoke(c.ctx>>32, dead)
-	box.mu.Lock()
-	return true
 }
 
 // nextFTCtx reserves a message context in the post-revocation band for
@@ -436,10 +530,7 @@ func (c *Comm) AgreeFT(vals []int64, op Op) []int64 {
 // revocation table (one allocation per generation, every survivor reads
 // the same ID), so Shrink — like AgreeFT — cannot block on the dead.
 func (c *Comm) Shrink() (*Comm, error) {
-	ft := c.world.ft
-	if ft == nil {
-		return nil, ErrWorldFT
-	}
+	ft := &c.world.ft
 	ri, ok := c.revokedInfo()
 	if !ok {
 		return nil, errors.New("mpi: Shrink on a communicator that is not revoked")

@@ -42,7 +42,7 @@ import (
 	"math"
 	"os"
 	"sync"
-	"time"
+	"sync/atomic"
 
 	"pnetcdf/internal/iostat"
 	"pnetcdf/internal/span"
@@ -77,12 +77,22 @@ type message struct {
 	arrival float64 // virtual time the message is available at the receiver
 }
 
-// mailbox is one world rank's incoming message queue with tag matching.
+// mailbox is one world rank's incoming message queue with tag matching,
+// plus what the failure detector (ft.go) needs to know about its owner.
 type mailbox struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
 	queue   []message
 	aborted bool
+
+	// parked is true while the owner sleeps in recvCore after a scan of
+	// queue found no match; wait then describes the receive. Whoever makes
+	// the queue worth another scan clears it through World.wake.
+	parked bool
+	wait   ParkedRecv
+
+	// dead is set by Comm.Die: the owner crashed and will never send again.
+	dead atomic.Bool
 }
 
 func newMailbox() *mailbox {
@@ -106,9 +116,8 @@ type World struct {
 	// PNETCDF_CHECK_COLLECTIVES=1 (see collcheck.go).
 	ccheck *collCheck
 
-	// ft is the failure-detector state; nil (the default) keeps today's
-	// semantics where a dead rank hangs its peers (see ft.go).
-	ft *ftState
+	// ft is the failure detector's state (ft.go).
+	ft ftState
 }
 
 // ErrAborted is returned by operations on a world where some rank called
@@ -191,28 +200,18 @@ type Comm struct {
 
 // Run executes fn on n simulated ranks and blocks until all complete. Each
 // rank receives the world communicator. The first non-nil error (or panic)
-// aborts the world and is returned. With PNETCDF_FT_TIMEOUT set to a
-// positive duration the failure detector is armed (ft.go).
+// aborts the world and is returned. A world never hangs on its own
+// messaging: when every live rank is blocked in a receive, the failure
+// detector (ft.go) either revokes the communicators that lost a member or
+// aborts the world with *ErrDeadlock.
 func Run(n int, net NetConfig, fn func(*Comm) error) error {
-	return runWorld(n, net, ftTimeoutFromEnv(), fn)
-}
-
-// RunFT is Run with the failure detector armed at an explicit deadline,
-// for tests that must not depend on ambient environment variables.
-func RunFT(n int, net NetConfig, timeout time.Duration, fn func(*Comm) error) error {
-	return runWorld(n, net, timeout, fn)
-}
-
-func runWorld(n int, net NetConfig, ftTimeout time.Duration, fn func(*Comm) error) error {
 	if n < 1 {
 		return fmt.Errorf("mpi: invalid world size %d", n)
 	}
 	w := &World{size: n, net: net, boxes: make([]*mailbox, n)}
+	w.ft.running.Store(int32(n))
 	if os.Getenv(collCheckEnv) == "1" {
 		w.ccheck = newCollCheck()
-	}
-	if ftTimeout > 0 {
-		w.ft = newFTState(n, ftTimeout)
 	}
 	for i := range w.boxes {
 		w.boxes[i] = newMailbox()
@@ -227,6 +226,7 @@ func runWorld(n int, net NetConfig, ftTimeout time.Duration, fn func(*Comm) erro
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
+			defer w.rankExited() // after the recover below: an abort comes first
 			defer func() {
 				if rec := recover(); rec != nil {
 					if err, ok := rec.(error); ok && errors.Is(err, ErrAborted) {
@@ -234,8 +234,7 @@ func runWorld(n int, net NetConfig, ftTimeout time.Duration, fn func(*Comm) erro
 					}
 					if _, ok := rec.(rankKilled); ok {
 						// Simulated crash (Comm.Die): this rank just stops.
-						// Its peers hang or — with the detector armed —
-						// revoke and fail over; either way the world's fate
+						// Its peers revoke and fail over; the world's fate
 						// is theirs to decide, not an abort.
 						return
 					}
@@ -251,40 +250,7 @@ func runWorld(n int, net NetConfig, ftTimeout time.Duration, fn func(*Comm) erro
 			}
 		}(r)
 	}
-	var tickStop chan struct{}
-	var tickWG sync.WaitGroup
-	if w.ft != nil {
-		// The detector's heartbeat: wake blocked receivers so wall-clock
-		// deadlines fire even with no message traffic. Period well under
-		// the deadline, clamped so tiny test timeouts do not spin.
-		period := w.ft.timeout / 4
-		if period < time.Millisecond {
-			period = time.Millisecond
-		}
-		if period > 50*time.Millisecond {
-			period = 50 * time.Millisecond
-		}
-		tickStop = make(chan struct{})
-		tickWG.Add(1)
-		go func() {
-			defer tickWG.Done()
-			t := time.NewTicker(period)
-			defer t.Stop()
-			for {
-				select {
-				case <-tickStop:
-					return
-				case <-t.C:
-					w.broadcastAll()
-				}
-			}
-		}()
-	}
 	wg.Wait()
-	if tickStop != nil {
-		close(tickStop)
-		tickWG.Wait()
-	}
 	for _, e := range errs {
 		if e != nil {
 			return e
@@ -304,7 +270,7 @@ func (w *World) abort(err error) {
 	for _, b := range w.boxes {
 		b.mu.Lock()
 		b.aborted = true
-		b.cond.Broadcast()
+		w.wake(b)
 		b.mu.Unlock()
 	}
 }
@@ -354,23 +320,21 @@ func (c *Comm) sendCore(dst, tag int, ctx int64, data []byte, ftMode bool) {
 	if dst < 0 || dst >= len(c.group) {
 		c.Abort(fmt.Errorf("mpi: send to invalid rank %d (size %d)", dst, len(c.group)))
 	}
-	if ft := c.world.ft; ft != nil {
-		if !ftMode {
-			c.ftCheckRevoked(nil)
-		}
-		if ft.deadN.Load() != 0 && ft.dead[c.group[dst]].Load() {
-			c.proc.clock += c.world.net.SendOverhead
-			return
-		}
+	if !ftMode {
+		c.ftCheckRevoked(nil)
+	}
+	box := c.world.boxes[c.group[dst]]
+	if box.dead.Load() {
+		c.proc.clock += c.world.net.SendOverhead
+		return
 	}
 	c.proc.stats.Add(iostat.MPIMsgsSent, 1)
 	c.proc.stats.Add(iostat.MPIBytesSent, int64(len(data)))
 	arrival := c.proc.clock + c.world.transferTime(len(data))
 	c.proc.clock += c.world.net.SendOverhead
-	box := c.world.boxes[c.group[dst]]
 	box.mu.Lock()
 	box.queue = append(box.queue, message{src: c.rank, tag: tag, ctx: ctx, data: data, arrival: arrival})
-	box.cond.Signal()
+	c.world.wake(box)
 	box.mu.Unlock()
 }
 
@@ -381,25 +345,24 @@ func (c *Comm) recv(src, tag int, ctx int64) message {
 	return c.recvCore(src, tag, ctx, nil)
 }
 
-// recvCore implements recv. With the failure detector armed it is also the
-// detection point: a revoked communicator unwinds the receive with
-// *ErrRevoked (unless pinned to that same revocation generation — the
-// post-revocation agreement receives through here too), and a receive
-// blocked past the deadline while a group member is dead revokes the
-// communicator itself. The revocation broadcast locks every mailbox, so
-// the deadline path drops this rank's box lock around it.
+// recvCore implements recv. It is also where a rank observes a failure: a
+// revoked communicator unwinds the receive with *ErrRevoked (unless pinned
+// to that same revocation generation — the post-revocation agreement
+// receives through here too). A receive that finds no match parks: it
+// leaves its description in the mailbox for the detector, gives up its
+// place in the world's running count, and sleeps until a sender, an abort
+// or a revocation wakes it (World.wake). The rank whose parking brings the
+// count to zero runs the detector itself (ft.go).
 func (c *Comm) recvCore(src, tag int, ctx int64, pinned *revokeInfo) message {
-	box := c.world.boxes[c.group[c.rank]]
+	w := c.world
+	box := w.boxes[c.group[c.rank]]
 	box.mu.Lock()
 	defer box.mu.Unlock()
-	var waitStart time.Time
 	for {
 		if box.aborted {
 			panic(ErrAborted)
 		}
-		if c.world.ft != nil {
-			c.ftCheckRevoked(pinned)
-		}
+		c.ftCheckRevoked(pinned)
 		for i, m := range box.queue {
 			if m.ctx != ctx {
 				continue
@@ -414,15 +377,25 @@ func (c *Comm) recvCore(src, tag int, ctx int64, pinned *revokeInfo) message {
 			c.proc.clock = math.Max(c.proc.clock, m.arrival)
 			return m
 		}
-		if c.world.ft != nil {
-			if waitStart.IsZero() {
-				waitStart = time.Now()
-			}
-			if c.ftCheckDeadline(box, waitStart, pinned) {
-				continue // revocation raised; the check above fires next
-			}
+		box.wait = ParkedRecv{
+			WorldRank: c.group[c.rank], Comm: c.ctx >> 32,
+			Source: src, Tag: tag, Seq: ctx & 0x7FFFFFFF,
+			group: c.group, clock: c.proc.clock,
 		}
-		box.cond.Wait()
+		if pinned != nil {
+			box.wait.pinned = pinned.failed
+		}
+		box.parked = true
+		if w.ft.running.Add(-1) == 0 {
+			// The detector locks every mailbox in turn; it must not find
+			// this one held.
+			box.mu.Unlock()
+			w.quiescent()
+			box.mu.Lock()
+		}
+		for box.parked {
+			box.cond.Wait()
+		}
 	}
 }
 
@@ -461,12 +434,10 @@ func (c *Comm) Sendrecv(dst, sendTag int, sendData []byte, src, recvTag int) ([]
 // the world's sequence registry, which aborts on a cross-rank mismatch
 // instead of letting the run deadlock (collcheck.go).
 func (c *Comm) nextOpCtx(op string) int64 {
-	if c.world.ft != nil {
-		// A collective on a revoked communicator can never complete; fail
-		// it before any message moves (recv would catch it anyway, but
-		// root-only send patterns like Scatter would first leak sends).
-		c.ftCheckRevoked(nil)
-	}
+	// A collective on a revoked communicator can never complete; fail it
+	// before any message moves (recv would catch it anyway, but root-only
+	// send patterns like Scatter would first leak sends).
+	c.ftCheckRevoked(nil)
 	c.seq++
 	c.proc.stats.Add(iostat.MPICollectives, 1)
 	ctx := c.ctx | (c.seq & 0x7FFFFFFF)

@@ -72,8 +72,8 @@ func (f *File) fallbackIndependent(err error) error {
 
 // WriteAtAll collectively writes len(buf) view-data bytes at view offset
 // off. Every communicator member must call it (possibly with an empty
-// buffer). With the failure detector armed, a peer crash mid-collective
-// surfaces here as a communicator revocation; the failover path
+// buffer). A peer crash mid-collective surfaces here as a communicator
+// revocation (mpi's failure detector is always on); the failover path
 // (failover.go) drains, shrinks, and replays the incomplete rounds over
 // the survivors.
 //

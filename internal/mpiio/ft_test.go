@@ -6,12 +6,12 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"pnetcdf/internal/fault"
 	"pnetcdf/internal/iostat"
 	"pnetcdf/internal/mpi"
 	"pnetcdf/internal/mpitype"
+	"pnetcdf/internal/pfs"
 )
 
 // The failover matrix: kill one rank at each crash point of the round loop,
@@ -24,9 +24,8 @@ import (
 // the dead rank's share.
 
 const (
-	ftioTimeout = 15 * time.Millisecond
-	ftioRegion  = int64(256 << 10) // bytes per rank: 8 rounds of 64 KiB per domain
-	ftioProcs   = 4
+	ftioRegion = int64(256 << 10) // bytes per rank: 8 rounds of 64 KiB per domain
+	ftioProcs  = 4
 )
 
 // ftioHints forces a deterministic multi-round two-phase shape: two
@@ -52,6 +51,7 @@ func ftioPattern(rank int, n int64) []byte {
 // ftioResult is one survivor's view of the failed collective.
 type ftioResult struct {
 	err      error
+	clock    float64 // the rank's virtual time when the collective returned
 	detected int64
 	shrinks  int64
 	failover int64
@@ -69,7 +69,7 @@ func runFTWrite(t *testing.T, victim int, point string, occurrence int64) ([]byt
 	fsys.SetFault(inj)
 	var mu sync.Mutex
 	results := map[int]ftioResult{}
-	err := mpi.RunFT(ftioProcs, mpi.DefaultNet(), ftioTimeout, func(c *mpi.Comm) error {
+	err := mpi.Run(ftioProcs, mpi.DefaultNet(), func(c *mpi.Comm) error {
 		rank := c.Rank()
 		c.Proc().SetStats(iostat.New())
 		f, err := Open(c, fsys, "ftw", ModeRdWr|ModeCreate, ftioHints())
@@ -84,6 +84,7 @@ func runFTWrite(t *testing.T, victim int, point string, occurrence int64) ([]byt
 		mu.Lock()
 		results[rank] = ftioResult{
 			err:      werr,
+			clock:    c.Clock(),
 			detected: st.Get(iostat.FTFailuresDetected),
 			shrinks:  st.Get(iostat.FTCommShrinks),
 			failover: st.Get(iostat.FTFailoverRounds),
@@ -211,7 +212,42 @@ func TestFTKillWriteFailover(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			img, results := runFTWrite(t, tc.victim, tc.point, tc.occurrence)
 			checkFTWrite(t, img, results, tc.victim)
+			// Detection is by quiescence, so a kill run repeats: the same
+			// file image, the same error, the same survivor clocks — with
+			// the detection latency inside them.
+			for rep := 1; rep < 3; rep++ {
+				img2, results2 := runFTWrite(t, tc.victim, tc.point, tc.occurrence)
+				if !bytes.Equal(img2, img) {
+					t.Fatalf("repeat %d: file image differs from the first run's", rep)
+				}
+				sameFTOutcome(t, rep, results2, results)
+			}
 		})
+	}
+}
+
+// sameFTOutcome checks that a repeated kill run left every survivor with
+// the first run's error string and virtual clock, and that the clock
+// contains the detection latency (at the parent commit, where detection
+// was a wall-clock deadline, a killed 4-rank write finished at 0.083 s of
+// virtual time as if detecting had been free).
+func sameFTOutcome(t *testing.T, rep int, got, first map[int]ftioResult) {
+	t.Helper()
+	if len(got) != len(first) {
+		t.Fatalf("repeat %d: %d survivors, the first run had %d", rep, len(got), len(first))
+	}
+	for rank, res := range got {
+		ref := first[rank]
+		if a, b := fmt.Sprint(res.err), fmt.Sprint(ref.err); a != b {
+			t.Fatalf("repeat %d: rank %d returned %q, the first run %q", rep, rank, a, b)
+		}
+		if res.clock != ref.clock {
+			t.Fatalf("repeat %d: rank %d finished at %.9f s, the first run at %.9f s", rep, rank, res.clock, ref.clock)
+		}
+		if res.clock < mpi.FTDetectLatency || res.clock > mpi.FTDetectLatency+0.5 {
+			t.Fatalf("rank %d finished at %.4f s: the failover should cost FTDetectLatency (%.1f s) plus a fraction of a second of I/O",
+				rank, res.clock, mpi.FTDetectLatency)
+		}
 	}
 }
 
@@ -235,118 +271,117 @@ func TestFTKillReadFailover(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			fsys := testFS()
-			// Seed the file undisturbed, then kill during the read-back.
-			runWorld(t, ftioProcs, func(c *mpi.Comm) error {
-				f, err := Open(c, fsys, "ftr", ModeRdWr|ModeCreate, ftioHints())
-				if err != nil {
-					return err
+			var first map[int]ftioResult
+			for rep := 0; rep < 3; rep++ {
+				got, results := runFTRead(t, tc.victim, tc.point, tc.occurrence)
+				if len(got) != ftioProcs-1 {
+					t.Fatalf("%d survivors, want %d", len(got), ftioProcs-1)
 				}
-				if err := f.SetView(int64(c.Rank())*ftioRegion, mpitype.Contig(ftioRegion)); err != nil {
-					return err
+				for rank, res := range results {
+					if res.err != nil {
+						t.Fatalf("rank %d: read failover returned %v, want nil (full recovery)", rank, res.err)
+					}
+					if !bytes.Equal(got[rank], ftioPattern(rank, ftioRegion)) {
+						t.Fatalf("rank %d: read-back differs after failover", rank)
+					}
 				}
-				if err := f.WriteAtAll(0, ftioPattern(c.Rank(), ftioRegion)); err != nil {
-					return err
-				}
-				return f.Close()
-			})
-			inj := fault.New(fault.Config{Seed: 1})
-			inj.KillRankAt(tc.victim, tc.point, tc.occurrence)
-			fsys.SetFault(inj)
-			var mu sync.Mutex
-			got := map[int][]byte{}
-			errs := map[int]error{}
-			err := mpi.RunFT(ftioProcs, mpi.DefaultNet(), ftioTimeout, func(c *mpi.Comm) error {
-				rank := c.Rank()
-				c.Proc().SetStats(iostat.New())
-				f, err := Open(c, fsys, "ftr", ModeRdOnly, ftioHints())
-				if err != nil {
-					return err
-				}
-				if err := f.SetView(int64(rank)*ftioRegion, mpitype.Contig(ftioRegion)); err != nil {
-					return err
-				}
-				buf := make([]byte, ftioRegion)
-				rerr := f.ReadAtAll(0, buf)
-				mu.Lock()
-				got[rank] = buf
-				errs[rank] = rerr
-				mu.Unlock()
-				return f.Close()
-			})
-			if err != nil {
-				t.Fatalf("world: %v", err)
-			}
-			if len(got) != ftioProcs-1 {
-				t.Fatalf("%d survivors, want %d", len(got), ftioProcs-1)
-			}
-			for rank, rerr := range errs {
-				if rerr != nil {
-					t.Fatalf("rank %d: read failover returned %v, want nil (full recovery)", rank, rerr)
-				}
-				if !bytes.Equal(got[rank], ftioPattern(rank, ftioRegion)) {
-					t.Fatalf("rank %d: read-back differs after failover", rank)
+				if first == nil {
+					first = results
+				} else {
+					sameFTOutcome(t, rep, results, first)
 				}
 			}
 		})
 	}
 }
 
-// TestFTCleanRunByteIdentical: the detector being armed must not change a
-// single output byte or trigger any FT machinery on a fault-free run.
-func TestFTCleanRunByteIdentical(t *testing.T) {
-	run := func(detector bool) []byte {
-		fsys := testFS()
-		fn := func(c *mpi.Comm) error {
-			c.Proc().SetStats(iostat.New())
-			f, err := Open(c, fsys, "clean", ModeRdWr|ModeCreate, ftioHints())
-			if err != nil {
-				return err
-			}
-			if err := f.SetView(int64(c.Rank())*ftioRegion, mpitype.Contig(ftioRegion)); err != nil {
-				return err
-			}
-			if err := f.WriteAtAll(0, ftioPattern(c.Rank(), ftioRegion)); err != nil {
-				return err
-			}
-			for _, ctr := range []iostat.Counter{
-				iostat.FTFailuresDetected, iostat.FTCommShrinks,
-				iostat.FTFailoverRounds, iostat.FTDegradedCompletions,
-			} {
-				if v := c.Proc().Stats().Get(ctr); v != 0 {
-					return fmt.Errorf("clean run: %s = %d", ctr, v)
-				}
-			}
-			return f.Close()
-		}
-		var err error
-		if detector {
-			err = mpi.RunFT(ftioProcs, mpi.DefaultNet(), ftioTimeout, fn)
-		} else {
-			err = mpi.Run(ftioProcs, mpi.DefaultNet(), fn)
-		}
-		if err != nil {
-			t.Fatalf("world: %v", err)
-		}
-		pf, _, err := fsys.Open("clean", 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		img := make([]byte, pf.Size())
-		if _, err := pf.ReadAt(0, img, 0); err != nil {
-			t.Fatal(err)
-		}
-		return img
+// ftioWriteUndisturbed is the matrix's collective write with nobody killed:
+// every rank writes its pattern into its region of name and closes.
+func ftioWriteUndisturbed(c *mpi.Comm, fsys *pfs.FS, name string) error {
+	f, err := Open(c, fsys, name, ModeRdWr|ModeCreate, ftioHints())
+	if err != nil {
+		return err
 	}
-	if !bytes.Equal(run(false), run(true)) {
-		t.Fatal("detector changed output bytes on a fault-free run")
+	if err := f.SetView(int64(c.Rank())*ftioRegion, mpitype.Contig(ftioRegion)); err != nil {
+		return err
+	}
+	if err := f.WriteAtAll(0, ftioPattern(c.Rank(), ftioRegion)); err != nil {
+		return err
+	}
+	return f.Close()
+}
+
+// runFTRead seeds the file undisturbed, then runs the collective read-back
+// with victim killed at (point, occurrence); it returns the survivors'
+// buffers and results indexed by original rank.
+func runFTRead(t *testing.T, victim int, point string, occurrence int64) (map[int][]byte, map[int]ftioResult) {
+	t.Helper()
+	fsys := testFS()
+	runWorld(t, ftioProcs, func(c *mpi.Comm) error { return ftioWriteUndisturbed(c, fsys, "ftr") })
+	inj := fault.New(fault.Config{Seed: 1})
+	inj.KillRankAt(victim, point, occurrence)
+	fsys.SetFault(inj)
+	var mu sync.Mutex
+	got := map[int][]byte{}
+	results := map[int]ftioResult{}
+	err := mpi.Run(ftioProcs, mpi.DefaultNet(), func(c *mpi.Comm) error {
+		rank := c.Rank()
+		f, err := Open(c, fsys, "ftr", ModeRdOnly, ftioHints())
+		if err != nil {
+			return err
+		}
+		if err := f.SetView(int64(rank)*ftioRegion, mpitype.Contig(ftioRegion)); err != nil {
+			return err
+		}
+		buf := make([]byte, ftioRegion)
+		rerr := f.ReadAtAll(0, buf)
+		mu.Lock()
+		got[rank] = buf
+		results[rank] = ftioResult{err: rerr, clock: c.Clock()}
+		mu.Unlock()
+		return f.Close()
+	})
+	if err != nil {
+		t.Fatalf("world: %v", err)
+	}
+	return got, results
+}
+
+// TestFTCleanRunByteIdentical: a fault-free run triggers no FT machinery
+// and writes exactly the bytes it was given — the always-on detector costs
+// a clean run nothing it can observe.
+func TestFTCleanRunByteIdentical(t *testing.T) {
+	fsys := testFS()
+	runWorld(t, ftioProcs, func(c *mpi.Comm) error {
+		c.Proc().SetStats(iostat.New())
+		if err := ftioWriteUndisturbed(c, fsys, "clean"); err != nil {
+			return err
+		}
+		for _, ctr := range []iostat.Counter{
+			iostat.FTFailuresDetected, iostat.FTCommShrinks,
+			iostat.FTFailoverRounds, iostat.FTDegradedCompletions,
+		} {
+			if v := c.Proc().Stats().Get(ctr); v != 0 {
+				return fmt.Errorf("clean run: %s = %d", ctr, v)
+			}
+		}
+		if c.Clock() >= mpi.FTDetectLatency {
+			return fmt.Errorf("clean run finished at %.4f s: it paid for a detection", c.Clock())
+		}
+		return nil
+	})
+	img := fileImage(t, fsys, "clean")
+	for rank := 0; rank < ftioProcs; rank++ {
+		base := int64(rank) * ftioRegion
+		if !bytes.Equal(img[base:base+ftioRegion], ftioPattern(rank, ftioRegion)) {
+			t.Fatalf("rank %d's region differs from what it wrote", rank)
+		}
 	}
 }
 
-// TestFTWithoutDetectorStillAgrees: without PNETCDF_FT_TIMEOUT a kill run
-// would hang (real-MPI semantics), so this only checks the plumbing stays
-// off: Revoked() is false and the injector alone does nothing when no kill
-// point is reached by the armed rank.
+// TestFTWithoutDetectorStillAgrees (the name predates the always-on
+// detector): an injector armed for a kill that never fires changes
+// nothing — no revocation, no deadlock report, a clean collective.
 func TestFTWithoutDetectorStillAgrees(t *testing.T) {
 	fsys := testFS()
 	inj := fault.New(fault.Config{Seed: 1})

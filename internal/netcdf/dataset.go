@@ -173,6 +173,10 @@ func (d *Dataset) DefDim(name string, size int64) (int, error) {
 	if size == 0 && d.hdr.UnlimitedDimID() >= 0 {
 		return -1, nctype.ErrMultiUnlimited
 	}
+	if len(d.hdr.Dims) >= nctype.MaxDims {
+		// As with MaxVars below: cdf.Decode refuses a longer dim_list.
+		return -1, nctype.ErrMaxDims
+	}
 	return d.hdr.AddDim(cdf.Dim{Name: name, Len: size}), nil
 }
 

@@ -980,10 +980,10 @@ func TestOptionsAndHeaderAccessors(t *testing.T) {
 	}
 }
 
-// TestDefinitionLimits: cdf.Decode refuses more than MaxVars variables (or
-// MaxAttrs attributes in one list), so the define calls must refuse them
-// first — a dataset at the limit reopens, and the one beyond it cannot be
-// made.
+// TestDefinitionLimits: cdf.Decode refuses more than MaxVars variables,
+// MaxDims dimensions (in the file or on one variable) or MaxAttrs attributes
+// in one list, so the define calls must refuse them first — a dataset at
+// the limits reopens, and the one beyond them cannot be made.
 func TestDefinitionLimits(t *testing.T) {
 	store := &MemStore{}
 	d, err := Create(store, nctype.Clobber)
@@ -994,7 +994,24 @@ func TestDefinitionLimits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < nctype.MaxVars; i++ {
+	all := []int{x}
+	for i := 1; i < nctype.MaxDims; i++ {
+		id, err := d.DefDim(fmt.Sprintf("d%d", i), 1)
+		if err != nil {
+			t.Fatalf("dimension %d of %d: %v", i+1, nctype.MaxDims, err)
+		}
+		all = append(all, id)
+	}
+	if _, err := d.DefDim("one_too_many", 1); !errors.Is(err, nctype.ErrMaxDims) {
+		t.Fatalf("dimension %d: err = %v, want ErrMaxDims", nctype.MaxDims+1, err)
+	}
+	if _, err := d.DefVar("too_wide", nctype.Byte, append([]int{x}, all...)); !errors.Is(err, nctype.ErrMaxDims) {
+		t.Fatalf("variable of %d dimensions: err = %v, want ErrMaxDims", nctype.MaxDims+1, err)
+	}
+	if _, err := d.DefVar("widest", nctype.Byte, all); err != nil {
+		t.Fatalf("variable of %d dimensions: %v", nctype.MaxDims, err)
+	}
+	for i := 1; i < nctype.MaxVars; i++ {
 		if _, err := d.DefVar(fmt.Sprintf("v%d", i), nctype.Byte, []int{x}); err != nil {
 			t.Fatalf("variable %d of %d: %v", i+1, nctype.MaxVars, err)
 		}
@@ -1022,5 +1039,8 @@ func TestDefinitionLimits(t *testing.T) {
 	}
 	if n := len(r.Header().GAttrs); n != nctype.MaxAttrs {
 		t.Fatalf("reopened %d global attributes, want %d", n, nctype.MaxAttrs)
+	}
+	if n := len(r.Header().Dims); n != nctype.MaxDims {
+		t.Fatalf("reopened %d dimensions, want %d", n, nctype.MaxDims)
 	}
 }
