@@ -91,16 +91,19 @@ func AblationPrefetch(m MachineSpec, nprocs, nreads int) (AblationResult, error)
 	return AblationResult{Name: "nc_prefetch_vars hint", Chosen: with, Baseline: without}, nil
 }
 
-// AblationVarAlign measures the nc_var_align_size hint: with the file
-// system's partial-stripe read-modify-write, aligning variable starts to
-// the stripe lets independent whole-variable writes skip the RMW penalty.
+// AblationVarAlign measures the default layout — variables of four stripes
+// or more begun on a stripe — against the classic packed one, which an
+// explicit nc_var_align_size=1 still gives. Every variable is eight stripes
+// long and written by one collective, the FLASH checkpoint's pattern: packed,
+// each collective opens and closes with a partial block and pays the file
+// system's read-modify-write for both.
 func AblationVarAlign(m MachineSpec, nvars, nprocs int) (AblationResult, error) {
-	run := func(alignHint bool) (float64, error) {
+	run := func(packed bool) (float64, error) {
 		fsys := m.NewFS()
-		stripe := m.FS.StripeSize
-		info := mpi.NewInfo().Set("romio_cb_write", "disable") // independent writes
-		if alignHint {
-			info.Set("nc_var_align_size", fmt.Sprint(stripe))
+		share := 2 * m.FS.StripeSize / int64(nprocs) // floats per rank
+		info := mpi.NewInfo()
+		if packed {
+			info.Set("nc_var_align_size", "1")
 		}
 		var makespan float64
 		err := mpi.Run(nprocs, m.Net, func(c *mpi.Comm) error {
@@ -108,9 +111,7 @@ func AblationVarAlign(m MachineSpec, nvars, nprocs int) (AblationResult, error) 
 			if err != nil {
 				return err
 			}
-			// One stripe-sized variable per process; each process writes its
-			// own variable independently (a per-rank-output pattern).
-			x, _ := d.DefDim("x", stripe/4)
+			x, _ := d.DefDim("x", share*int64(nprocs))
 			ids := make([]int, nvars)
 			for i := range ids {
 				ids[i], _ = d.DefVar(fmt.Sprintf("v%02d", i), nctype.Float, []int{x})
@@ -118,24 +119,15 @@ func AblationVarAlign(m MachineSpec, nvars, nprocs int) (AblationResult, error) 
 			if err := d.EndDef(); err != nil {
 				return err
 			}
-			buf := make([]float32, stripe/4)
+			buf := make([]float32, share)
 			c.Proc().SetClock(0)
 			fsys.ResetClock()
 			c.Barrier()
 			t0 := c.Clock()
-			if err := d.BeginIndepData(); err != nil {
-				return err
-			}
-			for i, v := range ids {
-				if i%nprocs == c.Rank() {
-					//nclint:allow=collsym -- inside BeginIndepData/EndIndepData: PutVara takes the independent path, no collective is reached
-					if err := d.PutVara(v, []int64{0}, []int64{stripe / 4}, buf); err != nil {
-						return err
-					}
+			for _, v := range ids {
+				if err := d.PutVaraAll(v, []int64{share * int64(c.Rank())}, []int64{share}, buf); err != nil {
+					return err
 				}
-			}
-			if err := d.EndIndepData(); err != nil {
-				return err
 			}
 			end := c.AllreduceF64([]float64{c.Clock()}, mpi.OpMax)[0]
 			if c.Rank() == 0 {
@@ -145,13 +137,13 @@ func AblationVarAlign(m MachineSpec, nvars, nprocs int) (AblationResult, error) 
 		})
 		return makespan, err
 	}
-	aligned, err := run(true)
+	aligned, err := run(false)
 	if err != nil {
 		return AblationResult{}, err
 	}
-	unaligned, err := run(false)
+	packed, err := run(true)
 	if err != nil {
-		return AblationResult{}, err
+		return AblationResult{}, fmt.Errorf("nc_var_align_size=1: %w", err)
 	}
-	return AblationResult{Name: "nc_var_align_size hint", Chosen: aligned, Baseline: unaligned}, nil
+	return AblationResult{Name: "stripe-aligned layout (default)", Chosen: aligned, Baseline: packed}, nil
 }

@@ -36,14 +36,19 @@ import (
 //  2. invalidate the in-place magic (zero the first 4 bytes);
 //  3. write the new header body (bytes 4..);
 //  4. publish: write the magic (bytes 0..4) last;
-//  5. erase the journal, so its bytes cannot masquerade as record data once
-//     the record section grows over the region.
+//  5. cut the journal off: set the file's size back to where the journal
+//     began, so the file ends where its header says, the next recommit parks
+//     its journal at the same place rather than past this one, and no
+//     journal byte can masquerade as record data once the record section
+//     grows over the region. (Should the file have grown past the journal
+//     meanwhile, the journal is overwritten with zeros instead: nothing
+//     behind it may be cut off.)
 //
 // A crash at any byte leaves one of two states: the old header intact
 // (steps 1 and earlier — a torn journal has no valid trailer and is
 // ignored), or an unreadable in-place header plus a complete journal from
-// which the new header is recovered. A crash during the erase is harmless:
-// the new header is already live, and trailing bytes are legal — CheckLayout
+// which the new header is recovered. A crash before the cut is harmless: the
+// new header is already live, and trailing bytes are legal — CheckLayout
 // tolerates files larger than the header declares.
 //
 // The trailer sits at the very end so it can be found from the file size
@@ -78,24 +83,37 @@ func CommitHeader(f CommitFile, img []byte, declaredEnd int64) (written int64, e
 		p   []byte
 		off int64
 	}
-	var steps []step
+	// write runs steps in order, counting the bytes of those that complete.
+	write := func(steps ...step) error {
+		for _, s := range steps {
+			if err := f.WriteAt(s.p, s.off); err != nil {
+				return err
+			}
+			written += int64(len(s.p))
+		}
+		return nil
+	}
 	end := max(declaredEnd, int64(len(img)))
 	if size == 0 {
 		if err := f.SetSize(end); err != nil {
 			return 0, err
 		}
-		steps = []step{{img[4:], 4}, {img[:4], 0}}
-	} else {
-		journal, jOff := EncodeJournal(img), max(size, end)
-		steps = []step{{journal, jOff}, {make([]byte, 4), 0}, {img[4:], 4}, {img[:4], 0}, {make([]byte, len(journal)), jOff}}
+		err = write(step{img[4:], 4}, step{img[:4], 0})
+		return written, err
 	}
-	for _, s := range steps {
-		if err := f.WriteAt(s.p, s.off); err != nil {
-			return written, err
-		}
-		written += int64(len(s.p))
+	journal, jOff := EncodeJournal(img), max(size, end)
+	if err = write(step{journal, jOff}, step{make([]byte, 4), 0}, step{img[4:], 4}, step{img[:4], 0}); err != nil {
+		return written, err
 	}
-	return written, nil
+	if size, err = f.Size(); err != nil {
+		return written, err
+	}
+	if size != jOff+int64(len(journal)) {
+		// The file grew past the journal: erase it where it lies.
+		err = write(step{make([]byte, len(journal)), jOff})
+		return written, err
+	}
+	return written, f.SetSize(jOff)
 }
 
 // JournalMagic terminates a valid commit journal.

@@ -41,13 +41,28 @@ func (h *Header) VarSlotSize(v *Var) int64 {
 // can grow without moving data; PnetCDF exposes this as the
 // nc_header_align_size hint.
 func (h *Header) ComputeLayout(hAlign int64) error {
-	return h.ComputeLayoutAligned(hAlign, 1)
+	return h.ComputeLayoutAligned(hAlign, 1, 0)
 }
 
-// ComputeLayoutAligned additionally aligns the start of every fixed-size
-// variable to vAlign bytes (PnetCDF's nc_var_align_size hint, useful for
-// matching file-system stripe boundaries).
-func (h *Header) ComputeLayoutAligned(hAlign, vAlign int64) error {
+// ComputeLayoutAligned is the one place a begin is assigned. On top of the
+// classic rules it starts every fixed-size variable whose VSize is at least
+// vMin on a vAlign boundary; a smaller one stays packed at 4 bytes behind its
+// predecessor. The two shapes callers use:
+//
+//   - (unit, 4*unit), unit the file system's striping unit — PnetCDF's
+//     default layout. A variable of four stripes or more begins on a stripe,
+//     so a collective over it pays no partial-block read-modify-write for
+//     where the library put it; the padding is under a quarter of any
+//     variable it is spent on, and a header full of small variables packs
+//     exactly as the classic format does.
+//   - (n, 0) — an explicit nc_var_align_size=n: every fixed variable on an
+//     n-byte boundary; n = 1 is the classic layout, ComputeLayout's.
+//
+// The rule is per variable and reads nothing but the schema and the two
+// numbers, so a file's bytes are a function of its logical contents and the
+// striping unit alone. Record variables are never padded: their begins are
+// tied to one another by the record size.
+func (h *Header) ComputeLayoutAligned(hAlign, vAlign, vMin int64) error {
 	if hAlign < 1 {
 		hAlign = 1
 	}
@@ -79,7 +94,7 @@ func (h *Header) ComputeLayoutAligned(hAlign, vAlign int64) error {
 		if h.IsRecordVar(v) {
 			continue
 		}
-		if r := offset % vAlign; r != 0 {
+		if r := offset % vAlign; r != 0 && v.VSize >= vMin {
 			offset += vAlign - r
 		}
 		v.Begin = offset

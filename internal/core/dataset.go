@@ -24,7 +24,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 
 	"pnetcdf/internal/cdf"
 	"pnetcdf/internal/iostat"
@@ -54,8 +53,10 @@ type Dataset struct {
 	ro     bool
 	closed bool
 
-	hAlign, vAlign int64
-	fill           bool
+	// hAlign, vAlign and vMin are cdf.ComputeLayoutAligned's arguments, fixed
+	// at open (see layoutHints).
+	hAlign, vAlign, vMin int64
+	fill                 bool
 
 	numrecsDirty bool // independent-mode record growth pending reconciliation
 
@@ -88,7 +89,9 @@ type Dataset struct {
 
 // Create collectively creates a new dataset, entering define mode. cmode may
 // include nctype.NoClobber, nctype.Bit64Offset, nctype.Bit64Data. PnetCDF
-// hints read from info: nc_header_align_size, nc_var_align_size.
+// hints read from info: nc_header_align_size (default 1) and
+// nc_var_align_size (default: chosen from the file system's striping, see
+// layoutHints).
 func Create(comm *mpi.Comm, fsys *pfs.FS, path string, cmode int, info *mpi.Info) (*Dataset, error) {
 	if comm == nil {
 		return nil, nctype.ErrNullComm
@@ -114,9 +117,8 @@ func Create(comm *mpi.Comm, fsys *pfs.FS, path string, cmode int, info *mpi.Info
 		comm: comm, fsys: fsys, f: f, path: path,
 		hdr:    &cdf.Header{Version: version},
 		define: true,
-		hAlign: info.GetInt("nc_header_align_size", 1),
-		vAlign: info.GetInt("nc_var_align_size", 1),
 	}
+	d.layoutHints(info)
 	d.st, d.tr = comm.Proc().Stats(), comm.Proc().Trace()
 	d.sp = comm.Proc().Spans()
 	return d, nil
@@ -186,13 +188,12 @@ func Open(comm *mpi.Comm, fsys *pfs.FS, path string, omode int, info *mpi.Info) 
 	}
 	d := &Dataset{
 		comm: comm, fsys: fsys, f: f, path: path,
-		hdr:    hdr,
-		ro:     omode&nctype.Write == 0,
-		hAlign: info.GetInt("nc_header_align_size", 1),
-		vAlign: info.GetInt("nc_var_align_size", 1),
+		hdr: hdr,
+		ro:  omode&nctype.Write == 0,
 
 		persistedNumRecs: hdr.NumRecs,
 	}
+	d.layoutHints(info)
 	d.st, d.tr = comm.Proc().Stats(), comm.Proc().Trace()
 	d.sp = comm.Proc().Spans()
 	d.st.Add(iostat.NCHeaderBcastBytes, int64(len(blob)))
@@ -209,6 +210,21 @@ func Open(comm *mpi.Comm, fsys *pfs.FS, path string, omode int, info *mpi.Info) 
 		return nil, err
 	}
 	return d, nil
+}
+
+// layoutHints fixes the layout rule EndDef applies for as long as the dataset
+// is open. An nc_var_align_size the caller gives puts every fixed variable on
+// that boundary (1 is the classic packed layout, the serial library's). When
+// it is absent the unit is the striping_unit MPI-IO reports for the file, as
+// in PnetCDF, and it is spent only on variables of at least four units: those
+// are the ones collective writes cross many stripes for, and padding stays
+// under a quarter of whatever it precedes.
+func (d *Dataset) layoutHints(info *mpi.Info) {
+	d.hAlign = info.GetInt("nc_header_align_size", 1)
+	if d.vAlign = info.GetInt("nc_var_align_size", 0); d.vAlign < 1 {
+		d.vAlign = d.f.Info().GetInt("striping_unit", 1)
+		d.vMin = 4 * d.vAlign
+	}
 }
 
 // Comm returns the dataset's communicator.
@@ -419,7 +435,7 @@ func (d *Dataset) EndDef() error {
 	if err := d.hdr.Validate(); err != nil {
 		return err
 	}
-	if err := d.hdr.ComputeLayoutAligned(d.hAlign, d.vAlign); err != nil {
+	if err := d.hdr.ComputeLayoutAligned(d.hAlign, d.vAlign, d.vMin); err != nil {
 		return err
 	}
 	d.invalidateViews()
@@ -514,84 +530,33 @@ func (d *Dataset) commitHeader(img []byte) error {
 	return nil
 }
 
-// relocate moves data after a header-growing Redef. Moves whose
-// destinations clear all the old data are divided among the processes
-// ("moving the existing data to the extended area is performed in
-// parallel", paper §4.3); otherwise a destination may be another move's
-// source, and the root walks them back to front.
+// relocate moves data to the layout EndDef has just computed, following
+// cdf.RelocationPlan. Moves whose destinations clear all the old data are
+// divided among the processes ("moving the existing data to the extended
+// area is performed in parallel", paper §4.3); otherwise a destination may be
+// another move's source, and the root carries the plan out in its order.
 func (d *Dataset) relocate(old *cdf.Header) error {
-	type move struct{ from, to, n int64 }
-	var moves []move
-	for i := range d.hdr.Vars {
-		nv := &d.hdr.Vars[i]
-		oi := old.FindVar(nv.Name)
-		if oi < 0 {
-			continue
-		}
-		ov := &old.Vars[oi]
-		if d.hdr.IsRecordVar(nv) {
-			for rec := old.NumRecs - 1; rec >= 0; rec-- {
-				moves = append(moves, move{old.RecordOffset(ov, rec), d.hdr.RecordOffset(nv, rec), ov.VSize})
-			}
-		} else {
-			moves = append(moves, move{ov.Begin, nv.Begin, ov.VSize})
-		}
-	}
-	// Descending destination; destinations are distinct.
-	sort.Slice(moves, func(a, b int) bool { return moves[a].to > moves[b].to })
+	moves := d.hdr.RelocationPlan(old)
 	// Ranks may take moves independently only when nothing is written where
 	// something is still to be read — by that move or by one another rank
 	// has not reached yet: every destination lies past every source.
 	lowestTo, highestFromEnd := int64(math.MaxInt64), int64(0)
 	for _, m := range moves {
-		if m.from != m.to && m.n > 0 {
-			lowestTo = min(lowestTo, m.to)
-			highestFromEnd = max(highestFromEnd, m.from+m.n)
-		}
+		lowestTo = min(lowestTo, m.To)
+		highestFromEnd = max(highestFromEnd, m.From+m.N)
 	}
-	overlapping := lowestTo < highestFromEnd
+	parallel := lowestTo >= highestFromEnd
 	buf := make([]byte, 1<<20)
-	doMove := func(m move) error {
-		remaining := m.n
-		for remaining > 0 {
-			k := remaining
-			if k > int64(len(buf)) {
-				k = int64(len(buf))
-			}
-			srcOff := m.from + remaining - k
-			dstOff := m.to + remaining - k
-			if err := d.f.ReadRaw(buf[:k], srcOff); err != nil {
-				return err
-			}
-			if err := d.f.WriteRaw(buf[:k], dstOff); err != nil {
-				return err
-			}
-			remaining -= k
+	for i, m := range moves {
+		mover := 0
+		if parallel {
+			mover = i % d.comm.Size()
 		}
-		return nil
-	}
-	if overlapping {
-		// Order matters: the root performs all moves back to front.
-		if d.comm.Rank() == 0 {
-			for _, m := range moves {
-				if m.from != m.to && m.n > 0 {
-					if err := doMove(m); err != nil {
-						return err
-					}
-				}
-			}
+		if mover != d.comm.Rank() {
+			continue
 		}
-	} else {
-		// Independent moves: round-robin over ranks, truly parallel.
-		for i, m := range moves {
-			if m.from == m.to || m.n == 0 {
-				continue
-			}
-			if i%d.comm.Size() == d.comm.Rank() {
-				if err := doMove(m); err != nil {
-					return err
-				}
-			}
+		if err := m.Copy(buf, d.f.ReadRaw, d.f.WriteRaw); err != nil {
+			return err
 		}
 	}
 	d.comm.Barrier()

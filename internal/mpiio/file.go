@@ -8,7 +8,8 @@
 //
 // Hints follow ROMIO's vocabulary: cb_nodes, cb_buffer_size,
 // romio_cb_read/write, romio_ds_read/write, ind_rd_buffer_size,
-// ind_wr_buffer_size, plus striping_unit (passed to pfs-aware callers).
+// ind_wr_buffer_size. Info additionally reports striping_unit and
+// striping_factor, which are the file system's to set, not the caller's.
 package mpiio
 
 import (
@@ -16,6 +17,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"strconv"
 
 	"pnetcdf/internal/fault"
 	"pnetcdf/internal/iostat"
@@ -188,6 +190,12 @@ func Open(comm *mpi.Comm, fsys *pfs.FS, name string, amode int, info *mpi.Info) 
 	}
 	f := &File{comm: comm, fs: fsys, pf: pf, amode: amode, hints: resolveHints(comm, info), info: info.Clone(),
 		retry: fault.DefaultRetryPolicy()}
+	// As MPI_File_get_info does under ROMIO, Info reports the striping the
+	// file has; this file system stripes every file alike, so a value the
+	// caller supplied is advice it cannot take.
+	cfg := fsys.Config()
+	f.info.Set("striping_unit", strconv.FormatInt(cfg.StripeSize, 10))
+	f.info.Set("striping_factor", strconv.Itoa(cfg.NumServers))
 	f.st, f.tr = comm.Proc().Stats(), comm.Proc().Trace()
 	f.sp = comm.Proc().Spans()
 	pf.SetStats(f.st, f.tr, comm.Rank())
@@ -206,7 +214,8 @@ func (f *File) Comm() *mpi.Comm { return f.comm }
 // Hints returns the resolved hint set.
 func (f *File) Hints() Hints { return f.hints }
 
-// Info returns the hint object the file was opened with.
+// Info returns the hints the file was opened with, plus the striping_unit
+// (bytes) and striping_factor (I/O servers) of the file system it is on.
 func (f *File) Info() *mpi.Info { return f.info }
 
 // SetView installs the file view: data byte i of the view maps through the

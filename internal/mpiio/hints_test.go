@@ -1,10 +1,12 @@
 package mpiio
 
 import (
+	"fmt"
 	"os"
 	"testing"
 
 	"pnetcdf/internal/mpi"
+	"pnetcdf/internal/pfs"
 )
 
 // resolveHints must clamp or ignore out-of-range values: more aggregators
@@ -131,4 +133,37 @@ func TestCollectivePlanDomainsPartition(t *testing.T) {
 			t.Errorf("case %d: domains cover %d bytes, want %d", ci, covered, p.gmax-p.gmin)
 		}
 	}
+}
+
+// Info reports the striping of the file system the file is on, as
+// MPI_File_get_info does under ROMIO: striping_unit and striping_factor are
+// there whatever the caller passed, a value the caller supplied for them is
+// advice this file system cannot take, and the caller's other hints — and the
+// caller's own Info object — are kept as given.
+func TestInfoReportsStriping(t *testing.T) {
+	cfg := pfs.DefaultConfig()
+	cfg.StripeSize, cfg.NumServers = 64<<10, 5
+	fsys := pfs.New(cfg)
+	given := mpi.NewInfo().Set("striping_unit", "12345").Set("striping_factor", "99").Set("cb_nodes", "2")
+	runWorld(t, 2, func(c *mpi.Comm) error {
+		for _, info := range []*mpi.Info{nil, given} {
+			f, err := Open(c, fsys, "striped", ModeRdWr|ModeCreate, info)
+			if err != nil {
+				return err
+			}
+			if unit, factor := f.Info().GetInt("striping_unit", -1), f.Info().GetInt("striping_factor", -1); unit != 64<<10 || factor != 5 {
+				return fmt.Errorf("Info reports striping_unit %d, striping_factor %d; the file system has %d and %d", unit, factor, 64<<10, 5)
+			}
+			if _, ok := f.Info().Get("cb_nodes"); ok != (info != nil) {
+				return fmt.Errorf("cb_nodes present in Info: %v, given: %v", ok, info != nil)
+			}
+			if err := f.Close(); err != nil {
+				return err
+			}
+		}
+		if v, _ := given.Get("striping_unit"); v != "12345" {
+			return fmt.Errorf("Open rewrote the caller's Info: striping_unit = %q", v)
+		}
+		return nil
+	})
 }

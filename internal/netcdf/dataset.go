@@ -3,7 +3,6 @@ package netcdf
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"pnetcdf/internal/cdf"
 	"pnetcdf/internal/nctype"
@@ -353,54 +352,12 @@ func (d *Dataset) EndDef() error {
 }
 
 // relocate moves existing variable data from its pre-Redef offsets to the
-// new layout. Variables are processed in descending new offset so forward
-// moves never clobber unmoved data (the header only ever grows, so data only
-// moves toward higher offsets).
+// new layout, in cdf.RelocationPlan's order.
 func (d *Dataset) relocate(old *cdf.Header) error {
-	type move struct {
-		from, to, n int64
-	}
-	var moves []move
-	for i := range d.hdr.Vars {
-		nv := &d.hdr.Vars[i]
-		oi := old.FindVar(nv.Name)
-		if oi < 0 {
-			continue // new variable, no data yet
-		}
-		ov := &old.Vars[oi]
-		if d.hdr.IsRecordVar(nv) {
-			// Record data: move each existing record slot.
-			for rec := old.NumRecs - 1; rec >= 0; rec-- {
-				moves = append(moves, move{
-					from: old.RecordOffset(ov, rec),
-					to:   d.hdr.RecordOffset(nv, rec),
-					n:    ov.VSize,
-				})
-			}
-			continue
-		}
-		moves = append(moves, move{from: ov.Begin, to: nv.Begin, n: ov.VSize})
-	}
-	// Highest destination first; destinations are distinct.
-	sort.Slice(moves, func(a, b int) bool { return moves[a].to > moves[b].to })
 	buf := make([]byte, 1<<20)
-	for _, m := range moves {
-		if m.from == m.to || m.n == 0 {
-			continue
-		}
-		// Copy back to front within one move (destinations are higher).
-		remaining := m.n
-		for remaining > 0 {
-			k := min64(remaining, int64(len(buf)))
-			srcOff := m.from + remaining - k
-			dstOff := m.to + remaining - k
-			if err := d.cache.ReadAt(buf[:k], srcOff); err != nil {
-				return err
-			}
-			if err := d.cache.WriteAt(buf[:k], dstOff); err != nil {
-				return err
-			}
-			remaining -= k
+	for _, m := range d.hdr.RelocationPlan(old) {
+		if err := m.Copy(buf, d.cache.ReadAt, d.cache.WriteAt); err != nil {
+			return err
 		}
 	}
 	return nil

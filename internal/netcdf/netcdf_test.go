@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"pnetcdf/internal/cdf"
@@ -849,6 +850,104 @@ func TestNumRecsPersistedOnSync(t *testing.T) {
 	}
 	if r.NumRecs() != 3 {
 		t.Fatalf("persisted NumRecs = %d", r.NumRecs())
+	}
+}
+
+// TestSyncDoesNotGrowFile: every Sync recommits the header through a journal
+// parked at the end of the file, and takes the journal off again — the store
+// is as long after the fifth Sync as after the first.
+func TestSyncDoesNotGrowFile(t *testing.T) {
+	d, store, tempID, _ := newDataset(t)
+	if err := d.PutVara(tempID, []int64{0, 0, 0}, []int64{1, 4, 6}, make([]float64, 24)); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	size := len(store.Data)
+	for i := 0; i < 4; i++ {
+		if err := d.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(store.Data) != size || cdf.RecoverJournal(store.Data) != nil {
+		t.Fatalf("store grew from %d to %d bytes over four Syncs (journal at its tail: %v)",
+			size, len(store.Data), cdf.RecoverJournal(store.Data) != nil)
+	}
+}
+
+// TestRedefShrinksHeaderAndRelocates: deleting an attribute moves every
+// variable toward the front of the file, onto the tail of its predecessor's
+// old place; the data must arrive whole (cdf.RelocationPlan runs such moves
+// front to back).
+func TestRedefShrinksHeaderAndRelocates(t *testing.T) {
+	store := &MemStore{}
+	d, err := Create(store, nctype.Clobber)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tdim, _ := d.DefDim("t", 0)
+	x, _ := d.DefDim("x", 300)
+	a, _ := d.DefVar("a", nctype.Int, []int{x})
+	b, _ := d.DefVar("b", nctype.Int, []int{x})
+	r, _ := d.DefVar("r", nctype.Int, []int{tdim, x})
+	if err := d.PutAttr(GlobalID, "scratch", nctype.Char, strings.Repeat("z", 500)); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.EndDef(); err != nil {
+		t.Fatal(err)
+	}
+	ramp := func(base int32) []int32 {
+		v := make([]int32, 300)
+		for i := range v {
+			v[i] = base + int32(i)
+		}
+		return v
+	}
+	d.PutVar(a, ramp(1000))
+	d.PutVar(b, ramp(2000))
+	for rec := int64(0); rec < 3; rec++ {
+		if err := d.PutVara(r, []int64{rec, 0}, []int64{1, 300}, ramp(int32(3000+1000*rec))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := d.hdr.Vars[a].Begin
+	if err := d.Redef(); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.DelAttr(GlobalID, "scratch"); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.RenameVar(b, "b_renamed"); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.EndDef(); err != nil {
+		t.Fatal(err)
+	}
+	if after := d.hdr.Vars[a].Begin; after >= before {
+		t.Fatalf("a begins at %d after the header shrank, %d before: nothing moved back", after, before)
+	}
+	check := func(what string, got []int32, base int32) {
+		t.Helper()
+		for i, g := range got {
+			if g != base+int32(i) {
+				t.Fatalf("%s[%d] = %d after the move, want %d", what, i, g, base+int32(i))
+			}
+		}
+	}
+	got := make([]int32, 300)
+	d.GetVar(a, got)
+	check("a", got, 1000)
+	d.GetVar(b, got)
+	check("b_renamed", got, 2000)
+	for rec := int64(0); rec < 3; rec++ {
+		if err := d.GetVara(r, []int64{rec, 0}, []int64{1, 300}, got); err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("r[%d]", rec), got, int32(3000+1000*rec))
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 
