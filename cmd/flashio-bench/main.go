@@ -64,7 +64,6 @@ var (
 	metricsAt = flag.String("metrics-addr", "", "serve live JSON metrics on this address for the duration of the sweep")
 	jsonOut   = flag.String("json", "", "write machine-readable results (implies -stats) to this file")
 	faultRate = flag.Float64("fault-rate", 0, "transient-fault probability per 64 KiB transferred (0 disables injection)")
-	cbPart    = flag.String("cb-partition", "", "two-phase file-domain partitioning: even or balanced (default: library default)")
 	cbBuf     = flag.Int64("cb-buffer-size", 0, "aggregator staging-buffer bytes per two-phase round (default: library default; small values force multi-round collectives)")
 	cbNodes   = flag.Int("cb-nodes", 0, "number of collective-buffering aggregators (default: library default; ROMIO practice is the I/O-node count)")
 	outFile   = flag.String("out", "", "dump the raw image of each PnetCDF output file to this path (disables Discard; last run wins)")
@@ -167,11 +166,9 @@ func main() {
 			}
 		}
 		for _, kind := range kinds {
-			hints := cmdutil.PartitionHints(*cbPart)
+			var hints *mpi.Info
 			if *cbBuf > 0 || *cbNodes > 0 {
-				if hints == nil {
-					hints = mpi.NewInfo()
-				}
+				hints = mpi.NewInfo()
 				if *cbBuf > 0 {
 					hints.Set("cb_buffer_size", strconv.FormatInt(*cbBuf, 10))
 				}

@@ -227,7 +227,7 @@ func spanImbalance(spans []span.Span, nbuckets int) {
 	}
 	fmt.Println("per-phase rank load (seconds in phase, most imbalanced first)")
 	for _, l := range loads {
-		fmt.Printf("\n  %-12s calls=%d bytes=%d\n", l.Phase, l.Calls, l.Bytes)
+		fmt.Printf("\n  %-12s calls=%d bytes=%d busy=%d/%d\n", l.Phase, l.Calls, l.Bytes, l.Busy(), len(l.PerRank))
 		fmt.Printf("    min=%.6f mean=%.6f max=%.6f (rank %d)  imbalance=%.3fx",
 			l.Min, l.Mean, l.Max, l.MaxRank, l.Imbalance())
 		if bi := l.ByteImbalance(); bi > 0 {
@@ -246,17 +246,6 @@ func spanImbalance(spans []span.Span, nbuckets int) {
 		}
 		for i, c := range counts {
 			fmt.Printf("    %-24s %4d %s\n", labels[i], c, barString(30*c/maxC))
-		}
-	}
-	if pa := span.PlannedVsActual(spans); len(pa) > 0 {
-		fmt.Println("\nbalanced partition: planned vs actual aggregator bytes")
-		fmt.Printf("  %6s %14s %14s %8s\n", "rank", "planned", "actual", "ratio")
-		for _, p := range pa {
-			ratio := "-"
-			if p.Planned > 0 {
-				ratio = fmt.Sprintf("%.3f", float64(p.Actual)/float64(p.Planned))
-			}
-			fmt.Printf("  %6d %14d %14d %8s\n", p.Rank, p.Planned, p.Actual, ratio)
 		}
 	}
 }

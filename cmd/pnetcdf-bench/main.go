@@ -42,7 +42,6 @@ var (
 	spanOut   = flag.String("span-out", "", "write the last run's spans as Chrome trace-event JSON (see nctrace)")
 	metricsAt = flag.String("metrics-addr", "", "serve live JSON metrics on this address for the duration of the sweep")
 	faultRate = flag.Float64("fault-rate", 0, "transient-fault probability per 64 KiB transferred (0 disables injection)")
-	cbPart    = flag.String("cb-partition", "", "two-phase file-domain partitioning: even or balanced (default: library default)")
 	faultSeed = flag.Uint64("fault-seed", 1, "seed for the deterministic fault schedule")
 	cpuProf   = flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProf   = flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -122,7 +121,6 @@ func main() {
 			Trace:   trace,
 			Spans:   spans,
 			Fault:   bench.FaultOptions{Rate: *faultRate, Seed: *faultSeed},
-			Hints:   cmdutil.PartitionHints(*cbPart),
 		})
 		cmdutil.Fatal(tool, err)
 		reg.Set("last_chart", fig.Op)

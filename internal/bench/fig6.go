@@ -50,9 +50,6 @@ type Fig6Options struct {
 	Spans *span.Sink
 	// Fault injects deterministic transient faults into the runs.
 	Fault FaultOptions
-	// Hints are MPI-IO hints passed to every parallel create (e.g.
-	// cb_partition=balanced). Nil uses the defaults.
-	Hints *mpi.Info
 }
 
 // Dims64MB is the 64 MB dataset (256^3 float32).
@@ -172,7 +169,7 @@ func runFig6Parallel(opt Fig6Options, part Partition, nprocs int) (float64, *ios
 		if nbytes > 1<<31-1 {
 			mode |= nctype.Bit64Offset
 		}
-		d, err := core.Create(c, fsys, "par.nc", mode, opt.Hints)
+		d, err := core.Create(c, fsys, "par.nc", mode, nil)
 		if err != nil {
 			return err
 		}

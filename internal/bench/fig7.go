@@ -72,7 +72,7 @@ type Fig7Options struct {
 	// retry counters in Stats show the recovery cost.
 	Fault FaultOptions
 	// Hints are MPI-IO hints passed to the PnetCDF runs (e.g.
-	// cb_partition=balanced). Nil uses the defaults.
+	// cb_buffer_size=65536). Nil uses the defaults.
 	Hints *mpi.Info
 	// DumpFile, when non-empty, writes the raw image of each PnetCDF run's
 	// output file to this host path (later runs overwrite earlier ones, so

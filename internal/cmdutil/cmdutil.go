@@ -13,8 +13,6 @@ import (
 	"runtime/pprof"
 
 	"pnetcdf/internal/metrics"
-	"pnetcdf/internal/mpi"
-	"pnetcdf/internal/mpiio"
 	"pnetcdf/internal/span"
 )
 
@@ -104,18 +102,4 @@ func StartProfiles(tool, cpuPath, memPath string) func() {
 			Fatal(tool, f.Close())
 		}
 	}
-}
-
-// PartitionHints builds the MPI-IO hint set for a -cb-partition flag value:
-// "" means library default (nil info), otherwise the value must name a
-// partitioning mode (even, balanced). Unknown values are usage errors.
-func PartitionHints(value string) *mpi.Info {
-	switch value {
-	case "":
-		return nil
-	case mpiio.PartitionEven, mpiio.PartitionBalanced:
-		return mpi.NewInfo().Set("cb_partition", value)
-	}
-	Usagef("bad -cb-partition %q: want even or balanced", value)
-	return nil
 }

@@ -5,13 +5,17 @@
 package integration
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"pnetcdf/internal/cdl"
 	"pnetcdf/internal/core"
+	"pnetcdf/internal/iostat"
 	"pnetcdf/internal/mpi"
+	"pnetcdf/internal/mpiio"
 	"pnetcdf/internal/nctype"
 	"pnetcdf/internal/netcdf"
 	"pnetcdf/internal/pfs"
@@ -391,64 +395,128 @@ func TestCDLToParallelPipeline(t *testing.T) {
 	}
 }
 
+// retiredHints are keys an older version of the library acted on. They are
+// unknown hints now, and the sweeps below keep passing them: hints are
+// advisory, so a job script that still sets them runs, resolves to the same
+// mpiio.Hints and writes the same file as one that does not.
+var retiredHints = [][2]string{{"cb_partition", "balanced"}, {"cb_partition_buckets", "16"}}
+
+// sweepHints builds the hint set of one sweep case and its twin without the
+// retired keys.
+func sweepHints(hints [][2]string) (info, known *mpi.Info) {
+	info, known = mpi.NewInfo(), mpi.NewInfo()
+	for _, kv := range hints {
+		info.Set(kv[0], kv[1])
+		if !slices.ContainsFunc(retiredHints, func(r [2]string) bool { return r[0] == kv[0] }) {
+			known.Set(kv[0], kv[1])
+		}
+	}
+	return info, known
+}
+
+// resolvedHints is what mpiio makes of info on an nranks communicator.
+func resolvedHints(t *testing.T, nranks int, info *mpi.Info) mpiio.Hints {
+	t.Helper()
+	fsys := newFS()
+	var h mpiio.Hints
+	err := mpi.Run(nranks, mpi.DefaultNet(), func(c *mpi.Comm) error {
+		f, err := mpiio.Open(c, fsys, "hints", mpiio.ModeRdWr|mpiio.ModeCreate, info)
+		if err != nil {
+			return err
+		}
+		if c.Rank() == 0 {
+			h = f.Hints()
+		}
+		return f.Close()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h
+}
+
 // TestHintSweepConsistency writes the same dataset under many hint
-// combinations; all resulting files must be byte-identical in their data
-// regions (hints tune performance, never semantics).
+// combinations. Hints tune performance, never semantics: every file reads
+// back the same, every file but the one whose header was padded is the same
+// byte for byte, the small staging buffer really takes several rounds, and a
+// retired hint changes neither the file nor the resolved hint set.
 func TestHintSweepConsistency(t *testing.T) {
-	hints := []*mpi.Info{
-		nil,
-		mpi.NewInfo().Set("romio_cb_write", "disable"),
-		mpi.NewInfo().Set("romio_ds_write", "disable").Set("romio_cb_write", "disable"),
-		mpi.NewInfo().Set("cb_nodes", "2"),
-		mpi.NewInfo().Set("cb_buffer_size", "8192"),
-		mpi.NewInfo().Set("nc_header_align_size", "1024"),
-		mpi.NewInfo().Set("cb_partition", "balanced"),
-		mpi.NewInfo().Set("cb_partition", "balanced").Set("cb_partition_buckets", "16"),
-		mpi.NewInfo().Set("cb_partition", "balanced").Set("cb_nodes", "2").Set("cb_buffer_size", "8192"),
+	const nranks, Z, X = 3, 6, 4096 // 32 KiB rows, two per rank
+	sweep := []struct {
+		hints      [][2]string
+		relaid     bool // the hint moves the data, so only the values compare
+		manyRounds bool
+	}{
+		{},
+		{hints: [][2]string{{"romio_cb_write", "disable"}}},
+		{hints: [][2]string{{"romio_ds_write", "disable"}, {"romio_cb_write", "disable"}}},
+		{hints: [][2]string{{"cb_nodes", "2"}}},
+		{hints: [][2]string{{"cb_buffer_size", "8192"}}, manyRounds: true},
+		{hints: [][2]string{{"nc_header_align_size", "1024"}}, relaid: true},
+		{hints: retiredHints[:1]},
+		{hints: retiredHints},
+		{hints: [][2]string{retiredHints[0], {"cb_nodes", "2"}, {"cb_buffer_size", "8192"}}, manyRounds: true},
 	}
 	var reference []float64
-	for hi, info := range hints {
+	var refImg []byte
+	for hi, tc := range sweep {
+		info, known := sweepHints(tc.hints)
+		if got, want := resolvedHints(t, nranks, info), resolvedHints(t, nranks, known); got != want {
+			t.Errorf("hints %d: retired hints changed the resolved set: %+v, want %+v", hi, got, want)
+		}
 		fsys := newFS()
-		err := mpi.Run(3, mpi.DefaultNet(), func(c *mpi.Comm) error {
+		var rounds int64
+		err := mpi.Run(nranks, mpi.DefaultNet(), func(c *mpi.Comm) error {
+			st := iostat.New()
+			c.Proc().SetStats(st)
 			d, err := core.Create(c, fsys, "h.nc", nctype.Clobber, info)
 			if err != nil {
 				return err
 			}
-			z, _ := d.DefDim("z", 6)
-			x, _ := d.DefDim("x", 10)
+			z, _ := d.DefDim("z", Z)
+			x, _ := d.DefDim("x", X)
 			v, _ := d.DefVar("v", nctype.Double, []int{z, x})
 			if err := d.EndDef(); err != nil {
 				return err
 			}
-			buf := make([]float64, 2*10)
+			buf := make([]float64, 2*X)
 			for i := range buf {
-				buf[i] = float64(c.Rank()*1000 + i)
+				buf[i] = float64(c.Rank()*100000 + i)
 			}
-			if err := d.PutVaraAll(v, []int64{int64(c.Rank() * 2), 0}, []int64{2, 10}, buf); err != nil {
+			if err := d.PutVaraAll(v, []int64{int64(c.Rank() * 2), 0}, []int64{2, X}, buf); err != nil {
 				return err
+			}
+			if c.Rank() == 0 {
+				rounds = st.Get(iostat.IOTwoPhaseRounds)
 			}
 			return d.Close()
 		})
 		if err != nil {
 			t.Fatalf("hints %d: %v", hi, err)
 		}
-		pf, _, _ := fsys.Open("h.nc", 0)
-		sd, err := netcdf.Open(pfs.NewSerialFile(pf, 0), nctype.NoWrite)
+		if tc.manyRounds && rounds <= 1 {
+			t.Errorf("hints %d: io_two_phase_rounds = %d, the small staging buffer should take several", hi, rounds)
+		}
+		img := readPFSFile(t, fsys, "h.nc")
+		sd, err := netcdf.Open(&netcdf.MemStore{Data: img}, nctype.NoWrite)
 		if err != nil {
 			t.Fatalf("hints %d: %v", hi, err)
 		}
-		got := make([]float64, 60)
+		got := make([]float64, Z*X)
 		if err := sd.GetVar(sd.VarID("v"), got); err != nil {
 			t.Fatalf("hints %d: %v", hi, err)
 		}
 		if reference == nil {
-			reference = got
+			reference, refImg = got, img
 			continue
 		}
 		for i := range got {
 			if got[i] != reference[i] {
 				t.Fatalf("hints %d: element %d differs: %v != %v", hi, i, got[i], reference[i])
 			}
+		}
+		if !tc.relaid && !bytes.Equal(img, refImg) {
+			t.Errorf("hints %d: the file differs from the default-hint file", hi)
 		}
 	}
 }

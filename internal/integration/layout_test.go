@@ -113,8 +113,9 @@ func layoutCfg(nranks int) flash.Config {
 
 // TestDefaultLayoutIsFunctionOfSchema: the aligned file's bytes depend on the
 // logical contents and the striping unit — not on how many ranks wrote it,
-// how many aggregators or rounds the collectives took, or how the file
-// domains were cut.
+// how many aggregators or rounds the collectives took, or on hints the
+// library no longer knows (retiredHints: the file and the resolved hint set
+// are what they are without them).
 func TestDefaultLayoutIsFunctionOfSchema(t *testing.T) {
 	var want [32]byte
 	for i, tc := range []struct {
@@ -130,13 +131,13 @@ func TestDefaultLayoutIsFunctionOfSchema(t *testing.T) {
 		{8, [][2]string{{"cb_nodes", "8"}, {"cb_buffer_size", "8192"}}}, // many rounds
 		{4, [][2]string{{"cb_nodes", "2"}, {"cb_buffer_size", "65536"}}},
 		{8, [][2]string{{"cb_partition", "even"}}},
-		{8, [][2]string{{"cb_partition", "balanced"}}},
-		{4, [][2]string{{"cb_partition", "balanced"}, {"cb_nodes", "2"}, {"cb_buffer_size", "8192"}}},
+		{8, retiredHints},
+		{4, [][2]string{retiredHints[0], {"cb_nodes", "2"}, {"cb_buffer_size", "8192"}}},
 		{2, [][2]string{{"romio_cb_write", "disable"}}},
 	} {
-		info := mpi.NewInfo()
-		for _, kv := range tc.hints {
-			info.Set(kv[0], kv[1])
+		info, known := sweepHints(tc.hints)
+		if got, want := resolvedHints(t, tc.nranks, info), resolvedHints(t, tc.nranks, known); got != want {
+			t.Errorf("%d ranks, hints %v: resolved to %+v, without the retired ones to %+v", tc.nranks, tc.hints, got, want)
 		}
 		img, _, _ := writeCheckpoint(t, smallStripes(), tc.nranks, layoutCfg(tc.nranks), info)
 		sum := sha256.Sum256(img)

@@ -124,8 +124,10 @@ func elems(count []int64) int64 {
 }
 
 // newOnePathScenario draws a schema (fixed and record variables of three or
-// more external types), puts that tile every variable with disjoint boxes and
-// gets that tile a random part of each. Even seeds give one put values out of
+// more external types, the last of them a vector long enough that the largest
+// of the at most five puts tiling it spans more than onePathStaging bytes of
+// file whatever its type), puts that tile every variable with disjoint boxes
+// and gets that tile a random part of each. Even seeds give one put values out of
 // its type's range; every third seed adds a put that grows the record count
 // from a single rank and a get beyond even the grown count.
 func newOnePathScenario(seed int64) *onePathScenario {
@@ -152,6 +154,10 @@ func newOnePathScenario(seed int64) *onePathScenario {
 		}
 		sc.vdims, shapes[v] = append(sc.vdims, vd), shape
 	}
+	long := 5*onePathStaging + 1 + rng.Int63n(onePathStaging)
+	sc.types = append(sc.types, types[nvars%len(types)])
+	sc.vdims = append(sc.vdims, []int{len(sc.dims)})
+	sc.dims, shapes = append(sc.dims, long), append(shapes, []int64{long})
 	value := func(v int, i int64) int32 { return int32((int64(v)*31 + i*7) % 100) }
 	for v, shape := range shapes {
 		for _, b := range splitBox(rng, make([]int64, len(shape)), shape, 1+rng.Intn(5)) {
@@ -214,10 +220,15 @@ func (sc *onePathScenario) serial() ([]byte, error) {
 
 // onePathResult is what one rank observed in one execution.
 type onePathResult struct {
-	class    string    // first error class returned, in return order
-	reads    [][]int32 // by get index; nil for another rank's gets
-	counters [4]int64  // nc_coll_puts, nc_coll_gets, nc_bytes_put, nc_bytes_got
+	class     string    // first error class returned, in return order
+	reads     [][]int32 // by get index; nil for another rank's gets
+	counters  [4]int64  // nc_coll_puts, nc_coll_gets, nc_bytes_put, nc_bytes_got
+	pipelined int64     // io_pipelined_rounds: nonzero iff some collective took several rounds
 }
+
+// onePathStaging is the cb_buffer_size of the many-rounds executions (the
+// smallest the hint accepts).
+const onePathStaging = 4096
 
 // The three ways to spell the same accesses.
 const (
@@ -295,6 +306,7 @@ func (sc *onePathScenario) run(t *testing.T, nranks, way int, info *mpi.Info) ([
 		for i, k := range []iostat.Counter{iostat.NCCollPuts, iostat.NCCollGets, iostat.NCBytesPut, iostat.NCBytesGot} {
 			res.counters[i] = st.Get(k)
 		}
+		res.pipelined = st.Get(iostat.IOPipelinedRounds)
 		return d.Close()
 	})
 	if err != nil {
@@ -318,7 +330,7 @@ func (sc *onePathScenario) check(t *testing.T) error {
 		for _, manyRounds := range []bool{false, true} {
 			info := mpi.NewInfo()
 			if manyRounds {
-				info.Set("cb_buffer_size", "4096").Set("cb_nodes", "1")
+				info.Set("cb_buffer_size", fmt.Sprint(onePathStaging)).Set("cb_nodes", "1")
 			}
 			var ref []onePathResult
 			for way := 0; way < numWays; way++ {
@@ -338,6 +350,9 @@ func (sc *onePathScenario) check(t *testing.T) error {
 				}
 				if !bytes.Equal(img, first) {
 					return fmt.Errorf("%s: file differs from the first execution's", where)
+				}
+				if manyRounds && results[0].pipelined == 0 {
+					return fmt.Errorf("%s: no collective took more than one round", where)
 				}
 				for rank, res := range results {
 					class := ""

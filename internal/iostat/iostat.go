@@ -108,9 +108,6 @@ const (
 	// aggregators in phase 1 (and phase 2 of reads).
 	IOTwoPhaseRounds
 	IOExchangeBytes
-	// IOBalancedPlans counts collective calls planned with the
-	// cb_partition=balanced equal-work file-domain split.
-	IOBalancedPlans
 	// IOReadTimeNs / IOWriteTimeNs are virtual wall time spent inside
 	// MPI-IO data-access calls.
 	IOReadTimeNs
@@ -209,7 +206,6 @@ var counterNames = [NumCounters]string{
 	IOSieveWriteAmpBytes:  "io_sieve_write_amp_bytes",
 	IOTwoPhaseRounds:      "io_two_phase_rounds",
 	IOExchangeBytes:       "io_exchange_bytes",
-	IOBalancedPlans:       "io_balanced_plans",
 	IOReadTimeNs:          "io_read_time_ns",
 	IOWriteTimeNs:         "io_write_time_ns",
 	IORetries:             "io_retries",

@@ -40,7 +40,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"os"
 	"sync"
 	"sync/atomic"
 
@@ -208,11 +207,8 @@ func Run(n int, net NetConfig, fn func(*Comm) error) error {
 	if n < 1 {
 		return fmt.Errorf("mpi: invalid world size %d", n)
 	}
-	w := &World{size: n, net: net, boxes: make([]*mailbox, n)}
+	w := &World{size: n, net: net, boxes: make([]*mailbox, n), ccheck: collCheckFromEnv()}
 	w.ft.running.Store(int32(n))
-	if os.Getenv(collCheckEnv) == "1" {
-		w.ccheck = newCollCheck()
-	}
 	for i := range w.boxes {
 		w.boxes[i] = newMailbox()
 	}

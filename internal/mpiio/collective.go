@@ -357,20 +357,17 @@ func scatterReplies(buf []byte, plan collectivePlan, reqs [][]reqSeg, back [][]b
 	}
 }
 
-// collectivePlan holds the agreed two-phase geometry. Boundaries are an
-// explicit table: bounds[k] separates aggregator k-1's file domain from
-// aggregator k's (bounds[0] = gmin, bounds[naggs] = gmax), so even and
-// balanced partitioning share one representation. aggRanks maps aggregator
-// index to communicator rank; aggOf is its precomputed inverse (-1 = rank
-// serves no domain). planned is the per-aggregator histogram byte estimate,
-// nil in even mode (which computes no histogram).
+// collectivePlan holds the agreed two-phase geometry (partition.go has the
+// rules). Boundaries are an explicit table: bounds[k] separates aggregator
+// k-1's file domain from aggregator k's (bounds[0] = gmin, bounds[naggs] =
+// gmax). aggRanks maps aggregator index to communicator rank; aggOf is its
+// precomputed inverse (-1 = rank serves no domain).
 type collectivePlan struct {
 	gmin, gmax int64
 	naggs      int
 	bounds     []int64
 	aggRanks   []int
 	aggOf      []int
-	planned    []int64
 	rounds     int64
 	cbbuf      int64
 	stripe     int64
@@ -429,75 +426,17 @@ func (f *File) collectivePlan(segs []pfs.Segment, localErr error) (collectivePla
 	if gmax <= gmin {
 		return collectivePlan{}, false, nil
 	}
-	naggs := min(f.hints.CBNodes, f.comm.Size())
+	size := f.comm.Size()
+	naggs := min(f.hints.CBNodes, size)
 	stripe := f.fs.Config().StripeSize
-	p := collectivePlan{
+	bounds := evenBounds(gmin, gmax, naggs, stripe)
+	aggRanks := evenAggRanks(naggs, size)
+	return collectivePlan{
 		gmin: gmin, gmax: gmax, naggs: naggs,
-		cbbuf: f.hints.CBBufferSize, stripe: stripe, commSize: f.comm.Size(),
-	}
-	if f.hints.CBPartition == PartitionBalanced {
-		// Equal-work boundaries from the combined request histogram, plus
-		// data-local aggregator placement (two extra Allreduces — balanced
-		// mode only, so the even path's cost and clock are untouched).
-		hist := newPartitionHistogram(gmin, gmax, stripe, f.hints.CBPartitionBuckets)
-		hist.add(segs)
-		hist.counts = f.comm.AllreduceI64(hist.counts, mpi.OpSum)
-		if hist.total() > 0 {
-			// The table may hold fewer than naggs domains: the partitioner
-			// shrinks the domain count when there is too little work to
-			// keep naggs aggregators evenly busy (see effectiveDomains).
-			p.bounds, p.planned = hist.equalWorkBounds(gmin, gmax, naggs)
-			p.naggs = len(p.bounds) - 1
-		} else {
-			p.bounds = evenBounds(gmin, gmax, naggs, stripe)
-		}
-		p.aggRanks = placeAggregators(f.comm, p.bounds, segs)
-		f.st.Add(iostat.IOBalancedPlans, 1)
-	} else {
-		p.bounds = evenBounds(gmin, gmax, naggs, stripe)
-		p.aggRanks = evenAggRanks(naggs, p.commSize)
-	}
-	p.aggOf = invertAggRanks(p.aggRanks, p.commSize)
-	p.rounds = roundsFor(p.bounds, p.cbbuf)
-	if f.hints.CBPartition != PartitionBalanced {
-		// Preserve the historical even-mode round count (derived from the
-		// nominal stripe-rounded width, which can exceed every actual
-		// domain): trailing empty-window rounds cost the same collectives
-		// they always did, keeping even-mode timing bit-identical. The
-		// roundsFor floor still applies — with an unaligned gmin the tail
-		// domain can be wider than the nominal width, and the old count
-		// left its last cb_buffer_size chunk uncovered.
-		width := gmax - gmin
-		nominal := (width + int64(naggs) - 1) / int64(naggs)
-		nominal = (nominal + stripe - 1) / stripe * stripe
-		if r := (nominal + p.cbbuf - 1) / p.cbbuf; r > p.rounds {
-			p.rounds = r
-		}
-	}
-	f.recordPlan(p)
-	return p, true, nil
-}
-
-// recordPlan exposes the balanced plan to the observability layer: one
-// zero-duration plan_domain span per domain on the rank serving it (Round =
-// aggregator index, Bytes = the histogram's planned byte load — nctrace
-// imbalance compares it against the actual agg_write bytes), and one mpiio
-// trace event carrying the domain boundaries (Off/Len). Even mode records
-// nothing; it has no histogram and its plan is closed-form.
-func (f *File) recordPlan(p collectivePlan) {
-	if p.planned == nil {
-		return
-	}
-	a := p.aggIndex(f.comm.Rank())
-	if a < 0 {
-		return
-	}
-	now := f.comm.Clock()
-	f.sp.Record(span.PlanDomain, a, now, now, p.planned[a])
-	f.tr.Record(iostat.Event{
-		Layer: "mpiio", Op: "plan_domain", Rank: f.comm.Rank(),
-		Off: p.bounds[a], Len: p.bounds[a+1] - p.bounds[a], Start: now, End: now,
-	})
+		bounds: bounds, aggRanks: aggRanks, aggOf: invertAggRanks(aggRanks, size),
+		rounds: roundsFor(bounds, f.hints.CBBufferSize),
+		cbbuf:  f.hints.CBBufferSize, stripe: stripe, commSize: size,
+	}, true, nil
 }
 
 // generations is how many rounds of the plan can be live at once: the round
@@ -507,8 +446,7 @@ func (p collectivePlan) generations() int { return int(min(p.rounds, 2)) }
 // aggRank maps aggregator index a to the communicator rank serving it.
 func (p collectivePlan) aggRank(a int) int { return p.aggRanks[a] }
 
-// aggIndex returns the aggregator index served by rank, or -1. A table
-// lookup: the old closed-form spread needed an O(naggs) scan per call.
+// aggIndex returns the aggregator index served by rank, or -1.
 func (p collectivePlan) aggIndex(rank int) int { return p.aggOf[rank] }
 
 // boundary returns the file offset separating aggregator k-1's domain from

@@ -16,7 +16,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"os"
 	"strconv"
 
 	"pnetcdf/internal/fault"
@@ -59,32 +58,18 @@ type Hints struct {
 	// IndRdBufferSize / IndWrBufferSize bound the sieving windows.
 	IndRdBufferSize int64
 	IndWrBufferSize int64
-	// CBPartition selects the file-domain split: PartitionEven (equal byte
-	// widths, the historical layout) or PartitionBalanced (equal-work
-	// boundaries from the request histogram, see partition.go). The
-	// PNETCDF_CB_PARTITION environment variable sets the default.
-	CBPartition string
-	// CBPartitionBuckets bounds the balanced-mode histogram resolution
-	// (buckets are stripe-multiple wide; more buckets = finer splits, one
-	// Allreduce of this many int64s per collective call).
-	CBPartitionBuckets int
 }
 
 func resolveHints(comm *mpi.Comm, info *mpi.Info) Hints {
 	h := Hints{
-		CBNodes:            comm.Size(),
-		CBBufferSize:       16 << 20,
-		CBRead:             true,
-		CBWrite:            true,
-		DSRead:             true,
-		DSWrite:            true,
-		IndRdBufferSize:    4 << 20,
-		IndWrBufferSize:    4 << 20,
-		CBPartition:        PartitionEven,
-		CBPartitionBuckets: 256,
-	}
-	if v := os.Getenv("PNETCDF_CB_PARTITION"); v == PartitionBalanced || v == PartitionEven {
-		h.CBPartition = v
+		CBNodes:         comm.Size(),
+		CBBufferSize:    16 << 20,
+		CBRead:          true,
+		CBWrite:         true,
+		DSRead:          true,
+		DSWrite:         true,
+		IndRdBufferSize: 4 << 20,
+		IndWrBufferSize: 4 << 20,
 	}
 	if n := int(info.GetInt("cb_nodes", int64(h.CBNodes))); n >= 1 {
 		h.CBNodes = min(n, comm.Size())
@@ -101,17 +86,6 @@ func resolveHints(comm *mpi.Comm, info *mpi.Info) Hints {
 	}
 	if v := info.GetInt("ind_wr_buffer_size", h.IndWrBufferSize); v >= 4096 {
 		h.IndWrBufferSize = v
-	}
-	// Unknown cb_partition values fall back to the ambient default (hints
-	// are advisory; an unrecognized value must not change behavior — and
-	// the ambient default may itself be balanced via the env override).
-	if v, ok := info.Get("cb_partition"); ok {
-		if v == PartitionBalanced || v == PartitionEven {
-			h.CBPartition = v
-		}
-	}
-	if v := info.GetInt("cb_partition_buckets", int64(h.CBPartitionBuckets)); v >= 1 && v <= 1<<20 {
-		h.CBPartitionBuckets = int(v)
 	}
 	return h
 }

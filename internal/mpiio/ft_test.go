@@ -34,7 +34,6 @@ func ftioHints() *mpi.Info {
 	info := mpi.NewInfo()
 	info.Set("cb_buffer_size", "65536")
 	info.Set("cb_nodes", "2")
-	info.Set("cb_partition", "even")
 	return info
 }
 

@@ -1,27 +1,23 @@
 package mpiio
 
 import (
-	"bytes"
 	"fmt"
 	"testing"
 
+	"pnetcdf/internal/iostat"
 	"pnetcdf/internal/mpi"
 	"pnetcdf/internal/pfs"
 )
 
-// checkBounds asserts the partition invariants every boundary table must
-// satisfy: exact coverage of [gmin, gmax) (no gap, no overlap), monotone
-// boundaries, and interior boundaries on absolute stripe positions unless
-// clamped to an unaligned gmin/gmax. The table may hold fewer than the
-// requested naggs domains (the partitioner shrinks when work is scarce)
-// but never more, and never zero.
+// checkBounds asserts the partition invariants the boundary table must
+// satisfy: one domain per aggregator, exact coverage of [gmin, gmax) (no gap,
+// no overlap), monotone boundaries, and interior boundaries on absolute
+// stripe positions unless clamped to an unaligned gmin/gmax.
 func checkBounds(t *testing.T, name string, bounds []int64, gmin, gmax, stripe int64, naggs int) {
 	t.Helper()
-	n := len(bounds) - 1
-	if n < 1 || n > naggs {
-		t.Fatalf("%s: table has %d domains, want 1..%d", name, n, naggs)
+	if n := len(bounds) - 1; n != naggs {
+		t.Fatalf("%s: table has %d domains, want %d", name, n, naggs)
 	}
-	naggs = n
 	if bounds[0] != gmin {
 		t.Errorf("%s: bounds[0] = %d, want gmin %d", name, bounds[0], gmin)
 	}
@@ -46,154 +42,8 @@ func checkBounds(t *testing.T, name string, bounds []int64, gmin, gmax, stripe i
 	}
 }
 
-// Table-driven equal-work boundary tests over skewed, uniform, single-rank
-// and empty histograms.
-func TestEqualWorkBounds(t *testing.T) {
-	const stripe = int64(256)
-	cases := []struct {
-		name       string
-		gmin, gmax int64
-		naggs      int
-		segs       []pfs.Segment // the "combined" request driving the histogram
-	}{
-		{
-			name: "uniform", gmin: 0, gmax: 64 * stripe, naggs: 4,
-			segs: []pfs.Segment{{Off: 0, Len: 64 * stripe}},
-		},
-		{
-			name: "skewed-front", gmin: 0, gmax: 64 * stripe, naggs: 4,
-			// 90% of the bytes in the first quarter of the range.
-			segs: []pfs.Segment{
-				{Off: 0, Len: 16 * stripe},
-				{Off: 16 * stripe, Len: 1000},
-			},
-		},
-		{
-			name: "skewed-back", gmin: 0, gmax: 64 * stripe, naggs: 8,
-			segs: []pfs.Segment{
-				{Off: 100, Len: 50},
-				{Off: 48 * stripe, Len: 16 * stripe},
-			},
-		},
-		{
-			name: "single-rank-hotspot", gmin: 1024, gmax: 32 * stripe, naggs: 4,
-			segs: []pfs.Segment{{Off: 5 * stripe, Len: 2 * stripe}},
-		},
-		{
-			name: "unaligned-endpoints", gmin: 300, gmax: 17*stripe + 123, naggs: 5,
-			segs: []pfs.Segment{{Off: 300, Len: 17*stripe + 123 - 300}},
-		},
-		{
-			name: "more-aggs-than-stripes", gmin: 0, gmax: 3 * stripe, naggs: 8,
-			segs: []pfs.Segment{{Off: 0, Len: 3 * stripe}},
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			for _, buckets := range []int{1, 7, 256} {
-				h := newPartitionHistogram(tc.gmin, tc.gmax, stripe, buckets)
-				h.add(tc.segs)
-				var want int64
-				for _, s := range tc.segs {
-					want += s.Len
-				}
-				if got := h.total(); got != want {
-					t.Fatalf("buckets=%d: histogram total = %d, want %d", buckets, got, want)
-				}
-				bounds, planned := h.equalWorkBounds(tc.gmin, tc.gmax, tc.naggs)
-				checkBounds(t, tc.name, bounds, tc.gmin, tc.gmax, stripe, tc.naggs)
-				var sum int64
-				for a, p := range planned {
-					if p < 0 {
-						t.Errorf("buckets=%d: planned[%d] = %d < 0", buckets, a, p)
-					}
-					sum += p
-				}
-				if sum != want {
-					t.Errorf("buckets=%d: planned sums to %d, want total %d", buckets, sum, want)
-				}
-				// Equal-work guarantee at histogram resolution: no domain
-				// carries more than the ideal share (over the domains the
-				// partitioner actually kept) plus one bucket.
-				var maxBucket int64
-				for _, c := range h.counts {
-					if c > maxBucket {
-						maxBucket = c
-					}
-				}
-				limit := want/int64(len(planned)) + maxBucket + 1
-				for a, p := range planned {
-					if p > limit {
-						t.Errorf("buckets=%d: planned[%d] = %d exceeds share+bucket limit %d",
-							buckets, a, p, limit)
-					}
-				}
-				// The planned loads must match an independent re-count of the
-				// segments against the chosen boundaries.
-				recount := domainBytes(tc.segs, bounds)
-				for a := range planned {
-					if planned[a] != recount[a] {
-						t.Errorf("buckets=%d: planned[%d] = %d, domainBytes = %d",
-							buckets, a, planned[a], recount[a])
-					}
-				}
-			}
-		})
-	}
-}
-
-// An empty histogram (no observed bytes) must still produce a valid table —
-// it degenerates to a single domain covering the whole range.
-func TestEqualWorkBoundsEmptyHistogram(t *testing.T) {
-	const stripe = int64(256)
-	h := newPartitionHistogram(0, 16*stripe, stripe, 64)
-	bounds, planned := h.equalWorkBounds(0, 16*stripe, 4)
-	checkBounds(t, "empty", bounds, 0, 16*stripe, stripe, 4)
-	if len(planned) != 1 || planned[0] != 0 {
-		t.Errorf("planned = %v, want [0]", planned)
-	}
-}
-
-// A flat histogram must degenerate to (stripe-rounded) near-even widths: no
-// domain more than one bucket wider than the ideal share.
-func TestEqualWorkBoundsFlatIsEven(t *testing.T) {
-	const stripe = int64(256)
-	gmin, gmax := int64(0), int64(64*stripe)
-	h := newPartitionHistogram(gmin, gmax, stripe, 64)
-	h.add([]pfs.Segment{{Off: gmin, Len: gmax - gmin}})
-	bounds, _ := h.equalWorkBounds(gmin, gmax, 4)
-	ideal := (gmax - gmin) / 4
-	for a := 0; a < 4; a++ {
-		w := bounds[a+1] - bounds[a]
-		if w < ideal-h.bucketW || w > ideal+h.bucketW {
-			t.Errorf("flat histogram: domain %d width %d, want %d within one bucket (%d)",
-				a, w, ideal, h.bucketW)
-		}
-	}
-}
-
-// Scarce work must shrink the domain count rather than bake in imbalance:
-// 10 uniform stripes over 8 requested domains is five 2-stripe domains,
-// not [2,2,1,1,1,1,1,1] (a forced 1.6x).
-func TestEqualWorkBoundsShrinksScarceWork(t *testing.T) {
-	const stripe = int64(256)
-	gmin, gmax := int64(0), 10*stripe
-	h := newPartitionHistogram(gmin, gmax, stripe, 256)
-	h.add([]pfs.Segment{{Off: gmin, Len: gmax - gmin}})
-	bounds, planned := h.equalWorkBounds(gmin, gmax, 8)
-	checkBounds(t, "scarce", bounds, gmin, gmax, stripe, 8)
-	if len(planned) != 5 {
-		t.Fatalf("kept %d domains, want 5 (planned %v)", len(planned), planned)
-	}
-	for a, p := range planned {
-		if p != 2*stripe {
-			t.Errorf("planned[%d] = %d, want %d", a, p, 2*stripe)
-		}
-	}
-}
-
-// evenBounds must satisfy the same partition invariants for every geometry,
-// including the unaligned cases the old closed form handled.
+// evenBounds must satisfy the partition invariants for every geometry,
+// unaligned endpoints and more aggregators than stripes included.
 func TestEvenBoundsInvariants(t *testing.T) {
 	cases := []struct {
 		gmin, gmax, stripe int64
@@ -215,8 +65,7 @@ func TestEvenBoundsInvariants(t *testing.T) {
 }
 
 // aggIndex must be the exact inverse of aggRank for every (commSize, naggs)
-// pair up to 64 — the property the precomputed table replaces the old
-// O(naggs) scan with.
+// pair up to 64.
 func TestAggIndexInverseProperty(t *testing.T) {
 	for size := 1; size <= 64; size++ {
 		for naggs := 1; naggs <= size; naggs++ {
@@ -247,8 +96,8 @@ func TestAggIndexInverseProperty(t *testing.T) {
 	}
 }
 
-// The placement inverse must also hold for arbitrary permuted placements
-// (balanced mode assigns domains to non-contiguous ranks).
+// invertAggRanks inverts any placement of domains on distinct ranks, not only
+// the ascending spread evenAggRanks produces.
 func TestAggIndexInversePermuted(t *testing.T) {
 	aggRanks := []int{5, 2, 7, 0} // 4 domains over 8 ranks
 	aggOf := invertAggRanks(aggRanks, 8)
@@ -265,176 +114,99 @@ func TestAggIndexInversePermuted(t *testing.T) {
 	}
 }
 
-// Round windows over a balanced boundary table must tile each domain
-// exactly: every domain byte in exactly one (round, aggregator) window.
-func TestWindowCoverageBalancedBounds(t *testing.T) {
+// Round windows must tile each domain exactly — every byte of [gmin, gmax)
+// in exactly one (round, aggregator) window — at unaligned endpoints, with a
+// staging buffer that does not divide the domain width, and with more
+// aggregators than the range has stripes.
+func TestWindowCoverage(t *testing.T) {
 	const stripe = int64(256)
-	gmin, gmax := int64(100), int64(40*stripe+17)
-	h := newPartitionHistogram(gmin, gmax, stripe, 16)
-	h.add([]pfs.Segment{
-		{Off: gmin, Len: 3 * stripe},
-		{Off: 30 * stripe, Len: 10*stripe + 17},
-	})
-	bounds, _ := h.equalWorkBounds(gmin, gmax, 4)
-	naggs := len(bounds) - 1
-	p := collectivePlan{gmin: gmin, gmax: gmax, naggs: naggs, bounds: bounds,
-		cbbuf: 1024, stripe: stripe, commSize: 4,
-		aggRanks: evenAggRanks(naggs, 4), aggOf: invertAggRanks(evenAggRanks(naggs, 4), 4)}
-	p.rounds = roundsFor(bounds, p.cbbuf)
-	covered := int64(0)
-	prevEnd := gmin
-	for a := 0; a < p.naggs; a++ {
-		for r := int64(0); r < p.rounds; r++ {
-			lo, hi := p.window(a, r)
-			if hi <= lo {
-				continue
+	for _, tc := range []struct {
+		gmin, gmax int64
+		naggs      int
+		cbbuf      int64
+	}{
+		{100, 40*stripe + 17, 4, 1024},
+		{100, 40*stripe + 17, 3, 1000},
+		{0, 3 * stripe, 8, 100},
+		{7, 140, 1, 4096},
+	} {
+		bounds := evenBounds(tc.gmin, tc.gmax, tc.naggs, stripe)
+		p := collectivePlan{gmin: tc.gmin, gmax: tc.gmax, naggs: tc.naggs, bounds: bounds,
+			cbbuf: tc.cbbuf, stripe: stripe, commSize: 8, rounds: roundsFor(bounds, tc.cbbuf)}
+		covered := int64(0)
+		prevEnd := tc.gmin
+		for a := 0; a < p.naggs; a++ {
+			for r := int64(0); r < p.rounds; r++ {
+				lo, hi := p.window(a, r)
+				if hi <= lo {
+					continue
+				}
+				if lo != prevEnd {
+					t.Fatalf("%+v: window (%d,%d) starts at %d, previous coverage ended at %d", tc, a, r, lo, prevEnd)
+				}
+				covered += hi - lo
+				prevEnd = hi
 			}
-			if lo != prevEnd {
-				t.Fatalf("window (%d,%d) starts at %d, previous coverage ended at %d", a, r, lo, prevEnd)
-			}
-			covered += hi - lo
-			prevEnd = hi
 		}
-	}
-	if prevEnd != gmax || covered != gmax-gmin {
-		t.Fatalf("windows cover [%d..%d) %d bytes, want [%d..%d) %d bytes",
-			gmin, prevEnd, covered, gmin, gmax, gmax-gmin)
+		if prevEnd != tc.gmax || covered != tc.gmax-tc.gmin {
+			t.Fatalf("%+v: windows cover [%d..%d) %d bytes, want [%d..%d) %d bytes",
+				tc, tc.gmin, prevEnd, covered, tc.gmin, tc.gmax, tc.gmax-tc.gmin)
+		}
 	}
 }
 
-// A skewed write under cb_partition=balanced must produce a plan whose
-// per-aggregator byte loads are near-equal, with each domain's aggregator
-// placed on the rank owning the most bytes in it — and the written file
-// must be byte-identical to the even-mode file.
-func TestBalancedPlanEqualWorkAndPlacement(t *testing.T) {
-	fsys := testFS()
-	stripe := fsys.Config().StripeSize
-	runWorld(t, 4, func(c *mpi.Comm) error {
-		info := mpi.NewInfo().Set("cb_partition", "balanced")
-		f, err := Open(c, fsys, "bp", ModeRdWr|ModeCreate, info)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if got := f.Hints().CBPartition; got != PartitionBalanced {
-			return fmt.Errorf("CBPartition = %q, want balanced", got)
-		}
-		// Rank 0 owns 24 stripes at the front; ranks 1..3 own 2 stripes each
-		// behind it — the skew that loads an even split 3x unevenly.
-		var segs []pfs.Segment
-		if c.Rank() == 0 {
-			segs = []pfs.Segment{{Off: 0, Len: 24 * stripe}}
-		} else {
-			segs = []pfs.Segment{{Off: (24 + 2*int64(c.Rank()-1)) * stripe, Len: 2 * stripe}}
-		}
-		plan, ok, err := f.collectivePlan(segs, nil)
-		if err != nil || !ok {
-			return fmt.Errorf("collectivePlan: ok=%v err=%v", ok, err)
-		}
-		checkPartition := func() error {
-			if plan.bounds[0] != 0 || plan.bounds[plan.naggs] != 30*stripe {
-				return fmt.Errorf("bounds span [%d,%d), want [0,%d)",
-					plan.bounds[0], plan.bounds[plan.naggs], 30*stripe)
-			}
-			total, maxLoad := int64(0), int64(0)
-			for _, p := range plan.planned {
-				total += p
-				if p > maxLoad {
-					maxLoad = p
-				}
-			}
-			if total != 30*stripe {
-				return fmt.Errorf("planned totals %d, want %d", total, 30*stripe)
-			}
-			mean := float64(total) / float64(plan.naggs)
-			if imb := float64(maxLoad) / mean; imb > 1.3 {
-				return fmt.Errorf("planned byte imbalance %.2fx > 1.3x (planned %v)", imb, plan.planned)
-			}
-			// Placement: every domain's aggregator owns the plurality of its
-			// bytes. Rank 0 owns all of the front, so the front domains must
-			// land on rank 0... but each rank serves at most one domain, so
-			// check the weaker (and correct) property directly against the
-			// per-rank ownership: the chosen rank's bytes in the domain are
-			// >= the bytes of any rank not serving another domain it owns
-			// more of. Here it suffices that every tail domain (owned wholly
-			// by one rank) is served by its owner.
-			for a := 0; a < plan.naggs; a++ {
-				lo := plan.bounds[a]
-				if lo >= 24*stripe {
-					owner := int((lo-24*stripe)/(2*stripe)) + 1
-					if got := plan.aggRank(a); got != owner {
-						return fmt.Errorf("domain %d [%d,%d) served by rank %d, want owner %d",
-							a, lo, plan.bounds[a+1], got, owner)
-					}
-				}
-			}
-			return nil
-		}
-		if err := checkPartition(); err != nil {
-			return fmt.Errorf("rank %d: %w", c.Rank(), err)
-		}
-		return nil
-	})
-}
-
-// Balanced and even modes must write byte-identical files: the partition
-// changes who writes which bytes, never the bytes.
-func TestBalancedPartitionByteIdentical(t *testing.T) {
-	mkFile := func(mode string) []byte {
+// No collective issues a round in which every aggregator's window is empty:
+// the round count comes from the boundary table, never from a nominal
+// stripe-rounded width the table does not reach. The cases are requests
+// smaller than a stripe under a staging buffer smaller than a stripe — 140
+// bytes through one aggregator, and 128 KiB over four (evenBounds hands it
+// all to the first) — and the count is checked in the plan and in what the
+// collective books.
+func TestNoRoundWithEveryWindowEmpty(t *testing.T) {
+	for _, tc := range []struct {
+		off, n int64
+		nodes  string
+		rounds int64
+	}{
+		{7, 140, "1", 1},
+		{0, 128 << 10, "4", 32},
+		{100, 3 * 4096, "2", 3},
+	} {
 		fsys := testFS()
-		var img []byte
-		err := mpi.Run(4, mpi.DefaultNet(), func(c *mpi.Comm) error {
-			info := mpi.NewInfo().Set("cb_partition", mode)
-			f, err := Open(c, fsys, "x", ModeRdWr|ModeCreate, info)
+		info := mpi.NewInfo().Set("cb_buffer_size", "4096").Set("cb_nodes", tc.nodes)
+		runWorld(t, 4, func(c *mpi.Comm) error {
+			st := iostat.New()
+			c.Proc().SetStats(st)
+			f, err := Open(c, fsys, "tiny", ModeRdWr|ModeCreate, info)
 			if err != nil {
 				return err
 			}
-			// Skewed strided pattern: rank 0 writes 4x the bytes of the rest.
-			n := int64(999)
-			if c.Rank() == 0 {
-				n = 4 * 999
+			// Rank r holds the r-th quarter of [off, off+n).
+			lo, hi := tc.off+tc.n*int64(c.Rank())/4, tc.off+tc.n*int64(c.Rank()+1)/4
+			plan, ok, err := f.collectivePlan([]pfs.Segment{{Off: lo, Len: hi - lo}}, nil)
+			if err != nil || !ok {
+				return fmt.Errorf("collectivePlan: ok=%v err=%v", ok, err)
 			}
-			if err := f.SetView(int64(c.Rank()), stridedView(c.Rank(), 4, n)); err != nil {
-				return err
+			if plan.rounds != tc.rounds {
+				return fmt.Errorf("%+v: plan has %d rounds", tc, plan.rounds)
 			}
-			data := make([]byte, n)
-			for i := range data {
-				data[i] = byte(c.Rank()*100 + i%100)
-			}
-			if err := f.WriteAtAll(0, data); err != nil {
-				return err
-			}
-			f.Sync()
-			// Read back collectively too: the balanced read plan must
-			// return the same bytes.
-			got := make([]byte, n)
-			if err := f.ReadAtAll(0, got); err != nil {
-				return err
-			}
-			if !bytes.Equal(got, data) {
-				return fmt.Errorf("rank %d: %s round trip mismatch", c.Rank(), mode)
-			}
-			if c.Rank() == 0 {
-				sz, _ := f.Size()
-				img = make([]byte, sz)
-				if err := f.ReadRaw(img, 0); err != nil {
-					return err
+			for r := int64(0); r < plan.rounds; r++ {
+				busy := false
+				for a := 0; a < plan.naggs; a++ {
+					wlo, whi := plan.window(a, r)
+					busy = busy || whi > wlo
 				}
+				if !busy {
+					return fmt.Errorf("%+v: round %d of %d has nothing in any window", tc, r, plan.rounds)
+				}
+			}
+			if err := f.WriteAtAll(lo, make([]byte, hi-lo)); err != nil {
+				return err
+			}
+			if got := st.Get(iostat.IOTwoPhaseRounds); got != tc.rounds {
+				return fmt.Errorf("%+v: the write booked %d rounds", tc, got)
 			}
 			return f.Close()
 		})
-		if err != nil {
-			t.Fatalf("mode %s: %v", mode, err)
-		}
-		return img
-	}
-	even := mkFile(PartitionEven)
-	balanced := mkFile(PartitionBalanced)
-	if !bytes.Equal(even, balanced) {
-		i := 0
-		for i < len(even) && i < len(balanced) && even[i] == balanced[i] {
-			i++
-		}
-		t.Fatalf("even and balanced files differ at byte %d (lens %d/%d)", i, len(even), len(balanced))
 	}
 }

@@ -17,10 +17,9 @@ import (
 // scheduled — how many there are, which aggregator requests ran
 // asynchronously behind a neighbouring round — may not show in the file. The
 // same 4-rank interleaved write and read-back, at cb_buffer_size giving 1, 2,
-// 3 and many rounds, with 1, 2 and 4 aggregators and both partitions, must
-// leave the one expected image; io_pipelined_rounds and io_overlap_ns are 0
-// when the plan has one round (nothing ran asynchronously) and positive
-// above it.
+// 3 and many rounds, with 1, 2 and 4 aggregators, must leave the one
+// expected image; io_pipelined_rounds and io_overlap_ns are 0 when the plan
+// has one round (nothing ran asynchronously) and positive above it.
 func TestRoundScheduleLeavesOneFileImage(t *testing.T) {
 	const (
 		ranks, block, nBlocks = 4, 1024, 64
@@ -45,62 +44,57 @@ func TestRoundScheduleLeavesOneFileImage(t *testing.T) {
 	for _, nodes := range []int{1, 2, 4} {
 		domain := total / nodes
 		for _, rounds := range []int{1, 2, 3, domain / 4096} {
-			for _, partition := range []string{PartitionEven, PartitionBalanced} {
-				name := fmt.Sprintf("cb_nodes=%d/rounds=%d/%s", nodes, rounds, partition)
-				fsys := pfs.New(cfg)
-				info := mpi.NewInfo().
-					Set("cb_buffer_size", fmt.Sprint((domain+rounds-1)/rounds)).
-					Set("cb_nodes", fmt.Sprint(nodes)).
-					Set("cb_partition", partition)
-				var mu sync.Mutex
-				sum := map[iostat.Counter]int64{}
-				runWorld(t, ranks, func(c *mpi.Comm) error {
-					st := iostat.New()
-					c.Proc().SetStats(st)
-					f, err := Open(c, fsys, "img", ModeRdWr|ModeCreate, info)
-					if err != nil {
-						return err
-					}
-					if err := f.SetView(int64(c.Rank())*block, view); err != nil {
-						return err
-					}
-					if err := f.WriteAtAll(0, data[c.Rank()]); err != nil {
-						return err
-					}
-					got := make([]byte, per)
-					if err := f.ReadAtAll(0, got); err != nil {
-						return err
-					}
-					if !bytes.Equal(got, data[c.Rank()]) {
-						return fmt.Errorf("rank %d: round trip mismatch", c.Rank())
-					}
-					mu.Lock()
-					for _, k := range []iostat.Counter{iostat.IOPipelinedRounds, iostat.IOOverlapTimeNs} {
-						sum[k] += st.Get(k)
-					}
-					if c.Rank() == 0 {
-						sum[iostat.IOTwoPhaseRounds] = st.Get(iostat.IOTwoPhaseRounds) / 2 // per collective
-					}
-					mu.Unlock()
-					return f.Close()
-				})
-				if got := fileImage(t, fsys, "img"); !bytes.Equal(got, want) {
-					t.Errorf("%s: the file is not the expected image", name)
+			name := fmt.Sprintf("cb_nodes=%d/rounds=%d", nodes, rounds)
+			fsys := pfs.New(cfg)
+			info := mpi.NewInfo().
+				Set("cb_buffer_size", fmt.Sprint((domain+rounds-1)/rounds)).
+				Set("cb_nodes", fmt.Sprint(nodes))
+			var mu sync.Mutex
+			sum := map[iostat.Counter]int64{}
+			runWorld(t, ranks, func(c *mpi.Comm) error {
+				st := iostat.New()
+				c.Proc().SetStats(st)
+				f, err := Open(c, fsys, "img", ModeRdWr|ModeCreate, info)
+				if err != nil {
+					return err
 				}
-				// Balanced domains need not be equally wide, so only the
-				// even partition pins the exact count.
-				ran := sum[iostat.IOTwoPhaseRounds]
-				if (partition == PartitionEven && ran != int64(rounds)) || (ran == 1) != (rounds == 1) {
-					t.Errorf("%s: each collective ran %d rounds", name, ran)
+				if err := f.SetView(int64(c.Rank())*block, view); err != nil {
+					return err
 				}
-				piped, overlap := sum[iostat.IOPipelinedRounds], sum[iostat.IOOverlapTimeNs]
-				if ran == 1 && (piped != 0 || overlap != 0) {
-					t.Errorf("%s: one round, yet io_pipelined_rounds = %d, io_overlap_ns = %d", name, piped, overlap)
+				if err := f.WriteAtAll(0, data[c.Rank()]); err != nil {
+					return err
 				}
-				if ran > 1 && (piped == 0 || overlap == 0) {
-					t.Errorf("%s: %d rounds, yet io_pipelined_rounds = %d, io_overlap_ns = %d — nothing overlapped",
-						name, ran, piped, overlap)
+				got := make([]byte, per)
+				if err := f.ReadAtAll(0, got); err != nil {
+					return err
 				}
+				if !bytes.Equal(got, data[c.Rank()]) {
+					return fmt.Errorf("rank %d: round trip mismatch", c.Rank())
+				}
+				mu.Lock()
+				for _, k := range []iostat.Counter{iostat.IOPipelinedRounds, iostat.IOOverlapTimeNs} {
+					sum[k] += st.Get(k)
+				}
+				if c.Rank() == 0 {
+					sum[iostat.IOTwoPhaseRounds] = st.Get(iostat.IOTwoPhaseRounds) / 2 // per collective
+				}
+				mu.Unlock()
+				return f.Close()
+			})
+			if got := fileImage(t, fsys, "img"); !bytes.Equal(got, want) {
+				t.Errorf("%s: the file is not the expected image", name)
+			}
+			ran := sum[iostat.IOTwoPhaseRounds]
+			if ran != int64(rounds) {
+				t.Errorf("%s: each collective ran %d rounds", name, ran)
+			}
+			piped, overlap := sum[iostat.IOPipelinedRounds], sum[iostat.IOOverlapTimeNs]
+			if ran == 1 && (piped != 0 || overlap != 0) {
+				t.Errorf("%s: one round, yet io_pipelined_rounds = %d, io_overlap_ns = %d", name, piped, overlap)
+			}
+			if ran > 1 && (piped == 0 || overlap == 0) {
+				t.Errorf("%s: %d rounds, yet io_pipelined_rounds = %d, io_overlap_ns = %d — nothing overlapped",
+					name, ran, piped, overlap)
 			}
 		}
 	}
@@ -116,9 +110,7 @@ func TestOneRoundCollectiveIssuesNoAsyncOp(t *testing.T) {
 	runWorld(t, 4, func(c *mpi.Comm) error {
 		st := iostat.New()
 		c.Proc().SetStats(st)
-		// Even file domains: a balanced plan agrees a histogram and the
-		// aggregator placement on top.
-		f, err := Open(c, fsys, "one", ModeRdWr|ModeCreate, mpi.NewInfo().Set("cb_partition", PartitionEven))
+		f, err := Open(c, fsys, "one", ModeRdWr|ModeCreate, nil)
 		if err != nil {
 			return err
 		}

@@ -32,9 +32,9 @@ func fileImage(t *testing.T, fsys *pfs.FS, name string) []byte {
 // documented at WriteAtAll: when every rank writes the same bytes in one
 // collective — through the same strided view — the file holds the highest
 // rank's data, and the same image comes out of every configuration: two and
-// eight ranks, one aggregator and one per rank, even and balanced file
-// domains (many rounds each). With an unstable sort in the aggregator
-// the winner depended on the sort's internals.
+// eight ranks, one aggregator and one per rank (many rounds each). With an
+// unstable sort in the aggregator the winner depended on the sort's
+// internals.
 func TestOverlappingCollectiveWriteHighestRankWins(t *testing.T) {
 	const (
 		blocks, blockLen, stride = 90, 100, 300
@@ -56,29 +56,26 @@ func TestOverlappingCollectiveWriteHighestRankWins(t *testing.T) {
 			copy(want[disp+b*stride:], data[p-1][b*blockLen:(b+1)*blockLen])
 		}
 		for _, nodes := range []int{1, p} {
-			for _, partition := range []string{PartitionEven, PartitionBalanced} {
-				name := fmt.Sprintf("p%d/cb_nodes=%d/%s", p, nodes, partition)
-				fsys := testFS()
-				info := mpi.NewInfo().
-					Set("cb_buffer_size", "4096").
-					Set("cb_nodes", fmt.Sprint(nodes)).
-					Set("cb_partition", partition)
-				runWorld(t, p, func(c *mpi.Comm) error {
-					f, err := Open(c, fsys, "overlap", ModeRdWr|ModeCreate, info)
-					if err != nil {
-						return err
-					}
-					if err := f.SetView(disp, view); err != nil {
-						return err
-					}
-					if err := f.WriteAtAll(0, data[c.Rank()]); err != nil {
-						return err
-					}
-					return f.Close()
-				})
-				if got := fileImage(t, fsys, "overlap"); !bytes.Equal(got, want) {
-					t.Errorf("%s: file does not hold rank %d's data", name, p-1)
+			name := fmt.Sprintf("p%d/cb_nodes=%d", p, nodes)
+			fsys := testFS()
+			info := mpi.NewInfo().
+				Set("cb_buffer_size", "4096").
+				Set("cb_nodes", fmt.Sprint(nodes))
+			runWorld(t, p, func(c *mpi.Comm) error {
+				f, err := Open(c, fsys, "overlap", ModeRdWr|ModeCreate, info)
+				if err != nil {
+					return err
 				}
+				if err := f.SetView(disp, view); err != nil {
+					return err
+				}
+				if err := f.WriteAtAll(0, data[c.Rank()]); err != nil {
+					return err
+				}
+				return f.Close()
+			})
+			if got := fileImage(t, fsys, "overlap"); !bytes.Equal(got, want) {
+				t.Errorf("%s: file does not hold rank %d's data", name, p-1)
 			}
 		}
 	}
@@ -211,50 +208,47 @@ func TestReadRoundPartialAggregatorFailure(t *testing.T) {
 // TestViewTypemapIsNotWrittenThrough: an access covering the whole view hands
 // the filetype's own typemap down the stack as the request list (no copy is
 // made between SetView and the file system), so nothing below may write
-// through it — collective rounds under both partitions, and the independent
-// sieving paths, leave it exactly as it was installed.
+// through it — collective rounds and the independent sieving paths leave it
+// exactly as it was installed.
 func TestViewTypemapIsNotWrittenThrough(t *testing.T) {
 	const ranks, blocks, blockLen = 4, 64, 96
-	for _, partition := range []string{PartitionEven, PartitionBalanced} {
-		fsys := testFS()
-		info := mpi.NewInfo().Set("cb_buffer_size", "4096").Set("cb_nodes", "2").
-			Set("cb_partition", partition)
-		runWorld(t, ranks, func(c *mpi.Comm) error {
-			// Absolute offsets, displacement 0: what core installs.
-			var segs []mpitype.Segment
-			for b := 0; b < blocks; b++ {
-				segs = append(segs, mpitype.Segment{Off: int64((b*ranks+c.Rank())*blockLen + 5), Len: blockLen})
-			}
-			view, err := mpitype.FromSegments(segs, segs[blocks-1].Off+blockLen)
-			if err != nil {
+	fsys := testFS()
+	info := mpi.NewInfo().Set("cb_buffer_size", "4096").Set("cb_nodes", "2")
+	runWorld(t, ranks, func(c *mpi.Comm) error {
+		// Absolute offsets, displacement 0: what core installs.
+		var segs []mpitype.Segment
+		for b := 0; b < blocks; b++ {
+			segs = append(segs, mpitype.Segment{Off: int64((b*ranks+c.Rank())*blockLen + 5), Len: blockLen})
+		}
+		view, err := mpitype.FromSegments(segs, segs[blocks-1].Off+blockLen)
+		if err != nil {
+			return err
+		}
+		before := view.Segments()
+		f, err := Open(c, fsys, "shared", ModeRdWr|ModeCreate, info)
+		if err != nil {
+			return err
+		}
+		if err := f.SetView(0, view); err != nil {
+			return err
+		}
+		buf := bytes.Repeat([]byte{byte(c.Rank() + 1)}, blocks*blockLen)
+		steps := []func() error{
+			func() error { return f.WriteAtAll(0, buf) },
+			func() error { return f.ReadAtAll(0, buf) },
+			func() error { return f.WriteAt(0, buf) },
+			func() error { return f.ReadAt(0, buf) },
+		}
+		for i, step := range steps {
+			if err := step(); err != nil {
 				return err
 			}
-			before := view.Segments()
-			f, err := Open(c, fsys, "shared", ModeRdWr|ModeCreate, info)
-			if err != nil {
-				return err
-			}
-			if err := f.SetView(0, view); err != nil {
-				return err
-			}
-			buf := bytes.Repeat([]byte{byte(c.Rank() + 1)}, blocks*blockLen)
-			steps := []func() error{
-				func() error { return f.WriteAtAll(0, buf) },
-				func() error { return f.ReadAtAll(0, buf) },
-				func() error { return f.WriteAt(0, buf) },
-				func() error { return f.ReadAt(0, buf) },
-			}
-			for i, step := range steps {
-				if err := step(); err != nil {
-					return err
-				}
-				for k, s := range view.Runs() {
-					if s != before[k] {
-						return fmt.Errorf("rank %d: step %d changed typemap run %d from %v to %v", c.Rank(), i, k, before[k], s)
-					}
+			for k, s := range view.Runs() {
+				if s != before[k] {
+					return fmt.Errorf("rank %d: step %d changed typemap run %d from %v to %v", c.Rank(), i, k, before[k], s)
 				}
 			}
-			return f.Close()
-		})
-	}
+		}
+		return f.Close()
+	})
 }

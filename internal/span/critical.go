@@ -146,8 +146,7 @@ func CriticalPath(spans []Span) []RoundCritical {
 
 	// Pass 2: attribute the working spans — children of a round span, or
 	// round-tagged leaves directly under a collective span (the possibly
-	// overlapped phases). Leaves deeper in the tree (e.g. plan_domain under
-	// the plan span, which reuses Round as a domain index) stay out.
+	// overlapped phases). Leaves deeper in the tree stay out.
 	attribute := func(ra *roundAgg, s *Span) {
 		ra.n++
 		if s.End > ra.rawEnd {
@@ -275,8 +274,10 @@ type RankLoad struct {
 }
 
 // Load aggregates one phase across ranks: the per-phase load-imbalance
-// histogram. PerRank covers only ranks with at least one span in the phase
-// (aggregator phases legitimately touch a subset of ranks).
+// histogram. PerRank covers every rank of the trace, and Min, Mean and the
+// imbalance factors are taken over all of them: a rank that recorded no span
+// of the phase (an aggregator whose window was empty, a rank that is no
+// aggregator) was idle while the busiest one worked, which is the imbalance.
 type Load struct {
 	Phase   string
 	PerRank []RankLoad // sorted by rank
@@ -299,8 +300,8 @@ func (l Load) Imbalance() float64 {
 
 // ByteImbalance returns max/mean of the per-rank byte totals (1.0 =
 // perfectly balanced; 0 when the phase moved no bytes). For aggregator
-// phases this is the byte-load spread the balanced partitioner minimizes —
-// unlike Imbalance it is independent of per-rank timing noise.
+// phases this is the byte-load spread of the file domains — unlike Imbalance
+// it is independent of per-rank timing noise.
 func (l Load) ByteImbalance() float64 {
 	var max, sum int64
 	for _, rl := range l.PerRank {
@@ -316,63 +317,30 @@ func (l Load) ByteImbalance() float64 {
 	return float64(max) / mean
 }
 
-// PlannedActual pairs one aggregator rank's planned domain bytes with the
-// bytes it actually moved.
-type PlannedActual struct {
-	Rank    int
-	Planned int64 // sum of plan_domain span bytes on this rank
-	Actual  int64 // sum of agg_write + agg_read span bytes on this rank
-}
-
-// PlannedVsActual correlates the partitioner's plan with execution: planned
-// bytes come from plan_domain spans (emitted per aggregator under
-// cb_partition=balanced), actual bytes from aggregator I/O spans. Returns
-// nil when no plan_domain spans are present (even partitioning plans
-// silently). Ranks appearing on either side are included, sorted by rank.
-func PlannedVsActual(spans []Span) []PlannedActual {
-	per := make(map[int]*PlannedActual)
-	get := func(rank int) *PlannedActual {
-		pa := per[rank]
-		if pa == nil {
-			pa = &PlannedActual{Rank: rank}
-			per[rank] = pa
-		}
-		return pa
-	}
-	planned := false
-	for i := range spans {
-		s := &spans[i]
-		switch s.Phase {
-		case PlanDomain:
-			planned = true
-			get(s.Rank).Planned += s.Bytes
-		case AggWrite, AggRead:
-			get(s.Rank).Actual += s.Bytes
+// Busy returns how many ranks recorded at least one span of the phase.
+func (l Load) Busy() int {
+	n := 0
+	for _, rl := range l.PerRank {
+		if rl.Calls > 0 {
+			n++
 		}
 	}
-	if !planned {
-		return nil
-	}
-	out := make([]PlannedActual, 0, len(per))
-	for _, pa := range per {
-		out = append(out, *pa)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Rank < out[j].Rank })
-	return out
+	return n
 }
 
-// PhaseLoad computes the per-rank load for one phase tag.
+// PhaseLoad computes the per-rank load for one phase tag over every rank
+// that recorded a span of any phase.
 func PhaseLoad(spans []Span, phase string) Load {
 	per := make(map[int]*RankLoad)
 	for i := range spans {
 		s := &spans[i]
-		if s.Phase != phase {
-			continue
-		}
 		rl := per[s.Rank]
 		if rl == nil {
 			rl = &RankLoad{Rank: s.Rank}
 			per[s.Rank] = rl
+		}
+		if s.Phase != phase {
+			continue
 		}
 		rl.Seconds += s.Dur()
 		rl.Calls++

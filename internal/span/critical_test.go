@@ -253,3 +253,38 @@ func TestPhaseLoadAndHistogram(t *testing.T) {
 		t.Fatalf("uniform histogram = %v", counts)
 	}
 }
+
+// TestPhaseLoadCountsIdleRanks: an aggregator with nothing in its window
+// records no agg_write span, and the three ranks of eight that were idle
+// while five wrote are the imbalance — min, mean and both factors are over
+// the trace's eight ranks, not over the five that appear in the phase.
+func TestPhaseLoadCountsIdleRanks(t *testing.T) {
+	var spans []span.Span
+	for rank := 0; rank < 8; rank++ {
+		// Every rank takes part in the collective.
+		spans = append(spans, span.Span{ID: 1, Rank: rank, Phase: span.CollWrite, Round: -1, Start: 0, End: 1})
+		if rank < 5 {
+			spans = append(spans, span.Span{ID: 2, Parent: 1, Rank: rank, Phase: span.AggWrite,
+				Start: 0, End: 0.010 * float64(rank+1), Bytes: 1000})
+		}
+	}
+	load := span.PhaseLoad(spans, span.AggWrite)
+	if len(load.PerRank) != 8 || load.Busy() != 5 {
+		t.Fatalf("%d ranks, %d busy; want 8 and 5", len(load.PerRank), load.Busy())
+	}
+	if load.Min != 0 || load.MaxRank != 4 {
+		t.Errorf("min %v on max rank %d; an idle rank's time is 0 and rank 4 is slowest", load.Min, load.MaxRank)
+	}
+	// 10+20+30+40+50 ms over 8 ranks is a mean of 18.75 ms: 50/18.75.
+	if ib := load.Imbalance(); ib < 2.66 || ib > 2.67 {
+		t.Errorf("Imbalance() = %v, want 2.667 (over the five busy ranks alone it is 1.667)", ib)
+	}
+	// 5000 bytes over 8 ranks is 625 each: 1000/625.
+	if bi := load.ByteImbalance(); bi != 1.6 {
+		t.Errorf("ByteImbalance() = %v, want 1.6 (over the five busy ranks alone it is 1.0)", bi)
+	}
+	counts, _ := load.Histogram(5)
+	if total := counts[0] + counts[1] + counts[2] + counts[3] + counts[4]; total != 8 || counts[0] < 3 {
+		t.Errorf("histogram %v: want all 8 ranks, the idle three in the first bucket", counts)
+	}
+}

@@ -32,7 +32,6 @@ const (
 	CollRead     = "coll_read"     // mpiio: ReadAtAll
 	Flatten      = "flatten"       // mpitype: view range -> file segments
 	Plan         = "plan"          // mpiio: offset exchange / file-domain plan
-	PlanDomain   = "plan_domain"   // mpiio: one balanced file domain (Bytes = planned load)
 	Round        = "round"         // mpiio: one two-phase round
 	Pack         = "pack"          // mpiio: intersect + encode contributions
 	Exchange     = "exchange"      // mpiio: sparse rank<->aggregator exchange

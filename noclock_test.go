@@ -9,6 +9,7 @@ package pnetcdf_test
 // outside internal/: benchmark/ and cmd/.)
 
 import (
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
@@ -17,7 +18,10 @@ import (
 	"testing"
 )
 
-func TestInternalHasNoWallClock(t *testing.T) {
+// eachInternalFile parses every non-test Go file under internal/ and hands
+// it to check.
+func eachInternalFile(t *testing.T, mode parser.Mode, check func(fset *token.FileSet, path string, f *ast.File)) {
+	t.Helper()
 	fset := token.NewFileSet()
 	files := 0
 	err := filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
@@ -27,16 +31,12 @@ func TestInternalHasNoWallClock(t *testing.T) {
 		if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
 			return nil
 		}
-		f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
+		f, err := parser.ParseFile(fset, path, nil, mode)
 		if err != nil {
 			return err
 		}
 		files++
-		for _, imp := range f.Imports {
-			if imp.Path.Value == `"time"` {
-				t.Errorf("%s imports \"time\": internal/ runs on virtual time only", fset.Position(imp.Pos()))
-			}
-		}
+		check(fset, filepath.ToSlash(path), f)
 		return nil
 	})
 	if err != nil {
@@ -44,5 +44,44 @@ func TestInternalHasNoWallClock(t *testing.T) {
 	}
 	if files == 0 {
 		t.Fatal("no Go files found under internal/: the guard checked nothing")
+	}
+}
+
+func TestInternalHasNoWallClock(t *testing.T) {
+	eachInternalFile(t, parser.ImportsOnly, func(fset *token.FileSet, path string, f *ast.File) {
+		for _, imp := range f.Imports {
+			if imp.Path.Value == `"time"` {
+				t.Errorf("%s imports \"time\": internal/ runs on virtual time only", fset.Position(imp.Pos()))
+			}
+		}
+	})
+}
+
+// The same goes for the environment: what a run does is set by its hints and
+// options, which a test or a job script passes and a reader can see — never
+// by an ambient variable. The one exception is a debug checker that changes
+// no result (PNETCDF_CHECK_COLLECTIVES, internal/mpi/collcheck.go).
+func TestInternalReadsNoEnvironment(t *testing.T) {
+	const allowed = "internal/mpi/collcheck.go"
+	sawAllowed := false
+	eachInternalFile(t, parser.SkipObjectResolution, func(fset *token.FileSet, path string, f *ast.File) {
+		ast.Inspect(f, func(n ast.Node) bool {
+			sel, ok := n.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			if pkg, ok := sel.X.(*ast.Ident); !ok || pkg.Name != "os" || (sel.Sel.Name != "Getenv" && sel.Sel.Name != "LookupEnv") {
+				return true
+			}
+			if path == allowed {
+				sawAllowed = true
+			} else {
+				t.Errorf("%s reads the environment (os.%s): pass a hint or an option instead", fset.Position(sel.Pos()), sel.Sel.Name)
+			}
+			return true
+		})
+	})
+	if !sawAllowed {
+		t.Errorf("%s no longer reads the environment: drop the exception", allowed)
 	}
 }

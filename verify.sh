@@ -10,8 +10,6 @@
 # fails the gate. nclint runs in interprocedural mode (module call graph +
 # summaries) and its wall time is recorded and budgeted at 30s. Toggles:
 #   LINT=0   skip the nclint pass (escape hatch while iterating).
-#   CB_PARTITION=0  skip the cb_partition=balanced re-run of the collective
-#            suites (on by default; see DESIGN.md §12).
 #   BENCH=1  run the repository's benchmark (benchmark/README.md: five
 #            pinned workloads, end-to-end and per-layer, ~2 min), write this
 #            PR's row of the perf trajectory to results/BENCH_<pr>.json and
@@ -58,14 +56,6 @@ go test -race ./...
 # file under testdata/fuzz runs once as a unit test. (To fuzz for real:
 # go test ./internal/mpiio -run '^$' -fuzz FuzzAssembleWrite -fuzztime 30s.)
 go test -run 'Fuzz' ./internal/cdf/ ./internal/mpiio/ ./internal/integration/
-
-if [ "${CB_PARTITION:-1}" = "1" ]; then
-    # Re-run the collective-path suites with balanced file domains as the
-    # ambient default (DESIGN.md §12): every collective test must pass, and
-    # produce the same bytes, under cb_partition=balanced.
-    PNETCDF_CB_PARTITION=balanced go test \
-        ./internal/mpiio/ ./internal/core/ ./internal/integration/ ./internal/bench/
-fi
 
 if [ "${BENCH:-0}" = "1" ]; then
     # One row per PR: results/BENCH_<n>.json is generated, never edited. The
