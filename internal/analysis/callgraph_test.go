@@ -119,15 +119,21 @@ func TestModuleSummaries(t *testing.T) {
 
 	// bufpool facts: recycleRound puts the received messages; packWriteRound
 	// parks pooled buffers in its parts parameter (index 6); encodeWriteMsg
-	// returns a pooled buffer; sparseExchange gives its parts (index 1) away
+	// returns a pooled buffer; deliver gives its parts (index 1) away
 	// through Comm.Send and parks what Comm.Recv handed it in its out
-	// parameter (index 2) — both through deliver, one hop down.
+	// parameter (index 2), and sparseExchange does the same with its parts
+	// and out (indexes 2 and 3) through deliver, one hop down — or puts the
+	// parts back itself on a failed verdict.
 	if s := sum(mpiio, "recycleRound"); !s.PutsParam(0) {
 		t.Errorf("recycleRound: PutsParams = %b, want bit 0", s.PutsParams)
 	}
-	for _, name := range []string{"deliver", "sparseExchange"} {
-		if s := sum(mpiio, name); !s.PutsParam(1) || !s.StoresPooledParam(2) {
-			t.Errorf("%s: PutsParams = %b, StoresPooledParams = %b, want bit 1 and bit 2", name, s.PutsParams, s.StoresPooledParams)
+	for _, fn := range []struct {
+		name       string
+		parts, out int
+	}{{"deliver", 1, 2}, {"sparseExchange", 2, 3}} {
+		if s := sum(mpiio, fn.name); !s.PutsParam(fn.parts) || !s.StoresPooledParam(fn.out) {
+			t.Errorf("%s: PutsParams = %b, StoresPooledParams = %b, want bit %d and bit %d",
+				fn.name, s.PutsParams, s.StoresPooledParams, fn.parts, fn.out)
 		}
 	}
 	if s := sum(mpiio, "File.packWriteRound"); !s.StoresPooledParam(6) {

@@ -24,7 +24,9 @@ import (
 //     each aggregator's window (a sparse exchange: counts via Allreduce,
 //     then point-to-point), and aggregators merge the pieces they received
 //     (merge.go) into few large contiguous file accesses on everyone's
-//     behalf.
+//     behalf. The count Allreduce is the round's only collective: it also
+//     carries the error verdict on an earlier round (rounds.go), and one
+//     closing agreement covers the rounds no later exchange carries.
 //
 // The exchange moves the real bytes; the pfs cost model rewards the
 // resulting contiguity, which is where the collective-vs-independent gap in
@@ -376,8 +378,9 @@ type collectivePlan struct {
 
 // agreeAbort records a collective abort and returns err unchanged; every
 // rank of a failed collective passes its agreed error through here. It is
-// accounting only — the agreement itself already happened (AgreeError);
-// this performs no communication.
+// accounting only — the agreement itself already happened (the plan's
+// allreduce, a round's verdict, or AgreeError); this performs no
+// communication.
 func (f *File) agreeAbort(err error) error {
 	if err != nil {
 		f.st.Add(iostat.IOCollAborts, 1)
@@ -542,6 +545,13 @@ func recycleRound(msgs [][]byte) {
 	bufpool.PutAll(msgs)
 }
 
+// failedRound is what a rank whose pending outcome failed adds to every slot
+// of sparseExchange's count vector. A slot sums at most one message per rank,
+// so its low 32 bits stay the message count and anything above them is the
+// number of ranks that failed: the verdict rides in the vector the exchange
+// reduces anyway, without lengthening it.
+const failedRound = 1 << 32
+
 // sparseExchange delivers parts[dst] to each dst with a non-nil entry and
 // fills out, indexed by source, with the blobs this rank received (a source
 // that sent nothing leaves its slot nil; out must come in empty). Messages
@@ -550,19 +560,45 @@ func recycleRound(msgs [][]byte) {
 // the sender holds none of what it packed (a slot whose send did not happen —
 // the exchange unwound first — stays with the sender). The expected receive
 // count is agreed via an Allreduce over counts (scratch, one entry per rank),
-// as ROMIO exchanges counts before payloads. kill, when non-nil, is the
-// mid-exchange rank-kill hook: it runs after this rank's sends are out but
-// before its receives complete — the window where a crash strands both the
-// count agreement's promises and the peers' pending receives.
-func sparseExchange(c *mpi.Comm, parts, out [][]byte, counts []int64, tag int, kill func()) {
+// as ROMIO exchanges counts before payloads.
+//
+// The same Allreduce is the error agreement on an earlier round: pending is
+// this rank's outcome of it (nil for none, or success). On a failed verdict
+// every rank learns it from the reduction, before any send, so nothing is
+// delivered: parts go back to the pool, out stays empty, and the return is
+// pending on a rank that failed and mpi.ErrPeerFailed on the others — the
+// AgreeError convention. sp records the Allreduce as an agree span (a wait
+// for the slowest rank to arrive) and the point-to-point half as an exchange
+// span. kill, when non-nil, is the mid-exchange rank-kill hook: it runs after
+// this rank's sends are out but before its receives complete — the window
+// where a crash strands both the count agreement's promises and the peers'
+// pending receives.
+func sparseExchange(c *mpi.Comm, sp *span.Recorder, parts, out [][]byte, counts []int64,
+	pending error, tag int, kill func()) error {
 	for dst, p := range parts {
 		counts[dst] = 0
 		if p != nil {
 			counts[dst] = 1
 		}
+		if pending != nil {
+			counts[dst] += failedRound
+		}
 	}
+	sAgree := sp.Begin(span.Agree)
 	totals := c.AllreduceI64(counts, mpi.OpSum)
-	deliver(c, parts, out, tag, int(totals[c.Rank()]), kill)
+	sAgree.End()
+	expect := totals[c.Rank()]
+	if expect >= failedRound {
+		bufpool.PutAll(parts)
+		if pending != nil {
+			return pending
+		}
+		return mpi.ErrPeerFailed
+	}
+	sXchg := sp.Begin(span.Exchange)
+	deliver(c, parts, out, tag, int(expect), kill)
+	sXchg.End()
+	return nil
 }
 
 // deliver is the point-to-point half of sparseExchange for a caller that
@@ -600,7 +636,7 @@ func encodeWriteMsg(reqs []reqSeg, buf []byte) []byte {
 	for _, r := range reqs {
 		total += r.len
 	}
-	//nclint:escape -- the sender gives the message up at sparseExchange (slot nilled); the receiving aggregator's recycleRound puts it once its write is down
+	//nclint:escape -- the sender gives the message up at sparseExchange (slot nilled; put back there on a failed verdict); the receiving aggregator's recycleRound puts it once its write is down
 	msg := bufpool.GetDirty(8 + 16*len(reqs) + int(total))
 	binary.BigEndian.PutUint64(msg, uint64(len(reqs)))
 	p := 8
@@ -616,7 +652,7 @@ func encodeWriteMsg(reqs []reqSeg, buf []byte) []byte {
 }
 
 func encodeReadMsg(reqs []reqSeg) []byte {
-	//nclint:escape -- the sender gives the request up at sparseExchange (slot nilled); the receiving aggregator's recycleRound puts it once the coverage is assembled
+	//nclint:escape -- the sender gives the request up at sparseExchange (slot nilled; put back there on a failed verdict); the receiving aggregator's recycleRound puts it once the coverage is assembled
 	msg := bufpool.GetDirty(8 + 16*len(reqs))
 	binary.BigEndian.PutUint64(msg, uint64(len(reqs)))
 	p := 8

@@ -22,7 +22,7 @@ import (
 // (see WriteAtAll).
 //
 // Preconditions, checked while the merge walks and reported as
-// ErrBadRoundMsg (into the round's AgreeError, so every rank returns
+// ErrBadRoundMsg (into the round's error verdict, so every rank returns
 // together): a message holds its count and that many header entries; every
 // entry has a positive length and lies inside the aggregator's window of the
 // round; a source's offsets do not descend; and the bytes after the header

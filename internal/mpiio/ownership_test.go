@@ -2,6 +2,7 @@ package mpiio
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -35,7 +36,9 @@ func TestSparseExchangeHandsBuffersOver(t *testing.T) {
 			sent[me][dst] = &b[0]
 		}
 		out := make([][]byte, p)
-		sparseExchange(c, parts, out, make([]int64, p), roundTag(0, 0), nil)
+		if err := sparseExchange(c, nil, parts, out, make([]int64, p), nil, roundTag(0, 0), nil); err != nil {
+			return err
+		}
 		for dst, slot := range parts {
 			if slot != nil {
 				return fmt.Errorf("rank %d: parts[%d] still holds a buffer after the exchange", me, dst)
@@ -54,6 +57,63 @@ func TestSparseExchangeHandsBuffersOver(t *testing.T) {
 			}
 			if &blob[0] != sent[src][me] {
 				return fmt.Errorf("rank %d: message from %d is a copy, not the sender's buffer", me, src)
+			}
+		}
+		recycleRound(out)
+		return nil
+	})
+}
+
+// TestSparseExchangeFailedVerdictDeliversNothing: the count allreduce is also
+// the verdict on an earlier round. When one rank brings a failed outcome,
+// every rank learns it from that reduction, before any send: the failing rank
+// gets its own error back and the others mpi.ErrPeerFailed, no message moves
+// (mpi_msgs_sent grows by the allreduce's own messages only), out stays empty,
+// and the packed parts went back to the pool (every slot nil).
+func TestSparseExchangeFailedVerdictDeliversNothing(t *testing.T) {
+	const p, failing = 5, 3
+	errRound := errors.New("round failed on rank 3")
+	runWorld(t, p, func(c *mpi.Comm) error {
+		me := c.Rank()
+		st := iostat.New()
+		c.Proc().SetStats(st)
+		counts := make([]int64, p)
+		c.AllreduceI64(counts, mpi.OpSum)
+		allreduceMsgs := st.Get(iostat.MPIMsgsSent)
+		parts, out := make([][]byte, p), make([][]byte, p)
+		for dst := range parts {
+			parts[dst] = bufpool.GetDirty(512)
+		}
+		var pending error
+		if me == failing {
+			pending = errRound
+		}
+		base := st.Get(iostat.MPIMsgsSent)
+		err := sparseExchange(c, nil, parts, out, counts, pending, roundTag(0, 0), nil)
+		switch {
+		case me == failing && err != errRound:
+			return fmt.Errorf("rank %d: verdict %v, want its own error", me, err)
+		case me != failing && !errors.Is(err, mpi.ErrPeerFailed):
+			return fmt.Errorf("rank %d: verdict %v, want ErrPeerFailed", me, err)
+		}
+		if sent := st.Get(iostat.MPIMsgsSent) - base; sent != allreduceMsgs {
+			return fmt.Errorf("rank %d: sent %d messages, the allreduce alone sends %d", me, sent, allreduceMsgs)
+		}
+		for i := range parts {
+			if parts[i] != nil || out[i] != nil {
+				return fmt.Errorf("rank %d: slot %d still holds a buffer after a failed verdict", me, i)
+			}
+		}
+		// The next exchange on the same tables runs normally.
+		for dst := range parts {
+			parts[dst] = bufpool.GetDirty(512)
+		}
+		if err := sparseExchange(c, nil, parts, out, counts, nil, roundTag(1, 0), nil); err != nil {
+			return err
+		}
+		for src, blob := range out {
+			if blob == nil {
+				return fmt.Errorf("rank %d: nothing from %d after a good verdict", me, src)
 			}
 		}
 		recycleRound(out)

@@ -6,9 +6,9 @@ package mpiio
 // them so that an aggregator's request is in flight while the ranks do the
 // neighbouring round's communication:
 //
-//	write round r:  issue(r) → [pack(r+1) → exchange(r+1)] → wait(r) → agree(r)
-//	read round r:   pack(r) → exchange(r) → issue(r) → [replies(r-1) → scatter(r-1)]
-//	                → wait(r) → agree(r)
+//	write round r:  issue(r) → [pack(r+1) → exchange(r+1) ⊇ verdict(r−1)] → wait(r)
+//	read round r:   pack(r) → exchange(r) ⊇ verdict(r−1) → issue(r)
+//	                → [replies(r−1) → scatter(r−1)] → wait(r)
 //
 // The bracketed step is what hides the request, and it is the whole rule for
 // when a request is asynchronous (pfs.WriteVecAsync/ReadVAsync): only when
@@ -21,13 +21,23 @@ package mpiio
 // occurrence counters stay in program order, so seeded fault runs remain
 // deterministic, and the crash-truncate path never races a second write.
 //
-// A write round's error agreement therefore comes after the next round's
-// exchange (which needs no agreement to be safe — sparseExchange agrees its
-// counts internally); a read round's stays before its reply exchange — a
-// failed aggregator has nothing to send back. Every rank runs the identical
-// collective sequence, so the PR 2 invariants hold: no hangs, the same error
-// on every rank, and no duplicate writes on retry (a transient async failure
-// is re-issued synchronously at Wait; writes are idempotent full rewrites).
+// One agreement per round. An exchange's count allreduce (sparseExchange) is
+// also the error agreement on the newest round whose outcome every rank
+// knows: on a write, round r+1's exchange carries round r−1's (its wait
+// finished in the previous iteration); on a read, round r's exchange carries
+// round r−1's, still ahead of answer(r−1), so a failed aggregator is never
+// expected to reply. The rounds no later exchange can carry — R−2 and R−1 of
+// a write, R−1 of a read — go to one closing AgreeError. A collective of R
+// rounds thus enters 1 + R + 1 allreduces (plan, exchanges, closing
+// agreement) where it used to enter 1 + 2R, and a one-round plan keeps the
+// classic sequence. On a failed verdict every rank learns it from the same
+// allreduce before any send: nothing is delivered, the in-flight request is
+// waited, every buffer is recycled, and all ranks return together. Every rank
+// runs the identical collective sequence, so the PR 2 invariants hold: no
+// hangs, the same error on every rank, and no duplicate writes on retry (a
+// transient async failure is re-issued synchronously at Wait; writes are
+// idempotent full rewrites — a write round issued before the verdict on an
+// earlier one rewrites its window with the caller's bytes either way).
 //
 // Buffer lifetime follows the in-flight-generation pattern (r & 1): the
 // exchange hands every packed message to its receiver (sparseExchange), so a
@@ -40,6 +50,8 @@ package mpiio
 // were asynchronous.
 
 import (
+	"cmp"
+
 	"pnetcdf/internal/bufpool"
 	"pnetcdf/internal/fault"
 	"pnetcdf/internal/pfs"
@@ -76,21 +88,22 @@ func (f *File) writeRounds(plan collectivePlan, segs []pfs.Segment, prefix []int
 		}
 	}()
 
-	// frontend packs round r and exchanges it into generation r & 1. The
-	// round span covers only this; the aggregator's write is recorded on its
-	// own, under the collective, with the interval it really took.
+	// frontend packs round r and exchanges it into generation r & 1; the
+	// exchange's count allreduce carries pending, this rank's outcome of an
+	// earlier round, and frontend returns the agreed verdict on it. The round
+	// span covers only this; the aggregator's write is recorded on its own,
+	// under the collective, with the interval it really took.
 	kill := f.killHook(fault.KillMidExchange)
-	frontend := func(r int64) {
+	frontend := func(r int64, pending error) error {
 		f.killPoint(fault.KillBeforePack)
 		sRound := f.sp.Begin(span.Round)
 		sRound.SetRound(int(r))
 		sPack := f.sp.Begin(span.Pack)
 		s.clip = f.packWriteRound(plan, segs, prefix, spans, buf, r, parts, s.clip, sPack)
 		sPack.End()
-		sXchg := f.sp.Begin(span.Exchange)
-		sparseExchange(f.comm, parts, msgs[r&1], s.counts, roundTag(r, 0), kill)
-		sXchg.End()
+		err := sparseExchange(f.comm, f.sp, parts, msgs[r&1], s.counts, pending, roundTag(r, 0), kill)
 		sRound.End()
+		return err
 	}
 	// Retried under the file's retry policy; also what a transient failure
 	// of the asynchronous request falls back to.
@@ -98,7 +111,8 @@ func (f *File) writeRounds(plan collectivePlan, segs []pfs.Segment, prefix []int
 		return f.pf.WriteVec(t, wv.segs, wv.iov)
 	}
 
-	frontend(0)
+	_ = frontend(0, nil) // carries no round: the verdict is nil
+	var prev error       // round r-1's outcome, carried by round r+1's exchange
 	for r := int64(0); r < plan.rounds; r++ {
 		g, last := r&1, r+1 == plan.rounds
 		// Backend: merge what this aggregator received into one vectored
@@ -121,8 +135,12 @@ func (f *File) writeRounds(plan collectivePlan, segs []pfs.Segment, prefix []int
 			}
 			f.killPoint(fault.KillAfterIssue)
 		}
+		var verdict error
 		if !last {
-			frontend(r + 1)
+			verdict = frontend(r+1, prev)
+			if verdict == nil && r > 0 {
+				prog.roundAgreed(r - 1)
+			}
 		}
 		if inflight != nil {
 			roundErr = f.waitPF(inflight, issued, write)
@@ -133,17 +151,34 @@ func (f *File) writeRounds(plan collectivePlan, segs []pfs.Segment, prefix []int
 		}
 		// The write is down; recycle the messages it referenced.
 		recycleRound(msgs[g])
-		// Collective error agreement: every rank learns whether any
-		// aggregator failed this round, so all ranks return the same error.
-		// On failure the freshly exchanged next generation is dead too —
-		// every rank bails here together, with nothing left in flight.
-		if err := f.comm.AgreeError(roundErr); err != nil {
+		if verdict != nil {
+			// Some rank failed round r-1, and every rank learnt it from the
+			// same allreduce before any send: the next generation received
+			// nothing, and all ranks bail here together.
 			recycleRound(msgs[g^1])
-			return err
+			return verdict
 		}
-		prog.roundAgreed(r)
+		if last {
+			// No next exchange: one agreement carries this round's outcome
+			// and round R-2's (prev; nil for a one-round plan).
+			if err := f.agree(r, cmp.Or(prev, roundErr)); err != nil {
+				return err
+			}
+			prog.roundAgreed(r)
+		}
+		prev = roundErr
 	}
 	return nil
+}
+
+// agree is a collective's closing error agreement, recorded as an agree
+// span of its last round r.
+func (f *File) agree(r int64, err error) error {
+	sAgree := f.sp.Begin(span.Agree)
+	sAgree.SetRound(int(r))
+	err = f.comm.AgreeError(err)
+	sAgree.End()
+	return err
 }
 
 // readRounds runs the read rounds of one collective: round r's coverage read
@@ -202,6 +237,7 @@ func (f *File) readRounds(plan collectivePlan, segs []pfs.Segment, prefix []int6
 	}
 
 	kill := f.killHook(fault.KillMidExchange)
+	var pending error // round r-1's outcome, carried by round r's exchange
 	for r := int64(0); r < plan.rounds; r++ {
 		g := r & 1
 		// Frontend: ship request segment lists to the aggregators; reqs[g]
@@ -212,10 +248,19 @@ func (f *File) readRounds(plan collectivePlan, segs []pfs.Segment, prefix []int6
 		sPack := f.sp.Begin(span.Pack)
 		sent[g] = f.packReadRound(plan, segs, prefix, spans, r, parts, s.reqs[g], sPack)
 		sPack.End()
-		sXchg := f.sp.Begin(span.Exchange)
-		sparseExchange(f.comm, parts, msgs, s.counts, roundTag(r, 0), kill)
-		sXchg.End()
+		verdict := sparseExchange(f.comm, f.sp, parts, msgs, s.counts, pending, roundTag(r, 0), kill)
 		sRound.End()
+		if verdict != nil {
+			// Some rank failed round r-1, and every rank learnt it here,
+			// BEFORE answer(r-1): a failed aggregator has no data to send
+			// back, and the reply leg expects a fixed number of messages.
+			// Nothing was delivered (msgs is empty; recycled all the same),
+			// nothing is in flight, and round r-1's coverage will never be
+			// answered.
+			recycleRound(msgs)
+			s.cov[g^1].release()
+			return verdict
+		}
 		// Backend: merge the requests into one coverage read.
 		cov := &s.cov[g]
 		read := func(t float64) (float64, error) {
@@ -248,13 +293,13 @@ func (f *File) readRounds(plan collectivePlan, segs []pfs.Segment, prefix []int6
 		if io {
 			f.sp.Record(span.AggRead, int(r), issued, f.comm.Clock(), int64(len(cov.data)))
 		}
-		// Agreement comes BEFORE the reply exchange: a failed aggregator
-		// has no data to send back, so all ranks must learn of the failure
-		// here or the reply exchange would hang. Nothing is in flight.
-		if err := f.comm.AgreeError(roundErr); err != nil {
-			cov.release()
-			return err
-		}
+		pending = roundErr
+	}
+	// The last round has no next exchange: its verdict is one agreement of
+	// its own, still ahead of its reply leg.
+	if err := f.agree(plan.rounds-1, pending); err != nil {
+		s.cov[(plan.rounds-1)&1].release()
+		return err
 	}
 	answer(plan.rounds - 1)
 	return nil

@@ -11,9 +11,9 @@ import (
 
 // checkRoundSpanShape asserts the one shape a collective's spans take at
 // every round count: a round span holds only the round's frontend (pack,
-// exchange), and the aggregator's I/O, the reply exchange and the scatter are
-// round-tagged children of the collective span itself. It returns how many
-// aggregator I/O spans the rank recorded.
+// agree, exchange), and the aggregator's I/O, the reply exchange, the scatter
+// and the closing agreement are round-tagged children of the collective span
+// itself. It returns how many aggregator I/O spans the rank recorded.
 func checkRoundSpanShape(t *testing.T, rank int, spans []span.Span) (agg int) {
 	t.Helper()
 	byID := make(map[int64]span.Span, len(spans))
@@ -26,6 +26,11 @@ func checkRoundSpanShape(t *testing.T, rank int, spans []span.Span) (agg int) {
 		case span.Pack, span.Exchange:
 			if parent != span.Round {
 				t.Errorf("rank %d: %s span under %q, want under its round span", rank, s.Phase, parent)
+			}
+		case span.Agree:
+			closing := s.Round >= 0 && (parent == span.CollWrite || parent == span.CollRead)
+			if parent != span.Round && !closing {
+				t.Errorf("rank %d: agree span (round %d) under %q, want under a round span or round-tagged under the collective", rank, s.Round, parent)
 			}
 		case span.AggWrite, span.AggRead, span.ReplyXchg, span.Scatter:
 			if s.Round < 0 || (parent != span.CollWrite && parent != span.CollRead) {

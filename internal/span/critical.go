@@ -7,11 +7,14 @@ import (
 
 // RoundCritical names the rank and phase that bounded one two-phase round
 // of one collective call. "Bounded" means: among all ranks participating in
-// the round, this rank's local work (from its round start to the end of its
-// last child phase, before the round's collective error agreement
-// synchronizes everyone) took longest, and Phase is the longest child phase
-// on that rank. Durations are within-rank, so the analysis is immune to
-// cross-rank clock skew.
+// the round, this rank's local work took longest — from its round start to
+// the end of its last child phase, less the stretches it spent only waiting
+// in an agree span (the round's count allreduce, which also carries an
+// earlier round's error verdict, and the collective's closing agreement:
+// the early ranks wait there for the slowest to arrive, so that time is the
+// slowest rank's work, not theirs) — and Phase is the longest working child
+// phase on that rank, never agree. Durations are within-rank, so the
+// analysis is immune to cross-rank clock skew.
 type RoundCritical struct {
 	Coll  int     // collective call index (order of coll_* spans per rank)
 	Round int     // round index within the collective
@@ -81,21 +84,25 @@ func collIndexes(spans []Span) map[int]map[int64]int {
 // Returns rounds sorted by (Coll, Round).
 //
 // A round's spans come from two places: children of its round span
-// (pack/exchange), and floating leaves recorded directly under the
-// collective span with an explicit Round tag — agg_write/agg_read/
-// reply_xchg/scatter, whose intervals can genuinely overlap a neighbouring
-// round's span. Traces recorded before there was one round loop also nest
-// those four under the round span; they are attributed the same way, so
-// committed traces still import. Per (rank,
-// collective) the rounds are walked in index order with a time cursor:
-// round r is charged max(0, lastEnd_r − max(roundStart_r, cursor)) and the
-// cursor advances to lastEnd_r, so an aggregator I/O that completes inside
-// round r+1's window is attributed to round r without the overlapped
-// stretch being counted twice — per-rank round works never sum past wall
-// time. Traces with no overlap get the historical attribution unchanged.
+// (pack/exchange; agree is a child too, but a wait, see waits), and
+// floating leaves recorded directly under the collective span with an
+// explicit Round tag — agg_write/agg_read/reply_xchg/scatter, whose
+// intervals can genuinely overlap a neighbouring round's span. Traces
+// recorded before there was one round loop also nest those four under the
+// round span; they are attributed the same way, so committed traces still
+// import. Per (rank, collective) the rounds are walked in index order with
+// a time cursor: round r is charged max(0, lastEnd_r − max(roundStart_r,
+// cursor)) and the cursor advances to lastEnd_r, so an aggregator I/O that
+// completes inside round r+1's window is attributed to round r without the
+// overlapped stretch being counted twice — per-rank round works never sum
+// past wall time. Traces with no overlap get the historical attribution
+// unchanged. Finally the rank's wait stretches inside the charged interval
+// are taken off, so a rank whose round is long only because it waited in
+// agree is not named.
 func CriticalPath(spans []Span) []RoundCritical {
 	idx := index(spans)
 	colls := collIndexes(spans)
+	idle := waits(spans)
 
 	// roundAgg accumulates one (rank, coll, round)'s evidence.
 	type rkey struct{ rank, coll, round int }
@@ -161,7 +168,7 @@ func CriticalPath(spans []Span) []RoundCritical {
 	}
 	for i := range spans {
 		s := &spans[i]
-		if s.Phase == Round || s.Parent == 0 {
+		if s.Phase == Round || s.Phase == Agree || s.Parent == 0 {
 			continue
 		}
 		if k, ok := roundKey[s.Rank][s.Parent]; ok {
@@ -214,7 +221,7 @@ func CriticalPath(spans []Span) []RoundCritical {
 			if cursor > start {
 				start = cursor
 			}
-			work := rawEnd - start
+			work := rawEnd - start - overlap(idle[k.rank], start, rawEnd)
 			if work < 0 {
 				work = 0
 			}
@@ -329,8 +336,15 @@ func (l Load) Busy() int {
 }
 
 // PhaseLoad computes the per-rank load for one phase tag over every rank
-// that recorded a span of any phase.
+// that recorded a span of any phase. A span's seconds leave out the rank's
+// wait stretches inside it (waits), so a round or a collective counts the
+// work it did, not how long it sat in an agreement; agree spans themselves
+// count whole.
 func PhaseLoad(spans []Span, phase string) Load {
+	return phaseLoad(spans, phase, waits(spans))
+}
+
+func phaseLoad(spans []Span, phase string, idle map[int][]interval) Load {
 	per := make(map[int]*RankLoad)
 	for i := range spans {
 		s := &spans[i]
@@ -343,6 +357,9 @@ func PhaseLoad(spans []Span, phase string) Load {
 			continue
 		}
 		rl.Seconds += s.Dur()
+		if phase != Agree {
+			rl.Seconds -= overlap(idle[s.Rank], s.Start, s.End)
+		}
 		rl.Calls++
 		rl.Bytes += s.Bytes
 	}
@@ -383,8 +400,9 @@ func AllLoads(spans []Span) []Load {
 		}
 	}
 	out := make([]Load, 0, len(phases))
+	idle := waits(spans)
 	for _, p := range phases {
-		out = append(out, PhaseLoad(spans, p))
+		out = append(out, phaseLoad(spans, p, idle))
 	}
 	sort.Slice(out, func(i, j int) bool {
 		bi, bj := out[i].Imbalance(), out[j].Imbalance()
@@ -399,6 +417,91 @@ func AllLoads(spans []Span) []Load {
 		return out[i].Phase < out[j].Phase
 	})
 	return out
+}
+
+// interval is a half-open stretch [lo, hi) of one rank's clock.
+type interval struct{ lo, hi float64 }
+
+// waits returns, per rank, the stretches the rank spent only waiting: the
+// union of its agree spans less every other leaf span of the rank. An
+// agreement an aggregator sits in while its own file request is in flight
+// (a pfs/agg leaf overlapping it) is I/O going on, not a wait. Each list is
+// sorted and disjoint.
+func waits(spans []Span) map[int][]interval {
+	type rankID struct {
+		rank int
+		id   int64
+	}
+	isParent := make(map[rankID]bool)
+	for i := range spans {
+		if spans[i].Parent != 0 {
+			isParent[rankID{spans[i].Rank, spans[i].Parent}] = true
+		}
+	}
+	agree := make(map[int][]interval)
+	busy := make(map[int][]interval)
+	for i := range spans {
+		s := &spans[i]
+		switch {
+		case s.Phase == Agree:
+			agree[s.Rank] = append(agree[s.Rank], interval{s.Start, s.End})
+		case !isParent[rankID{s.Rank, s.ID}]:
+			busy[s.Rank] = append(busy[s.Rank], interval{s.Start, s.End})
+		}
+	}
+	out := make(map[int][]interval, len(agree))
+	for rank, a := range agree {
+		out[rank] = subtract(union(a), union(busy[rank]))
+	}
+	return out
+}
+
+// union sorts intervals and merges the overlapping ones, in place.
+func union(in []interval) []interval {
+	if len(in) == 0 {
+		return nil
+	}
+	sort.Slice(in, func(i, j int) bool { return in[i].lo < in[j].lo })
+	out := in[:1]
+	for _, iv := range in[1:] {
+		if last := &out[len(out)-1]; iv.lo <= last.hi {
+			last.hi = max(last.hi, iv.hi)
+		} else {
+			out = append(out, iv)
+		}
+	}
+	return out
+}
+
+// subtract returns from less cover, both sorted and disjoint.
+func subtract(from, cover []interval) []interval {
+	var out []interval
+	j := 0
+	for _, iv := range from {
+		lo := iv.lo
+		for j < len(cover) && cover[j].hi <= lo {
+			j++
+		}
+		for k := j; k < len(cover) && cover[k].lo < iv.hi && lo < iv.hi; k++ {
+			if cover[k].lo > lo {
+				out = append(out, interval{lo, cover[k].lo})
+			}
+			lo = max(lo, cover[k].hi)
+		}
+		if lo < iv.hi {
+			out = append(out, interval{lo, iv.hi})
+		}
+	}
+	return out
+}
+
+// overlap returns how much of [lo, hi) the sorted, disjoint list covers.
+func overlap(list []interval, lo, hi float64) float64 {
+	var d float64
+	for i := sort.Search(len(list), func(i int) bool { return list[i].hi > lo }); i < len(list) && list[i].lo < hi; i++ {
+		d += min(list[i].hi, hi) - max(list[i].lo, lo)
+	}
+	return d
 }
 
 // Histogram buckets the per-rank seconds of a Load into n equal-width

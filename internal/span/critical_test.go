@@ -288,3 +288,88 @@ func TestPhaseLoadCountsIdleRanks(t *testing.T) {
 		t.Errorf("histogram %v: want all 8 ranks, the idle three in the first bucket", counts)
 	}
 }
+
+// TestCriticalPathAgreeIsWaiting: the round's count allreduce — an agree span
+// between pack and exchange, which also carries an earlier round's verdict —
+// is where the ranks that arrive early wait for the slowest. Rank 0 arrives
+// first and waits 100 ms there, so its round span is by far the longest, but
+// its work is 3 ms; rank 1's 10 ms exchange bounds round 1. An agreement an
+// aggregator sits in while its own request is in flight is not a wait: rank
+// 2's 50 ms agree lies inside its 60 ms agg_write of round 0, which bounds
+// round 0 with all 60 ms. PhaseLoad takes the waits out of the round spans
+// the same way.
+func TestCriticalPathAgreeIsWaiting(t *testing.T) {
+	type phase struct {
+		name string
+		dur  float64
+	}
+	var spans []span.Span
+	for rank, round := range [][]phase{
+		{{span.Pack, 0.001}, {span.Agree, 0.100}, {span.Exchange, 0.002}},
+		{{span.Pack, 0.001}, {span.Agree, 0.001}, {span.Exchange, 0.010}},
+		{{span.Pack, 0.001}, {span.Agree, 0.050}, {span.Exchange, 0.002}},
+	} {
+		clk := &manualClock{t: float64(rank) * 1e6}
+		r := span.NewRecorder(rank, clk.now)
+		cw := r.Begin(span.CollWrite)
+		if rank == 2 {
+			// The previous round's write, in flight across this round's
+			// frontend.
+			r.Record(span.AggWrite, 0, clk.t, clk.t+0.060, 4096)
+		}
+		rs := r.Begin(span.Round)
+		rs.SetRound(1)
+		for _, p := range round {
+			s := r.Begin(p.name)
+			clk.t += p.dur
+			s.End()
+		}
+		rs.End()
+		cw.End()
+		spans = append(spans, r.Spans()...)
+	}
+	rcs := span.CriticalPath(spans)
+	if len(rcs) != 2 {
+		t.Fatalf("got %d round reports, want 2: %+v", len(rcs), rcs)
+	}
+	if rc := rcs[0]; rc.Rank != 2 || rc.Phase != span.AggWrite || rc.Work < 0.0599 {
+		t.Errorf("round 0 = %+v; want rank 2's 60 ms agg_write, the agree beside it not taken off", rc)
+	}
+	if rc := rcs[1]; rc.Rank != 1 || rc.Phase != span.Exchange || rc.Work > 0.0111 {
+		t.Errorf("round 1 = %+v; want rank 1's exchange, 11 ms of work (its own 1 ms wait taken off)", rc)
+	}
+	load := span.PhaseLoad(spans, span.Round)
+	if got := load.PerRank[0].Seconds; got < 0.0029 || got > 0.0031 {
+		t.Errorf("rank 0's round load %v s, want its 3 ms of work without the 100 ms wait", got)
+	}
+	if got := load.PerRank[2].Seconds; got < 0.0529 || got > 0.0531 {
+		t.Errorf("rank 2's round load %v s, want all 53 ms: its agree ran beside its own write", got)
+	}
+	if agree := span.PhaseLoad(spans, span.Agree); agree.MaxRank != 0 {
+		t.Errorf("agree load peaks on rank %d, want rank 0, the one that waited", agree.MaxRank)
+	}
+}
+
+// TestPhaseLoadWaitsPartlyCovered: a wait is an agree stretch no other leaf
+// of the rank covers. Rank 0's round [0, 10] holds two agree spans, [1, 5]
+// and [6, 9]; its agg_write leaf [0, 3] (a request in flight) covers the
+// first one's start and a pfs_write leaf [8, 12] the second one's end, so
+// the waits are [3, 5] and [6, 8] and the round did 6 s of work.
+func TestPhaseLoadWaitsPartlyCovered(t *testing.T) {
+	spans := []span.Span{
+		{ID: 1, Rank: 0, Phase: span.CollWrite, Round: -1, Start: 0, End: 12},
+		{ID: 2, Parent: 1, Rank: 0, Phase: span.Round, Round: 0, Start: 0, End: 10},
+		{ID: 3, Parent: 2, Rank: 0, Phase: span.Agree, Round: -1, Start: 1, End: 5},
+		{ID: 4, Parent: 2, Rank: 0, Phase: span.Agree, Round: -1, Start: 6, End: 9},
+		{ID: 5, Parent: 1, Rank: 0, Phase: span.AggWrite, Round: 0, Start: 0, End: 3},
+		{ID: 6, Parent: 1, Rank: 0, Phase: span.PFSWrite, Round: -1, Start: 8, End: 12},
+	}
+	for _, c := range []struct {
+		phase string
+		want  float64
+	}{{span.Round, 6}, {span.CollWrite, 8}, {span.Agree, 7}, {span.AggWrite, 3}} {
+		if got := span.PhaseLoad(spans, c.phase).PerRank[0].Seconds; got != c.want {
+			t.Errorf("%s load %v s, want %v", c.phase, got, c.want)
+		}
+	}
+}

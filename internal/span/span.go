@@ -1,6 +1,6 @@
 // Package span provides hierarchical, nestable timing spans for the
 // collective I/O pipeline: every phase of a collective write — view resolve,
-// offset exchange, each two-phase round (pack, exchange, aggregator
+// offset exchange, each two-phase round (pack, agree, exchange, aggregator
 // WriteVec), header commit — records a span carrying its rank, phase tag,
 // round number, byte count, and start/end times from an injectable clock
 // (the simulator's virtual clock in this repo).
@@ -34,6 +34,7 @@ const (
 	Plan         = "plan"          // mpiio: offset exchange / file-domain plan
 	Round        = "round"         // mpiio: one two-phase round
 	Pack         = "pack"          // mpiio: intersect + encode contributions
+	Agree        = "agree"         // mpiio: a round's count/verdict allreduce (a wait, not work)
 	Exchange     = "exchange"      // mpiio: sparse rank<->aggregator exchange
 	AggWrite     = "agg_write"     // mpiio: aggregator WriteVec round I/O
 	AggRead      = "agg_read"      // mpiio: aggregator ReadV round I/O
