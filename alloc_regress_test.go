@@ -162,17 +162,18 @@ func TestAllocsPerRoundIsConstant(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops buffers under the race detector; the pins do not hold")
 	}
-	// Measured: 30.8 (write) and 32.9 (read) objects per extra round, about
-	// 8 per rank: the round's one allreduce (the exchange's counts, which
+	// Measured: 24.7 (write) and 24.8 (read) objects per extra round, about
+	// 6 per rank: the round's one allreduce (the exchange's counts, which
 	// also carry the verdict on an earlier round) encoding and decoding in
-	// mpi, the request's cost-model tables and async handle in pfs; nothing
-	// in mpiio. With a separate error agreement per round it was 49.8 and
-	// 51.8; the sorting aggregator took 70-78 for a write round and 132-143
-	// for a read round. The 129-round collective allocates fewer bytes than
-	// the 1-round one — its buffers are 129 times smaller — so the byte
-	// allowance only has to catch per-round staging coming back.
+	// mpi and the request's cost-model tables in pfs; nothing in mpiio. With
+	// an asynchronous request handle it was 30.8 and 32.9, with a separate
+	// error agreement per round 49.8 and 51.8; the sorting aggregator took
+	// 70-78 for a write round and 132-143 for a read round. The 129-round
+	// collective allocates fewer bytes than the 1-round one — its buffers are
+	// 129 times smaller — so the byte allowance only has to catch per-round
+	// staging coming back.
 	const (
-		perRound      = 40
+		perRound      = 29
 		perRoundBytes = 2048
 	)
 	for _, read := range []bool{false, true} {
@@ -192,16 +193,14 @@ func TestAllocsPerRoundIsConstant(t *testing.T) {
 	}
 }
 
-// TestAllocsOneRoundIssuesNoAsyncOp: a one-round collective's aggregator
-// request is synchronous, so it allocates no more than the classic serial
-// round loop did — 201 objects for the write and 249 for the read of
-// roundsAllocs' shape, all four ranks together, measured on that loop before
-// it was deleted. Issued asynchronously the two aggregators' requests cost 6
-// objects more on the write and 8 on the read (handle, channel, goroutine);
-// FLASH's 27 one-round collectives per checkpoint must not start paying
-// them. Background allocation only ever adds (a single run reads up to 20
-// high), so the smallest of many runs is compared, the read with 2 to spare.
-func TestAllocsOneRoundIssuesNoAsyncOp(t *testing.T) {
+// TestAllocsOneRoundCollective: a one-round collective allocates no more
+// than the classic serial round loop did — 201 objects for the write and 249
+// for the read of roundsAllocs' shape, all four ranks together, measured on
+// that loop before it was deleted; FLASH's 27 one-round collectives per
+// checkpoint must not start paying for the many-round machinery. Background
+// allocation only ever adds (a single run reads up to 20 high), so the
+// smallest of many runs is compared, the read with 2 to spare.
+func TestAllocsOneRoundCollective(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops buffers under the race detector; the pins do not hold")
 	}
@@ -227,11 +226,11 @@ func TestAllocsOneRoundIssuesNoAsyncOp(t *testing.T) {
 }
 
 // TestAllocsManyRoundWrite pins the steady-state allocation cost of a
-// many-round collective write. The round loop keeps TWO generations of round
-// buffers alive, but both come from (and return to) the shared pools, so
+// many-round collective write. The round loop's one table of received
+// messages comes from (and returns to) the shared pools every round, so
 // after warm-up its bytes/op and allocs/op stay at the fixed machinery's — a
-// leak of the in-flight generation (recycleRound skipped on some path) would
-// show up here as unpooled per-round churn.
+// round whose messages are never recycled (recycleRound skipped on some
+// path) would show up here as unpooled per-round churn.
 func TestAllocsManyRoundWrite(t *testing.T) {
 	res := measureAllocs(t, collectiveWriteOnce)
 	t.Logf("many-round write: %d allocs/op, %d B/op", res.AllocsPerOp(), res.AllocedBytesPerOp())

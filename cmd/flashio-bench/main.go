@@ -12,7 +12,6 @@
 //	flashio-bench -stats                # per-layer I/O statistics per run
 //	flashio-bench -trace out.jsonl      # dump the event trace (see nctrace)
 //	flashio-bench -span-out spans.json  # Chrome-trace spans of the last run
-//	flashio-bench -metrics-addr :9090   # live JSON metrics during the sweep
 //	flashio-bench -json BENCH_flashio.json   # machine-readable results
 //	flashio-bench -fault-rate 0.01 -stats    # inject transient faults; see
 //	                                         # the retry counters for the cost
@@ -39,13 +38,11 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"sync/atomic"
 
 	"pnetcdf/internal/bench"
 	"pnetcdf/internal/cmdutil"
 	"pnetcdf/internal/flash"
 	"pnetcdf/internal/iostat"
-	"pnetcdf/internal/metrics"
 	"pnetcdf/internal/mpi"
 	"pnetcdf/internal/span"
 )
@@ -61,7 +58,6 @@ var (
 	stats     = flag.Bool("stats", false, "print per-layer I/O statistics after each PnetCDF run")
 	traceOut  = flag.String("trace", "", "write a JSON-lines event trace of the PnetCDF runs to this file")
 	spanOut   = flag.String("span-out", "", "write the last PnetCDF run's spans as Chrome trace-event JSON (see nctrace)")
-	metricsAt = flag.String("metrics-addr", "", "serve live JSON metrics on this address for the duration of the sweep")
 	jsonOut   = flag.String("json", "", "write machine-readable results (implies -stats) to this file")
 	faultRate = flag.Float64("fault-rate", 0, "transient-fault probability per 64 KiB transferred (0 disables injection)")
 	cbBuf     = flag.Int64("cb-buffer-size", 0, "aggregator staging-buffer bytes per two-phase round (default: library default; small values force multi-round collectives)")
@@ -136,19 +132,6 @@ func main() {
 	if *spanOut != "" {
 		spans = new(span.Sink)
 	}
-	var runsDone atomic.Int64
-	reg := new(metrics.Registry)
-	reg.Set("benchmark", "flashio")
-	reg.Set("machine", machine.Name)
-	reg.Publish("runs_completed", func() any { return runsDone.Load() })
-	if trace != nil {
-		reg.Publish("trace_dropped", func() any { return trace.Dropped() })
-	}
-	if spans != nil {
-		reg.Publish("span_count", func() any { s, _ := spans.Snapshot(); return len(s) })
-		reg.Publish("span_dropped", func() any { _, d := spans.Snapshot(); return d })
-	}
-	defer cmdutil.StartMetrics(tool, *metricsAt, reg)()
 	out := benchOutput{Benchmark: "flashio", Machine: machine.Name, Read: *read}
 	for _, cfg := range configs {
 		if *bpp > 0 {
@@ -213,10 +196,7 @@ func main() {
 				}
 				if sum != nil {
 					rec.Counters = sum.KeyCounters()
-					reg.Set("last_run_counters", sum.KeyCounters())
 				}
-				reg.Set("last_run", fmt.Sprintf("%s %s %d procs", fig.File, fig.Block, p))
-				runsDone.Add(1)
 				out.Runs = append(out.Runs, rec)
 			}
 		}

@@ -1,14 +1,14 @@
 // nclint runs the project's static-analysis suite (internal/analysis) over
 // the module: collective-call symmetry, pfs lock ordering, bufpool Get/Put
-// discipline, pfs cost-model accounting, unchecked I/O teardown errors, and
-// AsyncOp Wait pairing. It exits 1 when any diagnostic is reported, so
-// verify.sh can gate on it.
+// discipline, span pairing, pfs cost-model accounting, unchecked I/O
+// teardown errors, and fault-tolerant agreement. It exits 1 when any
+// diagnostic is reported, so verify.sh can gate on it.
 //
 // By default the suite runs in interprocedural mode: a module-wide call
 // graph with per-function summaries (DESIGN.md §14) lets the checkers see
-// collectives, pooled-buffer escapes, lock acquisitions and Wait calls
-// through helper functions, including across packages. -interp=false falls
-// back to the older per-function analysis.
+// collectives, pooled-buffer escapes, lock acquisitions and cost-model
+// accounting through helper functions, including across packages.
+// -interp=false falls back to the older per-function analysis.
 //
 // Usage:
 //

@@ -12,7 +12,6 @@
 //	pnetcdf-bench -stats         # per-layer I/O statistics per run
 //	pnetcdf-bench -trace t.jsonl # dump the event trace (see nctrace)
 //	pnetcdf-bench -span-out s.json       # Chrome-trace spans of the last run
-//	pnetcdf-bench -metrics-addr :9090    # live JSON metrics during the sweep
 //	pnetcdf-bench -fault-rate 0.01 -stats  # inject transient faults
 package main
 
@@ -21,12 +20,10 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"sync/atomic"
 
 	"pnetcdf/internal/bench"
 	"pnetcdf/internal/cmdutil"
 	"pnetcdf/internal/iostat"
-	"pnetcdf/internal/metrics"
 	"pnetcdf/internal/span"
 )
 
@@ -40,7 +37,6 @@ var (
 	stats     = flag.Bool("stats", false, "print per-layer I/O statistics after each run")
 	traceOut  = flag.String("trace", "", "write a JSON-lines event trace to this file")
 	spanOut   = flag.String("span-out", "", "write the last run's spans as Chrome trace-event JSON (see nctrace)")
-	metricsAt = flag.String("metrics-addr", "", "serve live JSON metrics on this address for the duration of the sweep")
 	faultRate = flag.Float64("fault-rate", 0, "transient-fault probability per 64 KiB transferred (0 disables injection)")
 	faultSeed = flag.Uint64("fault-seed", 1, "seed for the deterministic fault schedule")
 	cpuProf   = flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -97,19 +93,6 @@ func main() {
 	if *spanOut != "" {
 		spans = new(span.Sink)
 	}
-	var runsDone atomic.Int64
-	reg := new(metrics.Registry)
-	reg.Set("benchmark", "pnetcdf")
-	reg.Set("machine", machine.Name)
-	reg.Publish("charts_completed", func() any { return runsDone.Load() })
-	if trace != nil {
-		reg.Publish("trace_dropped", func() any { return trace.Dropped() })
-	}
-	if spans != nil {
-		reg.Publish("span_count", func() any { s, _ := spans.Snapshot(); return len(s) })
-		reg.Publish("span_dropped", func() any { _, d := spans.Snapshot(); return d })
-	}
-	defer cmdutil.StartMetrics(tool, *metricsAt, reg)()
 	for _, read := range ops {
 		fig, err := bench.RunFigure6(bench.Fig6Options{
 			Machine: machine,
@@ -123,8 +106,6 @@ func main() {
 			Fault:   bench.FaultOptions{Rate: *faultRate, Seed: *faultSeed},
 		})
 		cmdutil.Fatal(tool, err)
-		reg.Set("last_chart", fig.Op)
-		runsDone.Add(1)
 		bench.WriteFigure6(os.Stdout, fig)
 		fmt.Println()
 		if *stats {

@@ -105,7 +105,6 @@ func All() []*Checker {
 		SpanPair(),
 		Accounting(),
 		ErrCheckIO(),
-		AsyncWait(),
 		FTAgree(),
 	}
 }
@@ -140,8 +139,7 @@ func RunCheckers(pkgs []*Package, checkers []*Checker) []Diagnostic {
 
 // RunCheckersInterp builds the module-wide interprocedural engine over pkgs
 // and runs each checker with it: summaries make the checkers see through
-// helpers and cross-package extraction (DESIGN.md §14), and enable the
-// asyncwait checker.
+// helpers and cross-package extraction (DESIGN.md §14).
 func RunCheckersInterp(pkgs []*Package, checkers []*Checker) []Diagnostic {
 	return run(pkgs, checkers, NewEngine(pkgs))
 }

@@ -359,12 +359,12 @@ func (a *bufAnalysis) assign(s *ast.AssignStmt, live bufState) {
 			continue
 		}
 		// Storing into an element of a local [][]byte re-homes custody
-		// under the slice — the in-flight-generation pattern of the
-		// pipelined collective path: buffers are parked in a generation
-		// slice while an async write holds them, and the whole generation
-		// is discharged at once by bufpool.PutAll(generation) after the
-		// owning Wait. Dropping the generation is still reported, under
-		// the slice's name.
+		// under the slice — the round-table pattern of the two-phase
+		// collective path: buffers are parked in a by-rank slice while the
+		// round's request references them, and the whole table is
+		// discharged at once by bufpool.PutAll(table) once that request
+		// returns. Dropping the table is still reported, under the slice's
+		// name.
 		if gen := localSliceObj(a.pass, s.Lhs[i]); gen != nil {
 			// Storing into a caller-supplied [][]byte parameter transfers
 			// custody out of this function: in interprocedural mode the

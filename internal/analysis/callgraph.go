@@ -26,9 +26,6 @@ package analysis
 //       the rank through Comm.Send (bufpool: passing a live buffer to such
 //       a helper discharges it). Comm.Recv is the other end of that
 //       transfer: it ReturnsPooled, so custody lands on the receiver.
-//     - WaitsParams / ReturnsAsyncOp: *pfs.AsyncOp parameters that may
-//       reach Wait, and functions whose result is a fresh AsyncOp the
-//       caller must Wait (asyncwait).
 //     - MayAcquire / Releases: the pfs lock classes the function may
 //       acquire or release (lockorder: calling a helper that grabs a
 //       lower-ranked class while holding a higher-ranked one is the same
@@ -84,11 +81,6 @@ type Summary struct {
 	// or be given to another rank with Comm.Send.
 	PutsParams uint64
 
-	// WaitsParams: bitmask of *pfs.AsyncOp parameters that may reach Wait.
-	WaitsParams uint64
-	// ReturnsAsyncOp: a result is a *pfs.AsyncOp; the caller owns the Wait.
-	ReturnsAsyncOp bool
-
 	// MayAcquire / Releases: bitmasks over the pfs lock classes (bit c set
 	// = class c), excluding function-literal bodies.
 	MayAcquire uint8
@@ -112,9 +104,6 @@ func (s *Summary) PutsParam(i int) bool { return i < 64 && s.PutsParams&(1<<uint
 func (s *Summary) StoresPooledParam(i int) bool {
 	return i < 64 && s.StoresPooledParams&(1<<uint(i)) != 0
 }
-
-// WaitsParam reports whether AsyncOp parameter i may reach Wait.
-func (s *Summary) WaitsParam(i int) bool { return i < 64 && s.WaitsParams&(1<<uint(i)) != 0 }
 
 // Engine is the module-wide call graph plus computed summaries.
 type Engine struct {
@@ -350,36 +339,6 @@ func paramIndex(fn *types.Func, obj types.Object) int {
 	return -1
 }
 
-// isAsyncOpType reports whether t is *AsyncOp (or AsyncOp) declared in a
-// package named pfs.
-func isAsyncOpType(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok || named.Obj().Pkg() == nil {
-		return false
-	}
-	return named.Obj().Pkg().Name() == "pfs" && named.Obj().Name() == "AsyncOp"
-}
-
-// returnsAsyncOp reports whether any result of fn is a *pfs.AsyncOp.
-func returnsAsyncOp(fn *types.Func) bool {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok {
-		return false
-	}
-	for i := 0; i < sig.Results().Len(); i++ {
-		if isAsyncOpType(sig.Results().At(i).Type()) {
-			return true
-		}
-	}
-	return false
-}
-
 // isByteSliceLike reports whether t is []byte or [][]byte — the only result
 // shapes the pooled-buffer summary tracks.
 func isByteSliceLike(t types.Type) bool {
@@ -422,8 +381,6 @@ func (e *Engine) updateSummary(nd *FuncNode) bool {
 	pass := &Pass{Fset: nd.Pkg.Fset, Pkg: nd.Pkg}
 	sum := &nd.Sum
 
-	sum.ReturnsAsyncOp = returnsAsyncOp(nd.Fn)
-
 	// Edge-propagated facts.
 	collectives := map[string]bool{}
 	for _, c := range sum.Collectives {
@@ -446,13 +403,13 @@ func (e *Engine) updateSummary(nd *FuncNode) bool {
 			sum.Releases |= cs.Releases
 		}
 		// Accounting facts follow every edge, closures included: the
-		// goroutine that moves the bytes still belongs to the issuing
+		// closure that moves the bytes still belongs to the issuing
 		// function's data path.
 		sum.Touches = sum.Touches || cs.Touches
 		sum.Charges = sum.Charges || cs.Charges
 		sum.Records = sum.Records || cs.Records
 		// Parameter-passing propagation: handing parameter i to a callee
-		// position that puts/waits it extends the fact to this function.
+		// position that puts it extends the fact to this function.
 		sig, ok := edge.Callee.Type().(*types.Signature)
 		if !ok {
 			continue
@@ -472,9 +429,6 @@ func (e *Engine) updateSummary(nd *FuncNode) bool {
 			}
 			if cs.PutsParam(k) {
 				sum.PutsParams |= 1 << uint(i)
-			}
-			if cs.WaitsParam(k) {
-				sum.WaitsParams |= 1 << uint(i)
 			}
 			if cs.StoresPooledParam(k) {
 				sum.StoresPooledParams |= 1 << uint(i)
@@ -501,8 +455,7 @@ func (e *Engine) updateSummary(nd *FuncNode) bool {
 
 func summariesEqual(a, b *Summary) bool {
 	if a.ReturnsPooled != b.ReturnsPooled || a.StoresPooledParams != b.StoresPooledParams ||
-		a.PutsParams != b.PutsParams || a.WaitsParams != b.WaitsParams ||
-		a.ReturnsAsyncOp != b.ReturnsAsyncOp || a.MayAcquire != b.MayAcquire ||
+		a.PutsParams != b.PutsParams || a.MayAcquire != b.MayAcquire ||
 		a.Releases != b.Releases || a.Touches != b.Touches || a.Charges != b.Charges ||
 		a.Records != b.Records || len(a.Collectives) != len(b.Collectives) {
 		return false
@@ -543,7 +496,7 @@ func argRootObj(pkg *Package, e ast.Expr) types.Object {
 }
 
 // scanDirect collects the direct (non-propagated) facts: lock classes, Put
-// and Wait on parameters, accounting touches.
+// on parameters, accounting touches.
 func (e *Engine) scanDirect(nd *FuncNode, pass *Pass) {
 	sum := &nd.Sum
 	// putsRoot records that the buffer rooted at obj leaves this function's
@@ -579,16 +532,6 @@ func (e *Engine) scanDirect(nd *FuncNode, pass *Pass) {
 			}
 			if isBufpoolCall(pass, call, "Put", "PutAll") {
 				putsRoot(putArgObj(pass, call))
-			}
-			// p.Wait() on an AsyncOp parameter (or a field path rooted at
-			// one, e.g. pend.op.Wait()).
-			if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && sel.Sel.Name == "Wait" &&
-				isAsyncOpType(pass.TypeOf(sel.X)) {
-				if obj := argRootObj(nd.Pkg, sel.X); obj != nil {
-					if i := paramIndex(nd.Fn, obj); i >= 0 {
-						sum.WaitsParams |= 1 << uint(i)
-					}
-				}
 			}
 			callee := calleeOf(nd.Pkg, call)
 			if callee == nil {

@@ -108,15 +108,6 @@ func TestModuleSummaries(t *testing.T) {
 		return s
 	}
 
-	// asyncwait facts: waitPF discharges its op parameter; the async issue
-	// methods hand a fresh op to the caller.
-	if s := sum(mpiio, "File.waitPF"); !s.WaitsParam(0) {
-		t.Errorf("File.waitPF: WaitsParams = %b, want bit 0", s.WaitsParams)
-	}
-	if s := sum(pfs, "File.WriteVecAsync"); !s.ReturnsAsyncOp {
-		t.Error("File.WriteVecAsync: ReturnsAsyncOp = false")
-	}
-
 	// bufpool facts: recycleRound puts the received messages; packWriteRound
 	// parks pooled buffers in its parts parameter (index 6); encodeWriteMsg
 	// returns a pooled buffer; deliver gives its parts (index 1) away

@@ -71,7 +71,6 @@ func runGoldenInterp(t *testing.T, checkerName, fixture string) {
 func TestCollSymInterpGolden(t *testing.T)   { runGoldenInterp(t, "collsym", "collsym_interp") }
 func TestBufPoolInterpGolden(t *testing.T)   { runGoldenInterp(t, "bufpool", "bufpool_interp") }
 func TestLockOrderInterpGolden(t *testing.T) { runGoldenInterp(t, "lockorder", "lockorder_interp") }
-func TestAsyncWaitGolden(t *testing.T)       { runGoldenInterp(t, "asyncwait", "asyncwait") }
 
 // TestRepoCleanInterp is the interprocedural self-check mirroring
 // TestRepoClean: the full suite, summaries enabled, must be silent on the

@@ -85,9 +85,9 @@ func Put(b []byte) {
 
 // PutAll returns every non-nil buffer in bufs to its pool and nils the
 // slots, so a retained backing array cannot alias pooled memory. It is the
-// release half of the in-flight-generation pattern used by the pipelined
-// collective path: buffers are parked in a generation slice while an async
-// write holds them, then discharged together once the write's Wait returns.
+// release half of the round-table pattern used by the two-phase collective
+// path: buffers are parked in a by-rank slice while the round's request
+// references them, then discharged together once that request returns.
 func PutAll(bufs [][]byte) {
 	for i, b := range bufs {
 		if b != nil {

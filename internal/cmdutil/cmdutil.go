@@ -6,13 +6,10 @@ package cmdutil
 
 import (
 	"fmt"
-	"net"
-	"net/http"
 	"os"
 	"runtime"
 	"runtime/pprof"
 
-	"pnetcdf/internal/metrics"
 	"pnetcdf/internal/span"
 )
 
@@ -38,24 +35,6 @@ func Fatalf(tool, format string, args ...any) {
 func Usagef(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, format+"\n", args...)
 	os.Exit(2)
-}
-
-// StartMetrics implements the conventional -metrics-addr behavior: an empty
-// addr disables the endpoint and returns a no-op stop. Otherwise it serves
-// reg's live JSON snapshot on addr (e.g. "localhost:9090") until the
-// returned stop function closes the listener. Bind failures are fatal — a
-// requested metrics endpoint that silently is not there is worse than an
-// aborted run.
-func StartMetrics(tool, addr string, reg *metrics.Registry) func() {
-	if addr == "" {
-		return func() {}
-	}
-	ln, err := net.Listen("tcp", addr)
-	Fatal(tool, err)
-	fmt.Fprintf(os.Stderr, "%s: serving metrics on http://%s/\n", tool, ln.Addr())
-	srv := &http.Server{Handler: reg}
-	go srv.Serve(ln)
-	return func() { _ = srv.Close() }
 }
 
 // WriteSpanFile implements the conventional -span-out behavior: write the

@@ -46,8 +46,8 @@ var (
 // round: before any state is packed, after the rank's sends are out but
 // before its receives complete, and — on an aggregator with something to
 // move — after its I/O request is issued but before the round is agreed: the
-// request is then in flight (not yet waited), or, in the one round of a
-// collective that issues it synchronously, already down.
+// request's bytes have then landed, and its virtual end may not yet be on
+// the rank clock.
 const (
 	KillBeforePack  = "before_pack"
 	KillMidExchange = "mid_exchange"

@@ -118,10 +118,11 @@ const (
 	IORetries
 	IOBackoffTimeNs
 	// IOPipelinedRounds counts the rounds of collectives that ran more than
-	// one round — the ones whose aggregator I/O was in flight behind a
-	// neighbouring round's communication; IOOverlapTimeNs is the virtual
-	// time that I/O spent in flight while the rank was doing other work
-	// (zero for a one-round collective, whose request is synchronous).
+	// one round — the ones whose aggregator I/O ran, in virtual time,
+	// behind a neighbouring round's communication; IOOverlapTimeNs is the
+	// virtual time that I/O spent in flight while the rank was doing other
+	// work (zero for a one-round collective, whose request is settled at
+	// once).
 	IOPipelinedRounds
 	IOOverlapTimeNs
 	// IOCollAborts counts collective data-access calls that returned an

@@ -182,9 +182,9 @@ func (f *File) packWriteRound(plan collectivePlan, segs []pfs.Segment, prefix []
 // exchangeScratch, writeScratch and readScratch are the working memory of one
 // collective call's round loop: every slice a round needs is made once per
 // call (or grown to the largest round seen) and reused by every later round,
-// so a round allocates nothing here. Part of it comes in two generations
-// (r & 1), both live at once while a round's request is in flight; a
-// one-round plan needs, and makes, only generation 0.
+// so a round allocates nothing here. A read's requests and coverage come in
+// two generations (r & 1), both live at once while round r's replies wait for
+// round r+1's request; a one-round plan needs, and makes, only generation 0.
 type exchangeScratch struct {
 	parts  [][]byte // packed messages by destination rank; empty between exchanges
 	counts []int64  // sparseExchange's messages-per-destination vector
@@ -198,21 +198,17 @@ func byRank(slots [][]byte, i, size int) [][]byte {
 
 type writeScratch struct {
 	exchangeScratch
-	// msgs[g] holds generation g's received messages by source rank, alive
-	// until that round's write is down.
-	msgs [2][][]byte
+	msgs [][]byte // received messages by source rank, alive until the round's write returns
 	clip []reqSeg // this rank's clip of one window
 	wv   writeVec // the aggregator's assembled round
 }
 
 func newWriteScratch(plan collectivePlan) *writeScratch {
-	size, gens := plan.commSize, plan.generations()
-	slots := make([][]byte, (1+gens)*size)
+	size := plan.commSize
+	slots := make([][]byte, 2*size)
 	s := &writeScratch{}
 	s.parts, s.counts = byRank(slots, 0, size), make([]int64, size)
-	for g := 0; g < gens; g++ {
-		s.msgs[g] = byRank(slots, 1+g, size)
-	}
+	s.msgs = byRank(slots, 1, size)
 	return s
 }
 
@@ -389,8 +385,9 @@ func (f *File) agreeAbort(err error) error {
 }
 
 // countRounds accounts a completed collective's rounds. A plan of more than
-// one round had every aggregator request but one in flight behind another
-// round's communication (rounds.go); those are the pipelined rounds.
+// one round had every aggregator request but one running, in virtual time,
+// behind another round's communication (rounds.go); those are the pipelined
+// rounds.
 func (f *File) countRounds(plan collectivePlan) {
 	f.st.Add(iostat.IOTwoPhaseRounds, plan.rounds)
 	if plan.rounds > 1 {
@@ -442,8 +439,8 @@ func (f *File) collectivePlan(segs []pfs.Segment, localErr error) (collectivePla
 	}, true, nil
 }
 
-// generations is how many rounds of the plan can be live at once: the round
-// whose aggregator request is in flight and the neighbour hiding it.
+// generations is how many read rounds of the plan can be live at once: the
+// round whose replies are still to be sent and the one just read.
 func (p collectivePlan) generations() int { return int(min(p.rounds, 2)) }
 
 // aggRank maps aggregator index a to the communicator rank serving it.
@@ -539,7 +536,7 @@ func intersectRange(segs []pfs.Segment, prefix []int64, span segSpan, lo, hi int
 // holding it in a slot — the encoder until sparseExchange hands it over and
 // nils that slot, the receiver from then on — so every buffer sits in
 // exactly one slot of one rank, and this call on the receiving rank is its
-// single Put. PutAll nils the slots, so a generation slice the round loop
+// single Put. PutAll nils the slots, so a by-rank table the round loop
 // keeps across rounds cannot alias pooled memory after release.
 func recycleRound(msgs [][]byte) {
 	bufpool.PutAll(msgs)

@@ -11,7 +11,7 @@ package mpiio
 //     nil result, on ANY rank, from the allreduce that carries round r's
 //     verdict proves every aggregator's round-r write landed — no rank
 //     gets a result before every rank has contributed, and an aggregator
-//     contributes its round-r outcome only after that write's Wait — so
+//     contributes its round-r outcome only after that write returned — so
 //     rounds before the max are durable. On a write that allreduce is round
 //     r+2's exchange, or the closing agreement for the last two rounds
 //     (rounds.go), so a resume may lag the rounds actually written by one
@@ -27,9 +27,9 @@ package mpiio
 //  3. Clip this rank's request to the unfinished windows (every
 //     aggregator's domain from the resume round on), build a compact
 //     replay request, and re-run it as a fresh two-phase collective on the
-//     survivor communicator. Replays are idempotent full rewrites (PR 2/
-//     PR 7 invariants), so bytes that actually landed before the crash are
-//     simply rewritten with identical contents.
+//     survivor communicator. Replays are idempotent full rewrites, so
+//     bytes that actually landed before the crash are simply rewritten
+//     with identical contents.
 //  4. Writes only: Allgather the survivors' replayed extents and subtract
 //     them from the unfinished windows. What remains was held only by the
 //     dead rank: it is reported as a DegradedError naming the regions,

@@ -139,10 +139,9 @@ func TestCollectiveReadErrorAgreement(t *testing.T) {
 }
 
 // TestPipelinedWriteCrashDrainsAndAgrees: a crash point that fires inside
-// an overlapped aggregator write (the pipeline has the NEXT round's
-// exchange already done when the failure is observed at Wait) must drain
-// the in-flight round, agree the error on every rank at the same deferred
-// boundary, and leave the handle in a clean state — a follow-up collective
+// an overlapped aggregator write (one settled only after the NEXT round's
+// exchange) must agree the error on every rank at the same deferred
+// boundary and leave the handle in a clean state — a follow-up collective
 // on the same file must succeed and round-trip.
 func TestPipelinedWriteCrashDrainsAndAgrees(t *testing.T) {
 	fsys := testFS()
@@ -171,7 +170,7 @@ func TestPipelinedWriteCrashDrainsAndAgrees(t *testing.T) {
 		errs[c.Rank()] = f.WriteAtAll(0, make([]byte, 1<<20))
 		aborts[c.Rank()] = c.Proc().Stats().Get(iostat.IOCollAborts)
 		overlap[c.Rank()] = c.Proc().Stats().Get(iostat.IOOverlapTimeNs)
-		// Drain proof: nothing is left in flight, so the same handle runs a
+		// Drain proof: nothing is left behind, so the same handle runs a
 		// clean collective correctly afterwards.
 		want := bytes.Repeat([]byte{byte('a' + c.Rank())}, 1<<20)
 		if err := f.WriteAtAll(0, want); err != nil {
@@ -205,7 +204,7 @@ func TestPipelinedWriteCrashDrainsAndAgrees(t *testing.T) {
 }
 
 // TestPipelinedTransientFaultsBitIdentical: transient faults landing in
-// overlapped writes are observed at Wait and retried synchronously; a
+// overlapped writes are retried at once, from their issue time; a
 // multi-round pipelined run under a high transient rate must still produce
 // a byte-identical image to the clean run, with the retries accounted.
 func TestPipelinedTransientFaultsBitIdentical(t *testing.T) {
@@ -266,7 +265,7 @@ func TestPipelinedTransientFaultsBitIdentical(t *testing.T) {
 		t.Fatal("no faults injected; test proves nothing")
 	}
 	if retries == 0 {
-		t.Fatal("faults injected but IORetries is zero — async retry path not accounted")
+		t.Fatal("faults injected but IORetries is zero — the round loops' retry path is not accounted")
 	}
 	if !bytes.Equal(clean, injected) {
 		t.Fatal("pipelined faulted run produced different bytes than clean run")

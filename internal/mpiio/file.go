@@ -268,47 +268,43 @@ func (f *File) Close() error {
 	return nil
 }
 
-// doPF issues one pfs operation from the rank's current clock under the
-// transient-retry policy, advancing the clock through attempts and backoff
-// waits and recording retry effort in iostat. Errors still present after
-// the budget (and permanent ones immediately) propagate to the caller.
-func (f *File) doPF(op func(t float64) (float64, error)) error {
-	done, retries, backoff, err := f.retry.Do(f.comm.Clock(), op)
-	f.comm.Proc().SetClock(done)
+// issuePF runs one pfs request issued at virtual time t under the file's
+// transient-retry policy and returns the virtual end of its retry chain: a
+// transient failure is re-issued at once, after the policy's backoff, and
+// the retry effort is recorded in iostat. Errors still present after the
+// budget (and permanent ones immediately) come back with that end. The
+// request's bytes have moved when issuePF returns; only the rank clock is
+// left to settle.
+func (f *File) issuePF(t float64, op func(t float64) (float64, error)) (float64, error) {
+	end, retries, backoff, err := f.retry.Do(t, op)
 	if retries > 0 {
 		f.st.Add(iostat.IORetries, int64(retries))
 		f.st.AddTime(iostat.IOBackoffTimeNs, backoff)
 	}
-	return err
+	return end, err
 }
 
-// waitPF completes one async pfs operation issued at issueClock (the rank's
-// clock at issue time): it joins the background byte movement, credits the
-// virtual time the I/O spent in flight while the rank was doing other work
-// to io_overlap_ns, and advances the rank clock to max(clock, end) — the
-// asynchronous analogue of doPF's SetClock(done).
-//
-// A transient injected error is re-issued synchronously through doPF with
-// the supplied retry closure (async writes are idempotent full rewrites, so
-// the retry semantics match a synchronous request's); permanent errors
-// propagate.
-func (f *File) waitPF(op *pfs.AsyncOp, issueClock float64, retry func(t float64) (float64, error)) error {
-	end, err := op.Wait()
+// settle advances the rank clock to max(clock, end) for a request issued at
+// virtual time issued, and credits the virtual time the request spent in
+// flight while the rank did other work to io_overlap_ns (none when it is
+// settled at once).
+func (f *File) settle(issued, end float64) {
 	now := f.comm.Clock()
-	if overlap := math.Min(end, now) - issueClock; overlap > 0 {
+	if overlap := math.Min(end, now) - issued; overlap > 0 {
 		f.st.AddTime(iostat.IOOverlapTimeNs, overlap)
 	}
 	if end > now {
 		f.comm.Proc().SetClock(end)
 	}
-	if err != nil {
-		if fault.IsTransient(err) {
-			f.st.Add(iostat.IORetries, 1)
-			return f.doPF(retry)
-		}
-		return err
-	}
-	return nil
+}
+
+// doPF issues one pfs request from the rank's current clock and settles it
+// at once.
+func (f *File) doPF(op func(t float64) (float64, error)) error {
+	t := f.comm.Clock()
+	end, err := f.issuePF(t, op)
+	f.settle(t, end)
+	return err
 }
 
 // ReadRaw reads bytes at an absolute offset, bypassing the view. The header

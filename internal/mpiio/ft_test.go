@@ -15,8 +15,9 @@ import (
 )
 
 // The failover matrix: kill one rank at each crash point of the round loop,
-// aggregator or not, in a round whose aggregator request is asynchronous and
-// in the one that is synchronous, during collective writes and reads. The
+// aggregator or not, in a round whose aggregator request is settled behind
+// the next round's exchange and in the one settled at once, during
+// collective writes and reads. The
 // invariants under test are the acceptance criteria of DESIGN.md §8:
 // no survivor hangs, every survivor returns the same error, the file is
 // byte-identical to an undisturbed run everywhere outside the dead rank's
@@ -190,7 +191,7 @@ func checkFTWrite(t *testing.T, img []byte, results map[int]ftioResult, victim i
 func TestFTKillWriteFailover(t *testing.T) {
 	// Rank 1 is no aggregator, rank 2 is one. Each domain takes 8 rounds, so
 	// occurrence 7 of a point is the last round — the one whose write is
-	// synchronous. after_issue is passed only by aggregators, once per
+	// settled at once. after_issue is passed only by aggregators, once per
 	// round they have something to write.
 	cases := []struct {
 		name       string
@@ -254,7 +255,7 @@ func sameFTOutcome(t *testing.T, rep int, got, first map[int]ftioResult) {
 // survivor's buffer matches the file exactly, with no degraded error.
 func TestFTKillReadFailover(t *testing.T) {
 	// Occurrence 0 is the first round — the one whose coverage read is
-	// synchronous.
+	// settled at once.
 	cases := []struct {
 		name       string
 		victim     int

@@ -126,7 +126,7 @@ func TestSparseExchangeFailedVerdictDeliversNothing(t *testing.T) {
 // stamped with its rank, iteration and index (the index fixes which
 // two-phase round carries it). Exchange buffers move
 // between ranks by ownership and cycle through the pool the whole time, so a
-// message recycled while its receiver (or the aggregator's in-flight iovec)
+// message recycled while its receiver (or the aggregator's round iovec)
 // still reads it, or put twice and handed to two encoders, shows up as a
 // wrong byte in the read-back, and under -race as a data race.
 func TestExchangeOwnershipStress(t *testing.T) {

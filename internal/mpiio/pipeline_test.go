@@ -5,21 +5,23 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"pnetcdf/internal/iostat"
 	"pnetcdf/internal/mpi"
 	"pnetcdf/internal/mpitype"
 	"pnetcdf/internal/pfs"
+	"pnetcdf/internal/span"
 )
 
 // TestRoundScheduleLeavesOneFileImage: how a collective's rounds are
-// scheduled — how many there are, which aggregator requests ran
-// asynchronously behind a neighbouring round — may not show in the file. The
-// same 4-rank interleaved write and read-back, at cb_buffer_size giving 1, 2,
-// 3 and many rounds, with 1, 2 and 4 aggregators, must leave the one
-// expected image; io_pipelined_rounds and io_overlap_ns are 0 when the plan
-// has one round (nothing ran asynchronously) and positive above it.
+// scheduled — how many there are, which aggregator requests were settled
+// behind a neighbouring round — may not show in the file. The same 4-rank
+// interleaved write and read-back, at cb_buffer_size giving 1, 2, 3 and many
+// rounds, with 1, 2 and 4 aggregators, must leave the one expected image;
+// io_pipelined_rounds and io_overlap_ns are 0 when the plan has one round
+// (every request settled at once) and positive above it.
 func TestRoundScheduleLeavesOneFileImage(t *testing.T) {
 	const (
 		ranks, block, nBlocks = 4, 1024, 64
@@ -100,12 +102,12 @@ func TestRoundScheduleLeavesOneFileImage(t *testing.T) {
 	}
 }
 
-// TestOneRoundCollectiveIssuesNoAsyncOp: a one-round plan has no neighbouring
-// round to hide a request behind, so the round loop issues it synchronously —
-// the classic two-phase sequence, at its cost in collectives: the plan's
+// TestOneRoundCollectiveClassicSequence: a one-round plan has no neighbouring
+// round to hide a request behind, so the round loop settles it at once — the
+// classic two-phase sequence, at its cost in collectives: the plan's
 // allreduce, the exchange's count allreduce and one error agreement, for a
 // write and for a read (whose reply leg agrees nothing).
-func TestOneRoundCollectiveIssuesNoAsyncOp(t *testing.T) {
+func TestOneRoundCollectiveClassicSequence(t *testing.T) {
 	fsys := testFS()
 	runWorld(t, 4, func(c *mpi.Comm) error {
 		st := iostat.New()
@@ -146,6 +148,87 @@ func TestOneRoundCollectiveIssuesNoAsyncOp(t *testing.T) {
 		}
 		return f.Close()
 	})
+}
+
+// TestClockCoversEveryRequest: a request moves its bytes before it returns,
+// but the rank clock takes the request's virtual end only where the round
+// loop settles it, so a settle that is skipped leaks nothing and shows only
+// as a clock that runs behind the file system. Over 1, 2 and many rounds,
+// write and read, one aggregator and two: when a collective returns, the
+// rank's clock is at or past the end of every pfs span it recorded, and
+// every agg_write/agg_read span ends at or past the end of its request —
+// the pfs spans recorded since the rank's previous aggregator span.
+func TestClockCoversEveryRequest(t *testing.T) {
+	const (
+		ranks, block, nBlocks = 4, 1024, 64
+		per                   = block * nBlocks
+		total                 = ranks * per // 256 KiB
+	)
+	view, err := mpitype.Vector(nBlocks, block, ranks*block, mpitype.Contig(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := pfs.DefaultConfig()
+	cfg.StripeSize = 4096 // so that even file domains are total/cb_nodes wide
+	for _, nodes := range []int{1, 2} {
+		domain := total / nodes
+		for _, rounds := range []int{1, 2, domain / 4096} {
+			name := fmt.Sprintf("cb_nodes=%d/rounds=%d", nodes, rounds)
+			fsys := pfs.New(cfg)
+			info := mpi.NewInfo().
+				Set("cb_buffer_size", fmt.Sprint(domain/rounds)).
+				Set("cb_nodes", fmt.Sprint(nodes))
+			var aggSpans [2]atomic.Int64 // write, read
+			runWorld(t, ranks, func(c *mpi.Comm) error {
+				rec := span.NewRecorder(c.Rank(), c.Proc().Clock)
+				c.Proc().SetSpans(rec)
+				f, err := Open(c, fsys, "clock", ModeRdWr|ModeCreate, info)
+				if err != nil {
+					return err
+				}
+				if err := f.SetView(int64(c.Rank())*block, view); err != nil {
+					return err
+				}
+				buf := make([]byte, per)
+				for i, op := range []struct {
+					call     func(int64, []byte) error
+					agg, req string
+				}{
+					{f.WriteAtAll, span.AggWrite, span.PFSWrite},
+					{f.ReadAtAll, span.AggRead, span.PFSRead},
+				} {
+					n0 := rec.Len()
+					if err := op.call(0, buf); err != nil {
+						return err
+					}
+					clock, reqEnd := c.Proc().Clock(), 0.0
+					for _, s := range rec.Spans()[n0:] {
+						switch s.Phase {
+						case op.req:
+							if s.End > clock {
+								return fmt.Errorf("%s: rank %d returned from %s at %g, before its request ending at %g",
+									name, c.Rank(), op.agg, clock, s.End)
+							}
+							reqEnd = max(reqEnd, s.End)
+						case op.agg:
+							if reqEnd == 0 || s.End < reqEnd {
+								return fmt.Errorf("%s: rank %d's %s span of round %d ends at %g, its request at %g",
+									name, c.Rank(), op.agg, s.Round, s.End, reqEnd)
+							}
+							reqEnd = 0
+							aggSpans[i].Add(1)
+						}
+					}
+				}
+				return f.Close()
+			})
+			for i, dir := range []string{"write", "read"} {
+				if got, want := aggSpans[i].Load(), int64(nodes*rounds); got != want {
+					t.Errorf("%s: %d %s aggregator spans, want %d (one per aggregator per round)", name, got, dir, want)
+				}
+			}
+		}
+	}
 }
 
 // TestFallbackAgreesExactlyOnce: with collective buffering disabled the

@@ -2,52 +2,52 @@ package mpiio
 
 // The two-phase round loops (DESIGN.md §13): one per direction. A round has
 // a frontend every rank runs (pack, exchange) and a backend only aggregators
-// run (merge what was received, one vectored pfs request). The loops order
-// them so that an aggregator's request is in flight while the ranks do the
-// neighbouring round's communication:
+// run (merge what was received, one vectored pfs request). The overlap is
+// virtual, the sequence real: a request moves its bytes before it returns,
+// but the rank clock takes the request's virtual end only after the
+// neighbouring round's communication, so in virtual time the request runs
+// while the ranks exchange:
 //
-//	write round r:  issue(r) → [pack(r+1) → exchange(r+1) ⊇ verdict(r−1)] → wait(r)
+//	write round r:  issue(r) → [pack(r+1) → exchange(r+1) ⊇ verdict(r−1)] → settle(r)
 //	read round r:   pack(r) → exchange(r) ⊇ verdict(r−1) → issue(r)
-//	                → [replies(r−1) → scatter(r−1)] → wait(r)
+//	                → [replies(r−1) → scatter(r−1)] → settle(r)
 //
-// The bracketed step is what hides the request, and it is the whole rule for
-// when a request is asynchronous (pfs.WriteVecAsync/ReadVAsync): only when
-// that step exists — every write round but the last, every read round but
-// the first. The remaining round's request is an ordinary synchronous one,
-// so a one-round plan is exactly pack → exchange → WriteVec/ReadV → agree
-// (→ replies → scatter): no AsyncOp, no goroutine, nothing to drain.
+// The bracketed step is what hides the request: it exists in every write
+// round but the last and every read round but the first. Elsewhere settle(r)
+// follows issue(r) at once, so a one-round plan is exactly pack → exchange →
+// WriteVec/ReadV → agree (→ replies → scatter).
 //
-// At most one request is in flight per rank — the fault injector's per-rank
-// occurrence counters stay in program order, so seeded fault runs remain
-// deterministic, and the crash-truncate path never races a second write.
+// Settling advances the clock to max(clock, end) (File.settle), and each
+// request is settled before the next is issued, so one rank's requests never
+// overlap each other in virtual time either. A transient failure is retried
+// at once, from its issue time, under the file's retry policy
+// (File.issuePF); the request's end is the end of that retry chain.
 //
 // One agreement per round. An exchange's count allreduce (sparseExchange) is
 // also the error agreement on the newest round whose outcome every rank
-// knows: on a write, round r+1's exchange carries round r−1's (its wait
-// finished in the previous iteration); on a read, round r's exchange carries
-// round r−1's, still ahead of answer(r−1), so a failed aggregator is never
-// expected to reply. The rounds no later exchange can carry — R−2 and R−1 of
-// a write, R−1 of a read — go to one closing AgreeError. A collective of R
-// rounds thus enters 1 + R + 1 allreduces (plan, exchanges, closing
+// knows: on a write, round r+1's exchange carries round r−1's (its request
+// was settled in the previous iteration); on a read, round r's exchange
+// carries round r−1's, still ahead of answer(r−1), so a failed aggregator is
+// never expected to reply. The rounds no later exchange can carry — R−2 and
+// R−1 of a write, R−1 of a read — go to one closing AgreeError. A collective
+// of R rounds thus enters 1 + R + 1 allreduces (plan, exchanges, closing
 // agreement) where it used to enter 1 + 2R, and a one-round plan keeps the
 // classic sequence. On a failed verdict every rank learns it from the same
-// allreduce before any send: nothing is delivered, the in-flight request is
-// waited, every buffer is recycled, and all ranks return together. Every rank
-// runs the identical collective sequence, so the PR 2 invariants hold: no
-// hangs, the same error on every rank, and no duplicate writes on retry (a
-// transient async failure is re-issued synchronously at Wait; writes are
-// idempotent full rewrites — a write round issued before the verdict on an
-// earlier one rewrites its window with the caller's bytes either way).
+// allreduce before any send: nothing is delivered, every buffer is recycled,
+// and all ranks return together. Every rank runs the identical collective
+// sequence, so no rank hangs, every rank returns the same error, and a retry
+// duplicates no write (writes are idempotent full rewrites — a write round
+// issued before the verdict on an earlier one rewrites its window with the
+// caller's bytes either way).
 //
-// Buffer lifetime follows the in-flight-generation pattern (r & 1): the
-// exchange hands every packed message to its receiver (sparseExchange), so a
-// rank holds only what it received. On the write side two generations of
-// received messages are alive at once, each recycled (recycleRound →
-// bufpool.PutAll) only after the owning request's Wait, since the
-// aggregator's iovec references the message payloads in place; on the read
-// side it is the request bookkeeping and the coverage that go by generation.
-// The file's bytes do not depend on the round count or on which requests
-// were asynchronous.
+// Buffer lifetime: the exchange hands every packed message to its receiver
+// (sparseExchange), so a rank holds only what it received. The write loop
+// keeps one table of received messages: the aggregator's iovec references
+// their payloads in place, and they go back to the pool (recycleRound →
+// bufpool.PutAll) as soon as the round's write returns, before the next
+// exchange refills the table. On the read side the request bookkeeping and
+// the coverage go by generation (r & 1), because round r−1 is answered after
+// round r is read. The file's bytes do not depend on the round count.
 
 import (
 	"cmp"
@@ -62,37 +62,27 @@ import (
 // already agreed (identical on every rank).
 func (f *File) writeRounds(plan collectivePlan, segs []pfs.Segment, prefix []int64,
 	spans []segSpan, buf []byte, myAgg int, prog *ftProgress) error {
-	// Received messages go by generation (msgs[r & 1]): round r's stay live
-	// while its write is in flight, i.e. across round r+1's exchange.
-	// Everything else in the scratch is shared by both generations.
 	s := newWriteScratch(plan)
 	parts, msgs, wv := s.parts, s.msgs, &s.wv
-	var inflight *pfs.AsyncOp
 	// A communicator revocation unwinds this loop as a panic from any of
-	// its collectives. Before the failover replays rounds, the in-flight
-	// write must be joined — a background WriteVec racing the replay could
-	// interleave stale bytes — and every buffer this rank still holds
-	// released: what it packed but never handed over, and both received
-	// generations (PutAll nils slots, so a partially recycled generation is
-	// safe to recycle again).
+	// its collectives. Before the failover replays rounds, every buffer this
+	// rank still holds is released: what it packed but never handed over and
+	// what it received (PutAll nils slots, so a partially recycled table is
+	// safe to recycle again). No request is left to join: each one's bytes
+	// have landed when it returns.
 	defer func() {
 		if rec := recover(); rec != nil {
-			if inflight != nil {
-				inflight.Wait()
-			}
 			bufpool.PutAll(parts)
-			for g := range msgs {
-				recycleRound(msgs[g])
-			}
+			recycleRound(msgs)
 			panic(rec)
 		}
 	}()
 
-	// frontend packs round r and exchanges it into generation r & 1; the
-	// exchange's count allreduce carries pending, this rank's outcome of an
-	// earlier round, and frontend returns the agreed verdict on it. The round
-	// span covers only this; the aggregator's write is recorded on its own,
-	// under the collective, with the interval it really took.
+	// frontend packs round r and exchanges it into msgs; the exchange's count
+	// allreduce carries pending, this rank's outcome of an earlier round, and
+	// frontend returns the agreed verdict on it. The round span covers only
+	// this; the aggregator's write is recorded on its own, under the
+	// collective, with the interval it took in virtual time.
 	kill := f.killHook(fault.KillMidExchange)
 	frontend := func(r int64, pending error) error {
 		f.killPoint(fault.KillBeforePack)
@@ -101,12 +91,10 @@ func (f *File) writeRounds(plan collectivePlan, segs []pfs.Segment, prefix []int
 		sPack := f.sp.Begin(span.Pack)
 		s.clip = f.packWriteRound(plan, segs, prefix, spans, buf, r, parts, s.clip, sPack)
 		sPack.End()
-		err := sparseExchange(f.comm, f.sp, parts, msgs[r&1], s.counts, pending, roundTag(r, 0), kill)
+		err := sparseExchange(f.comm, f.sp, parts, msgs, s.counts, pending, roundTag(r, 0), kill)
 		sRound.End()
 		return err
 	}
-	// Retried under the file's retry policy; also what a transient failure
-	// of the asynchronous request falls back to.
 	write := func(t float64) (float64, error) {
 		return f.pf.WriteVec(t, wv.segs, wv.iov)
 	}
@@ -114,7 +102,7 @@ func (f *File) writeRounds(plan collectivePlan, segs []pfs.Segment, prefix []int
 	_ = frontend(0, nil) // carries no round: the verdict is nil
 	var prev error       // round r-1's outcome, carried by round r+1's exchange
 	for r := int64(0); r < plan.rounds; r++ {
-		g, last := r&1, r+1 == plan.rounds
+		last := r+1 == plan.rounds
 		// Backend: merge what this aggregator received into one vectored
 		// write whose iovec points straight into the message payloads — no
 		// coalescing copy. A message the merge rejects fails the round like
@@ -123,18 +111,18 @@ func (f *File) writeRounds(plan collectivePlan, segs []pfs.Segment, prefix []int
 		io := false
 		if myAgg >= 0 {
 			lo, hi := plan.window(myAgg, r)
-			roundErr = wv.assemble(msgs[g], lo, hi)
+			roundErr = wv.assemble(msgs, lo, hi)
 			io = roundErr == nil && len(wv.iov) > 0
 		}
 		issued := f.comm.Clock()
+		var end float64
 		if io {
-			if last {
-				roundErr = f.doPF(write)
-			} else {
-				inflight = f.pf.WriteVecAsync(issued, wv.segs, wv.iov)
-			}
+			end, roundErr = f.issuePF(issued, write)
 			f.killPoint(fault.KillAfterIssue)
 		}
+		// The write is down; recycle the messages it referenced, which
+		// empties the table for round r+1's exchange.
+		recycleRound(msgs)
 		var verdict error
 		if !last {
 			verdict = frontend(r+1, prev)
@@ -142,20 +130,14 @@ func (f *File) writeRounds(plan collectivePlan, segs []pfs.Segment, prefix []int
 				prog.roundAgreed(r - 1)
 			}
 		}
-		if inflight != nil {
-			roundErr = f.waitPF(inflight, issued, write)
-			inflight = nil
-		}
 		if io {
+			f.settle(issued, end)
 			f.sp.Record(span.AggWrite, int(r), issued, f.comm.Clock(), wv.bytes)
 		}
-		// The write is down; recycle the messages it referenced.
-		recycleRound(msgs[g])
 		if verdict != nil {
 			// Some rank failed round r-1, and every rank learnt it from the
-			// same allreduce before any send: the next generation received
-			// nothing, and all ranks bail here together.
-			recycleRound(msgs[g^1])
+			// same allreduce before any send: nothing was delivered, msgs
+			// is empty, and all ranks bail here together.
 			return verdict
 		}
 		if last {
@@ -181,27 +163,23 @@ func (f *File) agree(r int64, err error) error {
 	return err
 }
 
-// readRounds runs the read rounds of one collective: round r's coverage read
-// is in flight while round r-1's replies travel and scatter. The returned
-// error is already agreed (identical on every rank).
+// readRounds runs the read rounds of one collective: in virtual time, round
+// r's coverage read runs while round r-1's replies travel and scatter. The
+// returned error is already agreed (identical on every rank).
 func (f *File) readRounds(plan collectivePlan, segs []pfs.Segment, prefix []int64,
 	spans []segSpan, buf []byte, myAgg int, prog *ftProgress) error {
 	// The request bookkeeping and the coverage go by generation (r & 1):
 	// round r's must survive until its scatter, after round r+1 has packed
-	// and assembled. The request messages themselves are merged and recycled
+	// and read. The request messages themselves are merged and recycled
 	// inside the round — a coverage references none of their bytes.
 	s := newReadScratch(plan)
 	parts, msgs, replies, back := s.parts, s.msgs, s.replies, s.back
 	var sent [2]int // aggregators this rank sent a request to: replies to expect
-	var inflight *pfs.AsyncOp
-	// Revocation drain, mirroring writeRounds: join the in-flight read and
-	// release both coverages plus every exchange buffer this rank still
-	// holds before the failover replays (see that loop's comment).
+	// Revocation drain, mirroring writeRounds: release both coverages plus
+	// every exchange buffer this rank still holds before the failover
+	// replays (see that loop's comment).
 	defer func() {
 		if rec := recover(); rec != nil {
-			if inflight != nil {
-				inflight.Wait()
-			}
 			for g := range s.cov {
 				s.cov[g].release()
 			}
@@ -237,6 +215,10 @@ func (f *File) readRounds(plan collectivePlan, segs []pfs.Segment, prefix []int6
 	}
 
 	kill := f.killHook(fault.KillMidExchange)
+	var cov *coverage // the current round's coverage, read by read
+	read := func(t float64) (float64, error) {
+		return f.pf.ReadV(t, cov.segs, cov.data)
+	}
 	var pending error // round r-1's outcome, carried by round r's exchange
 	for r := int64(0); r < plan.rounds; r++ {
 		g := r & 1
@@ -255,17 +237,13 @@ func (f *File) readRounds(plan collectivePlan, segs []pfs.Segment, prefix []int6
 			// BEFORE answer(r-1): a failed aggregator has no data to send
 			// back, and the reply leg expects a fixed number of messages.
 			// Nothing was delivered (msgs is empty; recycled all the same),
-			// nothing is in flight, and round r-1's coverage will never be
-			// answered.
+			// and round r-1's coverage will never be answered.
 			recycleRound(msgs)
 			s.cov[g^1].release()
 			return verdict
 		}
 		// Backend: merge the requests into one coverage read.
-		cov := &s.cov[g]
-		read := func(t float64) (float64, error) {
-			return f.pf.ReadV(t, cov.segs, cov.data)
-		}
+		cov = &s.cov[g]
 		var roundErr error
 		io := false
 		if myAgg >= 0 {
@@ -275,22 +253,16 @@ func (f *File) readRounds(plan collectivePlan, segs []pfs.Segment, prefix []int6
 		}
 		recycleRound(msgs)
 		issued := f.comm.Clock()
+		var end float64
 		if io {
-			if r == 0 {
-				roundErr = f.doPF(read)
-			} else {
-				inflight = f.pf.ReadVAsync(issued, cov.segs, cov.data)
-			}
+			end, roundErr = f.issuePF(issued, read)
 			f.killPoint(fault.KillAfterIssue)
 		}
 		if r > 0 {
 			answer(r - 1)
 		}
-		if inflight != nil {
-			roundErr = f.waitPF(inflight, issued, read)
-			inflight = nil
-		}
 		if io {
+			f.settle(issued, end)
 			f.sp.Record(span.AggRead, int(r), issued, f.comm.Clock(), int64(len(cov.data)))
 		}
 		pending = roundErr

@@ -201,9 +201,9 @@ func imageOf(fsys *pfs.FS, name string, n int64) ([]byte, error) {
 //     rank's mpi_msgs_sent is its allreduce cost times the allreduces entered
 //     (plan, exchanges up to the verdict, closing agreement if reached) plus
 //     its exchange messages of the delivered rounds only;
-//   - nothing is left in flight: no span is open, and the file holds exactly
-//     the rounds up to the one issued before the verdict — round k+1's write
-//     was in flight then and was waited for — minus the crashed window;
+//   - nothing is left open: no span is, and the file holds exactly the
+//     rounds up to the one issued before the verdict — round k+1's write
+//     landed before the exchange that carried it — minus the crashed window;
 //   - the handle is reusable: the next write succeeds everywhere and leaves
 //     the exact image.
 func TestWriteRoundFailureVerdict(t *testing.T) {
@@ -293,7 +293,7 @@ func TestWriteRoundFailureVerdict(t *testing.T) {
 					t.Errorf("rank %d: %v, want ErrPeerFailed", r, err)
 				}
 			}
-			last := k + 1 // the round whose write was in flight at the verdict
+			last := k + 1 // the round written just before the verdict's exchange
 			if k+2 >= failRounds {
 				last = failRounds - 1
 			}

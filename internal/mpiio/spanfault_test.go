@@ -96,9 +96,9 @@ func TestSpansClosedUnderTransientFaults(t *testing.T) {
 }
 
 // TestSpansClosedUnderPipelinedFaults: a many-round collective records
-// agg_write/agg_read as closed leaves at Wait and keeps two generations of
-// round state alive; under transient faults (observed at Wait, retried
-// synchronously) every span must still be closed on every rank, and the
+// agg_write/agg_read as closed leaves when a request is settled, after the
+// next round's communication; under transient faults (retried at once, from
+// the issue) every span must still be closed on every rank, and the
 // aggregator leaves must actually be present in the trace, in the same shape
 // the one-round collectives above record.
 func TestSpansClosedUnderPipelinedFaults(t *testing.T) {

@@ -74,7 +74,7 @@ func wantPrefix(segs []Segment, payload []byte, n int64, seg Segment) []byte {
 	want := make([]byte, seg.Len)
 	pos := int64(0)
 	for _, s := range segs {
-		landed := min64(n-pos, s.Len)
+		landed := min(n-pos, s.Len)
 		if s == seg && landed > 0 {
 			copy(want, payload[pos:pos+landed])
 		}

@@ -167,7 +167,10 @@ func (fs *FS) PeakReadBW() float64 { return float64(fs.cfg.NumServers) * fs.cfg.
 func (fs *FS) PeakWriteBW() float64 { return float64(fs.cfg.NumServers) * fs.cfg.WriteBW }
 
 // File is an open handle. Handles are cheap; all handles to one name share
-// the underlying data.
+// the underlying data. Every request moves its bytes before it returns and
+// reports its virtual completion time: a caller that overlaps a request with
+// other work does so in virtual time, by advancing its clock to that
+// completion later (DESIGN.md §13), never by leaving the request running.
 type File struct {
 	fs *FS
 	fd *fileData
@@ -179,14 +182,6 @@ type File struct {
 	trace *iostat.Trace
 	spans *span.Recorder
 	rank  int
-
-	// ioMu and ioPrevEnd model the handle's I/O channel for the async
-	// entry points (async.go): an async op starts no earlier than the
-	// previous op's virtual completion on this handle, so overlapped
-	// requests from one rank still serialize in virtual time the way one
-	// client's outstanding requests serialize on its link.
-	ioMu      sync.Mutex
-	ioPrevEnd float64
 }
 
 // SetStats installs the handle's iostat collectors; rank labels trace
@@ -350,6 +345,13 @@ func (c *iovCursor) next(n int64) []byte {
 	return p
 }
 
+// skip advances the cursor past n bytes.
+func (c *iovCursor) skip(n int64) {
+	for n > 0 {
+		n -= int64(len(c.next(n)))
+	}
+}
+
 // WriteVec writes the segments, taking consecutive bytes from the iovec, as
 // one request batch. Segments should be sorted and non-overlapping; the cost
 // model charges one seek per (merged) extent per server, identically to an
@@ -375,7 +377,7 @@ func (f *File) WriteVec(t float64, segs []Segment, iov [][]byte) (float64, error
 		out := f.inject(fault.OpWrite, segs, total)
 		t += out.Delay
 		if out.Err != nil {
-			f.applyWritePrefix(segs, iov, out)
+			f.storeWriteVec(segs, iov, out.N)
 			if out.TruncateTo >= 0 {
 				f.Truncate(out.TruncateTo)
 			}
@@ -396,54 +398,20 @@ func (f *File) WriteVec(t float64, segs []Segment, iov [][]byte) (float64, error
 	return done, nil
 }
 
-// storeWriteVec lands the full payload: each segment takes the next bytes of
-// the iovec, split into at most chunk-sized pieces by the cursor.
-func (f *File) storeWriteVec(segs []Segment, iov [][]byte, total int64) {
+// storeWriteVec lands the first n bytes of the payload: each segment takes
+// the next bytes of the iovec until n bytes have landed. A completed write
+// lands all of them; a faulted one the prefix the injector chose (out.N: the
+// bytes that moved before a transient error, or the distance from the first
+// segment's start to a crash byte), byte-exact within the segment it cuts.
+func (f *File) storeWriteVec(segs []Segment, iov [][]byte, n int64) {
 	cur := iovCursor{iov: iov}
 	for _, s := range segs {
-		discard := f.fs.cfg.Discard && s.Len >= f.fs.cfg.DiscardThreshold
-		off := s.Off
-		for remain := s.Len; remain > 0; {
-			p := cur.next(remain)
-			f.fd.store.writeAt(p, off, discard)
-			off += int64(len(p))
-			remain -= int64(len(p))
-		}
-	}
-	_ = total
-}
-
-// applyWritePrefix stores the partial payload a faulted write leaves
-// behind. For a crash the cut is by absolute file offset (out.N bytes past
-// the first segment's start); for a transient error it is the first out.N
-// payload bytes. Within an affected segment the prefix lands byte-exact.
-func (f *File) applyWritePrefix(segs []Segment, iov [][]byte, out fault.Outcome) {
-	remain := out.N
-	cur := iovCursor{iov: iov}
-	for _, s := range segs {
-		if remain <= 0 {
+		if n <= 0 {
 			return
 		}
-		discard := f.fs.cfg.Discard && s.Len >= f.fs.cfg.DiscardThreshold
-		off := s.Off
-		segRemain := s.Len
-		for segRemain > 0 {
-			p := cur.next(segRemain)
-			if int64(len(p)) > remain {
-				p = p[:remain]
-			}
-			if len(p) > 0 {
-				f.fd.store.writeAt(p, off, discard)
-			}
-			off += int64(len(p))
-			segRemain -= int64(len(p))
-			remain -= int64(len(p))
-			if remain <= 0 {
-				// Skip the rest of this segment in the cursor before
-				// returning (nothing left to land anywhere).
-				return
-			}
-		}
+		k := min(s.Len, n)
+		f.fd.store.writeAt(s.Off, k, &cur, f.fs.cfg.Discard && s.Len >= f.fs.cfg.DiscardThreshold)
+		n -= k
 	}
 }
 
@@ -487,13 +455,6 @@ func (f *File) ReadVec(t float64, segs []Segment, iov [][]byte) (float64, error)
 		"read", t, done, segs, total, extents)
 	f.spans.Record(span.PFSRead, -1, t0, done, total)
 	return done, nil
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // record accumulates one request batch's counters and trace event.

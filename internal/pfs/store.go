@@ -49,20 +49,20 @@ func (s *chunkStore) grow(end int64) {
 	}
 }
 
-// writeAt copies p into the chunks covering [off, off+len(p)). With discard,
-// only the size is tracked (timing-only bulk data).
-func (s *chunkStore) writeAt(p []byte, off int64, discard bool) {
-	s.grow(off + int64(len(p)))
+// writeAt copies the next n bytes of cur into the chunks covering
+// [off, off+n), taking each chunk's shard lock once for all the iovec pieces
+// that land in it: an aggregator's iovec holds one piece per received block,
+// hundreds to a chunk. With discard, only the size is tracked (timing-only
+// bulk data) and cur skips the bytes.
+func (s *chunkStore) writeAt(off, n int64, cur *iovCursor, discard bool) {
+	s.grow(off + n)
 	if discard {
+		cur.skip(n)
 		return
 	}
-	for len(p) > 0 {
-		idx := off / chunkSize
-		cOff := off % chunkSize
-		n := chunkSize - cOff
-		if n > int64(len(p)) {
-			n = int64(len(p))
-		}
+	for n > 0 {
+		idx, cOff := off/chunkSize, off%chunkSize
+		m := min(chunkSize-cOff, n)
 		sh := s.shard(idx)
 		sh.mu.Lock()
 		c := sh.chunks[idx]
@@ -73,10 +73,12 @@ func (s *chunkStore) writeAt(p []byte, off int64, discard bool) {
 			}
 			sh.chunks[idx] = c
 		}
-		copy(c[cOff:cOff+n], p[:n])
+		for dst := c[cOff : cOff+m]; len(dst) > 0; {
+			dst = dst[copy(dst, cur.next(int64(len(dst)))):]
+		}
 		sh.mu.Unlock()
-		p = p[n:]
-		off += n
+		off += m
+		n -= m
 	}
 }
 

@@ -20,7 +20,8 @@
 #            drive a FLASH checkpoint at a 1% transient fault rate with a
 #            fixed seed; the run must complete and account its retries.
 #   FT=1     rank-failure tolerance (DESIGN.md §8) end to end: kill an
-#            aggregator mid-round in an 8-rank FLASH checkpoint; survivors
+#            aggregator mid-round in an 8-rank FLASH checkpoint, once in the
+#            exchange and once just after its request is issued; survivors
 #            must fail over, the file must be ncvalidate-clean, and
 #            ft_failover_rounds must be nonzero. (The rank-kill and
 #            revoke/shrink/failover suites need no pass of their own: the
@@ -87,21 +88,25 @@ if [ "${FAULT:-0}" = "1" ]; then
 fi
 
 if [ "${FT:-0}" = "1" ]; then
-    # End-to-end: 8-rank FLASH checkpoint, aggregator rank 4 killed in the
-    # exchange phase (cb_nodes=2 places aggregators at ranks 0 and 4, so
-    # this exercises file-domain reassignment, not just a lost writer).
-    # Survivors detect, shrink, fail over; the file must validate and the
-    # counters must show the failover actually ran.
+    # End-to-end: 8-rank many-round FLASH checkpoint, aggregator rank 4
+    # killed (cb_nodes=2 places aggregators at ranks 0 and 4, so this
+    # exercises file-domain reassignment, not just a lost writer) in the
+    # exchange phase, and again just after it issues a round's write — by
+    # then that write's bytes have landed; only its virtual end and its
+    # verdict are outstanding. Survivors detect, shrink, fail over; the file
+    # must validate and the counters must show the failover actually ran.
     ftdir=$(mktemp -d)
-    go run ./cmd/flashio-bench -block 8 -procs 8 -blocks-per-proc 20 \
-        -files checkpoint -cb-buffer-size 65536 -cb-nodes 2 \
-        -kill-rank 4 -kill-point mid_exchange \
-        -stats -json "$ftdir/ft.json" -out "$ftdir/ft.nc"
-    go run ./cmd/ncvalidate "$ftdir/ft.nc"
-    grep -q '"ft_failover_rounds": *[1-9]' "$ftdir/ft.json" \
-        || { echo "FT: ft_failover_rounds is zero after a rank kill" >&2; exit 1; }
-    grep -q '"ft_comm_shrinks": *[1-9]' "$ftdir/ft.json" \
-        || { echo "FT: no communicator shrink recorded" >&2; exit 1; }
+    for point in mid_exchange after_issue; do
+        go run ./cmd/flashio-bench -block 8 -procs 8 -blocks-per-proc 20 \
+            -files checkpoint -cb-buffer-size 65536 -cb-nodes 2 \
+            -kill-rank 4 -kill-point "$point" \
+            -stats -json "$ftdir/ft.json" -out "$ftdir/ft.nc"
+        go run ./cmd/ncvalidate "$ftdir/ft.nc"
+        grep -q '"ft_failover_rounds": *[1-9]' "$ftdir/ft.json" \
+            || { echo "FT: ft_failover_rounds is zero after a rank kill at $point" >&2; exit 1; }
+        grep -q '"ft_comm_shrinks": *[1-9]' "$ftdir/ft.json" \
+            || { echo "FT: no communicator shrink recorded after a rank kill at $point" >&2; exit 1; }
+    done
     rm -rf "$ftdir"
 fi
 
