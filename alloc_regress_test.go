@@ -162,18 +162,20 @@ func TestAllocsPerRoundIsConstant(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops buffers under the race detector; the pins do not hold")
 	}
-	// Measured: 24.7 (write) and 24.8 (read) objects per extra round, about
-	// 6 per rank: the round's one allreduce (the exchange's counts, which
-	// also carry the verdict on an earlier round) encoding and decoding in
-	// mpi and the request's cost-model tables in pfs; nothing in mpiio. With
-	// an asynchronous request handle it was 30.8 and 32.9, with a separate
-	// error agreement per round 49.8 and 51.8; the sorting aggregator took
-	// 70-78 for a write round and 132-143 for a read round. The 129-round
-	// collective allocates fewer bytes than the 1-round one — its buffers are
-	// 129 times smaller — so the byte allowance only has to catch per-round
-	// staging coming back.
+	// Measured: −0.3 (write) and −0.2 (read) objects per extra round, i.e.
+	// none: the round's one allreduce (the exchange's counts, which also carry
+	// the verdict on an earlier round) folds in place over pooled wire
+	// buffers in mpi, the request's cost-model tables live on the stack in
+	// pfs, and mpiio reuses its per-collective scratch. While that allreduce
+	// encoded and decoded on every tree edge and pfs made its tables per
+	// request it was 24.7 and 24.8; with an asynchronous request handle 30.8
+	// and 32.9, with a separate error agreement per round 49.8 and 51.8; the
+	// sorting aggregator took 70-78 for a write round and 132-143 for a read
+	// round. The 129-round collective allocates fewer bytes than the 1-round
+	// one — its buffers are 129 times smaller — so the byte allowance only
+	// has to catch per-round staging coming back.
 	const (
-		perRound      = 29
+		perRound      = 2
 		perRoundBytes = 2048
 	)
 	for _, read := range []bool{false, true} {
@@ -193,13 +195,14 @@ func TestAllocsPerRoundIsConstant(t *testing.T) {
 	}
 }
 
-// TestAllocsOneRoundCollective: a one-round collective allocates no more
-// than the classic serial round loop did — 201 objects for the write and 249
-// for the read of roundsAllocs' shape, all four ranks together, measured on
-// that loop before it was deleted; FLASH's 27 one-round collectives per
-// checkpoint must not start paying for the many-round machinery. Background
-// allocation only ever adds (a single run reads up to 20 high), so the
-// smallest of many runs is compared, the read with 2 to spare.
+// TestAllocsOneRoundCollective pins what a one-round collective of
+// roundsAllocs' shape allocates, all four ranks together: 126 objects for
+// the write and 182 for the read, measured once reductions stopped
+// allocating (the classic serial round loop, before it was deleted, took
+// 201 and 249; encoding reductions 193 and 249). FLASH's 27 one-round
+// collectives per checkpoint must not start paying for the many-round
+// machinery. Background allocation only ever adds (a single run reads up to
+// 20 high), so the smallest of many runs is compared, with 4 to spare.
 func TestAllocsOneRoundCollective(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops buffers under the race detector; the pins do not hold")
@@ -207,7 +210,7 @@ func TestAllocsOneRoundCollective(t *testing.T) {
 	for _, pin := range []struct {
 		read bool
 		objs int64
-	}{{false, 201}, {true, 249 + 2}} {
+	}{{false, 126 + 4}, {true, 182 + 4}} {
 		best := int64(-1)
 		for i := 0; i < 40; i++ {
 			objs, _, rounds := roundsAllocs(t, pin.read, 1<<20)
@@ -558,12 +561,17 @@ func flexCallAllocs(tb testing.TB, read bool) (objs, bytes float64) {
 }
 
 // TestAllocsPerBlockingCall pins the per-call cost of the blocking flexible
-// put and get at what the two separate data paths measured before they became
-// prepare + complete (DESIGN.md §16). The benchmark's 3% allocation bound is
-// about 125 B and 1.4 objects per call on flash_ckpt_r (4.2 KB and 46 objects
-// per call), which TestAllocsFlashRoundTrip's payload-relative limits cannot
-// see: an op record on the heap, a split into write and read lists, or a
-// longer agreement vector would each cost more than that.
+// put and get. The benchmark's 3% allocation bound is about 95 B and 0.7
+// objects per call on flash_ckpt_r (0.60 MB and 4 424 objects per op over
+// its 24 gets on 8 ranks: 3.1 KB and 23 objects per call), which
+// TestAllocsFlashRoundTrip's payload-relative limits cannot see: an op
+// record on the heap, a split into write and read lists, a view-cache key
+// or a reduction buffer per call would each cost more than that. The object
+// pins are the measurement plus about 10% (12.50 and 14.50 objects, the
+// highest of six runs, once reductions folded in place and the view cache
+// looked its key up from the stack; 36.38 and 37.38 before); the byte pins
+// are still the highest of six measurements at the parent of the one-path
+// change (DESIGN.md §16).
 func TestAllocsPerBlockingCall(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops buffers under the race detector; the byte pins do not hold")
@@ -571,10 +579,10 @@ func TestAllocsPerBlockingCall(t *testing.T) {
 	for _, tc := range []struct {
 		name             string
 		read             bool
-		maxObjs, maxByte float64 // the highest of six measurements at the parent of the one-path change
+		maxObjs, maxByte float64
 	}{
-		{"put", false, 36.38, 2064},
-		{"get", true, 37.38, 2984},
+		{"put", false, 13.75, 2064},
+		{"get", true, 15.95, 2984},
 	} {
 		objs, bytes := flexCallAllocs(t, tc.read)
 		t.Logf("%s: %.2f objects, %.0f B per call per rank", tc.name, objs, bytes)

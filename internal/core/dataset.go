@@ -71,7 +71,7 @@ type Dataset struct {
 
 	// views caches flattened file views per (variable, access geometry);
 	// cleared whenever a define-mode transition recomputes the layout.
-	views map[viewKey]mpitype.Datatype
+	views map[string]mpitype.Datatype
 
 	oldLayout *cdf.Header
 	// pending is the iput/iget queue; a blocking call's one op lives in its

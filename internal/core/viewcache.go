@@ -25,13 +25,10 @@ import (
 // churn this high means repeats are unlikely anyway).
 const viewCacheMax = 64
 
-type viewKey struct {
-	varid int
-	geom  string // start/count/stride, varint-packed
-}
-
-func geomKey(req access.Request) string {
-	b := make([]byte, 0, 64) // constant, so it stays on the stack; append grows it for the rare long key
+// appendViewKey appends the cache key of (varid, req) to b: the varid, then
+// start, count and stride, varint-packed.
+func appendViewKey(b []byte, varid int, req access.Request) []byte {
+	b = binary.AppendUvarint(b, uint64(varid))
 	for _, v := range req.Start {
 		b = binary.AppendUvarint(b, uint64(v))
 	}
@@ -41,15 +38,18 @@ func geomKey(req access.Request) string {
 	for _, v := range req.Stride {
 		b = binary.AppendUvarint(b, uint64(v))
 	}
-	return string(b)
+	return b
 }
 
 // fileView returns the flattened file view for req against variable v,
 // consulting the per-dataset cache. Datatypes are immutable, so sharing one
-// across calls (and with the MPI-IO layer) is safe.
+// across calls (and with the MPI-IO layer) is safe. The key is built on the
+// stack and looked up as m[string(key)], which does not allocate: only
+// inserting a new shape pays for its key string.
 func (d *Dataset) fileView(varid int, v *cdf.Var, req access.Request) (mpitype.Datatype, error) {
-	key := viewKey{varid: varid, geom: geomKey(req)}
-	if view, ok := d.views[key]; ok {
+	var buf [64]byte // append grows it for the rare long key
+	key := appendViewKey(buf[:0], varid, req)
+	if view, ok := d.views[string(key)]; ok {
 		return view, nil
 	}
 	view, err := access.FileView(d.hdr, v, req)
@@ -57,9 +57,9 @@ func (d *Dataset) fileView(varid int, v *cdf.Var, req access.Request) (mpitype.D
 		return mpitype.Datatype{}, err
 	}
 	if d.views == nil || len(d.views) >= viewCacheMax {
-		d.views = make(map[viewKey]mpitype.Datatype, 8)
+		d.views = make(map[string]mpitype.Datatype, 8)
 	}
-	d.views[key] = view
+	d.views[string(key)] = view
 	return view, nil
 }
 

@@ -6,6 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
+
+	"pnetcdf/internal/bufpool"
 )
 
 // Internal tags used within one collective context. Each collective call has
@@ -17,78 +20,105 @@ const (
 	tagData   = 3
 )
 
-// Barrier blocks until every member has entered it, like MPI_Barrier.
-// Implemented as a binomial fan-in to rank 0 followed by a fan-out, so its
-// virtual-time cost is ~2*ceil(log2(p)) message latencies.
+// Barrier blocks until every member has entered it, like MPI_Barrier: a
+// reduction of nothing over the binomial tree rooted at rank 0 — empty
+// tokens up, empty tokens down — so its virtual-time cost is
+// ~2*ceil(log2(p)) message latencies.
 func (c *Comm) Barrier() {
 	ctx := c.nextOpCtx("Barrier")
-	c.fanIn(0, ctx, nil)
-	c.fanOut(0, ctx, nil)
+	t := c.commTree(0)
+	c.reduceUp(&t, ctx, vec{}, OpSum)
+	c.reduceDown(&t, ctx, vec{})
 }
 
-// fanIn sends a zero/merged token up a binomial tree rooted at root.
-// If combine is non-nil it folds children's payloads into the local one and
-// returns the root's folded payload (nil on non-roots).
-func (c *Comm) fanIn(root int, ctx int64, combine func(local, child []byte) []byte) []byte {
-	p := c.Size()
-	vrank := (c.rank - root + p) % p
-	var local []byte
-	if combine != nil {
-		local = combine(nil, nil) // seed with the caller's own contribution
-	}
-	for mask := 1; mask < p; mask <<= 1 {
-		if vrank&mask != 0 {
-			parent := ((vrank &^ mask) + root) % p
-			c.send(parent, tagFanIn, ctx, local)
-			return nil
-		}
-		child := vrank | mask
-		if child < p {
-			m := c.recv((child+root)%p, tagFanIn, ctx)
-			if combine != nil {
-				local = combine(local, m.data)
-			}
-		}
-	}
-	return local
+// tree is a binomial tree over p members addressed by dense index, the root
+// at index 0: member i is comm rank members[i] or, with members nil, comm
+// rank (i+root) mod p — the tree of a collective over the whole
+// communicator. me is the calling rank's index.
+//
+// A tree with pinned set runs on a revoked communicator, on behalf of the
+// handler of revocation *pinned (AgreeFT): its sends skip the revocation
+// check (the caller IS the revocation handler), and its receives unwind
+// only on a revocation beyond that generation (a further death).
+type tree struct {
+	p, me, root int
+	members     []int
+	pinned      *revokeInfo
 }
 
-// fanOut distributes data down a binomial tree rooted at root and returns
-// the received payload (the root returns data unchanged). Interior ranks
-// forward the slice they received, so one backing array reaches every
-// member: data must be a buffer nobody writes to again.
-func (c *Comm) fanOut(root int, ctx int64, data []byte) []byte {
+// commTree is the tree over every member of c, rooted at comm rank root.
+func (c *Comm) commTree(root int) tree {
 	p := c.Size()
-	vrank := (c.rank - root + p) % p
-	// Find this rank's receive mask: the lowest set bit of vrank.
-	recvMask := 0
-	for mask := 1; mask < p; mask <<= 1 {
-		if vrank&mask != 0 {
-			recvMask = mask
-			break
+	return tree{p: p, me: (c.rank - root + p) % p, root: root}
+}
+
+// rank is member i's comm rank.
+func (t *tree) rank(i int) int {
+	if t.members != nil {
+		return t.members[i]
+	}
+	return (i + t.root) % t.p
+}
+
+// span is the width of member me's subtree: the lowest set bit of me, and
+// for the root the smallest power of two >= p. The children of me are
+// me+m for every power of two m < span with me+m < p; its parent is
+// me-span.
+func (t *tree) span() int {
+	if t.me != 0 {
+		return t.me & -t.me
+	}
+	s := 1
+	for s < t.p {
+		s <<= 1
+	}
+	return s
+}
+
+func (c *Comm) treeSend(t *tree, i, tag int, ctx int64, data []byte) {
+	c.sendCore(t.rank(i), tag, ctx, data, t.pinned != nil)
+}
+
+func (c *Comm) treeRecv(t *tree, i, tag int, ctx int64) []byte {
+	return c.recvCore(t.rank(i), tag, ctx, t.pinned).data
+}
+
+// reduceUp is the fan-in half of a reduction over t under ctx. Each member
+// folds its children's partials into acc, smallest subtree first, straight
+// from the wire (acc = acc op child: the fixed order that keeps float sums
+// reproducible), putting each child's buffer back once folded; every
+// member but the root then sends its partial to its parent in a pooled
+// buffer of its own. On the root acc ends up holding the reduction.
+func (c *Comm) reduceUp(t *tree, ctx int64, acc vec, op Op) {
+	s := t.span()
+	for m := 1; m < s; m <<= 1 {
+		if child := t.me + m; child < t.p {
+			wire := c.treeRecv(t, child, tagFanIn, ctx)
+			acc.fold(op, wire)
+			bufpool.Put(wire)
 		}
 	}
-	if recvMask != 0 {
-		parent := ((vrank &^ recvMask) + root) % p
-		m := c.recv(parent, tagFanOut, ctx)
-		data = m.data
+	if t.me != 0 {
+		c.treeSend(t, t.me-s, tagFanIn, ctx, acc.encode())
 	}
-	// Forward to children: set each zero bit below recvMask (for the root,
-	// below the smallest power of two >= p), highest first.
-	top := recvMask
-	if vrank == 0 {
-		top = 1
-		for top < p {
-			top <<= 1
+}
+
+// reduceDown is the fan-out half: every member but the root receives the
+// result from its parent, decodes it into acc and puts the buffer back;
+// then each member sends every child its own pooled copy, largest subtree
+// first.
+func (c *Comm) reduceDown(t *tree, ctx int64, acc vec) {
+	s := t.span()
+	if t.me != 0 {
+		wire := c.treeRecv(t, t.me-s, tagFanOut, ctx)
+		acc.decode(wire)
+		bufpool.Put(wire)
+	}
+	for m := s >> 1; m >= 1; m >>= 1 {
+		if child := t.me + m; child < t.p {
+			c.treeSend(t, child, tagFanOut, ctx, acc.encode())
 		}
 	}
-	for mask := top >> 1; mask >= 1; mask >>= 1 {
-		child := vrank | mask
-		if child != vrank && child < p {
-			c.send((child+root)%p, tagFanOut, ctx, data)
-		}
-	}
-	return data
 }
 
 // Bcast broadcasts data from root to every member, like MPI_Bcast. Non-root
@@ -105,11 +135,22 @@ func (c *Comm) Bcast(root int, data []byte) []byte {
 }
 
 // bcastOwned is Bcast for a wire buffer the caller built for this call and
-// never writes again: it travels as it is, and the root's return value
-// aliases what the other members received.
+// never writes again: it travels down the tree rooted at root as it is —
+// interior members forward the slice they received — so the root's return
+// value aliases what every other member received.
 func (c *Comm) bcastOwned(root int, wire []byte) []byte {
 	ctx := c.nextOpCtx("Bcast")
-	return c.fanOut(root, ctx, wire)
+	t := c.commTree(root)
+	s := t.span()
+	if t.me != 0 {
+		wire = c.treeRecv(&t, t.me-s, tagFanOut, ctx)
+	}
+	for m := s >> 1; m >= 1; m >>= 1 {
+		if child := t.me + m; child < t.p {
+			c.treeSend(&t, child, tagFanOut, ctx, wire)
+		}
+	}
+	return wire
 }
 
 // Gather collects each member's payload at root, like MPI_Gatherv (payloads
@@ -229,58 +270,101 @@ func reduceF64(op Op, a, b float64) float64 {
 	return a
 }
 
+// vec is a reduction's accumulator: int64 or float64 elements, in one of
+// the two slices (both empty for a barrier). A partial travels as 8
+// big-endian bytes per element in a bufpool buffer.
+type vec struct {
+	i []int64
+	f []float64
+}
+
+func (v vec) len() int { return len(v.i) + len(v.f) }
+
+// encode returns v's wire form in a pooled buffer; nil when v is empty (a
+// barrier's token).
+func (v vec) encode() []byte {
+	if v.len() == 0 {
+		return nil
+	}
+	//nclint:escape -- sent to a tree neighbour, whose reduceUp/reduceDown puts it back once folded or decoded (DESIGN.md §9, custody)
+	wire := bufpool.GetDirty(8 * v.len())
+	for k, x := range v.i {
+		binary.BigEndian.PutUint64(wire[8*k:], uint64(x))
+	}
+	for k, x := range v.f {
+		binary.BigEndian.PutUint64(wire[8*k:], math.Float64bits(x))
+	}
+	return wire
+}
+
+// decode overwrites v with a wire vector.
+func (v vec) decode(wire []byte) {
+	for k := range v.i {
+		v.i[k] = int64(binary.BigEndian.Uint64(wire[8*k:]))
+	}
+	for k := range v.f {
+		v.f[k] = math.Float64frombits(binary.BigEndian.Uint64(wire[8*k:]))
+	}
+}
+
+// fold combines a child's wire vector into v elementwise: v = v op child.
+func (v vec) fold(op Op, wire []byte) {
+	for k := range v.i {
+		v.i[k] = reduceI64(op, v.i[k], int64(binary.BigEndian.Uint64(wire[8*k:])))
+	}
+	for k := range v.f {
+		v.f[k] = reduceF64(op, v.f[k], math.Float64frombits(binary.BigEndian.Uint64(wire[8*k:])))
+	}
+}
+
+// allreduce reduces acc in place over the whole communicator: a fan-in to
+// rank 0 under the context of a reduceName collective, then a fan-out
+// under a Bcast's — two collectives, as a Reduce followed by a Bcast.
+func (c *Comm) allreduce(acc vec, op Op, reduceName string) {
+	t := c.commTree(0)
+	c.reduceUp(&t, c.nextOpCtx(reduceName), acc, op)
+	c.reduceDown(&t, c.nextOpCtx("Bcast"), acc)
+}
+
 // ReduceI64 reduces elementwise int64 vectors to root, like MPI_Reduce.
-// Non-roots receive nil. All members must pass equal-length vectors.
+// Non-roots receive nil. All members must pass equal-length vectors; vals
+// is only read.
 func (c *Comm) ReduceI64(root int, vals []int64, op Op) []int64 {
-	ctx := c.nextOpCtx("ReduceI64")
-	res := c.fanIn(root, ctx, func(local, child []byte) []byte {
-		if local == nil && child == nil {
-			return EncodeI64s(vals)
-		}
-		a, b := DecodeI64s(local), DecodeI64s(child)
-		for i := range a {
-			a[i] = reduceI64(op, a[i], b[i])
-		}
-		return EncodeI64s(a)
-	})
+	acc := slices.Clone(vals)
+	t := c.commTree(root)
+	c.reduceUp(&t, c.nextOpCtx("ReduceI64"), vec{i: acc}, op)
 	if c.rank != root {
 		return nil
 	}
-	return DecodeI64s(res)
+	return acc
 }
 
-// AllreduceI64 reduces elementwise and distributes the result to all,
-// like MPI_Allreduce.
+// AllreduceI64 reduces elementwise and distributes the result to all, like
+// MPI_Allreduce with MPI_IN_PLACE: the result overwrites vals, which is
+// returned.
 func (c *Comm) AllreduceI64(vals []int64, op Op) []int64 {
-	res := c.ReduceI64(0, vals, op)
-	return DecodeI64s(c.bcastOwned(0, EncodeI64s(res)))
+	c.allreduce(vec{i: vals}, op, "ReduceI64")
+	return vals
 }
 
 // ReduceF64 reduces elementwise float64 vectors to root. The combination
 // order follows the binomial tree deterministically, so results are
 // reproducible run to run.
 func (c *Comm) ReduceF64(root int, vals []float64, op Op) []float64 {
-	ctx := c.nextOpCtx("ReduceF64")
-	res := c.fanIn(root, ctx, func(local, child []byte) []byte {
-		if local == nil && child == nil {
-			return EncodeF64s(vals)
-		}
-		a, b := DecodeF64s(local), DecodeF64s(child)
-		for i := range a {
-			a[i] = reduceF64(op, a[i], b[i])
-		}
-		return EncodeF64s(a)
-	})
+	acc := slices.Clone(vals)
+	t := c.commTree(root)
+	c.reduceUp(&t, c.nextOpCtx("ReduceF64"), vec{f: acc}, op)
 	if c.rank != root {
 		return nil
 	}
-	return DecodeF64s(res)
+	return acc
 }
 
-// AllreduceF64 reduces elementwise and distributes the result to all.
+// AllreduceF64 reduces elementwise and distributes the result to all, in
+// place like AllreduceI64.
 func (c *Comm) AllreduceF64(vals []float64, op Op) []float64 {
-	res := c.ReduceF64(0, vals, op)
-	return DecodeF64s(c.bcastOwned(0, EncodeF64s(res)))
+	c.allreduce(vec{f: vals}, op, "ReduceF64")
+	return vals
 }
 
 // ExscanI64 computes the exclusive prefix reduction: rank r receives the
@@ -300,14 +384,16 @@ func (c *Comm) ExscanI64(vals []int64, op Op) []int64 {
 		}
 	}
 	if c.rank > 0 {
-		acc = DecodeI64s(c.recv(c.rank-1, tagData, ctx).data)
+		wire := c.recv(c.rank-1, tagData, ctx).data
+		vec{i: acc}.decode(wire)
+		bufpool.Put(wire)
 	}
 	if c.rank < c.Size()-1 {
 		next := make([]int64, len(vals))
 		for i := range vals {
 			next[i] = reduceI64(op, acc[i], vals[i])
 		}
-		c.send(c.rank+1, tagData, ctx, EncodeI64s(next))
+		c.send(c.rank+1, tagData, ctx, vec{i: next}.encode())
 	}
 	return acc
 }
@@ -364,24 +450,6 @@ func DecodeI64s(buf []byte) []int64 {
 	vals := make([]int64, len(buf)/8)
 	for i := range vals {
 		vals[i] = int64(binary.BigEndian.Uint64(buf[i*8:]))
-	}
-	return vals
-}
-
-// EncodeF64s packs float64s big-endian.
-func EncodeF64s(vals []float64) []byte {
-	buf := make([]byte, 8*len(vals))
-	for i, v := range vals {
-		binary.BigEndian.PutUint64(buf[i*8:], math.Float64bits(v))
-	}
-	return buf
-}
-
-// DecodeF64s unpacks float64s packed by EncodeF64s.
-func DecodeF64s(buf []byte) []float64 {
-	vals := make([]float64, len(buf)/8)
-	for i := range vals {
-		vals[i] = math.Float64frombits(binary.BigEndian.Uint64(buf[i*8:]))
 	}
 	return vals
 }

@@ -32,9 +32,9 @@ package mpi
 //     I/O boundary via CatchRevoked.
 //
 //   - Comm.AgreeFT + Comm.Shrink: a survivor-only reduction usable on the
-//     revoked communicator (binomial trees over the dense survivor list,
-//     contexts in a reserved band) and a dense survivor communicator for
-//     everything afterwards.
+//     revoked communicator (the reductions' binomial tree over the dense
+//     survivor list, contexts in a reserved band) and a dense survivor
+//     communicator for everything afterwards.
 //
 // There is no wall clock, no background goroutine and nothing to configure:
 // a world is its ranks.
@@ -95,6 +95,11 @@ func (e *ErrRevoked) Error() string {
 
 // AsRevoked unwraps err to its *ErrRevoked, if it is one.
 func AsRevoked(err error) (*ErrRevoked, bool) {
+	// The common case — a collective that succeeded — stays off the heap:
+	// errors.As needs rv's address, which moves rv there.
+	if err == nil {
+		return nil, false
+	}
 	var rv *ErrRevoked
 	if errors.As(err, &rv) {
 		return rv, true
@@ -457,71 +462,34 @@ func (c *Comm) survivors(failedWorld []int) []int {
 }
 
 // AgreeFT is the survivor-safe elementwise reduction: on a healthy
-// communicator it is exactly AllreduceI64; on a revoked one it reduces over
-// the survivors of the agreed failed set using binomial trees indexed by
-// dense survivor position, with message contexts in the reserved
-// post-revocation band — it can never wait on a dead rank. It is the only
-// collective (besides Shrink) that completes after revocation; failover
-// protocols agree their resume point through it.
+// communicator it is exactly AllreduceI64; on a revoked one it runs the same
+// binomial reduction (reduceUp, reduceDown) over the survivors of the
+// agreed failed set, indexed by dense survivor position, with message
+// contexts in the reserved post-revocation band — it can never wait on a
+// dead rank. Like AllreduceI64 it works in place: the result overwrites vals,
+// which is returned. It is the only collective (besides Shrink) that
+// completes after revocation; failover protocols agree their resume point
+// through it.
 func (c *Comm) AgreeFT(vals []int64, op Op) []int64 {
 	ri, ok := c.revokedInfo()
 	if !ok {
 		return c.AllreduceI64(vals, op)
 	}
 	surv := c.survivors(ri.failed)
-	me := -1
+	t := tree{p: len(surv), me: -1, members: surv, pinned: &ri}
 	for i, cr := range surv {
 		if cr == c.rank {
-			me = i
+			t.me = i
 		}
 	}
-	if me < 0 {
+	if t.me < 0 {
 		// A dead rank cannot call anything, so this is a caller bug.
 		c.Abort(fmt.Errorf("mpi: AgreeFT by failed rank %d", c.rank))
 	}
 	c.proc.stats.Add(iostat.MPICollectives, 1)
-	p := len(surv)
-	acc := append([]int64(nil), vals...)
-	// Binomial fan-in to survivor 0 over dense survivor indices.
-	ctx := c.nextFTCtx(ri.gen)
-	for mask := 1; mask < p; mask <<= 1 {
-		if me&mask != 0 {
-			c.sendFT(surv[me&^mask], tagFanIn, ctx, EncodeI64s(acc))
-			acc = nil
-			break
-		}
-		if child := me | mask; child < p {
-			b := DecodeI64s(c.recvFT(surv[child], tagFanIn, ctx, ri).data)
-			for i := range acc {
-				acc[i] = reduceI64(op, acc[i], b[i])
-			}
-		}
-	}
-	// Binomial fan-out of the result from survivor 0.
-	ctx = c.nextFTCtx(ri.gen)
-	recvMask := 0
-	for mask := 1; mask < p; mask <<= 1 {
-		if me&mask != 0 {
-			recvMask = mask
-			break
-		}
-	}
-	if recvMask != 0 {
-		acc = DecodeI64s(c.recvFT(surv[me&^recvMask], tagFanOut, ctx, ri).data)
-	}
-	top := recvMask
-	if me == 0 {
-		top = 1
-		for top < p {
-			top <<= 1
-		}
-	}
-	for mask := top >> 1; mask >= 1; mask >>= 1 {
-		if child := me | mask; child != me && child < p {
-			c.sendFT(surv[child], tagFanOut, ctx, EncodeI64s(acc))
-		}
-	}
-	return acc
+	c.reduceUp(&t, c.nextFTCtx(ri.gen), vec{i: vals}, op)
+	c.reduceDown(&t, c.nextFTCtx(ri.gen), vec{i: vals})
+	return vals
 }
 
 // Shrink returns the dense survivor communicator of a revoked
@@ -561,20 +529,6 @@ func (c *Comm) Shrink() (*Comm, error) {
 	c.proc.stats.Add(iostat.FTCommShrinks, 1)
 	c.proc.spans.Record(span.FTShrink, ri.gen, c.proc.clock, c.proc.clock, 0)
 	return &Comm{world: c.world, proc: c.proc, rank: myRank, group: group, ctx: id << 32}, nil
-}
-
-// sendFT delivers a post-revocation message: no revocation check (the
-// caller is the revocation handler), and sends to dead ranks are dropped
-// instead of queued.
-func (c *Comm) sendFT(dst, tag int, ctx int64, data []byte) {
-	c.sendCore(dst, tag, ctx, data, true)
-}
-
-// recvFT receives in the post-revocation band on behalf of a handler
-// pinned to revocation ri: only a revocation beyond ri.gen (a further
-// death) unwinds it.
-func (c *Comm) recvFT(src, tag int, ctx int64, ri revokeInfo) message {
-	return c.recvCore(src, tag, ctx, &ri)
 }
 
 func containsInt(sorted []int, v int) bool {

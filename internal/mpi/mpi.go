@@ -25,12 +25,17 @@
 // transfer of every byte — only the host memcpy is gone.
 //
 // Collectives keep MPI's contract that an input buffer is reusable as soon
-// as the call returns. Those that build their own wire buffers (reductions,
-// Allgather, barrier tokens) hand them over as they are. Gather, Scatter and
-// Alltoall copy each caller-owned part once, so every received slice has a
-// single owner. Bcast copies the root's payload once and passes that one
-// copy down the tree: the non-root members all receive the same backing
-// array and must treat it as read-only (see Bcast).
+// as the call returns, except the in-place reductions: AllreduceI64,
+// AllreduceF64 and AgreeFT overwrite their input vector with the result and
+// return it, like MPI_IN_PLACE. Every reduction (Barrier is one over an
+// empty vector) runs one binomial tree and sends its partials in bufpool
+// wire buffers, one per tree edge: the receiver folds or decodes the bytes
+// straight into its vector and puts the buffer back, so a warm reduction
+// allocates nothing. Allgather hands its own wire buffer over as it is.
+// Gather, Scatter and Alltoall copy each caller-owned part once, so every
+// received slice has a single owner. Bcast copies the root's payload once
+// and passes that one copy down the tree: the non-root members all receive
+// the same backing array and must treat it as read-only (see Bcast).
 //
 // The paper's experiments ran on IBM SP-2 systems; this package is the
 // substitution for that hardware (see DESIGN.md §2).

@@ -60,13 +60,16 @@ func stamped(n, rank, iter, slot int) []byte {
 	return b
 }
 
-// TestCollectiveInputsReusableOnReturn: every collective keeps MPI's
-// contract that an input buffer may be rewritten the moment the call
-// returns, although sends no longer copy. Each rank reuses one set of input
-// buffers for every iteration, rewriting them immediately after each call,
-// and checks afterwards that what it received in the previous iteration is
-// still intact — a received slice aliasing a peer's input would be torn by
-// the peer's next rewrite (and reported by the race detector).
+// TestCollectiveInputsReusableOnReturn: every collective but the in-place
+// reductions keeps MPI's contract that an input buffer may be rewritten the
+// moment the call returns, although sends no longer copy. Each rank reuses
+// one set of input buffers for every iteration, rewriting them immediately
+// after each call, and checks afterwards that what it received in the
+// previous iteration is still intact — a received slice aliasing a peer's
+// input would be torn by the peer's next rewrite (and reported by the race
+// detector). Allreduce's result must be its input vector, overwritten
+// (MPI_IN_PLACE), and correct although every rank rewrites that vector in
+// the next iteration while its wire buffers cycle through the pool.
 func TestCollectiveInputsReusableOnReturn(t *testing.T) {
 	const iters = 40
 	const n = 96 // payload bytes per slot
@@ -127,15 +130,16 @@ func TestCollectiveInputsReusableOnReturn(t *testing.T) {
 					keep = append(keep, kept{fmt.Sprintf("Alltoall[%d]", src), all[src], stamped(n, src, it, me)})
 				}
 
-				// Allreduce: the input vectors are rewritten right after.
+				// Allreduce works in place: the result is the input vector,
+				// overwritten, and the next iteration rewrites it.
 				for i := range ints {
 					ints[i] = int64(me + it + i)
 					floats[i] = float64(me + it + i)
 				}
 				si := c.AllreduceI64(ints, OpSum)
 				sf := c.AllreduceF64(floats, OpSum)
-				for i := range ints {
-					ints[i], floats[i] = -1, -1
+				if &si[0] != &ints[0] || &sf[0] != &floats[0] {
+					return fmt.Errorf("rank %d iter %d: Allreduce returned a new vector, want the input overwritten", me, it)
 				}
 				for i := range si {
 					want := int64(p*(p-1)/2 + p*(it+i))

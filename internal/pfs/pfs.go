@@ -104,6 +104,10 @@ func DefaultConfig() Config {
 
 const chunkSize = 256 << 10
 
+// stackServers is the largest server count whose cost-model tables charge
+// keeps on the stack: every machine the benchmarks model has 12 or 2.
+const stackServers = 16
+
 // FS is one simulated file system instance.
 type FS struct {
 	cfg Config
@@ -504,13 +508,32 @@ func (fs *FS) charge(t float64, segs []Segment, read bool, st *iostat.Stats) (fl
 		forEachMerged(segs, func(Segment) { nMerged++ })
 		return t + cfg.NetLatency, nMerged
 	}
-	// Per-server extent counts and byte totals; for writes, also the
-	// distinct partially-covered stripe blocks, which cost a
-	// read-modify-write on GPFS-class systems (the reason ROMIO aligns
-	// collective-buffering file domains to the stripe size).
-	extents := make([]int64, cfg.NumServers)
-	bytes := make([]int64, cfg.NumServers)
-	rmwBlocks := map[int64]bool{}
+	// Per-server extent counts, byte totals and read-before-write charges;
+	// for writes, also the distinct partially-covered stripe blocks, which
+	// cost a read-modify-write on GPFS-class systems (the reason ROMIO
+	// aligns collective-buffering file domains to the stripe size). The
+	// tables live on the stack up to stackServers servers.
+	ns := int64(cfg.NumServers)
+	var extBuf, bytesBuf [stackServers]int64
+	var rmwBuf [stackServers]float64
+	extents, bytes, rmwExtra := extBuf[:], bytesBuf[:], rmwBuf[:]
+	if cfg.NumServers > stackServers {
+		extents, bytes, rmwExtra = make([]int64, ns), make([]int64, ns), make([]float64, ns)
+	}
+	// The merged extents ascend, and so do their partial blocks: a block
+	// equal to the last one counted is the same block again (one extent's
+	// ragged head and tail, or the tail of one extent and the head of the
+	// next), so comparing with it counts each block once.
+	rmwBlocks, lastRMW := int64(0), int64(-1)
+	partial := func(blk int64) {
+		if blk == lastRMW {
+			return
+		}
+		lastRMW = blk
+		rmwBlocks++
+		// The block's read-before-write, charged to its server.
+		rmwExtra[blk%ns] += cfg.SeekTime + float64(cfg.StripeSize)/cfg.ReadBW
+	}
 	forEachMerged(segs, func(s Segment) {
 		nMerged++
 		if s.Len == 0 {
@@ -520,34 +543,28 @@ func (fs *FS) charge(t float64, segs []Segment, read bool, st *iostat.Stats) (fl
 		last := (s.Off + s.Len - 1) / cfg.StripeSize
 		if !read {
 			if s.Off%cfg.StripeSize != 0 {
-				rmwBlocks[first] = true
+				partial(first)
 			}
 			if (s.Off+s.Len)%cfg.StripeSize != 0 {
-				rmwBlocks[last] = true
+				partial(last)
 			}
 		}
-		for srv := 0; srv < cfg.NumServers; srv++ {
-			cnt := countCongruent(first, last, int64(srv), int64(cfg.NumServers))
+		for srv := int64(0); srv < ns; srv++ {
+			cnt := countCongruent(first, last, srv, ns)
 			if cnt == 0 {
 				continue
 			}
 			extents[srv]++
 			b := cnt * cfg.StripeSize
-			if first%int64(cfg.NumServers) == int64(srv) {
+			if first%ns == srv {
 				b -= s.Off - first*cfg.StripeSize
 			}
-			if last%int64(cfg.NumServers) == int64(srv) {
+			if last%ns == srv {
 				b -= (last+1)*cfg.StripeSize - (s.Off + s.Len)
 			}
 			bytes[srv] += b
 		}
 	})
-	// Charge each partial block's read-before-write to its server.
-	rmwExtra := make([]float64, cfg.NumServers)
-	for blk := range rmwBlocks {
-		srv := int(blk % int64(cfg.NumServers))
-		rmwExtra[srv] += cfg.SeekTime + float64(cfg.StripeSize)/cfg.ReadBW
-	}
 	bw := cfg.WriteBW
 	if read {
 		bw = cfg.ReadBW
@@ -562,12 +579,12 @@ func (fs *FS) charge(t float64, segs []Segment, read bool, st *iostat.Stats) (fl
 			xfer += float64(bytes[srv]) / bw
 		}
 		// Partial-block penalty: one seek plus one stripe read per block.
-		seek += float64(len(rmwBlocks)) * cfg.SeekTime
-		xfer += float64(len(rmwBlocks)) * float64(cfg.StripeSize) / cfg.ReadBW
+		seek += float64(rmwBlocks) * cfg.SeekTime
+		xfer += float64(rmwBlocks) * float64(cfg.StripeSize) / cfg.ReadBW
 		st.AddTime(iostat.PfsSeekTimeNs, seek)
 		st.AddTime(iostat.PfsTransferTimeNs, xfer)
-		st.Add(iostat.PfsRMWBlocks, int64(len(rmwBlocks)))
-		st.Add(iostat.PfsRMWBytes, int64(len(rmwBlocks))*cfg.StripeSize)
+		st.Add(iostat.PfsRMWBlocks, rmwBlocks)
+		st.Add(iostat.PfsRMWBytes, rmwBlocks*cfg.StripeSize)
 	}
 	// Pipeline the client link against the server queues in windows.
 	nWindows := (total + cfg.PipeChunk - 1) / cfg.PipeChunk

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"pnetcdf/internal/iostat"
 )
 
 func testFS() *FS {
@@ -390,6 +392,47 @@ func TestUnalignedWritePaysRMW(t *testing.T) {
 	misalignedR, _ := fd.ReadV(0, []Segment{{Off: stripe / 2, Len: n}}, make([]byte, n))
 	if misalignedR > alignedR*1.10 {
 		t.Fatalf("misaligned read (%.5fs) penalized like a write (aligned %.5fs)", misalignedR, alignedR)
+	}
+}
+
+// TestChargeCountsPartialBlocksOnce: a write pays one read-modify-write per
+// partially covered stripe block however many of its merged extents touch
+// the block — one extent's ragged head and tail, the tail of one and the
+// head of the next, several small extents — and charge keeps its per-server
+// tables off the heap on the benchmarks' 12- and 2-server machines.
+func TestChargeCountsPartialBlocksOnce(t *testing.T) {
+	const S = 1024
+	for _, servers := range []int{12, 2} {
+		cfg := DefaultConfig()
+		cfg.NumServers, cfg.StripeSize = servers, S
+		fs := New(cfg)
+		for _, tc := range []struct {
+			segs []Segment
+			want int64
+		}{
+			{[]Segment{{Off: 100, Len: 200}}, 1},
+			{[]Segment{{Off: 100, Len: 2 * S}}, 2},
+			{[]Segment{{Off: 0, Len: 100}, {Off: 200, Len: 100}, {Off: 500, Len: 10}}, 1},
+			{[]Segment{{Off: S - 10, Len: 5}, {Off: S + 10, Len: 5}, {Off: 3*S - 1, Len: 2}}, 4},
+			{[]Segment{{Off: 0, Len: S}, {Off: 3 * S, Len: 2 * S}}, 0},
+			{[]Segment{{Off: 500, Len: 10}, {Off: 100, Len: 10}, {Off: 2*S + 1, Len: S}}, 3},
+		} {
+			st := iostat.New()
+			fs.charge(0, tc.segs, false, st)
+			if got := st.Get(iostat.PfsRMWBlocks); got != tc.want {
+				t.Errorf("%d servers, write %v: %d partial blocks, want %d", servers, tc.segs, got, tc.want)
+			}
+			st = iostat.New()
+			fs.charge(0, tc.segs, true, st)
+			if got := st.Get(iostat.PfsRMWBlocks); got != 0 {
+				t.Errorf("%d servers, read %v: %d partial blocks, want 0", servers, tc.segs, got)
+			}
+		}
+		segs := []Segment{{Off: 100, Len: 3 * S}, {Off: 5 * S, Len: 7 * S}, {Off: 13*S + 5, Len: 40}}
+		st := iostat.New()
+		if got := testing.AllocsPerRun(50, func() { fs.charge(0, segs, false, st) }); got != 0 {
+			t.Errorf("%d servers: charge allocates %v objects per request, want 0", servers, got)
+		}
 	}
 }
 

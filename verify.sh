@@ -1,5 +1,6 @@
 #!/usr/bin/env sh
-# Repo verification: build, vet, lint, race-test. The default pass includes
+# Repo verification: build, vet, lint, race-test, then the allocation pins
+# without the race detector. The default pass includes
 # the seed corpora of the native fuzz targets — FuzzDecode, the two-phase
 # wire decoders FuzzAssembleWrite/FuzzAssembleRead and the "blocking ≡
 # queued" property FuzzBlockingEquivalentToQueued — run as unit tests (seeds
@@ -53,6 +54,10 @@ if [ "${LINT:-1}" = "1" ]; then
     fi
 fi
 go test -race ./...
+# The allocation pins (root alloc_regress_test.go, internal/mpi's warm
+# reductions) skip under the race detector, where sync.Pool drops buffers,
+# so the pass above never enforces them: run them once without it.
+go test -run '^TestAllocs' . ./internal/mpi/
 # The fuzz targets' seeds, by name: without -fuzz each f.Add seed and each
 # file under testdata/fuzz runs once as a unit test. (To fuzz for real:
 # go test ./internal/mpiio -run '^$' -fuzz FuzzAssembleWrite -fuzztime 30s.)
