@@ -89,6 +89,23 @@ func EncodeSegs(dst []byte, t nctype.Type, src any, segs []mpitype.Segment) ([]b
 	return dst, fmt.Errorf("%w: unsupported memory type %T", nctype.ErrTypeMismatch, src)
 }
 
+// CheckSegs reports the error EncodeSegs(dst, t, src, segs) would return
+// other than ErrRange — a memory type t cannot take, or a segment outside
+// src — without converting anything: a caller that encodes later, piece by
+// piece, can then meet only ErrRange.
+func CheckSegs(t nctype.Type, src any, segs []mpitype.Segment) error {
+	if _, err := EncodeSegs(nil, t, src, nil); err != nil {
+		return err
+	}
+	n := int64(SliceLen(src))
+	for _, s := range segs {
+		if s.Off < 0 || s.Len < 0 || s.Off+s.Len > n {
+			return fmt.Errorf("mpitype: element segment %+v outside buffer of %d", s, n)
+		}
+	}
+	return nil
+}
+
 func gatherSegs[S ~[]byte | ~string](dst []byte, src S, segs []mpitype.Segment) ([]byte, error) {
 	for _, g := range segs {
 		if g.Off < 0 || g.Off+g.Len > int64(len(src)) {

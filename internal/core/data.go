@@ -242,12 +242,14 @@ func (d *Dataset) checkMode(collective bool) error {
 // blocking is every put and get that returns with the data moved: prepare
 // the one op, park it in the queue's spare capacity (storage the dataset
 // already owns, so the call allocates no op record) and complete it alone.
-// Ops queued earlier by IPutVara/IGetVara stay queued.
+// Ops queued earlier by IPutVara/IGetVara stay queued. A collective op is
+// direct: it converts between user memory and MPI-IO's messages at pack time
+// (put, get).
 func (d *Dataset) blocking(write bool, varid int, start, count, stride []int64, data any, memsegs []mpitype.Segment, memSize int64, collective bool) error {
 	if err := d.checkMode(collective); err != nil {
 		return err
 	}
-	op, err := d.prepare(write, varid, start, count, stride, data, memsegs, memSize)
+	op, err := d.prepare(write, varid, start, count, stride, data, memsegs, memSize, collective)
 	if err != nil {
 		return err
 	}
@@ -256,16 +258,21 @@ func (d *Dataset) blocking(write bool, varid int, start, count, stride []int64, 
 }
 
 // prepare is the first half of every put and get: validate the request and,
-// for a write, convert straight from user memory into a pooled external
-// buffer — strided memory runs run-length over the flattened typemap (no
-// gathered intermediate), contiguous memory in a single pass — so the
-// caller's slice is free again when prepare returns. memsegs == nil means
-// "use the buffer contiguously"; memSize < 0 means "no memtype to check".
+// for a write that is not direct, convert straight from user memory into a
+// pooled external buffer — strided memory runs run-length over the flattened
+// typemap (no gathered intermediate), contiguous memory in a single pass —
+// so the caller's slice is free again when prepare returns. memsegs == nil
+// means "use the buffer contiguously"; memSize < 0 means "no memtype to
+// check".
+//
+// A direct write (a blocking collective put) is only checked: every error
+// the conversion could raise but NC_ERANGE is raised here, and put converts
+// the op's memory piece by piece as MPI-IO packs it.
 //
 // A read's record dimension is left unbounded here: complete checks it
 // against the record count the ranks agree on, which this rank may not have
 // seen yet.
-func (d *Dataset) prepare(write bool, varid int, start, count, stride []int64, data any, memsegs []mpitype.Segment, memSize int64) (pendingOp, error) {
+func (d *Dataset) prepare(write bool, varid int, start, count, stride []int64, data any, memsegs []mpitype.Segment, memSize int64, direct bool) (pendingOp, error) {
 	if write && d.ro {
 		return pendingOp{}, nctype.ErrPerm
 	}
@@ -280,13 +287,20 @@ func (d *Dataset) prepare(write bool, varid int, start, count, stride []int64, d
 	if memSize >= 0 && memSize != req.NElems {
 		return pendingOp{}, nctype.ErrCountMismatch
 	}
-	op := pendingOp{write: write, varid: varid, v: v, req: req, data: data, memsegs: memsegs}
+	op := pendingOp{write: write, direct: direct, varid: varid, v: v, req: req, data: data, memsegs: memsegs}
 	if memsegs == nil {
 		if op.data, err = netcdf.SliceHead(data, req.NElems); err != nil {
 			return pendingOp{}, err
 		}
 	}
 	if !write {
+		return op, nil
+	}
+	if direct {
+		if err := cdf.CheckSegs(v.Type, op.data, memsegs); err != nil {
+			return pendingOp{}, err
+		}
+		d.invalidate(varid)
 		return op, nil
 	}
 	//nclint:escape -- parked in the op record; complete puts it when the op leaves the queue

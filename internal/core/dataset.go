@@ -76,9 +76,11 @@ type Dataset struct {
 	oldLayout *cdf.Header
 	// pending is the iput/iget queue; a blocking call's one op lives in its
 	// spare capacity while complete runs. agree is complete's reduction
-	// vector, kept here so a call allocates neither.
+	// vector and codec the source or sink a blocking collective op hands
+	// MPI-IO, kept here so a call allocates none of them.
 	pending []pendingOp
 	agree   [agreeLen]int64
+	codec   memCodec
 
 	// st/tr/sp are the rank's iostat collectors and span recorder, cached
 	// from the communicator (nil = off).

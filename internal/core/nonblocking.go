@@ -34,11 +34,12 @@ import (
 // until WaitAll lands the write.
 type pendingOp struct {
 	write   bool
+	direct  bool // a blocking collective op: converted at pack time, no external buffer
 	cached  bool // reads: served from the prefetched copy (decided by complete)
 	varid   int
 	v       *cdf.Var
 	req     access.Request
-	ext     []byte            // writes: encoded external data, pooled
+	ext     []byte            // writes but direct ones: encoded external data, pooled
 	data    any               // user memory; its first NElems elements when memsegs == nil
 	memsegs []mpitype.Segment // element runs into data; nil = contiguous
 	// err is surfaced once the completion is over: NC_ERANGE from a write's
@@ -74,7 +75,7 @@ func (d *Dataset) enqueue(write bool, varid int, start, count []int64, data any)
 	if err := d.checkData(); err != nil {
 		return -1, err
 	}
-	op, err := d.prepare(write, varid, start, count, nil, data, nil, -1)
+	op, err := d.prepare(write, varid, start, count, nil, data, nil, -1, false)
 	if err != nil {
 		return -1, err
 	}
@@ -257,7 +258,10 @@ func (d *Dataset) recordAccess(op string, collective bool, coll, indep, bytes, t
 }
 
 // put is the write direction of a completion: assemble the external
-// buffer, install the fused view, write.
+// buffer, install the fused view, write. A direct op has no external buffer:
+// MPI-IO packs it through the codec, which converts each piece straight from
+// user memory into the aggregator's message, and its NC_ERANGE is known when
+// the write returns.
 func (d *Dataset) put(ops []pendingOp, plan []piece, collective bool) error {
 	sc := d.sp.Begin(span.NCPut)
 	defer sc.End()
@@ -284,9 +288,14 @@ func (d *Dataset) put(ops []pendingOp, plan []piece, collective bool) error {
 		return err
 	}
 	t0 := d.comm.Clock()
-	if collective {
+	switch {
+	case n == 1 && one.direct:
+		d.codec.reset(one)
+		err = d.f.WriteAtAllFrom(0, int64(total), &d.codec)
+		one.err = d.codec.release()
+	case collective:
 		err = d.f.WriteAtAll(0, buf)
-	} else {
+	default:
 		err = d.f.WriteAt(0, buf)
 	}
 	if err == nil {
@@ -297,14 +306,20 @@ func (d *Dataset) put(ops []pendingOp, plan []piece, collective bool) error {
 }
 
 // get is the read direction: install the fused view, read, hand every op its
-// bytes and decode them into user memory.
+// bytes and decode them into user memory. A direct op skips the external
+// buffer: MPI-IO hands each reply piece to the codec, which decodes it
+// straight into user memory.
 func (d *Dataset) get(ops []pendingOp, plan []piece, collective bool) error {
 	sc := d.sp.Begin(span.NCGet)
 	defer sc.End()
-	n, total, _ := moving(ops, false)
-	// Pooled and dirty: the read fills every byte.
-	buf := bufpool.GetDirty(total)
-	defer bufpool.Put(buf)
+	n, total, one := moving(ops, false)
+	direct := n == 1 && one.direct
+	var buf []byte
+	if !direct {
+		// Pooled and dirty: the read fills every byte.
+		buf = bufpool.GetDirty(total)
+		defer bufpool.Put(buf)
+	}
 	sView := d.sp.Begin(span.ViewResolve)
 	view, windows, err := d.fuse(ops, plan, false, buf)
 	if err == nil {
@@ -315,9 +330,15 @@ func (d *Dataset) get(ops []pendingOp, plan []piece, collective bool) error {
 		return err
 	}
 	t0 := d.comm.Clock()
-	if collective {
+	var decErr error
+	switch {
+	case direct:
+		d.codec.reset(one)
+		err = d.f.ReadAtAllInto(0, int64(total), &d.codec)
+		decErr = d.codec.release()
+	case collective:
 		err = d.f.ReadAtAll(0, buf)
-	} else {
+	default:
 		err = d.f.ReadAt(0, buf)
 	}
 	if err != nil {
@@ -330,6 +351,9 @@ func (d *Dataset) get(ops []pendingOp, plan []piece, collective bool) error {
 	sDec := d.sp.Begin(span.Encode)
 	defer sDec.End()
 	sDec.SetBytes(int64(total))
+	if direct {
+		return decErr
+	}
 	for i := range ops {
 		op := &ops[i]
 		if !op.moves(false) {

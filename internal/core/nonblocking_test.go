@@ -1,14 +1,18 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 
 	"pnetcdf/internal/cdf"
 	"pnetcdf/internal/fault"
 	"pnetcdf/internal/mpi"
 	"pnetcdf/internal/nctype"
+	"pnetcdf/internal/netcdf"
+	"pnetcdf/internal/pfs"
 )
 
 // A WaitAll that fails must consume the queue, so a retry after the fault
@@ -129,6 +133,73 @@ func TestNonblockingRangeErrorParity(t *testing.T) {
 		}
 		return d.Close()
 	})
+}
+
+// A blocking collective put converts while MPI-IO packs, not before: a rank
+// whose float64 values overflow Float still takes part in the whole
+// collective, its wrapped values land, and NC_ERANGE comes back to it alone
+// once the write is done. The variable's bytes are the serial library's.
+func TestBlockingRangeErrorAfterCollective(t *testing.T) {
+	vals := []float64{1, 2e40, -3, -4e39, 5.5, 6, 7, math.MaxFloat64, 9, 10, 11, 12, 13, 14, 15, 16}
+	serial := &netcdf.MemStore{}
+	s, err := netcdf.Create(serial, nctype.Clobber)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, _ := s.DefDim("x", int64(len(vals)))
+	if _, err := s.DefVar("f", nctype.Float, []int{x}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.EndDef(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.PutVara(0, []int64{0}, []int64{int64(len(vals))}, vals); !errors.Is(err, cdf.ErrRange) {
+		t.Fatalf("serial put: %v, want NC_ERANGE", err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sv := s.Header().Vars[0]
+	want := serial.Data[sv.Begin : sv.Begin+sv.VSize]
+
+	fsys := testFS()
+	var begin int64
+	runWorld(t, 2, func(c *mpi.Comm) error {
+		d, err := Create(c, fsys, "erange.nc", nctype.Clobber, nil)
+		if err != nil {
+			return err
+		}
+		x, _ := d.DefDim("x", int64(len(vals)))
+		if _, err := d.DefVar("f", nctype.Float, []int{x}); err != nil {
+			return err
+		}
+		if err := d.EndDef(); err != nil {
+			return err
+		}
+		half := int64(len(vals) / 2)
+		err = d.PutVaraAll(0, []int64{int64(c.Rank()) * half}, []int64{half}, vals[int64(c.Rank())*half:])
+		switch {
+		case c.Rank() == 0 && !errors.Is(err, cdf.ErrRange):
+			return fmt.Errorf("rank 0 (out-of-range values): %v, want NC_ERANGE", err)
+		case c.Rank() == 1 && err != nil:
+			return fmt.Errorf("rank 1 (in-range values): %v, want nil", err)
+		}
+		if c.Rank() == 0 {
+			begin = d.Header().Vars[0].Begin
+		}
+		return d.Close()
+	})
+	pf, _, err := fsys.Open("erange.nc", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, len(want))
+	if _, err := pfs.NewSerialFile(pf, 0).ReadAt(got, begin); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("variable bytes %x, the serial library writes %x", got, want)
+	}
 }
 
 // IGetVara/WaitAll must serve prefetched variables from the local copy, like

@@ -72,9 +72,52 @@ func (f *File) fallbackIndependent(err error) error {
 	return f.agreeAbort(f.comm.AgreeError(err))
 }
 
+// Source is the caller's side of a collective write: the request's view-data
+// bytes, in view order, handed over a piece at a time. The round loop asks
+// for each piece it packs straight into the aggregator's message, so a
+// caller that converts on the fly (core's encoder over user memory) never
+// stages the request in a buffer of its own. Pieces come in no particular
+// order and may be asked for again by a failover replay; the memory behind a
+// Source must stay unchanged until the collective returns.
+type Source interface {
+	// Fill copies the len(dst) bytes at position pos of the request into dst.
+	Fill(dst []byte, pos int64)
+}
+
+// Sink is the caller's side of a collective read: each piece of the
+// request's view-data bytes is handed over as it arrives from its
+// aggregator, in no particular order, possibly twice after a failover.
+type Sink interface {
+	// Drain takes src as the bytes at position pos of the request.
+	Drain(pos int64, src []byte)
+}
+
+// Bytes is the Source and Sink of a caller that holds the request in one
+// buffer: pieces are copied out of it and into it.
+type Bytes []byte
+
+// Fill implements Source.
+func (b Bytes) Fill(dst []byte, pos int64) { copy(dst, b[pos:]) }
+
+// Drain implements Sink.
+func (b Bytes) Drain(pos int64, src []byte) { copy(b[pos:], src) }
+
 // WriteAtAll collectively writes len(buf) view-data bytes at view offset
-// off. Every communicator member must call it (possibly with an empty
-// buffer). A peer crash mid-collective surfaces here as a communicator
+// off; see WriteAtAllFrom.
+func (f *File) WriteAtAll(off int64, buf []byte) error {
+	// The handle's own Bytes field carries buf, so the call boxes nothing.
+	f.buf = buf
+	defer f.dropBuf()
+	return f.WriteAtAllFrom(off, int64(len(buf)), &f.buf)
+}
+
+// dropBuf releases the caller's buffer WriteAtAll or ReadAtAll parked in the
+// handle.
+func (f *File) dropBuf() { f.buf = nil }
+
+// WriteAtAllFrom collectively writes the n view-data bytes src supplies at
+// view offset off. Every communicator member must call it (possibly with
+// n = 0). A peer crash mid-collective surfaces here as a communicator
 // revocation (mpi's failure detector is always on); the failover path
 // (failover.go) drains, shrinks, and replays the incomplete rounds over
 // the survivors.
@@ -88,7 +131,7 @@ func (f *File) fallbackIndependent(err error) error {
 // that only partly overlap land in that same order window by window:
 // deterministic for a given configuration, but which rank wins a shared byte
 // can then depend on where the window boundaries fall.
-func (f *File) WriteAtAll(off int64, buf []byte) error {
+func (f *File) WriteAtAllFrom(off, n int64, src Source) error {
 	if f.closed {
 		return ErrClosed
 	}
@@ -96,36 +139,40 @@ func (f *File) WriteAtAll(off int64, buf []byte) error {
 		return ErrReadOnly
 	}
 	if !f.hints.CBWrite {
+		// The independent path takes one buffer: stage the request in it.
+		buf := bufpool.GetDirty(int(n))
+		defer bufpool.Put(buf)
+		src.Fill(buf, 0)
 		return f.fallbackIndependent(f.WriteAt(off, buf))
 	}
 	// One span covers the whole collective; its deferred End also closes any
 	// still-open round/phase children if an error path unwinds early.
 	sc := f.sp.Begin(span.CollWrite)
 	defer sc.End()
-	sc.SetBytes(int64(len(buf)))
+	sc.SetBytes(n)
 	t0 := f.comm.Clock()
 	var prog ftProgress
 	cerr := mpi.CatchRevoked(func() error {
-		segs, vErr := f.viewSegments(off, int64(len(buf)))
-		return f.collWriteSegs(segs, buf, vErr, &prog, t0)
+		segs, vErr := f.viewSegments(off, n)
+		return f.collWriteSegs(segs, src, vErr, &prog, t0)
 	})
 	if rv, ok := mpi.AsRevoked(cerr); ok {
 		// A second revocation during the failover (a cascading failure)
 		// surfaces as *ErrRevoked again — best-effort, DESIGN.md §8.
 		cerr = mpi.CatchRevoked(func() error {
-			return f.failoverWrite(off, buf, &prog, rv, t0)
+			return f.failoverWrite(off, n, src, &prog, rv, t0)
 		})
 	}
 	return cerr
 }
 
 // collWriteSegs runs the two-phase collective write over an explicit
-// segment list whose payload is the linearized buf (bufPos i maps through
-// segPrefix). WriteAtAll calls it with the view mapping of its request;
-// the failover path calls it again on the shrunken communicator with the
-// unfinished clip of the same request. prog records how far the call
-// provably got, for the failover's resume-point agreement.
-func (f *File) collWriteSegs(segs []pfs.Segment, buf []byte, vErr error, prog *ftProgress, t0 float64) error {
+// segment list whose payload src supplies in segment order (bufPos i maps
+// through segPrefix). WriteAtAllFrom calls it with the view mapping of its
+// request; the failover path calls it again on the shrunken communicator
+// with the unfinished clip of the same request. prog records how far the
+// call provably got, for the failover's resume-point agreement.
+func (f *File) collWriteSegs(segs []pfs.Segment, src Source, vErr error, prog *ftProgress, t0 float64) error {
 	n := segsLen(segs)
 	sPlan := f.sp.Begin(span.Plan)
 	plan, ok, err := f.collectivePlan(segs, vErr)
@@ -146,7 +193,7 @@ func (f *File) collWriteSegs(segs []pfs.Segment, buf []byte, vErr error, prog *f
 	// instead of a rescan of the whole segment list.
 	prefix := segPrefix(segs)
 	spans := plan.spans(segs)
-	if err := f.writeRounds(plan, segs, prefix, spans, buf, myAgg, prog); err != nil {
+	if err := f.writeRounds(plan, segs, prefix, spans, src, myAgg, prog); err != nil {
 		return f.agreeAbort(err)
 	}
 	f.countRounds(plan)
@@ -157,10 +204,10 @@ func (f *File) collWriteSegs(segs []pfs.Segment, buf []byte, vErr error, prog *f
 
 // packWriteRound clips this rank's request to every aggregator's round-r
 // window and encodes the write messages into parts (phase 1 of the round):
-// segment lists plus payload, in pooled buffers. Returns the reused clip
-// scratch.
+// segment lists plus the payload src fills in place, in pooled buffers.
+// Returns the reused clip scratch.
 func (f *File) packWriteRound(plan collectivePlan, segs []pfs.Segment, prefix []int64,
-	spans []segSpan, buf []byte, r int64, parts [][]byte, scratch []reqSeg, sPack span.Active) []reqSeg {
+	spans []segSpan, src Source, r int64, parts [][]byte, scratch []reqSeg, sPack span.Active) []reqSeg {
 	clear(parts)
 	for a := 0; a < plan.naggs; a++ {
 		lo, hi := plan.window(a, r)
@@ -171,7 +218,7 @@ func (f *File) packWriteRound(plan collectivePlan, segs []pfs.Segment, prefix []
 		if len(scratch) == 0 {
 			continue
 		}
-		msg := encodeWriteMsg(scratch, buf)
+		msg := encodeWriteMsg(scratch, src)
 		parts[plan.aggRank(a)] = msg
 		f.st.Add(iostat.IOExchangeBytes, int64(len(msg)))
 		sPack.AddBytes(int64(len(msg)))
@@ -235,37 +282,52 @@ func newReadScratch(plan collectivePlan) *readScratch {
 	return s
 }
 
-// ReadAtAll collectively reads len(buf) view-data bytes at view offset off.
-// Like WriteAtAll, a peer crash mid-collective fails over to the
-// survivors; reads always recover fully (the file is intact, only the
-// dead rank's own buffer is lost with it).
+// ReadAtAll collectively reads len(buf) view-data bytes at view offset off
+// into buf; see ReadAtAllInto.
 func (f *File) ReadAtAll(off int64, buf []byte) error {
+	f.buf = buf
+	defer f.dropBuf()
+	return f.ReadAtAllInto(off, int64(len(buf)), &f.buf)
+}
+
+// ReadAtAllInto collectively reads n view-data bytes at view offset off,
+// handing them to dst as they arrive. Like WriteAtAllFrom, a peer crash
+// mid-collective fails over to the survivors; reads always recover fully
+// (the file is intact, only the dead rank's own buffer is lost with it).
+func (f *File) ReadAtAllInto(off, n int64, dst Sink) error {
 	if f.closed {
 		return ErrClosed
 	}
 	if !f.hints.CBRead {
-		return f.fallbackIndependent(f.ReadAt(off, buf))
+		buf := bufpool.GetDirty(int(n))
+		defer bufpool.Put(buf)
+		err := f.ReadAt(off, buf)
+		if err == nil {
+			dst.Drain(0, buf)
+		}
+		return f.fallbackIndependent(err)
 	}
 	sc := f.sp.Begin(span.CollRead)
 	defer sc.End()
-	sc.SetBytes(int64(len(buf)))
+	sc.SetBytes(n)
 	t0 := f.comm.Clock()
 	var prog ftProgress
 	cerr := mpi.CatchRevoked(func() error {
-		segs, vErr := f.viewSegments(off, int64(len(buf)))
-		return f.collReadSegs(segs, buf, vErr, &prog, t0)
+		segs, vErr := f.viewSegments(off, n)
+		return f.collReadSegs(segs, dst, vErr, &prog, t0)
 	})
 	if _, ok := mpi.AsRevoked(cerr); ok {
 		cerr = mpi.CatchRevoked(func() error {
-			return f.failoverRead(off, buf, &prog, t0)
+			return f.failoverRead(off, n, dst, &prog, t0)
 		})
 	}
 	return cerr
 }
 
 // collReadSegs runs the two-phase collective read over an explicit segment
-// list filling the linearized buf; see collWriteSegs.
-func (f *File) collReadSegs(segs []pfs.Segment, buf []byte, vErr error, prog *ftProgress, t0 float64) error {
+// list, handing the payload to dst by segment-order position; see
+// collWriteSegs.
+func (f *File) collReadSegs(segs []pfs.Segment, dst Sink, vErr error, prog *ftProgress, t0 float64) error {
 	n := segsLen(segs)
 	sPlan := f.sp.Begin(span.Plan)
 	plan, ok, err := f.collectivePlan(segs, vErr)
@@ -284,7 +346,7 @@ func (f *File) collReadSegs(segs []pfs.Segment, buf []byte, vErr error, prog *ft
 	// the per-aggregator segment spans.
 	prefix := segPrefix(segs)
 	spans := plan.spans(segs)
-	if err := f.readRounds(plan, segs, prefix, spans, buf, myAgg, prog); err != nil {
+	if err := f.readRounds(plan, segs, prefix, spans, dst, myAgg, prog); err != nil {
 		return f.agreeAbort(err)
 	}
 	f.countRounds(plan)
@@ -339,20 +401,35 @@ func (f *File) buildReplies(cov *coverage, replies [][]byte) {
 	}
 }
 
-// scatterReplies copies the reply blobs back into the caller's buffer in
-// the request order recorded at pack time: the reply of the rank serving
-// aggregator index a answers reqs[a].
-func scatterReplies(buf []byte, plan collectivePlan, reqs [][]reqSeg, back [][]byte) {
+// scatterReplies hands the reply blobs to the caller's sink in the request
+// order recorded at pack time: the reply of the rank serving aggregator
+// index a answers reqs[a], one Drain per stretch of it that follows on in
+// the caller's buffer.
+func scatterReplies(dst Sink, plan collectivePlan, reqs [][]reqSeg, back [][]byte) {
 	for src, blob := range back {
 		if blob == nil {
 			continue
 		}
-		pos := int64(0)
-		for _, rq := range reqs[plan.aggIndex(src)] {
-			copy(buf[rq.bufPos:rq.bufPos+rq.len], blob[pos:pos+rq.len])
-			pos += rq.len
+		rqs := reqs[plan.aggIndex(src)]
+		for i, pos := 0, int64(0); i < len(rqs); {
+			j, n := stretch(rqs, i)
+			dst.Drain(rqs[i].bufPos, blob[pos:pos+n])
+			i, pos = j, pos+n
 		}
 	}
+}
+
+// stretch returns the end j of the run of reqs from i on whose buffer
+// positions follow on, and its length in bytes: the payload a message holds
+// for reqs[i:j] is one piece of the caller's buffer. The clip of a file view
+// that is noncontiguous in the file — Figure 6's X partition — is mostly such
+// runs.
+func stretch(reqs []reqSeg, i int) (j int, n int64) {
+	n = reqs[i].len
+	for j = i + 1; j < len(reqs) && reqs[j].bufPos == reqs[i].bufPos+n; j++ {
+		n += reqs[j].len
+	}
+	return j, n
 }
 
 // collectivePlan holds the agreed two-phase geometry (partition.go has the
@@ -628,7 +705,7 @@ func deliver(c *mpi.Comm, parts, out [][]byte, tag, expect int, kill func()) {
 // n*(off,len). Read reply: payload only. The aggregator's side of both
 // headers is the merge in merge.go.
 
-func encodeWriteMsg(reqs []reqSeg, buf []byte) []byte {
+func encodeWriteMsg(reqs []reqSeg, src Source) []byte {
 	var total int64
 	for _, r := range reqs {
 		total += r.len
@@ -642,8 +719,10 @@ func encodeWriteMsg(reqs []reqSeg, buf []byte) []byte {
 		binary.BigEndian.PutUint64(msg[p+8:], uint64(r.len))
 		p += 16
 	}
-	for _, r := range reqs {
-		p += copy(msg[p:], buf[r.bufPos:r.bufPos+r.len])
+	for i := 0; i < len(reqs); {
+		j, n := stretch(reqs, i)
+		src.Fill(msg[p:p+int(n)], reqs[i].bufPos)
+		i, p = j, p+int(n)
 	}
 	return msg
 }

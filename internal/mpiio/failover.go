@@ -191,28 +191,29 @@ func clipToExtents(segs []pfs.Segment, prefix []int64, exts []Extent, out []reqS
 
 // replayRequest linearizes a clip into a compact segment list + payload
 // buffer for the failover's fresh collective call. File-contiguous clips
-// merge into one segment; the payload is their bytes in clip order, so
-// segPrefix positions into it line up. For reads, payload is instead a
-// zero buffer to be filled and scattered back via the clip's bufPos.
-func replayRequest(clip []reqSeg, buf []byte, fill bool) ([]pfs.Segment, []byte) {
+// merge into one segment; the payload holds their bytes in clip order, so
+// segPrefix positions into it line up. A write's src fills the payload from
+// the original request's positions (the clip's bufPos) — the caller's memory
+// is alive for the whole blocking call, so the replay is exact. A read
+// passes no src: the replay fills the payload, and failoverRead hands it on.
+func replayRequest(clip []reqSeg, src Source) ([]pfs.Segment, Bytes) {
 	var total int64
 	for _, q := range clip {
 		total += q.len
 	}
 	segs := make([]pfs.Segment, 0, len(clip))
-	payload := make([]byte, 0, total)
+	payload := make(Bytes, total)
+	pos := int64(0)
 	for _, q := range clip {
 		if n := len(segs); n > 0 && segs[n-1].Off+segs[n-1].Len == q.off {
 			segs[n-1].Len += q.len
 		} else {
 			segs = append(segs, pfs.Segment{Off: q.off, Len: q.len})
 		}
-		if fill {
-			payload = append(payload, buf[q.bufPos:q.bufPos+q.len]...)
+		if src != nil {
+			src.Fill(payload[pos:pos+q.len], q.bufPos)
 		}
-	}
-	if !fill {
-		payload = payload[:total]
+		pos += q.len
 	}
 	return segs, payload
 }
@@ -221,14 +222,14 @@ func replayRequest(clip []reqSeg, buf []byte, fill bool) ([]pfs.Segment, []byte)
 // by a revocation. On return the survivors' data is durable; the error is
 // nil (full recovery), a *DegradedError (dead rank held data alone), or
 // the replay's own agreed error.
-func (f *File) failoverWrite(off int64, buf []byte, prog *ftProgress, rv *mpi.ErrRevoked, t0 float64) error {
+func (f *File) failoverWrite(off, n int64, src Source, prog *ftProgress, rv *mpi.ErrRevoked, t0 float64) error {
 	sf := f.sp.Begin(span.FTFailover)
 	defer sf.End()
 	resume, err := f.failoverShrink(prog, true)
 	if err != nil {
 		return err
 	}
-	segs, vErr := f.viewSegments(off, int64(len(buf)))
+	segs, vErr := f.viewSegments(off, n)
 	var clip []reqSeg
 	var unfinished []Extent
 	if vErr == nil {
@@ -241,9 +242,9 @@ func (f *File) failoverWrite(off int64, buf []byte, prog *ftProgress, rv *mpi.Er
 			clip = clipToExtents(segs, segPrefix(segs), []Extent{{Off: 0, Len: 1<<63 - 1}}, nil)
 		}
 	}
-	rsegs, rbuf := replayRequest(clip, buf, true)
+	rsegs, rbuf := replayRequest(clip, src)
 	var rprog ftProgress
-	if err := f.collWriteSegs(rsegs, rbuf, vErr, &rprog, t0); err != nil {
+	if err := f.collWriteSegs(rsegs, &rbuf, vErr, &rprog, t0); err != nil {
 		return err
 	}
 	if rprog.planOK {
@@ -279,16 +280,16 @@ func (f *File) failoverWrite(off int64, buf []byte, prog *ftProgress, rv *mpi.Er
 
 // failoverRead completes a collective read whose round loop was unwound by
 // a revocation: replay the not-yet-scattered rounds' clip of this rank's
-// request on the survivor communicator and scatter the bytes into the
-// caller's buffer. Reads always recover fully.
-func (f *File) failoverRead(off int64, buf []byte, prog *ftProgress, t0 float64) error {
+// request on the survivor communicator and hand the bytes to the caller's
+// sink. Reads always recover fully.
+func (f *File) failoverRead(off, n int64, dst Sink, prog *ftProgress, t0 float64) error {
 	sf := f.sp.Begin(span.FTFailover)
 	defer sf.End()
 	resume, err := f.failoverShrink(prog, false)
 	if err != nil {
 		return err
 	}
-	segs, vErr := f.viewSegments(off, int64(len(buf)))
+	segs, vErr := f.viewSegments(off, n)
 	var clip []reqSeg
 	if vErr == nil {
 		exts := []Extent{{Off: 0, Len: 1<<63 - 1}}
@@ -297,9 +298,9 @@ func (f *File) failoverRead(off int64, buf []byte, prog *ftProgress, t0 float64)
 		}
 		clip = clipToExtents(segs, segPrefix(segs), exts, nil)
 	}
-	rsegs, rbuf := replayRequest(clip, buf, false)
+	rsegs, rbuf := replayRequest(clip, nil)
 	var rprog ftProgress
-	if err := f.collReadSegs(rsegs, rbuf, vErr, &rprog, t0); err != nil {
+	if err := f.collReadSegs(rsegs, &rbuf, vErr, &rprog, t0); err != nil {
 		return err
 	}
 	if rprog.planOK {
@@ -307,7 +308,7 @@ func (f *File) failoverRead(off int64, buf []byte, prog *ftProgress, t0 float64)
 	}
 	pos := int64(0)
 	for _, q := range clip {
-		copy(buf[q.bufPos:q.bufPos+q.len], rbuf[pos:pos+q.len])
+		dst.Drain(q.bufPos, rbuf[pos:pos+q.len])
 		pos += q.len
 	}
 	return nil

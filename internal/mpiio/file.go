@@ -118,6 +118,11 @@ type File struct {
 	// pointer is the individual file pointer in view data bytes (see
 	// pointer.go); SetView resets it, as MPI does.
 	pointer int64
+
+	// buf is the caller's buffer for the length of one WriteAtAll or
+	// ReadAtAll: the Source or Sink it hands the round loop, with no
+	// interface box to allocate.
+	buf Bytes
 }
 
 // Open opens (or creates) name collectively over comm. Every member must

@@ -58,10 +58,52 @@ type ftioResult struct {
 	degraded int64
 }
 
+// stridedMem is a Source and Sink over memory that holds the request in runs
+// of stridedRun bytes with a gap after each: a replay that resumes inside a
+// run asks for a piece that starts there.
+type stridedMem []byte
+
+const stridedRun, stridedGap = 300, 17
+
+// stridedAt is where the request's byte pos sits in strided memory.
+func stridedAt(pos int64) int64 {
+	return pos/stridedRun*(stridedRun+stridedGap) + pos%stridedRun
+}
+
+func (m stridedMem) Fill(dst []byte, pos int64) {
+	for len(dst) > 0 {
+		i := stridedAt(pos)
+		n := copy(dst, m[i:i+stridedRun-pos%stridedRun])
+		dst, pos = dst[n:], pos+int64(n)
+	}
+}
+
+func (m stridedMem) Drain(pos int64, src []byte) {
+	for len(src) > 0 {
+		i := stridedAt(pos)
+		n := copy(m[i:i+stridedRun-pos%stridedRun], src)
+		src, pos = src[n:], pos+int64(n)
+	}
+}
+
+// newStridedMem lays lin out in strided memory; linear reads it back.
+func newStridedMem(lin []byte) stridedMem {
+	m := make(stridedMem, stridedAt(int64(len(lin)))+stridedRun)
+	m.Drain(0, lin)
+	return m
+}
+
+func (m stridedMem) linear(n int64) []byte {
+	lin := make([]byte, n)
+	m.Fill(lin, 0)
+	return lin
+}
+
 // runFTWrite runs an n-rank collective write of disjoint per-rank regions
 // with victim killed at (point, occurrence), returning the file image and
-// the survivors' results indexed by original rank.
-func runFTWrite(t *testing.T, victim int, point string, occurrence int64) ([]byte, map[int]ftioResult) {
+// the survivors' results indexed by original rank. strided writes from
+// strided memory through WriteAtAllFrom.
+func runFTWrite(t *testing.T, victim int, point string, occurrence int64, strided bool) ([]byte, map[int]ftioResult) {
 	t.Helper()
 	fsys := testFS()
 	inj := fault.New(fault.Config{Seed: 1})
@@ -79,7 +121,12 @@ func runFTWrite(t *testing.T, victim int, point string, occurrence int64) ([]byt
 		if err := f.SetView(int64(rank)*ftioRegion, mpitype.Contig(ftioRegion)); err != nil {
 			return err
 		}
-		werr := f.WriteAtAll(0, ftioPattern(rank, ftioRegion))
+		var werr error
+		if strided {
+			werr = f.WriteAtAllFrom(0, ftioRegion, newStridedMem(ftioPattern(rank, ftioRegion)))
+		} else {
+			werr = f.WriteAtAll(0, ftioPattern(rank, ftioRegion))
+		}
 		st := c.Proc().Stats()
 		mu.Lock()
 		results[rank] = ftioResult{
@@ -198,25 +245,27 @@ func TestFTKillWriteFailover(t *testing.T) {
 		victim     int
 		point      string
 		occurrence int64
+		strided    bool // the replay packs from strided memory
 	}{
-		{"before_pack/r1", 1, fault.KillBeforePack, 2},
-		{"before_pack/r1/last-round", 1, fault.KillBeforePack, 7},
-		{"before_pack/agg2", 2, fault.KillBeforePack, 4},
-		{"mid_exchange/r1", 1, fault.KillMidExchange, 2},
-		{"mid_exchange/agg2", 2, fault.KillMidExchange, 0},
-		{"mid_exchange/agg2/last-round", 2, fault.KillMidExchange, 7},
-		{"after_issue/agg2", 2, fault.KillAfterIssue, 2},
-		{"after_issue/agg2/last-round", 2, fault.KillAfterIssue, 7},
+		{"before_pack/r1", 1, fault.KillBeforePack, 2, false},
+		{"before_pack/r1/last-round", 1, fault.KillBeforePack, 7, false},
+		{"before_pack/agg2", 2, fault.KillBeforePack, 4, false},
+		{"mid_exchange/r1", 1, fault.KillMidExchange, 2, false},
+		{"mid_exchange/agg2", 2, fault.KillMidExchange, 0, false},
+		{"mid_exchange/agg2/last-round", 2, fault.KillMidExchange, 7, false},
+		{"after_issue/agg2", 2, fault.KillAfterIssue, 2, false},
+		{"after_issue/agg2/last-round", 2, fault.KillAfterIssue, 7, false},
+		{"mid_exchange/agg2/strided-memory", 2, fault.KillMidExchange, 3, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			img, results := runFTWrite(t, tc.victim, tc.point, tc.occurrence)
+			img, results := runFTWrite(t, tc.victim, tc.point, tc.occurrence, tc.strided)
 			checkFTWrite(t, img, results, tc.victim)
 			// Detection is by quiescence, so a kill run repeats: the same
 			// file image, the same error, the same survivor clocks — with
 			// the detection latency inside them.
 			for rep := 1; rep < 3; rep++ {
-				img2, results2 := runFTWrite(t, tc.victim, tc.point, tc.occurrence)
+				img2, results2 := runFTWrite(t, tc.victim, tc.point, tc.occurrence, tc.strided)
 				if !bytes.Equal(img2, img) {
 					t.Fatalf("repeat %d: file image differs from the first run's", rep)
 				}
@@ -261,19 +310,21 @@ func TestFTKillReadFailover(t *testing.T) {
 		victim     int
 		point      string
 		occurrence int64
+		strided    bool // the replay hands its bytes to strided memory
 	}{
-		{"before_pack/r1", 1, fault.KillBeforePack, 2},
-		{"before_pack/agg2/first-round", 2, fault.KillBeforePack, 0},
-		{"mid_exchange/r1/first-round", 1, fault.KillMidExchange, 0},
-		{"mid_exchange/agg2", 2, fault.KillMidExchange, 1},
-		{"after_issue/agg2", 2, fault.KillAfterIssue, 2},
-		{"after_issue/agg2/first-round", 2, fault.KillAfterIssue, 0},
+		{"before_pack/r1", 1, fault.KillBeforePack, 2, false},
+		{"before_pack/agg2/first-round", 2, fault.KillBeforePack, 0, false},
+		{"mid_exchange/r1/first-round", 1, fault.KillMidExchange, 0, false},
+		{"mid_exchange/agg2", 2, fault.KillMidExchange, 1, false},
+		{"after_issue/agg2", 2, fault.KillAfterIssue, 2, false},
+		{"after_issue/agg2/first-round", 2, fault.KillAfterIssue, 0, false},
+		{"after_issue/agg2/strided-memory", 2, fault.KillAfterIssue, 3, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var first map[int]ftioResult
 			for rep := 0; rep < 3; rep++ {
-				got, results := runFTRead(t, tc.victim, tc.point, tc.occurrence)
+				got, results := runFTRead(t, tc.victim, tc.point, tc.occurrence, tc.strided)
 				if len(got) != ftioProcs-1 {
 					t.Fatalf("%d survivors, want %d", len(got), ftioProcs-1)
 				}
@@ -313,8 +364,9 @@ func ftioWriteUndisturbed(c *mpi.Comm, fsys *pfs.FS, name string) error {
 
 // runFTRead seeds the file undisturbed, then runs the collective read-back
 // with victim killed at (point, occurrence); it returns the survivors'
-// buffers and results indexed by original rank.
-func runFTRead(t *testing.T, victim int, point string, occurrence int64) (map[int][]byte, map[int]ftioResult) {
+// buffers and results indexed by original rank. strided reads into strided
+// memory through ReadAtAllInto.
+func runFTRead(t *testing.T, victim int, point string, occurrence int64, strided bool) (map[int][]byte, map[int]ftioResult) {
 	t.Helper()
 	fsys := testFS()
 	runWorld(t, ftioProcs, func(c *mpi.Comm) error { return ftioWriteUndisturbed(c, fsys, "ftr") })
@@ -334,7 +386,14 @@ func runFTRead(t *testing.T, victim int, point string, occurrence int64) (map[in
 			return err
 		}
 		buf := make([]byte, ftioRegion)
-		rerr := f.ReadAtAll(0, buf)
+		var rerr error
+		if strided {
+			mem := newStridedMem(buf)
+			rerr = f.ReadAtAllInto(0, ftioRegion, mem)
+			buf = mem.linear(ftioRegion)
+		} else {
+			rerr = f.ReadAtAll(0, buf)
+		}
 		mu.Lock()
 		got[rank] = buf
 		results[rank] = ftioResult{err: rerr, clock: c.Clock()}

@@ -113,7 +113,7 @@ func buildMsg(rng *rand.Rand, ents []pfs.Segment, payload bool) []byte {
 	}
 	buf := make([]byte, total)
 	rng.Read(buf)
-	return append([]byte(nil), encodeWriteMsg(reqs, buf)...)
+	return append([]byte(nil), encodeWriteMsg(reqs, Bytes(buf))...)
 }
 
 // randomSource draws n ascending entries: adjacent to, apart from, on top of

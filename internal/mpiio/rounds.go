@@ -61,7 +61,7 @@ import (
 // writeRounds runs the write rounds of one collective. The returned error is
 // already agreed (identical on every rank).
 func (f *File) writeRounds(plan collectivePlan, segs []pfs.Segment, prefix []int64,
-	spans []segSpan, buf []byte, myAgg int, prog *ftProgress) error {
+	spans []segSpan, src Source, myAgg int, prog *ftProgress) error {
 	s := newWriteScratch(plan)
 	parts, msgs, wv := s.parts, s.msgs, &s.wv
 	// A communicator revocation unwinds this loop as a panic from any of
@@ -89,7 +89,7 @@ func (f *File) writeRounds(plan collectivePlan, segs []pfs.Segment, prefix []int
 		sRound := f.sp.Begin(span.Round)
 		sRound.SetRound(int(r))
 		sPack := f.sp.Begin(span.Pack)
-		s.clip = f.packWriteRound(plan, segs, prefix, spans, buf, r, parts, s.clip, sPack)
+		s.clip = f.packWriteRound(plan, segs, prefix, spans, src, r, parts, s.clip, sPack)
 		sPack.End()
 		err := sparseExchange(f.comm, f.sp, parts, msgs, s.counts, pending, roundTag(r, 0), kill)
 		sRound.End()
@@ -167,7 +167,7 @@ func (f *File) agree(r int64, err error) error {
 // r's coverage read runs while round r-1's replies travel and scatter. The
 // returned error is already agreed (identical on every rank).
 func (f *File) readRounds(plan collectivePlan, segs []pfs.Segment, prefix []int64,
-	spans []segSpan, buf []byte, myAgg int, prog *ftProgress) error {
+	spans []segSpan, dst Sink, myAgg int, prog *ftProgress) error {
 	// The request bookkeeping and the coverage go by generation (r & 1):
 	// round r's must survive until its scatter, after round r+1 has packed
 	// and read. The request messages themselves are merged and recycled
@@ -193,7 +193,7 @@ func (f *File) readRounds(plan collectivePlan, segs []pfs.Segment, prefix []int6
 
 	// answer finishes an agreed round: every aggregator replies to each rank
 	// it heard from, out of its coverage, and the replies are scattered into
-	// buf. The reply leg agrees nothing: the round is known good, so every
+	// dst. The reply leg agrees nothing: the round is known good, so every
 	// aggregator this rank sent a request to answers it, and nobody else
 	// does. Its spans sit under the collective, tagged with their round.
 	answer := func(r int64) {
@@ -208,7 +208,7 @@ func (f *File) readRounds(plan collectivePlan, segs []pfs.Segment, prefix []int6
 		sReply.End()
 		sScatter := f.sp.Begin(span.Scatter)
 		sScatter.SetRound(int(r))
-		scatterReplies(buf, plan, s.reqs[g], back)
+		scatterReplies(dst, plan, s.reqs[g], back)
 		sScatter.End()
 		recycleRound(back)
 		prog.roundAgreed(r)

@@ -20,7 +20,7 @@ func interleavedRound(sources, perSource int, payload bool) (msgs [][]byte, lo, 
 			reqs[i] = reqSeg{off: lo + int64((i*sources+s)*block), len: block, bufPos: int64(i * block)}
 		}
 		if payload {
-			msgs[s] = encodeWriteMsg(reqs, buf)
+			msgs[s] = encodeWriteMsg(reqs, Bytes(buf))
 		} else {
 			msgs[s] = encodeReadMsg(reqs)
 		}

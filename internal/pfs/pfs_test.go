@@ -316,6 +316,52 @@ func TestDiscardModeTracksSizeOnly(t *testing.T) {
 	}
 }
 
+// TestChunkFillCases covers how writeAt makes a chunk: filled by one iovec
+// piece (made by copying it, no zeroing pass), filled by several pieces,
+// partly written, and untouched. Every byte reads back as written, holes as
+// zero, and the untouched chunk is never made.
+func TestChunkFillCases(t *testing.T) {
+	fs := testFS()
+	f, _ := fs.Create("f", 0)
+	rng := rand.New(rand.NewSource(3))
+	const c = chunkSize
+	oracle := make([]byte, 8*c)
+	write := func(off int64, pieces ...int) {
+		t.Helper()
+		var iov [][]byte
+		n := int64(0)
+		for _, l := range pieces {
+			p := make([]byte, l)
+			rng.Read(p)
+			copy(oracle[off+n:], p)
+			iov = append(iov, p)
+			n += int64(l)
+		}
+		if _, err := f.WriteVec(0, []Segment{{Off: off, Len: n}}, iov); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write(0, c)                  // chunk 0: one piece fills it
+	write(c, 1000, c-3000, 2000) // chunk 1: several pieces fill it
+	write(2*c+100, 1000)         // chunk 2: partly written; chunk 3 untouched
+	write(4*c+c/2, 2*c)          // one piece: half of chunk 4, all of 5, half of 6
+	write(c, c)                  // chunk 1 again, one piece over an existing chunk
+	write(7*c, 10)               // chunk 7: the file's tail
+	got := make([]byte, f.Size())
+	if int64(len(got)) != 7*c+10 {
+		t.Fatalf("size %d, want %d", len(got), 7*c+10)
+	}
+	f.ReadAt(0, got, 0)
+	for i := range got {
+		if got[i] != oracle[i] {
+			t.Fatalf("byte %d (chunk %d) = %#x, want %#x", i, i/c, got[i], oracle[i])
+		}
+	}
+	if f.fd.store.shard(3).chunks[3] != nil {
+		t.Fatal("an untouched chunk was made")
+	}
+}
+
 func TestSerialFileAdapter(t *testing.T) {
 	fs := testFS()
 	f, t0 := fs.Create("f", 0)

@@ -54,6 +54,11 @@ func (s *chunkStore) grow(end int64) {
 // that land in it: an aggregator's iovec holds one piece per received block,
 // hundreds to a chunk. With discard, only the size is tracked (timing-only
 // bulk data) and cur skips the bytes.
+//
+// A new chunk is made zeroed, so that what no piece covers reads as a hole,
+// unless one contiguous piece fills all of it: then the chunk is made by
+// copying that piece (make + copy, which the compiler fuses into one
+// allocation that skips the zeroing pass).
 func (s *chunkStore) writeAt(off, n int64, cur *iovCursor, discard bool) {
 	s.grow(off + n)
 	if discard {
@@ -65,16 +70,26 @@ func (s *chunkStore) writeAt(off, n int64, cur *iovCursor, discard bool) {
 		m := min(chunkSize-cOff, n)
 		sh := s.shard(idx)
 		sh.mu.Lock()
+		p := cur.next(m)
 		c := sh.chunks[idx]
+		filled := c == nil && int64(len(p)) == chunkSize
 		if c == nil {
-			c = make([]byte, chunkSize)
+			if filled {
+				c = make([]byte, chunkSize)
+				copy(c, p)
+			} else {
+				c = make([]byte, chunkSize)
+			}
 			if sh.chunks == nil {
 				sh.chunks = map[int64][]byte{}
 			}
 			sh.chunks[idx] = c
 		}
-		for dst := c[cOff : cOff+m]; len(dst) > 0; {
-			dst = dst[copy(dst, cur.next(int64(len(dst)))):]
+		if !filled {
+			dst := c[cOff : cOff+m]
+			for dst = dst[copy(dst, p):]; len(dst) > 0; {
+				dst = dst[copy(dst, cur.next(int64(len(dst)))):]
+			}
 		}
 		sh.mu.Unlock()
 		off += m
