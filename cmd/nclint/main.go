@@ -1,18 +1,15 @@
 // nclint runs the project's static-analysis suite (internal/analysis) over
-// the module: collective-call symmetry, pfs lock ordering, bufpool Get/Put
-// discipline, span pairing, pfs cost-model accounting, unchecked I/O
-// teardown errors, and fault-tolerant agreement. It exits 1 when any
-// diagnostic is reported, so verify.sh can gate on it.
+// the module: pfs lock ordering, pfs cost-model accounting, and unchecked
+// I/O teardown errors. It exits 1 when any diagnostic is reported, so
+// verify.sh can gate on it.
 //
-// By default the suite runs in interprocedural mode: a module-wide call
-// graph with per-function summaries (DESIGN.md §14) lets the checkers see
-// collectives, pooled-buffer escapes, lock acquisitions and cost-model
-// accounting through helper functions, including across packages.
-// -interp=false falls back to the older per-function analysis.
+// Every checker sees through helper functions, including across packages:
+// the suite runs over a module-wide call graph with per-function summaries
+// (DESIGN.md §14).
 //
 // Usage:
 //
-//	nclint [-c checker,checker] [-json] [-interp=false] [-list] [packages]
+//	nclint [-c checker,checker] [-json] [-list] [packages]
 //
 // Package patterns are accepted for interface-compatibility with go vet
 // (`nclint ./...`) but the tool always analyzes the whole module containing
@@ -45,9 +42,7 @@ func main() {
 		checkers = flag.String("c", "", "comma-separated checker names to run (default: all)")
 		list     = flag.Bool("list", false, "list available checkers and exit")
 		jsonOut  = flag.Bool("json", false, "emit diagnostics as a JSON array on stdout")
-		interp   = flag.Bool("interp", true, "interprocedural mode: module call graph + function summaries")
 	)
-	flag.Var(aliasValue{checkers}, "checker", "alias of -c")
 	flag.Parse()
 
 	if *list {
@@ -71,12 +66,7 @@ func main() {
 	pkgs, err := loader.LoadModule()
 	cmdutil.Fatal(tool, err)
 
-	var diags []analysis.Diagnostic
-	if *interp {
-		diags = analysis.RunCheckersInterp(pkgs, suite)
-	} else {
-		diags = analysis.RunCheckers(pkgs, suite)
-	}
+	diags := analysis.Run(pkgs, suite)
 
 	rel := func(file string) string {
 		if r, err := filepath.Rel(wd, file); err == nil && len(r) < len(file) {
@@ -104,14 +94,3 @@ func main() {
 		os.Exit(1)
 	}
 }
-
-// aliasValue makes a second flag name write through to an existing one.
-type aliasValue struct{ s *string }
-
-func (a aliasValue) String() string {
-	if a.s == nil {
-		return ""
-	}
-	return *a.s
-}
-func (a aliasValue) Set(v string) error { *a.s = v; return nil }

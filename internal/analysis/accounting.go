@@ -3,7 +3,6 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 )
 
 // Accounting guards the pfs cost-model and iostat invariants: every
@@ -13,12 +12,13 @@ import (
 // skew every simulated bandwidth number built on top (the paper's Figure
 // 6/7 reproductions all flow through these charges).
 //
-// The check builds the package-internal static call graph and, for each
-// exported function or method, asks: does it reach a chunk-store access
-// (chunkStore.writeAt/readAt/truncate)? If so it must also reach FS.charge
-// AND an iostat recording call (File.record or Stats.Add/AddTime).
-// Metadata-only operations that legitimately skip charging carry a
-// justified //nclint:allow=accounting annotation on the declaration.
+// For each exported function or method of package pfs, the check asks the
+// engine's transitive summary (closures and cross-package helpers included):
+// does it reach a chunk-store access (chunkStore.writeAt/readAt/truncate)?
+// If so it must also reach FS.charge AND an iostat recording call
+// (File.record or Stats.Add/AddTime). Metadata-only operations that
+// legitimately skip charging carry a justified //nclint:allow=accounting
+// annotation on the declaration.
 func Accounting() *Checker {
 	return &Checker{
 		Name: "accounting",
@@ -31,132 +31,25 @@ func runAccounting(pass *Pass) {
 	if pass.Pkg.Name != "pfs" {
 		return
 	}
-	// Interprocedural mode: the engine's Touches/Charges/Records facts are
-	// already transitive over the module-wide call graph (closures and
-	// cross-package helpers included), so the per-package graph below is
-	// subsumed by a summary lookup per exported declaration.
-	if pass.Engine != nil {
-		for _, f := range pass.Pkg.Files {
-			for _, d := range f.Decls {
-				decl, ok := d.(*ast.FuncDecl)
-				if !ok || decl.Body == nil || !ast.IsExported(decl.Name.Name) {
-					continue
-				}
-				fn, _ := pass.Pkg.Info.Defs[decl.Name].(*types.Func)
-				if fn == nil {
-					continue
-				}
-				sum := pass.Engine.Summary(fn)
-				if sum == nil || !sum.Touches {
-					continue
-				}
-				if !sum.Charges {
-					pass.Reportf(decl.Name.Pos(),
-						"%s touches the chunk store but never charges the cost model (FS.charge): data moved for free skews every simulated bandwidth number", fn.Name())
-				}
-				if !sum.Records {
-					pass.Reportf(decl.Name.Pos(),
-						"%s touches the chunk store but records no iostat counters (File.record / Stats.Add)", fn.Name())
-				}
-			}
-		}
-		return
-	}
-	type node struct {
-		decl    *ast.FuncDecl
-		calls   map[*types.Func]bool
-		touches bool // direct chunk-store access
-		charges bool // direct FS.charge call
-		records bool // direct iostat recording
-	}
-	nodes := map[*types.Func]*node{}
-
-	funcOf := func(decl *ast.FuncDecl) *types.Func {
-		obj, _ := pass.Pkg.Info.Defs[decl.Name].(*types.Func)
-		return obj
-	}
-
 	for _, f := range pass.Pkg.Files {
 		for _, d := range f.Decls {
 			decl, ok := d.(*ast.FuncDecl)
-			if !ok || decl.Body == nil {
+			if !ok || decl.Body == nil || !ast.IsExported(decl.Name.Name) {
 				continue
 			}
-			fn := funcOf(decl)
-			if fn == nil {
+			fn, _ := pass.Pkg.Info.Defs[decl.Name].(*types.Func)
+			sum := pass.Engine.Summary(fn)
+			if sum == nil || !sum.Touches {
 				continue
 			}
-			nd := &node{decl: decl, calls: map[*types.Func]bool{}}
-			nodes[fn] = nd
-			ast.Inspect(decl.Body, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				callee := pass.Callee(call)
-				if callee == nil {
-					return true
-				}
-				switch {
-				case isMethodOn(callee, "pfs", "chunkStore", "writeAt", "readAt", "truncate"):
-					nd.touches = true
-				case isMethodOn(callee, "pfs", "FS", "charge"):
-					nd.charges = true
-				case isMethodOn(callee, "pfs", "File", "record"):
-					nd.records = true
-				case callee.Pkg() != nil && callee.Pkg().Name() == "iostat" &&
-					(callee.Name() == "Add" || callee.Name() == "AddTime"):
-					nd.records = true
-				}
-				if callee.Pkg() != nil && callee.Pkg().Path() == pass.Pkg.Path {
-					nd.calls[callee] = true
-				}
-				return true
-			})
-		}
-	}
-
-	// reaches computes whether fn transitively satisfies pred.
-	type predFn func(*node) bool
-	reaches := func(start *types.Func, pred predFn) bool {
-		seen := map[*types.Func]bool{}
-		var visit func(fn *types.Func) bool
-		visit = func(fn *types.Func) bool {
-			if seen[fn] {
-				return false
+			if !sum.Charges {
+				pass.Reportf(decl.Name.Pos(),
+					"%s touches the chunk store but never charges the cost model (FS.charge): data moved for free skews every simulated bandwidth number", fn.Name())
 			}
-			seen[fn] = true
-			nd := nodes[fn]
-			if nd == nil {
-				return false
+			if !sum.Records {
+				pass.Reportf(decl.Name.Pos(),
+					"%s touches the chunk store but records no iostat counters (File.record / Stats.Add)", fn.Name())
 			}
-			if pred(nd) {
-				return true
-			}
-			for callee := range nd.calls {
-				if visit(callee) {
-					return true
-				}
-			}
-			return false
-		}
-		return visit(start)
-	}
-
-	for fn, nd := range nodes {
-		if !ast.IsExported(fn.Name()) {
-			continue
-		}
-		if !reaches(fn, func(n *node) bool { return n.touches }) {
-			continue
-		}
-		if !reaches(fn, func(n *node) bool { return n.charges }) {
-			pass.Reportf(nd.decl.Name.Pos(),
-				"%s touches the chunk store but never charges the cost model (FS.charge): data moved for free skews every simulated bandwidth number", fn.Name())
-		}
-		if !reaches(fn, func(n *node) bool { return n.records }) {
-			pass.Reportf(nd.decl.Name.Pos(),
-				"%s touches the chunk store but records no iostat counters (File.record / Stats.Add)", fn.Name())
 		}
 	}
 }
@@ -182,10 +75,4 @@ func isMethodOn(fn *types.Func, pkgName, typeName string, names ...string) bool 
 		}
 	}
 	return false
-}
-
-// exportedIONames matches the error-returning teardown/flush calls the
-// errcheckio checker audits.
-func isIOErrorName(name string) bool {
-	return name == "Close" || name == "Sync" || name == "Flush" || strings.HasPrefix(name, "Write")
 }

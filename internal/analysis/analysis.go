@@ -1,11 +1,12 @@
 // Package analysis is a stdlib-only static-analysis framework (go/parser,
 // go/ast, go/types, go/importer — no x/tools) carrying the project-specific
-// checkers that keep PnetCDF-Go's hand-maintained invariants from rotting:
-// collective call symmetry across ranks, the pfs lock-acquisition order,
-// bufpool Get/Put pairing, cost-model/iostat accounting in every pfs data
-// path, and checked errors on I/O teardown calls. The cmd/nclint driver runs
-// the suite over the module; verify.sh gates every PR on a clean run
-// (DESIGN.md §10).
+// checkers whose bugs no test catches first (DESIGN.md §10): the pfs
+// lock-acquisition order, cost-model/iostat accounting in every pfs data
+// path, and checked errors on I/O teardown calls. Every checker runs with the
+// module-wide call graph and its per-function summaries (callgraph.go,
+// DESIGN.md §14), so an invariant stays visible when its code moves into a
+// helper in another package. The cmd/nclint driver runs the suite over the
+// module; verify.sh gates every PR on a clean run.
 //
 // # Suppressions
 //
@@ -14,9 +15,7 @@
 //
 //	//nclint:allow=<checker> -- <why this is safe>
 //
-// The justification text is mandatory; a bare annotation still reports. The
-// bufpool checker additionally understands //nclint:escape (see checker doc)
-// with the same justification requirement.
+// The justification text is mandatory; a bare annotation still reports.
 package analysis
 
 import (
@@ -42,9 +41,8 @@ func (d Diagnostic) String() string {
 }
 
 // Pass is one checker's view of one package: its syntax, its type
-// information, and a Report sink. Engine is non-nil in interprocedural mode
-// (RunCheckersInterp): checkers consult it for cross-function summaries and
-// fall back to their intraprocedural behavior when it is nil.
+// information, the module-wide engine for cross-function summaries, and a
+// Report sink.
 type Pass struct {
 	Fset    *token.FileSet
 	Pkg     *Package
@@ -73,21 +71,7 @@ func (p *Pass) TypeOf(e ast.Expr) types.Type { return p.Pkg.Info.TypeOf(e) }
 // Callee resolves a call expression to the *types.Func it invokes (methods
 // and package-level functions), or nil for indirect calls, conversions and
 // builtins.
-func (p *Pass) Callee(call *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		fn, _ := p.Pkg.Info.Uses[fun].(*types.Func)
-		return fn
-	case *ast.SelectorExpr:
-		if sel, ok := p.Pkg.Info.Selections[fun]; ok {
-			fn, _ := sel.Obj().(*types.Func)
-			return fn
-		}
-		fn, _ := p.Pkg.Info.Uses[fun.Sel].(*types.Func)
-		return fn
-	}
-	return nil
-}
+func (p *Pass) Callee(call *ast.CallExpr) *types.Func { return calleeOf(p.Pkg, call) }
 
 // Checker is one named analysis over a single package.
 type Checker struct {
@@ -99,13 +83,9 @@ type Checker struct {
 // All returns the full checker suite in stable order.
 func All() []*Checker {
 	return []*Checker{
-		CollSym(),
 		LockOrder(),
-		BufPool(),
-		SpanPair(),
 		Accounting(),
 		ErrCheckIO(),
-		FTAgree(),
 	}
 }
 
@@ -131,20 +111,11 @@ func ByName(names string) ([]*Checker, error) {
 	return out, nil
 }
 
-// RunCheckers applies each checker to each package intraprocedurally and
-// returns the combined diagnostics sorted deterministically.
-func RunCheckers(pkgs []*Package, checkers []*Checker) []Diagnostic {
-	return run(pkgs, checkers, nil)
-}
-
-// RunCheckersInterp builds the module-wide interprocedural engine over pkgs
-// and runs each checker with it: summaries make the checkers see through
-// helpers and cross-package extraction (DESIGN.md §14).
-func RunCheckersInterp(pkgs []*Package, checkers []*Checker) []Diagnostic {
-	return run(pkgs, checkers, NewEngine(pkgs))
-}
-
-func run(pkgs []*Package, checkers []*Checker, engine *Engine) []Diagnostic {
+// Run builds the module-wide engine over pkgs, applies each checker to each
+// package with it, and returns the combined diagnostics sorted
+// deterministically.
+func Run(pkgs []*Package, checkers []*Checker) []Diagnostic {
+	engine := NewEngine(pkgs)
 	var diags []Diagnostic
 	for _, pkg := range pkgs {
 		for _, c := range checkers {
@@ -211,21 +182,4 @@ func (pkg *Package) collectAllows() {
 			}
 		}
 	}
-}
-
-// lineComment returns the comment text (if any) attached to the line of pos
-// or the line above it in file f — the same placement rule the suppression
-// annotations use.
-func lineComments(fset *token.FileSet, f *ast.File, pos token.Pos) []string {
-	target := fset.Position(pos).Line
-	var out []string
-	for _, cg := range f.Comments {
-		for _, c := range cg.List {
-			l := fset.Position(c.Pos()).Line
-			if l == target || l == target-1 {
-				out = append(out, c.Text)
-			}
-		}
-	}
-	return out
 }

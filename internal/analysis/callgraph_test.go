@@ -83,7 +83,7 @@ func keys(m map[string]CallEdge) []string {
 }
 
 // TestModuleSummaries pins the summary lattice on the real module: the
-// facts every interprocedural checker depends on must come out of the
+// facts the lockorder and accounting checkers depend on must come out of the
 // fixed point exactly as documented.
 func TestModuleSummaries(t *testing.T) {
 	l := sharedLoader(t)
@@ -92,58 +92,38 @@ func TestModuleSummaries(t *testing.T) {
 		t.Fatalf("load module: %v", err)
 	}
 	e := NewEngine(pkgs)
-	const mpiio = "pnetcdf/internal/mpiio"
 	const pfs = "pnetcdf/internal/pfs"
 
-	sum := func(pkg, name string) *Summary {
+	sum := func(name string) *Summary {
 		t.Helper()
-		fn := e.Lookup(pkg, name)
+		fn := e.Lookup(pfs, name)
 		if fn == nil {
-			t.Fatalf("Lookup(%s, %s) = nil", pkg, name)
+			t.Fatalf("Lookup(%s) = nil", name)
 		}
 		s := e.Summary(fn)
 		if s == nil {
-			t.Fatalf("Summary(%s.%s) = nil", pkg, name)
+			t.Fatalf("Summary(%s) = nil", name)
 		}
 		return s
 	}
 
-	// bufpool facts: recycleRound puts the received messages; packWriteRound
-	// parks pooled buffers in its parts parameter (index 6); encodeWriteMsg
-	// returns a pooled buffer; deliver gives its parts (index 1) away
-	// through Comm.Send and parks what Comm.Recv handed it in its out
-	// parameter (index 2), and sparseExchange does the same with its parts
-	// and out (indexes 2 and 3) through deliver, one hop down — or puts the
-	// parts back itself on a failed verdict.
-	if s := sum(mpiio, "recycleRound"); !s.PutsParam(0) {
-		t.Errorf("recycleRound: PutsParams = %b, want bit 0", s.PutsParams)
-	}
+	// lock facts: landing bytes takes the chunk shard locks through the
+	// store, one call down; a vectored write also takes the server-queue lock
+	// through FS.charge, and Sync takes only that one itself.
+	const shard, server = 1 << classShard, 1 << classServer
 	for _, fn := range []struct {
-		name       string
-		parts, out int
-	}{{"deliver", 1, 2}, {"sparseExchange", 2, 3}} {
-		if s := sum(mpiio, fn.name); !s.PutsParam(fn.parts) || !s.StoresPooledParam(fn.out) {
-			t.Errorf("%s: PutsParams = %b, StoresPooledParams = %b, want bit %d and bit %d",
-				fn.name, s.PutsParams, s.StoresPooledParams, fn.parts, fn.out)
+		name string
+		acq  uint8
+	}{{"File.storeWriteVec", shard}, {"File.WriteVec", shard | server}, {"File.Sync", server}} {
+		if s := sum(fn.name); s.MayAcquire != fn.acq || s.Releases != fn.acq {
+			t.Errorf("%s: MayAcquire = %b, Releases = %b, want %b", fn.name, s.MayAcquire, s.Releases, fn.acq)
 		}
-	}
-	if s := sum(mpiio, "File.packWriteRound"); !s.StoresPooledParam(6) {
-		t.Errorf("File.packWriteRound: StoresPooledParams = %b, want bit 6 (parts)", s.StoresPooledParams)
-	}
-	if s := sum(mpiio, "encodeWriteMsg"); !s.ReturnsPooled {
-		t.Error("encodeWriteMsg: ReturnsPooled = false")
-	}
-
-	// collsym fact: the round loop reaches collective agreement.
-	if s := sum(mpiio, "File.writeRounds"); !s.HasCollectives() {
-		t.Error("File.writeRounds: no collectives in summary")
 	}
 
 	// accounting facts: the public vectored I/O paths touch the store,
-	// charge the cost model and record iostat. (Charges marks callers of
-	// FS.charge, mirroring the intraprocedural checker's reachability.)
+	// charge the cost model and record iostat.
 	for _, name := range []string{"File.WriteVec", "File.ReadV"} {
-		if s := sum(pfs, name); !s.Touches || !s.Charges || !s.Records {
+		if s := sum(name); !s.Touches || !s.Charges || !s.Records {
 			t.Errorf("%s: Touches=%v Charges=%v Records=%v, want all true", name, s.Touches, s.Charges, s.Records)
 		}
 	}

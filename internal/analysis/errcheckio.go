@@ -3,6 +3,7 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
+	"strings"
 )
 
 // ErrCheckIO enforces the PR 2 teardown-error discipline: Close, Sync,
@@ -49,6 +50,12 @@ func runErrCheckIO(pass *Pass) {
 			return true
 		})
 	}
+}
+
+// isIOErrorName matches the error-returning teardown/flush calls the checker
+// audits.
+func isIOErrorName(name string) bool {
+	return name == "Close" || name == "Sync" || name == "Flush" || strings.HasPrefix(name, "Write")
 }
 
 // neverFails exempts the in-memory writers whose Write*/error results are

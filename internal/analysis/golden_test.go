@@ -4,6 +4,7 @@ import (
 	"go/token"
 	"path/filepath"
 	"regexp"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -83,27 +84,41 @@ func parseWants(t *testing.T, pkg *Package) []wantSpec {
 	return wants
 }
 
-// runGolden loads testdata/src/<fixture>, runs the single named checker, and
-// matches the diagnostics against the fixture's want comments.
-func runGolden(t *testing.T, checkerName, fixture string) {
+// loadFixtureTree loads a (possibly multi-package) fixture via LoadTree so
+// fixture-internal imports like fixture/<name>/helper resolve.
+func loadFixtureTree(t *testing.T, fixture string) []*Package {
 	t.Helper()
 	l := sharedLoader(t)
 	dir, err := filepath.Abs(filepath.Join("testdata", "src", fixture))
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkg, err := l.LoadDir("fixture/"+fixture, dir)
+	pkgs, err := l.LoadTree("fixture/"+fixture, dir)
 	if err != nil {
-		t.Fatalf("load fixture %s: %v", fixture, err)
+		t.Fatalf("load fixture tree %s: %v", fixture, err)
 	}
+	return pkgs
+}
+
+// runGolden loads testdata/src/<fixture> with every package under it, runs
+// the single named checker, and matches the diagnostics against the
+// fixture's want comments.
+func runGolden(t *testing.T, checkerName, fixture string) {
+	t.Helper()
+	pkgs := loadFixtureTree(t, fixture)
 	checkers, err := ByName(checkerName)
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags := RunCheckers([]*Package{pkg}, checkers)
-	wants := parseWants(t, pkg)
+	var wants []wantSpec
+	for _, pkg := range pkgs {
+		wants = append(wants, parseWants(t, pkg)...)
+	}
+	if len(wants) == 0 {
+		t.Fatalf("fixture %s has no want comments; the golden test would pass vacuously", fixture)
+	}
 	matched := make([]bool, len(wants))
-	for _, d := range diags {
+	for _, d := range Run(pkgs, checkers) {
 		found := false
 		for i, w := range wants {
 			if !matched[i] && w.file == d.Pos.Filename && w.line == d.Pos.Line && w.re.MatchString(d.Message) {
@@ -123,32 +138,88 @@ func runGolden(t *testing.T, checkerName, fixture string) {
 	}
 }
 
-func TestCollSymGolden(t *testing.T)    { runGolden(t, "collsym", "collsym") }
-func TestLockOrderGolden(t *testing.T)  { runGolden(t, "lockorder", "lockorder") }
-func TestBufPoolGolden(t *testing.T)    { runGolden(t, "bufpool", "bufpool") }
-func TestSpanPairGolden(t *testing.T)   { runGolden(t, "spanpair", "spanpair") }
-func TestAccountingGolden(t *testing.T) { runGolden(t, "accounting", "accounting") }
-func TestErrCheckIOGolden(t *testing.T) { runGolden(t, "errcheckio", "errcheckio") }
-func TestFTAgreeGolden(t *testing.T)    { runGolden(t, "ftagree", "ftagree") }
+func TestLockOrderGolden(t *testing.T)       { runGolden(t, "lockorder", "lockorder") }
+func TestLockOrderInterpGolden(t *testing.T) { runGolden(t, "lockorder", "lockorder_interp") }
+func TestAccountingGolden(t *testing.T)      { runGolden(t, "accounting", "accounting") }
+func TestErrCheckIOGolden(t *testing.T)      { runGolden(t, "errcheckio", "errcheckio") }
 
 // TestRepoClean is the self-check: the suite must report nothing on the
-// repository itself, so a PR that introduces a violation (or a checker
-// change that misfires on existing code) fails here before verify.sh runs
-// nclint.
+// repository itself (justified //nclint:allow annotations included), so a PR
+// that introduces a violation (or a checker change that misfires on existing
+// code) fails here before verify.sh runs nclint.
 func TestRepoClean(t *testing.T) {
 	l := sharedLoader(t)
 	pkgs, err := l.LoadModule()
 	if err != nil {
 		t.Fatalf("load module: %v", err)
 	}
-	for _, d := range RunCheckers(pkgs, All()) {
+	for _, d := range Run(pkgs, All()) {
 		t.Errorf("repo not nclint-clean: %s", d)
+	}
+}
+
+// TestRepoCleanInterp is the other half of the self-check: the clean verdict
+// must not rest on a stale suppression. It reruns the interprocedural suite
+// over the module with every //nclint:allow ignored, then requires each
+// diagnostic to sit under an allow for its checker and each allow to name
+// only live checkers and to cover at least one diagnostic — so deleting a
+// checker, or fixing the code an allow excused, also retires the annotation.
+func TestRepoCleanInterp(t *testing.T) {
+	l := sharedLoader(t)
+	pkgs, err := l.LoadModule()
+	if err != nil {
+		t.Fatalf("load module: %v", err)
+	}
+	live := map[string]bool{}
+	for _, c := range All() {
+		live[c.Name] = true
+	}
+	type site struct {
+		file    string
+		line    int
+		checker string
+	}
+	used := map[site]bool{}
+	bare := make([]*Package, len(pkgs))
+	for i, pkg := range pkgs {
+		cp := *pkg
+		cp.allows = nil
+		bare[i] = &cp
+		for file, allows := range pkg.allows {
+			for _, a := range allows {
+				for _, name := range strings.Split(a.checkers, ",") {
+					if !live[name] {
+						t.Errorf("%s:%d: //nclint:allow names unknown checker %q", file, a.line, name)
+						continue
+					}
+					used[site{file, a.line, name}] = false
+				}
+			}
+		}
+	}
+	for _, d := range Run(bare, All()) {
+		covered := false
+		for _, line := range []int{d.Pos.Line, d.Pos.Line - 1} {
+			s := site{d.Pos.Filename, line, d.Checker}
+			if _, ok := used[s]; ok {
+				used[s] = true
+				covered = true
+			}
+		}
+		if !covered {
+			t.Errorf("repo not nclint-clean in interp mode: %s", d)
+		}
+	}
+	for s, hit := range used {
+		if !hit {
+			t.Errorf("%s:%d: //nclint:allow=%s suppresses nothing", s.file, s.line, s.checker)
+		}
 	}
 }
 
 // TestByNameUnknown pins the driver-facing error for a typo'd -c flag.
 func TestByNameUnknown(t *testing.T) {
-	if _, err := ByName("collsym,nosuch"); err == nil {
+	if _, err := ByName("lockorder,nosuch"); err == nil {
 		t.Fatal("ByName accepted an unknown checker name")
 	}
 	cs, err := ByName("lockorder")
@@ -163,20 +234,20 @@ func TestSuppressionNeedsJustification(t *testing.T) {
 	pkg := &Package{
 		allows: map[string][]allow{},
 	}
-	if pkg.suppressed("collsym", mkPos("x.go", 10)) {
+	if pkg.suppressed("accounting", mkPos("x.go", 10)) {
 		t.Fatal("empty allow table suppressed a diagnostic")
 	}
-	pkg.allows["x.go"] = []allow{{line: 9, checkers: "collsym,lockorder"}}
-	if !pkg.suppressed("collsym", mkPos("x.go", 10)) {
+	pkg.allows["x.go"] = []allow{{line: 9, checkers: "accounting,lockorder"}}
+	if !pkg.suppressed("accounting", mkPos("x.go", 10)) {
 		t.Fatal("line-above allow did not suppress")
 	}
 	if !pkg.suppressed("lockorder", mkPos("x.go", 9)) {
 		t.Fatal("same-line allow did not suppress")
 	}
-	if pkg.suppressed("bufpool", mkPos("x.go", 10)) {
-		t.Fatal("allow for other checkers suppressed bufpool")
+	if pkg.suppressed("errcheckio", mkPos("x.go", 10)) {
+		t.Fatal("allow for other checkers suppressed errcheckio")
 	}
-	if pkg.suppressed("collsym", mkPos("x.go", 12)) {
+	if pkg.suppressed("accounting", mkPos("x.go", 12)) {
 		t.Fatal("allow two lines up suppressed")
 	}
 }

@@ -155,22 +155,11 @@ func (l *Loader) Load(path string) (*Package, error) {
 	return l.loadDir(path, dir)
 }
 
-// LoadDir type-checks the package in dir under the given import path; used
-// by the golden-file harness to load testdata fixture packages, which live
-// outside the module's package tree.
-func (l *Loader) LoadDir(path, dir string) (*Package, error) {
-	return l.loadDir(path, dir)
-}
-
-// RegisterDir maps an import path outside the module tree to a directory so
-// fixture packages can import each other: the golden harness registers every
-// subpackage of a multi-package fixture before loading its root.
-func (l *Loader) RegisterDir(path, dir string) { l.extra[path] = dir }
-
-// LoadTree loads the multi-package fixture rooted at dir: the root package
-// under rootPath, and every subdirectory holding Go files as
-// rootPath/<rel>. All packages are registered first so fixture-internal
-// imports resolve, then loaded; the result is sorted by import path.
+// LoadTree loads the fixture rooted at dir, which lives outside the module's
+// package tree: the root package under rootPath, and every subdirectory
+// holding Go files as rootPath/<rel>. All packages are registered first so
+// fixture-internal imports resolve, then loaded; the result is sorted by
+// import path.
 func (l *Loader) LoadTree(rootPath, dir string) ([]*Package, error) {
 	type entry struct{ path, dir string }
 	var entries []entry
@@ -189,7 +178,7 @@ func (l *Loader) LoadTree(rootPath, dir string) ([]*Package, error) {
 		if rel != "." {
 			path = rootPath + "/" + filepath.ToSlash(rel)
 		}
-		l.RegisterDir(path, p)
+		l.extra[path] = p
 		entries = append(entries, entry{path, p})
 		return nil
 	})

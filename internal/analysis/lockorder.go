@@ -17,7 +17,8 @@ import (
 //
 //     Acquiring a lower-ranked class while holding a higher-ranked one is
 //     a lock-inversion deadlock waiting for the right interleaving; the
-//     checker flags it intraprocedurally.
+//     checker flags it, directly or through a call whose summary may
+//     acquire that class.
 //
 //  2. Pairing. Every sync.Mutex/RWMutex Lock/RLock (and pfs LockRMW) in
 //     module code must have a matching Unlock/RUnlock (UnlockRMW) on the
@@ -206,7 +207,7 @@ func checkLockFunc(pass *Pass, body *ast.BlockStmt) {
 				// locks is an acquisition event for ordering purposes.
 				// Deferred calls run at function end, after the body's
 				// releases, and are skipped like deferred unlocks.
-				if pass.Engine != nil && !deferred {
+				if !deferred {
 					if fn := pass.Callee(m); fn != nil {
 						if sum := pass.Engine.Summary(fn); sum != nil && sum.MayAcquire != 0 {
 							events = append(events, lockEvent{pos: m.Pos(), callee: fn, acq: sum.MayAcquire})
@@ -259,8 +260,8 @@ func checkLockFunc(pass *Pass, body *ast.BlockStmt) {
 	for _, e := range events {
 		if e.callee != nil {
 			// A callee that may acquire a lower-ranked class while we hold
-			// a higher-ranked one is the helper-mediated inversion the
-			// intraprocedural walk cannot see. The callee is expected to
+			// a higher-ranked one is the helper-mediated inversion that no
+			// single function body shows. The callee is expected to
 			// release what it acquires (its own rule-2 check enforces
 			// that), so nothing is pushed.
 			for c := classFileTable; c <= classServer; c++ {

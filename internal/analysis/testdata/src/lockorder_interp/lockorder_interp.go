@@ -1,10 +1,9 @@
-// Package pfs is the golden fixture for the interprocedural lockorder
-// upgrade: the lock-class acquisition is hidden behind helper functions, so
-// the inversion is only visible through the MayAcquire summaries. The
-// package shadows the real pfs type and field names (FS.mu, storeShard.mu,
-// FS.srvMu) so lockClass classifies them identically. The same fixture must
-// be CLEAN under the intraprocedural checker (each helper pairs its own
-// Lock/Unlock, and no single function shows both classes).
+// Package pfs is the golden fixture for lockorder through helpers: the
+// lock-class acquisition is hidden behind helper functions, so the inversion
+// is only visible through the MayAcquire summaries (each helper pairs its own
+// Lock/Unlock, and no single function shows both classes). The package
+// shadows the real pfs type and field names (FS.mu, storeShard.mu,
+// FS.srvMu) so lockClass classifies them identically.
 package pfs
 
 import "sync"

@@ -113,7 +113,6 @@ func AblationSieving(m MachineSpec, dims [3]int64, nprocs int) (AblationResult, 
 			}
 			if c.Rank() == 0 {
 				whole := make([]float32, dims[0]*dims[1]*dims[2])
-				//nclint:allow=collsym -- inside BeginIndepData/EndIndepData: PutVara takes the independent path, no collective is reached
 				if err := d.PutVara(v, []int64{0, 0, 0}, dims[:], whole); err != nil {
 					return err
 				}

@@ -303,7 +303,7 @@ func (d *Dataset) prepare(write bool, varid int, start, count, stride []int64, d
 		d.invalidate(varid)
 		return op, nil
 	}
-	//nclint:escape -- parked in the op record; complete puts it when the op leaves the queue
+	// Parked in the op record; complete puts it when the op leaves the queue.
 	op.ext = bufpool.GetDirty(int(req.NElems) * v.Type.Size())[:0]
 	// netCDF range semantics, as the serial library implements them:
 	// out-of-range values are written wrapped and NC_ERANGE is reported

@@ -25,7 +25,7 @@ const (
 // tokens up, empty tokens down — so its virtual-time cost is
 // ~2*ceil(log2(p)) message latencies.
 func (c *Comm) Barrier() {
-	ctx := c.nextOpCtx("Barrier")
+	ctx := c.nextOpCtx(opBarrier)
 	t := c.commTree(0)
 	c.reduceUp(&t, ctx, vec{}, OpSum)
 	c.reduceDown(&t, ctx, vec{})
@@ -94,7 +94,7 @@ func (c *Comm) reduceUp(t *tree, ctx int64, acc vec, op Op) {
 	for m := 1; m < s; m <<= 1 {
 		if child := t.me + m; child < t.p {
 			wire := c.treeRecv(t, child, tagFanIn, ctx)
-			acc.fold(op, wire)
+			acc.fold(c, ctx, op, wire)
 			bufpool.Put(wire)
 		}
 	}
@@ -111,7 +111,7 @@ func (c *Comm) reduceDown(t *tree, ctx int64, acc vec) {
 	s := t.span()
 	if t.me != 0 {
 		wire := c.treeRecv(t, t.me-s, tagFanOut, ctx)
-		acc.decode(wire)
+		acc.decode(c, ctx, wire)
 		bufpool.Put(wire)
 	}
 	for m := s >> 1; m >= 1; m >>= 1 {
@@ -139,7 +139,7 @@ func (c *Comm) Bcast(root int, data []byte) []byte {
 // interior members forward the slice they received — so the root's return
 // value aliases what every other member received.
 func (c *Comm) bcastOwned(root int, wire []byte) []byte {
-	ctx := c.nextOpCtx("Bcast")
+	ctx := c.nextOpCtx(opBcast)
 	t := c.commTree(root)
 	s := t.span()
 	if t.me != 0 {
@@ -157,7 +157,7 @@ func (c *Comm) bcastOwned(root int, wire []byte) []byte {
 // may differ in length). The root receives a slice indexed by rank; other
 // ranks receive nil.
 func (c *Comm) Gather(root int, data []byte) [][]byte {
-	ctx := c.nextOpCtx("Gather")
+	ctx := c.nextOpCtx(opGather)
 	if c.rank != root {
 		c.send(root, tagData, ctx, bytes.Clone(data))
 		return nil
@@ -183,7 +183,7 @@ func (c *Comm) Allgather(data []byte) [][]byte {
 // Non-root callers pass nil. Each part is copied once, so the root keeps
 // parts and every member owns what it receives.
 func (c *Comm) Scatter(root int, parts [][]byte) []byte {
-	ctx := c.nextOpCtx("Scatter")
+	ctx := c.nextOpCtx(opScatter)
 	if c.rank == root {
 		if len(parts) != c.Size() {
 			c.Abort(fmt.Errorf("mpi: Scatter with %d parts on %d ranks", len(parts), c.Size()))
@@ -206,7 +206,7 @@ func (c *Comm) Alltoall(parts [][]byte) [][]byte {
 	if len(parts) != c.Size() {
 		c.Abort(fmt.Errorf("mpi: Alltoall with %d parts on %d ranks", len(parts), c.Size()))
 	}
-	ctx := c.nextOpCtx("Alltoall")
+	ctx := c.nextOpCtx(opAlltoall)
 	out := make([][]byte, c.Size())
 	out[c.rank] = append([]byte(nil), parts[c.rank]...)
 	for r := 0; r < c.Size(); r++ {
@@ -286,7 +286,8 @@ func (v vec) encode() []byte {
 	if v.len() == 0 {
 		return nil
 	}
-	//nclint:escape -- sent to a tree neighbour, whose reduceUp/reduceDown puts it back once folded or decoded (DESIGN.md §9, custody)
+	// Sent to a tree neighbour, whose reduceUp/reduceDown puts it back once
+	// folded or decoded (DESIGN.md §9, custody).
 	wire := bufpool.GetDirty(8 * v.len())
 	for k, x := range v.i {
 		binary.BigEndian.PutUint64(wire[8*k:], uint64(x))
@@ -297,8 +298,21 @@ func (v vec) encode() []byte {
 	return wire
 }
 
-// decode overwrites v with a wire vector.
-func (v vec) decode(wire []byte) {
+// fits aborts the world unless wire holds exactly v's elements: the members
+// of the collective under ctx passed vectors of different lengths, and
+// reading the bytes anyway would index past one end or drop the other.
+func (v vec) fits(c *Comm, ctx int64, wire []byte) {
+	if len(wire) == 8*v.len() {
+		return
+	}
+	op, seq := ctxOp(ctx)
+	c.Abort(fmt.Errorf("mpi: %s (collective %d on communicator %d): rank %d holds %d elements but a peer sent %d; every member must pass the same length",
+		op, seq, ctx>>32, c.rank, v.len(), len(wire)/8))
+}
+
+// decode overwrites v with the wire vector received under ctx.
+func (v vec) decode(c *Comm, ctx int64, wire []byte) {
+	v.fits(c, ctx, wire)
 	for k := range v.i {
 		v.i[k] = int64(binary.BigEndian.Uint64(wire[8*k:]))
 	}
@@ -307,8 +321,10 @@ func (v vec) decode(wire []byte) {
 	}
 }
 
-// fold combines a child's wire vector into v elementwise: v = v op child.
-func (v vec) fold(op Op, wire []byte) {
+// fold combines a child's wire vector, received under ctx, into v
+// elementwise: v = v op child.
+func (v vec) fold(c *Comm, ctx int64, op Op, wire []byte) {
+	v.fits(c, ctx, wire)
 	for k := range v.i {
 		v.i[k] = reduceI64(op, v.i[k], int64(binary.BigEndian.Uint64(wire[8*k:])))
 	}
@@ -318,12 +334,12 @@ func (v vec) fold(op Op, wire []byte) {
 }
 
 // allreduce reduces acc in place over the whole communicator: a fan-in to
-// rank 0 under the context of a reduceName collective, then a fan-out
-// under a Bcast's — two collectives, as a Reduce followed by a Bcast.
-func (c *Comm) allreduce(acc vec, op Op, reduceName string) {
+// rank 0 under the context of a reduce collective, then a fan-out under a
+// Bcast's — two collectives, as a Reduce followed by a Bcast.
+func (c *Comm) allreduce(acc vec, op Op, reduce opKind) {
 	t := c.commTree(0)
-	c.reduceUp(&t, c.nextOpCtx(reduceName), acc, op)
-	c.reduceDown(&t, c.nextOpCtx("Bcast"), acc)
+	c.reduceUp(&t, c.nextOpCtx(reduce), acc, op)
+	c.reduceDown(&t, c.nextOpCtx(opBcast), acc)
 }
 
 // ReduceI64 reduces elementwise int64 vectors to root, like MPI_Reduce.
@@ -332,7 +348,7 @@ func (c *Comm) allreduce(acc vec, op Op, reduceName string) {
 func (c *Comm) ReduceI64(root int, vals []int64, op Op) []int64 {
 	acc := slices.Clone(vals)
 	t := c.commTree(root)
-	c.reduceUp(&t, c.nextOpCtx("ReduceI64"), vec{i: acc}, op)
+	c.reduceUp(&t, c.nextOpCtx(opReduceI64), vec{i: acc}, op)
 	if c.rank != root {
 		return nil
 	}
@@ -343,7 +359,7 @@ func (c *Comm) ReduceI64(root int, vals []int64, op Op) []int64 {
 // MPI_Allreduce with MPI_IN_PLACE: the result overwrites vals, which is
 // returned.
 func (c *Comm) AllreduceI64(vals []int64, op Op) []int64 {
-	c.allreduce(vec{i: vals}, op, "ReduceI64")
+	c.allreduce(vec{i: vals}, op, opReduceI64)
 	return vals
 }
 
@@ -353,7 +369,7 @@ func (c *Comm) AllreduceI64(vals []int64, op Op) []int64 {
 func (c *Comm) ReduceF64(root int, vals []float64, op Op) []float64 {
 	acc := slices.Clone(vals)
 	t := c.commTree(root)
-	c.reduceUp(&t, c.nextOpCtx("ReduceF64"), vec{f: acc}, op)
+	c.reduceUp(&t, c.nextOpCtx(opReduceF64), vec{f: acc}, op)
 	if c.rank != root {
 		return nil
 	}
@@ -363,7 +379,7 @@ func (c *Comm) ReduceF64(root int, vals []float64, op Op) []float64 {
 // AllreduceF64 reduces elementwise and distributes the result to all, in
 // place like AllreduceI64.
 func (c *Comm) AllreduceF64(vals []float64, op Op) []float64 {
-	c.allreduce(vec{f: vals}, op, "ReduceF64")
+	c.allreduce(vec{f: vals}, op, opReduceF64)
 	return vals
 }
 
@@ -371,7 +387,7 @@ func (c *Comm) AllreduceF64(vals []float64, op Op) []float64 {
 // reduction of ranks 0..r-1 (identity on rank 0), like MPI_Exscan with a
 // linear chain. Used for computing record offsets when appending.
 func (c *Comm) ExscanI64(vals []int64, op Op) []int64 {
-	ctx := c.nextOpCtx("ExscanI64")
+	ctx := c.nextOpCtx(opExscanI64)
 	acc := make([]int64, len(vals))
 	if op == OpMin {
 		for i := range acc {
@@ -385,7 +401,7 @@ func (c *Comm) ExscanI64(vals []int64, op Op) []int64 {
 	}
 	if c.rank > 0 {
 		wire := c.recv(c.rank-1, tagData, ctx).data
-		vec{i: acc}.decode(wire)
+		vec{i: acc}.decode(c, ctx, wire)
 		bufpool.Put(wire)
 	}
 	if c.rank < c.Size()-1 {

@@ -69,15 +69,10 @@ import (
 const FTDetectLatency = 0.3
 
 // ftCtxBit marks a message context as belonging to the post-revocation
-// agreement band: bit 30 set, the revocation generation in bits 24-29, and
-// a per-generation sequence in bits 0-23. Regular collectives would need
-// 2^30 operations on one communicator to collide with the band.
-const (
-	ftCtxBit    = int64(1) << 30
-	ftCtxGenSh  = 24
-	ftCtxGenMax = 0x3F
-	ftCtxSeqMax = 0xFFFFFF
-)
+// agreement band: bit 30 set, the revocation generation in bits 24-29 (where
+// a regular collective keeps its kind, nextOpCtx), and a per-generation
+// sequence in bits 0-23. Regular collectives never set bit 30.
+const ftCtxBit = int64(1) << 30
 
 // ErrRevoked is the error carried by the panic every operation on a revoked
 // communicator raises: the communicator lost a member and can no longer
@@ -176,11 +171,12 @@ type revokeInfo struct {
 // it waits for. The detector reads these at quiescence; *ErrDeadlock
 // carries them to the caller.
 type ParkedRecv struct {
-	WorldRank int   // the blocked rank
-	Comm      int64 // ID of the communicator it receives on (0 is the world)
-	Source    int   // rank of Comm it waits for, or AnySource
-	Tag       int   // tag it waits for, or AnyTag
-	Seq       int64 // collective sequence number on Comm (low context bits); 0 for a user Recv
+	WorldRank int    // the blocked rank
+	Comm      int64  // ID of the communicator it receives on (0 is the world)
+	Source    int    // rank of Comm it waits for, or AnySource
+	Tag       int    // tag it waits for, or AnyTag
+	Op        string // collective it is inside ("AgreeFT" after a revocation); "" for a user Recv
+	Seq       int64  // that collective's sequence number on Comm
 
 	group  []int // the communicator's members (world ranks)
 	pinned []int // failed world ranks this receive already knows about
@@ -211,11 +207,8 @@ func (e *ErrDeadlock) Error() string {
 			fmt.Fprintf(&b, "rank %d", p.Source)
 		}
 		fmt.Fprintf(&b, " of communicator %d (", p.Comm)
-		switch {
-		case p.Seq&ftCtxBit != 0:
-			b.WriteString("post-revocation agreement, ")
-		case p.Seq != 0:
-			fmt.Fprintf(&b, "collective %d, ", p.Seq)
+		if p.Op != "" {
+			fmt.Fprintf(&b, "collective %d %s, ", p.Seq, p.Op)
 		}
 		if p.Tag == AnyTag {
 			b.WriteString("any tag)")
@@ -360,9 +353,6 @@ func (w *World) revoke(commID int64, failedWorld []int, at float64) {
 	rs.at = at
 	ft.revGen.Add(1)
 	ft.mu.Unlock()
-	if cc := w.ccheck; cc != nil {
-		cc.purgeComm(commID)
-	}
 	for _, b := range w.boxes {
 		b.mu.Lock()
 		w.wake(b)
@@ -389,7 +379,7 @@ func (c *Comm) revokedInfo() (revokeInfo, bool) {
 
 // Revoked reports whether the communicator has been revoked. After it
 // returns true, only AgreeFT and Shrink complete on this communicator;
-// everything else panics *ErrRevoked (see the nclint ftagree rule).
+// everything else panics *ErrRevoked.
 func (c *Comm) Revoked() bool {
 	_, ok := c.revokedInfo()
 	return ok
@@ -445,7 +435,7 @@ func (c *Comm) nextFTCtx(gen int) int64 {
 		c.ftGen, c.ftSeq = gen, 0
 	}
 	c.ftSeq++
-	return c.ctx | ftCtxBit | int64(gen&ftCtxGenMax)<<ftCtxGenSh | (c.ftSeq & ftCtxSeqMax)
+	return c.ctx | ftCtxBit | int64(gen&ctxKindMask)<<ctxKindSh | c.ftSeq&ctxSeqMask
 }
 
 // survivors returns the communicator ranks not in the failed world-rank

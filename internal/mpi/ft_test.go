@@ -258,7 +258,7 @@ func TestDeadlockIsTypedError(t *testing.T) {
 		t.Fatalf("%d parked ranks reported, want 2: %v", len(dl.Parked), err)
 	}
 	for i, p := range dl.Parked {
-		if p.WorldRank != i+1 || p.Source != 0 || p.Tag != 7 || p.Comm != 0 || p.Seq != 0 {
+		if p.WorldRank != i+1 || p.Source != 0 || p.Tag != 7 || p.Comm != 0 || p.Op != "" || p.Seq != 0 {
 			t.Fatalf("parked[%d] = %+v", i, p)
 		}
 	}
@@ -293,8 +293,8 @@ func TestDeadlockIsTypedError(t *testing.T) {
 	if !errors.As(err, &dl) {
 		t.Fatalf("Run = %v, want *ErrDeadlock", err)
 	}
-	if len(dl.Parked) != 2 || dl.Parked[0].Seq == 0 || dl.Parked[1].Seq != 0 ||
-		!strings.Contains(err.Error(), "collective") {
+	if len(dl.Parked) != 2 || dl.Parked[0].Op != "Barrier" || dl.Parked[0].Seq != 2 || dl.Parked[1].Op != "" ||
+		!strings.Contains(err.Error(), "collective 2 Barrier") {
 		t.Fatalf("missing collective call reported as %v", err)
 	}
 }

@@ -116,10 +116,6 @@ type World struct {
 	abortErr error
 	commSeq  int64
 
-	// ccheck is the collective-sequence registry; nil unless
-	// PNETCDF_CHECK_COLLECTIVES=1 (see collcheck.go).
-	ccheck *collCheck
-
 	// ft is the failure detector's state (ft.go).
 	ft ftState
 }
@@ -212,7 +208,7 @@ func Run(n int, net NetConfig, fn func(*Comm) error) error {
 	if n < 1 {
 		return fmt.Errorf("mpi: invalid world size %d", n)
 	}
-	w := &World{size: n, net: net, boxes: make([]*mailbox, n), ccheck: collCheckFromEnv()}
+	w := &World{size: n, net: net, boxes: make([]*mailbox, n)}
 	w.ft.running.Store(int32(n))
 	for i := range w.boxes {
 		w.boxes[i] = newMailbox()
@@ -378,9 +374,10 @@ func (c *Comm) recvCore(src, tag int, ctx int64, pinned *revokeInfo) message {
 			c.proc.clock = math.Max(c.proc.clock, m.arrival)
 			return m
 		}
+		op, seq := ctxOp(ctx)
 		box.wait = ParkedRecv{
 			WorldRank: c.group[c.rank], Comm: c.ctx >> 32,
-			Source: src, Tag: tag, Seq: ctx & 0x7FFFFFFF,
+			Source: src, Tag: tag, Op: op, Seq: seq,
 			group: c.group, clock: c.proc.clock,
 		}
 		if pinned != nil {
@@ -426,26 +423,67 @@ func (c *Comm) Sendrecv(dst, sendTag int, sendData []byte, src, recvTag int) ([]
 	return c.Recv(src, recvTag)
 }
 
-// nextOpCtx reserves the message context for one collective operation named
-// op. All ranks call collectives on a communicator in the same order (an MPI
-// requirement), so the per-rank sequence counters stay in lockstep. The
-// low 32 bits hold the sequence, the high bits the communicator ID, keeping
-// collective traffic apart from user point-to-point traffic (sequence 0).
-// Under PNETCDF_CHECK_COLLECTIVES=1 the (context, op) pair is registered in
-// the world's sequence registry, which aborts on a cross-rank mismatch
-// instead of letting the run deadlock (collcheck.go).
-func (c *Comm) nextOpCtx(op string) int64 {
+// A collective's message context is commID<<32 | kind<<ctxKindSh | seq:
+// the per-communicator sequence in bits 0-23 (modulo 2^24; members are never
+// that far apart), the operation's kind in bits 24-29, and bit 30 clear (the
+// post-revocation band sets it, ft.go). User point-to-point traffic has all
+// 32 low bits zero.
+const (
+	ctxSeqMask  = 0xFFFFFF
+	ctxKindSh   = 24
+	ctxKindMask = 0x3F
+)
+
+// opKind is the collective operation a context belongs to. Because the kind
+// is part of the context, members that disagree on which collective comes
+// next never consume each other's messages: each parks in its own, and the
+// detector's *ErrDeadlock names both operations.
+type opKind int64
+
+const (
+	opBarrier opKind = iota + 1
+	opBcast
+	opGather
+	opScatter
+	opAlltoall
+	opReduceI64
+	opReduceF64
+	opExscanI64
+)
+
+var opNames = [ctxKindMask + 1]string{
+	opBarrier:   "Barrier",
+	opBcast:     "Bcast",
+	opGather:    "Gather",
+	opScatter:   "Scatter",
+	opAlltoall:  "Alltoall",
+	opReduceI64: "ReduceI64",
+	opReduceF64: "ReduceF64",
+	opExscanI64: "ExscanI64",
+}
+
+// ctxOp names the operation a message context belongs to and its sequence
+// number: "" for user point-to-point traffic, "AgreeFT" in the
+// post-revocation band.
+func ctxOp(ctx int64) (string, int64) {
+	if ctx&ftCtxBit != 0 {
+		return "AgreeFT", ctx & ctxSeqMask
+	}
+	return opNames[ctx>>ctxKindSh&ctxKindMask], ctx & ctxSeqMask
+}
+
+// nextOpCtx reserves the message context for one collective operation of
+// kind op. All ranks call collectives on a communicator in the same order (an
+// MPI requirement), so the per-rank sequence counters stay in lockstep; a
+// rank that breaks the order waits under a context no peer sends on.
+func (c *Comm) nextOpCtx(op opKind) int64 {
 	// A collective on a revoked communicator can never complete; fail it
 	// before any message moves (recv would catch it anyway, but root-only
 	// send patterns like Scatter would first leak sends).
 	c.ftCheckRevoked(nil)
 	c.seq++
 	c.proc.stats.Add(iostat.MPICollectives, 1)
-	ctx := c.ctx | (c.seq & 0x7FFFFFFF)
-	if cc := c.world.ccheck; cc != nil {
-		cc.record(c, ctx, op)
-	}
-	return ctx
+	return c.ctx | int64(op)<<ctxKindSh | c.seq&ctxSeqMask
 }
 
 // newCommID allocates a world-unique communicator ID on rank 0 of c and

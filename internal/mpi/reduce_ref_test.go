@@ -91,7 +91,7 @@ func refFanOut(c *Comm, root int, ctx int64, data []byte) []byte {
 }
 
 func refReduceI64(c *Comm, root int, vals []int64, op Op) []int64 {
-	ctx := c.nextOpCtx("ReduceI64")
+	ctx := c.nextOpCtx(opReduceI64)
 	res := refFanIn(c, root, ctx, func(local, child []byte) []byte {
 		if local == nil && child == nil {
 			return EncodeI64s(vals)
@@ -110,11 +110,11 @@ func refReduceI64(c *Comm, root int, vals []int64, op Op) []int64 {
 
 func refAllreduceI64(c *Comm, vals []int64, op Op) []int64 {
 	res := refReduceI64(c, 0, vals, op)
-	return DecodeI64s(refFanOut(c, 0, c.nextOpCtx("Bcast"), EncodeI64s(res)))
+	return DecodeI64s(refFanOut(c, 0, c.nextOpCtx(opBcast), EncodeI64s(res)))
 }
 
 func refReduceF64(c *Comm, root int, vals []float64, op Op) []float64 {
-	ctx := c.nextOpCtx("ReduceF64")
+	ctx := c.nextOpCtx(opReduceF64)
 	res := refFanIn(c, root, ctx, func(local, child []byte) []byte {
 		if local == nil && child == nil {
 			return refEncodeF64s(vals)
@@ -133,7 +133,7 @@ func refReduceF64(c *Comm, root int, vals []float64, op Op) []float64 {
 
 func refAllreduceF64(c *Comm, vals []float64, op Op) []float64 {
 	res := refReduceF64(c, 0, vals, op)
-	return refDecodeF64s(refFanOut(c, 0, c.nextOpCtx("Bcast"), refEncodeF64s(res)))
+	return refDecodeF64s(refFanOut(c, 0, c.nextOpCtx(opBcast), refEncodeF64s(res)))
 }
 
 // refAgreeFT is AgreeFT with its own copy of the tree, over the dense

@@ -391,7 +391,9 @@ func (f *File) packReadRound(plan collectivePlan, segs []pfs.Segment, prefix []i
 func (f *File) buildReplies(cov *coverage, replies [][]byte) {
 	for k := range cov.merge.cur {
 		c := &cov.merge.cur[k]
-		//nclint:escape -- the reply exchange gives each buffer to the requesting rank (deliver nils the slot here) and that rank's recycleRound(back) puts it; the abort path puts the never-sent replies before bailing
+		// The reply exchange gives each buffer to the requesting rank
+		// (deliver nils the slot here) and that rank's recycleRound(back)
+		// puts it; the abort path puts the never-sent replies before bailing.
 		out := bufpool.GetDirty(int(c.bytes))[:0]
 		for _, rq := range cov.reqs[c.first : c.first+c.n] {
 			out = append(out, cov.data[rq.pos:rq.pos+rq.len]...)
@@ -710,7 +712,9 @@ func encodeWriteMsg(reqs []reqSeg, src Source) []byte {
 	for _, r := range reqs {
 		total += r.len
 	}
-	//nclint:escape -- the sender gives the message up at sparseExchange (slot nilled; put back there on a failed verdict); the receiving aggregator's recycleRound puts it once its write is down
+	// The sender gives the message up at sparseExchange (slot nilled; put
+	// back there on a failed verdict); the receiving aggregator's
+	// recycleRound puts it once its write is down.
 	msg := bufpool.GetDirty(8 + 16*len(reqs) + int(total))
 	binary.BigEndian.PutUint64(msg, uint64(len(reqs)))
 	p := 8
@@ -728,7 +732,9 @@ func encodeWriteMsg(reqs []reqSeg, src Source) []byte {
 }
 
 func encodeReadMsg(reqs []reqSeg) []byte {
-	//nclint:escape -- the sender gives the request up at sparseExchange (slot nilled; put back there on a failed verdict); the receiving aggregator's recycleRound puts it once the coverage is assembled
+	// The sender gives the request up at sparseExchange (slot nilled; put
+	// back there on a failed verdict); the receiving aggregator's
+	// recycleRound puts it once the coverage is assembled.
 	msg := bufpool.GetDirty(8 + 16*len(reqs))
 	binary.BigEndian.PutUint64(msg, uint64(len(reqs)))
 	p := 8

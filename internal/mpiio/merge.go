@@ -274,7 +274,9 @@ func (cov *coverage) assemble(msgs [][]byte, lo, hi int64) error {
 		return err
 	}
 	if !cov.empty() {
-		//nclint:escape -- parked in the coverage, which outlives the read it is issued for; release puts it once the replies are built, on the abort path and in the round loop's revocation drain
+		// Parked in the coverage, which outlives the read it is issued for:
+		// release puts it once the replies are built, on the abort path and
+		// in the round loop's revocation drain.
 		cov.data = bufpool.GetDirty(int(total))
 	}
 	return nil

@@ -191,8 +191,7 @@ func TestSpansClosedAfterPipelinedCrashAbort(t *testing.T) {
 // TestSpansClosedAfterCrashAbort: when a crash point kills one aggregator
 // mid-collective, every rank's WriteAtAll returns an error — and every
 // rank's spans, including the mid-round ones on the error path, must be
-// closed. This is the property the spanpair checker enforces statically
-// and this test enforces dynamically.
+// closed.
 func TestSpansClosedAfterCrashAbort(t *testing.T) {
 	fsys := testFS()
 	in := fault.New(fault.Config{Seed: 7})

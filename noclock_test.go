@@ -59,11 +59,8 @@ func TestInternalHasNoWallClock(t *testing.T) {
 
 // The same goes for the environment: what a run does is set by its hints and
 // options, which a test or a job script passes and a reader can see — never
-// by an ambient variable. The one exception is a debug checker that changes
-// no result (PNETCDF_CHECK_COLLECTIVES, internal/mpi/collcheck.go).
+// by an ambient variable.
 func TestInternalReadsNoEnvironment(t *testing.T) {
-	const allowed = "internal/mpi/collcheck.go"
-	sawAllowed := false
 	eachInternalFile(t, parser.SkipObjectResolution, func(fset *token.FileSet, path string, f *ast.File) {
 		ast.Inspect(f, func(n ast.Node) bool {
 			sel, ok := n.(*ast.SelectorExpr)
@@ -73,15 +70,8 @@ func TestInternalReadsNoEnvironment(t *testing.T) {
 			if pkg, ok := sel.X.(*ast.Ident); !ok || pkg.Name != "os" || (sel.Sel.Name != "Getenv" && sel.Sel.Name != "LookupEnv") {
 				return true
 			}
-			if path == allowed {
-				sawAllowed = true
-			} else {
-				t.Errorf("%s reads the environment (os.%s): pass a hint or an option instead", fset.Position(sel.Pos()), sel.Sel.Name)
-			}
+			t.Errorf("%s reads the environment (os.%s): pass a hint or an option instead", fset.Position(sel.Pos()), sel.Sel.Name)
 			return true
 		})
 	})
-	if !sawAllowed {
-		t.Errorf("%s no longer reads the environment: drop the exception", allowed)
-	}
 }
