@@ -19,9 +19,9 @@ type headerReader struct {
 	// buffer did not reach that far; ReadHeader trims its next probe by it.
 	minBegin int64
 
-	// Dimension-ID lists and attribute values are cut from shared arrays.
-	ids  arena[int]
-	vals arena[byte]
+	// names is where names are cut from; lists and values are cut from the
+	// slabs of the header being read.
+	names stringSlab
 }
 
 // ErrTruncated reports that the buffer ended before the header did: the one
@@ -36,36 +36,11 @@ func (r *headerReader) need(n int) error {
 	return nil
 }
 
-// atMost bounds a decoded element count by what the unread bytes could
-// encode at minSize bytes an element, so that a hostile count cannot size an
-// allocation.
+// atMost bounds a decoded element count, or a slab's ceiling, by what the
+// unread bytes could encode at minSize bytes an element, so that a hostile
+// count cannot size an allocation.
 func (r *headerReader) atMost(n, minSize int64) int {
 	return int(min(n, int64(len(r.buf)-r.pos)/minSize))
-}
-
-// arena hands out slices cut from shared backing arrays, so that a header's
-// many short lists cost a handful of allocations, not one each.
-type arena[T any] struct {
-	free  []T
-	taken int
-}
-
-// carve returns n zeroed elements with capacity n: appending to one list
-// cannot reach its neighbour. A fresh backing array is as large as all that
-// was carved before it (k lists cost O(log k) allocations and at most twice
-// their memory) but no larger than limit, which the caller derives from the
-// unread input; n itself must already be known to fit.
-func (a *arena[T]) carve(n, limit int) []T {
-	if n == 0 {
-		return []T{}
-	}
-	if len(a.free) < n {
-		a.free = make([]T, max(n, min(a.taken, limit)))
-	}
-	s := a.free[:n:n]
-	a.free = a.free[n:]
-	a.taken += n
-	return s
 }
 
 func (r *headerReader) uint32() (uint32, error) {
@@ -121,7 +96,7 @@ func (r *headerReader) skipPad() error {
 
 // name reads a name. When it equals like — the name in the same place of
 // the previous list, which is what the attributes of consecutive variables
-// mostly carry — that string is shared instead of allocating another.
+// mostly carry — that string is shared; any other is cut from the name slab.
 func (r *headerReader) name(like string) (string, error) {
 	n, err := r.nonNeg()
 	if err != nil {
@@ -133,9 +108,9 @@ func (r *headerReader) name(like string) (string, error) {
 	if err := r.need(int(n)); err != nil {
 		return "", err
 	}
-	s := like
-	if string(r.buf[r.pos:r.pos+int(n)]) != like {
-		s = string(r.buf[r.pos : r.pos+int(n)])
+	s, p := like, r.buf[r.pos:r.pos+int(n)]
+	if string(p) != like {
+		s = r.names.cut(p, r.atMost(nameSlabLen, 1))
 	}
 	r.pos += int(n)
 	return s, r.skipPad()
@@ -159,9 +134,9 @@ func (r *headerReader) tagList(wantTag uint32) (int64, error) {
 	return 0, fmt.Errorf("%w: bad list tag %#x", nctype.ErrNotNC, tag)
 }
 
-// attrs reads an attribute list; prev is the list read before it, whose
-// names it may share (see name).
-func (r *headerReader) attrs(prev []Attr) ([]Attr, error) {
+// attrs reads an attribute list into h's slabs; prev is the list read
+// before it, whose names it may share (see name).
+func (r *headerReader) attrs(h *Header, prev []Attr) ([]Attr, error) {
 	n, err := r.tagList(nctype.TagAttribute)
 	if err != nil {
 		return nil, err
@@ -169,8 +144,8 @@ func (r *headerReader) attrs(prev []Attr) ([]Attr, error) {
 	if n > nctype.MaxAttrs {
 		return nil, fmt.Errorf("%w: %d attributes", nctype.ErrNotNC, n)
 	}
-	nn := nonNegSize(r.version)
-	attrs := make([]Attr, 0, r.atMost(n, 2*nn+4))
+	minSize := 2*nonNegSize(r.version) + 4
+	attrs := h.attrs.carve(r.atMost(n, minSize), r.atMost(listSlabLen, minSize))[:0]
 	for i := int64(0); i < n; i++ {
 		var a Attr
 		like := ""
@@ -200,7 +175,7 @@ func (r *headerReader) attrs(prev []Attr) ([]Attr, error) {
 		if nbytes < 0 || int64(r.pos)+nbytes > int64(len(r.buf)) {
 			return nil, ErrTruncated
 		}
-		a.Values = r.vals.carve(int(nbytes), len(r.buf)-r.pos)
+		a.Values = h.vals.carve(int(nbytes), r.atMost(valueSlabLen, 1))
 		copy(a.Values, r.buf[r.pos:])
 		r.pos += int(nbytes)
 		if err := r.skipPad(); err != nil {
@@ -256,7 +231,7 @@ func (r *headerReader) decode(buf []byte) (*Header, error) {
 		h.Dims = append(h.Dims, d)
 	}
 	// gatt_list
-	if h.GAttrs, err = r.attrs(nil); err != nil {
+	if h.GAttrs, err = r.attrs(h, nil); err != nil {
 		return nil, err
 	}
 	// var_list
@@ -284,7 +259,7 @@ func (r *headerReader) decode(buf []byte) (*Header, error) {
 		if err := r.need(int(nd * nn)); err != nil {
 			return nil, err
 		}
-		v.DimIDs = r.ids.carve(int(nd), (len(r.buf)-r.pos)/int(nn))
+		v.DimIDs = h.ids.carve(int(nd), r.atMost(listSlabLen, nn))
 		for j := range v.DimIDs {
 			id, err := r.nonNeg()
 			if err != nil {
@@ -295,7 +270,7 @@ func (r *headerReader) decode(buf []byte) (*Header, error) {
 			}
 			v.DimIDs[j] = int(id)
 		}
-		if v.Attrs, err = r.attrs(prev); err != nil {
+		if v.Attrs, err = r.attrs(h, prev); err != nil {
 			return nil, err
 		}
 		if len(v.Attrs) > 0 {

@@ -40,8 +40,10 @@ func mkAttr(name string, t nctype.Type, vals []byte) Attr {
 // hostileCountImages builds tiny buffers that declare the largest counts
 // Decode admits — MaxDims dimensions, MaxAttrs attributes, MaxVars
 // variables, a MaxDims-dimensional variable, an attribute as long as the
-// buffer — with little or nothing behind them. Decode sizes its lists from
-// counts, so each must be bounded by the bytes actually present.
+// buffer, MaxVars variables the first of which declares MaxAttrs
+// attributes, names longer than what remains — with little or nothing
+// behind them. Decode sizes its lists and slabs from counts, so each must be
+// bounded by the bytes actually present.
 func hostileCountImages() [][]byte {
 	var out [][]byte
 	for _, version := range []int{1, 2, 5} {
@@ -87,6 +89,40 @@ func hostileCountImages() [][]byte {
 		huge := append([]byte(nil), wide.buf...)
 		binary.BigEndian.PutUint32(huge[len(huge)-4:], 0xFFFFFFFF)
 		out = append(out, huge)
+
+		// MaxVars variables, the first of which declares MaxAttrs attributes
+		// and holds one: the attribute-list slab is cut to what the bytes
+		// could hold, not to either count.
+		vattrs := w()
+		vattrs.tagList(nctype.TagDimension, 0)
+		vattrs.tagList(nctype.TagAttribute, 0)
+		vattrs.tagList(nctype.TagVariable, nctype.MaxVars)
+		vattrs.name("v")
+		vattrs.nonNeg(0)
+		vattrs.tagList(nctype.TagAttribute, nctype.MaxAttrs)
+		vattrs.name("a")
+		vattrs.uint32(uint32(nctype.Byte))
+		vattrs.nonNeg(1)
+		vattrs.bytes([]byte{1, 0, 0, 0})
+		out = append(out, vattrs.buf)
+
+		// Names that claim more bytes than remain: a dimension's, then a
+		// variable's after a name that fits.
+		dname := w()
+		dname.tagList(nctype.TagDimension, 1)
+		dname.nonNeg(nctype.MaxNameLen)
+		dname.bytes([]byte("dim"))
+		out = append(out, dname.buf)
+
+		vname := w()
+		vname.tagList(nctype.TagDimension, 1)
+		vname.name("x")
+		vname.nonNeg(1)
+		vname.tagList(nctype.TagAttribute, 0)
+		vname.tagList(nctype.TagVariable, 2)
+		vname.nonNeg(nctype.MaxNameLen)
+		vname.bytes([]byte("var"))
+		out = append(out, vname.buf)
 	}
 	return out
 }

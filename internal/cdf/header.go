@@ -59,8 +59,14 @@ type Var struct {
 // Header is the in-memory model of a classic-format file header.
 //
 // Dims and Vars may be read, built as literals and appended to freely; the
-// libraries add and rename through AddDim, AddVar, RenameDim and RenameVar,
-// which keep the name indexes behind FindDim and FindVar current.
+// libraries change a header through the define methods (define.go), which
+// keep the name indexes behind FindDim and FindVar current.
+//
+// A header cuts its dimension-ID lists, attribute lists and attribute values
+// from slabs it owns. Each list is cut to its own capacity, so appending to
+// one never reaches another. A Header must not be copied by value: the copy
+// would share the slabs' free space, and the two would hand the same
+// elements out twice. Clone makes an independent header.
 type Header struct {
 	// Version is 1 (CDF-1), 2 (CDF-2) or 5 (CDF-5).
 	Version int
@@ -71,19 +77,24 @@ type Header struct {
 	Vars    []Var
 
 	dimIdx, varIdx nameIndex
+
+	ids   arena[int]
+	attrs arena[Attr]
+	vals  arena[byte]
 }
 
 func (h *Header) dimName(i int) string { return h.Dims[i].Name }
 func (h *Header) varName(i int) string { return h.Vars[i].Name }
 
-// AddDim appends a dimension and returns its ID.
+// AddDim appends a dimension and returns its ID, unchecked (DefDim checks).
 func (h *Header) AddDim(d Dim) int {
 	h.Dims = append(h.Dims, d)
 	h.dimIdx.extend(len(h.Dims), h.dimName)
 	return len(h.Dims) - 1
 }
 
-// AddVar appends a variable and returns its ID. The list doubles when full:
+// AddVar appends a variable and returns its ID, unchecked (DefVar checks,
+// and copies the dimension IDs into the header). The list doubles when full:
 // append's 1.25x steps would copy a list of thousands five times over, and a
 // Var is the largest thing a header holds many of.
 func (h *Header) AddVar(v Var) int {
@@ -93,20 +104,6 @@ func (h *Header) AddVar(v Var) int {
 	h.Vars = append(h.Vars, v)
 	h.varIdx.extend(len(h.Vars), h.varName)
 	return len(h.Vars) - 1
-}
-
-// RenameDim gives dimension id a new name.
-func (h *Header) RenameDim(id int, name string) {
-	h.dimIdx.extend(len(h.Dims), h.dimName)
-	h.dimIdx.rename(id, h.Dims[id].Name, name)
-	h.Dims[id].Name = name
-}
-
-// RenameVar gives variable id a new name.
-func (h *Header) RenameVar(id int, name string) {
-	h.varIdx.extend(len(h.Vars), h.varName)
-	h.varIdx.rename(id, h.Vars[id].Name, name)
-	h.Vars[id].Name = name
 }
 
 // UnlimitedDimID returns the index of the record dimension, or -1.
@@ -201,33 +198,55 @@ func (h *Header) RecSize() int64 {
 	return total
 }
 
-// Clone returns a deep copy of the header. The parallel library keeps one
-// clone per process and synchronizes them collectively.
+// Clone returns a deep copy of the header (Redef keeps one to relocate data
+// from). Its lists and values are copied into slabs of its own, each made
+// once at exactly the size it needs.
 func (h *Header) Clone() *Header {
-	c := &Header{Version: h.Version, NumRecs: h.NumRecs}
-	c.Dims = append([]Dim(nil), h.Dims...)
-	c.GAttrs = cloneAttrs(h.GAttrs)
+	nids, nattrs, nvals := 0, len(h.GAttrs), attrBytes(h.GAttrs)
+	for i := range h.Vars {
+		nids += len(h.Vars[i].DimIDs)
+		nattrs += len(h.Vars[i].Attrs)
+		nvals += attrBytes(h.Vars[i].Attrs)
+	}
+	c := &Header{Version: h.Version, NumRecs: h.NumRecs, Dims: slices.Clone(h.Dims)}
+	c.ids.free = make([]int, nids)
+	c.attrs.free = make([]Attr, nattrs)
+	c.vals.free = make([]byte, nvals)
+	c.GAttrs = c.cloneAttrs(h.GAttrs)
 	c.Vars = make([]Var, len(h.Vars))
 	for i, v := range h.Vars {
-		nv := v
-		nv.DimIDs = append([]int(nil), v.DimIDs...)
-		nv.Attrs = cloneAttrs(v.Attrs)
-		c.Vars[i] = nv
+		v.DimIDs = cloneInto(&c.ids, v.DimIDs)
+		v.Attrs = c.cloneAttrs(v.Attrs)
+		c.Vars[i] = v
 	}
 	c.dimIdx, c.varIdx = h.dimIdx.clone(), h.varIdx.clone()
 	return c
 }
 
-func cloneAttrs(as []Attr) []Attr {
-	if as == nil {
+func attrBytes(as []Attr) int {
+	n := 0
+	for i := range as {
+		n += len(as[i].Values)
+	}
+	return n
+}
+
+// cloneAttrs copies as, and every value in it, into h's slabs.
+func (h *Header) cloneAttrs(as []Attr) []Attr {
+	out := cloneInto(&h.attrs, as)
+	for i := range out {
+		out[i].Values = cloneInto(&h.vals, out[i].Values)
+	}
+	return out
+}
+
+// cloneInto copies s into a slice carved from a; nil stays nil.
+func cloneInto[T any](a *arena[T], s []T) []T {
+	if s == nil {
 		return nil
 	}
-	out := make([]Attr, len(as))
-	for i, a := range as {
-		na := a
-		na.Values = append([]byte(nil), a.Values...)
-		out[i] = na
-	}
+	out := a.carve(len(s), len(s))
+	copy(out, s)
 	return out
 }
 

@@ -98,9 +98,9 @@ func TestFindAgreesWithScan(t *testing.T) {
 
 		// Renames: hits under the new names, misses under the old.
 		if n > 2 {
-			built.RenameVar(1, "renamed_var")
-			built.RenameDim(1, "renamed_dim")
-			built.RenameVar(2, "var_1") // reuse a name just given up
+			built.RenameVar(1, "renamed_var", true)
+			built.RenameDim(1, "renamed_dim", true)
+			built.RenameVar(2, "var_1", true) // reuse a name just given up
 			checkFinds(t, fmt.Sprintf("renamed n=%d", n), built, "var_1", "var_2", "dim_1")
 		}
 
@@ -108,7 +108,7 @@ func TestFindAgreesWithScan(t *testing.T) {
 		checkFinds(t, fmt.Sprintf("clone n=%d", n), clone)
 		clone.AddVar(Var{Name: "only_in_clone", Type: nctype.Int, DimIDs: []int{}})
 		if n > 0 {
-			clone.RenameVar(0, "clone_renamed")
+			clone.RenameVar(0, "clone_renamed", true)
 		}
 		checkFinds(t, fmt.Sprintf("clone after change n=%d", n), clone, "var_0")
 		checkFinds(t, fmt.Sprintf("original after clone changed n=%d", n), built, "only_in_clone", "clone_renamed")

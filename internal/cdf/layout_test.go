@@ -158,7 +158,7 @@ func TestRelocationPlanProperty(t *testing.T) {
 			}
 			h.AddVar(Var{Name: "extra", Type: nctype.Int, DimIDs: dims})
 		}
-		h.RenameVar(0, "renamed")
+		h.RenameVar(0, "renamed", true)
 		if err := h.ComputeLayoutAligned(1, units[rng.Intn(3)], int64(rng.Intn(2))*256); err != nil {
 			t.Fatal(err)
 		}

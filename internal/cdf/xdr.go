@@ -262,12 +262,19 @@ func SliceLen(buf any) int {
 // MakeAttr builds an Attr from a Go value (scalar or slice of a supported
 // type, or a string for Char attributes).
 func MakeAttr(name string, t nctype.Type, value any) (Attr, error) {
+	var vals arena[byte]
+	return makeAttr(&vals, name, t, value)
+}
+
+// makeAttr is MakeAttr encoding the value straight into a slice carved from
+// vals.
+func makeAttr(vals *arena[byte], name string, t nctype.Type, value any) (Attr, error) {
 	value = promoteScalar(value)
 	n := SliceLen(value)
 	if n < 0 {
 		return Attr{}, fmt.Errorf("%w: attribute value %T", nctype.ErrTypeMismatch, value)
 	}
-	buf, err := EncodeSlice(nil, t, value)
+	buf, err := EncodeSlice(vals.carve(n*t.Size(), valueSlabLen)[:0], t, value)
 	if err != nil {
 		return Attr{}, err
 	}

@@ -36,7 +36,7 @@ import (
 )
 
 // GlobalID addresses the dataset itself in attribute calls (NC_GLOBAL).
-const GlobalID = -1
+const GlobalID = cdf.GlobalID
 
 // Dataset is an open parallel netCDF dataset. Every process in the
 // communicator holds its own *Dataset whose header copies are kept
@@ -239,13 +239,23 @@ func (d *Dataset) Header() *cdf.Header { return d.hdr }
 // nofill; this mirrors ncmpi_set_fill with NC_FILL).
 func (d *Dataset) SetFill(on bool) { d.fill = on }
 
-func (d *Dataset) checkDefine() error {
+// checkWrite admits a call that may change the header: the dataset is open
+// and writable.
+func (d *Dataset) checkWrite() error {
 	switch {
 	case d.closed:
 		return nctype.ErrClosed
 	case d.ro:
 		return nctype.ErrPerm
-	case !d.define:
+	}
+	return nil
+}
+
+func (d *Dataset) checkDefine() error {
+	if err := d.checkWrite(); err != nil {
+		return err
+	}
+	if !d.define {
 		return nctype.ErrNotInDefine
 	}
 	return nil
@@ -262,30 +272,18 @@ func (d *Dataset) checkData() error {
 }
 
 // --- Define mode functions (collective; same syntax as serial, paper §4.1) ---
+//
+// The rules are cdf.Header's (define.go), shared with the serial library;
+// what is left here is the mode check and, for a data-mode change, the
+// collective header rewrite. All processes must call with identical
+// arguments.
 
 // DefDim defines a dimension; size 0 declares the unlimited dimension.
-// All processes must call it with identical arguments.
 func (d *Dataset) DefDim(name string, size int64) (int, error) {
 	if err := d.checkDefine(); err != nil {
 		return -1, err
 	}
-	if err := cdf.CheckName(name); err != nil {
-		return -1, err
-	}
-	if d.hdr.FindDim(name) >= 0 {
-		return -1, fmt.Errorf("%w: dimension %q", nctype.ErrNameInUse, name)
-	}
-	if size < 0 {
-		return -1, nctype.ErrBadDim
-	}
-	if size == 0 && d.hdr.UnlimitedDimID() >= 0 {
-		return -1, nctype.ErrMultiUnlimited
-	}
-	if len(d.hdr.Dims) >= nctype.MaxDims {
-		// As with MaxVars below: cdf.Decode refuses a longer dim_list.
-		return -1, nctype.ErrMaxDims
-	}
-	return d.hdr.AddDim(cdf.Dim{Name: name, Len: size}), nil
+	return d.hdr.DefDim(name, size)
 }
 
 // DefVar defines a variable over previously defined dimensions.
@@ -293,87 +291,16 @@ func (d *Dataset) DefVar(name string, t nctype.Type, dimids []int) (int, error) 
 	if err := d.checkDefine(); err != nil {
 		return -1, err
 	}
-	if err := cdf.CheckName(name); err != nil {
-		return -1, err
-	}
-	if d.hdr.FindVar(name) >= 0 {
-		return -1, fmt.Errorf("%w: variable %q", nctype.ErrNameInUse, name)
-	}
-	if !t.Valid(d.hdr.Version) {
-		return -1, nctype.ErrBadType
-	}
-	if len(d.hdr.Vars) >= nctype.MaxVars {
-		// cdf.Decode refuses a longer var_list: one more variable would
-		// make a file that can be written but never reopened.
-		return -1, nctype.ErrMaxVars
-	}
-	if len(dimids) > nctype.MaxDims {
-		return -1, nctype.ErrMaxDims
-	}
-	for pos, id := range dimids {
-		if id < 0 || id >= len(d.hdr.Dims) {
-			return -1, nctype.ErrBadDim
-		}
-		if d.hdr.Dims[id].IsUnlimited() && pos != 0 {
-			return -1, nctype.ErrUnlimPos
-		}
-	}
-	return d.hdr.AddVar(cdf.Var{
-		Name: name, Type: t, DimIDs: append([]int(nil), dimids...),
-	}), nil
-}
-
-func (d *Dataset) attrsOf(varid int) (*[]cdf.Attr, error) {
-	if varid == GlobalID {
-		return &d.hdr.GAttrs, nil
-	}
-	if varid < 0 || varid >= len(d.hdr.Vars) {
-		return nil, nctype.ErrNotVar
-	}
-	return &d.hdr.Vars[varid].Attrs, nil
+	return d.hdr.DefVar(name, t, dimids)
 }
 
 // PutAttr sets an attribute on a variable (or GlobalID). In data mode only
 // same-or-smaller overwrites are allowed, and the root rewrites the header.
 func (d *Dataset) PutAttr(varid int, name string, t nctype.Type, value any) error {
-	if d.closed {
-		return nctype.ErrClosed
-	}
-	if d.ro {
-		return nctype.ErrPerm
-	}
-	attrs, err := d.attrsOf(varid)
-	if err != nil {
+	if err := d.checkWrite(); err != nil {
 		return err
 	}
-	if err := cdf.CheckName(name); err != nil {
-		return err
-	}
-	a, err := cdf.MakeAttr(name, t, value)
-	if err != nil {
-		return err
-	}
-	if !t.Valid(d.hdr.Version) {
-		return nctype.ErrBadType
-	}
-	if i := cdf.FindAttr(*attrs, name); i >= 0 {
-		if !d.define && len(a.Values) > len((*attrs)[i].Values) {
-			return nctype.ErrNotInDefine
-		}
-		(*attrs)[i] = a
-		if !d.define {
-			return d.writeHeaderCollective()
-		}
-		return nil
-	}
-	if !d.define {
-		return nctype.ErrNotInDefine
-	}
-	if len(*attrs) >= nctype.MaxAttrs {
-		return nctype.ErrMaxAttrs
-	}
-	*attrs = append(*attrs, a)
-	return nil
+	return d.commitIf(d.hdr.PutAttr(varid, name, t, value, d.define))
 }
 
 // GetAttr returns an attribute's type and decoded value. Purely local — no
@@ -383,17 +310,7 @@ func (d *Dataset) GetAttr(varid int, name string) (nctype.Type, any, error) {
 	if d.closed {
 		return 0, nil, nctype.ErrClosed
 	}
-	attrs, err := d.attrsOf(varid)
-	if err != nil {
-		return 0, nil, err
-	}
-	i := cdf.FindAttr(*attrs, name)
-	if i < 0 {
-		return 0, nil, fmt.Errorf("%w: %q", nctype.ErrNotAtt, name)
-	}
-	a := (*attrs)[i]
-	v, err := cdf.DecodeAttrValue(a)
-	return a.Type, v, err
+	return d.hdr.GetAttr(varid, name)
 }
 
 // DelAttr removes an attribute (define mode).
@@ -401,29 +318,44 @@ func (d *Dataset) DelAttr(varid int, name string) error {
 	if err := d.checkDefine(); err != nil {
 		return err
 	}
-	attrs, err := d.attrsOf(varid)
-	if err != nil {
-		return err
-	}
-	i := cdf.FindAttr(*attrs, name)
-	if i < 0 {
-		return fmt.Errorf("%w: %q", nctype.ErrNotAtt, name)
-	}
-	*attrs = append((*attrs)[:i], (*attrs)[i+1:]...)
-	return nil
+	return d.hdr.DelAttr(varid, name)
 }
 
 // AttrNames lists attribute names in definition order.
-func (d *Dataset) AttrNames(varid int) ([]string, error) {
-	attrs, err := d.attrsOf(varid)
-	if err != nil {
-		return nil, err
+func (d *Dataset) AttrNames(varid int) ([]string, error) { return d.hdr.AttrNames(varid) }
+
+// RenameDim collectively renames a dimension (ncmpi_rename_dim). In data
+// mode the new name may not grow the header; the root rewrites the header.
+func (d *Dataset) RenameDim(dimid int, newName string) error {
+	if err := d.checkWrite(); err != nil {
+		return err
 	}
-	names := make([]string, len(*attrs))
-	for i, a := range *attrs {
-		names[i] = a.Name
+	return d.commitIf(d.hdr.RenameDim(dimid, newName, d.define))
+}
+
+// RenameVar collectively renames a variable (ncmpi_rename_var).
+func (d *Dataset) RenameVar(varid int, newName string) error {
+	if err := d.checkWrite(); err != nil {
+		return err
 	}
-	return names, nil
+	return d.commitIf(d.hdr.RenameVar(varid, newName, d.define))
+}
+
+// RenameAttr collectively renames an attribute (ncmpi_rename_att).
+func (d *Dataset) RenameAttr(varid int, oldName, newName string) error {
+	if err := d.checkWrite(); err != nil {
+		return err
+	}
+	return d.commitIf(d.hdr.RenameAttr(varid, oldName, newName, d.define))
+}
+
+// commitIf rewrites the header collectively when a data-mode change asks
+// for it.
+func (d *Dataset) commitIf(rewrite bool, err error) error {
+	if err != nil || !rewrite {
+		return err
+	}
+	return d.writeHeaderCollective()
 }
 
 // EndDef leaves define mode collectively: verifies that every process built
@@ -468,11 +400,8 @@ func (d *Dataset) EndDef() error {
 
 // Redef collectively re-enters define mode.
 func (d *Dataset) Redef() error {
-	if d.closed {
-		return nctype.ErrClosed
-	}
-	if d.ro {
-		return nctype.ErrPerm
+	if err := d.checkWrite(); err != nil {
+		return err
 	}
 	if d.define {
 		return nctype.ErrInDefine

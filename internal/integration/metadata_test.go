@@ -254,6 +254,98 @@ func TestMetadataLookupsAgreeWithScan(t *testing.T) {
 	}
 }
 
+// TestInvalidDefinesFailAlikeInBothLibraries: each invalid define call,
+// made on a CDF-1 file after the same setup, fails with the same class of
+// error in the serial and the parallel library. The define rules live in
+// one place (cdf.Header), so the order in which they are checked is one
+// order: a bad type with a value it cannot encode is a bad type in both.
+func TestInvalidDefinesFailAlikeInBothLibraries(t *testing.T) {
+	dims := func(d metaLib) error {
+		if _, err := d.DefDim("x", 2); err != nil {
+			return err
+		}
+		_, err := d.DefDim("t", 0)
+		return err
+	}
+	cases := []struct {
+		name  string
+		setup func(metaLib) error
+		call  func(metaLib) error
+		want  error
+	}{
+		{"bad name", dims, func(d metaLib) error {
+			_, err := d.DefVar("a/b", nctype.Int, nil)
+			return err
+		}, nctype.ErrBadName},
+		{"duplicate name", dims, func(d metaLib) error {
+			_, err := d.DefDim("x", 3)
+			return err
+		}, nctype.ErrNameInUse},
+		{"bad type", dims, func(d metaLib) error {
+			return d.PutAttr(netcdf.GlobalID, "x", nctype.Int64, []int64{1})
+		}, nctype.ErrBadType},
+		{"bad type with a mismatched value", dims, func(d metaLib) error {
+			return d.PutAttr(netcdf.GlobalID, "x", nctype.Int64, "abc")
+		}, nctype.ErrBadType},
+		{"too many attributes", func(d metaLib) error {
+			for i := 0; i < nctype.MaxAttrs; i++ {
+				if err := d.PutAttr(netcdf.GlobalID, fmt.Sprintf("a%d", i), nctype.Byte, int8(1)); err != nil {
+					return err
+				}
+			}
+			return nil
+		}, func(d metaLib) error {
+			return d.PutAttr(netcdf.GlobalID, "one_more", nctype.Byte, int8(1))
+		}, nctype.ErrMaxAttrs},
+		{"bad dimension ID", dims, func(d metaLib) error {
+			_, err := d.DefVar("v", nctype.Int, []int{0, 5})
+			return err
+		}, nctype.ErrBadDim},
+		{"unlimited dimension not first", dims, func(d metaLib) error {
+			_, err := d.DefVar("v", nctype.Int, []int{0, 1})
+			return err
+		}, nctype.ErrUnlimPos},
+		{"data-mode overwrite that grows", func(d metaLib) error {
+			if err := d.PutAttr(netcdf.GlobalID, "title", nctype.Char, "ab"); err != nil {
+				return err
+			}
+			return d.EndDef()
+		}, func(d metaLib) error {
+			return d.PutAttr(netcdf.GlobalID, "title", nctype.Char, "abc")
+		}, nctype.ErrNotInDefine},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(d metaLib) error {
+				if err := tc.setup(d); err != nil {
+					return fmt.Errorf("setup: %w", err)
+				}
+				if err := tc.call(d); !errors.Is(err, tc.want) {
+					return fmt.Errorf("err = %v, want %v", err, tc.want)
+				}
+				return nil
+			}
+			sd, err := netcdf.Create(&netcdf.MemStore{}, nctype.Clobber)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := run(sd); err != nil {
+				t.Errorf("serial library: %v", err)
+			}
+			err = mpi.Run(1, mpi.DefaultNet(), func(c *mpi.Comm) error {
+				pd, err := core.Create(c, newFS(), "bad.nc", nctype.Clobber, nil)
+				if err != nil {
+					return err
+				}
+				return run(pd)
+			})
+			if err != nil {
+				t.Errorf("parallel library: %v", err)
+			}
+		})
+	}
+}
+
 // manyVarValue is what element j of variable i holds in the relocation tests.
 func manyVarValue(i, j int) int32 { return int32(i*10 + j) }
 
