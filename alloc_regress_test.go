@@ -682,13 +682,21 @@ func TestAllocsNumRecsUpdate(t *testing.T) {
 	}
 }
 
-// flexCallAllocs measures what one blocking flexible collective call allocates
-// in steady state, per rank: 8 ranks on one open dataset repeat the same
-// FLASH-shaped put (or get) n and then 2n times between barriers, and the
-// difference over n x ranks calls cancels everything that is not per call.
-// The minimum over a few tries drops the runs in which a GC emptied the
-// buffer pools.
-func flexCallAllocs(tb testing.TB, read bool) (objs, bytes float64) {
+// The calls flexCallAllocs measures.
+const (
+	flexPut   = iota // a blocking flexible put
+	flexGet          // a blocking flexible get
+	flexBatch        // a queued 4-op batch: four IPutVara and a WaitAll, four IGetVara and a WaitAll
+)
+
+// flexCallAllocs measures what one call allocates in steady state, per rank:
+// 8 ranks on one open dataset repeat the same FLASH-shaped call n and then 2n
+// times between barriers, and the difference over n x ranks calls cancels
+// everything that is not per call. The minimum over a few tries drops the
+// runs in which a GC emptied the buffer pools. Each op of a batch takes two
+// of the eight y-rows of every one of the rank's blocks, so the four ops'
+// file extents interleave: every op has eight pieces in the fused request.
+func flexCallAllocs(tb testing.TB, kind int) (objs, bytes float64) {
 	const ranks, blocks, nb, guard, n, tries = 8, 8, 8, 4, 24, 5
 	const edge = nb + 2*guard
 	memtype, err := mpitype.Subarray(
@@ -722,8 +730,38 @@ func flexCallAllocs(tb testing.TB, read bool) (objs, bytes float64) {
 		if err := call(); err != nil { // the file's chunk store, the pools, the view cache
 			return err
 		}
-		if read {
+		switch kind {
+		case flexGet:
 			call = func() error { return d.GetVaraTypeAll(v, start, count, buf, memtype) }
+		case flexBatch:
+			const ops = 4
+			var starts [ops][]int64
+			var quarters [ops]any // boxed once: the pin counts the library, not the caller
+			for k := range starts {
+				starts[k] = []int64{int64(c.Rank() * blocks), int64(k * nb / ops), 0, 0}
+				quarters[k] = make([]float64, blocks*nb*nb*nb/ops)
+			}
+			qcount := []int64{blocks, nb / ops, nb, nb}
+			batch := func(write bool) error {
+				for k := range starts {
+					var err error
+					if write {
+						_, err = d.IPutVara(v, starts[k], qcount, quarters[k])
+					} else {
+						_, err = d.IGetVara(v, starts[k], qcount, quarters[k])
+					}
+					if err != nil {
+						return err
+					}
+				}
+				return d.WaitAll()
+			}
+			call = func() error {
+				if err := batch(true); err != nil {
+					return err
+				}
+				return batch(false)
+			}
 		}
 		segment := func(calls int) (o, b int64, err error) {
 			var before, after runtime.MemStats
@@ -774,23 +812,27 @@ func flexCallAllocs(tb testing.TB, read bool) (objs, bytes float64) {
 // highest of six runs, once reductions folded in place and the view cache
 // looked its key up from the stack; 36.38 and 37.38 before); the byte pins
 // are still the highest of six measurements at the parent of the one-path
-// change (DESIGN.md §16).
+// change (DESIGN.md §16). The queued batch's pins are the lowest of five
+// measurements from when a multi-op completion still staged every op in a
+// pooled buffer and a read gathered each op's windows out of the fused one
+// (about 95 objects and 12 KB since the merged source and sink).
 func TestAllocsPerBlockingCall(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops buffers under the race detector; the byte pins do not hold")
 	}
 	for _, tc := range []struct {
 		name             string
-		read             bool
+		kind             int
 		maxObjs, maxByte float64
 	}{
-		{"put", false, 13.75, 2064},
-		{"get", true, 15.95, 2984},
+		{"put", flexPut, 13.75, 2064},
+		{"get", flexGet, 15.95, 2984},
+		{"queued 4-op batch", flexBatch, 116.68, 45159},
 	} {
-		objs, bytes := flexCallAllocs(t, tc.read)
+		objs, bytes := flexCallAllocs(t, tc.kind)
 		t.Logf("%s: %.2f objects, %.0f B per call per rank", tc.name, objs, bytes)
 		if objs > tc.maxObjs || bytes > tc.maxByte {
-			t.Errorf("blocking flexible %s allocates %.2f objects and %.0f B per call, want <= %.2f and <= %.0f",
+			t.Errorf("%s allocates %.2f objects and %.0f B per call, want <= %.2f and <= %.0f",
 				tc.name, objs, bytes, tc.maxObjs, tc.maxByte)
 		}
 	}

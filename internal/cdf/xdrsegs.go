@@ -89,15 +89,23 @@ func EncodeSegs(dst []byte, t nctype.Type, src any, segs []mpitype.Segment) ([]b
 	return dst, fmt.Errorf("%w: unsupported memory type %T", nctype.ErrTypeMismatch, src)
 }
 
-// CheckSegs reports the error EncodeSegs(dst, t, src, segs) would return
-// other than ErrRange — a memory type t cannot take, or a segment outside
-// src — without converting anything: a caller that encodes later, piece by
-// piece, can then meet only ErrRange.
-func CheckSegs(t nctype.Type, src any, segs []mpitype.Segment) error {
-	if _, err := EncodeSegs(nil, t, src, nil); err != nil {
+// CheckSegs reports the error EncodeSegs(dst, t, mem, segs) — or, for a
+// read, DecodeSegs(src, t, segs, mem) — would return other than ErrRange: a
+// memory type t cannot take, or a segment outside mem. Decode takes fewer
+// types than encode (a string encodes to Char but cannot be decoded into).
+// Nothing is converted: a caller that converts later, piece by piece, can
+// then meet only ErrRange.
+func CheckSegs(t nctype.Type, mem any, segs []mpitype.Segment, read bool) error {
+	var err error
+	if read {
+		err = DecodeSegs(nil, t, nil, mem)
+	} else {
+		_, err = EncodeSegs(nil, t, mem, nil)
+	}
+	if err != nil {
 		return err
 	}
-	n := int64(SliceLen(src))
+	n := int64(SliceLen(mem))
 	for _, s := range segs {
 		if s.Off < 0 || s.Len < 0 || s.Off+s.Len > n {
 			return fmt.Errorf("mpitype: element segment %+v outside buffer of %d", s, n)

@@ -1,20 +1,29 @@
 package core
 
 import (
+	"cmp"
 	"math/bits"
+	"slices"
 
 	"pnetcdf/internal/cdf"
+	"pnetcdf/internal/mpiio"
 	"pnetcdf/internal/mpitype"
 	"pnetcdf/internal/nctype"
 )
 
+// codec is what one direction of a completion hands MPI-IO: the one moving
+// op's memCodec, or the merged source and sink over several.
+type codec interface {
+	mpiio.Source
+	mpiio.Sink
+}
+
 // memCodec is the mpiio.Source and mpiio.Sink over one op's user memory: a
-// blocking collective put encodes each piece the round loop packs straight
-// from user memory into the aggregator's message, and a blocking collective
-// get decodes each reply piece straight into user memory (DESIGN.md §9). A
-// position is a byte of the op's external buffer — the one a staged op fills
-// in prepare — so element e's bytes are [e*esz, (e+1)*esz), and the memory
-// runs list where the elements live in linear order.
+// put encodes each piece the round loop packs straight from user memory
+// into the aggregator's message, and a get decodes each reply piece straight
+// into user memory (DESIGN.md §9). A position is a byte of the op's request
+// in external form, so element e's bytes are [e*esz, (e+1)*esz), and the
+// memory runs list where the elements live in linear order.
 //
 // A round window need not fall on an element boundary, so a piece may begin
 // or end inside an element. A write encodes that element whole and copies
@@ -22,8 +31,9 @@ import (
 // part until they are all there (they come from two replies, possibly of two
 // aggregators) and then decodes it.
 //
-// The dataset owns one codec (set up per completion, no allocation) and the
-// op's memory stays put for the blocking call, failover replays included.
+// The dataset owns one codec per op of a completion (set up per completion,
+// no allocation), and the op's memory stays put until the completion
+// returns, failover replays included.
 type memCodec struct {
 	t     nctype.Type
 	esz   int64 // a power of two: positions split by shift and mask
@@ -164,5 +174,47 @@ func (c *memCodec) partial(e, k int64, b []byte) {
 		c.decode(p.b[:c.esz], e, 1)
 		c.part[i] = c.part[len(c.part)-1]
 		c.part = c.part[:len(c.part)-1]
+	}
+}
+
+// merged is the source and sink of a direction that moves several ops —
+// list I/O across ops: the fused request is the ops' file extents in file
+// order (fuse's pieces), and each piece's bytes are converted by its own
+// op's codec. A position lies in the last piece whose fused start is at or
+// before it; a stretch MPI-IO hands over may run on into the next pieces,
+// of the same op or another, and is split at piece ends.
+type merged struct {
+	pieces []piece
+	codecs []memCodec
+}
+
+// find returns the index of the piece holding fused position pos.
+func (m *merged) find(pos int64) int {
+	k, found := slices.BinarySearchFunc(m.pieces, pos, func(p piece, pos int64) int { return cmp.Compare(p.at, pos) })
+	if !found {
+		k--
+	}
+	return k
+}
+
+// Fill encodes the fused bytes [pos, pos+len(dst)) into dst.
+func (m *merged) Fill(dst []byte, pos int64) {
+	for k := m.find(pos); len(dst) > 0; k++ {
+		p := &m.pieces[k]
+		off := pos - p.at
+		n := min(int64(len(dst)), p.seg.Len-off)
+		m.codecs[p.op].Fill(dst[:n], p.pos+off)
+		dst, pos = dst[n:], pos+n
+	}
+}
+
+// Drain decodes the fused bytes src, which sit at pos.
+func (m *merged) Drain(pos int64, src []byte) {
+	for k := m.find(pos); len(src) > 0; k++ {
+		p := &m.pieces[k]
+		off := pos - p.at
+		n := min(int64(len(src)), p.seg.Len-off)
+		m.codecs[p.op].Drain(p.pos+off, src[:n])
+		src, pos = src[n:], pos+n
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"pnetcdf/internal/access"
-	"pnetcdf/internal/bufpool"
 	"pnetcdf/internal/cdf"
 	"pnetcdf/internal/mpitype"
 	"pnetcdf/internal/nctype"
@@ -242,14 +241,12 @@ func (d *Dataset) checkMode(collective bool) error {
 // blocking is every put and get that returns with the data moved: prepare
 // the one op, park it in the queue's spare capacity (storage the dataset
 // already owns, so the call allocates no op record) and complete it alone.
-// Ops queued earlier by IPutVara/IGetVara stay queued. A collective op is
-// direct: it converts between user memory and MPI-IO's messages at pack time
-// (put, get).
+// Ops queued earlier by IPutVara/IGetVara stay queued.
 func (d *Dataset) blocking(write bool, varid int, start, count, stride []int64, data any, memsegs []mpitype.Segment, memSize int64, collective bool) error {
 	if err := d.checkMode(collective); err != nil {
 		return err
 	}
-	op, err := d.prepare(write, varid, start, count, stride, data, memsegs, memSize, collective)
+	op, err := d.prepare(write, varid, start, count, stride, data, memsegs, memSize)
 	if err != nil {
 		return err
 	}
@@ -257,22 +254,18 @@ func (d *Dataset) blocking(write bool, varid int, start, count, stride []int64, 
 	return d.complete(len(d.pending)-1, collective)
 }
 
-// prepare is the first half of every put and get: validate the request and,
-// for a write that is not direct, convert straight from user memory into a
-// pooled external buffer — strided memory runs run-length over the flattened
-// typemap (no gathered intermediate), contiguous memory in a single pass —
-// so the caller's slice is free again when prepare returns. memsegs == nil
+// prepare is the first half of every put and get: validate the request and
+// check the memory — the type pair and the memory segments, so that the
+// conversion, which put and get run piece by piece as MPI-IO packs and
+// scatters, can raise nothing but NC_ERANGE. Nothing is converted or copied
+// here: the op keeps the caller's memory until it completes. memsegs == nil
 // means "use the buffer contiguously"; memSize < 0 means "no memtype to
 // check".
-//
-// A direct write (a blocking collective put) is only checked: every error
-// the conversion could raise but NC_ERANGE is raised here, and put converts
-// the op's memory piece by piece as MPI-IO packs it.
 //
 // A read's record dimension is left unbounded here: complete checks it
 // against the record count the ranks agree on, which this rank may not have
 // seen yet.
-func (d *Dataset) prepare(write bool, varid int, start, count, stride []int64, data any, memsegs []mpitype.Segment, memSize int64, direct bool) (pendingOp, error) {
+func (d *Dataset) prepare(write bool, varid int, start, count, stride []int64, data any, memsegs []mpitype.Segment, memSize int64) (pendingOp, error) {
 	if write && d.ro {
 		return pendingOp{}, nctype.ErrPerm
 	}
@@ -287,36 +280,17 @@ func (d *Dataset) prepare(write bool, varid int, start, count, stride []int64, d
 	if memSize >= 0 && memSize != req.NElems {
 		return pendingOp{}, nctype.ErrCountMismatch
 	}
-	op := pendingOp{write: write, direct: direct, varid: varid, v: v, req: req, data: data, memsegs: memsegs}
+	op := pendingOp{write: write, varid: varid, v: v, req: req, data: data, memsegs: memsegs}
 	if memsegs == nil {
 		if op.data, err = netcdf.SliceHead(data, req.NElems); err != nil {
 			return pendingOp{}, err
 		}
 	}
-	if !write {
-		return op, nil
+	if err := cdf.CheckSegs(v.Type, op.data, memsegs, !write); err != nil {
+		return pendingOp{}, err
 	}
-	if direct {
-		if err := cdf.CheckSegs(v.Type, op.data, memsegs); err != nil {
-			return pendingOp{}, err
-		}
+	if write {
 		d.invalidate(varid)
-		return op, nil
 	}
-	// Parked in the op record; complete puts it when the op leaves the queue.
-	op.ext = bufpool.GetDirty(int(req.NElems) * v.Type.Size())[:0]
-	// netCDF range semantics, as the serial library implements them:
-	// out-of-range values are written wrapped and NC_ERANGE is reported
-	// after the (successful) write — so the error rides with the op.
-	if memsegs == nil {
-		op.ext, op.err = cdf.EncodeSlice(op.ext, v.Type, op.data)
-	} else {
-		op.ext, op.err = cdf.EncodeSegs(op.ext, v.Type, data, memsegs)
-	}
-	if op.err != nil && op.err != cdf.ErrRange {
-		bufpool.Put(op.ext)
-		return pendingOp{}, op.err
-	}
-	d.invalidate(varid)
 	return op, nil
 }

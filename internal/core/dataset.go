@@ -76,11 +76,14 @@ type Dataset struct {
 	oldLayout *cdf.Header
 	// pending is the iput/iget queue; a blocking call's one op lives in its
 	// spare capacity while complete runs. agree is complete's reduction
-	// vector and codec the source or sink a blocking collective op hands
-	// MPI-IO, kept here so a call allocates none of them.
+	// vector, codecs[i] the source or sink over the memory of op i of a
+	// completion (first, until a longer completion grows it) and merged the
+	// one over several ops, kept here so a call allocates none of them.
 	pending []pendingOp
 	agree   [agreeLen]int64
-	codec   memCodec
+	codecs  []memCodec
+	first   [1]memCodec
+	merged  merged
 
 	// st/tr/sp are the rank's iostat collectors and span recorder, cached
 	// from the communicator (nil = off).

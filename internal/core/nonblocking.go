@@ -1,13 +1,11 @@
 package core
 
 import (
-	"bytes"
 	"cmp"
 	"fmt"
 	"slices"
 
 	"pnetcdf/internal/access"
-	"pnetcdf/internal/bufpool"
 	"pnetcdf/internal/cdf"
 	"pnetcdf/internal/iostat"
 	"pnetcdf/internal/mpi"
@@ -27,24 +25,24 @@ import (
 // unknowns — reach the file system as one large, mostly contiguous request.
 // One op fuses to itself.
 //
-// Consistency note: between IPutVara and WaitAll the queued data exists only
-// in the queue — the file still holds the old bytes. IPutVara invalidates
-// the local prefetched copy, and a blocking read of a variable with a queued
-// write is refused with nctype.ErrPending (on every rank, see complete)
-// until WaitAll lands the write.
+// Every op is direct: it holds the caller's memory, and MPI-IO converts each
+// piece of it as the round loop packs or scatters (codec.go). Between
+// IPutVara and WaitAll the file still holds the old bytes, so IPutVara
+// invalidates the local prefetched copy, and a blocking read of a variable
+// with a queued write is refused with nctype.ErrPending (on every rank, see
+// complete) until WaitAll lands the write.
 type pendingOp struct {
 	write   bool
-	direct  bool // a blocking collective op: converted at pack time, no external buffer
 	cached  bool // reads: served from the prefetched copy (decided by complete)
 	varid   int
 	v       *cdf.Var
 	req     access.Request
-	ext     []byte            // writes but direct ones: encoded external data, pooled
 	data    any               // user memory; its first NElems elements when memsegs == nil
 	memsegs []mpitype.Segment // element runs into data; nil = contiguous
 	// err is surfaced once the completion is over: NC_ERANGE from a write's
-	// conversion (the wrapped values still land), ErrEdge for a read beyond
-	// the agreed record count (the op moves nothing).
+	// conversion (the wrapped values still land, as in the serial library),
+	// a read's from its decode, ErrEdge for a read beyond the agreed record
+	// count (the op moves nothing).
 	err error
 }
 
@@ -54,13 +52,12 @@ func (op *pendingOp) moves(write bool) bool {
 	return op.write == write && !op.cached && (write || op.err == nil)
 }
 
-func (op *pendingOp) extSize() int { return int(op.req.NElems) * op.v.Type.Size() }
-
-// IPutVara queues a nonblocking subarray write. The data is converted and
-// buffered immediately, so the caller may reuse the slice. Returns a request
-// index (diagnostic only; WaitAll completes all requests). A conversion range
-// error is deferred with the operation and surfaced by WaitAll, matching the
-// blocking PutVara's return.
+// IPutVara queues a nonblocking subarray write, with PnetCDF's iput
+// contract: the op reads data when WaitAll writes it, so the slice must stay
+// unchanged until WaitAll returns. Returns a request index (diagnostic only;
+// WaitAll completes all requests). A conversion range error is deferred with
+// the operation and surfaced by WaitAll, matching the blocking PutVara's
+// return.
 func (d *Dataset) IPutVara(varid int, start, count []int64, data any) (int, error) {
 	return d.enqueue(true, varid, start, count, data)
 }
@@ -75,7 +72,7 @@ func (d *Dataset) enqueue(write bool, varid int, start, count []int64, data any)
 	if err := d.checkData(); err != nil {
 		return -1, err
 	}
-	op, err := d.prepare(write, varid, start, count, nil, data, nil, -1, false)
+	op, err := d.prepare(write, varid, start, count, nil, data, nil, -1)
 	if err != nil {
 		return -1, err
 	}
@@ -125,9 +122,9 @@ const (
 
 // complete is the second half of every put and get, and the only code that
 // moves data: it finishes d.pending[from:] — agree, grow NumRecs, write, serve
-// prefetch hits, read, decode, account — and removes those ops from the
-// queue whether it succeeds or not. Blocking calls pass their own op
-// (from = the queue length before it), WaitAll the whole queue (from = 0).
+// prefetch hits, read, account — and removes those ops from the queue
+// whether it succeeds or not. Blocking calls pass their own op (from = the
+// queue length before it), WaitAll the whole queue (from = 0).
 //
 // A collective completion issues exactly one reduction. Everything a rank
 // could decide differently from its peers rides in it, so a direction is
@@ -136,12 +133,15 @@ const (
 func (d *Dataset) complete(from int, collective bool) error {
 	ops := d.pending[from:]
 	defer func() {
-		for i := range ops {
-			bufpool.Put(ops[i].ext)
-		}
 		clear(ops) // drop the references to user memory
 		d.pending = d.pending[:from]
 	}()
+	if d.codecs == nil {
+		d.codecs = d.first[:]
+	}
+	for len(d.codecs) < len(ops) {
+		d.codecs = append(d.codecs, memCodec{})
+	}
 	vec := d.agree[:]
 	vec[agreeNumRecs], vec[agreeWriteEnd], vec[agreeRead] = d.hdr.NumRecs, -1, 0
 	for i := range ops {
@@ -199,13 +199,7 @@ func (d *Dataset) complete(from int, collective bool) error {
 		op := &ops[i]
 		switch {
 		case op.cached:
-			ext := bufpool.GetDirty(op.extSize())
-			d.cachedRead(op, ext)
-			err := d.decode(op, ext)
-			bufpool.Put(ext)
-			if err != nil {
-				return err
-			}
+			op.err = d.cachedRead(op, &d.codecs[i])
 		case !op.write && op.req.LastRecord >= d.hdr.NumRecs:
 			// Checked against the agreed count, after the batch's own
 			// growth. The rank stays in the collective read below with
@@ -257,26 +251,19 @@ func (d *Dataset) recordAccess(op string, collective bool, coll, indep, bytes, t
 	})
 }
 
-// put is the write direction of a completion: assemble the external
-// buffer, install the fused view, write. A direct op has no external buffer:
-// MPI-IO packs it through the codec, which converts each piece straight from
-// user memory into the aggregator's message, and its NC_ERANGE is known when
-// the write returns.
+// put is the write direction of a completion: install the fused view and
+// write. MPI-IO packs through the fused source, which converts each piece
+// straight from user memory into the aggregator's message (or, independent,
+// into mpiio's one staging buffer); every op's NC_ERANGE is known when the
+// write returns.
 func (d *Dataset) put(ops []pendingOp, plan []piece, collective bool) error {
 	sc := d.sp.Begin(span.NCPut)
 	defer sc.End()
+	defer d.release(ops, true)
 	sEnc := d.sp.Begin(span.Encode)
 	n, total, one := moving(ops, true)
-	var buf []byte
-	if plan != nil {
-		// Pooled and dirty: fuse copies every op's bytes into place.
-		buf = bufpool.GetDirty(total)
-		defer bufpool.Put(buf)
-	} else if n == 1 {
-		buf = one.ext // one op fuses to itself
-	}
-	view, _, err := d.fuse(ops, plan, true, buf)
-	sEnc.SetBytes(int64(total))
+	view, src, err := d.fuse(ops, plan, true, one)
+	sEnc.SetBytes(total)
 	sEnc.End()
 	if err != nil {
 		return err
@@ -288,40 +275,27 @@ func (d *Dataset) put(ops []pendingOp, plan []piece, collective bool) error {
 		return err
 	}
 	t0 := d.comm.Clock()
-	switch {
-	case n == 1 && one.direct:
-		d.codec.reset(one)
-		err = d.f.WriteAtAllFrom(0, int64(total), &d.codec)
-		one.err = d.codec.release()
-	case collective:
-		err = d.f.WriteAtAll(0, buf)
-	default:
-		err = d.f.WriteAt(0, buf)
+	if collective {
+		err = d.f.WriteAtAllFrom(0, total, src)
+	} else {
+		err = d.f.WriteAtFrom(0, total, src)
 	}
 	if err == nil {
 		d.recordAccess("put", collective, iostat.NCCollPuts, iostat.NCIndepPuts,
-			iostat.NCBytesPut, iostat.NCPutTimeNs, n, int64(total), t0)
+			iostat.NCBytesPut, iostat.NCPutTimeNs, n, total, t0)
 	}
 	return err
 }
 
-// get is the read direction: install the fused view, read, hand every op its
-// bytes and decode them into user memory. A direct op skips the external
-// buffer: MPI-IO hands each reply piece to the codec, which decodes it
-// straight into user memory.
+// get is the read direction: install the fused view and read. MPI-IO hands
+// each piece to the fused sink, which decodes it straight into user memory.
 func (d *Dataset) get(ops []pendingOp, plan []piece, collective bool) error {
 	sc := d.sp.Begin(span.NCGet)
 	defer sc.End()
+	defer d.release(ops, false)
 	n, total, one := moving(ops, false)
-	direct := n == 1 && one.direct
-	var buf []byte
-	if !direct {
-		// Pooled and dirty: the read fills every byte.
-		buf = bufpool.GetDirty(total)
-		defer bufpool.Put(buf)
-	}
 	sView := d.sp.Begin(span.ViewResolve)
-	view, windows, err := d.fuse(ops, plan, false, buf)
+	view, dst, err := d.fuse(ops, plan, false, one)
 	if err == nil {
 		err = d.f.SetView(0, view)
 	}
@@ -330,72 +304,45 @@ func (d *Dataset) get(ops []pendingOp, plan []piece, collective bool) error {
 		return err
 	}
 	t0 := d.comm.Clock()
-	var decErr error
-	switch {
-	case direct:
-		d.codec.reset(one)
-		err = d.f.ReadAtAllInto(0, int64(total), &d.codec)
-		decErr = d.codec.release()
-	case collective:
-		err = d.f.ReadAtAll(0, buf)
-	default:
-		err = d.f.ReadAt(0, buf)
+	if collective {
+		err = d.f.ReadAtAllInto(0, total, dst)
+	} else {
+		err = d.f.ReadAtInto(0, total, dst)
 	}
 	if err != nil {
 		return err
 	}
 	d.recordAccess("get", collective, iostat.NCCollGets, iostat.NCIndepGets,
-		iostat.NCBytesGot, iostat.NCGetTimeNs, n, int64(total), t0)
+		iostat.NCBytesGot, iostat.NCGetTimeNs, n, total, t0)
 	// Decode shares the encode phase tag: both are the external<->native
-	// conversion step.
+	// conversion step, which here ran as the bytes arrived.
 	sDec := d.sp.Begin(span.Encode)
-	defer sDec.End()
-	sDec.SetBytes(int64(total))
-	if direct {
-		return decErr
-	}
-	for i := range ops {
-		op := &ops[i]
-		if !op.moves(false) {
-			continue
-		}
-		if err := d.decode(op, gather(buf, windows, i)); err != nil {
-			return err
-		}
-	}
+	sDec.SetBytes(total)
+	sDec.End()
 	return nil
 }
 
-// gather returns ops[i]'s external bytes out of the filled read buffer.
-func gather(buf []byte, windows [][][]byte, i int) []byte {
-	switch {
-	case windows == nil:
-		return buf // one op: the whole buffer is its own
-	case len(windows[i]) == 1:
-		return windows[i][0]
+// release ends a direction: each moving op's codec lets go of user memory
+// and hands its first conversion error to the op.
+func (d *Dataset) release(ops []pendingOp, write bool) {
+	for i := range ops {
+		if ops[i].moves(write) {
+			ops[i].err = d.codecs[i].release()
+		}
 	}
-	return bytes.Join(windows[i], nil)
-}
-
-// decode converts a read's external bytes into the caller's memory, scattering
-// run-length over the flattened typemap when it is not contiguous — no decoded
-// intermediate.
-func (d *Dataset) decode(op *pendingOp, ext []byte) error {
-	if op.memsegs == nil {
-		return cdf.DecodeSlice(ext, op.v.Type, op.data)
-	}
-	return cdf.DecodeSegs(ext, op.v.Type, op.memsegs, op.data)
+	d.merged.pieces = nil
 }
 
 // moving counts the ops that take part in one direction's file transfer, sums
-// their external bytes and returns the last of them (the only one, when n is
-// 1).
-func moving(ops []pendingOp, write bool) (n, bytes int, one *pendingOp) {
+// their external bytes and returns the index of the last of them (the only
+// one, when n is 1; -1 when n is 0).
+func moving(ops []pendingOp, write bool) (n int, bytes int64, one int) {
+	one = -1
 	for i := range ops {
 		if ops[i].moves(write) {
-			one = &ops[i]
-			bytes += one.extSize()
+			bytes += ops[i].req.NElems * int64(ops[i].v.Type.Size())
 			n++
+			one = i
 		}
 	}
 	return n, bytes, one
@@ -405,7 +352,8 @@ func moving(ops []pendingOp, write bool) (n, bytes int, one *pendingOp) {
 type piece struct {
 	seg mpitype.Segment
 	op  int   // index into the completion's ops
-	pos int64 // where the extent's bytes sit in the op's own external buffer
+	pos int64 // where the extent's bytes sit in the op's own request: its codec's position
+	at  int64 // where they sit in the fused request (set by fuse)
 }
 
 // plan lists, in file order, the extents of the ops moving in one direction
@@ -437,40 +385,41 @@ func (d *Dataset) plan(ops []pendingOp, write bool) ([]piece, error) {
 }
 
 // fuse builds the file view this rank brings to one direction of a
-// completion, over buf, the linear buffer matching it. With no plan there is
-// at most one op and fusing is the identity: the view is the cached
-// per-variable view and buf is the op's own buffer — nothing is copied or
-// sorted. With a plan, the extents merge in file order: a write's bytes are
-// copied into place, and for a read windows[i] lists the regions of buf that
-// belong to ops[i] in that op's own element order — ascending file offset, the order
-// FileSegments maps to its linear buffer. A rank with nothing to move gets
-// the zero view: its share of a collective its peers need.
-func (d *Dataset) fuse(ops []pendingOp, plan []piece, write bool, buf []byte) (view mpitype.Datatype, windows [][][]byte, err error) {
-	if plan == nil {
-		if _, _, one := moving(ops, write); one != nil {
-			view, err = d.fileView(one.varid, one.v, one.req)
+// completion and what MPI-IO moves its bytes through, and points every
+// moving op's codec at its memory. With no plan there is at most one op,
+// ops[one], and fusing is the identity: the view is the cached per-variable
+// view and the op's own codec is the source or sink — nothing is listed or
+// sorted. With a plan, the extents merge in file order into one view and
+// d.merged, over the ops' codecs, is the source or sink. A rank with nothing
+// to move gets the zero view: its share of a collective its peers need.
+func (d *Dataset) fuse(ops []pendingOp, plan []piece, write bool, one int) (mpitype.Datatype, codec, error) {
+	for i := range ops {
+		if ops[i].moves(write) {
+			d.codecs[i].reset(&ops[i])
 		}
-		return view, nil, err
 	}
-	if !write {
-		windows = make([][][]byte, len(ops))
+	if plan == nil {
+		if one >= 0 {
+			op := &ops[one]
+			view, err := d.fileView(op.varid, op.v, op.req)
+			return view, &d.codecs[one], err
+		}
+		return mpitype.Datatype{}, &d.merged, nil
 	}
 	segs := make([]mpitype.Segment, 0, len(plan))
-	pos, end := int64(0), int64(0)
+	kept := plan[:0]
+	at, end := int64(0), int64(0)
 	for _, p := range plan {
-		op := &ops[p.op]
-		if !op.moves(write) {
+		if !ops[p.op].moves(write) {
 			continue // a read dropped after planning: beyond the agreed record count
 		}
-		if window := buf[pos : pos+p.seg.Len]; write {
-			copy(window, op.ext[p.pos:])
-		} else {
-			windows[p.op] = append(windows[p.op], window)
-		}
+		p.at = at
+		kept = append(kept, p)
 		segs = append(segs, p.seg)
-		pos += p.seg.Len
+		at += p.seg.Len
 		end = p.seg.Off + p.seg.Len
 	}
-	view, err = mpitype.FromSegments(segs, end)
-	return view, windows, err
+	d.merged = merged{pieces: kept, codecs: d.codecs}
+	view, err := mpitype.FromSegments(segs, end)
+	return view, &d.merged, err
 }

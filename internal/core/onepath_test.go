@@ -111,6 +111,72 @@ func TestPrefetchPolicyOneAnswer(t *testing.T) {
 	}
 }
 
+// A read into memory its variable cannot be decoded into fails in prepare,
+// on every rank, before anything collective — including on a rank its
+// prefetched copy would have served. Otherwise the cached rank fails its
+// decode and returns while its peer, whose copy its own write dropped, enters
+// the collective read alone (the world aborted there, blocking and queued).
+func TestPrefetchedReadWrongMemoryType(t *testing.T) {
+	for _, queued := range []bool{false, true} {
+		t.Run(fmt.Sprintf("queued=%v", queued), func(t *testing.T) {
+			fsys := testFS()
+			runWorld(t, 2, func(c *mpi.Comm) error {
+				d, err := Create(c, fsys, "pfchar.nc", nctype.Clobber, nil)
+				if err != nil {
+					return err
+				}
+				x, _ := d.DefDim("x", 8)
+				name, _ := d.DefVar("name", nctype.Char, []int{x})
+				if err := d.EndDef(); err != nil {
+					return err
+				}
+				if err := d.PutVaraAll(name, []int64{0}, []int64{8}, []byte("abcdefgh")); err != nil {
+					return err
+				}
+				if err := d.Close(); err != nil {
+					return err
+				}
+				r, err := Open(c, fsys, "pfchar.nc", nctype.Write, mpi.NewInfo().Set("nc_prefetch_vars", "name"))
+				if err != nil {
+					return err
+				}
+				if err := r.BeginIndepData(); err != nil {
+					return err
+				}
+				want := "abcdefgh"
+				if c.Rank() == 1 {
+					if err := r.PutVara(name, []int64{0}, []int64{4}, []byte("wxyz")); err != nil {
+						return err
+					}
+					want = "wxyzefgh" // the writer reads the file; its peer keeps its copy
+				}
+				if err := r.EndIndepData(); err != nil {
+					return err
+				}
+				wrong := make([]float64, 8)
+				if queued {
+					if _, err = r.IGetVara(name, []int64{0}, []int64{8}, wrong); err == nil {
+						err = r.WaitAll()
+					}
+				} else {
+					err = r.GetVaraAll(name, []int64{0}, []int64{8}, wrong)
+				}
+				if !errors.Is(err, nctype.ErrTypeMismatch) {
+					return fmt.Errorf("rank %d: read of Char into []float64: %v, want ErrTypeMismatch", c.Rank(), err)
+				}
+				got := make([]byte, 8)
+				if err := r.GetVaraAll(name, []int64{0}, []int64{8}, got); err != nil {
+					return err
+				}
+				if string(got) != want {
+					return fmt.Errorf("rank %d read %q, want %q", c.Rank(), got, want)
+				}
+				return r.Close()
+			})
+		})
+	}
+}
+
 // The same op list issued blocking and queued books the same pnetcdf
 // counters, and in both the put bytes equal what MPI-IO was handed (the
 // -stats self-check). Queued ops used to book nothing.

@@ -60,17 +60,20 @@ func (d *Dataset) prefetch(info *mpi.Info) error {
 	return nil
 }
 
-// cachedRead fills ext, the external buffer complete decodes, with a read
-// op's bytes from the variable's prefetched copy.
-func (d *Dataset) cachedRead(op *pendingOp, ext []byte) {
+// cachedRead serves a read op from the variable's prefetched copy: the
+// image's extents drain straight into the op's codec c, as a file read's
+// replies would, and the first conversion error comes back.
+func (d *Dataset) cachedRead(op *pendingOp, c *memCodec) error {
 	img := d.cache[op.varid]
+	c.reset(op)
 	pos := int64(0)
 	for _, s := range access.FileSegments(d.hdr, op.v, op.req) {
 		rel := s.Off - op.v.Begin
-		copy(ext[pos:pos+s.Len], img[rel:rel+s.Len])
+		c.Drain(pos, img[rel:rel+s.Len])
 		pos += s.Len
 	}
 	d.comm.Proc().Advance(float64(pos) / memcpyBytesPerSec)
+	return c.release()
 }
 
 // invalidate drops a variable's prefetched copy after a write.

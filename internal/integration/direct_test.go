@@ -14,15 +14,19 @@ import (
 	"pnetcdf/internal/pfs"
 )
 
-// Blocking collective puts and gets convert between user memory and MPI-IO's
-// messages piece by piece (DESIGN.md §9); queued ones stage the whole request
-// in an external buffer first. TestBlockingDirectMatchesQueued holds the two
-// to the same file and the same user buffers, over contiguous, mapped (imap)
-// and flexible (memtype) memory, one, two and many rounds, and every cb_nodes
-// from 1 to P. The file system's stripe is 4096 bytes and the many-round
-// cb_buffer_size 4100, so round windows cut 8-byte elements in two: the
-// write encodes such an element for each piece, and the read puts it
-// together from two replies.
+// Every put and get converts between user memory and MPI-IO's messages piece
+// by piece (DESIGN.md §9): one op through its own codec, a batch of ops
+// through the merged source and sink, which splits each piece MPI-IO asks
+// for at the ends of the ops' file extents. TestBlockingDirectMatchesQueued
+// holds three ways of spelling the same program — blocking calls, one
+// queued op per WaitAll, and every variable's op queued for one WaitAll — to
+// the same file and the same user buffers, over contiguous, mapped (imap)
+// and flexible (memtype) memory, one, two and many rounds, and every
+// cb_nodes from 1 to P. The file system's stripe is 4096 bytes and the
+// many-round cb_buffer_size 4100, so round windows cut 8-byte elements in
+// two: the write encodes such an element for each piece, and the read puts
+// it together from two replies. In a batch, a stretch of one message runs
+// from one variable's extent into the next one's.
 
 // directVar is one variable of the scenario: its external type and the Go
 // type of the memory it is written from and read into.
@@ -139,10 +143,17 @@ func directUnlinear(buf, lin any, m directMem) {
 	}
 }
 
-// runDirect writes and reads back every variable on nranks ranks, blocking or
-// queued, and returns the file, every rank's read buffers and the two-phase
-// rounds of the largest collective.
-func runDirect(t *testing.T, nranks, layout int, info *mpi.Info, blocking bool) ([]byte, [][]any, int64) {
+// The ways a program spells its puts and gets.
+const (
+	directBlocking = iota // one blocking call per variable
+	directQueued          // one queued op per variable, each completed by its own WaitAll
+	directBatch           // every variable's op queued, then one WaitAll
+)
+
+// runDirect writes and reads back every variable on nranks ranks, one of the
+// three ways, and returns the file, every rank's read buffers and the
+// two-phase rounds of the largest collective.
+func runDirect(t *testing.T, nranks, layout int, info *mpi.Info, way int) ([]byte, [][]any, int64) {
 	cfg := pfs.DefaultConfig()
 	cfg.StripeSize = 4096
 	fsys := pfs.New(cfg)
@@ -170,14 +181,20 @@ func runDirect(t *testing.T, nranks, layout int, info *mpi.Info, blocking bool) 
 			return err
 		}
 		start, count := []int64{int64(c.Rank() * directRows), 0}, []int64{directRows, directCols}
+		// wait completes the queue after variable i: at once, or after the last.
+		wait := func(i int, err error) error {
+			if err == nil && (way == directQueued || i == len(directVars)-1) {
+				err = d.WaitAll()
+			}
+			return err
+		}
 		for i, v := range directVars {
 			before := st.Get(iostat.IOTwoPhaseRounds)
 			buf := directBuf(v, m, c.Rank(), i, true)
 			switch {
-			case !blocking:
-				if _, err = d.IPutVara(i, start, count, directLinear(buf, m)); err == nil {
-					err = d.WaitAll()
-				}
+			case way != directBlocking:
+				_, err = d.IPutVara(i, start, count, directLinear(buf, m))
+				err = wait(i, err)
 			case layout == directMapped:
 				err = d.PutVarmAll(i, start, count, nil, m.imap, buf)
 			case layout == directFlexible:
@@ -192,15 +209,16 @@ func runDirect(t *testing.T, nranks, layout int, info *mpi.Info, blocking bool) 
 				rounds = max(rounds, st.Get(iostat.IOTwoPhaseRounds)-before)
 			}
 		}
+		bufs := make([]any, len(directVars))
+		lins := make([]any, len(directVars))
 		for i, v := range directVars {
 			buf := directBuf(v, m, c.Rank(), i, false)
+			bufs[i] = buf
 			switch {
-			case !blocking:
-				lin := directLinear(buf, m)
-				if _, err = d.IGetVara(i, start, count, lin); err == nil {
-					err = d.WaitAll()
-				}
-				directUnlinear(buf, lin, m)
+			case way != directBlocking:
+				lins[i] = directLinear(buf, m)
+				_, err = d.IGetVara(i, start, count, lins[i])
+				err = wait(i, err)
 			case layout == directMapped:
 				err = d.GetVarmAll(i, start, count, nil, m.imap, buf)
 			case layout == directFlexible:
@@ -211,8 +229,13 @@ func runDirect(t *testing.T, nranks, layout int, info *mpi.Info, blocking bool) 
 			if err != nil {
 				return fmt.Errorf("get v%d: %w", i, err)
 			}
-			reads[c.Rank()] = append(reads[c.Rank()], buf)
 		}
+		for i, buf := range bufs {
+			if lins[i] != nil {
+				directUnlinear(buf, lins[i], m)
+			}
+		}
+		reads[c.Rank()] = bufs
 		return d.Close()
 	})
 	if err != nil {
@@ -229,15 +252,17 @@ func TestBlockingDirectMatchesQueued(t *testing.T) {
 				info := mpi.NewInfo().Set("cb_nodes", fmt.Sprint(cbNodes)).Set("cb_buffer_size", cb)
 				for layout := directContig; layout <= directFlexible; layout++ {
 					where := fmt.Sprintf("%d ranks, cb_nodes %d, cb_buffer_size %s, layout %d", nranks, cbNodes, cb, layout)
-					img, reads, rounds := runDirect(t, nranks, layout, info, true)
-					wantImg, wantReads, _ := runDirect(t, nranks, layout, info, false)
-					if !bytes.Equal(img, wantImg) {
-						t.Fatalf("%s: blocking puts leave a different file than queued ones", where)
-					}
-					for r := range reads {
-						for i := range reads[r] {
-							if fmt.Sprint(reads[r][i]) != fmt.Sprint(wantReads[r][i]) {
-								t.Fatalf("%s: rank %d v%d: blocking get fills %v, queued %v", where, r, i, reads[r][i], wantReads[r][i])
+					img, reads, rounds := runDirect(t, nranks, layout, info, directBlocking)
+					for _, way := range []int{directQueued, directBatch} {
+						wantImg, wantReads, _ := runDirect(t, nranks, layout, info, way)
+						if !bytes.Equal(img, wantImg) {
+							t.Fatalf("%s: blocking puts leave a different file than queued way %d", where, way)
+						}
+						for r := range reads {
+							for i := range reads[r] {
+								if fmt.Sprint(reads[r][i]) != fmt.Sprint(wantReads[r][i]) {
+									t.Fatalf("%s: rank %d v%d: blocking get fills %v, queued way %d %v", where, r, i, reads[r][i], way, wantReads[r][i])
+								}
 							}
 						}
 					}

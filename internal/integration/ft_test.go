@@ -154,12 +154,24 @@ func TestFlashCheckpointRankFailure(t *testing.T) {
 // TestRecordVarNumRecsAfterRankFailure: killing a rank during a record
 // write must leave the record count consistent — the survivors' failover
 // completes the record, numrecs reflects every record started, and the
-// dataset keeps working (and growing) on the shrunken communicator.
+// dataset keeps working (and growing) on the shrunken communicator. The
+// record is one blocking put of one variable, or one WaitAll over queued
+// puts of two record variables, whose replay re-fills the merged source.
 func TestRecordVarNumRecsAfterRankFailure(t *testing.T) {
+	for _, nvars := range []int{1, 2} {
+		t.Run(fmt.Sprintf("vars=%d", nvars), func(t *testing.T) { recordVarRankFailure(t, nvars) })
+	}
+}
+
+// recordVarRankFailure writes each record of nvars record variables — one
+// blocking put for one variable, one WaitAll for more — and kills a rank in
+// record 1's collective.
+func recordVarRankFailure(t *testing.T, nvars int) {
 	const nprocs, victim = 4, 2
 	fsys := pfs.New(pfs.DefaultConfig())
 	inj := fault.New(fault.Config{Seed: 5})
 	fsys.SetFault(inj)
+	value := func(v, rank, i int) float64 { return float64(v*100_000 + rank*1000 + i + 1) }
 	err := mpi.Run(nprocs, mpi.DefaultNet(), func(c *mpi.Comm) error {
 		// The in-place shrink renumbers c.Rank() mid-run (ULFM semantics);
 		// pin this process's data placement to its original rank.
@@ -170,16 +182,30 @@ func TestRecordVarNumRecsAfterRankFailure(t *testing.T) {
 		}
 		tdim, _ := d.DefDim("time", 0)
 		x, _ := d.DefDim("x", int64(nprocs*64))
-		v, _ := d.DefVar("v", nctype.Double, []int{tdim, x})
+		bufs := make([][]float64, nvars)
+		for v := range bufs {
+			if _, err := d.DefVar([]string{"v", "w"}[v], nctype.Double, []int{tdim, x}); err != nil {
+				return err
+			}
+			bufs[v] = make([]float64, 64)
+			for i := range bufs[v] {
+				bufs[v][i] = value(v, rank, i)
+			}
+		}
 		if err := d.EndDef(); err != nil {
 			return err
 		}
-		buf := make([]float64, 64)
-		for i := range buf {
-			buf[i] = float64(rank*1000 + i + 1)
-		}
 		write := func(rec int64) error {
-			return d.PutVaraAll(v, []int64{rec, int64(rank) * 64}, []int64{1, 64}, buf)
+			start, count := []int64{rec, int64(rank) * 64}, []int64{1, 64}
+			if nvars == 1 {
+				return d.PutVaraAll(0, start, count, bufs[0])
+			}
+			for v, buf := range bufs {
+				if _, err := d.IPutVara(v, start, count, buf); err != nil {
+					return err
+				}
+			}
+			return d.WaitAll()
 		}
 		if err := write(0); err != nil {
 			return err
@@ -230,16 +256,18 @@ func TestRecordVarNumRecsAfterRankFailure(t *testing.T) {
 			return err
 		}
 		got := make([]float64, 64)
-		for _, r := range []int{0, nprocs - 1} {
-			if r == victim {
-				continue
-			}
-			if err := d.GetVaraAll(0, []int64{1, int64(r) * 64}, []int64{1, 64}, got); err != nil {
-				return err
-			}
-			for i, x := range got {
-				if want := float64(r*1000 + i + 1); x != want {
-					return fmt.Errorf("record 1, rank %d slice, elem %d = %v, want %v", r, i, x, want)
+		for v := 0; v < nvars; v++ {
+			for r := 0; r < nprocs; r++ {
+				if r == victim {
+					continue
+				}
+				if err := d.GetVaraAll(v, []int64{1, int64(r) * 64}, []int64{1, 64}, got); err != nil {
+					return err
+				}
+				for i, x := range got {
+					if want := value(v, r, i); x != want {
+						return fmt.Errorf("record 1 of variable %d, rank %d slice, elem %d = %v, want %v", v, r, i, x, want)
+					}
 				}
 			}
 		}

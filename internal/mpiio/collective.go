@@ -139,11 +139,7 @@ func (f *File) WriteAtAllFrom(off, n int64, src Source) error {
 		return ErrReadOnly
 	}
 	if !f.hints.CBWrite {
-		// The independent path takes one buffer: stage the request in it.
-		buf := bufpool.GetDirty(int(n))
-		defer bufpool.Put(buf)
-		src.Fill(buf, 0)
-		return f.fallbackIndependent(f.WriteAt(off, buf))
+		return f.fallbackIndependent(f.WriteAtFrom(off, n, src))
 	}
 	// One span covers the whole collective; its deferred End also closes any
 	// still-open round/phase children if an error path unwinds early.
@@ -299,13 +295,7 @@ func (f *File) ReadAtAllInto(off, n int64, dst Sink) error {
 		return ErrClosed
 	}
 	if !f.hints.CBRead {
-		buf := bufpool.GetDirty(int(n))
-		defer bufpool.Put(buf)
-		err := f.ReadAt(off, buf)
-		if err == nil {
-			dst.Drain(0, buf)
-		}
-		return f.fallbackIndependent(err)
+		return f.fallbackIndependent(f.ReadAtInto(off, n, dst))
 	}
 	sc := f.sp.Begin(span.CollRead)
 	defer sc.End()

@@ -6,6 +6,31 @@ import (
 	"pnetcdf/internal/pfs"
 )
 
+// ReadAtInto reads n view-data bytes at view offset off independently and
+// hands them to dst. It and WriteAtFrom are the one place mpiio stages a
+// whole request: ReadAt and its data sieving fill one pooled buffer, which
+// dst then drains. The romio_cb_read = false fallback of ReadAtAllInto
+// comes here too.
+func (f *File) ReadAtInto(off, n int64, dst Sink) error {
+	buf := bufpool.GetDirty(int(n))
+	defer bufpool.Put(buf)
+	if err := f.ReadAt(off, buf); err != nil {
+		return err
+	}
+	dst.Drain(0, buf)
+	return nil
+}
+
+// WriteAtFrom writes the n view-data bytes src supplies at view offset off
+// independently: src fills one pooled buffer, which WriteAt and its data
+// sieving take (see ReadAtInto).
+func (f *File) WriteAtFrom(off, n int64, src Source) error {
+	buf := bufpool.GetDirty(int(n))
+	defer bufpool.Put(buf)
+	src.Fill(buf, 0)
+	return f.WriteAt(off, buf)
+}
+
 // ReadAt reads len(buf) view-data bytes starting at view offset off into
 // buf. Independent (no coordination with other ranks). Noncontiguous views
 // use data sieving when enabled: instead of one small read per hole-separated
