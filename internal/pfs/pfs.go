@@ -267,8 +267,6 @@ func (f *File) Name() string { return f.fd.name }
 func (f *File) Size() int64 { return f.fd.store.size.Load() }
 
 // Truncate sets the file size, discarding data beyond it.
-//
-//nclint:allow=accounting -- metadata-only: no bytes move, so there is no transfer size for the cost model to charge
 func (f *File) Truncate(size int64) { f.fd.store.truncate(size) }
 
 // LockRMW acquires the file's read-modify-write range lock over
@@ -645,17 +643,6 @@ func forEachMerged(segs []Segment, fn func(Segment)) {
 		}
 	}
 	fn(cur)
-}
-
-// merge coalesces sorted, adjacent or overlapping segments; retained for
-// tests and callers that need the materialized list.
-func merge(segs []Segment) []Segment {
-	if len(segs) <= 1 {
-		return segs
-	}
-	out := make([]Segment, 0, len(segs))
-	forEachMerged(segs, func(s Segment) { out = append(out, s) })
-	return out
 }
 
 // countCongruent counts integers in [a, b] congruent to r mod m.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -238,7 +239,9 @@ func TestReadsFasterThanWrites(t *testing.T) {
 }
 
 func TestMergeSegments(t *testing.T) {
-	got := merge([]Segment{{Off: 10, Len: 5}, {Off: 15, Len: 5}, {Off: 30, Len: 2}, {Off: 0, Len: 4}, {Off: 31, Len: 10}})
+	var got []Segment
+	forEachMerged([]Segment{{Off: 10, Len: 5}, {Off: 15, Len: 5}, {Off: 30, Len: 2}, {Off: 0, Len: 4}, {Off: 31, Len: 10}},
+		func(s Segment) { got = append(got, s) })
 	want := []Segment{{Off: 0, Len: 4}, {Off: 10, Len: 10}, {Off: 30, Len: 11}}
 	if len(got) != len(want) {
 		t.Fatalf("merge = %v, want %v", got, want)
@@ -393,6 +396,97 @@ func TestSerialFileAdapter(t *testing.T) {
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestEveryMethodIsCharged: every simulated bandwidth number rests on each
+// byte the store moves being charged to the cost model and counted. Every
+// exported method of *File and *SerialFile needs a row (found by reflection):
+// one that moves 1 MiB takes at least its time at peak bandwidth and counts
+// its bytes and its one call; one that moves no bytes says why.
+func TestEveryMethodIsCharged(t *testing.T) {
+	const n = 1 << 20
+	type op func(f *File, t float64, p []byte) (float64, error)
+	serial := func(do func(s *SerialFile, p []byte) (int, error)) op {
+		return func(f *File, t float64, p []byte) (float64, error) {
+			s := NewSerialFile(f, t)
+			_, err := do(s, p)
+			return s.Clock(), err
+		}
+	}
+	one := []Segment{{Off: 0, Len: n}}
+	halves := func(p []byte) [][]byte { return [][]byte{p[:n/2], p[n/2:]} }
+	rows := map[string]struct {
+		do   op
+		read bool
+		why  string
+	}{
+		"File.ReadAt":         {do: func(f *File, t float64, p []byte) (float64, error) { return f.ReadAt(t, p, 0) }, read: true},
+		"File.ReadV":          {do: func(f *File, t float64, p []byte) (float64, error) { return f.ReadV(t, one, p) }, read: true},
+		"File.ReadVec":        {do: func(f *File, t float64, p []byte) (float64, error) { return f.ReadVec(t, one, halves(p)) }, read: true},
+		"SerialFile.ReadAt":   {do: serial(func(s *SerialFile, p []byte) (int, error) { return s.ReadAt(p, 0) }), read: true},
+		"File.WriteAt":        {do: func(f *File, t float64, p []byte) (float64, error) { return f.WriteAt(t, p, 0) }},
+		"File.WriteV":         {do: func(f *File, t float64, p []byte) (float64, error) { return f.WriteV(t, one, p) }},
+		"File.WriteVec":       {do: func(f *File, t float64, p []byte) (float64, error) { return f.WriteVec(t, one, halves(p)) }},
+		"SerialFile.WriteAt":  {do: serial(func(s *SerialFile, p []byte) (int, error) { return s.WriteAt(p, 0) })},
+		"File.Name":           {why: "returns the name"},
+		"File.Size":           {why: "returns the size"},
+		"File.Truncate":       {why: "metadata only: no transfer for the cost model to charge"},
+		"File.LockRMW":        {why: "a host-side range lock; the sieving read and write inside it are charged"},
+		"File.UnlockRMW":      {why: "releases that lock"},
+		"File.Sync":           {why: "charges the flush barrier; moves no bytes"},
+		"File.SetStats":       {why: "installs the collectors"},
+		"File.SetSpans":       {why: "installs the span recorder"},
+		"SerialFile.Size":     {why: "returns the size"},
+		"SerialFile.Truncate": {why: "metadata only, as File.Truncate"},
+		"SerialFile.Sync":     {why: "charges the flush barrier through File.Sync"},
+		"SerialFile.Close":    {why: "a no-op on the simulated store"},
+		"SerialFile.Clock":    {why: "returns the clock"},
+		"SerialFile.SetClock": {why: "sets the clock"},
+	}
+	methods := map[string]bool{}
+	for _, v := range []any{(*File)(nil), (*SerialFile)(nil)} {
+		typ := reflect.TypeOf(v)
+		for i := 0; i < typ.NumMethod(); i++ {
+			name := typ.Elem().Name() + "." + typ.Method(i).Name
+			methods[name] = true
+			if _, ok := rows[name]; !ok {
+				t.Errorf("%s has no row: say what it charges", name)
+			}
+		}
+	}
+	for name, r := range rows {
+		if !methods[name] {
+			t.Errorf("row %s names no method", name)
+		}
+		if r.do == nil {
+			continue
+		}
+		fs := testFS()
+		f, _ := fs.Create("f", 0)
+		p := make([]byte, n)
+		peak, bytes, calls := fs.PeakWriteBW(), iostat.PfsBytesWritten, iostat.PfsWriteCalls
+		if r.read {
+			f.WriteAt(0, p, 0)
+			fs.ResetClock()
+			peak, bytes, calls = fs.PeakReadBW(), iostat.PfsBytesRead, iostat.PfsReadCalls
+		}
+		st := iostat.New()
+		f.SetStats(st, nil, -1)
+		const issue = 1.0
+		done, err := r.do(f, issue, p)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if floor := n / peak; done-issue < floor {
+			t.Errorf("%s: %.0e s for 1 MiB, faster than the peak %.0e s", name, done-issue, floor)
+		}
+		if got := st.Get(bytes); got != n {
+			t.Errorf("%s: %s = %d, want %d", name, bytes, got, n)
+		}
+		if got := st.Get(calls); got != 1 {
+			t.Errorf("%s: %s = %d, want 1", name, calls, got)
+		}
 	}
 }
 

@@ -60,8 +60,6 @@ func (s *SerialFile) do(op func(t float64) (float64, error)) error {
 func (s *SerialFile) Size() (int64, error) { return s.f.Size(), nil }
 
 // Truncate resizes the file.
-//
-//nclint:allow=accounting -- metadata-only: no bytes move, so there is no transfer size for the cost model to charge
 func (s *SerialFile) Truncate(n int64) error {
 	s.f.Truncate(n)
 	return nil

@@ -1,16 +1,17 @@
 #!/usr/bin/env sh
-# Repo verification: build, vet, lint, race-test, then the allocation pins
+# Repo verification: build, vet, race-test, then the allocation pins
 # without the race detector. The default pass includes
 # the seed corpora of the native fuzz targets — FuzzDecode, the two-phase
 # wire decoders FuzzAssembleWrite/FuzzAssembleRead and the "blocking ≡
 # queued" property FuzzBlockingEquivalentToQueued — run as unit tests (seeds
 # and committed regression inputs only; no timed fuzzing in the gate), the
 # concurrent sharded-lock PFS stress test under the race detector
-# (TestConcurrentShardedStress), and the nclint invariant suite
-# (internal/analysis, DESIGN.md §10/§14) over every package; any diagnostic
-# fails the gate. Its wall time is recorded and budgeted at 30s (the built
-# binary takes about 1.1s on a 2-CPU host). Toggles:
-#   LINT=0   skip the nclint pass (escape hatch while iterating).
+# (TestConcurrentShardedStress), and the source guards (DESIGN.md §10):
+# pfs.TestEveryMethodIsCharged (every byte charged and counted), and in the
+# root guards_test.go TestIOErrorsAreChecked (no dropped Close/Sync/Flush/
+# Write* error), TestLockSections (locks released on every way out; srvMu a
+# leaf), TestInternalHasNoWallClock and TestInternalReadsNoEnvironment.
+# Toggles:
 #   BENCH=1  run the repository's benchmark (benchmark/README.md: five
 #            pinned workloads, end-to-end and per-layer, ~2 min), write this
 #            PR's row of the perf trajectory to results/BENCH_<pr>.json and
@@ -39,20 +40,6 @@ cd "$(dirname "$0")"
 
 go build ./...
 go vet ./...
-if [ "${LINT:-1}" = "1" ]; then
-    # Keep the lint honest about cost: the whole-module pass (load + call
-    # graph + fixed-point summaries + all checkers) must finish inside a
-    # 30-second budget.
-    lint_t0=$(date +%s)
-    go run ./cmd/nclint ./...
-    lint_t1=$(date +%s)
-    lint_secs=$((lint_t1 - lint_t0))
-    echo "nclint: pass took ${lint_secs}s"
-    if [ "$lint_secs" -ge 30 ]; then
-        echo "nclint: pass exceeded the 30s budget (${lint_secs}s)" >&2
-        exit 1
-    fi
-fi
 go test -race ./...
 # The allocation pins (root alloc_regress_test.go, internal/mpi's warm
 # reductions) skip under the race detector, where sync.Pool drops buffers,
