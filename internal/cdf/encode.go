@@ -1,7 +1,9 @@
 package cdf
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
+	"hash"
 
 	"pnetcdf/internal/nctype"
 )
@@ -24,9 +26,22 @@ func offsetSize(version int) int64 {
 	return 8
 }
 
+// headerWriter appends a header's encoding to buf. With a sink it is
+// Digest's: at each boundary, once buf is half full, buf drains into the sink
+// and starts over. Every boundary is 4-byte aligned in the stream, so pad4's
+// arithmetic on len(buf) stays right.
 type headerWriter struct {
 	buf     []byte
 	version int
+	sink    hash.Hash
+}
+
+// boundary marks the end of a dimension, attribute or variable.
+func (w *headerWriter) boundary() {
+	if w.sink != nil && 2*len(w.buf) >= cap(w.buf) {
+		_, _ = w.sink.Write(w.buf)
+		w.buf = w.buf[:0]
+	}
 }
 
 func (w *headerWriter) bytes(b []byte) { w.buf = append(w.buf, b...) }
@@ -81,6 +96,7 @@ func (w *headerWriter) attrs(attrs []Attr) {
 		w.nonNeg(a.Nelems)
 		w.bytes(a.Values)
 		w.pad4()
+		w.boundary()
 	}
 }
 
@@ -88,6 +104,28 @@ func (w *headerWriter) attrs(attrs []Attr) {
 // ComputeLayout must have been called (Begin/VSize populated).
 func (h *Header) Encode() []byte {
 	w := &headerWriter{buf: make([]byte, 0, h.EncodedSize()), version: h.Version}
+	h.write(w)
+	return w.buf
+}
+
+// digestChunk caps Digest's buffer.
+const digestChunk = 4 << 10
+
+// Digest returns the SHA-256 of Encode's image without holding the image:
+// the encoding streams through a buffer of at most digestChunk bytes (one
+// attribute value longer than that grows it). Processes that must agree on a
+// header compare digests instead of images.
+func (h *Header) Digest() [sha256.Size]byte {
+	sum := sha256.New()
+	w := &headerWriter{buf: make([]byte, 0, min(h.EncodedSize(), digestChunk)), version: h.Version, sink: sum}
+	h.write(w)
+	_, _ = sum.Write(w.buf)
+	var out [sha256.Size]byte
+	sum.Sum(out[:0])
+	return out
+}
+
+func (h *Header) write(w *headerWriter) {
 	w.buf = append(w.buf, 'C', 'D', 'F', byte(h.Version))
 	w.nonNeg(h.NumRecs)
 	// dim_list
@@ -95,6 +133,7 @@ func (h *Header) Encode() []byte {
 	for _, d := range h.Dims {
 		w.name(d.Name)
 		w.nonNeg(d.Len)
+		w.boundary()
 	}
 	// gatt_list
 	w.attrs(h.GAttrs)
@@ -111,8 +150,8 @@ func (h *Header) Encode() []byte {
 		w.uint32(uint32(v.Type))
 		w.nonNeg(v.VSize)
 		w.offset(v.Begin)
+		w.boundary()
 	}
-	return w.buf
 }
 
 // NumRecsOffset is the file offset of the numrecs field: it follows the

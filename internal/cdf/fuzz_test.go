@@ -2,7 +2,9 @@ package cdf
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"runtime"
 	"testing"
@@ -30,6 +32,26 @@ func fuzzSeedHeader(version int) []byte {
 		panic(err)
 	}
 	h.NumRecs = 4
+	return h.Encode()
+}
+
+// bigSeedHeader is a header of 300 variables, each with a units attribute,
+// plus a global attribute of attrLen bytes.
+func bigSeedHeader(version, attrLen int) []byte {
+	h := &Header{Version: version}
+	h.Dims = []Dim{{Name: "time", Len: 0}, {Name: "x", Len: 5}}
+	h.GAttrs = []Attr{mkAttr("history", nctype.Char, bytes.Repeat([]byte("h"), attrLen))}
+	for i := 0; i < 300; i++ {
+		dims := []int{1}
+		if i%2 == 0 {
+			dims = []int{0, 1} // a record variable
+		}
+		h.Vars = append(h.Vars, Var{Name: fmt.Sprintf("var_%0*d", 1+i%7, i), Type: nctype.Short, DimIDs: dims,
+			Attrs: []Attr{mkAttr("units", nctype.Char, []byte("m s-1")[:1+i%5])}})
+	}
+	if err := h.ComputeLayout(1); err != nil {
+		panic(err)
+	}
 	return h.Encode()
 }
 
@@ -183,6 +205,12 @@ func FuzzDecode(f *testing.F) {
 	for _, img := range hostileCountImages() {
 		f.Add(img)
 	}
+	// Headers longer than Digest's buffer, one with an attribute that is
+	// longer on its own.
+	for _, v := range []int{1, 2, 5} {
+		f.Add(bigSeedHeader(v, 100))
+		f.Add(bigSeedHeader(v, 3*digestChunk+1))
+	}
 	// Headers longer than ReadHeader's first step, with begins that bound the
 	// next one usefully, uselessly and wrongly.
 	for _, tc := range probeCases(f) {
@@ -211,7 +239,10 @@ func FuzzDecode(f *testing.F) {
 		if h.Validate() != nil {
 			t.Fatalf("Decode returned header failing its own Validate")
 		}
-		_ = h.Encode()
+		// Digest streams the bytes Encode returns.
+		if h.Digest() != sha256.Sum256(h.Encode()) {
+			t.Fatalf("Digest is not the SHA-256 of Encode's %d bytes", len(h.Encode()))
+		}
 		_ = h.FileSize()
 		_ = h.RecSize()
 	})

@@ -251,8 +251,8 @@ func cloneInto[T any](a *arena[T], s []T) []T {
 }
 
 // Equal reports whether two headers describe identical datasets (same
-// structure and same layout). Used by the parallel library's define-mode
-// consistency check.
+// structure and same layout). The parallel library's define-mode
+// consistency check compares Digests instead, so no header has to travel.
 func (h *Header) Equal(o *Header) bool {
 	if h.Version != o.Version || h.NumRecs != o.NumRecs ||
 		len(h.Dims) != len(o.Dims) || len(h.GAttrs) != len(o.GAttrs) ||

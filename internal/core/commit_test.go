@@ -1,9 +1,11 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
+	"pnetcdf/internal/fault"
 	"pnetcdf/internal/iostat"
 	"pnetcdf/internal/mpi"
 	"pnetcdf/internal/nctype"
@@ -100,4 +102,81 @@ func TestCommitWritesAndLedger(t *testing.T) {
 		}
 		return r.Close()
 	})
+}
+
+// TestEndDefSendsNoHeader: EndDef settles consistency on header digests, so
+// what a rank other than the root sends during it is a few reduction vectors
+// whatever the header's size: under 1 KiB for a 100-byte header and for a
+// 440 KB one.
+func TestEndDefSendsNoHeader(t *testing.T) {
+	fsys := testFS()
+	for _, nvars := range []int{1, 4096} {
+		runWorld(t, 8, func(c *mpi.Comm) error {
+			st := iostat.New()
+			c.Proc().SetStats(st)
+			d, err := Create(c, fsys, fmt.Sprintf("digest%d.nc", nvars), nctype.Clobber, nil)
+			if err != nil {
+				return err
+			}
+			x, _ := d.DefDim("x", 4)
+			for i := 0; i < nvars; i++ {
+				v, err := d.DefVar(fmt.Sprintf("variable_%05d", i), nctype.Float, []int{x})
+				if err != nil {
+					return err
+				}
+				if nvars > 1 {
+					if err := d.PutAttr(v, "units", nctype.Char, "m s-1 kg"); err != nil {
+						return err
+					}
+					if err := d.PutAttr(v, "scale_factor", nctype.Double, []float64{float64(i)}); err != nil {
+						return err
+					}
+				}
+			}
+			base := st.Get(iostat.MPIBytesSent)
+			if err := d.EndDef(); err != nil {
+				return err
+			}
+			if sent := st.Get(iostat.MPIBytesSent) - base; c.Rank() != 0 && sent >= 1<<10 {
+				return fmt.Errorf("rank %d sent %d B in the EndDef of a %d-byte header, want < 1 KiB",
+					c.Rank(), sent, d.Header().EncodedSize())
+			}
+			return d.Close()
+		})
+	}
+}
+
+// TestEndDefFillFailureIsCollective: the root commits the header and then
+// fills the variables, and one agreement settles both. A fill write that
+// crashes is the root's fault.ErrCrashed and every other rank's
+// mpi.ErrPeerFailed, not a wait in a barrier the root never reaches.
+func TestEndDefFillFailureIsCollective(t *testing.T) {
+	fsys := testFS()
+	inj := fault.New(fault.Config{Seed: 1})
+	fsys.SetFault(inj)
+	// The header is a few dozen bytes and the 1 MiB variable begins on a
+	// stripe boundary before 512 KiB, so the crash point lies in the fill.
+	inj.ArmCrash(512<<10, false)
+	runWorld(t, 4, func(c *mpi.Comm) error {
+		d, err := Create(c, fsys, "fill.nc", nctype.Clobber, nil)
+		if err != nil {
+			return err
+		}
+		x, _ := d.DefDim("x", 1<<17)
+		if _, err := d.DefVar("v", nctype.Double, []int{x}); err != nil {
+			return err
+		}
+		d.SetFill(true)
+		want := mpi.ErrPeerFailed
+		if c.Rank() == 0 {
+			want = fault.ErrCrashed
+		}
+		if err := d.EndDef(); !errors.Is(err, want) {
+			return fmt.Errorf("rank %d: EndDef = %v, want %v", c.Rank(), err, want)
+		}
+		return nil
+	})
+	if inj.CrashArmed() {
+		t.Fatal("the crash point was never reached")
+	}
 }

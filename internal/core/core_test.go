@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"pnetcdf/internal/fault"
 	"pnetcdf/internal/mpi"
 	"pnetcdf/internal/mpitype"
 	"pnetcdf/internal/nctype"
@@ -742,6 +743,38 @@ func TestPrefetchHint(t *testing.T) {
 			return fmt.Errorf("cached reads cost %.4fs of virtual time", cached)
 		}
 		return r.Close()
+	})
+}
+
+// TestPrefetchReadFailureIsCollective: the root's failed prefetch read is an
+// error on every rank, not a wait for a broadcast that never comes.
+func TestPrefetchReadFailureIsCollective(t *testing.T) {
+	fsys := testFS()
+	runWorld(t, 3, func(c *mpi.Comm) error {
+		d, err := Create(c, fsys, "pfail.nc", nctype.Clobber, nil)
+		if err != nil {
+			return err
+		}
+		x, _ := d.DefDim("x", 1<<20)
+		if _, err := d.DefVar("big", nctype.Float, []int{x}); err != nil {
+			return err
+		}
+		return d.Close()
+	})
+	// One fault draw per 64 KiB at 20%: Open's first header read is one unit
+	// and fails all nine tries with probability 0.2^9; the 4 MiB variable is
+	// 64 units and fails each try with probability 1 - 0.8^64.
+	fsys.SetFault(fault.New(fault.Config{Seed: 3, ReadErrRate: 0.2, FaultUnit: 64 << 10}))
+	info := mpi.NewInfo().Set("nc_prefetch_vars", "big")
+	runWorld(t, 3, func(c *mpi.Comm) error {
+		want := mpi.ErrPeerFailed
+		if c.Rank() == 0 {
+			want = fault.ErrRetriesExhausted
+		}
+		if _, err := Open(c, fsys, "pfail.nc", nctype.NoWrite, info); !errors.Is(err, want) {
+			return fmt.Errorf("rank %d: Open = %v, want %v", c.Rank(), err, want)
+		}
+		return nil
 	})
 }
 

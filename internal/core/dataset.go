@@ -21,6 +21,7 @@
 package core
 
 import (
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"math"
@@ -376,10 +377,18 @@ func (d *Dataset) EndDef() error {
 		return err
 	}
 	d.invalidateViews()
-	// One encoding per rank serves the consistency check and, on the root,
-	// the commit: nothing below changes the header.
-	img := d.hdr.Encode()
-	if !d.comm.AgreeSame(img) {
+	// The root encodes the image it will commit (nothing below changes the
+	// header); the others only hash their encoding. The digests settle
+	// consistency, so no rank ships its header to another.
+	var img []byte
+	var sum [sha256.Size]byte
+	if d.comm.Rank() == 0 {
+		img = d.hdr.Encode()
+		sum = sha256.Sum256(img)
+	} else {
+		sum = d.hdr.Digest()
+	}
+	if !d.comm.AgreeDigest(sum) {
 		return nctype.ErrConsistency
 	}
 	d.define = false
@@ -389,16 +398,15 @@ func (d *Dataset) EndDef() error {
 		}
 		d.oldLayout = nil
 	}
-	if err := d.commitCollective(img); err != nil {
-		return err
-	}
-	if d.fill {
-		if err := d.fillVars(); err != nil {
-			return err
+	// The root commits and fills; one agreement settles both, so a failure
+	// there is an error on every rank, and nobody runs ahead of the header.
+	var werr error
+	if d.comm.Rank() == 0 {
+		if werr = d.commitHeader(img); werr == nil && d.fill {
+			werr = d.fillVars()
 		}
 	}
-	d.comm.Barrier()
-	return nil
+	return d.comm.AgreeError(werr)
 }
 
 // Redef collectively re-enters define mode.
@@ -417,23 +425,13 @@ func (d *Dataset) Redef() error {
 	return nil
 }
 
-// writeHeaderCollective commits the current header; only the root, which
-// writes it, encodes it.
+// writeHeaderCollective has the root, which alone encodes it, commit the
+// current header; the outcome is agreed so every rank returns the same error
+// and nobody runs ahead against a header that never landed.
 func (d *Dataset) writeHeaderCollective() error {
-	var img []byte
-	if d.comm.Rank() == 0 {
-		img = d.hdr.Encode()
-	}
-	return d.commitCollective(img)
-}
-
-// commitCollective has the root commit img, the encoding of the current
-// header; the outcome is agreed so every rank returns the same error and
-// nobody runs ahead against a header that never landed.
-func (d *Dataset) commitCollective(img []byte) error {
 	var werr error
 	if d.comm.Rank() == 0 {
-		werr = d.commitHeader(img)
+		werr = d.commitHeader(d.hdr.Encode())
 	}
 	return d.comm.AgreeError(werr)
 }
@@ -497,13 +495,11 @@ func (d *Dataset) relocate(old *cdf.Header) error {
 	return nil
 }
 
-// fillVars prefills all variables with fill values (root-driven; PnetCDF
-// itself partitions the fill across ranks, which the data plane here also
-// supports but the simpler root fill keeps EndDef deterministic).
+// fillVars prefills all fixed variables with fill values. The root alone
+// calls it (PnetCDF itself partitions the fill across ranks, which the data
+// plane here also supports but the simpler root fill keeps EndDef
+// deterministic).
 func (d *Dataset) fillVars() error {
-	if d.comm.Rank() != 0 {
-		return nil
-	}
 	for i := range d.hdr.Vars {
 		v := &d.hdr.Vars[i]
 		if d.hdr.IsRecordVar(v) {
@@ -605,7 +601,7 @@ func (d *Dataset) Close() error {
 	if len(d.pending) > 0 {
 		return errors.New("pnetcdf: nonblocking requests pending at close; call WaitAll")
 	}
-	var errs []error
+	errs := make([]error, 0, 3) // at most one per step below, on the stack
 	if d.define {
 		errs = append(errs, d.EndDef())
 	}

@@ -36,26 +36,37 @@ func (d *Dataset) prefetch(info *mpi.Info) error {
 	if !ok || spec == "" {
 		return nil
 	}
-	d.cache = map[int][]byte{}
+	var ids []int
 	for _, name := range strings.Split(spec, ",") {
-		name = strings.TrimSpace(name)
-		varid := d.hdr.FindVar(name)
+		varid := d.hdr.FindVar(strings.TrimSpace(name))
 		if varid < 0 {
 			continue // advisory: unknown names are ignored
 		}
-		v := &d.hdr.Vars[varid]
-		if d.hdr.IsRecordVar(v) {
+		if d.hdr.IsRecordVar(&d.hdr.Vars[varid]) {
 			continue // record variables grow; not cached
 		}
-		var img []byte
-		if d.comm.Rank() == 0 {
-			img = make([]byte, v.VSize)
-			if err := d.f.ReadRaw(img, v.Begin); err != nil {
-				return err
+		ids = append(ids, varid)
+	}
+	// The root reads every image before anything is broadcast, and its
+	// outcome is agreed: a read that fails is an error on every rank, not a
+	// root that returns while the others wait for its broadcast.
+	imgs := make([][]byte, len(ids))
+	var rerr error
+	if d.comm.Rank() == 0 {
+		for i, varid := range ids {
+			v := &d.hdr.Vars[varid]
+			imgs[i] = make([]byte, v.VSize)
+			if rerr = d.f.ReadRaw(imgs[i], v.Begin); rerr != nil {
+				break
 			}
 		}
-		img = d.comm.Bcast(0, img)
-		d.cache[varid] = img
+	}
+	if err := d.comm.AgreeError(rerr); err != nil {
+		return err
+	}
+	d.cache = map[int][]byte{}
+	for i, varid := range ids {
+		d.cache[varid] = d.comm.Bcast(0, imgs[i])
 	}
 	return nil
 }

@@ -440,16 +440,25 @@ func (c *Comm) AgreeError(err error) error {
 	return ErrPeerFailed
 }
 
-// AgreeSame verifies that every member passed a byte-identical payload,
-// returning true everywhere if so. PnetCDF uses it for define-mode argument
-// consistency checks.
-func (c *Comm) AgreeSame(data []byte) bool {
-	ref := c.Bcast(0, data)
-	same := int64(0)
-	if bytes.Equal(ref, data) {
-		same = 1
+// AgreeDigest reports, on every member, whether all members passed the same
+// 32-byte digest (PnetCDF's define-mode consistency check hashes each
+// member's header into one). A single allreduce under OpMin carries the four
+// digest words and their bitwise complements: the minimum of ^w is ^max(w),
+// so a word is the same everywhere iff its minimum is the complement of its
+// complement's minimum. Negation would not do: -MinInt64 wraps to itself.
+func (c *Comm) AgreeDigest(sum [32]byte) bool {
+	var v [8]int64
+	for i := 0; i < 4; i++ {
+		w := int64(binary.BigEndian.Uint64(sum[8*i:]))
+		v[i], v[4+i] = w, ^w
 	}
-	return c.AllreduceI64([]int64{same}, OpLAnd)[0] == 1
+	c.AllreduceI64(v[:], OpMin)
+	for i := 0; i < 4; i++ {
+		if v[i] != ^v[4+i] {
+			return false
+		}
+	}
+	return true
 }
 
 // EncodeI64s packs int64s big-endian.

@@ -1,8 +1,11 @@
 package mpi
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"sync"
@@ -552,35 +555,60 @@ func TestAgreeErrorShapes(t *testing.T) {
 	}
 }
 
-// TestAgreeSamePayloads pins AgreeSame on empty, nil-vs-empty, and
-// non-UTF-8 payloads — it must compare raw bytes, not strings.
-func TestAgreeSamePayloads(t *testing.T) {
+// TestAgreeDigestPayloads pins the digest check on empty, nil-vs-empty,
+// non-UTF-8, differing and different-length payloads, and on digest words
+// whose negation is themselves: a first word of math.MinInt64 on one rank
+// and another value elsewhere must disagree, which a min-of-negations
+// scheme would miss.
+func TestAgreeDigestPayloads(t *testing.T) {
+	same := func(c *Comm, data []byte) bool { return c.AgreeDigest(sha256.Sum256(data)) }
 	for _, n := range []int{1, 2, 3, 4} {
 		runOrFatal(t, n, func(c *Comm) error {
-			if !c.AgreeSame(nil) {
+			if !same(c, nil) {
 				return errors.New("nil payloads disagree")
 			}
-			if !c.AgreeSame([]byte{}) {
+			if !same(c, []byte{}) {
 				return errors.New("empty payloads disagree")
 			}
+			var empty []byte
+			if c.Rank() == 0 {
+				empty = []byte{}
+			}
+			if !same(c, empty) {
+				return errors.New("nil and empty payloads disagree")
+			}
 			bin := []byte{0xff, 0xfe, 0x00, 0x80, 0xc3}
-			if !c.AgreeSame(bin) {
+			if !same(c, bin) {
 				return errors.New("identical non-UTF-8 payloads disagree")
+			}
+			var minWord [32]byte
+			binary.BigEndian.PutUint64(minWord[:], 1<<63) // math.MinInt64
+			if !c.AgreeDigest(minWord) {
+				return errors.New("identical MinInt64 digests disagree")
 			}
 			if n > 1 {
 				diff := append([]byte(nil), bin...)
 				if c.Rank() == n-1 {
 					diff[0] = 0x00
 				}
-				if c.AgreeSame(diff) {
+				if same(c, diff) {
 					return errors.New("differing payloads agree")
 				}
 				short := bin
 				if c.Rank() == 0 {
 					short = bin[:3]
 				}
-				if c.AgreeSame(short) {
+				if same(c, short) {
 					return errors.New("different-length payloads agree")
+				}
+				for _, other := range []int64{0, 5, -1, math.MaxInt64} {
+					sum := minWord
+					if c.Rank() == n-1 {
+						binary.BigEndian.PutUint64(sum[:], uint64(other))
+					}
+					if c.AgreeDigest(sum) {
+						return fmt.Errorf("a MinInt64 word agrees with %d", other)
+					}
 				}
 			}
 			return nil

@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"testing"
@@ -291,17 +292,17 @@ func TestExscan(t *testing.T) {
 	}
 }
 
-func TestAgreeSame(t *testing.T) {
+func TestAgreeDigest(t *testing.T) {
 	runOrFatal(t, 4, func(c *Comm) error {
-		if !c.AgreeSame([]byte("same everywhere")) {
-			return errors.New("AgreeSame false for identical data")
+		if !c.AgreeDigest(sha256.Sum256([]byte("same everywhere"))) {
+			return errors.New("AgreeDigest false for identical data")
 		}
 		data := []byte("same")
 		if c.Rank() == 2 {
 			data = []byte("diff")
 		}
-		if c.AgreeSame(data) {
-			return errors.New("AgreeSame true for differing data")
+		if c.AgreeDigest(sha256.Sum256(data)) {
+			return errors.New("AgreeDigest true for differing data")
 		}
 		return nil
 	})
