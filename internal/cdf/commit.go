@@ -19,7 +19,9 @@ import (
 // to invalidate:
 //
 //  1. extend the file, sparsely, to the size the header declares;
-//  2. write the new header body (bytes 4..);
+//  2. write the whole image from byte 0 with its magic zeroed — the zeros
+//     land on zeros, and the request starts on a block boundary, so the file
+//     system has no head block to read back;
 //  3. publish: write the magic (bytes 0..4) last.
 //
 // A crash leaves either a file without a magic and without a journal — the
@@ -73,7 +75,8 @@ type CommitFile interface {
 // its journal past it — past everything the file holds or declares, so the
 // journal never sits where an unwritten variable would later be read as
 // zero-fill. written is the number of bytes handed to f.WriteAt by the steps
-// that completed, also when err is not nil.
+// that completed, also when err is not nil. img is the caller's again when
+// CommitHeader returns, but a first commit zeroes its magic while it runs.
 func CommitHeader(f CommitFile, img []byte, declaredEnd int64) (written int64, err error) {
 	size, err := f.Size()
 	if err != nil {
@@ -98,7 +101,13 @@ func CommitHeader(f CommitFile, img []byte, declaredEnd int64) (written int64, e
 		if err := f.SetSize(end); err != nil {
 			return 0, err
 		}
-		err = write(step{img[4:], 4}, step{img[:4], 0})
+		magic := [4]byte(img)
+		clear(img[:4])
+		err = write(step{img, 0})
+		copy(img, magic[:])
+		if err == nil {
+			err = write(step{img[:4], 0})
+		}
 		return written, err
 	}
 	journal, jOff := EncodeJournal(img), max(size, end)

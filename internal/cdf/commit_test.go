@@ -56,7 +56,9 @@ func (m *memFile) WriteAt(p []byte, off int64) error {
 }
 
 // TestCommitHeaderShapes pins the two commits step by step: a file holding
-// nothing is extended, then gets body and magic; a file holding bytes gets the
+// nothing is extended, then gets the whole image with its magic zeroed (from
+// byte 0, so the request starts on a block) and the magic; a file holding
+// bytes gets the
 // journaled five steps, parked past whatever is larger — the file or what the
 // header declares — and ends where the journal began. Only a file that grew
 // behind the journal keeps its length, the journal zeroed in place.
@@ -74,9 +76,9 @@ func TestCommitHeaderShapes(t *testing.T) {
 		appendAt    int
 	}{
 		{"first", nil, 4096,
-			[]string{"size 4096", fmt.Sprintf("write %d@4", n-4), "write 4@0"}, n, 4096, 0},
+			[]string{"size 4096", fmt.Sprintf("write %d@0", n), "write 4@0"}, n + 4, 4096, 0},
 		{"first, nothing declared past the header", nil, 0,
-			[]string{fmt.Sprintf("size %d", n), fmt.Sprintf("write %d@4", n-4), "write 4@0"}, n, n, 0},
+			[]string{fmt.Sprintf("size %d", n), fmt.Sprintf("write %d@0", n), "write 4@0"}, n + 4, n, 0},
 		{"recommit, journal past the file", make([]byte, 9000), 4096,
 			[]string{fmt.Sprintf("write %d@9000", j), "write 4@0", fmt.Sprintf("write %d@4", n-4), "write 4@0", "size 9000"},
 			j + n + 4, 9000, 0},
@@ -88,9 +90,13 @@ func TestCommitHeaderShapes(t *testing.T) {
 			2*j + n + 4, 9000 + j + 1, 3},
 	} {
 		f := &memFile{data: tc.old, appendAt: tc.appendAt}
+		want := bytes.Clone(img)
 		written, err := CommitHeader(f, img, tc.declaredEnd)
 		if err != nil || written != int64(tc.written) {
 			t.Fatalf("%s: wrote %d bytes, err %v; want %d", tc.name, written, err, tc.written)
+		}
+		if !bytes.Equal(img, want) {
+			t.Fatalf("%s: the caller's image changed", tc.name)
 		}
 		if fmt.Sprint(f.log) != fmt.Sprint(tc.log) {
 			t.Fatalf("%s: steps %v, want %v", tc.name, f.log, tc.log)
@@ -121,7 +127,7 @@ func TestCommitHeaderCrashAtEveryStep(t *testing.T) {
 	n, j := len(img), len(img)+JournalTrailerSize
 	const declaredEnd = 4096
 	// The recommit's fifth step is the size change, which dies whole.
-	for _, steps := range [][]int{{n - 4, 4}, {j, 4, n - 4, 4, 0}} {
+	for _, steps := range [][]int{{n, 4}, {j, 4, n - 4, 4, 0}} {
 		first := len(steps) == 2
 		done := 0
 		for die, size := range steps {
@@ -137,6 +143,9 @@ func TestCommitHeaderCrashAtEveryStep(t *testing.T) {
 				written, err := CommitHeader(f, img, declaredEnd)
 				if !errors.Is(err, errDied) || written != int64(done) {
 					t.Fatalf("%s: wrote %d, err %v; want %d and the write's error", what, written, err, done)
+				}
+				if img[0] != 'C' {
+					t.Fatalf("%s: the caller's image lost its magic", what)
 				}
 				h, _, recovered, err := ReadHeader(int64(len(f.data)), func(buf []byte, off int64) error {
 					copy(buf, f.data[off:])

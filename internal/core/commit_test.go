@@ -1,19 +1,23 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"pnetcdf/internal/fault"
 	"pnetcdf/internal/iostat"
 	"pnetcdf/internal/mpi"
 	"pnetcdf/internal/nctype"
+	"pnetcdf/internal/netcdf"
 )
 
 // TestCommitWritesAndLedger counts what the two header commits ask of the
 // file system and holds the header ledger to it. Create→EndDef finds an empty
-// file: the root writes body and magic, 2 requests, the image once.
+// file: the root writes the image with its magic zeroed, then the magic, 2
+// requests, n + 4 bytes.
 // Redef→EndDef and a data-mode attribute overwrite find a header to protect:
 // journal, zero magic, body, magic — 4 requests, the image twice — and a size
 // change that takes the journal off again, so however many recommits a file
@@ -57,7 +61,7 @@ func TestCommitWritesAndLedger(t *testing.T) {
 			return err
 		}
 		n := d.Header().EncodedSize()
-		if err := step("Create→EndDef", 2, n); err != nil {
+		if err := step("Create→EndDef", 2, n+4); err != nil { // image with zeroed magic, magic
 			return err
 		}
 
@@ -102,6 +106,66 @@ func TestCommitWritesAndLedger(t *testing.T) {
 		}
 		return r.Close()
 	})
+}
+
+// TestFirstCommitStartsOnAStripe: a header longer than a stripe goes down in
+// two requests — the image from byte 0 with its magic zeroed, then the magic
+// — so the file system reads back two blocks, the tail's and stripe 0 under
+// the magic, not also stripe 0 under the body's head. The file is the serial
+// library's to the byte.
+func TestFirstCommitStartsOnAStripe(t *testing.T) {
+	fsys := testFS()
+	history := strings.Repeat("a long history ", int(fsys.Config().StripeSize)/10)
+	define := func(d interface {
+		DefDim(string, int64) (int, error)
+		DefVar(string, nctype.Type, []int) (int, error)
+		PutAttr(int, string, nctype.Type, any) error
+	}) error {
+		x, err := d.DefDim("x", 4)
+		if err != nil {
+			return err
+		}
+		if _, err := d.DefVar("grid", nctype.Int, []int{x}); err != nil {
+			return err
+		}
+		return d.PutAttr(GlobalID, "history", nctype.Char, history)
+	}
+	var size int64
+	runWorld(t, 2, func(c *mpi.Comm) error {
+		st := iostat.New()
+		c.Proc().SetStats(st)
+		d, err := Create(c, fsys, "wide.nc", nctype.Clobber, nil)
+		if err != nil {
+			return err
+		}
+		if err := define(d); err != nil {
+			return err
+		}
+		before := [2]int64{st.Get(iostat.PfsWriteCalls), st.Get(iostat.PfsRMWBlocks)}
+		if err := d.EndDef(); err != nil {
+			return err
+		}
+		got := [2]int64{st.Get(iostat.PfsWriteCalls) - before[0], st.Get(iostat.PfsRMWBlocks) - before[1]}
+		if n := d.Header().EncodedSize(); c.Rank() == 0 && (n <= fsys.Config().StripeSize || got != [2]int64{2, 2}) {
+			return fmt.Errorf("a %d-byte header: %d writes and %d RMW blocks, want 2 and 2", n, got[0], got[1])
+		}
+		size = d.Header().FileSize()
+		return d.Close()
+	})
+	ms := &netcdf.MemStore{}
+	s, err := netcdf.Create(ms, nctype.Clobber)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := define(s); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := readAll(t, fsys, "wide.nc"); int64(len(got)) != size || !bytes.Equal(got, ms.Data[:size]) {
+		t.Fatalf("the %d-byte file differs from the serial library's %d bytes", len(got), len(ms.Data))
+	}
 }
 
 // TestEndDefSendsNoHeader: EndDef settles consistency on header digests, so

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"pnetcdf/internal/fault"
@@ -573,6 +574,85 @@ func TestRedefRelocationParallel(t *testing.T) {
 		}
 		return d.Close()
 	})
+}
+
+// TestRedefRelocationFailureIsCollective: when one rank's share of a
+// parallel relocation fails, EndDef fails on every rank — the mover with its
+// own error, the others with mpi.ErrPeerFailed — and nobody is left waiting
+// for the rank that gave up. A crash point inside each variable's new place
+// fails each mover in turn.
+func TestRedefRelocationFailureIsCollective(t *testing.T) {
+	const ranks, nvars = 4, 4
+	build := func(c *mpi.Comm, fsys *pfs.FS, arm func()) (*Dataset, error) {
+		d, err := Create(c, fsys, "move.nc", nctype.Clobber, nil)
+		if err != nil {
+			return nil, err
+		}
+		x, _ := d.DefDim("x", 16)
+		for i := 0; i < nvars; i++ {
+			if _, err := d.DefVar(fmt.Sprintf("v%d", i), nctype.Int, []int{x}); err != nil {
+				return nil, err
+			}
+		}
+		if err := d.EndDef(); err != nil {
+			return nil, err
+		}
+		if err := d.Redef(); err != nil {
+			return nil, err
+		}
+		// The header outgrows all the data: every move lands past every
+		// source, so the ranks share them.
+		if err := d.PutAttr(GlobalID, "history", nctype.Char, strings.Repeat("h", 4096)); err != nil {
+			return nil, err
+		}
+		arm()
+		return d, d.EndDef()
+	}
+	// Where the variables land, from a run without faults.
+	var begins []int64
+	probe := testFS()
+	runWorld(t, ranks, func(c *mpi.Comm) error {
+		d, err := build(c, probe, func() {})
+		if err != nil {
+			return err
+		}
+		if c.Rank() == 0 {
+			for _, v := range d.Header().Vars {
+				begins = append(begins, v.Begin)
+			}
+		}
+		return d.Close()
+	})
+	for k, at := range begins {
+		fsys := testFS()
+		in := fault.New(fault.Config{Seed: 1})
+		fsys.SetFault(in)
+		errs := make([]error, ranks)
+		err := mpi.Run(ranks, mpi.DefaultNet(), func(c *mpi.Comm) error {
+			_, errs[c.Rank()] = build(c, fsys, func() {
+				if c.Rank() == 0 {
+					in.ArmCrash(at+1, false)
+				}
+				c.Barrier()
+			})
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("crash in v%d's new place: %v", k, err)
+		}
+		crashed := 0
+		for r, err := range errs {
+			switch {
+			case errors.Is(err, fault.ErrCrashed):
+				crashed++
+			case !errors.Is(err, mpi.ErrPeerFailed):
+				t.Fatalf("crash in v%d's new place: rank %d: EndDef = %v, want the crash or mpi.ErrPeerFailed", k, r, err)
+			}
+		}
+		if crashed != 1 {
+			t.Fatalf("crash in v%d's new place: %d ranks crashed, want 1 (errors %v)", k, crashed, errs)
+		}
+	}
 }
 
 func TestCreateModesAndErrors(t *testing.T) {

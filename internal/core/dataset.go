@@ -145,38 +145,47 @@ func Open(comm *mpi.Comm, fsys *pfs.FS, path string, omode int, info *mpi.Info) 
 	if err != nil {
 		return nil, err
 	}
-	// Root fetches the header (cdf.ReadHeader: a growing prefix, then the
-	// commit journal when the in-place header is torn) and broadcasts a
-	// status first, so a root-side read failure is a collective error rather
-	// than a hang.
+	// The root fetches the header (cdf.ReadHeader: a growing prefix, then the
+	// commit journal when the in-place header is torn) and broadcasts it
+	// behind a status byte, so a root-side read failure is a collective error
+	// rather than a hang. The broadcast takes that buffer over: building it is
+	// the one copy of the image the root makes.
 	var hdr *cdf.Header
 	var blob []byte
-	var recovered bool
 	var herr error // this rank's failure to read or decode the header
+	const (
+		statusOK = iota
+		statusReadFailed
+		statusRecovered
+	)
+	var wire []byte
 	if comm.Rank() == 0 {
 		var size int64
+		var recovered bool
 		if size, herr = f.Size(); herr == nil {
 			hdr, blob, recovered, herr = cdf.ReadHeader(size, f.ReadRaw)
 		}
+		status := byte(statusOK)
+		if herr != nil && blob == nil { // the read itself failed: nothing to broadcast
+			status = statusReadFailed
+		} else if recovered {
+			status = statusRecovered
+		}
+		wire = append([]byte{status}, blob...)
 	}
-	status := int64(0)
-	if herr != nil && blob == nil { // the read itself failed: nothing to broadcast
-		status = 1
-	} else if recovered {
-		status = 2
-	}
-	status = mpi.DecodeI64s(comm.Bcast(0, mpi.EncodeI64s([]int64{status})))[0]
-	if status == 1 {
+	wire = comm.BcastOwned(0, wire)
+	status := wire[0]
+	if status == statusReadFailed {
 		if herr != nil {
 			return nil, herr
 		}
 		return nil, fmt.Errorf("pnetcdf: open %s: header read failed on root", path)
 	}
-	recovered = status == 2
+	recovered := status == statusRecovered
 	// The root keeps the header it decoded while probing; the others decode
 	// the broadcast image: the header's own bytes, or — when the root could
 	// not decode them — all it read, which they decode to the same error.
-	blob = comm.Bcast(0, blob)
+	blob = wire[1:]
 	if comm.Rank() != 0 {
 		hdr, herr = cdf.Decode(blob)
 	}
@@ -466,7 +475,9 @@ func (d *Dataset) commitHeader(img []byte) error {
 // cdf.RelocationPlan. Moves whose destinations clear all the old data are
 // divided among the processes ("moving the existing data to the extended
 // area is performed in parallel", paper §4.3); otherwise a destination may be
-// another move's source, and the root carries the plan out in its order.
+// another move's source, and the root carries the plan out in its order. A
+// rank whose move fails stops moving; the outcome is agreed, so every rank
+// returns an error together.
 func (d *Dataset) relocate(old *cdf.Header) error {
 	moves := d.hdr.RelocationPlan(old)
 	// Ranks may take moves independently only when nothing is written where
@@ -479,20 +490,19 @@ func (d *Dataset) relocate(old *cdf.Header) error {
 	}
 	parallel := lowestTo >= highestFromEnd
 	buf := make([]byte, 1<<20)
+	var err error
 	for i, m := range moves {
 		mover := 0
 		if parallel {
 			mover = i % d.comm.Size()
 		}
-		if mover != d.comm.Rank() {
-			continue
-		}
-		if err := m.Copy(buf, d.f.ReadRaw, d.f.WriteRaw); err != nil {
-			return err
+		if mover == d.comm.Rank() {
+			if err = m.Copy(buf, d.f.ReadRaw, d.f.WriteRaw); err != nil {
+				break
+			}
 		}
 	}
-	d.comm.Barrier()
-	return nil
+	return d.comm.AgreeError(err)
 }
 
 // fillVars prefills all fixed variables with fill values. The root alone

@@ -18,6 +18,10 @@ const (
 	tagFanIn  = 1
 	tagFanOut = 2
 	tagData   = 3
+	// A long-message Bcast's scatter and allgather (bcastOwned); the tag of
+	// a member's first message tells it which algorithm runs.
+	tagScatter = 4
+	tagRing    = 5
 )
 
 // Barrier blocks until every member has entered it, like MPI_Barrier: a
@@ -126,6 +130,12 @@ func (c *Comm) reduceDown(t *tree, ctx int64, acc vec) {
 // root gets data back and may reuse it at once: what travels is one copy of
 // it, and every non-root member receives that same copy — a shared backing
 // array they must treat as read-only (copy before modifying).
+//
+// The algorithm is MPICH's: a payload shorter than bcastLong, or a
+// communicator of fewer than bcastLongMin members, goes down a binomial tree,
+// ceil(log2 p) × (α + nβ) for a latency α and a whole-payload transfer nβ. A
+// longer one is scattered down the same tree in p pieces and then gathered
+// around a ring (van de Geijn), (log2 p + p − 1)α + 2(p−1)/p nβ.
 func (c *Comm) Bcast(root int, data []byte) []byte {
 	if c.rank == root && c.Size() > 1 {
 		c.bcastOwned(root, bytes.Clone(data))
@@ -134,21 +144,67 @@ func (c *Comm) Bcast(root int, data []byte) []byte {
 	return c.bcastOwned(root, data)
 }
 
+// BcastOwned is Bcast without the root's copy: the root gives data up as it
+// would to Send, and every member, the root included, returns that one
+// backing array, read-only.
+func (c *Comm) BcastOwned(root int, data []byte) []byte {
+	return c.bcastOwned(root, data)
+}
+
+// bcastLong and bcastLongMin select Bcast's long-message algorithm: from
+// bcastLong bytes on at least bcastLongMin members. Under DefaultNet that is
+// where it beats the tree on every communicator of 4 to 160 members; the
+// crossover grows with p, since the ring pays (p−1)α — about 40 KiB at 8
+// members, 110 KiB at 64, 180 KiB at 128. A sender pays only its injection
+// overhead, so with 2 or 3 members the root reaches everyone in one hop, and
+// no split of the payload can beat that.
+const (
+	bcastLong    = 256 << 10
+	bcastLongMin = 4
+)
+
 // bcastOwned is Bcast for a wire buffer the caller built for this call and
-// never writes again: it travels down the tree rooted at root as it is —
-// interior members forward the slice they received — so the root's return
-// value aliases what every other member received.
+// never writes again. Every message carries wire itself — interior members
+// forward the slice they received — so the root's return value aliases what
+// every other member received. The root picks the algorithm and sends it
+// down in the tag; a non-root reads it off its parent's message.
+//
+// The long algorithm charges each message only its piece (sendSized): the
+// root's scatter to a child covers the child's subtree, [child, child+m)
+// pieces of ceil(n/p) bytes, and in ring step k member i passes piece i−k
+// to member i+1. Every member already holds all of wire after the scatter;
+// the ring is the time the pieces take to meet.
 func (c *Comm) bcastOwned(root int, wire []byte) []byte {
 	ctx := c.nextOpCtx(opBcast)
 	t := c.commTree(root)
 	s := t.span()
+	tag := tagFanOut
 	if t.me != 0 {
-		wire = c.treeRecv(&t, t.me-s, tagFanOut, ctx)
+		m := c.recvCore(t.rank(t.me-s), AnyTag, ctx, nil)
+		wire, tag = m.data, m.tag
+	} else if len(wire) >= bcastLong && t.p >= bcastLongMin {
+		tag = tagScatter
 	}
+	if tag == tagFanOut {
+		for m := s >> 1; m >= 1; m >>= 1 {
+			if child := t.me + m; child < t.p {
+				c.treeSend(&t, child, tagFanOut, ctx, wire)
+			}
+		}
+		return wire
+	}
+	n, chunk := len(wire), (len(wire)+t.p-1)/t.p
+	piece := func(lo, hi int) int { return min(hi*chunk, n) - min(lo*chunk, n) }
 	for m := s >> 1; m >= 1; m >>= 1 {
 		if child := t.me + m; child < t.p {
-			c.treeSend(&t, child, tagFanOut, ctx, wire)
+			c.sendSized(t.rank(child), tagScatter, ctx, wire, piece(child, child+m), false)
 		}
+	}
+	right, left := t.rank((t.me+1)%t.p), t.rank((t.me+t.p-1)%t.p)
+	for k := 0; k < t.p-1; k++ {
+		i := (t.me - k + t.p) % t.p
+		c.sendSized(right, tagRing, ctx, wire, piece(i, i+1), false)
+		c.recvCore(left, tagRing, ctx, nil)
 	}
 	return wire
 }

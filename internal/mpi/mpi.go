@@ -34,8 +34,11 @@
 // allocates nothing. Allgather hands its own wire buffer over as it is.
 // Gather, Scatter and Alltoall copy each caller-owned part once, so every
 // received slice has a single owner. Bcast copies the root's payload once
-// and passes that one copy down the tree: the non-root members all receive
-// the same backing array and must treat it as read-only (see Bcast).
+// (BcastOwned takes it over instead) and every message carries that one
+// copy: the non-root members all receive the same backing array and must
+// treat it as read-only. A short payload goes down a binomial tree; from
+// 256 KiB on four or more members it is scattered down the tree and gathered
+// around a ring, each message charged only its piece (see Bcast).
 //
 // The paper's experiments ran on IBM SP-2 systems; this package is the
 // substitution for that hardware (see DESIGN.md §2).
@@ -314,6 +317,14 @@ func (c *Comm) send(dst, tag int, ctx int64, data []byte) {
 // and a crash between the peer's send and our delivery is exactly the
 // reordering a real network exhibits.
 func (c *Comm) sendCore(dst, tag int, ctx int64, data []byte, ftMode bool) {
+	c.sendSized(dst, tag, ctx, data, len(data), ftMode)
+}
+
+// sendSized is sendCore for a message charged n bytes rather than
+// len(data): the long-message Bcast hands every member the root's whole
+// payload, which it already shares, and moves it piece by piece in virtual
+// time.
+func (c *Comm) sendSized(dst, tag int, ctx int64, data []byte, n int, ftMode bool) {
 	if dst < 0 || dst >= len(c.group) {
 		c.Abort(fmt.Errorf("mpi: send to invalid rank %d (size %d)", dst, len(c.group)))
 	}
@@ -326,8 +337,8 @@ func (c *Comm) sendCore(dst, tag int, ctx int64, data []byte, ftMode bool) {
 		return
 	}
 	c.proc.stats.Add(iostat.MPIMsgsSent, 1)
-	c.proc.stats.Add(iostat.MPIBytesSent, int64(len(data)))
-	arrival := c.proc.clock + c.world.transferTime(len(data))
+	c.proc.stats.Add(iostat.MPIBytesSent, int64(n))
+	arrival := c.proc.clock + c.world.transferTime(n)
 	c.proc.clock += c.world.net.SendOverhead
 	box.mu.Lock()
 	box.queue = append(box.queue, message{src: c.rank, tag: tag, ctx: ctx, data: data, arrival: arrival})

@@ -142,12 +142,10 @@ func Open(comm *mpi.Comm, fsys *pfs.FS, name string, amode int, info *mpi.Info) 
 			verdict = 2 // exists, exclusive create
 		case amode&ModeCreate == 0 && !exists:
 			verdict = 1 // missing
-		default:
-			if !exists {
-				_, t := fsys.Create(name, comm.Clock())
-				comm.Proc().SetClock(t)
-			}
-			verdict = 0
+		case !exists:
+			_, t := fsys.Create(name, comm.Clock())
+			comm.Proc().SetClock(t)
+			verdict = 3 // created
 		}
 	}
 	verdict = mpi.DecodeI64s(comm.Bcast(0, mpi.EncodeI64s([]int64{verdict})))[0]
@@ -179,8 +177,11 @@ func Open(comm *mpi.Comm, fsys *pfs.FS, name string, amode int, info *mpi.Info) 
 	f.sp = comm.Proc().Spans()
 	pf.SetStats(f.st, f.tr, comm.Rank())
 	pf.SetSpans(f.sp)
-	// Everyone leaves open together, with the truncation visible.
-	comm.Barrier()
+	// Everyone leaves a create or truncation together, with the new file
+	// visible; an open of what exists changes nothing for a peer to see.
+	if verdict == 3 || amode&ModeTrunc != 0 {
+		comm.Barrier()
+	}
 	return f, nil
 }
 
