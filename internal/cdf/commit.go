@@ -182,15 +182,28 @@ func RecoverJournal(img []byte) []byte {
 // so no byte is fetched twice — to the next step of 64 KiB × 4ⁿ or to the
 // end of the file.
 //
-// A truncated decode that got as far as a variable knows more: data starts
-// no earlier than the header ends, so the smallest begin read so far bounds
-// the header, and the next extension stops there when that is short of the
-// step. The bound only ever trims: a begin inside the bytes already held is
-// ignored, and one past the step or the file changes nothing. A begin that
+// A truncated decode that got as far as a variable knows more, and the
+// extension uses two things it learned. First, where the header probably
+// ends: the declared variable count and the bytes the complete variables
+// took predict it (predictEnd), and the extension reaches past the step to
+// the prediction when that lies further, but never past the step after it —
+// a large header then costs the first probe and one request, not every step
+// up to it, while a few fat variables in front of thin ones cannot stretch a
+// request more than one step. Second, where it cannot end: data starts no
+// earlier than the header ends, so the smallest begin read so far bounds the
+// header, and the extension stops there when that is short of where it would
+// reach. The bound only ever trims: a begin inside the bytes already held is
+// ignored, and one past the reach or the file changes nothing. A begin that
 // lies — it points into the header, which CheckLayout reports — costs the one
-// extension it cut short, after which it is inside the bytes held. Either
-// way the bytes read are the prefix held at the end, never more than the
-// step a probe without the bound would have reached.
+// extension it cut short, after which it is inside the bytes held. After
+// every extension the step moves past the bytes held.
+//
+// So the bytes read are the prefix held at the end; no extension goes past
+// the smallest begin beyond the bytes it extends; and every extension that
+// is not trimmed reaches at least the step it replaces and at most the next,
+// so, a lying begin aside, there are never more requests than the steps a
+// probe without prediction or bound would make, and never more than four
+// times its bytes.
 //
 // Any failure other than ErrTruncated cannot be cured by more bytes — as a
 // header still truncated with the whole file read cannot — and is settled by
@@ -202,12 +215,11 @@ func RecoverJournal(img []byte) []byte {
 // is everything read from the front of the file, so that a caller's peers
 // can decode it to the same error.
 func ReadHeader(size int64, read func(buf []byte, off int64) error) (h *Header, blob []byte, recovered bool, err error) {
-	bound := int64(0)
+	bound, predicted := int64(0), int64(0)
 	for step := int64(64 << 10); ; {
 		held := int64(len(blob))
-		end := min(step, size)
-		trimmed := held < bound && bound < end
-		if trimmed {
+		end := min(max(step, min(predicted, 4*step)), size)
+		if held < bound && bound < end {
 			end = bound
 		}
 		grown := make([]byte, end)
@@ -223,8 +235,8 @@ func ReadHeader(size int64, read func(buf []byte, off int64) error) (h *Header, 
 		if end >= size || !errors.Is(err, ErrTruncated) {
 			break
 		}
-		bound = r.minBegin
-		if !trimmed {
+		bound, predicted = r.minBegin, r.predictEnd()
+		for step <= end {
 			step *= 4
 		}
 	}

@@ -19,6 +19,13 @@ type headerReader struct {
 	// buffer did not reach that far; ReadHeader trims its next probe by it.
 	minBegin int64
 
+	// nvars is the variable count the header declares, varsAt where its
+	// first variable starts, and done variables were read in full, ending at
+	// varsEnd: what a truncated decode knows about the header's length (see
+	// predictEnd).
+	nvars, varsAt, varsEnd int64
+	done                   int64
+
 	// names is where names are cut from; lists and values are cut from the
 	// slabs of the header being read.
 	names stringSlab
@@ -186,6 +193,20 @@ func (r *headerReader) attrs(h *Header, prev []Attr) ([]Attr, error) {
 	return attrs, nil
 }
 
+// predictEnd is where a header that decode found truncated inside its
+// variable list probably ends: the bytes its complete variables took,
+// extrapolated to the declared count, with an eighth of the extrapolation to
+// spare — names and attributes vary in length, and a prediction just short
+// costs a whole request where one a little long costs bytes, which the
+// smallest begin usually trims. It is 0 when no variable was read in full.
+func (r *headerReader) predictEnd() int64 {
+	if r.done == 0 {
+		return 0
+	}
+	rest := (r.nvars - r.done) * (r.varsEnd - r.varsAt) / r.done
+	return r.varsEnd + rest + rest/8
+}
+
 // Decode parses an on-disk header image. The buffer must contain at least
 // the complete header; trailing bytes (data) are ignored.
 func Decode(buf []byte) (*Header, error) {
@@ -243,6 +264,7 @@ func (r *headerReader) decode(buf []byte) (*Header, error) {
 		return nil, fmt.Errorf("%w: %d variables", nctype.ErrNotNC, nvars)
 	}
 	h.Vars = make([]Var, 0, r.atMost(nvars, 4*nn+8+offsetSize(version)))
+	r.nvars, r.varsAt = nvars, int64(r.pos)
 	var prev []Attr
 	for i := int64(0); i < nvars; i++ {
 		var v Var
@@ -295,6 +317,7 @@ func (r *headerReader) decode(buf []byte) (*Header, error) {
 		}
 		r.minBegin = min(r.minBegin, v.Begin)
 		h.Vars = append(h.Vars, v)
+		r.done, r.varsEnd = i+1, int64(r.pos)
 	}
 	h.dimIdx.extend(len(h.Dims), h.dimName)
 	h.varIdx.extend(len(h.Vars), h.varName)

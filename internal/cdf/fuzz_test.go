@@ -212,7 +212,8 @@ func FuzzDecode(f *testing.F) {
 		f.Add(bigSeedHeader(v, 3*digestChunk+1))
 	}
 	// Headers longer than ReadHeader's first step, with begins that bound the
-	// next one usefully, uselessly and wrongly.
+	// next one usefully, uselessly and wrongly, and variables that predict
+	// the header's end well (4096 of them), too far, or not at all.
 	for _, tc := range probeCases(f) {
 		f.Add(tc.img)
 	}
@@ -230,6 +231,15 @@ func FuzzDecode(f *testing.F) {
 		case err == nil && (!rh.Equal(h) || !bytes.Equal(blob, data[:len(blob)]) || file.bytes != file.reach):
 			t.Fatalf("ReadHeader: another header, an image of %d bytes that is not the file's prefix, or %d bytes read to reach byte %d",
 				len(blob), file.bytes, file.reach)
+		}
+		// In a file much larger than the bytes, the rest zeros, the probe
+		// extends past them as far as the decode asks; a header it finds
+		// cost no byte twice, and a header the bytes hold is found again.
+		large := &countingFile{size: int64(len(data)) + 8<<20, head: data}
+		lh, _, _, lerr := ReadHeader(large.size, large.read)
+		if lerr == nil && large.bytes != large.reach || err == nil && (lerr != nil || !lh.Equal(h)) {
+			t.Fatalf("ReadHeader in a file of %d bytes: %v, %d bytes read to reach byte %d; Decode: %v",
+				large.size, lerr, large.bytes, large.reach, err)
 		}
 		if err != nil {
 			return

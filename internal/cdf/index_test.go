@@ -4,9 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
+	"pnetcdf/internal/metashape"
 	"pnetcdf/internal/nctype"
 )
 
@@ -264,16 +266,51 @@ type probeCase struct {
 	size       int64
 	reach      int64 // the file prefix it ends up holding
 	extraCalls int64 // calls it may make beyond restartingProbe's
+	calls      int64 // when set, exactly this many calls
+	predicted  bool  // the prediction may carry it past restartingProbe's bytes, to at most four times them
+}
+
+// headerDefiner makes define calls on a header in define mode.
+type headerDefiner struct{ *Header }
+
+func (h headerDefiner) PutAttr(varid int, name string, t nctype.Type, value any) error {
+	_, err := h.Header.PutAttr(varid, name, t, value, true)
+	return err
+}
+
+// tightImage is the image of the header define makes, laid out tightly.
+func tightImage(t testing.TB, define func(d metashape.Definer) error) []byte {
+	h := &Header{Version: 2}
+	if err := define(headerDefiner{h}); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.ComputeLayout(1); err != nil {
+		t.Fatal(err)
+	}
+	return h.Encode()
 }
 
 // probeCases are the open-time probe's contract. big is a header of about
 // 130 KiB — the first step truncates it, the second holds it — laid out
 // tightly, under a 1 MiB nc_header_align_size, and with begins that are
 // useless (past the file, inside the bytes already held) or wrong (inside the
-// header, beyond them).
+// header, beyond them). The rest are about the prediction: the metadata
+// benchmark's header of 4096 variables, which the first step's variables
+// predict; one whose first variables are fat, so that they predict far more
+// header than there is; one whose first two steps end inside a global
+// attribute, where no variable predicts anything; one whose fat first
+// variables are followed by thin ones and then by a long attribute, so that
+// a later prediction falls short of the bytes already held; and one whose
+// first variables are fat record variables, whose begins lie past all the
+// fixed data and so bound nothing.
 func probeCases(t testing.TB) []probeCase {
-	big := func(hAlign int64, rebase func(h *Header)) []byte {
+	// laidOut is big reshaped before its layout is computed, and rebased
+	// after.
+	laidOut := func(hAlign int64, reshape, rebase func(h *Header)) []byte {
 		h := literalHeader(4, 3000)
+		if reshape != nil {
+			reshape(h)
+		}
 		if err := h.ComputeLayout(hAlign); err != nil {
 			t.Fatal(err)
 		}
@@ -282,6 +319,7 @@ func probeCases(t testing.TB) []probeCase {
 		}
 		return h.Encode()
 	}
+	big := func(hAlign int64, rebase func(h *Header)) []byte { return laidOut(hAlign, nil, rebase) }
 	const size = 64 << 20
 	tight := big(1, nil)
 	hdrLen := int64(len(tight))
@@ -290,6 +328,57 @@ func probeCases(t testing.TB) []probeCase {
 			h.Vars[i].Begin += size
 		}
 	}
+	meta := tightImage(t, metashape.New(4096, 1).Define)
+	fatFirst := func(h *Header) {
+		for i := range h.Vars[:200] {
+			h.Vars[i].Attrs = []Attr{mkAttr("long_name", nctype.Char, make([]byte, 400))}
+		}
+	}
+	longGAttr := func(h *Header) {
+		h.GAttrs = []Attr{mkAttr("history", nctype.Char, make([]byte, 300<<10))}
+	}
+	fatThinLong := tightImage(t, func(d metashape.Definer) error {
+		n, err := d.DefDim("n", 16)
+		if err != nil {
+			return err
+		}
+		for i := 0; i < 30; i++ {
+			v, err := d.DefVar(fmt.Sprintf("v%02d", i), nctype.Float, []int{n})
+			if err != nil {
+				return err
+			}
+			long := map[int]int{0: 60_000, 1: 70_000, 11: 2 << 20}[i]
+			if err := d.PutAttr(v, "long_name", nctype.Char, strings.Repeat("x", max(long, 100))); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	recordFirst := tightImage(t, func(d metashape.Definer) error {
+		rec, err := d.DefDim("time", 0)
+		if err != nil {
+			return err
+		}
+		n, err := d.DefDim("n", 1024)
+		if err != nil {
+			return err
+		}
+		for i := 0; i < 20; i++ {
+			v, err := d.DefVar(fmt.Sprintf("r%02d", i), nctype.Double, []int{rec})
+			if err != nil {
+				return err
+			}
+			if err := d.PutAttr(v, "long_name", nctype.Char, strings.Repeat("x", 4000)); err != nil {
+				return err
+			}
+		}
+		for i := 0; i < 8000; i++ {
+			if _, err := d.DefVar(fmt.Sprintf("v%05d", i), nctype.Float, []int{n}); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 	return []probeCase{
 		{name: "inside the first step", img: fuzzSeedHeader(2), size: size, reach: 64 << 10},
 		{name: "second step, trimmed to the first begin", img: tight, size: size, reach: hdrLen},
@@ -298,6 +387,11 @@ func probeCases(t testing.TB) []probeCase {
 		{name: "a begin inside the bytes held", img: big(1, func(h *Header) { h.Vars[0].Begin = 100 }), size: size, reach: 256 << 10},
 		{name: "a begin inside the header", img: big(1, func(h *Header) { h.Vars[0].Begin = 70_000 }), size: size, reach: 256 << 10, extraCalls: 1},
 		{name: "file ends inside the second step", img: tight, size: hdrLen + 10, reach: hdrLen},
+		{name: "4096 variables: predicted, trimmed to the first begin", img: meta, size: size, reach: int64(len(meta)), calls: 2},
+		{name: "a prediction past a loose bound stops at it", img: laidOut(512<<10, fatFirst, nil), size: size, reach: 512 << 10, predicted: true},
+		{name: "no variable in two steps: the 4ⁿ steps", img: laidOut(1, longGAttr, nil), size: size, reach: 1 << 20, calls: 3},
+		{name: "a prediction short of the bytes held: the next step", img: fatThinLong, size: size, reach: int64(len(fatThinLong)), calls: 3},
+		{name: "record variables first: the prediction held to the next step", img: recordFirst, size: size, reach: 1 << 20, calls: 2},
 	}
 }
 
@@ -344,9 +438,11 @@ func TestReadHeaderProbes(t *testing.T) {
 		t.Fatalf("torn header, bad journal: err = %v, recovered = %v", err, recovered)
 	}
 
-	// Headers found: no byte is read twice, no read goes past what a
-	// bound-less probe would have held, and the image handed back is the
-	// header's own bytes, not the probe.
+	// Headers found: no byte is read twice, no read goes past what a probe
+	// with neither prediction nor bound would have held unless a prediction
+	// carried it (and then not past four times that), no more reads are made than
+	// that probe's, and the image handed back is the header's own bytes, not
+	// the probe.
 	for _, tc := range probeCases(t) {
 		f := &countingFile{size: tc.size, head: tc.img}
 		h, blob, recovered, err := ReadHeader(tc.size, f.read)
@@ -357,7 +453,10 @@ func TestReadHeaderProbes(t *testing.T) {
 			t.Fatalf("%s: decoded a different header", tc.name)
 		}
 		calls, bytes := restartingProbe(int64(len(tc.img)), tc.size)
-		if f.bytes != f.reach || f.reach != tc.reach || f.bytes > bytes || f.calls > calls+tc.extraCalls {
+		if tc.predicted {
+			bytes *= 4
+		}
+		if f.bytes != f.reach || f.reach != tc.reach || f.bytes > bytes || f.calls > calls+tc.extraCalls || tc.calls != 0 && f.calls != tc.calls {
 			t.Fatalf("%s: %d reads of %d bytes reaching byte %d, want byte %d reached once; the restarting probe made %d reads of %d bytes",
 				tc.name, f.calls, f.bytes, f.reach, tc.reach, calls, bytes)
 		}

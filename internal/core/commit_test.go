@@ -149,7 +149,9 @@ func TestFirstCommitStartsOnAStripe(t *testing.T) {
 		if n := d.Header().EncodedSize(); c.Rank() == 0 && (n <= fsys.Config().StripeSize || got != [2]int64{2, 2}) {
 			return fmt.Errorf("a %d-byte header: %d writes and %d RMW blocks, want 2 and 2", n, got[0], got[1])
 		}
-		size = d.Header().FileSize()
+		if c.Rank() == 0 {
+			size = d.Header().FileSize()
+		}
 		return d.Close()
 	})
 	ms := &netcdf.MemStore{}

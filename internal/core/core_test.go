@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"pnetcdf/internal/fault"
+	"pnetcdf/internal/iostat"
 	"pnetcdf/internal/mpi"
 	"pnetcdf/internal/mpitype"
 	"pnetcdf/internal/nctype"
@@ -855,6 +857,102 @@ func TestPrefetchReadFailureIsCollective(t *testing.T) {
 			return fmt.Errorf("rank %d: Open = %v, want %v", c.Rank(), err, want)
 		}
 		return nil
+	})
+}
+
+// TestPrefetchOneReadOneBroadcast: however many variables the hint names,
+// in whatever order and however often, the root reads them in one request
+// and every rank receives them in one broadcast behind the agreement on that
+// read; each rank's copies are cut, in begin order, from the one buffer.
+func TestPrefetchOneReadOneBroadcast(t *testing.T) {
+	fsys := testFS()
+	names := []string{"a", "b", "skipped", "c"}
+	runWorld(t, 3, func(c *mpi.Comm) error {
+		d, err := Create(c, fsys, "pf3.nc", nctype.Clobber, nil)
+		if err != nil {
+			return err
+		}
+		x, _ := d.DefDim("x", 1000)
+		for _, name := range names {
+			if _, err := d.DefVar(name, nctype.Double, []int{x}); err != nil {
+				return err
+			}
+		}
+		if err := d.EndDef(); err != nil {
+			return err
+		}
+		vals := make([]float64, 1000)
+		for v := range names {
+			for i := range vals {
+				vals[i] = float64(v*1000 + i)
+			}
+			if err := d.PutVarAll(v, vals); err != nil {
+				return err
+			}
+		}
+		if err := d.Close(); err != nil {
+			return err
+		}
+		st := iostat.New()
+		c.Proc().SetStats(st)
+		// open returns what an Open costs this rank in pfs read calls and
+		// collectives.
+		open := func(info *mpi.Info) (*Dataset, int64, int64, error) {
+			reads, colls := st.Get(iostat.PfsReadCalls), st.Get(iostat.MPICollectives)
+			r, err := Open(c, fsys, "pf3.nc", nctype.NoWrite, info)
+			return r, st.Get(iostat.PfsReadCalls) - reads, st.Get(iostat.MPICollectives) - colls, err
+		}
+		r, plainReads, plainColls, err := open(nil)
+		if err != nil {
+			return err
+		}
+		if err := r.Close(); err != nil {
+			return err
+		}
+		r, reads, colls, err := open(mpi.NewInfo().Set("nc_prefetch_vars", "c, a,b , a"))
+		if err != nil {
+			return err
+		}
+		agree := st.Get(iostat.MPICollectives)
+		if err := c.AgreeError(nil); err != nil {
+			return err
+		}
+		agree = st.Get(iostat.MPICollectives) - agree
+		wantReads := int64(0)
+		if c.Rank() == 0 {
+			wantReads = 1
+		}
+		if reads-plainReads != wantReads || colls-plainColls != agree+1 {
+			return fmt.Errorf("rank %d: the hint cost %d pfs reads and %d collectives, want %d and %d (the agreement and one broadcast)",
+				c.Rank(), reads-plainReads, colls-plainColls, wantReads, agree+1)
+		}
+		var imgs [][]byte
+		for _, v := range []int{0, 1, 3} {
+			img, ok := r.cache[v]
+			if !ok {
+				return fmt.Errorf("rank %d: %s not prefetched (%v)", c.Rank(), names[v], r.PrefetchedVars())
+			}
+			imgs = append(imgs, img)
+		}
+		if _, ok := r.cache[2]; ok || len(r.cache) != 3 {
+			return fmt.Errorf("rank %d: prefetched %v", c.Rank(), r.PrefetchedVars())
+		}
+		for i := 1; i < len(imgs); i++ {
+			prev := imgs[i-1]
+			if unsafe.Pointer(unsafe.SliceData(imgs[i])) != unsafe.Add(unsafe.Pointer(unsafe.SliceData(prev)), len(prev)) {
+				return fmt.Errorf("rank %d: image %d does not follow image %d in one buffer", c.Rank(), i, i-1)
+			}
+		}
+		got := make([]float64, 1000)
+		for _, v := range []int{0, 1, 3} {
+			if err := r.GetVarAll(v, got); err != nil {
+				return err
+			}
+			if got[0] != float64(v*1000) || got[999] != float64(v*1000+999) {
+				return fmt.Errorf("rank %d: cached %s = %v…%v", c.Rank(), names[v], got[0], got[999])
+			}
+		}
+		return r.Close()
 	})
 }
 

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"cmp"
+	"slices"
 	"strings"
 
 	"pnetcdf/internal/access"
 	"pnetcdf/internal/mpi"
+	"pnetcdf/internal/pfs"
 )
 
 // Open-time variable prefetch: the PnetCDF-level hint the paper sketches in
@@ -16,13 +19,17 @@ import (
 // could be a big win."
 //
 // The hint is nc_prefetch_vars, a comma-separated list of variable names.
-// At Open, the root reads each named fixed-size variable once and broadcasts
-// it; subsequent reads of those variables are served from the local copy
+// At Open, the root reads every named fixed-size variable in one request — a
+// vectored read over their extents in begin order — and broadcasts the
+// images in one message; every rank cuts its copies out of that one buffer,
+// and subsequent reads of those variables are served from the local copy
 // with no file I/O at all. Writing to a prefetched variable invalidates the
-// writer's copy; the hint asserts that the named variables are effectively
-// read-only while the file is open (independent writes by one process do
-// not invalidate other processes' copies — the usual relaxed-consistency
-// contract of netCDF hints).
+// writer's copy. Since the copies share one buffer, an invalidated copy's
+// memory is freed only with the last of them: a rank holds every hinted
+// variable's bytes for as long as it holds any. The hint asserts that the
+// named variables are effectively read-only while the file is open
+// (independent writes by one process do not invalidate other processes'
+// copies — the usual relaxed-consistency contract of netCDF hints).
 
 const prefetchHint = "nc_prefetch_vars"
 
@@ -47,26 +54,38 @@ func (d *Dataset) prefetch(info *mpi.Info) error {
 		}
 		ids = append(ids, varid)
 	}
+	if len(ids) == 0 {
+		return nil
+	}
+	// In begin order, each variable once: the extents of one request.
+	slices.SortFunc(ids, func(a, b int) int {
+		return cmp.Or(cmp.Compare(d.hdr.Vars[a].Begin, d.hdr.Vars[b].Begin), cmp.Compare(a, b))
+	})
+	ids = slices.Compact(ids)
+	segs := make([]pfs.Segment, len(ids))
+	var total int64
+	for i, varid := range ids {
+		v := &d.hdr.Vars[varid]
+		segs[i] = pfs.Segment{Off: v.Begin, Len: v.VSize}
+		total += v.VSize
+	}
 	// The root reads every image before anything is broadcast, and its
 	// outcome is agreed: a read that fails is an error on every rank, not a
 	// root that returns while the others wait for its broadcast.
-	imgs := make([][]byte, len(ids))
+	var imgs []byte
 	var rerr error
 	if d.comm.Rank() == 0 {
-		for i, varid := range ids {
-			v := &d.hdr.Vars[varid]
-			imgs[i] = make([]byte, v.VSize)
-			if rerr = d.f.ReadRaw(imgs[i], v.Begin); rerr != nil {
-				break
-			}
-		}
+		imgs = make([]byte, total)
+		rerr = d.f.ReadRawV(segs, imgs)
 	}
 	if err := d.comm.AgreeError(rerr); err != nil {
 		return err
 	}
-	d.cache = map[int][]byte{}
+	imgs = d.comm.BcastOwned(0, imgs)
+	d.cache = make(map[int][]byte, len(ids))
 	for i, varid := range ids {
-		d.cache[varid] = d.comm.Bcast(0, imgs[i])
+		n := segs[i].Len
+		d.cache[varid], imgs = imgs[:n:n], imgs[n:]
 	}
 	return nil
 }

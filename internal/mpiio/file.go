@@ -316,11 +316,17 @@ func (f *File) doPF(op func(t float64) (float64, error)) error {
 // ReadRaw reads bytes at an absolute offset, bypassing the view. The header
 // paths of the libraries above use it. Independent.
 func (f *File) ReadRaw(buf []byte, off int64) error {
+	return f.ReadRawV([]pfs.Segment{{Off: off, Len: int64(len(buf))}}, buf)
+}
+
+// ReadRawV reads the segments, sorted and disjoint, into consecutive bytes
+// of buf as one request, bypassing the view. Independent.
+func (f *File) ReadRawV(segs []pfs.Segment, buf []byte) error {
 	if f.closed {
 		return ErrClosed
 	}
 	if err := f.doPF(func(t float64) (float64, error) {
-		return f.pf.ReadAt(t, buf, off)
+		return f.pf.ReadV(t, segs, buf)
 	}); err != nil {
 		return err
 	}

@@ -18,7 +18,8 @@
 #            compare it with the previous PR's committed row; any
 #            end-to-end metric worse than its bound fails the run (slower;
 #            not part of the gate).
-#   FAULT=1  re-run the fault-injection suites under the race detector and
+#   FAULT=1  re-run the fault-injection suites, and the open-time header
+#            probe and prefetch read paths, under the race detector and
 #            drive a FLASH checkpoint at a 1% transient fault rate with a
 #            fixed seed; the run must complete and account its retries.
 #   FT=1     rank-failure tolerance (DESIGN.md §8) end to end: kill an
@@ -72,7 +73,7 @@ if [ "${FAULT:-0}" = "1" ]; then
     # Explicit -timeout: these suites exercise crash/retry paths whose
     # failure mode is a hang, so bound them well below the 10m default.
     go test -race -timeout 300s \
-        -run 'Fault|Crash|Commit|Retr|Agree|Short|Transient|Journal|Recover' \
+        -run 'Fault|Crash|Commit|Retr|Agree|Short|Transient|Journal|Recover|Prefetch|ReadHeader|Probe' \
         ./internal/fault/ ./internal/cdf/ ./internal/netcdf/ \
         ./internal/mpiio/ ./internal/core/ ./internal/integration/
     go run ./cmd/flashio-bench -block 8 -procs 8 -blocks-per-proc 20 \
