@@ -10,7 +10,6 @@
 //	flashio-bench -procs 16,32,64,128   # choose the process counts
 //	flashio-bench -blocks-per-proc 20   # shrink memory use for large runs
 //	flashio-bench -stats                # per-layer I/O statistics per run
-//	flashio-bench -trace out.jsonl      # dump the event trace (see nctrace)
 //	flashio-bench -span-out spans.json  # Chrome-trace spans of the last run
 //	flashio-bench -json BENCH_flashio.json   # machine-readable results
 //	flashio-bench -fault-rate 0.01 -stats    # inject transient faults; see
@@ -56,7 +55,6 @@ var (
 	files     = flag.String("files", "all", "checkpoint, plotfile, corners or all")
 	read      = flag.Bool("read", false, "measure checkpoint read-back instead (the paper's future-work comparison)")
 	stats     = flag.Bool("stats", false, "print per-layer I/O statistics after each PnetCDF run")
-	traceOut  = flag.String("trace", "", "write a JSON-lines event trace of the PnetCDF runs to this file")
 	spanOut   = flag.String("span-out", "", "write the last PnetCDF run's spans as Chrome trace-event JSON (see nctrace)")
 	jsonOut   = flag.String("json", "", "write machine-readable results (implies -stats) to this file")
 	faultRate = flag.Float64("fault-rate", 0, "transient-fault probability per 64 KiB transferred (0 disables injection)")
@@ -124,10 +122,6 @@ func main() {
 	default:
 		cmdutil.Usagef("flashio-bench: -files must be checkpoint, plotfile, corners or all")
 	}
-	var trace *iostat.Trace
-	if *traceOut != "" {
-		trace = iostat.NewTrace(iostat.DefaultTraceCap)
-	}
 	var spans *span.Sink
 	if *spanOut != "" {
 		spans = new(span.Sink)
@@ -167,7 +161,6 @@ func main() {
 				Discard: *outFile == "",
 				Read:    *read,
 				Stats:   collect,
-				Trace:   trace,
 				Spans:   spans,
 				Fault: bench.FaultOptions{
 					Rate: *faultRate, Seed: *faultSeed,
@@ -200,14 +193,6 @@ func main() {
 				out.Runs = append(out.Runs, rec)
 			}
 		}
-	}
-	if trace != nil {
-		f, err := os.Create(*traceOut)
-		cmdutil.Fatal(tool, err)
-		err = trace.WriteJSONL(f)
-		cmdutil.Fatal(tool, err)
-		cmdutil.Fatal(tool, f.Close())
-		fmt.Printf("trace: %d events to %s (%d dropped)\n", trace.Len(), *traceOut, trace.Dropped())
 	}
 	if spans != nil {
 		sp, dropped := spans.Snapshot()

@@ -1,52 +1,56 @@
-// Command nctrace inspects the two trace artifacts the benchmarks emit.
+// Command nctrace analyzes the span file the benchmarks write (the
+// -span-out flag: Chrome trace-event JSON, see internal/span; the same file
+// loads in Perfetto).
 //
-// Given a JSON-lines I/O event trace (the -trace flag, see internal/iostat)
-// it prints per-layer operation counts, a request-size histogram, the
-// per-rank timeline, and — given the file system geometry — the per-server
-// load split that explains flattening bandwidth curves.
-//
-// Given a Chrome trace-event span file (the -span-out flag, see
-// internal/span; the same file loads in Perfetto), the subcommands analyze
-// the collective pipeline:
-//
+//	nctrace summary spans.json     # per-phase table, request sizes, per-rank I/O
 //	nctrace timeline spans.json    # per-rank span tree
 //	nctrace critical spans.json    # which rank+phase bounded each round
 //	nctrace imbalance spans.json   # per-phase rank load spread
 //
+// The summary's request-size histogram, per-rank rows and per-server load
+// come from the pfs_read/pfs_write spans, one per file-system request. A
+// span file holds the last run of a sweep and only its measured phase: the
+// benches reset the recorders after setup, so setup I/O (such as the write a
+// read run first makes) is not in it.
+//
 // Usage:
 //
-//	nctrace trace.jsonl                      # event-trace summary
-//	nctrace -servers 12 -stripe 262144 t.jsonl   # add per-server load
-//	nctrace -layer pfs t.jsonl              # restrict to one layer
-//	nctrace -rank 3 timeline spans.json     # one rank's span tree
-//	nctrace -buckets 8 imbalance spans.json # histogram resolution
+//	nctrace -servers 12 -stripe 262144 summary spans.json  # add per-server load
+//	nctrace -rank 3 timeline spans.json                    # one rank's span tree
+//	nctrace -buckets 8 imbalance spans.json                # histogram resolution
 package main
 
 import (
 	"flag"
 	"fmt"
-	"math"
+	"io"
 	"math/bits"
 	"os"
 	"sort"
 
 	"pnetcdf/internal/cmdutil"
-	"pnetcdf/internal/iostat"
 	"pnetcdf/internal/span"
 )
 
 const tool = "nctrace"
 
 var (
-	servers = flag.Int("servers", 0, "I/O server count for per-server load (0 = skip)")
-	stripe  = flag.Int64("stripe", 256<<10, "stripe size in bytes for per-server load")
-	layer   = flag.String("layer", "", "restrict the summary to one layer (pfs, mpiio, pnetcdf)")
+	servers = flag.Int("servers", 0, "summary: I/O server count for per-server load (0 = skip)")
+	stripe  = flag.Int64("stripe", 256<<10, "summary: stripe size in bytes for per-server load")
 	rank    = flag.Int("rank", -1, "timeline: restrict to one rank (-1 = all)")
 	buckets = flag.Int("buckets", 6, "imbalance: histogram bucket count")
 )
 
-const usage = "usage: nctrace [flags] trace.jsonl\n" +
-	"       nctrace [flags] {timeline|critical|imbalance} spans.json"
+const usage = "usage: nctrace [flags] {summary|timeline|critical|imbalance} spans.json\n" +
+	"  spans.json is a bench's -span-out file: the last run's measured phase, without setup I/O"
+
+// commands maps each subcommand to its analysis.
+var commands = map[string]func(io.Writer, []span.Span){
+	"summary":   func(w io.Writer, s []span.Span) { summary(w, s, *servers, *stripe) },
+	"timeline":  func(w io.Writer, s []span.Span) { spanTimeline(w, s, *rank) },
+	"critical":  spanCritical,
+	"imbalance": func(w io.Writer, s []span.Span) { spanImbalance(w, s, *buckets) },
+}
 
 func main() {
 	flag.Parse()
@@ -54,54 +58,12 @@ func main() {
 		cmdutil.Usagef("nctrace: -stripe must be positive")
 	}
 	args := flag.Args()
-	if len(args) == 2 {
-		switch args[0] {
-		case "timeline", "critical", "imbalance":
-			spans, dropped := readSpans(args[1])
-			warnSpanDropped(dropped)
-			switch args[0] {
-			case "timeline":
-				spanTimeline(spans, *rank)
-			case "critical":
-				spanCritical(spans)
-			case "imbalance":
-				spanImbalance(spans, *buckets)
-			}
-			return
-		}
-	}
-	if len(args) != 1 {
+	if len(args) != 2 || commands[args[0]] == nil {
 		cmdutil.Usagef(usage)
 	}
-	f, err := os.Open(args[0])
-	cmdutil.Fatal(tool, err)
-	events, err := iostat.ReadJSONL(f)
-	cmdutil.Fatal(tool, err)
-	cmdutil.Fatal(tool, f.Close())
-	events, dropped := iostat.SplitMeta(events)
-	if dropped > 0 {
-		fmt.Fprintf(os.Stderr, "%s: WARNING: the trace ring overwrote %d events — this trace is INCOMPLETE\n", tool, dropped)
-	}
-	if *layer != "" {
-		kept := events[:0]
-		for _, e := range events {
-			if e.Layer == *layer {
-				kept = append(kept, e)
-			}
-		}
-		events = kept
-	}
-	if len(events) == 0 {
-		fmt.Println("no events")
-		return
-	}
-	fmt.Printf("%d events\n\n", len(events))
-	opTable(events)
-	sizeHistogram(events)
-	rankTimeline(events)
-	if *servers > 0 {
-		serverLoad(events, *servers, *stripe)
-	}
+	spans, dropped := readSpans(args[1])
+	warnSpanDropped(dropped)
+	commands[args[0]](os.Stdout, spans)
 }
 
 // readSpans loads a Chrome trace-event span file (-span-out output).
@@ -116,15 +78,46 @@ func readSpans(path string) ([]span.Span, int64) {
 
 func warnSpanDropped(dropped int64) {
 	if dropped > 0 {
-		fmt.Fprintf(os.Stderr, "%s: WARNING: the span recorder dropped %d spans — this trace is INCOMPLETE; raise the span capacity or sample\n", tool, dropped)
+		fmt.Fprintf(os.Stderr, "%s: WARNING: the span recorders dropped %d spans (a rank keeps at most %d) — this trace is INCOMPLETE; trace a smaller run\n",
+			tool, dropped, span.DefaultCap)
 	}
+}
+
+// summary prints the per-phase table and, over the file-system requests,
+// the size histogram, the per-rank rows and (nservers > 0) the per-server
+// load.
+func summary(w io.Writer, spans []span.Span, nservers int, stripeSize int64) {
+	if len(spans) == 0 {
+		fmt.Fprintln(w, "no spans")
+		return
+	}
+	fmt.Fprintf(w, "%d spans\n\n", len(spans))
+	opTable(w, spans)
+	reqs := fileRequests(spans)
+	sizeHistogram(w, reqs)
+	rankTimeline(w, reqs)
+	if nservers > 0 {
+		serverLoad(w, reqs, nservers, stripeSize)
+	}
+}
+
+// fileRequests returns the pfs_read/pfs_write spans: one per request batch
+// the file system served or failed.
+func fileRequests(spans []span.Span) []span.Span {
+	var out []span.Span
+	for _, s := range spans {
+		if s.Phase == span.PFSRead || s.Phase == span.PFSWrite {
+			out = append(out, s)
+		}
+	}
+	return out
 }
 
 // spanTimeline prints each rank's span tree in start order, indented by
 // nesting depth — the textual form of what Perfetto draws.
-func spanTimeline(spans []span.Span, only int) {
+func spanTimeline(w io.Writer, spans []span.Span, only int) {
 	if len(spans) == 0 {
-		fmt.Println("no spans")
+		fmt.Fprintln(w, "no spans")
 		return
 	}
 	byRank := map[int][]span.Span{}
@@ -167,7 +160,7 @@ func spanTimeline(spans []span.Span, only int) {
 			}
 			return rs[i].ID < rs[j].ID
 		})
-		fmt.Printf("rank %d (%d spans)\n", r, len(rs))
+		fmt.Fprintf(w, "rank %d (%d spans)\n", r, len(rs))
 		for _, s := range rs {
 			pad := ""
 			for i := 0; i < depthOf(s.ID); i++ {
@@ -180,60 +173,60 @@ func spanTimeline(spans []span.Span, only int) {
 			if s.Bytes > 0 {
 				extra += fmt.Sprintf(" bytes=%d", s.Bytes)
 			}
-			fmt.Printf("  %12.6f %10.6f  %s%s%s\n", s.Start, s.Dur(), pad, s.Phase, extra)
+			fmt.Fprintf(w, "  %12.6f %10.6f  %s%s%s\n", s.Start, s.Dur(), pad, s.Phase, extra)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 }
 
 // spanCritical prints the per-round critical path: which rank, doing what,
 // set the pace of each two-phase round.
-func spanCritical(spans []span.Span) {
+func spanCritical(w io.Writer, spans []span.Span) {
 	rounds := span.CriticalPath(spans)
 	if len(rounds) == 0 {
-		fmt.Println("no collective rounds in trace")
+		fmt.Fprintln(w, "no collective rounds in trace")
 		return
 	}
-	fmt.Printf("critical path (%d rounds)\n", len(rounds))
-	fmt.Printf("  %4s %5s   %-10s %4s %12s %12s %8s\n",
+	fmt.Fprintf(w, "critical path (%d rounds)\n", len(rounds))
+	fmt.Fprintf(w, "  %4s %5s   %-10s %4s %12s %12s %8s\n",
 		"coll", "round", "phase", "rank", "work(s)", "mean(s)", "spread")
 	for _, rc := range rounds {
-		fmt.Printf("  %4d %5d   %-10s %4d %12.6f %12.6f %7.2fx\n",
+		fmt.Fprintf(w, "  %4d %5d   %-10s %4d %12.6f %12.6f %7.2fx\n",
 			rc.Coll, rc.Round, rc.Phase, rc.Rank, rc.Work, rc.Mean, rc.Spread())
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 	counts := span.BoundCounts(rounds)
 	ranks := make([]int, 0, len(counts))
 	for r := range counts {
 		ranks = append(ranks, r)
 	}
 	sort.Ints(ranks)
-	fmt.Println("rounds bounded per rank (the straggler census)")
+	fmt.Fprintln(w, "rounds bounded per rank (the straggler census)")
 	for _, r := range ranks {
-		fmt.Printf("  rank %3d  %4d/%d %s\n", r, counts[r], len(rounds), barString(40*counts[r]/len(rounds)))
+		fmt.Fprintf(w, "  rank %3d  %4d/%d %s\n", r, counts[r], len(rounds), barString(40*counts[r]/len(rounds)))
 	}
 }
 
 // spanImbalance prints per-phase rank load: who spent how long in each
 // phase, the max/mean imbalance factor, and a load histogram.
-func spanImbalance(spans []span.Span, nbuckets int) {
+func spanImbalance(w io.Writer, spans []span.Span, nbuckets int) {
 	if nbuckets < 1 {
 		nbuckets = 1
 	}
 	loads := span.AllLoads(spans)
 	if len(loads) == 0 {
-		fmt.Println("no spans")
+		fmt.Fprintln(w, "no spans")
 		return
 	}
-	fmt.Println("per-phase rank load (seconds in phase, most imbalanced first)")
+	fmt.Fprintln(w, "per-phase rank load (seconds in phase, most imbalanced first)")
 	for _, l := range loads {
-		fmt.Printf("\n  %-12s calls=%d bytes=%d busy=%d/%d\n", l.Phase, l.Calls, l.Bytes, l.Busy(), len(l.PerRank))
-		fmt.Printf("    min=%.6f mean=%.6f max=%.6f (rank %d)  imbalance=%.3fx",
+		fmt.Fprintf(w, "\n  %-12s calls=%d bytes=%d busy=%d/%d\n", l.Phase, l.Calls, l.Bytes, l.Busy(), len(l.PerRank))
+		fmt.Fprintf(w, "    min=%.6f mean=%.6f max=%.6f (rank %d)  imbalance=%.3fx",
 			l.Min, l.Mean, l.Max, l.MaxRank, l.Imbalance())
 		if bi := l.ByteImbalance(); bi > 0 {
-			fmt.Printf("  byte-imbalance=%.3fx", bi)
+			fmt.Fprintf(w, "  byte-imbalance=%.3fx", bi)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 		counts, labels := l.Histogram(nbuckets)
 		maxC := 0
 		for _, c := range counts {
@@ -245,97 +238,68 @@ func spanImbalance(spans []span.Span, nbuckets int) {
 			continue
 		}
 		for i, c := range counts {
-			fmt.Printf("    %-24s %4d %s\n", labels[i], c, barString(30*c/maxC))
+			fmt.Fprintf(w, "    %-24s %4d %s\n", labels[i], c, barString(30*c/maxC))
 		}
 	}
 }
 
-// opTable prints per (layer, op) counts, bytes and extent totals.
-func opTable(events []iostat.Event) {
-	type key struct{ layer, op string }
+// opTable prints one row per phase: calls, bytes, mean size and the summed
+// duration. Nested phases each count their own time, so the times of a
+// parent and its children overlap.
+func opTable(w io.Writer, spans []span.Span) {
 	type agg struct {
-		calls, bytes, extents int64
-		time                  float64
+		calls, bytes int64
+		time         float64
 	}
-	m := map[key]*agg{}
-	for _, e := range events {
-		k := key{e.Layer, e.Op}
-		a := m[k]
+	m := map[string]*agg{}
+	for _, s := range spans {
+		a := m[s.Phase]
 		if a == nil {
 			a = &agg{}
-			m[k] = a
+			m[s.Phase] = a
 		}
 		a.calls++
-		a.bytes += e.Len
-		a.extents += int64(e.Extents)
-		a.time += e.End - e.Start
+		a.bytes += s.Bytes
+		a.time += s.Dur()
 	}
-	keys := make([]key, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
+	phases := make([]string, 0, len(m))
+	for p := range m {
+		phases = append(phases, p)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].layer != keys[j].layer {
-			return keys[i].layer < keys[j].layer
-		}
-		return keys[i].op < keys[j].op
-	})
-	fmt.Printf("%-8s %-12s %8s %14s %12s %10s %12s\n",
-		"layer", "op", "calls", "bytes", "avg-size", "extents", "time(s)")
-	for _, k := range keys {
-		a := m[k]
-		avg := int64(0)
-		if a.calls > 0 {
-			avg = a.bytes / a.calls
-		}
-		fmt.Printf("%-8s %-12s %8d %14d %12d %10d %12.4f\n",
-			k.layer, k.op, a.calls, a.bytes, avg, a.extents, a.time)
+	sort.Strings(phases)
+	fmt.Fprintf(w, "%-14s %8s %14s %12s %12s\n", "phase", "calls", "bytes", "avg-size", "time(s)")
+	for _, p := range phases {
+		a := m[p]
+		fmt.Fprintf(w, "%-14s %8d %14d %12d %12.4f\n", p, a.calls, a.bytes, a.bytes/a.calls, a.time)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 }
 
-// sizeHistogram prints the power-of-two request-size distribution of the
-// lowest traced layer present (pfs when available), the quantity Thakur et
-// al. correlate with MPI-IO performance.
-func sizeHistogram(events []iostat.Event) {
-	histLayer := "pfs"
-	found := false
-	for _, e := range events {
-		if e.Layer == histLayer {
-			found = true
-			break
-		}
-	}
-	if !found {
-		histLayer = events[0].Layer
-	}
+// sizeHistogram prints the power-of-two size distribution of the
+// file-system requests, the quantity Thakur et al. correlate with MPI-IO
+// performance.
+func sizeHistogram(w io.Writer, reqs []span.Span) {
 	var buckets [64]int64
-	total := 0
-	for _, e := range events {
-		if e.Layer != histLayer || e.Len <= 0 {
+	maxCount := int64(0)
+	for _, s := range reqs {
+		if s.Bytes <= 0 {
 			continue
 		}
-		buckets[bits.Len64(uint64(e.Len)-1)]++
-		total++
+		b := bits.Len64(uint64(s.Bytes) - 1)
+		buckets[b]++
+		maxCount = max(maxCount, buckets[b])
 	}
-	if total == 0 {
+	if maxCount == 0 {
 		return
 	}
-	fmt.Printf("request sizes (%s layer)\n", histLayer)
-	maxCount := int64(0)
-	for _, c := range buckets {
-		if c > maxCount {
-			maxCount = c
-		}
-	}
+	fmt.Fprintln(w, "request sizes (pfs_read + pfs_write)")
 	for i, c := range buckets {
 		if c == 0 {
 			continue
 		}
-		bar := int(40 * c / maxCount)
-		fmt.Printf("  <=%10s %8d %s\n", humanSize(int64(1)<<i), c, barString(bar))
+		fmt.Fprintf(w, "  <=%10s %8d %s\n", humanSize(int64(1)<<i), c, barString(int(40*c/maxCount)))
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 }
 
 func barString(n int) string {
@@ -359,90 +323,82 @@ func humanSize(b int64) string {
 	}
 }
 
-// rankTimeline prints one row per rank: event count, bytes, busy time and
-// the [first-start, last-end] span on the virtual clock.
-func rankTimeline(events []iostat.Event) {
+// rankTimeline prints one row per rank of its file-system requests: count,
+// bytes, busy time and the [first-start, last-end] interval on the rank's
+// virtual clock.
+func rankTimeline(w io.Writer, reqs []span.Span) {
+	if len(reqs) == 0 {
+		return
+	}
 	type agg struct {
-		events, bytes int64
-		busy          float64
-		first, last   float64
-		seen          bool
+		reqs, bytes int64
+		busy        float64
+		first, last float64
 	}
 	m := map[int]*agg{}
-	for _, e := range events {
-		a := m[e.Rank]
+	for _, s := range reqs {
+		a := m[s.Rank]
 		if a == nil {
-			a = &agg{}
-			m[e.Rank] = a
+			a = &agg{first: s.Start, last: s.End}
+			m[s.Rank] = a
 		}
-		a.events++
-		a.bytes += e.Len
-		a.busy += e.End - e.Start
-		if !a.seen || e.Start < a.first {
-			a.first = e.Start
-		}
-		if !a.seen || e.End > a.last {
-			a.last = e.End
-		}
-		a.seen = true
+		a.reqs++
+		a.bytes += s.Bytes
+		a.busy += s.Dur()
+		a.first = min(a.first, s.Start)
+		a.last = max(a.last, s.End)
 	}
 	ranks := make([]int, 0, len(m))
 	for r := range m {
 		ranks = append(ranks, r)
 	}
 	sort.Ints(ranks)
-	fmt.Printf("per-rank timeline (virtual seconds)\n")
-	fmt.Printf("  %6s %8s %14s %10s %10s %10s\n", "rank", "events", "bytes", "first", "last", "busy")
+	fmt.Fprintln(w, "per-rank file-system requests (virtual seconds)")
+	fmt.Fprintf(w, "  %6s %8s %14s %10s %10s %10s\n", "rank", "requests", "bytes", "first", "last", "busy")
 	for _, r := range ranks {
 		a := m[r]
-		fmt.Printf("  %6d %8d %14d %10.4f %10.4f %10.4f\n",
-			r, a.events, a.bytes, a.first, a.last, a.busy)
+		fmt.Fprintf(w, "  %6d %8d %14d %10.4f %10.4f %10.4f\n", r, a.reqs, a.bytes, a.first, a.last, a.busy)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 }
 
-// serverLoad maps pfs request bytes to striped servers and reports the
-// imbalance (max/mean) — the quantity that caps aggregate bandwidth when
-// the access pattern favors a subset of the servers.
-func serverLoad(events []iostat.Event, nservers int, stripeSize int64) {
+// serverBytes maps the requests' bytes to striped servers. A request is
+// walked stripe by stripe from its first offset as if contiguous, which is
+// exact for the single-extent requests that carry most of the bytes and
+// approximate for a vectored one.
+func serverBytes(reqs []span.Span, nservers int, stripeSize int64) []int64 {
 	load := make([]int64, nservers)
-	for _, e := range events {
-		if e.Layer != "pfs" || e.Len <= 0 || e.Off < 0 {
+	for _, s := range reqs {
+		if s.Bytes <= 0 || s.Off < 0 {
 			continue
 		}
-		// Walk the request stripe by stripe. Contiguity within the event is
-		// assumed (extents are not in the dump), which is exact for the
-		// merged requests the pfs layer issues.
-		off, n := e.Off, e.Len
+		off, n := s.Off, s.Bytes
 		for n > 0 {
-			srv := (off / stripeSize) % int64(nservers)
-			k := stripeSize - off%stripeSize
-			if k > n {
-				k = n
-			}
-			load[srv] += k
+			k := min(stripeSize-off%stripeSize, n)
+			load[(off/stripeSize)%int64(nservers)] += k
 			off += k
 			n -= k
 		}
 	}
-	var sum, max int64
+	return load
+}
+
+// serverLoad prints the per-server bytes and the imbalance (max/mean) — the
+// quantity that caps aggregate bandwidth when the access pattern favors a
+// subset of the servers.
+func serverLoad(w io.Writer, reqs []span.Span, nservers int, stripeSize int64) {
+	load := serverBytes(reqs, nservers, stripeSize)
+	var sum, most int64
 	for _, b := range load {
 		sum += b
-		if b > max {
-			max = b
-		}
+		most = max(most, b)
 	}
 	if sum == 0 {
 		return
 	}
-	mean := float64(sum) / float64(nservers)
-	fmt.Printf("per-server load (%d servers, %s stripe)\n", nservers, humanSize(stripeSize))
+	fmt.Fprintf(w, "per-server load (%d servers, %s stripe)\n", nservers, humanSize(stripeSize))
 	for s, b := range load {
-		fmt.Printf("  server %2d %14d (%.1f%%)\n", s, b, 100*float64(b)/float64(sum))
+		fmt.Fprintf(w, "  server %2d %14d (%.1f%%)\n", s, b, 100*float64(b)/float64(sum))
 	}
-	imb := math.Inf(1)
-	if mean > 0 {
-		imb = float64(max) / mean
-	}
-	fmt.Printf("  imbalance max/mean = %.3f\n", imb)
+	fmt.Fprintf(w, "  imbalance max/mean = %.3f\n", float64(most)/(float64(sum)/float64(nservers)))
 }

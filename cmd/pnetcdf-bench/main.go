@@ -10,7 +10,6 @@
 //	pnetcdf-bench -op write      # only the write chart
 //	pnetcdf-bench -ablate        # the design-choice ablations
 //	pnetcdf-bench -stats         # per-layer I/O statistics per run
-//	pnetcdf-bench -trace t.jsonl # dump the event trace (see nctrace)
 //	pnetcdf-bench -span-out s.json       # Chrome-trace spans of the last run
 //	pnetcdf-bench -fault-rate 0.01 -stats  # inject transient faults
 package main
@@ -35,7 +34,6 @@ var (
 	procs     = flag.String("procs", "", "comma-separated process counts (default per paper)")
 	ablate    = flag.Bool("ablate", false, "run the design-choice ablations instead")
 	stats     = flag.Bool("stats", false, "print per-layer I/O statistics after each run")
-	traceOut  = flag.String("trace", "", "write a JSON-lines event trace to this file")
 	spanOut   = flag.String("span-out", "", "write the last run's spans as Chrome trace-event JSON (see nctrace)")
 	faultRate = flag.Float64("fault-rate", 0, "transient-fault probability per 64 KiB transferred (0 disables injection)")
 	faultSeed = flag.Uint64("fault-seed", 1, "seed for the deterministic fault schedule")
@@ -85,10 +83,6 @@ func main() {
 	default:
 		cmdutil.Usagef("pnetcdf-bench: -op must be write, read or both")
 	}
-	var trace *iostat.Trace
-	if *traceOut != "" {
-		trace = iostat.NewTrace(iostat.DefaultTraceCap)
-	}
 	var spans *span.Sink
 	if *spanOut != "" {
 		spans = new(span.Sink)
@@ -101,7 +95,6 @@ func main() {
 			Read:    read,
 			Discard: discard,
 			Stats:   *stats,
-			Trace:   trace,
 			Spans:   spans,
 			Fault:   bench.FaultOptions{Rate: *faultRate, Seed: *faultSeed},
 		})
@@ -122,14 +115,6 @@ func main() {
 				}
 			}
 		}
-	}
-	if trace != nil {
-		f, err := os.Create(*traceOut)
-		cmdutil.Fatal(tool, err)
-		err = trace.WriteJSONL(f)
-		cmdutil.Fatal(tool, err)
-		cmdutil.Fatal(tool, f.Close())
-		fmt.Printf("trace: %d events to %s (%d dropped)\n", trace.Len(), *traceOut, trace.Dropped())
 	}
 	if spans != nil {
 		sp, dropped := spans.Snapshot()

@@ -42,8 +42,6 @@ type Fig6Options struct {
 	// Stats enables per-rank iostat counters for the measured phase; the
 	// reduced summaries land in Figure6.Stats.
 	Stats bool
-	// Trace, when non-nil, receives I/O events from every parallel run.
-	Trace *iostat.Trace
 	// Spans, when non-nil, enables per-rank span recording; each parallel
 	// run's cross-rank merge replaces the sink's contents, so after the
 	// sweep it holds the last run's spans.
@@ -160,7 +158,6 @@ func runFig6Parallel(opt Fig6Options, part Partition, nprocs int) (float64, *ios
 		if opt.Stats {
 			c.Proc().SetStats(iostat.New())
 		}
-		c.Proc().SetTrace(opt.Trace)
 		if opt.Spans != nil {
 			proc := c.Proc()
 			proc.SetSpans(span.NewRecorder(c.Rank(), proc.Clock))
@@ -225,7 +222,6 @@ func runFig6Parallel(opt Fig6Options, part Partition, nprocs int) (float64, *ios
 		}
 		if opt.Stats {
 			if s := iostat.Reduce(c, c.Proc().Stats()); s != nil {
-				s.TraceDropped = opt.Trace.Dropped()
 				sum = s
 			}
 		}

@@ -62,8 +62,6 @@ type Fig7Options struct {
 	// Stats enables per-rank iostat counters for the PnetCDF runs; the
 	// reduced summaries land in Figure7.Stats.
 	Stats bool
-	// Trace, when non-nil, receives I/O events from the PnetCDF runs.
-	Trace *iostat.Trace
 	// Spans, when non-nil, enables per-rank span recording for the PnetCDF
 	// runs; each run's cross-rank merge replaces the sink's contents, so
 	// after the sweep it holds the largest (last) run's spans.
@@ -127,12 +125,9 @@ func runFlashOnce(opt Fig7Options, nprocs int, hdf5 bool) (flash.Report, *iostat
 		if collect {
 			c.Proc().SetStats(iostat.New())
 		}
-		if !hdf5 {
-			c.Proc().SetTrace(opt.Trace)
-			if opt.Spans != nil {
-				proc := c.Proc()
-				proc.SetSpans(span.NewRecorder(c.Rank(), proc.Clock))
-			}
+		if !hdf5 && opt.Spans != nil {
+			proc := c.Proc()
+			proc.SetSpans(span.NewRecorder(c.Rank(), proc.Clock))
 		}
 		var r flash.Report
 		var err error
@@ -176,7 +171,6 @@ func runFlashOnce(opt Fig7Options, nprocs int, hdf5 bool) (flash.Report, *iostat
 		}
 		if collect {
 			if s := iostat.Reduce(c, c.Proc().Stats()); s != nil {
-				s.TraceDropped = opt.Trace.Dropped()
 				sum = s
 			}
 		}

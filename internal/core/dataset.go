@@ -86,10 +86,9 @@ type Dataset struct {
 	first   [1]memCodec
 	merged  merged
 
-	// st/tr/sp are the rank's iostat collectors and span recorder, cached
-	// from the communicator (nil = off).
+	// st/sp are the rank's iostat counters and span recorder, cached from
+	// the communicator (nil = off).
 	st *iostat.Stats
-	tr *iostat.Trace
 	sp *span.Recorder
 }
 
@@ -125,8 +124,7 @@ func Create(comm *mpi.Comm, fsys *pfs.FS, path string, cmode int, info *mpi.Info
 		define: true,
 	}
 	d.layoutHints(info)
-	d.st, d.tr = comm.Proc().Stats(), comm.Proc().Trace()
-	d.sp = comm.Proc().Spans()
+	d.st, d.sp = comm.Proc().Stats(), comm.Proc().Spans()
 	return d, nil
 }
 
@@ -209,8 +207,7 @@ func Open(comm *mpi.Comm, fsys *pfs.FS, path string, omode int, info *mpi.Info) 
 		persistedNumRecs: hdr.NumRecs,
 	}
 	d.layoutHints(info)
-	d.st, d.tr = comm.Proc().Stats(), comm.Proc().Trace()
-	d.sp = comm.Proc().Spans()
+	d.st, d.sp = comm.Proc().Stats(), comm.Proc().Spans()
 	d.st.Add(iostat.NCHeaderBcastBytes, int64(len(blob)))
 	if recovered {
 		d.st.Add(iostat.NCHeaderRecoveries, 1)

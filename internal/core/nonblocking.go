@@ -230,25 +230,19 @@ func (d *Dataset) pendingWrite(from int, varid int) bool {
 	return false
 }
 
-// recordAccess accumulates one direction's counters and trace event: ops
-// put/get calls moving n bytes since start.
-func (d *Dataset) recordAccess(op string, collective bool, coll, indep, bytes, timeNs iostat.Counter, ops int, n int64, start float64) {
-	if d.st == nil && d.tr == nil || ops == 0 {
+// recordAccess accumulates one direction's counters: ops put/get calls
+// moving n bytes since start.
+func (d *Dataset) recordAccess(collective bool, coll, indep, bytes, timeNs iostat.Counter, ops int, n int64, start float64) {
+	if d.st == nil || ops == 0 {
 		return
 	}
 	k := indep
 	if collective {
 		k = coll
-		op = "coll_" + op
 	}
-	end := d.comm.Clock()
 	d.st.Add(k, int64(ops))
 	d.st.Add(bytes, n)
-	d.st.AddTime(timeNs, end-start)
-	d.tr.Record(iostat.Event{
-		Layer: "pnetcdf", Op: op, Rank: d.comm.Rank(),
-		Off: -1, Len: n, Start: start, End: end,
-	})
+	d.st.AddTime(timeNs, d.comm.Clock()-start)
 }
 
 // put is the write direction of a completion: install the fused view and
@@ -281,7 +275,7 @@ func (d *Dataset) put(ops []pendingOp, plan []piece, collective bool) error {
 		err = d.f.WriteAtFrom(0, total, src)
 	}
 	if err == nil {
-		d.recordAccess("put", collective, iostat.NCCollPuts, iostat.NCIndepPuts,
+		d.recordAccess(collective, iostat.NCCollPuts, iostat.NCIndepPuts,
 			iostat.NCBytesPut, iostat.NCPutTimeNs, n, total, t0)
 	}
 	return err
@@ -312,7 +306,7 @@ func (d *Dataset) get(ops []pendingOp, plan []piece, collective bool) error {
 	if err != nil {
 		return err
 	}
-	d.recordAccess("get", collective, iostat.NCCollGets, iostat.NCIndepGets,
+	d.recordAccess(collective, iostat.NCCollGets, iostat.NCIndepGets,
 		iostat.NCBytesGot, iostat.NCGetTimeNs, n, total, t0)
 	// Decode shares the encode phase tag: both are the external<->native
 	// conversion step, which here ran as the bytes arrived.

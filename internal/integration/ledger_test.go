@@ -7,20 +7,20 @@ import (
 
 	"pnetcdf/internal/bench"
 	"pnetcdf/internal/core"
-	"pnetcdf/internal/iostat"
 	"pnetcdf/internal/metashape"
 	"pnetcdf/internal/mpi"
 	"pnetcdf/internal/nctype"
 	"pnetcdf/internal/netcdf"
 	"pnetcdf/internal/pfs"
+	"pnetcdf/internal/span"
 )
 
-// pfsReads lists the (offset, length) of every pfs read a trace holds.
-func pfsReads(tr *iostat.Trace) [][2]int64 {
+// pfsReads lists the (offset, length) of every pfs read a recorder holds.
+func pfsReads(r *span.Recorder) [][2]int64 {
 	var out [][2]int64
-	for _, e := range tr.Events() {
-		if e.Layer == "pfs" && e.Op == "read" {
-			out = append(out, [2]int64{e.Off, e.Len})
+	for _, s := range r.Spans() {
+		if s.Phase == span.PFSRead {
+			out = append(out, [2]int64{s.Off, s.Bytes})
 		}
 	}
 	return out
@@ -51,7 +51,7 @@ func TestMetadataPhaseLedger(t *testing.T) {
 		{"Close after the lookups", 0.101e-3},
 	}
 	clocks := make([][]float64, nranks) // [rank] clock after each phase
-	open := iostat.NewTrace(64)
+	open := span.NewRecorder(0, nil)
 	var hdrLen int64
 	err := mpi.Run(nranks, mach.Net, func(c *mpi.Comm) error {
 		var at []float64
@@ -73,10 +73,10 @@ func TestMetadataPhaseLedger(t *testing.T) {
 			return err
 		}
 		if c.Rank() == 0 {
-			c.Proc().SetTrace(open)
+			c.Proc().SetSpans(open)
 		}
 		d, err = core.Open(c, fsys, path, nctype.NoWrite, nil)
-		c.Proc().SetTrace(nil)
+		c.Proc().SetSpans(nil)
 		if err := mark(err); err != nil {
 			return err
 		}
@@ -120,8 +120,8 @@ func TestMetadataPhaseLedger(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial := iostat.NewTrace(64)
-	pf.SetStats(iostat.New(), serial, 0)
+	serial := span.NewRecorder(0, nil)
+	pf.SetSpans(serial)
 	if _, err := netcdf.Open(pfs.NewSerialFile(pf, 0), nctype.NoWrite); err != nil {
 		t.Fatal(err)
 	}

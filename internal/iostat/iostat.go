@@ -1,19 +1,20 @@
-// Package iostat is the end-to-end I/O statistics and tracing layer. Every
-// layer of the stack — the simulated parallel file system (internal/pfs),
-// the MPI runtime (internal/mpi), the MPI-IO library (internal/mpiio) and
-// the PnetCDF core (internal/core) — records into the same per-rank Stats
-// object, so one benchmark run can answer the questions the paper answers
-// qualitatively: how many requests were issued, how discontiguous they were,
-// how much time went to seeks versus transfer, and how much extra data the
-// sieving and two-phase optimizations moved to earn their contiguity.
+// Package iostat is the end-to-end I/O statistics layer. Every layer of the
+// stack — the simulated parallel file system (internal/pfs), the MPI runtime
+// (internal/mpi), the MPI-IO library (internal/mpiio) and the PnetCDF core
+// (internal/core) — records into the same per-rank Stats object, so one
+// benchmark run can answer the questions the paper answers qualitatively:
+// how many requests were issued, how discontiguous they were, how much time
+// went to seeks versus transfer, and how much extra data the sieving and
+// two-phase optimizations moved to earn their contiguity. The per-request
+// event record is internal/span's pfs_read/pfs_write leaves.
 //
-// The design is zero-overhead-by-default: layers hold a *Stats (and *Trace)
-// pointer that is nil unless a harness enables collection, and every
-// recording method is a no-op on a nil receiver — a single predictable
-// branch on the hot path. When enabled, counters are lock-free atomics, so
-// one Stats may safely be shared across goroutines (it is per-rank in the
-// benchmarks, but the file-system layer can be driven by many ranks at
-// once and the counters stay exact under -race).
+// The design is zero-overhead-by-default: layers hold a *Stats pointer that
+// is nil unless a harness enables collection, and every recording method is
+// a no-op on a nil receiver — a single predictable branch on the hot path.
+// When enabled, counters are lock-free atomics, so one Stats may safely be
+// shared across goroutines (it is per-rank in the benchmarks, but the
+// file-system layer can be driven by many ranks at once and the counters
+// stay exact under -race).
 //
 // Counter times are virtual time (see internal/mpi and internal/pfs),
 // stored as integer nanoseconds so they reduce with the same min/max/sum

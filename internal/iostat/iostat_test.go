@@ -15,11 +15,6 @@ func TestNilCollectorsAreNoOps(t *testing.T) {
 	if got := s.Get(PfsBytesRead); got != 0 {
 		t.Fatalf("nil Stats Get = %d", got)
 	}
-	var tr *Trace
-	tr.Record(Event{Layer: "pfs", Op: "read"})
-	if tr.Len() != 0 || tr.Dropped() != 0 || tr.Events() != nil {
-		t.Fatal("nil Trace not empty")
-	}
 }
 
 func TestStatsAccumulate(t *testing.T) {
@@ -84,60 +79,6 @@ func TestCounterMetadata(t *testing.T) {
 		if k.IsTime() != strings.HasSuffix(name, "_ns") {
 			t.Fatalf("counter %s IsTime mismatch", name)
 		}
-	}
-}
-
-func TestTraceRingOverwrite(t *testing.T) {
-	tr := NewTrace(4)
-	for i := 0; i < 6; i++ {
-		tr.Record(Event{Layer: "pfs", Op: "write", Off: int64(i)})
-	}
-	if tr.Len() != 4 {
-		t.Fatalf("Len = %d", tr.Len())
-	}
-	if tr.Dropped() != 2 {
-		t.Fatalf("Dropped = %d", tr.Dropped())
-	}
-	evs := tr.Events()
-	for i, e := range evs {
-		if e.Off != int64(i+2) { // oldest two (0,1) overwritten
-			t.Fatalf("event %d has Off %d", i, e.Off)
-		}
-	}
-}
-
-func TestJSONLRoundTrip(t *testing.T) {
-	tr := NewTrace(16)
-	want := []Event{
-		{Layer: "pfs", Op: "write", Rank: 0, Off: 1024, Len: 4096, Extents: 2, Start: 0.5, End: 0.75},
-		{Layer: "mpiio", Op: "coll_read", Rank: 3, Off: 0, Len: 1 << 20, Start: 1, End: 2},
-		{Layer: "pnetcdf", Op: "put", Rank: 1, Off: -1, Len: 8},
-	}
-	for _, e := range want {
-		tr.Record(e)
-	}
-	var buf bytes.Buffer
-	if err := tr.WriteJSONL(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadJSONL(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("round trip: %d events", len(got))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("event %d: got %+v want %+v", i, got[i], want[i])
-		}
-	}
-}
-
-func TestReadJSONLBadLine(t *testing.T) {
-	in := strings.NewReader(`{"layer":"pfs","op":"read"}` + "\n" + "not json\n")
-	if _, err := ReadJSONL(in); err == nil || !strings.Contains(err.Error(), "line 2") {
-		t.Fatalf("want line-2 error, got %v", err)
 	}
 }
 

@@ -23,12 +23,6 @@ type Summary struct {
 	Min   Snapshot
 	Max   Snapshot
 	Sum   Snapshot
-
-	// TraceDropped is the number of trace events the run's ring buffer
-	// overwrote (harnesses populate it from Trace.Dropped after the run).
-	// Nonzero means any trace dump from the run is incomplete; WriteTable
-	// warns loudly.
-	TraceDropped int64
 }
 
 // Mean returns the per-rank mean of counter k.
@@ -141,10 +135,6 @@ func WriteTable(w io.Writer, s *Summary) {
 			k.Layer(), k.String(), fmtVal(k, s.Sum[k]), fmtVal(k, s.Min[k]), fmtVal(k, s.Max[k]))
 	}
 	writeSelfCheck(w, s)
-	if s.TraceDropped > 0 {
-		fmt.Fprintf(w, "    WARNING: trace ring overwrote %d events — the event trace is INCOMPLETE; raise the trace capacity to capture everything\n",
-			s.TraceDropped)
-	}
 }
 
 // writeSelfCheck prints the cross-layer byte reconciliation: data written

@@ -73,41 +73,6 @@ func TestReduceAcrossRanks(t *testing.T) {
 	}
 }
 
-// TestSharedTraceAcrossRanks records into one Trace from every rank
-// concurrently (the way the benches wire it) and checks nothing is lost
-// below capacity.
-func TestSharedTraceAcrossRanks(t *testing.T) {
-	const nprocs, perRank = 6, 50
-	tr := iostat.NewTrace(1024)
-	err := mpi.Run(nprocs, mpi.DefaultNet(), func(c *mpi.Comm) error {
-		c.Proc().SetTrace(tr)
-		for i := 0; i < perRank; i++ {
-			c.Proc().Trace().Record(iostat.Event{
-				Layer: "test", Op: "op", Rank: c.Rank(), Len: 1,
-			})
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.Len() != nprocs*perRank {
-		t.Fatalf("Len = %d, want %d", tr.Len(), nprocs*perRank)
-	}
-	if tr.Dropped() != 0 {
-		t.Fatalf("Dropped = %d", tr.Dropped())
-	}
-	perRankSeen := map[int]int{}
-	for _, e := range tr.Events() {
-		perRankSeen[e.Rank]++
-	}
-	for r := 0; r < nprocs; r++ {
-		if perRankSeen[r] != perRank {
-			t.Fatalf("rank %d has %d events", r, perRankSeen[r])
-		}
-	}
-}
-
 // TestReduceNilStats checks a rank with stats disabled contributes zeros
 // rather than crashing — the zero-overhead-off contract.
 func TestReduceNilStats(t *testing.T) {

@@ -407,7 +407,7 @@ func (c *Comm) panicRevoked(ri revokeInfo) {
 		blocked := c.proc.clock
 		c.proc.clock = max(blocked, ri.at)
 		c.proc.stats.Add(iostat.FTFailuresDetected, 1)
-		c.proc.spans.Record(span.FTDetect, ri.gen, blocked, c.proc.clock, 0)
+		c.proc.spans.Record(span.FTDetect, ri.gen, blocked, c.proc.clock, 0, -1)
 	}
 	panic(c.revokedErr(ri))
 }
@@ -517,7 +517,7 @@ func (c *Comm) Shrink() (*Comm, error) {
 		return nil, fmt.Errorf("mpi: Shrink by failed rank %d", c.rank)
 	}
 	c.proc.stats.Add(iostat.FTCommShrinks, 1)
-	c.proc.spans.Record(span.FTShrink, ri.gen, c.proc.clock, c.proc.clock, 0)
+	c.proc.spans.Record(span.FTShrink, ri.gen, c.proc.clock, c.proc.clock, 0, -1)
 	return &Comm{world: c.world, proc: c.proc, rank: myRank, group: group, ctx: id << 32}, nil
 }
 

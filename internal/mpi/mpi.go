@@ -134,12 +134,11 @@ type Proc struct {
 	rank  int // world rank
 	clock float64
 
-	// stats and trace are the rank's iostat collectors; nil (the default)
-	// disables collection at zero cost. Harnesses install them right after
-	// Run hands out the world communicator, and every layer above reaches
-	// them through the communicator.
+	// stats is the rank's iostat collector; nil (the default) disables
+	// collection at zero cost. Harnesses install it right after Run hands
+	// out the world communicator, and every layer above reaches it through
+	// the communicator.
 	stats *iostat.Stats
-	trace *iostat.Trace
 
 	// spans is the rank's hierarchical span recorder (DESIGN.md §11); nil
 	// (the default) keeps the instrumented pipeline allocation-free.
@@ -152,13 +151,6 @@ func (p *Proc) SetStats(s *iostat.Stats) { p.stats = s }
 
 // Stats returns the rank's statistics collector (nil when disabled).
 func (p *Proc) Stats() *iostat.Stats { return p.stats }
-
-// SetTrace installs the rank's event trace; one *iostat.Trace is normally
-// shared by all ranks of a run.
-func (p *Proc) SetTrace(t *iostat.Trace) { p.trace = t }
-
-// Trace returns the rank's event trace (nil when disabled).
-func (p *Proc) Trace() *iostat.Trace { return p.trace }
 
 // SetSpans installs (or, with nil, removes) the rank's span recorder.
 func (p *Proc) SetSpans(r *span.Recorder) { p.spans = r }

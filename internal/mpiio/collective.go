@@ -178,7 +178,7 @@ func (f *File) collWriteSegs(segs []pfs.Segment, src Source, vErr error, prog *f
 	}
 	prog.planOK, prog.plan = true, plan
 	if !ok {
-		f.recordAccess("coll_write", iostat.IOCollWriteCalls, iostat.IOBytesWritten,
+		f.recordAccess(iostat.IOCollWriteCalls, iostat.IOBytesWritten,
 			iostat.IOWriteExtents, iostat.IOWriteTimeNs, segs, n, t0)
 		return nil // nobody has data
 	}
@@ -193,7 +193,7 @@ func (f *File) collWriteSegs(segs []pfs.Segment, src Source, vErr error, prog *f
 		return f.agreeAbort(err)
 	}
 	f.countRounds(plan)
-	f.recordAccess("coll_write", iostat.IOCollWriteCalls, iostat.IOBytesWritten,
+	f.recordAccess(iostat.IOCollWriteCalls, iostat.IOBytesWritten,
 		iostat.IOWriteExtents, iostat.IOWriteTimeNs, segs, n, t0)
 	return nil
 }
@@ -327,7 +327,7 @@ func (f *File) collReadSegs(segs []pfs.Segment, dst Sink, vErr error, prog *ftPr
 	}
 	prog.planOK, prog.plan = true, plan
 	if !ok {
-		f.recordAccess("coll_read", iostat.IOCollReadCalls, iostat.IOBytesRead,
+		f.recordAccess(iostat.IOCollReadCalls, iostat.IOBytesRead,
 			iostat.IOReadExtents, iostat.IOReadTimeNs, segs, n, t0)
 		return nil
 	}
@@ -340,7 +340,7 @@ func (f *File) collReadSegs(segs []pfs.Segment, dst Sink, vErr error, prog *ftPr
 		return f.agreeAbort(err)
 	}
 	f.countRounds(plan)
-	f.recordAccess("coll_read", iostat.IOCollReadCalls, iostat.IOBytesRead,
+	f.recordAccess(iostat.IOCollReadCalls, iostat.IOBytesRead,
 		iostat.IOReadExtents, iostat.IOReadTimeNs, segs, n, t0)
 	return nil
 }

@@ -100,10 +100,9 @@ type File struct {
 	info   *mpi.Info
 	closed bool
 
-	// st/tr/sp are the rank's iostat collectors and span recorder, cached
-	// from the communicator's Proc at open time (nil = off).
+	// st/sp are the rank's iostat counters and span recorder, cached from
+	// the communicator's Proc at open time (nil = off).
 	st *iostat.Stats
-	tr *iostat.Trace
 	sp *span.Recorder
 
 	// retry is the transient-error retry schedule applied to every pfs
@@ -114,10 +113,6 @@ type File struct {
 	// from there. A zero-size filetype means the identity view.
 	disp  int64
 	ftype mpitype.Datatype
-
-	// pointer is the individual file pointer in view data bytes (see
-	// pointer.go); SetView resets it, as MPI does.
-	pointer int64
 
 	// buf is the caller's buffer for the length of one WriteAtAll or
 	// ReadAtAll: the Source or Sink it hands the round loop, with no
@@ -173,9 +168,8 @@ func Open(comm *mpi.Comm, fsys *pfs.FS, name string, amode int, info *mpi.Info) 
 	cfg := fsys.Config()
 	f.info.Set("striping_unit", strconv.FormatInt(cfg.StripeSize, 10))
 	f.info.Set("striping_factor", strconv.Itoa(cfg.NumServers))
-	f.st, f.tr = comm.Proc().Stats(), comm.Proc().Trace()
-	f.sp = comm.Proc().Spans()
-	pf.SetStats(f.st, f.tr, comm.Rank())
+	f.st, f.sp = comm.Proc().Stats(), comm.Proc().Spans()
+	pf.SetStats(f.st, comm.Rank())
 	pf.SetSpans(f.sp)
 	// Everyone leaves a create or truncation together, with the new file
 	// visible; an open of what exists changes nothing for a peer to see.
@@ -212,7 +206,6 @@ func (f *File) SetView(disp int64, filetype mpitype.Datatype) error {
 	}
 	f.disp = disp
 	f.ftype = filetype
-	f.pointer = 0
 	return nil
 }
 
@@ -365,24 +358,15 @@ func (f *File) SetSizeRaw(size int64) error {
 	return nil
 }
 
-// recordAccess accumulates one data-access call's counters and trace event.
-// start is the rank's clock when the call was entered; the clock has already
-// been advanced to completion.
-func (f *File) recordAccess(op string, calls, bytes, exts, timeNs iostat.Counter, segs []pfs.Segment, n int64, start float64) {
-	if f.st == nil && f.tr == nil {
+// recordAccess accumulates one data-access call's counters. start is the
+// rank's clock when the call was entered; the clock has already been
+// advanced to completion.
+func (f *File) recordAccess(calls, bytes, exts, timeNs iostat.Counter, segs []pfs.Segment, n int64, start float64) {
+	if f.st == nil {
 		return
 	}
-	end := f.comm.Clock()
 	f.st.Add(calls, 1)
 	f.st.Add(bytes, n)
 	f.st.Add(exts, int64(len(segs)))
-	f.st.AddTime(timeNs, end-start)
-	off := int64(-1)
-	if len(segs) > 0 {
-		off = segs[0].Off
-	}
-	f.tr.Record(iostat.Event{
-		Layer: "mpiio", Op: op, Rank: f.comm.Rank(),
-		Off: off, Len: n, Extents: len(segs), Start: start, End: end,
-	})
+	f.st.AddTime(timeNs, f.comm.Clock()-start)
 }

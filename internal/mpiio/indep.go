@@ -4,6 +4,7 @@ import (
 	"pnetcdf/internal/bufpool"
 	"pnetcdf/internal/iostat"
 	"pnetcdf/internal/pfs"
+	"pnetcdf/internal/span"
 )
 
 // ReadAtInto reads n view-data bytes at view offset off independently and
@@ -41,6 +42,9 @@ func (f *File) ReadAt(off int64, buf []byte) error {
 	if f.closed {
 		return ErrClosed
 	}
+	sp := f.sp.Begin(span.IndepRead)
+	defer sp.End()
+	sp.SetBytes(int64(len(buf)))
 	segs, err := f.viewSegments(off, int64(len(buf)))
 	if err != nil {
 		return err
@@ -55,7 +59,7 @@ func (f *File) ReadAt(off int64, buf []byte) error {
 	} else if err := f.sieveRead(segs, buf); err != nil {
 		return err
 	}
-	f.recordAccess("indep_read", iostat.IOIndepReadCalls, iostat.IOBytesRead,
+	f.recordAccess(iostat.IOIndepReadCalls, iostat.IOBytesRead,
 		iostat.IOReadExtents, iostat.IOReadTimeNs, segs, int64(len(buf)), t0)
 	return nil
 }
@@ -110,6 +114,9 @@ func (f *File) WriteAt(off int64, buf []byte) error {
 	if f.amode&ModeRdOnly != 0 {
 		return ErrReadOnly
 	}
+	sp := f.sp.Begin(span.IndepWrite)
+	defer sp.End()
+	sp.SetBytes(int64(len(buf)))
 	segs, err := f.viewSegments(off, int64(len(buf)))
 	if err != nil {
 		return err
@@ -124,7 +131,7 @@ func (f *File) WriteAt(off int64, buf []byte) error {
 	} else if err := f.sieveWrite(segs, buf); err != nil {
 		return err
 	}
-	f.recordAccess("indep_write", iostat.IOIndepWriteCalls, iostat.IOBytesWritten,
+	f.recordAccess(iostat.IOIndepWriteCalls, iostat.IOBytesWritten,
 		iostat.IOWriteExtents, iostat.IOWriteTimeNs, segs, int64(len(buf)), t0)
 	return nil
 }

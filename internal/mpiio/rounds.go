@@ -132,7 +132,7 @@ func (f *File) writeRounds(plan collectivePlan, segs []pfs.Segment, prefix []int
 		}
 		if io {
 			f.settle(issued, end)
-			f.sp.Record(span.AggWrite, int(r), issued, f.comm.Clock(), wv.bytes)
+			f.sp.Record(span.AggWrite, int(r), issued, f.comm.Clock(), wv.bytes, -1)
 		}
 		if verdict != nil {
 			// Some rank failed round r-1, and every rank learnt it from the
@@ -263,7 +263,7 @@ func (f *File) readRounds(plan collectivePlan, segs []pfs.Segment, prefix []int6
 		}
 		if io {
 			f.settle(issued, end)
-			f.sp.Record(span.AggRead, int(r), issued, f.comm.Clock(), int64(len(cov.data)))
+			f.sp.Record(span.AggRead, int(r), issued, f.comm.Clock(), int64(len(cov.data)), -1)
 		}
 		pending = roundErr
 	}

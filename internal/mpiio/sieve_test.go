@@ -2,7 +2,6 @@ package mpiio
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"testing"
 
@@ -200,86 +199,4 @@ func mustView(f *File, n int64) []pfs.Segment {
 		panic(err)
 	}
 	return segs
-}
-
-func TestIndividualFilePointers(t *testing.T) {
-	fsys := testFS()
-	runWorld(t, 2, func(c *mpi.Comm) error {
-		f, err := Open(c, fsys, "ptr", ModeRdWr|ModeCreate, nil)
-		if err != nil {
-			return err
-		}
-		// Block view: rank r owns bytes [r*100, r*100+100).
-		sub, err := mpitype.Subarray([]int64{200}, []int64{100}, []int64{int64(c.Rank() * 100)}, 1)
-		if err != nil {
-			return err
-		}
-		if err := f.SetView(0, sub); err != nil {
-			return err
-		}
-		if f.Tell() != 0 {
-			return fmt.Errorf("pointer after SetView = %d", f.Tell())
-		}
-		// Sequential pointer-relative writes.
-		for chunk := 0; chunk < 4; chunk++ {
-			if err := f.Write(bytes.Repeat([]byte{byte(c.Rank()*10 + chunk)}, 25)); err != nil {
-				return err
-			}
-		}
-		if f.Tell() != 100 {
-			return fmt.Errorf("pointer after writes = %d", f.Tell())
-		}
-		// Seek back and read the second chunk.
-		if _, err := f.Seek(25, SeekSet); err != nil {
-			return err
-		}
-		got := make([]byte, 25)
-		if err := f.Read(got); err != nil {
-			return err
-		}
-		if got[0] != byte(c.Rank()*10+1) {
-			return fmt.Errorf("seek+read got %d", got[0])
-		}
-		if _, err := f.Seek(-25, SeekCur); err != nil {
-			return err
-		}
-		if f.Tell() != 25 {
-			return fmt.Errorf("SeekCur -> %d", f.Tell())
-		}
-		if _, err := f.Seek(-1000, SeekCur); err == nil {
-			return errors.New("seek before start accepted")
-		}
-		// SeekEnd on the identity view (barrier first: the size reflects
-		// both ranks' writes).
-		c.Barrier()
-		if err := f.SetView(0, mpitype.Datatype{}); err != nil {
-			return err
-		}
-		end, err := f.Seek(0, SeekEnd)
-		if err != nil {
-			return err
-		}
-		if end != 200 {
-			return fmt.Errorf("SeekEnd = %d, want 200", end)
-		}
-		// Collective pointer-relative ops.
-		sub2, _ := mpitype.Subarray([]int64{200}, []int64{100}, []int64{int64(c.Rank() * 100)}, 1)
-		if err := f.SetView(0, sub2); err != nil {
-			return err
-		}
-		if err := f.WriteAll(bytes.Repeat([]byte{0xEE}, 50)); err != nil {
-			return err
-		}
-		back := make([]byte, 50)
-		if _, err := f.Seek(0, SeekSet); err != nil {
-			return err
-		}
-		if err := f.ReadAll(back); err != nil {
-			return err
-		}
-		if back[0] != 0xEE || back[49] != 0xEE {
-			return fmt.Errorf("collective pointer ops: %v", back[:2])
-		}
-		return f.Close()
-	})
 }

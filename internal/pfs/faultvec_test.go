@@ -99,7 +99,7 @@ func TestWriteVecTransientLeavesExactPrefix(t *testing.T) {
 	fs.SetFault(fault.New(cfg))
 	f, _ := fs.Create("vec.dat", 0)
 	st := iostat.New()
-	f.SetStats(st, nil, 0)
+	f.SetStats(st, 0)
 
 	_, err := f.WriteVec(0, segs, vecIov(payload))
 	if !errors.Is(err, fault.ErrTransient) {
@@ -202,7 +202,7 @@ func TestReadVecTransientRetry(t *testing.T) {
 	}
 	fs.SetFault(fault.New(fault.Config{Seed: seed, ReadErrRate: 0.5}))
 	st := iostat.New()
-	f.SetStats(st, nil, 0)
+	f.SetStats(st, 0)
 
 	dst := make([]byte, 60)
 	iov := [][]byte{dst[:13], dst[13:41], dst[41:]}

@@ -179,25 +179,25 @@ type File struct {
 	fs *FS
 	fd *fileData
 
-	// stats/trace record this handle's I/O (nil = disabled). A handle is
+	// stats/spans record this handle's I/O (nil = disabled). A handle is
 	// owned by one rank in the parallel libraries, so the per-handle
-	// collectors are the rank's collectors.
+	// collectors are the rank's collectors. rank keys fault injection.
 	stats *iostat.Stats
-	trace *iostat.Trace
 	spans *span.Recorder
 	rank  int
 }
 
-// SetStats installs the handle's iostat collectors; rank labels trace
-// events (use -1 outside an MPI context). Nil collectors disable
-// recording.
-func (f *File) SetStats(s *iostat.Stats, t *iostat.Trace, rank int) {
-	f.stats, f.trace, f.rank = s, t, rank
+// SetStats installs the handle's iostat counters (nil disables them) and
+// names the rank that owns it, which fault injection keys on (use -1
+// outside an MPI context).
+func (f *File) SetStats(s *iostat.Stats, rank int) {
+	f.stats, f.rank = s, rank
 }
 
 // SetSpans installs the handle's span recorder (nil = disabled). Every
 // request batch — including attempts killed by fault injection, which a
-// retry above re-issues — records one pfs_read/pfs_write leaf span.
+// retry above re-issues — records one pfs_read/pfs_write leaf span carrying
+// the request's first file offset.
 func (f *File) SetSpans(r *span.Recorder) { f.spans = r }
 
 // Create opens name, truncating it to zero length, and charges OpenCost.
@@ -385,7 +385,7 @@ func (f *File) WriteVec(t float64, segs []Segment, iov [][]byte) (float64, error
 			}
 			f.stats.Add(iostat.PfsFaultsInjected, 1)
 			done := t + f.fs.cfg.NetLatency
-			f.spans.Record(span.PFSWrite, -1, t0, done, out.N)
+			f.spans.Record(span.PFSWrite, -1, t0, done, out.N, firstOff(segs))
 			return done, out.Err
 		}
 		if out.Delay > 0 {
@@ -394,9 +394,8 @@ func (f *File) WriteVec(t float64, segs []Segment, iov [][]byte) (float64, error
 	}
 	f.storeWriteVec(segs, iov, total)
 	done, extents := f.fs.charge(t, segs, false, f.stats)
-	f.record(iostat.PfsWriteCalls, iostat.PfsBytesWritten, iostat.PfsWriteExtents,
-		"write", t, done, segs, total, extents)
-	f.spans.Record(span.PFSWrite, -1, t0, done, total)
+	f.count(iostat.PfsWriteCalls, iostat.PfsBytesWritten, iostat.PfsWriteExtents, total, extents)
+	f.spans.Record(span.PFSWrite, -1, t0, done, total, firstOff(segs))
 	return done, nil
 }
 
@@ -435,7 +434,7 @@ func (f *File) ReadVec(t float64, segs []Segment, iov [][]byte) (float64, error)
 		if out.Err != nil {
 			f.stats.Add(iostat.PfsFaultsInjected, 1)
 			done := t + f.fs.cfg.NetLatency
-			f.spans.Record(span.PFSRead, -1, t0, done, 0)
+			f.spans.Record(span.PFSRead, -1, t0, done, 0, firstOff(segs))
 			return done, out.Err
 		}
 		if out.Delay > 0 {
@@ -453,28 +452,27 @@ func (f *File) ReadVec(t float64, segs []Segment, iov [][]byte) (float64, error)
 		}
 	}
 	done, extents := f.fs.charge(t, segs, true, f.stats)
-	f.record(iostat.PfsReadCalls, iostat.PfsBytesRead, iostat.PfsReadExtents,
-		"read", t, done, segs, total, extents)
-	f.spans.Record(span.PFSRead, -1, t0, done, total)
+	f.count(iostat.PfsReadCalls, iostat.PfsBytesRead, iostat.PfsReadExtents, total, extents)
+	f.spans.Record(span.PFSRead, -1, t0, done, total, firstOff(segs))
 	return done, nil
 }
 
-// record accumulates one request batch's counters and trace event.
-func (f *File) record(calls, bytes, exts iostat.Counter, op string, start, end float64, segs []Segment, total int64, extents int) {
-	if f.stats == nil && f.trace == nil {
+// count accumulates one request batch's counters.
+func (f *File) count(calls, bytes, exts iostat.Counter, total int64, extents int) {
+	if f.stats == nil {
 		return
 	}
 	f.stats.Add(calls, 1)
 	f.stats.Add(bytes, total)
 	f.stats.Add(exts, int64(extents))
-	off := int64(-1)
-	if len(segs) > 0 {
-		off = segs[0].Off
+}
+
+// firstOff is a request's first file offset, -1 for an empty one.
+func firstOff(segs []Segment) int64 {
+	if len(segs) == 0 {
+		return -1
 	}
-	f.trace.Record(iostat.Event{
-		Layer: "pfs", Op: op, Rank: f.rank,
-		Off: off, Len: total, Extents: extents, Start: start, End: end,
-	})
+	return segs[0].Off
 }
 
 // Sync flushes; a fixed-cost barrier against all servers.

@@ -472,7 +472,7 @@ func TestEveryMethodIsCharged(t *testing.T) {
 			peak, bytes, calls = fs.PeakReadBW(), iostat.PfsBytesRead, iostat.PfsReadCalls
 		}
 		st := iostat.New()
-		f.SetStats(st, nil, -1)
+		f.SetStats(st, -1)
 		const issue = 1.0
 		done, err := r.do(f, issue, p)
 		if err != nil {

@@ -19,7 +19,7 @@ func TestSpanDisabledZeroAlloc(t *testing.T) {
 		b.SetRound(3)
 		b.SetBytes(1 << 20)
 		b.AddBytes(4096)
-		r.Record(span.PFSWrite, 3, 0.1, 0.2, 4096)
+		r.Record(span.PFSWrite, 3, 0.1, 0.2, 4096, 0)
 		b.End()
 		a.End()
 	})

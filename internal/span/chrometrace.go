@@ -31,6 +31,7 @@ type chromeArgs struct {
 	Parent int64  `json:"parent,omitempty"`
 	Round  *int64 `json:"round,omitempty"`
 	Bytes  int64  `json:"bytes,omitempty"`
+	Off    *int64 `json:"off,omitempty"`  // a pointer, as Round: offset 0 must still serialize
 	Name   string `json:"name,omitempty"` // metadata events only
 }
 
@@ -53,6 +54,10 @@ func WriteChromeTrace(w io.Writer, spans []Span, dropped int64) error {
 		if s.Round >= 0 {
 			r := s.Round
 			args.Round = &r
+		}
+		if s.Off >= 0 {
+			off := s.Off
+			args.Off = &off
 		}
 		dur := s.Dur() * 1e6
 		cf.TraceEvents = append(cf.TraceEvents, chromeEvent{
@@ -94,13 +99,16 @@ func ReadChromeTrace(r io.Reader) ([]Span, int64, error) {
 			dur = *ev.Dur
 		}
 		s := Span{
-			Phase: ev.Name, Rank: ev.PID, Round: -1,
+			Phase: ev.Name, Rank: ev.PID, Round: -1, Off: -1,
 			Start: ev.TS / 1e6, End: (ev.TS + dur) / 1e6,
 		}
 		if ev.Args != nil {
 			s.ID, s.Parent, s.Bytes = ev.Args.ID, ev.Args.Parent, ev.Args.Bytes
 			if ev.Args.Round != nil {
 				s.Round = *ev.Args.Round
+			}
+			if ev.Args.Off != nil {
+				s.Off = *ev.Args.Off
 			}
 		}
 		spans = append(spans, s)

@@ -12,12 +12,12 @@ import (
 
 func sampleSpans() []span.Span {
 	return []span.Span{
-		{ID: 1, Parent: 0, Rank: 0, Phase: span.CollWrite, Round: -1, Bytes: 1 << 20, Start: 0, End: 0.25},
-		{ID: 2, Parent: 1, Rank: 0, Phase: span.Round, Round: 0, Bytes: 65536, Start: 0.01, End: 0.12},
-		{ID: 1, Parent: 0, Rank: 1, Phase: span.CollWrite, Round: -1, Bytes: 1 << 20, Start: 0.001, End: 0.26},
+		{ID: 1, Parent: 0, Rank: 0, Phase: span.CollWrite, Round: -1, Bytes: 1 << 20, Off: -1, Start: 0, End: 0.25},
+		{ID: 2, Parent: 1, Rank: 0, Phase: span.Round, Round: 0, Bytes: 65536, Off: -1, Start: 0.01, End: 0.12},
+		{ID: 1, Parent: 0, Rank: 1, Phase: span.CollWrite, Round: -1, Bytes: 1 << 20, Off: -1, Start: 0.001, End: 0.26},
 		// Zero duration: CPU work is free in virtual time, so these are
 		// common; the X event must still carry an explicit dur.
-		{ID: 3, Parent: 2, Rank: 0, Phase: span.Encode, Round: -1, Bytes: 16, Start: 0.01, End: 0.01},
+		{ID: 3, Parent: 2, Rank: 0, Phase: span.Encode, Round: -1, Bytes: 16, Off: -1, Start: 0.01, End: 0.01},
 	}
 }
 
@@ -72,7 +72,13 @@ func TestChromeTraceValid(t *testing.T) {
 }
 
 func TestChromeTraceRoundTrip(t *testing.T) {
-	in := sampleSpans()
+	// File requests carry their first offset; offset 0 must survive the
+	// trip as 0, not come back as "no offset" (-1).
+	in := append(sampleSpans(),
+		span.Span{ID: 4, Parent: 2, Rank: 0, Phase: span.PFSWrite, Round: -1, Bytes: 4096, Off: 0, Start: 0.05, End: 0.06},
+		span.Span{ID: 2, Parent: 1, Rank: 1, Phase: span.PFSRead, Round: -1, Bytes: 512, Off: 1 << 20, Start: 0.1, End: 0.11},
+		span.Span{ID: 3, Parent: 1, Rank: 1, Phase: span.Agree, Round: 0, Off: -1, Start: 0.11, End: 0.2},
+	)
 	var buf bytes.Buffer
 	if err := span.WriteChromeTrace(&buf, in, 7); err != nil {
 		t.Fatal(err)
@@ -90,7 +96,7 @@ func TestChromeTraceRoundTrip(t *testing.T) {
 	for i := range in {
 		a, b := in[i], out[i]
 		if a.ID != b.ID || a.Parent != b.Parent || a.Rank != b.Rank ||
-			a.Phase != b.Phase || a.Round != b.Round || a.Bytes != b.Bytes {
+			a.Phase != b.Phase || a.Round != b.Round || a.Bytes != b.Bytes || a.Off != b.Off {
 			t.Fatalf("span %d fields changed: %+v -> %+v", i, a, b)
 		}
 		if math.Abs(a.Start-b.Start) > 1e-9 || math.Abs(a.End-b.End) > 1e-9 {

@@ -188,10 +188,10 @@ func TestCriticalPathPipelinedOverlap(t *testing.T) {
 	// round-tagged leaf under the still-open coll span, like the pipelined
 	// write loop does.
 	clk.t = 5
-	r.Record(span.AggWrite, 0, 2, 5, 1024)
+	r.Record(span.AggWrite, 0, 2, 5, 1024, -1)
 	// Drain: round 1's write runs serially [5,7].
 	clk.t = 7
-	r.Record(span.AggWrite, 1, 5, 7, 1024)
+	r.Record(span.AggWrite, 1, 5, 7, 1024, -1)
 	cw.End()
 
 	rcs := span.CriticalPath(r.Spans())
@@ -315,7 +315,7 @@ func TestCriticalPathAgreeIsWaiting(t *testing.T) {
 		if rank == 2 {
 			// The previous round's write, in flight across this round's
 			// frontend.
-			r.Record(span.AggWrite, 0, clk.t, clk.t+0.060, 4096)
+			r.Record(span.AggWrite, 0, clk.t, clk.t+0.060, 4096, -1)
 		}
 		rs := r.Begin(span.Round)
 		rs.SetRound(1)

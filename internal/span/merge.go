@@ -56,7 +56,7 @@ func Gather(c Gatherer, r *Recorder) ([]Span, int64) {
 func encodeSpans(spans []Span, dropped int64) []byte {
 	n := 16 // count + dropped
 	for _, s := range spans {
-		n += 8*6 + 8 + 4 + len(s.Phase) // 6 int64/float64, rank, phase len+bytes
+		n += 8*8 + 8 + len(s.Phase) // 7 int64/float64, rank, phase len+bytes
 	}
 	buf := make([]byte, 0, n)
 	buf = appendU64(buf, uint64(len(spans)))
@@ -67,6 +67,7 @@ func encodeSpans(spans []Span, dropped int64) []byte {
 		buf = appendU64(buf, uint64(int64(s.Rank)))
 		buf = appendU64(buf, uint64(s.Round))
 		buf = appendU64(buf, uint64(s.Bytes))
+		buf = appendU64(buf, uint64(s.Off))
 		buf = appendU64(buf, math.Float64bits(s.Start))
 		buf = appendU64(buf, math.Float64bits(s.End))
 		buf = appendU64(buf, uint64(len(s.Phase)))
@@ -97,7 +98,7 @@ func decodeSpans(buf []byte) ([]Span, int64, error) {
 	}
 	spans := make([]Span, 0, count)
 	for i := uint64(0); i < count; i++ {
-		var f [7]uint64
+		var f [8]uint64
 		for k := range f {
 			if f[k], err = u64(); err != nil {
 				return nil, 0, err
@@ -114,8 +115,8 @@ func decodeSpans(buf []byte) ([]Span, int64, error) {
 		buf = buf[plen:]
 		spans = append(spans, Span{
 			ID: int64(f[0]), Parent: int64(f[1]), Rank: int(int64(f[2])),
-			Round: int64(f[3]), Bytes: int64(f[4]),
-			Start: math.Float64frombits(f[5]), End: math.Float64frombits(f[6]),
+			Round: int64(f[3]), Bytes: int64(f[4]), Off: int64(f[5]),
+			Start: math.Float64frombits(f[6]), End: math.Float64frombits(f[7]),
 			Phase: phase,
 		})
 	}

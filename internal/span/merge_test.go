@@ -88,7 +88,7 @@ func TestGatherUnevenCounts(t *testing.T) {
 	merged, _ := gatherWorld(t, n, func(c *mpi.Comm) *span.Recorder {
 		r := span.NewRecorder(c.Rank(), nil)
 		for i := 0; i < c.Rank()*10; i++ { // rank 0 records nothing
-			r.Record("op", -1, float64(i), float64(i)+1, 1)
+			r.Record("op", -1, float64(i), float64(i)+1, 1, int64(i))
 		}
 		return r
 	})
@@ -99,6 +99,9 @@ func TestGatherUnevenCounts(t *testing.T) {
 	counts := make(map[int]int)
 	for _, s := range merged {
 		counts[s.Rank]++
+		if s.Off != s.ID-1 { // the i-th span recorded offset i
+			t.Fatalf("rank %d span %d: Off = %d after the merge, want %d", s.Rank, s.ID, s.Off, s.ID-1)
+		}
 	}
 	for rank := 0; rank < n; rank++ {
 		if counts[rank] != rank*10 {

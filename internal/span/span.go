@@ -30,6 +30,8 @@ const (
 	HeaderCommit = "header_commit" // core: crash-consistent header commit
 	CollWrite    = "coll_write"    // mpiio: WriteAtAll
 	CollRead     = "coll_read"     // mpiio: ReadAtAll
+	IndepWrite   = "indep_write"   // mpiio: WriteAt
+	IndepRead    = "indep_read"    // mpiio: ReadAt
 	Flatten      = "flatten"       // mpitype: view range -> file segments
 	Plan         = "plan"          // mpiio: offset exchange / file-domain plan
 	Round        = "round"         // mpiio: one two-phase round
@@ -50,9 +52,11 @@ const (
 // Span is one closed interval of work on one rank. IDs are unique per rank;
 // (Rank, ID) is globally unique after a cross-rank merge. Parent is the ID
 // of the enclosing span on the same rank, 0 for roots. Round is the
-// two-phase round index, -1 when not applicable. Times are seconds on the
-// recording rank's clock — comparable within a rank, not across ranks when
-// clocks are skewed (the analyses in critical.go use durations only).
+// two-phase round index, -1 when not applicable. Off is a file request's
+// first byte offset (set on pfs_read/pfs_write leaves), -1 on every other
+// span. Times are seconds on the recording rank's clock — comparable within
+// a rank, not across ranks when clocks are skewed (the analyses in
+// critical.go use durations only).
 type Span struct {
 	ID     int64
 	Parent int64
@@ -60,6 +64,7 @@ type Span struct {
 	Phase  string
 	Round  int64
 	Bytes  int64
+	Off    int64
 	Start  float64
 	End    float64
 }
@@ -75,8 +80,8 @@ func (s Span) Dur() float64 {
 // openEnd marks a span whose End has not been recorded yet.
 const openEnd = -1
 
-// suppressedIdx marks an Active handle inside an unsampled or overflowed
-// subtree: End must unwind the suppression depth but records nothing.
+// suppressedIdx marks an Active handle inside an overflowed subtree: End
+// must unwind the suppression depth but records nothing.
 const suppressedIdx = -2
 
 // DefaultCap bounds a recorder's span buffer; further spans are counted in
@@ -98,13 +103,9 @@ type Recorder struct {
 
 	cap     int
 	dropped int64
-
-	// Sampling: when sampleEvery > 1, only every sampleEvery-th root span
-	// tree is recorded; the others are suppressed wholesale (suppress counts
-	// the nesting depth inside a suppressed tree).
-	sampleEvery int64
-	tick        int64
-	suppress    int
+	// suppress counts the nesting depth inside a subtree begun after the
+	// buffer filled: its spans are dropped wholesale.
+	suppress int
 }
 
 // NewRecorder returns a recorder for rank whose spans are timestamped by
@@ -114,7 +115,7 @@ func NewRecorder(rank int, clock func() float64) *Recorder {
 	if clock == nil {
 		clock = func() float64 { return 0 }
 	}
-	return &Recorder{clock: clock, rank: rank, cap: DefaultCap, sampleEvery: 1, next: 1}
+	return &Recorder{clock: clock, rank: rank, cap: DefaultCap, next: 1}
 }
 
 // SetCap bounds the number of recorded spans (minimum 1); spans beyond the
@@ -131,20 +132,6 @@ func (r *Recorder) SetCap(n int) {
 	r.cap = n
 }
 
-// SetSampleEvery records only every n-th root span tree (n <= 1 records
-// all). Child spans follow their root's fate, so sampled trees are complete.
-func (r *Recorder) SetSampleEvery(n int64) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if n < 1 {
-		n = 1
-	}
-	r.sampleEvery = n
-}
-
 // Active is a handle to a span opened by Begin. The zero value (and any
 // handle from a nil Recorder) is inert: all methods no-op. Copying is fine;
 // End is idempotent.
@@ -154,8 +141,7 @@ type Active struct {
 }
 
 // Begin opens a span tagged phase, nested under the innermost open span.
-// Returns an inert handle when the recorder is nil, the tree is unsampled,
-// or the buffer is full.
+// Returns an inert handle when the recorder is nil or the buffer is full.
 func (r *Recorder) Begin(phase string) Active {
 	if r == nil {
 		return Active{}
@@ -165,13 +151,6 @@ func (r *Recorder) Begin(phase string) Active {
 	if r.suppress > 0 {
 		r.suppress++
 		return Active{r: r, idx: suppressedIdx}
-	}
-	if len(r.stack) == 0 && r.sampleEvery > 1 {
-		r.tick++
-		if r.tick%r.sampleEvery != 0 {
-			r.suppress = 1
-			return Active{r: r, idx: suppressedIdx}
-		}
 	}
 	if len(r.spans) >= r.cap {
 		r.dropped++
@@ -187,7 +166,7 @@ func (r *Recorder) Begin(phase string) Active {
 	idx := int32(len(r.spans))
 	r.spans = append(r.spans, Span{
 		ID: id, Parent: parent, Rank: r.rank, Phase: phase,
-		Round: -1, Start: r.clock(), End: openEnd,
+		Round: -1, Off: -1, Start: r.clock(), End: openEnd,
 	})
 	r.stack = append(r.stack, idx)
 	return Active{r: r, idx: idx}
@@ -259,9 +238,10 @@ func (a Active) AddBytes(n int64) {
 
 // Record appends an already-closed leaf span with explicit times, nested
 // under the innermost open span. The pfs layer uses it: each I/O attempt
-// knows its own start and completion times, and failed attempts that a
-// retry repeats show up as separate spans.
-func (r *Recorder) Record(phase string, round int, start, end float64, bytes int64) {
+// knows its own start and completion times and first file offset (off; -1
+// for a span that is not a file request), and failed attempts that a retry
+// repeats show up as separate spans.
+func (r *Recorder) Record(phase string, round int, start, end float64, bytes, off int64) {
 	if r == nil {
 		return
 	}
@@ -285,7 +265,7 @@ func (r *Recorder) Record(phase string, round int, start, end float64, bytes int
 	r.next++
 	r.spans = append(r.spans, Span{
 		ID: id, Parent: parent, Rank: r.rank, Phase: phase,
-		Round: int64(round), Bytes: bytes, Start: start, End: end,
+		Round: int64(round), Bytes: bytes, Off: off, Start: start, End: end,
 	})
 }
 
@@ -311,8 +291,8 @@ func (r *Recorder) Len() int {
 }
 
 // Dropped returns how many spans were discarded because the buffer was
-// full. Like iostat.Trace.Dropped, a nonzero value means the trace is
-// incomplete and must be surfaced loudly, never read as a full record.
+// full. A nonzero value means the trace is incomplete and must be surfaced
+// loudly, never read as a full record.
 func (r *Recorder) Dropped() int64 {
 	if r == nil {
 		return 0
@@ -352,6 +332,5 @@ func (r *Recorder) Reset() {
 	r.stack = r.stack[:0]
 	r.next = 1
 	r.dropped = 0
-	r.tick = 0
 	r.suppress = 0
 }

@@ -86,28 +86,6 @@ func TestSpanEndClosesDescendants(t *testing.T) {
 	}
 }
 
-func TestSpanSampling(t *testing.T) {
-	r := span.NewRecorder(0, nil)
-	r.SetSampleEvery(3)
-	for i := 0; i < 9; i++ {
-		root := r.Begin("op")
-		child := r.Begin("phase")
-		child.End()
-		root.End()
-	}
-	// Every 3rd tree recorded: trees 3, 6, 9 → 3 trees × 2 spans.
-	if n := r.Len(); n != 6 {
-		t.Fatalf("Len() = %d, want 6", n)
-	}
-	if r.Open() != 0 {
-		t.Fatalf("Open() = %d", r.Open())
-	}
-	// Suppressed trees must not count as drops: sampling is intentional.
-	if d := r.Dropped(); d != 0 {
-		t.Fatalf("Dropped() = %d, want 0", d)
-	}
-}
-
 func TestSpanCapAndDropped(t *testing.T) {
 	r := span.NewRecorder(0, nil)
 	r.SetCap(2)
@@ -115,7 +93,7 @@ func TestSpanCapAndDropped(t *testing.T) {
 		a := r.Begin("op")
 		a.End()
 	}
-	r.Record("leaf", -1, 0, 1, 0)
+	r.Record("leaf", -1, 0, 1, 0, -1)
 	if n := r.Len(); n != 2 {
 		t.Fatalf("Len() = %d, want 2", n)
 	}
@@ -131,7 +109,7 @@ func TestSpanRecordExplicit(t *testing.T) {
 	clk := &manualClock{}
 	r := span.NewRecorder(1, clk.now)
 	parent := r.Begin(span.CollWrite)
-	r.Record(span.PFSWrite, 2, 0.5, 0.9, 4096)
+	r.Record(span.PFSWrite, 2, 0.5, 0.9, 4096, 8192)
 	parent.End()
 
 	spans := r.Spans()
@@ -142,8 +120,11 @@ func TestSpanRecordExplicit(t *testing.T) {
 	if leaf.Phase != span.PFSWrite || leaf.Parent != spans[0].ID {
 		t.Fatalf("leaf = %+v", leaf)
 	}
-	if leaf.Round != 2 || leaf.Bytes != 4096 || leaf.Start != 0.5 || leaf.End != 0.9 {
+	if leaf.Round != 2 || leaf.Bytes != 4096 || leaf.Off != 8192 || leaf.Start != 0.5 || leaf.End != 0.9 {
 		t.Fatalf("leaf fields = %+v", leaf)
+	}
+	if spans[0].Off != -1 {
+		t.Fatalf("a begun span has Off %d, want -1", spans[0].Off)
 	}
 }
 
@@ -188,9 +169,8 @@ func TestSpanNilSafety(t *testing.T) {
 	a.SetBytes(2)
 	a.AddBytes(3)
 	a.End()
-	r.Record("y", 0, 0, 1, 2)
+	r.Record("y", 0, 0, 1, 2, -1)
 	r.SetCap(10)
-	r.SetSampleEvery(2)
 	r.Reset()
 	if r.Len() != 0 || r.Open() != 0 || r.Dropped() != 0 || r.Spans() != nil {
 		t.Fatal("nil recorder leaked state")

@@ -106,14 +106,15 @@ fi
 if [ "${TRACE:-0}" = "1" ]; then
     mkdir -p results
     go run ./cmd/flashio-bench -block 8 -procs 8 -blocks-per-proc 4 \
-        -files checkpoint -span-out results/TRACE_spans.json \
-        -trace results/TRACE_events.jsonl -stats
+        -files checkpoint -span-out results/TRACE_spans.json -stats
     go run ./cmd/nctrace timeline results/TRACE_spans.json > /dev/null
     go run ./cmd/nctrace critical results/TRACE_spans.json \
         | grep agg_write > /dev/null \
         || { echo "TRACE: critical path is empty" >&2; exit 1; }
     go run ./cmd/nctrace imbalance results/TRACE_spans.json > /dev/null
-    go run ./cmd/nctrace results/TRACE_events.jsonl > /dev/null
+    go run ./cmd/nctrace -servers 12 summary results/TRACE_spans.json \
+        | grep -q pfs_write \
+        || { echo "TRACE: summary shows no pfs_write requests" >&2; exit 1; }
 fi
 
 echo "verify: OK"
