@@ -849,3 +849,90 @@ func TestAllocsPerBlockingCall(t *testing.T) {
 		}
 	}
 }
+
+// pattern is the Source and Sink of a request whose bytes live nowhere:
+// byte pos of rank r's request is byte(pos/7 + r). Drain counts the bytes
+// that differ, so a read checks itself without a request-sized buffer.
+type pattern struct {
+	rank int64
+	bad  int64
+}
+
+func (p *pattern) Fill(dst []byte, pos int64) {
+	for i := range dst {
+		dst[i] = byte((pos+int64(i))/7 + p.rank)
+	}
+}
+
+func (p *pattern) Drain(pos int64, src []byte) {
+	for i, b := range src {
+		if b != byte((pos+int64(i))/7+p.rank) {
+			p.bad++
+		}
+	}
+}
+
+// TestAllocsIndependentSieve pins data sieving's staging to its windows: a
+// 4-rank strided independent write, and the read of it, of 32 MiB per rank
+// go through 4 MiB windows that fill from the request's Source and drain
+// into its Sink, so a warm call allocates next to nothing. Staging the whole
+// request would cost 32 MiB per rank (128 MiB per call); the 8 MiB bound
+// is two ranks' windows, lost to the pools at a collection.
+func TestAllocsIndependentSieve(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops buffers under the race detector; the byte pin does not hold")
+	}
+	const ranks, blockLen, per, tries = 4, 4 << 10, 32 << 20, 2
+	const bound = 8 << 20
+	fsys := pfs.New(pfs.DefaultConfig())
+	least := [2]uint64{math.MaxUint64, math.MaxUint64} // write, read
+	err := mpi.Run(ranks, mpi.DefaultNet(), func(c *mpi.Comm) error {
+		f, err := mpiio.Open(c, fsys, "sieve.nc", mpiio.ModeRdWr|mpiio.ModeCreate, nil)
+		if err != nil {
+			return err
+		}
+		ft, err := mpitype.Vector(per/blockLen, blockLen, ranks*blockLen, mpitype.Contig(1))
+		if err != nil {
+			return err
+		}
+		if err := f.SetView(int64(c.Rank())*blockLen, ft); err != nil {
+			return err
+		}
+		p := &pattern{rank: int64(c.Rank())}
+		calls := [2]func() error{
+			func() error { return f.WriteAtFrom(0, per, p) },
+			func() error { return f.ReadAtInto(0, per, p) },
+		}
+		for try := 0; try <= tries; try++ { // try 0 warms
+			for k, call := range calls {
+				var before, after runtime.MemStats
+				c.Barrier()
+				if c.Rank() == 0 {
+					runtime.ReadMemStats(&before)
+				}
+				c.Barrier()
+				if err := call(); err != nil {
+					return err
+				}
+				c.Barrier()
+				if c.Rank() == 0 && try > 0 {
+					runtime.ReadMemStats(&after)
+					least[k] = min(least[k], after.TotalAlloc-before.TotalAlloc)
+				}
+			}
+		}
+		if p.bad != 0 {
+			return fmt.Errorf("rank %d: %d bytes read back wrong", c.Rank(), p.bad)
+		}
+		return f.Close()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, name := range []string{"write", "read"} {
+		t.Logf("sieved %s: %d B per call over %d ranks", name, least[k], ranks)
+		if least[k] > bound {
+			t.Errorf("a warm sieved %s allocates %d B per call over %d ranks, want <= %d", name, least[k], ranks, bound)
+		}
+	}
+}

@@ -248,8 +248,8 @@ func (d *Dataset) recordAccess(collective bool, coll, indep, bytes, timeNs iosta
 // put is the write direction of a completion: install the fused view and
 // write. MPI-IO packs through the fused source, which converts each piece
 // straight from user memory into the aggregator's message (or, independent,
-// into mpiio's one staging buffer); every op's NC_ERANGE is known when the
-// write returns.
+// into a data-sieving window, or into the one request-sized buffer of an
+// unsieved access); every op's NC_ERANGE is known when the write returns.
 func (d *Dataset) put(ops []pendingOp, plan []piece, collective bool) error {
 	sc := d.sp.Begin(span.NCPut)
 	defer sc.End()

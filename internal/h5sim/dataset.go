@@ -7,6 +7,7 @@ import (
 
 	"pnetcdf/internal/cdf"
 	"pnetcdf/internal/mpi"
+	"pnetcdf/internal/mpiio"
 	"pnetcdf/internal/mpitype"
 	"pnetcdf/internal/nctype"
 	"pnetcdf/internal/netcdf"
@@ -405,7 +406,7 @@ func (ds *Dataset) WriteAll(fsel Select, msel *Select, buf any) error {
 	// each process writes its own hyperslab, without collective buffering —
 	// so unaligned per-process slabs pay the file system's partial-stripe
 	// penalty that two-phase I/O's aligned domains avoid.
-	if err := ds.f.mf.WriteAt(0, ext); err != nil {
+	if err := ds.f.mf.WriteAtFrom(0, int64(len(ext)), mpiio.Bytes(ext)); err != nil {
 		return err
 	}
 	ds.f.comm.Barrier()
@@ -446,7 +447,7 @@ func (ds *Dataset) ReadAll(fsel Select, msel *Select, buf any) error {
 		return err
 	}
 	ext := make([]byte, n*typeSize(ds.typ))
-	if err := ds.f.mf.ReadAt(0, ext); err != nil {
+	if err := ds.f.mf.ReadAtInto(0, int64(len(ext)), mpiio.Bytes(ext)); err != nil {
 		return err
 	}
 	ds.f.comm.Barrier()

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 
 	"pnetcdf/internal/bufpool"
 )
@@ -235,25 +234,6 @@ func (c *Comm) Allgather(data []byte) [][]byte {
 	return decodeParts(blob)
 }
 
-// Scatter distributes parts[i] from root to rank i, like MPI_Scatterv.
-// Non-root callers pass nil. Each part is copied once, so the root keeps
-// parts and every member owns what it receives.
-func (c *Comm) Scatter(root int, parts [][]byte) []byte {
-	ctx := c.nextOpCtx(opScatter)
-	if c.rank == root {
-		if len(parts) != c.Size() {
-			c.Abort(fmt.Errorf("mpi: Scatter with %d parts on %d ranks", len(parts), c.Size()))
-		}
-		for r := 0; r < c.Size(); r++ {
-			if r != root {
-				c.send(r, tagData, ctx, bytes.Clone(parts[r]))
-			}
-		}
-		return append([]byte(nil), parts[root]...)
-	}
-	return c.recv(root, tagData, ctx).data
-}
-
 // Alltoall sends parts[i] to rank i and returns the payloads received from
 // every rank, indexed by source, like MPI_Alltoallv. Entries may be empty.
 // Each part is copied once: parts is only read (ranks may even share one),
@@ -398,19 +378,6 @@ func (c *Comm) allreduce(acc vec, op Op, reduce opKind) {
 	c.reduceDown(&t, c.nextOpCtx(opBcast), acc)
 }
 
-// ReduceI64 reduces elementwise int64 vectors to root, like MPI_Reduce.
-// Non-roots receive nil. All members must pass equal-length vectors; vals
-// is only read.
-func (c *Comm) ReduceI64(root int, vals []int64, op Op) []int64 {
-	acc := slices.Clone(vals)
-	t := c.commTree(root)
-	c.reduceUp(&t, c.nextOpCtx(opReduceI64), vec{i: acc}, op)
-	if c.rank != root {
-		return nil
-	}
-	return acc
-}
-
 // AllreduceI64 reduces elementwise and distributes the result to all, like
 // MPI_Allreduce with MPI_IN_PLACE: the result overwrites vals, which is
 // returned.
@@ -419,55 +386,11 @@ func (c *Comm) AllreduceI64(vals []int64, op Op) []int64 {
 	return vals
 }
 
-// ReduceF64 reduces elementwise float64 vectors to root. The combination
-// order follows the binomial tree deterministically, so results are
-// reproducible run to run.
-func (c *Comm) ReduceF64(root int, vals []float64, op Op) []float64 {
-	acc := slices.Clone(vals)
-	t := c.commTree(root)
-	c.reduceUp(&t, c.nextOpCtx(opReduceF64), vec{f: acc}, op)
-	if c.rank != root {
-		return nil
-	}
-	return acc
-}
-
 // AllreduceF64 reduces elementwise and distributes the result to all, in
 // place like AllreduceI64.
 func (c *Comm) AllreduceF64(vals []float64, op Op) []float64 {
 	c.allreduce(vec{f: vals}, op, opReduceF64)
 	return vals
-}
-
-// ExscanI64 computes the exclusive prefix reduction: rank r receives the
-// reduction of ranks 0..r-1 (identity on rank 0), like MPI_Exscan with a
-// linear chain. Used for computing record offsets when appending.
-func (c *Comm) ExscanI64(vals []int64, op Op) []int64 {
-	ctx := c.nextOpCtx(opExscanI64)
-	acc := make([]int64, len(vals))
-	if op == OpMin {
-		for i := range acc {
-			acc[i] = math.MaxInt64
-		}
-	}
-	if op == OpMax {
-		for i := range acc {
-			acc[i] = math.MinInt64
-		}
-	}
-	if c.rank > 0 {
-		wire := c.recv(c.rank-1, tagData, ctx).data
-		vec{i: acc}.decode(c, ctx, wire)
-		bufpool.Put(wire)
-	}
-	if c.rank < c.Size()-1 {
-		next := make([]int64, len(vals))
-		for i := range vals {
-			next[i] = reduceI64(op, acc[i], vals[i])
-		}
-		c.send(c.rank+1, tagData, ctx, vec{i: next}.encode())
-	}
-	return acc
 }
 
 // ErrPeerFailed is the error a rank receives from AgreeError when some

@@ -1,9 +1,9 @@
 // Package mpi is an in-process simulation of the MPI message-passing
 // runtime: ranks are goroutines, point-to-point messages travel over
-// tag-matched mailboxes, and the usual collectives (Barrier, Bcast, Reduce,
-// Allreduce, Gather(v), Allgather(v), Scatter(v), Alltoall(v), Scan) are
-// implemented on top of point-to-point messaging with tree and linear
-// algorithms, the way a real MPI library layers them.
+// tag-matched mailboxes, and the collectives the I/O stack uses (Barrier,
+// Bcast, Allreduce, Gather(v), Allgather(v), Alltoall(v)) are implemented on
+// top of point-to-point messaging with tree and linear algorithms, the way a
+// real MPI library layers them.
 //
 // # Virtual time
 //
@@ -32,8 +32,8 @@
 // wire buffers, one per tree edge: the receiver folds or decodes the bytes
 // straight into its vector and puts the buffer back, so a warm reduction
 // allocates nothing. Allgather hands its own wire buffer over as it is.
-// Gather, Scatter and Alltoall copy each caller-owned part once, so every
-// received slice has a single owner. Bcast copies the root's payload once
+// Gather and Alltoall copy each caller-owned part once, so every received
+// slice has a single owner. Bcast copies the root's payload once
 // (BcastOwned takes it over instead) and every message carries that one
 // copy: the non-root members all receive the same backing array and must
 // treat it as read-only. A short payload goes down a binomial tree; from
@@ -419,13 +419,6 @@ func (c *Comm) Recv(src, tag int) ([]byte, int) {
 	return m.data, m.src
 }
 
-// Sendrecv performs a simultaneous send and receive; sends are eager so the
-// head-to-head exchange cannot deadlock. sendData is given up as in Send.
-func (c *Comm) Sendrecv(dst, sendTag int, sendData []byte, src, recvTag int) ([]byte, int) {
-	c.Send(dst, sendTag, sendData)
-	return c.Recv(src, recvTag)
-}
-
 // A collective's message context is commID<<32 | kind<<ctxKindSh | seq:
 // the per-communicator sequence in bits 0-23 (modulo 2^24; members are never
 // that far apart), the operation's kind in bits 24-29, and bit 30 clear (the
@@ -447,22 +440,18 @@ const (
 	opBarrier opKind = iota + 1
 	opBcast
 	opGather
-	opScatter
 	opAlltoall
 	opReduceI64
 	opReduceF64
-	opExscanI64
 )
 
 var opNames = [ctxKindMask + 1]string{
 	opBarrier:   "Barrier",
 	opBcast:     "Bcast",
 	opGather:    "Gather",
-	opScatter:   "Scatter",
 	opAlltoall:  "Alltoall",
 	opReduceI64: "ReduceI64",
 	opReduceF64: "ReduceF64",
-	opExscanI64: "ExscanI64",
 }
 
 // ctxOp names the operation a message context belongs to and its sequence
@@ -482,35 +471,11 @@ func ctxOp(ctx int64) (string, int64) {
 func (c *Comm) nextOpCtx(op opKind) int64 {
 	// A collective on a revoked communicator can never complete; fail it
 	// before any message moves (recv would catch it anyway, but root-only
-	// send patterns like Scatter would first leak sends).
+	// send patterns like Bcast's would first leak sends).
 	c.ftCheckRevoked(nil)
 	c.seq++
 	c.proc.stats.Add(iostat.MPICollectives, 1)
 	return c.ctx | int64(op)<<ctxKindSh | c.seq&ctxSeqMask
-}
-
-// newCommID allocates a world-unique communicator ID on rank 0 of c and
-// broadcasts it.
-func (c *Comm) newCommID() int64 {
-	var id int64
-	if c.rank == 0 {
-		c.world.mu.Lock()
-		c.world.commSeq++
-		id = c.world.commSeq
-		c.world.mu.Unlock()
-	}
-	return decodeInt64(c.bcastOwned(0, encodeInt64(id)))
-}
-
-// Dup returns a communicator with the same group but an isolated message
-// context, like MPI_Comm_dup. Collective over the communicator.
-func (c *Comm) Dup() *Comm {
-	id := c.newCommID()
-	return &Comm{
-		world: c.world, proc: c.proc, rank: c.rank,
-		group: append([]int(nil), c.group...),
-		ctx:   id << 32,
-	}
 }
 
 // Split partitions the communicator by color, ordering members of each new

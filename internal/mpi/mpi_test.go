@@ -120,17 +120,6 @@ func TestRecvAnySourceAnyTag(t *testing.T) {
 	})
 }
 
-func TestSendrecvExchange(t *testing.T) {
-	runOrFatal(t, 2, func(c *Comm) error {
-		peer := 1 - c.Rank()
-		data, _ := c.Sendrecv(peer, 5, []byte{byte(c.Rank())}, peer, 5)
-		if data[0] != byte(peer) {
-			return fmt.Errorf("rank %d: exchange got %v", c.Rank(), data)
-		}
-		return nil
-	})
-}
-
 func TestBarrierSynchronizesClocks(t *testing.T) {
 	runOrFatal(t, 4, func(c *Comm) error {
 		// Give ranks wildly different local times, then barrier.
@@ -183,11 +172,6 @@ func TestGatherScatter(t *testing.T) {
 				}
 			} else if parts != nil {
 				return errors.New("non-root got Gather result")
-			}
-			// Scatter them back.
-			back := c.Scatter(0, parts)
-			if len(back) != c.Rank()+1 {
-				return fmt.Errorf("Scatter to %d: %v", c.Rank(), back)
 			}
 			return nil
 		})
@@ -264,34 +248,6 @@ func TestReduceOps(t *testing.T) {
 	}
 }
 
-func TestReduceToNonZeroRoot(t *testing.T) {
-	runOrFatal(t, 5, func(c *Comm) error {
-		res := c.ReduceI64(3, []int64{int64(c.Rank())}, OpSum)
-		if c.Rank() == 3 {
-			if res[0] != 10 {
-				return fmt.Errorf("root sum = %v", res)
-			}
-		} else if res != nil {
-			return errors.New("non-root got reduce result")
-		}
-		return nil
-	})
-}
-
-func TestExscan(t *testing.T) {
-	for _, n := range testSizes {
-		runOrFatal(t, n, func(c *Comm) error {
-			pre := c.ExscanI64([]int64{int64(c.Rank() + 1)}, OpSum)[0]
-			// rank r gets sum of (1..r) = r(r+1)/2
-			want := int64(c.Rank()*(c.Rank()+1)) / 2
-			if pre != want {
-				return fmt.Errorf("rank %d: exscan = %d, want %d", c.Rank(), pre, want)
-			}
-			return nil
-		})
-	}
-}
-
 func TestAgreeDigest(t *testing.T) {
 	runOrFatal(t, 4, func(c *Comm) error {
 		if !c.AgreeDigest(sha256.Sum256([]byte("same everywhere"))) {
@@ -303,28 +259,6 @@ func TestAgreeDigest(t *testing.T) {
 		}
 		if c.AgreeDigest(sha256.Sum256(data)) {
 			return errors.New("AgreeDigest true for differing data")
-		}
-		return nil
-	})
-}
-
-func TestDupIsolatesTraffic(t *testing.T) {
-	runOrFatal(t, 3, func(c *Comm) error {
-		c2 := c.Dup()
-		if c2.Size() != 3 || c2.Rank() != c.Rank() {
-			return fmt.Errorf("dup rank/size %d/%d", c2.Rank(), c2.Size())
-		}
-		// Same (dst, tag) on both comms; contexts must keep them apart.
-		if c.Rank() == 0 {
-			c.Send(1, 9, []byte("on c"))
-			c2.Send(1, 9, []byte("on c2"))
-		}
-		if c.Rank() == 1 {
-			d2, _ := c2.Recv(0, 9)
-			d1, _ := c.Recv(0, 9)
-			if string(d1) != "on c" || string(d2) != "on c2" {
-				return fmt.Errorf("context mixing: %q %q", d1, d2)
-			}
 		}
 		return nil
 	})

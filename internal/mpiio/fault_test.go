@@ -16,23 +16,26 @@ import (
 // TestIndependentIORetriesTransients: under a transient fault rate, every
 // independent read and write must still complete (retries clear injected
 // errors), the data must round-trip exactly, and the retry counters must
-// show the recovery work.
+// show the recovery work — for raw requests, and for a strided view whose
+// sieving windows are locked read-modify-writes.
 func TestIndependentIORetriesTransients(t *testing.T) {
+	const ranks, raw = 4, 1 << 16
 	fsys := testFS()
 	fsys.SetFault(fault.New(fault.Config{
 		Seed: 11, ReadErrRate: 0.05, WriteErrRate: 0.05,
 		LatencyRate: 0.05, LatencySpike: 2e-3,
 	}))
+	info := mpi.NewInfo().Set("ind_rd_buffer_size", "4096").Set("ind_wr_buffer_size", "4096")
 	var mu sync.Mutex
-	var retries int64
-	runWorld(t, 4, func(c *mpi.Comm) error {
+	var rawRetries, viewRetries int64
+	runWorld(t, ranks, func(c *mpi.Comm) error {
 		c.Proc().SetStats(iostat.New())
-		f, err := Open(c, fsys, "retry", ModeRdWr|ModeCreate, nil)
+		f, err := Open(c, fsys, "retry", ModeRdWr|ModeCreate, info)
 		if err != nil {
 			return err
 		}
-		want := bytes.Repeat([]byte{byte('A' + c.Rank())}, 1<<16)
-		base := int64(c.Rank()) * int64(len(want))
+		want := bytes.Repeat([]byte{byte('A' + c.Rank())}, raw)
+		base := int64(c.Rank()) * raw
 		for i := 0; i < 8; i++ {
 			if err := f.WriteRaw(want[i*8192:(i+1)*8192], base+int64(i*8192)); err != nil {
 				return err
@@ -45,16 +48,101 @@ func TestIndependentIORetriesTransients(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Errorf("rank %d: data corrupted under transient faults", c.Rank())
 		}
+		r0 := c.Proc().Stats().Get(iostat.IORetries)
+
+		// Rank r owns blocks r, r+4, ... of 512 bytes past the raw region.
+		v, err := mpitype.Vector(128, 512, ranks*512, mpitype.Contig(1))
+		if err != nil {
+			return err
+		}
+		if err := f.SetView(ranks*raw+int64(c.Rank())*512, v); err != nil {
+			return err
+		}
+		data := make([]byte, v.Size())
+		for i := range data {
+			data[i] = byte(c.Rank()*31 + i%251)
+		}
+		if err := writeAt(f, 0, data); err != nil {
+			return err
+		}
+		c.Barrier()
+		if err := readAt(f, 0, got[:len(data)]); err != nil {
+			return err
+		}
+		if !bytes.Equal(got[:len(data)], data) {
+			t.Errorf("rank %d: sieved view data corrupted under transient faults", c.Rank())
+		}
+		if c.Proc().Stats().Get(iostat.IOSieveRMW) == 0 {
+			t.Errorf("rank %d: the view write was not sieved", c.Rank())
+		}
 		mu.Lock()
-		retries += c.Proc().Stats().Get(iostat.IORetries)
+		rawRetries += r0
+		viewRetries += c.Proc().Stats().Get(iostat.IORetries) - r0
 		mu.Unlock()
 		return f.Close()
 	})
 	if fsys.Fault().Injected() == 0 {
 		t.Fatal("no faults injected; test proves nothing")
 	}
-	if retries == 0 {
-		t.Fatal("faults injected but IORetries is zero — retries not accounted")
+	if rawRetries == 0 || viewRetries == 0 {
+		t.Fatalf("faults injected but IORetries is %d for raw requests and %d for the view — retries not accounted",
+			rawRetries, viewRetries)
+	}
+}
+
+// TestSievedWriteCrashReleasesLock: a permanent crash during a sieved
+// write-back fails that write with ErrCrashed and must release the
+// read-modify-write range lock on the way out, so a second rank's sieved
+// write to an overlapping window afterwards completes and lands. (A leaked
+// lock hangs the second write.)
+func TestSievedWriteCrashReleasesLock(t *testing.T) {
+	fsys := testFS()
+	in := fault.New(fault.Config{Seed: 17})
+	fsys.SetFault(in)
+	info := mpi.NewInfo().Set("ind_wr_buffer_size", "4096")
+	errs := make([]error, 2)
+	runWorld(t, 2, func(c *mpi.Comm) error {
+		f, err := Open(c, fsys, "rmwcrash", ModeRdWr|ModeCreate, info)
+		if err != nil {
+			return err
+		}
+		// Rank r owns blocks r, r+2, ... of 256 bytes, so each rank's
+		// windows cover the other's blocks: rank 0's first is [0, 4096),
+		// rank 1's [256, 4352).
+		v, err := mpitype.Vector(32, 256, 512, mpitype.Contig(1))
+		if err != nil {
+			return err
+		}
+		if err := f.SetView(int64(c.Rank())*256, v); err != nil {
+			return err
+		}
+		data := bytes.Repeat([]byte{byte('A' + c.Rank())}, int(v.Size()))
+		if c.Rank() == 0 {
+			// In a block of rank 1's inside rank 0's first window: only
+			// the window's write-back reaches it.
+			in.ArmCrash(300, false)
+			errs[0] = writeAt(f, 0, data)
+		}
+		c.Barrier()
+		if c.Rank() == 1 {
+			if errs[1] = writeAt(f, 0, data); errs[1] == nil {
+				got := make([]byte, len(data))
+				if err := readAt(f, 0, got); err != nil {
+					return err
+				}
+				if !bytes.Equal(got, data) {
+					t.Errorf("rank 1: the write after the crash did not land")
+				}
+			}
+		}
+		c.Barrier()
+		return f.Close()
+	})
+	if !errors.Is(errs[0], fault.ErrCrashed) {
+		t.Fatalf("rank 0: sieved write through a crash point returned %v, want ErrCrashed", errs[0])
+	}
+	if errs[1] != nil {
+		t.Fatalf("rank 1: sieved write after the crash: %v", errs[1])
 	}
 }
 

@@ -7,107 +7,53 @@ import (
 	"pnetcdf/internal/span"
 )
 
-// ReadAtInto reads n view-data bytes at view offset off independently and
-// hands them to dst. It and WriteAtFrom are the one place mpiio stages a
-// whole request: ReadAt and its data sieving fill one pooled buffer, which
-// dst then drains. The romio_cb_read = false fallback of ReadAtAllInto
-// comes here too.
+// ReadAtInto reads n view-data bytes at view offset off independently (no
+// coordination with other ranks) and hands them to dst. Noncontiguous views
+// use data sieving when enabled: instead of one small read per
+// hole-separated piece, whole covering windows are read once and each
+// wanted piece drained from the window into dst — ROMIO's romio_ds_read
+// strategy. Otherwise the access is one request into one pooled buffer of n
+// bytes. Transient storage errors are retried under the file's retry
+// policy; errors that remain are returned. The romio_cb_read = false
+// fallback of ReadAtAllInto comes here too.
 func (f *File) ReadAtInto(off, n int64, dst Sink) error {
-	buf := bufpool.GetDirty(int(n))
-	defer bufpool.Put(buf)
-	if err := f.ReadAt(off, buf); err != nil {
-		return err
-	}
-	dst.Drain(0, buf)
-	return nil
-}
-
-// WriteAtFrom writes the n view-data bytes src supplies at view offset off
-// independently: src fills one pooled buffer, which WriteAt and its data
-// sieving take (see ReadAtInto).
-func (f *File) WriteAtFrom(off, n int64, src Source) error {
-	buf := bufpool.GetDirty(int(n))
-	defer bufpool.Put(buf)
-	src.Fill(buf, 0)
-	return f.WriteAt(off, buf)
-}
-
-// ReadAt reads len(buf) view-data bytes starting at view offset off into
-// buf. Independent (no coordination with other ranks). Noncontiguous views
-// use data sieving when enabled: instead of one small read per hole-separated
-// piece, whole covering windows are read once and the wanted bytes copied
-// out — ROMIO's romio_ds_read strategy. Transient storage errors are retried
-// under the file's retry policy; errors that remain are returned.
-func (f *File) ReadAt(off int64, buf []byte) error {
 	if f.closed {
 		return ErrClosed
 	}
 	sp := f.sp.Begin(span.IndepRead)
 	defer sp.End()
-	sp.SetBytes(int64(len(buf)))
-	segs, err := f.viewSegments(off, int64(len(buf)))
+	sp.SetBytes(n)
+	segs, err := f.viewSegments(off, n)
 	if err != nil {
 		return err
 	}
 	t0 := f.comm.Clock()
 	if len(segs) <= 1 || !f.hints.DSRead {
+		buf := bufpool.GetDirty(int(n))
+		defer bufpool.Put(buf)
 		if err := f.doPF(func(t float64) (float64, error) {
 			return f.pf.ReadV(t, segs, buf)
 		}); err != nil {
 			return err
 		}
-	} else if err := f.sieveRead(segs, buf); err != nil {
+		dst.Drain(0, buf)
+	} else if err := sieve(segs, f.hints.IndRdBufferSize, func(run []pfs.Segment, pos int64) error {
+		return f.readWindow(run, pos, dst)
+	}); err != nil {
 		return err
 	}
 	f.recordAccess(iostat.IOIndepReadCalls, iostat.IOBytesRead,
-		iostat.IOReadExtents, iostat.IOReadTimeNs, segs, int64(len(buf)), t0)
+		iostat.IOReadExtents, iostat.IOReadTimeNs, segs, n, t0)
 	return nil
 }
 
-// sieveRead processes the segment list in covering windows of at most
-// IndRdBufferSize bytes: one contiguous read per window, then per-segment
-// copies.
-func (f *File) sieveRead(segs []pfs.Segment, buf []byte) error {
-	win := f.hints.IndRdBufferSize
-	bufPos := int64(0)
-	i := 0
-	for i < len(segs) {
-		lo := segs[i].Off
-		hi := segs[i].Off + segs[i].Len
-		j := i + 1
-		// Extend the window while the next segment still fits within win
-		// bytes of coverage.
-		for j < len(segs) && segs[j].Off+segs[j].Len-lo <= win {
-			hi = segs[j].Off + segs[j].Len
-			j++
-		}
-		cover := bufpool.GetDirty(int(hi - lo))
-		if err := f.doPF(func(t float64) (float64, error) {
-			return f.pf.ReadAt(t, cover, lo)
-		}); err != nil {
-			bufpool.Put(cover)
-			return err
-		}
-		wanted := int64(0)
-		for k := i; k < j; k++ {
-			s := segs[k]
-			copy(buf[bufPos:bufPos+s.Len], cover[s.Off-lo:s.Off-lo+s.Len])
-			bufPos += s.Len
-			wanted += s.Len
-		}
-		bufpool.Put(cover)
-		f.st.Add(iostat.IOSieveReads, 1)
-		f.st.Add(iostat.IOSieveReadAmpBytes, (hi-lo)-wanted)
-		i = j
-	}
-	return nil
-}
-
-// WriteAt writes len(buf) view-data bytes starting at view offset off.
-// Independent. Noncontiguous views use data sieving when enabled: the
-// covering window is read, modified in memory, and written back under the
-// file's read-modify-write lock — ROMIO's romio_ds_write strategy.
-func (f *File) WriteAt(off int64, buf []byte) error {
+// WriteAtFrom writes the n view-data bytes src supplies at view offset off
+// independently. Noncontiguous views use data sieving when enabled: each
+// covering window is read, filled from src in memory, and written back
+// under the file's read-modify-write lock — ROMIO's romio_ds_write
+// strategy. Otherwise src fills one pooled buffer of n bytes, written in one
+// request (see ReadAtInto).
+func (f *File) WriteAtFrom(off, n int64, src Source) error {
 	if f.closed {
 		return ErrClosed
 	}
@@ -116,81 +62,110 @@ func (f *File) WriteAt(off int64, buf []byte) error {
 	}
 	sp := f.sp.Begin(span.IndepWrite)
 	defer sp.End()
-	sp.SetBytes(int64(len(buf)))
-	segs, err := f.viewSegments(off, int64(len(buf)))
+	sp.SetBytes(n)
+	segs, err := f.viewSegments(off, n)
 	if err != nil {
 		return err
 	}
 	t0 := f.comm.Clock()
 	if len(segs) <= 1 || !f.hints.DSWrite {
+		buf := bufpool.GetDirty(int(n))
+		defer bufpool.Put(buf)
+		src.Fill(buf, 0)
 		if err := f.doPF(func(t float64) (float64, error) {
 			return f.pf.WriteV(t, segs, buf)
 		}); err != nil {
 			return err
 		}
-	} else if err := f.sieveWrite(segs, buf); err != nil {
+	} else if err := sieve(segs, f.hints.IndWrBufferSize, func(run []pfs.Segment, pos int64) error {
+		return f.writeWindow(run, pos, src)
+	}); err != nil {
 		return err
 	}
 	f.recordAccess(iostat.IOIndepWriteCalls, iostat.IOBytesWritten,
-		iostat.IOWriteExtents, iostat.IOWriteTimeNs, segs, int64(len(buf)), t0)
+		iostat.IOWriteExtents, iostat.IOWriteTimeNs, segs, n, t0)
 	return nil
 }
 
-func (f *File) sieveWrite(segs []pfs.Segment, buf []byte) error {
-	win := f.hints.IndWrBufferSize
-	bufPos := int64(0)
-	i := 0
-	for i < len(segs) {
-		lo := segs[i].Off
-		hi := segs[i].Off + segs[i].Len
-		j := i + 1
+// sieve walks segs in data-sieving windows: each is the longest run of
+// segments whose covering extent is at most win bytes, or one longer
+// segment by itself. It calls do with each run and the view-data position
+// of the run's first byte, and stops at the first error.
+func sieve(segs []pfs.Segment, win int64, do func(run []pfs.Segment, pos int64) error) error {
+	var pos int64
+	for len(segs) > 0 {
+		lo, j := segs[0].Off, 1
 		for j < len(segs) && segs[j].Off+segs[j].Len-lo <= win {
-			hi = segs[j].Off + segs[j].Len
 			j++
 		}
-		// Fully covered single segment: plain write, no RMW needed.
-		if j == i+1 {
-			s := segs[i]
-			if err := f.doPF(func(t float64) (float64, error) {
-				return f.pf.WriteAt(t, buf[bufPos:bufPos+s.Len], s.Off)
-			}); err != nil {
-				return err
-			}
-			bufPos += s.Len
-			i = j
-			continue
-		}
-		// Lock exactly the read-modify-write window: sieving writers to
-		// disjoint windows proceed in parallel.
-		f.pf.LockRMW(lo, hi-lo)
-		cover := bufpool.GetDirty(int(hi - lo))
-		release := func() {
-			bufpool.Put(cover)
-			f.pf.UnlockRMW(lo, hi-lo)
-		}
-		if err := f.doPF(func(t float64) (float64, error) {
-			return f.pf.ReadAt(t, cover, lo)
-		}); err != nil {
-			release()
+		if err := do(segs[:j], pos); err != nil {
 			return err
 		}
-		wanted := int64(0)
-		for k := i; k < j; k++ {
-			s := segs[k]
-			copy(cover[s.Off-lo:s.Off-lo+s.Len], buf[bufPos:bufPos+s.Len])
-			bufPos += s.Len
-			wanted += s.Len
+		for _, s := range segs[:j] {
+			pos += s.Len
 		}
-		if err := f.doPF(func(t float64) (float64, error) {
-			return f.pf.WriteAt(t, cover, lo)
-		}); err != nil {
-			release()
-			return err
-		}
-		release()
-		f.st.Add(iostat.IOSieveRMW, 1)
-		f.st.Add(iostat.IOSieveWriteAmpBytes, (hi-lo)-wanted)
-		i = j
+		segs = segs[j:]
 	}
+	return nil
+}
+
+// cover returns the file extent [lo, hi) that a window's run spans.
+func cover(run []pfs.Segment) (lo, hi int64) {
+	last := run[len(run)-1]
+	return run[0].Off, last.Off + last.Len
+}
+
+// readWindow reads the extent covering run in one request and drains each
+// segment's bytes into dst, the first at view-data position pos.
+func (f *File) readWindow(run []pfs.Segment, pos int64, dst Sink) error {
+	lo, hi := cover(run)
+	win := bufpool.GetDirty(int(hi - lo))
+	defer bufpool.Put(win)
+	if err := f.doPF(func(t float64) (float64, error) {
+		return f.pf.ReadAt(t, win, lo)
+	}); err != nil {
+		return err
+	}
+	wanted := int64(0)
+	for _, s := range run {
+		dst.Drain(pos+wanted, win[s.Off-lo:s.Off-lo+s.Len])
+		wanted += s.Len
+	}
+	f.st.Add(iostat.IOSieveReads, 1)
+	f.st.Add(iostat.IOSieveReadAmpBytes, (hi-lo)-wanted)
+	return nil
+}
+
+// writeWindow writes run's bytes, which src supplies from view-data
+// position pos on. A run of one segment is a plain write. A longer run is a
+// read-modify-write of its covering extent under the file's range lock on
+// exactly that extent, so sieving writers to disjoint windows proceed in
+// parallel.
+func (f *File) writeWindow(run []pfs.Segment, pos int64, src Source) error {
+	lo, hi := cover(run)
+	win := bufpool.GetDirty(int(hi - lo))
+	defer bufpool.Put(win)
+	write := func(t float64) (float64, error) { return f.pf.WriteAt(t, win, lo) }
+	if len(run) == 1 {
+		src.Fill(win, pos)
+		return f.doPF(write)
+	}
+	f.pf.LockRMW(lo, hi-lo)
+	defer f.pf.UnlockRMW(lo, hi-lo)
+	if err := f.doPF(func(t float64) (float64, error) {
+		return f.pf.ReadAt(t, win, lo)
+	}); err != nil {
+		return err
+	}
+	wanted := int64(0)
+	for _, s := range run {
+		src.Fill(win[s.Off-lo:s.Off-lo+s.Len], pos+wanted)
+		wanted += s.Len
+	}
+	if err := f.doPF(write); err != nil {
+		return err
+	}
+	f.st.Add(iostat.IOSieveRMW, 1)
+	f.st.Add(iostat.IOSieveWriteAmpBytes, (hi-lo)-wanted)
 	return nil
 }

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"pnetcdf/internal/iostat"
 	"pnetcdf/internal/mpi"
 	"pnetcdf/internal/mpitype"
 	"pnetcdf/internal/pfs"
@@ -19,6 +20,16 @@ func runWorld(t *testing.T, n int, fn func(*mpi.Comm) error) {
 	if err := mpi.Run(n, mpi.DefaultNet(), fn); err != nil {
 		t.Fatalf("world of %d: %v", n, err)
 	}
+}
+
+// writeAt and readAt move buf through the independent calls at view
+// offset off.
+func writeAt(f *File, off int64, buf []byte) error {
+	return f.WriteAtFrom(off, int64(len(buf)), Bytes(buf))
+}
+
+func readAt(f *File, off int64, buf []byte) error {
+	return f.ReadAtInto(off, int64(len(buf)), Bytes(buf))
 }
 
 func TestOpenCreateModes(t *testing.T) {
@@ -91,8 +102,8 @@ func TestReadOnlyEnforced(t *testing.T) {
 		if err := f.WriteRaw([]byte("y"), 0); !errors.Is(err, ErrReadOnly) {
 			return fmt.Errorf("WriteRaw on RO: %v", err)
 		}
-		if err := f.WriteAt(0, []byte("y")); !errors.Is(err, ErrReadOnly) {
-			return fmt.Errorf("WriteAt on RO: %v", err)
+		if err := writeAt(f, 0, []byte("y")); !errors.Is(err, ErrReadOnly) {
+			return fmt.Errorf("WriteAtFrom on RO: %v", err)
 		}
 		if err := f.WriteAtAll(0, []byte("y")); !errors.Is(err, ErrReadOnly) {
 			return fmt.Errorf("WriteAtAll on RO: %v", err)
@@ -110,12 +121,12 @@ func TestIndependentContiguous(t *testing.T) {
 		}
 		// Each rank writes its own 1 KiB block, identity view.
 		data := bytes.Repeat([]byte{byte('A' + c.Rank())}, 1024)
-		if err := f.WriteAt(int64(c.Rank())*1024, data); err != nil {
+		if err := writeAt(f, int64(c.Rank())*1024, data); err != nil {
 			return err
 		}
 		f.Sync()
 		got := make([]byte, 4*1024)
-		if err := f.ReadAt(0, got); err != nil {
+		if err := readAt(f, 0, got); err != nil {
 			return err
 		}
 		for r := 0; r < 4; r++ {
@@ -151,13 +162,13 @@ func TestFileViewIndependent(t *testing.T) {
 		}
 		share := total / 4
 		data := bytes.Repeat([]byte{byte(c.Rank() + 1)}, share)
-		if err := f.WriteAt(0, data); err != nil {
+		if err := writeAt(f, 0, data); err != nil {
 			return err
 		}
 		c.Barrier()
 		// Read back through the view.
 		got := make([]byte, share)
-		if err := f.ReadAt(0, got); err != nil {
+		if err := readAt(f, 0, got); err != nil {
 			return err
 		}
 		if !bytes.Equal(got, data) {
@@ -259,7 +270,7 @@ func TestCollectiveMatchesIndependent(t *testing.T) {
 			if collective {
 				err = f.WriteAtAll(0, data)
 			} else {
-				err = f.WriteAt(0, data)
+				err = writeAt(f, 0, data)
 			}
 			if err != nil {
 				return err
@@ -365,38 +376,87 @@ func TestCollectiveMultipleRounds(t *testing.T) {
 	})
 }
 
+// TestSievingReadMatchesDirect: with 4 KiB sieving buffers, a view whose
+// segments are partly shorter and partly longer than a window spans many
+// windows per request, some of them one long segment alone, and the two
+// ranks' segments interleave, so their read-modify-write windows overlap.
+// Sieved, unsieved and collective writes of the same data leave
+// byte-identical files, and every read — of the whole view, and from a view
+// offset inside a segment — returns the written bytes.
 func TestSievingReadMatchesDirect(t *testing.T) {
-	for _, ds := range []string{"enable", "disable"} {
+	const ranks, win = 2, 4096
+	lens := []int64{100, 200, 37, 300, 12, 150, 5000, 60, 9000, 80, 40, win, 20}
+	var views [ranks][]mpitype.Segment
+	var end int64
+	for i := 0; i < 60; i++ {
+		n := lens[i%len(lens)]
+		views[i%ranks] = append(views[i%ranks], mpitype.Segment{Off: end, Len: n})
+		end += n + int64(50*(i%7))
+	}
+	var sieved []byte
+	for _, mode := range []string{"sieved", "unsieved", "collective"} {
 		fsys := testFS()
-		info := mpi.NewInfo().Set("romio_ds_read", ds).Set("romio_ds_write", ds)
-		runWorld(t, 2, func(c *mpi.Comm) error {
+		ds := "enable"
+		if mode == "unsieved" {
+			ds = "disable"
+		}
+		info := mpi.NewInfo().Set("romio_ds_read", ds).Set("romio_ds_write", ds).
+			Set("ind_rd_buffer_size", fmt.Sprint(win)).Set("ind_wr_buffer_size", fmt.Sprint(win))
+		runWorld(t, ranks, func(c *mpi.Comm) error {
+			c.Proc().SetStats(iostat.New())
 			f, err := Open(c, fsys, "ds", ModeRdWr|ModeCreate, info)
 			if err != nil {
 				return err
 			}
-			// Strided view: every other 16-byte block.
-			v, _ := mpitype.Vector(64, 16, 32, mpitype.Contig(1))
-			v, _ = mpitype.Resized(v, 64*32)
-			if err := f.SetView(int64(c.Rank())*16, v); err != nil {
+			if h := f.Hints(); h.IndRdBufferSize != win || h.IndWrBufferSize != win {
+				return fmt.Errorf("sieving buffer hints not applied: %+v", h)
+			}
+			v, err := mpitype.FromSegments(views[c.Rank()], end)
+			if err != nil {
 				return err
 			}
-			data := make([]byte, 64*16)
-			for i := range data {
-				data[i] = byte(c.Rank()*7 + i%31)
+			if err := f.SetView(0, v); err != nil {
+				return err
 			}
-			if err := f.WriteAt(0, data); err != nil {
+			data := make([]byte, v.Size())
+			for i := range data {
+				data[i] = byte(c.Rank()*7 + i%31 + 1)
+			}
+			if mode == "collective" {
+				err = f.WriteAtAll(0, data)
+			} else {
+				err = writeAt(f, 0, data)
+			}
+			if err != nil {
 				return err
 			}
 			c.Barrier()
 			got := make([]byte, len(data))
-			if err := f.ReadAt(0, got); err != nil {
+			if err := readAt(f, 0, got); err != nil {
 				return err
 			}
 			if !bytes.Equal(got, data) {
-				return fmt.Errorf("rank %d ds=%s: mismatch", c.Rank(), ds)
+				return fmt.Errorf("rank %d %s: whole-view read mismatch", c.Rank(), mode)
+			}
+			k := views[c.Rank()][0].Len + 17
+			if err := readAt(f, k, got[k:]); err != nil {
+				return err
+			}
+			if !bytes.Equal(got[k:], data[k:]) {
+				return fmt.Errorf("rank %d %s: read from view offset %d mismatch", c.Rank(), mode, k)
+			}
+			st := c.Proc().Stats()
+			if rmw, reads := st.Get(iostat.IOSieveRMW), st.Get(iostat.IOSieveReads); mode == "sieved" && (rmw < 2 || reads < 4) {
+				return fmt.Errorf("rank %d: %d sieved writes and %d sieved reads, want a request over several windows", c.Rank(), rmw, reads)
 			}
 			return f.Close()
 		})
+		img := fileImage(t, fsys, "ds")
+		if sieved == nil {
+			sieved = img
+		} else if !bytes.Equal(img, sieved) {
+			t.Fatalf("the %s write left a different file than the sieved one", mode)
+		}
 	}
 }
 
@@ -426,8 +486,8 @@ func TestClosedHandleRejectsOps(t *testing.T) {
 	runWorld(t, 1, func(c *mpi.Comm) error {
 		f, _ := Open(c, fsys, "cl", ModeRdWr|ModeCreate, nil)
 		f.Close()
-		if err := f.ReadAt(0, make([]byte, 1)); !errors.Is(err, ErrClosed) {
-			return fmt.Errorf("ReadAt after close: %v", err)
+		if err := readAt(f, 0, make([]byte, 1)); !errors.Is(err, ErrClosed) {
+			return fmt.Errorf("ReadAtInto after close: %v", err)
 		}
 		if err := f.WriteAtAll(0, nil); !errors.Is(err, ErrClosed) {
 			return fmt.Errorf("WriteAtAll after close: %v", err)
@@ -466,7 +526,7 @@ func TestCollectiveFasterThanIndependentStrided(t *testing.T) {
 			if collective {
 				err = f.WriteAtAll(0, data)
 			} else {
-				err = f.WriteAt(0, data)
+				err = writeAt(f, 0, data)
 			}
 			if err != nil {
 				return err

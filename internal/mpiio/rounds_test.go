@@ -437,8 +437,8 @@ func TestViewTypemapIsNotWrittenThrough(t *testing.T) {
 		steps := []func() error{
 			func() error { return f.WriteAtAll(0, buf) },
 			func() error { return f.ReadAtAll(0, buf) },
-			func() error { return f.WriteAt(0, buf) },
-			func() error { return f.ReadAt(0, buf) },
+			func() error { return writeAt(f, 0, buf) },
+			func() error { return readAt(f, 0, buf) },
 		}
 		for i, step := range steps {
 			if err := step(); err != nil {

@@ -38,7 +38,7 @@ func TestSievingWriteContention(t *testing.T) {
 		}
 		data := bytes.Repeat([]byte{byte('A' + c.Rank())}, blocks*blockLen)
 		// Both ranks write concurrently through the sieving path.
-		if err := f.WriteAt(0, data); err != nil {
+		if err := writeAt(f, 0, data); err != nil {
 			return err
 		}
 		c.Barrier()
@@ -98,7 +98,7 @@ func TestCollectiveReadMatchesIndependentRead(t *testing.T) {
 			return err
 		}
 		indep := make([]byte, per)
-		if err := f.ReadAt(0, indep); err != nil {
+		if err := readAt(f, 0, indep); err != nil {
 			return err
 		}
 		if !bytes.Equal(coll, indep) {
@@ -138,7 +138,7 @@ func TestViewOffsetsWithinView(t *testing.T) {
 		}
 		got := make([]byte, 4)
 		// Skip 3 view bytes (0,1,10) -> next are 11,20,21,30.
-		if err := f.ReadAt(3, got); err != nil {
+		if err := readAt(f, 3, got); err != nil {
 			return err
 		}
 		want := []byte{11, 20, 21, 30}
@@ -146,7 +146,7 @@ func TestViewOffsetsWithinView(t *testing.T) {
 			return fmt.Errorf("view-offset read = %v, want %v", got, want)
 		}
 		// Write at a view offset and check placement.
-		if err := f.WriteAt(5, []byte{200, 201}); err != nil {
+		if err := writeAt(f, 5, []byte{200, 201}); err != nil {
 			return err
 		}
 		raw := make([]byte, 100)

@@ -1,6 +1,7 @@
 #!/usr/bin/env sh
-# Repo verification: build, vet, race-test, then the allocation pins
-# without the race detector. The default pass includes
+# Repo verification: build, vet, gofmt (the tree must be formatted),
+# race-test, then the allocation pins without the race detector. The
+# default pass includes
 # the seed corpora of the native fuzz targets — FuzzDecode, the two-phase
 # wire decoders FuzzAssembleWrite/FuzzAssembleRead and the "blocking ≡
 # queued" property FuzzBlockingEquivalentToQueued — run as unit tests (seeds
@@ -41,6 +42,7 @@ cd "$(dirname "$0")"
 
 go build ./...
 go vet ./...
+test -z "$(gofmt -l .)"
 go test -race ./...
 # The allocation pins (root alloc_regress_test.go, internal/mpi's warm
 # reductions) skip under the race detector, where sync.Pool drops buffers,
