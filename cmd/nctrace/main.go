@@ -205,6 +205,13 @@ func spanCritical(w io.Writer, spans []span.Span) {
 	for _, r := range ranks {
 		fmt.Fprintf(w, "  rank %3d  %4d/%d %s\n", r, counts[r], len(rounds), barString(40*counts[r]/len(rounds)))
 	}
+	// Writes are written behind: what a rank waits on at Sync, Close, a
+	// header publish or a full write budget is a drain, inside the rounds
+	// above or outside every collective.
+	if l := span.PhaseLoad(spans, span.Drain); l.Calls > 0 {
+		fmt.Fprintf(w, "\ndrain (writes in flight settled): rank %d waited longest, %.6f s; mean %.6f s over %d drains\n",
+			l.MaxRank, l.Max, l.Mean, l.Calls)
+	}
 }
 
 // spanImbalance prints per-phase rank load: who spent how long in each

@@ -18,7 +18,8 @@ func (c *manualClock) now() float64 { return c.t }
 
 // rankSpans records one rank's share of a small run: a one-round collective
 // write whose aggregator request starts at off and crosses a stripe
-// boundary, then an independent read of the first 4 KiB, tried twice.
+// boundary, then an independent read of the first 4 KiB, tried twice, and
+// the close's drain of the write.
 func rankSpans(rank int, off int64) []span.Span {
 	clk := &manualClock{}
 	r := span.NewRecorder(rank, clk.now)
@@ -47,6 +48,7 @@ func rankSpans(rank int, off int64) []span.Span {
 	r.Record(span.PFSRead, -1, clk.t+0.001, clk.t+0.002, 4096, 0)
 	clk.t += 0.002
 	read.End()
+	r.Record(span.Drain, -1, clk.t, clk.t+0.001*float64(rank+1), 300<<10, -1) // at close
 	return r.Spans()
 }
 
@@ -122,15 +124,16 @@ func TestSummary(t *testing.T) {
 // TestSpanCommandsRun runs the other analyses over the same file.
 func TestSpanCommandsRun(t *testing.T) {
 	spans := spanFile(t)
-	for name, want := range map[string]string{
-		"timeline":  "rank 1 (",
-		"critical":  "critical path (1 rounds)",
-		"imbalance": span.PFSWrite,
+	for _, c := range []struct{ name, want string }{
+		{"timeline", "rank 1 ("},
+		{"critical", "critical path (1 rounds)"},
+		{"critical", "drain (writes in flight settled): rank 1 waited longest"},
+		{"imbalance", span.PFSWrite},
 	} {
 		var out bytes.Buffer
-		commands[name](&out, spans)
-		if !strings.Contains(out.String(), want) {
-			t.Errorf("%s printed no %q:\n%s", name, want, out.String())
+		commands[c.name](&out, spans)
+		if !strings.Contains(out.String(), c.want) {
+			t.Errorf("%s printed no %q:\n%s", c.name, c.want, out.String())
 		}
 	}
 }

@@ -7,6 +7,8 @@ import (
 	"pnetcdf/internal/mpi"
 	"pnetcdf/internal/mpiio"
 	"pnetcdf/internal/nctype"
+	"pnetcdf/internal/pfs"
+	"pnetcdf/internal/span"
 )
 
 // Ablations quantify the design choices DESIGN.md §5 calls out. Each
@@ -34,6 +36,48 @@ func (a AblationResult) String() string {
 		a.Name, a.Chosen, a.Baseline, a.Speedup())
 }
 
+// legTrace, when set, has every rank of an ablation record spans, and
+// receives each measured leg's makespan with the spans the ranks recorded
+// in it. Tests use it to hold the legs to their clocks.
+var legTrace func(makespan float64, spans []span.Span)
+
+// runRanks is mpi.Run on the machine's network, with every rank recording
+// spans when legTrace is set.
+func runRanks(m MachineSpec, nprocs int, body func(c *mpi.Comm) error) error {
+	return mpi.Run(nprocs, m.Net, func(c *mpi.Comm) error {
+		if legTrace != nil {
+			c.Proc().SetSpans(span.NewRecorder(c.Rank(), c.Proc().Clock))
+		}
+		return body(c)
+	})
+}
+
+// timed runs one measured leg on every rank from zeroed clocks and server
+// queues, and stores its makespan — the latest rank clock when leg has
+// returned everywhere — in *makespan on rank 0. A write leg ends in Sync, so
+// the writes still in flight at the servers are on the clock (DESIGN.md §13).
+func timed(c *mpi.Comm, fsys *pfs.FS, makespan *float64, leg func() error) error {
+	c.Proc().SetClock(0)
+	fsys.ResetClock()
+	c.Proc().Spans().Reset()
+	c.Barrier()
+	t0 := c.Clock()
+	if err := leg(); err != nil {
+		return err
+	}
+	end := c.AllreduceF64([]float64{c.Clock()}, mpi.OpMax)[0]
+	if c.Rank() == 0 {
+		*makespan = end - t0
+	}
+	if legTrace != nil {
+		spans, _ := span.Gather(c, c.Proc().Spans())
+		if c.Rank() == 0 {
+			legTrace(end-t0, spans)
+		}
+	}
+	return nil
+}
+
 // AblationTwoPhase compares collective (two-phase) and independent writes of
 // an X-partitioned array — the optimization PnetCDF inherits from MPI-IO.
 func AblationTwoPhase(m MachineSpec, dims [3]int64, nprocs int) (AblationResult, error) {
@@ -44,7 +88,7 @@ func AblationTwoPhase(m MachineSpec, dims [3]int64, nprocs int) (AblationResult,
 			info.Set("romio_cb_write", "disable")
 		}
 		var makespan float64
-		err := mpi.Run(nprocs, m.Net, func(c *mpi.Comm) error {
+		err := runRanks(m, nprocs, func(c *mpi.Comm) error {
 			d, err := core.Create(c, fsys, "ab.nc", nctype.Clobber, info)
 			if err != nil {
 				return err
@@ -58,16 +102,14 @@ func AblationTwoPhase(m MachineSpec, dims [3]int64, nprocs int) (AblationResult,
 			}
 			start, count := Decompose(PartX, dims, nprocs, c.Rank())
 			buf := make([]float32, count[0]*count[1]*count[2])
-			c.Proc().SetClock(0)
-			fsys.ResetClock()
-			c.Barrier()
-			t0 := c.Clock()
-			if err := d.PutVaraAll(v, start[:], count[:], buf); err != nil {
+			err = timed(c, fsys, &makespan, func() error {
+				if err := d.PutVaraAll(v, start[:], count[:], buf); err != nil {
+					return err
+				}
+				return d.Sync()
+			})
+			if err != nil {
 				return err
-			}
-			end := c.AllreduceF64([]float64{c.Clock()}, mpi.OpMax)[0]
-			if c.Rank() == 0 {
-				makespan = end - t0
 			}
 			return d.Close()
 		})
@@ -94,7 +136,7 @@ func AblationSieving(m MachineSpec, dims [3]int64, nprocs int) (AblationResult, 
 			info.Set("romio_ds_read", "disable")
 		}
 		var makespan float64
-		err := mpi.Run(nprocs, m.Net, func(c *mpi.Comm) error {
+		err := runRanks(m, nprocs, func(c *mpi.Comm) error {
 			d, err := core.Create(c, fsys, "ds.nc", nctype.Clobber, info)
 			if err != nil {
 				return err
@@ -120,22 +162,17 @@ func AblationSieving(m MachineSpec, dims [3]int64, nprocs int) (AblationResult, 
 			if err := d.EndIndepData(); err != nil {
 				return err
 			}
-			c.Proc().SetClock(0)
-			fsys.ResetClock()
-			c.Barrier()
-			t0 := c.Clock()
-			if err := d.BeginIndepData(); err != nil {
+			err = timed(c, fsys, &makespan, func() error {
+				if err := d.BeginIndepData(); err != nil {
+					return err
+				}
+				if err := d.GetVara(v, start[:], count[:], buf); err != nil {
+					return err
+				}
+				return d.EndIndepData()
+			})
+			if err != nil {
 				return err
-			}
-			if err := d.GetVara(v, start[:], count[:], buf); err != nil {
-				return err
-			}
-			if err := d.EndIndepData(); err != nil {
-				return err
-			}
-			end := c.AllreduceF64([]float64{c.Clock()}, mpi.OpMax)[0]
-			if c.Rank() == 0 {
-				makespan = end - t0
 			}
 			return d.Close()
 		})
@@ -176,18 +213,14 @@ func AblationHeaderStrategy(m MachineSpec, nvars, nprocs int) (AblationResult, e
 	}
 	// Chosen: collective open (root read + broadcast).
 	var chosen float64
-	err = mpi.Run(nprocs, m.Net, func(c *mpi.Comm) error {
-		c.Proc().SetClock(0)
-		fsys.ResetClock()
-		c.Barrier()
-		t0 := c.Clock()
-		d, err := core.Open(c, fsys, "hdr.nc", nctype.NoWrite, nil)
+	err = runRanks(m, nprocs, func(c *mpi.Comm) error {
+		var d *core.Dataset
+		err := timed(c, fsys, &chosen, func() (err error) {
+			d, err = core.Open(c, fsys, "hdr.nc", nctype.NoWrite, nil)
+			return err
+		})
 		if err != nil {
 			return err
-		}
-		end := c.AllreduceF64([]float64{c.Clock()}, mpi.OpMax)[0]
-		if c.Rank() == 0 {
-			chosen = end - t0
 		}
 		return d.Close()
 	})
@@ -196,23 +229,17 @@ func AblationHeaderStrategy(m MachineSpec, nvars, nprocs int) (AblationResult, e
 	}
 	// Alternative: every rank reads the header itself.
 	var baseline float64
-	err = mpi.Run(nprocs, m.Net, func(c *mpi.Comm) error {
-		c.Proc().SetClock(0)
-		fsys.ResetClock()
-		c.Barrier()
-		t0 := c.Clock()
-		f, err := mpiio.Open(c, fsys, "hdr.nc", mpiio.ModeRdOnly, nil)
+	err = runRanks(m, nprocs, func(c *mpi.Comm) error {
+		var f *mpiio.File
+		err := timed(c, fsys, &baseline, func() (err error) {
+			if f, err = mpiio.Open(c, fsys, "hdr.nc", mpiio.ModeRdOnly, nil); err != nil {
+				return err
+			}
+			sz, _ := f.Size()
+			return f.ReadRaw(make([]byte, sz), 0)
+		})
 		if err != nil {
 			return err
-		}
-		sz, _ := f.Size()
-		buf := make([]byte, sz)
-		if err := f.ReadRaw(buf, 0); err != nil {
-			return err
-		}
-		end := c.AllreduceF64([]float64{c.Clock()}, mpi.OpMax)[0]
-		if c.Rank() == 0 {
-			baseline = end - t0
 		}
 		return f.Close()
 	})
@@ -229,7 +256,7 @@ func AblationRecordBatch(m MachineSpec, nvars, nrecs, nprocs int, perRank int64)
 	run := func(batch bool) (float64, error) {
 		fsys := m.NewFS()
 		var makespan float64
-		err := mpi.Run(nprocs, m.Net, func(c *mpi.Comm) error {
+		err := runRanks(m, nprocs, func(c *mpi.Comm) error {
 			d, err := core.Create(c, fsys, "rec.nc", nctype.Clobber, nil)
 			if err != nil {
 				return err
@@ -246,32 +273,30 @@ func AblationRecordBatch(m MachineSpec, nvars, nrecs, nprocs int, perRank int64)
 			buf := make([]float32, perRank)
 			start := []int64{0, int64(c.Rank()) * perRank}
 			count := []int64{1, perRank}
-			c.Proc().SetClock(0)
-			fsys.ResetClock()
-			c.Barrier()
-			t0 := c.Clock()
-			for rec := 0; rec < nrecs; rec++ {
-				start[0] = int64(rec)
-				if batch {
-					for _, v := range varids {
-						if _, err := d.IPutVara(v, start, count, buf); err != nil {
+			err = timed(c, fsys, &makespan, func() error {
+				for rec := 0; rec < nrecs; rec++ {
+					start[0] = int64(rec)
+					if batch {
+						for _, v := range varids {
+							if _, err := d.IPutVara(v, start, count, buf); err != nil {
+								return err
+							}
+						}
+						if err := d.WaitAll(); err != nil {
 							return err
 						}
-					}
-					if err := d.WaitAll(); err != nil {
-						return err
-					}
-				} else {
-					for _, v := range varids {
-						if err := d.PutVaraAll(v, start, count, buf); err != nil {
-							return err
+					} else {
+						for _, v := range varids {
+							if err := d.PutVaraAll(v, start, count, buf); err != nil {
+								return err
+							}
 						}
 					}
 				}
-			}
-			end := c.AllreduceF64([]float64{c.Clock()}, mpi.OpMax)[0]
-			if c.Rank() == 0 {
-				makespan = end - t0
+				return d.Sync()
+			})
+			if err != nil {
+				return err
 			}
 			return d.Close()
 		})

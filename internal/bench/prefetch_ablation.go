@@ -47,34 +47,29 @@ func AblationPrefetch(m MachineSpec, nprocs, nreads int) (AblationResult, error)
 			info.Set("nc_prefetch_vars", "coords,mask,area")
 		}
 		var makespan float64
-		err := mpi.Run(nprocs, m.Net, func(c *mpi.Comm) error {
-			c.Proc().SetClock(0)
-			fsys.ResetClock()
-			c.Barrier()
-			t0 := c.Clock()
-			d, err := core.Open(c, fsys, "pf.nc", nctype.NoWrite, info)
-			if err != nil {
-				return err
-			}
-			if err := d.BeginIndepData(); err != nil {
-				return err
-			}
-			// Many small independent point reads: the pattern the paper's
-			// hint discussion targets.
-			one := make([]float64, 8)
-			for i := 0; i < nreads; i++ {
-				v := d.VarID([]string{"coords", "mask", "area"}[i%3])
-				off := int64((i * 37) % 4000)
-				if err := d.GetVara(v, []int64{off}, []int64{8}, one); err != nil {
+		err := runRanks(m, nprocs, func(c *mpi.Comm) error {
+			var d *core.Dataset
+			err := timed(c, fsys, &makespan, func() (err error) {
+				if d, err = core.Open(c, fsys, "pf.nc", nctype.NoWrite, info); err != nil {
 					return err
 				}
-			}
-			if err := d.EndIndepData(); err != nil {
+				if err := d.BeginIndepData(); err != nil {
+					return err
+				}
+				// Many small independent point reads: the pattern the
+				// paper's hint discussion targets.
+				one := make([]float64, 8)
+				for i := 0; i < nreads; i++ {
+					v := d.VarID([]string{"coords", "mask", "area"}[i%3])
+					off := int64((i * 37) % 4000)
+					if err := d.GetVara(v, []int64{off}, []int64{8}, one); err != nil {
+						return err
+					}
+				}
+				return d.EndIndepData()
+			})
+			if err != nil {
 				return err
-			}
-			end := c.AllreduceF64([]float64{c.Clock()}, mpi.OpMax)[0]
-			if c.Rank() == 0 {
-				makespan = end - t0
 			}
 			return d.Close()
 		})
@@ -106,7 +101,7 @@ func AblationVarAlign(m MachineSpec, nvars, nprocs int) (AblationResult, error) 
 			info.Set("nc_var_align_size", "1")
 		}
 		var makespan float64
-		err := mpi.Run(nprocs, m.Net, func(c *mpi.Comm) error {
+		err := runRanks(m, nprocs, func(c *mpi.Comm) error {
 			d, err := core.Create(c, fsys, "va.nc", nctype.Clobber, info)
 			if err != nil {
 				return err
@@ -120,18 +115,16 @@ func AblationVarAlign(m MachineSpec, nvars, nprocs int) (AblationResult, error) 
 				return err
 			}
 			buf := make([]float32, share)
-			c.Proc().SetClock(0)
-			fsys.ResetClock()
-			c.Barrier()
-			t0 := c.Clock()
-			for _, v := range ids {
-				if err := d.PutVaraAll(v, []int64{share * int64(c.Rank())}, []int64{share}, buf); err != nil {
-					return err
+			err = timed(c, fsys, &makespan, func() error {
+				for _, v := range ids {
+					if err := d.PutVaraAll(v, []int64{share * int64(c.Rank())}, []int64{share}, buf); err != nil {
+						return err
+					}
 				}
-			}
-			end := c.AllreduceF64([]float64{c.Clock()}, mpi.OpMax)[0]
-			if c.Rank() == 0 {
-				makespan = end - t0
+				return d.Sync()
+			})
+			if err != nil {
+				return err
 			}
 			return d.Close()
 		})

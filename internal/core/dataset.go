@@ -360,12 +360,21 @@ func (d *Dataset) RenameAttr(varid int, oldName, newName string) error {
 }
 
 // commitIf rewrites the header collectively when a data-mode change asks
-// for it.
+// for it, once every rank's data writes are down.
 func (d *Dataset) commitIf(rewrite bool, err error) error {
 	if err != nil || !rewrite {
 		return err
 	}
+	d.drainAll()
 	return d.writeHeaderCollective()
+}
+
+// drainAll settles every rank's data writes ahead of a publish the root
+// makes outside syncNumRecs: each rank drains its own, and a barrier holds
+// the root until the last rank has.
+func (d *Dataset) drainAll() {
+	d.f.DrainWrites()
+	d.comm.Barrier()
 }
 
 // EndDef leaves define mode collectively: verifies that every process built
@@ -557,8 +566,11 @@ func (d *Dataset) EndIndepData() error {
 	return d.syncNumRecs()
 }
 
-// syncNumRecs agrees on NumRecs across ranks (max) and persists it.
+// syncNumRecs agrees on NumRecs across ranks (max) and persists it. Every
+// rank's data writes are down before the agreement, so the root publishes
+// after all of them.
 func (d *Dataset) syncNumRecs() error {
+	d.f.DrainWrites()
 	agreed := d.comm.AllreduceI64([]int64{d.hdr.NumRecs}, mpi.OpMax)[0]
 	d.hdr.NumRecs = agreed
 	d.numrecsDirty = false

@@ -186,8 +186,11 @@ func (d *Dataset) complete(from int, collective bool) error {
 		d.hdr.NumRecs = end
 		if !collective {
 			d.numrecsDirty = true
-		} else if err := d.writeNumRecs(); err != nil {
-			return err
+		} else {
+			d.drainAll()
+			if err := d.writeNumRecs(); err != nil {
+				return err
+			}
 		}
 	}
 	if agreed[agreeWriteEnd] >= 0 {

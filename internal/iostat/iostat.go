@@ -122,7 +122,8 @@ const (
 	// one round — the ones whose aggregator I/O ran, in virtual time,
 	// behind a neighbouring round's communication; IOOverlapTimeNs is the
 	// virtual time that I/O spent in flight while the rank was doing other
-	// work (zero for a one-round collective, whose request is settled at
+	// work — a write behind's, from its bytes leaving the link to its end,
+	// counted when it is drained (zero for a one-round read, settled at
 	// once).
 	IOPipelinedRounds
 	IOOverlapTimeNs

@@ -109,6 +109,9 @@ type File struct {
 	// access this handle issues (see doPF).
 	retry fault.RetryPolicy
 
+	// behind holds the rank's data writes still in flight (behind.go).
+	behind writeQueue
+
 	// File view: absolute displacement plus a byte-unit filetype that tiles
 	// from there. A zero-size filetype means the identity view.
 	disp  int64
@@ -246,22 +249,26 @@ func (f *File) SetSize(size int64) error {
 	return nil
 }
 
-// Sync flushes the file collectively, like MPI_File_sync.
+// Sync flushes the file collectively, like MPI_File_sync: every rank's data
+// writes are down when it returns.
 func (f *File) Sync() error {
 	if f.closed {
 		return ErrClosed
 	}
+	f.DrainWrites()
 	t := f.pf.Sync(f.comm.Clock())
 	f.comm.Proc().SetClock(t)
 	f.comm.Barrier()
 	return nil
 }
 
-// Close closes the handle collectively.
+// Close closes the handle collectively, once every rank's data writes are
+// down.
 func (f *File) Close() error {
 	if f.closed {
 		return ErrClosed
 	}
+	f.DrainWrites()
 	f.comm.Barrier()
 	f.closed = true
 	return nil
@@ -273,7 +280,7 @@ func (f *File) Close() error {
 // the retry effort is recorded in iostat. Errors still present after the
 // budget (and permanent ones immediately) come back with that end. The
 // request's bytes have moved when issuePF returns; only the rank clock is
-// left to settle.
+// left to settle (at once, or later for a write behind: behind.go).
 func (f *File) issuePF(t float64, op func(t float64) (float64, error)) (float64, error) {
 	end, retries, backoff, err := f.retry.Do(t, op)
 	if retries > 0 {
@@ -283,10 +290,10 @@ func (f *File) issuePF(t float64, op func(t float64) (float64, error)) (float64,
 	return end, err
 }
 
-// settle advances the rank clock to max(clock, end) for a request issued at
-// virtual time issued, and credits the virtual time the request spent in
-// flight while the rank did other work to io_overlap_ns (none when it is
-// settled at once).
+// settle advances the rank clock to max(clock, end) for a request the rank
+// stopped waiting on at virtual time issued, and credits the virtual time
+// the request spent in flight while the rank did other work to
+// io_overlap_ns (none when it is settled at once).
 func (f *File) settle(issued, end float64) {
 	now := f.comm.Clock()
 	if overlap := math.Min(end, now) - issued; overlap > 0 {

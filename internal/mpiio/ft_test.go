@@ -15,9 +15,9 @@ import (
 )
 
 // The failover matrix: kill one rank at each crash point of the round loop,
-// aggregator or not, in a round whose aggregator request is settled behind
-// the next round's exchange and in the one settled at once, during
-// collective writes and reads. The
+// aggregator or not, in a round whose aggregator request is settled before
+// the next round's and in the last one, during collective writes and
+// reads. The
 // invariants under test are the acceptance criteria of DESIGN.md §8:
 // no survivor hangs, every survivor returns the same error, the file is
 // byte-identical to an undisturbed run everywhere outside the dead rank's
@@ -238,7 +238,7 @@ func checkFTWrite(t *testing.T, img []byte, results map[int]ftioResult, victim i
 func TestFTKillWriteFailover(t *testing.T) {
 	// Rank 1 is no aggregator, rank 2 is one. Each domain takes 8 rounds, so
 	// occurrence 7 of a point is the last round — the one whose write is
-	// settled at once. after_issue is passed only by aggregators, once per
+	// still in flight when the collective returns. after_issue is passed only by aggregators, once per
 	// round they have something to write.
 	cases := []struct {
 		name       string

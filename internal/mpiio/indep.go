@@ -52,7 +52,8 @@ func (f *File) ReadAtInto(off, n int64, dst Sink) error {
 // covering window is read, filled from src in memory, and written back
 // under the file's read-modify-write lock — ROMIO's romio_ds_write
 // strategy. Otherwise src fills one pooled buffer of n bytes, written in one
-// request (see ReadAtInto).
+// request (see ReadAtInto). Either way each request is a write behind
+// (behind.go) under ind_wr_buffer_size.
 func (f *File) WriteAtFrom(off, n int64, src Source) error {
 	if f.closed {
 		return ErrClosed
@@ -72,8 +73,8 @@ func (f *File) WriteAtFrom(off, n int64, src Source) error {
 		buf := bufpool.GetDirty(int(n))
 		defer bufpool.Put(buf)
 		src.Fill(buf, 0)
-		if err := f.doPF(func(t float64) (float64, error) {
-			return f.pf.WriteV(t, segs, buf)
+		if _, err := f.writeBehind(n, f.hints.IndWrBufferSize, -1, func(t float64) (float64, float64, error) {
+			return f.pf.WriteBehind(t, segs, [][]byte{buf})
 		}); err != nil {
 			return err
 		}
@@ -137,18 +138,22 @@ func (f *File) readWindow(run []pfs.Segment, pos int64, dst Sink) error {
 }
 
 // writeWindow writes run's bytes, which src supplies from view-data
-// position pos on. A run of one segment is a plain write. A longer run is a
-// read-modify-write of its covering extent under the file's range lock on
-// exactly that extent, so sieving writers to disjoint windows proceed in
-// parallel.
+// position pos on, as a write behind (behind.go) under ind_wr_buffer_size. A
+// run of one segment is a plain write. A longer run is a read-modify-write of
+// its covering extent under the file's range lock on exactly that extent, so
+// sieving writers to disjoint windows proceed in parallel.
 func (f *File) writeWindow(run []pfs.Segment, pos int64, src Source) error {
 	lo, hi := cover(run)
 	win := bufpool.GetDirty(int(hi - lo))
 	defer bufpool.Put(win)
-	write := func(t float64) (float64, error) { return f.pf.WriteAt(t, win, lo) }
+	seg := []pfs.Segment{{Off: lo, Len: hi - lo}}
+	write := func(t float64) (float64, float64, error) {
+		return f.pf.WriteBehind(t, seg, [][]byte{win})
+	}
 	if len(run) == 1 {
 		src.Fill(win, pos)
-		return f.doPF(write)
+		_, err := f.writeBehind(hi-lo, f.hints.IndWrBufferSize, -1, write)
+		return err
 	}
 	f.pf.LockRMW(lo, hi-lo)
 	defer f.pf.UnlockRMW(lo, hi-lo)
@@ -162,7 +167,7 @@ func (f *File) writeWindow(run []pfs.Segment, pos int64, src Source) error {
 		src.Fill(win[s.Off-lo:s.Off-lo+s.Len], pos+wanted)
 		wanted += s.Len
 	}
-	if err := f.doPF(write); err != nil {
+	if _, err := f.writeBehind(hi-lo, f.hints.IndWrBufferSize, -1, write); err != nil {
 		return err
 	}
 	f.st.Add(iostat.IOSieveRMW, 1)

@@ -10,6 +10,7 @@ import (
 
 	"pnetcdf/internal/iostat"
 	"pnetcdf/internal/mpi"
+	"pnetcdf/internal/mpiio/behindtest"
 	"pnetcdf/internal/mpitype"
 	"pnetcdf/internal/pfs"
 	"pnetcdf/internal/span"
@@ -21,7 +22,8 @@ import (
 // interleaved write and read-back, at cb_buffer_size giving 1, 2, 3 and many
 // rounds, with 1, 2 and 4 aggregators, must leave the one expected image;
 // io_pipelined_rounds and io_overlap_ns are 0 when the plan has one round
-// (every request settled at once) and positive above it.
+// (the read settled at once, the write still in flight when the counters
+// are read) and positive above it.
 func TestRoundScheduleLeavesOneFileImage(t *testing.T) {
 	const (
 		ranks, block, nBlocks = 4, 1024, 64
@@ -103,10 +105,11 @@ func TestRoundScheduleLeavesOneFileImage(t *testing.T) {
 }
 
 // TestOneRoundCollectiveClassicSequence: a one-round plan has no neighbouring
-// round to hide a request behind, so the round loop settles it at once — the
-// classic two-phase sequence, at its cost in collectives: the plan's
-// allreduce, the exchange's count allreduce and one error agreement, for a
-// write and for a read (whose reply leg agrees nothing).
+// round to hide a request behind, so it is the classic two-phase sequence,
+// at its cost in collectives: the plan's allreduce, the exchange's count
+// allreduce and one error agreement, for a write and for a read (whose reply
+// leg agrees nothing). The write is still in flight when the counters are
+// read, so nothing has been credited to io_overlap_ns yet.
 func TestOneRoundCollectiveClassicSequence(t *testing.T) {
 	fsys := testFS()
 	runWorld(t, 4, func(c *mpi.Comm) error {
@@ -151,13 +154,16 @@ func TestOneRoundCollectiveClassicSequence(t *testing.T) {
 }
 
 // TestClockCoversEveryRequest: a request moves its bytes before it returns,
-// but the rank clock takes the request's virtual end only where the round
-// loop settles it, so a settle that is skipped leaks nothing and shows only
-// as a clock that runs behind the file system. Over 1, 2 and many rounds,
-// write and read, one aggregator and two: when a collective returns, the
-// rank's clock is at or past the end of every pfs span it recorded, and
-// every agg_write/agg_read span ends at or past the end of its request —
-// the pfs spans recorded since the rank's previous aggregator span.
+// but the rank clock takes the request's virtual end only where it is
+// settled, so a settle that is skipped leaks nothing and shows only as a
+// clock that runs behind the file system. Over 1, 2 and many rounds, one
+// aggregator and two: a read's clock covers every request when the
+// collective returns, and every agg_read span ends at or past its request's
+// end; a write is a write behind, so its agg_write span ends exactly when
+// its bytes have left the link, and the write-behind contract
+// (behindtest.Check) holds after Sync and again after Close — the clock is
+// past every request, the bytes in flight stay within cb_buffer_size, and a
+// rank's writes never share its link.
 func TestClockCoversEveryRequest(t *testing.T) {
 	const (
 		ranks, block, nBlocks = 4, 1024, 64
@@ -175,10 +181,18 @@ func TestClockCoversEveryRequest(t *testing.T) {
 		for _, rounds := range []int{1, 2, domain / 4096} {
 			name := fmt.Sprintf("cb_nodes=%d/rounds=%d", nodes, rounds)
 			fsys := pfs.New(cfg)
+			cbbuf := int64(domain / rounds)
 			info := mpi.NewInfo().
-				Set("cb_buffer_size", fmt.Sprint(domain/rounds)).
+				Set("cb_buffer_size", fmt.Sprint(cbbuf)).
 				Set("cb_nodes", fmt.Sprint(nodes))
-			var aggSpans [2]atomic.Int64 // write, read
+			var mu sync.Mutex
+			var synced, closed []span.Span
+			p := [2]behindtest.Params{} // after Sync, after Close
+			for i := range p {
+				p[i] = behindtest.Params{NetLatency: cfg.NetLatency, ClientBW: cfg.ClientBW,
+					CBBuffer: cbbuf, IndWrBuffer: 4 << 20, Drained: map[int]float64{}}
+			}
+			var aggWrites, aggReads atomic.Int64
 			runWorld(t, ranks, func(c *mpi.Comm) error {
 				rec := span.NewRecorder(c.Rank(), c.Proc().Clock)
 				c.Proc().SetSpans(rec)
@@ -190,41 +204,71 @@ func TestClockCoversEveryRequest(t *testing.T) {
 					return err
 				}
 				buf := make([]byte, per)
-				for i, op := range []struct {
-					call     func(int64, []byte) error
-					agg, req string
-				}{
-					{f.WriteAtAll, span.AggWrite, span.PFSWrite},
-					{f.ReadAtAll, span.AggRead, span.PFSRead},
-				} {
-					n0 := rec.Len()
-					if err := op.call(0, buf); err != nil {
-						return err
+				if err := f.WriteAtAll(0, buf); err != nil {
+					return err
+				}
+				n0 := rec.Len()
+				if err := f.ReadAtAll(0, buf); err != nil {
+					return err
+				}
+				clock, reqEnd := c.Proc().Clock(), 0.0
+				for _, s := range rec.Spans()[n0:] {
+					switch s.Phase {
+					case span.PFSRead:
+						if s.End > clock {
+							return fmt.Errorf("%s: rank %d returned from a read at %g, before its request ending at %g",
+								name, c.Rank(), clock, s.End)
+						}
+						reqEnd = max(reqEnd, s.End)
+					case span.AggRead:
+						if reqEnd == 0 || s.End < reqEnd {
+							return fmt.Errorf("%s: rank %d's agg_read span of round %d ends at %g, its request at %g",
+								name, c.Rank(), s.Round, s.End, reqEnd)
+						}
+						reqEnd = 0
+						aggReads.Add(1)
 					}
-					clock, reqEnd := c.Proc().Clock(), 0.0
-					for _, s := range rec.Spans()[n0:] {
-						switch s.Phase {
-						case op.req:
-							if s.End > clock {
-								return fmt.Errorf("%s: rank %d returned from %s at %g, before its request ending at %g",
-									name, c.Rank(), op.agg, clock, s.End)
-							}
-							reqEnd = max(reqEnd, s.End)
-						case op.agg:
-							if reqEnd == 0 || s.End < reqEnd {
-								return fmt.Errorf("%s: rank %d's %s span of round %d ends at %g, its request at %g",
-									name, c.Rank(), op.agg, s.Round, s.End, reqEnd)
-							}
-							reqEnd = 0
-							aggSpans[i].Add(1)
+				}
+				if err := f.Sync(); err != nil {
+					return err
+				}
+				syncClock, nSync := c.Proc().Clock(), rec.Len()
+				if err := f.WriteAtAll(0, buf); err != nil {
+					return err
+				}
+				if err := f.Close(); err != nil {
+					return err
+				}
+				ss := rec.Spans()
+				var req span.Span
+				for _, s := range ss {
+					switch s.Phase {
+					case span.PFSWrite:
+						req = s
+					case span.AggWrite:
+						aggWrites.Add(1)
+						if left := req.Start + cfg.NetLatency + float64(req.Bytes)/cfg.ClientBW; s.Start != req.Start || s.End != left {
+							return fmt.Errorf("%s: rank %d's agg_write span of round %d is [%g, %g], its request left the link over [%g, %g]",
+								name, c.Rank(), s.Round, s.Start, s.End, req.Start, left)
 						}
 					}
 				}
-				return f.Close()
+				mu.Lock()
+				defer mu.Unlock()
+				synced = append(synced, ss[:nSync]...)
+				closed = append(closed, ss...)
+				p[0].Drained[c.Rank()], p[1].Drained[c.Rank()] = syncClock, c.Proc().Clock()
+				return nil
 			})
-			for i, dir := range []string{"write", "read"} {
-				if got, want := aggSpans[i].Load(), int64(nodes*rounds); got != want {
-					t.Errorf("%s: %d %s aggregator spans, want %d (one per aggregator per round)", name, got, dir, want)
+			if got, want := aggWrites.Load(), int64(2*nodes*rounds); got != want {
+				t.Errorf("%s: %d agg_write spans, want %d (one per aggregator per round)", name, got, want)
+			}
+			if got, want := aggReads.Load(), int64(nodes*rounds); got != want {
+				t.Errorf("%s: %d agg_read spans, want %d (one per aggregator per round)", name, got, want)
+			}
+			for i, ss := range [][]span.Span{synced, closed} {
+				for _, e := range behindtest.Check(ss, p[i]) {
+					t.Errorf("%s: %s", name, e)
 				}
 			}
 		}

@@ -4,29 +4,31 @@ package mpiio
 // a frontend every rank runs (pack, exchange) and a backend only aggregators
 // run (merge what was received, one vectored pfs request). The overlap is
 // virtual, the sequence real: a request moves its bytes before it returns,
-// but the rank clock takes the request's virtual end only after the
-// neighbouring round's communication, so in virtual time the request runs
-// while the ranks exchange:
+// and the rank clock takes the request's virtual end later.
 //
-//	write round r:  issue(r) → [pack(r+1) → exchange(r+1) ⊇ verdict(r−1)] → settle(r)
+// A write round's request is a write behind (behind.go): the clock takes
+// the time its bytes left the client link, and its end only when the rank's
+// writes in flight would overflow cb_buffer_size, or at Sync, Close or a
+// header publish. So the servers work on round r — and on earlier
+// collectives' rounds — while the ranks pack and exchange what follows:
+//
+//	write round r:  pack(r) → exchange(r) ⊇ verdict(r−2) → [settle oldest] → issue(r)
 //	read round r:   pack(r) → exchange(r) ⊇ verdict(r−1) → issue(r)
 //	                → [replies(r−1) → scatter(r−1)] → settle(r)
 //
-// The bracketed step is what hides the request: it exists in every write
-// round but the last and every read round but the first. Elsewhere settle(r)
-// follows issue(r) at once, so a one-round plan is exactly pack → exchange →
-// WriteVec/ReadV → agree (→ replies → scatter).
-//
-// Settling advances the clock to max(clock, end) (File.settle), and each
-// request is settled before the next is issued, so one rank's requests never
-// overlap each other in virtual time either. A transient failure is retried
-// at once, from its issue time, under the file's retry policy
-// (File.issuePF); the request's end is the end of that retry chain.
+// A read's bracketed step is what hides its request: it exists in every
+// round but the first, and elsewhere settle(r) follows issue(r) at once, so
+// a one-round read is exactly pack → exchange → ReadV → agree → replies →
+// scatter. A rank's writes never share its link (each is issued after the
+// last one's bytes left), and its reads are settled before its next request
+// is issued. A transient failure is retried at once, from its issue time,
+// under the file's retry policy (File.issuePF); the request's end is the end
+// of that retry chain.
 //
 // One agreement per round. An exchange's count allreduce (sparseExchange) is
 // also the error agreement on the newest round whose outcome every rank
 // knows: on a write, round r+1's exchange carries round r−1's (its request
-// was settled in the previous iteration); on a read, round r's exchange
+// returned in the previous iteration); on a read, round r's exchange
 // carries round r−1's, still ahead of answer(r−1), so a failed aggregator is
 // never expected to reply. The rounds no later exchange can carry — R−2 and
 // R−1 of a write, R−1 of a read — go to one closing AgreeError. A collective
@@ -95,8 +97,8 @@ func (f *File) writeRounds(plan collectivePlan, segs []pfs.Segment, prefix []int
 		sRound.End()
 		return err
 	}
-	write := func(t float64) (float64, error) {
-		return f.pf.WriteVec(t, wv.segs, wv.iov)
+	write := func(t float64) (float64, float64, error) {
+		return f.pf.WriteBehind(t, wv.segs, wv.iov)
 	}
 
 	_ = frontend(0, nil) // carries no round: the verdict is nil
@@ -108,20 +110,18 @@ func (f *File) writeRounds(plan collectivePlan, segs []pfs.Segment, prefix []int
 		// coalescing copy. A message the merge rejects fails the round like
 		// a failed write does.
 		var roundErr error
-		io := false
 		if myAgg >= 0 {
 			lo, hi := plan.window(myAgg, r)
 			roundErr = wv.assemble(msgs, lo, hi)
-			io = roundErr == nil && len(wv.iov) > 0
+			if roundErr == nil && len(wv.iov) > 0 {
+				var issued float64
+				issued, roundErr = f.writeBehind(wv.bytes, f.hints.CBBufferSize, int(r), write)
+				f.killPoint(fault.KillAfterIssue)
+				f.sp.Record(span.AggWrite, int(r), issued, f.comm.Clock(), wv.bytes, -1)
+			}
 		}
-		issued := f.comm.Clock()
-		var end float64
-		if io {
-			end, roundErr = f.issuePF(issued, write)
-			f.killPoint(fault.KillAfterIssue)
-		}
-		// The write is down; recycle the messages it referenced, which
-		// empties the table for round r+1's exchange.
+		// The write's bytes have landed; recycle the messages it
+		// referenced, which empties the table for round r+1's exchange.
 		recycleRound(msgs)
 		var verdict error
 		if !last {
@@ -129,10 +129,6 @@ func (f *File) writeRounds(plan collectivePlan, segs []pfs.Segment, prefix []int
 			if verdict == nil && r > 0 {
 				prog.roundAgreed(r - 1)
 			}
-		}
-		if io {
-			f.settle(issued, end)
-			f.sp.Record(span.AggWrite, int(r), issued, f.comm.Clock(), wv.bytes, -1)
 		}
 		if verdict != nil {
 			// Some rank failed round r-1, and every rank learnt it from the

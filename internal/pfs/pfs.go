@@ -367,12 +367,21 @@ func (c *iovCursor) skip(n int64) {
 // armed crash point keeps only the bytes before the crash byte, optionally
 // truncates the file, and fails permanently with fault.ErrCrashed.
 func (f *File) WriteVec(t float64, segs []Segment, iov [][]byte) (float64, error) {
+	_, done, err := f.WriteBehind(t, segs, iov)
+	return done, err
+}
+
+// WriteBehind is WriteVec for a client that caches its writes: beside the
+// completion time it reports left, the time the request's bytes have left
+// the client link — the arrival of its last pipelining window at the
+// servers. The charge is WriteVec's; a failed attempt reports left = done.
+func (f *File) WriteBehind(t float64, segs []Segment, iov [][]byte) (left, done float64, err error) {
 	var total int64
 	for _, s := range segs {
 		total += s.Len
 	}
 	if n := iovTotal(iov); n != total {
-		return t, fmt.Errorf("pfs: writevec iovec holds %d bytes, segments need %d", n, total)
+		return t, t, fmt.Errorf("pfs: writevec iovec holds %d bytes, segments need %d", n, total)
 	}
 	t0 := t
 	if f.fs.inj != nil {
@@ -386,17 +395,17 @@ func (f *File) WriteVec(t float64, segs []Segment, iov [][]byte) (float64, error
 			f.stats.Add(iostat.PfsFaultsInjected, 1)
 			done := t + f.fs.cfg.NetLatency
 			f.spans.Record(span.PFSWrite, -1, t0, done, out.N, firstOff(segs))
-			return done, out.Err
+			return done, done, out.Err
 		}
 		if out.Delay > 0 {
 			f.stats.Add(iostat.PfsFaultsInjected, 1)
 		}
 	}
 	f.storeWriteVec(segs, iov, total)
-	done, extents := f.fs.charge(t, segs, false, f.stats)
+	done, left, extents := f.fs.charge(t, segs, false, f.stats)
 	f.count(iostat.PfsWriteCalls, iostat.PfsBytesWritten, iostat.PfsWriteExtents, total, extents)
 	f.spans.Record(span.PFSWrite, -1, t0, done, total, firstOff(segs))
-	return done, nil
+	return left, done, nil
 }
 
 // storeWriteVec lands the first n bytes of the payload: each segment takes
@@ -451,7 +460,7 @@ func (f *File) ReadVec(t float64, segs []Segment, iov [][]byte) (float64, error)
 			remain -= int64(len(p))
 		}
 	}
-	done, extents := f.fs.charge(t, segs, true, f.stats)
+	done, _, extents := f.fs.charge(t, segs, true, f.stats)
 	f.count(iostat.PfsReadCalls, iostat.PfsBytesRead, iostat.PfsReadExtents, total, extents)
 	f.spans.Record(span.PFSRead, -1, t0, done, total, firstOff(segs))
 	return done, nil
@@ -490,10 +499,11 @@ func (f *File) Sync(t float64) float64 {
 }
 
 // charge applies the cost model for one request batch issued at t and
-// returns the completion time plus the number of merged extents. When st is
+// returns the completion time, the time the last window has crossed the
+// client link, and the number of merged extents. When st is
 // non-nil it is credited with the seek/transfer time split and the
 // partial-block read-modify-write penalty the model charged.
-func (fs *FS) charge(t float64, segs []Segment, read bool, st *iostat.Stats) (float64, int) {
+func (fs *FS) charge(t float64, segs []Segment, read bool, st *iostat.Stats) (done, left float64, merged int) {
 	cfg := fs.cfg
 	var total int64
 	for _, s := range segs {
@@ -502,7 +512,7 @@ func (fs *FS) charge(t float64, segs []Segment, read bool, st *iostat.Stats) (fl
 	nMerged := 0
 	if total == 0 {
 		forEachMerged(segs, func(Segment) { nMerged++ })
-		return t + cfg.NetLatency, nMerged
+		return t + cfg.NetLatency, t + cfg.NetLatency, nMerged
 	}
 	// Per-server extent counts, byte totals and read-before-write charges;
 	// for writes, also the distinct partially-covered stripe blocks, which
@@ -586,14 +596,14 @@ func (fs *FS) charge(t float64, segs []Segment, read bool, st *iostat.Stats) (fl
 	nWindows := (total + cfg.PipeChunk - 1) / cfg.PipeChunk
 	fs.srvMu.Lock()
 	defer fs.srvMu.Unlock()
-	complete := t
+	complete, arrive := t, t
 	for w := int64(0); w < nWindows; w++ {
 		// Client has injected (w+1) windows by this time.
 		injected := (w + 1) * cfg.PipeChunk
 		if injected > total {
 			injected = total
 		}
-		arrive := t + cfg.NetLatency + float64(injected)/cfg.ClientBW
+		arrive = t + cfg.NetLatency + float64(injected)/cfg.ClientBW
 		for srv := 0; srv < cfg.NumServers; srv++ {
 			if bytes[srv] == 0 {
 				continue
@@ -609,7 +619,7 @@ func (fs *FS) charge(t float64, segs []Segment, read bool, st *iostat.Stats) (fl
 			}
 		}
 	}
-	return complete + cfg.NetLatency, nMerged
+	return complete + cfg.NetLatency, arrive, nMerged
 }
 
 // forEachMerged visits the coalesced extents of segs (adjacent or

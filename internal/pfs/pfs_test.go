@@ -421,13 +421,17 @@ func TestEveryMethodIsCharged(t *testing.T) {
 		read bool
 		why  string
 	}{
-		"File.ReadAt":         {do: func(f *File, t float64, p []byte) (float64, error) { return f.ReadAt(t, p, 0) }, read: true},
-		"File.ReadV":          {do: func(f *File, t float64, p []byte) (float64, error) { return f.ReadV(t, one, p) }, read: true},
-		"File.ReadVec":        {do: func(f *File, t float64, p []byte) (float64, error) { return f.ReadVec(t, one, halves(p)) }, read: true},
-		"SerialFile.ReadAt":   {do: serial(func(s *SerialFile, p []byte) (int, error) { return s.ReadAt(p, 0) }), read: true},
-		"File.WriteAt":        {do: func(f *File, t float64, p []byte) (float64, error) { return f.WriteAt(t, p, 0) }},
-		"File.WriteV":         {do: func(f *File, t float64, p []byte) (float64, error) { return f.WriteV(t, one, p) }},
-		"File.WriteVec":       {do: func(f *File, t float64, p []byte) (float64, error) { return f.WriteVec(t, one, halves(p)) }},
+		"File.ReadAt":       {do: func(f *File, t float64, p []byte) (float64, error) { return f.ReadAt(t, p, 0) }, read: true},
+		"File.ReadV":        {do: func(f *File, t float64, p []byte) (float64, error) { return f.ReadV(t, one, p) }, read: true},
+		"File.ReadVec":      {do: func(f *File, t float64, p []byte) (float64, error) { return f.ReadVec(t, one, halves(p)) }, read: true},
+		"SerialFile.ReadAt": {do: serial(func(s *SerialFile, p []byte) (int, error) { return s.ReadAt(p, 0) }), read: true},
+		"File.WriteAt":      {do: func(f *File, t float64, p []byte) (float64, error) { return f.WriteAt(t, p, 0) }},
+		"File.WriteV":       {do: func(f *File, t float64, p []byte) (float64, error) { return f.WriteV(t, one, p) }},
+		"File.WriteVec":     {do: func(f *File, t float64, p []byte) (float64, error) { return f.WriteVec(t, one, halves(p)) }},
+		"File.WriteBehind": {do: func(f *File, t float64, p []byte) (float64, error) {
+			_, done, err := f.WriteBehind(t, one, halves(p))
+			return done, err
+		}},
 		"SerialFile.WriteAt":  {do: serial(func(s *SerialFile, p []byte) (int, error) { return s.WriteAt(p, 0) })},
 		"File.Name":           {why: "returns the name"},
 		"File.Size":           {why: "returns the size"},
@@ -600,5 +604,33 @@ func TestDiscardThresholdKeepsMetadata(t *testing.T) {
 	}
 	if f.Size() != 1024+8192 {
 		t.Fatalf("size = %d", f.Size())
+	}
+}
+
+// TestWriteBehindReportsTheLink: WriteBehind is WriteVec's charge and
+// completion plus the time the request's bytes left the client link — the
+// arrival of its last pipelining window — which a request several windows
+// long reaches well before the servers finish.
+func TestWriteBehindReportsTheLink(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.PipeChunk = 1 << 20
+	const n = 4 << 20
+	p := make([]byte, n)
+	one := []Segment{{Off: 0, Len: n}}
+	a, _ := New(cfg).Create("a", 0)
+	b, _ := New(cfg).Create("b", 0)
+	want, err := a.WriteVec(1, one, [][]byte{p})
+	if err != nil {
+		t.Fatal(err)
+	}
+	left, done, err := b.WriteBehind(1, one, [][]byte{p})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if done != want {
+		t.Errorf("WriteBehind completes at %g, WriteVec at %g", done, want)
+	}
+	if link := 1 + cfg.NetLatency + float64(n)/cfg.ClientBW; left != link || left >= done {
+		t.Errorf("bytes left the link at %g, want %g, before the completion at %g", left, link, done)
 	}
 }

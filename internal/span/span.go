@@ -40,6 +40,7 @@ const (
 	Exchange     = "exchange"      // mpiio: sparse rank<->aggregator exchange
 	AggWrite     = "agg_write"     // mpiio: aggregator WriteVec round I/O
 	AggRead      = "agg_read"      // mpiio: aggregator ReadV round I/O
+	Drain        = "drain"         // mpiio: wait for earlier writes in flight to complete
 	ReplyXchg    = "reply_xchg"    // mpiio: read-reply exchange
 	Scatter      = "scatter"       // mpiio: scatter replies into user buffer
 	PFSWrite     = "pfs_write"     // pfs: one WriteVec/WriteAt attempt
