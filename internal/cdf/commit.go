@@ -208,12 +208,13 @@ func RecoverJournal(img []byte) []byte {
 // Any failure other than ErrTruncated cannot be cured by more bytes — as a
 // header still truncated with the whole file read cannot — and is settled by
 // the commit journal at the file's tail: a torn in-place header is recovered
-// from it (recovered is true), otherwise the decode error stands.
+// from it (recovered is true), otherwise the decode error stands. A
+// recovered header's record count is clamped to what size can hold.
 //
 // blob is the image h was decoded from, exactly: the header's own bytes or
-// the journaled image. It is nil only when read failed; on a decode error it
-// is everything read from the front of the file, so that a caller's peers
-// can decode it to the same error.
+// the journaled image, its numrecs clamped with h's. It is nil only when
+// read failed; on a decode error it is everything read from the front of
+// the file, so that a caller's peers can decode it to the same error.
 func ReadHeader(size int64, read func(buf []byte, off int64) error) (h *Header, blob []byte, recovered bool, err error) {
 	bound, predicted := int64(0), int64(0)
 	for step := int64(64 << 10); ; {
@@ -242,6 +243,13 @@ func ReadHeader(size int64, read func(buf []byte, off int64) error) (h *Header, 
 	}
 	if img := readJournal(size, read); img != nil {
 		if jh, jerr := Decode(img); jerr == nil {
+			// The journaled (new) header may declare records lost with the
+			// crash: clamp to what the file holds, in the image too, so a
+			// peer decoding it gets the same count.
+			if max := jh.MaxRecsForSize(size); jh.NumRecs > max {
+				jh.NumRecs = max
+				copy(img[NumRecsOffset:], jh.EncodeNumRecs())
+			}
 			return jh, img, true, nil
 		}
 	}

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+
+	"pnetcdf/internal/nctype"
 )
 
 // memFile is an in-memory CommitFile that logs what CommitHeader did to it
@@ -172,6 +174,46 @@ func TestCommitHeaderCrashAtEveryStep(t *testing.T) {
 				}
 			}
 			done += size
+		}
+	}
+}
+
+// TestReadHeaderClampsRecoveredNumRecs: a header recovered from the journal
+// that declares more records than the file holds comes back with the count
+// the file size allows, and so does the image handed back — what the
+// parallel library broadcasts for its other ranks to decode — in the 4-byte
+// and the 8-byte numrecs field alike.
+func TestReadHeaderClampsRecoveredNumRecs(t *testing.T) {
+	for _, version := range []int{1, 5} {
+		h := &Header{Version: version}
+		rec, _ := h.DefDim("t", 0)
+		x, _ := h.DefDim("x", 1024) // a record outweighs the journal
+		if _, err := h.DefVar("r", nctype.Int, []int{rec, x}); err != nil {
+			t.Fatal(err)
+		}
+		if err := h.ComputeLayout(1); err != nil {
+			t.Fatal(err)
+		}
+		h.NumRecs = 10
+		img := h.Encode()
+		torn := append([]byte(nil), img...)
+		copy(torn, []byte{0, 0, 0, 0})
+		journal := EncodeJournal(img)
+		size := h.RecordStart() + 3*h.RecSize() + int64(len(journal))
+		want := h.MaxRecsForSize(size)
+		if want >= h.NumRecs {
+			t.Fatalf("CDF-%d: the file holds %d records; the test needs fewer than %d", version, want, h.NumRecs)
+		}
+		f := &countingFile{size: size, head: torn, tail: journal}
+		got, blob, recovered, err := ReadHeader(size, f.read)
+		if err != nil || !recovered {
+			t.Fatalf("CDF-%d: err = %v, recovered = %v", version, err, recovered)
+		}
+		if got.NumRecs != want {
+			t.Errorf("CDF-%d: recovered header has %d records, want %d", version, got.NumRecs, want)
+		}
+		if peer, err := Decode(blob); err != nil || !peer.Equal(got) {
+			t.Errorf("CDF-%d: the image decodes to another header (err %v)", version, err)
 		}
 	}
 }

@@ -8,12 +8,11 @@ import (
 	"pnetcdf/internal/nctype"
 )
 
-// The define rules. Both libraries call these methods for every definition,
-// attribute change and rename, and keep only their own mode checks (closed,
-// read-only, define or data) and their own header commit: whether a call is
-// legal for the header, and what it changes, is decided here once. A method
-// that may run in data mode takes define and reports whether the header
-// must be rewritten.
+// The define rules. Front (front.go) calls these methods for every
+// definition, attribute change and rename, after its mode check: whether a
+// call is legal for the header, and what it changes, is decided here once. A
+// method that may run in data mode takes define and reports whether the
+// header must be rewritten.
 
 // GlobalID addresses the dataset itself in attribute calls (NC_GLOBAL).
 const GlobalID = -1

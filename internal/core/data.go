@@ -8,60 +8,6 @@ import (
 	"pnetcdf/internal/netcdf"
 )
 
-// --- Inquiry functions: purely local, no synchronization (paper §4.3) ---
-
-// NumDims returns the number of dimensions.
-func (d *Dataset) NumDims() int { return len(d.hdr.Dims) }
-
-// NumVars returns the number of variables.
-func (d *Dataset) NumVars() int { return len(d.hdr.Vars) }
-
-// NumRecs returns this process's view of the record count (collective ops
-// and Sync keep it agreed across processes).
-func (d *Dataset) NumRecs() int64 { return d.hdr.NumRecs }
-
-// UnlimitedDimID returns the record dimension's ID, or -1.
-func (d *Dataset) UnlimitedDimID() int { return d.hdr.UnlimitedDimID() }
-
-// DimID looks a dimension up by name (-1 if absent).
-func (d *Dataset) DimID(name string) int { return d.hdr.FindDim(name) }
-
-// VarID looks a variable up by name (-1 if absent).
-func (d *Dataset) VarID(name string) int { return d.hdr.FindVar(name) }
-
-// InqDim returns a dimension's name and length.
-func (d *Dataset) InqDim(dimid int) (string, int64, error) {
-	if dimid < 0 || dimid >= len(d.hdr.Dims) {
-		return "", 0, nctype.ErrNotDim
-	}
-	dim := d.hdr.Dims[dimid]
-	return dim.Name, dim.Len, nil
-}
-
-// InqVar returns a variable's name, type and dimension IDs.
-func (d *Dataset) InqVar(varid int) (string, nctype.Type, []int, error) {
-	if varid < 0 || varid >= len(d.hdr.Vars) {
-		return "", 0, nil, nctype.ErrNotVar
-	}
-	v := &d.hdr.Vars[varid]
-	return v.Name, v.Type, append([]int(nil), v.DimIDs...), nil
-}
-
-// VarShape returns a variable's current dimension lengths.
-func (d *Dataset) VarShape(varid int) ([]int64, error) {
-	if varid < 0 || varid >= len(d.hdr.Vars) {
-		return nil, nctype.ErrNotVar
-	}
-	return d.hdr.VarShape(&d.hdr.Vars[varid]), nil
-}
-
-func (d *Dataset) varByID(varid int) (*cdf.Var, error) {
-	if varid < 0 || varid >= len(d.hdr.Vars) {
-		return nil, nctype.ErrNotVar
-	}
-	return &d.hdr.Vars[varid], nil
-}
-
 // --- High-level data access API (paper §4.1) ---
 //
 // Collective variants carry the All suffix and must be called by every
@@ -138,40 +84,21 @@ func (d *Dataset) GetVarm(varid int, start, count, stride, imap []int64, data an
 
 // PutVar1 independently writes one element.
 func (d *Dataset) PutVar1(varid int, index []int64, data any) error {
-	return d.highLevel(true, varid, index, onesLike(index), nil, nil, data, false)
+	return d.highLevel(true, varid, index, cdf.OnesLike(index), nil, nil, data, false)
 }
 
 // GetVar1 independently reads one element.
 func (d *Dataset) GetVar1(varid int, index []int64, data any) error {
-	return d.highLevel(false, varid, index, onesLike(index), nil, nil, data, false)
+	return d.highLevel(false, varid, index, cdf.OnesLike(index), nil, nil, data, false)
 }
 
-func onesLike(index []int64) []int64 {
-	ones := make([]int64, len(index))
-	for i := range ones {
-		ones[i] = 1
-	}
-	return ones
-}
-
-// wholeVar is the collective put or get of (start 0, count shape); a record
-// variable with no records yet takes its record count from the buffer.
+// wholeVar is the collective put or get of all of a variable.
 func (d *Dataset) wholeVar(write bool, varid int, data any) error {
-	v, err := d.varByID(varid)
+	start, count, err := d.Hdr.WholeVar(varid, data)
 	if err != nil {
 		return err
 	}
-	shape := d.hdr.VarShape(v)
-	if d.hdr.IsRecordVar(v) && len(shape) > 0 && shape[0] == 0 {
-		inner := int64(1)
-		for _, s := range shape[1:] {
-			inner *= s
-		}
-		if inner > 0 {
-			shape[0] = int64(cdf.SliceLen(data)) / inner
-		}
-	}
-	return d.highLevel(write, varid, make([]int64, len(shape)), shape, nil, nil, data, true)
+	return d.highLevel(write, varid, start, count, nil, nil, data, true)
 }
 
 // --- Flexible API (paper §4.1): noncontiguous memory via MPI datatypes ---
@@ -226,7 +153,7 @@ func (d *Dataset) highLevel(write bool, varid int, start, count, stride, imap []
 }
 
 func (d *Dataset) checkMode(collective bool) error {
-	if err := d.checkData(); err != nil {
+	if err := d.Mode.CheckData(); err != nil {
 		return err
 	}
 	if collective && d.indep {
@@ -266,14 +193,14 @@ func (d *Dataset) blocking(write bool, varid int, start, count, stride []int64, 
 // against the record count the ranks agree on, which this rank may not have
 // seen yet.
 func (d *Dataset) prepare(write bool, varid int, start, count, stride []int64, data any, memsegs []mpitype.Segment, memSize int64) (pendingOp, error) {
-	if write && d.ro {
+	if write && d.Mode.ReadOnly {
 		return pendingOp{}, nctype.ErrPerm
 	}
-	v, err := d.varByID(varid)
+	v, err := d.Hdr.VarByID(varid)
 	if err != nil {
 		return pendingOp{}, err
 	}
-	req, err := access.Validate(d.hdr, v, start, count, stride, true)
+	req, err := access.Validate(d.Hdr, v, start, count, stride, true)
 	if err != nil {
 		return pendingOp{}, err
 	}

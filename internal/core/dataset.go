@@ -43,16 +43,16 @@ const GlobalID = cdf.GlobalID
 // communicator holds its own *Dataset whose header copies are kept
 // identical by the collective define-mode calls.
 type Dataset struct {
+	// Front holds the header copy, the define/read-only/closed state and
+	// the define, attribute and inquiry calls the serial library shares.
+	cdf.Front
+
 	comm *mpi.Comm
 	fsys *pfs.FS
 	f    *mpiio.File
-	hdr  *cdf.Header
 	path string
 
-	define bool
-	indep  bool
-	ro     bool
-	closed bool
+	indep bool
 
 	// hAlign, vAlign and vMin are cdf.ComputeLayoutAligned's arguments, fixed
 	// at open (see layoutHints).
@@ -111,18 +111,8 @@ func Create(comm *mpi.Comm, fsys *pfs.FS, path string, cmode int, info *mpi.Info
 	if err != nil {
 		return nil, err
 	}
-	version := 1
-	if cmode&nctype.Bit64Offset != 0 {
-		version = 2
-	}
-	if cmode&nctype.Bit64Data != 0 {
-		version = 5
-	}
-	d := &Dataset{
-		comm: comm, fsys: fsys, f: f, path: path,
-		hdr:    &cdf.Header{Version: version},
-		define: true,
-	}
+	d := &Dataset{comm: comm, fsys: fsys, f: f, path: path}
+	d.Front = cdf.CreateFront(cmode, d.rewriteHeader)
 	d.layoutHints(info)
 	d.st, d.sp = comm.Proc().Stats(), comm.Proc().Spans()
 	return d, nil
@@ -190,28 +180,14 @@ func Open(comm *mpi.Comm, fsys *pfs.FS, path string, omode int, info *mpi.Info) 
 	if herr != nil {
 		return nil, herr
 	}
-	if recovered {
-		// The journaled (new) header may declare records that were lost with
-		// the crash; clamp to what the file actually holds.
-		if size, serr := f.Size(); serr == nil {
-			if max := hdr.MaxRecsForSize(size); hdr.NumRecs > max {
-				hdr.NumRecs = max
-			}
-		}
-	}
-	d := &Dataset{
-		comm: comm, fsys: fsys, f: f, path: path,
-		hdr: hdr,
-		ro:  omode&nctype.Write == 0,
-
-		persistedNumRecs: hdr.NumRecs,
-	}
+	d := &Dataset{comm: comm, fsys: fsys, f: f, path: path, persistedNumRecs: hdr.NumRecs}
+	d.Front = cdf.OpenFront(hdr, omode, d.rewriteHeader)
 	d.layoutHints(info)
 	d.st, d.sp = comm.Proc().Stats(), comm.Proc().Spans()
 	d.st.Add(iostat.NCHeaderBcastBytes, int64(len(blob)))
 	if recovered {
 		d.st.Add(iostat.NCHeaderRecoveries, 1)
-		if !d.ro {
+		if !d.Mode.ReadOnly {
 			// Repair the torn in-place header from the journaled image.
 			if err := d.writeHeaderCollective(); err != nil {
 				return nil, err
@@ -242,129 +218,13 @@ func (d *Dataset) layoutHints(info *mpi.Info) {
 // Comm returns the dataset's communicator.
 func (d *Dataset) Comm() *mpi.Comm { return d.comm }
 
-// Header exposes the local header copy (inquiry use).
-func (d *Dataset) Header() *cdf.Header { return d.hdr }
-
 // SetFill enables prefilling of variables at EndDef (PnetCDF defaults to
 // nofill; this mirrors ncmpi_set_fill with NC_FILL).
 func (d *Dataset) SetFill(on bool) { d.fill = on }
 
-// checkWrite admits a call that may change the header: the dataset is open
-// and writable.
-func (d *Dataset) checkWrite() error {
-	switch {
-	case d.closed:
-		return nctype.ErrClosed
-	case d.ro:
-		return nctype.ErrPerm
-	}
-	return nil
-}
-
-func (d *Dataset) checkDefine() error {
-	if err := d.checkWrite(); err != nil {
-		return err
-	}
-	if !d.define {
-		return nctype.ErrNotInDefine
-	}
-	return nil
-}
-
-func (d *Dataset) checkData() error {
-	switch {
-	case d.closed:
-		return nctype.ErrClosed
-	case d.define:
-		return nctype.ErrInDefine
-	}
-	return nil
-}
-
-// --- Define mode functions (collective; same syntax as serial, paper §4.1) ---
-//
-// The rules are cdf.Header's (define.go), shared with the serial library;
-// what is left here is the mode check and, for a data-mode change, the
-// collective header rewrite. All processes must call with identical
-// arguments.
-
-// DefDim defines a dimension; size 0 declares the unlimited dimension.
-func (d *Dataset) DefDim(name string, size int64) (int, error) {
-	if err := d.checkDefine(); err != nil {
-		return -1, err
-	}
-	return d.hdr.DefDim(name, size)
-}
-
-// DefVar defines a variable over previously defined dimensions.
-func (d *Dataset) DefVar(name string, t nctype.Type, dimids []int) (int, error) {
-	if err := d.checkDefine(); err != nil {
-		return -1, err
-	}
-	return d.hdr.DefVar(name, t, dimids)
-}
-
-// PutAttr sets an attribute on a variable (or GlobalID). In data mode only
-// same-or-smaller overwrites are allowed, and the root rewrites the header.
-func (d *Dataset) PutAttr(varid int, name string, t nctype.Type, value any) error {
-	if err := d.checkWrite(); err != nil {
-		return err
-	}
-	return d.commitIf(d.hdr.PutAttr(varid, name, t, value, d.define))
-}
-
-// GetAttr returns an attribute's type and decoded value. Purely local — no
-// file access or synchronization, one of PnetCDF's advantages over HDF5's
-// dispersed metadata (paper §4.3).
-func (d *Dataset) GetAttr(varid int, name string) (nctype.Type, any, error) {
-	if d.closed {
-		return 0, nil, nctype.ErrClosed
-	}
-	return d.hdr.GetAttr(varid, name)
-}
-
-// DelAttr removes an attribute (define mode).
-func (d *Dataset) DelAttr(varid int, name string) error {
-	if err := d.checkDefine(); err != nil {
-		return err
-	}
-	return d.hdr.DelAttr(varid, name)
-}
-
-// AttrNames lists attribute names in definition order.
-func (d *Dataset) AttrNames(varid int) ([]string, error) { return d.hdr.AttrNames(varid) }
-
-// RenameDim collectively renames a dimension (ncmpi_rename_dim). In data
-// mode the new name may not grow the header; the root rewrites the header.
-func (d *Dataset) RenameDim(dimid int, newName string) error {
-	if err := d.checkWrite(); err != nil {
-		return err
-	}
-	return d.commitIf(d.hdr.RenameDim(dimid, newName, d.define))
-}
-
-// RenameVar collectively renames a variable (ncmpi_rename_var).
-func (d *Dataset) RenameVar(varid int, newName string) error {
-	if err := d.checkWrite(); err != nil {
-		return err
-	}
-	return d.commitIf(d.hdr.RenameVar(varid, newName, d.define))
-}
-
-// RenameAttr collectively renames an attribute (ncmpi_rename_att).
-func (d *Dataset) RenameAttr(varid int, oldName, newName string) error {
-	if err := d.checkWrite(); err != nil {
-		return err
-	}
-	return d.commitIf(d.hdr.RenameAttr(varid, oldName, newName, d.define))
-}
-
-// commitIf rewrites the header collectively when a data-mode change asks
-// for it, once every rank's data writes are down.
-func (d *Dataset) commitIf(rewrite bool, err error) error {
-	if err != nil || !rewrite {
-		return err
-	}
+// rewriteHeader is the data-mode header rewrite the front asks for: the
+// root commits once every rank's data writes are down.
+func (d *Dataset) rewriteHeader() error {
 	d.drainAll()
 	return d.writeHeaderCollective()
 }
@@ -382,13 +242,13 @@ func (d *Dataset) drainAll() {
 // the layout, relocates data if a Redef grew the header, and has the root
 // write the header.
 func (d *Dataset) EndDef() error {
-	if err := d.checkDefine(); err != nil {
+	if err := d.Mode.CheckDefine(); err != nil {
 		return err
 	}
-	if err := d.hdr.Validate(); err != nil {
+	if err := d.Hdr.Validate(); err != nil {
 		return err
 	}
-	if err := d.hdr.ComputeLayoutAligned(d.hAlign, d.vAlign, d.vMin); err != nil {
+	if err := d.Hdr.ComputeLayoutAligned(d.hAlign, d.vAlign, d.vMin); err != nil {
 		return err
 	}
 	d.invalidateViews()
@@ -398,15 +258,15 @@ func (d *Dataset) EndDef() error {
 	var img []byte
 	var sum [sha256.Size]byte
 	if d.comm.Rank() == 0 {
-		img = d.hdr.Encode()
+		img = d.Hdr.Encode()
 		sum = sha256.Sum256(img)
 	} else {
-		sum = d.hdr.Digest()
+		sum = d.Hdr.Digest()
 	}
 	if !d.comm.AgreeDigest(sum) {
 		return nctype.ErrConsistency
 	}
-	d.define = false
+	d.Mode.Define = false
 	if d.oldLayout != nil {
 		if err := d.relocate(d.oldLayout); err != nil {
 			return err
@@ -426,17 +286,17 @@ func (d *Dataset) EndDef() error {
 
 // Redef collectively re-enters define mode.
 func (d *Dataset) Redef() error {
-	if err := d.checkWrite(); err != nil {
+	if err := d.Mode.CheckWrite(); err != nil {
 		return err
 	}
-	if d.define {
+	if d.Mode.Define {
 		return nctype.ErrInDefine
 	}
 	if err := d.syncNumRecs(); err != nil {
 		return err
 	}
-	d.oldLayout = d.hdr.Clone()
-	d.define = true
+	d.oldLayout = d.Hdr.Clone()
+	d.Mode.Define = true
 	return nil
 }
 
@@ -446,7 +306,7 @@ func (d *Dataset) Redef() error {
 func (d *Dataset) writeHeaderCollective() error {
 	var werr error
 	if d.comm.Rank() == 0 {
-		werr = d.commitHeader(d.hdr.Encode())
+		werr = d.commitHeader(d.Hdr.Encode())
 	}
 	return d.comm.AgreeError(werr)
 }
@@ -467,13 +327,13 @@ func (d *Dataset) commitHeader(img []byte) error {
 	sc := d.sp.Begin(span.HeaderCommit)
 	defer sc.End()
 	sc.SetBytes(int64(len(img)))
-	written, err := cdf.CommitHeader(rawFile{d.f}, img, d.hdr.FileSize())
+	written, err := cdf.CommitHeader(rawFile{d.f}, img, d.Hdr.FileSize())
 	d.st.Add(iostat.NCHeaderWriteBytes, written)
 	if err != nil {
 		return err
 	}
 	d.st.Add(iostat.NCHeaderCommits, 1)
-	d.persistedNumRecs = d.hdr.NumRecs
+	d.persistedNumRecs = d.Hdr.NumRecs
 	return nil
 }
 
@@ -485,7 +345,7 @@ func (d *Dataset) commitHeader(img []byte) error {
 // rank whose move fails stops moving; the outcome is agreed, so every rank
 // returns an error together.
 func (d *Dataset) relocate(old *cdf.Header) error {
-	moves := d.hdr.RelocationPlan(old)
+	moves := d.Hdr.RelocationPlan(old)
 	// Ranks may take moves independently only when nothing is written where
 	// something is still to be read — by that move or by one another rank
 	// has not reached yet: every destination lies past every source.
@@ -516,9 +376,9 @@ func (d *Dataset) relocate(old *cdf.Header) error {
 // plane here also supports but the simpler root fill keeps EndDef
 // deterministic).
 func (d *Dataset) fillVars() error {
-	for i := range d.hdr.Vars {
-		v := &d.hdr.Vars[i]
-		if d.hdr.IsRecordVar(v) {
+	for i := range d.Hdr.Vars {
+		v := &d.Hdr.Vars[i]
+		if d.Hdr.IsRecordVar(v) {
 			continue
 		}
 		n := v.VSize
@@ -542,7 +402,7 @@ func (d *Dataset) fillVars() error {
 
 // BeginIndepData enters independent data mode (ncmpi_begin_indep_data).
 func (d *Dataset) BeginIndepData() error {
-	if err := d.checkData(); err != nil {
+	if err := d.Mode.CheckData(); err != nil {
 		return err
 	}
 	if d.indep {
@@ -556,7 +416,7 @@ func (d *Dataset) BeginIndepData() error {
 // EndIndepData returns to collective data mode, reconciling any record
 // growth performed independently.
 func (d *Dataset) EndIndepData() error {
-	if err := d.checkData(); err != nil {
+	if err := d.Mode.CheckData(); err != nil {
 		return err
 	}
 	if !d.indep {
@@ -571,8 +431,8 @@ func (d *Dataset) EndIndepData() error {
 // after all of them.
 func (d *Dataset) syncNumRecs() error {
 	d.f.DrainWrites()
-	agreed := d.comm.AllreduceI64([]int64{d.hdr.NumRecs}, mpi.OpMax)[0]
-	d.hdr.NumRecs = agreed
+	agreed := d.comm.AllreduceI64([]int64{d.Hdr.NumRecs}, mpi.OpMax)[0]
+	d.Hdr.NumRecs = agreed
 	d.numrecsDirty = false
 	d.st.Add(iostat.NCNumRecsSyncs, 1)
 	return d.writeNumRecs()
@@ -586,11 +446,11 @@ func (d *Dataset) syncNumRecs() error {
 // size on journal recovery.
 func (d *Dataset) writeNumRecs() error {
 	var werr error
-	if !d.ro && d.comm.Rank() == 0 && d.hdr.NumRecs > d.persistedNumRecs {
-		field := d.hdr.EncodeNumRecs()
+	if !d.Mode.ReadOnly && d.comm.Rank() == 0 && d.Hdr.NumRecs > d.persistedNumRecs {
+		field := d.Hdr.EncodeNumRecs()
 		werr = d.f.WriteRaw(field, cdf.NumRecsOffset)
 		if werr == nil {
-			d.persistedNumRecs = d.hdr.NumRecs
+			d.persistedNumRecs = d.Hdr.NumRecs
 		}
 		d.st.Add(iostat.NCHeaderWriteBytes, int64(len(field)))
 	}
@@ -599,7 +459,7 @@ func (d *Dataset) writeNumRecs() error {
 
 // Sync flushes everything collectively (ncmpi_sync).
 func (d *Dataset) Sync() error {
-	if err := d.checkData(); err != nil {
+	if err := d.Mode.CheckData(); err != nil {
 		return err
 	}
 	if err := d.syncNumRecs(); err != nil {
@@ -614,20 +474,20 @@ func (d *Dataset) Sync() error {
 // marked closed regardless, so a second Close is an idempotent no-op
 // rather than a second flush attempt.
 func (d *Dataset) Close() error {
-	if d.closed {
+	if d.Mode.Closed {
 		return nil
 	}
 	if len(d.pending) > 0 {
 		return errors.New("pnetcdf: nonblocking requests pending at close; call WaitAll")
 	}
 	errs := make([]error, 0, 3) // at most one per step below, on the stack
-	if d.define {
+	if d.Mode.Define {
 		errs = append(errs, d.EndDef())
 	}
-	if !d.ro {
+	if !d.Mode.ReadOnly {
 		errs = append(errs, d.syncNumRecs())
 	}
 	errs = append(errs, d.f.Close())
-	d.closed = true
+	d.Mode.Closed = true
 	return errors.Join(errs...)
 }

@@ -69,7 +69,7 @@ func (d *Dataset) IGetVara(varid int, start, count []int64, data any) (int, erro
 }
 
 func (d *Dataset) enqueue(write bool, varid int, start, count []int64, data any) (int, error) {
-	if err := d.checkData(); err != nil {
+	if err := d.Mode.CheckData(); err != nil {
 		return -1, err
 	}
 	op, err := d.prepare(write, varid, start, count, nil, data, nil, -1)
@@ -99,7 +99,7 @@ func (d *Dataset) PendingRequests() int { return len(d.pending) }
 // values, WaitAll returns cdf.ErrRange after completing every operation —
 // the deferred form of "write wrapped values, report NC_ERANGE".
 func (d *Dataset) WaitAll() error {
-	if err := d.checkData(); err != nil {
+	if err := d.Mode.CheckData(); err != nil {
 		return err
 	}
 	if d.indep {
@@ -143,7 +143,7 @@ func (d *Dataset) complete(from int, collective bool) error {
 		d.codecs = append(d.codecs, memCodec{})
 	}
 	vec := d.agree[:]
-	vec[agreeNumRecs], vec[agreeWriteEnd], vec[agreeRead] = d.hdr.NumRecs, -1, 0
+	vec[agreeNumRecs], vec[agreeWriteEnd], vec[agreeRead] = d.Hdr.NumRecs, -1, 0
 	for i := range ops {
 		op := &ops[i]
 		if op.write {
@@ -171,7 +171,7 @@ func (d *Dataset) complete(from int, collective bool) error {
 	if collective {
 		agreed = d.comm.AllreduceI64(vec, mpi.OpMax)
 	}
-	d.hdr.NumRecs = max(d.hdr.NumRecs, agreed[agreeNumRecs])
+	d.Hdr.NumRecs = max(d.Hdr.NumRecs, agreed[agreeNumRecs])
 	switch {
 	case localErr != nil:
 		return localErr
@@ -182,8 +182,8 @@ func (d *Dataset) complete(from int, collective bool) error {
 	}
 	// Record growth: collective ops grow together and persist the count;
 	// independent ops grow locally and reconcile at EndIndepData/Sync.
-	if end := agreed[agreeWriteEnd]; end > d.hdr.NumRecs {
-		d.hdr.NumRecs = end
+	if end := agreed[agreeWriteEnd]; end > d.Hdr.NumRecs {
+		d.Hdr.NumRecs = end
 		if !collective {
 			d.numrecsDirty = true
 		} else {
@@ -203,11 +203,11 @@ func (d *Dataset) complete(from int, collective bool) error {
 		switch {
 		case op.cached:
 			op.err = d.cachedRead(op, &d.codecs[i])
-		case !op.write && op.req.LastRecord >= d.hdr.NumRecs:
+		case !op.write && op.req.LastRecord >= d.Hdr.NumRecs:
 			// Checked against the agreed count, after the batch's own
 			// growth. The rank stays in the collective read below with
 			// whatever else it has, so its peers are not left alone.
-			op.err = fmt.Errorf("%w: record %d of %d", nctype.ErrEdge, op.req.LastRecord, d.hdr.NumRecs)
+			op.err = fmt.Errorf("%w: record %d of %d", nctype.ErrEdge, op.req.LastRecord, d.Hdr.NumRecs)
 		}
 	}
 	if agreed[agreeRead] != 0 {
@@ -367,7 +367,7 @@ func (d *Dataset) plan(ops []pendingOp, write bool) ([]piece, error) {
 			continue
 		}
 		pos := int64(0)
-		for _, s := range access.FileSegments(d.hdr, ops[i].v, ops[i].req) {
+		for _, s := range access.FileSegments(d.Hdr, ops[i].v, ops[i].req) {
 			pieces = append(pieces, piece{seg: s, op: i, pos: pos})
 			pos += s.Len
 		}

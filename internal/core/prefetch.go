@@ -45,11 +45,11 @@ func (d *Dataset) prefetch(info *mpi.Info) error {
 	}
 	var ids []int
 	for _, name := range strings.Split(spec, ",") {
-		varid := d.hdr.FindVar(strings.TrimSpace(name))
+		varid := d.Hdr.FindVar(strings.TrimSpace(name))
 		if varid < 0 {
 			continue // advisory: unknown names are ignored
 		}
-		if d.hdr.IsRecordVar(&d.hdr.Vars[varid]) {
+		if d.Hdr.IsRecordVar(&d.Hdr.Vars[varid]) {
 			continue // record variables grow; not cached
 		}
 		ids = append(ids, varid)
@@ -59,13 +59,13 @@ func (d *Dataset) prefetch(info *mpi.Info) error {
 	}
 	// In begin order, each variable once: the extents of one request.
 	slices.SortFunc(ids, func(a, b int) int {
-		return cmp.Or(cmp.Compare(d.hdr.Vars[a].Begin, d.hdr.Vars[b].Begin), cmp.Compare(a, b))
+		return cmp.Or(cmp.Compare(d.Hdr.Vars[a].Begin, d.Hdr.Vars[b].Begin), cmp.Compare(a, b))
 	})
 	ids = slices.Compact(ids)
 	segs := make([]pfs.Segment, len(ids))
 	var total int64
 	for i, varid := range ids {
-		v := &d.hdr.Vars[varid]
+		v := &d.Hdr.Vars[varid]
 		segs[i] = pfs.Segment{Off: v.Begin, Len: v.VSize}
 		total += v.VSize
 	}
@@ -97,7 +97,7 @@ func (d *Dataset) cachedRead(op *pendingOp, c *memCodec) error {
 	img := d.cache[op.varid]
 	c.reset(op)
 	pos := int64(0)
-	for _, s := range access.FileSegments(d.hdr, op.v, op.req) {
+	for _, s := range access.FileSegments(d.Hdr, op.v, op.req) {
 		rel := s.Off - op.v.Begin
 		c.Drain(pos, img[rel:rel+s.Len])
 		pos += s.Len

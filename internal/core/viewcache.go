@@ -52,7 +52,7 @@ func (d *Dataset) fileView(varid int, v *cdf.Var, req access.Request) (mpitype.D
 	if view, ok := d.views[string(key)]; ok {
 		return view, nil
 	}
-	view, err := access.FileView(d.hdr, v, req)
+	view, err := access.FileView(d.Hdr, v, req)
 	if err != nil {
 		return mpitype.Datatype{}, err
 	}

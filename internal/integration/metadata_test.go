@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 
 	"pnetcdf/internal/cdf"
@@ -576,4 +578,231 @@ func TestCorruptHeaderOfLargeFileFailsFast(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// inqLib is the inquiry surface the two libraries share.
+type inqLib interface {
+	NumDims() int
+	NumVars() int
+	NumRecs() int64
+	UnlimitedDimID() int
+	InqDim(dimid int) (string, int64, error)
+	InqVar(varid int) (string, nctype.Type, []int, error)
+	VarShape(varid int) ([]int64, error)
+	GetAttr(varid int, name string) (nctype.Type, any, error)
+	AttrNames(varid int) ([]string, error)
+	RenameAttr(varid int, oldName, newName string) error
+	Sync() error
+}
+
+var (
+	_ metaLib = (*netcdf.Dataset)(nil)
+	_ metaLib = (*core.Dataset)(nil)
+	_ inqLib  = (*netcdf.Dataset)(nil)
+	_ inqLib  = (*core.Dataset)(nil)
+)
+
+// TestDatasetMethodSets pins both libraries' exported method sets: the
+// shared netCDF front they embed adds no method to either, and removes none.
+func TestDatasetMethodSets(t *testing.T) {
+	for _, tc := range []struct {
+		lib  string
+		typ  reflect.Type
+		want string
+	}{
+		{"netcdf", reflect.TypeOf((*netcdf.Dataset)(nil)),
+			"Abort AttrNames Close DefDim DefVar DelAttr DimID EndDef GetAttr GetVar GetVar1 GetVara GetVarm GetVars Header " +
+				"InqDim InqVar NumDims NumRecs NumVars PutAttr PutVar PutVar1 PutVara PutVarm PutVars Redef RenameAttr RenameDim " +
+				"RenameVar Sync UnlimitedDimID VarID VarShape"},
+		{"core", reflect.TypeOf((*core.Dataset)(nil)),
+			"AttrNames BeginIndepData Close Comm DefDim DefVar DelAttr DimID EndDef EndIndepData GetAttr GetVar1 GetVarAll " +
+				"GetVara GetVaraAll GetVaraType GetVaraTypeAll GetVarm GetVarmAll GetVars GetVarsAll GetVarsTypeAll Header " +
+				"IGetVara IPutVara InqDim InqVar NumDims NumRecs NumVars PendingRequests PrefetchedVars PutAttr PutVar1 PutVarAll " +
+				"PutVara PutVaraAll PutVaraType PutVaraTypeAll PutVarm PutVarmAll PutVars PutVarsAll PutVarsTypeAll Redef " +
+				"RenameAttr RenameDim RenameVar SetFill Sync UnlimitedDimID VarID VarShape WaitAll"},
+	} {
+		names := make([]string, tc.typ.NumMethod())
+		for i := range names {
+			names[i] = tc.typ.Method(i).Name
+		}
+		if got := strings.Join(names, " "); got != tc.want {
+			t.Errorf("%s.Dataset methods:\n got %s\nwant %s", tc.lib, got, tc.want)
+		}
+	}
+}
+
+// modeDS is one library's dataset as the mode-parity test drives it: the
+// shared define and inquiry surface, plus a put and a get of the subarray
+// (start 0, count len(buf)) of a 1-D variable — collective in the parallel
+// library, plain calls in the serial one.
+type modeDS struct {
+	metaLib
+	inqLib
+	put, get func(varid int, buf []int32) error
+}
+
+// modeScenario makes every call a mode forbids, in every mode: define mode,
+// data mode, a read-only open and a closed handle, plus inquiries of IDs
+// that do not exist. It returns one line per call, in a fixed order: the
+// error the mode rule names, or — when the call returned another — both.
+func modeScenario(create, openReadOnly func() (modeDS, error)) ([]string, error) {
+	var out []string
+	expect := func(label string, err, want error) {
+		if !errors.Is(err, want) {
+			out = append(out, fmt.Sprintf("%s: %v, want %v", label, err, want))
+			return
+		}
+		out = append(out, fmt.Sprintf("%s: %v", label, want))
+	}
+	buf := make([]int32, 4)
+	d, err := create()
+	if err != nil {
+		return nil, err
+	}
+	x, err := d.DefDim("x", 4)
+	if err != nil {
+		return nil, err
+	}
+	v, err := d.DefVar("v", nctype.Int, []int{x})
+	if err != nil {
+		return nil, err
+	}
+	if err := d.PutAttr(v, "units", nctype.Char, "m"); err != nil {
+		return nil, err
+	}
+	expect("define: put", d.put(v, buf), nctype.ErrInDefine)
+	expect("define: get", d.get(v, buf), nctype.ErrInDefine)
+	expect("define: Redef", d.Redef(), nctype.ErrInDefine)
+	expect("define: RenameDim of a bad ID", d.RenameDim(7, "y"), nctype.ErrNotDim)
+	expect("define: RenameVar of a bad ID", d.RenameVar(7, "w"), nctype.ErrNotVar)
+	if err := d.EndDef(); err != nil {
+		return nil, err
+	}
+
+	_, err = d.DefDim("y", 2)
+	expect("data: DefDim", err, nctype.ErrNotInDefine)
+	_, err = d.DefVar("w", nctype.Int, []int{x})
+	expect("data: DefVar", err, nctype.ErrNotInDefine)
+	expect("data: DelAttr", d.DelAttr(v, "units"), nctype.ErrNotInDefine)
+	expect("data: PutAttr of a new attribute", d.PutAttr(v, "long_name", nctype.Char, "v"), nctype.ErrNotInDefine)
+	expect("data: EndDef", d.EndDef(), nctype.ErrNotInDefine)
+	for _, id := range []int{-1, 1} {
+		_, _, err = d.InqDim(id)
+		expect(fmt.Sprintf("data: InqDim(%d)", id), err, nctype.ErrNotDim)
+	}
+	for _, id := range []int{-1, 1} {
+		_, _, _, err = d.InqVar(id)
+		expect(fmt.Sprintf("data: InqVar(%d)", id), err, nctype.ErrNotVar)
+		_, err = d.VarShape(id)
+		expect(fmt.Sprintf("data: VarShape(%d)", id), err, nctype.ErrNotVar)
+		expect(fmt.Sprintf("data: put to %d", id), d.put(id, buf), nctype.ErrNotVar)
+	}
+	if err := d.put(v, buf); err != nil {
+		return nil, err
+	}
+	if err := d.Close(); err != nil {
+		return nil, err
+	}
+
+	expect("closed: Close again", d.Close(), nil)
+	_, err = d.DefDim("y", 2)
+	expect("closed: DefDim", err, nctype.ErrClosed)
+	_, err = d.DefVar("w", nctype.Int, []int{x})
+	expect("closed: DefVar", err, nctype.ErrClosed)
+	expect("closed: PutAttr", d.PutAttr(v, "units", nctype.Char, "m"), nctype.ErrClosed)
+	_, _, err = d.GetAttr(v, "units")
+	expect("closed: GetAttr", err, nctype.ErrClosed)
+	expect("closed: DelAttr", d.DelAttr(v, "units"), nctype.ErrClosed)
+	expect("closed: RenameDim", d.RenameDim(x, "y"), nctype.ErrClosed)
+	expect("closed: RenameVar", d.RenameVar(v, "w"), nctype.ErrClosed)
+	expect("closed: RenameAttr", d.RenameAttr(v, "units", "unit"), nctype.ErrClosed)
+	expect("closed: EndDef", d.EndDef(), nctype.ErrClosed)
+	expect("closed: Redef", d.Redef(), nctype.ErrClosed)
+	expect("closed: Sync", d.Sync(), nctype.ErrClosed)
+	expect("closed: put", d.put(v, buf), nctype.ErrClosed)
+	expect("closed: get", d.get(v, buf), nctype.ErrClosed)
+
+	if d, err = openReadOnly(); err != nil {
+		return nil, err
+	}
+	_, err = d.DefDim("y", 2)
+	expect("read-only: DefDim", err, nctype.ErrPerm)
+	_, err = d.DefVar("w", nctype.Int, []int{x})
+	expect("read-only: DefVar", err, nctype.ErrPerm)
+	expect("read-only: PutAttr", d.PutAttr(v, "units", nctype.Char, "m"), nctype.ErrPerm)
+	expect("read-only: DelAttr", d.DelAttr(v, "units"), nctype.ErrPerm)
+	expect("read-only: RenameDim", d.RenameDim(x, "y"), nctype.ErrPerm)
+	expect("read-only: RenameVar", d.RenameVar(v, "w"), nctype.ErrPerm)
+	expect("read-only: RenameAttr", d.RenameAttr(v, "units", "unit"), nctype.ErrPerm)
+	expect("read-only: Redef", d.Redef(), nctype.ErrPerm)
+	expect("read-only: EndDef", d.EndDef(), nctype.ErrPerm)
+	expect("read-only: put", d.put(v, buf), nctype.ErrPerm)
+	expect("read-only: get", d.get(v, buf), nil)
+	return out, d.Close()
+}
+
+// TestModeErrorsAlikeInBothLibraries: every call a mode forbids fails with
+// the same typed error in the serial and the parallel library — after
+// Close ErrClosed, a define call in data mode ErrNotInDefine, a put or get
+// in define mode ErrInDefine, a define or attribute call on a read-only
+// open ErrPerm, an inquiry of a missing ID ErrNotDim or ErrNotVar.
+func TestModeErrorsAlikeInBothLibraries(t *testing.T) {
+	store := &netcdf.MemStore{}
+	serial := func(d *netcdf.Dataset) modeDS {
+		return modeDS{d, d,
+			func(v int, buf []int32) error { return d.PutVara(v, []int64{0}, []int64{int64(len(buf))}, buf) },
+			func(v int, buf []int32) error { return d.GetVara(v, []int64{0}, []int64{int64(len(buf))}, buf) }}
+	}
+	sout, err := modeScenario(func() (modeDS, error) {
+		d, err := netcdf.Create(store, nctype.Clobber)
+		return serial(d), err
+	}, func() (modeDS, error) {
+		d, err := netcdf.Open(store, nctype.NoWrite)
+		if err != nil {
+			return modeDS{}, err
+		}
+		return serial(d), nil
+	})
+	if err != nil {
+		t.Fatalf("serial library: %v", err)
+	}
+
+	var pout []string
+	fsys := newFS()
+	err = mpi.Run(1, mpi.DefaultNet(), func(c *mpi.Comm) error {
+		parallel := func(d *core.Dataset) modeDS {
+			return modeDS{d, d,
+				func(v int, buf []int32) error { return d.PutVaraAll(v, []int64{0}, []int64{int64(len(buf))}, buf) },
+				func(v int, buf []int32) error { return d.GetVaraAll(v, []int64{0}, []int64{int64(len(buf))}, buf) }}
+		}
+		var err error
+		pout, err = modeScenario(func() (modeDS, error) {
+			d, err := core.Create(c, fsys, "mode.nc", nctype.Clobber, nil)
+			if err != nil {
+				return modeDS{}, err
+			}
+			return parallel(d), nil
+		}, func() (modeDS, error) {
+			d, err := core.Open(c, fsys, "mode.nc", nctype.NoWrite, nil)
+			if err != nil {
+				return modeDS{}, err
+			}
+			return parallel(d), nil
+		})
+		return err
+	})
+	if err != nil {
+		t.Fatalf("parallel library: %v", err)
+	}
+	if len(sout) != len(pout) {
+		t.Fatalf("serial library made %d checks, parallel %d", len(sout), len(pout))
+	}
+	for i := range sout {
+		if strings.Contains(sout[i], ", want ") {
+			t.Errorf("serial library: %s", sout[i])
+		}
+		if strings.Contains(pout[i], ", want ") {
+			t.Errorf("parallel library: %s", pout[i])
+		}
+	}
 }

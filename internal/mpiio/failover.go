@@ -13,13 +13,11 @@ package mpiio
 //     gets a result before every rank has contributed, and an aggregator
 //     contributes its round-r outcome only after that write returned — so
 //     rounds before the max are durable. On a write that allreduce is round
-//     r+2's exchange, or the closing agreement for the last two rounds
-//     (rounds.go), so a resume may lag the rounds actually written by one
-//     more than when every round closed with an agreement of its own; the
-//     replay rewrites that round too, idempotently. For reads it is the MIN
-//     of the scattered rounds (round r scatters only after round r+1's
-//     exchange carried its verdict): every survivor must still receive the
-//     rounds the furthest-behind one is missing.
+//     r+1's exchange, or the closing agreement for the last round
+//     (rounds.go). For reads it is the MIN of the scattered rounds (round r
+//     scatters only after round r+1's exchange carried its verdict): every
+//     survivor must still receive the rounds the furthest-behind one is
+//     missing.
 //  2. Shrink to the dense survivor communicator and adopt it in place —
 //     *f.comm is the same *Comm every layer above holds, so the swap
 //     retargets the whole stack at once; the dead aggregator's file domain
@@ -99,7 +97,7 @@ func AsDegraded(err error) (*DegradedError, bool) {
 // failover's resume-point agreement. planOK is set once the plan
 // Allreduce completed (the plan is then identical on every rank that has
 // it); agreed counts the leading rounds this rank has seen agreed (writes:
-// the allreduce carrying the round's verdict — round r+2's exchange, or the
+// the allreduce carrying the round's verdict — round r+1's exchange, or the
 // closing agreement — returned nil; reads: replies scattered).
 type ftProgress struct {
 	planOK bool

@@ -12,7 +12,7 @@ package mpiio
 // header publish. So the servers work on round r — and on earlier
 // collectives' rounds — while the ranks pack and exchange what follows:
 //
-//	write round r:  pack(r) → exchange(r) ⊇ verdict(r−2) → [settle oldest] → issue(r)
+//	write round r:  pack(r) → exchange(r) ⊇ verdict(r−1) → [settle oldest] → issue(r)
 //	read round r:   pack(r) → exchange(r) ⊇ verdict(r−1) → issue(r)
 //	                → [replies(r−1) → scatter(r−1)] → settle(r)
 //
@@ -27,20 +27,17 @@ package mpiio
 //
 // One agreement per round. An exchange's count allreduce (sparseExchange) is
 // also the error agreement on the newest round whose outcome every rank
-// knows: on a write, round r+1's exchange carries round r−1's (its request
-// returned in the previous iteration); on a read, round r's exchange
-// carries round r−1's, still ahead of answer(r−1), so a failed aggregator is
-// never expected to reply. The rounds no later exchange can carry — R−2 and
-// R−1 of a write, R−1 of a read — go to one closing AgreeError. A collective
-// of R rounds thus enters 1 + R + 1 allreduces (plan, exchanges, closing
-// agreement) where it used to enter 1 + 2R, and a one-round plan keeps the
-// classic sequence. On a failed verdict every rank learns it from the same
-// allreduce before any send: nothing is delivered, every buffer is recycled,
-// and all ranks return together. Every rank runs the identical collective
+// knows: round r's exchange carries round r−1's — on a write, its request
+// returned before the exchange; on a read, the verdict comes still ahead of
+// answer(r−1), so a failed aggregator is never expected to reply. Round
+// R−1, which no later exchange can carry, goes to one closing AgreeError. A
+// collective of R rounds thus enters 1 + R + 1 allreduces (plan, exchanges,
+// closing agreement) where it used to enter 1 + 2R, and a one-round plan
+// keeps the classic sequence. On a failed verdict every rank learns it from
+// the same allreduce before any send: nothing is delivered, every buffer is
+// recycled, and all ranks return together. Every rank runs the identical collective
 // sequence, so no rank hangs, every rank returns the same error, and a retry
-// duplicates no write (writes are idempotent full rewrites — a write round
-// issued before the verdict on an earlier one rewrites its window with the
-// caller's bytes either way).
+// duplicates no write (writes are idempotent full rewrites).
 //
 // Buffer lifetime: the exchange hands every packed message to its receiver
 // (sparseExchange), so a rank holds only what it received. The write loop
@@ -52,8 +49,6 @@ package mpiio
 // round r is read. The file's bytes do not depend on the round count.
 
 import (
-	"cmp"
-
 	"pnetcdf/internal/bufpool"
 	"pnetcdf/internal/fault"
 	"pnetcdf/internal/pfs"
@@ -81,7 +76,7 @@ func (f *File) writeRounds(plan collectivePlan, segs []pfs.Segment, prefix []int
 	}()
 
 	// frontend packs round r and exchanges it into msgs; the exchange's count
-	// allreduce carries pending, this rank's outcome of an earlier round, and
+	// allreduce carries pending, this rank's outcome of round r−1, and
 	// frontend returns the agreed verdict on it. The round span covers only
 	// this; the aggregator's write is recorded on its own, under the
 	// collective, with the interval it took in virtual time.
@@ -102,9 +97,7 @@ func (f *File) writeRounds(plan collectivePlan, segs []pfs.Segment, prefix []int
 	}
 
 	_ = frontend(0, nil) // carries no round: the verdict is nil
-	var prev error       // round r-1's outcome, carried by round r+1's exchange
 	for r := int64(0); r < plan.rounds; r++ {
-		last := r+1 == plan.rounds
 		// Backend: merge what this aggregator received into one vectored
 		// write whose iovec points straight into the message payloads — no
 		// coalescing copy. A message the merge rejects fails the round like
@@ -123,28 +116,21 @@ func (f *File) writeRounds(plan collectivePlan, segs []pfs.Segment, prefix []int
 		// The write's bytes have landed; recycle the messages it
 		// referenced, which empties the table for round r+1's exchange.
 		recycleRound(msgs)
+		// Round r+1's exchange carries this round's outcome; after the last
+		// round, one closing agreement does.
 		var verdict error
-		if !last {
-			verdict = frontend(r+1, prev)
-			if verdict == nil && r > 0 {
-				prog.roundAgreed(r - 1)
-			}
+		if r+1 < plan.rounds {
+			verdict = frontend(r+1, roundErr)
+		} else {
+			verdict = f.agree(r, roundErr)
 		}
 		if verdict != nil {
-			// Some rank failed round r-1, and every rank learnt it from the
+			// Some rank failed round r, and every rank learnt it from the
 			// same allreduce before any send: nothing was delivered, msgs
 			// is empty, and all ranks bail here together.
 			return verdict
 		}
-		if last {
-			// No next exchange: one agreement carries this round's outcome
-			// and round R-2's (prev; nil for a one-round plan).
-			if err := f.agree(r, cmp.Or(prev, roundErr)); err != nil {
-				return err
-			}
-			prog.roundAgreed(r)
-		}
-		prev = roundErr
+		prog.roundAgreed(r)
 	}
 	return nil
 }

@@ -194,16 +194,16 @@ func imageOf(fsys *pfs.FS, name string, n int64) ([]byte, error) {
 
 // TestWriteRoundFailureVerdict: aggregator rank 2's write fails for good in
 // round k — a crash point at the start of its round-k window — for each k of
-// failAt. Round k's verdict rides on round k+2's exchange, or on the closing
-// agreement when k ≥ R−2 (then it carries two rounds). Checked per k:
+// failAt. Round k's verdict rides on round k+1's exchange, or on the closing
+// agreement when k = R−1. Checked per k:
 //   - every rank returns: rank 2 its ErrCrashed, the others ErrPeerFailed;
 //   - the exchange that carries the failed verdict delivers nothing: each
 //     rank's mpi_msgs_sent is its allreduce cost times the allreduces entered
 //     (plan, exchanges up to the verdict, closing agreement if reached) plus
 //     its exchange messages of the delivered rounds only;
-//   - nothing is left open: no span is, and the file holds exactly the
-//     rounds up to the one issued before the verdict — round k+1's write
-//     landed before the exchange that carried it — minus the crashed window;
+//   - nothing is left open: no span is, and the file holds exactly rounds
+//     0..k — round k+1 is packed but never delivered or written — minus the
+//     crashed window;
 //   - the handle is reusable: the next write succeeds everywhere and leaves
 //     the exact image.
 func TestWriteRoundFailureVerdict(t *testing.T) {
@@ -255,9 +255,11 @@ func TestWriteRoundFailureVerdict(t *testing.T) {
 				m0, c0 := st.Get(iostat.MPIMsgsSent), st.Get(iostat.MPICollectives)
 				errs[me] = f.WriteAtAll(0, data(me, 1))
 				msgs, colls := st.Get(iostat.MPIMsgsSent)-m0, st.Get(iostat.MPICollectives)-c0
+				// plan + exchanges 0..k+1, the last carrying the verdict; or
+				// plan + all R exchanges + the closing agreement for k = R−1.
 				allreduces, delivered := int64(1+failRounds+1), int64(failRounds)
-				if k+2 < failRounds {
-					allreduces, delivered = 1+k+3, k+2
+				if k+1 < failRounds {
+					allreduces, delivered = 1+k+2, k+1
 				}
 				perExchange := int64(2) // one message to each aggregator ...
 				if me == 0 || me == 2 {
@@ -293,18 +295,14 @@ func TestWriteRoundFailureVerdict(t *testing.T) {
 					t.Errorf("rank %d: %v, want ErrPeerFailed", r, err)
 				}
 			}
-			last := k + 1 // the round written just before the verdict's exchange
-			if k+2 >= failRounds {
-				last = failRounds - 1
-			}
 			for w := 0; w < windows; w++ {
 				d, r := w/failRounds, int64(w%failRounds)
 				want := make([]byte, failWindow)
-				if r <= last && !(d == 1 && r == k) {
+				if r <= k && !(d == 1 && r == k) {
 					want = window(w, 1)
 				}
 				if !bytes.Equal(img[w*failWindow:(w+1)*failWindow], want) {
-					t.Errorf("after the failed write, window %d (domain %d round %d) is not what rounds 0..%d minus the crash leave", w, d, r, last)
+					t.Errorf("after the failed write, window %d (domain %d round %d) is not what rounds 0..%d minus the crash leave", w, d, r, k)
 				}
 			}
 			final, err := imageOf(fsys, "wfail", windows*failWindow)

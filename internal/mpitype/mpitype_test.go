@@ -324,34 +324,6 @@ func TestPackUnpackRoundTrip(t *testing.T) {
 	}
 }
 
-func TestGatherScatterElems(t *testing.T) {
-	src := []float32{0, 1, 2, 3, 4, 5, 6, 7}
-	segs := []Segment{{1, 2}, {5, 3}}
-	got, err := GatherElems(src, segs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float32{1, 2, 5, 6, 7}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("gather = %v", got)
-		}
-	}
-	dst := make([]float32, 8)
-	if err := ScatterElems(got, segs, dst); err != nil {
-		t.Fatal(err)
-	}
-	if dst[1] != 1 || dst[6] != 6 || dst[0] != 0 {
-		t.Fatalf("scatter = %v", dst)
-	}
-	if _, err := GatherElems(src, []Segment{{7, 3}}); err == nil {
-		t.Fatal("out-of-bounds gather accepted")
-	}
-	if err := ScatterElems(got, []Segment{{7, 5}}, dst); err == nil {
-		t.Fatal("out-of-bounds scatter accepted")
-	}
-}
-
 // Property: Pack then Unpack into a zeroed buffer reproduces exactly the
 // selected units and nothing else.
 func TestQuickPackUnpack(t *testing.T) {

@@ -38,35 +38,3 @@ func Unpack(src []byte, d Datatype, count int64, dst []byte) error {
 	}
 	return nil
 }
-
-// GatherElems collects the elements selected by segs (element units) from
-// src into a new slice, in segment order. The flexible PnetCDF API uses it
-// to linearize noncontiguous user memory.
-func GatherElems[T any](src []T, segs []Segment) ([]T, error) {
-	var n int64
-	for _, s := range segs {
-		n += s.Len
-	}
-	out := make([]T, 0, n)
-	for _, s := range segs {
-		if s.Off < 0 || s.Off+s.Len > int64(len(src)) {
-			return nil, fmt.Errorf("mpitype: element segment %+v outside buffer of %d", s, len(src))
-		}
-		out = append(out, src[s.Off:s.Off+s.Len]...)
-	}
-	return out, nil
-}
-
-// ScatterElems writes contiguous elements of src into the positions selected
-// by segs within dst — the inverse of GatherElems.
-func ScatterElems[T any](src []T, segs []Segment, dst []T) error {
-	pos := int64(0)
-	for _, s := range segs {
-		if s.Off < 0 || s.Off+s.Len > int64(len(dst)) {
-			return fmt.Errorf("mpitype: element segment %+v outside buffer of %d", s, len(dst))
-		}
-		copy(dst[s.Off:s.Off+s.Len], src[pos:pos+s.Len])
-		pos += s.Len
-	}
-	return nil
-}

@@ -6,56 +6,8 @@ import (
 	"pnetcdf/internal/access"
 	"pnetcdf/internal/bufpool"
 	"pnetcdf/internal/cdf"
-	"pnetcdf/internal/mpitype"
 	"pnetcdf/internal/nctype"
 )
-
-// --- Inquiry functions (category 4 of the serial API) ---
-
-// NumDims returns the number of dimensions.
-func (d *Dataset) NumDims() int { return len(d.hdr.Dims) }
-
-// NumVars returns the number of variables.
-func (d *Dataset) NumVars() int { return len(d.hdr.Vars) }
-
-// NumRecs returns the current record count.
-func (d *Dataset) NumRecs() int64 { return d.hdr.NumRecs }
-
-// UnlimitedDimID returns the record dimension's ID, or -1.
-func (d *Dataset) UnlimitedDimID() int { return d.hdr.UnlimitedDimID() }
-
-// DimID looks a dimension up by name (-1 if absent).
-func (d *Dataset) DimID(name string) int { return d.hdr.FindDim(name) }
-
-// VarID looks a variable up by name (-1 if absent).
-func (d *Dataset) VarID(name string) int { return d.hdr.FindVar(name) }
-
-// InqDim returns a dimension's name and length.
-func (d *Dataset) InqDim(dimid int) (string, int64, error) {
-	if dimid < 0 || dimid >= len(d.hdr.Dims) {
-		return "", 0, nctype.ErrNotDim
-	}
-	dim := d.hdr.Dims[dimid]
-	return dim.Name, dim.Len, nil
-}
-
-// InqVar returns a variable's name, type and dimension IDs.
-func (d *Dataset) InqVar(varid int) (string, nctype.Type, []int, error) {
-	if varid < 0 || varid >= len(d.hdr.Vars) {
-		return "", 0, nil, nctype.ErrNotVar
-	}
-	v := &d.hdr.Vars[varid]
-	return v.Name, v.Type, append([]int(nil), v.DimIDs...), nil
-}
-
-// VarShape returns a variable's current dimension lengths (records expanded
-// to NumRecs).
-func (d *Dataset) VarShape(varid int) ([]int64, error) {
-	if varid < 0 || varid >= len(d.hdr.Vars) {
-		return nil, nctype.ErrNotVar
-	}
-	return d.hdr.VarShape(&d.hdr.Vars[varid]), nil
-}
 
 // --- Buffer plumbing shared with the parallel library ---
 
@@ -125,77 +77,6 @@ func MakeLike(data any, n int64) (any, error) {
 	return nil, fmt.Errorf("%w: %T", nctype.ErrTypeMismatch, data)
 }
 
-// GatherAny linearizes the elements selected by segs from any supported
-// slice type.
-func GatherAny(data any, segs []mpitype.Segment) (any, error) {
-	switch s := data.(type) {
-	case []int8:
-		return mpitype.GatherElems(s, segs)
-	case []int16:
-		return mpitype.GatherElems(s, segs)
-	case []int32:
-		return mpitype.GatherElems(s, segs)
-	case []int64:
-		return mpitype.GatherElems(s, segs)
-	case []uint8:
-		return mpitype.GatherElems(s, segs)
-	case []uint16:
-		return mpitype.GatherElems(s, segs)
-	case []uint32:
-		return mpitype.GatherElems(s, segs)
-	case []uint64:
-		return mpitype.GatherElems(s, segs)
-	case []float32:
-		return mpitype.GatherElems(s, segs)
-	case []float64:
-		return mpitype.GatherElems(s, segs)
-	}
-	return nil, fmt.Errorf("%w: %T", nctype.ErrTypeMismatch, data)
-}
-
-// ScatterAny writes linearized elements back into the positions selected by
-// segs within dst.
-func ScatterAny(src any, segs []mpitype.Segment, dst any) error {
-	switch s := src.(type) {
-	case []int8:
-		return mpitype.ScatterElems(s, segs, dst.([]int8))
-	case []int16:
-		return mpitype.ScatterElems(s, segs, dst.([]int16))
-	case []int32:
-		return mpitype.ScatterElems(s, segs, dst.([]int32))
-	case []int64:
-		return mpitype.ScatterElems(s, segs, dst.([]int64))
-	case []uint8:
-		return mpitype.ScatterElems(s, segs, dst.([]uint8))
-	case []uint16:
-		return mpitype.ScatterElems(s, segs, dst.([]uint16))
-	case []uint32:
-		return mpitype.ScatterElems(s, segs, dst.([]uint32))
-	case []uint64:
-		return mpitype.ScatterElems(s, segs, dst.([]uint64))
-	case []float32:
-		return mpitype.ScatterElems(s, segs, dst.([]float32))
-	case []float64:
-		return mpitype.ScatterElems(s, segs, dst.([]float64))
-	}
-	return fmt.Errorf("%w: %T", nctype.ErrTypeMismatch, src)
-}
-
-// PackFlex appends the external representation of the elements selected by
-// memsegs (element units) from data to dst: the pack half of every
-// flexible/imap access, shared by the serial and parallel libraries. The
-// conversion runs run-length over the flattened typemap — one encode pass
-// per contiguous run, no gathered intermediate.
-func PackFlex(dst []byte, t nctype.Type, data any, memsegs []mpitype.Segment) ([]byte, error) {
-	return cdf.EncodeSegs(dst, t, data, memsegs)
-}
-
-// UnpackFlex decodes external bytes and scatters the values into the
-// positions selected by memsegs within data — the inverse of PackFlex.
-func UnpackFlex(src []byte, t nctype.Type, memsegs []mpitype.Segment, data any) error {
-	return cdf.DecodeSegs(src, t, memsegs, data)
-}
-
 // --- Data access functions (category 5) ---
 
 // PutVara writes a whole subarray: the (start, count) access method.
@@ -231,26 +112,18 @@ func (d *Dataset) GetVarm(varid int, start, count, stride, imap []int64, data an
 
 // PutVar1 writes a single element.
 func (d *Dataset) PutVar1(varid int, index []int64, data any) error {
-	ones := make([]int64, len(index))
-	for i := range ones {
-		ones[i] = 1
-	}
-	return d.put(varid, index, ones, nil, nil, data)
+	return d.put(varid, index, cdf.OnesLike(index), nil, nil, data)
 }
 
 // GetVar1 reads a single element.
 func (d *Dataset) GetVar1(varid int, index []int64, data any) error {
-	ones := make([]int64, len(index))
-	for i := range ones {
-		ones[i] = 1
-	}
-	return d.get(varid, index, ones, nil, nil, data)
+	return d.get(varid, index, cdf.OnesLike(index), nil, nil, data)
 }
 
 // PutVar writes the entire variable (all current records for record
 // variables).
 func (d *Dataset) PutVar(varid int, data any) error {
-	start, count, err := d.wholeVar(varid, data)
+	start, count, err := d.Hdr.WholeVar(varid, data)
 	if err != nil {
 		return err
 	}
@@ -259,53 +132,25 @@ func (d *Dataset) PutVar(varid int, data any) error {
 
 // GetVar reads the entire variable.
 func (d *Dataset) GetVar(varid int, data any) error {
-	start, count, err := d.wholeVar(varid, data)
+	start, count, err := d.Hdr.WholeVar(varid, data)
 	if err != nil {
 		return err
 	}
 	return d.get(varid, start, count, nil, nil, data)
 }
 
-func (d *Dataset) wholeVar(varid int, data any) ([]int64, []int64, error) {
-	if varid < 0 || varid >= len(d.hdr.Vars) {
-		return nil, nil, nctype.ErrNotVar
-	}
-	v := &d.hdr.Vars[varid]
-	shape := d.hdr.VarShape(v)
-	start := make([]int64, len(shape))
-	if d.hdr.IsRecordVar(v) && len(shape) > 0 && shape[0] == 0 {
-		// Writing a whole fresh record variable: infer the record count from
-		// the buffer length.
-		inner := int64(1)
-		for _, s := range shape[1:] {
-			inner *= s
-		}
-		if inner > 0 {
-			shape[0] = int64(cdf.SliceLen(data)) / inner
-		}
-	}
-	return start, shape, nil
-}
-
-func (d *Dataset) varByID(varid int) (*cdf.Var, error) {
-	if varid < 0 || varid >= len(d.hdr.Vars) {
-		return nil, nctype.ErrNotVar
-	}
-	return &d.hdr.Vars[varid], nil
-}
-
 func (d *Dataset) put(varid int, start, count, stride, imap []int64, data any) error {
-	if err := d.checkData(); err != nil {
+	if err := d.Mode.CheckData(); err != nil {
 		return err
 	}
-	if d.ro {
+	if d.Mode.ReadOnly {
 		return nctype.ErrPerm
 	}
-	v, err := d.varByID(varid)
+	v, err := d.Hdr.VarByID(varid)
 	if err != nil {
 		return err
 	}
-	req, err := access.Validate(d.hdr, v, start, count, stride, true)
+	req, err := access.Validate(d.Hdr, v, start, count, stride, true)
 	if err != nil {
 		return err
 	}
@@ -326,19 +171,19 @@ func (d *Dataset) put(varid int, start, count, stride, imap []int64, data any) e
 		}
 		ext, encErr = cdf.EncodeSlice(ext, v.Type, linear)
 	} else {
-		ext, encErr = PackFlex(ext, v.Type, data, memsegs)
+		ext, encErr = cdf.EncodeSegs(ext, v.Type, data, memsegs)
 	}
 	if encErr != nil && encErr != cdf.ErrRange {
 		return encErr
 	}
 	// Grow records first (with fill if enabled) so concurrent record
 	// variables keep a consistent record count.
-	if req.LastRecord >= d.hdr.NumRecs {
+	if req.LastRecord >= d.Hdr.NumRecs {
 		if err := d.growRecords(req.LastRecord + 1); err != nil {
 			return err
 		}
 	}
-	segs := access.FileSegments(d.hdr, v, req)
+	segs := access.FileSegments(d.Hdr, v, req)
 	pos := int64(0)
 	for _, s := range segs {
 		if err := d.cache.WriteAt(ext[pos:pos+s.Len], s.Off); err != nil {
@@ -350,18 +195,18 @@ func (d *Dataset) put(varid int, start, count, stride, imap []int64, data any) e
 }
 
 func (d *Dataset) get(varid int, start, count, stride, imap []int64, data any) error {
-	if err := d.checkData(); err != nil {
+	if err := d.Mode.CheckData(); err != nil {
 		return err
 	}
-	v, err := d.varByID(varid)
+	v, err := d.Hdr.VarByID(varid)
 	if err != nil {
 		return err
 	}
-	req, err := access.Validate(d.hdr, v, start, count, stride, false)
+	req, err := access.Validate(d.Hdr, v, start, count, stride, false)
 	if err != nil {
 		return err
 	}
-	segs := access.FileSegments(d.hdr, v, req)
+	segs := access.FileSegments(d.Hdr, v, req)
 	// Pooled and dirty: the segment reads fill every byte.
 	ext := bufpool.GetDirty(int(req.NElems) * v.Type.Size())
 	defer bufpool.Put(ext)
@@ -383,25 +228,25 @@ func (d *Dataset) get(varid int, start, count, stride, imap []int64, data any) e
 	if err != nil {
 		return err
 	}
-	return UnpackFlex(ext, v.Type, memsegs, data)
+	return cdf.DecodeSegs(ext, v.Type, memsegs, data)
 }
 
 // growRecords extends NumRecs to n, prefilling the new records when fill
 // mode is on.
 func (d *Dataset) growRecords(n int64) error {
-	from := d.hdr.NumRecs
-	d.hdr.NumRecs = n
+	from := d.Hdr.NumRecs
+	d.Hdr.NumRecs = n
 	if d.fill != Fill {
 		return nil
 	}
-	for i := range d.hdr.Vars {
-		v := &d.hdr.Vars[i]
-		if !d.hdr.IsRecordVar(v) {
+	for i := range d.Hdr.Vars {
+		v := &d.Hdr.Vars[i]
+		if !d.Hdr.IsRecordVar(v) {
 			continue
 		}
-		fillBuf := cdf.FillBytes(v, d.hdr.VarSlotSize(v)/int64(v.Type.Size()))
+		fillBuf := cdf.FillBytes(v, d.Hdr.VarSlotSize(v)/int64(v.Type.Size()))
 		for rec := from; rec < n; rec++ {
-			if err := d.cache.WriteAt(fillBuf, d.hdr.RecordOffset(v, rec)); err != nil {
+			if err := d.cache.WriteAt(fillBuf, d.Hdr.RecordOffset(v, rec)); err != nil {
 				return err
 			}
 		}
@@ -412,9 +257,9 @@ func (d *Dataset) growRecords(n int64) error {
 // fillFixedVars writes fill values into every fixed variable (EndDef with
 // fill mode on). Only variables new since the last define mode are filled.
 func (d *Dataset) fillFixedVars() error {
-	for i := range d.hdr.Vars {
-		v := &d.hdr.Vars[i]
-		if d.hdr.IsRecordVar(v) {
+	for i := range d.Hdr.Vars {
+		v := &d.Hdr.Vars[i]
+		if d.Hdr.IsRecordVar(v) {
 			continue
 		}
 		if d.prevVars != nil && d.prevVars[v.Name] {

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"pnetcdf/internal/cdf"
-	"pnetcdf/internal/mpitype"
 	"pnetcdf/internal/nctype"
 )
 
@@ -911,7 +910,7 @@ func TestRedefShrinksHeaderAndRelocates(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	before := d.hdr.Vars[a].Begin
+	before := d.Hdr.Vars[a].Begin
 	if err := d.Redef(); err != nil {
 		t.Fatal(err)
 	}
@@ -924,7 +923,7 @@ func TestRedefShrinksHeaderAndRelocates(t *testing.T) {
 	if err := d.EndDef(); err != nil {
 		t.Fatal(err)
 	}
-	if after := d.hdr.Vars[a].Begin; after >= before {
+	if after := d.Hdr.Vars[a].Begin; after >= before {
 		t.Fatalf("a begins at %d after the header shrank, %d before: nothing moved back", after, before)
 	}
 	check := func(what string, got []int32, base int32) {
@@ -1008,8 +1007,7 @@ func TestGetVarWholeRecordVariable(t *testing.T) {
 }
 
 func TestBufferPlumbingAllTypes(t *testing.T) {
-	// MakeLike/GatherAny/ScatterAny must support every memory type.
-	segs := []mpitype.Segment{{Off: 1, Len: 2}}
+	// MakeLike and SliceHead must support every memory type.
 	bufs := []any{
 		[]int8{1, 2, 3}, []int16{1, 2, 3}, []int32{1, 2, 3}, []int64{1, 2, 3},
 		[]uint8{1, 2, 3}, []uint16{1, 2, 3}, []uint32{1, 2, 3}, []uint64{1, 2, 3},
@@ -1020,30 +1018,25 @@ func TestBufferPlumbingAllTypes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("MakeLike(%T): %v", b, err)
 		}
-		g, err := GatherAny(b, segs)
+		if fmt.Sprintf("%T", m) != fmt.Sprintf("%T", b) || cdf.SliceLen(m) != 2 {
+			t.Fatalf("MakeLike(%T) made a %T of %d", b, m, cdf.SliceLen(m))
+		}
+		h, err := SliceHead(b, 2)
 		if err != nil {
-			t.Fatalf("GatherAny(%T): %v", b, err)
+			t.Fatalf("SliceHead(%T): %v", b, err)
 		}
-		if cdf.SliceLen(g) != 2 {
-			t.Fatalf("gathered %T len %d", b, cdf.SliceLen(g))
+		if fmt.Sprintf("%T", h) != fmt.Sprintf("%T", b) || cdf.SliceLen(h) != 2 {
+			t.Fatalf("SliceHead(%T) gave a %T of %d", b, h, cdf.SliceLen(h))
 		}
-		if err := ScatterAny(g, segs, m); err == nil {
-			// m has 2 elements but segs targets offset 1..3: must error.
-			t.Fatalf("ScatterAny(%T) accepted out-of-bounds", b)
-		}
-		dst, _ := MakeLike(b, 3)
-		if err := ScatterAny(g, segs, dst); err != nil {
-			t.Fatalf("ScatterAny(%T): %v", b, err)
+		if _, err := SliceHead(b, 4); !errors.Is(err, nctype.ErrCountMismatch) {
+			t.Fatalf("SliceHead(%T) past its end: %v", b, err)
 		}
 	}
 	if _, err := MakeLike(struct{}{}, 1); err == nil {
 		t.Fatal("MakeLike accepted unsupported type")
 	}
-	if _, err := GatherAny("strings unsupported here", segs); err == nil {
-		t.Fatal("GatherAny accepted string")
-	}
-	if err := ScatterAny("nope", segs, "nope"); err == nil {
-		t.Fatal("ScatterAny accepted string")
+	if _, err := SliceHead(struct{}{}, 0); err == nil {
+		t.Fatal("SliceHead accepted unsupported type")
 	}
 }
 

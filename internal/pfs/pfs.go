@@ -293,12 +293,6 @@ func (f *File) ReadAt(t float64, p []byte, off int64) (float64, error) {
 	return f.ReadVec(t, []Segment{{Off: off, Len: int64(len(p))}}, [][]byte{p})
 }
 
-// WriteV writes the segments, taking consecutive bytes from src, as one
-// request batch.
-func (f *File) WriteV(t float64, segs []Segment, src []byte) (float64, error) {
-	return f.WriteVec(t, segs, [][]byte{src})
-}
-
 // ReadV reads the segments into consecutive bytes of dst as one request
 // batch.
 func (f *File) ReadV(t float64, segs []Segment, dst []byte) (float64, error) {
@@ -356,8 +350,8 @@ func (c *iovCursor) skip(n int64) {
 
 // WriteVec writes the segments, taking consecutive bytes from the iovec, as
 // one request batch. Segments should be sorted and non-overlapping; the cost
-// model charges one seek per (merged) extent per server, identically to an
-// equivalent WriteV — the iovec only removes the caller's coalescing copy.
+// model charges one seek per (merged) extent per server, however the iovec
+// divides the bytes — it only removes the caller's coalescing copy.
 // The iovec's total length must equal the segments' total length; entry
 // boundaries need not align with segment boundaries.
 //

@@ -89,7 +89,7 @@ func TestVectoredIO(t *testing.T) {
 	f, _ := fs.Create("f", 0)
 	segs := []Segment{{Off: 10, Len: 4}, {Off: 100, Len: 6}, {Off: 1 << 20, Len: 5}}
 	src := []byte("aaaabbbbbbccccc")
-	f.WriteV(0, segs, src)
+	f.WriteVec(0, segs, [][]byte{src})
 	dst := make([]byte, len(src))
 	f.ReadV(0, segs, dst)
 	if !bytes.Equal(dst, src) {
@@ -150,7 +150,7 @@ func TestAggregateBandwidthSaturates(t *testing.T) {
 	fs := testFS()
 	f, _ := fs.Create("f", 0)
 	nbytes := int64(256 << 20)
-	done, _ := f.WriteV(0, []Segment{{Off: 0, Len: nbytes}}, make([]byte, nbytes))
+	done, _ := f.WriteAt(0, make([]byte, nbytes), 0)
 	bw := float64(nbytes) / done
 	if bw > fs.PeakWriteBW()*1.01 {
 		t.Fatalf("write bandwidth %.0f exceeds peak %.0f", bw, fs.PeakWriteBW())
@@ -171,7 +171,7 @@ func TestManyClientsBeatOneClient(t *testing.T) {
 
 	oneFS := New(cfg)
 	f1, _ := oneFS.Create("f", 0)
-	oneDone, _ := f1.WriteV(0, []Segment{{Off: 0, Len: total}}, make([]byte, total))
+	oneDone, _ := f1.WriteAt(0, make([]byte, total), 0)
 
 	nClients := 8
 	manyFS := New(cfg)
@@ -184,7 +184,7 @@ func TestManyClientsBeatOneClient(t *testing.T) {
 		go func(c int) {
 			defer wg.Done()
 			off := int64(c) * share
-			dones[c], _ = f2.WriteV(0, []Segment{{Off: off, Len: share}}, make([]byte, share))
+			dones[c], _ = f2.WriteAt(0, make([]byte, share), off)
 		}(c)
 	}
 	wg.Wait()
@@ -208,7 +208,7 @@ func TestSeekPenaltyForDiscontiguity(t *testing.T) {
 
 	fsA := New(cfg)
 	fA, _ := fsA.Create("f", 0)
-	contig, _ := fA.WriteV(0, []Segment{{Off: 0, Len: total}}, make([]byte, total))
+	contig, _ := fA.WriteAt(0, make([]byte, total), 0)
 
 	fsB := New(cfg)
 	fB, _ := fsB.Create("f", 0)
@@ -218,7 +218,7 @@ func TestSeekPenaltyForDiscontiguity(t *testing.T) {
 	for i := range segs {
 		segs[i] = Segment{Off: int64(i) * segLen * 3, Len: segLen} // strided
 	}
-	scattered, _ := fB.WriteV(0, segs, make([]byte, total))
+	scattered, _ := fB.WriteVec(0, segs, [][]byte{make([]byte, total)})
 
 	if scattered < 3*contig {
 		t.Fatalf("scattered (%.4fs) not clearly slower than contiguous (%.4fs)", scattered, contig)
@@ -230,7 +230,7 @@ func TestReadsFasterThanWrites(t *testing.T) {
 	f, _ := fs.Create("f", 0)
 	n := int64(32 << 20)
 	buf := make([]byte, n)
-	wDone, _ := f.WriteV(0, []Segment{{Off: 0, Len: n}}, buf)
+	wDone, _ := f.WriteAt(0, buf, 0)
 	fs.ResetClock()
 	rDone, _ := f.ReadV(0, []Segment{{Off: 0, Len: n}}, buf)
 	if rDone >= wDone {
@@ -426,7 +426,6 @@ func TestEveryMethodIsCharged(t *testing.T) {
 		"File.ReadVec":      {do: func(f *File, t float64, p []byte) (float64, error) { return f.ReadVec(t, one, halves(p)) }, read: true},
 		"SerialFile.ReadAt": {do: serial(func(s *SerialFile, p []byte) (int, error) { return s.ReadAt(p, 0) }), read: true},
 		"File.WriteAt":      {do: func(f *File, t float64, p []byte) (float64, error) { return f.WriteAt(t, p, 0) }},
-		"File.WriteV":       {do: func(f *File, t float64, p []byte) (float64, error) { return f.WriteV(t, one, p) }},
 		"File.WriteVec":     {do: func(f *File, t float64, p []byte) (float64, error) { return f.WriteVec(t, one, halves(p)) }},
 		"File.WriteBehind": {do: func(f *File, t float64, p []byte) (float64, error) {
 			_, done, err := f.WriteBehind(t, one, halves(p))
@@ -518,11 +517,11 @@ func TestUnalignedWritePaysRMW(t *testing.T) {
 
 	fsA := New(cfg)
 	fa, _ := fsA.Create("a", 0)
-	aligned, _ := fa.WriteV(0, []Segment{{Off: 0, Len: n}}, make([]byte, n))
+	aligned, _ := fa.WriteAt(0, make([]byte, n), 0)
 
 	fsB := New(cfg)
 	fb, _ := fsB.Create("b", 0)
-	misaligned, _ := fb.WriteV(0, []Segment{{Off: stripe / 2, Len: n}}, make([]byte, n))
+	misaligned, _ := fb.WriteAt(0, make([]byte, n), stripe/2)
 
 	if misaligned <= aligned {
 		t.Fatalf("misaligned write (%.5fs) not costlier than aligned (%.5fs)", misaligned, aligned)
