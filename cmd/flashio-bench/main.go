@@ -59,7 +59,7 @@ var (
 	jsonOut   = flag.String("json", "", "write machine-readable results (implies -stats) to this file")
 	faultRate = flag.Float64("fault-rate", 0, "transient-fault probability per 64 KiB transferred (0 disables injection)")
 	cbBuf     = flag.Int64("cb-buffer-size", 0, "aggregator staging-buffer bytes per two-phase round (default: library default; small values force multi-round collectives)")
-	cbNodes   = flag.Int("cb-nodes", 0, "number of collective-buffering aggregators (default: library default; ROMIO practice is the I/O-node count)")
+	cbNodes   = flag.Int("cb-nodes", 0, "collective-buffering aggregators of both reads and writes (default: a read one per rank, a write one per I/O server, at most one per rank)")
 	outFile   = flag.String("out", "", "dump the raw image of each PnetCDF output file to this path (disables Discard; last run wins)")
 	faultSeed = flag.Uint64("fault-seed", 1, "seed for the deterministic fault schedule")
 	killRank  = flag.Int("kill-rank", -1, "world rank to kill at -kill-point during the PnetCDF runs (-1 disables)")

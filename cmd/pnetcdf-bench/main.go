@@ -22,6 +22,7 @@ import (
 
 	"pnetcdf/internal/bench"
 	"pnetcdf/internal/cmdutil"
+	"pnetcdf/internal/flash"
 	"pnetcdf/internal/iostat"
 	"pnetcdf/internal/span"
 )
@@ -134,6 +135,9 @@ func runAblations(m bench.MachineSpec) {
 		func() (bench.AblationResult, error) { return bench.AblationLayout(m, 8) },
 		func() (bench.AblationResult, error) { return bench.AblationPrefetch(m, 8, 200) },
 		func() (bench.AblationResult, error) { return bench.AblationVarAlign(m, 16, 4) },
+		func() (bench.AblationResult, error) {
+			return bench.AblationWriteAggregators(bench.ASCIFrost(), flash.Default8(), 8)
+		},
 	} {
 		res, err := r()
 		cmdutil.Fatal(tool, err)

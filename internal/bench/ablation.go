@@ -2,8 +2,10 @@ package bench
 
 import (
 	"fmt"
+	"strconv"
 
 	"pnetcdf/internal/core"
+	"pnetcdf/internal/flash"
 	"pnetcdf/internal/mpi"
 	"pnetcdf/internal/mpiio"
 	"pnetcdf/internal/nctype"
@@ -336,4 +338,25 @@ func AblationLayout(m MachineSpec, nprocs int) (AblationResult, error) {
 		return AblationResult{}, err
 	}
 	return AblationResult{Name: "linear layout vs dispersed", Chosen: nc.Seconds, Baseline: h5.Seconds}, nil
+}
+
+// AblationWriteAggregators measures the default count of collective-write
+// aggregators — one per I/O server — against one per rank, which an explicit
+// cb_nodes equal to the rank count still gives, on a FLASH checkpoint. Each
+// file domain touches every server it spans with a request of its own, so
+// fewer, wider domains cost the servers fewer seeks; the write-behind keeps
+// the wider domain's longer client-link transfer off the aggregators' clocks
+// (DESIGN.md §12).
+func AblationWriteAggregators(m MachineSpec, cfg flash.Config, nprocs int) (AblationResult, error) {
+	opt := Fig7Options{Machine: m, Config: cfg, File: FlashCheckpoint, Discard: true}
+	perServer, _, err := runFlashOnce(opt, nprocs, false)
+	if err != nil {
+		return AblationResult{}, err
+	}
+	opt.Hints = mpi.NewInfo().Set("cb_nodes", strconv.Itoa(nprocs))
+	perRank, _, err := runFlashOnce(opt, nprocs, false)
+	if err != nil {
+		return AblationResult{}, fmt.Errorf("cb_nodes=%d: %w", nprocs, err)
+	}
+	return AblationResult{Name: "write aggregators: one per server (Frost FLASH)", Chosen: perServer.Seconds, Baseline: perRank.Seconds}, nil
 }

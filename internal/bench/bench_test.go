@@ -226,3 +226,17 @@ func TestAblationVarAlign(t *testing.T) {
 		t.Fatalf("var alignment not a win for independent writes: %v", res)
 	}
 }
+
+// One write aggregator per I/O server beats one per rank on a FLASH
+// checkpoint of ten-stripe unknowns on the two-server Frost model: the
+// servers take two requests per unknown instead of five.
+func TestAblationWriteAggregators(t *testing.T) {
+	cfg := flash.Config{NXB: 8, NYB: 8, NZB: 8, NGuard: 4, NVar: 6, NPlotVar: 2, BlocksPerProc: 80}
+	res, err := AblationWriteAggregators(ASCIFrost(), cfg, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Speedup() <= 1 {
+		t.Fatalf("one write aggregator per server not a win: %v", res)
+	}
+}

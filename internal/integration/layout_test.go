@@ -113,33 +113,40 @@ func layoutCfg(nranks int) flash.Config {
 
 // TestDefaultLayoutIsFunctionOfSchema: the aligned file's bytes depend on the
 // logical contents and the striping unit — not on how many ranks wrote it,
-// how many aggregators or rounds the collectives took, or on hints the
-// library no longer knows (retiredHints: the file and the resolved hint set
-// are what they are without them).
+// how many aggregators or rounds the collectives took, how many I/O servers
+// the file system has (and so how many aggregators a write takes by
+// default), or on hints the library no longer knows (retiredHints: the file
+// and the resolved hint set are what they are without them).
 func TestDefaultLayoutIsFunctionOfSchema(t *testing.T) {
 	var want [32]byte
 	for i, tc := range []struct {
-		nranks int
-		hints  [][2]string
+		nranks  int
+		hints   [][2]string
+		servers int // 0: smallStripes()'s
 	}{
-		{8, nil},
-		{1, nil},
-		{2, nil},
-		{4, nil},
-		{8, [][2]string{{"cb_nodes", "1"}}},
-		{8, [][2]string{{"cb_nodes", "2"}}},
-		{8, [][2]string{{"cb_nodes", "8"}, {"cb_buffer_size", "8192"}}}, // many rounds
-		{4, [][2]string{{"cb_nodes", "2"}, {"cb_buffer_size", "65536"}}},
-		{8, [][2]string{{"cb_partition", "even"}}},
-		{8, retiredHints},
-		{4, [][2]string{retiredHints[0], {"cb_nodes", "2"}, {"cb_buffer_size", "8192"}}},
-		{2, [][2]string{{"romio_cb_write", "disable"}}},
+		{8, nil, 0},
+		{8, nil, 2}, // a write aggregator per server: two, not eight
+		{1, nil, 0},
+		{2, nil, 0},
+		{4, nil, 0},
+		{8, [][2]string{{"cb_nodes", "1"}}, 0},
+		{8, [][2]string{{"cb_nodes", "2"}}, 0},
+		{8, [][2]string{{"cb_nodes", "8"}, {"cb_buffer_size", "8192"}}, 0}, // many rounds
+		{4, [][2]string{{"cb_nodes", "2"}, {"cb_buffer_size", "65536"}}, 0},
+		{8, [][2]string{{"cb_partition", "even"}}, 0},
+		{8, retiredHints, 0},
+		{4, [][2]string{retiredHints[0], {"cb_nodes", "2"}, {"cb_buffer_size", "8192"}}, 0},
+		{2, [][2]string{{"romio_cb_write", "disable"}}, 0},
 	} {
 		info, known := sweepHints(tc.hints)
 		if got, want := resolvedHints(t, tc.nranks, info), resolvedHints(t, tc.nranks, known); got != want {
 			t.Errorf("%d ranks, hints %v: resolved to %+v, without the retired ones to %+v", tc.nranks, tc.hints, got, want)
 		}
-		img, _, _ := writeCheckpoint(t, smallStripes(), tc.nranks, layoutCfg(tc.nranks), info)
+		fscfg := smallStripes()
+		if tc.servers != 0 {
+			fscfg.NumServers = tc.servers
+		}
+		img, _, _ := writeCheckpoint(t, fscfg, tc.nranks, layoutCfg(tc.nranks), info)
 		sum := sha256.Sum256(img)
 		if i == 0 {
 			want = sum
@@ -153,7 +160,8 @@ func TestDefaultLayoutIsFunctionOfSchema(t *testing.T) {
 			continue
 		}
 		if sum != want {
-			t.Errorf("%d ranks, hints %v: SHA-256 %x, the 8-rank default file has %x", tc.nranks, tc.hints, sum, want)
+			t.Errorf("%d ranks on %d servers, hints %v: SHA-256 %x, the 8-rank default file has %x",
+				tc.nranks, fscfg.NumServers, tc.hints, sum, want)
 		}
 	}
 }

@@ -171,7 +171,7 @@ func (f *File) WriteAtAllFrom(off, n int64, src Source) error {
 func (f *File) collWriteSegs(segs []pfs.Segment, src Source, vErr error, prog *ftProgress, t0 float64) error {
 	n := segsLen(segs)
 	sPlan := f.sp.Begin(span.Plan)
-	plan, ok, err := f.collectivePlan(segs, vErr)
+	plan, ok, err := f.collectivePlan(segs, vErr, true)
 	sPlan.End()
 	if err != nil {
 		return f.agreeAbort(err)
@@ -320,7 +320,7 @@ func (f *File) ReadAtAllInto(off, n int64, dst Sink) error {
 func (f *File) collReadSegs(segs []pfs.Segment, dst Sink, vErr error, prog *ftProgress, t0 float64) error {
 	n := segsLen(segs)
 	sPlan := f.sp.Begin(span.Plan)
-	plan, ok, err := f.collectivePlan(segs, vErr)
+	plan, ok, err := f.collectivePlan(segs, vErr, false)
 	sPlan.End()
 	if err != nil {
 		return f.agreeAbort(err)
@@ -464,14 +464,16 @@ func (f *File) countRounds(plan collectivePlan) {
 	}
 }
 
-// collectivePlan agrees on the aggregate range and domain layout. Returns
-// ok=false when no rank has any data (all ranks agree on that too).
+// collectivePlan agrees on the aggregate range and domain layout of a
+// collective write (write) or read: the two differ only in how many
+// aggregators the hints give them. Returns ok=false when no rank has any
+// data (all ranks agree on that too).
 // localErr folds each rank's view-flattening error status into the same
 // allreduce that agrees the range: a failed rank contributes an empty
 // range plus an error flag, so every rank learns of the failure without an
 // extra collective and nobody starts exchanging rounds with a rank that
 // already bailed.
-func (f *File) collectivePlan(segs []pfs.Segment, localErr error) (collectivePlan, bool, error) {
+func (f *File) collectivePlan(segs []pfs.Segment, localErr error, write bool) (collectivePlan, bool, error) {
 	// Empty requests contribute (MaxInt64, 0); offsets are non-negative, so
 	// negating hi for the min-reduction stays in range.
 	lo, hi := int64(math.MaxInt64), int64(0)
@@ -496,7 +498,12 @@ func (f *File) collectivePlan(segs []pfs.Segment, localErr error) (collectivePla
 		return collectivePlan{}, false, nil
 	}
 	size := f.comm.Size()
-	naggs := min(f.hints.CBNodes, size)
+	naggs := f.hints.CBNodes
+	if write {
+		naggs = f.hints.CBWriteNodes
+	}
+	// A failover replans on the survivors, which can be fewer.
+	naggs = min(naggs, size)
 	stripe := f.fs.Config().StripeSize
 	bounds := evenBounds(gmin, gmax, naggs, stripe)
 	aggRanks := evenAggRanks(naggs, size)

@@ -45,8 +45,12 @@ var (
 
 // Hints is the resolved set of I/O tuning knobs for one open file.
 type Hints struct {
-	// CBNodes is the number of collective-buffering aggregators.
+	// CBNodes is the number of collective-buffering aggregators of a
+	// collective read: cb_nodes, or every rank.
 	CBNodes int
+	// CBWriteNodes is the number of aggregators of a collective write:
+	// cb_nodes, or one per I/O server — min(ranks, striping_factor).
+	CBWriteNodes int
 	// CBBufferSize bounds each aggregator's per-round staging buffer.
 	CBBufferSize int64
 	// CBRead/CBWrite enable two-phase collective buffering.
@@ -60,9 +64,15 @@ type Hints struct {
 	IndWrBufferSize int64
 }
 
-func resolveHints(comm *mpi.Comm, info *mpi.Info) Hints {
+// resolveHints resolves info on comm for a file system of factor I/O
+// servers. Without cb_nodes a read spreads over every rank, because a rank's
+// client link is on its clock while it reads; a write, whose link runs behind
+// the clock (DESIGN.md §13), has one aggregator per server, so each server
+// takes few large requests rather than one per rank (DESIGN.md §12).
+func resolveHints(comm *mpi.Comm, info *mpi.Info, factor int) Hints {
 	h := Hints{
 		CBNodes:         comm.Size(),
+		CBWriteNodes:    min(comm.Size(), factor),
 		CBBufferSize:    16 << 20,
 		CBRead:          true,
 		CBWrite:         true,
@@ -71,8 +81,9 @@ func resolveHints(comm *mpi.Comm, info *mpi.Info) Hints {
 		IndRdBufferSize: 4 << 20,
 		IndWrBufferSize: 4 << 20,
 	}
-	if n := int(info.GetInt("cb_nodes", int64(h.CBNodes))); n >= 1 {
+	if n := int(info.GetInt("cb_nodes", 0)); n >= 1 {
 		h.CBNodes = min(n, comm.Size())
+		h.CBWriteNodes = h.CBNodes
 	}
 	if v := info.GetInt("cb_buffer_size", h.CBBufferSize); v >= 4096 {
 		h.CBBufferSize = v
@@ -163,12 +174,12 @@ func Open(comm *mpi.Comm, fsys *pfs.FS, name string, amode int, info *mpi.Info) 
 			pf.Truncate(0)
 		}
 	}
-	f := &File{comm: comm, fs: fsys, pf: pf, amode: amode, hints: resolveHints(comm, info), info: info.Clone(),
+	cfg := fsys.Config()
+	f := &File{comm: comm, fs: fsys, pf: pf, amode: amode, hints: resolveHints(comm, info, cfg.NumServers), info: info.Clone(),
 		retry: fault.DefaultRetryPolicy()}
 	// As MPI_File_get_info does under ROMIO, Info reports the striping the
 	// file has; this file system stripes every file alike, so a value the
 	// caller supplied is advice it cannot take.
-	cfg := fsys.Config()
 	f.info.Set("striping_unit", strconv.FormatInt(cfg.StripeSize, 10))
 	f.info.Set("striping_factor", strconv.Itoa(cfg.NumServers))
 	f.st, f.sp = comm.Proc().Stats(), comm.Proc().Spans()

@@ -10,32 +10,44 @@ import (
 
 // resolveHints must clamp or ignore out-of-range values: more aggregators
 // than ranks clamps to the communicator size, and non-positive or
-// sub-minimum buffer sizes keep the defaults.
+// sub-minimum buffer sizes keep the defaults. Without cb_nodes a read has an
+// aggregator on every rank and a write one per I/O server, no more than there
+// are ranks; cb_nodes sets both.
 func TestResolveHintsClamping(t *testing.T) {
 	err := mpi.Run(4, mpi.DefaultNet(), func(c *mpi.Comm) error {
 		if c.Rank() != 0 {
 			return nil
 		}
-		def := resolveHints(c, nil)
-		if def.CBNodes != c.Size() {
-			t.Errorf("default CBNodes = %d, want %d", def.CBNodes, c.Size())
+		const servers = 2
+		def := resolveHints(c, nil, servers)
+		if def.CBNodes != c.Size() || def.CBWriteNodes != servers {
+			t.Errorf("default CBNodes, CBWriteNodes = %d, %d; want %d, %d", def.CBNodes, def.CBWriteNodes, c.Size(), servers)
+		}
+		for _, factor := range []int{1, 4, 12} {
+			if h := resolveHints(c, nil, factor); h.CBWriteNodes != min(c.Size(), factor) || h.CBNodes != c.Size() {
+				t.Errorf("%d servers, %d ranks: CBNodes, CBWriteNodes = %d, %d; want %d, %d",
+					factor, c.Size(), h.CBNodes, h.CBWriteNodes, c.Size(), min(c.Size(), factor))
+			}
 		}
 
-		h := resolveHints(c, mpi.NewInfo().Set("cb_nodes", "64"))
-		if h.CBNodes != c.Size() {
-			t.Errorf("cb_nodes=64 on %d ranks: CBNodes = %d, want clamp to %d",
-				c.Size(), h.CBNodes, c.Size())
+		h := resolveHints(c, mpi.NewInfo().Set("cb_nodes", "64"), servers)
+		if h.CBNodes != c.Size() || h.CBWriteNodes != c.Size() {
+			t.Errorf("cb_nodes=64 on %d ranks: CBNodes, CBWriteNodes = %d, %d; want both clamped to %d",
+				c.Size(), h.CBNodes, h.CBWriteNodes, c.Size())
 		}
 
-		h = resolveHints(c, mpi.NewInfo().Set("cb_nodes", "2"))
-		if h.CBNodes != 2 {
-			t.Errorf("cb_nodes=2: CBNodes = %d", h.CBNodes)
+		for _, n := range []int{1, 3} {
+			h = resolveHints(c, mpi.NewInfo().Set("cb_nodes", fmt.Sprint(n)), servers)
+			if h.CBNodes != n || h.CBWriteNodes != n {
+				t.Errorf("cb_nodes=%d: CBNodes, CBWriteNodes = %d, %d", n, h.CBNodes, h.CBWriteNodes)
+			}
 		}
 
 		for _, bad := range []string{"0", "-4", "junk"} {
-			h = resolveHints(c, mpi.NewInfo().Set("cb_nodes", bad))
-			if h.CBNodes != def.CBNodes {
-				t.Errorf("cb_nodes=%q: CBNodes = %d, want default %d", bad, h.CBNodes, def.CBNodes)
+			h = resolveHints(c, mpi.NewInfo().Set("cb_nodes", bad), servers)
+			if h.CBNodes != def.CBNodes || h.CBWriteNodes != def.CBWriteNodes {
+				t.Errorf("cb_nodes=%q: CBNodes, CBWriteNodes = %d, %d; want defaults %d, %d",
+					bad, h.CBNodes, h.CBWriteNodes, def.CBNodes, def.CBWriteNodes)
 			}
 		}
 
@@ -43,7 +55,7 @@ func TestResolveHintsClamping(t *testing.T) {
 			h = resolveHints(c, mpi.NewInfo().
 				Set("cb_buffer_size", bad).
 				Set("ind_rd_buffer_size", bad).
-				Set("ind_wr_buffer_size", bad))
+				Set("ind_wr_buffer_size", bad), servers)
 			if h.CBBufferSize != def.CBBufferSize {
 				t.Errorf("cb_buffer_size=%q: %d, want default %d", bad, h.CBBufferSize, def.CBBufferSize)
 			}
@@ -52,14 +64,14 @@ func TestResolveHintsClamping(t *testing.T) {
 			}
 		}
 
-		h = resolveHints(c, mpi.NewInfo().Set("cb_buffer_size", "4096"))
+		h = resolveHints(c, mpi.NewInfo().Set("cb_buffer_size", "4096"), servers)
 		if h.CBBufferSize != 4096 {
 			t.Errorf("cb_buffer_size=4096: %d", h.CBBufferSize)
 		}
 
 		// Hints are advisory: a key this library does not know changes
 		// nothing.
-		if h = resolveHints(c, mpi.NewInfo().Set("no_such_hint", "1")); h != def {
+		if h = resolveHints(c, mpi.NewInfo().Set("no_such_hint", "1"), servers); h != def {
 			t.Errorf("an unknown hint changed the resolved set: %+v, want %+v", h, def)
 		}
 		return nil

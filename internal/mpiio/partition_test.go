@@ -183,7 +183,7 @@ func TestNoRoundWithEveryWindowEmpty(t *testing.T) {
 			}
 			// Rank r holds the r-th quarter of [off, off+n).
 			lo, hi := tc.off+tc.n*int64(c.Rank())/4, tc.off+tc.n*int64(c.Rank()+1)/4
-			plan, ok, err := f.collectivePlan([]pfs.Segment{{Off: lo, Len: hi - lo}}, nil)
+			plan, ok, err := f.collectivePlan([]pfs.Segment{{Off: lo, Len: hi - lo}}, nil, true)
 			if err != nil || !ok {
 				return fmt.Errorf("collectivePlan: ok=%v err=%v", ok, err)
 			}
@@ -209,4 +209,51 @@ func TestNoRoundWithEveryWindowEmpty(t *testing.T) {
 			return f.Close()
 		})
 	}
+}
+
+// A collective write has one aggregator per I/O server, a read one per rank.
+// The case is one FLASH unknown on the Frost model: 8 ranks, 2 servers, a
+// stripe-aligned range of ten stripes. The write cuts it into two five-stripe
+// domains, so each server takes one request per domain instead of five; the
+// read keeps five two-stripe domains (the other three aggregators idle).
+func TestWritePlanHasOneAggregatorPerServer(t *testing.T) {
+	cfg := pfs.DefaultConfig()
+	cfg.NumServers = 2
+	fsys := pfs.New(cfg)
+	stripe := cfg.StripeSize
+	gmin, gmax := 3*stripe, 13*stripe
+	runWorld(t, 8, func(c *mpi.Comm) error {
+		f, err := Open(c, fsys, "unknown", ModeRdWr|ModeCreate, nil)
+		if err != nil {
+			return err
+		}
+		lo, hi := gmin+(gmax-gmin)*int64(c.Rank())/8, gmin+(gmax-gmin)*int64(c.Rank()+1)/8
+		for _, tc := range []struct {
+			write  bool
+			naggs  int
+			widths []int64 // in stripes, empty domains included
+			ranks  []int
+		}{
+			{true, 2, []int64{5, 5}, []int{0, 4}},
+			{false, 8, []int64{2, 2, 2, 2, 2, 0, 0, 0}, []int{0, 1, 2, 3, 4, 5, 6, 7}},
+		} {
+			plan, ok, err := f.collectivePlan([]pfs.Segment{{Off: lo, Len: hi - lo}}, nil, tc.write)
+			if err != nil || !ok {
+				return fmt.Errorf("write=%v: collectivePlan ok=%v err=%v", tc.write, ok, err)
+			}
+			if plan.naggs != tc.naggs {
+				return fmt.Errorf("write=%v: %d aggregators, want %d", tc.write, plan.naggs, tc.naggs)
+			}
+			checkBounds(t, fmt.Sprintf("write=%v", tc.write), plan.bounds, gmin, gmax, stripe, plan.naggs)
+			for a, w := range tc.widths {
+				if got := plan.boundary(a+1) - plan.boundary(a); got != w*stripe {
+					return fmt.Errorf("write=%v: domain %d is %d bytes, want %d stripes", tc.write, a, got, w)
+				}
+				if plan.aggRank(a) != tc.ranks[a] {
+					return fmt.Errorf("write=%v: domain %d on rank %d, want %d", tc.write, a, plan.aggRank(a), tc.ranks[a])
+				}
+			}
+		}
+		return f.Close()
+	})
 }

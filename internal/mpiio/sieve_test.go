@@ -176,7 +176,7 @@ func TestStripeAlignedDomains(t *testing.T) {
 		if err := f.SetView(12345+int64(c.Rank())*(1<<20), mpitype.Contig(1<<20)); err != nil {
 			return err
 		}
-		plan, ok, err := f.collectivePlan(mustView(f, 1<<20), nil)
+		plan, ok, err := f.collectivePlan(mustView(f, 1<<20), nil, true)
 		if err != nil {
 			return err
 		}
