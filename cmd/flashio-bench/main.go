@@ -18,6 +18,7 @@
 //	                                    # force multi-round collectives
 //	flashio-bench -out f.nc             # dump the raw output image (for
 //	                                    # ncdiff byte-identity checks)
+//	flashio-bench -queued               # every unknown queued, one WaitAll
 //	flashio-bench -kill-rank 3 -kill-point mid_exchange
 //	                                    # kill a rank mid-collective; the
 //	                                    # survivors detect, shrink and fail
@@ -59,7 +60,8 @@ var (
 	jsonOut   = flag.String("json", "", "write machine-readable results (implies -stats) to this file")
 	faultRate = flag.Float64("fault-rate", 0, "transient-fault probability per 64 KiB transferred (0 disables injection)")
 	cbBuf     = flag.Int64("cb-buffer-size", 0, "aggregator staging-buffer bytes per two-phase round (default: library default; small values force multi-round collectives)")
-	cbNodes   = flag.Int("cb-nodes", 0, "collective-buffering aggregators of both reads and writes (default: a read one per rank, a write one per I/O server, at most one per rank)")
+	cbNodes   = flag.Int("cb-nodes", 0, "collective-buffering aggregators of both reads and writes (default: a write one per I/O server, a read one per rank unless the request is under a stripe per server per rank, at most one per rank)")
+	queued    = flag.Bool("queued", false, "post every unknown with the nonblocking flexible calls and complete them with one WaitAll (default: one collective per unknown, as published)")
 	outFile   = flag.String("out", "", "dump the raw image of each PnetCDF output file to this path (disables Discard; last run wins)")
 	faultSeed = flag.Uint64("fault-seed", 1, "seed for the deterministic fault schedule")
 	killRank  = flag.Int("kill-rank", -1, "world rank to kill at -kill-point during the PnetCDF runs (-1 disables)")
@@ -131,6 +133,7 @@ func main() {
 		if *bpp > 0 {
 			cfg.BlocksPerProc = *bpp
 		}
+		cfg.Queued = *queued
 		plist := defaultProcs(cfg)
 		if *procsStr != "" {
 			plist = nil

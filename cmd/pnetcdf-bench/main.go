@@ -138,6 +138,9 @@ func runAblations(m bench.MachineSpec) {
 		func() (bench.AblationResult, error) {
 			return bench.AblationWriteAggregators(bench.ASCIFrost(), flash.Default8(), 8)
 		},
+		func() (bench.AblationResult, error) {
+			return bench.AblationReadAggregators(bench.ASCIFrost(), flash.Default8(), 8)
+		},
 	} {
 		res, err := r()
 		cmdutil.Fatal(tool, err)

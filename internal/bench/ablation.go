@@ -360,3 +360,23 @@ func AblationWriteAggregators(m MachineSpec, cfg flash.Config, nprocs int) (Abla
 	}
 	return AblationResult{Name: "write aggregators: one per server (Frost FLASH)", Chosen: perServer.Seconds, Baseline: perRank.Seconds}, nil
 }
+
+// AblationReadAggregators measures the read's aggregator rule
+// (mpiio.readAggregators) against one aggregator per rank, which an explicit
+// cb_nodes equal to the rank count gives, on a FLASH checkpoint read-back.
+// An 8^3 unknown on 8 ranks is ten stripes over two servers: one aggregator
+// per rank makes five two-stripe domains and ten server requests, the rule
+// four domains and seven (DESIGN.md §12).
+func AblationReadAggregators(m MachineSpec, cfg flash.Config, nprocs int) (AblationResult, error) {
+	opt := Fig7Options{Machine: m, Config: cfg, File: FlashCheckpoint, Read: true, Discard: true}
+	rule, _, err := runFlashOnce(opt, nprocs, false)
+	if err != nil {
+		return AblationResult{}, err
+	}
+	opt.Hints = mpi.NewInfo().Set("cb_nodes", strconv.Itoa(nprocs))
+	perRank, _, err := runFlashOnce(opt, nprocs, false)
+	if err != nil {
+		return AblationResult{}, fmt.Errorf("cb_nodes=%d: %w", nprocs, err)
+	}
+	return AblationResult{Name: "read aggregators: rule vs one per rank (Frost FLASH)", Chosen: rule.Seconds, Baseline: perRank.Seconds}, nil
+}

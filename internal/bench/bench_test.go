@@ -240,3 +240,17 @@ func TestAblationWriteAggregators(t *testing.T) {
 		t.Fatalf("one write aggregator per server not a win: %v", res)
 	}
 }
+
+// At 8 ranks the rule's gain (0.6201 → 0.610 s) is inside the spread of its
+// four aggregators' server order (0.601–0.625 s); at 16 ranks, six
+// aggregators against sixteen, it is several times that spread.
+func TestAblationReadAggregators(t *testing.T) {
+	cfg := flash.Config{NXB: 8, NYB: 8, NZB: 8, NGuard: 4, NVar: 6, NPlotVar: 2, BlocksPerProc: 80}
+	res, err := AblationReadAggregators(ASCIFrost(), cfg, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Speedup() <= 1 {
+		t.Fatalf("the read aggregator rule not a win over one per rank: %v", res)
+	}
+}

@@ -86,6 +86,9 @@ func RunFigure7(opt Fig7Options) (*Figure7, error) {
 	if opt.Read {
 		block += ", read-back"
 	}
+	if opt.Config.Queued {
+		block += ", queued"
+	}
 	fig := &Figure7{
 		Machine: opt.Machine.Name,
 		File:    opt.File,

@@ -59,20 +59,35 @@ func (op *pendingOp) moves(write bool) bool {
 // the operation and surfaced by WaitAll, matching the blocking PutVara's
 // return.
 func (d *Dataset) IPutVara(varid int, start, count []int64, data any) (int, error) {
-	return d.enqueue(true, varid, start, count, data)
+	return d.enqueue(true, varid, start, count, data, nil, -1)
 }
 
 // IGetVara queues a nonblocking subarray read into data, which must remain
 // valid until WaitAll.
 func (d *Dataset) IGetVara(varid int, start, count []int64, data any) (int, error) {
-	return d.enqueue(false, varid, start, count, data)
+	return d.enqueue(false, varid, start, count, data, nil, -1)
 }
 
-func (d *Dataset) enqueue(write bool, varid int, start, count []int64, data any) (int, error) {
+// IPutVaraType is the flexible IPutVara (ncmpi_iput_vara): it queues a write
+// of the elements of buf selected by memtype, which buf must keep unchanged
+// until WaitAll.
+func (d *Dataset) IPutVaraType(varid int, start, count []int64, buf any, memtype mpitype.Datatype) (int, error) {
+	return d.enqueue(true, varid, start, count, buf, memtype.Runs(), memtype.Size())
+}
+
+// IGetVaraType is the flexible IGetVara (ncmpi_iget_vara): it queues a read
+// scattering into the elements of buf selected by memtype.
+func (d *Dataset) IGetVaraType(varid int, start, count []int64, buf any, memtype mpitype.Datatype) (int, error) {
+	return d.enqueue(false, varid, start, count, buf, memtype.Runs(), memtype.Size())
+}
+
+// enqueue prepares one op (memsegs and memSize as prepare takes them) and
+// leaves it in the queue for WaitAll.
+func (d *Dataset) enqueue(write bool, varid int, start, count []int64, data any, memsegs []mpitype.Segment, memSize int64) (int, error) {
 	if err := d.Mode.CheckData(); err != nil {
 		return -1, err
 	}
-	op, err := d.prepare(write, varid, start, count, nil, data, nil, -1)
+	op, err := d.prepare(write, varid, start, count, nil, data, memsegs, memSize)
 	if err != nil {
 		return -1, err
 	}

@@ -36,6 +36,11 @@ type Config struct {
 	NVar          int // checkpoint unknowns (24 in FLASH)
 	NPlotVar      int // plotfile variables (4 in the benchmark)
 	BlocksPerProc int // 80 in the benchmark
+	// Queued posts every unknown with the nonblocking flexible calls
+	// (IPutVaraType, IGetVaraType) and completes them with one WaitAll,
+	// instead of the published one collective call per unknown. The file
+	// is the same to the byte.
+	Queued bool
 }
 
 // Default8 is the paper's 8x8x8 configuration.
@@ -276,7 +281,12 @@ func writePnetCDF(comm *mpi.Comm, fsys *pfs.FS, path string, cfg Config, info *m
 		fcount := []int64{int64(cfg.BlocksPerProc), int64(zname), int64(yname), int64(xname)}
 		if corners {
 			buf := cfg.FillCorners(i, first, cfg.BlocksPerProc)
-			if err := tolerate(d.PutVaraAll(varids[i], fstart, fcount, buf)); err != nil {
+			if cfg.Queued {
+				_, err = d.IPutVara(varids[i], fstart, fcount, buf)
+			} else {
+				err = tolerate(d.PutVaraAll(varids[i], fstart, fcount, buf))
+			}
+			if err != nil {
 				return Report{}, err
 			}
 			bytes += int64(len(buf)) * 4
@@ -292,10 +302,20 @@ func writePnetCDF(comm *mpi.Comm, fsys *pfs.FS, path string, cfg Config, info *m
 		if err != nil {
 			return Report{}, err
 		}
-		if err := tolerate(d.PutVaraTypeAll(varids[i], fstart, fcount, buf, memtype)); err != nil {
+		if cfg.Queued {
+			_, err = d.IPutVaraType(varids[i], fstart, fcount, buf, memtype)
+		} else {
+			err = tolerate(d.PutVaraTypeAll(varids[i], fstart, fcount, buf, memtype))
+		}
+		if err != nil {
 			return Report{}, err
 		}
 		bytes += memtype.Size() * int64(typ.Size())
+	}
+	if cfg.Queued {
+		if err := tolerate(d.WaitAll()); err != nil {
+			return Report{}, err
+		}
 	}
 	if err := d.Close(); err != nil {
 		return Report{}, err

@@ -347,3 +347,58 @@ func TestReadCheckpointValuesExact(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// The queued mode writes every file to the byte of the per-variable one, and
+// its checkpoint read-back moves as many bytes (integration's
+// FuzzBlockingEquivalentToQueued checks the values IGetVaraType returns).
+func TestQueuedModeSameFiles(t *testing.T) {
+	const p = 4
+	image := func(fsys *pfs.FS, name string) []byte {
+		pf, _, err := fsys.Open(name, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		img := make([]byte, pf.Size())
+		if _, err := pf.ReadAt(0, img, 0); err != nil {
+			t.Fatal(err)
+		}
+		return img
+	}
+	writers := map[string]func(*mpi.Comm, *pfs.FS, string, Config, *mpi.Info) (Report, error){
+		"checkpoint": WriteCheckpointPnetCDF,
+		"plotfile":   WritePlotfilePnetCDF,
+		"corners":    WriteCornerPlotfilePnetCDF,
+	}
+	for name, write := range writers {
+		imgs := map[bool][]byte{}
+		reads := map[bool]Report{}
+		for _, queued := range []bool{false, true} {
+			cfg := tinyConfig()
+			cfg.Queued = queued
+			fsys := pfs.New(pfs.DefaultConfig())
+			err := mpi.Run(p, mpi.DefaultNet(), func(c *mpi.Comm) error {
+				if _, err := write(c, fsys, "q.nc", cfg, nil); err != nil {
+					return err
+				}
+				if name != "checkpoint" {
+					return nil
+				}
+				r, err := ReadCheckpointPnetCDF(c, fsys, "q.nc", cfg, nil)
+				if c.Rank() == 0 {
+					reads[queued] = r
+				}
+				return err
+			})
+			if err != nil {
+				t.Fatalf("%s, queued=%v: %v", name, queued, err)
+			}
+			imgs[queued] = image(fsys, "q.nc")
+		}
+		if string(imgs[true]) != string(imgs[false]) {
+			t.Errorf("%s: the queued file differs from the per-variable one", name)
+		}
+		if reads[true].Bytes != reads[false].Bytes {
+			t.Errorf("%s: the queued read moved %d bytes, the per-variable one %d", name, reads[true].Bytes, reads[false].Bytes)
+		}
+	}
+}

@@ -20,7 +20,8 @@ import (
 
 // ReadCheckpointPnetCDF reads every unknown's local blocks from a
 // checkpoint written by WriteCheckpointPnetCDF, scattering into guarded
-// buffers via the flexible API.
+// buffers via the flexible API: one collective per unknown, or, with
+// cfg.Queued, every unknown queued and one WaitAll.
 func ReadCheckpointPnetCDF(comm *mpi.Comm, fsys *pfs.FS, path string, cfg Config, info *mpi.Info) (Report, error) {
 	first := comm.Rank() * cfg.BlocksPerProc
 	t0 := comm.Clock()
@@ -37,7 +38,7 @@ func ReadCheckpointPnetCDF(comm *mpi.Comm, fsys *pfs.FS, path string, cfg Config
 		return Report{}, err
 	}
 	var bytes int64
-	buf := make([]float64, cfg.BlocksPerProc*gz*gy*gx)
+	var buf []float64
 	for _, name := range UnknownNames(cfg.NVar) {
 		v := d.VarID(name)
 		if v < 0 {
@@ -45,10 +46,25 @@ func ReadCheckpointPnetCDF(comm *mpi.Comm, fsys *pfs.FS, path string, cfg Config
 		}
 		fstart := []int64{int64(first), 0, 0, 0}
 		fcount := []int64{int64(cfg.BlocksPerProc), int64(cfg.NZB), int64(cfg.NYB), int64(cfg.NXB)}
-		if err := d.GetVaraTypeAll(v, fstart, fcount, buf, memtype); err != nil {
+		// A queued read holds one buffer per unknown until WaitAll; the
+		// per-variable read reuses one.
+		if buf == nil || cfg.Queued {
+			buf = make([]float64, cfg.BlocksPerProc*gz*gy*gx)
+		}
+		if cfg.Queued {
+			_, err = d.IGetVaraType(v, fstart, fcount, buf, memtype)
+		} else {
+			err = d.GetVaraTypeAll(v, fstart, fcount, buf, memtype)
+		}
+		if err != nil {
 			return Report{}, err
 		}
 		bytes += memtype.Size() * 8
+	}
+	if cfg.Queued {
+		if err := d.WaitAll(); err != nil {
+			return Report{}, err
+		}
 	}
 	if err := d.Close(); err != nil {
 		return Report{}, err

@@ -617,7 +617,7 @@ func TestDatasetMethodSets(t *testing.T) {
 		{"core", reflect.TypeOf((*core.Dataset)(nil)),
 			"AttrNames BeginIndepData Close Comm DefDim DefVar DelAttr DimID EndDef EndIndepData GetAttr GetVar1 GetVarAll " +
 				"GetVara GetVaraAll GetVaraType GetVaraTypeAll GetVarm GetVarmAll GetVars GetVarsAll GetVarsTypeAll Header " +
-				"IGetVara IPutVara InqDim InqVar NumDims NumRecs NumVars PendingRequests PrefetchedVars PutAttr PutVar1 PutVarAll " +
+				"IGetVara IGetVaraType IPutVara IPutVaraType InqDim InqVar NumDims NumRecs NumVars PendingRequests PrefetchedVars PutAttr PutVar1 PutVarAll " +
 				"PutVara PutVaraAll PutVaraType PutVaraTypeAll PutVarm PutVarmAll PutVars PutVarsAll PutVarsTypeAll Redef " +
 				"RenameAttr RenameDim RenameVar SetFill Sync UnlimitedDimID VarID VarShape WaitAll"},
 	} {

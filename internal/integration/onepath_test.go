@@ -12,13 +12,16 @@ import (
 	"pnetcdf/internal/core"
 	"pnetcdf/internal/iostat"
 	"pnetcdf/internal/mpi"
+	"pnetcdf/internal/mpitype"
 	"pnetcdf/internal/nctype"
 	"pnetcdf/internal/netcdf"
 )
 
 // "Blocking ≡ queued" as a checked property (DESIGN.md §16): core has one data
 // path, so how a program spells its accesses — blocking calls, IPutVara /
-// IGetVara completed by one WaitAll, or any interleaving of the two — may
+// IGetVara completed by one WaitAll, any interleaving of the two, or the
+// flexible calls over a memory type that skips guard cells, blocking or
+// queued (IPutVaraType / IGetVaraType) — may
 // change neither the file, nor what a read returns, nor the error a rank gets
 // back, nor the pnetcdf counters. A scenario is generated from one seed;
 // FuzzBlockingEquivalentToQueued's seeds run in tier-1, a failure names its
@@ -230,13 +233,69 @@ type onePathResult struct {
 // smallest the hint accepts).
 const onePathStaging = 4096
 
-// The three ways to spell the same accesses.
+// The ways to spell the same accesses.
 const (
-	allBlocking = iota
-	allQueued   // every put and get queued, one WaitAll
-	interleaved // per round blocking or queued, WaitAll now and then
+	allBlocking  = iota
+	allQueued    // every put and get queued, one WaitAll
+	interleaved  // per round blocking or queued, WaitAll now and then
+	flexBlocking // PutVaraTypeAll / GetVaraTypeAll from and into guardedMem
+	flexQueued   // IPutVaraType / IGetVaraType, one WaitAll
 	numWays
 )
+
+// guardPoison fills the guard cells of a guardedMem; no call may touch them.
+const guardPoison = -7777
+
+// guardedMem holds an op's values in a box one guard cell wider on every
+// side, as FLASH holds its blocks; memtype selects the values.
+type guardedMem struct {
+	buf     []int32
+	memtype mpitype.Datatype
+}
+
+// newGuardedMem boxes vals (nil: a box to read into) of shape count.
+func newGuardedMem(count []int64, vals []int32) (guardedMem, error) {
+	sizes, starts := make([]int64, len(count)), make([]int64, len(count))
+	n := int64(1)
+	for i, c := range count {
+		sizes[i], starts[i] = c+2, 1
+		n *= c + 2
+	}
+	mt, err := mpitype.Subarray(sizes, count, starts, 1)
+	g := guardedMem{buf: make([]int32, n), memtype: mt}
+	for i := range g.buf {
+		g.buf[i] = guardPoison
+	}
+	pos := 0
+	for _, r := range mt.Runs() {
+		if vals != nil {
+			copy(g.buf[r.Off:r.Off+r.Len], vals[pos:])
+		}
+		pos += int(r.Len)
+	}
+	return g, err
+}
+
+// values returns the selected elements, or an error if a guard cell changed.
+func (g guardedMem) values() ([]int32, error) {
+	out := make([]int32, 0, g.memtype.Size())
+	next := int64(0)
+	for _, r := range g.memtype.Runs() {
+		for i := next; i < r.Off; i++ {
+			if g.buf[i] != guardPoison {
+				return nil, fmt.Errorf("guard cell %d holds %d", i, g.buf[i])
+			}
+		}
+		out = append(out, g.buf[r.Off:r.Off+r.Len]...)
+		next = r.Off + r.Len
+	}
+	for i := next; i < int64(len(g.buf)); i++ {
+		if g.buf[i] != guardPoison {
+			return nil, fmt.Errorf("guard cell %d holds %d", i, g.buf[i])
+		}
+	}
+	return out, nil
+}
 
 // run executes the scenario on nranks ranks. Op i belongs to rank i % nranks;
 // the ops go in rounds of one per rank, and a rank with none left joins the
@@ -264,20 +323,48 @@ func (sc *onePathScenario) run(t *testing.T, nranks, way int, info *mpi.Info) ([
 		// The schedule is drawn identically on every rank: collective calls
 		// must match across ranks.
 		sched := rand.New(rand.NewSource(sc.seed ^ 0x5eed))
+		flex := way == flexBlocking || way == flexQueued
+		// Op i's guarded memory in the flexible ways.
+		putMem, getMem := map[int]guardedMem{}, map[int]guardedMem{}
 		phase := func(ops []onePathOp, write bool) {
 			for base := 0; base < len(ops); base += nranks {
 				op := onePathOp{v: 0, start: make([]int64, len(sc.vdims[0])), count: make([]int64, len(sc.vdims[0]))}
 				var data any
+				var memtype mpitype.Datatype // empty: a rank with no op this round
 				if i := base + c.Rank(); i < len(ops) {
-					if op = ops[i]; write {
+					op = ops[i]
+					if flex {
+						var vals []int32
+						if write {
+							vals = op.vals
+						}
+						g, err := newGuardedMem(op.count, vals)
+						if err != nil {
+							note(err)
+						}
+						if write {
+							putMem[i] = g
+						} else {
+							getMem[i] = g
+						}
+						data, memtype = g.buf, g.memtype
+					} else if write {
 						data = op.vals
 					} else {
 						res.reads[i] = make([]int32, len(op.vals))
 						data = res.reads[i]
 					}
 				}
-				queue := way == allQueued || way == interleaved && sched.Intn(2) == 0
+				queue := way == allQueued || way == flexQueued || way == interleaved && sched.Intn(2) == 0
 				switch {
+				case flex && write && queue:
+					_, err = d.IPutVaraType(op.v, op.start, op.count, data, memtype)
+				case flex && write:
+					err = d.PutVaraTypeAll(op.v, op.start, op.count, data, memtype)
+				case flex && queue:
+					_, err = d.IGetVaraType(op.v, op.start, op.count, data, memtype)
+				case flex:
+					err = d.GetVaraTypeAll(op.v, op.start, op.count, data, memtype)
 				case write && queue:
 					_, err = d.IPutVara(op.v, op.start, op.count, data)
 				case write:
@@ -300,8 +387,22 @@ func (sc *onePathScenario) run(t *testing.T, nranks, way int, info *mpi.Info) ([
 		}
 		phase(sc.puts, true)
 		phase(sc.gets, false)
-		if way == allQueued {
+		if way == allQueued || way == flexQueued {
 			note(d.WaitAll())
+		}
+		// The flexible calls read and wrote the values only: every guard
+		// cell holds its poison, and a put's values are as they were.
+		for i, g := range putMem {
+			if vals, err := g.values(); err != nil || !slices.Equal(vals, sc.puts[i].vals) {
+				return fmt.Errorf("put %d: memory changed (%v)", i, err)
+			}
+		}
+		for i, g := range getMem {
+			vals, err := g.values()
+			if err != nil {
+				return fmt.Errorf("get %d: %w", i, err)
+			}
+			res.reads[i] = vals
 		}
 		for i, k := range []iostat.Counter{iostat.NCCollPuts, iostat.NCCollGets, iostat.NCBytesPut, iostat.NCBytesGot} {
 			res.counters[i] = st.Get(k)

@@ -466,7 +466,7 @@ func (f *File) countRounds(plan collectivePlan) {
 
 // collectivePlan agrees on the aggregate range and domain layout of a
 // collective write (write) or read: the two differ only in how many
-// aggregators the hints give them. Returns ok=false when no rank has any
+// aggregators they have (resolveHints). Returns ok=false when no rank has any
 // data (all ranks agree on that too).
 // localErr folds each rank's view-flattening error status into the same
 // allreduce that agrees the range: a failed rank contributes an empty
@@ -498,13 +498,19 @@ func (f *File) collectivePlan(segs []pfs.Segment, localErr error, write bool) (c
 		return collectivePlan{}, false, nil
 	}
 	size := f.comm.Size()
-	naggs := f.hints.CBNodes
-	if write {
+	cfg := f.fs.Config()
+	stripe := cfg.StripeSize
+	var naggs int
+	switch {
+	case write:
 		naggs = f.hints.CBWriteNodes
+	case f.hints.CBNodesGiven:
+		naggs = f.hints.CBNodes
+	default:
+		naggs = readAggregators(size, cfg.NumServers, gmin, gmax, stripe)
 	}
 	// A failover replans on the survivors, which can be fewer.
 	naggs = min(naggs, size)
-	stripe := f.fs.Config().StripeSize
 	bounds := evenBounds(gmin, gmax, naggs, stripe)
 	aggRanks := evenAggRanks(naggs, size)
 	return collectivePlan{

@@ -45,9 +45,13 @@ var (
 
 // Hints is the resolved set of I/O tuning knobs for one open file.
 type Hints struct {
-	// CBNodes is the number of collective-buffering aggregators of a
-	// collective read: cb_nodes, or every rank.
+	// CBNodes is cb_nodes clamped to the ranks, or every rank: the most
+	// aggregators a collective read has.
 	CBNodes int
+	// CBNodesGiven tells a given cb_nodes from the default. Given, a read
+	// has CBNodes aggregators; by default it chooses its count per request
+	// (readAggregators).
+	CBNodesGiven bool
 	// CBWriteNodes is the number of aggregators of a collective write:
 	// cb_nodes, or one per I/O server — min(ranks, striping_factor).
 	CBWriteNodes int
@@ -65,10 +69,13 @@ type Hints struct {
 }
 
 // resolveHints resolves info on comm for a file system of factor I/O
-// servers. Without cb_nodes a read spreads over every rank, because a rank's
-// client link is on its clock while it reads; a write, whose link runs behind
-// the clock (DESIGN.md §13), has one aggregator per server, so each server
-// takes few large requests rather than one per rank (DESIGN.md §12).
+// servers. An explicit cb_nodes sets the aggregator count of both
+// directions. Without it a write, whose link runs behind the clock
+// (DESIGN.md §13), has one aggregator per server, so each server takes few
+// large requests rather than one per rank; a read, whose link is on its
+// clock, keeps every rank unless the request is too small to give each rank
+// more than a stripe per server, and then takes the count that trades link
+// time against server requests best (readAggregators, DESIGN.md §12).
 func resolveHints(comm *mpi.Comm, info *mpi.Info, factor int) Hints {
 	h := Hints{
 		CBNodes:         comm.Size(),
@@ -83,6 +90,7 @@ func resolveHints(comm *mpi.Comm, info *mpi.Info, factor int) Hints {
 	}
 	if n := int(info.GetInt("cb_nodes", 0)); n >= 1 {
 		h.CBNodes = min(n, comm.Size())
+		h.CBNodesGiven = true
 		h.CBWriteNodes = h.CBNodes
 	}
 	if v := info.GetInt("cb_buffer_size", h.CBBufferSize); v >= 4096 {

@@ -269,18 +269,18 @@ func TestFTKillWriteFailover(t *testing.T) {
 				if !bytes.Equal(img2, img) {
 					t.Fatalf("repeat %d: file image differs from the first run's", rep)
 				}
-				sameFTOutcome(t, rep, results2, results)
+				sameFTOutcome(t, rep, results2, results, true)
 			}
 		})
 	}
 }
 
 // sameFTOutcome checks that a repeated kill run left every survivor with
-// the first run's error string and virtual clock, and that the clock
+// the first run's error string and, when exact, virtual clock, and that the clock
 // contains the detection latency (at the parent commit, where detection
 // was a wall-clock deadline, a killed 4-rank write finished at 0.083 s of
 // virtual time as if detecting had been free).
-func sameFTOutcome(t *testing.T, rep int, got, first map[int]ftioResult) {
+func sameFTOutcome(t *testing.T, rep int, got, first map[int]ftioResult, exact bool) {
 	t.Helper()
 	if len(got) != len(first) {
 		t.Fatalf("repeat %d: %d survivors, the first run had %d", rep, len(got), len(first))
@@ -290,7 +290,7 @@ func sameFTOutcome(t *testing.T, rep int, got, first map[int]ftioResult) {
 		if a, b := fmt.Sprint(res.err), fmt.Sprint(ref.err); a != b {
 			t.Fatalf("repeat %d: rank %d returned %q, the first run %q", rep, rank, a, b)
 		}
-		if res.clock != ref.clock {
+		if exact && res.clock != ref.clock {
 			t.Fatalf("repeat %d: rank %d finished at %.9f s, the first run at %.9f s", rep, rank, res.clock, ref.clock)
 		}
 		if res.clock < mpi.FTDetectLatency || res.clock > mpi.FTDetectLatency+0.5 {
@@ -322,41 +322,111 @@ func TestFTKillReadFailover(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			var first map[int]ftioResult
-			for rep := 0; rep < 3; rep++ {
-				got, results := runFTRead(t, tc.victim, tc.point, tc.occurrence, tc.strided)
-				if len(got) != ftioProcs-1 {
-					t.Fatalf("%d survivors, want %d", len(got), ftioProcs-1)
-				}
-				for rank, res := range results {
-					if res.err != nil {
-						t.Fatalf("rank %d: read failover returned %v, want nil (full recovery)", rank, res.err)
-					}
-					if !bytes.Equal(got[rank], ftioPattern(rank, ftioRegion)) {
-						t.Fatalf("rank %d: read-back differs after failover", rank)
-					}
-				}
-				if first == nil {
-					first = results
-				} else {
-					sameFTOutcome(t, rep, results, first)
-				}
-			}
+			checkFTRead(t, ftioDefault, tc.victim, tc.point, tc.occurrence, tc.strided, 0)
 		})
 	}
 }
 
+// ftioRule is a read whose aggregator count the rule chooses (no cb_nodes):
+// one FLASH unknown on 8 ranks over 2 servers, ten 64 KiB stripes, which
+// the rule reads through 4 aggregators on ranks 0, 2, 4 and 6 in 3/3/3/1
+// stripe domains — three rounds of 64 KiB.
+var ftioRule = ftioShape{
+	procs:  8,
+	region: 80 << 10,
+	fs: func() *pfs.FS {
+		cfg := pfs.DefaultConfig()
+		cfg.NumServers, cfg.StripeSize = 2, 64<<10
+		return pfs.New(cfg)
+	},
+	info: func() *mpi.Info { return mpi.NewInfo().Set("cb_buffer_size", "65536") },
+	racy: true,
+}
+
+// TestFTKillReadFailoverDefaultCount kills one of the rule's aggregators in
+// the exchange and just after its request is issued: survivors' buffers must
+// match the file and every survivor must see the same error in every run.
+// Killed before
+// its first round, the replay runs over all ten stripes on 7 survivors, and
+// the rule again takes 4 aggregators — 3 rounds, where one per survivor
+// would take 2.
+func TestFTKillReadFailoverDefaultCount(t *testing.T) {
+	if n := readAggregators(8, 2, 0, 10*64<<10, 64<<10); n != 4 {
+		t.Fatalf("the shape reads through %d aggregators, want 4", n)
+	}
+	for _, tc := range []struct {
+		name       string
+		point      string
+		occurrence int64
+		replay     int64 // rounds of the replay plan; 0 = not checked
+	}{
+		{"before_pack/first-round", fault.KillBeforePack, 0, 3},
+		{"mid_exchange", fault.KillMidExchange, 1, 0},
+		{"after_issue", fault.KillAfterIssue, 1, 0},
+		{"after_issue/last-round", fault.KillAfterIssue, 2, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			checkFTRead(t, ftioRule, 2, tc.point, tc.occurrence, false, tc.replay)
+		})
+	}
+}
+
+// checkFTRead runs a killed read of shape three times: each survivor must
+// get its pattern back with no error, the same outcome every time, and,
+// when replay > 0, a replay plan of that many rounds.
+func checkFTRead(t *testing.T, sh ftioShape, victim int, point string, occurrence int64, strided bool, replay int64) {
+	t.Helper()
+	var first map[int]ftioResult
+	for rep := 0; rep < 3; rep++ {
+		got, results := runFTRead(t, sh, victim, point, occurrence, strided)
+		if len(got) != sh.procs-1 {
+			t.Fatalf("%d survivors, want %d", len(got), sh.procs-1)
+		}
+		for rank, res := range results {
+			if res.err != nil {
+				t.Fatalf("rank %d: read failover returned %v, want nil (full recovery)", rank, res.err)
+			}
+			if !bytes.Equal(got[rank], ftioPattern(rank, sh.region)) {
+				t.Fatalf("rank %d: read-back differs after failover", rank)
+			}
+			if replay > 0 && res.failover != replay {
+				t.Fatalf("rank %d: the replay ran %d rounds, want %d", rank, res.failover, replay)
+			}
+		}
+		if first == nil {
+			first = results
+		} else {
+			sameFTOutcome(t, rep, results, first, !sh.racy)
+		}
+	}
+}
+
+// ftioShape is the geometry of a failover case: procs ranks each holding
+// region bytes, on a file system from fs, opened with info.
+type ftioShape struct {
+	procs  int
+	region int64
+	fs     func() *pfs.FS
+	info   func() *mpi.Info
+	// racy: more aggregators than servers, so the order in which their
+	// requests reach a server, and with it the clocks, varies run to run.
+	racy bool
+}
+
+// ftioDefault is the matrix's shape: two aggregators, 8 rounds per domain.
+var ftioDefault = ftioShape{procs: ftioProcs, region: ftioRegion, fs: testFS, info: ftioHints}
+
 // ftioWriteUndisturbed is the matrix's collective write with nobody killed:
 // every rank writes its pattern into its region of name and closes.
-func ftioWriteUndisturbed(c *mpi.Comm, fsys *pfs.FS, name string) error {
-	f, err := Open(c, fsys, name, ModeRdWr|ModeCreate, ftioHints())
+func ftioWriteUndisturbed(c *mpi.Comm, fsys *pfs.FS, name string, sh ftioShape) error {
+	f, err := Open(c, fsys, name, ModeRdWr|ModeCreate, sh.info())
 	if err != nil {
 		return err
 	}
-	if err := f.SetView(int64(c.Rank())*ftioRegion, mpitype.Contig(ftioRegion)); err != nil {
+	if err := f.SetView(int64(c.Rank())*sh.region, mpitype.Contig(sh.region)); err != nil {
 		return err
 	}
-	if err := f.WriteAtAll(0, ftioPattern(c.Rank(), ftioRegion)); err != nil {
+	if err := f.WriteAtAll(0, ftioPattern(c.Rank(), sh.region)); err != nil {
 		return err
 	}
 	return f.Close()
@@ -366,37 +436,38 @@ func ftioWriteUndisturbed(c *mpi.Comm, fsys *pfs.FS, name string) error {
 // with victim killed at (point, occurrence); it returns the survivors'
 // buffers and results indexed by original rank. strided reads into strided
 // memory through ReadAtAllInto.
-func runFTRead(t *testing.T, victim int, point string, occurrence int64, strided bool) (map[int][]byte, map[int]ftioResult) {
+func runFTRead(t *testing.T, sh ftioShape, victim int, point string, occurrence int64, strided bool) (map[int][]byte, map[int]ftioResult) {
 	t.Helper()
-	fsys := testFS()
-	runWorld(t, ftioProcs, func(c *mpi.Comm) error { return ftioWriteUndisturbed(c, fsys, "ftr") })
+	fsys := sh.fs()
+	runWorld(t, sh.procs, func(c *mpi.Comm) error { return ftioWriteUndisturbed(c, fsys, "ftr", sh) })
 	inj := fault.New(fault.Config{Seed: 1})
 	inj.KillRankAt(victim, point, occurrence)
 	fsys.SetFault(inj)
 	var mu sync.Mutex
 	got := map[int][]byte{}
 	results := map[int]ftioResult{}
-	err := mpi.Run(ftioProcs, mpi.DefaultNet(), func(c *mpi.Comm) error {
+	err := mpi.Run(sh.procs, mpi.DefaultNet(), func(c *mpi.Comm) error {
 		rank := c.Rank()
-		f, err := Open(c, fsys, "ftr", ModeRdOnly, ftioHints())
+		c.Proc().SetStats(iostat.New())
+		f, err := Open(c, fsys, "ftr", ModeRdOnly, sh.info())
 		if err != nil {
 			return err
 		}
-		if err := f.SetView(int64(rank)*ftioRegion, mpitype.Contig(ftioRegion)); err != nil {
+		if err := f.SetView(int64(rank)*sh.region, mpitype.Contig(sh.region)); err != nil {
 			return err
 		}
-		buf := make([]byte, ftioRegion)
+		buf := make([]byte, sh.region)
 		var rerr error
 		if strided {
 			mem := newStridedMem(buf)
-			rerr = f.ReadAtAllInto(0, ftioRegion, mem)
-			buf = mem.linear(ftioRegion)
+			rerr = f.ReadAtAllInto(0, sh.region, mem)
+			buf = mem.linear(sh.region)
 		} else {
 			rerr = f.ReadAtAll(0, buf)
 		}
 		mu.Lock()
 		got[rank] = buf
-		results[rank] = ftioResult{err: rerr, clock: c.Clock()}
+		results[rank] = ftioResult{err: rerr, clock: c.Clock(), failover: c.Proc().Stats().Get(iostat.FTFailoverRounds)}
 		mu.Unlock()
 		return f.Close()
 	})
@@ -413,7 +484,7 @@ func TestFTCleanRunByteIdentical(t *testing.T) {
 	fsys := testFS()
 	runWorld(t, ftioProcs, func(c *mpi.Comm) error {
 		c.Proc().SetStats(iostat.New())
-		if err := ftioWriteUndisturbed(c, fsys, "clean"); err != nil {
+		if err := ftioWriteUndisturbed(c, fsys, "clean", ftioDefault); err != nil {
 			return err
 		}
 		for _, ctr := range []iostat.Counter{

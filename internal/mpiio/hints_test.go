@@ -10,9 +10,10 @@ import (
 
 // resolveHints must clamp or ignore out-of-range values: more aggregators
 // than ranks clamps to the communicator size, and non-positive or
-// sub-minimum buffer sizes keep the defaults. Without cb_nodes a read has an
-// aggregator on every rank and a write one per I/O server, no more than there
-// are ranks; cb_nodes sets both.
+// sub-minimum buffer sizes keep the defaults. Without cb_nodes a write has
+// one aggregator per I/O server, no more than there are ranks, and a read at
+// most one per rank, its count chosen per request (CBNodesGiven false);
+// cb_nodes sets both, and is marked given even when it equals the ranks.
 func TestResolveHintsClamping(t *testing.T) {
 	err := mpi.Run(4, mpi.DefaultNet(), func(c *mpi.Comm) error {
 		if c.Rank() != 0 {
@@ -20,8 +21,9 @@ func TestResolveHintsClamping(t *testing.T) {
 		}
 		const servers = 2
 		def := resolveHints(c, nil, servers)
-		if def.CBNodes != c.Size() || def.CBWriteNodes != servers {
-			t.Errorf("default CBNodes, CBWriteNodes = %d, %d; want %d, %d", def.CBNodes, def.CBWriteNodes, c.Size(), servers)
+		if def.CBNodes != c.Size() || def.CBWriteNodes != servers || def.CBNodesGiven {
+			t.Errorf("default CBNodes, CBWriteNodes, CBNodesGiven = %d, %d, %v; want %d, %d, false",
+				def.CBNodes, def.CBWriteNodes, def.CBNodesGiven, c.Size(), servers)
 		}
 		for _, factor := range []int{1, 4, 12} {
 			if h := resolveHints(c, nil, factor); h.CBWriteNodes != min(c.Size(), factor) || h.CBNodes != c.Size() {
@@ -31,21 +33,21 @@ func TestResolveHintsClamping(t *testing.T) {
 		}
 
 		h := resolveHints(c, mpi.NewInfo().Set("cb_nodes", "64"), servers)
-		if h.CBNodes != c.Size() || h.CBWriteNodes != c.Size() {
+		if h.CBNodes != c.Size() || h.CBWriteNodes != c.Size() || !h.CBNodesGiven {
 			t.Errorf("cb_nodes=64 on %d ranks: CBNodes, CBWriteNodes = %d, %d; want both clamped to %d",
 				c.Size(), h.CBNodes, h.CBWriteNodes, c.Size())
 		}
 
-		for _, n := range []int{1, 3} {
+		for _, n := range []int{1, 3, c.Size()} {
 			h = resolveHints(c, mpi.NewInfo().Set("cb_nodes", fmt.Sprint(n)), servers)
-			if h.CBNodes != n || h.CBWriteNodes != n {
-				t.Errorf("cb_nodes=%d: CBNodes, CBWriteNodes = %d, %d", n, h.CBNodes, h.CBWriteNodes)
+			if h.CBNodes != n || h.CBWriteNodes != n || !h.CBNodesGiven {
+				t.Errorf("cb_nodes=%d: CBNodes, CBWriteNodes, CBNodesGiven = %d, %d, %v", n, h.CBNodes, h.CBWriteNodes, h.CBNodesGiven)
 			}
 		}
 
 		for _, bad := range []string{"0", "-4", "junk"} {
 			h = resolveHints(c, mpi.NewInfo().Set("cb_nodes", bad), servers)
-			if h.CBNodes != def.CBNodes || h.CBWriteNodes != def.CBWriteNodes {
+			if h != def {
 				t.Errorf("cb_nodes=%q: CBNodes, CBWriteNodes = %d, %d; want defaults %d, %d",
 					bad, h.CBNodes, h.CBWriteNodes, def.CBNodes, def.CBWriteNodes)
 			}

@@ -11,25 +11,74 @@ package mpiio
 // interior boundaries aligned down, boundaries at or past gmax clamped to
 // gmax. bounds[0] = gmin and bounds[naggs] = gmax exactly.
 func evenBounds(gmin, gmax int64, naggs int, stripe int64) []int64 {
-	width := gmax - gmin
-	domain := (width + int64(naggs) - 1) / int64(naggs)
-	domain = (domain + stripe - 1) / stripe * stripe
+	domain := evenDomain(gmin, gmax, naggs, stripe)
 	bounds := make([]int64, naggs+1)
-	bounds[0] = gmin
-	for k := 1; k < naggs; k++ {
-		b := gmin + int64(k)*domain
-		if b >= gmax {
-			b = gmax
-		} else {
-			b = b / stripe * stripe
-		}
-		if b < bounds[k-1] {
-			b = bounds[k-1]
-		}
-		bounds[k] = b
+	for k := range bounds {
+		bounds[k] = evenBoundary(gmin, gmax, naggs, domain, stripe, k)
 	}
-	bounds[naggs] = gmax
 	return bounds
+}
+
+// evenDomain is the nominal domain width of naggs aggregators: the range
+// shared equally, rounded up to the stripe.
+func evenDomain(gmin, gmax int64, naggs int, stripe int64) int64 {
+	domain := (gmax - gmin + int64(naggs) - 1) / int64(naggs)
+	return (domain + stripe - 1) / stripe * stripe
+}
+
+// evenBoundary is entry k of the boundary table. The table is monotone
+// without a clamp: domain is a whole number of stripes, so boundary k ≥ 1
+// sits domain bytes past boundary k-1 aligned down, which is past gmin.
+func evenBoundary(gmin, gmax int64, naggs int, domain, stripe int64, k int) int64 {
+	switch b := gmin + int64(k)*domain; {
+	case k == 0:
+		return gmin
+	case k == naggs || b >= gmax:
+		return gmax
+	default:
+		return b / stripe * stripe
+	}
+}
+
+// readAggregators is a collective read's aggregator count without cb_nodes
+// (DESIGN.md §12), from what the plan's allreduce gives every rank: the
+// ranks, the servers, the stripe and [gmin, gmax). A read's client link is
+// on its clock, so every rank reads while that keeps each domain wider than
+// one stripe per server. When size domains would be at most servers stripes
+// wide, each server takes one request per stripe instead; the count is then
+// the one that minimises the widest domain in stripes plus the server
+// requests per server, a domain of d stripes costing min(d, servers)
+// requests. Ties go to the larger count. It allocates nothing.
+func readAggregators(size, servers int, gmin, gmax, stripe int64) int {
+	if widest, _ := domainCost(size, servers, gmin, gmax, stripe); widest > int64(servers) {
+		return size
+	}
+	best, bestCost := size, int64(-1)
+	for a := size; a >= 1; a-- {
+		widest, reqs := domainCost(a, servers, gmin, gmax, stripe)
+		// Scaled by servers to stay in integers.
+		if c := widest*int64(servers) + reqs; bestCost < 0 || c < bestCost {
+			best, bestCost = a, c
+		}
+	}
+	return best
+}
+
+// domainCost walks naggs even domains over [gmin, gmax) and returns the
+// widest in stripes and the server requests of them all.
+func domainCost(naggs, servers int, gmin, gmax, stripe int64) (widest, reqs int64) {
+	domain := evenDomain(gmin, gmax, naggs, stripe)
+	lo := gmin
+	for k := 1; k <= naggs; k++ {
+		hi := evenBoundary(gmin, gmax, naggs, domain, stripe, k)
+		if hi > lo {
+			d := (hi+stripe-1)/stripe - lo/stripe
+			widest = max(widest, d)
+			reqs += min(d, int64(servers))
+		}
+		lo = hi
+	}
+	return widest, reqs
 }
 
 // evenAggRanks spreads the aggregators over the communicator: aggregator a

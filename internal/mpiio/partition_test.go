@@ -211,11 +211,13 @@ func TestNoRoundWithEveryWindowEmpty(t *testing.T) {
 	}
 }
 
-// A collective write has one aggregator per I/O server, a read one per rank.
-// The case is one FLASH unknown on the Frost model: 8 ranks, 2 servers, a
-// stripe-aligned range of ten stripes. The write cuts it into two five-stripe
-// domains, so each server takes one request per domain instead of five; the
-// read keeps five two-stripe domains (the other three aggregators idle).
+// A collective write has one aggregator per I/O server; a read chooses its
+// count by the rule (readAggregators). The case is one FLASH unknown on the
+// Frost model: 8 ranks, 2 servers, a stripe-aligned range of ten stripes.
+// The write cuts it into two five-stripe domains, so each server takes one
+// request per domain instead of five. Five two-stripe read domains would
+// make each server take five requests; the rule reads through 4 aggregators
+// in 3/3/3/1-stripe domains, 7 requests in all instead of 10.
 func TestWritePlanHasOneAggregatorPerServer(t *testing.T) {
 	cfg := pfs.DefaultConfig()
 	cfg.NumServers = 2
@@ -235,7 +237,7 @@ func TestWritePlanHasOneAggregatorPerServer(t *testing.T) {
 			ranks  []int
 		}{
 			{true, 2, []int64{5, 5}, []int{0, 4}},
-			{false, 8, []int64{2, 2, 2, 2, 2, 0, 0, 0}, []int{0, 1, 2, 3, 4, 5, 6, 7}},
+			{false, 4, []int64{3, 3, 3, 1}, []int{0, 2, 4, 6}},
 		} {
 			plan, ok, err := f.collectivePlan([]pfs.Segment{{Off: lo, Len: hi - lo}}, nil, tc.write)
 			if err != nil || !ok {
@@ -256,4 +258,74 @@ func TestWritePlanHasOneAggregatorPerServer(t *testing.T) {
 		}
 		return f.Close()
 	})
+}
+
+// The read's aggregator count by the rule. A request wide enough to give
+// every rank more than a stripe per server keeps one aggregator per rank;
+// a smaller one takes the count with the least widest-domain-plus-requests
+// cost, ties to the larger count.
+func TestReadAggregatorRule(t *testing.T) {
+	const stripe = 256 << 10
+	for _, tc := range []struct {
+		name           string
+		ranks, servers int
+		gmin, stripes  int64
+		want           int
+	}{
+		{"one 8^3 unknown on Frost", 8, 2, 0, 10, 4},
+		{"same, unaligned start", 8, 2, 1492, 10, 4},
+		{"one 16^3 unknown on Frost", 8, 2, 0, 80, 8},
+		{"Blue Horizon, 32 ranks", 32, 12, 0, 256, 32},
+		{"queued 8^3 checkpoint", 8, 2, 0, 240, 8},
+		{"one rank", 1, 2, 0, 1, 1},
+		{"one stripe", 8, 2, 0, 1, 8},
+	} {
+		gmax := tc.gmin + tc.stripes*stripe
+		if tc.gmin%stripe != 0 {
+			gmax -= tc.gmin % stripe // the same stripe count, unaligned at both ends
+		}
+		if got := readAggregators(tc.ranks, tc.servers, tc.gmin, gmax, stripe); got != tc.want {
+			t.Errorf("%s (%d ranks, %d servers, %d stripes): %d aggregators, want %d",
+				tc.name, tc.ranks, tc.servers, tc.stripes, got, tc.want)
+		}
+	}
+}
+
+// Choosing the count allocates nothing: it walks each candidate's domains
+// without building a boundary table.
+func TestReadAggregatorRuleAllocatesNothing(t *testing.T) {
+	n := 0
+	if a := testing.AllocsPerRun(100, func() { n += readAggregators(64, 2, 0, 30<<20, 256<<10) }); a != 0 {
+		t.Fatalf("readAggregators allocates %.0f times a call", a)
+	}
+}
+
+// An explicit cb_nodes wins over the rule in both directions, cb_nodes =
+// the rank count included (a read that the rule would give 4 aggregators).
+func TestExplicitCBNodesWins(t *testing.T) {
+	cfg := pfs.DefaultConfig()
+	cfg.NumServers = 2
+	fsys := pfs.New(cfg)
+	stripe := cfg.StripeSize
+	gmin, gmax := int64(0), 10*stripe
+	for _, nodes := range []int{1, 3, 8} {
+		info := mpi.NewInfo().Set("cb_nodes", fmt.Sprint(nodes))
+		runWorld(t, 8, func(c *mpi.Comm) error {
+			f, err := Open(c, fsys, "given", ModeRdWr|ModeCreate, info)
+			if err != nil {
+				return err
+			}
+			lo, hi := gmin+(gmax-gmin)*int64(c.Rank())/8, gmin+(gmax-gmin)*int64(c.Rank()+1)/8
+			for _, write := range []bool{true, false} {
+				plan, ok, err := f.collectivePlan([]pfs.Segment{{Off: lo, Len: hi - lo}}, nil, write)
+				if err != nil || !ok {
+					return fmt.Errorf("collectivePlan ok=%v err=%v", ok, err)
+				}
+				if plan.naggs != nodes {
+					return fmt.Errorf("cb_nodes=%d, write=%v: %d aggregators", nodes, write, plan.naggs)
+				}
+			}
+			return f.Close()
+		})
+	}
 }

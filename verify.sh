@@ -11,7 +11,8 @@
 # pfs.TestEveryMethodIsCharged (every byte charged and counted), and in the
 # root guards_test.go TestIOErrorsAreChecked (no dropped Close/Sync/Flush/
 # Write* error), TestLockSections (locks released on every way out; srvMu a
-# leaf), TestInternalHasNoWallClock and TestInternalReadsNoEnvironment.
+# leaf), TestInternalHasNoWallClock and TestInternalReadsNoEnvironment, and
+# a FLASH checkpoint written per variable and queued, which must match.
 # Toggles:
 #   BENCH=1  run the repository's benchmark (benchmark/README.md: five
 #            pinned workloads, end-to-end and per-layer, ~2 min), write this
@@ -51,6 +52,18 @@ go test -run '^TestAllocs' . ./internal/mpi/
 # file under testdata/fuzz runs once as a unit test. (To fuzz for real:
 # go test ./internal/mpiio -run '^$' -fuzz FuzzAssembleWrite -fuzztime 30s.)
 go test -run 'Fuzz' ./internal/cdf/ ./internal/mpiio/ ./internal/integration/
+# FLASH's queued mode writes the published checkpoint to the byte: one
+# collective per unknown and every unknown queued under one WaitAll must
+# give identical files, a valid one, and the queued read-back must complete.
+flashdir=$(mktemp -d)
+for queued in false true; do
+    go run ./cmd/flashio-bench -block 8 -procs 8 -blocks-per-proc 4 \
+        -files checkpoint -queued="$queued" -out "$flashdir/queued_$queued.nc" > /dev/null
+done
+cmp "$flashdir/queued_false.nc" "$flashdir/queued_true.nc"
+go run ./cmd/ncvalidate "$flashdir/queued_true.nc"
+go run ./cmd/flashio-bench -block 8 -procs 8 -blocks-per-proc 4 -queued -read > /dev/null
+rm -rf "$flashdir"
 
 if [ "${BENCH:-0}" = "1" ]; then
     # One row per PR: results/BENCH_<n>.json is generated, never edited. The
