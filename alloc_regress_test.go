@@ -331,6 +331,109 @@ func TestAllocsManyRoundWrite(t *testing.T) {
 	}
 }
 
+// openWriteAllocs opens roundsAllocs' file afresh on 4 ranks, on a file
+// system with the given client cache, and returns the objects all ranks
+// together allocated in the open and one 32-round WriteAtAll — an earlier
+// open and write warm the pools and the chunk store — plus the rounds it
+// took and the io_overlap_ns recorded by the time it returned.
+func openWriteAllocs(tb testing.TB, cache int64) (objs, rounds, overlap int64) {
+	const ranks, blockLen, nBlocks = 4, 128, 2064
+	cfg := pfs.DefaultConfig()
+	cfg.StripeSize = 4096
+	cfg.ClientCache = cache
+	fs := pfs.New(cfg)
+	// Two file domains of 129 x 4096 bytes: 32 rounds of 16 512 bytes each.
+	info := mpi.NewInfo().Set("cb_nodes", "2").Set("cb_buffer_size", "16512")
+	err := mpi.Run(ranks, mpi.DefaultNet(), func(c *mpi.Comm) error {
+		st := iostat.New()
+		c.Proc().SetStats(st)
+		ft, err := mpitype.Vector(nBlocks, blockLen, ranks*blockLen, mpitype.Contig(1))
+		if err != nil {
+			return err
+		}
+		buf := make([]byte, nBlocks*blockLen)
+		write := func() (*mpiio.File, error) {
+			f, err := mpiio.Open(c, fs, "inflight.nc", mpiio.ModeRdWr|mpiio.ModeCreate, info)
+			if err != nil {
+				return nil, err
+			}
+			if err := f.SetView(int64(c.Rank())*blockLen, ft); err != nil {
+				return nil, err
+			}
+			return f, f.WriteAtAll(0, buf)
+		}
+		f, err := write()
+		if err != nil {
+			return err
+		}
+		if err := f.Close(); err != nil {
+			return err
+		}
+		st.Reset()
+		var before, after runtime.MemStats
+		c.Barrier()
+		if c.Rank() == 0 {
+			runtime.ReadMemStats(&before)
+		}
+		c.Barrier()
+		if f, err = write(); err != nil {
+			return err
+		}
+		c.Barrier()
+		if c.Rank() == 0 {
+			runtime.ReadMemStats(&after)
+			objs = int64(after.Mallocs - before.Mallocs)
+			rounds = st.Get(iostat.IOTwoPhaseRounds)
+		}
+		if sum := iostat.Reduce(c, st); sum != nil {
+			overlap = sum.KeyCounters()["io_overlap_ns"]
+		}
+		return f.Close()
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return objs, rounds, overlap
+}
+
+// TestAllocsRoundsInFlight: a collective that leaves every round in flight
+// costs no more objects than one whose client cache holds a single round —
+// the write-behind FIFO is sized once per collective, not regrown by
+// doubling on each fresh handle (1, 2, 4 … 32 entries: five more objects per
+// aggregator, ten here). The 32-round write into the default 64 MiB cache
+// settles no round before it returns (io_overlap_ns is still 0); the
+// one-round cache settles every round but the last. Background allocation
+// only adds (a run of the whole package reads up to 2 high), so the two
+// caches are measured in alternation and the smallest of many runs of each
+// is compared, with three objects to spare.
+func TestAllocsRoundsInFlight(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops buffers under the race detector; the pins do not hold")
+	}
+	caches := [2]int64{16512, pfs.DefaultConfig().ClientCache} // one round; all 32
+	least := [2]int64{-1, -1}
+	for i := 0; i < 30; i++ {
+		for j, cache := range caches {
+			objs, rounds, overlap := openWriteAllocs(t, cache)
+			if rounds != 32 {
+				t.Fatalf("cache %d: %d rounds, want 32", cache, rounds)
+			}
+			if inFlight := j == 1; (overlap == 0) != inFlight {
+				t.Fatalf("cache %d: io_overlap_ns %d when the write returned; every round in flight: %v",
+					cache, overlap, inFlight)
+			}
+			if least[j] < 0 || objs < least[j] {
+				least[j] = objs
+			}
+		}
+	}
+	one, all := least[0], least[1]
+	t.Logf("open + 32-round write: %d objects with one round in flight, %d with all 32", one, all)
+	if all > one+3 {
+		t.Errorf("with every round in flight the open and write allocate %d objects, want <= %d (one round in flight) + 3", all, one)
+	}
+}
+
 // TestAllocsFlashRoundTrip pins what a checkpoint-shaped flexible put and get
 // may allocate, relative to the payload they move: 8 ranks, FLASH block
 // geometry (8x8x8 interior cells inside 4 guard cells, 80 blocks per rank),

@@ -30,6 +30,7 @@ func SDSCBlueHorizon() MachineSpec {
 		ReadBW:         75e6,
 		WriteBW:        22e6,
 		ClientBW:       160e6,
+		ClientCache:    64 << 20,
 		NetLatency:     60e-6,
 		PerReqOverhead: 200e-6,
 		PipeChunk:      4 << 20,
@@ -50,6 +51,7 @@ func ASCIFrost() MachineSpec {
 		ReadBW:         90e6,
 		WriteBW:        60e6,
 		ClientBW:       160e6,
+		ClientCache:    64 << 20,
 		NetLatency:     80e-6,
 		PerReqOverhead: 250e-6,
 		PipeChunk:      4 << 20,

@@ -23,18 +23,20 @@ import (
 // writes are written behind, so they overlap the collectives that follow
 // (nonzero io_overlap_ns). Both runs keep the write-behind contract
 // (behindtest.Check), with each rank's clock taken when the writer has
-// closed the file.
+// closed the file. Each run's client cache holds one of its rounds, so an
+// aggregator settles its oldest write before it issues the next.
 func TestFlashPipelineAcceptance(t *testing.T) {
 	cfg := flash.Default8()
-	fsCfg := pfs.DefaultConfig()
-	run := func(name string, info *mpi.Info, cbbuf int64) ([]byte, map[string]int64) {
+	run := func(name string, info *mpi.Info, cache int64) ([]byte, map[string]int64) {
 		t.Helper()
+		fsCfg := pfs.DefaultConfig()
+		fsCfg.ClientCache = cache
 		fsys := pfs.New(fsCfg)
 		var counters map[string]int64
 		var mu sync.Mutex
 		var spans []span.Span
 		p := behindtest.Params{NetLatency: fsCfg.NetLatency, ClientBW: fsCfg.ClientBW,
-			CBBuffer: cbbuf, IndWrBuffer: 4 << 20, Drained: map[int]float64{}}
+			Cache: cache, Drained: map[int]float64{}}
 		err := mpi.Run(8, mpi.DefaultNet(), func(c *mpi.Comm) error {
 			c.Proc().SetStats(iostat.New())
 			rec := span.NewRecorder(c.Rank(), c.Proc().Clock)

@@ -27,7 +27,7 @@ func TestPublishesFollowTheDrain(t *testing.T) {
 	var mu sync.Mutex
 	var spans []span.Span
 	p := behindtest.Params{NetLatency: cfg.NetLatency, ClientBW: cfg.ClientBW,
-		CBBuffer: 16 << 20, IndWrBuffer: 4 << 20, Drained: map[int]float64{}}
+		Cache: cfg.ClientCache, Drained: map[int]float64{}}
 	err := mpi.Run(ranks, mpi.DefaultNet(), func(c *mpi.Comm) error {
 		rec := span.NewRecorder(c.Rank(), c.Proc().Clock)
 		c.Proc().SetSpans(rec)

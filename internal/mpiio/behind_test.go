@@ -7,6 +7,7 @@ import (
 	"pnetcdf/internal/fault"
 	"pnetcdf/internal/iostat"
 	"pnetcdf/internal/mpi"
+	"pnetcdf/internal/pfs"
 )
 
 // TestRetriedWriteLeavesTheLinkLast: a write behind settles the rank's clock
@@ -53,9 +54,9 @@ func TestRetriedWriteLeavesTheLinkLast(t *testing.T) {
 
 // TestManyTinyWritesKeepTheFIFOCompact: the FIFO is bounded in bytes, not
 // in writes, so 4-byte independent writes queue tens of thousands of
-// entries. At a 4 KiB budget every write past the first thousand overflows
-// it and settles the oldest; at a 256 KiB budget Close settles all 65 536 at
-// once. Through both, the settled prefix of the FIFO stays under half its
+// entries. At a 4 KiB client cache every write past the first thousand
+// overflows it and settles the oldest; at a 256 KiB cache Close settles all
+// 65 536 at once. Through both, the settled prefix of the FIFO stays under half its
 // slice — the condition that makes a settled write cost O(1) moves (a FIFO
 // that shifts its whole tail per settled write drains these in seconds, not
 // milliseconds) — and Close leaves the clock past every write's end with
@@ -63,9 +64,10 @@ func TestRetriedWriteLeavesTheLinkLast(t *testing.T) {
 func TestManyTinyWritesKeepTheFIFOCompact(t *testing.T) {
 	const writes = 1 << 16
 	for _, budget := range []int{4 << 10, 4 * writes} {
-		fsys := testFS()
-		info := mpi.NewInfo().Set("ind_wr_buffer_size", fmt.Sprint(budget)).
-			Set("romio_ds_write", "disable")
+		cfg := pfs.DefaultConfig()
+		cfg.ClientCache = int64(budget)
+		fsys := pfs.New(cfg)
+		info := mpi.NewInfo().Set("romio_ds_write", "disable")
 		runWorld(t, 1, func(c *mpi.Comm) error {
 			f, err := Open(c, fsys, "tiny", ModeRdWr|ModeCreate, info)
 			if err != nil {

@@ -13,14 +13,13 @@ import (
 	"pnetcdf/internal/span"
 )
 
-// Params are the run's file-system link and hints, and the clock each rank
-// read right after its last Sync or Close.
+// Params are the run's client link and cache, and the clock each rank read
+// right after its last Sync or Close.
 type Params struct {
-	NetLatency  float64 // pfs.Config.NetLatency
-	ClientBW    float64 // pfs.Config.ClientBW
-	CBBuffer    int64   // cb_buffer_size: the budget of a collective round's writes
-	IndWrBuffer int64   // ind_wr_buffer_size: the budget of an independent write
-	Drained     map[int]float64
+	NetLatency float64 // pfs.Config.NetLatency
+	ClientBW   float64 // pfs.Config.ClientBW
+	Cache      int64   // pfs.Config.ClientCache: the budget of every data write
+	Drained    map[int]float64
 }
 
 // eps absorbs the rounding of clocks summed in a different order.
@@ -30,8 +29,8 @@ const eps = 1e-12
 //
 //	(a) after Sync or Close a rank's clock is past every pfs_* span it recorded;
 //	(b) at every data write's issue, the rank's bytes in flight, that write's
-//	    included, are within the issuing path's hint — or, for a write larger
-//	    than the hint, nothing else is in flight;
+//	    included, are within the client cache, whichever path issued them —
+//	    or, for a write larger than the cache, nothing else is in flight;
 //	(c) a rank's writes never share its link: each is issued once the one
 //	    before it has crossed the link;
 //	(d) a publish is issued only after every data write issued before it, on
@@ -40,15 +39,6 @@ func Check(spans []span.Span, p Params) []string {
 	var out []string
 	bad := func(format string, args ...any) { out = append(out, fmt.Sprintf(format, args...)) }
 	path := paths(spans)
-	budget := func(s span.Span) int64 {
-		switch path(s) {
-		case span.CollWrite:
-			return p.CBBuffer
-		case span.IndepWrite:
-			return p.IndWrBuffer
-		}
-		return 0
-	}
 	writes := map[int][]span.Span{}
 	var data, publishes []span.Span
 	for _, s := range spans {
@@ -76,18 +66,17 @@ func Check(spans []span.Span, p Params) []string {
 					bad("(c) rank %d: write at %g issued while the one at %g was still on the link until %g", rank, w.Start, prev.Start, left)
 				}
 			}
-			b := budget(w)
-			if b == 0 {
+			if path(w) == "" {
 				continue
 			}
 			var inflight int64
 			for _, e := range ws[:i] {
-				if budget(e) > 0 && e.End > w.Start+eps {
+				if path(e) != "" && e.End > w.Start+eps {
 					inflight += e.Bytes
 				}
 			}
-			if inflight > 0 && inflight+w.Bytes > b {
-				bad("(b) rank %d: write of %d bytes at %g issued with %d bytes in flight, budget %d", rank, w.Bytes, w.Start, inflight, b)
+			if inflight > 0 && inflight+w.Bytes > p.Cache {
+				bad("(b) rank %d: write of %d bytes at %g issued with %d bytes in flight, cache %d", rank, w.Bytes, w.Start, inflight, p.Cache)
 			}
 		}
 	}

@@ -230,9 +230,12 @@ func TestCollectiveReadErrorAgreement(t *testing.T) {
 // an overlapped aggregator write (one settled only after the NEXT round's
 // exchange) must agree the error on every rank at the same deferred
 // boundary and leave the handle in a clean state — a follow-up collective
-// on the same file must succeed and round-trip.
+// on the same file must succeed and round-trip. The client cache holds one
+// round, so each round settles the one before it inside the collective.
 func TestPipelinedWriteCrashDrainsAndAgrees(t *testing.T) {
-	fsys := testFS()
+	cfg := pfs.DefaultConfig()
+	cfg.ClientCache = 65536
+	fsys := pfs.New(cfg)
 	in := fault.New(fault.Config{Seed: 13})
 	fsys.SetFault(in)
 	const n = 4

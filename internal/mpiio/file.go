@@ -184,7 +184,7 @@ func Open(comm *mpi.Comm, fsys *pfs.FS, name string, amode int, info *mpi.Info) 
 	}
 	cfg := fsys.Config()
 	f := &File{comm: comm, fs: fsys, pf: pf, amode: amode, hints: resolveHints(comm, info, cfg.NumServers), info: info.Clone(),
-		retry: fault.DefaultRetryPolicy()}
+		retry: fault.DefaultRetryPolicy(), behind: writeQueue{cache: cfg.ClientCache}}
 	// As MPI_File_get_info does under ROMIO, Info reports the striping the
 	// file has; this file system stripes every file alike, so a value the
 	// caller supplied is advice it cannot take.

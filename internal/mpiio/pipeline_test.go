@@ -162,8 +162,9 @@ func TestOneRoundCollectiveClassicSequence(t *testing.T) {
 // end; a write is a write behind, so its agg_write span ends exactly when
 // its bytes have left the link, and the write-behind contract
 // (behindtest.Check) holds after Sync and again after Close — the clock is
-// past every request, the bytes in flight stay within cb_buffer_size, and a
-// rank's writes never share its link.
+// past every request, the bytes in flight stay within the client cache, and
+// a rank's writes never share its link. The cache holds one round, so every
+// round but the first settles an older one before it is issued.
 func TestClockCoversEveryRequest(t *testing.T) {
 	const (
 		ranks, block, nBlocks = 4, 1024, 64
@@ -180,8 +181,9 @@ func TestClockCoversEveryRequest(t *testing.T) {
 		domain := total / nodes
 		for _, rounds := range []int{1, 2, domain / 4096} {
 			name := fmt.Sprintf("cb_nodes=%d/rounds=%d", nodes, rounds)
-			fsys := pfs.New(cfg)
 			cbbuf := int64(domain / rounds)
+			cfg.ClientCache = cbbuf
+			fsys := pfs.New(cfg)
 			info := mpi.NewInfo().
 				Set("cb_buffer_size", fmt.Sprint(cbbuf)).
 				Set("cb_nodes", fmt.Sprint(nodes))
@@ -190,7 +192,7 @@ func TestClockCoversEveryRequest(t *testing.T) {
 			p := [2]behindtest.Params{} // after Sync, after Close
 			for i := range p {
 				p[i] = behindtest.Params{NetLatency: cfg.NetLatency, ClientBW: cfg.ClientBW,
-					CBBuffer: cbbuf, IndWrBuffer: 4 << 20, Drained: map[int]float64{}}
+					Cache: cfg.ClientCache, Drained: map[int]float64{}}
 			}
 			var aggWrites, aggReads atomic.Int64
 			runWorld(t, ranks, func(c *mpi.Comm) error {

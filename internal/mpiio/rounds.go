@@ -6,11 +6,16 @@ package mpiio
 // virtual, the sequence real: a request moves its bytes before it returns,
 // and the rank clock takes the request's virtual end later.
 //
-// A write round's request is a write behind (behind.go): the clock takes
-// the time its bytes left the client link, and its end only when the rank's
-// writes in flight would overflow cb_buffer_size, or at Sync, Close or a
-// header publish. So the servers work on round r — and on earlier
-// collectives' rounds — while the ranks pack and exchange what follows:
+// cb_buffer_size is a round's staging buffer: it sets how much of its file
+// domain an aggregator takes per round, and so the round count, and nothing
+// else. A write round's request is a write behind (behind.go): the clock
+// takes the time its bytes left the client link, and its end only when the
+// rank's writes in flight would overflow the client cache
+// (pfs.Config.ClientCache), or at Sync, Close or a header publish. The
+// staging buffer is free once the request returns — the cache holds the
+// bytes — so the servers work on round r, on the rounds before it and on
+// earlier collectives' rounds while the ranks pack and exchange what
+// follows:
 //
 //	write round r:  pack(r) → exchange(r) ⊇ verdict(r−1) → [settle oldest] → issue(r)
 //	read round r:   pack(r) → exchange(r) ⊇ verdict(r−1) → issue(r)
@@ -96,6 +101,9 @@ func (f *File) writeRounds(plan collectivePlan, segs []pfs.Segment, prefix []int
 		return f.pf.WriteBehind(t, wv.segs, wv.iov)
 	}
 
+	if myAgg >= 0 {
+		f.behind.reserve(int(plan.rounds))
+	}
 	_ = frontend(0, nil) // carries no round: the verdict is nil
 	for r := int64(0); r < plan.rounds; r++ {
 		// Backend: merge what this aggregator received into one vectored
@@ -108,7 +116,7 @@ func (f *File) writeRounds(plan collectivePlan, segs []pfs.Segment, prefix []int
 			roundErr = wv.assemble(msgs, lo, hi)
 			if roundErr == nil && len(wv.iov) > 0 {
 				var issued float64
-				issued, roundErr = f.writeBehind(wv.bytes, f.hints.CBBufferSize, int(r), write)
+				issued, roundErr = f.writeBehind(wv.bytes, int(r), write)
 				f.killPoint(fault.KillAfterIssue)
 				f.sp.Record(span.AggWrite, int(r), issued, f.comm.Clock(), wv.bytes, -1)
 			}

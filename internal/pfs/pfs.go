@@ -61,6 +61,11 @@ type Config struct {
 	WriteBW float64
 	// ClientBW is the bandwidth of one client's link to the I/O system.
 	ClientBW float64
+	// ClientCache is the bytes of data writes one client handle may hold in
+	// flight once they have crossed its link — GPFS's pagepool, the
+	// write-behind cache (DESIGN.md §13). Zero means no cache: every write
+	// is written through.
+	ClientCache int64
 	// NetLatency is the one-way client/server request latency.
 	NetLatency float64
 	// PerReqOverhead is a fixed per-server charge per request batch
@@ -94,6 +99,7 @@ func DefaultConfig() Config {
 		ReadBW:         125e6,
 		WriteBW:        30e6,
 		ClientBW:       220e6,
+		ClientCache:    64 << 20,
 		NetLatency:     60e-6,
 		PerReqOverhead: 150e-6,
 		PipeChunk:      4 << 20,

@@ -12,7 +12,8 @@
 # root guards_test.go TestIOErrorsAreChecked (no dropped Close/Sync/Flush/
 # Write* error), TestLockSections (locks released on every way out; srvMu a
 # leaf), TestInternalHasNoWallClock and TestInternalReadsNoEnvironment, and
-# a FLASH checkpoint written per variable and queued, which must match.
+# a FLASH checkpoint written per variable and queued, in one-round and in
+# many-round collectives, which must match.
 # Toggles:
 #   BENCH=1  run the repository's benchmark (benchmark/README.md: five
 #            pinned workloads, end-to-end and per-layer, ~2 min), write this
@@ -55,13 +56,21 @@ go test -run 'Fuzz' ./internal/cdf/ ./internal/mpiio/ ./internal/integration/
 # FLASH's queued mode writes the published checkpoint to the byte: one
 # collective per unknown and every unknown queued under one WaitAll must
 # give identical files, a valid one, and the queued read-back must complete.
+# The second pair runs 64 KiB rounds, so each aggregator's client cache
+# holds many rounds in flight (over a hundred in the queued collective).
 flashdir=$(mktemp -d)
-for queued in false true; do
-    go run ./cmd/flashio-bench -block 8 -procs 8 -blocks-per-proc 4 \
-        -files checkpoint -queued="$queued" -out "$flashdir/queued_$queued.nc" > /dev/null
-done
-cmp "$flashdir/queued_false.nc" "$flashdir/queued_true.nc"
-go run ./cmd/ncvalidate "$flashdir/queued_true.nc"
+flash_pair() { # name, then the flashio-bench options of the pair
+    name=$1
+    shift
+    for queued in false true; do
+        go run ./cmd/flashio-bench -block 8 -procs 8 -files checkpoint "$@" \
+            -queued="$queued" -out "$flashdir/${name}_$queued.nc" > /dev/null
+    done
+    cmp "$flashdir/${name}_false.nc" "$flashdir/${name}_true.nc"
+    go run ./cmd/ncvalidate "$flashdir/${name}_true.nc"
+}
+flash_pair one_round -blocks-per-proc 4
+flash_pair many_round -blocks-per-proc 20 -cb-buffer-size 65536
 go run ./cmd/flashio-bench -block 8 -procs 8 -blocks-per-proc 4 -queued -read > /dev/null
 rm -rf "$flashdir"
 
