@@ -24,51 +24,71 @@ import (
 )
 
 var (
-	kind  = flag.Int("k", 0, "output kind: 1=classic, 2=64-bit offset, 5=64-bit data (0: same as input)")
-	align = flag.Int64("align", 1, "align data section and fixed variables to this many bytes")
+	kFlag     = flag.Int("k", 0, "output kind: 1=classic, 2=64-bit offset, 5=64-bit data (0: same as input)")
+	alignFlag = flag.Int64("align", 1, "align data section and fixed variables to this many bytes")
 )
+
+const usage = "usage: nccopy [-k 1|2|5] [-align N] in.nc out.nc"
 
 func main() {
 	flag.Parse()
 	if flag.NArg() != 2 {
-		cmdutil.Usagef("usage: nccopy [-k 1|2|5] [-align N] in.nc out.nc")
+		cmdutil.Usagef(usage)
 	}
-	cmdutil.Fatal("nccopy", run(flag.Arg(0), flag.Arg(1)))
+	if _, ok := createMode(*kFlag); !ok && *kFlag != 0 {
+		cmdutil.Usagef("nccopy: bad -k %d\n%s", *kFlag, usage)
+	}
+	cmdutil.Fatal("nccopy", run(flag.Arg(0), flag.Arg(1), *kFlag, *alignFlag))
 }
 
-func run(inPath, outPath string) (err error) {
+// createMode is the create mode of format version k (1, 2 or 5).
+func createMode(k int) (int, bool) {
+	switch k {
+	case nctype.FormatClassic:
+		return nctype.Clobber, true
+	case nctype.Format64Bit:
+		return nctype.Clobber | nctype.Bit64Offset, true
+	case nctype.Format64Data:
+		return nctype.Clobber | nctype.Bit64Data, true
+	}
+	return 0, false
+}
+
+// run copies inPath to outPath as format version kind (0: the input's),
+// aligned to align bytes. It refuses an output that is the input file:
+// creating the output truncates it before any data is read.
+func run(inPath, outPath string, kind int, align int64) (err error) {
 	in, err := os.Open(inPath)
 	if err != nil {
 		return err
 	}
 	defer func() { err = errors.Join(err, in.Close()) }()
+	if out, err := os.Stat(outPath); err == nil {
+		st, err := in.Stat()
+		if err != nil {
+			return err
+		}
+		if os.SameFile(st, out) {
+			return fmt.Errorf("%s and %s are the same file", inPath, outPath)
+		}
+	}
 	src, err := netcdf.Open(netcdf.OSStore{F: in}, nctype.NoWrite)
 	if err != nil {
 		return err
 	}
-	mode := nctype.Clobber
-	switch *kind {
-	case 0:
-		switch src.Header().Version {
-		case 2:
-			mode |= nctype.Bit64Offset
-		case 5:
-			mode |= nctype.Bit64Data
-		}
-	case 1:
-	case 2:
-		mode |= nctype.Bit64Offset
-	case 5:
-		mode |= nctype.Bit64Data
-	default:
-		return fmt.Errorf("bad -k %d", *kind)
+	if kind == 0 {
+		kind = src.Header().Version
+	}
+	mode, ok := createMode(kind)
+	if !ok {
+		return fmt.Errorf("bad -k %d", kind)
 	}
 	outF, err := os.OpenFile(outPath, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
 	}
 	dst, err := netcdf.Create(netcdf.OSStore{F: outF}, mode,
-		netcdf.WithHeaderAlign(*align))
+		netcdf.WithHeaderAlign(align))
 	if err != nil {
 		return err
 	}

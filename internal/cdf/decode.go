@@ -326,14 +326,3 @@ func (r *headerReader) decode(buf []byte) (*Header, error) {
 	}
 	return h, nil
 }
-
-// DecodedHeaderSize reports how many bytes of buf the header occupies; it is
-// the position reached by a successful Decode. Returns an error for a
-// malformed header.
-func DecodedHeaderSize(buf []byte) (int64, error) {
-	h, err := Decode(buf)
-	if err != nil {
-		return 0, err
-	}
-	return h.EncodedSize(), nil
-}

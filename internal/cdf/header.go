@@ -15,7 +15,6 @@ package cdf
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"pnetcdf/internal/nctype"
 )
@@ -393,15 +392,4 @@ func CheckName(name string) error {
 		return fmt.Errorf("%w: %q", nctype.ErrBadName, name)
 	}
 	return nil
-}
-
-// SortedVarIDsByBegin returns variable IDs ordered by file offset; handy for
-// layout inspection and for ncdump's data section.
-func (h *Header) SortedVarIDsByBegin() []int {
-	ids := make([]int, len(h.Vars))
-	for i := range ids {
-		ids[i] = i
-	}
-	sort.Slice(ids, func(a, b int) bool { return h.Vars[ids[a]].Begin < h.Vars[ids[b]].Begin })
-	return ids
 }

@@ -420,18 +420,6 @@ func TestSmallHelpers(t *testing.T) {
 	if FindAttr(h.GAttrs, "title") != 0 || FindAttr(h.GAttrs, "x") != -1 {
 		t.Fatal("FindAttr wrong")
 	}
-	ids := h.SortedVarIDsByBegin()
-	// mask (fixed) precedes temp (record section).
-	if len(ids) != 2 || h.Vars[ids[0]].Name != "mask" || h.Vars[ids[1]].Name != "temp" {
-		t.Fatalf("SortedVarIDsByBegin = %v", ids)
-	}
-	n, err := DecodedHeaderSize(h.Encode())
-	if err != nil || n != h.EncodedSize() {
-		t.Fatalf("DecodedHeaderSize = %d (%v), want %d", n, err, h.EncodedSize())
-	}
-	if _, err := DecodedHeaderSize([]byte("junk")); err == nil {
-		t.Fatal("DecodedHeaderSize accepted junk")
-	}
 	iss := LayoutIssue{Var: "v", Desc: "broken"}
 	if iss.String() != `variable "v": broken` {
 		t.Fatalf("issue string = %q", iss.String())

@@ -379,6 +379,23 @@ func TestFlexibleAPI(t *testing.T) {
 	})
 }
 
+// A buffer of a Go type the library does not convert is a type mismatch on
+// every rank, not a count mismatch.
+func TestUnsupportedMemoryType(t *testing.T) {
+	fsys := testFS()
+	runWorld(t, 2, func(c *mpi.Comm) error {
+		d, _, grid, err := createStandard(c, fsys, "inttype.nc")
+		if err != nil {
+			return err
+		}
+		start := []int64{0, int64(c.Rank() * 4)}
+		if err := d.PutVaraAll(grid, start, []int64{1, 4}, []int{1, 2, 3, 4}); !errors.Is(err, nctype.ErrTypeMismatch) {
+			return fmt.Errorf("rank %d: put of []int: %v, want ErrTypeMismatch", c.Rank(), err)
+		}
+		return d.Close()
+	})
+}
+
 func TestVarmAndVar1(t *testing.T) {
 	fsys := testFS()
 	runWorld(t, 2, func(c *mpi.Comm) error {

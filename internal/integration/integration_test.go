@@ -11,7 +11,6 @@ import (
 	"slices"
 	"testing"
 
-	"pnetcdf/internal/cdl"
 	"pnetcdf/internal/core"
 	"pnetcdf/internal/iostat"
 	"pnetcdf/internal/mpi"
@@ -324,28 +323,29 @@ func TestRandomizedCrossLibraryFuzz(t *testing.T) {
 	}
 }
 
-// TestCDLToParallelPipeline compiles a CDL schema serially, then extends the
-// dataset in parallel (appending records), then dumps the structure back.
+// TestCDLToParallelPipeline builds a small station schema serially, then
+// extends the dataset in parallel (appending records), then reads it back
+// serially.
 func TestCDLToParallelPipeline(t *testing.T) {
 	fsys := newFS()
-	src := `netcdf station {
-	dimensions: time = UNLIMITED ; s = 4 ;
-	variables:
-		float obs(time, s) ;
-			obs:units = "degC" ;
-	data:
-		obs = 1, 2, 3, 4 ;
-	}`
-	schema, err := cdl.Parse(src)
-	if err != nil {
-		t.Fatal(err)
-	}
 	pf, _ := fsys.Create("station.nc", 0)
 	sd, err := netcdf.Create(pfs.NewSerialFile(pf, 0), nctype.Clobber)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := schema.Build(sd); err != nil {
+	tdim, _ := sd.DefDim("time", 0)
+	sdim, _ := sd.DefDim("s", 4)
+	obs, err := sd.DefVar("obs", nctype.Float, []int{tdim, sdim})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sd.PutAttr(obs, "units", nctype.Char, "degC"); err != nil {
+		t.Fatal(err)
+	}
+	if err := sd.EndDef(); err != nil {
+		t.Fatal(err)
+	}
+	if err := sd.PutVara(obs, []int64{0, 0}, []int64{1, 4}, []float32{1, 2, 3, 4}); err != nil {
 		t.Fatal(err)
 	}
 	if err := sd.Close(); err != nil {
@@ -387,7 +387,7 @@ func TestCDLToParallelPipeline(t *testing.T) {
 	if err := rd.GetVar(rd.VarID("obs"), all); err != nil {
 		t.Fatal(err)
 	}
-	if all[0] != 1 || all[3] != 4 { // CDL record
+	if all[0] != 1 || all[3] != 4 { // serial record
 		t.Fatalf("record 0 = %v", all[:4])
 	}
 	if all[4+2] != 12 || all[12+3] != 33 { // appended records

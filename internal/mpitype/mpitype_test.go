@@ -1,7 +1,6 @@
 package mpitype
 
 import (
-	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -285,83 +284,6 @@ func TestSegmentsForRange(t *testing.T) {
 	// Empty type cannot produce data units.
 	if _, err := (Datatype{}).SegmentsForRange(0, 0, 1); err == nil {
 		t.Fatal("empty type produced data")
-	}
-}
-
-func TestPackUnpackRoundTrip(t *testing.T) {
-	d, err := Subarray([]int64{4, 4}, []int64{2, 2}, []int64{1, 1}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := make([]byte, 32) // two instances
-	for i := range src {
-		src[i] = byte(i)
-	}
-	packed := make([]byte, 2*d.Size())
-	if err := Pack(src, d, 2, packed); err != nil {
-		t.Fatal(err)
-	}
-	want := []byte{5, 6, 9, 10, 16 + 5, 16 + 6, 16 + 9, 16 + 10}
-	if !bytes.Equal(packed, want) {
-		t.Fatalf("packed = %v, want %v", packed, want)
-	}
-	dst := make([]byte, 32)
-	if err := Unpack(packed, d, 2, dst); err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range d.Tiled(nil, 0, 2) {
-		for u := s.Off; u < s.Off+s.Len; u++ {
-			if dst[u] != src[u] {
-				t.Fatalf("unpack unit %d: %d != %d", u, dst[u], src[u])
-			}
-		}
-	}
-	if err := Pack(src, d, 2, make([]byte, 3)); err == nil {
-		t.Fatal("short pack dst accepted")
-	}
-	if err := Unpack(make([]byte, 3), d, 2, dst); err == nil {
-		t.Fatal("short unpack src accepted")
-	}
-}
-
-// Property: Pack then Unpack into a zeroed buffer reproduces exactly the
-// selected units and nothing else.
-func TestQuickPackUnpack(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		d, err := Vector(int64(rng.Intn(4)+1), int64(rng.Intn(3)+1), int64(rng.Intn(3)+4), Contig(int64(rng.Intn(3)+1)))
-		if err != nil {
-			return false
-		}
-		count := int64(rng.Intn(3) + 1)
-		src := make([]byte, count*d.Extent())
-		rng.Read(src)
-		packed := make([]byte, count*d.Size())
-		if Pack(src, d, count, packed) != nil {
-			return false
-		}
-		dst := make([]byte, len(src))
-		if Unpack(packed, d, count, dst) != nil {
-			return false
-		}
-		sel := make([]bool, len(src))
-		for _, s := range d.Tiled(nil, 0, count) {
-			for u := s.Off; u < s.Off+s.Len; u++ {
-				sel[u] = true
-			}
-		}
-		for i := range src {
-			if sel[i] && dst[i] != src[i] {
-				return false
-			}
-			if !sel[i] && dst[i] != 0 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -18,9 +18,9 @@ func SliceHead(data any, n int64) (any, error) {
 	if n == 0 && data == nil {
 		return []byte{}, nil
 	}
-	if cdf.SliceLen(data) < int(n) {
+	if l := cdf.SliceLen(data); l >= 0 && l < int(n) { // l < 0: unsupported type
 		return nil, fmt.Errorf("%w: need %d elements, buffer has %d",
-			nctype.ErrCountMismatch, n, cdf.SliceLen(data))
+			nctype.ErrCountMismatch, n, l)
 	}
 	switch s := data.(type) {
 	case []int8:

@@ -1032,11 +1032,16 @@ func TestBufferPlumbingAllTypes(t *testing.T) {
 			t.Fatalf("SliceHead(%T) past its end: %v", b, err)
 		}
 	}
-	if _, err := MakeLike(struct{}{}, 1); err == nil {
-		t.Fatal("MakeLike accepted unsupported type")
-	}
-	if _, err := SliceHead(struct{}{}, 0); err == nil {
-		t.Fatal("SliceHead accepted unsupported type")
+	// Unsupported types are a type mismatch, whatever their length.
+	for _, b := range []any{struct{}{}, []int{1, 2, 3}} {
+		if _, err := MakeLike(b, 1); err == nil {
+			t.Fatalf("MakeLike accepted unsupported %T", b)
+		}
+		for _, n := range []int64{0, 2} {
+			if _, err := SliceHead(b, n); !errors.Is(err, nctype.ErrTypeMismatch) {
+				t.Fatalf("SliceHead(%T, %d): %v, want a type mismatch", b, n, err)
+			}
+		}
 	}
 }
 

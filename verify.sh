@@ -71,6 +71,14 @@ flash_pair() { # name, then the flashio-bench options of the pair
 }
 flash_pair one_round -blocks-per-proc 4
 flash_pair many_round -blocks-per-proc 20 -cb-buffer-size 65536
+# README's real-file walkthrough, on the one-round checkpoint: dump its
+# header, copy it as CDF-2 on 4 KiB boundaries, and the copy must validate
+# and compare equal to its source.
+ckpt="$flashdir/one_round_true.nc"
+go run ./cmd/ncdump -h "$ckpt" > /dev/null
+go run ./cmd/nccopy -k 2 -align 4096 "$ckpt" "$flashdir/ckpt64.nc"
+go run ./cmd/ncvalidate "$flashdir/ckpt64.nc"
+go run ./cmd/ncdiff "$ckpt" "$flashdir/ckpt64.nc" > /dev/null
 go run ./cmd/flashio-bench -block 8 -procs 8 -blocks-per-proc 4 -queued -read > /dev/null
 rm -rf "$flashdir"
 
