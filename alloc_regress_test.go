@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"pnetcdf/internal/cdf"
@@ -331,12 +332,17 @@ func TestAllocsManyRoundWrite(t *testing.T) {
 	}
 }
 
-// openWriteAllocs opens roundsAllocs' file afresh on 4 ranks, on a file
+// openAccessAllocs opens roundsAllocs' file afresh on 4 ranks, on a file
 // system with the given client cache, and returns the objects all ranks
-// together allocated in the open and one 32-round WriteAtAll — an earlier
-// open and write warm the pools and the chunk store — plus the rounds it
-// took and the io_overlap_ns recorded by the time it returned.
-func openWriteAllocs(tb testing.TB, cache int64) (objs, rounds, overlap int64) {
+// together allocated in the open and one 32-round WriteAtAll — or, with
+// read, ReadAtAll — plus the rounds it took and the io_overlap_ns recorded
+// by the time it returned. An earlier open and write, and for a read three
+// reads, warm the pools and the chunk store. A read runs its warm-up and
+// measured call with the collector paused: a collection in between empties
+// the buffer pools' per-processor caches, and refilling them costs objects
+// in proportion to the pooled buffers in flight, which a read's rounds in
+// flight hold and a write's do not.
+func openAccessAllocs(tb testing.TB, cache int64, read bool) (objs, rounds, overlap int64) {
 	const ranks, blockLen, nBlocks = 4, 128, 2064
 	cfg := pfs.DefaultConfig()
 	cfg.StripeSize = 4096
@@ -352,7 +358,7 @@ func openWriteAllocs(tb testing.TB, cache int64) (objs, rounds, overlap int64) {
 			return err
 		}
 		buf := make([]byte, nBlocks*blockLen)
-		write := func() (*mpiio.File, error) {
+		access := func(read bool) (*mpiio.File, error) {
 			f, err := mpiio.Open(c, fs, "inflight.nc", mpiio.ModeRdWr|mpiio.ModeCreate, info)
 			if err != nil {
 				return nil, err
@@ -360,14 +366,27 @@ func openWriteAllocs(tb testing.TB, cache int64) (objs, rounds, overlap int64) {
 			if err := f.SetView(int64(c.Rank())*blockLen, ft); err != nil {
 				return nil, err
 			}
+			if read {
+				return f, f.ReadAtAll(0, buf)
+			}
 			return f, f.WriteAtAll(0, buf)
 		}
-		f, err := write()
-		if err != nil {
-			return err
+		warm := []bool{false}
+		if read {
+			warm = append(warm, true, true, true)
+			if c.Rank() == 0 {
+				defer debug.SetGCPercent(debug.SetGCPercent(-1))
+			}
+			c.Barrier()
 		}
-		if err := f.Close(); err != nil {
-			return err
+		for _, r := range warm {
+			f, err := access(r)
+			if err != nil {
+				return err
+			}
+			if err := f.Close(); err != nil {
+				return err
+			}
 		}
 		st.Reset()
 		var before, after runtime.MemStats
@@ -376,7 +395,8 @@ func openWriteAllocs(tb testing.TB, cache int64) (objs, rounds, overlap int64) {
 			runtime.ReadMemStats(&before)
 		}
 		c.Barrier()
-		if f, err = write(); err != nil {
+		f, err := access(read)
+		if err != nil {
 			return err
 		}
 		c.Barrier()
@@ -414,7 +434,7 @@ func TestAllocsRoundsInFlight(t *testing.T) {
 	least := [2]int64{-1, -1}
 	for i := 0; i < 30; i++ {
 		for j, cache := range caches {
-			objs, rounds, overlap := openWriteAllocs(t, cache)
+			objs, rounds, overlap := openAccessAllocs(t, cache, false)
 			if rounds != 32 {
 				t.Fatalf("cache %d: %d rounds, want 32", cache, rounds)
 			}
@@ -431,6 +451,43 @@ func TestAllocsRoundsInFlight(t *testing.T) {
 	t.Logf("open + 32-round write: %d objects with one round in flight, %d with all 32", one, all)
 	if all > one+3 {
 		t.Errorf("with every round in flight the open and write allocate %d objects, want <= %d (one round in flight) + 3", all, one)
+	}
+}
+
+// TestAllocsReadRoundsInFlight: a read that keeps 12 of its 32 rounds in
+// flight — one per I/O server, the default client cache's depth — costs no
+// more objects than one that keeps 2: what a round holds until it is
+// answered is a row of tables made once per collective, its replies come
+// from the pools, and a requesting rank recomputes its clip of a round when
+// the round is answered instead of storing it (a copy that gave each round
+// in flight its own slice of request positions allocated 173 objects
+// against 153 here). Measured like
+// TestAllocsRoundsInFlight — in alternation, the smallest of many runs of
+// each, with three objects to spare — but with the collector paused from
+// the warm-up on (openAccessAllocs): the pooled coverage buffers of 12
+// rounds in flight are 10 more per aggregator than 2 rounds', and after a
+// collection refilling the pools' caches costs 4 to 6 objects more.
+func TestAllocsReadRoundsInFlight(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops buffers under the race detector; the pins do not hold")
+	}
+	caches := [2]int64{2 * 16512, pfs.DefaultConfig().ClientCache} // 2 rounds in flight; 12
+	least := [2]int64{-1, -1}
+	for i := 0; i < 30; i++ {
+		for j, cache := range caches {
+			objs, rounds, _ := openAccessAllocs(t, cache, true)
+			if rounds != 32 {
+				t.Fatalf("cache %d: %d rounds, want 32", cache, rounds)
+			}
+			if least[j] < 0 || objs < least[j] {
+				least[j] = objs
+			}
+		}
+	}
+	two, twelve := least[0], least[1]
+	t.Logf("open + 32-round read: %d objects with 2 rounds in flight, %d with 12", two, twelve)
+	if twelve > two+3 {
+		t.Errorf("with 12 rounds in flight the open and read allocate %d objects, want <= %d (2 in flight) + 3", twelve, two)
 	}
 }
 

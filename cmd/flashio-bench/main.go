@@ -64,7 +64,7 @@ var (
 	queued    = flag.Bool("queued", false, "post every unknown with the nonblocking flexible calls and complete them with one WaitAll (default: one collective per unknown, as published)")
 	outFile   = flag.String("out", "", "dump the raw image of each PnetCDF output file to this path (disables Discard; last run wins)")
 	faultSeed = flag.Uint64("fault-seed", 1, "seed for the deterministic fault schedule")
-	killRank  = flag.Int("kill-rank", -1, "world rank to kill at -kill-point during the PnetCDF runs (-1 disables)")
+	killRank  = flag.Int("kill-rank", -1, "world rank to kill at -kill-point during the PnetCDF runs — with -read, during the read-back (-1 disables)")
 	killPoint = flag.String("kill-point", "", "crash point for -kill-rank: before_pack, mid_exchange or after_issue")
 	killOcc   = flag.Int64("kill-occurrence", 0, "which passage of -kill-rank through -kill-point fires (0-based)")
 	cpuProf   = flag.String("cpuprofile", "", "write a CPU profile to this file")

@@ -141,6 +141,7 @@ func runAblations(m bench.MachineSpec) {
 		func() (bench.AblationResult, error) {
 			return bench.AblationReadAggregators(bench.ASCIFrost(), flash.Default8(), 8)
 		},
+		func() (bench.AblationResult, error) { return bench.AblationReadDepth(m, [3]int64{64, 64, 256}, 8) },
 	} {
 		res, err := r()
 		cmdutil.Fatal(tool, err)

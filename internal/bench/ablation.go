@@ -380,3 +380,58 @@ func AblationReadAggregators(m MachineSpec, cfg flash.Config, nprocs int) (Ablat
 	}
 	return AblationResult{Name: "read aggregators: rule vs one per rank (Frost FLASH)", Chosen: rule.Seconds, Baseline: perRank.Seconds}, nil
 }
+
+// AblationReadDepth measures how many read rounds an aggregator keeps in
+// flight (DESIGN.md §13): one per I/O server, which the machine's client
+// cache allows, against two, which a cache of two round buffers leaves, on
+// the many-round Figure 6 shape — an X partition read back with
+// cb_buffer_size=65536 and cb_nodes=2. Both legs make the same requests;
+// only the point where an aggregator's clock takes a read's end moves.
+func AblationReadDepth(m MachineSpec, dims [3]int64, nprocs int) (AblationResult, error) {
+	const cbbuf = 64 << 10
+	info := mpi.NewInfo().Set("cb_buffer_size", strconv.Itoa(cbbuf)).Set("cb_nodes", "2")
+	run := func(cache int64) (float64, error) {
+		cfg := m.FS
+		cfg.ClientCache = cache
+		fsys := pfs.New(cfg)
+		var makespan float64
+		err := runRanks(m, nprocs, func(c *mpi.Comm) error {
+			d, err := core.Create(c, fsys, "depth.nc", nctype.Clobber, info)
+			if err != nil {
+				return err
+			}
+			z, _ := d.DefDim("Z", dims[0])
+			y, _ := d.DefDim("Y", dims[1])
+			x, _ := d.DefDim("X", dims[2])
+			v, _ := d.DefVar("tt", nctype.Float, []int{z, y, x})
+			if err := d.EndDef(); err != nil {
+				return err
+			}
+			start, count := Decompose(PartX, dims, nprocs, c.Rank())
+			buf := make([]float32, count[0]*count[1]*count[2])
+			if err := d.PutVaraAll(v, start[:], count[:], buf); err != nil {
+				return err
+			}
+			if err := d.Sync(); err != nil {
+				return err
+			}
+			err = timed(c, fsys, &makespan, func() error {
+				return d.GetVaraAll(v, start[:], count[:], buf)
+			})
+			if err != nil {
+				return err
+			}
+			return d.Close()
+		})
+		return makespan, err
+	}
+	perServer, err := run(m.FS.ClientCache)
+	if err != nil {
+		return AblationResult{}, err
+	}
+	two, err := run(2 * cbbuf)
+	if err != nil {
+		return AblationResult{}, fmt.Errorf("two rounds in flight: %w", err)
+	}
+	return AblationResult{Name: "read rounds in flight: one per server vs two", Chosen: perServer, Baseline: two}, nil
+}

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"testing"
 
+	"pnetcdf/internal/fault"
 	"pnetcdf/internal/flash"
+	"pnetcdf/internal/mpi"
 )
 
 func TestBalancedFactors(t *testing.T) {
@@ -252,5 +254,38 @@ func TestAblationReadAggregators(t *testing.T) {
 	}
 	if res.Speedup() <= 1 {
 		t.Fatalf("the read aggregator rule not a win over one per rank: %v", res)
+	}
+}
+
+// One read round in flight per I/O server beats two on the many-round
+// Figure 6 read-back: the same requests, with twelve aggregator reads at the
+// servers at once instead of two.
+func TestAblationReadDepth(t *testing.T) {
+	res, err := AblationReadDepth(SDSCBlueHorizon(), [3]int64{64, 64, 256}, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Speedup() <= 1.5 {
+		t.Fatalf("one read round in flight per server not a clear win over two: %v", res)
+	}
+}
+
+// A rank kill in a FLASH read-back run fires in the read, not in the write
+// that prepares its file: aggregator rank 4 is killed just after it issues
+// its second read round, with the first still in flight, and the counters
+// of the measured read show the survivors' failover.
+func TestFlashReadKillTargetsReadBack(t *testing.T) {
+	cfg := flash.Config{NXB: 8, NYB: 8, NZB: 8, NGuard: 4, NVar: 2, NPlotVar: 1, BlocksPerProc: 20}
+	opt := Fig7Options{Machine: ASCIFrost(), Config: cfg, File: FlashCheckpoint, Read: true, Stats: true,
+		Hints: mpi.NewInfo().Set("cb_buffer_size", "65536").Set("cb_nodes", "2"),
+		Fault: FaultOptions{KillPoint: fault.KillAfterIssue, KillRank: 4, KillOccurrence: 1}}
+	_, sum, err := runFlashOnce(opt, 8, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := sum.KeyCounters()
+	if got["ft_comm_shrinks"] == 0 || got["ft_failover_rounds"] == 0 {
+		t.Fatalf("the read-back recorded %d shrinks and %d failover rounds: the kill did not fire in it",
+			got["ft_comm_shrinks"], got["ft_failover_rounds"])
 	}
 }

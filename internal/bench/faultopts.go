@@ -35,10 +35,17 @@ type FaultOptions struct {
 // apply installs an injector on fsys when Rate is nonzero or a rank kill
 // is armed.
 func (fo FaultOptions) apply(fsys *pfs.FS) {
+	fo.install(fsys)
+	fo.armKill(fsys)
+}
+
+// install is apply without arming the rank kill: a run that must not lose
+// the rank before its measured phase arms it there (armKill).
+func (fo FaultOptions) install(fsys *pfs.FS) {
 	if fo.Rate <= 0 && fo.KillPoint == "" {
 		return
 	}
-	inj := fault.New(fault.Config{
+	fsys.SetFault(fault.New(fault.Config{
 		Seed:         fo.Seed,
 		ReadErrRate:  fo.Rate,
 		WriteErrRate: fo.Rate,
@@ -46,9 +53,13 @@ func (fo FaultOptions) apply(fsys *pfs.FS) {
 		LatencyRate:  fo.Rate,
 		LatencySpike: 2e-3,
 		FaultUnit:    64 << 10,
-	})
+	}))
+}
+
+// armKill arms the rank kill, if any, on the injector install put on fsys.
+// Passages through the crash point before it is armed are not counted.
+func (fo FaultOptions) armKill(fsys *pfs.FS) {
 	if fo.KillPoint != "" {
-		inj.KillRankAt(fo.KillRank, fo.KillPoint, fo.KillOccurrence)
+		fsys.Fault().KillRankAt(fo.KillRank, fo.KillPoint, fo.KillOccurrence)
 	}
-	fsys.SetFault(inj)
 }

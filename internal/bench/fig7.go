@@ -120,7 +120,13 @@ func runFlashOnce(opt Fig7Options, nprocs int, hdf5 bool) (flash.Report, *iostat
 	cfg := opt.Machine.FS
 	cfg.Discard = opt.Discard
 	fsys := pfs.New(cfg)
-	opt.Fault.apply(fsys)
+	if opt.Read {
+		// A rank kill targets the measured read-back, not the write that
+		// prepares its file: it is armed after that write.
+		opt.Fault.install(fsys)
+	} else {
+		opt.Fault.apply(fsys)
+	}
 	var rep flash.Report
 	var sum *iostat.Summary
 	collect := opt.Stats && !hdf5
@@ -151,6 +157,9 @@ func runFlashOnce(opt Fig7Options, nprocs int, hdf5 bool) (flash.Report, *iostat
 			c.Proc().SetClock(0)
 			c.Proc().Stats().Reset()
 			c.Proc().Spans().Reset()
+			if c.Rank() == 0 {
+				opt.Fault.armKill(fsys)
+			}
 			c.Barrier()
 			r, err = flash.ReadCheckpointPnetCDF(c, fsys, "f.nc", opt.Config, opt.Hints)
 		case hdf5 && opt.File == FlashCheckpoint:

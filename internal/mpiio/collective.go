@@ -225,9 +225,10 @@ func (f *File) packWriteRound(plan collectivePlan, segs []pfs.Segment, prefix []
 // exchangeScratch, writeScratch and readScratch are the working memory of one
 // collective call's round loop: every slice a round needs is made once per
 // call (or grown to the largest round seen) and reused by every later round,
-// so a round allocates nothing here. A read's requests and coverage come in
-// two generations (r & 1), both live at once while round r's replies wait for
-// round r+1's request; a one-round plan needs, and makes, only generation 0.
+// so a round allocates nothing here. A read keeps up to readDepth rounds in
+// flight (rounds.go); what each holds until it is answered is a pooled
+// buffer and rows of tables made once per call (readScratch.hold), so the
+// depth does not change how many objects a call makes.
 type exchangeScratch struct {
 	parts  [][]byte // packed messages by destination rank; empty between exchanges
 	counts []int64  // sparseExchange's messages-per-destination vector
@@ -257,25 +258,85 @@ func newWriteScratch(plan collectivePlan) *writeScratch {
 
 type readScratch struct {
 	exchangeScratch
-	msgs    [][]byte      // received requests by source rank; recycled once merged
-	replies [][]byte      // reply messages by destination rank
-	back    [][]byte      // received replies by source rank
-	reqs    [2][][]reqSeg // generation g's requests by aggregator index
-	cov     [2]coverage   // generation g's coverage, on an aggregator
+	msgs    [][]byte    // received requests by source rank; recycled once merged
+	replies [][]byte    // reply messages by destination rank
+	back    [][]byte    // received replies by source rank
+	clip    []reqSeg    // this rank's clip of one window, packed and recomputed to scatter
+	cov     coverage    // the aggregator's merge of the round being issued
+	round   []readRound // the rounds in flight: round r at r % depth (readDepth)
+	// The rounds' tables (hold): source records, commSize per round, and
+	// request positions, stride per round.
+	srcs   []mergeCursor
+	reqs   []covReq
+	stride int
 }
 
-func newReadScratch(plan collectivePlan) *readScratch {
+// readRound is one read round between its issue and its answer. An
+// aggregator's round holds its coverage — the buffer its read filled, and
+// who asked for which of its bytes — in rows of tables shared by the
+// collective's rounds (readScratch.hold).
+type readRound struct {
+	sent int   // aggregators this rank sent a request to: replies to expect
+	err  error // this rank's outcome of the round, for its verdict
+	// The aggregator's read, when it issued one (io): its issue time, when
+	// its request left the client link, its virtual end, and its coverage.
+	io                bool
+	issued, left, end float64
+	data              []byte        // pooled; read at issue, answered from
+	srcs              []mergeCursor // who asked, as cov.merge.cur records it
+	reqs              []covReq      // where each request sits in data, as cov.reqs
+}
+
+func newReadScratch(plan collectivePlan, depth int64) *readScratch {
 	size := plan.commSize
 	slots := make([][]byte, 4*size)
-	s := &readScratch{}
+	s := &readScratch{round: make([]readRound, depth)}
 	s.parts, s.counts = byRank(slots, 0, size), make([]int64, size)
 	s.msgs, s.replies, s.back = byRank(slots, 1, size), byRank(slots, 2, size), byRank(slots, 3, size)
-	n, gens := plan.naggs, plan.generations()
-	reqs := make([][]reqSeg, gens*n)
-	for g := 0; g < gens; g++ {
-		s.reqs[g] = reqs[g*n : (g+1)*n : (g+1)*n]
-	}
 	return s
+}
+
+// hold moves the coverage the aggregator just assembled and read in s.cov
+// into its round in flight, s.round[g]: the pooled buffer, the source
+// records and the request positions. A one-round collective answers its
+// round before anything is merged again, so the records stay where the
+// merge put them. Otherwise they are copied into rows of two tables shared
+// by the collective's rounds — at most one source record per rank, and a
+// fixed stride of request positions — so keeping depth rounds in flight
+// makes no more objects than keeping one. A round with more requests than
+// a row holds widens the rows, moving the entries of the rounds in flight
+// along.
+func (s *readScratch) hold(g int) {
+	rd, cov := &s.round[g], &s.cov
+	rd.data, cov.data = cov.data, nil
+	if len(s.round) == 1 {
+		rd.srcs, rd.reqs = cov.merge.cur, cov.reqs
+		return
+	}
+	size := len(s.parts)
+	if s.srcs == nil {
+		s.srcs = make([]mergeCursor, len(s.round)*size)
+	}
+	rd.srcs = append(s.srcs[g*size:g*size:(g+1)*size], cov.merge.cur...)
+	if n := len(cov.reqs); n > s.stride {
+		stride := max(n, 2*s.stride)
+		table := make([]covReq, len(s.round)*stride)
+		for h := range s.round {
+			if other := &s.round[h]; h != g && other.data != nil { // in flight
+				other.reqs = append(table[h*stride:h*stride:(h+1)*stride], other.reqs...)
+			}
+		}
+		s.reqs, s.stride = table, stride
+	}
+	rd.reqs = append(s.reqs[g*s.stride:g*s.stride:(g+1)*s.stride], cov.reqs...)
+}
+
+// release returns the round's coverage buffer to the pool, if it holds one.
+func (rd *readRound) release() {
+	if rd.data != nil {
+		bufpool.Put(rd.data)
+		rd.data = nil
+	}
 }
 
 // ReadAtAll collectively reads len(buf) view-data bytes at view offset off
@@ -346,69 +407,71 @@ func (f *File) collReadSegs(segs []pfs.Segment, dst Sink, vErr error, prog *ftPr
 }
 
 // packReadRound clips this rank's request to every aggregator's round-r
-// window and encodes the request messages into parts. reqs[a] keeps the
-// clip sent to aggregator a — the order replies are scattered back into the
-// caller's buffer — and is owned by the caller (the round loop keeps one per
-// generation: round r's requests must survive until round r's scatter, which
-// runs after round r+1 has already packed). It returns
-// how many aggregators were sent a request, which is how many replies this
-// rank will receive.
+// window and encodes the request messages into parts. It returns how many
+// aggregators were sent a request, which is how many replies this rank will
+// receive, and the reused clip scratch: the clip is not kept, because
+// scatterReplies recomputes it when the round is answered.
 func (f *File) packReadRound(plan collectivePlan, segs []pfs.Segment, prefix []int64,
-	spans []segSpan, r int64, parts [][]byte, reqs [][]reqSeg, sPack span.Active) (sent int) {
+	spans []segSpan, r int64, parts [][]byte, scratch []reqSeg, sPack span.Active) (sent int, clip []reqSeg) {
 	clear(parts)
 	for a := 0; a < plan.naggs; a++ {
-		reqs[a] = reqs[a][:0]
 		lo, hi := plan.window(a, r)
 		if hi <= lo {
 			continue
 		}
-		reqs[a] = intersectRange(segs, prefix, spans[a], lo, hi, reqs[a])
-		if len(reqs[a]) == 0 {
+		scratch = intersectRange(segs, prefix, spans[a], lo, hi, scratch[:0])
+		if len(scratch) == 0 {
 			continue
 		}
 		ar := plan.aggRank(a)
-		parts[ar] = encodeReadMsg(reqs[a])
+		parts[ar] = encodeReadMsg(scratch)
 		sent++
 		f.st.Add(iostat.IOExchangeBytes, int64(len(parts[ar])))
 		sPack.AddBytes(int64(len(parts[ar])))
 	}
-	return sent
+	return sent, scratch
 }
 
-// buildReplies copies each requesting rank's bytes out of the aggregator's
-// coverage, from the positions the merge recorded, into pooled per-rank reply
-// buffers.
-func (f *File) buildReplies(cov *coverage, replies [][]byte) {
-	for k := range cov.merge.cur {
-		c := &cov.merge.cur[k]
+// buildReplies copies each requesting rank's bytes out of an aggregator's
+// round in flight, from the positions the merge recorded, into pooled
+// per-rank reply buffers.
+func (f *File) buildReplies(rd *readRound, replies [][]byte) {
+	for k := range rd.srcs {
+		c := &rd.srcs[k]
 		// The reply exchange gives each buffer to the requesting rank
 		// (deliver nils the slot here) and that rank's recycleRound(back)
 		// puts it; the abort path puts the never-sent replies before bailing.
 		out := bufpool.GetDirty(int(c.bytes))[:0]
-		for _, rq := range cov.reqs[c.first : c.first+c.n] {
-			out = append(out, cov.data[rq.pos:rq.pos+rq.len]...)
+		for _, rq := range rd.reqs[c.first : c.first+c.n] {
+			out = append(out, rd.data[rq.pos:rq.pos+rq.len]...)
 		}
 		replies[c.src] = out
 		f.st.Add(iostat.IOExchangeBytes, int64(len(out)))
 	}
 }
 
-// scatterReplies hands the reply blobs to the caller's sink in the request
-// order recorded at pack time: the reply of the rank serving aggregator
-// index a answers reqs[a], one Drain per stretch of it that follows on in
-// the caller's buffer.
-func scatterReplies(dst Sink, plan collectivePlan, reqs [][]reqSeg, back [][]byte) {
+// scatterReplies hands round r's reply blobs to the caller's sink: the
+// reply of the rank serving aggregator index a answers this rank's clip of
+// a's round-r window — recomputed here exactly as packReadRound computed it,
+// so nothing of the request is kept while the round is in flight — one
+// Drain per stretch of it that follows on in the caller's buffer. It returns
+// the reused clip scratch.
+func scatterReplies(dst Sink, plan collectivePlan, segs []pfs.Segment, prefix []int64,
+	spans []segSpan, r int64, back [][]byte, clip []reqSeg) []reqSeg {
 	for src, blob := range back {
 		if blob == nil {
 			continue
 		}
-		rqs := reqs[plan.aggIndex(src)]
-		for i, pos := 0, int64(0); i < len(rqs); {
-			j, n := stretch(rqs, i)
-			dst.Drain(rqs[i].bufPos, blob[pos:pos+n])
+		a := plan.aggIndex(src)
+		lo, hi := plan.window(a, r)
+		clip = intersectRange(segs, prefix, spans[a], lo, hi, clip[:0])
+		for i, pos := 0, int64(0); i < len(clip); {
+			j, n := stretch(clip, i)
+			dst.Drain(clip[i].bufPos, blob[pos:pos+n])
 			i, pos = j, pos+n
 		}
 	}
+	return clip
 }
 
 // stretch returns the end j of the run of reqs from i on whose buffer
@@ -521,9 +584,15 @@ func (f *File) collectivePlan(segs []pfs.Segment, localErr error, write bool) (c
 	}, true, nil
 }
 
-// generations is how many read rounds of the plan can be live at once: the
-// round whose replies are still to be sent and the one just read.
-func (p collectivePlan) generations() int { return int(min(p.rounds, 2)) }
+// readDepth is how many of a collective read's rounds an aggregator keeps in
+// flight (DESIGN.md §13): one per I/O server, as many round buffers as the
+// client cache holds, never fewer than two — a round's read behind the
+// previous round's replies — and never more than the rounds there are.
+// Every rank derives it from the plan and the file system's configuration,
+// so it needs no agreement and no hint.
+func readDepth(rounds int64, servers int, cache, cbbuf int64) int64 {
+	return min(rounds, max(2, min(int64(servers), cache/cbbuf)))
+}
 
 // aggRank maps aggregator index a to the communicator rank serving it.
 func (p collectivePlan) aggRank(a int) int { return p.aggRanks[a] }

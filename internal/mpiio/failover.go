@@ -15,9 +15,9 @@ package mpiio
 //     rounds before the max are durable. On a write that allreduce is round
 //     r+1's exchange, or the closing agreement for the last round
 //     (rounds.go). For reads it is the MIN of the scattered rounds (round r
-//     scatters only after round r+1's exchange carried its verdict): every
-//     survivor must still receive the rounds the furthest-behind one is
-//     missing.
+//     scatters only after the allreduce carrying its verdict — round
+//     r+depth−1's exchange, or the closing agreement): every survivor must
+//     still receive the rounds the furthest-behind one is missing.
 //  2. Shrink to the dense survivor communicator and adopt it in place —
 //     *f.comm is the same *Comm every layer above holds, so the swap
 //     retargets the whole stack at once; the dead aggregator's file domain

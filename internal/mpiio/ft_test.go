@@ -327,6 +327,21 @@ func TestFTKillReadFailover(t *testing.T) {
 	}
 }
 
+// TestFTKillReadWithRoundsInFlight: aggregator rank 2 is killed just after
+// it issues round 5's read of the matrix's 8 rounds, which readDepth keeps
+// all in flight: rounds 0..5 are read and none is answered. The survivors
+// fail over from round 0 — no rank scattered a round — and replay the whole
+// read over 3 ranks, 2 aggregators of 8 rounds each; every survivor gets
+// its bytes back.
+func TestFTKillReadWithRoundsInFlight(t *testing.T) {
+	const rounds, killed = 8, 5
+	cfg := pfs.DefaultConfig()
+	if depth := readDepth(rounds, cfg.NumServers, cfg.ClientCache, 64<<10); depth <= killed {
+		t.Fatalf("%d rounds in flight: round %d's read is not issued behind round 0's", depth, killed)
+	}
+	checkFTRead(t, ftioDefault, 2, fault.KillAfterIssue, killed, false, rounds)
+}
+
 // ftioRule is a read whose aggregator count the rule chooses (no cb_nodes):
 // one FLASH unknown on 8 ranks over 2 servers, ten 64 KiB stripes, which
 // the rule reads through 4 aggregators on ranks 0, 2, 4 and 6 in 3/3/3/1

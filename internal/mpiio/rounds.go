@@ -7,51 +7,65 @@ package mpiio
 // and the rank clock takes the request's virtual end later.
 //
 // cb_buffer_size is a round's staging buffer: it sets how much of its file
-// domain an aggregator takes per round, and so the round count, and nothing
-// else. A write round's request is a write behind (behind.go): the clock
-// takes the time its bytes left the client link, and its end only when the
-// rank's writes in flight would overflow the client cache
+// domain an aggregator takes per round, and so the round count, and how
+// many read rounds' buffers the client cache holds; nothing else. A write
+// round's request is a write behind (behind.go): the clock takes the time
+// its bytes left the client link, and its end only when the rank's writes
+// in flight would overflow the client cache
 // (pfs.Config.ClientCache), or at Sync, Close or a header publish. The
 // staging buffer is free once the request returns — the cache holds the
 // bytes — so the servers work on round r, on the rounds before it and on
 // earlier collectives' rounds while the ranks pack and exchange what
-// follows:
+// follows. A read round's request is a read ahead: the clock takes the time
+// its request left the client link (pfs.File.ReadAhead), and its end
+// depth − 1 rounds later, where depth is readDepth's (one round per
+// I/O server, as many round buffers as the client cache holds, never fewer
+// than two, never more than the R rounds there are):
 //
 //	write round r:  pack(r) → exchange(r) ⊇ verdict(r−1) → [settle oldest] → issue(r)
-//	read round r:   pack(r) → exchange(r) ⊇ verdict(r−1) → issue(r)
-//	                → [replies(r−1) → scatter(r−1)] → settle(r)
+//	read round r:   [settle(k)] → pack(r) → exchange(r) ⊇ verdict(k) → issue(r)
+//	                → [replies(k) → scatter(k)]          with k = r − depth + 1
 //
-// A read's bracketed step is what hides its request: it exists in every
-// round but the first, and elsewhere settle(r) follows issue(r) at once, so
-// a one-round read is exactly pack → exchange → ReadV → agree → replies →
-// scatter. A rank's writes never share its link (each is issued after the
-// last one's bytes left), and its reads are settled before its next request
-// is issued. A transient failure is retried at once, from its issue time,
-// under the file's retry policy (File.issuePF); the request's end is the end
-// of that retry chain.
+// A read's bracketed steps exist once depth − 1 rounds are in flight
+// behind round k; the last depth − 1 rounds settle after the loop, one
+// closing agreement carries their verdicts, and they are answered in order.
+// At depth 2 this is round r's read hidden behind round r−1's replies; a
+// one-round read (depth 1) is exactly pack → exchange → ReadAhead → settle
+// → agree → replies → scatter. A rank's requests never share its link:
+// each is issued after the last one's bytes left. A transient failure is
+// retried at once, from its issue time, under the file's retry policy
+// (File.issuePF); the request's end is the end of that retry chain.
 //
 // One agreement per round. An exchange's count allreduce (sparseExchange) is
-// also the error agreement on the newest round whose outcome every rank
-// knows: round r's exchange carries round r−1's — on a write, its request
-// returned before the exchange; on a read, the verdict comes still ahead of
-// answer(r−1), so a failed aggregator is never expected to reply. Round
-// R−1, which no later exchange can carry, goes to one closing AgreeError. A
-// collective of R rounds thus enters 1 + R + 1 allreduces (plan, exchanges,
-// closing agreement) where it used to enter 1 + 2R, and a one-round plan
-// keeps the classic sequence. On a failed verdict every rank learns it from
-// the same allreduce before any send: nothing is delivered, every buffer is
-// recycled, and all ranks return together. Every rank runs the identical collective
-// sequence, so no rank hangs, every rank returns the same error, and a retry
-// duplicates no write (writes are idempotent full rewrites).
+// also the error agreement on an earlier round whose outcome every rank
+// knows: on a write, round r's exchange carries round r−1's, whose request
+// returned before the exchange; on a read, round r's exchange carries round
+// k's, after k's settle — a failure is never agreed before the read's
+// virtual end — and still ahead of answer(k), so a failed aggregator is
+// never expected to reply. The rounds no later exchange can carry — the
+// last write round, the last depth − 1 read rounds — go to one closing
+// AgreeError. A collective of R rounds thus enters 1 + R + 1 allreduces
+// (plan, exchanges, closing agreement) where it used to enter 1 + 2R, and a
+// one-round plan keeps the classic sequence. On a failed verdict every rank
+// learns it from the same allreduce before any send: nothing is delivered,
+// every buffer is recycled, and all ranks return together. Every rank runs
+// the identical collective sequence, so no rank hangs, every rank returns
+// the same error, and a retry duplicates no write (writes are idempotent
+// full rewrites).
 //
 // Buffer lifetime: the exchange hands every packed message to its receiver
 // (sparseExchange), so a rank holds only what it received. The write loop
 // keeps one table of received messages: the aggregator's iovec references
 // their payloads in place, and they go back to the pool (recycleRound →
 // bufpool.PutAll) as soon as the round's write returns, before the next
-// exchange refills the table. On the read side the request bookkeeping and
-// the coverage go by generation (r & 1), because round r−1 is answered after
-// round r is read. The file's bytes do not depend on the round count.
+// exchange refills the table. The read loop merges and recycles the request
+// messages within their round; a round in flight then holds its coverage —
+// the pooled buffer its read filled, at most cb_buffer_size, so depth of
+// them fit the client cache, and where each request sits in it, in rows of
+// tables made once per collective (readScratch.hold) — until it is
+// answered. A requesting rank keeps only the number of replies to expect,
+// and recomputes its clip of a round to scatter them. The file's bytes do
+// not depend on the round count or the depth.
 
 import (
 	"pnetcdf/internal/bufpool"
@@ -153,26 +167,31 @@ func (f *File) agree(r int64, err error) error {
 	return err
 }
 
-// readRounds runs the read rounds of one collective: in virtual time, round
-// r's coverage read runs while round r-1's replies travel and scatter. The
-// returned error is already agreed (identical on every rank).
+// readRounds runs the read rounds of one collective: in virtual time, an
+// aggregator keeps up to readDepth rounds' coverage reads in flight while
+// the rounds after them pack and exchange and the rounds before them are
+// answered. The returned error is already agreed (identical on every rank).
 func (f *File) readRounds(plan collectivePlan, segs []pfs.Segment, prefix []int64,
 	spans []segSpan, dst Sink, myAgg int, prog *ftProgress) error {
-	// The request bookkeeping and the coverage go by generation (r & 1):
-	// round r's must survive until its scatter, after round r+1 has packed
-	// and read. The request messages themselves are merged and recycled
-	// inside the round — a coverage references none of their bytes.
-	s := newReadScratch(plan)
-	parts, msgs, replies, back := s.parts, s.msgs, s.replies, s.back
-	var sent [2]int // aggregators this rank sent a request to: replies to expect
-	// Revocation drain, mirroring writeRounds: release both coverages plus
-	// every exchange buffer this rank still holds before the failover
-	// replays (see that loop's comment).
+	cfg := f.fs.Config()
+	depth := readDepth(plan.rounds, cfg.NumServers, cfg.ClientCache, plan.cbbuf)
+	s := newReadScratch(plan, depth)
+	parts, msgs, replies, back, cov := s.parts, s.msgs, s.replies, s.back, &s.cov
+	at := func(k int64) *readRound { return &s.round[k%depth] }
+	// release drops the coverages of rounds [from, to), which will never be
+	// answered.
+	release := func(from, to int64) {
+		for k := from; k < to; k++ {
+			at(k).release()
+		}
+	}
+	// Revocation drain, mirroring writeRounds: release every round's
+	// coverage plus every exchange buffer this rank still holds before the
+	// failover replays (see that loop's comment).
 	defer func() {
 		if rec := recover(); rec != nil {
-			for g := range s.cov {
-				s.cov[g].release()
-			}
+			release(0, depth)
+			cov.release()
 			bufpool.PutAll(parts)
 			bufpool.PutAll(replies)
 			recycleRound(msgs)
@@ -181,88 +200,122 @@ func (f *File) readRounds(plan collectivePlan, segs []pfs.Segment, prefix []int6
 		}
 	}()
 
+	// settle moves the clock past round k's read, if this rank issued one:
+	// the round's verdict may be agreed from here on.
+	settle := func(k int64) {
+		if rd := at(k); rd.io {
+			f.settle(rd.left, rd.end)
+			f.sp.Record(span.AggRead, int(k), rd.issued, f.comm.Clock(), int64(len(rd.data)), -1)
+		}
+	}
 	// answer finishes an agreed round: every aggregator replies to each rank
 	// it heard from, out of its coverage, and the replies are scattered into
 	// dst. The reply leg agrees nothing: the round is known good, so every
 	// aggregator this rank sent a request to answers it, and nobody else
 	// does. Its spans sit under the collective, tagged with their round.
-	answer := func(r int64) {
-		g := r & 1
-		if cov := &s.cov[g]; !cov.empty() {
-			f.buildReplies(cov, replies)
-			cov.release()
+	answer := func(k int64) {
+		rd := at(k)
+		if rd.io {
+			f.buildReplies(rd, replies)
+			rd.release()
 		}
 		sReply := f.sp.Begin(span.ReplyXchg)
-		sReply.SetRound(int(r))
-		deliver(f.comm, replies, back, roundTag(r, 1), sent[g], nil)
+		sReply.SetRound(int(k))
+		deliver(f.comm, replies, back, roundTag(k, 1), rd.sent, nil)
 		sReply.End()
 		sScatter := f.sp.Begin(span.Scatter)
-		sScatter.SetRound(int(r))
-		scatterReplies(dst, plan, s.reqs[g], back)
+		sScatter.SetRound(int(k))
+		s.clip = scatterReplies(dst, plan, segs, prefix, spans, k, back, s.clip)
 		sScatter.End()
 		recycleRound(back)
-		prog.roundAgreed(r)
+		prog.roundAgreed(k)
 	}
 
 	kill := f.killHook(fault.KillMidExchange)
-	var cov *coverage // the current round's coverage, read by read
-	read := func(t float64) (float64, error) {
-		return f.pf.ReadV(t, cov.segs, cov.data)
-	}
-	var pending error // round r-1's outcome, carried by round r's exchange
+	oldest := int64(0) // the oldest round not yet answered
 	for r := int64(0); r < plan.rounds; r++ {
-		g := r & 1
-		// Frontend: ship request segment lists to the aggregators; reqs[g]
-		// remembers the order so the replies can be scattered back.
+		// Round r's exchange carries the verdict on round r−depth+1 once
+		// depth−1 rounds have followed it, after its read's end.
+		carry := depth > 1 && r-oldest == depth-1
+		var pending error
+		if carry {
+			settle(oldest)
+			pending = at(oldest).err
+		}
+		// Frontend: ship request segment lists to the aggregators.
+		rd := at(r)
 		f.killPoint(fault.KillBeforePack)
 		sRound := f.sp.Begin(span.Round)
 		sRound.SetRound(int(r))
 		sPack := f.sp.Begin(span.Pack)
-		sent[g] = f.packReadRound(plan, segs, prefix, spans, r, parts, s.reqs[g], sPack)
+		rd.sent, s.clip = f.packReadRound(plan, segs, prefix, spans, r, parts, s.clip, sPack)
 		sPack.End()
 		verdict := sparseExchange(f.comm, f.sp, parts, msgs, s.counts, pending, roundTag(r, 0), kill)
 		sRound.End()
 		if verdict != nil {
-			// Some rank failed round r-1, and every rank learnt it here,
-			// BEFORE answer(r-1): a failed aggregator has no data to send
+			// Some rank failed round oldest, and every rank learnt it here,
+			// BEFORE answer(oldest): a failed aggregator has no data to send
 			// back, and the reply leg expects a fixed number of messages.
 			// Nothing was delivered (msgs is empty; recycled all the same),
-			// and round r-1's coverage will never be answered.
+			// and no round in flight will be answered.
 			recycleRound(msgs)
-			s.cov[g^1].release()
+			release(oldest, r)
 			return verdict
 		}
-		// Backend: merge the requests into one coverage read.
-		cov = &s.cov[g]
-		var roundErr error
-		io := false
+		// Backend: merge the requests into one coverage read, issued now;
+		// the clock moves on once its request has left the client link.
+		rd.io, rd.err = false, nil
 		if myAgg >= 0 {
 			lo, hi := plan.window(myAgg, r)
-			roundErr = cov.assemble(msgs, lo, hi)
-			io = roundErr == nil && !cov.empty()
+			rd.err = cov.assemble(msgs, lo, hi)
+			rd.io = rd.err == nil && !cov.empty()
 		}
 		recycleRound(msgs)
-		issued := f.comm.Clock()
-		var end float64
-		if io {
-			end, roundErr = f.issuePF(issued, read)
-			f.killPoint(fault.KillAfterIssue)
+		if rd.io {
+			f.issueRead(s, int(r%depth))
 		}
-		if r > 0 {
-			answer(r - 1)
+		if carry {
+			answer(oldest)
+			oldest++
 		}
-		if io {
-			f.settle(issued, end)
-			f.sp.Record(span.AggRead, int(r), issued, f.comm.Clock(), int64(len(cov.data)), -1)
-		}
-		pending = roundErr
 	}
-	// The last round has no next exchange: its verdict is one agreement of
-	// its own, still ahead of its reply leg.
+	// The rounds still in flight have no later exchange: they settle, and
+	// one closing agreement carries their verdicts, ahead of their replies.
+	var pending error
+	for k := oldest; k < plan.rounds; k++ {
+		settle(k)
+		if pending == nil {
+			pending = at(k).err
+		}
+	}
 	if err := f.agree(plan.rounds-1, pending); err != nil {
-		s.cov[(plan.rounds-1)&1].release()
+		release(oldest, plan.rounds)
 		return err
 	}
-	answer(plan.rounds - 1)
+	for k := oldest; k < plan.rounds; k++ {
+		answer(k)
+	}
 	return nil
+}
+
+// issueRead issues the coverage read an aggregator just assembled in s.cov
+// for its round in flight s.round[g], from the rank's clock, which then
+// takes the time the request left the client link; the read's end is
+// settled later (readRounds). The bytes have landed when the read returns,
+// and the round holds them until it is answered (readScratch.hold). A
+// failed read holds nothing: its verdict will fail the collective.
+func (f *File) issueRead(s *readScratch, g int) {
+	rd, cov := &s.round[g], &s.cov
+	rd.issued = f.comm.Clock()
+	rd.end, rd.err = f.issuePF(rd.issued, func(t float64) (end float64, err error) {
+		rd.left, end, err = f.pf.ReadAhead(t, cov.segs, [][]byte{cov.data})
+		return end, err
+	})
+	f.killPoint(fault.KillAfterIssue)
+	f.settle(rd.issued, rd.left)
+	if rd.err != nil {
+		cov.release()
+		return
+	}
+	s.hold(g)
 }

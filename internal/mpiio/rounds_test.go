@@ -318,89 +318,119 @@ func TestWriteRoundFailureVerdict(t *testing.T) {
 	}
 }
 
+// readFailAllreduces is how many allreduces every rank enters in a read of
+// the failure-placement worlds whose round k fails, depth rounds in flight:
+// round k's verdict rides on round k+depth−1's exchange, so the collective
+// stops after the plan and the exchanges 0..k+depth−1; a failure in the last
+// depth−1 rounds has no later exchange, and the closing agreement, after
+// all R exchanges, carries it.
+func readFailAllreduces(k, depth int64) int64 {
+	if k+depth-1 < failRounds {
+		return 1 + k + depth
+	}
+	return 1 + failRounds + 1
+}
+
 // TestReadRoundPartialAggregatorFailure: aggregator rank 0's coverage read
 // fails for good in round k, for each k of failAt, while aggregator rank 2
-// reads its own round k (and every other round) fine. The reply leg expects
-// a fixed number of messages instead of agreeing it, so this is the case
-// that would hang it — it must not start: round k's verdict rides on round
-// k+1's exchange (the closing agreement's, for the last round), ahead of
-// answer(k). Every rank returns (rank 0 its own typed error, everyone else
-// ErrPeerFailed) having entered the collectives up to that verdict and no
-// more, and the handle stays usable. The failure is placed by size: at
-// FaultUnit = 1 byte every coverage read of this collective is 4 bytes —
-// one from each rank — except rank 0's round-k read, a whole window, and a
-// transient rate that the 4-byte reads retry through fails that one at every
-// attempt.
+// reads its own round k (and every other round) fine — with 2, 4 and 8 (all)
+// of the 8 read rounds in flight, set by the client cache (readDepth). The
+// reply leg expects a fixed number of messages instead of agreeing it, so
+// this is the case that would hang it — it must not start: round k's
+// verdict rides on round k+depth−1's exchange (the closing agreement's, for
+// the last depth−1 rounds), ahead of answer(k). Every rank returns (rank 0
+// its own typed error, everyone else ErrPeerFailed) having entered exactly
+// readFailAllreduces(k, depth) allreduces, and the handle stays usable. The
+// failure is placed by size: at FaultUnit = 1 byte every coverage read of
+// this collective is 4 bytes — one from each rank — except rank 0's round-k
+// read, a whole window, and a transient rate that the 4-byte reads retry
+// through fails that one at every attempt.
 func TestReadRoundPartialAggregatorFailure(t *testing.T) {
-	const windows = 2 * failRounds
+	closingOnly := 0 // cases whose round k < R−1 only the closing agreement carries
 	for _, k := range failAt {
 		t.Run(fmt.Sprintf("round%d", k), func(t *testing.T) {
-			fsys := failFS()
-			errs := make([]error, failProcs)
-			runWorld(t, failProcs, func(c *mpi.Comm) error {
-				me := c.Rank()
-				st := iostat.New()
-				c.Proc().SetStats(st)
-				var segs []mpitype.Segment
-				for w := int64(0); w < windows; w++ {
-					if w == k { // domain 0, round k: a quarter window each
-						segs = append(segs, mpitype.Segment{Off: w*failWindow + int64(me)*failWindow/failProcs, Len: failWindow / failProcs})
-					} else {
-						segs = append(segs, mpitype.Segment{Off: w*failWindow + int64(me), Len: 1})
-					}
+			for _, depth := range []int64{2, 4, failRounds} {
+				if k < failRounds-1 && k+depth-1 >= failRounds {
+					closingOnly++
 				}
-				view, err := mpitype.FromSegments(segs, windows*failWindow)
-				if err != nil {
-					return err
-				}
-				f, err := Open(c, fsys, "partial", ModeRdWr|ModeCreate, failHints())
-				if err != nil {
-					return err
-				}
-				if err := f.SetView(0, view); err != nil {
-					return err
-				}
-				want := bytes.Repeat([]byte{byte('a' + me)}, int(view.Size()))
-				if err := f.WriteAtAll(0, want); err != nil {
-					return err
-				}
-				_, ar := allreduceCost(c, st)
-				if me == 0 {
-					fsys.SetFault(fault.New(fault.Config{Seed: 7, ReadErrRate: 0.005, FaultUnit: 1}))
-				}
-				c.Barrier()
-				got := make([]byte, len(want))
-				c0 := st.Get(iostat.MPICollectives)
-				errs[me] = f.ReadAtAll(0, got)
-				allreduces := int64(1 + failRounds + 1)
-				if k+1 < failRounds {
-					allreduces = 1 + k + 2
-				}
-				if colls := st.Get(iostat.MPICollectives) - c0; colls != allreduces*ar {
-					return fmt.Errorf("rank %d: entered %d collectives, want %d allreduces x %d", me, colls, allreduces, ar)
-				}
-				c.Barrier()
-				if me == 0 {
-					fsys.SetFault(nil)
-				}
-				c.Barrier()
-				if err := f.ReadAtAll(0, got); err != nil {
-					return fmt.Errorf("rank %d: read after the failed one: %w", me, err)
-				}
-				if !bytes.Equal(got, want) {
-					return fmt.Errorf("rank %d: read after the failed one returned wrong bytes", me)
-				}
-				return f.Close()
-			})
-			for r, err := range errs {
-				if r == 0 && !errors.Is(err, fault.ErrRetriesExhausted) {
-					t.Errorf("rank 0 (failed aggregator): %v, want retries exhausted", err)
-				}
-				if r != 0 && !errors.Is(err, mpi.ErrPeerFailed) {
-					t.Errorf("rank %d: %v, want ErrPeerFailed", r, err)
-				}
+				t.Run(fmt.Sprintf("depth%d", depth), func(t *testing.T) { readRoundFailure(t, k, depth) })
 			}
 		})
+	}
+	if closingOnly == 0 {
+		t.Error("no case fails a round before the last that only the closing agreement carries")
+	}
+}
+
+// readRoundFailure is one case of TestReadRoundPartialAggregatorFailure.
+func readRoundFailure(t *testing.T, k, depth int64) {
+	const windows = 2 * failRounds
+	cfg := failFS().Config()
+	cfg.ClientCache = depth * failWindow
+	if got := readDepth(failRounds, cfg.NumServers, cfg.ClientCache, failWindow); got != depth {
+		t.Fatalf("a client cache of %d rounds keeps %d rounds in flight, want %d", depth, got, depth)
+	}
+	fsys := pfs.New(cfg)
+	errs := make([]error, failProcs)
+	runWorld(t, failProcs, func(c *mpi.Comm) error {
+		me := c.Rank()
+		st := iostat.New()
+		c.Proc().SetStats(st)
+		var segs []mpitype.Segment
+		for w := int64(0); w < windows; w++ {
+			if w == k { // domain 0, round k: a quarter window each
+				segs = append(segs, mpitype.Segment{Off: w*failWindow + int64(me)*failWindow/failProcs, Len: failWindow / failProcs})
+			} else {
+				segs = append(segs, mpitype.Segment{Off: w*failWindow + int64(me), Len: 1})
+			}
+		}
+		view, err := mpitype.FromSegments(segs, windows*failWindow)
+		if err != nil {
+			return err
+		}
+		f, err := Open(c, fsys, "partial", ModeRdWr|ModeCreate, failHints())
+		if err != nil {
+			return err
+		}
+		if err := f.SetView(0, view); err != nil {
+			return err
+		}
+		want := bytes.Repeat([]byte{byte('a' + me)}, int(view.Size()))
+		if err := f.WriteAtAll(0, want); err != nil {
+			return err
+		}
+		_, ar := allreduceCost(c, st)
+		if me == 0 {
+			fsys.SetFault(fault.New(fault.Config{Seed: 7, ReadErrRate: 0.005, FaultUnit: 1}))
+		}
+		c.Barrier()
+		got := make([]byte, len(want))
+		c0 := st.Get(iostat.MPICollectives)
+		errs[me] = f.ReadAtAll(0, got)
+		allreduces := readFailAllreduces(k, depth)
+		if colls := st.Get(iostat.MPICollectives) - c0; colls != allreduces*ar {
+			return fmt.Errorf("rank %d: entered %d collectives, want %d allreduces x %d", me, colls, allreduces, ar)
+		}
+		c.Barrier()
+		if me == 0 {
+			fsys.SetFault(nil)
+		}
+		c.Barrier()
+		if err := f.ReadAtAll(0, got); err != nil {
+			return fmt.Errorf("rank %d: read after the failed one: %w", me, err)
+		}
+		if !bytes.Equal(got, want) {
+			return fmt.Errorf("rank %d: read after the failed one returned wrong bytes", me)
+		}
+		return f.Close()
+	})
+	for r, err := range errs {
+		if r == 0 && !errors.Is(err, fault.ErrRetriesExhausted) {
+			t.Errorf("rank 0 (failed aggregator): %v, want retries exhausted", err)
+		}
+		if r != 0 && !errors.Is(err, mpi.ErrPeerFailed) {
+			t.Errorf("rank %d: %v, want ErrPeerFailed", r, err)
+		}
 	}
 }
 

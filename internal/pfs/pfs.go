@@ -24,7 +24,7 @@
 //
 // The data plane is built not to convoy: the file table is behind an
 // RWMutex, chunk data behind per-file lock shards (store.go), and the
-// vectored entry points ReadVec/WriteVec accept an iovec so callers hand
+// vectored entry points ReadAhead/WriteBehind accept an iovec so callers hand
 // their round buffers down without a coalescing copy. Only the cost model's
 // server queues (srvMu) are a single lock, because they model a genuinely
 // shared resource.
@@ -429,12 +429,24 @@ func (f *File) storeWriteVec(segs []Segment, iov [][]byte, n int64) {
 // request batch. The iovec's total length must equal the segments' total
 // length; entry boundaries need not align with segment boundaries.
 func (f *File) ReadVec(t float64, segs []Segment, iov [][]byte) (float64, error) {
+	_, done, err := f.ReadAhead(t, segs, iov)
+	return done, err
+}
+
+// ReadAhead is ReadVec for a client that keeps reads in flight: beside the
+// completion time it reports left, the time the request has left the client
+// link — the arrival of its last pipelining window at the servers, as
+// WriteBehind reports it. Every read of the package comes through here: the
+// bytes land in the iovec and the request is charged and counted before it
+// returns, whenever the caller's clock takes its end. A failed attempt
+// reports left = done.
+func (f *File) ReadAhead(t float64, segs []Segment, iov [][]byte) (left, done float64, err error) {
 	var total int64
 	for _, s := range segs {
 		total += s.Len
 	}
 	if n := iovTotal(iov); n != total {
-		return t, fmt.Errorf("pfs: readvec iovec holds %d bytes, segments need %d", n, total)
+		return t, t, fmt.Errorf("pfs: readvec iovec holds %d bytes, segments need %d", n, total)
 	}
 	t0 := t
 	if f.fs.inj != nil {
@@ -444,7 +456,7 @@ func (f *File) ReadVec(t float64, segs []Segment, iov [][]byte) (float64, error)
 			f.stats.Add(iostat.PfsFaultsInjected, 1)
 			done := t + f.fs.cfg.NetLatency
 			f.spans.Record(span.PFSRead, -1, t0, done, 0, firstOff(segs))
-			return done, out.Err
+			return done, done, out.Err
 		}
 		if out.Delay > 0 {
 			f.stats.Add(iostat.PfsFaultsInjected, 1)
@@ -460,10 +472,10 @@ func (f *File) ReadVec(t float64, segs []Segment, iov [][]byte) (float64, error)
 			remain -= int64(len(p))
 		}
 	}
-	done, _, extents := f.fs.charge(t, segs, true, f.stats)
+	done, left, extents := f.fs.charge(t, segs, true, f.stats)
 	f.count(iostat.PfsReadCalls, iostat.PfsBytesRead, iostat.PfsReadExtents, total, extents)
 	f.spans.Record(span.PFSRead, -1, t0, done, total, firstOff(segs))
-	return done, nil
+	return left, done, nil
 }
 
 // count accumulates one request batch's counters.

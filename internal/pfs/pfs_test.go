@@ -427,6 +427,10 @@ func TestEveryMethodIsCharged(t *testing.T) {
 		"SerialFile.ReadAt": {do: serial(func(s *SerialFile, p []byte) (int, error) { return s.ReadAt(p, 0) }), read: true},
 		"File.WriteAt":      {do: func(f *File, t float64, p []byte) (float64, error) { return f.WriteAt(t, p, 0) }},
 		"File.WriteVec":     {do: func(f *File, t float64, p []byte) (float64, error) { return f.WriteVec(t, one, halves(p)) }},
+		"File.ReadAhead": {do: func(f *File, t float64, p []byte) (float64, error) {
+			_, done, err := f.ReadAhead(t, one, halves(p))
+			return done, err
+		}, read: true},
 		"File.WriteBehind": {do: func(f *File, t float64, p []byte) (float64, error) {
 			_, done, err := f.WriteBehind(t, one, halves(p))
 			return done, err
@@ -631,5 +635,58 @@ func TestWriteBehindReportsTheLink(t *testing.T) {
 	}
 	if link := 1 + cfg.NetLatency + float64(n)/cfg.ClientBW; left != link || left >= done {
 		t.Errorf("bytes left the link at %g, want %g, before the completion at %g", left, link, done)
+	}
+}
+
+// TestReadAheadReportsTheLink: ReadAhead is ReadVec's charge, counters and
+// completion plus the time the request left the client link — the same
+// link time WriteBehind reports for a request of that size — and its bytes
+// are in the caller's buffer when it returns.
+func TestReadAheadReportsTheLink(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.PipeChunk = 1 << 20
+	const n = 4 << 20
+	p := make([]byte, n)
+	for i := range p {
+		p[i] = byte(i % 251)
+	}
+	one := []Segment{{Off: 0, Len: n}}
+	fs := New(cfg)
+	f, _ := fs.Create("f", 0)
+	if _, err := f.WriteVec(0, one, [][]byte{p}); err != nil {
+		t.Fatal(err)
+	}
+	read := func(ahead bool) (left, done float64, st *iostat.Stats, got []byte) {
+		fs.ResetClock()
+		st = iostat.New()
+		f.SetStats(st, 0)
+		got = make([]byte, n)
+		var err error
+		if ahead {
+			left, done, err = f.ReadAhead(1, one, [][]byte{got[:n/2], got[n/2:]})
+		} else {
+			done, err = f.ReadVec(1, one, [][]byte{got})
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return left, done, st, got
+	}
+	_, want, wantSt, _ := read(false)
+	left, done, st, got := read(true)
+	if done != want {
+		t.Errorf("ReadAhead completes at %g, ReadVec at %g", done, want)
+	}
+	if link := 1 + cfg.NetLatency + float64(n)/cfg.ClientBW; left != link || left >= done {
+		t.Errorf("the request left the link at %g, want %g, before the completion at %g", left, link, done)
+	}
+	if !bytes.Equal(got, p) {
+		t.Error("ReadAhead returned before its bytes were in the buffer")
+	}
+	for _, c := range []iostat.Counter{iostat.PfsReadCalls, iostat.PfsBytesRead, iostat.PfsReadExtents,
+		iostat.PfsSeekTimeNs, iostat.PfsTransferTimeNs} {
+		if st.Get(c) != wantSt.Get(c) {
+			t.Errorf("counter %v: ReadAhead %d, ReadVec %d", c, st.Get(c), wantSt.Get(c))
+		}
 	}
 }

@@ -26,9 +26,10 @@
 #            (The fault-injection suites run in the default pass.)
 #   FT=1     rank-failure tolerance (DESIGN.md §8) end to end: kill an
 #            aggregator mid-round in an 8-rank FLASH checkpoint, once in the
-#            exchange and once just after its request is issued; survivors
-#            must fail over, the file must be ncvalidate-clean, and
-#            ft_failover_rounds must be nonzero. (The rank-kill and
+#            exchange and once just after its request is issued, and in its
+#            read-back just after a read round is issued with an earlier one
+#            still in flight; survivors must fail over, the file must be
+#            ncvalidate-clean, and ft_failover_rounds must be nonzero. (The rank-kill and
 #            revoke/shrink/failover suites need no pass of their own: the
 #            detector is always on, so they run in the default
 #            go test -race ./... above, and a deadlock is a typed error
@@ -117,17 +118,23 @@ if [ "${FT:-0}" = "1" ]; then
     # then that write's bytes have landed; only its virtual end and its
     # verdict are outstanding. Survivors detect, shrink, fail over; the file
     # must validate and the counters must show the failover actually ran.
+    # The read-back leg writes the checkpoint undisturbed and kills rank 4
+    # in the read: -read arms the kill after the write, and occurrence 1 is
+    # its second round's read, issued while the first is still in flight
+    # (unanswered) — the bytes of both have landed; the survivors re-read
+    # what no rank had scattered.
     ftdir=$(mktemp -d)
-    for point in mid_exchange after_issue; do
+    for leg in "mid_exchange" "after_issue" "after_issue -read -kill-occurrence 1"; do
+        # $leg unquoted: the kill point, then the leg's own options.
         go run ./cmd/flashio-bench -block 8 -procs 8 -blocks-per-proc 20 \
             -files checkpoint -cb-buffer-size 65536 -cb-nodes 2 \
-            -kill-rank 4 -kill-point "$point" \
+            -kill-rank 4 -kill-point $leg \
             -stats -json "$ftdir/ft.json" -out "$ftdir/ft.nc"
         go run ./cmd/ncvalidate "$ftdir/ft.nc"
         grep -q '"ft_failover_rounds": *[1-9]' "$ftdir/ft.json" \
-            || { echo "FT: ft_failover_rounds is zero after a rank kill at $point" >&2; exit 1; }
+            || { echo "FT: ft_failover_rounds is zero after a rank kill at $leg" >&2; exit 1; }
         grep -q '"ft_comm_shrinks": *[1-9]' "$ftdir/ft.json" \
-            || { echo "FT: no communicator shrink recorded after a rank kill at $point" >&2; exit 1; }
+            || { echo "FT: no communicator shrink recorded after a rank kill at $leg" >&2; exit 1; }
     done
     rm -rf "$ftdir"
 fi
