@@ -54,15 +54,34 @@ func runRanks(m MachineSpec, nprocs int, body func(c *mpi.Comm) error) error {
 	})
 }
 
-// timed runs one measured leg on every rank from zeroed clocks and server
-// queues, and stores its makespan — the latest rank clock when leg has
-// returned everywhere — in *makespan on rank 0. A write leg ends in Sync, so
-// the writes still in flight at the servers are on the clock (DESIGN.md §13).
-func timed(c *mpi.Comm, fsys *pfs.FS, makespan *float64, leg func() error) error {
+// zeroClocks starts a measured phase on every rank. A dataset d that is
+// open (nil: none is) is synced first, which settles the writes each rank
+// has in flight, so that none carries its end from before the phase into
+// it; then the rank's clock, the server queues and the rank's counters and
+// spans are zeroed, and the ranks line up.
+func zeroClocks(c *mpi.Comm, fsys *pfs.FS, d *core.Dataset) error {
+	if d != nil {
+		if err := d.Sync(); err != nil {
+			return err
+		}
+	}
 	c.Proc().SetClock(0)
 	fsys.ResetClock()
+	c.Proc().Stats().Reset()
 	c.Proc().Spans().Reset()
 	c.Barrier()
+	return nil
+}
+
+// timed runs one measured leg on every rank from zeroed clocks and server
+// queues (zeroClocks, with d the dataset open before the leg, or nil), and
+// stores its makespan — the latest rank clock when leg has returned
+// everywhere — in *makespan on rank 0. A write leg ends in Sync, so the
+// writes still in flight at the servers are on the clock (DESIGN.md §13).
+func timed(c *mpi.Comm, fsys *pfs.FS, d *core.Dataset, makespan *float64, leg func() error) error {
+	if err := zeroClocks(c, fsys, d); err != nil {
+		return err
+	}
 	t0 := c.Clock()
 	if err := leg(); err != nil {
 		return err
@@ -104,7 +123,7 @@ func AblationTwoPhase(m MachineSpec, dims [3]int64, nprocs int) (AblationResult,
 			}
 			start, count := Decompose(PartX, dims, nprocs, c.Rank())
 			buf := make([]float32, count[0]*count[1]*count[2])
-			err = timed(c, fsys, &makespan, func() error {
+			err = timed(c, fsys, d, &makespan, func() error {
 				if err := d.PutVaraAll(v, start[:], count[:], buf); err != nil {
 					return err
 				}
@@ -164,7 +183,7 @@ func AblationSieving(m MachineSpec, dims [3]int64, nprocs int) (AblationResult, 
 			if err := d.EndIndepData(); err != nil {
 				return err
 			}
-			err = timed(c, fsys, &makespan, func() error {
+			err = timed(c, fsys, d, &makespan, func() error {
 				if err := d.BeginIndepData(); err != nil {
 					return err
 				}
@@ -217,7 +236,7 @@ func AblationHeaderStrategy(m MachineSpec, nvars, nprocs int) (AblationResult, e
 	var chosen float64
 	err = runRanks(m, nprocs, func(c *mpi.Comm) error {
 		var d *core.Dataset
-		err := timed(c, fsys, &chosen, func() (err error) {
+		err := timed(c, fsys, nil, &chosen, func() (err error) {
 			d, err = core.Open(c, fsys, "hdr.nc", nctype.NoWrite, nil)
 			return err
 		})
@@ -233,7 +252,7 @@ func AblationHeaderStrategy(m MachineSpec, nvars, nprocs int) (AblationResult, e
 	var baseline float64
 	err = runRanks(m, nprocs, func(c *mpi.Comm) error {
 		var f *mpiio.File
-		err := timed(c, fsys, &baseline, func() (err error) {
+		err := timed(c, fsys, nil, &baseline, func() (err error) {
 			if f, err = mpiio.Open(c, fsys, "hdr.nc", mpiio.ModeRdOnly, nil); err != nil {
 				return err
 			}
@@ -275,7 +294,7 @@ func AblationRecordBatch(m MachineSpec, nvars, nrecs, nprocs int, perRank int64)
 			buf := make([]float32, perRank)
 			start := []int64{0, int64(c.Rank()) * perRank}
 			count := []int64{1, perRank}
-			err = timed(c, fsys, &makespan, func() error {
+			err = timed(c, fsys, d, &makespan, func() error {
 				for rec := 0; rec < nrecs; rec++ {
 					start[0] = int64(rec)
 					if batch {
@@ -415,7 +434,7 @@ func AblationReadDepth(m MachineSpec, dims [3]int64, nprocs int) (AblationResult
 			if err := d.Sync(); err != nil {
 				return err
 			}
-			err = timed(c, fsys, &makespan, func() error {
+			err = timed(c, fsys, d, &makespan, func() error {
 				return d.GetVaraAll(v, start[:], count[:], buf)
 			})
 			if err != nil {

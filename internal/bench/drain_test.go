@@ -1,9 +1,13 @@
 package bench
 
 import (
+	"fmt"
 	"testing"
 
+	"pnetcdf/internal/core"
 	"pnetcdf/internal/flash"
+	"pnetcdf/internal/mpi"
+	"pnetcdf/internal/nctype"
 	"pnetcdf/internal/span"
 )
 
@@ -81,5 +85,52 @@ func TestHarnessesTimeTheDrain(t *testing.T) {
 	// Two legs each of two-phase, record batch and var align write.
 	if writes != 6 {
 		t.Errorf("%d ablation legs traced writes, want 6", writes)
+	}
+}
+
+// TestMeasuredPhaseStartsDrained: EndDef returns on the root while its
+// header writes are still in flight (DESIGN.md §13), and a measured phase
+// that starts right after it (zeroClocks, as Figure 6 and the ablations
+// start theirs) begins with none: Close, the phase's first drain, has
+// nothing from before the phase to settle, so it records no drain span.
+func TestMeasuredPhaseStartsDrained(t *testing.T) {
+	m := SDSCBlueHorizon()
+	for _, nprocs := range []int{1, 4} {
+		fsys := m.NewFS()
+		err := mpi.Run(nprocs, m.Net, func(c *mpi.Comm) error {
+			rec := span.NewRecorder(c.Rank(), c.Proc().Clock)
+			c.Proc().SetSpans(rec)
+			d, err := core.Create(c, fsys, "z.nc", nctype.Clobber, nil)
+			if err != nil {
+				return err
+			}
+			z, _ := d.DefDim("Z", 32)
+			y, _ := d.DefDim("Y", 32)
+			x, _ := d.DefDim("X", 32)
+			if _, err := d.DefVar("tt", nctype.Float, []int{z, y, x}); err != nil {
+				return err
+			}
+			if err := d.EndDef(); err != nil {
+				return err
+			}
+			if end := lastWriteEnd(rec.Spans()); c.Rank() == 0 && end <= c.Clock() {
+				return fmt.Errorf("EndDef returned at %g s, after its header writes ended at %g s: nothing was in flight", c.Clock(), end)
+			}
+			if err := zeroClocks(c, fsys, d); err != nil {
+				return err
+			}
+			if err := d.Close(); err != nil {
+				return err
+			}
+			for _, s := range rec.Spans() {
+				if s.Phase == span.Drain {
+					return fmt.Errorf("rank %d: Close drained %d bytes from %g s to %g s, written before the phase", c.Rank(), s.Bytes, s.Start, s.End)
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Errorf("%d ranks: %v", nprocs, err)
+		}
 	}
 }

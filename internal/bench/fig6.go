@@ -188,17 +188,12 @@ func runFig6Parallel(opt Fig6Options, part Partition, nprocs int) (float64, *ios
 			if err := d.PutVaraAll(v, s, k, buf); err != nil {
 				return err
 			}
-			if err := d.Sync(); err != nil {
-				return err
-			}
 		}
-		// Measured phase: zero the clocks and counters so setup I/O does
-		// not pollute the measurement.
-		c.Proc().SetClock(0)
-		fsys.ResetClock()
-		c.Proc().Stats().Reset()
-		c.Proc().Spans().Reset()
-		c.Barrier()
+		// Measured phase: sync, then zero the clocks and counters so setup
+		// I/O does not pollute the measurement.
+		if err := zeroClocks(c, fsys, d); err != nil {
+			return err
+		}
 		t0 := c.Clock()
 		if opt.Read {
 			err = d.GetVaraAll(v, s, k, buf)

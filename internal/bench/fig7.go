@@ -145,22 +145,20 @@ func runFlashOnce(opt Fig7Options, nprocs int, hdf5 bool) (flash.Report, *iostat
 			if _, err = flash.WriteCheckpointH5(c, fsys, "f.h5", opt.Config, nil); err != nil {
 				return err
 			}
-			fsys.ResetClock()
-			c.Proc().SetClock(0)
-			c.Barrier()
+			if err = zeroClocks(c, fsys, nil); err != nil {
+				return err
+			}
 			r, err = flash.ReadCheckpointH5(c, fsys, "f.h5", opt.Config, nil)
 		case opt.Read:
 			if _, err = flash.WriteCheckpointPnetCDF(c, fsys, "f.nc", opt.Config, opt.Hints); err != nil {
 				return err
 			}
-			fsys.ResetClock()
-			c.Proc().SetClock(0)
-			c.Proc().Stats().Reset()
-			c.Proc().Spans().Reset()
 			if c.Rank() == 0 {
 				opt.Fault.armKill(fsys)
 			}
-			c.Barrier()
+			if err = zeroClocks(c, fsys, nil); err != nil {
+				return err
+			}
 			r, err = flash.ReadCheckpointPnetCDF(c, fsys, "f.nc", opt.Config, opt.Hints)
 		case hdf5 && opt.File == FlashCheckpoint:
 			r, err = flash.WriteCheckpointH5(c, fsys, "f.h5", opt.Config, nil)

@@ -49,7 +49,7 @@ func AblationPrefetch(m MachineSpec, nprocs, nreads int) (AblationResult, error)
 		var makespan float64
 		err := runRanks(m, nprocs, func(c *mpi.Comm) error {
 			var d *core.Dataset
-			err := timed(c, fsys, &makespan, func() (err error) {
+			err := timed(c, fsys, nil, &makespan, func() (err error) {
 				if d, err = core.Open(c, fsys, "pf.nc", nctype.NoWrite, info); err != nil {
 					return err
 				}
@@ -115,7 +115,7 @@ func AblationVarAlign(m MachineSpec, nvars, nprocs int) (AblationResult, error) 
 				return err
 			}
 			buf := make([]float32, share)
-			err = timed(c, fsys, &makespan, func() error {
+			err = timed(c, fsys, d, &makespan, func() error {
 				for _, v := range ids {
 					if err := d.PutVaraAll(v, []int64{share * int64(c.Rank())}, []int64{share}, buf); err != nil {
 						return err

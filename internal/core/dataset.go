@@ -368,6 +368,9 @@ func (d *Dataset) relocate(old *cdf.Header) error {
 			}
 		}
 	}
+	// Each mover's writes are down before the agreement, so the root
+	// commits the header only after every move has landed.
+	d.f.DrainWrites()
 	return d.comm.AgreeError(err)
 }
 

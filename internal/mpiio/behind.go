@@ -1,24 +1,33 @@
 package mpiio
 
-// Write-behind (DESIGN.md §13). A data write — a collective round's
-// aggregator request, or an independent request or sieve window — settles
-// the rank's clock when its bytes have left the client link
-// (pfs.File.WriteBehind), not when the servers finish: as with a GPFS
-// client's write-behind cache, the rank goes on with its next plan, exchange
-// or window while the servers work. The write then joins the handle's FIFO
-// of writes in flight, bounded by one budget whichever path issued it: the
-// file system's client cache (pfs.Config.ClientCache, GPFS's pagepool). The
-// buffer hints keep their ROMIO meanings — cb_buffer_size is a round's
-// staging buffer, ind_wr_buffer_size a sieve window — and bound no write's
-// flight: the staging buffer is free again once the write has returned,
-// because the cache holds the bytes. A write that would overflow the cache
-// first settles the oldest writes to their completions; a write larger than
-// the cache by itself, and every write on a file system without one, is
-// written through. Sync, Close and DrainWrites — which core calls ahead of
-// every header or numrecs publish — settle the whole FIFO, and header writes
-// (WriteRaw) are written through. Only the point where the clock takes a
-// write's end moves: the requests, their bytes and their charges are the
-// write-through ones. The FIFO holds times, not data.
+// Write-behind (DESIGN.md §13). Every write the rank issues — a collective
+// round's aggregator request, an independent request or sieve window, and a
+// raw write (WriteRaw: a header commit, a numrecs publish, a fill, a
+// relocation move) — settles the rank's clock when its bytes have left the
+// client link (pfs.File.WriteBehind), not when the servers finish: as with a
+// GPFS client's write-behind cache, the rank goes on with its next plan,
+// exchange, window or commit step while the servers work. The write then
+// joins the handle's FIFO of writes in flight, bounded by one budget
+// whichever path issued it: the file system's client cache
+// (pfs.Config.ClientCache, GPFS's pagepool). The buffer hints keep their
+// ROMIO meanings — cb_buffer_size is a round's staging buffer,
+// ind_wr_buffer_size a sieve window — and bound no write's flight: the
+// staging buffer is free again once the write has returned, because the
+// cache holds the bytes. A write that would overflow the cache first settles
+// the oldest writes to their completions; a write larger than the cache by
+// itself, and every write on a file system without one, is written through.
+// Sync, Close and DrainWrites — which core calls ahead of every header or
+// numrecs publish — settle the whole FIFO. Only the point where the clock
+// takes a write's end moves: the requests, their bytes and their charges are
+// the write-through ones. The FIFO holds times, not data.
+//
+// A raw write's steps must end in the order they were issued, so a commit
+// whose magic is written last is not down before its body. One rule keeps
+// that order: a raw write goes behind at once when every write still in
+// flight lies in the one stripe it writes, where one server's queue already
+// orders them; otherwise it first settles the writes in flight. A header
+// within one stripe thus commits fully behind; the magic of a header across
+// stripes waits for its body.
 //
 // A retried write leaves the link at its last attempt (issuePF runs the
 // whole retry chain), so backoff is always on the clock. A failed write is
@@ -27,34 +36,64 @@ package mpiio
 import (
 	"slices"
 
+	"pnetcdf/internal/pfs"
 	"pnetcdf/internal/span"
 )
 
-// queuedWrite is one data write the rank has not yet settled to its end.
+// queuedWrite is one write the rank has not yet settled to its end.
 type queuedWrite struct {
-	left  float64 // its bytes had left the client link; the clock was settled here
-	end   float64 // the servers had finished it
-	bytes int64
+	left   float64 // its bytes had left the client link; the clock was settled here
+	end    float64 // the servers had finished it
+	bytes  int64
+	stripe int64 // the one stripe it lies in, or -1 when it spans more
 }
 
 // writeQueue is a handle's FIFO of writes in flight, oldest first.
 type writeQueue struct {
-	q     []queuedWrite // q[head:] are in flight; q[:head] are settled
-	head  int
-	bytes int64 // the bytes of q[head:]
-	cache int64 // pfs.Config.ClientCache: the most bytes q[head:] may hold
+	q      []queuedWrite // q[head:] are in flight; q[:head] are settled
+	head   int
+	bytes  int64 // the bytes of q[head:]
+	cache  int64 // pfs.Config.ClientCache: the most bytes q[head:] may hold
+	stripe int64 // pfs.Config.StripeSize
 }
 
 // reserve makes room for n more writes in the FIFO's slice, so a collective
 // of n rounds grows it at most once.
 func (b *writeQueue) reserve(n int) { b.q = slices.Grow(b.q, n) }
 
-// writeBehind issues one data write of n bytes from the rank's clock, with
-// at most the client cache's bytes in flight once it is issued, and returns
-// its issue time. write is one attempt at time t; it reports when the
-// attempt's bytes left the link and when it completed. round tags the drain
-// span of a write that had to wait for older ones (-1 outside a collective).
-func (f *File) writeBehind(n int64, round int,
+// stripeOf returns the stripe that segs, sorted, lie in, or -1 when they
+// span more than one or none.
+func (b *writeQueue) stripeOf(segs []pfs.Segment) int64 {
+	if len(segs) == 0 {
+		return -1
+	}
+	lo, last := segs[0].Off, segs[len(segs)-1]
+	s := lo / b.stripe
+	if max(last.Off+last.Len-1, lo)/b.stripe != s {
+		return -1
+	}
+	return s
+}
+
+// ordered reports whether a raw write lying in stripe s (-1: in more than
+// one) may go behind the writes in flight: only when each of them lies in s,
+// where one server's queue finishes them in issue order.
+func (b *writeQueue) ordered(s int64) bool {
+	for _, w := range b.q[b.head:] {
+		if s < 0 || w.stripe != s {
+			return false
+		}
+	}
+	return true
+}
+
+// writeBehind issues one write of n bytes to segs from the rank's clock,
+// with at most the client cache's bytes in flight once it is issued, and
+// returns its issue time. write is one attempt at time t; it reports when
+// the attempt's bytes left the link and when it completed. round tags the
+// drain span of a write that had to wait for older ones (-1 outside a
+// collective).
+func (f *File) writeBehind(segs []pfs.Segment, n int64, round int,
 	write func(t float64) (left, end float64, err error)) (issued float64, err error) {
 	cache := f.behind.cache
 	f.drainTo(cache-n, round)
@@ -69,7 +108,7 @@ func (f *File) writeBehind(n int64, round int,
 		return issued, err
 	}
 	f.settle(issued, left)
-	f.behind.q = append(f.behind.q, queuedWrite{left: left, end: end, bytes: n})
+	f.behind.q = append(f.behind.q, queuedWrite{left: left, end: end, bytes: n, stripe: f.behind.stripeOf(segs)})
 	f.behind.bytes += n
 	return issued, nil
 }
@@ -99,8 +138,8 @@ func (f *File) drainTo(keep int64, round int) {
 	}
 }
 
-// DrainWrites settles every data write this rank has in flight: its clock
-// moves past each one's end. Independent; core calls it on every rank
-// ahead of the collective that precedes a header or numrecs publish, so the
-// root publishes only after every rank's data is down.
+// DrainWrites settles every write this rank has in flight: its clock moves
+// past each one's end. Independent; core calls it on every rank ahead of the
+// collective that precedes a header or numrecs publish, so the root
+// publishes only after every rank's data is down.
 func (f *File) DrainWrites() { f.drainTo(0, -1) }

@@ -128,7 +128,7 @@ type File struct {
 	// access this handle issues (see doPF).
 	retry fault.RetryPolicy
 
-	// behind holds the rank's data writes still in flight (behind.go).
+	// behind holds the rank's writes still in flight (behind.go).
 	behind writeQueue
 
 	// File view: absolute displacement plus a byte-unit filetype that tiles
@@ -184,7 +184,7 @@ func Open(comm *mpi.Comm, fsys *pfs.FS, name string, amode int, info *mpi.Info) 
 	}
 	cfg := fsys.Config()
 	f := &File{comm: comm, fs: fsys, pf: pf, amode: amode, hints: resolveHints(comm, info, cfg.NumServers), info: info.Clone(),
-		retry: fault.DefaultRetryPolicy(), behind: writeQueue{cache: cfg.ClientCache}}
+		retry: fault.DefaultRetryPolicy(), behind: writeQueue{cache: cfg.ClientCache, stripe: cfg.StripeSize}}
 	// As MPI_File_get_info does under ROMIO, Info reports the striping the
 	// file has; this file system stripes every file alike, so a value the
 	// caller supplied is advice it cannot take.
@@ -268,7 +268,7 @@ func (f *File) SetSize(size int64) error {
 	return nil
 }
 
-// Sync flushes the file collectively, like MPI_File_sync: every rank's data
+// Sync flushes the file collectively, like MPI_File_sync: every rank's
 // writes are down when it returns.
 func (f *File) Sync() error {
 	if f.closed {
@@ -281,8 +281,7 @@ func (f *File) Sync() error {
 	return nil
 }
 
-// Close closes the handle collectively, once every rank's data writes are
-// down.
+// Close closes the handle collectively, once every rank's writes are down.
 func (f *File) Close() error {
 	if f.closed {
 		return ErrClosed
@@ -353,8 +352,9 @@ func (f *File) ReadRawV(segs []pfs.Segment, buf []byte) error {
 	return nil
 }
 
-// WriteRaw writes bytes at an absolute offset, bypassing the view.
-// Independent.
+// WriteRaw writes bytes at an absolute offset, bypassing the view, as a
+// write behind that ends no earlier than any write issued before it
+// (behind.go). The header paths of the libraries above use it. Independent.
 func (f *File) WriteRaw(buf []byte, off int64) error {
 	if f.closed {
 		return ErrClosed
@@ -362,8 +362,12 @@ func (f *File) WriteRaw(buf []byte, off int64) error {
 	if f.amode&ModeRdOnly != 0 {
 		return ErrReadOnly
 	}
-	if err := f.doPF(func(t float64) (float64, error) {
-		return f.pf.WriteAt(t, buf, off)
+	seg := []pfs.Segment{{Off: off, Len: int64(len(buf))}}
+	if !f.behind.ordered(f.behind.stripeOf(seg)) {
+		f.DrainWrites()
+	}
+	if _, err := f.writeBehind(seg, int64(len(buf)), -1, func(t float64) (float64, float64, error) {
+		return f.pf.WriteBehind(t, seg, [][]byte{buf})
 	}); err != nil {
 		return err
 	}

@@ -73,7 +73,7 @@ func (f *File) WriteAtFrom(off, n int64, src Source) error {
 		buf := bufpool.GetDirty(int(n))
 		defer bufpool.Put(buf)
 		src.Fill(buf, 0)
-		if _, err := f.writeBehind(n, -1, func(t float64) (float64, float64, error) {
+		if _, err := f.writeBehind(segs, n, -1, func(t float64) (float64, float64, error) {
 			return f.pf.WriteBehind(t, segs, [][]byte{buf})
 		}); err != nil {
 			return err
@@ -152,7 +152,7 @@ func (f *File) writeWindow(run []pfs.Segment, pos int64, src Source) error {
 	}
 	if len(run) == 1 {
 		src.Fill(win, pos)
-		_, err := f.writeBehind(hi-lo, -1, write)
+		_, err := f.writeBehind(seg, hi-lo, -1, write)
 		return err
 	}
 	f.pf.LockRMW(lo, hi-lo)
@@ -167,7 +167,7 @@ func (f *File) writeWindow(run []pfs.Segment, pos int64, src Source) error {
 		src.Fill(win[s.Off-lo:s.Off-lo+s.Len], pos+wanted)
 		wanted += s.Len
 	}
-	if _, err := f.writeBehind(hi-lo, -1, write); err != nil {
+	if _, err := f.writeBehind(seg, hi-lo, -1, write); err != nil {
 		return err
 	}
 	f.st.Add(iostat.IOSieveRMW, 1)

@@ -130,7 +130,7 @@ func (f *File) writeRounds(plan collectivePlan, segs []pfs.Segment, prefix []int
 			roundErr = wv.assemble(msgs, lo, hi)
 			if roundErr == nil && len(wv.iov) > 0 {
 				var issued float64
-				issued, roundErr = f.writeBehind(wv.bytes, int(r), write)
+				issued, roundErr = f.writeBehind(wv.segs, wv.bytes, int(r), write)
 				f.killPoint(fault.KillAfterIssue)
 				f.sp.Record(span.AggWrite, int(r), issued, f.comm.Clock(), wv.bytes, -1)
 			}

@@ -11,8 +11,9 @@
 # pfs.TestEveryMethodIsCharged (every byte charged and counted), and in the
 # root guards_test.go TestIOErrorsAreChecked (no dropped Close/Sync/Flush/
 # Write* error), TestLockSections (locks released on every way out; srvMu a
-# leaf), TestInternalHasNoWallClock and TestInternalReadsNoEnvironment, and
-# a FLASH checkpoint written per variable and queued, in one-round and in
+# leaf), TestInternalHasNoWallClock and TestInternalReadsNoEnvironment, the
+# 1-process Figure 6 write, whose cells must equal results/fig6_64mb.txt's,
+# and a FLASH checkpoint written per variable and queued, in one-round and in
 # many-round collectives, which must match.
 # Toggles:
 #   BENCH=1  run the repository's benchmark (benchmark/README.md: five
@@ -54,6 +55,16 @@ go test -run '^TestAllocs' . ./internal/mpi/
 # file under testdata/fuzz runs once as a unit test. (To fuzz for real:
 # go test ./internal/mpiio -run '^$' -fuzz FuzzAssembleWrite -fuzztime 30s.)
 go test -run 'Fuzz' ./internal/cdf/ ./internal/mpiio/ ./internal/integration/
+# Figure 6's 1-process write repeats to the digit (one rank has no
+# server-lock race), so its cells must equal the committed ones: a setup
+# write still in flight when a measured phase starts would show there.
+fig6_1p='/^Write/,/^$/ { if ($1 == "serial") print $1, $3; else if ($2 ~ /^[0-9.]+$/) print $1, $2 }'
+fig6dir=$(mktemp -d)
+awk "$fig6_1p" results/fig6_64mb.txt > "$fig6dir/want"
+go run ./cmd/pnetcdf-bench -size 64mb -op write -procs 1 | awk "$fig6_1p" > "$fig6dir/got"
+diff "$fig6dir/want" "$fig6dir/got" \
+    || { echo "fig6: the 1-process write differs from results/fig6_64mb.txt" >&2; exit 1; }
+rm -rf "$fig6dir"
 # FLASH's queued mode writes the published checkpoint to the byte: one
 # collective per unknown and every unknown queued under one WaitAll must
 # give identical files, a valid one, and the queued read-back must complete.
