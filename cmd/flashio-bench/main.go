@@ -19,10 +19,13 @@
 //	flashio-bench -out f.nc             # dump the raw output image (for
 //	                                    # ncdiff byte-identity checks)
 //	flashio-bench -queued               # every unknown queued, one WaitAll
-//	flashio-bench -kill-rank 3 -kill-point mid_exchange
-//	                                    # kill a rank mid-collective; the
-//	                                    # survivors detect, shrink and fail
-//	                                    # over (see ft_* counters)
+//	flashio-bench -kill-rank 3 -kill-point mid_exchange -out f.nc
+//	                                    # kill a rank mid-collective: the
+//	                                    # survivors detect it and the run
+//	                                    # exits non-zero with the revocation
+//	                                    # naming rank 3; f.nc still holds
+//	                                    # the file, valid at its last
+//	                                    # committed header
 //
 // Note on scale: the paper ran to 512 processes on real hardware. Every
 // simulated process here holds its real FLASH block data in this process's
@@ -64,7 +67,7 @@ var (
 	queued    = flag.Bool("queued", false, "post every unknown with the nonblocking flexible calls and complete them with one WaitAll (default: one collective per unknown, as published)")
 	outFile   = flag.String("out", "", "dump the raw image of each PnetCDF output file to this path (disables Discard; last run wins)")
 	faultSeed = flag.Uint64("fault-seed", 1, "seed for the deterministic fault schedule")
-	killRank  = flag.Int("kill-rank", -1, "world rank to kill at -kill-point during the PnetCDF runs — with -read, during the read-back (-1 disables)")
+	killRank  = flag.Int("kill-rank", -1, "world rank to kill at -kill-point during the PnetCDF runs — with -read, during the read-back; the run then fails with the revocation every survivor returns (-1 disables)")
 	killPoint = flag.String("kill-point", "", "crash point for -kill-rank: before_pack, mid_exchange or after_issue")
 	killOcc   = flag.Int64("kill-occurrence", 0, "which passage of -kill-rank through -kill-point fires (0-based)")
 	cpuProf   = flag.String("cpuprofile", "", "write a CPU profile to this file")

@@ -2,6 +2,9 @@ package bench
 
 import (
 	"bytes"
+	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"pnetcdf/internal/fault"
@@ -272,20 +275,33 @@ func TestAblationReadDepth(t *testing.T) {
 
 // A rank kill in a FLASH read-back run fires in the read, not in the write
 // that prepares its file: aggregator rank 4 is killed just after it issues
-// its second read round, with the first still in flight, and the counters
-// of the measured read show the survivors' failover.
+// its second read round, with the first still in flight. The run fails with
+// the revocation naming rank 4, and the file it dumps is the undisturbed
+// run's to the byte — the write before the read was not touched.
 func TestFlashReadKillTargetsReadBack(t *testing.T) {
 	cfg := flash.Config{NXB: 8, NYB: 8, NZB: 8, NGuard: 4, NVar: 2, NPlotVar: 1, BlocksPerProc: 20}
-	opt := Fig7Options{Machine: ASCIFrost(), Config: cfg, File: FlashCheckpoint, Read: true, Stats: true,
-		Hints: mpi.NewInfo().Set("cb_buffer_size", "65536").Set("cb_nodes", "2"),
-		Fault: FaultOptions{KillPoint: fault.KillAfterIssue, KillRank: 4, KillOccurrence: 1}}
-	_, sum, err := runFlashOnce(opt, 8, false)
+	run := func(fo FaultOptions) ([]byte, error) {
+		out := filepath.Join(t.TempDir(), "f.nc")
+		opt := Fig7Options{Machine: ASCIFrost(), Config: cfg, File: FlashCheckpoint, Read: true,
+			Hints:    mpi.NewInfo().Set("cb_buffer_size", "65536").Set("cb_nodes", "2"),
+			Fault:    fo,
+			DumpFile: out}
+		_, _, err := runFlashOnce(opt, 8, false)
+		img, rerr := os.ReadFile(out)
+		if rerr != nil {
+			t.Fatal(rerr)
+		}
+		return img, err
+	}
+	clean, err := run(FaultOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := sum.KeyCounters()
-	if got["ft_comm_shrinks"] == 0 || got["ft_failover_rounds"] == 0 {
-		t.Fatalf("the read-back recorded %d shrinks and %d failover rounds: the kill did not fire in it",
-			got["ft_comm_shrinks"], got["ft_failover_rounds"])
+	killed, err := run(FaultOptions{KillPoint: fault.KillAfterIssue, KillRank: 4, KillOccurrence: 1})
+	if rv, ok := mpi.AsRevoked(err); !ok || fmt.Sprint(rv.Failed) != "[4]" {
+		t.Fatalf("killed read-back returned %v, want *mpi.ErrRevoked naming rank 4", err)
+	}
+	if !bytes.Equal(killed, clean) {
+		t.Fatal("the kill disturbed the write before the read-back")
 	}
 }

@@ -20,10 +20,9 @@ type FaultOptions struct {
 	Seed uint64
 	// KillPoint, when non-empty, arms a one-shot rank kill at the named
 	// two-phase crash point (fault.KillBeforePack, fault.KillMidExchange,
-	// fault.KillAfterIssue). The survivors detect the death, shrink and
-	// fail over (DESIGN.md §8); detection is always on and costs the run
-	// mpi.FTDetectLatency of virtual time, so a kill run's MB/s is lower
-	// than a clean one's for a reason the model accounts for.
+	// fault.KillAfterIssue). The survivors detect the death after
+	// mpi.FTDetectLatency of virtual time, and the run fails with the
+	// *mpi.ErrRevoked every survivor returns (DESIGN.md §8).
 	KillPoint string
 	// KillRank is the world rank to kill (meaningful with KillPoint).
 	KillRank int

@@ -113,8 +113,8 @@ func RunFigure7(opt Fig7Options) (*Figure7, error) {
 
 func runFlashOnce(opt Fig7Options, nprocs int, hdf5 bool) (flash.Report, *iostat.Summary, error) {
 	if hdf5 {
-		// Rank kills target the PnetCDF failover path; the HDF5 comparison
-		// run has no failover and would just lose a rank.
+		// Rank kills target the PnetCDF run; the HDF5 comparison run is
+		// not the one under test.
 		opt.Fault.KillPoint = ""
 	}
 	cfg := opt.Machine.FS
@@ -192,11 +192,15 @@ func runFlashOnce(opt Fig7Options, nprocs int, hdf5 bool) (flash.Report, *iostat
 		}
 		return nil
 	})
-	if err == nil && !hdf5 && opt.DumpFile != "" {
+	// A run a rank death cut short still dumps its file, for ncvalidate to
+	// check.
+	if !hdf5 && opt.DumpFile != "" {
 		if cfg.Discard {
 			return rep, sum, fmt.Errorf("DumpFile %q needs the file data, but Discard is set", opt.DumpFile)
 		}
-		err = dumpImage(fsys, "f.nc", opt.DumpFile)
+		if derr := dumpImage(fsys, "f.nc", opt.DumpFile); err == nil {
+			err = derr
+		}
 	}
 	return rep, sum, err
 }

@@ -189,3 +189,81 @@ func TestRelocationPlanProperty(t *testing.T) {
 		})
 	}
 }
+
+// TestRelocationPlanMergesMoves: pieces that keep one shift and stay
+// adjacent on both sides travel as one move, so the plan's length counts the
+// runs of equal shifts, not the variables or record slots.
+func TestRelocationPlanMergesMoves(t *testing.T) {
+	grow := func(h *Header) {
+		a, _ := MakeAttr("history", nctype.Char, "a line long enough to grow the header")
+		h.GAttrs = append(h.GAttrs, a)
+	}
+	for _, tc := range []struct {
+		name     string
+		fixed    []int64 // fixed variables' byte lengths
+		rec      []int64 // record variables' byte lengths per record
+		numRecs  int64
+		oldAttr  bool // the old header carries the attribute the change drops
+		change   func(h *Header)
+		unit     int64 // the new layout's alignment unit
+		moves    int
+		backward bool
+	}{
+		{name: "uniform shift", fixed: []int64{400, 1200, 80}, change: grow, unit: 1, moves: 1},
+		// A and B are whole units and keep the shift; C takes padding, so D
+		// moves further than the run before it.
+		{name: "shift changes between variables", fixed: []int64{512, 512, 100, 100}, change: func(*Header) {}, unit: 512, moves: 2},
+		{name: "record slots", fixed: []int64{400}, rec: []int64{40, 8}, numRecs: 3, change: grow, unit: 1, moves: 1},
+		// A new record variable widens the record: each record shifts by
+		// more than the one before it.
+		{name: "record slots of a wider record", fixed: []int64{400}, rec: []int64{40, 8}, numRecs: 3, change: func(h *Header) {
+			d := h.AddDim(Dim{Name: "extra", Len: 4})
+			h.AddVar(Var{Name: "extra", Type: nctype.Byte, DimIDs: []int{0, d}})
+		}, unit: 1, moves: 3},
+		{name: "backward", fixed: []int64{400, 1200}, rec: []int64{16}, numRecs: 2, oldAttr: true,
+			change: func(h *Header) { h.GAttrs = nil }, unit: 1, moves: 1, backward: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			old := &Header{Version: 2}
+			tdim := old.AddDim(Dim{Name: "t", Len: 0})
+			if tc.oldAttr {
+				grow(old)
+			}
+			for i, n := range append(append([]int64{}, tc.fixed...), tc.rec...) {
+				d := old.AddDim(Dim{Name: fmt.Sprint("d", i), Len: n})
+				dims := []int{d}
+				if i >= len(tc.fixed) {
+					dims = []int{tdim, d}
+				}
+				old.AddVar(Var{Name: fmt.Sprint("v", i), Type: nctype.Byte, DimIDs: dims})
+			}
+			old.NumRecs = tc.numRecs
+			if err := old.ComputeLayoutAligned(1, 1, 0); err != nil {
+				t.Fatal(err)
+			}
+			h := old.Clone()
+			tc.change(h)
+			if err := h.ComputeLayoutAligned(1, tc.unit, 0); err != nil {
+				t.Fatal(err)
+			}
+			moves := h.RelocationPlan(old)
+			var total, want int64
+			for _, m := range moves {
+				total += m.N
+				if (m.To < m.From) != tc.backward {
+					t.Errorf("move %+v goes the wrong way", m)
+				}
+			}
+			for i := range old.Vars {
+				if old.IsRecordVar(&old.Vars[i]) {
+					want += old.Vars[i].VSize * old.NumRecs
+				} else {
+					want += old.Vars[i].VSize
+				}
+			}
+			if len(moves) != tc.moves || total != want {
+				t.Fatalf("plan %+v: %d moves of %d bytes, want %d of %d", moves, len(moves), total, tc.moves, want)
+			}
+		})
+	}
+}

@@ -14,8 +14,10 @@ type Move struct{ From, To, N int64 }
 // execute one after another with Move.Copy: no move overwrites bytes a later
 // one still has to read. Variables are matched by index (a define mode only
 // appends variables, it may rename them), whole fixed variables and each
-// existing record slot are one move, and pieces that stay where they are are
-// left out.
+// existing record slot are one piece, pieces that stay where they are are
+// left out, and a piece whose source and destination both continue the
+// previous piece's (the same shift, adjacent bytes) joins its move: a header
+// that grows moves all the data behind it as one move.
 //
 // Data moves both ways: toward the end of the file when the header grows or
 // a variable gains alignment padding, toward the front when an attribute is
@@ -43,6 +45,15 @@ func (h *Header) RelocationPlan(old *Header) []Move {
 		}
 	}
 	sort.Slice(moves, func(a, b int) bool { return moves[a].From < moves[b].From })
+	merged := moves[:0]
+	for _, m := range moves {
+		if k := len(merged) - 1; k >= 0 && merged[k].From+merged[k].N == m.From && merged[k].To+merged[k].N == m.To {
+			merged[k].N += m.N
+			continue
+		}
+		merged = append(merged, m)
+	}
+	moves = merged
 	for i := 0; i < len(moves); i++ {
 		j := i
 		for j < len(moves) && moves[j].To > moves[j].From {

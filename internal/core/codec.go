@@ -33,7 +33,7 @@ type codec interface {
 //
 // The dataset owns one codec per op of a completion (set up per completion,
 // no allocation), and the op's memory stays put until the completion
-// returns, failover replays included.
+// returns.
 type memCodec struct {
 	t     nctype.Type
 	esz   int64 // a power of two: positions split by shift and mask
@@ -157,8 +157,7 @@ func (c *memCodec) decode(src []byte, e, n int64) {
 }
 
 // partial takes b as bytes [k, k+len(b)) of element e and decodes the
-// element once all its bytes are in. A failover replay may hand over bytes
-// again; they are the same bytes.
+// element once all its bytes are in.
 func (c *memCodec) partial(e, k int64, b []byte) {
 	i := 0
 	for i < len(c.part) && c.part[i].e != e {

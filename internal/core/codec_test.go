@@ -16,8 +16,8 @@ import (
 // TestMemCodecPieces holds the codec to the whole-request codecs it stands in
 // for: a request cut into pieces at arbitrary byte offsets (inside elements
 // too) and handed over in any order encodes to EncodeSegs' bytes and decodes
-// to what DecodeSegs fills, with some read pieces handed over twice, as a
-// failover replay may.
+// to what DecodeSegs fills, with some read pieces handed over twice: a piece
+// handed over again is the same bytes and decodes to the same elements.
 func TestMemCodecPieces(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	types := []nctype.Type{nctype.Byte, nctype.Short, nctype.Int, nctype.Float, nctype.Double, nctype.Int64}

@@ -3,6 +3,7 @@ package core
 import (
 	"pnetcdf/internal/access"
 	"pnetcdf/internal/cdf"
+	"pnetcdf/internal/mpi"
 	"pnetcdf/internal/mpitype"
 	"pnetcdf/internal/nctype"
 	"pnetcdf/internal/netcdf"
@@ -178,7 +179,8 @@ func (d *Dataset) blocking(write bool, varid int, start, count, stride []int64, 
 		return err
 	}
 	d.pending = append(d.pending, op)
-	return d.complete(len(d.pending)-1, collective)
+	from := len(d.pending) - 1
+	return mpi.CatchRevoked(func() error { return d.complete(from, collective) })
 }
 
 // prepare is the first half of every put and get: validate the request and

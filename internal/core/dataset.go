@@ -121,10 +121,18 @@ func Create(comm *mpi.Comm, fsys *pfs.FS, path string, cmode int, info *mpi.Info
 // Open collectively opens an existing dataset in data mode. omode is
 // nctype.NoWrite or nctype.Write. The root reads the file header and
 // broadcasts it; every process keeps a local copy (paper §4.2.1).
-func Open(comm *mpi.Comm, fsys *pfs.FS, path string, omode int, info *mpi.Info) (*Dataset, error) {
+func Open(comm *mpi.Comm, fsys *pfs.FS, path string, omode int, info *mpi.Info) (d *Dataset, err error) {
 	if comm == nil {
 		return nil, nctype.ErrNullComm
 	}
+	err = mpi.CatchRevoked(func() error {
+		d, err = open(comm, fsys, path, omode, info)
+		return err
+	})
+	return d, err
+}
+
+func open(comm *mpi.Comm, fsys *pfs.FS, path string, omode int, info *mpi.Info) (*Dataset, error) {
 	amode := mpiio.ModeRdOnly
 	if omode&nctype.Write != 0 {
 		amode = mpiio.ModeRdWr
@@ -225,8 +233,10 @@ func (d *Dataset) SetFill(on bool) { d.fill = on }
 // rewriteHeader is the data-mode header rewrite the front asks for: the
 // root commits once every rank's data writes are down.
 func (d *Dataset) rewriteHeader() error {
-	d.drainAll()
-	return d.writeHeaderCollective()
+	return mpi.CatchRevoked(func() error {
+		d.drainAll()
+		return d.writeHeaderCollective()
+	})
 }
 
 // drainAll settles every rank's data writes ahead of a publish the root
@@ -241,7 +251,9 @@ func (d *Dataset) drainAll() {
 // an identical header (the consistency guarantee of paper §4.2.1), computes
 // the layout, relocates data if a Redef grew the header, and has the root
 // write the header.
-func (d *Dataset) EndDef() error {
+func (d *Dataset) EndDef() error { return mpi.CatchRevoked(d.endDef) }
+
+func (d *Dataset) endDef() error {
 	if err := d.Mode.CheckDefine(); err != nil {
 		return err
 	}
@@ -292,7 +304,7 @@ func (d *Dataset) Redef() error {
 	if d.Mode.Define {
 		return nctype.ErrInDefine
 	}
-	if err := d.syncNumRecs(); err != nil {
+	if err := mpi.CatchRevoked(d.syncNumRecs); err != nil {
 		return err
 	}
 	d.oldLayout = d.Hdr.Clone()
@@ -338,12 +350,13 @@ func (d *Dataset) commitHeader(img []byte) error {
 }
 
 // relocate moves data to the layout EndDef has just computed, following
-// cdf.RelocationPlan. Moves whose destinations clear all the old data are
-// divided among the processes ("moving the existing data to the extended
-// area is performed in parallel", paper §4.3); otherwise a destination may be
-// another move's source, and the root carries the plan out in its order. A
-// rank whose move fails stops moving; the outcome is agreed, so every rank
-// returns an error together.
+// cdf.RelocationPlan. When every destination clears all the old data, the
+// moves are cut into pieces of the copy buffer, dealt round-robin to the
+// processes ("moving the existing data to the extended area is performed in
+// parallel", paper §4.3), so even a single move keeps every process busy;
+// otherwise a destination may be another move's source, and the root
+// carries the plan out in its order. A rank whose move fails stops moving;
+// the outcome is agreed, so every rank returns an error together.
 func (d *Dataset) relocate(old *cdf.Header) error {
 	moves := d.Hdr.RelocationPlan(old)
 	// Ranks may take moves independently only when nothing is written where
@@ -356,6 +369,15 @@ func (d *Dataset) relocate(old *cdf.Header) error {
 	}
 	parallel := lowestTo >= highestFromEnd
 	buf := make([]byte, 1<<20)
+	if parallel {
+		var pieces []cdf.Move
+		for _, m := range moves {
+			for at := int64(0); at < m.N; at += int64(len(buf)) {
+				pieces = append(pieces, cdf.Move{From: m.From + at, To: m.To + at, N: min(m.N-at, int64(len(buf)))})
+			}
+		}
+		moves = pieces
+	}
 	var err error
 	for i, m := range moves {
 		mover := 0
@@ -411,7 +433,9 @@ func (d *Dataset) BeginIndepData() error {
 	if d.indep {
 		return nctype.ErrIndepMode
 	}
-	d.comm.Barrier()
+	if err := mpi.CatchRevoked(func() error { d.comm.Barrier(); return nil }); err != nil {
+		return err
+	}
 	d.indep = true
 	return nil
 }
@@ -426,7 +450,7 @@ func (d *Dataset) EndIndepData() error {
 		return nctype.ErrCollMode
 	}
 	d.indep = false
-	return d.syncNumRecs()
+	return mpi.CatchRevoked(d.syncNumRecs)
 }
 
 // syncNumRecs agrees on NumRecs across ranks (max) and persists it. Every
@@ -465,7 +489,7 @@ func (d *Dataset) Sync() error {
 	if err := d.Mode.CheckData(); err != nil {
 		return err
 	}
-	if err := d.syncNumRecs(); err != nil {
+	if err := mpi.CatchRevoked(d.syncNumRecs); err != nil {
 		return err
 	}
 	return d.f.Sync()
@@ -475,7 +499,9 @@ func (d *Dataset) Sync() error {
 // run even when an earlier one fails — a flush error is joined with, not
 // masked by, a later successful close (and vice versa) — and the handle is
 // marked closed regardless, so a second Close is an idempotent no-op
-// rather than a second flush attempt.
+// rather than a second flush attempt. On a revoked communicator every step
+// fails at once with the same *mpi.ErrRevoked, which Close returns, and the
+// handle is released all the same.
 func (d *Dataset) Close() error {
 	if d.Mode.Closed {
 		return nil
@@ -488,9 +514,13 @@ func (d *Dataset) Close() error {
 		errs = append(errs, d.EndDef())
 	}
 	if !d.Mode.ReadOnly {
-		errs = append(errs, d.syncNumRecs())
+		errs = append(errs, mpi.CatchRevoked(d.syncNumRecs))
 	}
 	errs = append(errs, d.f.Close())
 	d.Mode.Closed = true
-	return errors.Join(errs...)
+	err := errors.Join(errs...)
+	if rv, ok := mpi.AsRevoked(err); ok {
+		return rv // the same revocation from every step: report it once
+	}
+	return err
 }

@@ -120,7 +120,7 @@ func (d *Dataset) WaitAll() error {
 	if d.indep {
 		return nctype.ErrIndepMode
 	}
-	return d.complete(0, true)
+	return mpi.CatchRevoked(func() error { return d.complete(0, true) })
 }
 
 // Slots of the agreement vector (reduced with OpMax), and the values of
@@ -136,9 +136,9 @@ const (
 )
 
 // complete is the second half of every put and get, and the only code that
-// moves data: it finishes d.pending[from:] — agree, grow NumRecs, write, serve
-// prefetch hits, read, account — and removes those ops from the queue
-// whether it succeeds or not. Blocking calls pass their own op (from = the
+// moves data: it finishes d.pending[from:] — agree, write, publish a grown
+// NumRecs, serve prefetch hits, read, account — and removes those ops from
+// the queue whether it succeeds or not, a revocation's panic included. Blocking calls pass their own op (from = the
 // queue length before it), WaitAll the whole queue (from = 0).
 //
 // A collective completion issues exactly one reduction. Everything a rank
@@ -195,21 +195,23 @@ func (d *Dataset) complete(from int, collective bool) error {
 	case agreed[agreeRead] == refusePending:
 		return nctype.ErrPending
 	}
-	// Record growth: collective ops grow together and persist the count;
+	// Record growth: collective ops grow together and persist the count once
+	// the records it counts are down, as PnetCDF does, so a rank death in
+	// the write leaves the file counting only records that were written;
 	// independent ops grow locally and reconcile at EndIndepData/Sync.
-	if end := agreed[agreeWriteEnd]; end > d.Hdr.NumRecs {
-		d.Hdr.NumRecs = end
-		if !collective {
-			d.numrecsDirty = true
-		} else {
-			d.drainAll()
-			if err := d.writeNumRecs(); err != nil {
-				return err
-			}
-		}
+	grown := agreed[agreeWriteEnd] > d.Hdr.NumRecs
+	if grown {
+		d.Hdr.NumRecs = agreed[agreeWriteEnd]
+		d.numrecsDirty = d.numrecsDirty || !collective
 	}
 	if agreed[agreeWriteEnd] >= 0 {
 		if err := d.put(ops, wplan, collective); err != nil {
+			return err
+		}
+	}
+	if grown && collective {
+		d.drainAll()
+		if err := d.writeNumRecs(); err != nil {
 			return err
 		}
 	}

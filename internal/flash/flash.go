@@ -23,7 +23,6 @@ import (
 	"pnetcdf/internal/core"
 	"pnetcdf/internal/h5sim"
 	"pnetcdf/internal/mpi"
-	"pnetcdf/internal/mpiio"
 	"pnetcdf/internal/mpitype"
 	"pnetcdf/internal/nctype"
 	"pnetcdf/internal/pfs"
@@ -165,14 +164,6 @@ func treeData(first, n int) (lrefine, nodetype []int32, coords []float64) {
 type Report struct {
 	Bytes   int64   // data bytes written by all processes
 	Seconds float64 // virtual makespan of the output phase
-
-	// Degraded holds one *mpiio.DegradedError per variable whose collective
-	// write completed without a failed rank's data (DESIGN.md §8). A
-	// degraded checkpoint is still a valid, validatable file — the solver
-	// decides whether missing blocks are tolerable — so the writer records
-	// the losses and keeps writing the remaining variables rather than
-	// abandoning the file.
-	Degraded []error
 }
 
 // BandwidthMBps returns the aggregate bandwidth in MB/s.
@@ -245,33 +236,29 @@ func writePnetCDF(comm *mpi.Comm, fsys *pfs.FS, path string, cfg Config, info *m
 		return Report{}, err
 	}
 
-	// A degraded completion (rank death survived by failover) loses only
-	// data the dead rank held alone; the file and the remaining variables
-	// are fine, so record it and continue instead of abandoning the file.
-	var degraded []error
-	tolerate := func(err error) error {
-		if err == nil {
-			return nil
+	// fail returns a failed call's error. After a rank death, which every
+	// survivor sees as the same *mpi.ErrRevoked, it closes the file first:
+	// on a revoked communicator Close runs no collective, releases the
+	// handle and returns that same revocation.
+	fail := func(err error) (Report, error) {
+		if _, ok := mpi.AsRevoked(err); ok {
+			_ = d.Close()
 		}
-		if _, ok := mpiio.AsDegraded(err); ok {
-			degraded = append(degraded, err)
-			return nil
-		}
-		return err
+		return Report{}, err
 	}
 
 	// Tree metadata.
 	lref, node, coords := treeData(first, cfg.BlocksPerProc)
 	bstart := []int64{int64(first)}
 	bcount := []int64{int64(cfg.BlocksPerProc)}
-	if err := tolerate(d.PutVaraAll(vLref, bstart, bcount, lref)); err != nil {
-		return Report{}, err
+	if err := d.PutVaraAll(vLref, bstart, bcount, lref); err != nil {
+		return fail(err)
 	}
-	if err := tolerate(d.PutVaraAll(vNode, bstart, bcount, node)); err != nil {
-		return Report{}, err
+	if err := d.PutVaraAll(vNode, bstart, bcount, node); err != nil {
+		return fail(err)
 	}
-	if err := tolerate(d.PutVaraAll(vCoord, []int64{int64(first), 0}, []int64{int64(cfg.BlocksPerProc), 3}, coords)); err != nil {
-		return Report{}, err
+	if err := d.PutVaraAll(vCoord, []int64{int64(first), 0}, []int64{int64(cfg.BlocksPerProc), 3}, coords); err != nil {
+		return fail(err)
 	}
 
 	var bytes int64
@@ -284,10 +271,10 @@ func writePnetCDF(comm *mpi.Comm, fsys *pfs.FS, path string, cfg Config, info *m
 			if cfg.Queued {
 				_, err = d.IPutVara(varids[i], fstart, fcount, buf)
 			} else {
-				err = tolerate(d.PutVaraAll(varids[i], fstart, fcount, buf))
+				err = d.PutVaraAll(varids[i], fstart, fcount, buf)
 			}
 			if err != nil {
-				return Report{}, err
+				return fail(err)
 			}
 			bytes += int64(len(buf)) * 4
 			continue
@@ -300,21 +287,21 @@ func writePnetCDF(comm *mpi.Comm, fsys *pfs.FS, path string, cfg Config, info *m
 			[]int64{int64(cfg.BlocksPerProc), int64(cfg.NZB), int64(cfg.NYB), int64(cfg.NXB)},
 			[]int64{0, int64(cfg.NGuard), int64(cfg.NGuard), int64(cfg.NGuard)}, 1)
 		if err != nil {
-			return Report{}, err
+			return fail(err)
 		}
 		if cfg.Queued {
 			_, err = d.IPutVaraType(varids[i], fstart, fcount, buf, memtype)
 		} else {
-			err = tolerate(d.PutVaraTypeAll(varids[i], fstart, fcount, buf, memtype))
+			err = d.PutVaraTypeAll(varids[i], fstart, fcount, buf, memtype)
 		}
 		if err != nil {
-			return Report{}, err
+			return fail(err)
 		}
 		bytes += memtype.Size() * int64(typ.Size())
 	}
 	if cfg.Queued {
-		if err := tolerate(d.WaitAll()); err != nil {
-			return Report{}, err
+		if err := d.WaitAll(); err != nil {
+			return fail(err)
 		}
 	}
 	if err := d.Close(); err != nil {
@@ -322,7 +309,7 @@ func writePnetCDF(comm *mpi.Comm, fsys *pfs.FS, path string, cfg Config, info *m
 	}
 	end := comm.AllreduceF64([]float64{comm.Clock()}, mpi.OpMax)[0]
 	totBytes := comm.AllreduceI64([]int64{bytes}, mpi.OpSum)[0]
-	return Report{Bytes: totBytes, Seconds: end - t0, Degraded: degraded}, nil
+	return Report{Bytes: totBytes, Seconds: end - t0}, nil
 }
 
 // WriteCheckpointH5 produces the checkpoint with the HDF5-style library.

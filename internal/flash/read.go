@@ -37,6 +37,14 @@ func ReadCheckpointPnetCDF(comm *mpi.Comm, fsys *pfs.FS, path string, cfg Config
 	if err != nil {
 		return Report{}, err
 	}
+	// As in the writer, a rank death closes the file before its error
+	// returns.
+	fail := func(err error) (Report, error) {
+		if _, ok := mpi.AsRevoked(err); ok {
+			_ = d.Close()
+		}
+		return Report{}, err
+	}
 	var bytes int64
 	var buf []float64
 	for _, name := range UnknownNames(cfg.NVar) {
@@ -57,13 +65,13 @@ func ReadCheckpointPnetCDF(comm *mpi.Comm, fsys *pfs.FS, path string, cfg Config
 			err = d.GetVaraTypeAll(v, fstart, fcount, buf, memtype)
 		}
 		if err != nil {
-			return Report{}, err
+			return fail(err)
 		}
 		bytes += memtype.Size() * 8
 	}
 	if cfg.Queued {
 		if err := d.WaitAll(); err != nil {
-			return Report{}, err
+			return fail(err)
 		}
 	}
 	if err := d.Close(); err != nil {

@@ -1,11 +1,14 @@
-// Rank-failure scenarios across the full stack (DESIGN.md §8): the paper's
-// FLASH checkpoint workload with a rank killed mid-collective, and record
-// variables under rank death. The acceptance criteria: no survivor hangs,
-// the file validates, survivor data is byte-identical to an undisturbed
-// run, and the record count stays consistent across the failure.
+// Rank-failure scenarios across the full stack (DESIGN.md §8): a rank killed
+// mid-collective, in the paper's FLASH checkpoint, in record writes, and in a
+// matrix over every kill point, round position, direction and victim role.
+// The acceptance criteria: every rank returns (no *mpi.ErrDeadlock), every
+// survivor gets the same *mpi.ErrRevoked from the killed collective and from
+// every later call, Close returns, and the file is valid at its last
+// committed header, counting no record that was not written.
 package integration
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -17,131 +20,135 @@ import (
 	"pnetcdf/internal/flash"
 	"pnetcdf/internal/iostat"
 	"pnetcdf/internal/mpi"
-	"pnetcdf/internal/mpiio"
 	"pnetcdf/internal/nctype"
 	"pnetcdf/internal/pfs"
 )
 
+// killOutcome collects what each rank of a killed world returned, by rank.
+type killOutcome struct {
+	mu   sync.Mutex
+	errs map[int][]error // the errors of the rank's checked calls, in order
+}
+
+func (o *killOutcome) record(rank int, errs ...error) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if o.errs == nil {
+		o.errs = map[int][]error{}
+	}
+	o.errs[rank] = errs
+}
+
+// check asserts that victim never returned and that every other of the n
+// ranks returned, each of its calls with the *mpi.ErrRevoked naming victim.
+func (o *killOutcome) check(t *testing.T, n, victim int) {
+	t.Helper()
+	if _, ok := o.errs[victim]; ok {
+		t.Fatalf("victim %d returned", victim)
+	}
+	if len(o.errs) != n-1 {
+		t.Fatalf("%d survivors returned, want %d", len(o.errs), n-1)
+	}
+	for rank, errs := range o.errs {
+		for i, err := range errs {
+			rv, ok := mpi.AsRevoked(err)
+			if !ok || fmt.Sprint(rv.Failed) != fmt.Sprint([]int{victim}) {
+				t.Fatalf("rank %d, call %d: %v, want *mpi.ErrRevoked naming rank %d", rank, i, err, victim)
+			}
+		}
+	}
+}
+
+// runKilled runs fn on n ranks; the world must end without an error of its
+// own — a survivor records what its calls returned and returns nil.
+func runKilled(t *testing.T, n int, fn func(c *mpi.Comm) error) {
+	t.Helper()
+	if err := mpi.Run(n, mpi.DefaultNet(), fn); err != nil {
+		var dl *mpi.ErrDeadlock
+		if errors.As(err, &dl) {
+			t.Fatalf("deadlock: %v", err)
+		}
+		t.Fatalf("world: %v", err)
+	}
+}
+
+// checkValid asserts that img passes the ncvalidate checks and returns its
+// header.
+func checkValid(t *testing.T, img []byte) *cdf.Header {
+	t.Helper()
+	hdr, issues, err := cdf.CheckFile(img)
+	if err != nil || len(issues) != 0 {
+		t.Fatalf("file fails validation: %v %v", err, issues)
+	}
+	return hdr
+}
+
 // TestFlashCheckpointRankFailure is the headline scenario: an 8-process
-// FLASH checkpoint with one non-root rank killed mid-exchange. The
-// survivors must detect the death, shrink, fail over, and finish a file
-// that validates and matches the undisturbed run everywhere outside the
-// dead rank's own blocks.
+// FLASH checkpoint with one non-root rank killed in the exchange of its
+// seventh collective (the fourth unknown). Every survivor's writer returns
+// the revocation after closing the file, and the checkpoint validates with
+// the header EndDef committed; each byte is the undisturbed run's or still
+// zero.
 func TestFlashCheckpointRankFailure(t *testing.T) {
 	const nprocs, victim = 8, 3
 	cfg := flashCfg()
-
-	writeOnce := func(fsys *pfs.FS) (stats map[string]int64, degraded []error) {
+	write := func(fsys *pfs.FS, out *killOutcome) {
 		t.Helper()
-		var mu sync.Mutex
-		stats = map[string]int64{}
-		fn := func(c *mpi.Comm) error {
+		runKilled(t, nprocs, func(c *mpi.Comm) error {
 			c.Proc().SetStats(iostat.New())
-			rep, err := flash.WriteCheckpointPnetCDF(c, fsys, "chk.nc", cfg, nil)
-			if err != nil {
+			_, err := flash.WriteCheckpointPnetCDF(c, fsys, "chk.nc", cfg, nil)
+			if out == nil {
 				return err
 			}
-			st := c.Proc().Stats()
-			mu.Lock()
-			for _, ctr := range []iostat.Counter{
-				iostat.FTFailuresDetected, iostat.FTCommShrinks,
-				iostat.FTFailoverRounds, iostat.FTDegradedCompletions,
-			} {
-				stats[ctr.String()] += st.Get(ctr)
+			if got := c.Proc().Stats().Get(iostat.FTFailuresDetected); got != 1 {
+				return fmt.Errorf("rank %d: ft_failures_detected = %d, want 1", c.Rank(), got)
 			}
-			if c.Rank() == 0 {
-				degraded = rep.Degraded
-			}
-			mu.Unlock()
+			out.record(c.Rank(), err)
 			return nil
-		}
-		if err := mpi.Run(nprocs, mpi.DefaultNet(), fn); err != nil {
-			t.Fatal(err)
-		}
-		return stats, degraded
+		})
 	}
-
 	cleanFS := pfs.New(pfs.DefaultConfig())
-	writeOnce(cleanFS)
+	write(cleanFS, nil)
 	clean := readPFSFile(t, cleanFS, "chk.nc")
 
 	killFS := pfs.New(pfs.DefaultConfig())
 	inj := fault.New(fault.Config{Seed: 1})
 	inj.KillRankAt(victim, fault.KillMidExchange, 6)
 	killFS.SetFault(inj)
-	stats, degraded := writeOnce(killFS)
-	killed := readPFSFile(t, killFS, "chk.nc")
-
+	var out killOutcome
+	write(killFS, &out)
 	if inj.Injected() == 0 {
 		t.Fatal("kill never fired; scenario proves nothing")
 	}
-	if stats["ft_failures_detected"] == 0 || stats["ft_comm_shrinks"] == 0 {
-		t.Fatalf("failure not detected/shrunk: %v", stats)
-	}
-	if stats["ft_failover_rounds"] == 0 {
-		t.Fatalf("no failover rounds replayed: %v", stats)
-	}
-	// The file must still be a structurally valid netCDF file.
-	hdr, issues, err := cdf.CheckFile(killed)
-	if err != nil || len(issues) != 0 {
-		t.Fatalf("killed-run checkpoint fails validation: %v %v", err, issues)
+	out.check(t, nprocs, victim)
+
+	killed := readPFSFile(t, killFS, "chk.nc")
+	hdr := checkValid(t, killed)
+	if !bytes.Equal(hdr.Encode(), checkValid(t, clean).Encode()) {
+		t.Fatal("the killed run's header differs from the one EndDef committed")
 	}
 	if len(killed) != len(clean) {
 		t.Fatalf("killed-run file is %d bytes, clean %d", len(killed), len(clean))
 	}
-	// Byte identity outside the victim's exclusive regions: every variable
-	// is laid out with tot_blocks outermost, so the victim's share of each
-	// is one contiguous slab of its fixed part.
-	tot := int64(nprocs * cfg.BlocksPerProc)
-	victimRegion := func(off int64) bool {
-		for _, v := range hdr.Vars {
-			per := v.VSize / tot // bytes per block (vsize includes padding; per-block share is exact here)
-			lo := v.Begin + int64(victim*cfg.BlocksPerProc)*per
-			hi := lo + int64(cfg.BlocksPerProc)*per
-			if off >= lo && off < hi {
-				return true
-			}
-		}
-		return false
-	}
 	for j := range clean {
-		if clean[j] != killed[j] && !victimRegion(int64(j)) {
-			t.Fatalf("killed run diverges from clean run at byte %d, outside the victim's regions", j)
+		if killed[j] != clean[j] && killed[j] != 0 {
+			t.Fatalf("byte %d = %#x: neither the undisturbed run's (%#x) nor unwritten", j, killed[j], clean[j])
 		}
 	}
-	// The degraded completions recorded by the library must match what the
-	// flash writer reported to its caller.
-	if int64(len(degraded)) == 0 && stats["ft_degraded_completions"] > 0 {
-		t.Fatalf("library counted %d degraded completions but the writer reported none",
-			stats["ft_degraded_completions"])
-	}
-	for _, derr := range degraded {
-		de, ok := mpiio.AsDegraded(derr)
-		if !ok {
-			t.Fatalf("writer recorded a non-degraded error: %v", derr)
-		}
-		for _, x := range de.Missing {
-			for off := x.Off; off < x.Off+x.Len; off += 512 {
-				if !victimRegion(off) {
-					t.Fatalf("missing extent %+v reaches outside the victim's regions", x)
-				}
-			}
-		}
-	}
-	// The checkpoint stays reopenable: a fresh single-process world can
-	// open it and read a survivor's metadata back.
-	err = mpi.Run(1, mpi.DefaultNet(), func(c *mpi.Comm) error {
+	// The checkpoint reopens: a fresh single-process world reads back rank
+	// 0's tree metadata, written before the kill.
+	err := mpi.Run(1, mpi.DefaultNet(), func(c *mpi.Comm) error {
 		d, err := core.Open(c, killFS, "chk.nc", nctype.NoWrite, nil)
 		if err != nil {
 			return err
 		}
 		lref := make([]int32, cfg.BlocksPerProc)
-		if err := d.GetVaraAll(0, []int64{0}, []int64{int64(cfg.BlocksPerProc)}, lref); err != nil {
+		if err := d.GetVaraAll(d.VarID("lrefine"), []int64{0}, []int64{int64(cfg.BlocksPerProc)}, lref); err != nil {
 			return err
 		}
 		for i, v := range lref {
 			if want := int32(1 + i%4); v != want {
-				return fmt.Errorf("rank 0 lrefine[%d] = %d after failover, want %d", i, v, want)
+				return fmt.Errorf("rank 0 lrefine[%d] = %d after the kill, want %d", i, v, want)
 			}
 		}
 		return d.Close()
@@ -151,12 +158,11 @@ func TestFlashCheckpointRankFailure(t *testing.T) {
 	}
 }
 
-// TestRecordVarNumRecsAfterRankFailure: killing a rank during a record
-// write must leave the record count consistent — the survivors' failover
-// completes the record, numrecs reflects every record started, and the
-// dataset keeps working (and growing) on the shrunken communicator. The
-// record is one blocking put of one variable, or one WaitAll over queued
-// puts of two record variables, whose replay re-fills the merged source.
+// TestRecordVarNumRecsAfterRankFailure: killing a rank during record 1's
+// write — one blocking put of one variable, or one WaitAll over queued puts
+// of two record variables — returns the revocation from that write, from
+// the next record's and from Close. The file counts only record 0, the one
+// that was written, and reads it back whole.
 func TestRecordVarNumRecsAfterRankFailure(t *testing.T) {
 	for _, nvars := range []int{1, 2} {
 		t.Run(fmt.Sprintf("vars=%d", nvars), func(t *testing.T) { recordVarRankFailure(t, nvars) })
@@ -172,9 +178,8 @@ func recordVarRankFailure(t *testing.T, nvars int) {
 	inj := fault.New(fault.Config{Seed: 5})
 	fsys.SetFault(inj)
 	value := func(v, rank, i int) float64 { return float64(v*100_000 + rank*1000 + i + 1) }
-	err := mpi.Run(nprocs, mpi.DefaultNet(), func(c *mpi.Comm) error {
-		// The in-place shrink renumbers c.Rank() mid-run (ULFM semantics);
-		// pin this process's data placement to its original rank.
+	var out killOutcome
+	runKilled(t, nprocs, func(c *mpi.Comm) error {
 		rank := c.Rank()
 		d, err := core.Create(c, fsys, "rec.nc", nctype.Clobber, nil)
 		if err != nil {
@@ -217,40 +222,20 @@ func recordVarRankFailure(t *testing.T, nvars int) {
 			inj.KillRank(victim, fault.KillBeforePack)
 		}
 		c.Barrier()
-		err = write(1)
-		if err != nil {
-			if _, ok := mpiio.AsDegraded(err); !ok {
-				return fmt.Errorf("rank %d: record write under kill: %v", c.Rank(), err)
-			}
-		}
-		// Life goes on for the survivors: another record on the shrunken
-		// communicator (the victim's slice of it is simply never written).
-		if err := write(2); err != nil {
-			if _, ok := mpiio.AsDegraded(err); !ok {
-				return fmt.Errorf("rank %d: post-failover record write: %v", c.Rank(), err)
-			}
-		}
-		if got := d.NumRecs(); got != 3 {
-			return fmt.Errorf("rank %d: NumRecs = %d after failover, want 3", c.Rank(), got)
-		}
-		return d.Close()
+		killedErr := write(1)
+		laterErr := write(2)
+		out.record(rank, killedErr, laterErr, d.Close())
+		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if inj.Injected() == 0 {
 		t.Fatal("kill never fired")
 	}
-	img := readPFSFile(t, fsys, "rec.nc")
-	hdr, issues, err := cdf.CheckFile(img)
-	if err != nil || len(issues) != 0 {
-		t.Fatalf("record file fails validation after rank failure: %v %v", err, issues)
+	out.check(t, nprocs, victim)
+	hdr := checkValid(t, readPFSFile(t, fsys, "rec.nc"))
+	if hdr.NumRecs != 1 {
+		t.Fatalf("on-disk numrecs = %d after the kill, want 1: only record 0 was written", hdr.NumRecs)
 	}
-	if hdr.NumRecs != 3 {
-		t.Fatalf("on-disk numrecs = %d after failover, want 3", hdr.NumRecs)
-	}
-	// Survivor data of the killed record must be intact on re-read.
-	err = mpi.Run(1, mpi.DefaultNet(), func(c *mpi.Comm) error {
+	err := mpi.Run(1, mpi.DefaultNet(), func(c *mpi.Comm) error {
 		d, err := core.Open(c, fsys, "rec.nc", nctype.NoWrite, nil)
 		if err != nil {
 			return err
@@ -258,15 +243,12 @@ func recordVarRankFailure(t *testing.T, nvars int) {
 		got := make([]float64, 64)
 		for v := 0; v < nvars; v++ {
 			for r := 0; r < nprocs; r++ {
-				if r == victim {
-					continue
-				}
-				if err := d.GetVaraAll(v, []int64{1, int64(r) * 64}, []int64{1, 64}, got); err != nil {
+				if err := d.GetVaraAll(v, []int64{0, int64(r) * 64}, []int64{1, 64}, got); err != nil {
 					return err
 				}
 				for i, x := range got {
 					if want := value(v, r, i); x != want {
-						return fmt.Errorf("record 1 of variable %d, rank %d slice, elem %d = %v, want %v", v, r, i, x, want)
+						return fmt.Errorf("record 0 of variable %d, rank %d slice, elem %d = %v, want %v", v, r, i, x, want)
 					}
 				}
 			}
@@ -275,6 +257,169 @@ func recordVarRankFailure(t *testing.T, nvars int) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// The kill matrix's geometry: 4 ranks each hold a quarter of a 1 MiB record
+// of one record variable, which starts on a stripe boundary. cb_nodes=2 puts
+// the aggregators on ranks 0 and 2, each with a 512 KiB domain of the record
+// taken in 8 rounds of 64 KiB.
+const (
+	kmProcs  = 4
+	kmElems  = 32 << 10 // float64s per rank per record: 256 KiB
+	kmRounds = 8
+)
+
+// kmInfo is the matrix's hints: the header padded to 1 MiB, two
+// aggregators, 64 KiB rounds.
+func kmInfo() *mpi.Info {
+	return mpi.NewInfo().Set("nc_header_align_size", "1048576").
+		Set("cb_nodes", "2").Set("cb_buffer_size", "65536")
+}
+
+// kmValue is element i of rank's slice of record rec; never zero.
+func kmValue(rank, rec, i int) float64 { return float64(rec*1_000_000 + rank*100_000 + i + 1) }
+
+// kmWrite has every rank write its slice of record rec.
+func kmWrite(d *core.Dataset, rank, rec int) error {
+	buf := make([]float64, kmElems)
+	for i := range buf {
+		buf[i] = kmValue(rank, rec, i)
+	}
+	return d.PutVaraAll(0, []int64{int64(rec), int64(rank) * kmElems}, []int64{1, kmElems}, buf)
+}
+
+// kmCreate writes record 0 undisturbed on fsys, in kmRounds rounds, and
+// closes the file.
+func kmCreate(t *testing.T, fsys *pfs.FS) {
+	t.Helper()
+	runKilled(t, kmProcs, func(c *mpi.Comm) error {
+		st := iostat.New()
+		c.Proc().SetStats(st)
+		d, err := core.Create(c, fsys, "km.nc", nctype.Clobber, kmInfo())
+		if err != nil {
+			return err
+		}
+		tdim, _ := d.DefDim("t", 0)
+		x, _ := d.DefDim("x", kmProcs*kmElems)
+		if _, err := d.DefVar("v", nctype.Double, []int{tdim, x}); err != nil {
+			return err
+		}
+		if err := d.EndDef(); err != nil {
+			return err
+		}
+		if err := kmWrite(d, c.Rank(), 0); err != nil {
+			return err
+		}
+		if got := st.Get(iostat.IOTwoPhaseRounds); got != kmRounds {
+			return fmt.Errorf("the record took %d rounds, want %d", got, kmRounds)
+		}
+		return d.Close()
+	})
+}
+
+// TestRankKillMatrix kills one rank at every kill point, in the first, a
+// middle and the last round, in a record write and in reads that keep 2 and
+// 4 rounds in flight, as rank 0 (the root, an aggregator), rank 2 (another
+// aggregator) and rank 1 (no aggregator; it never issues a request, so it
+// has no after_issue). In every cell every rank returns, every survivor's
+// collective, a later collective and Close return the same revocation, and
+// the file validates: a killed write leaves it counting record 0 only, a
+// killed read leaves it as it was; record 0 reads back whole.
+func TestRankKillMatrix(t *testing.T) {
+	directions := []struct {
+		name    string
+		servers int // I/O servers: a read keeps one round in flight per server
+	}{
+		{"write", 12},
+		{"read/depth2", 2},
+		{"read/depth4", 4},
+	}
+	rounds := []struct {
+		name string
+		occ  int64
+	}{{"first", 0}, {"middle", kmRounds / 2}, {"last", kmRounds - 1}}
+	for _, dir := range directions {
+		for _, point := range []string{fault.KillBeforePack, fault.KillMidExchange, fault.KillAfterIssue} {
+			for _, rd := range rounds {
+				for _, victim := range []int{0, 2, 1} {
+					if victim == 1 && point == fault.KillAfterIssue {
+						continue
+					}
+					name := fmt.Sprintf("%s/%s/%s-round/victim%d", dir.name, point, rd.name, victim)
+					t.Run(name, func(t *testing.T) {
+						killMatrixCell(t, dir.name == "write", dir.servers, point, rd.occ, victim)
+					})
+				}
+			}
+		}
+	}
+}
+
+func killMatrixCell(t *testing.T, write bool, servers int, point string, occ int64, victim int) {
+	cfg := pfs.DefaultConfig()
+	cfg.NumServers = servers
+	fsys := pfs.New(cfg)
+	kmCreate(t, fsys)
+	before := readPFSFile(t, fsys, "km.nc")
+
+	inj := fault.New(fault.Config{Seed: 1})
+	inj.KillRankAt(victim, point, occ)
+	fsys.SetFault(inj)
+	omode := nctype.NoWrite
+	if write {
+		omode = nctype.Write
+	}
+	var out killOutcome
+	runKilled(t, kmProcs, func(c *mpi.Comm) error {
+		rank := c.Rank()
+		d, err := core.Open(c, fsys, "km.nc", omode, kmInfo())
+		if err != nil {
+			return err
+		}
+		access := func() error {
+			if write {
+				return kmWrite(d, rank, 1)
+			}
+			buf := make([]float64, kmElems)
+			return d.GetVaraAll(0, []int64{0, int64(rank) * kmElems}, []int64{1, kmElems}, buf)
+		}
+		killedErr := access()
+		laterErr := access()
+		out.record(rank, killedErr, laterErr, d.Close())
+		return nil
+	})
+	if inj.Injected() == 0 {
+		t.Fatal("kill never fired")
+	}
+	out.check(t, kmProcs, victim)
+
+	img := readPFSFile(t, fsys, "km.nc")
+	hdr := checkValid(t, img)
+	if hdr.NumRecs != 1 {
+		t.Fatalf("on-disk numrecs = %d, want 1: only record 0 was written whole", hdr.NumRecs)
+	}
+	if !write && !bytes.Equal(img, before) {
+		t.Fatal("a killed read changed the file")
+	}
+	err := mpi.Run(1, mpi.DefaultNet(), func(c *mpi.Comm) error {
+		d, err := core.Open(c, fsys, "km.nc", nctype.NoWrite, nil)
+		if err != nil {
+			return err
+		}
+		got := make([]float64, kmProcs*kmElems)
+		if err := d.GetVaraAll(0, []int64{0, 0}, []int64{1, kmProcs * kmElems}, got); err != nil {
+			return err
+		}
+		for i, x := range got {
+			if want := kmValue(i/kmElems, 0, i%kmElems); x != want {
+				return fmt.Errorf("record 0 element %d = %v, want %v", i, x, want)
+			}
+		}
+		return d.Close()
+	})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
 	}
 }
 

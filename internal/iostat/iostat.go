@@ -131,16 +131,9 @@ const (
 	// agreed error after the per-round error agreement (every rank of the
 	// communicator counts the abort once).
 	IOCollAborts
-	// FTFailuresDetected counts rank-failure detections (one per
-	// revocation generation per rank); FTCommShrinks counts survivor
-	// communicators built with Comm.Shrink; FTFailoverRounds counts
-	// two-phase rounds re-run over the shrunken communicator;
-	// FTDegradedCompletions counts collective calls that completed
-	// degraded — data held only by the dead rank is missing (DESIGN.md §8).
+	// FTFailuresDetected counts rank-failure detections: one per rank per
+	// revoked communicator it met (DESIGN.md §8).
 	FTFailuresDetected
-	FTCommShrinks
-	FTFailoverRounds
-	FTDegradedCompletions
 
 	// --- pnetcdf: the parallel netCDF core ---
 
@@ -177,62 +170,59 @@ const (
 // counterNames maps counters to their snake_case wire names (used in JSON
 // and the stats table).
 var counterNames = [NumCounters]string{
-	PfsBytesRead:          "pfs_bytes_read",
-	PfsBytesWritten:       "pfs_bytes_written",
-	PfsReadCalls:          "pfs_read_calls",
-	PfsWriteCalls:         "pfs_write_calls",
-	PfsReadExtents:        "pfs_read_extents",
-	PfsWriteExtents:       "pfs_write_extents",
-	PfsSeekTimeNs:         "pfs_seek_time_ns",
-	PfsTransferTimeNs:     "pfs_transfer_time_ns",
-	PfsRMWBlocks:          "pfs_rmw_blocks",
-	PfsRMWBytes:           "pfs_rmw_bytes",
-	PfsFaultsInjected:     "pfs_faults_injected",
-	PfsRetries:            "pfs_retries",
-	PfsBackoffTimeNs:      "pfs_backoff_time_ns",
-	MPIMsgsSent:           "mpi_msgs_sent",
-	MPIBytesSent:          "mpi_bytes_sent",
-	MPICollectives:        "mpi_collectives",
-	IOIndepReadCalls:      "io_indep_read_calls",
-	IOIndepWriteCalls:     "io_indep_write_calls",
-	IOCollReadCalls:       "io_coll_read_calls",
-	IOCollWriteCalls:      "io_coll_write_calls",
-	IOBytesRead:           "io_bytes_read",
-	IOBytesWritten:        "io_bytes_written",
-	IORawBytesRead:        "io_raw_bytes_read",
-	IORawBytesWritten:     "io_raw_bytes_written",
-	IOReadExtents:         "io_read_extents",
-	IOWriteExtents:        "io_write_extents",
-	IOSieveReads:          "io_sieve_reads",
-	IOSieveReadAmpBytes:   "io_sieve_read_amp_bytes",
-	IOSieveRMW:            "io_sieve_rmw",
-	IOSieveWriteAmpBytes:  "io_sieve_write_amp_bytes",
-	IOTwoPhaseRounds:      "io_two_phase_rounds",
-	IOExchangeBytes:       "io_exchange_bytes",
-	IOReadTimeNs:          "io_read_time_ns",
-	IOWriteTimeNs:         "io_write_time_ns",
-	IORetries:             "io_retries",
-	IOBackoffTimeNs:       "io_backoff_time_ns",
-	IOPipelinedRounds:     "io_pipelined_rounds",
-	IOOverlapTimeNs:       "io_overlap_ns",
-	IOCollAborts:          "io_coll_aborts",
-	FTFailuresDetected:    "ft_failures_detected",
-	FTCommShrinks:         "ft_comm_shrinks",
-	FTFailoverRounds:      "ft_failover_rounds",
-	FTDegradedCompletions: "ft_degraded_completions",
-	NCCollPuts:            "nc_coll_puts",
-	NCIndepPuts:           "nc_indep_puts",
-	NCCollGets:            "nc_coll_gets",
-	NCIndepGets:           "nc_indep_gets",
-	NCBytesPut:            "nc_bytes_put",
-	NCBytesGot:            "nc_bytes_got",
-	NCHeaderWriteBytes:    "nc_header_write_bytes",
-	NCHeaderBcastBytes:    "nc_header_bcast_bytes",
-	NCNumRecsSyncs:        "nc_numrecs_syncs",
-	NCHeaderCommits:       "nc_header_commits",
-	NCHeaderRecoveries:    "nc_header_recoveries",
-	NCPutTimeNs:           "nc_put_time_ns",
-	NCGetTimeNs:           "nc_get_time_ns",
+	PfsBytesRead:         "pfs_bytes_read",
+	PfsBytesWritten:      "pfs_bytes_written",
+	PfsReadCalls:         "pfs_read_calls",
+	PfsWriteCalls:        "pfs_write_calls",
+	PfsReadExtents:       "pfs_read_extents",
+	PfsWriteExtents:      "pfs_write_extents",
+	PfsSeekTimeNs:        "pfs_seek_time_ns",
+	PfsTransferTimeNs:    "pfs_transfer_time_ns",
+	PfsRMWBlocks:         "pfs_rmw_blocks",
+	PfsRMWBytes:          "pfs_rmw_bytes",
+	PfsFaultsInjected:    "pfs_faults_injected",
+	PfsRetries:           "pfs_retries",
+	PfsBackoffTimeNs:     "pfs_backoff_time_ns",
+	MPIMsgsSent:          "mpi_msgs_sent",
+	MPIBytesSent:         "mpi_bytes_sent",
+	MPICollectives:       "mpi_collectives",
+	IOIndepReadCalls:     "io_indep_read_calls",
+	IOIndepWriteCalls:    "io_indep_write_calls",
+	IOCollReadCalls:      "io_coll_read_calls",
+	IOCollWriteCalls:     "io_coll_write_calls",
+	IOBytesRead:          "io_bytes_read",
+	IOBytesWritten:       "io_bytes_written",
+	IORawBytesRead:       "io_raw_bytes_read",
+	IORawBytesWritten:    "io_raw_bytes_written",
+	IOReadExtents:        "io_read_extents",
+	IOWriteExtents:       "io_write_extents",
+	IOSieveReads:         "io_sieve_reads",
+	IOSieveReadAmpBytes:  "io_sieve_read_amp_bytes",
+	IOSieveRMW:           "io_sieve_rmw",
+	IOSieveWriteAmpBytes: "io_sieve_write_amp_bytes",
+	IOTwoPhaseRounds:     "io_two_phase_rounds",
+	IOExchangeBytes:      "io_exchange_bytes",
+	IOReadTimeNs:         "io_read_time_ns",
+	IOWriteTimeNs:        "io_write_time_ns",
+	IORetries:            "io_retries",
+	IOBackoffTimeNs:      "io_backoff_time_ns",
+	IOPipelinedRounds:    "io_pipelined_rounds",
+	IOOverlapTimeNs:      "io_overlap_ns",
+	IOCollAborts:         "io_coll_aborts",
+	FTFailuresDetected:   "ft_failures_detected",
+	NCCollPuts:           "nc_coll_puts",
+	NCIndepPuts:          "nc_indep_puts",
+	NCCollGets:           "nc_coll_gets",
+	NCIndepGets:          "nc_indep_gets",
+	NCBytesPut:           "nc_bytes_put",
+	NCBytesGot:           "nc_bytes_got",
+	NCHeaderWriteBytes:   "nc_header_write_bytes",
+	NCHeaderBcastBytes:   "nc_header_bcast_bytes",
+	NCNumRecsSyncs:       "nc_numrecs_syncs",
+	NCHeaderCommits:      "nc_header_commits",
+	NCHeaderRecoveries:   "nc_header_recoveries",
+	NCPutTimeNs:          "nc_put_time_ns",
+	NCGetTimeNs:          "nc_get_time_ns",
 }
 
 // String returns the counter's snake_case name.
@@ -251,7 +241,7 @@ func (c Counter) Layer() string {
 		return "pfs"
 	case c <= MPICollectives:
 		return "mpi"
-	case c <= FTDegradedCompletions:
+	case c <= FTFailuresDetected:
 		return "mpiio"
 	default:
 		return "pnetcdf"

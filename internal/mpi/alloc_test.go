@@ -11,7 +11,7 @@ import (
 // fold straight from the wire into the caller's vector and travel in pooled
 // buffers that their receivers put back, so 1 000 calls of each reduction
 // the collective I/O path uses — AllreduceI64 over a P-slot vector like the
-// exchange's counts, AllreduceF64, AgreeError, a healthy AgreeFT — add
+// exchange's counts, AllreduceF64, AgreeError — add
 // fewer than 0.05 objects per call per rank on a warm 8-rank world.
 func TestAllocsReductionsWarm(t *testing.T) {
 	if raceEnabled {
@@ -25,7 +25,6 @@ func TestAllocsReductionsWarm(t *testing.T) {
 		{"AllreduceI64", func(c *Comm, iv []int64, _ []float64) { c.AllreduceI64(iv, OpSum) }},
 		{"AllreduceF64", func(c *Comm, _ []int64, fv []float64) { c.AllreduceF64(fv, OpMax) }},
 		{"AgreeError", func(c *Comm, _ []int64, _ []float64) { c.AgreeError(nil) }},
-		{"AgreeFT", func(c *Comm, iv []int64, _ []float64) { c.AgreeFT(iv, OpMin) }},
 	} {
 		var objs uint64
 		runOrFatal(t, ranks, func(c *Comm) error {
@@ -57,14 +56,14 @@ func TestAllocsReductionsWarm(t *testing.T) {
 	}
 }
 
-// TestAsRevokedNilAllocatesNothing: the collective I/O paths ask AsRevoked
-// about every collective's error, nearly always nil, and that question is
-// free; a wrapped *ErrRevoked is still found.
+// TestAsRevokedNilAllocatesNothing: asking AsRevoked about a nil error,
+// which Close does on every dataset, is free; a wrapped *ErrRevoked is still
+// found.
 func TestAsRevokedNilAllocatesNothing(t *testing.T) {
 	if got := testing.AllocsPerRun(100, func() { AsRevoked(nil) }); got != 0 {
 		t.Errorf("AsRevoked(nil) allocates %v objects, want 0", got)
 	}
-	want := &ErrRevoked{Failed: []int{3}, Gen: 2}
+	want := &ErrRevoked{Failed: []int{3}}
 	if rv, ok := AsRevoked(fmt.Errorf("write round 4: %w", want)); !ok || rv != want {
 		t.Errorf("AsRevoked(wrapped) = %v, %v; want %v, true", rv, ok, want)
 	}

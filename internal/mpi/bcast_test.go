@@ -160,7 +160,7 @@ func TestBcastLongKilledMember(t *testing.T) {
 			if c.Rank() == victim {
 				ctx := c.nextOpCtx(opBcast)
 				tr := c.commTree(root)
-				c.recvCore(tr.rank(tr.me-tr.span()), AnyTag, ctx, nil)
+				c.recv(tr.rank(tr.me-tr.span()), AnyTag, ctx)
 				c.Die(errors.New("test kill"))
 			}
 			var data []byte

@@ -34,19 +34,11 @@ func (c *Comm) Barrier() {
 	c.reduceDown(&t, ctx, vec{})
 }
 
-// tree is a binomial tree over p members addressed by dense index, the root
-// at index 0: member i is comm rank members[i] or, with members nil, comm
-// rank (i+root) mod p — the tree of a collective over the whole
-// communicator. me is the calling rank's index.
-//
-// A tree with pinned set runs on a revoked communicator, on behalf of the
-// handler of revocation *pinned (AgreeFT): its sends skip the revocation
-// check (the caller IS the revocation handler), and its receives unwind
-// only on a revocation beyond that generation (a further death).
+// tree is a binomial tree over the p members of a communicator addressed by
+// dense index, the root at index 0: member i is comm rank (i+root) mod p. me
+// is the calling rank's index.
 type tree struct {
 	p, me, root int
-	members     []int
-	pinned      *revokeInfo
 }
 
 // commTree is the tree over every member of c, rooted at comm rank root.
@@ -57,9 +49,6 @@ func (c *Comm) commTree(root int) tree {
 
 // rank is member i's comm rank.
 func (t *tree) rank(i int) int {
-	if t.members != nil {
-		return t.members[i]
-	}
 	return (i + t.root) % t.p
 }
 
@@ -79,11 +68,11 @@ func (t *tree) span() int {
 }
 
 func (c *Comm) treeSend(t *tree, i, tag int, ctx int64, data []byte) {
-	c.sendCore(t.rank(i), tag, ctx, data, t.pinned != nil)
+	c.send(t.rank(i), tag, ctx, data)
 }
 
 func (c *Comm) treeRecv(t *tree, i, tag int, ctx int64) []byte {
-	return c.recvCore(t.rank(i), tag, ctx, t.pinned).data
+	return c.recv(t.rank(i), tag, ctx).data
 }
 
 // reduceUp is the fan-in half of a reduction over t under ctx. Each member
@@ -179,7 +168,7 @@ func (c *Comm) bcastOwned(root int, wire []byte) []byte {
 	s := t.span()
 	tag := tagFanOut
 	if t.me != 0 {
-		m := c.recvCore(t.rank(t.me-s), AnyTag, ctx, nil)
+		m := c.recv(t.rank(t.me-s), AnyTag, ctx)
 		wire, tag = m.data, m.tag
 	} else if len(wire) >= bcastLong && t.p >= bcastLongMin {
 		tag = tagScatter
@@ -196,14 +185,14 @@ func (c *Comm) bcastOwned(root int, wire []byte) []byte {
 	piece := func(lo, hi int) int { return min(hi*chunk, n) - min(lo*chunk, n) }
 	for m := s >> 1; m >= 1; m >>= 1 {
 		if child := t.me + m; child < t.p {
-			c.sendSized(t.rank(child), tagScatter, ctx, wire, piece(child, child+m), false)
+			c.sendSized(t.rank(child), tagScatter, ctx, wire, piece(child, child+m))
 		}
 	}
 	right, left := t.rank((t.me+1)%t.p), t.rank((t.me+t.p-1)%t.p)
 	for k := 0; k < t.p-1; k++ {
 		i := (t.me - k + t.p) % t.p
-		c.sendSized(right, tagRing, ctx, wire, piece(i, i+1), false)
-		c.recvCore(left, tagRing, ctx, nil)
+		c.sendSized(right, tagRing, ctx, wire, piece(i, i+1))
+		c.recv(left, tagRing, ctx)
 	}
 	return wire
 }

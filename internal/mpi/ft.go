@@ -1,9 +1,8 @@
 package mpi
 
-// ULFM-style rank-failure tolerance (DESIGN.md §8). PR 2's error agreement
-// assumes every rank survives to vote; a rank that crashes outright leaves
-// its peers blocked in recv forever. This file adds the three ULFM
-// primitives on top of the simulated runtime:
+// Rank-failure detection (DESIGN.md §8). A rank that crashes outright would
+// leave its peers blocked in a receive forever; this file turns that into an
+// error every survivor sees alike, in two parts:
 //
 //   - a failure detector that works by quiescence and is always on. Ranks
 //     die only via Comm.Die (the fault injector's KillRank calls it), so
@@ -13,14 +12,13 @@ package mpi
 //     the detector, because at that instant no message can ever be sent
 //     again and the world's state is the same on every run of the same
 //     program. Every communicator some rank is parked on that has a dead
-//     member (beyond what the receive is pinned to) is REVOKED, at the
-//     latest clock among the ranks parked on it plus FTDetectLatency of
-//     virtual time — the delay a real runtime's heartbeat pays, charged
-//     where the simulator charges everything else. If no parked
-//     communicator has a dead member, nothing can ever wake the parked
-//     ranks: the world aborts with *ErrDeadlock, which names each of them
-//     and what it waits on. Global quiescence, not "my source is dead", is
-//     the rule because of AnySource receives (sparseExchange, the gather
+//     member is REVOKED, at the latest clock among the ranks parked on it
+//     plus FTDetectLatency of virtual time — the delay a real runtime's
+//     heartbeat pays, charged where the simulator charges everything else.
+//     If no parked communicator has a dead member, nothing can ever wake the
+//     parked ranks: the world aborts with *ErrDeadlock, which names each of
+//     them and what it waits on. Global quiescence, not "my source is dead",
+//     is the rule because of AnySource receives (sparseExchange, the gather
 //     collectives); and Die itself revokes nothing, because that would
 //     interrupt the survivors wherever the scheduler happened to have them.
 //
@@ -28,24 +26,17 @@ package mpi
 //     operation on it panics *ErrRevoked carrying the same failed-rank set
 //     on every survivor. The set is agreed through shared memory (the
 //     world's revocation table), not a collective, so agreement itself can
-//     never block on the dead. mpiio catches the panic at the collective
-//     I/O boundary via CatchRevoked.
+//     never block on the dead. The I/O layers catch the panic at their
+//     collective entry points with CatchRevoked and return it as an error.
 //
-//   - Comm.AgreeFT + Comm.Shrink: a survivor-only reduction usable on the
-//     revoked communicator (the reductions' binomial tree over the dense
-//     survivor list, contexts in a reserved band) and a dense survivor
-//     communicator for everything afterwards.
+// There is no recovery: nothing completes on a revoked communicator, as
+// with an MPI that has no ULFM extensions. There is no wall clock, no
+// background goroutine and nothing to configure: a world is its ranks.
 //
-// There is no wall clock, no background goroutine and nothing to configure:
-// a world is its ranks.
-//
-// Honest limits: every death known at a quiescence is detected and agreed
-// symmetrically — the failed set is whatever was dead at that instant, the
-// same on every survivor. A rank that dies later, while the survivors are
-// handling the first revocation, is detected the same way (the pinned
-// receives of AgreeFT park, the world goes quiet, the generation grows),
-// but the handlers above this package treat that second *ErrRevoked as
-// final: no survivor hangs, there is no second failover.
+// A communicator is revoked at most once. Its failed set is whatever was
+// dead at that quiescence, the same on every survivor; after it nobody can
+// park on the communicator again, so a later death shows only on another
+// communicator the dead rank shares with a blocked survivor.
 
 import (
 	"errors"
@@ -61,31 +52,23 @@ import (
 
 // FTDetectLatency is the virtual time, in seconds, between the moment the
 // last survivor blocks on a communicator that lost a member and the moment
-// the communicator is revoked: the heartbeat timeout of a ULFM runtime,
-// which a survivor pays once per failure and which is why a failover shows
-// up in sim-MB/s at all. It is a constant of the model — not a hint, flag,
+// the communicator is revoked: the heartbeat timeout of a real runtime,
+// which a survivor pays once per failure, so a killed run's clocks show the
+// detection. It is a constant of the model — not a hint, flag,
 // environment variable or NetConfig field — because nothing in the
 // reproduction depends on tuning it.
 const FTDetectLatency = 0.3
 
-// ftCtxBit marks a message context as belonging to the post-revocation
-// agreement band: bit 30 set, the revocation generation in bits 24-29 (where
-// a regular collective keeps its kind, nextOpCtx), and a per-generation
-// sequence in bits 0-23. Regular collectives never set bit 30.
-const ftCtxBit = int64(1) << 30
-
 // ErrRevoked is the error carried by the panic every operation on a revoked
 // communicator raises: the communicator lost a member and can no longer
 // complete collectives. Failed holds the communicator ranks of the dead
-// members (sorted); Gen is the revocation generation (it grows if further
-// members die). Catch it at a failover boundary with CatchRevoked.
+// members (sorted). Catch it at a collective entry point with CatchRevoked.
 type ErrRevoked struct {
 	Failed []int
-	Gen    int
 }
 
 func (e *ErrRevoked) Error() string {
-	return fmt.Sprintf("mpi: communicator revoked (failed ranks %v, generation %d)", e.Failed, e.Gen)
+	return fmt.Sprintf("mpi: communicator revoked (failed ranks %v)", e.Failed)
 }
 
 // AsRevoked unwraps err to its *ErrRevoked, if it is one.
@@ -104,8 +87,8 @@ func AsRevoked(err error) (*ErrRevoked, bool) {
 
 // CatchRevoked runs fn, converting an *ErrRevoked panic into an error
 // return. Every other panic (including ErrAborted) propagates. It is the
-// boundary at which mpiio's failover catches a revocation raised deep
-// inside a collective.
+// boundary at which mpiio and core turn a revocation raised deep inside a
+// collective into the error their call returns.
 func CatchRevoked(fn func() error) (err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
@@ -129,7 +112,7 @@ type rankKilled struct {
 
 // ftState is the world's failure-detector state, part of World by value.
 type ftState struct {
-	// running counts the ranks that are neither parked in recvCore nor
+	// running counts the ranks that are neither parked in recv nor
 	// gone (returned, died, unwound), plus one for a detector at work.
 	//
 	// Invariant: the count may over-state the running ranks for an
@@ -145,25 +128,14 @@ type ftState struct {
 	revGen atomic.Int64 // fast-path gate: total revocations issued
 
 	mu      sync.Mutex
-	revoked map[int64]*revokeState // commID -> revocation
+	revoked map[int64]*revocation // commID -> revocation
 }
 
-// revokeState is one communicator's revocation: the agreed failed set, the
-// virtual time it was detected, and the shrunken-communicator IDs allocated
-// per generation (shared-memory agreement — every survivor reads the same ID
-// without messaging).
-type revokeState struct {
+// revocation is one communicator's revocation: the agreed failed set and the
+// virtual time it was detected. It is never changed once made, so it is safe
+// to read without the ftState lock.
+type revocation struct {
 	failed []int // world ranks, sorted
-	gen    int
-	at     float64       // virtual time of the latest generation's detection
-	shrunk map[int]int64 // generation -> commID of the Shrink result
-}
-
-// revokeInfo is an immutable snapshot of a revocation, safe to use without
-// the ftState lock.
-type revokeInfo struct {
-	failed []int // world ranks, sorted
-	gen    int
 	at     float64
 }
 
@@ -175,12 +147,11 @@ type ParkedRecv struct {
 	Comm      int64  // ID of the communicator it receives on (0 is the world)
 	Source    int    // rank of Comm it waits for, or AnySource
 	Tag       int    // tag it waits for, or AnyTag
-	Op        string // collective it is inside ("AgreeFT" after a revocation); "" for a user Recv
+	Op        string // collective it is inside; "" for a user Recv
 	Seq       int64  // that collective's sequence number on Comm
 
-	group  []int // the communicator's members (world ranks)
-	pinned []int // failed world ranks this receive already knows about
-	clock  float64
+	group []int // the communicator's members (world ranks)
+	clock float64
 }
 
 // ErrDeadlock is the error Run returns when every live rank is blocked in a
@@ -243,9 +214,9 @@ func (w *World) rankExited() {
 // quiescent runs the detector; the caller just brought the running count
 // to zero and holds no mailbox lock. The detector keeps one credit on the
 // count for as long as it works: the ranks it wakes start running while it
-// is still walking the mailboxes, and one of them parking again (a survivor
-// waiting in AgreeFT for a peer the walk has not reached) must not be
-// taken for a second quiescence. If the count is zero again once the
+// is still walking the mailboxes, and one of them parking again (on a
+// communicator nobody revoked, waiting for a peer the walk has not reached)
+// must not be taken for a second quiescence. If the count is zero again once the
 // credit is returned, everything woken has already gone back to sleep, and
 // that is one.
 func (w *World) quiescent() {
@@ -263,9 +234,7 @@ func (w *World) quiescent() {
 // is simply over).
 //
 // It snapshots every parked receive BEFORE its first wake: a woken
-// survivor runs at once, and mpiio adopts the shrunken communicator in
-// place (*f.comm = *nc), so a communicator read after that is no longer the
-// one the rank was parked on.
+// survivor runs at once, and its mailbox's wait record with it.
 func (w *World) detect() bool {
 	var parked []ParkedRecv
 	for _, b := range w.boxes {
@@ -287,7 +256,7 @@ func (w *World) detect() bool {
 	for _, p := range parked {
 		var dead []int
 		for _, wr := range p.group {
-			if w.boxes[wr].dead.Load() && !containsInt(p.pinned, wr) {
+			if w.boxes[wr].dead.Load() {
 				dead = append(dead, wr)
 			}
 		}
@@ -331,26 +300,19 @@ func (c *Comm) Die(reason error) {
 	panic(rankKilled{rank: wr, reason: reason})
 }
 
-// revoke opens commID's next revocation generation: failedWorld — members
-// found dead that no earlier generation knew about — joins the failed set,
-// detected at virtual time at, and every parked rank is woken to observe it
-// (those parked on other communicators scan, find nothing and park again).
-// Only the detector calls it.
+// revoke revokes commID: failedWorld — the members found dead — is its
+// failed set, detected at virtual time at, and every parked rank is woken to
+// observe it (those parked on other communicators scan, find nothing and
+// park again). Only the detector calls it, and for a communicator at most
+// once: after it nobody can park on commID.
 func (w *World) revoke(commID int64, failedWorld []int, at float64) {
 	ft := &w.ft
+	sort.Ints(failedWorld)
 	ft.mu.Lock()
-	rs := ft.revoked[commID]
-	if rs == nil {
-		if ft.revoked == nil {
-			ft.revoked = map[int64]*revokeState{}
-		}
-		rs = &revokeState{shrunk: map[int]int64{}}
-		ft.revoked[commID] = rs
+	if ft.revoked == nil {
+		ft.revoked = map[int64]*revocation{}
 	}
-	rs.failed = append(rs.failed, failedWorld...)
-	sort.Ints(rs.failed)
-	rs.gen++
-	rs.at = at
+	ft.revoked[commID] = &revocation{failed: failedWorld, at: at}
 	ft.revGen.Add(1)
 	ft.mu.Unlock()
 	for _, b := range w.boxes {
@@ -360,165 +322,52 @@ func (w *World) revoke(commID int64, failedWorld []int, at float64) {
 	}
 }
 
-// revokedInfo snapshots the calling communicator's revocation state.
-func (c *Comm) revokedInfo() (revokeInfo, bool) {
+// revokedInfo returns the calling communicator's revocation, if it has one.
+func (c *Comm) revokedInfo() *revocation {
 	ft := &c.world.ft
 	if ft.revGen.Load() == 0 {
-		return revokeInfo{}, false
+		return nil
 	}
 	ft.mu.Lock()
-	rs := ft.revoked[c.ctx>>32]
-	if rs == nil {
-		ft.mu.Unlock()
-		return revokeInfo{}, false
-	}
-	ri := revokeInfo{failed: append([]int(nil), rs.failed...), gen: rs.gen, at: rs.at}
+	rv := ft.revoked[c.ctx>>32]
 	ft.mu.Unlock()
-	return ri, true
+	return rv
 }
 
 // Revoked reports whether the communicator has been revoked. After it
-// returns true, only AgreeFT and Shrink complete on this communicator;
-// everything else panics *ErrRevoked.
-func (c *Comm) Revoked() bool {
-	_, ok := c.revokedInfo()
-	return ok
-}
+// returns true, every operation on this communicator panics *ErrRevoked.
+func (c *Comm) Revoked() bool { return c.revokedInfo() != nil }
 
 // revokedErr builds the caller-facing *ErrRevoked: failed world ranks
 // translated to communicator ranks.
-func (c *Comm) revokedErr(ri revokeInfo) *ErrRevoked {
+func (c *Comm) revokedErr(rv *revocation) *ErrRevoked {
 	var failed []int
 	for cr, wr := range c.group {
-		if containsInt(ri.failed, wr) {
+		if containsInt(rv.failed, wr) {
 			failed = append(failed, cr)
 		}
 	}
-	return &ErrRevoked{Failed: failed, Gen: ri.gen}
+	return &ErrRevoked{Failed: failed}
 }
 
-// panicRevoked raises the revocation on the calling rank. The first time
-// the rank meets a generation it pays for the detection: its clock moves to
-// the revocation's time, and the wait is recorded (ft_failures_detected +
-// an ft_detect span of that length).
-func (c *Comm) panicRevoked(ri revokeInfo) {
-	if c.ftObserved < ri.gen {
-		c.ftObserved = ri.gen
-		blocked := c.proc.clock
-		c.proc.clock = max(blocked, ri.at)
-		c.proc.stats.Add(iostat.FTFailuresDetected, 1)
-		c.proc.spans.Record(span.FTDetect, ri.gen, blocked, c.proc.clock, 0, -1)
-	}
-	panic(c.revokedErr(ri))
-}
-
-// ftCheckRevoked panics the revocation if the communicator is revoked (or,
-// in pinned mode, revoked beyond the pinned generation). The fast path is
-// one atomic load.
-func (c *Comm) ftCheckRevoked(pinned *revokeInfo) {
-	ri, ok := c.revokedInfo()
-	if !ok {
+// ftCheckRevoked panics the revocation if the communicator is revoked. The
+// fast path is one atomic load. The first time the rank meets the
+// revocation it pays for the detection: its clock moves to the revocation's
+// time, and the wait is recorded (ft_failures_detected + an ft_detect span
+// of that length).
+func (c *Comm) ftCheckRevoked() {
+	rv := c.revokedInfo()
+	if rv == nil {
 		return
 	}
-	if pinned != nil && ri.gen <= pinned.gen {
-		return // the revocation the caller is already handling
+	if !c.ftObserved {
+		c.ftObserved = true
+		blocked := c.proc.clock
+		c.proc.clock = max(blocked, rv.at)
+		c.proc.stats.Add(iostat.FTFailuresDetected, 1)
+		c.proc.spans.Record(span.FTDetect, -1, blocked, c.proc.clock, 0, -1)
 	}
-	c.panicRevoked(ri)
-}
-
-// nextFTCtx reserves a message context in the post-revocation band for
-// generation gen. The per-generation sequence restarts at the generation
-// boundary, so all survivors of the same revocation stay in lockstep even
-// if their pre-revocation positions differed.
-func (c *Comm) nextFTCtx(gen int) int64 {
-	if c.ftGen != gen {
-		c.ftGen, c.ftSeq = gen, 0
-	}
-	c.ftSeq++
-	return c.ctx | ftCtxBit | int64(gen&ctxKindMask)<<ctxKindSh | c.ftSeq&ctxSeqMask
-}
-
-// survivors returns the communicator ranks not in the failed world-rank
-// set, in rank order (dense survivor indexing for AgreeFT's trees and for
-// Shrink's group).
-func (c *Comm) survivors(failedWorld []int) []int {
-	var surv []int
-	for cr, wr := range c.group {
-		if !containsInt(failedWorld, wr) {
-			surv = append(surv, cr)
-		}
-	}
-	return surv
-}
-
-// AgreeFT is the survivor-safe elementwise reduction: on a healthy
-// communicator it is exactly AllreduceI64; on a revoked one it runs the same
-// binomial reduction (reduceUp, reduceDown) over the survivors of the
-// agreed failed set, indexed by dense survivor position, with message
-// contexts in the reserved post-revocation band — it can never wait on a
-// dead rank. Like AllreduceI64 it works in place: the result overwrites vals,
-// which is returned. It is the only collective (besides Shrink) that
-// completes after revocation; failover protocols agree their resume point
-// through it.
-func (c *Comm) AgreeFT(vals []int64, op Op) []int64 {
-	ri, ok := c.revokedInfo()
-	if !ok {
-		return c.AllreduceI64(vals, op)
-	}
-	surv := c.survivors(ri.failed)
-	t := tree{p: len(surv), me: -1, members: surv, pinned: &ri}
-	for i, cr := range surv {
-		if cr == c.rank {
-			t.me = i
-		}
-	}
-	if t.me < 0 {
-		// A dead rank cannot call anything, so this is a caller bug.
-		c.Abort(fmt.Errorf("mpi: AgreeFT by failed rank %d", c.rank))
-	}
-	c.proc.stats.Add(iostat.MPICollectives, 1)
-	c.reduceUp(&t, c.nextFTCtx(ri.gen), vec{i: vals}, op)
-	c.reduceDown(&t, c.nextFTCtx(ri.gen), vec{i: vals})
-	return vals
-}
-
-// Shrink returns the dense survivor communicator of a revoked
-// communicator: the survivors in rank order, renumbered from 0, under a
-// fresh message context. The new communicator ID is agreed through the
-// revocation table (one allocation per generation, every survivor reads
-// the same ID), so Shrink — like AgreeFT — cannot block on the dead.
-func (c *Comm) Shrink() (*Comm, error) {
-	ft := &c.world.ft
-	ri, ok := c.revokedInfo()
-	if !ok {
-		return nil, errors.New("mpi: Shrink on a communicator that is not revoked")
-	}
-	ft.mu.Lock()
-	rs := ft.revoked[c.ctx>>32]
-	id := rs.shrunk[ri.gen]
-	if id == 0 {
-		c.world.mu.Lock()
-		c.world.commSeq++
-		id = c.world.commSeq
-		c.world.mu.Unlock()
-		rs.shrunk[ri.gen] = id
-	}
-	ft.mu.Unlock()
-	surv := c.survivors(ri.failed)
-	group := make([]int, len(surv))
-	myRank := -1
-	for i, cr := range surv {
-		group[i] = c.group[cr]
-		if cr == c.rank {
-			myRank = i
-		}
-	}
-	if myRank < 0 {
-		return nil, fmt.Errorf("mpi: Shrink by failed rank %d", c.rank)
-	}
-	c.proc.stats.Add(iostat.FTCommShrinks, 1)
-	c.proc.spans.Record(span.FTShrink, ri.gen, c.proc.clock, c.proc.clock, 0, -1)
-	return &Comm{world: c.world, proc: c.proc, rank: myRank, group: group, ctx: id << 32}, nil
+	panic(c.revokedErr(rv))
 }
 
 func containsInt(sorted []int, v int) bool {

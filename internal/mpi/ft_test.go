@@ -14,8 +14,7 @@ import (
 
 // TestFTDieRevokesBlockedPeers is the core no-hang property: a rank dying
 // mid-collective leaves every survivor with the same *ErrRevoked instead
-// of a hang, and the survivors can agree, shrink, and finish on the
-// survivor communicator.
+// of a hang, and so does every later collective on that communicator.
 func TestFTDieRevokesBlockedPeers(t *testing.T) {
 	for _, n := range []int{2, 3, 4, 8} {
 		for victim := 1; victim < n; victim += 2 {
@@ -36,27 +35,10 @@ func TestFTDieRevokesBlockedPeers(t *testing.T) {
 				mu.Lock()
 				failedSets[c.Rank()] = rv.Failed
 				mu.Unlock()
-				// Survivor-side recovery completes post-revocation.
-				sum := c.AgreeFT([]int64{int64(c.Rank())}, OpSum)[0]
-				want := int64(0)
-				for r := 0; r < n; r++ {
-					if r != victim {
-						want += int64(r)
-					}
-				}
-				if sum != want {
-					return fmt.Errorf("rank %d: AgreeFT sum %d, want %d", c.Rank(), sum, want)
-				}
-				nc, err := c.Shrink()
-				if err != nil {
-					return err
-				}
-				if nc.Size() != n-1 {
-					return fmt.Errorf("shrunk size %d, want %d", nc.Size(), n-1)
-				}
-				// Ordinary collectives work on the shrunken communicator.
-				if got := nc.AllreduceI64([]int64{1}, OpSum)[0]; got != int64(n-1) {
-					return fmt.Errorf("shrunk Allreduce %d, want %d", got, n-1)
+				// Nothing completes on the revoked communicator afterwards.
+				later := CatchRevoked(func() error { c.Barrier(); return nil })
+				if lrv, ok := AsRevoked(later); !ok || fmt.Sprint(lrv.Failed) != fmt.Sprint(rv.Failed) {
+					return fmt.Errorf("rank %d: a later Barrier returned %v, want the same revocation", c.Rank(), later)
 				}
 				return nil
 			})
@@ -129,76 +111,6 @@ func TestFTOperationsAfterRevokePanic(t *testing.T) {
 		}
 		if !c.Revoked() {
 			return errors.New("Revoked() = false after revocation")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestFTAgreeFTHealthy: with no failure, AgreeFT is AllreduceI64 on every
-// communicator size and both ops used by the failover.
-func TestFTAgreeFTHealthy(t *testing.T) {
-	for _, n := range testSizes {
-		err := Run(n, DefaultNet(), func(c *Comm) error {
-			got := c.AgreeFT([]int64{int64(c.Rank()), -int64(c.Rank())}, OpMin)
-			if got[0] != 0 || got[1] != -int64(n-1) {
-				return fmt.Errorf("AgreeFT min = %v", got)
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-	}
-}
-
-// TestFTShrinkErrors: Shrink demands a revocation.
-func TestFTShrinkErrors(t *testing.T) {
-	if err := Run(2, DefaultNet(), func(c *Comm) error {
-		if _, err := c.Shrink(); err == nil {
-			return errors.New("healthy Shrink succeeded, want error")
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestFTShrinkRanksDense: the shrunken communicator renumbers survivors
-// densely in old-rank order and maps messages independently of the old
-// communicator.
-func TestFTShrinkRanksDense(t *testing.T) {
-	const n, victim = 5, 2
-	err := Run(n, DefaultNet(), func(c *Comm) error {
-		if c.Rank() == victim {
-			c.Die(errors.New("test kill"))
-		}
-		cerr := CatchRevoked(func() error { c.Barrier(); return nil })
-		if _, ok := AsRevoked(cerr); !ok {
-			return fmt.Errorf("got %v, want ErrRevoked", cerr)
-		}
-		nc, err := c.Shrink()
-		if err != nil {
-			return err
-		}
-		want := c.Rank()
-		if c.Rank() > victim {
-			want--
-		}
-		if nc.Rank() != want {
-			return fmt.Errorf("old rank %d: shrunk rank %d, want %d", c.Rank(), nc.Rank(), want)
-		}
-		// Point-to-point on the shrunken communicator.
-		if nc.Rank() == 0 {
-			for r := 1; r < nc.Size(); r++ {
-				if got, _ := nc.Recv(r, 1); len(got) != r {
-					return fmt.Errorf("shrunk recv from %d: %d bytes", r, len(got))
-				}
-			}
-		} else {
-			nc.Send(0, 1, make([]byte, nc.Rank()))
 		}
 		return nil
 	})
@@ -340,13 +252,6 @@ func TestFTSplitHalfRevokesOnlyItsOwn(t *testing.T) {
 		mu.Lock()
 		revoked[c.Rank()] = rv.Failed
 		mu.Unlock()
-		nh, err := half.Shrink()
-		if err != nil {
-			return err
-		}
-		if got := nh.AllreduceI64([]int64{1}, OpSum)[0]; got != 2 {
-			return fmt.Errorf("shrunk half Allreduce %d, want 2", got)
-		}
 		return nil
 	})
 	if err != nil {
@@ -404,37 +309,41 @@ func TestFTDetectionIsDeterministic(t *testing.T) {
 	}
 }
 
-// TestFTSecondDeathGrowsGeneration: a rank that dies while the survivors
-// are handling the first revocation is detected the same way — their
-// pinned AgreeFT receives park, the world goes quiet again — and every
-// remaining survivor gets generation 2 with both ranks in the failed set.
-func TestFTSecondDeathGrowsGeneration(t *testing.T) {
+// TestFTSecondDeathRevokesTheNextCommunicator: a communicator is revoked
+// once, with the failed set of that quiescence. A rank that dies after it
+// does not change that revocation — nobody can wait on the revoked
+// communicator any more — and shows on the next communicator a survivor
+// blocks on: a duplicate of the world, revoked with both ranks failed, the
+// same set on every remaining survivor.
+func TestFTSecondDeathRevokesTheNextCommunicator(t *testing.T) {
 	const n, first, second = 5, 1, 3
 	var mu sync.Mutex
 	seen := map[int]string{}
 	err := Run(n, DefaultNet(), func(c *Comm) error {
+		dup := c.Split(0, c.Rank())
 		if c.Rank() == first {
 			c.Die(errors.New("test kill"))
 		}
 		cerr := CatchRevoked(func() error { c.Barrier(); return nil })
-		if rv, ok := AsRevoked(cerr); !ok || rv.Gen != 1 {
-			return fmt.Errorf("rank %d: got %v, want generation 1", c.Rank(), cerr)
+		if rv, ok := AsRevoked(cerr); !ok || fmt.Sprint(rv.Failed) != fmt.Sprint([]int{first}) {
+			return fmt.Errorf("rank %d: got %v, want a revocation of [%d]", c.Rank(), cerr, first)
 		}
 		if c.Rank() == second {
 			c.Die(errors.New("test kill"))
 		}
-		cerr = CatchRevoked(func() error { c.AgreeFT([]int64{1}, OpSum); return nil })
+		cerr = CatchRevoked(func() error { dup.Barrier(); return nil })
 		rv, ok := AsRevoked(cerr)
 		if !ok {
-			return fmt.Errorf("rank %d: AgreeFT with a second death returned %v, want ErrRevoked", c.Rank(), cerr)
+			return fmt.Errorf("rank %d: a Barrier on the duplicate returned %v, want ErrRevoked", c.Rank(), cerr)
+		}
+		// The first revocation stands as it was.
+		again := CatchRevoked(func() error { c.Barrier(); return nil })
+		if arv, ok := AsRevoked(again); !ok || fmt.Sprint(arv.Failed) != fmt.Sprint([]int{first}) {
+			return fmt.Errorf("rank %d: the world's revocation became %v", c.Rank(), again)
 		}
 		mu.Lock()
-		seen[c.Rank()] = fmt.Sprint(rv.Gen, rv.Failed)
+		seen[c.Rank()] = fmt.Sprint(rv.Failed)
 		mu.Unlock()
-		// The grown generation is one the survivors can agree over.
-		if got := c.AgreeFT([]int64{1}, OpSum)[0]; got != n-2 {
-			return fmt.Errorf("rank %d: %d survivors agree after the second death, want %d", c.Rank(), got, n-2)
-		}
 		return nil
 	})
 	if err != nil {
@@ -444,7 +353,7 @@ func TestFTSecondDeathGrowsGeneration(t *testing.T) {
 		t.Fatalf("%d ranks saw the second revocation, want %d: %v", len(seen), n-2, seen)
 	}
 	for r, got := range seen {
-		if want := fmt.Sprint(2, []int{first, second}); got != want {
+		if want := fmt.Sprint([]int{first, second}); got != want {
 			t.Fatalf("rank %d saw %s, want %s", r, got, want)
 		}
 	}
@@ -454,9 +363,7 @@ func TestFTSecondDeathGrowsGeneration(t *testing.T) {
 // snapshot before the first wake and the credit it holds while it walks —
 // with a few hundred small worlds: 8 ranks mixing AllreduceI64 with
 // AnySource exchanges, a seeded random victim dying at a random moment.
-// Never a deadlock report, the same failed set on every survivor, and the
-// survivors' recovery (AgreeFT, Shrink, a collective on the survivor
-// communicator) completes.
+// Never a deadlock report, and the same failed set on every survivor.
 func TestFTDetectorStress(t *testing.T) {
 	const n, worlds = 8, 300
 	rng := rand.New(rand.NewSource(19))
@@ -496,14 +403,6 @@ func TestFTDetectorStress(t *testing.T) {
 			mu.Lock()
 			failed[me] = fmt.Sprint(rv.Failed)
 			mu.Unlock()
-			live := c.AgreeFT([]int64{1}, OpSum)[0]
-			nc, err := c.Shrink()
-			if err != nil {
-				return err
-			}
-			if got := nc.AllreduceI64([]int64{1}, OpSum)[0]; got != live || got != n-1 {
-				return fmt.Errorf("rank %d: %d survivors agree, %d on the shrunken communicator, want %d", me, live, got, n-1)
-			}
 			return nil
 		})
 		if err != nil {
@@ -520,7 +419,7 @@ func TestFTDetectorStress(t *testing.T) {
 	}
 }
 
-// TestAgreeErrorShapes pins AgreeError semantics the failover leans on:
+// TestAgreeErrorShapes pins AgreeError semantics the collective I/O leans on:
 // nil everywhere, a single failure, and a multi-error built with
 // errors.Join all agree symmetrically.
 func TestAgreeErrorShapes(t *testing.T) {

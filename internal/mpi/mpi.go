@@ -26,7 +26,7 @@
 //
 // Collectives keep MPI's contract that an input buffer is reusable as soon
 // as the call returns, except the in-place reductions: AllreduceI64,
-// AllreduceF64 and AgreeFT overwrite their input vector with the result and
+// AllreduceF64 overwrite their input vector with the result and
 // return it, like MPI_IN_PLACE. Every reduction (Barrier is one over an
 // empty vector) runs one binomial tree and sends its partials in bufpool
 // wire buffers, one per tree edge: the receiver folds or decodes the bytes
@@ -185,12 +185,9 @@ type Comm struct {
 	ctx   int64 // context base: commID << 32
 	seq   int64 // per-rank collective sequence; in lockstep across members
 
-	// Post-revocation state (ft.go): the highest revocation generation this
-	// rank has observed (for once-per-generation detection accounting) and
-	// the per-generation sequence of the reserved agreement context band.
-	ftObserved int
-	ftGen      int
-	ftSeq      int64
+	// ftObserved is set once this rank has met the communicator's
+	// revocation and paid for its detection (ft.go).
+	ftObserved bool
 }
 
 // Run executes fn on n simulated ranks and blocks until all complete. Each
@@ -226,7 +223,7 @@ func Run(n int, net NetConfig, fn func(*Comm) error) error {
 					}
 					if _, ok := rec.(rankKilled); ok {
 						// Simulated crash (Comm.Die): this rank just stops.
-						// Its peers revoke and fail over; the world's fate
+						// Its peers detect the death and revoke; the world's fate
 						// is theirs to decide, not an abort.
 						return
 					}
@@ -299,30 +296,22 @@ func (w *World) transferTime(nbytes int) float64 {
 // returns, so no pattern of sends can deadlock — and the message carries
 // data itself: the caller gives the slice up (package comment, "Buffer
 // ownership").
+//
+// A send on a revoked communicator panics *ErrRevoked. A send to a dead rank
+// is dropped: nobody will ever read it, and a crash between the peer's send
+// and our delivery is exactly the reordering a real network exhibits.
 func (c *Comm) send(dst, tag int, ctx int64, data []byte) {
-	c.sendCore(dst, tag, ctx, data, false)
+	c.sendSized(dst, tag, ctx, data, len(data))
 }
 
-// sendCore implements send. In ftMode (post-revocation traffic) the
-// revocation check is skipped — the caller IS the revocation handler.
-// Either way a send to a dead rank is dropped: nobody will ever read it,
-// and a crash between the peer's send and our delivery is exactly the
-// reordering a real network exhibits.
-func (c *Comm) sendCore(dst, tag int, ctx int64, data []byte, ftMode bool) {
-	c.sendSized(dst, tag, ctx, data, len(data), ftMode)
-}
-
-// sendSized is sendCore for a message charged n bytes rather than
-// len(data): the long-message Bcast hands every member the root's whole
-// payload, which it already shares, and moves it piece by piece in virtual
-// time.
-func (c *Comm) sendSized(dst, tag int, ctx int64, data []byte, n int, ftMode bool) {
+// sendSized is send for a message charged n bytes rather than len(data):
+// the long-message Bcast hands every member the root's whole payload, which
+// it already shares, and moves it piece by piece in virtual time.
+func (c *Comm) sendSized(dst, tag int, ctx int64, data []byte, n int) {
 	if dst < 0 || dst >= len(c.group) {
 		c.Abort(fmt.Errorf("mpi: send to invalid rank %d (size %d)", dst, len(c.group)))
 	}
-	if !ftMode {
-		c.ftCheckRevoked(nil)
-	}
+	c.ftCheckRevoked()
 	box := c.world.boxes[c.group[dst]]
 	if box.dead.Load() {
 		c.proc.clock += c.world.net.SendOverhead
@@ -341,19 +330,14 @@ func (c *Comm) sendSized(dst, tag int, ctx int64, data []byte, n int, ftMode boo
 // recv blocks until a message matching (src, tag, ctx) is available and
 // returns it, advancing the virtual clock to the arrival time. Wildcards
 // (AnySource/AnyTag) apply to src and tag; ctx always matches exactly.
-func (c *Comm) recv(src, tag int, ctx int64) message {
-	return c.recvCore(src, tag, ctx, nil)
-}
-
-// recvCore implements recv. It is also where a rank observes a failure: a
-// revoked communicator unwinds the receive with *ErrRevoked (unless pinned
-// to that same revocation generation — the post-revocation agreement
-// receives through here too). A receive that finds no match parks: it
+//
+// It is also where a rank observes a failure: a revoked communicator unwinds
+// the receive with *ErrRevoked. A receive that finds no match parks: it
 // leaves its description in the mailbox for the detector, gives up its
 // place in the world's running count, and sleeps until a sender, an abort
 // or a revocation wakes it (World.wake). The rank whose parking brings the
 // count to zero runs the detector itself (ft.go).
-func (c *Comm) recvCore(src, tag int, ctx int64, pinned *revokeInfo) message {
+func (c *Comm) recv(src, tag int, ctx int64) message {
 	w := c.world
 	box := w.boxes[c.group[c.rank]]
 	box.mu.Lock()
@@ -362,7 +346,7 @@ func (c *Comm) recvCore(src, tag int, ctx int64, pinned *revokeInfo) message {
 		if box.aborted {
 			panic(ErrAborted)
 		}
-		c.ftCheckRevoked(pinned)
+		c.ftCheckRevoked()
 		for i, m := range box.queue {
 			if m.ctx != ctx {
 				continue
@@ -382,9 +366,6 @@ func (c *Comm) recvCore(src, tag int, ctx int64, pinned *revokeInfo) message {
 			WorldRank: c.group[c.rank], Comm: c.ctx >> 32,
 			Source: src, Tag: tag, Op: op, Seq: seq,
 			group: c.group, clock: c.proc.clock,
-		}
-		if pinned != nil {
-			box.wait.pinned = pinned.failed
 		}
 		box.parked = true
 		if w.ft.running.Add(-1) == 0 {
@@ -421,9 +402,8 @@ func (c *Comm) Recv(src, tag int) ([]byte, int) {
 
 // A collective's message context is commID<<32 | kind<<ctxKindSh | seq:
 // the per-communicator sequence in bits 0-23 (modulo 2^24; members are never
-// that far apart), the operation's kind in bits 24-29, and bit 30 clear (the
-// post-revocation band sets it, ft.go). User point-to-point traffic has all
-// 32 low bits zero.
+// that far apart) and the operation's kind in bits 24-29. User point-to-point
+// traffic has all 32 low bits zero.
 const (
 	ctxSeqMask  = 0xFFFFFF
 	ctxKindSh   = 24
@@ -455,12 +435,8 @@ var opNames = [ctxKindMask + 1]string{
 }
 
 // ctxOp names the operation a message context belongs to and its sequence
-// number: "" for user point-to-point traffic, "AgreeFT" in the
-// post-revocation band.
+// number: "" for user point-to-point traffic.
 func ctxOp(ctx int64) (string, int64) {
-	if ctx&ftCtxBit != 0 {
-		return "AgreeFT", ctx & ctxSeqMask
-	}
 	return opNames[ctx>>ctxKindSh&ctxKindMask], ctx & ctxSeqMask
 }
 
@@ -472,7 +448,7 @@ func (c *Comm) nextOpCtx(op opKind) int64 {
 	// A collective on a revoked communicator can never complete; fail it
 	// before any message moves (recv would catch it anyway, but root-only
 	// send patterns like Bcast's would first leak sends).
-	c.ftCheckRevoked(nil)
+	c.ftCheckRevoked()
 	c.seq++
 	c.proc.stats.Add(iostat.MPICollectives, 1)
 	return c.ctx | int64(op)<<ctxKindSh | c.seq&ctxSeqMask

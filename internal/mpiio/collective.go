@@ -77,8 +77,8 @@ func (f *File) fallbackIndependent(err error) error {
 // for each piece it packs straight into the aggregator's message, so a
 // caller that converts on the fly (core's encoder over user memory) never
 // stages the request in a buffer of its own. Pieces come in no particular
-// order and may be asked for again by a failover replay; the memory behind a
-// Source must stay unchanged until the collective returns.
+// order; the memory behind a Source must stay unchanged until the
+// collective returns.
 type Source interface {
 	// Fill copies the len(dst) bytes at position pos of the request into dst.
 	Fill(dst []byte, pos int64)
@@ -86,7 +86,7 @@ type Source interface {
 
 // Sink is the caller's side of a collective read: each piece of the
 // request's view-data bytes is handed over as it arrives from its
-// aggregator, in no particular order, possibly twice after a failover.
+// aggregator, once, in no particular order.
 type Sink interface {
 	// Drain takes src as the bytes at position pos of the request.
 	Drain(pos int64, src []byte)
@@ -118,9 +118,9 @@ func (f *File) dropBuf() { f.buf = nil }
 // WriteAtAllFrom collectively writes the n view-data bytes src supplies at
 // view offset off. Every communicator member must call it (possibly with
 // n = 0). A peer crash mid-collective surfaces here as a communicator
-// revocation (mpi's failure detector is always on); the failover path
-// (failover.go) drains, shrinks, and replays the incomplete rounds over
-// the survivors.
+// revocation (mpi's failure detector is always on): every survivor returns
+// the same *mpi.ErrRevoked, and the file regions the collective had not
+// finished are unspecified (DESIGN.md §8).
 //
 // Overlap: MPI leaves the result of ranks writing the same bytes in one
 // collective undefined; here it is fixed. An aggregator lands the pieces it
@@ -147,36 +147,20 @@ func (f *File) WriteAtAllFrom(off, n int64, src Source) error {
 	defer sc.End()
 	sc.SetBytes(n)
 	t0 := f.comm.Clock()
-	var prog ftProgress
-	cerr := mpi.CatchRevoked(func() error {
-		segs, vErr := f.viewSegments(off, n)
-		return f.collWriteSegs(segs, src, vErr, &prog, t0)
-	})
-	if rv, ok := mpi.AsRevoked(cerr); ok {
-		// A second revocation during the failover (a cascading failure)
-		// surfaces as *ErrRevoked again — best-effort, DESIGN.md §8.
-		cerr = mpi.CatchRevoked(func() error {
-			return f.failoverWrite(off, n, src, &prog, rv, t0)
-		})
-	}
-	return cerr
+	return mpi.CatchRevoked(func() error { return f.collWrite(off, n, src, t0) })
 }
 
-// collWriteSegs runs the two-phase collective write over an explicit
-// segment list whose payload src supplies in segment order (bufPos i maps
-// through segPrefix). WriteAtAllFrom calls it with the view mapping of its
-// request; the failover path calls it again on the shrunken communicator
-// with the unfinished clip of the same request. prog records how far the
-// call provably got, for the failover's resume-point agreement.
-func (f *File) collWriteSegs(segs []pfs.Segment, src Source, vErr error, prog *ftProgress, t0 float64) error {
-	n := segsLen(segs)
+// collWrite runs the two-phase collective write of WriteAtAllFrom, entered
+// at virtual time t0. src supplies the bytes of the request's view
+// segments in segment order (bufPos i maps through segPrefix).
+func (f *File) collWrite(off, n int64, src Source, t0 float64) error {
+	segs, vErr := f.viewSegments(off, n)
 	sPlan := f.sp.Begin(span.Plan)
 	plan, ok, err := f.collectivePlan(segs, vErr, true)
 	sPlan.End()
 	if err != nil {
 		return f.agreeAbort(err)
 	}
-	prog.planOK, prog.plan = true, plan
 	if !ok {
 		f.recordAccess(iostat.IOCollWriteCalls, iostat.IOBytesWritten,
 			iostat.IOWriteExtents, iostat.IOWriteTimeNs, segs, n, t0)
@@ -189,7 +173,7 @@ func (f *File) collWriteSegs(segs []pfs.Segment, src Source, vErr error, prog *f
 	// instead of a rescan of the whole segment list.
 	prefix := segPrefix(segs)
 	spans := plan.spans(segs)
-	if err := f.writeRounds(plan, segs, prefix, spans, src, myAgg, prog); err != nil {
+	if err := f.writeRounds(plan, segs, prefix, spans, src, myAgg); err != nil {
 		return f.agreeAbort(err)
 	}
 	f.countRounds(plan)
@@ -348,9 +332,9 @@ func (f *File) ReadAtAll(off int64, buf []byte) error {
 }
 
 // ReadAtAllInto collectively reads n view-data bytes at view offset off,
-// handing them to dst as they arrive. Like WriteAtAllFrom, a peer crash
-// mid-collective fails over to the survivors; reads always recover fully
-// (the file is intact, only the dead rank's own buffer is lost with it).
+// handing them to dst as they arrive. As with WriteAtAllFrom, a peer crash
+// mid-collective returns the same *mpi.ErrRevoked on every survivor; what
+// dst holds of the request is then unspecified.
 func (f *File) ReadAtAllInto(off, n int64, dst Sink) error {
 	if f.closed {
 		return ErrClosed
@@ -362,42 +346,30 @@ func (f *File) ReadAtAllInto(off, n int64, dst Sink) error {
 	defer sc.End()
 	sc.SetBytes(n)
 	t0 := f.comm.Clock()
-	var prog ftProgress
-	cerr := mpi.CatchRevoked(func() error {
-		segs, vErr := f.viewSegments(off, n)
-		return f.collReadSegs(segs, dst, vErr, &prog, t0)
-	})
-	if _, ok := mpi.AsRevoked(cerr); ok {
-		cerr = mpi.CatchRevoked(func() error {
-			return f.failoverRead(off, n, dst, &prog, t0)
-		})
-	}
-	return cerr
+	return mpi.CatchRevoked(func() error { return f.collRead(off, n, dst, t0) })
 }
 
-// collReadSegs runs the two-phase collective read over an explicit segment
-// list, handing the payload to dst by segment-order position; see
-// collWriteSegs.
-func (f *File) collReadSegs(segs []pfs.Segment, dst Sink, vErr error, prog *ftProgress, t0 float64) error {
-	n := segsLen(segs)
+// collRead runs the two-phase collective read of ReadAtAllInto, handing the
+// payload to dst by segment-order position; see collWrite.
+func (f *File) collRead(off, n int64, dst Sink, t0 float64) error {
+	segs, vErr := f.viewSegments(off, n)
 	sPlan := f.sp.Begin(span.Plan)
 	plan, ok, err := f.collectivePlan(segs, vErr, false)
 	sPlan.End()
 	if err != nil {
 		return f.agreeAbort(err)
 	}
-	prog.planOK, prog.plan = true, plan
 	if !ok {
 		f.recordAccess(iostat.IOCollReadCalls, iostat.IOBytesRead,
 			iostat.IOReadExtents, iostat.IOReadTimeNs, segs, n, t0)
 		return nil
 	}
 	myAgg := plan.aggIndex(f.comm.Rank())
-	// Hoisted out of the round loop (see collWriteSegs): prefix sums and
+	// Hoisted out of the round loop (see collWrite): prefix sums and
 	// the per-aggregator segment spans.
 	prefix := segPrefix(segs)
 	spans := plan.spans(segs)
-	if err := f.readRounds(plan, segs, prefix, spans, dst, myAgg, prog); err != nil {
+	if err := f.readRounds(plan, segs, prefix, spans, dst, myAgg); err != nil {
 		return f.agreeAbort(err)
 	}
 	f.countRounds(plan)
@@ -572,8 +544,6 @@ func (f *File) collectivePlan(segs []pfs.Segment, localErr error, write bool) (c
 	default:
 		naggs = readAggregators(size, cfg.NumServers, gmin, gmax, stripe)
 	}
-	// A failover replans on the survivors, which can be fewer.
-	naggs = min(naggs, size)
 	bounds := evenBounds(gmin, gmax, naggs, stripe)
 	aggRanks := evenAggRanks(naggs, size)
 	return collectivePlan{

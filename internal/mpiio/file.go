@@ -144,11 +144,19 @@ type File struct {
 
 // Open opens (or creates) name collectively over comm. Every member must
 // call it with the same arguments. The returned handles share one underlying
-// file.
-func Open(comm *mpi.Comm, fsys *pfs.FS, name string, amode int, info *mpi.Info) (*File, error) {
+// file. On a revoked communicator it returns the *mpi.ErrRevoked.
+func Open(comm *mpi.Comm, fsys *pfs.FS, name string, amode int, info *mpi.Info) (f *File, err error) {
 	if comm == nil {
 		return nil, errors.New("mpiio: nil communicator")
 	}
+	err = mpi.CatchRevoked(func() error {
+		f, err = open(comm, fsys, name, amode, info)
+		return err
+	})
+	return f, err
+}
+
+func open(comm *mpi.Comm, fsys *pfs.FS, name string, amode int, info *mpi.Info) (*File, error) {
 	// Rank 0 arbitrates existence/creation, then broadcasts the verdict so
 	// every rank fails or succeeds together.
 	var verdict int64
@@ -264,8 +272,7 @@ func (f *File) SetSize(size int64) error {
 	if f.comm.Rank() == 0 {
 		f.pf.Truncate(size)
 	}
-	f.comm.Barrier()
-	return nil
+	return f.barrier()
 }
 
 // Sync flushes the file collectively, like MPI_File_sync: every rank's
@@ -277,19 +284,28 @@ func (f *File) Sync() error {
 	f.DrainWrites()
 	t := f.pf.Sync(f.comm.Clock())
 	f.comm.Proc().SetClock(t)
-	f.comm.Barrier()
-	return nil
+	return f.barrier()
 }
 
 // Close closes the handle collectively, once every rank's writes are down.
+// On a revoked communicator it releases the handle all the same and returns
+// the *mpi.ErrRevoked.
 func (f *File) Close() error {
 	if f.closed {
 		return ErrClosed
 	}
 	f.DrainWrites()
-	f.comm.Barrier()
 	f.closed = true
-	return nil
+	return f.barrier()
+}
+
+// barrier ends a collective file operation: every member has done its part
+// when it returns nil. A revoked communicator is returned as its error.
+func (f *File) barrier() error {
+	return mpi.CatchRevoked(func() error {
+		f.comm.Barrier()
+		return nil
+	})
 }
 
 // issuePF runs one pfs request issued at virtual time t under the file's

@@ -14,15 +14,14 @@ import (
 	"pnetcdf/internal/pfs"
 )
 
-// The failover matrix: kill one rank at each crash point of the round loop,
-// aggregator or not, in a round whose aggregator request is settled before
-// the next round's and in the last one, during collective writes and
-// reads. The
-// invariants under test are the acceptance criteria of DESIGN.md §8:
-// no survivor hangs, every survivor returns the same error, the file is
-// byte-identical to an undisturbed run everywhere outside the dead rank's
-// exclusive data, and a reported DegradedError names only regions inside
-// the dead rank's share.
+// The rank-kill matrix: kill one rank at each crash point of the round
+// loop, aggregator or not, in the first, a middle and the last round, during
+// collective writes and reads. The invariants under test are those of
+// DESIGN.md §8: no survivor hangs, every survivor returns the same
+// *mpi.ErrRevoked naming the victim, so does the handle's Close, and a
+// kill run repeats exactly. What the collective had not finished is
+// unspecified, but no byte is ever anything a rank did not write there: each
+// byte of the file and of a read buffer is the rank's pattern or still zero.
 
 const (
 	ftioRegion = int64(256 << 10) // bytes per rank: 8 rounds of 64 KiB per domain
@@ -53,14 +52,12 @@ type ftioResult struct {
 	err      error
 	clock    float64 // the rank's virtual time when the collective returned
 	detected int64
-	shrinks  int64
-	failover int64
-	degraded int64
+	closeErr error // what the handle's Close returned afterwards
 }
 
 // stridedMem is a Source and Sink over memory that holds the request in runs
-// of stridedRun bytes with a gap after each: a replay that resumes inside a
-// run asks for a piece that starts there.
+// of stridedRun bytes with a gap after each, so a round boundary falls inside
+// a run.
 type stridedMem []byte
 
 const stridedRun, stridedGap = 300, 17
@@ -127,18 +124,12 @@ func runFTWrite(t *testing.T, victim int, point string, occurrence int64, stride
 		} else {
 			werr = f.WriteAtAll(0, ftioPattern(rank, ftioRegion))
 		}
-		st := c.Proc().Stats()
+		res := ftioResult{err: werr, clock: c.Clock(), detected: c.Proc().Stats().Get(iostat.FTFailuresDetected)}
+		res.closeErr = f.Close()
 		mu.Lock()
-		results[rank] = ftioResult{
-			err:      werr,
-			clock:    c.Clock(),
-			detected: st.Get(iostat.FTFailuresDetected),
-			shrinks:  st.Get(iostat.FTCommShrinks),
-			failover: st.Get(iostat.FTFailoverRounds),
-			degraded: st.Get(iostat.FTDegradedCompletions),
-		}
+		results[rank] = res
 		mu.Unlock()
-		return f.Close()
+		return nil
 	})
 	if err != nil {
 		t.Fatalf("world: %v", err)
@@ -154,87 +145,56 @@ func runFTWrite(t *testing.T, victim int, point string, occurrence int64, stride
 	return img, results
 }
 
-// checkFTWrite verifies the survivor invariants on one matrix cell.
-func checkFTWrite(t *testing.T, img []byte, results map[int]ftioResult, victim int) {
+// checkFTOutcome verifies the survivor invariants every killed collective
+// shares: n−1 survivors, each with the *mpi.ErrRevoked naming victim alone,
+// a detection counted, and a Close that returned the same revocation.
+func checkFTOutcome(t *testing.T, results map[int]ftioResult, n, victim int) {
 	t.Helper()
-	if len(results) != ftioProcs-1 {
-		t.Fatalf("%d survivors reported, want %d", len(results), ftioProcs-1)
+	if len(results) != n-1 {
+		t.Fatalf("%d survivors reported, want %d", len(results), n-1)
 	}
 	if _, ok := results[victim]; ok {
 		t.Fatalf("victim %d returned from the collective", victim)
 	}
-	// Same outcome everywhere.
-	var ref string
-	var refSet bool
 	for rank, res := range results {
-		s := fmt.Sprintf("%v", res.err)
-		if !refSet {
-			ref, refSet = s, true
-		} else if s != ref {
-			t.Fatalf("rank %d outcome %q differs from %q", rank, s, ref)
+		rv, ok := mpi.AsRevoked(res.err)
+		if !ok || fmt.Sprint(rv.Failed) != fmt.Sprint([]int{victim}) {
+			t.Fatalf("rank %d: %v, want *mpi.ErrRevoked naming rank %d", rank, res.err, victim)
 		}
-		if res.err != nil {
-			de, ok := AsDegraded(res.err)
-			if !ok {
-				t.Fatalf("rank %d: %v, want nil or DegradedError", rank, res.err)
-			}
-			if len(de.Failed) != 1 || de.Failed[0] != victim {
-				t.Fatalf("rank %d: degraded failed set %v, want [%d]", rank, de.Failed, victim)
-			}
-			vLo, vHi := int64(victim)*ftioRegion, int64(victim+1)*ftioRegion
-			for _, x := range de.Missing {
-				if x.Off < vLo || x.Off+x.Len > vHi {
-					t.Fatalf("rank %d: missing extent %+v outside victim region [%d,%d)", rank, x, vLo, vHi)
-				}
-			}
+		if cv, ok := mpi.AsRevoked(res.closeErr); !ok || fmt.Sprint(cv.Failed) != fmt.Sprint(rv.Failed) {
+			t.Fatalf("rank %d: Close returned %v, want the same revocation", rank, res.closeErr)
 		}
-		if res.detected == 0 {
-			t.Errorf("rank %d: ft_failures_detected = 0", rank)
-		}
-		if res.shrinks == 0 {
-			t.Errorf("rank %d: ft_comm_shrinks = 0", rank)
-		}
-		if res.failover == 0 {
-			t.Errorf("rank %d: ft_failover_rounds = 0", rank)
-		}
-	}
-	// Survivor regions byte-identical to an undisturbed run; the victim's
-	// region holds either its data (rounds that landed before the crash or
-	// that another rank's replay covered) or still-unwritten zeros inside
-	// the reported missing set.
-	missing := map[int64]bool{}
-	for _, res := range results {
-		if de, ok := AsDegraded(res.err); ok {
-			for _, x := range de.Missing {
-				for o := x.Off; o < x.Off+x.Len; o++ {
-					missing[o] = true
-				}
-			}
-		}
-		break
-	}
-	for rank := 0; rank < ftioProcs; rank++ {
-		want := ftioPattern(rank, ftioRegion)
-		base := int64(rank) * ftioRegion
-		got := img[base : base+ftioRegion]
-		if rank != victim {
-			if !bytes.Equal(got, want) {
-				t.Fatalf("survivor %d region differs from undisturbed run", rank)
-			}
-			continue
-		}
-		for i := range got {
-			switch {
-			case got[i] == want[i]:
-			case got[i] == 0 && missing[base+int64(i)]:
-			default:
-				t.Fatalf("victim byte %d = %#x: neither its data (%#x) nor a reported-missing zero",
-					base+int64(i), got[i], want[i])
-			}
+		if res.detected != 1 {
+			t.Errorf("rank %d: ft_failures_detected = %d, want 1", rank, res.detected)
 		}
 	}
 }
 
+// checkPatternOrZero fails unless every byte of got is want's or zero.
+func checkPatternOrZero(t *testing.T, what string, got, want []byte) {
+	t.Helper()
+	for i := range got {
+		if got[i] != want[i] && got[i] != 0 {
+			t.Fatalf("%s byte %d = %#x: neither the pattern (%#x) nor unwritten", what, i, got[i], want[i])
+		}
+	}
+}
+
+// checkFTWrite verifies one write cell: the shared outcome, and a file in
+// which every rank's region holds its pattern or zeros.
+func checkFTWrite(t *testing.T, img []byte, results map[int]ftioResult, victim int) {
+	t.Helper()
+	checkFTOutcome(t, results, ftioProcs, victim)
+	for rank := 0; rank < ftioProcs; rank++ {
+		base := int64(rank) * ftioRegion
+		checkPatternOrZero(t, fmt.Sprintf("rank %d's region", rank), img[base:base+ftioRegion], ftioPattern(rank, ftioRegion))
+	}
+}
+
+// TestFTKillWriteFailover (named when a killed collective failed over to the
+// survivors) kills one rank in a collective write: every survivor returns the
+// revocation, each region holds its rank's pattern or zeros, and two repeats
+// give the same image, errors and clocks.
 func TestFTKillWriteFailover(t *testing.T) {
 	// Rank 1 is no aggregator, rank 2 is one. Each domain takes 8 rounds, so
 	// occurrence 7 of a point is the last round — the one whose write is
@@ -245,7 +205,7 @@ func TestFTKillWriteFailover(t *testing.T) {
 		victim     int
 		point      string
 		occurrence int64
-		strided    bool // the replay packs from strided memory
+		strided    bool // the request is packed from strided memory
 	}{
 		{"before_pack/r1", 1, fault.KillBeforePack, 2, false},
 		{"before_pack/r1/last-round", 1, fault.KillBeforePack, 7, false},
@@ -276,10 +236,8 @@ func TestFTKillWriteFailover(t *testing.T) {
 }
 
 // sameFTOutcome checks that a repeated kill run left every survivor with
-// the first run's error string and, when exact, virtual clock, and that the clock
-// contains the detection latency (at the parent commit, where detection
-// was a wall-clock deadline, a killed 4-rank write finished at 0.083 s of
-// virtual time as if detecting had been free).
+// the first run's error string and, when exact, virtual clock, and that the
+// clock contains the detection latency.
 func sameFTOutcome(t *testing.T, rep int, got, first map[int]ftioResult, exact bool) {
 	t.Helper()
 	if len(got) != len(first) {
@@ -294,14 +252,15 @@ func sameFTOutcome(t *testing.T, rep int, got, first map[int]ftioResult, exact b
 			t.Fatalf("repeat %d: rank %d finished at %.9f s, the first run at %.9f s", rep, rank, res.clock, ref.clock)
 		}
 		if res.clock < mpi.FTDetectLatency || res.clock > mpi.FTDetectLatency+0.5 {
-			t.Fatalf("rank %d finished at %.4f s: the failover should cost FTDetectLatency (%.1f s) plus a fraction of a second of I/O",
+			t.Fatalf("rank %d finished at %.4f s: a killed collective should cost FTDetectLatency (%.1f s) plus a fraction of a second of I/O",
 				rank, res.clock, mpi.FTDetectLatency)
 		}
 	}
 }
 
-// TestFTKillReadFailover: reads recover fully — after the failover every
-// survivor's buffer matches the file exactly, with no degraded error.
+// TestFTKillReadFailover (named, like the write matrix, for the failover it
+// once checked): a killed read returns the revocation on every survivor,
+// whose buffer holds its bytes of the file or zeros.
 func TestFTKillReadFailover(t *testing.T) {
 	// Occurrence 0 is the first round — the one whose coverage read is
 	// settled at once.
@@ -310,7 +269,7 @@ func TestFTKillReadFailover(t *testing.T) {
 		victim     int
 		point      string
 		occurrence int64
-		strided    bool // the replay hands its bytes to strided memory
+		strided    bool // the read scatters into strided memory
 	}{
 		{"before_pack/r1", 1, fault.KillBeforePack, 2, false},
 		{"before_pack/agg2/first-round", 2, fault.KillBeforePack, 0, false},
@@ -322,24 +281,28 @@ func TestFTKillReadFailover(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			checkFTRead(t, ftioDefault, tc.victim, tc.point, tc.occurrence, tc.strided, 0)
+			checkFTRead(t, ftioDefault, tc.victim, tc.point, tc.occurrence, tc.strided)
 		})
 	}
 }
 
 // TestFTKillReadWithRoundsInFlight: aggregator rank 2 is killed just after
 // it issues round 5's read of the matrix's 8 rounds, which readDepth keeps
-// all in flight: rounds 0..5 are read and none is answered. The survivors
-// fail over from round 0 — no rank scattered a round — and replay the whole
-// read over 3 ranks, 2 aggregators of 8 rounds each; every survivor gets
-// its bytes back.
+// all in flight: rounds 0..5 are read and none is answered, so every
+// survivor returns the revocation with nothing scattered into its buffer.
 func TestFTKillReadWithRoundsInFlight(t *testing.T) {
 	const rounds, killed = 8, 5
 	cfg := pfs.DefaultConfig()
 	if depth := readDepth(rounds, cfg.NumServers, cfg.ClientCache, 64<<10); depth <= killed {
 		t.Fatalf("%d rounds in flight: round %d's read is not issued behind round 0's", depth, killed)
 	}
-	checkFTRead(t, ftioDefault, 2, fault.KillAfterIssue, killed, false, rounds)
+	checkFTRead(t, ftioDefault, 2, fault.KillAfterIssue, killed, false)
+	got, _ := runFTRead(t, ftioDefault, 2, fault.KillAfterIssue, killed, false)
+	for rank, buf := range got {
+		if !bytes.Equal(buf, make([]byte, ftioRegion)) {
+			t.Fatalf("rank %d received bytes of a round nobody answered", rank)
+		}
+	}
 }
 
 // ftioRule is a read whose aggregator count the rule chooses (no cb_nodes):
@@ -358,13 +321,9 @@ var ftioRule = ftioShape{
 	racy: true,
 }
 
-// TestFTKillReadFailoverDefaultCount kills one of the rule's aggregators in
-// the exchange and just after its request is issued: survivors' buffers must
-// match the file and every survivor must see the same error in every run.
-// Killed before
-// its first round, the replay runs over all ten stripes on 7 survivors, and
-// the rule again takes 4 aggregators — 3 rounds, where one per survivor
-// would take 2.
+// TestFTKillReadFailoverDefaultCount kills one of the rule's aggregators
+// before its first round, in the exchange and just after its request is
+// issued: every survivor must see the same revocation in every run.
 func TestFTKillReadFailoverDefaultCount(t *testing.T) {
 	if n := readAggregators(8, 2, 0, 10*64<<10, 64<<10); n != 4 {
 		t.Fatalf("the shape reads through %d aggregators, want 4", n)
@@ -373,40 +332,29 @@ func TestFTKillReadFailoverDefaultCount(t *testing.T) {
 		name       string
 		point      string
 		occurrence int64
-		replay     int64 // rounds of the replay plan; 0 = not checked
 	}{
-		{"before_pack/first-round", fault.KillBeforePack, 0, 3},
-		{"mid_exchange", fault.KillMidExchange, 1, 0},
-		{"after_issue", fault.KillAfterIssue, 1, 0},
-		{"after_issue/last-round", fault.KillAfterIssue, 2, 0},
+		{"before_pack/first-round", fault.KillBeforePack, 0},
+		{"mid_exchange", fault.KillMidExchange, 1},
+		{"after_issue", fault.KillAfterIssue, 1},
+		{"after_issue/last-round", fault.KillAfterIssue, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			checkFTRead(t, ftioRule, 2, tc.point, tc.occurrence, false, tc.replay)
+			checkFTRead(t, ftioRule, 2, tc.point, tc.occurrence, false)
 		})
 	}
 }
 
-// checkFTRead runs a killed read of shape three times: each survivor must
-// get its pattern back with no error, the same outcome every time, and,
-// when replay > 0, a replay plan of that many rounds.
-func checkFTRead(t *testing.T, sh ftioShape, victim int, point string, occurrence int64, strided bool, replay int64) {
+// checkFTRead runs a killed read of shape three times: the survivors share
+// the outcome, each buffer holds the rank's pattern or zeros, and every run
+// ends alike.
+func checkFTRead(t *testing.T, sh ftioShape, victim int, point string, occurrence int64, strided bool) {
 	t.Helper()
 	var first map[int]ftioResult
 	for rep := 0; rep < 3; rep++ {
 		got, results := runFTRead(t, sh, victim, point, occurrence, strided)
-		if len(got) != sh.procs-1 {
-			t.Fatalf("%d survivors, want %d", len(got), sh.procs-1)
-		}
-		for rank, res := range results {
-			if res.err != nil {
-				t.Fatalf("rank %d: read failover returned %v, want nil (full recovery)", rank, res.err)
-			}
-			if !bytes.Equal(got[rank], ftioPattern(rank, sh.region)) {
-				t.Fatalf("rank %d: read-back differs after failover", rank)
-			}
-			if replay > 0 && res.failover != replay {
-				t.Fatalf("rank %d: the replay ran %d rounds, want %d", rank, res.failover, replay)
-			}
+		checkFTOutcome(t, results, sh.procs, victim)
+		for rank, buf := range got {
+			checkPatternOrZero(t, fmt.Sprintf("rank %d's buffer", rank), buf, ftioPattern(rank, sh.region))
 		}
 		if first == nil {
 			first = results
@@ -416,7 +364,7 @@ func checkFTRead(t *testing.T, sh ftioShape, victim int, point string, occurrenc
 	}
 }
 
-// ftioShape is the geometry of a failover case: procs ranks each holding
+// ftioShape is the geometry of a kill case: procs ranks each holding
 // region bytes, on a file system from fs, opened with info.
 type ftioShape struct {
 	procs  int
@@ -480,11 +428,13 @@ func runFTRead(t *testing.T, sh ftioShape, victim int, point string, occurrence 
 		} else {
 			rerr = f.ReadAtAll(0, buf)
 		}
+		res := ftioResult{err: rerr, clock: c.Clock(), detected: c.Proc().Stats().Get(iostat.FTFailuresDetected)}
+		res.closeErr = f.Close()
 		mu.Lock()
 		got[rank] = buf
-		results[rank] = ftioResult{err: rerr, clock: c.Clock(), failover: c.Proc().Stats().Get(iostat.FTFailoverRounds)}
+		results[rank] = res
 		mu.Unlock()
-		return f.Close()
+		return nil
 	})
 	if err != nil {
 		t.Fatalf("world: %v", err)
@@ -492,9 +442,9 @@ func runFTRead(t *testing.T, sh ftioShape, victim int, point string, occurrence 
 	return got, results
 }
 
-// TestFTCleanRunByteIdentical: a fault-free run triggers no FT machinery
-// and writes exactly the bytes it was given — the always-on detector costs
-// a clean run nothing it can observe.
+// TestFTCleanRunByteIdentical: a fault-free run detects no failure and
+// writes exactly the bytes it was given — the always-on detector costs a
+// clean run nothing it can observe.
 func TestFTCleanRunByteIdentical(t *testing.T) {
 	fsys := testFS()
 	runWorld(t, ftioProcs, func(c *mpi.Comm) error {
@@ -502,13 +452,8 @@ func TestFTCleanRunByteIdentical(t *testing.T) {
 		if err := ftioWriteUndisturbed(c, fsys, "clean", ftioDefault); err != nil {
 			return err
 		}
-		for _, ctr := range []iostat.Counter{
-			iostat.FTFailuresDetected, iostat.FTCommShrinks,
-			iostat.FTFailoverRounds, iostat.FTDegradedCompletions,
-		} {
-			if v := c.Proc().Stats().Get(ctr); v != 0 {
-				return fmt.Errorf("clean run: %s = %d", ctr, v)
-			}
+		if v := c.Proc().Stats().Get(iostat.FTFailuresDetected); v != 0 {
+			return fmt.Errorf("clean run: ft_failures_detected = %d", v)
 		}
 		if c.Clock() >= mpi.FTDetectLatency {
 			return fmt.Errorf("clean run finished at %.4f s: it paid for a detection", c.Clock())
@@ -549,28 +494,4 @@ func TestFTWithoutDetectorStillAgrees(t *testing.T) {
 		}
 		return f.Close()
 	})
-}
-
-// TestExtentHelpers pins the interval algebra the failover's missing-set
-// computation rests on.
-func TestExtentHelpers(t *testing.T) {
-	merged := mergeExtents([]Extent{{Off: 30, Len: 10}, {Off: 0, Len: 10}, {Off: 10, Len: 5}, {Off: 12, Len: 8}})
-	want := []Extent{{Off: 0, Len: 20}, {Off: 30, Len: 10}}
-	if fmt.Sprint(merged) != fmt.Sprint(want) {
-		t.Fatalf("mergeExtents = %v, want %v", merged, want)
-	}
-	miss := subtractExtents(
-		[]Extent{{Off: 0, Len: 100}, {Off: 200, Len: 50}},
-		[]Extent{{Off: 10, Len: 20}, {Off: 50, Len: 60}, {Off: 240, Len: 100}},
-	)
-	want = []Extent{{Off: 0, Len: 10}, {Off: 30, Len: 20}, {Off: 200, Len: 40}}
-	if fmt.Sprint(miss) != fmt.Sprint(want) {
-		t.Fatalf("subtractExtents = %v, want %v", miss, want)
-	}
-	if got := subtractExtents([]Extent{{Off: 5, Len: 10}}, nil); fmt.Sprint(got) != fmt.Sprint([]Extent{{Off: 5, Len: 10}}) {
-		t.Fatalf("subtract from nil cover = %v", got)
-	}
-	if got := subtractExtents(nil, []Extent{{Off: 0, Len: 10}}); len(got) != 0 {
-		t.Fatalf("subtract of nil = %v", got)
-	}
 }

@@ -450,3 +450,12 @@ func FuzzAssembleRead(f *testing.F) {
 		}
 	})
 }
+
+// segsLen sums a segment list's byte length.
+func segsLen(segs []pfs.Segment) int64 {
+	var n int64
+	for _, s := range segs {
+		n += s.Len
+	}
+	return n
+}

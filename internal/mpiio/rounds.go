@@ -77,11 +77,11 @@ import (
 // writeRounds runs the write rounds of one collective. The returned error is
 // already agreed (identical on every rank).
 func (f *File) writeRounds(plan collectivePlan, segs []pfs.Segment, prefix []int64,
-	spans []segSpan, src Source, myAgg int, prog *ftProgress) error {
+	spans []segSpan, src Source, myAgg int) error {
 	s := newWriteScratch(plan)
 	parts, msgs, wv := s.parts, s.msgs, &s.wv
 	// A communicator revocation unwinds this loop as a panic from any of
-	// its collectives. Before the failover replays rounds, every buffer this
+	// its collectives. Before it leaves the collective, every buffer this
 	// rank still holds is released: what it packed but never handed over and
 	// what it received (PutAll nils slots, so a partially recycled table is
 	// safe to recycle again). No request is left to join: each one's bytes
@@ -152,7 +152,6 @@ func (f *File) writeRounds(plan collectivePlan, segs []pfs.Segment, prefix []int
 			// is empty, and all ranks bail here together.
 			return verdict
 		}
-		prog.roundAgreed(r)
 	}
 	return nil
 }
@@ -167,12 +166,29 @@ func (f *File) agree(r int64, err error) error {
 	return err
 }
 
+// killPoint terminates this rank here when the fault injector armed a
+// rank-kill at this named point (fault.KillRank); a no-op otherwise.
+func (f *File) killPoint(point string) {
+	if inj := f.fs.Fault(); inj != nil && inj.KillCheck(f.comm.Rank(), point) {
+		f.comm.Die(fault.ErrKilled)
+	}
+}
+
+// killHook returns killPoint as a closure for call sites inside helpers
+// (sparseExchange), or nil when no injector is installed.
+func (f *File) killHook(point string) func() {
+	if f.fs.Fault() == nil {
+		return nil
+	}
+	return func() { f.killPoint(point) }
+}
+
 // readRounds runs the read rounds of one collective: in virtual time, an
 // aggregator keeps up to readDepth rounds' coverage reads in flight while
 // the rounds after them pack and exchange and the rounds before them are
 // answered. The returned error is already agreed (identical on every rank).
 func (f *File) readRounds(plan collectivePlan, segs []pfs.Segment, prefix []int64,
-	spans []segSpan, dst Sink, myAgg int, prog *ftProgress) error {
+	spans []segSpan, dst Sink, myAgg int) error {
 	cfg := f.fs.Config()
 	depth := readDepth(plan.rounds, cfg.NumServers, cfg.ClientCache, plan.cbbuf)
 	s := newReadScratch(plan, depth)
@@ -186,8 +202,8 @@ func (f *File) readRounds(plan collectivePlan, segs []pfs.Segment, prefix []int6
 		}
 	}
 	// Revocation drain, mirroring writeRounds: release every round's
-	// coverage plus every exchange buffer this rank still holds before the
-	// failover replays (see that loop's comment).
+	// coverage plus every exchange buffer this rank still holds before it
+	// leaves the collective (see that loop's comment).
 	defer func() {
 		if rec := recover(); rec != nil {
 			release(0, depth)
@@ -228,7 +244,6 @@ func (f *File) readRounds(plan collectivePlan, segs []pfs.Segment, prefix []int6
 		s.clip = scatterReplies(dst, plan, segs, prefix, spans, k, back, s.clip)
 		sScatter.End()
 		recycleRound(back)
-		prog.roundAgreed(k)
 	}
 
 	kill := f.killHook(fault.KillMidExchange)

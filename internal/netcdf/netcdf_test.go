@@ -1141,3 +1141,38 @@ func TestDefinitionLimits(t *testing.T) {
 		t.Fatalf("reopened %d dimensions, want %d", n, nctype.MaxDims)
 	}
 }
+
+// TestRedefKeepsTheDeclaredFileSize: a journaled recommit truncates the file
+// to its declared end, and the page cache's write-back after it stops at
+// the last byte written: the file ends where the header says, not at the
+// end of the page holding the last record.
+func TestRedefKeepsTheDeclaredFileSize(t *testing.T) {
+	store := &MemStore{}
+	d, err := Create(store, nctype.Clobber)
+	if err != nil {
+		t.Fatal(err)
+	}
+	z, _ := d.DefDim("Z", 32)
+	y, _ := d.DefDim("Y", 64)
+	x, _ := d.DefDim("X", 64)
+	tdim, _ := d.DefDim("t", 0)
+	tt, _ := d.DefVar("tt", nctype.Float, []int{z, y, x})
+	rec, _ := d.DefVar("rec", nctype.Float, []int{tdim, x})
+	steps := []func() error{
+		d.EndDef,
+		func() error { return d.PutVar(tt, make([]float32, 32*64*64)) },
+		func() error { return d.PutVara(rec, []int64{0, 0}, []int64{2, 64}, make([]float32, 2*64)) },
+		d.Redef,
+		func() error { return d.PutAttr(GlobalID, "history", nctype.Char, strings.Repeat("recommitted; ", 24)) },
+		d.EndDef,
+		d.Close,
+	}
+	for i, step := range steps {
+		if err := step(); err != nil {
+			t.Fatalf("step %d: %v", i, err)
+		}
+	}
+	if want := d.Hdr.FileSize(); want != 525_296 || int64(len(store.Data)) != want {
+		t.Fatalf("the file is %d bytes, its header declares %d (want 525 296)", len(store.Data), want)
+	}
+}

@@ -119,6 +119,12 @@ type pageCache struct {
 	pageSize int64
 	capacity int
 
+	// end is one past the highest byte written into a cached page. A dirty
+	// page is written back only up to it: what lies beyond is the store's
+	// own bytes as the page read them, or nothing — past the file's end,
+	// where a whole page would grow the file with zeros.
+	end int64
+
 	pages map[int64]*list.Element // page index -> lru element
 	lru   *list.List              // front = most recent
 }
@@ -202,13 +208,19 @@ func (c *pageCache) evictOne() error {
 	}
 	p := el.Value.(*cachePage)
 	if p.dirty {
-		if err := writeFull(c.store, p.data, p.idx*c.pageSize); err != nil {
+		if err := c.writeBack(p); err != nil {
 			return err
 		}
 	}
 	c.lru.Remove(el)
 	delete(c.pages, p.idx)
 	return nil
+}
+
+// writeBack writes dirty page p to the store, up to c.end.
+func (c *pageCache) writeBack(p *cachePage) error {
+	lo := p.idx * c.pageSize
+	return writeFull(c.store, p.data[:min(c.pageSize, c.end-lo)], lo)
 }
 
 // ReadAt fills p from the cached view of the store.
@@ -246,6 +258,7 @@ func (c *pageCache) WriteAt(p []byte, off int64) error {
 	if int64(len(p)) >= 4*c.pageSize {
 		return c.writeThrough(p, off)
 	}
+	c.end = max(c.end, off+int64(len(p)))
 	for len(p) > 0 {
 		idx := off / c.pageSize
 		pOff := off % c.pageSize
@@ -281,7 +294,7 @@ func (c *pageCache) flushRange(off, n int64) error {
 		if el, ok := c.pages[idx]; ok {
 			p := el.Value.(*cachePage)
 			if p.dirty {
-				if err := writeFull(c.store, p.data, p.idx*c.pageSize); err != nil {
+				if err := c.writeBack(p); err != nil {
 					return err
 				}
 				p.dirty = false
@@ -300,7 +313,7 @@ func (c *pageCache) discardRange(off, n int64) error {
 			pageLo, pageHi := idx*c.pageSize, (idx+1)*c.pageSize
 			if pageLo < off || pageHi > off+n {
 				if p.dirty {
-					if err := writeFull(c.store, p.data, p.idx*c.pageSize); err != nil {
+					if err := c.writeBack(p); err != nil {
 						return err
 					}
 				}
@@ -317,7 +330,7 @@ func (c *pageCache) Flush() error {
 	for el := c.lru.Front(); el != nil; el = el.Next() {
 		p := el.Value.(*cachePage)
 		if p.dirty {
-			if err := writeFull(c.store, p.data, p.idx*c.pageSize); err != nil {
+			if err := c.writeBack(p); err != nil {
 				return err
 			}
 			p.dirty = false

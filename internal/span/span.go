@@ -45,9 +45,7 @@ const (
 	Scatter      = "scatter"       // mpiio: scatter replies into user buffer
 	PFSWrite     = "pfs_write"     // pfs: one WriteVec/WriteAt attempt
 	PFSRead      = "pfs_read"      // pfs: one ReadVec/ReadAt attempt
-	FTDetect     = "ft_detect"     // mpi: rank-failure detection (Round = generation)
-	FTShrink     = "ft_shrink"     // mpi: survivor communicator built (Round = generation)
-	FTFailover   = "ft_failover"   // mpiio: failover replay over the shrunken comm
+	FTDetect     = "ft_detect"     // mpi: rank-failure detection, from blocking to revocation
 )
 
 // Span is one closed interval of work on one rank. IDs are unique per rank;
