@@ -30,7 +30,7 @@ func collectiveWriteOnce(tb testing.TB) {
 	const ranks = 4
 	const blockLen = 64 << 10
 	const nBlocks = 4 // 256 KiB per rank
-	fs := pfs.New(pfs.DefaultConfig())
+	fs := pfs.New(pfs.BlueHorizon())
 	err := mpi.Run(ranks, mpi.DefaultNet(), func(c *mpi.Comm) error {
 		info := mpi.NewInfo()
 		info.Set("cb_buffer_size", "131072")
@@ -99,7 +99,7 @@ func TestAllocsCollectiveRound(t *testing.T) {
 // WriteAtAll or ReadAtAll call alone, plus the rounds it took.
 func roundsAllocs(tb testing.TB, read bool, cbBuffer int) (objs, bytes, rounds int64) {
 	const ranks, blockLen, nBlocks = 4, 128, 2064
-	cfg := pfs.DefaultConfig()
+	cfg := pfs.BlueHorizon()
 	cfg.StripeSize = 4096 // file domains of exactly 129 x 4096 bytes
 	fs := pfs.New(cfg)
 	err := mpi.Run(ranks, mpi.DefaultNet(), func(c *mpi.Comm) error {
@@ -206,7 +206,7 @@ func TestAllocsPerRoundIsConstant(t *testing.T) {
 // with the rounds: one per aggregator per round.
 func getRoundsAllocs(tb testing.TB, cbBuffer int) (objs, rounds int64) {
 	const ranks, rows, cols = 4, 2048, 32
-	cfg := pfs.DefaultConfig()
+	cfg := pfs.BlueHorizon()
 	cfg.StripeSize = 4096
 	fs := pfs.New(cfg)
 	err := mpi.Run(ranks, mpi.DefaultNet(), func(c *mpi.Comm) error {
@@ -344,7 +344,7 @@ func TestAllocsManyRoundWrite(t *testing.T) {
 // flight hold and a write's do not.
 func openAccessAllocs(tb testing.TB, cache int64, read bool) (objs, rounds, overlap int64) {
 	const ranks, blockLen, nBlocks = 4, 128, 2064
-	cfg := pfs.DefaultConfig()
+	cfg := pfs.BlueHorizon()
 	cfg.StripeSize = 4096
 	cfg.ClientCache = cache
 	fs := pfs.New(cfg)
@@ -430,7 +430,7 @@ func TestAllocsRoundsInFlight(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops buffers under the race detector; the pins do not hold")
 	}
-	caches := [2]int64{16512, pfs.DefaultConfig().ClientCache} // one round; all 32
+	caches := [2]int64{16512, pfs.BlueHorizon().ClientCache} // one round; all 32
 	least := [2]int64{-1, -1}
 	for i := 0; i < 30; i++ {
 		for j, cache := range caches {
@@ -471,7 +471,7 @@ func TestAllocsReadRoundsInFlight(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops buffers under the race detector; the pins do not hold")
 	}
-	caches := [2]int64{2 * 16512, pfs.DefaultConfig().ClientCache} // 2 rounds in flight; 12
+	caches := [2]int64{2 * 16512, pfs.BlueHorizon().ClientCache} // 2 rounds in flight; 12
 	least := [2]int64{-1, -1}
 	for i := 0; i < 30; i++ {
 		for j, cache := range caches {
@@ -531,7 +531,7 @@ func TestAllocsFlashRoundTrip(t *testing.T) {
 	}
 	var fsys *pfs.FS
 	write := func(tb testing.TB) {
-		fsys = pfs.New(pfs.DefaultConfig())
+		fsys = pfs.New(pfs.BlueHorizon())
 		err := mpi.Run(ranks, mpi.DefaultNet(), func(c *mpi.Comm) error {
 			d, err := core.Create(c, fsys, "ckpt.nc", nctype.Clobber, nil)
 			if err != nil {
@@ -776,7 +776,7 @@ func TestAllocsDefine(t *testing.T) {
 	check("netcdf", best, last.Header())
 
 	best = math.MaxUint64
-	fsys := pfs.New(pfs.DefaultConfig())
+	fsys := pfs.New(pfs.BlueHorizon())
 	var hdr *cdf.Header
 	err := mpi.Run(1, mpi.DefaultNet(), func(c *mpi.Comm) error {
 		for try := 0; try < tries; try++ {
@@ -808,7 +808,7 @@ func TestAllocsDefine(t *testing.T) {
 // (a header of ~200 KB) every such put used to encode the whole header.
 func TestAllocsNumRecsUpdate(t *testing.T) {
 	const nvars, puts = 4096, 32
-	fsys := pfs.New(pfs.DefaultConfig())
+	fsys := pfs.New(pfs.BlueHorizon())
 	var perPut, hdrBytes int64
 	err := mpi.Run(1, mpi.DefaultNet(), func(c *mpi.Comm) error {
 		d, err := core.Create(c, fsys, "recs.nc", nctype.Bit64Offset, nil)
@@ -876,7 +876,7 @@ func flexCallAllocs(tb testing.TB, kind int) (objs, bytes float64) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	fsys := pfs.New(pfs.DefaultConfig())
+	fsys := pfs.New(pfs.BlueHorizon())
 	objs, bytes = math.MaxFloat64, math.MaxFloat64
 	err = mpi.Run(ranks, mpi.DefaultNet(), func(c *mpi.Comm) error {
 		d, err := core.Create(c, fsys, "percall.nc", nctype.Clobber, nil)
@@ -1044,7 +1044,7 @@ func TestAllocsIndependentSieve(t *testing.T) {
 	}
 	const ranks, blockLen, per, tries = 4, 4 << 10, 32 << 20, 2
 	const bound = 8 << 20
-	fsys := pfs.New(pfs.DefaultConfig())
+	fsys := pfs.New(pfs.BlueHorizon())
 	least := [2]uint64{math.MaxUint64, math.MaxUint64} // write, read
 	err := mpi.Run(ranks, mpi.DefaultNet(), func(c *mpi.Comm) error {
 		f, err := mpiio.Open(c, fsys, "sieve.nc", mpiio.ModeRdWr|mpiio.ModeCreate, nil)

@@ -132,6 +132,11 @@ func main() {
 		spans = new(span.Sink)
 	}
 	out := benchOutput{Benchmark: "flashio", Machine: machine.Name, Read: *read}
+	// A failed run ends the sweep, but what ran is still reported: the
+	// tables and -json records of the runs that completed, and the spans
+	// of the failed one; then the tool exits 1 with the error.
+	var runErr error
+sweep:
 	for _, cfg := range configs {
 		if *bpp > 0 {
 			cfg.BlocksPerProc = *bpp
@@ -175,9 +180,10 @@ func main() {
 				Hints:    hints,
 				DumpFile: *outFile,
 			})
-			cmdutil.Fatal(tool, err)
-			bench.WriteFigure7(os.Stdout, fig)
-			fmt.Println()
+			if len(fig.Procs) > 0 {
+				bench.WriteFigure7(os.Stdout, fig)
+				fmt.Println()
+			}
 			for i, p := range fig.Procs {
 				sum := fig.Stats[i]
 				if *stats && sum != nil {
@@ -198,6 +204,9 @@ func main() {
 				}
 				out.Runs = append(out.Runs, rec)
 			}
+			if runErr = err; runErr != nil {
+				break sweep
+			}
 		}
 	}
 	if spans != nil {
@@ -211,6 +220,7 @@ func main() {
 		cmdutil.Fatal(tool, os.WriteFile(*jsonOut, append(blob, '\n'), 0o644))
 		fmt.Printf("results: %d runs to %s\n", len(out.Runs), *jsonOut)
 	}
+	cmdutil.Fatal(tool, runErr)
 }
 
 // defaultProcs keeps the default run within a laptop-class memory budget:

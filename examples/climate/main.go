@@ -38,7 +38,7 @@ func model(day, lat, lon int, field int) float64 {
 }
 
 func main() {
-	fsys := pfs.New(pfs.DefaultConfig())
+	fsys := pfs.New(pfs.BlueHorizon())
 	err := mpi.Run(nprocs, mpi.DefaultNet(), func(comm *mpi.Comm) error {
 		d, err := core.Create(comm, fsys, "climate.nc", nctype.Clobber, nil)
 		if err != nil {

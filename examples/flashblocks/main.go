@@ -25,7 +25,7 @@ import (
 func main() {
 	cfg := flash.Config{NXB: 8, NYB: 8, NZB: 8, NGuard: 4, NVar: 3, NPlotVar: 2, BlocksPerProc: 4}
 	const nprocs = 4
-	fsys := pfs.New(pfs.DefaultConfig())
+	fsys := pfs.New(pfs.BlueHorizon())
 
 	err := mpi.Run(nprocs, mpi.DefaultNet(), func(comm *mpi.Comm) error {
 		tot := nprocs * cfg.BlocksPerProc

@@ -21,7 +21,7 @@ import (
 )
 
 func main() {
-	fsys := pfs.New(pfs.DefaultConfig())
+	fsys := pfs.New(pfs.BlueHorizon())
 	const nprocs = 4
 	const rows, cols = 8, 10
 

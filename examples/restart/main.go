@@ -18,7 +18,7 @@ import (
 
 func main() {
 	cfg := flash.Config{NXB: 8, NYB: 8, NZB: 8, NGuard: 4, NVar: 4, NPlotVar: 2, BlocksPerProc: 6}
-	fsys := pfs.New(pfs.DefaultConfig())
+	fsys := pfs.New(pfs.BlueHorizon())
 
 	// Phase 1: a 6-process run writes its checkpoint and "crashes".
 	err := mpi.Run(6, mpi.DefaultNet(), func(comm *mpi.Comm) error {

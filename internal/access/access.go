@@ -84,123 +84,29 @@ func Validate(h *cdf.Header, v *cdf.Var, start, count, stride []int64, writing b
 	return req, nil
 }
 
-// appendMerge appends a segment, merging with the previous one when
-// adjacent.
-func appendMerge(segs []mpitype.Segment, s mpitype.Segment) []mpitype.Segment {
-	if s.Len == 0 {
-		return segs
-	}
-	if n := len(segs); n > 0 && segs[n-1].Off+segs[n-1].Len == s.Off {
-		segs[n-1].Len += s.Len
-		return segs
-	}
-	return append(segs, s)
-}
-
-// relSegments produces byte segments relative to offset 0 for a
-// start/count/stride selection over an array of the given shape, in
-// row-major element order (matching the order elements occupy in the
-// caller's buffer).
-func relSegments(shape, start, count, stride []int64, elem int64) []mpitype.Segment {
-	for _, c := range count {
-		if c == 0 {
-			return nil
-		}
-	}
-	// Fold trailing dimensions that are selected whole into the element: a
-	// full, unit-stride dimension is contiguous with the one outside it, so
-	// the walk below only iterates dimensions that actually select. A FLASH
-	// block count=[80,8,8,8] of shape=[640,8,8,8] is one step, not 5120.
-	nd := len(shape)
-	for nd > 0 && start[nd-1] == 0 && count[nd-1] == shape[nd-1] && stride[nd-1] == 1 {
-		elem *= shape[nd-1]
-		nd--
-	}
-	if nd == 0 {
-		return []mpitype.Segment{{Off: 0, Len: elem}}
-	}
-	dimStride := make([]int64, nd)
-	dimStride[nd-1] = elem
-	for i := nd - 2; i >= 0; i-- {
-		dimStride[i] = dimStride[i+1] * shape[i+1]
-	}
-	last := nd - 1
-	outer := int64(1)
-	for i := 0; i < last; i++ {
-		outer *= count[i]
-	}
-	// Sized once: the walk emits one run per row, or one per element when the
-	// innermost iterated dimension is strided. After the fold that dimension
-	// is partial or strided, so unit-stride rows never abut and the count is
-	// exact; only a strided row ending on the array edge can merge into the
-	// next and leave the capacity an upper bound.
-	n := outer
-	if stride[last] != 1 {
-		n *= count[last]
-	}
-	segs := make([]mpitype.Segment, 0, n)
-	idx := make([]int64, last)
-	for o := int64(0); o < outer; o++ {
-		base := int64(0)
-		for i := 0; i < last; i++ {
-			base += (start[i] + idx[i]*stride[i]) * dimStride[i]
-		}
-		if stride[last] == 1 {
-			segs = appendMerge(segs, mpitype.Segment{
-				Off: base + start[last]*elem,
-				Len: count[last] * elem,
-			})
-		} else {
-			for k := int64(0); k < count[last]; k++ {
-				segs = appendMerge(segs, mpitype.Segment{
-					Off: base + (start[last]+k*stride[last])*elem,
-					Len: elem,
-				})
-			}
-		}
-		for i := last - 1; i >= 0; i-- {
-			idx[i]++
-			if idx[i] < count[i] {
-				break
-			}
-			idx[i] = 0
-		}
-	}
-	return segs
-}
-
 // FileSegments returns the absolute file byte extents for a validated
-// request against variable v, in the element order of the caller's buffer.
-// For record variables the record dimension iterates whole records at
-// RecSize stride (the interleaved layout of paper Figure 1).
+// request against variable v, in the element order of the caller's buffer:
+// one mpitype.BoxRuns walk, in which each dimension steps over the ones
+// inside it and the record dimension steps whole records, RecSize bytes (the
+// interleaved layout of paper Figure 1).
 func FileSegments(h *cdf.Header, v *cdf.Var, req Request) []mpitype.Segment {
+	var stack [8]mpitype.Dim
+	dims := stack[:0]
+	if len(v.DimIDs) > len(stack) {
+		dims = make([]mpitype.Dim, 0, len(v.DimIDs))
+	}
+	dims = dims[:len(v.DimIDs)]
 	elem := int64(v.Type.Size())
-	if h.IsRecordVar(v) {
-		innerShape := make([]int64, len(v.DimIDs)-1)
-		for i := 1; i < len(v.DimIDs); i++ {
-			innerShape[i-1] = h.Dims[v.DimIDs[i]].Len
+	off, step := v.Begin, elem
+	for i := len(dims) - 1; i >= 0; i-- {
+		if i == 0 && h.IsRecordVar(v) {
+			step = h.RecSize()
 		}
-		inner := relSegments(innerShape, req.Start[1:], req.Count[1:], req.Stride[1:], elem)
-		recSize := h.RecSize()
-		segs := make([]mpitype.Segment, 0, req.Count[0]*int64(len(inner)))
-		for r := int64(0); r < req.Count[0]; r++ {
-			rec := req.Start[0] + r*req.Stride[0]
-			base := v.Begin + rec*recSize
-			for _, s := range inner {
-				segs = appendMerge(segs, mpitype.Segment{Off: base + s.Off, Len: s.Len})
-			}
-		}
-		return segs
+		dims[i] = mpitype.Dim{Count: req.Count[i], Step: req.Stride[i] * step}
+		off += req.Start[i] * step
+		step *= h.Dims[v.DimIDs[i]].Len
 	}
-	shape := make([]int64, len(v.DimIDs))
-	for i, id := range v.DimIDs {
-		shape[i] = h.Dims[id].Len
-	}
-	segs := relSegments(shape, req.Start, req.Count, req.Stride, elem)
-	for i := range segs {
-		segs[i].Off += v.Begin
-	}
-	return segs
+	return mpitype.BoxRuns(off, elem, dims)
 }
 
 // FileView wraps the request's extents into an MPI datatype suitable for an
@@ -233,45 +139,12 @@ func MemSegments(count, imap []int64) ([]mpitype.Segment, error) {
 	if len(imap) != nd {
 		return nil, fmt.Errorf("%w: imap rank %d for request rank %d", nctype.ErrInvalidArg, len(imap), nd)
 	}
-	if nd == 0 {
-		return []mpitype.Segment{{Off: 0, Len: 1}}, nil
-	}
-	for _, m := range imap {
+	dims := make([]mpitype.Dim, nd)
+	for i, m := range imap {
 		if m < 1 {
 			return nil, fmt.Errorf("%w: imap entries must be positive", nctype.ErrInvalidArg)
 		}
+		dims[i] = mpitype.Dim{Count: count[i], Step: m}
 	}
-	for _, c := range count {
-		if c == 0 {
-			return nil, nil
-		}
-	}
-	last := nd - 1
-	outer := int64(1)
-	for i := 0; i < last; i++ {
-		outer *= count[i]
-	}
-	var segs []mpitype.Segment
-	idx := make([]int64, last)
-	for o := int64(0); o < outer; o++ {
-		base := int64(0)
-		for i := 0; i < last; i++ {
-			base += idx[i] * imap[i]
-		}
-		if imap[last] == 1 {
-			segs = appendMerge(segs, mpitype.Segment{Off: base, Len: count[last]})
-		} else {
-			for k := int64(0); k < count[last]; k++ {
-				segs = appendMerge(segs, mpitype.Segment{Off: base + k*imap[last], Len: 1})
-			}
-		}
-		for i := last - 1; i >= 0; i-- {
-			idx[i]++
-			if idx[i] < count[i] {
-				break
-			}
-			idx[i] = 0
-		}
-	}
-	return segs, nil
+	return mpitype.BoxRuns(0, 1, dims), nil
 }

@@ -312,20 +312,24 @@ func TestMemSegmentsNaturalAndMapped(t *testing.T) {
 	}
 }
 
-// naiveSegments is the reference for relSegments' dimension folding: every
+// naiveSegments is the reference for FileSegments' dimension folding: every
 // selected element visited one at a time in buffer order, adjacent ones
 // merged. No dimension is treated specially.
 func naiveSegments(h *cdf.Header, v *cdf.Var, req Request) []mpitype.Segment {
 	elem := int64(v.Type.Size())
 	var segs []mpitype.Segment
 	for _, off := range oracleOffsets(h, v, req) {
-		segs = appendMerge(segs, mpitype.Segment{Off: off, Len: elem})
+		if n := len(segs); n > 0 && segs[n-1].Off+segs[n-1].Len == off {
+			segs[n-1].Len += elem
+			continue
+		}
+		segs = append(segs, mpitype.Segment{Off: off, Len: elem})
 	}
 	return segs
 }
 
 // TestCoalescedSegmentsMatchNaiveWalk: over random shapes, starts, counts and
-// strides — biased towards whole trailing dimensions, the case relSegments
+// strides — biased towards whole trailing dimensions, the case the walk
 // folds — fixed and record variables produce exactly the segment list of the
 // element-by-element walk.
 func TestCoalescedSegmentsMatchNaiveWalk(t *testing.T) {
@@ -401,9 +405,8 @@ func TestCoalescedSegmentsMatchNaiveWalk(t *testing.T) {
 // TestFileViewBuildsExtentsOnce: a many-row request — the Figure 6 X
 // partition's shape, 16 384 rows of 128 bytes — is flattened into one exactly
 // sized list that FromSegments adopts and a whole-request access reads in
-// place: a handful of allocations and one list's worth of bytes, where
-// growing, copying and re-deriving the list used to take dozens and five
-// lists' worth.
+// place: one allocation, the list, where growing, copying and re-deriving
+// the list used to take dozens and five lists' worth.
 func TestFileViewBuildsExtentsOnce(t *testing.T) {
 	h := &cdf.Header{Version: 1}
 	h.Dims = []cdf.Dim{{Name: "z", Len: 128}, {Name: "y", Len: 128}, {Name: "x", Len: 256}}
@@ -440,8 +443,8 @@ func TestFileViewBuildsExtentsOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 6 {
-		t.Errorf("FileView + whole-view flatten: %v allocations, want <= 6 (shape, strides, index, the list)", allocs)
+	if allocs > 1 {
+		t.Errorf("FileView + whole-view flatten: %v allocations, want 1 (the list)", allocs)
 	}
 }
 
@@ -451,14 +454,25 @@ func TestFileViewBuildsExtentsOnce(t *testing.T) {
 func TestStridedSegmentsCapacityIsABound(t *testing.T) {
 	// Rows of 3 elements, elements 0 and 2 selected: element 2 of a row and
 	// element 0 of the next are adjacent bytes.
-	segs := relSegments([]int64{4, 3}, []int64{0, 0}, []int64{4, 2}, []int64{1, 2}, 4)
+	h := &cdf.Header{Version: 1}
+	h.Dims = []cdf.Dim{{Name: "y", Len: 4}, {Name: "x", Len: 3}}
+	h.Vars = []cdf.Var{{Name: "v", DimIDs: []int{0, 1}, Type: nctype.Int}}
+	if err := h.ComputeLayout(1); err != nil {
+		t.Fatal(err)
+	}
+	v := &h.Vars[0]
+	req, err := Validate(h, v, []int64{0, 0}, []int64{4, 2}, []int64{1, 2}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	segs := FileSegments(h, v, req)
 	want := []mpitype.Segment{{Off: 0, Len: 4}, {Off: 8, Len: 8}, {Off: 20, Len: 8}, {Off: 32, Len: 8}, {Off: 44, Len: 4}}
 	if len(segs) != len(want) || cap(segs) != 8 {
-		t.Fatalf("relSegments = %v (cap %d), want %v in capacity 8", segs, cap(segs), want)
+		t.Fatalf("FileSegments = %v (cap %d), want %v in capacity 8", segs, cap(segs), want)
 	}
 	for i := range want {
-		if segs[i] != want[i] {
-			t.Fatalf("relSegments = %v, want %v", segs, want)
+		if want[i].Off += v.Begin; segs[i] != want[i] {
+			t.Fatalf("FileSegments = %v, want %v (from %d)", segs, want, v.Begin)
 		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"pnetcdf/internal/fault"
 	"pnetcdf/internal/flash"
 	"pnetcdf/internal/mpi"
+	"pnetcdf/internal/span"
 )
 
 func TestBalancedFactors(t *testing.T) {
@@ -303,5 +304,35 @@ func TestFlashReadKillTargetsReadBack(t *testing.T) {
 	}
 	if !bytes.Equal(killed, clean) {
 		t.Fatal("the kill disturbed the write before the read-back")
+	}
+}
+
+// A sweep whose run fails still reports what ran: RunFigure7 returns the
+// chart of the process counts measured before the failure beside its error,
+// and the span sink holds the failed run's spans, the detection among them.
+// Rank 4 does not exist at 4 processes, so only the 8-process run is killed.
+func TestFigure7FailedRunKeepsWhatRan(t *testing.T) {
+	cfg := flash.Config{NXB: 8, NYB: 8, NZB: 8, NGuard: 4, NVar: 2, NPlotVar: 1, BlocksPerProc: 20}
+	sink := new(span.Sink)
+	fig, err := RunFigure7(Fig7Options{Machine: ASCIFrost(), Config: cfg, File: FlashCheckpoint,
+		Procs: []int{4, 8},
+		Hints: mpi.NewInfo().Set("cb_buffer_size", "65536").Set("cb_nodes", "2"),
+		Fault: FaultOptions{KillPoint: fault.KillMidExchange, KillRank: 4},
+		Spans: sink})
+	if rv, ok := mpi.AsRevoked(err); !ok || fmt.Sprint(rv.Failed) != "[4]" {
+		t.Fatalf("killed sweep returned %v, want *mpi.ErrRevoked naming rank 4", err)
+	}
+	if fig == nil || fmt.Sprint(fig.Procs) != "[4]" || len(fig.PnetCDF) != 1 || len(fig.HDF5) != 1 {
+		t.Fatalf("chart of the failed sweep = %+v, want the 4-process run alone", fig)
+	}
+	spans, _ := sink.Snapshot()
+	ranks, detected := map[int]bool{}, false
+	for _, s := range spans {
+		ranks[s.Rank] = true
+		detected = detected || s.Phase == span.FTDetect
+	}
+	if len(ranks) != 8 || !detected {
+		t.Fatalf("the failed run's %d spans cover %d ranks, ft_detect among them: %v; want 8 ranks and a detection",
+			len(spans), len(ranks), detected)
 	}
 }

@@ -64,7 +64,8 @@ type Fig7Options struct {
 	Stats bool
 	// Spans, when non-nil, enables per-rank span recording for the PnetCDF
 	// runs; each run's cross-rank merge replaces the sink's contents, so
-	// after the sweep it holds the largest (last) run's spans.
+	// after the sweep it holds the largest (last) run's spans — or, when a
+	// run fails, that run's spans up to the failure.
 	Spans *span.Sink
 	// Fault injects deterministic transient faults into the runs; the
 	// retry counters in Stats show the recovery cost.
@@ -80,7 +81,8 @@ type Fig7Options struct {
 	DumpFile string
 }
 
-// RunFigure7 measures one chart.
+// RunFigure7 measures one chart. A run that fails ends the sweep: the chart
+// returned beside its error holds the process counts measured before it.
 func RunFigure7(opt Fig7Options) (*Figure7, error) {
 	block := fmt.Sprintf("%dx%dx%d", opt.Config.NXB, opt.Config.NYB, opt.Config.NZB)
 	if opt.Read {
@@ -95,14 +97,16 @@ func RunFigure7(opt Fig7Options) (*Figure7, error) {
 		Block:   block,
 		Procs:   opt.Procs,
 	}
-	for _, p := range opt.Procs {
+	for i, p := range opt.Procs {
 		nc, sum, err := runFlashOnce(opt, p, false)
 		if err != nil {
-			return nil, fmt.Errorf("pnetcdf %d procs: %w", p, err)
+			fig.Procs = fig.Procs[:i]
+			return fig, fmt.Errorf("pnetcdf %d procs: %w", p, err)
 		}
 		h5, _, err := runFlashOnce(opt, p, true)
 		if err != nil {
-			return nil, fmt.Errorf("hdf5 %d procs: %w", p, err)
+			fig.Procs = fig.Procs[:i]
+			return fig, fmt.Errorf("hdf5 %d procs: %w", p, err)
 		}
 		fig.PnetCDF = append(fig.PnetCDF, nc.BandwidthMBps())
 		fig.HDF5 = append(fig.HDF5, h5.BandwidthMBps())
@@ -130,13 +134,15 @@ func runFlashOnce(opt Fig7Options, nprocs int, hdf5 bool) (flash.Report, *iostat
 	var rep flash.Report
 	var sum *iostat.Summary
 	collect := opt.Stats && !hdf5
+	recs := make([]*span.Recorder, nprocs) // rank r's spans, merged after the run
 	err := mpi.Run(nprocs, opt.Machine.Net, func(c *mpi.Comm) error {
 		if collect {
 			c.Proc().SetStats(iostat.New())
 		}
 		if !hdf5 && opt.Spans != nil {
 			proc := c.Proc()
-			proc.SetSpans(span.NewRecorder(c.Rank(), proc.Clock))
+			recs[c.Rank()] = span.NewRecorder(c.Rank(), proc.Clock)
+			proc.SetSpans(recs[c.Rank()])
 		}
 		var r flash.Report
 		var err error
@@ -184,14 +190,20 @@ func runFlashOnce(opt Fig7Options, nprocs int, hdf5 bool) (flash.Report, *iostat
 				sum = s
 			}
 		}
-		if !hdf5 && opt.Spans != nil {
-			merged, dropped := span.Gather(c, c.Proc().Spans())
-			if c.Rank() == 0 {
-				opt.Spans.Replace(merged, dropped)
-			}
-		}
 		return nil
 	})
+	// The ranks' spans are merged once they have all returned, in
+	// span.Gather's order (by rank, then begin): a failed run never reaches
+	// a collective gather, and a dead rank's spans end at its death.
+	if !hdf5 && opt.Spans != nil {
+		var merged []span.Span
+		var dropped int64
+		for _, r := range recs {
+			merged = append(merged, r.Spans()...)
+			dropped += r.Dropped()
+		}
+		opt.Spans.Replace(merged, dropped)
+	}
 	// A run a rank death cut short still dumps its file, for ncvalidate to
 	// check.
 	if !hdf5 && opt.DumpFile != "" {

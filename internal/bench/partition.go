@@ -136,14 +136,7 @@ func Decompose(p Partition, dims [3]int64, nprocs, rank int) (start, count [3]in
 		if c < rem {
 			count[ax]++
 		}
-		start[ax] = base*c + min64(c, rem)
+		start[ax] = base*c + min(c, rem)
 	}
 	return start, count
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -29,7 +29,7 @@ func TestFlashPipelineAcceptance(t *testing.T) {
 	cfg := flash.Default8()
 	run := func(name string, info *mpi.Info, cache int64) ([]byte, map[string]int64) {
 		t.Helper()
-		fsCfg := pfs.DefaultConfig()
+		fsCfg := pfs.BlueHorizon()
 		fsCfg.ClientCache = cache
 		fsys := pfs.New(fsCfg)
 		var counters map[string]int64

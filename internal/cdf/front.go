@@ -5,15 +5,19 @@ import "pnetcdf/internal/nctype"
 // Front is the netCDF API front the serial and the parallel library share
 // (paper §4.1: PnetCDF keeps the serial library's dataset, define, attribute
 // and inquiry functions, with the same syntax and meaning). Each library's
-// Dataset embeds one and adds its data path and its mode transitions
-// (EndDef, Redef, Sync, Close); what each mode admits, and that a data-mode
-// header change is committed at once, is decided here.
+// Dataset embeds one and adds its data path and the I/O of its mode
+// transitions (Sync, Close, and carrying out the plan EndDef returns). What
+// each mode admits, that a data-mode header change is committed at once, and
+// what leaving define mode moves and fills are decided here.
 type Front struct {
 	Hdr  *Header
 	Mode Mode
 	// rewrite commits the header after a data-mode change: the one thing
 	// the two libraries do differently here.
 	rewrite func() error
+	// old is the header Redef started from, nil in the define mode Create
+	// opens: EndDef relocates from it and fills what was defined since.
+	old *Header
 }
 
 // Mode is the state the mode checks read. A library flips Define at
@@ -219,6 +223,93 @@ func (f *Front) commitIf(rewrite bool, err error) error {
 		return err
 	}
 	return f.rewrite()
+}
+
+// --- Mode transitions: what they decide (the libraries do the I/O) ---
+
+// Redef re-enters define mode and snapshots the header for EndDef. settle,
+// when not nil, runs between the mode checks and the snapshot: the parallel
+// library agrees on and persists the record count there.
+func (f *Front) Redef(settle func() error) error {
+	if err := f.Mode.CheckWrite(); err != nil {
+		return err
+	}
+	if f.Mode.Define {
+		return nctype.ErrInDefine
+	}
+	if settle != nil {
+		if err := settle(); err != nil {
+			return err
+		}
+	}
+	f.old = f.Hdr.Clone()
+	f.Mode.Define = true
+	return nil
+}
+
+// EndPlan is the I/O leaving define mode takes, in order: the moves that
+// carry existing data to the new layout (Move.Copy each), the header commit,
+// and, in fill mode, Fill.
+type EndPlan struct {
+	Moves []Move
+	hdr   *Header
+	// fillFrom is the first variable this define mode added: Redef's
+	// snapshot's variable count, 0 after Create. Variables are matched by
+	// index, as RelocationPlan matches them, so a renamed one keeps its data.
+	fillFrom int
+}
+
+// EndDef validates the header, lays it out under
+// ComputeLayoutAligned(hAlign, vAlign, vMin) and leaves define mode,
+// returning what the library must write. agree, when not nil, runs once the
+// layout is computed and before the mode changes: the parallel library's
+// check that every process built the same header. Any error leaves the
+// dataset in define mode with its snapshot, so EndDef can be called again.
+func (f *Front) EndDef(hAlign, vAlign, vMin int64, agree func() error) (EndPlan, error) {
+	if err := f.Mode.CheckDefine(); err != nil {
+		return EndPlan{}, err
+	}
+	if err := f.Hdr.Validate(); err != nil {
+		return EndPlan{}, err
+	}
+	if err := f.Hdr.ComputeLayoutAligned(hAlign, vAlign, vMin); err != nil {
+		return EndPlan{}, err
+	}
+	if agree != nil {
+		if err := agree(); err != nil {
+			return EndPlan{}, err
+		}
+	}
+	p := EndPlan{hdr: f.Hdr}
+	if f.old != nil {
+		p.Moves = f.Hdr.RelocationPlan(f.old)
+		p.fillFrom = len(f.old.Vars)
+		f.old = nil
+	}
+	f.Mode.Define = false
+	return p, nil
+}
+
+// Fill writes fill values over every fixed variable this define mode added,
+// padding included, through writeAt in pieces of at most 1 MiB. Record
+// variables are not filled here: the serial library fills records as they
+// are added, the parallel one leaves them to the caller.
+func (p EndPlan) Fill(writeAt func(b []byte, off int64) error) error {
+	const piece = 1 << 20
+	for i := p.fillFrom; i < len(p.hdr.Vars); i++ {
+		v := &p.hdr.Vars[i]
+		if p.hdr.IsRecordVar(v) {
+			continue
+		}
+		esz := int64(v.Type.Size())
+		fill := FillBytes(v, min(v.VSize, piece)/esz)
+		for at := int64(0); at < v.VSize; at += int64(len(fill)) {
+			if err := writeAt(fill[:min(v.VSize-at, int64(len(fill)))], v.Begin+at); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // --- What both data paths ask of the header ---

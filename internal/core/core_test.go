@@ -16,7 +16,7 @@ import (
 	"pnetcdf/internal/pfs"
 )
 
-func testFS() *pfs.FS { return pfs.New(pfs.DefaultConfig()) }
+func testFS() *pfs.FS { return pfs.New(pfs.BlueHorizon()) }
 
 func runWorld(t *testing.T, n int, fn func(*mpi.Comm) error) {
 	t.Helper()
@@ -752,6 +752,54 @@ func TestFillModeParallel(t *testing.T) {
 		for _, x := range got {
 			if x != nctype.FillFloat {
 				return fmt.Errorf("fill = %v", got)
+			}
+		}
+		return d.Close()
+	})
+}
+
+// TestFillKeepsDataAcrossRedef: in fill mode an EndDef fills only the
+// variables its define mode added; data written before a Redef that adds a
+// variable survives it, and the new variable reads fill.
+func TestFillKeepsDataAcrossRedef(t *testing.T) {
+	fsys := testFS()
+	runWorld(t, 2, func(c *mpi.Comm) error {
+		d, err := Create(c, fsys, "refill.nc", nctype.Clobber, nil)
+		if err != nil {
+			return err
+		}
+		d.SetFill(true)
+		x, _ := d.DefDim("x", 6)
+		v, _ := d.DefVar("v", nctype.Float, []int{x})
+		if err := d.EndDef(); err != nil {
+			return err
+		}
+		mine := []float32{float32(3*c.Rank() + 1), float32(3*c.Rank() + 2), float32(3*c.Rank() + 3)}
+		if err := d.PutVaraAll(v, []int64{3 * int64(c.Rank())}, []int64{3}, mine); err != nil {
+			return err
+		}
+		if err := d.Redef(); err != nil {
+			return err
+		}
+		w, _ := d.DefVar("w", nctype.Float, []int{x})
+		if err := d.EndDef(); err != nil {
+			return err
+		}
+		got := make([]float32, 6)
+		if err := d.GetVaraAll(v, []int64{0}, []int64{6}, got); err != nil {
+			return err
+		}
+		for i, g := range got {
+			if g != float32(i+1) {
+				return fmt.Errorf("v after Redef = %v, want 1..6", got)
+			}
+		}
+		if err := d.GetVaraAll(w, []int64{0}, []int64{6}, got); err != nil {
+			return err
+		}
+		for _, g := range got {
+			if g != nctype.FillFloat {
+				return fmt.Errorf("new w = %v, want fill", got)
 			}
 		}
 		return d.Close()

@@ -74,7 +74,6 @@ type Dataset struct {
 	// cleared whenever a define-mode transition recomputes the layout.
 	views map[string]mpitype.Datatype
 
-	oldLayout *cdf.Header
 	// pending is the iput/iget queue; a blocking call's one op lives in its
 	// spare capacity while complete runs. agree is complete's reduction
 	// vector, codecs[i] the source or sink over the memory of op i of a
@@ -226,8 +225,9 @@ func (d *Dataset) layoutHints(info *mpi.Info) {
 // Comm returns the dataset's communicator.
 func (d *Dataset) Comm() *mpi.Comm { return d.comm }
 
-// SetFill enables prefilling of variables at EndDef (PnetCDF defaults to
-// nofill; this mirrors ncmpi_set_fill with NC_FILL).
+// SetFill enables prefilling, at EndDef, of the fixed variables each define
+// mode adds (cdf.EndPlan.Fill; PnetCDF defaults to nofill; this mirrors
+// ncmpi_set_fill with NC_FILL).
 func (d *Dataset) SetFill(on bool) { d.fill = on }
 
 // rewriteHeader is the data-mode header rewrite the front asks for: the
@@ -247,69 +247,55 @@ func (d *Dataset) drainAll() {
 	d.comm.Barrier()
 }
 
-// EndDef leaves define mode collectively: verifies that every process built
-// an identical header (the consistency guarantee of paper §4.2.1), computes
-// the layout, relocates data if a Redef grew the header, and has the root
-// write the header.
+// EndDef leaves define mode collectively: the front verifies and lays out the
+// header, every process checks that all built an identical one (the
+// consistency guarantee of paper §4.2.1), the processes carry out the
+// relocation a Redef made necessary, and the root writes the header and, in
+// fill mode, fills the variables this define mode added.
 func (d *Dataset) EndDef() error { return mpi.CatchRevoked(d.endDef) }
 
 func (d *Dataset) endDef() error {
-	if err := d.Mode.CheckDefine(); err != nil {
-		return err
-	}
-	if err := d.Hdr.Validate(); err != nil {
-		return err
-	}
-	if err := d.Hdr.ComputeLayoutAligned(d.hAlign, d.vAlign, d.vMin); err != nil {
-		return err
-	}
-	d.invalidateViews()
 	// The root encodes the image it will commit (nothing below changes the
 	// header); the others only hash their encoding. The digests settle
 	// consistency, so no rank ships its header to another.
 	var img []byte
-	var sum [sha256.Size]byte
-	if d.comm.Rank() == 0 {
-		img = d.Hdr.Encode()
-		sum = sha256.Sum256(img)
-	} else {
-		sum = d.Hdr.Digest()
+	plan, err := d.Front.EndDef(d.hAlign, d.vAlign, d.vMin, func() error {
+		d.invalidateViews()
+		var sum [sha256.Size]byte
+		if d.comm.Rank() == 0 {
+			img = d.Hdr.Encode()
+			sum = sha256.Sum256(img)
+		} else {
+			sum = d.Hdr.Digest()
+		}
+		if !d.comm.AgreeDigest(sum) {
+			return nctype.ErrConsistency
+		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
-	if !d.comm.AgreeDigest(sum) {
-		return nctype.ErrConsistency
-	}
-	d.Mode.Define = false
-	if d.oldLayout != nil {
-		if err := d.relocate(d.oldLayout); err != nil {
+	if len(plan.Moves) > 0 {
+		if err := d.relocate(plan.Moves); err != nil {
 			return err
 		}
-		d.oldLayout = nil
 	}
 	// The root commits and fills; one agreement settles both, so a failure
 	// there is an error on every rank, and nobody runs ahead of the header.
 	var werr error
 	if d.comm.Rank() == 0 {
 		if werr = d.commitHeader(img); werr == nil && d.fill {
-			werr = d.fillVars()
+			werr = plan.Fill(d.f.WriteRaw)
 		}
 	}
 	return d.comm.AgreeError(werr)
 }
 
-// Redef collectively re-enters define mode.
+// Redef collectively re-enters define mode, agreeing on and persisting the
+// record count first.
 func (d *Dataset) Redef() error {
-	if err := d.Mode.CheckWrite(); err != nil {
-		return err
-	}
-	if d.Mode.Define {
-		return nctype.ErrInDefine
-	}
-	if err := mpi.CatchRevoked(d.syncNumRecs); err != nil {
-		return err
-	}
-	d.oldLayout = d.Hdr.Clone()
-	d.Mode.Define = true
-	return nil
+	return d.Front.Redef(func() error { return mpi.CatchRevoked(d.syncNumRecs) })
 }
 
 // writeHeaderCollective has the root, which alone encodes it, commit the
@@ -349,16 +335,15 @@ func (d *Dataset) commitHeader(img []byte) error {
 	return nil
 }
 
-// relocate moves data to the layout EndDef has just computed, following
-// cdf.RelocationPlan. When every destination clears all the old data, the
-// moves are cut into pieces of the copy buffer, dealt round-robin to the
-// processes ("moving the existing data to the extended area is performed in
-// parallel", paper §4.3), so even a single move keeps every process busy;
-// otherwise a destination may be another move's source, and the root
-// carries the plan out in its order. A rank whose move fails stops moving;
-// the outcome is agreed, so every rank returns an error together.
-func (d *Dataset) relocate(old *cdf.Header) error {
-	moves := d.Hdr.RelocationPlan(old)
+// relocate carries out the moves of EndDef's plan. When every destination
+// clears all the old data, the moves are cut into pieces of the copy buffer,
+// dealt round-robin to the processes ("moving the existing data to the
+// extended area is performed in parallel", paper §4.3), so even a single move
+// keeps every process busy; otherwise a destination may be another move's
+// source, and the root carries the plan out in its order. A rank whose move
+// fails stops moving; the outcome is agreed, so every rank returns an error
+// together.
+func (d *Dataset) relocate(moves []cdf.Move) error {
 	// Ranks may take moves independently only when nothing is written where
 	// something is still to be read — by that move or by one another rank
 	// has not reached yet: every destination lies past every source.
@@ -394,35 +379,6 @@ func (d *Dataset) relocate(old *cdf.Header) error {
 	// commits the header only after every move has landed.
 	d.f.DrainWrites()
 	return d.comm.AgreeError(err)
-}
-
-// fillVars prefills all fixed variables with fill values. The root alone
-// calls it (PnetCDF itself partitions the fill across ranks, which the data
-// plane here also supports but the simpler root fill keeps EndDef
-// deterministic).
-func (d *Dataset) fillVars() error {
-	for i := range d.Hdr.Vars {
-		v := &d.Hdr.Vars[i]
-		if d.Hdr.IsRecordVar(v) {
-			continue
-		}
-		n := v.VSize
-		const chunk = 1 << 20
-		fill := cdf.FillBytes(v, chunk/int64(v.Type.Size()))
-		off := v.Begin
-		for n > 0 {
-			k := n
-			if k > int64(len(fill)) {
-				k = int64(len(fill))
-			}
-			if err := d.f.WriteRaw(fill[:k], off); err != nil {
-				return err
-			}
-			off += k
-			n -= k
-		}
-	}
-	return nil
 }
 
 // BeginIndepData enters independent data mode (ncmpi_begin_indep_data).

@@ -18,7 +18,7 @@ import (
 const layoutStripe = 4096
 
 func stripedFS() *pfs.FS {
-	cfg := pfs.DefaultConfig()
+	cfg := pfs.BlueHorizon()
 	cfg.StripeSize = layoutStripe
 	return pfs.New(cfg)
 }

@@ -69,7 +69,7 @@ func TestUnknownNames(t *testing.T) {
 
 func TestCheckpointPnetCDFRoundTrip(t *testing.T) {
 	cfg := tinyConfig()
-	fsys := pfs.New(pfs.DefaultConfig())
+	fsys := pfs.New(pfs.BlueHorizon())
 	const p = 4
 	var rep Report
 	err := mpi.Run(p, mpi.DefaultNet(), func(c *mpi.Comm) error {
@@ -136,7 +136,7 @@ func TestCheckpointPnetCDFRoundTrip(t *testing.T) {
 
 func TestCheckpointH5RoundTrip(t *testing.T) {
 	cfg := tinyConfig()
-	fsys := pfs.New(pfs.DefaultConfig())
+	fsys := pfs.New(pfs.BlueHorizon())
 	const p = 2
 	err := mpi.Run(p, mpi.DefaultNet(), func(c *mpi.Comm) error {
 		if _, err := WriteCheckpointH5(c, fsys, "chk.h5", cfg, nil); err != nil {
@@ -170,7 +170,7 @@ func TestCheckpointH5RoundTrip(t *testing.T) {
 
 func TestPlotfilesBothBackends(t *testing.T) {
 	cfg := tinyConfig()
-	fsys := pfs.New(pfs.DefaultConfig())
+	fsys := pfs.New(pfs.BlueHorizon())
 	err := mpi.Run(2, mpi.DefaultNet(), func(c *mpi.Comm) error {
 		if _, err := WritePlotfilePnetCDF(c, fsys, "plt.nc", cfg, nil); err != nil {
 			return err
@@ -232,7 +232,7 @@ func TestPnetCDFBeatsH5(t *testing.T) {
 	cfg := tinyConfig()
 	const p = 4
 	var nc, h5 Report
-	fsys1 := pfs.New(pfs.DefaultConfig())
+	fsys1 := pfs.New(pfs.BlueHorizon())
 	if err := mpi.Run(p, mpi.DefaultNet(), func(c *mpi.Comm) error {
 		r, err := WriteCheckpointPnetCDF(c, fsys1, "a.nc", cfg, nil)
 		if c.Rank() == 0 {
@@ -242,7 +242,7 @@ func TestPnetCDFBeatsH5(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	fsys2 := pfs.New(pfs.DefaultConfig())
+	fsys2 := pfs.New(pfs.BlueHorizon())
 	if err := mpi.Run(p, mpi.DefaultNet(), func(c *mpi.Comm) error {
 		r, err := WriteCheckpointH5(c, fsys2, "a.h5", cfg, nil)
 		if c.Rank() == 0 {
@@ -263,7 +263,7 @@ func TestCheckpointReadBackBothLibraries(t *testing.T) {
 	// libraries, and make sure the read machinery returns sane reports.
 	cfg := tinyConfig()
 	const p = 3
-	fsys := pfs.New(pfs.DefaultConfig())
+	fsys := pfs.New(pfs.BlueHorizon())
 	err := mpi.Run(p, mpi.DefaultNet(), func(c *mpi.Comm) error {
 		if _, err := WriteCheckpointPnetCDF(c, fsys, "rb.nc", cfg, nil); err != nil {
 			return err
@@ -301,7 +301,7 @@ func TestReadCheckpointValuesExact(t *testing.T) {
 	// interior landed correctly by reimplementing the read with value
 	// checking through the public API.
 	cfg := tinyConfig()
-	fsys := pfs.New(pfs.DefaultConfig())
+	fsys := pfs.New(pfs.BlueHorizon())
 	err := mpi.Run(2, mpi.DefaultNet(), func(c *mpi.Comm) error {
 		if _, err := WriteCheckpointPnetCDF(c, fsys, "rv.nc", cfg, nil); err != nil {
 			return err
@@ -375,7 +375,7 @@ func TestQueuedModeSameFiles(t *testing.T) {
 		for _, queued := range []bool{false, true} {
 			cfg := tinyConfig()
 			cfg.Queued = queued
-			fsys := pfs.New(pfs.DefaultConfig())
+			fsys := pfs.New(pfs.BlueHorizon())
 			err := mpi.Run(p, mpi.DefaultNet(), func(c *mpi.Comm) error {
 				if _, err := write(c, fsys, "q.nc", cfg, nil); err != nil {
 					return err

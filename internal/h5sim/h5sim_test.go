@@ -10,7 +10,7 @@ import (
 	"pnetcdf/internal/pfs"
 )
 
-func testFS() *pfs.FS { return pfs.New(pfs.DefaultConfig()) }
+func testFS() *pfs.FS { return pfs.New(pfs.BlueHorizon()) }
 
 func runWorld(t *testing.T, n int, fn func(*mpi.Comm) error) {
 	t.Helper()

@@ -154,7 +154,7 @@ const (
 // three ways, and returns the file, every rank's read buffers and the
 // two-phase rounds of the largest collective.
 func runDirect(t *testing.T, nranks, layout int, info *mpi.Info, way int) ([]byte, [][]any, int64) {
-	cfg := pfs.DefaultConfig()
+	cfg := pfs.BlueHorizon()
 	cfg.StripeSize = 4096
 	fsys := pfs.New(cfg)
 	m, err := newDirectMem(layout)

@@ -72,8 +72,8 @@ func TestFlashCheckpointUnderTransientFaults(t *testing.T) {
 		}
 		return imgs, retries
 	}
-	clean, _ := run(pfs.New(pfs.DefaultConfig()))
-	faulty := pfs.New(pfs.DefaultConfig())
+	clean, _ := run(pfs.New(pfs.BlueHorizon()))
+	faulty := pfs.New(pfs.BlueHorizon())
 	in := fault.New(fault.Config{Seed: 2003, ReadErrRate: 0.01, WriteErrRate: 0.01, ShortRate: 0.01, FaultUnit: 64 << 10})
 	faulty.SetFault(in)
 	injected, retries := run(faulty)
@@ -108,7 +108,7 @@ func TestParallelHeaderCommitCrashSweep(t *testing.T) {
 	for _, at := range []int64{0, 2, 5, 9, 40, 100, 4096, 1 << 20} {
 		at := at
 		t.Run(fmt.Sprintf("crash@%d", at), func(t *testing.T) {
-			fsys := pfs.New(pfs.DefaultConfig())
+			fsys := pfs.New(pfs.BlueHorizon())
 			// Build a clean 2-record file.
 			err := mpi.Run(2, mpi.DefaultNet(), func(c *mpi.Comm) error {
 				d, err := core.Create(c, fsys, "c.nc", nctype.Clobber, nil)
@@ -217,7 +217,7 @@ func TestFirstCommitCrashSweep(t *testing.T) {
 		for _, truncate := range []bool{false, true} {
 			at, truncate := at, truncate
 			t.Run(fmt.Sprintf("crash@%d,truncate=%v", at, truncate), func(t *testing.T) {
-				fsys := pfs.New(pfs.DefaultConfig())
+				fsys := pfs.New(pfs.BlueHorizon())
 				in := fault.New(fault.Config{Seed: 7})
 				fsys.SetFault(in)
 				err := mpi.Run(2, mpi.DefaultNet(), func(c *mpi.Comm) error {

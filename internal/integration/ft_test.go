@@ -107,11 +107,11 @@ func TestFlashCheckpointRankFailure(t *testing.T) {
 			return nil
 		})
 	}
-	cleanFS := pfs.New(pfs.DefaultConfig())
+	cleanFS := pfs.New(pfs.BlueHorizon())
 	write(cleanFS, nil)
 	clean := readPFSFile(t, cleanFS, "chk.nc")
 
-	killFS := pfs.New(pfs.DefaultConfig())
+	killFS := pfs.New(pfs.BlueHorizon())
 	inj := fault.New(fault.Config{Seed: 1})
 	inj.KillRankAt(victim, fault.KillMidExchange, 6)
 	killFS.SetFault(inj)
@@ -174,7 +174,7 @@ func TestRecordVarNumRecsAfterRankFailure(t *testing.T) {
 // record 1's collective.
 func recordVarRankFailure(t *testing.T, nvars int) {
 	const nprocs, victim = 4, 2
-	fsys := pfs.New(pfs.DefaultConfig())
+	fsys := pfs.New(pfs.BlueHorizon())
 	inj := fault.New(fault.Config{Seed: 5})
 	fsys.SetFault(inj)
 	value := func(v, rank, i int) float64 { return float64(v*100_000 + rank*1000 + i + 1) }
@@ -357,7 +357,7 @@ func TestRankKillMatrix(t *testing.T) {
 }
 
 func killMatrixCell(t *testing.T, write bool, servers int, point string, occ int64, victim int) {
-	cfg := pfs.DefaultConfig()
+	cfg := pfs.BlueHorizon()
 	cfg.NumServers = servers
 	fsys := pfs.New(cfg)
 	kmCreate(t, fsys)
@@ -427,7 +427,7 @@ func killMatrixCell(t *testing.T, write bool, servers int, point string, occ int
 // no-op on every rank — including mixed worlds where only some ranks
 // queued work (the fused batch must agree on emptiness collectively).
 func TestWaitAllEmptyQueue(t *testing.T) {
-	fsys := pfs.New(pfs.DefaultConfig())
+	fsys := pfs.New(pfs.BlueHorizon())
 	err := mpi.Run(4, mpi.DefaultNet(), func(c *mpi.Comm) error {
 		d, err := core.Create(c, fsys, "wq.nc", nctype.Clobber, nil)
 		if err != nil {

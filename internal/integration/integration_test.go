@@ -11,6 +11,7 @@ import (
 	"slices"
 	"testing"
 
+	"pnetcdf/internal/cdf"
 	"pnetcdf/internal/core"
 	"pnetcdf/internal/iostat"
 	"pnetcdf/internal/mpi"
@@ -20,7 +21,7 @@ import (
 	"pnetcdf/internal/pfs"
 )
 
-func newFS() *pfs.FS { return pfs.New(pfs.DefaultConfig()) }
+func newFS() *pfs.FS { return pfs.New(pfs.BlueHorizon()) }
 
 // TestWriteWithPReadWithQ writes a 3-D variable with one process count and
 // rereads it with several different ones; every decomposition must see the
@@ -109,7 +110,7 @@ func TestWriteWithPReadWithQ(t *testing.T) {
 // keeps memory flat; correctness is verified through the retained header
 // and small probe writes.
 func TestCDF2LargeOffsets(t *testing.T) {
-	cfg := pfs.DefaultConfig()
+	cfg := pfs.BlueHorizon()
 	cfg.Discard = true
 	fsys := pfs.New(cfg)
 	err := mpi.Run(2, mpi.DefaultNet(), func(c *mpi.Comm) error {
@@ -582,8 +583,11 @@ func min64(a, b int64) int64 {
 }
 
 // TestRandomSchemaCrossLibrary generates random datasets (dims, var ranks,
-// types, record or fixed), writes them in parallel, and re-reads everything
-// with the serial library.
+// types, record or fixed), writes them in parallel, re-reads everything with
+// the serial library, and holds the file equal byte for byte to what the
+// serial library writes through the same calls. Every other trial runs in
+// fill mode and, after the writes, Redefs to add a fixed variable and rename
+// the first one: the EndDef fills the new variable alone, in both libraries.
 func TestRandomSchemaCrossLibrary(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	types := []nctype.Type{nctype.Byte, nctype.Short, nctype.Int, nctype.Float, nctype.Double}
@@ -606,23 +610,27 @@ func TestRandomSchemaCrossLibrary(t *testing.T) {
 		}
 		nrecs := int64(rng.Intn(3) + 1)
 		nprocs := rng.Intn(3) + 1
+		fill := trial%2 == 1
+		name := func(vi int) string {
+			if fill && vi == 0 {
+				return "v0r"
+			}
+			return fmt.Sprintf("v%d", vi)
+		}
 
 		value := func(vi int, flat int64) int64 { return int64(vi*13+trial)%50 + flat%50 }
-
-		err := mpi.Run(nprocs, mpi.DefaultNet(), func(c *mpi.Comm) error {
-			d, err := core.Create(c, fsys, "rs.nc", nctype.Clobber, nil)
-			if err != nil {
-				return err
-			}
+		// define makes the schema through either library's front; whole gives
+		// variable vi's full extent and values.
+		define := func(f *cdf.Front) ([]int, []int, error) {
 			var recDim int
 			if hasRec {
-				recDim, _ = d.DefDim("rec", 0)
+				recDim, _ = f.DefDim("rec", 0)
 			}
 			dimIDs := make([]int, ndims)
 			for i := range dims {
-				dimIDs[i], err = d.DefDim(fmt.Sprintf("d%d", i), dims[i])
-				if err != nil {
-					return err
+				var err error
+				if dimIDs[i], err = f.DefDim(fmt.Sprintf("d%d", i), dims[i]); err != nil {
+					return nil, nil, err
 				}
 			}
 			varIDs := make([]int, nvars)
@@ -631,10 +639,44 @@ func TestRandomSchemaCrossLibrary(t *testing.T) {
 				if varRec[i] {
 					ids = append([]int{recDim}, ids...)
 				}
-				varIDs[i], err = d.DefVar(fmt.Sprintf("v%d", i), varTypes[i], ids)
-				if err != nil {
-					return err
+				var err error
+				if varIDs[i], err = f.DefVar(fmt.Sprintf("v%d", i), varTypes[i], ids); err != nil {
+					return nil, nil, err
 				}
+			}
+			return dimIDs, varIDs, nil
+		}
+		whole := func(vi int, shape []int64) (start, count []int64, buf []int32) {
+			if varRec[vi] {
+				shape[0] = nrecs
+			}
+			n := int64(1)
+			for _, s := range shape {
+				n *= s
+			}
+			buf = make([]int32, n)
+			for j := range buf {
+				buf[j] = int32(value(vi, int64(j)))
+			}
+			return make([]int64, len(shape)), shape, buf
+		}
+		// redef is the fill trials' second define mode.
+		redef := func(f *cdf.Front, dimIDs, varIDs []int) error {
+			if _, err := f.DefVar("w", nctype.Float, dimIDs); err != nil {
+				return err
+			}
+			return f.RenameVar(varIDs[0], name(0))
+		}
+
+		err := mpi.Run(nprocs, mpi.DefaultNet(), func(c *mpi.Comm) error {
+			d, err := core.Create(c, fsys, "rs.nc", nctype.Clobber, nil)
+			if err != nil {
+				return err
+			}
+			d.SetFill(fill)
+			dimIDs, varIDs, err := define(&d.Front)
+			if err != nil {
+				return err
 			}
 			if err := d.EndDef(); err != nil {
 				return err
@@ -643,19 +685,7 @@ func TestRandomSchemaCrossLibrary(t *testing.T) {
 			// everyone participates collectively with empty shares.
 			for vi, v := range varIDs {
 				shape, _ := d.VarShape(v)
-				if varRec[vi] {
-					shape[0] = nrecs
-				}
-				n := int64(1)
-				for _, s := range shape {
-					n *= s
-				}
-				start := make([]int64, len(shape))
-				count := append([]int64(nil), shape...)
-				buf := make([]int32, n)
-				for j := range buf {
-					buf[j] = int32(value(vi, int64(j)))
-				}
+				start, count, buf := whole(vi, shape)
 				// Rank 0 writes; others pass empty shares — except for pure
 				// scalars, which every rank writes identically (a scalar has
 				// no dimension to zero out).
@@ -670,6 +700,17 @@ func TestRandomSchemaCrossLibrary(t *testing.T) {
 						trial, vi, varTypes[vi], varRanks[vi], varRec[vi], err)
 				}
 			}
+			if fill {
+				if err := d.Redef(); err != nil {
+					return err
+				}
+				if err := redef(&d.Front, dimIDs, varIDs); err != nil {
+					return err
+				}
+				if err := d.EndDef(); err != nil {
+					return err
+				}
+			}
 			return d.Close()
 		})
 		if err != nil {
@@ -682,7 +723,7 @@ func TestRandomSchemaCrossLibrary(t *testing.T) {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		for vi := 0; vi < nvars; vi++ {
-			id := sd.VarID(fmt.Sprintf("v%d", vi))
+			id := sd.VarID(name(vi))
 			shape, _ := sd.VarShape(id)
 			n := int64(1)
 			for _, s := range shape {
@@ -701,6 +742,45 @@ func TestRandomSchemaCrossLibrary(t *testing.T) {
 						trial, vi, j, got[j], value(vi, int64(j)))
 				}
 			}
+		}
+		// The serial library through the same calls writes the same bytes.
+		store := &netcdf.MemStore{}
+		var opts []netcdf.Option
+		if fill {
+			opts = append(opts, netcdf.WithFill())
+		}
+		sw, err := netcdf.Create(store, nctype.Clobber, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dimIDs, varIDs, err := define(&sw.Front)
+		if err == nil {
+			err = sw.EndDef()
+		}
+		for vi, v := range varIDs {
+			if err != nil {
+				break
+			}
+			shape, _ := sw.VarShape(v)
+			start, count, buf := whole(vi, shape)
+			err = sw.PutVara(v, start, count, buf)
+		}
+		if err == nil && fill {
+			if err = sw.Redef(); err == nil {
+				if err = redef(&sw.Front, dimIDs, varIDs); err == nil {
+					err = sw.EndDef()
+				}
+			}
+		}
+		if err == nil {
+			err = sw.Close()
+		}
+		if err != nil {
+			t.Fatalf("trial %d, serial: %v", trial, err)
+		}
+		if img := readPFSFile(t, fsys, "rs.nc"); !bytes.Equal(img, store.Data) {
+			t.Errorf("trial %d (fill %v): the parallel file's %d bytes differ from the serial library's %d",
+				trial, fill, len(img), len(store.Data))
 		}
 	}
 }

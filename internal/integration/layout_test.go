@@ -96,7 +96,7 @@ func TestFlashCheckpointStripeRMW(t *testing.T) {
 // smallStripes is a file system whose stripes are small enough for a cheap
 // checkpoint to have variables of many stripes.
 func smallStripes() pfs.Config {
-	cfg := pfs.DefaultConfig()
+	cfg := pfs.BlueHorizon()
 	cfg.StripeSize = 16 << 10
 	return cfg
 }

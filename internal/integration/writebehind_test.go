@@ -22,7 +22,7 @@ import (
 // collective and independent writes still in flight, then Syncs and closes.
 func TestPublishesFollowTheDrain(t *testing.T) {
 	const ranks, per = 4, 16 << 10 // floats per rank
-	cfg := pfs.DefaultConfig()
+	cfg := pfs.BlueHorizon()
 	fsys := pfs.New(cfg)
 	var mu sync.Mutex
 	var spans []span.Span

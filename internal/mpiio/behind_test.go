@@ -64,7 +64,7 @@ func TestRetriedWriteLeavesTheLinkLast(t *testing.T) {
 func TestManyTinyWritesKeepTheFIFOCompact(t *testing.T) {
 	const writes = 1 << 16
 	for _, budget := range []int{4 << 10, 4 * writes} {
-		cfg := pfs.DefaultConfig()
+		cfg := pfs.BlueHorizon()
 		cfg.ClientCache = int64(budget)
 		fsys := pfs.New(cfg)
 		info := mpi.NewInfo().Set("romio_ds_write", "disable")

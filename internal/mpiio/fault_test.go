@@ -233,7 +233,7 @@ func TestCollectiveReadErrorAgreement(t *testing.T) {
 // on the same file must succeed and round-trip. The client cache holds one
 // round, so each round settles the one before it inside the collective.
 func TestPipelinedWriteCrashDrainsAndAgrees(t *testing.T) {
-	cfg := pfs.DefaultConfig()
+	cfg := pfs.BlueHorizon()
 	cfg.ClientCache = 65536
 	fsys := pfs.New(cfg)
 	in := fault.New(fault.Config{Seed: 13})
@@ -347,8 +347,8 @@ func TestPipelinedTransientFaultsBitIdentical(t *testing.T) {
 		}
 		return img, retries
 	}
-	clean, _ := write(pfs.New(pfs.DefaultConfig()))
-	faulty := pfs.New(pfs.DefaultConfig())
+	clean, _ := write(pfs.New(pfs.BlueHorizon()))
+	faulty := pfs.New(pfs.BlueHorizon())
 	in := fault.New(fault.Config{Seed: 77, ReadErrRate: 0.15, WriteErrRate: 0.15})
 	faulty.SetFault(in)
 	injected, retries := write(faulty)
@@ -411,8 +411,8 @@ func TestFaultedRunBitIdenticalToCleanRun(t *testing.T) {
 		}
 		return img
 	}
-	clean := write(pfs.New(pfs.DefaultConfig()))
-	faulty := pfs.New(pfs.DefaultConfig())
+	clean := write(pfs.New(pfs.BlueHorizon()))
+	faulty := pfs.New(pfs.BlueHorizon())
 	in := fault.New(fault.Config{Seed: 99, ReadErrRate: 0.25, WriteErrRate: 0.25})
 	faulty.SetFault(in)
 	injected := write(faulty)

@@ -292,7 +292,7 @@ func TestFTKillReadFailover(t *testing.T) {
 // survivor returns the revocation with nothing scattered into its buffer.
 func TestFTKillReadWithRoundsInFlight(t *testing.T) {
 	const rounds, killed = 8, 5
-	cfg := pfs.DefaultConfig()
+	cfg := pfs.BlueHorizon()
 	if depth := readDepth(rounds, cfg.NumServers, cfg.ClientCache, 64<<10); depth <= killed {
 		t.Fatalf("%d rounds in flight: round %d's read is not issued behind round 0's", depth, killed)
 	}
@@ -313,7 +313,7 @@ var ftioRule = ftioShape{
 	procs:  8,
 	region: 80 << 10,
 	fs: func() *pfs.FS {
-		cfg := pfs.DefaultConfig()
+		cfg := pfs.BlueHorizon()
 		cfg.NumServers, cfg.StripeSize = 2, 64<<10
 		return pfs.New(cfg)
 	},

@@ -129,7 +129,7 @@ func TestCollectivePlanDomainsPartition(t *testing.T) {
 // advice this file system cannot take, and the caller's other hints — and the
 // caller's own Info object — are kept as given.
 func TestInfoReportsStriping(t *testing.T) {
-	cfg := pfs.DefaultConfig()
+	cfg := pfs.BlueHorizon()
 	cfg.StripeSize, cfg.NumServers = 64<<10, 5
 	fsys := pfs.New(cfg)
 	given := mpi.NewInfo().Set("striping_unit", "12345").Set("striping_factor", "99").Set("cb_nodes", "2")

@@ -219,7 +219,7 @@ func TestNoRoundWithEveryWindowEmpty(t *testing.T) {
 // make each server take five requests; the rule reads through 4 aggregators
 // in 3/3/3/1-stripe domains, 7 requests in all instead of 10.
 func TestWritePlanHasOneAggregatorPerServer(t *testing.T) {
-	cfg := pfs.DefaultConfig()
+	cfg := pfs.BlueHorizon()
 	cfg.NumServers = 2
 	fsys := pfs.New(cfg)
 	stripe := cfg.StripeSize
@@ -303,7 +303,7 @@ func TestReadAggregatorRuleAllocatesNothing(t *testing.T) {
 // An explicit cb_nodes wins over the rule in both directions, cb_nodes =
 // the rank count included (a read that the rule would give 4 aggregators).
 func TestExplicitCBNodesWins(t *testing.T) {
-	cfg := pfs.DefaultConfig()
+	cfg := pfs.BlueHorizon()
 	cfg.NumServers = 2
 	fsys := pfs.New(cfg)
 	stripe := cfg.StripeSize

@@ -43,7 +43,7 @@ func TestRoundScheduleLeavesOneFileImage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := pfs.DefaultConfig()
+	cfg := pfs.BlueHorizon()
 	cfg.StripeSize = 4096 // so that even file domains are total/cb_nodes wide
 	for _, nodes := range []int{1, 2, 4} {
 		domain := total / nodes
@@ -175,7 +175,7 @@ func TestClockCoversEveryRequest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := pfs.DefaultConfig()
+	cfg := pfs.BlueHorizon()
 	cfg.StripeSize = 4096 // so that even file domains are total/cb_nodes wide
 	for _, nodes := range []int{1, 2} {
 		domain := total / nodes

@@ -164,7 +164,7 @@ const (
 var failAt = []int64{0, failRounds/2 - 1, failRounds - 2, failRounds - 1}
 
 func failFS() *pfs.FS {
-	cfg := pfs.DefaultConfig()
+	cfg := pfs.BlueHorizon()
 	cfg.StripeSize = failWindow
 	return pfs.New(cfg)
 }

@@ -248,63 +248,75 @@ func Subarray(sizes, subsizes, starts []int64, elem int64) (Datatype, error) {
 	if elem <= 0 {
 		return Datatype{}, errors.New("mpitype: subarray elem size must be positive")
 	}
-	total := elem
-	for i, s := range sizes {
-		if s < 0 || subsizes[i] < 0 || starts[i] < 0 || starts[i]+subsizes[i] > s {
+	dims := make([]Dim, nd)
+	off, step := int64(0), elem
+	for i := nd - 1; i >= 0; i-- {
+		if s := sizes[i]; s < 0 || subsizes[i] < 0 || starts[i] < 0 || starts[i]+subsizes[i] > s {
 			return Datatype{}, fmt.Errorf("mpitype: subarray dim %d out of bounds (size %d, sub %d, start %d)",
 				i, s, subsizes[i], starts[i])
 		}
-		total *= s
+		dims[i] = Dim{Count: subsizes[i], Step: step}
+		off += starts[i] * step
+		step *= sizes[i]
 	}
-	for _, ss := range subsizes {
-		if ss == 0 {
-			return Datatype{size: 0, extent: total}, nil
+	return FromSegments(BoxRuns(off, elem, dims), step)
+}
+
+// Dim is one dimension of a box BoxRuns walks: Count indices, Step units
+// apart.
+type Dim struct{ Count, Step int64 }
+
+// BoxRuns returns the runs of an n-dimensional box, in row-major order (the
+// last dimension varies fastest): a run of run units at off + Σ idx[i] ×
+// dims[i].Step for every index with 0 <= idx[i] < dims[i].Count, runs that
+// abut merged. An innermost dimension whose Step equals the run is folded
+// into the run before the walk — a whole trailing dimension, or a unit-stride
+// one — so a box of contiguous rows costs one step per row, and the list is
+// sized once, for the rows the walk visits. A box with a zero count is empty
+// (nil); one of no dimensions is the one run at off.
+func BoxRuns(off, run int64, dims []Dim) []Segment {
+	for _, d := range dims {
+		if d.Count == 0 {
+			return nil
 		}
 	}
-	if nd == 0 {
-		return Datatype{size: elem, extent: elem, segs: []Segment{{0, elem}}}, nil
-	}
-	// Collapse trailing full dimensions into the contiguous run.
-	run := elem
-	last := nd - 1
-	for last >= 0 && subsizes[last] == sizes[last] && starts[last] == 0 {
-		run *= sizes[last]
+	last := len(dims)
+	for last > 0 && dims[last-1].Step == run {
+		run *= dims[last-1].Count
 		last--
 	}
-	if last < 0 {
-		// Whole array.
-		return Datatype{size: total, extent: total, segs: []Segment{{0, total}}}, nil
+	rows := int64(1)
+	for _, d := range dims[:last] {
+		rows *= d.Count
 	}
-	run *= subsizes[last]
-	// Strides of each dimension in units.
-	strides := make([]int64, nd)
-	strides[nd-1] = elem
-	for i := nd - 2; i >= 0; i-- {
-		strides[i] = strides[i+1] * sizes[i+1]
+	var stack [8]int64
+	idx := stack[:0]
+	if last > len(stack) {
+		idx = make([]int64, 0, last)
 	}
-	// Iterate over the outer dims [0, last); the run covers dim `last`'s
-	// subsize and everything inside.
-	nRows := int64(1)
-	for i := 0; i < last; i++ {
-		nRows *= subsizes[i]
-	}
-	segs := make([]Segment, 0, nRows)
-	idx := make([]int64, last)
-	for r := int64(0); r < nRows; r++ {
-		off := starts[last] * strides[last]
-		for i := 0; i < last; i++ {
-			off += (starts[i] + idx[i]) * strides[i]
-		}
-		segs = append(segs, Segment{Off: off, Len: run})
-		for i := last - 1; i >= 0; i-- {
-			idx[i]++
-			if idx[i] < subsizes[i] {
+	idx = idx[:last]
+	segs := make([]Segment, 0, rows)
+	for r := int64(0); r < rows; r++ {
+		segs = appendMerged(segs, Segment{Off: off, Len: run})
+		for i := last - 1; i >= 0; i-- { // the next index: off moves with it
+			off += dims[i].Step
+			if idx[i]++; idx[i] < dims[i].Count {
 				break
 			}
+			off -= dims[i].Count * dims[i].Step
 			idx[i] = 0
 		}
 	}
-	return FromSegments(segs, total)
+	return segs
+}
+
+// appendMerged appends s to segs, extending the last run when s continues it.
+func appendMerged(segs []Segment, s Segment) []Segment {
+	if n := len(segs); n > 0 && segs[n-1].Off+segs[n-1].Len == s.Off {
+		segs[n-1].Len += s.Len
+		return segs
+	}
+	return append(segs, s)
 }
 
 // Resized returns d with a new extent, like MPI_Type_create_resized with
@@ -320,12 +332,7 @@ func (d Datatype) Tiled(dst []Segment, disp int64, count int64) []Segment {
 	for i := int64(0); i < count; i++ {
 		base := disp + i*d.extent
 		for _, s := range d.segs {
-			abs := Segment{Off: base + s.Off, Len: s.Len}
-			if n := len(dst); n > 0 && dst[n-1].Off+dst[n-1].Len == abs.Off {
-				dst[n-1].Len += abs.Len
-			} else {
-				dst = append(dst, abs)
-			}
+			dst = appendMerged(dst, Segment{Off: base + s.Off, Len: s.Len})
 		}
 	}
 	return dst

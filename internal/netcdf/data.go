@@ -253,37 +253,3 @@ func (d *Dataset) growRecords(n int64) error {
 	}
 	return nil
 }
-
-// fillFixedVars writes fill values into every fixed variable (EndDef with
-// fill mode on). Only variables new since the last define mode are filled.
-func (d *Dataset) fillFixedVars() error {
-	for i := range d.Hdr.Vars {
-		v := &d.Hdr.Vars[i]
-		if d.Hdr.IsRecordVar(v) {
-			continue
-		}
-		if d.prevVars != nil && d.prevVars[v.Name] {
-			continue
-		}
-		n := v.VSize / int64(v.Type.Size())
-		const chunkElems = 64 << 10
-		fillBuf := cdf.FillBytes(v, min64(n, chunkElems))
-		off := v.Begin
-		for n > 0 {
-			k := min64(n, chunkElems)
-			if err := d.cache.WriteAt(fillBuf[:k*int64(v.Type.Size())], off); err != nil {
-				return err
-			}
-			off += k * int64(v.Type.Size())
-			n -= k
-		}
-	}
-	return nil
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}

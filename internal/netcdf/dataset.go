@@ -34,13 +34,6 @@ type Dataset struct {
 	// hAlign reserves header space so later Redef calls can grow the header
 	// without moving data (also a PnetCDF hint).
 	hAlign int64
-
-	// oldLayout snapshots the pre-Redef header so EndDef can relocate data
-	// if definitions grew the header or added fixed variables.
-	oldLayout *cdf.Header
-	// prevVars names the variables that existed before the current define
-	// mode (they are not re-filled on EndDef).
-	prevVars map[string]bool
 }
 
 // Option tunes dataset creation/opening.
@@ -107,45 +100,28 @@ func Open(store Store, mode int, opts ...Option) (*Dataset, error) {
 	return d, nil
 }
 
-// EndDef leaves define mode: computes the file layout, writes the header,
-// and (in Fill mode) pre-fills variables.
+// EndDef leaves define mode: the front computes the file layout and the
+// plan, and this library moves existing data through its page cache, writes
+// the header and (in Fill mode) pre-fills the variables this define mode
+// added.
 func (d *Dataset) EndDef() error {
-	if err := d.Mode.CheckDefine(); err != nil {
+	plan, err := d.Front.EndDef(d.hAlign, 1, 0, nil)
+	if err != nil {
 		return err
 	}
-	if err := d.Hdr.Validate(); err != nil {
-		return err
-	}
-	if err := d.Hdr.ComputeLayout(d.hAlign); err != nil {
-		return err
-	}
-	d.Mode.Define = false
-	if d.oldLayout != nil {
-		if err := d.relocate(d.oldLayout); err != nil {
-			return err
+	if len(plan.Moves) > 0 {
+		buf := make([]byte, 1<<20)
+		for _, m := range plan.Moves {
+			if err := m.Copy(buf, d.cache.ReadAt, d.cache.WriteAt); err != nil {
+				return err
+			}
 		}
-		d.oldLayout = nil
 	}
 	if err := d.writeHeader(); err != nil {
 		return err
 	}
 	if d.fill == Fill {
-		if err := d.fillFixedVars(); err != nil {
-			return err
-		}
-	}
-	d.prevVars = nil
-	return nil
-}
-
-// relocate moves existing variable data from its pre-Redef offsets to the
-// new layout, in cdf.RelocationPlan's order.
-func (d *Dataset) relocate(old *cdf.Header) error {
-	buf := make([]byte, 1<<20)
-	for _, m := range d.Hdr.RelocationPlan(old) {
-		if err := m.Copy(buf, d.cache.ReadAt, d.cache.WriteAt); err != nil {
-			return err
-		}
+		return plan.Fill(d.cache.WriteAt)
 	}
 	return nil
 }
@@ -153,23 +129,7 @@ func (d *Dataset) relocate(old *cdf.Header) error {
 // Redef re-enters define mode. If subsequent definitions grow the header
 // past its reserved space, EndDef moves the data (an expensive operation the
 // paper calls out as a netCDF limitation).
-func (d *Dataset) Redef() error {
-	if err := d.Mode.CheckWrite(); err != nil {
-		return err
-	}
-	if d.Mode.Define {
-		return nctype.ErrInDefine
-	}
-	// Capture the old layout so EndDef can relocate data if needed, and the
-	// existing variable set so fill mode only fills new variables.
-	d.oldLayout = d.Hdr.Clone()
-	d.prevVars = map[string]bool{}
-	for i := range d.Hdr.Vars {
-		d.prevVars[d.Hdr.Vars[i].Name] = true
-	}
-	d.Mode.Define = true
-	return nil
-}
+func (d *Dataset) Redef() error { return d.Front.Redef(nil) }
 
 // writeHeader publishes the header through cdf.CommitHeader, the one
 // crash-consistent commit both libraries share (internal/cdf/commit.go): a

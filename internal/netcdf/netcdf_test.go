@@ -307,6 +307,39 @@ func TestFillMode(t *testing.T) {
 	}
 }
 
+// TestFillKeepsRenamedVariable: in fill mode an EndDef fills only the
+// variables its define mode added, matched by index, so a variable renamed
+// in define mode keeps its data.
+func TestFillKeepsRenamedVariable(t *testing.T) {
+	d, _ := Create(&MemStore{}, nctype.Clobber, WithFill())
+	xdim, _ := d.DefDim("x", 4)
+	v, _ := d.DefVar("v", nctype.Int, []int{xdim})
+	if err := d.EndDef(); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.PutVar(v, []int32{1, 2, 3, 4}); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Redef(); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.RenameVar(v, "v2"); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.EndDef(); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]int32, 4)
+	if err := d.GetVar(d.VarID("v2"), got); err != nil {
+		t.Fatal(err)
+	}
+	for i, g := range got {
+		if g != int32(i+1) {
+			t.Fatalf("renamed v2 = %v, want 1 2 3 4", got)
+		}
+	}
+}
+
 func TestCustomFillValue(t *testing.T) {
 	store := &MemStore{}
 	d, _ := Create(store, nctype.Clobber, WithFill())

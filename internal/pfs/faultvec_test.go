@@ -95,7 +95,7 @@ func TestWriteVecTransientLeavesExactPrefix(t *testing.T) {
 	seed := findWriteFaultSeed(t, cfg, 0, 60, 12, 30)
 	cfg.Seed = seed
 
-	fs := New(DefaultConfig())
+	fs := New(BlueHorizon())
 	fs.SetFault(fault.New(cfg))
 	f, _ := fs.Create("vec.dat", 0)
 	st := iostat.New()
@@ -152,7 +152,7 @@ func TestWriteVecRetryPolicyCompletes(t *testing.T) {
 	cfg := fault.Config{WriteErrRate: 0.5}
 	cfg.Seed = findWriteFaultSeed(t, cfg, 0, 60, 1, 60)
 
-	fs := New(DefaultConfig())
+	fs := New(BlueHorizon())
 	fs.SetFault(fault.New(cfg))
 	f, _ := fs.Create("vec.dat", 0)
 
@@ -179,7 +179,7 @@ func TestReadVecTransientRetry(t *testing.T) {
 	segs := vecSegs()
 	payload := vecPayload()
 
-	fs := New(DefaultConfig())
+	fs := New(BlueHorizon())
 	f, _ := fs.Create("vec.dat", 0)
 	if _, err := f.WriteVec(0, segs, vecIov(payload)); err != nil {
 		t.Fatal(err)
@@ -231,7 +231,7 @@ func TestWriteVecCrashCutsMidIovec(t *testing.T) {
 	segs := vecSegs()
 	payload := vecPayload()
 
-	fs := New(DefaultConfig())
+	fs := New(BlueHorizon())
 	inj := fault.New(fault.Config{})
 	fs.SetFault(inj)
 	f, _ := fs.Create("vec.dat", 0)
@@ -255,7 +255,7 @@ func TestWriteVecCrashTruncatesFile(t *testing.T) {
 	segs := vecSegs()
 	payload := vecPayload()
 
-	fs := New(DefaultConfig())
+	fs := New(BlueHorizon())
 	inj := fault.New(fault.Config{})
 	fs.SetFault(inj)
 	f, _ := fs.Create("vec.dat", 0)

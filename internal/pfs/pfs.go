@@ -88,23 +88,45 @@ type Config struct {
 	DiscardThreshold int64
 }
 
-// DefaultConfig resembles the SDSC system in the paper: 12 I/O nodes and an
-// aggregate peak of roughly 1.5 GB/s, with writes considerably slower than
-// reads (GPFS write commit).
-func DefaultConfig() Config {
+// BlueHorizon is the file system of SDSC Blue Horizon, the system of the
+// paper's §5.1 scalability study (Figure 6): 12 GPFS I/O nodes, ~1.5 GB/s
+// peak aggregate read bandwidth, writes substantially slower than reads (GPFS
+// commit), and a per-client link that caps a single process in the low
+// hundreds of MB/s — which is what bounds the serial netCDF baseline.
+func BlueHorizon() Config {
 	return Config{
 		NumServers:     12,
 		StripeSize:     256 << 10,
-		SeekTime:       1.5e-3,
-		ReadBW:         125e6,
-		WriteBW:        30e6,
-		ClientBW:       220e6,
+		SeekTime:       1.2e-3,
+		ReadBW:         75e6,
+		WriteBW:        22e6,
+		ClientBW:       160e6,
 		ClientCache:    64 << 20,
 		NetLatency:     60e-6,
-		PerReqOverhead: 150e-6,
+		PerReqOverhead: 200e-6,
 		PipeChunk:      4 << 20,
-		OpenCost:       2e-3,
-		SyncCost:       1e-3,
+		OpenCost:       3e-3,
+		SyncCost:       1.5e-3,
+	}
+}
+
+// Frost is the file system of ASCI White Frost, the §5.2 FLASH platform
+// (Figure 7): a 2-node GPFS I/O system. The small I/O-server pool is why the
+// FLASH curves flatten near ~100 MB/s.
+func Frost() Config {
+	return Config{
+		NumServers:     2,
+		StripeSize:     256 << 10,
+		SeekTime:       1.0e-3,
+		ReadBW:         90e6,
+		WriteBW:        60e6,
+		ClientBW:       160e6,
+		ClientCache:    64 << 20,
+		NetLatency:     80e-6,
+		PerReqOverhead: 250e-6,
+		PipeChunk:      4 << 20,
+		OpenCost:       3e-3,
+		SyncCost:       1.5e-3,
 	}
 }
 
@@ -376,36 +398,7 @@ func (f *File) WriteVec(t float64, segs []Segment, iov [][]byte) (float64, error
 // the client link — the arrival of its last pipelining window at the
 // servers. The charge is WriteVec's; a failed attempt reports left = done.
 func (f *File) WriteBehind(t float64, segs []Segment, iov [][]byte) (left, done float64, err error) {
-	var total int64
-	for _, s := range segs {
-		total += s.Len
-	}
-	if n := iovTotal(iov); n != total {
-		return t, t, fmt.Errorf("pfs: writevec iovec holds %d bytes, segments need %d", n, total)
-	}
-	t0 := t
-	if f.fs.inj != nil {
-		out := f.inject(fault.OpWrite, segs, total)
-		t += out.Delay
-		if out.Err != nil {
-			f.storeWriteVec(segs, iov, out.N)
-			if out.TruncateTo >= 0 {
-				f.Truncate(out.TruncateTo)
-			}
-			f.stats.Add(iostat.PfsFaultsInjected, 1)
-			done := t + f.fs.cfg.NetLatency
-			f.spans.Record(span.PFSWrite, -1, t0, done, out.N, firstOff(segs))
-			return done, done, out.Err
-		}
-		if out.Delay > 0 {
-			f.stats.Add(iostat.PfsFaultsInjected, 1)
-		}
-	}
-	f.storeWriteVec(segs, iov, total)
-	done, left, extents := f.fs.charge(t, segs, false, f.stats)
-	f.count(iostat.PfsWriteCalls, iostat.PfsBytesWritten, iostat.PfsWriteExtents, total, extents)
-	f.spans.Record(span.PFSWrite, -1, t0, done, total, firstOff(segs))
-	return left, done, nil
+	return f.request(fault.OpWrite, t, segs, iov)
 }
 
 // storeWriteVec lands the first n bytes of the payload: each segment takes
@@ -441,27 +434,62 @@ func (f *File) ReadVec(t float64, segs []Segment, iov [][]byte) (float64, error)
 // returns, whenever the caller's clock takes its end. A failed attempt
 // reports left = done.
 func (f *File) ReadAhead(t float64, segs []Segment, iov [][]byte) (left, done float64, err error) {
+	return f.request(fault.OpRead, t, segs, iov)
+}
+
+// request is every read and write of the package: check the iovec against
+// the segments, consult the fault injector, move the bytes, charge the cost
+// model, count and record the span. A failed write leaves the injector's
+// prefix of its payload on disk (and truncates at a crash); a failed read
+// moves nothing. Either reports left = done.
+func (f *File) request(op fault.Op, t float64, segs []Segment, iov [][]byte) (left, done float64, err error) {
+	read := op == fault.OpRead
+	name, phase, calls, bytes, exts := "writevec", span.PFSWrite, iostat.PfsWriteCalls, iostat.PfsBytesWritten, iostat.PfsWriteExtents
+	if read {
+		name, phase, calls, bytes, exts = "readvec", span.PFSRead, iostat.PfsReadCalls, iostat.PfsBytesRead, iostat.PfsReadExtents
+	}
 	var total int64
 	for _, s := range segs {
 		total += s.Len
 	}
 	if n := iovTotal(iov); n != total {
-		return t, t, fmt.Errorf("pfs: readvec iovec holds %d bytes, segments need %d", n, total)
+		return t, t, fmt.Errorf("pfs: %s iovec holds %d bytes, segments need %d", name, n, total)
 	}
 	t0 := t
 	if f.fs.inj != nil {
-		out := f.inject(fault.OpRead, segs, total)
+		out := f.inject(op, segs, total)
 		t += out.Delay
 		if out.Err != nil {
+			var moved int64
+			if !read {
+				moved = out.N
+				f.storeWriteVec(segs, iov, moved)
+				if out.TruncateTo >= 0 {
+					f.Truncate(out.TruncateTo)
+				}
+			}
 			f.stats.Add(iostat.PfsFaultsInjected, 1)
 			done := t + f.fs.cfg.NetLatency
-			f.spans.Record(span.PFSRead, -1, t0, done, 0, firstOff(segs))
+			f.spans.Record(phase, -1, t0, done, moved, firstOff(segs))
 			return done, done, out.Err
 		}
 		if out.Delay > 0 {
 			f.stats.Add(iostat.PfsFaultsInjected, 1)
 		}
 	}
+	if read {
+		f.storeReadVec(segs, iov)
+	} else {
+		f.storeWriteVec(segs, iov, total)
+	}
+	done, left, extents := f.fs.charge(t, segs, read, f.stats)
+	f.count(calls, bytes, exts, total, extents)
+	f.spans.Record(phase, -1, t0, done, total, firstOff(segs))
+	return left, done, nil
+}
+
+// storeReadVec fills the iovec from the segments, in order.
+func (f *File) storeReadVec(segs []Segment, iov [][]byte) {
 	cur := iovCursor{iov: iov}
 	for _, s := range segs {
 		off := s.Off
@@ -472,10 +500,6 @@ func (f *File) ReadAhead(t float64, segs []Segment, iov [][]byte) (left, done fl
 			remain -= int64(len(p))
 		}
 	}
-	done, left, extents := f.fs.charge(t, segs, true, f.stats)
-	f.count(iostat.PfsReadCalls, iostat.PfsBytesRead, iostat.PfsReadExtents, total, extents)
-	f.spans.Record(span.PFSRead, -1, t0, done, total, firstOff(segs))
-	return left, done, nil
 }
 
 // count accumulates one request batch's counters.

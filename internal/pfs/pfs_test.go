@@ -13,7 +13,7 @@ import (
 )
 
 func testFS() *FS {
-	cfg := DefaultConfig()
+	cfg := BlueHorizon()
 	return New(cfg)
 }
 
@@ -166,7 +166,7 @@ func TestAggregateBandwidthSaturates(t *testing.T) {
 func TestManyClientsBeatOneClient(t *testing.T) {
 	// The core scaling effect of Figure 6: multiple concurrent writers
 	// achieve higher aggregate bandwidth than one, up to the server pool.
-	cfg := DefaultConfig()
+	cfg := BlueHorizon()
 	total := int64(64 << 20)
 
 	oneFS := New(cfg)
@@ -203,7 +203,7 @@ func TestSeekPenaltyForDiscontiguity(t *testing.T) {
 	// Many small scattered segments must cost far more than one contiguous
 	// request of the same total size — the reason data sieving and two-phase
 	// I/O exist.
-	cfg := DefaultConfig()
+	cfg := BlueHorizon()
 	total := int64(8 << 20)
 
 	fsA := New(cfg)
@@ -299,7 +299,7 @@ func TestQuickRandomReadAfterWrite(t *testing.T) {
 }
 
 func TestDiscardModeTracksSizeOnly(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := BlueHorizon()
 	cfg.Discard = true
 	fs := New(cfg)
 	f, _ := fs.Create("f", 0)
@@ -515,7 +515,7 @@ func TestUnalignedWritePaysRMW(t *testing.T) {
 	// At a size where every server is busy either way (so striping
 	// parallelism cannot mask the penalty), the misaligned variant touches
 	// two partial blocks and pays their read-before-write.
-	cfg := DefaultConfig()
+	cfg := BlueHorizon()
 	stripe := cfg.StripeSize
 	n := stripe * int64(2*cfg.NumServers) // two full rounds of the server ring
 
@@ -550,7 +550,7 @@ func TestUnalignedWritePaysRMW(t *testing.T) {
 func TestChargeCountsPartialBlocksOnce(t *testing.T) {
 	const S = 1024
 	for _, servers := range []int{12, 2} {
-		cfg := DefaultConfig()
+		cfg := BlueHorizon()
 		cfg.NumServers, cfg.StripeSize = servers, S
 		fs := New(cfg)
 		for _, tc := range []struct {
@@ -584,7 +584,7 @@ func TestChargeCountsPartialBlocksOnce(t *testing.T) {
 }
 
 func TestDiscardThresholdKeepsMetadata(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := BlueHorizon()
 	cfg.Discard = true
 	cfg.DiscardThreshold = 4096
 	fs := New(cfg)
@@ -615,7 +615,7 @@ func TestDiscardThresholdKeepsMetadata(t *testing.T) {
 // arrival of its last pipelining window — which a request several windows
 // long reaches well before the servers finish.
 func TestWriteBehindReportsTheLink(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := BlueHorizon()
 	cfg.PipeChunk = 1 << 20
 	const n = 4 << 20
 	p := make([]byte, n)
@@ -643,7 +643,7 @@ func TestWriteBehindReportsTheLink(t *testing.T) {
 // link time WriteBehind reports for a request of that size — and its bytes
 // are in the caller's buffer when it returns.
 func TestReadAheadReportsTheLink(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := BlueHorizon()
 	cfg.PipeChunk = 1 << 20
 	const n = 4 << 20
 	p := make([]byte, n)

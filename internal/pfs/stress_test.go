@@ -19,7 +19,7 @@ func TestConcurrentShardedStress(t *testing.T) {
 		iters   = 50
 		blockSz = 8 << 10
 	)
-	fs := New(DefaultConfig())
+	fs := New(BlueHorizon())
 	f, _ := fs.Create("stress.dat", 0)
 
 	// Region map: [0,8) RMW counter; one chunk at chunkSize holds the

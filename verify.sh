@@ -30,11 +30,12 @@
 #            and once just after its request is issued, and in its read-back
 #            just after a read round is issued with an earlier one still in
 #            flight; the run must exit non-zero with the revocation naming
-#            the killed rank, still write its -out image, and that image
-#            must be ncvalidate-clean. (The rank-kill suites need no pass of
-#            their own: the detector is always on, so they run in the
-#            default go test -race ./... above, and a deadlock is a typed
-#            error there, not a hang.)
+#            the killed rank, still write its -out image and -span-out
+#            file, that image must be ncvalidate-clean and the span file
+#            must show the detection (nctrace summary). (The rank-kill
+#            suites need no pass of their own: the detector is always on,
+#            so they run in the default go test -race ./... above, and a
+#            deadlock is a typed error there, not a hang.)
 #   TRACE=1  smoke the span pipeline: a small collective write with
 #            -span-out, then nctrace timeline/critical/imbalance over the
 #            emitted Chrome trace (which must parse and name a critical
@@ -131,21 +132,25 @@ if [ "${FT:-0}" = "1" ]; then
     # write, and occurrence 1 is its second round's read, issued while the
     # first is still in flight. Every survivor returns the same revocation,
     # so the run fails with it; the file it dumps is valid at the header
-    # EndDef committed.
+    # EndDef committed, and the span file it still writes holds the failed
+    # run's spans, the detection's ft_detect among them.
     ftdir=$(mktemp -d)
     for leg in "mid_exchange" "after_issue" "after_issue -read -kill-occurrence 1"; do
         # $leg unquoted: the kill point, then the leg's own options.
         if go run ./cmd/flashio-bench -block 8 -procs 8 -blocks-per-proc 20 \
             -files checkpoint -cb-buffer-size 65536 -cb-nodes 2 \
             -kill-rank 4 -kill-point $leg \
-            -out "$ftdir/ft.nc" > /dev/null 2> "$ftdir/err"; then
+            -out "$ftdir/ft.nc" -span-out "$ftdir/spans.json" > /dev/null 2> "$ftdir/err"; then
             echo "FT: the run with rank 4 killed at $leg succeeded" >&2
             exit 1
         fi
         grep -q 'communicator revoked (failed ranks \[4\])' "$ftdir/err" \
             || { echo "FT: no revocation naming rank 4 after a kill at $leg:" >&2; cat "$ftdir/err" >&2; exit 1; }
         go run ./cmd/ncvalidate "$ftdir/ft.nc"
-        rm "$ftdir/ft.nc"
+        go run ./cmd/nctrace -servers 2 summary "$ftdir/spans.json" > "$ftdir/summary"
+        grep -q ft_detect "$ftdir/summary" \
+            || { echo "FT: the span file of the kill at $leg shows no ft_detect" >&2; exit 1; }
+        rm "$ftdir/ft.nc" "$ftdir/spans.json"
     done
     rm -rf "$ftdir"
 fi
