@@ -350,6 +350,7 @@ func openAccessAllocs(tb testing.TB, cache int64, read bool) (objs, rounds, over
 	fs := pfs.New(cfg)
 	// Two file domains of 129 x 4096 bytes: 32 rounds of 16 512 bytes each.
 	info := mpi.NewInfo().Set("cb_nodes", "2").Set("cb_buffer_size", "16512")
+	overlaps := make([]int64, ranks) // each rank's io_overlap_ns when the call returned
 	err := mpi.Run(ranks, mpi.DefaultNet(), func(c *mpi.Comm) error {
 		st := iostat.New()
 		c.Proc().SetStats(st)
@@ -405,13 +406,14 @@ func openAccessAllocs(tb testing.TB, cache int64, read bool) (objs, rounds, over
 			objs = int64(after.Mallocs - before.Mallocs)
 			rounds = st.Get(iostat.IOTwoPhaseRounds)
 		}
-		if sum := iostat.Reduce(c, st); sum != nil {
-			overlap = sum.KeyCounters()["io_overlap_ns"]
-		}
+		overlaps[c.Rank()] = st.Get(iostat.IOOverlapTimeNs)
 		return f.Close()
 	})
 	if err != nil {
 		tb.Fatal(err)
+	}
+	for _, ns := range overlaps {
+		overlap += ns
 	}
 	return objs, rounds, overlap
 }

@@ -82,6 +82,9 @@ type benchRecord struct {
 	MBps     float64          `json:"mbps"`
 	HDF5MBps float64          `json:"hdf5_mbps"`
 	Counters map[string]int64 `json:"counters,omitempty"`
+	// Error is set on the run that failed and ended the sweep; its
+	// counters are what its ranks recorded up to the failure.
+	Error string `json:"error,omitempty"`
 }
 
 // benchOutput is the top-level -json document.
@@ -127,15 +130,13 @@ func main() {
 	default:
 		cmdutil.Usagef("flashio-bench: -files must be checkpoint, plotfile, corners or all")
 	}
-	var spans *span.Sink
-	if *spanOut != "" {
-		spans = new(span.Sink)
-	}
 	out := benchOutput{Benchmark: "flashio", Machine: machine.Name, Read: *read}
 	// A failed run ends the sweep, but what ran is still reported: the
-	// tables and -json records of the runs that completed, and the spans
-	// of the failed one; then the tool exits 1 with the error.
+	// tables and -json records of the runs that completed and of the failed
+	// one, and the failed one's spans; then the tool exits 1 with the error.
 	var runErr error
+	var spans []span.Span // the last PnetCDF run's
+	var dropped int64
 sweep:
 	for _, cfg := range configs {
 		if *bpp > 0 {
@@ -172,7 +173,7 @@ sweep:
 				Discard: *outFile == "",
 				Read:    *read,
 				Stats:   collect,
-				Spans:   spans,
+				Spans:   *spanOut != "",
 				Fault: bench.FaultOptions{
 					Rate: *faultRate, Seed: *faultSeed,
 					KillPoint: *killPoint, KillRank: *killRank, KillOccurrence: *killOcc,
@@ -184,35 +185,30 @@ sweep:
 				bench.WriteFigure7(os.Stdout, fig)
 				fmt.Println()
 			}
-			for i, p := range fig.Procs {
-				sum := fig.Stats[i]
+			// report prints one PnetCDF run's table and adds its -json record.
+			report := func(rec benchRecord, sum *iostat.Summary, note string) {
 				if *stats && sum != nil {
-					fmt.Printf("I/O statistics: %s %s, %d procs (PnetCDF)\n",
-						fig.File, fig.Block, p)
+					fmt.Printf("I/O statistics: %s %s, %d procs (PnetCDF%s)\n",
+						fig.File, fig.Block, rec.Procs, note)
 					iostat.WriteTable(os.Stdout, sum)
 					fmt.Println()
 				}
-				rec := benchRecord{
-					File:     fig.File.String(),
-					Block:    fig.Block,
-					Procs:    p,
-					MBps:     fig.PnetCDF[i],
-					HDF5MBps: fig.HDF5[i],
-				}
-				if sum != nil {
-					rec.Counters = sum.KeyCounters()
-				}
+				rec.File, rec.Block, rec.Counters = fig.File.String(), fig.Block, sum.KeyCounters()
 				out.Runs = append(out.Runs, rec)
 			}
+			for i, p := range fig.Procs {
+				report(benchRecord{Procs: p, MBps: fig.PnetCDF[i], HDF5MBps: fig.HDF5[i]}, fig.Stats[i], "")
+			}
+			spans, dropped = fig.Spans, fig.Dropped
 			if runErr = err; runErr != nil {
+				report(benchRecord{Procs: fig.Failed.Procs, Error: err.Error()}, fig.Failed.Stats, ", failed")
 				break sweep
 			}
 		}
 	}
-	if spans != nil {
-		sp, dropped := spans.Snapshot()
-		cmdutil.WriteSpanFile(tool, *spanOut, sp, dropped)
-		fmt.Printf("spans: %d spans to %s (%d dropped)\n", len(sp), *spanOut, dropped)
+	if *spanOut != "" {
+		cmdutil.WriteSpanFile(tool, *spanOut, spans, dropped)
+		fmt.Printf("spans: %d spans to %s (%d dropped)\n", len(spans), *spanOut, dropped)
 	}
 	if *jsonOut != "" {
 		blob, err := json.MarshalIndent(out, "", "  ")

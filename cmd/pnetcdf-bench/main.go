@@ -84,10 +84,13 @@ func main() {
 	default:
 		cmdutil.Usagef("pnetcdf-bench: -op must be write, read or both")
 	}
-	var spans *span.Sink
-	if *spanOut != "" {
-		spans = new(span.Sink)
-	}
+	// A failed run ends the sweep, but what ran is still reported: the
+	// chart of the cells measured before it, the tables of those cells and
+	// of the failed run, and the failed run's spans; then the tool exits 1
+	// with the error.
+	var runErr error
+	var spans []span.Span // the last parallel run's
+	var dropped int64
 	for _, read := range ops {
 		fig, err := bench.RunFigure6(bench.Fig6Options{
 			Machine: machine,
@@ -96,32 +99,42 @@ func main() {
 			Read:    read,
 			Discard: discard,
 			Stats:   *stats,
-			Spans:   spans,
+			Spans:   *spanOut != "",
 			Fault:   bench.FaultOptions{Rate: *faultRate, Seed: *faultSeed},
 		})
-		cmdutil.Fatal(tool, err)
-		bench.WriteFigure6(os.Stdout, fig)
-		fmt.Println()
+		if fig.SerialMBps > 0 { // zero: the serial baseline failed
+			bench.WriteFigure6(os.Stdout, fig)
+			fmt.Println()
+		}
 		if *stats {
 			for _, part := range bench.AllPartitions {
-				sums := fig.Stats[part]
-				for i, p := range fig.Procs {
-					if i >= len(sums) || sums[i] == nil {
-						continue
+				for i, sum := range fig.Stats[part] {
+					if sum != nil {
+						printStats(fig.Op, part, fig.Procs[i], "", sum)
 					}
-					fmt.Printf("I/O statistics: %s partition %v, %d procs\n",
-						fig.Op, part, p)
-					iostat.WriteTable(os.Stdout, sums[i])
-					fmt.Println()
 				}
 			}
+			if f := fig.Failed; f != nil && f.Stats != nil {
+				printStats(fig.Op, f.Partition, f.Procs, ", failed", f.Stats)
+			}
+		}
+		spans, dropped = fig.Spans, fig.Dropped
+		if runErr = err; runErr != nil {
+			break
 		}
 	}
-	if spans != nil {
-		sp, dropped := spans.Snapshot()
-		cmdutil.WriteSpanFile(tool, *spanOut, sp, dropped)
-		fmt.Printf("spans: %d spans to %s (%d dropped)\n", len(sp), *spanOut, dropped)
+	if *spanOut != "" {
+		cmdutil.WriteSpanFile(tool, *spanOut, spans, dropped)
+		fmt.Printf("spans: %d spans to %s (%d dropped)\n", len(spans), *spanOut, dropped)
 	}
+	cmdutil.Fatal(tool, runErr)
+}
+
+// printStats prints one run's per-layer table.
+func printStats(op string, part bench.Partition, procs int, note string, sum *iostat.Summary) {
+	fmt.Printf("I/O statistics: %s partition %v, %d procs%s\n", op, part, procs, note)
+	iostat.WriteTable(os.Stdout, sum)
+	fmt.Println()
 }
 
 func runAblations(m bench.MachineSpec) {

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 
 	"pnetcdf/internal/core"
@@ -43,15 +44,27 @@ func (a AblationResult) String() string {
 // in it. Tests use it to hold the legs to their clocks.
 var legTrace func(makespan float64, spans []span.Span)
 
-// runRanks is mpi.Run on the machine's network, with every rank recording
-// spans when legTrace is set.
-func runRanks(m MachineSpec, nprocs int, body func(c *mpi.Comm) error) error {
-	return mpi.Run(nprocs, m.Net, func(c *mpi.Comm) error {
-		if legTrace != nil {
-			c.Proc().SetSpans(span.NewRecorder(c.Rank(), c.Proc().Clock))
-		}
-		return body(c)
+// leg is the one measured leg of an ablation run: its makespan, which timed
+// stores on rank 0, and — when legTrace is set — each rank's spans of the
+// leg, which timed snapshots as the leg ends.
+type leg struct {
+	makespan float64
+	spans    [][]span.Span
+}
+
+// runRanks is mpi.Run on the machine's network for a body with one timed
+// leg; it returns the leg's makespan. With legTrace set every rank records
+// spans, and once the run has returned legTrace gets the leg's spans, in
+// rank order.
+func runRanks(m MachineSpec, nprocs int, body func(c *mpi.Comm, l *leg) error) (float64, error) {
+	l := &leg{spans: make([][]span.Span, nprocs)}
+	_, err := runProbed(nprocs, m.Net, false, legTrace != nil, func(c *mpi.Comm) error {
+		return body(c, l)
 	})
+	if err == nil && legTrace != nil {
+		legTrace(l.makespan, slices.Concat(l.spans...))
+	}
+	return l.makespan, err
 }
 
 // zeroClocks starts a measured phase on every rank. A dataset d that is
@@ -73,28 +86,25 @@ func zeroClocks(c *mpi.Comm, fsys *pfs.FS, d *core.Dataset) error {
 	return nil
 }
 
-// timed runs one measured leg on every rank from zeroed clocks and server
-// queues (zeroClocks, with d the dataset open before the leg, or nil), and
-// stores its makespan — the latest rank clock when leg has returned
-// everywhere — in *makespan on rank 0. A write leg ends in Sync, so the
+// timed runs body, the measured leg, on every rank from zeroed clocks and
+// server queues (zeroClocks, with d the dataset open before the leg, or
+// nil), and stores its makespan — the latest rank clock when body has
+// returned everywhere — in l on rank 0. A write leg ends in Sync, so the
 // writes still in flight at the servers are on the clock (DESIGN.md §13).
-func timed(c *mpi.Comm, fsys *pfs.FS, d *core.Dataset, makespan *float64, leg func() error) error {
+func timed(c *mpi.Comm, fsys *pfs.FS, d *core.Dataset, l *leg, body func() error) error {
 	if err := zeroClocks(c, fsys, d); err != nil {
 		return err
 	}
 	t0 := c.Clock()
-	if err := leg(); err != nil {
+	if err := body(); err != nil {
 		return err
 	}
 	end := c.AllreduceF64([]float64{c.Clock()}, mpi.OpMax)[0]
 	if c.Rank() == 0 {
-		*makespan = end - t0
+		l.makespan = end - t0
 	}
 	if legTrace != nil {
-		spans, _ := span.Gather(c, c.Proc().Spans())
-		if c.Rank() == 0 {
-			legTrace(end-t0, spans)
-		}
+		l.spans[c.Rank()] = c.Proc().Spans().Spans()
 	}
 	return nil
 }
@@ -108,8 +118,7 @@ func AblationTwoPhase(m MachineSpec, dims [3]int64, nprocs int) (AblationResult,
 		if !enable {
 			info.Set("romio_cb_write", "disable")
 		}
-		var makespan float64
-		err := runRanks(m, nprocs, func(c *mpi.Comm) error {
+		return runRanks(m, nprocs, func(c *mpi.Comm, l *leg) error {
 			d, err := core.Create(c, fsys, "ab.nc", nctype.Clobber, info)
 			if err != nil {
 				return err
@@ -123,7 +132,7 @@ func AblationTwoPhase(m MachineSpec, dims [3]int64, nprocs int) (AblationResult,
 			}
 			start, count := Decompose(PartX, dims, nprocs, c.Rank())
 			buf := make([]float32, count[0]*count[1]*count[2])
-			err = timed(c, fsys, d, &makespan, func() error {
+			err = timed(c, fsys, d, l, func() error {
 				if err := d.PutVaraAll(v, start[:], count[:], buf); err != nil {
 					return err
 				}
@@ -134,7 +143,6 @@ func AblationTwoPhase(m MachineSpec, dims [3]int64, nprocs int) (AblationResult,
 			}
 			return d.Close()
 		})
-		return makespan, err
 	}
 	on, err := run(true)
 	if err != nil {
@@ -156,8 +164,7 @@ func AblationSieving(m MachineSpec, dims [3]int64, nprocs int) (AblationResult, 
 		if !enable {
 			info.Set("romio_ds_read", "disable")
 		}
-		var makespan float64
-		err := runRanks(m, nprocs, func(c *mpi.Comm) error {
+		return runRanks(m, nprocs, func(c *mpi.Comm, l *leg) error {
 			d, err := core.Create(c, fsys, "ds.nc", nctype.Clobber, info)
 			if err != nil {
 				return err
@@ -183,7 +190,7 @@ func AblationSieving(m MachineSpec, dims [3]int64, nprocs int) (AblationResult, 
 			if err := d.EndIndepData(); err != nil {
 				return err
 			}
-			err = timed(c, fsys, d, &makespan, func() error {
+			err = timed(c, fsys, d, l, func() error {
 				if err := d.BeginIndepData(); err != nil {
 					return err
 				}
@@ -197,7 +204,6 @@ func AblationSieving(m MachineSpec, dims [3]int64, nprocs int) (AblationResult, 
 			}
 			return d.Close()
 		})
-		return makespan, err
 	}
 	on, err := run(true)
 	if err != nil {
@@ -233,10 +239,9 @@ func AblationHeaderStrategy(m MachineSpec, nvars, nprocs int) (AblationResult, e
 		return AblationResult{}, err
 	}
 	// Chosen: collective open (root read + broadcast).
-	var chosen float64
-	err = runRanks(m, nprocs, func(c *mpi.Comm) error {
+	chosen, err := runRanks(m, nprocs, func(c *mpi.Comm, l *leg) error {
 		var d *core.Dataset
-		err := timed(c, fsys, nil, &chosen, func() (err error) {
+		err := timed(c, fsys, nil, l, func() (err error) {
 			d, err = core.Open(c, fsys, "hdr.nc", nctype.NoWrite, nil)
 			return err
 		})
@@ -249,10 +254,9 @@ func AblationHeaderStrategy(m MachineSpec, nvars, nprocs int) (AblationResult, e
 		return AblationResult{}, err
 	}
 	// Alternative: every rank reads the header itself.
-	var baseline float64
-	err = runRanks(m, nprocs, func(c *mpi.Comm) error {
+	baseline, err := runRanks(m, nprocs, func(c *mpi.Comm, l *leg) error {
 		var f *mpiio.File
-		err := timed(c, fsys, nil, &baseline, func() (err error) {
+		err := timed(c, fsys, nil, l, func() (err error) {
 			if f, err = mpiio.Open(c, fsys, "hdr.nc", mpiio.ModeRdOnly, nil); err != nil {
 				return err
 			}
@@ -276,8 +280,7 @@ func AblationHeaderStrategy(m MachineSpec, nvars, nprocs int) (AblationResult, e
 func AblationRecordBatch(m MachineSpec, nvars, nrecs, nprocs int, perRank int64) (AblationResult, error) {
 	run := func(batch bool) (float64, error) {
 		fsys := m.NewFS()
-		var makespan float64
-		err := runRanks(m, nprocs, func(c *mpi.Comm) error {
+		return runRanks(m, nprocs, func(c *mpi.Comm, l *leg) error {
 			d, err := core.Create(c, fsys, "rec.nc", nctype.Clobber, nil)
 			if err != nil {
 				return err
@@ -294,7 +297,7 @@ func AblationRecordBatch(m MachineSpec, nvars, nrecs, nprocs int, perRank int64)
 			buf := make([]float32, perRank)
 			start := []int64{0, int64(c.Rank()) * perRank}
 			count := []int64{1, perRank}
-			err = timed(c, fsys, d, &makespan, func() error {
+			err = timed(c, fsys, d, l, func() error {
 				for rec := 0; rec < nrecs; rec++ {
 					start[0] = int64(rec)
 					if batch {
@@ -321,7 +324,6 @@ func AblationRecordBatch(m MachineSpec, nvars, nrecs, nprocs int, perRank int64)
 			}
 			return d.Close()
 		})
-		return makespan, err
 	}
 	batched, err := run(true)
 	if err != nil {
@@ -413,8 +415,7 @@ func AblationReadDepth(m MachineSpec, dims [3]int64, nprocs int) (AblationResult
 		cfg := m.FS
 		cfg.ClientCache = cache
 		fsys := pfs.New(cfg)
-		var makespan float64
-		err := runRanks(m, nprocs, func(c *mpi.Comm) error {
+		return runRanks(m, nprocs, func(c *mpi.Comm, l *leg) error {
 			d, err := core.Create(c, fsys, "depth.nc", nctype.Clobber, info)
 			if err != nil {
 				return err
@@ -434,7 +435,7 @@ func AblationReadDepth(m MachineSpec, dims [3]int64, nprocs int) (AblationResult
 			if err := d.Sync(); err != nil {
 				return err
 			}
-			err = timed(c, fsys, d, &makespan, func() error {
+			err = timed(c, fsys, d, l, func() error {
 				return d.GetVaraAll(v, start[:], count[:], buf)
 			})
 			if err != nil {
@@ -442,7 +443,6 @@ func AblationReadDepth(m MachineSpec, dims [3]int64, nprocs int) (AblationResult
 			}
 			return d.Close()
 		})
-		return makespan, err
 	}
 	perServer, err := run(m.FS.ClientCache)
 	if err != nil {

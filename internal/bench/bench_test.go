@@ -9,6 +9,7 @@ import (
 
 	"pnetcdf/internal/fault"
 	"pnetcdf/internal/flash"
+	"pnetcdf/internal/iostat"
 	"pnetcdf/internal/mpi"
 	"pnetcdf/internal/span"
 )
@@ -309,30 +310,62 @@ func TestFlashReadKillTargetsReadBack(t *testing.T) {
 
 // A sweep whose run fails still reports what ran: RunFigure7 returns the
 // chart of the process counts measured before the failure beside its error,
-// and the span sink holds the failed run's spans, the detection among them.
-// Rank 4 does not exist at 4 processes, so only the 8-process run is killed.
+// the failed run's counters over all its ranks, and its spans, the
+// detection among them. Rank 4 does not exist at 4 processes, so only the
+// 8-process run is killed.
 func TestFigure7FailedRunKeepsWhatRan(t *testing.T) {
 	cfg := flash.Config{NXB: 8, NYB: 8, NZB: 8, NGuard: 4, NVar: 2, NPlotVar: 1, BlocksPerProc: 20}
-	sink := new(span.Sink)
 	fig, err := RunFigure7(Fig7Options{Machine: ASCIFrost(), Config: cfg, File: FlashCheckpoint,
 		Procs: []int{4, 8},
 		Hints: mpi.NewInfo().Set("cb_buffer_size", "65536").Set("cb_nodes", "2"),
 		Fault: FaultOptions{KillPoint: fault.KillMidExchange, KillRank: 4},
-		Spans: sink})
+		Stats: true, Spans: true})
 	if rv, ok := mpi.AsRevoked(err); !ok || fmt.Sprint(rv.Failed) != "[4]" {
 		t.Fatalf("killed sweep returned %v, want *mpi.ErrRevoked naming rank 4", err)
 	}
 	if fig == nil || fmt.Sprint(fig.Procs) != "[4]" || len(fig.PnetCDF) != 1 || len(fig.HDF5) != 1 {
 		t.Fatalf("chart of the failed sweep = %+v, want the 4-process run alone", fig)
 	}
-	spans, _ := sink.Snapshot()
+	if f := fig.Failed; f == nil || f.Procs != 8 || f.Stats == nil || f.Stats.Ranks != 8 ||
+		f.Stats.Sum[iostat.FTFailuresDetected] == 0 {
+		t.Fatalf("failed run = %+v, want 8 processes with a summary over 8 ranks counting the detection", f)
+	}
+	checkFailedSpans(t, fig.Spans, 8)
+}
+
+// checkFailedSpans holds the spans of a run killed at nprocs ranks to cover
+// every rank, the detection among them.
+func checkFailedSpans(t *testing.T, spans []span.Span, nprocs int) {
+	t.Helper()
 	ranks, detected := map[int]bool{}, false
 	for _, s := range spans {
 		ranks[s.Rank] = true
 		detected = detected || s.Phase == span.FTDetect
 	}
-	if len(ranks) != 8 || !detected {
-		t.Fatalf("the failed run's %d spans cover %d ranks, ft_detect among them: %v; want 8 ranks and a detection",
-			len(spans), len(ranks), detected)
+	if len(ranks) != nprocs || !detected {
+		t.Fatalf("the failed run's %d spans cover %d ranks, ft_detect among them: %v; want %d ranks and a detection",
+			len(spans), len(ranks), detected, nprocs)
 	}
+}
+
+// RunFigure6 keeps the same contract: a sweep of one partition at 2 and 4
+// processes, rank 3 killed in the exchange (it exists only at 4), returns
+// the 2-process cell beside the revocation, and the 4-process run's counters
+// and spans.
+func TestFigure6FailedRunKeepsWhatRan(t *testing.T) {
+	fig, err := RunFigure6(Fig6Options{Machine: smallMachine(), Dims: [3]int64{32, 32, 32},
+		Procs: []int{2, 4}, Partitions: []Partition{PartX},
+		Fault: FaultOptions{KillPoint: fault.KillMidExchange, KillRank: 3},
+		Stats: true, Spans: true})
+	if rv, ok := mpi.AsRevoked(err); !ok || fmt.Sprint(rv.Failed) != "[3]" {
+		t.Fatalf("killed sweep returned %v, want *mpi.ErrRevoked naming rank 3", err)
+	}
+	if fig == nil || fig.SerialMBps <= 0 || len(fig.Points[PartX]) != 1 || len(fig.Stats[PartX]) != 1 {
+		t.Fatalf("chart of the failed sweep = %+v, want the serial baseline and the 2-process cell", fig)
+	}
+	if f := fig.Failed; f == nil || f.Partition != PartX || f.Procs != 4 || f.Stats == nil ||
+		f.Stats.Ranks != 4 || f.Stats.Sum[iostat.FTFailuresDetected] == 0 {
+		t.Fatalf("failed run = %+v, want X at 4 processes with a summary over 4 ranks counting the detection", f)
+	}
+	checkFailedSpans(t, fig.Spans, 4)
 }

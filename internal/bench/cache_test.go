@@ -2,11 +2,9 @@ package bench
 
 import (
 	"bytes"
-	"sync"
 	"testing"
 
 	"pnetcdf/internal/core"
-	"pnetcdf/internal/iostat"
 	"pnetcdf/internal/mpi"
 	"pnetcdf/internal/nctype"
 	"pnetcdf/internal/pfs"
@@ -46,11 +44,7 @@ func fig6XRun(t *testing.T, cache int64, readBack bool) cacheRun {
 	cfg.ClientCache = cache
 	fsys := pfs.New(cfg)
 	out := cacheRun{got: make([][]float32, ranks)}
-	var mu sync.Mutex
-	err := mpi.Run(ranks, mach.Net, func(c *mpi.Comm) error {
-		c.Proc().SetStats(iostat.New())
-		rec := span.NewRecorder(c.Rank(), c.Proc().Clock)
-		c.Proc().SetSpans(rec)
+	pr, err := runProbed(ranks, mach.Net, true, true, func(c *mpi.Comm) error {
 		d, err := core.Create(c, fsys, "x.nc", nctype.Clobber, info)
 		if err != nil {
 			return err
@@ -87,22 +81,17 @@ func fig6XRun(t *testing.T, cache int64, readBack bool) cacheRun {
 			}
 			readSpan = c.AllreduceF64([]float64{c.Clock()}, mpi.OpMax)[0] - end
 		}
-		if err := d.Close(); err != nil {
-			return err
-		}
-		sum := iostat.Reduce(c, c.Proc().Stats())
-		mu.Lock()
-		defer mu.Unlock()
-		out.spans = append(out.spans, rec.Spans()...)
 		out.got[c.Rank()] = got
-		if sum != nil {
-			out.counters, out.makespan, out.readSpan = sum.KeyCounters(), end-t0, readSpan
+		if c.Rank() == 0 {
+			out.makespan, out.readSpan = end-t0, readSpan
 		}
-		return nil
+		return d.Close()
 	})
 	if err != nil {
 		t.Fatalf("cache %d: %v", cache, err)
 	}
+	out.counters = pr.summary().KeyCounters()
+	out.spans, _ = pr.spans()
 	pf, _, err := fsys.Open("x.nc", 0)
 	if err != nil {
 		t.Fatalf("cache %d: reopen: %v", cache, err)

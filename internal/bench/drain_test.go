@@ -37,24 +37,21 @@ func TestHarnessesTimeTheDrain(t *testing.T) {
 
 	dims := [3]int64{32, 32, 32}
 	for _, part := range []Partition{PartZ, PartX} {
-		sink := new(span.Sink)
 		fig, err := RunFigure6(Fig6Options{Machine: smallMachine(), Dims: dims, Procs: []int{4},
-			Partitions: []Partition{part}, Spans: sink})
+			Partitions: []Partition{part}, Spans: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		spans, _ := sink.Snapshot()
-		check("figure 6 "+part.String(), float64(fig.Bytes)/(fig.Points[part][0]*1e6), spans)
+		check("figure 6 "+part.String(), float64(fig.Bytes)/(fig.Points[part][0]*1e6), fig.Spans)
 	}
 
 	cfg := flash.Config{NXB: 4, NYB: 4, NZB: 4, NGuard: 2, NVar: 4, NPlotVar: 2, BlocksPerProc: 4}
 	for _, file := range []FlashFile{FlashCheckpoint, FlashPlotfile, FlashCorners} {
-		sink := new(span.Sink)
-		rep, _, err := runFlashOnce(Fig7Options{Machine: ASCIFrost(), Config: cfg, File: file, Spans: sink}, 4, false)
+		rep, pr, err := runFlashOnce(Fig7Options{Machine: ASCIFrost(), Config: cfg, File: file, Spans: true}, 4, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		spans, _ := sink.Snapshot()
+		spans, _ := pr.spans()
 		check("figure 7 "+file.String(), rep.Seconds, spans)
 	}
 

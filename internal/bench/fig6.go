@@ -25,9 +25,16 @@ type Figure6 struct {
 	// Points[partition][i] is the bandwidth with Procs[i] processes.
 	Procs  []int
 	Points map[Partition][]float64
-	// Stats[partition][i] is the reduced iostat summary of the measured
-	// phase (nil unless Fig6Options.Stats).
+	// Stats[partition][i] is the iostat summary of the measured phase (nil
+	// unless Fig6Options.Stats).
 	Stats map[Partition][]*iostat.Summary
+	// Spans are the last parallel run's spans merged across its ranks, and
+	// Dropped the count its recorders dropped (nil and 0 unless
+	// Fig6Options.Spans); after a failure, the failed run's.
+	Spans   []span.Span
+	Dropped int64
+	// Failed is the run that ended the sweep, nil when none did.
+	Failed *FailedRun
 }
 
 // Fig6Options configures a Figure 6 run.
@@ -40,12 +47,11 @@ type Fig6Options struct {
 	// Discard skips data retention in the simulated FS (large arrays).
 	Discard bool
 	// Stats enables per-rank iostat counters for the measured phase; the
-	// reduced summaries land in Figure6.Stats.
+	// summaries land in Figure6.Stats.
 	Stats bool
-	// Spans, when non-nil, enables per-rank span recording; each parallel
-	// run's cross-rank merge replaces the sink's contents, so after the
-	// sweep it holds the last run's spans.
-	Spans *span.Sink
+	// Spans enables per-rank span recording; the last parallel run's merged
+	// spans land in Figure6.Spans.
+	Spans bool
 	// Fault injects deterministic transient faults into the runs.
 	Fault FaultOptions
 }
@@ -58,7 +64,10 @@ var Dims1GB = [3]int64{512, 512, 1024}
 
 const fig6VarName = "tt"
 
-// RunFigure6 measures one chart.
+// RunFigure6 measures one chart. A run that fails ends the sweep: the chart
+// returned beside its error holds the cells measured before it, with the
+// failed run in Failed and its spans in Spans (no cell at all when the
+// serial baseline failed).
 func RunFigure6(opt Fig6Options) (*Figure6, error) {
 	if len(opt.Partitions) == 0 {
 		opt.Partitions = AllPartitions
@@ -75,17 +84,19 @@ func RunFigure6(opt Fig6Options) (*Figure6, error) {
 	}
 	serial, err := runFig6Serial(opt)
 	if err != nil {
-		return nil, err
+		return fig, fmt.Errorf("serial netCDF: %w", err)
 	}
 	fig.SerialMBps = serial
 	for _, part := range opt.Partitions {
 		for _, p := range opt.Procs {
-			mbps, sum, err := runFig6Parallel(opt, part, p)
+			mbps, pr, err := runFig6Parallel(opt, part, p)
+			fig.Spans, fig.Dropped = pr.spans()
 			if err != nil {
-				return nil, fmt.Errorf("partition %v procs %d: %w", part, p, err)
+				fig.Failed = &FailedRun{Partition: part, Procs: p, Stats: pr.summary()}
+				return fig, fmt.Errorf("partition %v procs %d: %w", part, p, err)
 			}
 			fig.Points[part] = append(fig.Points[part], mbps)
-			fig.Stats[part] = append(fig.Stats[part], sum)
+			fig.Stats[part] = append(fig.Stats[part], pr.summary())
 		}
 	}
 	return fig, nil
@@ -146,22 +157,14 @@ func runFig6Serial(opt Fig6Options) (float64, error) {
 }
 
 // runFig6Parallel measures PnetCDF with one partition and process count.
-func runFig6Parallel(opt Fig6Options, part Partition, nprocs int) (float64, *iostat.Summary, error) {
+func runFig6Parallel(opt Fig6Options, part Partition, nprocs int) (float64, probes, error) {
 	cfg := opt.Machine.FS
 	cfg.Discard = opt.Discard
 	fsys := pfs.New(cfg)
 	opt.Fault.apply(fsys)
 	nbytes := 4 * opt.Dims[0] * opt.Dims[1] * opt.Dims[2]
 	var makespan float64
-	var sum *iostat.Summary
-	err := mpi.Run(nprocs, opt.Machine.Net, func(c *mpi.Comm) error {
-		if opt.Stats {
-			c.Proc().SetStats(iostat.New())
-		}
-		if opt.Spans != nil {
-			proc := c.Proc()
-			proc.SetSpans(span.NewRecorder(c.Rank(), proc.Clock))
-		}
+	pr, err := runProbed(nprocs, opt.Machine.Net, opt.Stats, opt.Spans, func(c *mpi.Comm) error {
 		mode := nctype.Clobber
 		if nbytes > 1<<31-1 {
 			mode |= nctype.Bit64Offset
@@ -212,24 +215,10 @@ func runFig6Parallel(opt Fig6Options, part Partition, nprocs int) (float64, *ios
 		if c.Rank() == 0 {
 			makespan = end - t0
 		}
-		if err := d.Close(); err != nil {
-			return err
-		}
-		if opt.Stats {
-			if s := iostat.Reduce(c, c.Proc().Stats()); s != nil {
-				sum = s
-			}
-		}
-		if opt.Spans != nil {
-			merged, dropped := span.Gather(c, c.Proc().Spans())
-			if c.Rank() == 0 {
-				opt.Spans.Replace(merged, dropped)
-			}
-		}
-		return nil
+		return d.Close()
 	})
 	if err != nil {
-		return 0, nil, err
+		return 0, pr, err
 	}
-	return float64(nbytes) / makespan / 1e6, sum, nil
+	return float64(nbytes) / makespan / 1e6, pr, nil
 }

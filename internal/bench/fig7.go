@@ -44,9 +44,16 @@ type Figure7 struct {
 	Procs   []int
 	PnetCDF []float64 // MB/s
 	HDF5    []float64 // MB/s
-	// Stats[i] is the reduced iostat summary of the PnetCDF run with
-	// Procs[i] processes (nil unless Fig7Options.Stats).
+	// Stats[i] is the iostat summary of the PnetCDF run with Procs[i]
+	// processes (nil unless Fig7Options.Stats).
 	Stats []*iostat.Summary
+	// Spans are the last PnetCDF run's spans merged across its ranks, and
+	// Dropped the count its recorders dropped (nil and 0 unless
+	// Fig7Options.Spans); after a failure, the failed run's.
+	Spans   []span.Span
+	Dropped int64
+	// Failed is the run that ended the sweep, nil when none did.
+	Failed *FailedRun
 }
 
 // Fig7Options configures a Figure 7 run.
@@ -60,13 +67,11 @@ type Fig7Options struct {
 	// future-work comparison (§6). Only meaningful with FlashCheckpoint.
 	Read bool
 	// Stats enables per-rank iostat counters for the PnetCDF runs; the
-	// reduced summaries land in Figure7.Stats.
+	// summaries land in Figure7.Stats.
 	Stats bool
-	// Spans, when non-nil, enables per-rank span recording for the PnetCDF
-	// runs; each run's cross-rank merge replaces the sink's contents, so
-	// after the sweep it holds the largest (last) run's spans — or, when a
-	// run fails, that run's spans up to the failure.
-	Spans *span.Sink
+	// Spans enables per-rank span recording for the PnetCDF runs; the last
+	// run's merged spans land in Figure7.Spans.
+	Spans bool
 	// Fault injects deterministic transient faults into the runs; the
 	// retry counters in Stats show the recovery cost.
 	Fault FaultOptions
@@ -82,7 +87,9 @@ type Fig7Options struct {
 }
 
 // RunFigure7 measures one chart. A run that fails ends the sweep: the chart
-// returned beside its error holds the process counts measured before it.
+// returned beside its error holds the process counts measured before it,
+// with the failed run in Failed and, when it was a PnetCDF run, its spans
+// in Spans.
 func RunFigure7(opt Fig7Options) (*Figure7, error) {
 	block := fmt.Sprintf("%dx%dx%d", opt.Config.NXB, opt.Config.NYB, opt.Config.NZB)
 	if opt.Read {
@@ -98,24 +105,29 @@ func RunFigure7(opt Fig7Options) (*Figure7, error) {
 		Procs:   opt.Procs,
 	}
 	for i, p := range opt.Procs {
-		nc, sum, err := runFlashOnce(opt, p, false)
+		nc, pr, err := runFlashOnce(opt, p, false)
+		fig.Spans, fig.Dropped = pr.spans()
 		if err != nil {
 			fig.Procs = fig.Procs[:i]
+			fig.Failed = &FailedRun{Procs: p, Stats: pr.summary()}
 			return fig, fmt.Errorf("pnetcdf %d procs: %w", p, err)
 		}
 		h5, _, err := runFlashOnce(opt, p, true)
 		if err != nil {
 			fig.Procs = fig.Procs[:i]
+			fig.Failed = &FailedRun{Procs: p}
 			return fig, fmt.Errorf("hdf5 %d procs: %w", p, err)
 		}
 		fig.PnetCDF = append(fig.PnetCDF, nc.BandwidthMBps())
 		fig.HDF5 = append(fig.HDF5, h5.BandwidthMBps())
-		fig.Stats = append(fig.Stats, sum)
+		fig.Stats = append(fig.Stats, pr.summary())
 	}
 	return fig, nil
 }
 
-func runFlashOnce(opt Fig7Options, nprocs int, hdf5 bool) (flash.Report, *iostat.Summary, error) {
+// runFlashOnce runs one FLASH output on nprocs ranks; the PnetCDF run
+// (hdf5 false) keeps the counters and spans the options enable.
+func runFlashOnce(opt Fig7Options, nprocs int, hdf5 bool) (flash.Report, probes, error) {
 	if hdf5 {
 		// Rank kills target the PnetCDF run; the HDF5 comparison run is
 		// not the one under test.
@@ -132,18 +144,7 @@ func runFlashOnce(opt Fig7Options, nprocs int, hdf5 bool) (flash.Report, *iostat
 		opt.Fault.apply(fsys)
 	}
 	var rep flash.Report
-	var sum *iostat.Summary
-	collect := opt.Stats && !hdf5
-	recs := make([]*span.Recorder, nprocs) // rank r's spans, merged after the run
-	err := mpi.Run(nprocs, opt.Machine.Net, func(c *mpi.Comm) error {
-		if collect {
-			c.Proc().SetStats(iostat.New())
-		}
-		if !hdf5 && opt.Spans != nil {
-			proc := c.Proc()
-			recs[c.Rank()] = span.NewRecorder(c.Rank(), proc.Clock)
-			proc.SetSpans(recs[c.Rank()])
-		}
+	pr, err := runProbed(nprocs, opt.Machine.Net, opt.Stats && !hdf5, opt.Spans && !hdf5, func(c *mpi.Comm) error {
 		var r flash.Report
 		var err error
 		switch {
@@ -185,36 +186,19 @@ func runFlashOnce(opt Fig7Options, nprocs int, hdf5 bool) (flash.Report, *iostat
 		if c.Rank() == 0 {
 			rep = r
 		}
-		if collect {
-			if s := iostat.Reduce(c, c.Proc().Stats()); s != nil {
-				sum = s
-			}
-		}
 		return nil
 	})
-	// The ranks' spans are merged once they have all returned, in
-	// span.Gather's order (by rank, then begin): a failed run never reaches
-	// a collective gather, and a dead rank's spans end at its death.
-	if !hdf5 && opt.Spans != nil {
-		var merged []span.Span
-		var dropped int64
-		for _, r := range recs {
-			merged = append(merged, r.Spans()...)
-			dropped += r.Dropped()
-		}
-		opt.Spans.Replace(merged, dropped)
-	}
 	// A run a rank death cut short still dumps its file, for ncvalidate to
 	// check.
 	if !hdf5 && opt.DumpFile != "" {
 		if cfg.Discard {
-			return rep, sum, fmt.Errorf("DumpFile %q needs the file data, but Discard is set", opt.DumpFile)
+			return rep, pr, fmt.Errorf("DumpFile %q needs the file data, but Discard is set", opt.DumpFile)
 		}
 		if derr := dumpImage(fsys, "f.nc", opt.DumpFile); err == nil {
 			err = derr
 		}
 	}
-	return rep, sum, err
+	return rep, pr, err
 }
 
 // dumpImage copies the raw bytes of a simulated file to a host path.

@@ -6,11 +6,9 @@ import (
 	"testing"
 
 	"pnetcdf/internal/flash"
-	"pnetcdf/internal/iostat"
 	"pnetcdf/internal/mpi"
 	"pnetcdf/internal/mpiio/behindtest"
 	"pnetcdf/internal/pfs"
-	"pnetcdf/internal/span"
 )
 
 // TestFlashPipelineAcceptance is the acceptance check for the round loop on
@@ -32,30 +30,23 @@ func TestFlashPipelineAcceptance(t *testing.T) {
 		fsCfg := pfs.BlueHorizon()
 		fsCfg.ClientCache = cache
 		fsys := pfs.New(fsCfg)
-		var counters map[string]int64
 		var mu sync.Mutex
-		var spans []span.Span
 		p := behindtest.Params{NetLatency: fsCfg.NetLatency, ClientBW: fsCfg.ClientBW,
 			Cache: cache, Drained: map[int]float64{}}
-		err := mpi.Run(8, mpi.DefaultNet(), func(c *mpi.Comm) error {
-			c.Proc().SetStats(iostat.New())
-			rec := span.NewRecorder(c.Rank(), c.Proc().Clock)
-			c.Proc().SetSpans(rec)
+		pr, err := runProbed(8, mpi.DefaultNet(), true, true, func(c *mpi.Comm) error {
 			if _, err := flash.WriteCheckpointPnetCDF(c, fsys, "f.nc", cfg, info); err != nil {
 				return err
 			}
 			mu.Lock()
-			spans = append(spans, rec.Spans()...)
 			p.Drained[c.Rank()] = c.Clock()
 			mu.Unlock()
-			if s := iostat.Reduce(c, c.Proc().Stats()); s != nil {
-				counters = s.KeyCounters()
-			}
 			return nil
 		})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
+		spans, _ := pr.spans()
+		counters := pr.summary().KeyCounters()
 		if data, _ := behindtest.Exercised(spans); data == 0 {
 			t.Fatalf("%s: no data writes traced", name)
 		}

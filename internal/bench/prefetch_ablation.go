@@ -46,10 +46,9 @@ func AblationPrefetch(m MachineSpec, nprocs, nreads int) (AblationResult, error)
 		if hint {
 			info.Set("nc_prefetch_vars", "coords,mask,area")
 		}
-		var makespan float64
-		err := runRanks(m, nprocs, func(c *mpi.Comm) error {
+		return runRanks(m, nprocs, func(c *mpi.Comm, l *leg) error {
 			var d *core.Dataset
-			err := timed(c, fsys, nil, &makespan, func() (err error) {
+			err := timed(c, fsys, nil, l, func() (err error) {
 				if d, err = core.Open(c, fsys, "pf.nc", nctype.NoWrite, info); err != nil {
 					return err
 				}
@@ -73,7 +72,6 @@ func AblationPrefetch(m MachineSpec, nprocs, nreads int) (AblationResult, error)
 			}
 			return d.Close()
 		})
-		return makespan, err
 	}
 	with, err := run(true)
 	if err != nil {
@@ -100,8 +98,7 @@ func AblationVarAlign(m MachineSpec, nvars, nprocs int) (AblationResult, error) 
 		if packed {
 			info.Set("nc_var_align_size", "1")
 		}
-		var makespan float64
-		err := runRanks(m, nprocs, func(c *mpi.Comm) error {
+		return runRanks(m, nprocs, func(c *mpi.Comm, l *leg) error {
 			d, err := core.Create(c, fsys, "va.nc", nctype.Clobber, info)
 			if err != nil {
 				return err
@@ -115,7 +112,7 @@ func AblationVarAlign(m MachineSpec, nvars, nprocs int) (AblationResult, error) 
 				return err
 			}
 			buf := make([]float32, share)
-			err = timed(c, fsys, d, &makespan, func() error {
+			err = timed(c, fsys, d, l, func() error {
 				for _, v := range ids {
 					if err := d.PutVaraAll(v, []int64{share * int64(c.Rank())}, []int64{share}, buf); err != nil {
 						return err
@@ -128,7 +125,6 @@ func AblationVarAlign(m MachineSpec, nvars, nprocs int) (AblationResult, error) 
 			}
 			return d.Close()
 		})
-		return makespan, err
 	}
 	aligned, err := run(false)
 	if err != nil {

@@ -15,20 +15,19 @@ import (
 // round-trips as valid trace-event JSON.
 func TestFigure7SpanCriticalPath(t *testing.T) {
 	cfg := flash.Config{NXB: 4, NYB: 4, NZB: 4, NGuard: 2, NVar: 4, NPlotVar: 2, BlocksPerProc: 4}
-	sink := new(span.Sink)
-	_, err := RunFigure7(Fig7Options{
+	fig, err := RunFigure7(Fig7Options{
 		Machine: ASCIFrost(),
 		Config:  cfg,
 		File:    FlashCheckpoint,
 		Procs:   []int{8},
-		Spans:   sink,
+		Spans:   true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	spans, dropped := sink.Snapshot()
+	spans, dropped := fig.Spans, fig.Dropped
 	if len(spans) == 0 {
-		t.Fatal("span sink empty after instrumented run")
+		t.Fatal("no spans after an instrumented run")
 	}
 	if dropped != 0 {
 		t.Fatalf("recorder dropped %d spans on a small run", dropped)
@@ -89,28 +88,27 @@ func TestFigure7SpanCriticalPath(t *testing.T) {
 	}
 }
 
-// TestFigure6SpanSink: the Figure 6 harness wires the same sink; a small
-// partitioned write must record collective write spans on every rank.
+// TestFigure6SpanSink: the Figure 6 harness returns its last run's spans
+// the same way; a small partitioned write must record collective write
+// spans on every rank.
 func TestFigure6SpanSink(t *testing.T) {
-	sink := new(span.Sink)
-	_, err := RunFigure6(Fig6Options{
+	fig, err := RunFigure6(Fig6Options{
 		Machine:    smallMachine(),
 		Dims:       [3]int64{32, 32, 32},
 		Procs:      []int{4},
 		Partitions: []Partition{PartZ},
-		Spans:      sink,
+		Spans:      true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	spans, _ := sink.Snapshot()
-	colls := 0
-	for _, s := range spans {
+	ranks := map[int]bool{}
+	for _, s := range fig.Spans {
 		if s.Phase == span.CollWrite {
-			colls++
+			ranks[s.Rank] = true
 		}
 	}
-	if colls == 0 {
-		t.Fatalf("no %s spans in the Figure 6 merge (%d spans total)", span.CollWrite, len(spans))
+	if len(ranks) != 4 {
+		t.Fatalf("%s spans on %d of 4 ranks in the Figure 6 merge (%d spans total)", span.CollWrite, len(ranks), len(fig.Spans))
 	}
 }

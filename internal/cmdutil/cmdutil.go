@@ -23,13 +23,6 @@ func Fatal(tool string, err error) {
 	os.Exit(1)
 }
 
-// Fatalf prints a formatted diagnostic prefixed with the tool name and
-// exits 1.
-func Fatalf(tool, format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "%s: %s\n", tool, fmt.Sprintf(format, args...))
-	os.Exit(1)
-}
-
 // Usagef prints a formatted usage diagnostic to stderr and exits 2 (the
 // conventional bad-invocation code).
 func Usagef(format string, args ...any) {

@@ -318,8 +318,7 @@ func (s *Stats) Reset() {
 	}
 }
 
-// Snapshot is a point-in-time copy of a counter set, safe to ship between
-// ranks.
+// Snapshot is a point-in-time copy of a counter set.
 type Snapshot [NumCounters]int64
 
 // Snapshot copies the current counter values.

@@ -1,23 +1,13 @@
 package iostat
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
 )
 
-// Gatherer is the slice of communicator behavior Reduce needs. *mpi.Comm
-// satisfies it; the indirection keeps this package free of an mpi
-// dependency (mpi itself records into Stats).
-type Gatherer interface {
-	Rank() int
-	Size() int
-	Gather(root int, data []byte) [][]byte
-}
-
-// Summary is the rank-0 result of a Reduce: per-counter min, max and sum
-// over the participating ranks, mirroring how the paper reports aggregate
-// bandwidth with per-process spread.
+// Summary folds per-rank counters into per-counter min, max and sum over
+// the ranks, mirroring how the paper reports aggregate bandwidth with
+// per-process spread.
 type Summary struct {
 	Ranks int
 	Min   Snapshot
@@ -33,26 +23,14 @@ func (s *Summary) Mean(k Counter) float64 {
 	return float64(s.Sum[k]) / float64(s.Ranks)
 }
 
-// Reduce collectively gathers every rank's snapshot of st to rank 0 and
-// folds them into a Summary. Every rank of c must call it (st may be nil —
-// it contributes zeros). Rank 0 receives the summary; other ranks receive
-// nil, like an MPI_Reduce.
-func Reduce(c Gatherer, st *Stats) *Summary {
-	snap := st.Snapshot()
-	blob := make([]byte, 8*NumCounters)
-	for i, v := range snap {
-		binary.BigEndian.PutUint64(blob[i*8:], uint64(v))
-	}
-	parts := c.Gather(0, blob)
-	if c.Rank() != 0 {
-		return nil
-	}
-	sum := &Summary{Ranks: c.Size()}
-	for r, p := range parts {
-		var s Snapshot
-		for i := range s {
-			s[i] = int64(binary.BigEndian.Uint64(p[i*8:]))
-		}
+// Summarize folds one run's per-rank counters, indexed by rank, into a
+// Summary over len(ranks) ranks; a nil entry (a rank that kept no counters)
+// counts as zeros. It is read once the ranks have returned, so a run that
+// failed keeps the counts its ranks made up to the failure.
+func Summarize(ranks []*Stats) *Summary {
+	sum := &Summary{Ranks: len(ranks)}
+	for r, st := range ranks {
+		s := st.Snapshot()
 		for i := range s {
 			if r == 0 || s[i] < sum.Min[i] {
 				sum.Min[i] = s[i]

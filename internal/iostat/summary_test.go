@@ -1,5 +1,5 @@
-// Collective-reduction tests live in an external test package so they can
-// drive real mpi ranks (mpi imports iostat; the reverse would be a cycle).
+// The summary tests live in an external test package so they can drive real
+// mpi ranks (mpi imports iostat; the reverse would be a cycle).
 package iostat_test
 
 import (
@@ -10,17 +10,17 @@ import (
 	"pnetcdf/internal/mpi"
 )
 
-// TestReduceAcrossRanks runs a real communicator where every rank
-// accumulates rank-dependent counts — from several goroutines per rank, so
-// the atomic counters are exercised under -race — then reduces to rank 0.
+// TestReduceAcrossRanks reduces a run's counters with Summarize: on a real
+// communicator every rank accumulates rank-dependent counts in a slot of its
+// own — from several goroutines per rank, so the atomic counters are
+// exercised under -race — and the slots are folded once mpi.Run has
+// returned.
 func TestReduceAcrossRanks(t *testing.T) {
 	const nprocs = 8
-	var (
-		mu  sync.Mutex
-		sum *iostat.Summary
-	)
+	slots := make([]*iostat.Stats, nprocs)
 	err := mpi.Run(nprocs, mpi.DefaultNet(), func(c *mpi.Comm) error {
 		st := iostat.New()
+		slots[c.Rank()] = st
 		c.Proc().SetStats(st)
 		// Each rank r adds r+1 bytes 100 times, split across 4 goroutines.
 		var wg sync.WaitGroup
@@ -35,22 +35,12 @@ func TestReduceAcrossRanks(t *testing.T) {
 			}()
 		}
 		wg.Wait()
-		if s := iostat.Reduce(c, st); s != nil {
-			mu.Lock()
-			sum = s
-			mu.Unlock()
-			if c.Rank() != 0 {
-				t.Errorf("rank %d got a non-nil summary", c.Rank())
-			}
-		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sum == nil {
-		t.Fatal("rank 0 got no summary")
-	}
+	sum := iostat.Summarize(slots)
 	if sum.Ranks != nprocs {
 		t.Fatalf("Ranks = %d", sum.Ranks)
 	}
@@ -74,24 +64,18 @@ func TestReduceAcrossRanks(t *testing.T) {
 }
 
 // TestReduceNilStats checks a rank with stats disabled contributes zeros
-// rather than crashing — the zero-overhead-off contract.
+// rather than crashing — the zero-overhead-off contract — and still counts
+// as a rank.
 func TestReduceNilStats(t *testing.T) {
-	var sum *iostat.Summary
-	err := mpi.Run(4, mpi.DefaultNet(), func(c *mpi.Comm) error {
-		var st *iostat.Stats
-		if c.Rank()%2 == 0 {
-			st = iostat.New()
-			st.Add(iostat.MPIMsgsSent, 5)
+	slots := make([]*iostat.Stats, 4)
+	for r := range slots {
+		if r%2 == 0 {
+			slots[r] = iostat.New()
+			slots[r].Add(iostat.MPIMsgsSent, 5)
 		}
-		if s := iostat.Reduce(c, st); s != nil {
-			sum = s
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
-	if sum == nil || sum.Sum[iostat.MPIMsgsSent] != 10 {
+	sum := iostat.Summarize(slots)
+	if sum.Ranks != 4 || sum.Sum[iostat.MPIMsgsSent] != 10 {
 		t.Fatalf("summary = %+v", sum)
 	}
 	if sum.Min[iostat.MPIMsgsSent] != 0 || sum.Max[iostat.MPIMsgsSent] != 5 {

@@ -197,10 +197,10 @@ func (c *Comm) bcastOwned(root int, wire []byte) []byte {
 	return wire
 }
 
-// Gather collects each member's payload at root, like MPI_Gatherv (payloads
+// gather collects each member's payload at root, like MPI_Gatherv (payloads
 // may differ in length). The root receives a slice indexed by rank; other
-// ranks receive nil.
-func (c *Comm) Gather(root int, data []byte) [][]byte {
+// ranks receive nil. Allgather is its one caller.
+func (c *Comm) gather(root int, data []byte) [][]byte {
 	ctx := c.nextOpCtx(opGather)
 	if c.rank != root {
 		c.send(root, tagData, ctx, bytes.Clone(data))
@@ -218,7 +218,7 @@ func (c *Comm) Gather(root int, data []byte) [][]byte {
 // Allgather collects every member's payload on every member, indexed by
 // rank, like MPI_Allgatherv.
 func (c *Comm) Allgather(data []byte) [][]byte {
-	parts := c.Gather(0, data)
+	parts := c.gather(0, data)
 	blob := c.bcastOwned(0, encodeParts(parts))
 	return decodeParts(blob)
 }

@@ -1,9 +1,9 @@
 // Package mpi is an in-process simulation of the MPI message-passing
 // runtime: ranks are goroutines, point-to-point messages travel over
 // tag-matched mailboxes, and the collectives the I/O stack uses (Barrier,
-// Bcast, Allreduce, Gather(v), Allgather(v), Alltoall(v)) are implemented on
-// top of point-to-point messaging with tree and linear algorithms, the way a
-// real MPI library layers them.
+// Bcast, Allreduce, Allgather(v), Alltoall(v)) are implemented on top of
+// point-to-point messaging with tree and linear algorithms, the way a real
+// MPI library layers them.
 //
 // # Virtual time
 //
@@ -32,8 +32,8 @@
 // wire buffers, one per tree edge: the receiver folds or decodes the bytes
 // straight into its vector and puts the buffer back, so a warm reduction
 // allocates nothing. Allgather hands its own wire buffer over as it is.
-// Gather and Alltoall copy each caller-owned part once, so every received
-// slice has a single owner. Bcast copies the root's payload once
+// Allgather's gather and Alltoall copy each caller-owned part once, so every
+// received slice has a single owner. Bcast copies the root's payload once
 // (BcastOwned takes it over instead) and every message carries that one
 // copy: the non-root members all receive the same backing array and must
 // treat it as read-only. A short payload goes down a binomial tree; from

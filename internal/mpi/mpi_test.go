@@ -163,7 +163,7 @@ func TestGatherScatter(t *testing.T) {
 			for i := range mine {
 				mine[i] = byte(c.Rank())
 			}
-			parts := c.Gather(0, mine)
+			parts := c.gather(0, mine)
 			if c.Rank() == 0 {
 				for r := 0; r < n; r++ {
 					if len(parts[r]) != r+1 || (r > 0 && parts[r][0] != byte(r)) {

@@ -122,7 +122,7 @@ func TestScatterGatherLargePayloads(t *testing.T) {
 		for j := range mine {
 			mine[j] = byte(c.Rank()*31 + j%251)
 		}
-		back := c.Gather(0, mine)
+		back := c.gather(0, mine)
 		if c.Rank() == 0 {
 			for i := range back {
 				if len(back[i]) != 1<<20 || back[i][100] != byte(i*31+100%251) {

@@ -6,7 +6,7 @@
 // PnetCDF flexible API also builds memory Datatypes whose unit is elements
 // of the user's Go slice (the constructors are unit-agnostic). Subarray is
 // the workhorse: PnetCDF turns every start/count/stride request into a
-// subarray (or indexed) file type exactly as the paper describes
+// subarray (or a FromSegments list) file type exactly as the paper describes
 // ("we represent the data access pattern as an MPI file view ... constructed
 // from the variable metadata and start[], count[], stride[], imap[]
 // arguments").
@@ -128,8 +128,8 @@ func normalize(segs []Segment) ([]Segment, error) {
 		}
 		out = append(out, s)
 	}
-	// Constructors generate ascending segments; the sort is for callers that
-	// list blocks out of order (Indexed, Hindexed).
+	// Constructors generate ascending segments; the sort is for FromSegments
+	// callers that list blocks out of order.
 	if !ordered {
 		sort.Slice(out, func(i, j int) bool { return out[i].Off < out[j].Off })
 	}
@@ -151,15 +151,6 @@ func normalize(segs []Segment) ([]Segment, error) {
 	return out[:n], nil
 }
 
-// Contiguous replicates base count times back to back, like
-// MPI_Type_contiguous.
-func Contiguous(count int64, base Datatype) (Datatype, error) {
-	if count < 0 {
-		return Datatype{}, errors.New("mpitype: negative count")
-	}
-	return tile(count, base.extent, 1, base)
-}
-
 // Vector replicates blocklen consecutive base instances count times with a
 // stride (in base extents) between block starts, like MPI_Type_vector.
 func Vector(count, blocklen, stride int64, base Datatype) (Datatype, error) {
@@ -170,18 +161,6 @@ func Vector(count, blocklen, stride int64, base Datatype) (Datatype, error) {
 		return Datatype{}, fmt.Errorf("mpitype: vector stride %d < blocklen %d would overlap", stride, blocklen)
 	}
 	return tile(count, stride*base.extent, blocklen, base)
-}
-
-// Hvector is Vector with the stride given in units rather than base extents,
-// like MPI_Type_create_hvector.
-func Hvector(count, blocklen, strideUnits int64, base Datatype) (Datatype, error) {
-	if count < 0 || blocklen < 0 {
-		return Datatype{}, errors.New("mpitype: negative count/blocklen")
-	}
-	if count > 1 && strideUnits < blocklen*base.extent {
-		return Datatype{}, errors.New("mpitype: hvector stride would overlap")
-	}
-	return tile(count, strideUnits, blocklen, base)
 }
 
 // tile places blocklen back-to-back base instances at displacements
@@ -196,41 +175,6 @@ func tile(count, blockStride, blocklen int64, base Datatype) (Datatype, error) {
 	extent := int64(0)
 	if count > 0 {
 		extent = (count-1)*blockStride + blocklen*base.extent
-	}
-	return FromSegments(segs, extent)
-}
-
-// Indexed places blocks of blocklens[i] base instances at displacements
-// displs[i] (in base extents), like MPI_Type_indexed.
-func Indexed(blocklens, displs []int64, base Datatype) (Datatype, error) {
-	if len(blocklens) != len(displs) {
-		return Datatype{}, errors.New("mpitype: blocklens/displs length mismatch")
-	}
-	var segs []Segment
-	extent := int64(0)
-	for i := range blocklens {
-		disp := displs[i] * base.extent
-		segs = base.Tiled(segs, disp, blocklens[i])
-		if end := disp + blocklens[i]*base.extent; end > extent {
-			extent = end
-		}
-	}
-	return FromSegments(segs, extent)
-}
-
-// Hindexed places blocks at unit displacements, like
-// MPI_Type_create_hindexed.
-func Hindexed(blocklens, displsUnits []int64, base Datatype) (Datatype, error) {
-	if len(blocklens) != len(displsUnits) {
-		return Datatype{}, errors.New("mpitype: blocklens/displs length mismatch")
-	}
-	var segs []Segment
-	extent := int64(0)
-	for i := range blocklens {
-		segs = base.Tiled(segs, displsUnits[i], blocklens[i])
-		if end := displsUnits[i] + blocklens[i]*base.extent; end > extent {
-			extent = end
-		}
 	}
 	return FromSegments(segs, extent)
 }

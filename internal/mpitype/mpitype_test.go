@@ -69,9 +69,11 @@ func TestVector(t *testing.T) {
 	}
 }
 
+// TestContiguousOfVector: a vector of one-instance blocks at stride 1 is
+// MPI_Type_contiguous, and tiles its base at the base's extent.
 func TestContiguousOfVector(t *testing.T) {
 	v, _ := Vector(2, 1, 2, Contig(1)) // X.X (extent 3)
-	d, err := Contiguous(2, v)
+	d, err := Vector(2, 1, 1, v)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,26 +81,6 @@ func TestContiguousOfVector(t *testing.T) {
 	want := []Segment{{0, 1}, {2, 2}, {5, 1}}
 	if !segsEq(d.Segments(), want) {
 		t.Fatalf("segs = %v, want %v", d.Segments(), want)
-	}
-}
-
-func TestIndexedAndHindexed(t *testing.T) {
-	d, err := Indexed([]int64{2, 1}, []int64{0, 5}, Contig(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// blocks: 2 elems at displ 0 (4 units), 1 elem at displ 5 (offset 10)
-	want := []Segment{{0, 4}, {10, 2}}
-	if !segsEq(d.Segments(), want) {
-		t.Fatalf("indexed = %v, want %v", d.Segments(), want)
-	}
-	h, err := Hindexed([]int64{1, 1}, []int64{3, 9}, Contig(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want = []Segment{{3, 2}, {9, 2}}
-	if !segsEq(h.Segments(), want) {
-		t.Fatalf("hindexed = %v, want %v", h.Segments(), want)
 	}
 }
 
@@ -312,54 +294,26 @@ func TestQuickInvariants(t *testing.T) {
 	}
 }
 
-func TestHvector(t *testing.T) {
-	// 3 blocks of 2 units with a 7-unit byte stride.
-	d, err := Hvector(3, 2, 7, Contig(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []Segment{{Off: 0, Len: 2}, {Off: 7, Len: 2}, {Off: 14, Len: 2}}
-	if !segsEq(d.Segments(), want) {
-		t.Fatalf("hvector = %v, want %v", d.Segments(), want)
-	}
-	if d.Size() != 6 || d.Extent() != 16 {
-		t.Fatalf("size=%d extent=%d", d.Size(), d.Extent())
-	}
-	if _, err := Hvector(2, 3, 2, Contig(1)); err == nil {
-		t.Fatal("overlapping hvector accepted")
-	}
-	if _, err := Hvector(-1, 1, 4, Contig(1)); err == nil {
-		t.Fatal("negative count accepted")
-	}
-}
-
+// TestContiguousEdgeCases: the edges of a contiguous tiling, a vector of
+// one-instance blocks at stride 1.
 func TestContiguousEdgeCases(t *testing.T) {
-	z, err := Contiguous(0, Contig(4))
+	z, err := Vector(0, 1, 1, Contig(4))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if z.Size() != 0 || z.Extent() != 0 {
 		t.Fatalf("zero contiguous: size=%d extent=%d", z.Size(), z.Extent())
 	}
-	if _, err := Contiguous(-2, Contig(4)); err == nil {
+	if _, err := Vector(-2, 1, 1, Contig(4)); err == nil {
 		t.Fatal("negative count accepted")
 	}
 	// Contiguous of contiguous collapses to one segment.
-	d, err := Contiguous(5, Contig(3))
+	d, err := Vector(5, 1, 1, Contig(3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !d.IsContiguous() || d.Size() != 15 {
 		t.Fatalf("contig of contig: %v", d.Segments())
-	}
-}
-
-func TestIndexedLengthMismatch(t *testing.T) {
-	if _, err := Indexed([]int64{1, 2}, []int64{0}, Contig(1)); err == nil {
-		t.Fatal("length mismatch accepted")
-	}
-	if _, err := Hindexed([]int64{1}, []int64{0, 5}, Contig(1)); err == nil {
-		t.Fatal("hindexed length mismatch accepted")
 	}
 }
 

@@ -1,42 +1,26 @@
 package span_test
 
 import (
-	"sync"
 	"testing"
 
 	"pnetcdf/internal/mpi"
 	"pnetcdf/internal/span"
 )
 
-// gatherWorld runs fn on every rank of an n-rank world and returns what
-// rank 0's span.Gather produced.
+// gatherWorld runs fn on every rank of an n-rank world, each rank keeping
+// the recorder fn returns in its slot, and merges the slots with span.Merge
+// once mpi.Run has returned.
 func gatherWorld(t *testing.T, n int, fn func(c *mpi.Comm) *span.Recorder) ([]span.Span, int64) {
 	t.Helper()
-	var (
-		mu      sync.Mutex
-		merged  []span.Span
-		dropped int64
-		got     bool
-	)
+	slots := make([]*span.Recorder, n)
 	err := mpi.Run(n, mpi.DefaultNet(), func(c *mpi.Comm) error {
-		r := fn(c)
-		spans, d := span.Gather(c, r)
-		if c.Rank() == 0 {
-			mu.Lock()
-			merged, dropped, got = spans, d, true
-			mu.Unlock()
-		} else if spans != nil || d != 0 {
-			t.Errorf("rank %d: Gather returned non-nil result", c.Rank())
-		}
+		slots[c.Rank()] = fn(c)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got {
-		t.Fatal("rank 0 never produced a merge")
-	}
-	return merged, dropped
+	return span.Merge(slots)
 }
 
 // TestGatherSkewedClocks: each rank's clock starts at a large
@@ -153,24 +137,5 @@ func TestGatherDroppedSummed(t *testing.T) {
 	})
 	if dropped != int64(2*n) {
 		t.Fatalf("dropped = %d, want %d", dropped, 2*n)
-	}
-}
-
-// TestSinkReplaceSnapshot covers the bench-harness container.
-func TestSinkReplaceSnapshot(t *testing.T) {
-	var sink span.Sink
-	spans, d := sink.Snapshot()
-	if len(spans) != 0 || d != 0 {
-		t.Fatal("fresh sink not empty")
-	}
-	sink.Replace([]span.Span{{ID: 1, Phase: "x"}}, 5)
-	spans, d = sink.Snapshot()
-	if len(spans) != 1 || spans[0].Phase != "x" || d != 5 {
-		t.Fatalf("snapshot = %+v / %d", spans, d)
-	}
-	var nilSink *span.Sink
-	nilSink.Replace(nil, 0)
-	if s, _ := nilSink.Snapshot(); s != nil {
-		t.Fatal("nil sink leaked")
 	}
 }

@@ -12,9 +12,10 @@
 // Begin returns an Active value handle (never a pointer), so instrumented
 // code costs nothing beyond a nil check when spans are off.
 //
-// Spans gather to rank 0 (merge.go), feed per-round critical-path and
-// load-imbalance analysis (critical.go), and export as Chrome trace-event
-// JSON loadable in Perfetto (chrometrace.go).
+// A run's per-rank recorders merge into one trace after the run (merge.go);
+// the trace feeds per-round critical-path and load-imbalance analysis
+// (critical.go) and exports as Chrome trace-event JSON loadable in Perfetto
+// (chrometrace.go).
 package span
 
 import "sync"

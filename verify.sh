@@ -30,9 +30,10 @@
 #            and once just after its request is issued, and in its read-back
 #            just after a read round is issued with an earlier one still in
 #            flight; the run must exit non-zero with the revocation naming
-#            the killed rank, still write its -out image and -span-out
-#            file, that image must be ncvalidate-clean and the span file
-#            must show the detection (nctrace summary). (The rank-kill
+#            the killed rank, still write its -out image, -span-out file
+#            and -json record, that image must be ncvalidate-clean, the
+#            span file must show the detection (nctrace summary) and the
+#            record must count it (ft_failures_detected). (The rank-kill
 #            suites need no pass of their own: the detector is always on,
 #            so they run in the default go test -race ./... above, and a
 #            deadlock is a typed error there, not a hang.)
@@ -132,15 +133,17 @@ if [ "${FT:-0}" = "1" ]; then
     # write, and occurrence 1 is its second round's read, issued while the
     # first is still in flight. Every survivor returns the same revocation,
     # so the run fails with it; the file it dumps is valid at the header
-    # EndDef committed, and the span file it still writes holds the failed
-    # run's spans, the detection's ft_detect among them.
+    # EndDef committed, the span file it still writes holds the failed
+    # run's spans, the detection's ft_detect among them, and its -json
+    # record holds the failed run's counters, the detection among them.
     ftdir=$(mktemp -d)
     for leg in "mid_exchange" "after_issue" "after_issue -read -kill-occurrence 1"; do
         # $leg unquoted: the kill point, then the leg's own options.
         if go run ./cmd/flashio-bench -block 8 -procs 8 -blocks-per-proc 20 \
             -files checkpoint -cb-buffer-size 65536 -cb-nodes 2 \
             -kill-rank 4 -kill-point $leg \
-            -out "$ftdir/ft.nc" -span-out "$ftdir/spans.json" > /dev/null 2> "$ftdir/err"; then
+            -out "$ftdir/ft.nc" -span-out "$ftdir/spans.json" \
+            -stats -json "$ftdir/run.json" > /dev/null 2> "$ftdir/err"; then
             echo "FT: the run with rank 4 killed at $leg succeeded" >&2
             exit 1
         fi
@@ -150,7 +153,9 @@ if [ "${FT:-0}" = "1" ]; then
         go run ./cmd/nctrace -servers 2 summary "$ftdir/spans.json" > "$ftdir/summary"
         grep -q ft_detect "$ftdir/summary" \
             || { echo "FT: the span file of the kill at $leg shows no ft_detect" >&2; exit 1; }
-        rm "$ftdir/ft.nc" "$ftdir/spans.json"
+        grep -q '"ft_failures_detected": [1-9]' "$ftdir/run.json" \
+            || { echo "FT: the -json file of the kill at $leg counts no ft_failures_detected" >&2; exit 1; }
+        rm "$ftdir/ft.nc" "$ftdir/spans.json" "$ftdir/run.json"
     done
     rm -rf "$ftdir"
 fi
