@@ -6,8 +6,9 @@ import (
 )
 
 // FaultOptions configures deterministic fault injection for a bench run:
-// transient read/write errors and short transfers at probability Rate per
-// 64 KiB of payload, plus the occasional latency spike. The retry machinery
+// transient read/write errors and latency spikes at probability Rate per
+// 64 KiB of payload. (There are no short transfers: a pfs request that
+// does not fail moves all its bytes.) The retry machinery
 // absorbs the faults, so a faulted run must produce the same file as a
 // clean one — the bench knobs exist to measure what that recovery costs
 // (see the IORetries / PfsRetries / IOBackoffTime counters under -stats).
@@ -48,7 +49,6 @@ func (fo FaultOptions) install(fsys *pfs.FS) {
 		Seed:         fo.Seed,
 		ReadErrRate:  fo.Rate,
 		WriteErrRate: fo.Rate,
-		ShortRate:    fo.Rate,
 		LatencyRate:  fo.Rate,
 		LatencySpike: 2e-3,
 		FaultUnit:    64 << 10,

@@ -86,7 +86,8 @@ type Config struct {
 	WriteErrRate float64
 	// ShortRate is the probability that a transfer moves only part of its
 	// payload (a short read or write with nil error, as buggy call sites
-	// would see from a real file system).
+	// would see from a real file system). Only FaultyStore delivers short
+	// transfers; a pfs request that does not fail moves all its bytes.
 	ShortRate float64
 	// LatencyRate is the probability of a per-server latency spike of
 	// LatencySpike virtual seconds.

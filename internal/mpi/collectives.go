@@ -331,8 +331,8 @@ func (v vec) fits(c *Comm, ctx int64, wire []byte) {
 		return
 	}
 	op, seq := ctxOp(ctx)
-	c.Abort(fmt.Errorf("mpi: %s (collective %d on communicator %d): rank %d holds %d elements but a peer sent %d; every member must pass the same length",
-		op, seq, ctx>>32, c.rank, v.len(), len(wire)/8))
+	c.Abort(fmt.Errorf("mpi: %s (collective %d): rank %d holds %d elements but a peer sent %d; every member must pass the same length",
+		op, seq, c.rank, v.len(), len(wire)/8))
 }
 
 // decode overwrites v with the wire vector received under ctx.

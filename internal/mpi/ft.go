@@ -11,39 +11,36 @@ package mpi
 //     receive nor gone; the goroutine that brings the count to zero runs
 //     the detector, because at that instant no message can ever be sent
 //     again and the world's state is the same on every run of the same
-//     program. Every communicator some rank is parked on that has a dead
-//     member is REVOKED, at the latest clock among the ranks parked on it
-//     plus FTDetectLatency of virtual time — the delay a real runtime's
-//     heartbeat pays, charged where the simulator charges everything else.
-//     If no parked communicator has a dead member, nothing can ever wake the
-//     parked ranks: the world aborts with *ErrDeadlock, which names each of
-//     them and what it waits on. Global quiescence, not "my source is dead",
-//     is the rule because of AnySource receives (sparseExchange, the gather
-//     collectives); and Die itself revokes nothing, because that would
-//     interrupt the survivors wherever the scheduler happened to have them.
+//     program. If some rank is dead, the world communicator is REVOKED, at
+//     the latest clock among the parked ranks plus FTDetectLatency of
+//     virtual time — the delay a real runtime's heartbeat pays, charged
+//     where the simulator charges everything else. If no rank is dead,
+//     nothing can ever wake the parked ranks: the world aborts with
+//     *ErrDeadlock, which names each of them and what it waits on. Global
+//     quiescence, not "my source is dead", is the rule because of AnySource
+//     receives (sparseExchange, the gather collectives); and Die itself
+//     revokes nothing, because that would interrupt the survivors wherever
+//     the scheduler happened to have them.
 //
-//   - revocation: once a communicator is revoked, every pending and future
-//     operation on it panics *ErrRevoked carrying the same failed-rank set
-//     on every survivor. The set is agreed through shared memory (the
-//     world's revocation table), not a collective, so agreement itself can
-//     never block on the dead. The I/O layers catch the panic at their
-//     collective entry points with CatchRevoked and return it as an error.
+//   - revocation: once the world is revoked, every pending and future
+//     operation panics *ErrRevoked carrying the same failed-rank set on
+//     every survivor. The set is agreed through shared memory (one atomic
+//     pointer), not a collective, so agreement itself can never block on
+//     the dead. The I/O layers catch the panic at their collective entry
+//     points with CatchRevoked and return it as an error.
 //
-// There is no recovery: nothing completes on a revoked communicator, as
-// with an MPI that has no ULFM extensions. There is no wall clock, no
-// background goroutine and nothing to configure: a world is its ranks.
+// There is no recovery: nothing completes on a revoked world, as with an MPI
+// that has no ULFM extensions. There is no wall clock, no background
+// goroutine and nothing to configure: a world is its ranks.
 //
-// A communicator is revoked at most once. Its failed set is whatever was
-// dead at that quiescence, the same on every survivor; after it nobody can
-// park on the communicator again, so a later death shows only on another
-// communicator the dead rank shares with a blocked survivor.
+// The world is revoked at most once. Its failed set is every rank dead at
+// that quiescence, the same on every survivor; after it nobody can park
+// again, so a later death changes nothing any survivor sees.
 
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"pnetcdf/internal/iostat"
@@ -51,18 +48,17 @@ import (
 )
 
 // FTDetectLatency is the virtual time, in seconds, between the moment the
-// last survivor blocks on a communicator that lost a member and the moment
-// the communicator is revoked: the heartbeat timeout of a real runtime,
-// which a survivor pays once per failure, so a killed run's clocks show the
-// detection. It is a constant of the model — not a hint, flag,
+// last survivor blocks after a rank died and the moment the world is
+// revoked: the heartbeat timeout of a real runtime, which a survivor pays
+// once per failure, so a killed run's clocks show the detection. It is a constant of the model — not a hint, flag,
 // environment variable or NetConfig field — because nothing in the
 // reproduction depends on tuning it.
 const FTDetectLatency = 0.3
 
 // ErrRevoked is the error carried by the panic every operation on a revoked
-// communicator raises: the communicator lost a member and can no longer
-// complete collectives. Failed holds the communicator ranks of the dead
-// members (sorted). Catch it at a collective entry point with CatchRevoked.
+// world raises: a rank died, and no collective can complete any more.
+// Failed holds the ranks found dead when the world was revoked (sorted).
+// Catch it at a collective entry point with CatchRevoked.
 type ErrRevoked struct {
 	Failed []int
 }
@@ -106,7 +102,7 @@ func CatchRevoked(fn func() error) (err error) {
 // treats it as a benign exit of that one goroutine — no world abort, no
 // error — leaving its peers to detect the silence.
 type rankKilled struct {
-	rank   int // world rank
+	rank   int
 	reason error
 }
 
@@ -125,17 +121,15 @@ type ftState struct {
 	// no rank is left to send.
 	running atomic.Int32
 
-	revGen atomic.Int64 // fast-path gate: total revocations issued
-
-	mu      sync.Mutex
-	revoked map[int64]*revocation // commID -> revocation
+	// revoked is the world's revocation, stored once by the detector; nil
+	// until then.
+	revoked atomic.Pointer[revocation]
 }
 
-// revocation is one communicator's revocation: the agreed failed set and the
-// virtual time it was detected. It is never changed once made, so it is safe
-// to read without the ftState lock.
+// revocation is the world's revocation: the agreed failed set and the
+// virtual time it was detected. It is never changed once made.
 type revocation struct {
-	failed []int // world ranks, sorted
+	failed []int // sorted
 	at     float64
 }
 
@@ -143,23 +137,19 @@ type revocation struct {
 // it waits for. The detector reads these at quiescence; *ErrDeadlock
 // carries them to the caller.
 type ParkedRecv struct {
-	WorldRank int    // the blocked rank
-	Comm      int64  // ID of the communicator it receives on (0 is the world)
-	Source    int    // rank of Comm it waits for, or AnySource
-	Tag       int    // tag it waits for, or AnyTag
-	Op        string // collective it is inside; "" for a user Recv
-	Seq       int64  // that collective's sequence number on Comm
+	Rank   int    // the blocked rank
+	Source int    // rank it waits for, or AnySource
+	Tag    int    // tag it waits for, or AnyTag
+	Op     string // collective it is inside; "" for a user Recv
+	Seq    int64  // that collective's sequence number
 
-	group []int // the communicator's members (world ranks)
 	clock float64
 }
 
 // ErrDeadlock is the error Run returns when every live rank is blocked in a
-// receive and no communicator any of them waits on has lost a member: no
-// message can ever arrive, and there is no failure to recover from — a
-// receive from a rank that returned without sending, mismatched
-// collectives, or a dead rank none of the blocked ones shares a
-// communicator with. Parked lists the blocked ranks in world-rank order.
+// receive and no rank has died: no message can ever arrive, and there is no
+// failure to report — a receive from a rank that returned without sending,
+// or mismatched collectives. Parked lists the blocked ranks in rank order.
 type ErrDeadlock struct {
 	Parked []ParkedRecv
 }
@@ -171,13 +161,13 @@ func (e *ErrDeadlock) Error() string {
 		if i > 0 {
 			b.WriteByte(';')
 		}
-		fmt.Fprintf(&b, " rank %d waits on ", p.WorldRank)
+		fmt.Fprintf(&b, " rank %d waits on ", p.Rank)
 		if p.Source == AnySource {
 			b.WriteString("any source")
 		} else {
 			fmt.Fprintf(&b, "rank %d", p.Source)
 		}
-		fmt.Fprintf(&b, " of communicator %d (", p.Comm)
+		b.WriteString(" (")
 		if p.Op != "" {
 			fmt.Fprintf(&b, "collective %d %s, ", p.Seq, p.Op)
 		}
@@ -214,11 +204,10 @@ func (w *World) rankExited() {
 // quiescent runs the detector; the caller just brought the running count
 // to zero and holds no mailbox lock. The detector keeps one credit on the
 // count for as long as it works: the ranks it wakes start running while it
-// is still walking the mailboxes, and one of them parking again (on a
-// communicator nobody revoked, waiting for a peer the walk has not reached)
-// must not be taken for a second quiescence. If the count is zero again once the
-// credit is returned, everything woken has already gone back to sleep, and
-// that is one.
+// is still walking the mailboxes, and one of them parking again (waiting
+// for a peer the walk has not reached) must not be taken for a second
+// quiescence. If the count is zero again once the credit is returned,
+// everything woken has already gone back to sleep, and that is one.
 func (w *World) quiescent() {
 	for {
 		w.ft.running.Add(1)
@@ -247,44 +236,21 @@ func (w *World) detect() bool {
 	if len(parked) == 0 {
 		return false
 	}
-	type verdict struct {
-		comm int64
-		dead []int   // world ranks
-		at   float64 // latest clock among the ranks parked on comm
+	var failed []int
+	for r, b := range w.boxes {
+		if b.dead.Load() {
+			failed = append(failed, r)
+		}
 	}
-	var verdicts []verdict
-	for _, p := range parked {
-		var dead []int
-		for _, wr := range p.group {
-			if w.boxes[wr].dead.Load() {
-				dead = append(dead, wr)
-			}
-		}
-		if len(dead) == 0 {
-			continue
-		}
-		i := 0
-		for i < len(verdicts) && verdicts[i].comm != p.Comm {
-			i++
-		}
-		if i == len(verdicts) {
-			verdicts = append(verdicts, verdict{comm: p.Comm})
-		}
-		v := &verdicts[i]
-		for _, wr := range dead {
-			if !containsInt(v.dead, wr) {
-				v.dead = append(v.dead, wr)
-			}
-		}
-		v.at = max(v.at, p.clock)
-	}
-	if len(verdicts) == 0 {
+	if len(failed) == 0 {
 		w.abort(&ErrDeadlock{Parked: parked})
 		return true
 	}
-	for _, v := range verdicts {
-		w.revoke(v.comm, v.dead, v.at+FTDetectLatency)
+	var at float64 // latest clock among the parked ranks
+	for _, p := range parked {
+		at = max(at, p.clock)
 	}
+	w.revoke(failed, at+FTDetectLatency)
 	return true
 }
 
@@ -292,29 +258,18 @@ func (w *World) detect() bool {
 // rank's goroutine unwinds (deferred cleanups run, matching a real
 // process's closed descriptors) and never communicates again. It wakes
 // nobody: its peers run on until they can go no further without it, and
-// the detector then revokes the communicators it belonged to. Never
-// returns.
+// the detector then revokes the world. Never returns.
 func (c *Comm) Die(reason error) {
-	wr := c.group[c.rank]
-	c.world.boxes[wr].dead.Store(true)
-	panic(rankKilled{rank: wr, reason: reason})
+	c.world.boxes[c.rank].dead.Store(true)
+	panic(rankKilled{rank: c.rank, reason: reason})
 }
 
-// revoke revokes commID: failedWorld — the members found dead — is its
+// revoke revokes the world: failed — the ranks found dead, sorted — is its
 // failed set, detected at virtual time at, and every parked rank is woken to
-// observe it (those parked on other communicators scan, find nothing and
-// park again). Only the detector calls it, and for a communicator at most
-// once: after it nobody can park on commID.
-func (w *World) revoke(commID int64, failedWorld []int, at float64) {
-	ft := &w.ft
-	sort.Ints(failedWorld)
-	ft.mu.Lock()
-	if ft.revoked == nil {
-		ft.revoked = map[int64]*revocation{}
-	}
-	ft.revoked[commID] = &revocation{failed: failedWorld, at: at}
-	ft.revGen.Add(1)
-	ft.mu.Unlock()
+// observe it. Only the detector calls it, and at most once: after it nobody
+// can park again.
+func (w *World) revoke(failed []int, at float64) {
+	w.ft.revoked.Store(&revocation{failed: failed, at: at})
 	for _, b := range w.boxes {
 		b.mu.Lock()
 		w.wake(b)
@@ -322,41 +277,17 @@ func (w *World) revoke(commID int64, failedWorld []int, at float64) {
 	}
 }
 
-// revokedInfo returns the calling communicator's revocation, if it has one.
-func (c *Comm) revokedInfo() *revocation {
-	ft := &c.world.ft
-	if ft.revGen.Load() == 0 {
-		return nil
-	}
-	ft.mu.Lock()
-	rv := ft.revoked[c.ctx>>32]
-	ft.mu.Unlock()
-	return rv
-}
+// Revoked reports whether the world has been revoked. After it returns
+// true, every operation on the communicator panics *ErrRevoked.
+func (c *Comm) Revoked() bool { return c.world.ft.revoked.Load() != nil }
 
-// Revoked reports whether the communicator has been revoked. After it
-// returns true, every operation on this communicator panics *ErrRevoked.
-func (c *Comm) Revoked() bool { return c.revokedInfo() != nil }
-
-// revokedErr builds the caller-facing *ErrRevoked: failed world ranks
-// translated to communicator ranks.
-func (c *Comm) revokedErr(rv *revocation) *ErrRevoked {
-	var failed []int
-	for cr, wr := range c.group {
-		if containsInt(rv.failed, wr) {
-			failed = append(failed, cr)
-		}
-	}
-	return &ErrRevoked{Failed: failed}
-}
-
-// ftCheckRevoked panics the revocation if the communicator is revoked. The
+// ftCheckRevoked panics the revocation if the world is revoked. The
 // fast path is one atomic load. The first time the rank meets the
 // revocation it pays for the detection: its clock moves to the revocation's
 // time, and the wait is recorded (ft_failures_detected + an ft_detect span
 // of that length).
 func (c *Comm) ftCheckRevoked() {
-	rv := c.revokedInfo()
+	rv := c.world.ft.revoked.Load()
 	if rv == nil {
 		return
 	}
@@ -367,14 +298,5 @@ func (c *Comm) ftCheckRevoked() {
 		c.proc.stats.Add(iostat.FTFailuresDetected, 1)
 		c.proc.spans.Record(span.FTDetect, -1, blocked, c.proc.clock, 0, -1)
 	}
-	panic(c.revokedErr(rv))
-}
-
-func containsInt(sorted []int, v int) bool {
-	for _, x := range sorted {
-		if x == v {
-			return true
-		}
-	}
-	return false
+	panic(&ErrRevoked{Failed: rv.failed})
 }

@@ -10,11 +10,13 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"pnetcdf/internal/iostat"
 )
 
 // TestFTDieRevokesBlockedPeers is the core no-hang property: a rank dying
 // mid-collective leaves every survivor with the same *ErrRevoked instead
-// of a hang, and so does every later collective on that communicator.
+// of a hang, and so does every later collective.
 func TestFTDieRevokesBlockedPeers(t *testing.T) {
 	for _, n := range []int{2, 3, 4, 8} {
 		for victim := 1; victim < n; victim += 2 {
@@ -173,7 +175,7 @@ func TestDeadlockIsTypedError(t *testing.T) {
 		t.Fatalf("%d parked ranks reported, want 2: %v", len(dl.Parked), err)
 	}
 	for i, p := range dl.Parked {
-		if p.WorldRank != i+1 || p.Source != 0 || p.Tag != 7 || p.Comm != 0 || p.Op != "" || p.Seq != 0 {
+		if p.Rank != i+1 || p.Source != 0 || p.Tag != 7 || p.Op != "" || p.Seq != 0 {
 			t.Fatalf("parked[%d] = %+v", i, p)
 		}
 	}
@@ -184,24 +186,14 @@ func TestDeadlockIsTypedError(t *testing.T) {
 	}
 
 	// A missing collective call is the other classic: rank 0 waits inside a
-	// second Barrier its partner never enters. The two dead ranks must not
-	// turn this into a revocation — neither blocked rank is parked on a
-	// communicator they belonged to.
-	err = Run(4, DefaultNet(), func(c *Comm) error {
-		pair := c.Split(c.Rank()/2, c.Rank())
-		switch c.Rank() {
-		case 0:
-			pair.Barrier()
-			pair.Barrier()
-		case 1:
-			pair.Barrier()
-			pair.Recv(0, 1)
-		case 2:
-			pair.Recv(1, 1)
-			pair.Die(errors.New("test kill"))
-		case 3:
-			pair.Send(0, 1, nil)
-			pair.Die(errors.New("test kill"))
+	// second Barrier its partner never enters, while rank 1 waits in a
+	// receive nobody sends to.
+	err = Run(2, DefaultNet(), func(c *Comm) error {
+		c.Barrier()
+		if c.Rank() == 0 {
+			c.Barrier()
+		} else {
+			c.Recv(0, 1)
 		}
 		return nil
 	})
@@ -209,61 +201,9 @@ func TestDeadlockIsTypedError(t *testing.T) {
 		t.Fatalf("Run = %v, want *ErrDeadlock", err)
 	}
 	if len(dl.Parked) != 2 || dl.Parked[0].Op != "Barrier" || dl.Parked[0].Seq != 2 || dl.Parked[1].Op != "" ||
-		!strings.Contains(err.Error(), "collective 2 Barrier") {
+		!strings.Contains(err.Error(), "rank 0 waits on rank 1 (collective 2 Barrier, tag 1)") ||
+		!strings.Contains(err.Error(), "rank 1 waits on rank 0 (tag 1)") {
 		t.Fatalf("missing collective call reported as %v", err)
-	}
-}
-
-// TestFTSplitHalfRevokesOnlyItsOwn: a rank killed on one half of a Split
-// revokes only the sub-communicator it belonged to. The other half, which
-// never touches a communicator with the dead rank in it again, finishes
-// clean.
-func TestFTSplitHalfRevokesOnlyItsOwn(t *testing.T) {
-	const n, victim = 6, 4
-	var mu sync.Mutex
-	revoked := map[int][]int{}
-	err := Run(n, DefaultNet(), func(c *Comm) error {
-		half := c.Split(c.Rank()/3, c.Rank())
-		if c.Rank() == victim {
-			half.Die(errors.New("test kill"))
-		}
-		cerr := CatchRevoked(func() error {
-			for i := 0; i < 20; i++ {
-				if got := half.AllreduceI64([]int64{1}, OpSum)[0]; got != 3 {
-					return fmt.Errorf("half Allreduce %d, want 3", got)
-				}
-			}
-			return nil
-		})
-		if c.Rank() < 3 {
-			if cerr != nil || half.Revoked() || c.Revoked() {
-				return fmt.Errorf("rank %d of the clean half: %v (half revoked %v, world revoked %v)",
-					c.Rank(), cerr, half.Revoked(), c.Revoked())
-			}
-			return nil
-		}
-		rv, ok := AsRevoked(cerr)
-		if !ok {
-			return fmt.Errorf("rank %d: got %v, want ErrRevoked", c.Rank(), cerr)
-		}
-		if c.Revoked() {
-			return errors.New("the world communicator was revoked; nobody was parked on it")
-		}
-		mu.Lock()
-		revoked[c.Rank()] = rv.Failed
-		mu.Unlock()
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(revoked) != 2 {
-		t.Fatalf("%d ranks saw the revocation, want the victim's 2 peers: %v", len(revoked), revoked)
-	}
-	for r, failed := range revoked {
-		if len(failed) != 1 || failed[0] != victim-3 {
-			t.Fatalf("rank %d saw failed set %v, want [%d]", r, failed, victim-3)
-		}
 	}
 }
 
@@ -309,52 +249,72 @@ func TestFTDetectionIsDeterministic(t *testing.T) {
 	}
 }
 
-// TestFTSecondDeathRevokesTheNextCommunicator: a communicator is revoked
-// once, with the failed set of that quiescence. A rank that dies after it
-// does not change that revocation — nobody can wait on the revoked
-// communicator any more — and shows on the next communicator a survivor
-// blocks on: a duplicate of the world, revoked with both ranks failed, the
-// same set on every remaining survivor.
-func TestFTSecondDeathRevokesTheNextCommunicator(t *testing.T) {
+// TestFTRevocationIsFinal: the world is revoked once, with the failed set
+// of that quiescence. A rank that dies after it changes nothing: nobody can
+// park again, so every later call on every survivor still returns the first
+// failed set.
+func TestFTRevocationIsFinal(t *testing.T) {
 	const n, first, second = 5, 1, 3
-	var mu sync.Mutex
-	seen := map[int]string{}
 	err := Run(n, DefaultNet(), func(c *Comm) error {
-		dup := c.Split(0, c.Rank())
 		if c.Rank() == first {
 			c.Die(errors.New("test kill"))
 		}
+		want := fmt.Sprint([]int{first})
 		cerr := CatchRevoked(func() error { c.Barrier(); return nil })
-		if rv, ok := AsRevoked(cerr); !ok || fmt.Sprint(rv.Failed) != fmt.Sprint([]int{first}) {
-			return fmt.Errorf("rank %d: got %v, want a revocation of [%d]", c.Rank(), cerr, first)
+		if rv, ok := AsRevoked(cerr); !ok || fmt.Sprint(rv.Failed) != want {
+			return fmt.Errorf("rank %d: got %v, want a revocation of %s", c.Rank(), cerr, want)
 		}
 		if c.Rank() == second {
 			c.Die(errors.New("test kill"))
 		}
-		cerr = CatchRevoked(func() error { dup.Barrier(); return nil })
-		rv, ok := AsRevoked(cerr)
-		if !ok {
-			return fmt.Errorf("rank %d: a Barrier on the duplicate returned %v, want ErrRevoked", c.Rank(), cerr)
+		for _, op := range []func(){c.Barrier, func() { c.Recv(AnySource, 1) }, func() { c.Send(second, 1, nil) }} {
+			again := CatchRevoked(func() error { op(); return nil })
+			if rv, ok := AsRevoked(again); !ok || fmt.Sprint(rv.Failed) != want {
+				return fmt.Errorf("rank %d: a later call returned %v, want the revocation of %s", c.Rank(), again, want)
+			}
 		}
-		// The first revocation stands as it was.
-		again := CatchRevoked(func() error { c.Barrier(); return nil })
-		if arv, ok := AsRevoked(again); !ok || fmt.Sprint(arv.Failed) != fmt.Sprint([]int{first}) {
-			return fmt.Errorf("rank %d: the world's revocation became %v", c.Rank(), again)
-		}
-		mu.Lock()
-		seen[c.Rank()] = fmt.Sprint(rv.Failed)
-		mu.Unlock()
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(seen) != n-2 {
-		t.Fatalf("%d ranks saw the second revocation, want %d: %v", len(seen), n-2, seen)
-	}
-	for r, got := range seen {
-		if want := fmt.Sprint([]int{first, second}); got != want {
-			t.Fatalf("rank %d saw %s, want %s", r, got, want)
+}
+
+// TestFTEverySurvivorSeesTheRevocation: the first survivor to leave returns
+// its revocation as an error, which aborts the world. Every other survivor
+// must still leave with *ErrRevoked and count its detection, not unwind
+// with ErrAborted: a revoked world is checked before an aborted one.
+func TestFTEverySurvivorSeesTheRevocation(t *testing.T) {
+	const n, victim = 8, 4
+	for rep := 0; rep < 20; rep++ {
+		got := make([]error, n)
+		stats := make([]*iostat.Stats, n)
+		err := Run(n, DefaultNet(), func(c *Comm) error {
+			stats[c.Rank()] = iostat.New()
+			c.Proc().SetStats(stats[c.Rank()])
+			if c.Rank() == victim {
+				c.Die(errors.New("test kill"))
+			}
+			cerr := CatchRevoked(func() error { c.Barrier(); return nil })
+			got[c.Rank()] = cerr
+			if c.Rank() == 0 {
+				return cerr
+			}
+			return nil
+		})
+		if _, ok := AsRevoked(err); !ok {
+			t.Fatalf("rep %d: Run = %v, want rank 0's revocation", rep, err)
+		}
+		for r := 0; r < n; r++ {
+			if r == victim {
+				continue
+			}
+			if _, ok := AsRevoked(got[r]); !ok {
+				t.Fatalf("rep %d: rank %d left with %v, want *ErrRevoked", rep, r, got[r])
+			}
+			if d := stats[r].Get(iostat.FTFailuresDetected); d != 1 {
+				t.Fatalf("rep %d: rank %d counted %d detections, want 1", rep, r, d)
+			}
 		}
 	}
 }

@@ -53,7 +53,7 @@ func TestReductionLengthMismatchAborts(t *testing.T) {
 	if strings.Contains(msg, "runtime error") {
 		t.Fatalf("unequal vectors panicked: %v", msg)
 	}
-	for _, want := range []string{"ReduceI64", "communicator 0", "3 elements", "sent 1"} {
+	for _, want := range []string{"ReduceI64", "(collective 1)", "3 elements", "sent 1"} {
 		if !strings.Contains(msg, want) {
 			t.Fatalf("message %q does not contain %q", msg, want)
 		}

@@ -3,7 +3,9 @@
 // tag-matched mailboxes, and the collectives the I/O stack uses (Barrier,
 // Bcast, Allreduce, Allgather(v), Alltoall(v)) are implemented on top of
 // point-to-point messaging with tree and linear algorithms, the way a real
-// MPI library layers them.
+// MPI library layers them. There is one communicator, the world that Run
+// hands each rank (every file is opened over it), so there is no
+// MPI_Comm_split.
 //
 // # Virtual time
 //
@@ -77,14 +79,14 @@ func DefaultNet() NetConfig {
 }
 
 type message struct {
-	src     int   // sender's rank within the communicator
+	src     int   // sender's rank
 	tag     int   // user tag, or the internal collective tag
-	ctx     int64 // communicator/collective context
+	ctx     int64 // collective context; 0 for user point-to-point traffic
 	data    []byte
 	arrival float64 // virtual time the message is available at the receiver
 }
 
-// mailbox is one world rank's incoming message queue with tag matching,
+// mailbox is one rank's incoming message queue with tag matching,
 // plus what the failure detector (ft.go) needs to know about its owner.
 type mailbox struct {
 	mu      sync.Mutex
@@ -117,7 +119,6 @@ type World struct {
 
 	mu       sync.Mutex
 	abortErr error
-	commSeq  int64
 
 	// ft is the failure detector's state (ft.go).
 	ft ftState
@@ -127,11 +128,9 @@ type World struct {
 // Abort or returned an error.
 var ErrAborted = errors.New("mpi: world aborted")
 
-// Proc is the per-rank execution context: its identity in the world and its
-// virtual clock.
+// Proc is the per-rank execution context: its virtual clock and its
+// telemetry.
 type Proc struct {
-	world *World
-	rank  int // world rank
 	clock float64
 
 	// stats is the rank's iostat collector; nil (the default) disables
@@ -172,21 +171,18 @@ func (p *Proc) Advance(dt float64) {
 	}
 }
 
-// WorldRank returns the rank's position in the world.
-func (p *Proc) WorldRank() int { return p.rank }
-
-// Comm is a communicator: an ordered group of ranks with a private message
-// context, mirroring MPI_Comm. Each rank holds its own *Comm value.
+// Comm is the world communicator, mirroring MPI_COMM_WORLD: every rank of
+// the world in rank order. It is the only communicator — every run opens
+// its files over the world — so a communicator rank is the world rank. Each
+// rank holds its own *Comm value.
 type Comm struct {
 	world *World
 	proc  *Proc
-	rank  int   // this process's rank within the communicator
-	group []int // world ranks of the members, indexed by comm rank
-	ctx   int64 // context base: commID << 32
+	rank  int
 	seq   int64 // per-rank collective sequence; in lockstep across members
 
-	// ftObserved is set once this rank has met the communicator's
-	// revocation and paid for its detection (ft.go).
+	// ftObserved is set once this rank has met the world's revocation and
+	// paid for its detection (ft.go).
 	ftObserved bool
 }
 
@@ -194,8 +190,8 @@ type Comm struct {
 // rank receives the world communicator. The first non-nil error (or panic)
 // aborts the world and is returned. A world never hangs on its own
 // messaging: when every live rank is blocked in a receive, the failure
-// detector (ft.go) either revokes the communicators that lost a member or
-// aborts the world with *ErrDeadlock.
+// detector (ft.go) either revokes the world, if a rank died, or aborts it
+// with *ErrDeadlock.
 func Run(n int, net NetConfig, fn func(*Comm) error) error {
 	if n < 1 {
 		return fmt.Errorf("mpi: invalid world size %d", n)
@@ -204,10 +200,6 @@ func Run(n int, net NetConfig, fn func(*Comm) error) error {
 	w.ft.running.Store(int32(n))
 	for i := range w.boxes {
 		w.boxes[i] = newMailbox()
-	}
-	group := make([]int, n)
-	for i := range group {
-		group[i] = i
 	}
 	errs := make([]error, n)
 	var wg sync.WaitGroup
@@ -231,8 +223,8 @@ func Run(n int, net NetConfig, fn func(*Comm) error) error {
 					w.abort(errs[rank])
 				}
 			}()
-			proc := &Proc{world: w, rank: rank}
-			comm := &Comm{world: w, proc: proc, rank: rank, group: group}
+			proc := &Proc{}
+			comm := &Comm{world: w, proc: proc, rank: rank}
 			if err := fn(comm); err != nil {
 				errs[rank] = err
 				w.abort(err)
@@ -275,7 +267,7 @@ func (c *Comm) Abort(err error) {
 func (c *Comm) Rank() int { return c.rank }
 
 // Size returns the number of processes in the communicator.
-func (c *Comm) Size() int { return len(c.group) }
+func (c *Comm) Size() int { return c.world.size }
 
 // Proc exposes the per-rank context (virtual clock).
 func (c *Comm) Proc() *Proc { return c.proc }
@@ -291,13 +283,13 @@ func (w *World) transferTime(nbytes int) float64 {
 	return w.net.Latency + float64(nbytes)/w.net.Bandwidth
 }
 
-// send delivers data from the calling rank to comm rank dst under context
+// send delivers data from the calling rank to rank dst under context
 // ctx. Sends are eager — the message is queued at the receiver and send
 // returns, so no pattern of sends can deadlock — and the message carries
 // data itself: the caller gives the slice up (package comment, "Buffer
 // ownership").
 //
-// A send on a revoked communicator panics *ErrRevoked. A send to a dead rank
+// A send on a revoked world panics *ErrRevoked. A send to a dead rank
 // is dropped: nobody will ever read it, and a crash between the peer's send
 // and our delivery is exactly the reordering a real network exhibits.
 func (c *Comm) send(dst, tag int, ctx int64, data []byte) {
@@ -308,11 +300,11 @@ func (c *Comm) send(dst, tag int, ctx int64, data []byte) {
 // the long-message Bcast hands every member the root's whole payload, which
 // it already shares, and moves it piece by piece in virtual time.
 func (c *Comm) sendSized(dst, tag int, ctx int64, data []byte, n int) {
-	if dst < 0 || dst >= len(c.group) {
-		c.Abort(fmt.Errorf("mpi: send to invalid rank %d (size %d)", dst, len(c.group)))
+	if dst < 0 || dst >= c.world.size {
+		c.Abort(fmt.Errorf("mpi: send to invalid rank %d (size %d)", dst, c.world.size))
 	}
 	c.ftCheckRevoked()
-	box := c.world.boxes[c.group[dst]]
+	box := c.world.boxes[dst]
 	if box.dead.Load() {
 		c.proc.clock += c.world.net.SendOverhead
 		return
@@ -331,22 +323,24 @@ func (c *Comm) sendSized(dst, tag int, ctx int64, data []byte, n int) {
 // returns it, advancing the virtual clock to the arrival time. Wildcards
 // (AnySource/AnyTag) apply to src and tag; ctx always matches exactly.
 //
-// It is also where a rank observes a failure: a revoked communicator unwinds
-// the receive with *ErrRevoked. A receive that finds no match parks: it
+// It is also where a rank observes a failure: a revoked world unwinds the
+// receive with *ErrRevoked, checked before an abort so that every survivor
+// sees the revocation even after the first one to return it has aborted the
+// world. A receive that finds no match parks: it
 // leaves its description in the mailbox for the detector, gives up its
 // place in the world's running count, and sleeps until a sender, an abort
 // or a revocation wakes it (World.wake). The rank whose parking brings the
 // count to zero runs the detector itself (ft.go).
 func (c *Comm) recv(src, tag int, ctx int64) message {
 	w := c.world
-	box := w.boxes[c.group[c.rank]]
+	box := w.boxes[c.rank]
 	box.mu.Lock()
 	defer box.mu.Unlock()
 	for {
+		c.ftCheckRevoked()
 		if box.aborted {
 			panic(ErrAborted)
 		}
-		c.ftCheckRevoked()
 		for i, m := range box.queue {
 			if m.ctx != ctx {
 				continue
@@ -362,11 +356,7 @@ func (c *Comm) recv(src, tag int, ctx int64) message {
 			return m
 		}
 		op, seq := ctxOp(ctx)
-		box.wait = ParkedRecv{
-			WorldRank: c.group[c.rank], Comm: c.ctx >> 32,
-			Source: src, Tag: tag, Op: op, Seq: seq,
-			group: c.group, clock: c.proc.clock,
-		}
+		box.wait = ParkedRecv{Rank: c.rank, Source: src, Tag: tag, Op: op, Seq: seq, clock: c.proc.clock}
 		box.parked = true
 		if w.ft.running.Add(-1) == 0 {
 			// The detector locks every mailbox in turn; it must not find
@@ -389,21 +379,21 @@ func (c *Comm) Send(dst, tag int, data []byte) {
 	if tag < 0 {
 		c.Abort(fmt.Errorf("mpi: negative user tag %d", tag))
 	}
-	c.send(dst, tag, c.ctx, data)
+	c.send(dst, tag, 0, data)
 }
 
 // Recv blocks for a message from src (or AnySource) with the given tag (or
 // AnyTag) and returns its payload and actual source rank. The payload is the
 // slice the sender passed to Send, now owned by the caller.
 func (c *Comm) Recv(src, tag int) ([]byte, int) {
-	m := c.recv(src, tag, c.ctx)
+	m := c.recv(src, tag, 0)
 	return m.data, m.src
 }
 
-// A collective's message context is commID<<32 | kind<<ctxKindSh | seq:
-// the per-communicator sequence in bits 0-23 (modulo 2^24; members are never
-// that far apart) and the operation's kind in bits 24-29. User point-to-point
-// traffic has all 32 low bits zero.
+// A collective's message context is kind<<ctxKindSh | seq: the per-rank
+// collective sequence in bits 0-23 (modulo 2^24; ranks are never that far
+// apart) and the operation's kind in bits 24-29. User point-to-point traffic
+// has context 0.
 const (
 	ctxSeqMask  = 0xFFFFFF
 	ctxKindSh   = 24
@@ -441,108 +431,15 @@ func ctxOp(ctx int64) (string, int64) {
 }
 
 // nextOpCtx reserves the message context for one collective operation of
-// kind op. All ranks call collectives on a communicator in the same order (an
+// kind op. All ranks call collectives in the same order (an
 // MPI requirement), so the per-rank sequence counters stay in lockstep; a
 // rank that breaks the order waits under a context no peer sends on.
 func (c *Comm) nextOpCtx(op opKind) int64 {
-	// A collective on a revoked communicator can never complete; fail it
+	// A collective on a revoked world can never complete; fail it
 	// before any message moves (recv would catch it anyway, but root-only
 	// send patterns like Bcast's would first leak sends).
 	c.ftCheckRevoked()
 	c.seq++
 	c.proc.stats.Add(iostat.MPICollectives, 1)
-	return c.ctx | int64(op)<<ctxKindSh | c.seq&ctxSeqMask
-}
-
-// Split partitions the communicator by color, ordering members of each new
-// communicator by (key, old rank), like MPI_Comm_split. Collective.
-func (c *Comm) Split(color, key int) *Comm {
-	// Gather (color, key) from everyone; each rank then derives the same
-	// partition deterministically from the shared view.
-	mine := append(encodeInt64(int64(color)), encodeInt64(int64(key))...)
-	all := c.Allgather(mine)
-	type member struct{ color, key, rank int }
-	members := make([]member, c.Size())
-	for r := 0; r < c.Size(); r++ {
-		b := all[r]
-		members[r] = member{
-			color: int(decodeInt64(b[:8])),
-			key:   int(decodeInt64(b[8:16])),
-			rank:  r,
-		}
-	}
-	// Distinct colors in sorted order give every subgroup a stable index.
-	colorSet := map[int]bool{}
-	for _, m := range members {
-		colorSet[m.color] = true
-	}
-	var colors []int
-	for col := range colorSet {
-		colors = append(colors, col)
-	}
-	for i := 1; i < len(colors); i++ { // insertion sort; few colors
-		for j := i; j > 0 && colors[j-1] > colors[j]; j-- {
-			colors[j-1], colors[j] = colors[j], colors[j-1]
-		}
-	}
-	// Rank 0 allocates one contiguous block of communicator IDs for all
-	// subgroups; everyone derives their subgroup's ID from the block base.
-	var base int64
-	if c.rank == 0 {
-		c.world.mu.Lock()
-		c.world.commSeq += int64(len(colors))
-		base = c.world.commSeq - int64(len(colors)) + 1
-		c.world.mu.Unlock()
-	}
-	base = decodeInt64(c.bcastOwned(0, encodeInt64(base)))
-	colorIdx := 0
-	for i, col := range colors {
-		if col == color {
-			colorIdx = i
-		}
-	}
-	id := base + int64(colorIdx)
-
-	var group []int
-	for _, m := range members {
-		if m.color == color {
-			group = append(group, m.rank)
-		}
-	}
-	// Order by (key, old rank).
-	for i := 1; i < len(group); i++ {
-		for j := i; j > 0; j-- {
-			a, b := group[j-1], group[j]
-			if members[a].key > members[b].key || (members[a].key == members[b].key && a > b) {
-				group[j-1], group[j] = group[j], group[j-1]
-			} else {
-				break
-			}
-		}
-	}
-	myRank := -1
-	worldGroup := make([]int, len(group))
-	for i, r := range group {
-		worldGroup[i] = c.group[r]
-		if r == c.rank {
-			myRank = i
-		}
-	}
-	return &Comm{world: c.world, proc: c.proc, rank: myRank, group: worldGroup, ctx: id << 32}
-}
-
-func encodeInt64(v int64) []byte {
-	b := make([]byte, 8)
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (56 - 8*i))
-	}
-	return b
-}
-
-func decodeInt64(b []byte) int64 {
-	var v int64
-	for i := 0; i < 8; i++ {
-		v = v<<8 | int64(b[i])
-	}
-	return v
+	return int64(op)<<ctxKindSh | c.seq&ctxSeqMask
 }

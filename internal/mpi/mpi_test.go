@@ -264,31 +264,6 @@ func TestAgreeDigest(t *testing.T) {
 	})
 }
 
-func TestSplit(t *testing.T) {
-	runOrFatal(t, 6, func(c *Comm) error {
-		// Even/odd split with reversed key order.
-		sub := c.Split(c.Rank()%2, -c.Rank())
-		if sub.Size() != 3 {
-			return fmt.Errorf("sub size %d", sub.Size())
-		}
-		// Keys are negative ranks so the highest old rank becomes rank 0.
-		wantRank := map[int]int{0: 2, 2: 1, 4: 0, 1: 2, 3: 1, 5: 0}[c.Rank()]
-		if sub.Rank() != wantRank {
-			return fmt.Errorf("old rank %d: sub rank %d, want %d", c.Rank(), sub.Rank(), wantRank)
-		}
-		// The subcommunicator must work for collectives.
-		sum := sub.AllreduceI64([]int64{int64(c.Rank())}, OpSum)[0]
-		want := int64(0 + 2 + 4)
-		if c.Rank()%2 == 1 {
-			want = 1 + 3 + 5
-		}
-		if sum != want {
-			return fmt.Errorf("subcomm sum = %d, want %d", sum, want)
-		}
-		return nil
-	})
-}
-
 func TestVirtualTimeMonotonic(t *testing.T) {
 	runOrFatal(t, 4, func(c *Comm) error {
 		t0 := c.Clock()

@@ -40,45 +40,31 @@ func TestRandomizedPointToPoint(t *testing.T) {
 	})
 }
 
-// TestNestedSplits splits twice and runs collectives at every level
-// concurrently; contexts must never cross.
-func TestNestedSplits(t *testing.T) {
+// TestPointToPointBesideCollectives interleaves user Send/Recv with
+// collectives; contexts must never cross: a user message sent before a
+// collective is neither consumed by it nor lost, and one with a collective's
+// internal tag stays the user's.
+func TestPointToPointBesideCollectives(t *testing.T) {
 	runOrFatal(t, 8, func(c *Comm) error {
-		half := c.Split(c.Rank()/4, c.Rank()) // two groups of 4
-		quarter := half.Split(half.Rank()/2, half.Rank())
-		if half.Size() != 4 || quarter.Size() != 2 {
-			return fmt.Errorf("sizes %d/%d", half.Size(), quarter.Size())
-		}
-		// Sum world ranks at each level.
-		w := c.AllreduceI64([]int64{int64(c.Rank())}, OpSum)[0]
-		h := half.AllreduceI64([]int64{int64(c.Rank())}, OpSum)[0]
-		q := quarter.AllreduceI64([]int64{int64(c.Rank())}, OpSum)[0]
-		if w != 28 {
-			return fmt.Errorf("world sum %d", w)
-		}
-		wantH := int64(0 + 1 + 2 + 3)
-		if c.Rank() >= 4 {
-			wantH = 4 + 5 + 6 + 7
-		}
-		if h != wantH {
-			return fmt.Errorf("half sum %d, want %d", h, wantH)
-		}
-		wantQ := int64(2*(c.Rank()/2*2) + 1)
-		if q != wantQ {
-			return fmt.Errorf("quarter sum %d, want %d (rank %d)", q, wantQ, c.Rank())
-		}
-		// Interleave point-to-point on the world with collectives on subs.
 		if c.Rank() == 0 {
 			c.Send(7, 42, []byte("cross"))
+			c.Send(1, tagFanIn, []byte("user"))
 		}
-		half.Barrier()
-		if c.Rank() == 7 {
-			data, _ := c.Recv(0, 42)
-			if string(data) != "cross" {
+		if w := c.AllreduceI64([]int64{int64(c.Rank())}, OpSum)[0]; w != 28 {
+			return fmt.Errorf("world sum %d", w)
+		}
+		c.Barrier()
+		switch c.Rank() {
+		case 7:
+			if data, _ := c.Recv(0, 42); string(data) != "cross" {
 				return fmt.Errorf("cross message %q", data)
 			}
+		case 1:
+			if data, _ := c.Recv(AnySource, AnyTag); string(data) != "user" {
+				return fmt.Errorf("user message %q", data)
+			}
 		}
-		quarter.Barrier()
+		c.Barrier()
 		return nil
 	})
 }
