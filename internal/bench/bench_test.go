@@ -127,6 +127,38 @@ func TestFigure6SmallRun(t *testing.T) {
 	}
 }
 
+// TestFigure6CompletesUnderFaults: at a 1% fault rate per 64 KiB the
+// 64 MiB Figure 6 write completes, the serial baseline included, on every
+// seed. The serial baseline writes the array in one request of 1 024
+// units, which goes through untouched with probability 0.99^1024 ≈ 3e-5:
+// it completes only because a fault cuts the request where it struck and
+// pfs resumes it from the cut.
+func TestFigure6CompletesUnderFaults(t *testing.T) {
+	for seed := uint64(1); seed <= 4; seed++ {
+		fig, err := RunFigure6(Fig6Options{
+			Machine:    SDSCBlueHorizon(),
+			Dims:       Dims64MB,
+			Procs:      []int{2},
+			Partitions: []Partition{PartZ, PartX},
+			Stats:      true,
+			Fault:      FaultOptions{Rate: 0.01, Seed: seed},
+		})
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		var faults int64
+		for _, part := range []Partition{PartZ, PartX} {
+			if fig.Points[part][0] <= 0 {
+				t.Fatalf("seed %d: %v: no bandwidth measured", seed, part)
+			}
+			faults += fig.Stats[part][0].Sum[iostat.PfsFaultsInjected]
+		}
+		if fig.SerialMBps <= 0 || faults == 0 {
+			t.Fatalf("seed %d: serial %.1f MB/s, %d faults injected in the parallel cells; want both nonzero", seed, fig.SerialMBps, faults)
+		}
+	}
+}
+
 func TestFigure6ScalesWithProcs(t *testing.T) {
 	fig, err := RunFigure6(Fig6Options{
 		Machine:    smallMachine(),

@@ -7,11 +7,11 @@ import (
 
 // FaultOptions configures deterministic fault injection for a bench run:
 // transient read/write errors and latency spikes at probability Rate per
-// 64 KiB of payload. (There are no short transfers: a pfs request that
-// does not fail moves all its bytes.) The retry machinery
-// absorbs the faults, so a faulted run must produce the same file as a
-// clean one — the bench knobs exist to measure what that recovery costs
-// (see the IORetries / PfsRetries / IOBackoffTime counters under -stats).
+// 64 KiB of payload. An error cuts the request at the unit it struck and
+// pfs resumes it from the cut, so a faulted run must produce the same file
+// as a clean one, its bytes moved once — the bench knobs exist to measure
+// what that recovery costs (pfs_retries and pfs_backoff_time_ns under
+// -stats).
 type FaultOptions struct {
 	// Rate is the per-64KiB transient fault probability; 0 disables
 	// injection entirely.

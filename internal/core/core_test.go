@@ -908,15 +908,16 @@ func TestPrefetchReadFailureIsCollective(t *testing.T) {
 		}
 		return d.Close()
 	})
-	// One fault draw per 64 KiB at 20%: Open's first header read is one unit
-	// and fails all nine tries with probability 0.2^9; the 4 MiB variable is
-	// 64 units and fails each try with probability 1 - 0.8^64.
-	fsys.SetFault(fault.New(fault.Config{Seed: 3, ReadErrRate: 0.2, FaultUnit: 64 << 10}))
+	// A read crash point 2 MiB into the file: the header reads stop short
+	// of it, and the prefetch read of the 4 MiB variable covers it.
+	in := fault.New(fault.Config{Seed: 3})
+	in.ArmCrash(1<<21, false)
+	fsys.SetFault(in)
 	info := mpi.NewInfo().Set("nc_prefetch_vars", "big")
 	runWorld(t, 3, func(c *mpi.Comm) error {
 		want := mpi.ErrPeerFailed
 		if c.Rank() == 0 {
-			want = fault.ErrRetriesExhausted
+			want = fault.ErrCrashed
 		}
 		if _, err := Open(c, fsys, "pfail.nc", nctype.NoWrite, info); !errors.Is(err, want) {
 			return fmt.Errorf("rank %d: Open = %v, want %v", c.Rank(), err, want)

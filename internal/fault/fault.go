@@ -1,8 +1,15 @@
 // Package fault is a deterministic, seedable fault-injection layer for the
 // I/O stack. It decides — as a pure function of a seed and the operation's
 // identity — whether a given read or write suffers a transient error, a
-// short transfer, a latency spike, or an armed "crash point" that cuts a
-// write (and optionally the file) at a chosen byte.
+// latency spike, or an armed "crash point" that cuts the request (and
+// optionally the file) at a chosen byte.
+//
+// One rule places a transient fault: an operation's payload is a run of
+// FaultUnit-sized units, each failing independently at the configured rate,
+// and the operation is cut at the first unit that fails — the units before
+// it move, like a POSIX short count, and the caller resumes from the cut
+// (pfs.File.request is the one place that does). A resumed remainder has a
+// new offset and length, so it draws afresh.
 //
 // Determinism matters because the simulated ranks are goroutines whose
 // interleaving varies run to run: a shared PRNG drawn in arrival order would
@@ -10,35 +17,27 @@
 // (seed, rank, op, offset, length, occurrence), where occurrence counts how
 // many times this rank has issued this exact operation. Each rank's program
 // order is deterministic, so its fault schedule is too, independent of how
-// the goroutines interleave — and a retry of the same operation is a new
-// occurrence, so retries eventually succeed.
-//
-// The package also carries the stack's error taxonomy (transient vs
-// permanent, see Classify) and the bounded-exponential-backoff retry policy
-// the pfs serial adapter and the MPI-IO layer share.
+// the goroutines interleave.
 package fault
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"sync"
 )
 
-// Errors injected by the layer and produced by the retry machinery.
+// The errors the layer injects, and the one a request that stops
+// resuming returns.
 var (
 	// ErrTransient marks an injected server error that a retry may clear
 	// (the EIO-after-dropped-request class of PVFS/ROMIO deployments).
 	ErrTransient = errors.New("fault: transient I/O error")
-	// ErrCrashed marks an armed crash point firing: the write was cut at
+	// ErrCrashed marks an armed crash point firing: the request was cut at
 	// the chosen byte and the process is presumed dead. Permanent.
 	ErrCrashed = errors.New("fault: crash point reached")
-	// ErrRetriesExhausted wraps the last transient error once a retry
-	// policy gives up; it is permanent (callers must not keep retrying).
+	// ErrRetriesExhausted marks a request that pfs gave up resuming
+	// because its attempts kept moving nothing; it is permanent.
 	ErrRetriesExhausted = errors.New("fault: retries exhausted")
-	// ErrKilled is the reason a rank-kill (KillRank) passes to mpi's
-	// Comm.Die: the rank crashed outright mid-operation.
-	ErrKilled = errors.New("fault: rank killed at crash point")
 )
 
 // Named rank-kill points inside the two-phase collective path (mpiio
@@ -53,12 +52,6 @@ const (
 	KillMidExchange = "mid_exchange"
 	KillAfterIssue  = "after_issue"
 )
-
-// IsTransient reports whether err may clear on retry. Exhausted retries are
-// permanent even though the underlying cause was transient.
-func IsTransient(err error) bool {
-	return errors.Is(err, ErrTransient) && !errors.Is(err, ErrRetriesExhausted)
-}
 
 // Op identifies the faultable operation class.
 type Op int
@@ -76,27 +69,22 @@ func (o Op) String() string {
 	return "write"
 }
 
-// Config tunes an Injector. Rates are probabilities in [0, 1] evaluated
-// independently per operation.
+// Config tunes an Injector. Rates are probabilities in [0, 1] per FaultUnit
+// of payload.
 type Config struct {
 	// Seed selects the deterministic fault schedule.
 	Seed uint64
 	// ReadErrRate / WriteErrRate are the transient-error probabilities.
 	ReadErrRate  float64
 	WriteErrRate float64
-	// ShortRate is the probability that a transfer moves only part of its
-	// payload (a short read or write with nil error, as buggy call sites
-	// would see from a real file system). Only FaultyStore delivers short
-	// transfers; a pfs request that does not fail moves all its bytes.
-	ShortRate float64
-	// LatencyRate is the probability of a per-server latency spike of
-	// LatencySpike virtual seconds.
+	// LatencyRate is the probability of a latency spike of LatencySpike
+	// virtual seconds.
 	LatencyRate  float64
 	LatencySpike float64
-	// FaultUnit is the transfer size (bytes) that makes one independent
-	// fault draw; an n-byte operation draws ceil(n/FaultUnit) times, so a
-	// multi-megabyte collective write is as exposed as the same bytes
-	// moved in server-request-sized pieces. 0 means 256 KiB.
+	// FaultUnit is the payload size (bytes) that fails independently: an
+	// n-byte operation is ceil(n/FaultUnit) units, so a multi-megabyte
+	// collective write is as exposed as the same bytes moved in
+	// server-request-sized pieces. 0 means 256 KiB.
 	FaultUnit int64
 }
 
@@ -108,9 +96,9 @@ type Injector struct {
 
 	mu   sync.Mutex
 	seen map[opKey]uint64 // occurrence counters
-	// crashAt < 0 means no crash armed. When armed, the first write
-	// overlapping file offset crashAt keeps only bytes before it and
-	// returns ErrCrashed.
+	// crashAt < 0 means no crash armed. When armed, the first read or
+	// write overlapping file offset crashAt moves only the bytes before it
+	// and returns ErrCrashed.
 	crashAt       int64
 	crashTruncate bool
 	injected      int64
@@ -148,7 +136,7 @@ func New(cfg Config) *Injector {
 	return &Injector{cfg: cfg, seen: map[opKey]uint64{}, crashAt: -1}
 }
 
-// Injected returns how many faults (errors, shorts, spikes, crashes) the
+// Injected returns how many faults (errors, spikes, crashes, kills) the
 // injector has delivered.
 func (in *Injector) Injected() int64 {
 	if in == nil {
@@ -159,10 +147,11 @@ func (in *Injector) Injected() int64 {
 	return in.injected
 }
 
-// ArmCrash arms a one-shot crash point: the next write overlapping file
-// offset atByte keeps only the bytes before it and fails with ErrCrashed.
-// With truncateFile, the file is also cut to atByte bytes, modeling a
-// crash-plus-lost-tail instead of a torn in-place write.
+// ArmCrash arms a one-shot crash point: the next read or write overlapping
+// file offset atByte moves only the bytes before it and fails with
+// ErrCrashed. With truncateFile, a write also cuts the file to atByte bytes,
+// modeling a crash-plus-lost-tail instead of a torn in-place write; a read
+// never truncates.
 func (in *Injector) ArmCrash(atByte int64, truncateFile bool) {
 	if in == nil {
 		return
@@ -239,10 +228,10 @@ type Outcome struct {
 	Err error
 	// Delay is extra virtual latency to charge (seconds).
 	Delay float64
-	// N is the number of payload bytes that land/return despite the fault:
-	// the full length when Err is nil and no short transfer was injected,
-	// a strict prefix otherwise. For a crash, N is the byte count up to
-	// the crash point within this operation's range.
+	// N is the number of payload bytes that move: the full length when Err
+	// is nil; for a transient error, the bytes of the units before the one
+	// that failed — a multiple of FaultUnit below the length; for a crash,
+	// the bytes up to the crash point.
 	N int64
 	// TruncateTo >= 0 orders the caller to cut the file to this size
 	// (crash-with-truncation); -1 otherwise.
@@ -260,10 +249,10 @@ func (in *Injector) Decide(rank int, op Op, off, n int64) Outcome {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	// An armed crash point takes priority over probabilistic faults.
-	if in.crashAt >= 0 && op == OpWrite && off <= in.crashAt && in.crashAt < off+n {
+	if in.crashAt >= 0 && off <= in.crashAt && in.crashAt < off+n {
 		out.Err = ErrCrashed
 		out.N = in.crashAt - off
-		if in.crashTruncate {
+		if in.crashTruncate && op == OpWrite {
 			out.TruncateTo = in.crashAt
 		}
 		in.crashAt = -1
@@ -278,56 +267,41 @@ func (in *Injector) Decide(rank int, op Op, off, n int64) Outcome {
 	if op == OpWrite {
 		errRate = in.cfg.WriteErrRate
 	}
-	// Rates are per FaultUnit of payload: an operation moving k units is
-	// k independent exposures, so its effective rate is 1-(1-p)^k. This
-	// keeps the fault count proportional to bytes moved whether the stack
-	// issues many small requests or one huge vectored one.
-	k := in.drawUnits(n)
-	errRate = compoundRate(errRate, k)
-	// Three independent sub-draws from one hash, each uniform in [0, 1).
-	pErr := unit(draw)
-	pShort := unit(hash64(draw, 1, 0, 0, 0, 0))
-	pLat := unit(hash64(draw, 2, 0, 0, 0, 0))
-	if pLat < compoundRate(in.cfg.LatencyRate, k) {
+	u := in.cfg.FaultUnit
+	if u <= 0 {
+		u = 256 << 10
+	}
+	k := max((n+u-1)/u, 1)
+	// Two independent draws from one hash: the first unit to fail, and the
+	// first to suffer a spike.
+	if firstHit(unit(hash64(draw, 2, 0, 0, 0, 0)), in.cfg.LatencyRate, k) < k {
 		out.Delay = in.cfg.LatencySpike
 		in.injected++
 	}
-	if pErr < errRate {
+	if j := firstHit(unit(draw), errRate, k); j < k {
 		out.Err = ErrTransient
-		// Part of the payload may have moved before the request died.
-		out.N = int64(unit(hash64(draw, 3, 0, 0, 0, 0)) * float64(n))
-		in.injected++
-		return out
-	}
-	if pShort < compoundRate(in.cfg.ShortRate, k) && n > 1 {
-		// Short transfer: at least one byte of progress, never the full n.
-		out.N = 1 + int64(unit(hash64(draw, 4, 0, 0, 0, 0))*float64(n-1))
+		out.N = j * u
 		in.injected++
 	}
 	return out
 }
 
-// drawUnits returns how many FaultUnit-sized exposures an n-byte transfer
-// makes (at least one).
-func (in *Injector) drawUnits(n int64) int64 {
-	u := in.cfg.FaultUnit
-	if u <= 0 {
-		u = 256 << 10
+// firstHit is one geometric draw from x, uniform in [0, 1): the index of the
+// first of k units to be hit when each is hit independently with
+// probability p, or k when none is. The chance that some unit is hit is
+// 1-(1-p)^k.
+func firstHit(x, p float64, k int64) int64 {
+	if p <= 0 {
+		return k
 	}
-	k := (n + u - 1) / u
-	if k < 1 {
-		k = 1
+	if p >= 1 {
+		return 0
 	}
-	return k
-}
-
-// compoundRate is the probability that at least one of k independent
-// exposures at rate p fires.
-func compoundRate(p float64, k int64) float64 {
-	if k <= 1 || p <= 0 || p >= 1 {
-		return p
+	j := math.Log1p(-x) / math.Log1p(-p)
+	if j >= float64(k) {
+		return k
 	}
-	return 1 - math.Pow(1-p, float64(k))
+	return int64(j)
 }
 
 // unit maps a hash to [0, 1).
@@ -344,55 +318,4 @@ func hash64(vals ...uint64) uint64 {
 		h ^= h >> 31
 	}
 	return h
-}
-
-// RetryPolicy is the bounded-exponential-backoff schedule for transient
-// errors: attempt, wait Base, 2*Base, 4*Base ... capped at Max, give up
-// after MaxRetries retries. Waits are virtual time, charged to the caller's
-// clock.
-type RetryPolicy struct {
-	MaxRetries int
-	Base       float64 // seconds
-	Max        float64 // seconds
-}
-
-// DefaultRetryPolicy mirrors ROMIO-era deployment practice: a handful of
-// quick retries, backing off to tens of milliseconds.
-func DefaultRetryPolicy() RetryPolicy {
-	return RetryPolicy{MaxRetries: 8, Base: 1e-3, Max: 50e-3}
-}
-
-// Backoff returns the wait before retry attempt i (0-based).
-func (p RetryPolicy) Backoff(i int) float64 {
-	d := p.Base
-	for ; i > 0 && d < p.Max; i-- {
-		d *= 2
-	}
-	if d > p.Max {
-		d = p.Max
-	}
-	return d
-}
-
-// Do runs op, retrying transient errors under the policy. op receives the
-// virtual start time of the attempt and returns the completion time and
-// error. Do returns the final completion time, the number of retries
-// performed, the total backoff charged, and the final error: nil on
-// success, the original error if permanent, or ErrRetriesExhausted wrapping
-// the last transient error once the budget is spent.
-func (p RetryPolicy) Do(t float64, op func(t float64) (float64, error)) (done float64, retries int, backoff float64, err error) {
-	done = t
-	for attempt := 0; ; attempt++ {
-		done, err = op(done)
-		if err == nil || !IsTransient(err) {
-			return done, retries, backoff, err
-		}
-		if attempt >= p.MaxRetries {
-			return done, retries, backoff, fmt.Errorf("%w after %d retries: %v", ErrRetriesExhausted, retries, err)
-		}
-		wait := p.Backoff(attempt)
-		done += wait
-		backoff += wait
-		retries++
-	}
 }

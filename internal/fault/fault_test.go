@@ -2,6 +2,7 @@ package fault
 
 import (
 	"errors"
+	"math"
 	"testing"
 )
 
@@ -24,7 +25,7 @@ func TestNilInjectorIsDisabled(t *testing.T) {
 // schedules; a different seed must diverge somewhere.
 func TestScheduleIsDeterministicInSeed(t *testing.T) {
 	run := func(seed uint64) []Outcome {
-		in := New(Config{Seed: seed, ReadErrRate: 0.2, WriteErrRate: 0.2, ShortRate: 0.2, LatencyRate: 0.1, LatencySpike: 1e-3})
+		in := New(Config{Seed: seed, ReadErrRate: 0.2, WriteErrRate: 0.2, LatencyRate: 0.1, LatencySpike: 1e-3, FaultUnit: 64})
 		var outs []Outcome
 		for rank := 0; rank < 4; rank++ {
 			for i := int64(0); i < 64; i++ {
@@ -96,142 +97,71 @@ func TestCrashPointIsOneShot(t *testing.T) {
 	if out := in.Decide(0, OpWrite, 80, 64); out.Err != nil {
 		t.Fatalf("crash fired twice: %v", out.Err)
 	}
-	if IsTransient(ErrCrashed) {
-		t.Fatal("ErrCrashed classified transient")
+	// A read through an armed crash point fails the same way, and never
+	// truncates.
+	in.ArmCrash(300, true)
+	out = in.Decide(0, OpRead, 256, 64)
+	if !errors.Is(out.Err, ErrCrashed) || out.N != 44 || out.TruncateTo != -1 {
+		t.Fatalf("read through crash point: %+v, want ErrCrashed, N 44, no truncation", out)
 	}
 }
 
-func TestShortTransferNeverFullNeverZero(t *testing.T) {
-	in := New(Config{Seed: 3, ShortRate: 1})
-	for i := int64(0); i < 100; i++ {
-		out := in.Decide(1, OpRead, i*4096, 4096)
-		if out.Err != nil {
-			t.Fatalf("short-only config returned error: %v", out.Err)
+// TestCutIsWholeUnitsBelowN: a transient fault cuts an operation at the
+// start of the unit that failed — a multiple of FaultUnit strictly below the
+// operation's length — whatever the length, including lengths that end in a
+// partial unit.
+func TestCutIsWholeUnitsBelowN(t *testing.T) {
+	const unit = 100
+	in := New(Config{Seed: 3, ReadErrRate: 0.3, WriteErrRate: 0.3, FaultUnit: unit})
+	cuts := map[int64]bool{}
+	for i := int64(0); i < 2000; i++ {
+		n := 1 + i%1000
+		op := Op(i % 2)
+		out := in.Decide(1, op, i*4096, n)
+		if out.Err == nil {
+			if out.N != n {
+				t.Fatalf("clean %v of %d bytes moves %d", op, n, out.N)
+			}
+			continue
 		}
-		if out.N < 1 || out.N >= 4096 {
-			t.Fatalf("short transfer N=%d, want in [1, 4096)", out.N)
+		if !errors.Is(out.Err, ErrTransient) {
+			t.Fatalf("%v: unexpected error %v", op, out.Err)
 		}
-	}
-}
-
-func TestRetryPolicyBackoffBounded(t *testing.T) {
-	p := DefaultRetryPolicy()
-	prev := 0.0
-	for i := 0; i < p.MaxRetries+4; i++ {
-		b := p.Backoff(i)
-		if b < prev || b > p.Max {
-			t.Fatalf("backoff(%d)=%g not monotone within [0, %g]", i, b, p.Max)
+		if out.N%unit != 0 || out.N < 0 || out.N >= n {
+			t.Fatalf("%v of %d bytes cut at %d: want a multiple of %d below %d", op, n, out.N, unit, n)
 		}
-		prev = b
+		cuts[out.N] = true
+	}
+	if !cuts[0] || len(cuts) < 5 {
+		t.Fatalf("cuts seen %v: want the first unit and several later ones", cuts)
 	}
 }
 
-func TestRetryDoExhaustionIsPermanent(t *testing.T) {
-	p := RetryPolicy{MaxRetries: 3, Base: 1e-3, Max: 4e-3}
-	calls := 0
-	done, retries, backoff, err := p.Do(10, func(t float64) (float64, error) {
-		calls++
-		return t + 1e-4, ErrTransient
-	})
-	if calls != 4 || retries != 3 {
-		t.Fatalf("calls=%d retries=%d, want 4/3", calls, retries)
-	}
-	if !errors.Is(err, ErrRetriesExhausted) || IsTransient(err) {
-		t.Fatalf("exhaustion error %v must be permanent", err)
-	}
-	wantBackoff := 1e-3 + 2e-3 + 4e-3
-	if backoff != wantBackoff {
-		t.Fatalf("backoff=%g, want %g", backoff, wantBackoff)
-	}
-	if d := done - (10 + 4*1e-4 + wantBackoff); d < -1e-12 || d > 1e-12 {
-		t.Fatalf("done=%g accounts wrong virtual time", done)
-	}
-	// A permanent error must not be retried at all.
-	calls = 0
-	_, _, _, err = p.Do(0, func(t float64) (float64, error) { return t, ErrCrashed })
-	if calls := calls; calls > 1 {
-		t.Fatalf("permanent error retried %d times", calls)
-	}
-	if !errors.Is(err, ErrCrashed) {
-		t.Fatalf("permanent error rewritten: %v", err)
-	}
-}
-
-func TestRetryDoClearsTransient(t *testing.T) {
-	p := DefaultRetryPolicy()
-	n := 0
-	_, retries, _, err := p.Do(0, func(t float64) (float64, error) {
-		n++
-		if n < 3 {
-			return t, ErrTransient
+// TestCleanFractionIsPerUnit: the chance a k-unit operation goes through
+// untouched is (1-p)^k — each unit fails independently at rate p — for
+// errors and latency spikes alike. Over 20 000 draws per k the binomial
+// standard error is at most 0.0036, so a tolerance of 0.015 is over four of
+// them.
+func TestCleanFractionIsPerUnit(t *testing.T) {
+	const p, draws, unit, tol = 0.05, 20000, 64, 0.015
+	for _, k := range []int64{1, 4, 16, 40} {
+		in := New(Config{Seed: uint64(k), WriteErrRate: p, LatencyRate: p, LatencySpike: 1e-3, FaultUnit: unit})
+		var clean, unspiked int
+		for i := int64(0); i < draws; i++ {
+			out := in.Decide(0, OpWrite, i*unit*k, unit*k)
+			if out.Err == nil {
+				clean++
+			}
+			if out.Delay == 0 {
+				unspiked++
+			}
 		}
-		return t, nil
-	})
-	if err != nil || retries != 2 {
-		t.Fatalf("err=%v retries=%d, want nil/2", err, retries)
-	}
-}
-
-// memStore is a minimal in-memory Store for FaultyStore tests.
-type memStore struct{ data []byte }
-
-func (m *memStore) grow(n int64) {
-	if n > int64(len(m.data)) {
-		m.data = append(m.data, make([]byte, n-int64(len(m.data)))...)
-	}
-}
-func (m *memStore) ReadAt(p []byte, off int64) (int, error) {
-	n := copy(p, m.data[min64(off, int64(len(m.data))):])
-	return n, nil
-}
-func (m *memStore) WriteAt(p []byte, off int64) (int, error) {
-	m.grow(off + int64(len(p)))
-	return copy(m.data[off:], p), nil
-}
-func (m *memStore) Size() (int64, error) { return int64(len(m.data)), nil }
-func (m *memStore) Truncate(n int64) error {
-	m.grow(n)
-	m.data = m.data[:n]
-	return nil
-}
-func (m *memStore) Sync() error  { return nil }
-func (m *memStore) Close() error { return nil }
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func TestFaultyStoreShortWriteLandsPrefixOnly(t *testing.T) {
-	ms := &memStore{}
-	fs := NewFaultyStore(ms, New(Config{Seed: 5, ShortRate: 1}))
-	p := []byte("abcdefghij")
-	n, err := fs.WriteAt(p, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n >= len(p) || n < 1 {
-		t.Fatalf("short write n=%d", n)
-	}
-	if int64(len(ms.data)) != int64(n) {
-		t.Fatalf("store holds %d bytes, want the %d-byte prefix only", len(ms.data), n)
-	}
-}
-
-func TestFaultyStoreCrashTruncates(t *testing.T) {
-	ms := &memStore{}
-	ms.WriteAt(make([]byte, 200), 0)
-	in := New(Config{Seed: 5})
-	fs := NewFaultyStore(ms, in)
-	in.ArmCrash(50, true)
-	n, err := fs.WriteAt(make([]byte, 100), 0)
-	if !errors.Is(err, ErrCrashed) {
-		t.Fatalf("err=%v", err)
-	}
-	if n != 50 || int64(len(ms.data)) != 50 {
-		t.Fatalf("n=%d size=%d, want 50/50", n, len(ms.data))
+		want := math.Pow(1-p, float64(k))
+		for name, got := range map[string]float64{"error-free": float64(clean) / draws, "spike-free": float64(unspiked) / draws} {
+			if math.Abs(got-want) > tol {
+				t.Errorf("k=%d: %s fraction %.4f, want (1-p)^k = %.4f ± %g", k, name, got, want, tol)
+			}
+		}
 	}
 }
 

@@ -61,7 +61,7 @@ func TestFlashCheckpointUnderTransientFaults(t *testing.T) {
 			}
 			mu.Lock()
 			faults += c.Proc().Stats().Get(iostat.PfsFaultsInjected)
-			retries += c.Proc().Stats().Get(iostat.IORetries) + c.Proc().Stats().Get(iostat.PfsRetries)
+			retries += c.Proc().Stats().Get(iostat.PfsRetries)
 			mu.Unlock()
 			return nil
 		})

@@ -2,7 +2,6 @@ package mpi
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"math/bits"
 	"testing"
@@ -161,7 +160,7 @@ func TestBcastLongKilledMember(t *testing.T) {
 				ctx := c.nextOpCtx(opBcast)
 				tr := c.commTree(root)
 				c.recv(tr.rank(tr.me-tr.span()), AnyTag, ctx)
-				c.Die(errors.New("test kill"))
+				c.Die()
 			}
 			var data []byte
 			if c.Rank() == root {

@@ -101,10 +101,7 @@ func CatchRevoked(fn func() error) (err error) {
 // rankKilled is the panic payload of Comm.Die: a simulated rank crash. Run
 // treats it as a benign exit of that one goroutine — no world abort, no
 // error — leaving its peers to detect the silence.
-type rankKilled struct {
-	rank   int
-	reason error
-}
+type rankKilled struct{}
 
 // ftState is the world's failure-detector state, part of World by value.
 type ftState struct {
@@ -259,9 +256,9 @@ func (w *World) detect() bool {
 // process's closed descriptors) and never communicates again. It wakes
 // nobody: its peers run on until they can go no further without it, and
 // the detector then revokes the world. Never returns.
-func (c *Comm) Die(reason error) {
+func (c *Comm) Die() {
 	c.world.boxes[c.rank].dead.Store(true)
-	panic(rankKilled{rank: c.rank, reason: reason})
+	panic(rankKilled{})
 }
 
 // revoke revokes the world: failed — the ranks found dead, sorted — is its
@@ -276,10 +273,6 @@ func (w *World) revoke(failed []int, at float64) {
 		b.mu.Unlock()
 	}
 }
-
-// Revoked reports whether the world has been revoked. After it returns
-// true, every operation on the communicator panics *ErrRevoked.
-func (c *Comm) Revoked() bool { return c.world.ft.revoked.Load() != nil }
 
 // ftCheckRevoked panics the revocation if the world is revoked. The
 // fast path is one atomic load. The first time the rank meets the

@@ -29,9 +29,9 @@ package mpiio
 // within one stripe thus commits fully behind; the magic of a header across
 // stripes waits for its body.
 //
-// A retried write leaves the link at its last attempt (issuePF runs the
-// whole retry chain), so backoff is always on the clock. A failed write is
-// written through: its error is returned at once.
+// A write a transient fault cut leaves the link at its last attempt (pfs
+// resumes it inside the request), so backoff is always on the clock. A
+// failed write is written through: its error is returned at once.
 
 import (
 	"slices"
@@ -87,22 +87,15 @@ func (b *writeQueue) ordered(s int64) bool {
 	return true
 }
 
-// writeBehind issues one write of n bytes to segs from the rank's clock,
-// with at most the client cache's bytes in flight once it is issued, and
-// returns its issue time. write is one attempt at time t; it reports when
-// the attempt's bytes left the link and when it completed. round tags the
-// drain span of a write that had to wait for older ones (-1 outside a
-// collective).
-func (f *File) writeBehind(segs []pfs.Segment, n int64, round int,
-	write func(t float64) (left, end float64, err error)) (issued float64, err error) {
+// writeBehind issues one write of the n bytes of iov to segs from the
+// rank's clock, with at most the client cache's bytes in flight once it is
+// issued, and returns its issue time. round tags the drain span of a write
+// that had to wait for older ones (-1 outside a collective).
+func (f *File) writeBehind(segs []pfs.Segment, iov [][]byte, n int64, round int) (issued float64, err error) {
 	cache := f.behind.cache
 	f.drainTo(cache-n, round)
 	issued = f.comm.Clock()
-	var left float64
-	end, err := f.issuePF(issued, func(t float64) (end float64, err error) {
-		left, end, err = write(t)
-		return end, err
-	})
+	left, end, err := f.pf.WriteBehind(issued, segs, iov)
 	if err != nil || n > cache {
 		f.settle(issued, end)
 		return issued, err

@@ -33,11 +33,11 @@ func TestRetriedWriteLeavesTheLinkLast(t *testing.T) {
 			if i%2 == 1 {
 				write = f.WriteAtAll
 			}
-			t0, b0 := c.Clock(), st.Get(iostat.IOBackoffTimeNs)
+			t0, b0 := c.Clock(), st.Get(iostat.PfsBackoffTimeNs)
 			if err := write(int64(i%8)*n, buf); err != nil {
 				return err
 			}
-			backoff := float64(st.Get(iostat.IOBackoffTimeNs)-b0) / 1e9
+			backoff := float64(st.Get(iostat.PfsBackoffTimeNs)-b0) / 1e9
 			if backoff > 0 {
 				retried++
 			}

@@ -18,7 +18,6 @@ import (
 	"math"
 	"strconv"
 
-	"pnetcdf/internal/fault"
 	"pnetcdf/internal/iostat"
 	"pnetcdf/internal/mpi"
 	"pnetcdf/internal/mpitype"
@@ -124,10 +123,6 @@ type File struct {
 	st *iostat.Stats
 	sp *span.Recorder
 
-	// retry is the transient-error retry schedule applied to every pfs
-	// access this handle issues (see doPF).
-	retry fault.RetryPolicy
-
 	// behind holds the rank's writes still in flight (behind.go).
 	behind writeQueue
 
@@ -192,7 +187,7 @@ func open(comm *mpi.Comm, fsys *pfs.FS, name string, amode int, info *mpi.Info) 
 	}
 	cfg := fsys.Config()
 	f := &File{comm: comm, fs: fsys, pf: pf, amode: amode, hints: resolveHints(comm, info, cfg.NumServers), info: info.Clone(),
-		retry: fault.DefaultRetryPolicy(), behind: writeQueue{cache: cfg.ClientCache, stripe: cfg.StripeSize}}
+		behind: writeQueue{cache: cfg.ClientCache, stripe: cfg.StripeSize}}
 	// As MPI_File_get_info does under ROMIO, Info reports the striping the
 	// file has; this file system stripes every file alike, so a value the
 	// caller supplied is advice it cannot take.
@@ -308,22 +303,6 @@ func (f *File) barrier() error {
 	})
 }
 
-// issuePF runs one pfs request issued at virtual time t under the file's
-// transient-retry policy and returns the virtual end of its retry chain: a
-// transient failure is re-issued at once, after the policy's backoff, and
-// the retry effort is recorded in iostat. Errors still present after the
-// budget (and permanent ones immediately) come back with that end. The
-// request's bytes have moved when issuePF returns; only the rank clock is
-// left to settle (at once, or later for a write behind: behind.go).
-func (f *File) issuePF(t float64, op func(t float64) (float64, error)) (float64, error) {
-	end, retries, backoff, err := f.retry.Do(t, op)
-	if retries > 0 {
-		f.st.Add(iostat.IORetries, int64(retries))
-		f.st.AddTime(iostat.IOBackoffTimeNs, backoff)
-	}
-	return end, err
-}
-
 // settle advances the rank clock to max(clock, end) for a request the rank
 // stopped waiting on at virtual time issued, and credits the virtual time
 // the request spent in flight while the rank did other work to
@@ -338,11 +317,12 @@ func (f *File) settle(issued, end float64) {
 	}
 }
 
-// doPF issues one pfs request from the rank's current clock and settles it
-// at once.
-func (f *File) doPF(op func(t float64) (float64, error)) error {
+// read reads segs into consecutive bytes of buf as one pfs request from the
+// rank's clock, and settles it at once. The request's bytes have moved, and
+// a transient fault has been resumed (pfs.File.ReadAhead), when it returns.
+func (f *File) read(segs []pfs.Segment, buf []byte) error {
 	t := f.comm.Clock()
-	end, err := f.issuePF(t, op)
+	end, err := f.pf.ReadV(t, segs, buf)
 	f.settle(t, end)
 	return err
 }
@@ -359,9 +339,7 @@ func (f *File) ReadRawV(segs []pfs.Segment, buf []byte) error {
 	if f.closed {
 		return ErrClosed
 	}
-	if err := f.doPF(func(t float64) (float64, error) {
-		return f.pf.ReadV(t, segs, buf)
-	}); err != nil {
+	if err := f.read(segs, buf); err != nil {
 		return err
 	}
 	f.st.Add(iostat.IORawBytesRead, int64(len(buf)))
@@ -382,9 +360,7 @@ func (f *File) WriteRaw(buf []byte, off int64) error {
 	if !f.behind.ordered(f.behind.stripeOf(seg)) {
 		f.DrainWrites()
 	}
-	if _, err := f.writeBehind(seg, int64(len(buf)), -1, func(t float64) (float64, float64, error) {
-		return f.pf.WriteBehind(t, seg, [][]byte{buf})
-	}); err != nil {
+	if _, err := f.writeBehind(seg, [][]byte{buf}, int64(len(buf)), -1); err != nil {
 		return err
 	}
 	f.st.Add(iostat.IORawBytesWritten, int64(len(buf)))

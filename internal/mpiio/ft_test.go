@@ -2,7 +2,6 @@ package mpiio
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -489,8 +488,8 @@ func TestFTWithoutDetectorStillAgrees(t *testing.T) {
 		if err := f.WriteAtAll(0, ftioPattern(c.Rank(), 4096)); err != nil {
 			return err
 		}
-		if c.Revoked() {
-			return errors.New("revoked without any death")
+		if err := mpi.CatchRevoked(func() error { c.Barrier(); return nil }); err != nil {
+			return fmt.Errorf("revoked without any death: %w", err)
 		}
 		return f.Close()
 	})

@@ -13,8 +13,8 @@ import (
 // hole-separated piece, whole covering windows are read once and each
 // wanted piece drained from the window into dst — ROMIO's romio_ds_read
 // strategy. Otherwise the access is one request into one pooled buffer of n
-// bytes. Transient storage errors are retried under the file's retry
-// policy; errors that remain are returned. The romio_cb_read = false
+// bytes. Errors are returned (pfs has resumed transient faults already).
+// The romio_cb_read = false
 // fallback of ReadAtAllInto comes here too.
 func (f *File) ReadAtInto(off, n int64, dst Sink) error {
 	if f.closed {
@@ -31,9 +31,7 @@ func (f *File) ReadAtInto(off, n int64, dst Sink) error {
 	if len(segs) <= 1 || !f.hints.DSRead {
 		buf := bufpool.GetDirty(int(n))
 		defer bufpool.Put(buf)
-		if err := f.doPF(func(t float64) (float64, error) {
-			return f.pf.ReadV(t, segs, buf)
-		}); err != nil {
+		if err := f.read(segs, buf); err != nil {
 			return err
 		}
 		dst.Drain(0, buf)
@@ -73,9 +71,7 @@ func (f *File) WriteAtFrom(off, n int64, src Source) error {
 		buf := bufpool.GetDirty(int(n))
 		defer bufpool.Put(buf)
 		src.Fill(buf, 0)
-		if _, err := f.writeBehind(segs, n, -1, func(t float64) (float64, float64, error) {
-			return f.pf.WriteBehind(t, segs, [][]byte{buf})
-		}); err != nil {
+		if _, err := f.writeBehind(segs, [][]byte{buf}, n, -1); err != nil {
 			return err
 		}
 	} else if err := sieve(segs, f.hints.IndWrBufferSize, func(run []pfs.Segment, pos int64) error {
@@ -122,9 +118,7 @@ func (f *File) readWindow(run []pfs.Segment, pos int64, dst Sink) error {
 	lo, hi := cover(run)
 	win := bufpool.GetDirty(int(hi - lo))
 	defer bufpool.Put(win)
-	if err := f.doPF(func(t float64) (float64, error) {
-		return f.pf.ReadAt(t, win, lo)
-	}); err != nil {
+	if err := f.read([]pfs.Segment{{Off: lo, Len: hi - lo}}, win); err != nil {
 		return err
 	}
 	wanted := int64(0)
@@ -146,20 +140,15 @@ func (f *File) writeWindow(run []pfs.Segment, pos int64, src Source) error {
 	lo, hi := cover(run)
 	win := bufpool.GetDirty(int(hi - lo))
 	defer bufpool.Put(win)
-	seg := []pfs.Segment{{Off: lo, Len: hi - lo}}
-	write := func(t float64) (float64, float64, error) {
-		return f.pf.WriteBehind(t, seg, [][]byte{win})
-	}
+	seg, iov := []pfs.Segment{{Off: lo, Len: hi - lo}}, [][]byte{win}
 	if len(run) == 1 {
 		src.Fill(win, pos)
-		_, err := f.writeBehind(seg, hi-lo, -1, write)
+		_, err := f.writeBehind(seg, iov, hi-lo, -1)
 		return err
 	}
 	f.pf.LockRMW(lo, hi-lo)
 	defer f.pf.UnlockRMW(lo, hi-lo)
-	if err := f.doPF(func(t float64) (float64, error) {
-		return f.pf.ReadAt(t, win, lo)
-	}); err != nil {
+	if err := f.read(seg, win); err != nil {
 		return err
 	}
 	wanted := int64(0)
@@ -167,7 +156,7 @@ func (f *File) writeWindow(run []pfs.Segment, pos int64, src Source) error {
 		src.Fill(win[s.Off-lo:s.Off-lo+s.Len], pos+wanted)
 		wanted += s.Len
 	}
-	if _, err := f.writeBehind(seg, hi-lo, -1, write); err != nil {
+	if _, err := f.writeBehind(seg, iov, hi-lo, -1); err != nil {
 		return err
 	}
 	f.st.Add(iostat.IOSieveRMW, 1)

@@ -33,8 +33,8 @@ package mpiio
 // one-round read (depth 1) is exactly pack → exchange → ReadAhead → settle
 // → agree → replies → scatter. A rank's requests never share its link:
 // each is issued after the last one's bytes left. A transient failure is
-// retried at once, from its issue time, under the file's retry policy
-// (File.issuePF); the request's end is the end of that retry chain.
+// resumed inside the request (pfs.File.ReadAhead/WriteBehind); the
+// request's end is its last attempt's.
 //
 // One agreement per round. An exchange's count allreduce (sparseExchange) is
 // also the error agreement on an earlier round whose outcome every rank
@@ -111,10 +111,6 @@ func (f *File) writeRounds(plan collectivePlan, segs []pfs.Segment, prefix []int
 		sRound.End()
 		return err
 	}
-	write := func(t float64) (float64, float64, error) {
-		return f.pf.WriteBehind(t, wv.segs, wv.iov)
-	}
-
 	if myAgg >= 0 {
 		f.behind.reserve(int(plan.rounds))
 	}
@@ -130,7 +126,7 @@ func (f *File) writeRounds(plan collectivePlan, segs []pfs.Segment, prefix []int
 			roundErr = wv.assemble(msgs, lo, hi)
 			if roundErr == nil && len(wv.iov) > 0 {
 				var issued float64
-				issued, roundErr = f.writeBehind(wv.segs, wv.bytes, int(r), write)
+				issued, roundErr = f.writeBehind(wv.segs, wv.iov, wv.bytes, int(r))
 				f.killPoint(fault.KillAfterIssue)
 				f.sp.Record(span.AggWrite, int(r), issued, f.comm.Clock(), wv.bytes, -1)
 			}
@@ -170,7 +166,7 @@ func (f *File) agree(r int64, err error) error {
 // rank-kill at this named point (fault.KillRank); a no-op otherwise.
 func (f *File) killPoint(point string) {
 	if inj := f.fs.Fault(); inj != nil && inj.KillCheck(f.comm.Rank(), point) {
-		f.comm.Die(fault.ErrKilled)
+		f.comm.Die()
 	}
 }
 
@@ -322,10 +318,7 @@ func (f *File) readRounds(plan collectivePlan, segs []pfs.Segment, prefix []int6
 func (f *File) issueRead(s *readScratch, g int) {
 	rd, cov := &s.round[g], &s.cov
 	rd.issued = f.comm.Clock()
-	rd.end, rd.err = f.issuePF(rd.issued, func(t float64) (end float64, err error) {
-		rd.left, end, err = f.pf.ReadAhead(t, cov.segs, [][]byte{cov.data})
-		return end, err
-	})
+	rd.left, rd.end, rd.err = f.pf.ReadAhead(rd.issued, cov.segs, [][]byte{cov.data})
 	f.killPoint(fault.KillAfterIssue)
 	f.settle(rd.issued, rd.left)
 	if rd.err != nil {

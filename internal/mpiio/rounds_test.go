@@ -341,10 +341,8 @@ func readFailAllreduces(k, depth int64) int64 {
 // the last depth−1 rounds), ahead of answer(k). Every rank returns (rank 0
 // its own typed error, everyone else ErrPeerFailed) having entered exactly
 // readFailAllreduces(k, depth) allreduces, and the handle stays usable. The
-// failure is placed by size: at FaultUnit = 1 byte every coverage read of
-// this collective is 4 bytes — one from each rank — except rank 0's round-k
-// read, a whole window, and a transient rate that the 4-byte reads retry
-// through fails that one at every attempt.
+// failure is placed by byte: a crash point in rank 0's quarter of window k,
+// which only aggregator 0's round-k coverage read covers.
 func TestReadRoundPartialAggregatorFailure(t *testing.T) {
 	closingOnly := 0 // cases whose round k < R−1 only the closing agreement carries
 	for _, k := range failAt {
@@ -401,7 +399,9 @@ func readRoundFailure(t *testing.T, k, depth int64) {
 		}
 		_, ar := allreduceCost(c, st)
 		if me == 0 {
-			fsys.SetFault(fault.New(fault.Config{Seed: 7, ReadErrRate: 0.005, FaultUnit: 1}))
+			in := fault.New(fault.Config{Seed: 7})
+			in.ArmCrash(k*failWindow+1, false)
+			fsys.SetFault(in)
 		}
 		c.Barrier()
 		got := make([]byte, len(want))
@@ -425,8 +425,8 @@ func readRoundFailure(t *testing.T, k, depth int64) {
 		return f.Close()
 	})
 	for r, err := range errs {
-		if r == 0 && !errors.Is(err, fault.ErrRetriesExhausted) {
-			t.Errorf("rank 0 (failed aggregator): %v, want retries exhausted", err)
+		if r == 0 && !errors.Is(err, fault.ErrCrashed) {
+			t.Errorf("rank 0 (failed aggregator): %v, want the crash point", err)
 		}
 		if r != 0 && !errors.Is(err, mpi.ErrPeerFailed) {
 			t.Errorf("rank %d: %v, want ErrPeerFailed", r, err)

@@ -97,8 +97,8 @@ func TestSpansClosedUnderTransientFaults(t *testing.T) {
 
 // TestSpansClosedUnderPipelinedFaults: a many-round collective records
 // agg_write/agg_read as closed leaves when a request is settled, after the
-// next round's communication; under transient faults (retried at once, from
-// the issue) every span must still be closed on every rank, and the
+// next round's communication; under transient faults (resumed inside the
+// request, from the cut) every span must still be closed on every rank, and the
 // aggregator leaves must actually be present in the trace, in the same shape
 // the one-round collectives above record.
 func TestSpansClosedUnderPipelinedFaults(t *testing.T) {

@@ -8,7 +8,45 @@ import (
 	"pnetcdf/internal/cdf"
 	"pnetcdf/internal/fault"
 	"pnetcdf/internal/nctype"
+	"pnetcdf/internal/pfs"
 )
+
+// pfsFile is a simulated file for the fault tests: the library runs on it
+// through pfs.SerialFile, the store of the serial-netCDF baseline in every
+// benchmark, and faults are injected at its file system.
+type pfsFile struct {
+	fs *pfs.FS
+	f  *pfs.File
+}
+
+// newPFSFile returns a simulated file holding img, faults off.
+func newPFSFile(t *testing.T, img []byte) *pfsFile {
+	t.Helper()
+	fsys := pfs.New(pfs.BlueHorizon())
+	f, _ := fsys.Create("f.nc", 0)
+	if len(img) > 0 {
+		if _, err := f.WriteAt(0, img, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return &pfsFile{fs: fsys, f: f}
+}
+
+// store is a fresh serial handle on the file.
+func (p *pfsFile) store() *pfs.SerialFile { return pfs.NewSerialFile(p.f, 0) }
+
+// image reads the file's bytes with injection off.
+func (p *pfsFile) image(t *testing.T) []byte {
+	t.Helper()
+	saved := p.fs.Fault()
+	p.fs.SetFault(nil)
+	defer p.fs.SetFault(saved)
+	img := make([]byte, p.f.Size())
+	if _, err := p.f.ReadAt(0, img, 0); err != nil {
+		t.Fatal(err)
+	}
+	return img
+}
 
 // buildRecordFile writes a small record file (time-unlimited var over a
 // 2x3 spatial grid, nrecs records) and returns the clean on-disk image.
@@ -53,13 +91,33 @@ func buildRecordFile(t *testing.T, nrecs int) []byte {
 // recVar is the record variable's ID in files built by buildRecordFile.
 const recVar = 1
 
+// shortStore is a MemStore that moves at most half of each transfer and
+// reports the short count with a nil error, as a caller-supplied Store may.
+type shortStore struct {
+	MemStore
+	shorts int
+}
+
+func (s *shortStore) ReadAt(p []byte, off int64) (int, error) {
+	if len(p) > 1 {
+		p, s.shorts = p[:len(p)/2], s.shorts+1
+	}
+	return s.MemStore.ReadAt(p, off)
+}
+
+func (s *shortStore) WriteAt(p []byte, off int64) (int, error) {
+	if len(p) > 1 {
+		p, s.shorts = p[:len(p)/2], s.shorts+1
+	}
+	return s.MemStore.WriteAt(p, off)
+}
+
 // TestShortCountStoreRoundTrip: every store access must survive a backend
 // that returns short counts with nil errors (the regression the
 // readFull/writeFull sweep fixed — the page cache and header probe used to
 // trust the first count they got).
 func TestShortCountStoreRoundTrip(t *testing.T) {
-	in := fault.New(fault.Config{Seed: 42, ShortRate: 0.5})
-	store := fault.NewFaultyStore(&MemStore{}, in)
+	store := &shortStore{}
 	d, err := Create(store, nctype.Clobber)
 	if err != nil {
 		t.Fatal(err)
@@ -80,10 +138,9 @@ func TestShortCountStoreRoundTrip(t *testing.T) {
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if in.Injected() == 0 {
-		t.Fatal("no short transfers were injected; test proves nothing")
+	if store.shorts == 0 {
+		t.Fatal("no short transfers were returned; test proves nothing")
 	}
-	// Reopen through a fresh faulty wrapper and read everything back.
 	r, err := Open(store, nctype.NoWrite)
 	if err != nil {
 		t.Fatal(err)
@@ -102,33 +159,42 @@ func TestShortCountStoreRoundTrip(t *testing.T) {
 	}
 }
 
-// TestTransientStoreErrorsSurfaceNotPanic: transient backend errors must
-// come back as errors (the serial library has no retry policy — that lives
-// in the parallel stack), never as silent corruption or panics.
+// TestTransientStoreErrorsSurface: a transient fault that outlasts the
+// resume budget — every read fails at its first unit — comes back as a
+// permanent error, never as silent corruption or a panic: from Open, and
+// from reads of an open dataset.
 func TestTransientStoreErrorsSurface(t *testing.T) {
-	img := buildRecordFile(t, 3)
-	in := fault.New(fault.Config{Seed: 9, ReadErrRate: 0.7})
-	store := fault.NewFaultyStore(&MemStore{Data: img}, in)
-	d, err := Open(store, nctype.NoWrite)
-	if err != nil {
-		if !errors.Is(err, fault.ErrTransient) {
-			t.Fatalf("open failed with non-injected error: %v", err)
-		}
-		return
+	pf := newPFSFile(t, buildRecordFile(t, 3))
+	in := fault.New(fault.Config{Seed: 9, ReadErrRate: 1})
+	pf.fs.SetFault(in)
+	if _, err := Open(pf.store(), nctype.NoWrite); !errors.Is(err, fault.ErrRetriesExhausted) {
+		t.Fatalf("open with every read failing: %v, want retries exhausted", err)
 	}
+	pf.fs.SetFault(nil)
+	d, err := Open(pf.store(), nctype.NoWrite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pf.fs.SetFault(in)
 	got := make([]int32, 6)
+	failed := 0
 	for r := int64(0); r < 3; r++ {
 		err := d.GetVara(recVar, []int64{r, 0, 0}, []int64{1, 2, 3}, got)
-		if err != nil && !errors.Is(err, fault.ErrTransient) {
-			t.Fatalf("rec %d: non-injected error: %v", r, err)
+		if err != nil {
+			if !errors.Is(err, fault.ErrRetriesExhausted) {
+				t.Fatalf("rec %d: %v, want retries exhausted", r, err)
+			}
+			failed++
+			continue
 		}
-		if err == nil {
-			for i, g := range got {
-				if g != int32(r*100+int64(i)) {
-					t.Fatalf("rec %d[%d] = %d: fault leaked corruption into a successful read", r, i, g)
-				}
+		for i, g := range got {
+			if g != int32(r*100+int64(i)) {
+				t.Fatalf("rec %d[%d] = %d: fault leaked corruption into a successful read", r, i, g)
 			}
 		}
+	}
+	if failed == 0 {
+		t.Fatal("no record read reached the store; test proves nothing")
 	}
 }
 
@@ -152,9 +218,9 @@ func TestCrashDuringHeaderCommitSweep(t *testing.T) {
 		at := at
 		t.Run(fmt.Sprintf("crash@%d", at), func(t *testing.T) {
 			in := fault.New(fault.Config{Seed: 1})
-			ms := &MemStore{Data: append([]byte(nil), base...)}
-			store := fault.NewFaultyStore(ms, in)
-			d, err := Open(store, nctype.Write, WithCache(512, 16))
+			pf := newPFSFile(t, base)
+			pf.fs.SetFault(in)
+			d, err := Open(pf.store(), nctype.Write, WithCache(512, 16))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -173,7 +239,7 @@ func TestCrashDuringHeaderCommitSweep(t *testing.T) {
 				t.Fatalf("sync failed for a non-injected reason: %v", syncErr)
 			}
 			// Abandon the handle (the process died); inspect the wreckage.
-			img := append([]byte(nil), ms.Data...)
+			img := pf.image(t)
 			r, err := Open(&MemStore{Data: img}, nctype.NoWrite)
 			if err != nil {
 				t.Fatalf("crashed file does not open as old or new header: %v", err)
@@ -198,7 +264,7 @@ func TestCrashDuringHeaderCommitSweep(t *testing.T) {
 						t.Fatalf("CheckFile panicked on crashed image: %v", p)
 					}
 				}()
-				img2 := append([]byte(nil), ms.Data...)
+				img2 := pf.image(t)
 				if _, _, err := cdf.CheckFile(img2); err != nil {
 					// A torn in-place header is a legal classification —
 					// recovery must then find the journal.
@@ -217,9 +283,9 @@ func TestCrashDuringHeaderCommitSweep(t *testing.T) {
 func TestRecoveredFileRepairsInPlaceHeader(t *testing.T) {
 	base := buildRecordFile(t, 2)
 	in := fault.New(fault.Config{Seed: 1})
-	ms := &MemStore{Data: append([]byte(nil), base...)}
-	store := fault.NewFaultyStore(ms, in)
-	d, err := Open(store, nctype.Write, WithCache(512, 16))
+	pf := newPFSFile(t, base)
+	pf.fs.SetFault(in)
+	d, err := Open(pf.store(), nctype.Write, WithCache(512, 16))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +297,7 @@ func TestRecoveredFileRepairsInPlaceHeader(t *testing.T) {
 	if err := d.Sync(); !errors.Is(err, fault.ErrCrashed) {
 		t.Fatalf("sync: %v, want crash", err)
 	}
-	img := append([]byte(nil), ms.Data...)
+	img := pf.image(t)
 	if _, err := cdf.Decode(img); err == nil {
 		t.Fatal("crash at byte 5 should have torn the in-place header")
 	}
@@ -258,8 +324,9 @@ func TestFirstCommitCrashSweep(t *testing.T) {
 	for _, at := range []int64{0, 2, 3, 4, 5, 40, 100, 200, 4096, 1 << 20} {
 		for _, truncate := range []bool{false, true} {
 			in := fault.New(fault.Config{Seed: 1})
-			ms := &MemStore{Data: []byte("left over from the file Create clobbers")}
-			d, err := Create(fault.NewFaultyStore(ms, in), nctype.Clobber)
+			pf := newPFSFile(t, []byte("left over from the file Create clobbers"))
+			pf.fs.SetFault(in)
+			d, err := Create(pf.store(), nctype.Clobber)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -276,7 +343,7 @@ func TestFirstCommitCrashSweep(t *testing.T) {
 				t.Fatalf("crash@%d: EndDef failed for a non-injected reason: %v", at, err)
 			}
 			// Abandon the handle (the process died); inspect the wreckage.
-			img := append([]byte(nil), ms.Data...)
+			img := pf.image(t)
 			h, issues, err := cdf.CheckFile(append([]byte(nil), img...))
 			if err == nil {
 				if len(issues) != 0 || len(h.Vars) != 2 || int64(len(img)) != h.FileSize() {

@@ -184,9 +184,9 @@ func New(cfg Config) *FS {
 func (fs *FS) Config() Config { return fs.cfg }
 
 // SetFault installs (or with nil removes) the fault injector consulted by
-// every read/write request on this file system. The injector's short-read
-// rate is ignored at this layer: pfs requests complete fully or fail, and
-// short transfers are exercised at the store level (fault.FaultyStore).
+// every read/write request on this file system. A transient fault cuts a
+// request at the unit that failed and the request resumes from the cut
+// (File.request), so it either moves every byte once or fails for good.
 func (fs *FS) SetFault(in *fault.Injector) { fs.inj = in }
 
 // Fault returns the installed injector (nil when faults are off).
@@ -223,9 +223,9 @@ func (f *File) SetStats(s *iostat.Stats, rank int) {
 }
 
 // SetSpans installs the handle's span recorder (nil = disabled). Every
-// request batch — including attempts killed by fault injection, which a
-// retry above re-issues — records one pfs_read/pfs_write leaf span carrying
-// the request's first file offset.
+// request batch — each attempt of a request that a fault cut and resumed —
+// records one pfs_read/pfs_write leaf span carrying the bytes it moved and
+// its first file offset.
 func (f *File) SetSpans(r *span.Recorder) { f.spans = r }
 
 // Create opens name, truncating it to zero length, and charges OpenCost.
@@ -308,9 +308,7 @@ func (f *File) LockRMW(off, n int64) { f.fd.rmw.lock(off, n) }
 func (f *File) UnlockRMW(off, n int64) { f.fd.rmw.unlock(off, n) }
 
 // WriteAt writes p at off, issued at virtual time t, and returns the
-// completion time. Errors are injected faults: fault.IsTransient errors may
-// clear on a re-issue (writes are idempotent — re-issuing rewrites the full
-// range), others are permanent.
+// completion time. Errors are injected faults, and permanent (see request).
 func (f *File) WriteAt(t float64, p []byte, off int64) (float64, error) {
 	return f.WriteVec(t, []Segment{{Off: off, Len: int64(len(p))}}, [][]byte{p})
 }
@@ -325,17 +323,6 @@ func (f *File) ReadAt(t float64, p []byte, off int64) (float64, error) {
 // batch.
 func (f *File) ReadV(t float64, segs []Segment, dst []byte) (float64, error) {
 	return f.ReadVec(t, segs, [][]byte{dst})
-}
-
-// inject consults the file system's injector for one request batch and
-// returns its outcome. total is the payload size; off identifies the batch
-// by its first byte.
-func (f *File) inject(op fault.Op, segs []Segment, total int64) fault.Outcome {
-	off := int64(0)
-	if len(segs) > 0 {
-		off = segs[0].Off
-	}
-	return f.fs.inj.Decide(f.rank, op, off, total)
 }
 
 // iovTotal sums an iovec's byte count.
@@ -376,18 +363,29 @@ func (c *iovCursor) skip(n int64) {
 	}
 }
 
+// cut splits segs at payload byte n, 0 <= n < their total: head holds the
+// first n bytes, rest the others.
+func cut(segs []Segment, n int64) (head, rest []Segment) {
+	for i, s := range segs {
+		if n < s.Len {
+			head = segs[:i:i]
+			if n > 0 {
+				head = append(head, Segment{Off: s.Off, Len: n})
+			}
+			return head, append([]Segment{{Off: s.Off + n, Len: s.Len - n}}, segs[i+1:]...)
+		}
+		n -= s.Len
+	}
+	return segs, nil
+}
+
 // WriteVec writes the segments, taking consecutive bytes from the iovec, as
 // one request batch. Segments should be sorted and non-overlapping; the cost
 // model charges one seek per (merged) extent per server, however the iovec
 // divides the bytes — it only removes the caller's coalescing copy.
 // The iovec's total length must equal the segments' total length; entry
-// boundaries need not align with segment boundaries.
-//
-// Under fault injection a transient error leaves an injector-chosen prefix
-// of the payload on disk (the bytes that moved before the request died); a
-// re-issue of the identical request is safe and rewrites the full range. An
-// armed crash point keeps only the bytes before the crash byte, optionally
-// truncates the file, and fails permanently with fault.ErrCrashed.
+// boundaries need not align with segment boundaries. Under fault injection
+// the request may take more than one batch (see request).
 func (f *File) WriteVec(t float64, segs []Segment, iov [][]byte) (float64, error) {
 	_, done, err := f.WriteBehind(t, segs, iov)
 	return done, err
@@ -396,25 +394,15 @@ func (f *File) WriteVec(t float64, segs []Segment, iov [][]byte) (float64, error
 // WriteBehind is WriteVec for a client that caches its writes: beside the
 // completion time it reports left, the time the request's bytes have left
 // the client link — the arrival of its last pipelining window at the
-// servers. The charge is WriteVec's; a failed attempt reports left = done.
+// servers. The charge is WriteVec's; a failed request reports left = done.
 func (f *File) WriteBehind(t float64, segs []Segment, iov [][]byte) (left, done float64, err error) {
 	return f.request(fault.OpWrite, t, segs, iov)
 }
 
-// storeWriteVec lands the first n bytes of the payload: each segment takes
-// the next bytes of the iovec until n bytes have landed. A completed write
-// lands all of them; a faulted one the prefix the injector chose (out.N: the
-// bytes that moved before a transient error, or the distance from the first
-// segment's start to a crash byte), byte-exact within the segment it cuts.
-func (f *File) storeWriteVec(segs []Segment, iov [][]byte, n int64) {
-	cur := iovCursor{iov: iov}
+// storeWriteVec lands the segments: each takes the next bytes at cur.
+func (f *File) storeWriteVec(segs []Segment, cur *iovCursor) {
 	for _, s := range segs {
-		if n <= 0 {
-			return
-		}
-		k := min(s.Len, n)
-		f.fd.store.writeAt(s.Off, k, &cur, f.fs.cfg.Discard && s.Len >= f.fs.cfg.DiscardThreshold)
-		n -= k
+		f.fd.store.writeAt(s.Off, s.Len, cur, f.fs.cfg.Discard && s.Len >= f.fs.cfg.DiscardThreshold)
 	}
 }
 
@@ -431,66 +419,98 @@ func (f *File) ReadVec(t float64, segs []Segment, iov [][]byte) (float64, error)
 // link — the arrival of its last pipelining window at the servers, as
 // WriteBehind reports it. Every read of the package comes through here: the
 // bytes land in the iovec and the request is charged and counted before it
-// returns, whenever the caller's clock takes its end. A failed attempt
+// returns, whenever the caller's clock takes its end. A failed request
 // reports left = done.
 func (f *File) ReadAhead(t float64, segs []Segment, iov [][]byte) (left, done float64, err error) {
 	return f.request(fault.OpRead, t, segs, iov)
 }
 
-// request is every read and write of the package: check the iovec against
-// the segments, consult the fault injector, move the bytes, charge the cost
-// model, count and record the span. A failed write leaves the injector's
-// prefix of its payload on disk (and truncates at a crash); a failed read
-// moves nothing. Either reports left = done.
+// The resume schedule of a request a transient fault cut: it goes on from
+// the cut after a wait of resumeWait, doubling up to resumeWaitMax, and
+// gives up once more than maxStalls attempts in a row have moved nothing.
+const (
+	maxStalls     = 8
+	resumeWait    = 1e-3  // seconds
+	resumeWaitMax = 50e-3 // seconds
+)
+
+// request is every read and write of the package, and the stack's one
+// retry loop: check the iovec against the segments, then attempt the
+// request (move). Each attempt consults the fault injector. A transient
+// fault cuts the attempt at the unit that failed, like a POSIX short count:
+// the bytes before the cut move, and the remainder is attempted again from
+// the cut after a backoff, so no byte moves twice and a faulted request
+// counts the clean one's bytes. A request that stalls — more than maxStalls
+// attempts in a row that moved nothing — fails with
+// fault.ErrRetriesExhausted; a crash point fails it at once with
+// fault.ErrCrashed, a write truncating the file when the crash was armed
+// so. left is the last attempt's; a failed request reports left = done.
 func (f *File) request(op fault.Op, t float64, segs []Segment, iov [][]byte) (left, done float64, err error) {
-	read := op == fault.OpRead
-	name, phase, calls, bytes, exts := "writevec", span.PFSWrite, iostat.PfsWriteCalls, iostat.PfsBytesWritten, iostat.PfsWriteExtents
-	if read {
-		name, phase, calls, bytes, exts = "readvec", span.PFSRead, iostat.PfsReadCalls, iostat.PfsBytesRead, iostat.PfsReadExtents
-	}
 	var total int64
 	for _, s := range segs {
 		total += s.Len
 	}
 	if n := iovTotal(iov); n != total {
+		name := "writevec"
+		if op == fault.OpRead {
+			name = "readvec"
+		}
 		return t, t, fmt.Errorf("pfs: %s iovec holds %d bytes, segments need %d", name, n, total)
 	}
-	t0 := t
-	if f.fs.inj != nil {
-		out := f.inject(op, segs, total)
-		t += out.Delay
-		if out.Err != nil {
-			var moved int64
-			if !read {
-				moved = out.N
-				f.storeWriteVec(segs, iov, moved)
-				if out.TruncateTo >= 0 {
-					f.Truncate(out.TruncateTo)
-				}
-			}
+	cur := iovCursor{iov: iov} // where the next attempt's bytes begin
+	stalls, wait := 0, resumeWait
+	for {
+		out := f.fs.inj.Decide(f.rank, op, firstOff(segs), total) // nil: no fault
+		if out.Err != nil || out.Delay > 0 {
 			f.stats.Add(iostat.PfsFaultsInjected, 1)
-			done := t + f.fs.cfg.NetLatency
-			f.spans.Record(phase, -1, t0, done, moved, firstOff(segs))
+		}
+		if out.Err == nil {
+			left, done = f.move(op, t, t+out.Delay, segs, &cur, total)
+			return left, done, nil
+		}
+		head, rest := cut(segs, out.N)
+		_, done = f.move(op, t, t+out.Delay, head, &cur, out.N)
+		if out.TruncateTo >= 0 {
+			f.Truncate(out.TruncateTo)
+		}
+		if out.Err == fault.ErrCrashed {
 			return done, done, out.Err
 		}
-		if out.Delay > 0 {
-			f.stats.Add(iostat.PfsFaultsInjected, 1)
+		if out.N > 0 {
+			stalls, wait = 0, resumeWait
+		} else if stalls++; stalls > maxStalls {
+			return done, done, fmt.Errorf("%w: %d retries in a row moved nothing: %v", fault.ErrRetriesExhausted, maxStalls, out.Err)
 		}
+		f.stats.Add(iostat.PfsRetries, 1)
+		f.stats.AddTime(iostat.PfsBackoffTimeNs, wait)
+		t = done + wait
+		wait = min(2*wait, resumeWaitMax)
+		segs, total = rest, total-out.N
 	}
-	if read {
-		f.storeReadVec(segs, iov)
-	} else {
-		f.storeWriteVec(segs, iov, total)
-	}
-	done, left, extents := f.fs.charge(t, segs, read, f.stats)
-	f.count(calls, bytes, exts, total, extents)
-	f.spans.Record(phase, -1, t0, done, total, firstOff(segs))
-	return left, done, nil
 }
 
-// storeReadVec fills the iovec from the segments, in order.
-func (f *File) storeReadVec(segs []Segment, iov [][]byte) {
-	cur := iovCursor{iov: iov}
+// move is one attempt of a request, issued at t0 and served from t (later by
+// an injected latency spike): it moves the n bytes of segs from or into the
+// iovec at cur, advancing it past them, charges the cost model, and counts
+// and records one request batch. It returns when the attempt's bytes left
+// the client link and when it completed.
+func (f *File) move(op fault.Op, t0, t float64, segs []Segment, cur *iovCursor, n int64) (left, done float64) {
+	read := op == fault.OpRead
+	phase, calls, bytes, exts := span.PFSWrite, iostat.PfsWriteCalls, iostat.PfsBytesWritten, iostat.PfsWriteExtents
+	if read {
+		phase, calls, bytes, exts = span.PFSRead, iostat.PfsReadCalls, iostat.PfsBytesRead, iostat.PfsReadExtents
+		f.storeReadVec(segs, cur)
+	} else {
+		f.storeWriteVec(segs, cur)
+	}
+	done, left, extents := f.fs.charge(t, segs, read, f.stats)
+	f.count(calls, bytes, exts, n, extents)
+	f.spans.Record(phase, -1, t0, done, n, firstOff(segs))
+	return left, done
+}
+
+// storeReadVec fills the iovec at cur from the segments, in order.
+func (f *File) storeReadVec(segs []Segment, cur *iovCursor) {
 	for _, s := range segs {
 		off := s.Off
 		for remain := s.Len; remain > 0; {

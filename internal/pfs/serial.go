@@ -1,35 +1,27 @@
 package pfs
 
-import (
-	"pnetcdf/internal/fault"
-	"pnetcdf/internal/iostat"
-)
-
 // SerialFile adapts a pfs File to a plain sequential-error interface (the
 // shape of os.File's random-access subset) while tracking virtual time
 // internally. The serial netCDF library runs on top of it, which is how the
 // paper's "serial netCDF through one process" baseline gets timed under the
-// same storage model as the parallel library.
-//
-// Transient faults injected at the pfs layer are retried here under
-// fault.DefaultRetryPolicy (the serial library has no MPI-IO layer to do
-// it); permanent errors propagate to the caller.
+// same storage model as the parallel library. A transient fault is resumed
+// inside the request (File.request), as for every other caller; an error
+// that comes back is permanent.
 type SerialFile struct {
-	f     *File
-	now   float64
-	retry fault.RetryPolicy
+	f   *File
+	now float64
 }
 
 // NewSerialFile wraps f with an internal clock starting at t.
 func NewSerialFile(f *File, t float64) *SerialFile {
-	return &SerialFile{f: f, now: t, retry: fault.DefaultRetryPolicy()}
+	return &SerialFile{f: f, now: t}
 }
 
 // ReadAt implements io.ReaderAt against the simulated store. Reads beyond
 // EOF zero-fill, matching the zero-fill semantics netCDF relies on.
 func (s *SerialFile) ReadAt(p []byte, off int64) (int, error) {
-	err := s.do(func(t float64) (float64, error) { return s.f.ReadAt(t, p, off) })
-	if err != nil {
+	var err error
+	if s.now, err = s.f.ReadAt(s.now, p, off); err != nil {
 		return 0, err
 	}
 	return len(p), nil
@@ -37,23 +29,11 @@ func (s *SerialFile) ReadAt(p []byte, off int64) (int, error) {
 
 // WriteAt implements io.WriterAt against the simulated store.
 func (s *SerialFile) WriteAt(p []byte, off int64) (int, error) {
-	err := s.do(func(t float64) (float64, error) { return s.f.WriteAt(t, p, off) })
-	if err != nil {
+	var err error
+	if s.now, err = s.f.WriteAt(s.now, p, off); err != nil {
 		return 0, err
 	}
 	return len(p), nil
-}
-
-// do runs op under the retry policy, advancing the internal clock through
-// backoff waits and recording retry effort in the handle's iostat.
-func (s *SerialFile) do(op func(t float64) (float64, error)) error {
-	done, retries, backoff, err := s.retry.Do(s.now, op)
-	s.now = done
-	if retries > 0 {
-		s.f.stats.Add(iostat.PfsRetries, int64(retries))
-		s.f.stats.AddTime(iostat.PfsBackoffTimeNs, backoff)
-	}
-	return err
 }
 
 // Size returns the file size.

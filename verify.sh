@@ -23,8 +23,11 @@
 #            end-to-end metric worse than its bound fails the run (slower;
 #            not part of the gate).
 #   FAULT=1  drive a FLASH checkpoint at a 1% transient fault rate with a
-#            fixed seed; the run must complete and account its retries.
-#            (The fault-injection suites run in the default pass.)
+#            fixed seed; the run must complete, write the clean run's file
+#            byte for byte and land the clean run's pfs_bytes_written; then
+#            the 64 MiB Figure 6 write, serial baseline included, at 1% on
+#            seeds 1-4, every cell of which must complete. (The
+#            fault-injection suites run in the default pass.)
 #   FT=1     rank failure (DESIGN.md §8) end to end: kill an aggregator
 #            mid-round in an 8-rank FLASH checkpoint, once in the exchange
 #            and once just after its request is issued, and in its read-back
@@ -122,8 +125,23 @@ if [ "${FAULT:-0}" = "1" ]; then
     # go test -race ./... above (no test reads an environment variable or
     # -short there, so a re-run here would only repeat them, mostly from
     # the test cache).
-    go run ./cmd/flashio-bench -block 8 -procs 8 -blocks-per-proc 20 \
-        -files checkpoint -fault-rate 0.01 -fault-seed 2003 -stats
+    # A fault cuts a request where it struck and pfs resumes it from the
+    # cut, so the faulted checkpoint is the clean one, its bytes moved once.
+    fdir=$(mktemp -d)
+    go build -o "$fdir/" ./cmd/flashio-bench ./cmd/pnetcdf-bench
+    "$fdir/flashio-bench" -block 8 -procs 8 -blocks-per-proc 20 \
+        -files checkpoint -out "$fdir/clean.nc" -json "$fdir/clean.json" >/dev/null
+    "$fdir/flashio-bench" -block 8 -procs 8 -blocks-per-proc 20 \
+        -files checkpoint -fault-rate 0.01 -fault-seed 2003 -stats \
+        -out "$fdir/fault.nc" -json "$fdir/fault.json"
+    cmp "$fdir/clean.nc" "$fdir/fault.nc"
+    written() { grep -o '"pfs_bytes_written": [0-9]*' "$1"; }
+    test "$(written "$fdir/clean.json")" = "$(written "$fdir/fault.json")"
+    for seed in 1 2 3 4; do
+        "$fdir/pnetcdf-bench" -size 64mb -op write -procs 2,4 \
+            -fault-rate 0.01 -fault-seed "$seed"
+    done
+    rm -rf "$fdir"
 fi
 
 if [ "${FT:-0}" = "1" ]; then
