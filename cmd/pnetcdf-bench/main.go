@@ -107,15 +107,22 @@ func main() {
 			fmt.Println()
 		}
 		if *stats {
+			if fig.SerialStats != nil {
+				note := ""
+				if fig.SerialMBps == 0 {
+					note = ", failed"
+				}
+				printStats(fmt.Sprintf("%s serial netCDF, 1 proc%s", fig.Op, note), fig.SerialStats)
+			}
 			for _, part := range bench.AllPartitions {
 				for i, sum := range fig.Stats[part] {
 					if sum != nil {
-						printStats(fig.Op, part, fig.Procs[i], "", sum)
+						printStats(fmt.Sprintf("%s partition %v, %d procs", fig.Op, part, fig.Procs[i]), sum)
 					}
 				}
 			}
 			if f := fig.Failed; f != nil && f.Stats != nil {
-				printStats(fig.Op, f.Partition, f.Procs, ", failed", f.Stats)
+				printStats(fmt.Sprintf("%s partition %v, %d procs, failed", fig.Op, f.Partition, f.Procs), f.Stats)
 			}
 		}
 		spans, dropped = fig.Spans, fig.Dropped
@@ -130,9 +137,10 @@ func main() {
 	cmdutil.Fatal(tool, runErr)
 }
 
-// printStats prints one run's per-layer table.
-func printStats(op string, part bench.Partition, procs int, note string, sum *iostat.Summary) {
-	fmt.Printf("I/O statistics: %s partition %v, %d procs%s\n", op, part, procs, note)
+// printStats prints one run's per-layer table under the heading
+// "I/O statistics: " + run.
+func printStats(run string, sum *iostat.Summary) {
+	fmt.Printf("I/O statistics: %s\n", run)
 	iostat.WriteTable(os.Stdout, sum)
 	fmt.Println()
 }

@@ -16,11 +16,13 @@ import (
 )
 
 // Request is a validated data access: which elements of a variable, in which
-// order.
+// order. Its vectors are the caller's, not copies: a holder that keeps a
+// request past the call that validated it copies them (core does, into
+// storage its dataset owns).
 type Request struct {
 	Start  []int64
 	Count  []int64
-	Stride []int64 // all 1s when the caller passed nil
+	Stride []int64 // nil: all ones
 	// NElems is the number of array elements touched.
 	NElems int64
 	// LastRecord is the highest record index touched (record variables
@@ -28,47 +30,44 @@ type Request struct {
 	LastRecord int64
 }
 
-// Validate checks a start/count/stride request against a variable's shape.
-// stride may be nil (all ones). For record variables the record dimension is
-// unbounded when writing=true and bounded by NumRecs when reading.
+// StrideAt returns the stride of dimension i.
+func (r Request) StrideAt(i int) int64 {
+	if r.Stride == nil {
+		return 1
+	}
+	return r.Stride[i]
+}
+
+// Validate checks a start/count/stride request against a variable's shape,
+// in place: it copies and allocates nothing. stride may be nil (all ones).
+// For record variables the record dimension is unbounded when writing=true
+// and bounded by NumRecs when reading.
 func Validate(h *cdf.Header, v *cdf.Var, start, count, stride []int64, writing bool) (Request, error) {
 	nd := len(v.DimIDs)
 	if len(start) != nd || len(count) != nd || (stride != nil && len(stride) != nd) {
 		return Request{}, fmt.Errorf("%w: request rank %d/%d/%d for variable of rank %d",
 			nctype.ErrInvalidArg, len(start), len(count), len(stride), nd)
 	}
-	req := Request{
-		Start:      append([]int64(nil), start...),
-		Count:      append([]int64(nil), count...),
-		NElems:     1,
-		LastRecord: -1,
-	}
-	if stride == nil {
-		req.Stride = make([]int64, nd)
-		for i := range req.Stride {
-			req.Stride[i] = 1
-		}
-	} else {
-		req.Stride = append([]int64(nil), stride...)
-	}
+	req := Request{Start: start, Count: count, Stride: stride, NElems: 1, LastRecord: -1}
 	isRec := h.IsRecordVar(v)
 	for i := 0; i < nd; i++ {
-		if req.Start[i] < 0 || req.Count[i] < 0 {
+		if start[i] < 0 || count[i] < 0 {
 			return Request{}, fmt.Errorf("%w: start/count dim %d", nctype.ErrInvalidArg, i)
 		}
-		if req.Stride[i] < 1 {
-			return Request{}, fmt.Errorf("%w: stride[%d] = %d", nctype.ErrStride, i, req.Stride[i])
+		step := req.StrideAt(i)
+		if step < 1 {
+			return Request{}, fmt.Errorf("%w: stride[%d] = %d", nctype.ErrStride, i, step)
 		}
-		req.NElems *= req.Count[i]
+		req.NElems *= count[i]
 		bound := h.Dims[v.DimIDs[i]].Len
 		recDim := isRec && i == 0
 		if recDim {
 			bound = h.NumRecs
 		}
-		if req.Count[i] == 0 {
+		if count[i] == 0 {
 			continue
 		}
-		last := req.Start[i] + (req.Count[i]-1)*req.Stride[i]
+		last := start[i] + (count[i]-1)*step
 		if recDim {
 			if writing {
 				req.LastRecord = last
@@ -90,6 +89,11 @@ func Validate(h *cdf.Header, v *cdf.Var, start, count, stride []int64, writing b
 // inside it and the record dimension steps whole records, RecSize bytes (the
 // interleaved layout of paper Figure 1).
 func FileSegments(h *cdf.Header, v *cdf.Var, req Request) []mpitype.Segment {
+	return boxRuns(h, v, req, v.Begin)
+}
+
+// boxRuns is FileSegments with the variable's first byte at origin.
+func boxRuns(h *cdf.Header, v *cdf.Var, req Request, origin int64) []mpitype.Segment {
 	var stack [8]mpitype.Dim
 	dims := stack[:0]
 	if len(v.DimIDs) > len(stack) {
@@ -97,12 +101,12 @@ func FileSegments(h *cdf.Header, v *cdf.Var, req Request) []mpitype.Segment {
 	}
 	dims = dims[:len(v.DimIDs)]
 	elem := int64(v.Type.Size())
-	off, step := v.Begin, elem
+	off, step := origin, elem
 	for i := len(dims) - 1; i >= 0; i-- {
 		if i == 0 && h.IsRecordVar(v) {
 			step = h.RecSize()
 		}
-		dims[i] = mpitype.Dim{Count: req.Count[i], Step: req.Stride[i] * step}
+		dims[i] = mpitype.Dim{Count: req.Count[i], Step: req.StrideAt(i) * step}
 		off += req.Start[i] * step
 		step *= h.Dims[v.DimIDs[i]].Len
 	}
@@ -115,7 +119,18 @@ func FileSegments(h *cdf.Header, v *cdf.Var, req Request) []mpitype.Segment {
 // FromSegments adopts as the typemap, and a whole-request access through the
 // view reads that same list (Datatype.SegmentsForRange).
 func FileView(h *cdf.Header, v *cdf.Var, req Request) (mpitype.Datatype, error) {
-	segs := FileSegments(h, v, req)
+	return view(boxRuns(h, v, req, v.Begin))
+}
+
+// VarView is FileView relative to the variable: its offsets count from
+// v.Begin, so it is installed with displacement v.Begin. It depends only on
+// the variable's shape, element size and (for a record variable) the record
+// size, not on where the variable starts, so variables of one shape share it.
+func VarView(h *cdf.Header, v *cdf.Var, req Request) (mpitype.Datatype, error) {
+	return view(boxRuns(h, v, req, 0))
+}
+
+func view(segs []mpitype.Segment) (mpitype.Datatype, error) {
 	end := int64(0)
 	if len(segs) > 0 {
 		end = segs[len(segs)-1].Off + segs[len(segs)-1].Len

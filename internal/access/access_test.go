@@ -94,7 +94,7 @@ func oracleOffsets(h *cdf.Header, v *cdf.Var, req Request) []int64 {
 			off := v.Begin
 			var inner int64
 			for i := 0; i < nd; i++ {
-				pos := req.Start[i] + idx[i]*req.Stride[i]
+				pos := req.Start[i] + idx[i]*req.StrideAt(i)
 				if i == 0 && isRec {
 					off += pos * h.RecSize()
 					continue

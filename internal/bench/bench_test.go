@@ -132,7 +132,7 @@ func TestFigure6SmallRun(t *testing.T) {
 // seed. The serial baseline writes the array in one request of 1 024
 // units, which goes through untouched with probability 0.99^1024 ≈ 3e-5:
 // it completes only because a fault cuts the request where it struck and
-// pfs resumes it from the cut.
+// pfs resumes it from the cut, which its -stats table shows as retries.
 func TestFigure6CompletesUnderFaults(t *testing.T) {
 	for seed := uint64(1); seed <= 4; seed++ {
 		fig, err := RunFigure6(Fig6Options{
@@ -155,6 +155,13 @@ func TestFigure6CompletesUnderFaults(t *testing.T) {
 		}
 		if fig.SerialMBps <= 0 || faults == 0 {
 			t.Fatalf("seed %d: serial %.1f MB/s, %d faults injected in the parallel cells; want both nonzero", seed, fig.SerialMBps, faults)
+		}
+		// The serial baseline's counters cover its measured write — the
+		// array and the header its Sync rewrites — and the retries that set
+		// its bandwidth.
+		ser := fig.SerialStats
+		if ser == nil || ser.Sum[iostat.PfsBytesWritten] < fig.Bytes || ser.Sum[iostat.PfsRetries] == 0 {
+			t.Fatalf("seed %d: serial baseline's counters %v, want the %d-byte array written and retries > 0", seed, ser, fig.Bytes)
 		}
 	}
 }

@@ -20,8 +20,11 @@ type Figure6 struct {
 	Op      string // "read" or "write"
 	Dims    [3]int64
 	Bytes   int64
-	// SerialMBps is the serial netCDF baseline (one process, whole array).
-	SerialMBps float64
+	// SerialMBps is the serial netCDF baseline (one process, whole array),
+	// and SerialStats its iostat counters over the measured phase (nil
+	// unless Fig6Options.Stats; set when the baseline failed, too).
+	SerialMBps  float64
+	SerialStats *iostat.Summary
 	// Points[partition][i] is the bandwidth with Procs[i] processes.
 	Procs  []int
 	Points map[Partition][]float64
@@ -82,7 +85,10 @@ func RunFigure6(opt Fig6Options) (*Figure6, error) {
 		Procs: opt.Procs, Points: map[Partition][]float64{},
 		Stats: map[Partition][]*iostat.Summary{},
 	}
-	serial, err := runFig6Serial(opt)
+	serial, st, err := runFig6Serial(opt)
+	if opt.Stats {
+		fig.SerialStats = iostat.Summarize([]*iostat.Stats{st})
+	}
 	if err != nil {
 		return fig, fmt.Errorf("serial netCDF: %w", err)
 	}
@@ -102,13 +108,20 @@ func RunFigure6(opt Fig6Options) (*Figure6, error) {
 	return fig, nil
 }
 
-// runFig6Serial measures the single-process serial netCDF baseline.
-func runFig6Serial(opt Fig6Options) (float64, error) {
+// runFig6Serial measures the single-process serial netCDF baseline. Its
+// file system's work over the measured phase is counted in the returned
+// counters, whatever the outcome (they count nothing unless opt.Stats):
+// under faults, the retries and backoff they show set its bandwidth.
+func runFig6Serial(opt Fig6Options) (float64, *iostat.Stats, error) {
 	cfg := opt.Machine.FS
 	cfg.Discard = opt.Discard
 	fsys := pfs.New(cfg)
 	opt.Fault.apply(fsys)
 	pf, t := fsys.Create("serial.nc", 0)
+	st := iostat.New()
+	if opt.Stats {
+		pf.SetStats(st, 0)
+	}
 	sf := pfs.NewSerialFile(pf, t)
 	mode := nctype.Clobber
 	if opt.Dims[0]*opt.Dims[1]*opt.Dims[2]*4 > 1<<31-1 {
@@ -116,44 +129,41 @@ func runFig6Serial(opt Fig6Options) (float64, error) {
 	}
 	d, err := netcdf.Create(sf, mode)
 	if err != nil {
-		return 0, err
+		return 0, st, err
 	}
 	z, _ := d.DefDim("Z", opt.Dims[0])
 	y, _ := d.DefDim("Y", opt.Dims[1])
 	x, _ := d.DefDim("X", opt.Dims[2])
 	v, err := d.DefVar(fig6VarName, nctype.Float, []int{z, y, x})
 	if err != nil {
-		return 0, err
+		return 0, st, err
 	}
 	if err := d.EndDef(); err != nil {
-		return 0, err
+		return 0, st, err
 	}
 	n := opt.Dims[0] * opt.Dims[1] * opt.Dims[2]
 	buf := make([]float32, n)
 	if opt.Read {
 		// Populate untimed, then measure the read.
 		if err := d.PutVar(v, buf); err != nil {
-			return 0, err
+			return 0, st, err
 		}
 		if err := d.Sync(); err != nil {
-			return 0, err
+			return 0, st, err
 		}
-		fsys.ResetClock()
-		sf.SetClock(0)
-		if err := d.GetVar(v, buf); err != nil {
-			return 0, err
-		}
-		return float64(4*n) / sf.Clock() / 1e6, nil
 	}
 	fsys.ResetClock()
 	sf.SetClock(0)
-	if err := d.PutVar(v, buf); err != nil {
-		return 0, err
+	st.Reset()
+	if opt.Read {
+		err = d.GetVar(v, buf)
+	} else if err = d.PutVar(v, buf); err == nil {
+		err = d.Sync()
 	}
-	if err := d.Sync(); err != nil {
-		return 0, err
+	if err != nil {
+		return 0, st, err
 	}
-	return float64(4*n) / sf.Clock() / 1e6, nil
+	return float64(4*n) / sf.Clock() / 1e6, st, nil
 }
 
 // runFig6Parallel measures PnetCDF with one partition and process count.

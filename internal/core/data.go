@@ -186,10 +186,10 @@ func (d *Dataset) blocking(write bool, varid int, start, count, stride []int64, 
 // prepare is the first half of every put and get: validate the request and
 // check the memory — the type pair and the memory segments, so that the
 // conversion, which put and get run piece by piece as MPI-IO packs and
-// scatters, can raise nothing but NC_ERANGE. Nothing is converted or copied
-// here: the op keeps the caller's memory until it completes. memsegs == nil
-// means "use the buffer contiguously"; memSize < 0 means "no memtype to
-// check".
+// scatters, can raise nothing but NC_ERANGE. Nothing is converted here: the
+// op keeps the caller's memory until it completes. Its request's vectors are
+// copied into d.geom (own). memsegs == nil means "use the first NElems
+// elements of the buffer"; memSize < 0 means "no memtype to check".
 //
 // A read's record dimension is left unbounded here: complete checks it
 // against the record count the ranks agree on, which this rank may not have
@@ -209,9 +209,11 @@ func (d *Dataset) prepare(write bool, varid int, start, count, stride []int64, d
 	if memSize >= 0 && memSize != req.NElems {
 		return pendingOp{}, nctype.ErrCountMismatch
 	}
-	op := pendingOp{write: write, varid: varid, v: v, req: req, data: data, memsegs: memsegs}
+	op := pendingOp{write: write, varid: varid, v: v, geom: len(d.geom), req: d.own(req), data: data, memsegs: memsegs}
 	if memsegs == nil {
-		if op.data, err = netcdf.SliceHead(data, req.NElems); err != nil {
+		if data == nil && req.NElems == 0 {
+			op.data = []byte{} // an idle participant in a collective
+		} else if err := netcdf.CheckHead(data, req.NElems); err != nil {
 			return pendingOp{}, err
 		}
 	}
@@ -222,4 +224,23 @@ func (d *Dataset) prepare(write bool, varid int, start, count, stride []int64, d
 		d.invalidate(varid)
 	}
 	return op, nil
+}
+
+// own returns req with its start, count and stride vectors copied to the
+// end of d.geom, storage the dataset owns: an op's caller may reuse its
+// slices as soon as IPutVara or IGetVara returns, and a caller's vectors,
+// which an op only copies, never leave its stack for the heap. complete
+// cuts the copies off again, so a warm call allocates nothing here.
+func (d *Dataset) own(req access.Request) access.Request {
+	if d.geom == nil {
+		d.geom = d.geomFirst[:0]
+	}
+	n, nd := len(d.geom), len(req.Start)
+	d.geom = append(append(append(d.geom, req.Start...), req.Count...), req.Stride...)
+	g := d.geom[n:]
+	own := access.Request{Start: g[:nd:nd], Count: g[nd : 2*nd : 2*nd], NElems: req.NElems, LastRecord: req.LastRecord}
+	if req.Stride != nil {
+		own.Stride = g[2*nd : 3*nd : 3*nd]
+	}
+	return own
 }

@@ -70,20 +70,28 @@ type Dataset struct {
 	// nc_prefetch_vars hint (see prefetch.go); nil when the hint is absent.
 	cache map[int][]byte
 
-	// views caches flattened file views per (variable, access geometry);
-	// cleared whenever a define-mode transition recomputes the layout.
+	// views caches flattened file views per access geometry relative to a
+	// variable (viewcache.go).
 	views map[string]mpitype.Datatype
 
 	// pending is the iput/iget queue; a blocking call's one op lives in its
-	// spare capacity while complete runs. agree is complete's reduction
-	// vector, codecs[i] the source or sink over the memory of op i of a
-	// completion (first, until a longer completion grows it) and merged the
-	// one over several ops, kept here so a call allocates none of them.
-	pending []pendingOp
-	agree   [agreeLen]int64
-	codecs  []memCodec
-	first   [1]memCodec
-	merged  merged
+	// spare capacity while complete runs. geom holds the ops' start, count
+	// and stride vectors (in geomFirst until a longer queue grows it). agree is
+	// complete's reduction vector, codecs[i] the source or sink over the
+	// memory of op i of a completion (first, until a longer completion grows
+	// it) and merged the one over several ops; wplan, rplan and fused are
+	// the pieces and the fused view's extents of a completion of several
+	// ops. Kept here, so a warm call allocates none of them (DESIGN.md §9).
+	pending   []pendingOp
+	geom      []int64
+	geomFirst [24]int64 // one op of up to 8 dimensions
+	agree     [agreeLen]int64
+	codecs    []memCodec
+	first     [1]memCodec
+	merged    merged
+	wplan     []piece
+	rplan     []piece
+	fused     []mpitype.Segment
 
 	// st/sp are the rank's iostat counters and span recorder, cached from
 	// the communicator (nil = off).
@@ -260,7 +268,6 @@ func (d *Dataset) endDef() error {
 	// consistency, so no rank ships its header to another.
 	var img []byte
 	plan, err := d.Front.EndDef(d.hAlign, d.vAlign, d.vMin, func() error {
-		d.invalidateViews()
 		var sum [sha256.Size]byte
 		if d.comm.Rank() == 0 {
 			img = d.Hdr.Encode()

@@ -36,7 +36,8 @@ type pendingOp struct {
 	cached  bool // reads: served from the prefetched copy (decided by complete)
 	varid   int
 	v       *cdf.Var
-	req     access.Request
+	req     access.Request // its vectors in d.geom, from index geom on
+	geom    int
 	data    any               // user memory; its first NElems elements when memsegs == nil
 	memsegs []mpitype.Segment // element runs into data; nil = contiguous
 	// err is surfaced once the completion is over: NC_ERANGE from a write's
@@ -148,6 +149,9 @@ const (
 func (d *Dataset) complete(from int, collective bool) error {
 	ops := d.pending[from:]
 	defer func() {
+		if len(ops) > 0 {
+			d.geom = d.geom[:ops[0].geom] // the ops' vectors are the last in it
+		}
 		clear(ops) // drop the references to user memory
 		d.pending = d.pending[:from]
 	}()
@@ -174,8 +178,9 @@ func (d *Dataset) complete(from int, collective bool) error {
 	}
 	// Overlap is found while planning, ahead of the reduction, so that the
 	// rank that finds it does not leave its peers alone in the collective.
-	wplan, localErr := d.plan(ops, true)
-	rplan, err := d.plan(ops, false)
+	wplan, localErr := d.plan(d.wplan, ops, true)
+	rplan, err := d.plan(d.rplan, ops, false)
+	d.wplan, d.rplan = wplan, rplan
 	if localErr == nil {
 		localErr = err
 	}
@@ -276,14 +281,14 @@ func (d *Dataset) put(ops []pendingOp, plan []piece, collective bool) error {
 	defer d.release(ops, true)
 	sEnc := d.sp.Begin(span.Encode)
 	n, total, one := moving(ops, true)
-	view, src, err := d.fuse(ops, plan, true, one)
+	disp, view, src, err := d.fuse(ops, plan, true, one)
 	sEnc.SetBytes(total)
 	sEnc.End()
 	if err != nil {
 		return err
 	}
 	sView := d.sp.Begin(span.ViewResolve)
-	err = d.f.SetView(0, view)
+	err = d.f.SetView(disp, view)
 	sView.End()
 	if err != nil {
 		return err
@@ -309,9 +314,9 @@ func (d *Dataset) get(ops []pendingOp, plan []piece, collective bool) error {
 	defer d.release(ops, false)
 	n, total, one := moving(ops, false)
 	sView := d.sp.Begin(span.ViewResolve)
-	view, dst, err := d.fuse(ops, plan, false, one)
+	disp, view, dst, err := d.fuse(ops, plan, false, one)
 	if err == nil {
-		err = d.f.SetView(0, view)
+		err = d.f.SetView(disp, view)
 	}
 	sView.End()
 	if err != nil {
@@ -370,21 +375,27 @@ type piece struct {
 	at  int64 // where they sit in the fused request (set by fuse)
 }
 
-// plan lists, in file order, the extents of the ops moving in one direction
-// and rejects a batch whose extents overlap (the fused view must ascend).
-// Fewer than two ops need no plan: one op fuses to itself.
-func (d *Dataset) plan(ops []pendingOp, write bool) ([]piece, error) {
-	n, _, _ := moving(ops, write)
-	if n < 2 {
-		return nil, nil
+// plan lists, in file order and in the storage of pieces, the extents of
+// the ops moving in one direction, read from their cached views, and rejects
+// a batch whose extents overlap (the fused view must ascend). Fewer than two
+// ops need no plan: one op fuses to itself.
+func (d *Dataset) plan(pieces []piece, ops []pendingOp, write bool) ([]piece, error) {
+	pieces = pieces[:0]
+	if n, _, _ := moving(ops, write); n < 2 {
+		return pieces, nil
 	}
-	pieces := make([]piece, 0, n)
 	for i := range ops {
-		if !ops[i].moves(write) {
+		op := &ops[i]
+		if !op.moves(write) {
 			continue
 		}
+		view, err := d.fileView(op.v, op.req)
+		if err != nil {
+			return pieces, err
+		}
 		pos := int64(0)
-		for _, s := range access.FileSegments(d.Hdr, ops[i].v, ops[i].req) {
+		for _, s := range view.Runs() {
+			s.Off += op.v.Begin
 			pieces = append(pieces, piece{seg: s, op: i, pos: pos})
 			pos += s.Len
 		}
@@ -392,35 +403,38 @@ func (d *Dataset) plan(ops []pendingOp, write bool) ([]piece, error) {
 	slices.SortStableFunc(pieces, func(a, b piece) int { return cmp.Compare(a.seg.Off, b.seg.Off) })
 	for k := 1; k < len(pieces); k++ {
 		if prev := pieces[k-1].seg; prev.Off+prev.Len > pieces[k].seg.Off {
-			return nil, fmt.Errorf("%w at offset %d", nctype.ErrOverlap, pieces[k].seg.Off)
+			return pieces, fmt.Errorf("%w at offset %d", nctype.ErrOverlap, pieces[k].seg.Off)
 		}
 	}
 	return pieces, nil
 }
 
 // fuse builds the file view this rank brings to one direction of a
-// completion and what MPI-IO moves its bytes through, and points every
-// moving op's codec at its memory. With no plan there is at most one op,
-// ops[one], and fusing is the identity: the view is the cached per-variable
-// view and the op's own codec is the source or sink — nothing is listed or
-// sorted. With a plan, the extents merge in file order into one view and
-// d.merged, over the ops' codecs, is the source or sink. A rank with nothing
-// to move gets the zero view: its share of a collective its peers need.
-func (d *Dataset) fuse(ops []pendingOp, plan []piece, write bool, one int) (mpitype.Datatype, codec, error) {
+// completion — its displacement and filetype — and what MPI-IO moves its
+// bytes through, and points every moving op's codec at its memory. With no
+// plan there is at most one op, ops[one], and fusing is the identity: the
+// view is the cached view relative to the variable, at its begin, and the
+// op's own codec is the source or sink — nothing is listed or sorted. With a
+// plan, the extents merge in file order into one view of absolute offsets,
+// built in d.fused (the next completion rebuilds it: the view lives until
+// the next SetView), and d.merged, over the ops' codecs, is the source or
+// sink. A rank with nothing to move gets the zero view: its share of a
+// collective its peers need.
+func (d *Dataset) fuse(ops []pendingOp, plan []piece, write bool, one int) (int64, mpitype.Datatype, codec, error) {
 	for i := range ops {
 		if ops[i].moves(write) {
 			d.codecs[i].reset(&ops[i])
 		}
 	}
-	if plan == nil {
+	if len(plan) == 0 {
 		if one >= 0 {
 			op := &ops[one]
-			view, err := d.fileView(op.varid, op.v, op.req)
-			return view, &d.codecs[one], err
+			view, err := d.fileView(op.v, op.req)
+			return op.v.Begin, view, &d.codecs[one], err
 		}
-		return mpitype.Datatype{}, &d.merged, nil
+		return 0, mpitype.Datatype{}, &d.merged, nil
 	}
-	segs := make([]mpitype.Segment, 0, len(plan))
+	segs := d.fused[:0]
 	kept := plan[:0]
 	at, end := int64(0), int64(0)
 	for _, p := range plan {
@@ -429,11 +443,18 @@ func (d *Dataset) fuse(ops []pendingOp, plan []piece, write bool, one int) (mpit
 		}
 		p.at = at
 		kept = append(kept, p)
-		segs = append(segs, p.seg)
+		// Abutting extents (of different ops) merge here, so the list is a
+		// flattened typemap FromSegments adopts rather than copies.
+		if k := len(segs); k > 0 && segs[k-1].Off+segs[k-1].Len == p.seg.Off {
+			segs[k-1].Len += p.seg.Len
+		} else {
+			segs = append(segs, p.seg)
+		}
 		at += p.seg.Len
 		end = p.seg.Off + p.seg.Len
 	}
+	d.fused = segs
 	d.merged = merged{pieces: kept, codecs: d.codecs}
 	view, err := mpitype.FromSegments(segs, end)
-	return view, &d.merged, err
+	return 0, view, &d.merged, err
 }

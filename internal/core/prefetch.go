@@ -5,7 +5,6 @@ import (
 	"slices"
 	"strings"
 
-	"pnetcdf/internal/access"
 	"pnetcdf/internal/mpi"
 	"pnetcdf/internal/pfs"
 )
@@ -95,11 +94,14 @@ func (d *Dataset) prefetch(info *mpi.Info) error {
 // replies would, and the first conversion error comes back.
 func (d *Dataset) cachedRead(op *pendingOp, c *memCodec) error {
 	img := d.cache[op.varid]
+	view, err := d.fileView(op.v, op.req)
+	if err != nil {
+		return err
+	}
 	c.reset(op)
 	pos := int64(0)
-	for _, s := range access.FileSegments(d.Hdr, op.v, op.req) {
-		rel := s.Off - op.v.Begin
-		c.Drain(pos, img[rel:rel+s.Len])
+	for _, s := range view.Runs() { // offsets relative to the variable's begin
+		c.Drain(pos, img[s.Off:s.Off+s.Len])
 		pos += s.Len
 	}
 	d.comm.Proc().Advance(float64(pos) / memcpyBytesPerSec)

@@ -12,47 +12,64 @@ import (
 // an MPI-IO file view, and applications overwhelmingly repeat the same
 // access shape (a FLASH checkpoint writes 24 variables with the identical
 // geometry every step). Flattening a strided request walks the full
-// subarray, so caching the resulting Datatype per variable turns the repeat
-// cost into a map lookup.
+// subarray, so caching the resulting Datatype turns the repeat cost into a
+// map lookup.
 //
-// NumRecs is deliberately NOT part of the key: FileSegments depends only on
-// the variable layout (Begin, RecSize, shape) and the request geometry, not
-// on how many records currently exist. Layout changes do invalidate — the
-// cache is cleared when a define-mode transition recomputes the layout
-// (EndDef), which also covers variable relocation.
+// A cached view is relative to its variable (access.VarView): its offsets
+// count from the variable's begin, and it is installed at displacement
+// v.Begin. It depends only on the variable's shape, element size and — for
+// a record variable — the record size, plus the request's start, count and
+// stride, and that is the key: variables of one shape share one view, so
+// the 24 FLASH unknowns flatten once per handle. NumRecs is deliberately not
+// part of it: the extents do not depend on how many records exist. Nothing
+// a define mode changes can make an entry stale — a relocated variable keeps
+// its shape, and a new record variable changes the record size, which is in
+// the key — so the cache is never cleared.
 
 // viewCacheMax bounds entries per dataset; beyond it the cache resets (shape
 // churn this high means repeats are unlikely anyway).
 const viewCacheMax = 64
 
-// appendViewKey appends the cache key of (varid, req) to b: the varid, then
-// start, count and stride, varint-packed.
-func appendViewKey(b []byte, varid int, req access.Request) []byte {
-	b = binary.AppendUvarint(b, uint64(varid))
-	for _, v := range req.Start {
-		b = binary.AppendUvarint(b, uint64(v))
+// appendViewKey appends the cache key of req against v to b: the variable's
+// rank and dimension lengths, its element size and its record size (0 for a
+// fixed-size variable), then start, count and stride (ones when nil),
+// varint-packed.
+func appendViewKey(b []byte, h *cdf.Header, v *cdf.Var, req access.Request) []byte {
+	b = binary.AppendUvarint(b, uint64(len(v.DimIDs)))
+	for _, id := range v.DimIDs {
+		b = binary.AppendUvarint(b, uint64(h.Dims[id].Len))
 	}
-	for _, v := range req.Count {
-		b = binary.AppendUvarint(b, uint64(v))
+	b = binary.AppendUvarint(b, uint64(v.Type.Size()))
+	rec := int64(0)
+	if h.IsRecordVar(v) {
+		rec = h.RecSize()
 	}
-	for _, v := range req.Stride {
-		b = binary.AppendUvarint(b, uint64(v))
+	b = binary.AppendUvarint(b, uint64(rec))
+	for _, x := range req.Start {
+		b = binary.AppendUvarint(b, uint64(x))
+	}
+	for _, x := range req.Count {
+		b = binary.AppendUvarint(b, uint64(x))
+	}
+	for i := range req.Start {
+		b = binary.AppendUvarint(b, uint64(req.StrideAt(i)))
 	}
 	return b
 }
 
-// fileView returns the flattened file view for req against variable v,
-// consulting the per-dataset cache. Datatypes are immutable, so sharing one
-// across calls (and with the MPI-IO layer) is safe. The key is built on the
-// stack and looked up as m[string(key)], which does not allocate: only
-// inserting a new shape pays for its key string.
-func (d *Dataset) fileView(varid int, v *cdf.Var, req access.Request) (mpitype.Datatype, error) {
+// fileView returns the flattened view of req relative to variable v,
+// consulting the per-dataset cache; it is installed at displacement v.Begin.
+// Datatypes are immutable, so sharing one across calls, variables and the
+// MPI-IO layer is safe. The key is built on the stack and looked up as
+// m[string(key)], which does not allocate: only inserting a new shape pays
+// for its key string.
+func (d *Dataset) fileView(v *cdf.Var, req access.Request) (mpitype.Datatype, error) {
 	var buf [64]byte // append grows it for the rare long key
-	key := appendViewKey(buf[:0], varid, req)
+	key := appendViewKey(buf[:0], d.Hdr, v, req)
 	if view, ok := d.views[string(key)]; ok {
 		return view, nil
 	}
-	view, err := access.FileView(d.Hdr, v, req)
+	view, err := access.VarView(d.Hdr, v, req)
 	if err != nil {
 		return mpitype.Datatype{}, err
 	}
@@ -61,10 +78,4 @@ func (d *Dataset) fileView(varid int, v *cdf.Var, req access.Request) (mpitype.D
 	}
 	d.views[string(key)] = view
 	return view, nil
-}
-
-// invalidateViews drops every cached view; called when the header layout
-// (variable begins, record size) may have changed.
-func (d *Dataset) invalidateViews() {
-	d.views = nil
 }

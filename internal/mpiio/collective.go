@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"pnetcdf/internal/bufpool"
 	"pnetcdf/internal/iostat"
@@ -154,16 +155,16 @@ func (f *File) WriteAtAllFrom(off, n int64, src Source) error {
 // at virtual time t0. src supplies the bytes of the request's view
 // segments in segment order (bufPos i maps through segPrefix).
 func (f *File) collWrite(off, n int64, src Source, t0 float64) error {
-	segs, vErr := f.viewSegments(off, n)
+	x, vErr := f.viewSegments(off, n)
 	sPlan := f.sp.Begin(span.Plan)
-	plan, ok, err := f.collectivePlan(segs, vErr, true)
+	plan, ok, err := f.collectivePlan(x, vErr, true)
 	sPlan.End()
 	if err != nil {
 		return f.agreeAbort(err)
 	}
 	if !ok {
 		f.recordAccess(iostat.IOCollWriteCalls, iostat.IOBytesWritten,
-			iostat.IOWriteExtents, iostat.IOWriteTimeNs, segs, n, t0)
+			iostat.IOWriteExtents, iostat.IOWriteTimeNs, x.segs, n, t0)
 		return nil // nobody has data
 	}
 	myAgg := plan.aggIndex(f.comm.Rank())
@@ -171,14 +172,13 @@ func (f *File) collWrite(off, n int64, src Source, t0 float64) error {
 	// per-aggregator segment index span over each file domain, so every
 	// round's window clip is a binary search within its aggregator's span
 	// instead of a rescan of the whole segment list.
-	prefix := segPrefix(segs)
-	spans := plan.spans(segs)
-	if err := f.writeRounds(plan, segs, prefix, spans, src, myAgg); err != nil {
+	prefix, spans := f.coll.index(plan, x)
+	if err := f.writeRounds(plan, x, prefix, spans, src, myAgg); err != nil {
 		return f.agreeAbort(err)
 	}
 	f.countRounds(plan)
 	f.recordAccess(iostat.IOCollWriteCalls, iostat.IOBytesWritten,
-		iostat.IOWriteExtents, iostat.IOWriteTimeNs, segs, n, t0)
+		iostat.IOWriteExtents, iostat.IOWriteTimeNs, x.segs, n, t0)
 	return nil
 }
 
@@ -186,7 +186,7 @@ func (f *File) collWrite(off, n int64, src Source, t0 float64) error {
 // window and encodes the write messages into parts (phase 1 of the round):
 // segment lists plus the payload src fills in place, in pooled buffers.
 // Returns the reused clip scratch.
-func (f *File) packWriteRound(plan collectivePlan, segs []pfs.Segment, prefix []int64,
+func (f *File) packWriteRound(plan collectivePlan, x extents, prefix []int64,
 	spans []segSpan, src Source, r int64, parts [][]byte, scratch []reqSeg, sPack span.Active) []reqSeg {
 	clear(parts)
 	for a := 0; a < plan.naggs; a++ {
@@ -194,7 +194,7 @@ func (f *File) packWriteRound(plan collectivePlan, segs []pfs.Segment, prefix []
 		if hi <= lo {
 			continue
 		}
-		scratch = intersectRange(segs, prefix, spans[a], lo, hi, scratch[:0])
+		scratch = intersectRange(x, prefix, spans[a], lo, hi, scratch[:0])
 		if len(scratch) == 0 {
 			continue
 		}
@@ -206,12 +206,37 @@ func (f *File) packWriteRound(plan collectivePlan, segs []pfs.Segment, prefix []
 	return scratch
 }
 
-// exchangeScratch, writeScratch and readScratch are the working memory of one
-// collective call's round loop: every slice a round needs is made once per
-// call (or grown to the largest round seen) and reused by every later round,
-// so a round allocates nothing here. A read keeps up to readDepth rounds in
-// flight (rounds.go); what each holds until it is answered is a pooled
-// buffer and rows of tables made once per call (readScratch.hold), so the
+// collState is the working memory of a handle's collective calls (DESIGN.md
+// §9, "per-call state lives on the handle"): the resolved view, the plan's
+// tables, the per-call index over the request and each direction's round
+// scratch. The first collective makes it, a larger one grows it, and every
+// later one resets it in place, so a warm collective allocates none of it.
+// It lives and dies with the handle; nothing in it outlives a call but
+// storage.
+type collState struct {
+	view     []pfs.Segment // a view's segments when they are not its typemap (viewSegments)
+	bounds   []int64       // collectivePlan's tables
+	aggRanks []int
+	aggOf    []int
+	prefix   []int64   // segPrefix of the request
+	spans    []segSpan // collectivePlan.spans of the request
+	w        writeScratch
+	r        readScratch
+}
+
+// index computes the per-call tables over x into the state's storage.
+func (c *collState) index(plan collectivePlan, x extents) ([]int64, []segSpan) {
+	c.prefix = segPrefix(c.prefix, x.segs)
+	c.spans = plan.spans(c.spans, x)
+	return c.prefix, c.spans
+}
+
+// exchangeScratch, writeScratch and readScratch are the working memory of a
+// round loop: every slice a round needs is made by the handle's first
+// collective (or grown to the largest round seen) and reused by every later
+// round and collective, so a round allocates nothing here. A read keeps up
+// to readDepth rounds in flight (rounds.go); what each holds until it is
+// answered is a pooled buffer and rows of tables (readScratch.hold), so the
 // depth does not change how many objects a call makes.
 type exchangeScratch struct {
 	parts  [][]byte // packed messages by destination rank; empty between exchanges
@@ -231,13 +256,14 @@ type writeScratch struct {
 	wv   writeVec // the aggregator's assembled round
 }
 
-func newWriteScratch(plan collectivePlan) *writeScratch {
-	size := plan.commSize
-	slots := make([][]byte, 2*size)
-	s := &writeScratch{}
-	s.parts, s.counts = byRank(slots, 0, size), make([]int64, size)
-	s.msgs = byRank(slots, 1, size)
-	return s
+// reset readies the scratch for a collective on size ranks; only the
+// handle's first collective allocates its tables.
+func (s *writeScratch) reset(size int) {
+	if len(s.parts) != size {
+		slots := make([][]byte, 2*size)
+		s.parts, s.counts = byRank(slots, 0, size), make([]int64, size)
+		s.msgs = byRank(slots, 1, size)
+	}
 }
 
 type readScratch struct {
@@ -271,13 +297,21 @@ type readRound struct {
 	reqs              []covReq      // where each request sits in data, as cov.reqs
 }
 
-func newReadScratch(plan collectivePlan, depth int64) *readScratch {
-	size := plan.commSize
-	slots := make([][]byte, 4*size)
-	s := &readScratch{round: make([]readRound, depth)}
-	s.parts, s.counts = byRank(slots, 0, size), make([]int64, size)
-	s.msgs, s.replies, s.back = byRank(slots, 1, size), byRank(slots, 2, size), byRank(slots, 3, size)
-	return s
+// reset readies the scratch for a collective on size ranks keeping depth
+// rounds in flight: the tables are the last collective's, grown if this one
+// keeps more rounds in flight.
+func (s *readScratch) reset(size int, depth int64) {
+	if len(s.parts) != size {
+		slots := make([][]byte, 4*size)
+		s.parts, s.counts = byRank(slots, 0, size), make([]int64, size)
+		s.msgs, s.replies, s.back = byRank(slots, 1, size), byRank(slots, 2, size), byRank(slots, 3, size)
+	}
+	if int64(cap(s.round)) < depth {
+		s.round = make([]readRound, depth)
+	}
+	s.round = s.round[:depth]
+	clear(s.round)
+	s.stride = len(s.reqs) / int(depth)
 }
 
 // hold moves the coverage the aggregator just assembled and read in s.cov
@@ -298,7 +332,7 @@ func (s *readScratch) hold(g int) {
 		return
 	}
 	size := len(s.parts)
-	if s.srcs == nil {
+	if len(s.srcs) < len(s.round)*size {
 		s.srcs = make([]mergeCursor, len(s.round)*size)
 	}
 	rd.srcs = append(s.srcs[g*size:g*size:(g+1)*size], cov.merge.cur...)
@@ -352,29 +386,28 @@ func (f *File) ReadAtAllInto(off, n int64, dst Sink) error {
 // collRead runs the two-phase collective read of ReadAtAllInto, handing the
 // payload to dst by segment-order position; see collWrite.
 func (f *File) collRead(off, n int64, dst Sink, t0 float64) error {
-	segs, vErr := f.viewSegments(off, n)
+	x, vErr := f.viewSegments(off, n)
 	sPlan := f.sp.Begin(span.Plan)
-	plan, ok, err := f.collectivePlan(segs, vErr, false)
+	plan, ok, err := f.collectivePlan(x, vErr, false)
 	sPlan.End()
 	if err != nil {
 		return f.agreeAbort(err)
 	}
 	if !ok {
 		f.recordAccess(iostat.IOCollReadCalls, iostat.IOBytesRead,
-			iostat.IOReadExtents, iostat.IOReadTimeNs, segs, n, t0)
+			iostat.IOReadExtents, iostat.IOReadTimeNs, x.segs, n, t0)
 		return nil
 	}
 	myAgg := plan.aggIndex(f.comm.Rank())
 	// Hoisted out of the round loop (see collWrite): prefix sums and
 	// the per-aggregator segment spans.
-	prefix := segPrefix(segs)
-	spans := plan.spans(segs)
-	if err := f.readRounds(plan, segs, prefix, spans, dst, myAgg); err != nil {
+	prefix, spans := f.coll.index(plan, x)
+	if err := f.readRounds(plan, x, prefix, spans, dst, myAgg); err != nil {
 		return f.agreeAbort(err)
 	}
 	f.countRounds(plan)
 	f.recordAccess(iostat.IOCollReadCalls, iostat.IOBytesRead,
-		iostat.IOReadExtents, iostat.IOReadTimeNs, segs, n, t0)
+		iostat.IOReadExtents, iostat.IOReadTimeNs, x.segs, n, t0)
 	return nil
 }
 
@@ -383,7 +416,7 @@ func (f *File) collRead(off, n int64, dst Sink, t0 float64) error {
 // aggregators were sent a request, which is how many replies this rank will
 // receive, and the reused clip scratch: the clip is not kept, because
 // scatterReplies recomputes it when the round is answered.
-func (f *File) packReadRound(plan collectivePlan, segs []pfs.Segment, prefix []int64,
+func (f *File) packReadRound(plan collectivePlan, x extents, prefix []int64,
 	spans []segSpan, r int64, parts [][]byte, scratch []reqSeg, sPack span.Active) (sent int, clip []reqSeg) {
 	clear(parts)
 	for a := 0; a < plan.naggs; a++ {
@@ -391,7 +424,7 @@ func (f *File) packReadRound(plan collectivePlan, segs []pfs.Segment, prefix []i
 		if hi <= lo {
 			continue
 		}
-		scratch = intersectRange(segs, prefix, spans[a], lo, hi, scratch[:0])
+		scratch = intersectRange(x, prefix, spans[a], lo, hi, scratch[:0])
 		if len(scratch) == 0 {
 			continue
 		}
@@ -428,7 +461,7 @@ func (f *File) buildReplies(rd *readRound, replies [][]byte) {
 // so nothing of the request is kept while the round is in flight — one
 // Drain per stretch of it that follows on in the caller's buffer. It returns
 // the reused clip scratch.
-func scatterReplies(dst Sink, plan collectivePlan, segs []pfs.Segment, prefix []int64,
+func scatterReplies(dst Sink, plan collectivePlan, x extents, prefix []int64,
 	spans []segSpan, r int64, back [][]byte, clip []reqSeg) []reqSeg {
 	for src, blob := range back {
 		if blob == nil {
@@ -436,7 +469,7 @@ func scatterReplies(dst Sink, plan collectivePlan, segs []pfs.Segment, prefix []
 		}
 		a := plan.aggIndex(src)
 		lo, hi := plan.window(a, r)
-		clip = intersectRange(segs, prefix, spans[a], lo, hi, clip[:0])
+		clip = intersectRange(x, prefix, spans[a], lo, hi, clip[:0])
 		for i, pos := 0, int64(0); i < len(clip); {
 			j, n := stretch(clip, i)
 			dst.Drain(clip[i].bufPos, blob[pos:pos+n])
@@ -508,14 +541,14 @@ func (f *File) countRounds(plan collectivePlan) {
 // range plus an error flag, so every rank learns of the failure without an
 // extra collective and nobody starts exchanging rounds with a rank that
 // already bailed.
-func (f *File) collectivePlan(segs []pfs.Segment, localErr error, write bool) (collectivePlan, bool, error) {
+func (f *File) collectivePlan(x extents, localErr error, write bool) (collectivePlan, bool, error) {
 	// Empty requests contribute (MaxInt64, 0); offsets are non-negative, so
 	// negating hi for the min-reduction stays in range.
 	lo, hi := int64(math.MaxInt64), int64(0)
-	if localErr == nil && len(segs) > 0 {
-		lo = segs[0].Off
-		last := segs[len(segs)-1]
-		hi = last.Off + last.Len
+	if localErr == nil && len(x.segs) > 0 {
+		lo = x.disp + x.segs[0].Off
+		last := x.segs[len(x.segs)-1]
+		hi = x.disp + last.Off + last.Len
 	}
 	errFlag := int64(0)
 	if localErr != nil {
@@ -544,12 +577,14 @@ func (f *File) collectivePlan(segs []pfs.Segment, localErr error, write bool) (c
 	default:
 		naggs = readAggregators(size, cfg.NumServers, gmin, gmax, stripe)
 	}
-	bounds := evenBounds(gmin, gmax, naggs, stripe)
-	aggRanks := evenAggRanks(naggs, size)
+	c := &f.coll
+	c.bounds = evenBounds(c.bounds, gmin, gmax, naggs, stripe)
+	c.aggRanks = evenAggRanks(c.aggRanks, naggs, size)
+	c.aggOf = invertAggRanks(c.aggOf, c.aggRanks, size)
 	return collectivePlan{
 		gmin: gmin, gmax: gmax, naggs: naggs,
-		bounds: bounds, aggRanks: aggRanks, aggOf: invertAggRanks(aggRanks, size),
-		rounds: roundsFor(bounds, f.hints.CBBufferSize),
+		bounds: c.bounds, aggRanks: c.aggRanks, aggOf: c.aggOf,
+		rounds: roundsFor(c.bounds, f.hints.CBBufferSize),
 		cbbuf:  f.hints.CBBufferSize, stripe: stripe, commSize: size,
 	}, true, nil
 }
@@ -589,13 +624,13 @@ func (p collectivePlan) window(a int, r int64) (lo, hi int64) {
 	return lo, hi
 }
 
-// segPrefix returns buffer-position prefix sums for a segment list:
-// prefix[i] is the number of payload bytes before segs[i]. Computed once per
-// collective call so window clips need no rescans.
-func segPrefix(segs []pfs.Segment) []int64 {
-	prefix := make([]int64, len(segs)+1)
+// segPrefix returns buffer-position prefix sums for a segment list, in dst's
+// storage: prefix[i] is the number of payload bytes before segs[i]. Computed
+// once per collective call so window clips need no rescans.
+func segPrefix(dst []int64, segs []pfs.Segment) []int64 {
+	prefix := append(slices.Grow(dst[:0], len(segs)+1), 0)
 	for i, s := range segs {
-		prefix[i+1] = prefix[i] + s.Len
+		prefix = append(prefix, prefix[i]+s.Len)
 	}
 	return prefix
 }
@@ -618,13 +653,15 @@ func firstEndingAfter(segs []pfs.Segment, i0, i1 int, off int64) int {
 	return i0
 }
 
-// spans returns, per aggregator, the indices of segs overlapping that
-// aggregator's file domain — the per-aggregator slicing done once, outside
-// the round loop.
-func (p collectivePlan) spans(segs []pfs.Segment) []segSpan {
-	out := make([]segSpan, p.naggs)
+// spans returns, per aggregator, the indices of x's segments overlapping
+// that aggregator's file domain, in dst's storage — the per-aggregator
+// slicing done once, outside the round loop.
+func (p collectivePlan) spans(dst []segSpan, x extents) []segSpan {
+	out := slices.Grow(dst[:0], p.naggs)
+	segs := x.segs
 	for a := 0; a < p.naggs; a++ {
-		dLo, dHi := p.boundary(a), p.boundary(a+1)
+		// The domain in the segments' coordinates.
+		dLo, dHi := p.boundary(a)-x.disp, p.boundary(a+1)-x.disp
 		i0 := firstEndingAfter(segs, 0, len(segs), dLo)
 		// The first segment starting at or past dHi is the first one ending
 		// past it, unless a segment straddles dHi: that one still overlaps.
@@ -632,21 +669,23 @@ func (p collectivePlan) spans(segs []pfs.Segment) []segSpan {
 		if i1 < len(segs) && segs[i1].Off < dHi {
 			i1++
 		}
-		out[a] = segSpan{i0: i0, i1: i1}
+		out = append(out, segSpan{i0: i0, i1: i1})
 	}
 	return out
 }
 
-// intersectRange clips segs[span.i0:span.i1) to the window [lo, hi),
-// appending to out (reused across rounds). Buffer positions come from the
-// precomputed prefix sums.
-func intersectRange(segs []pfs.Segment, prefix []int64, span segSpan, lo, hi int64, out []reqSeg) []reqSeg {
+// intersectRange clips x's segments [span.i0, span.i1) to the window
+// [lo, hi), appending to out (reused across rounds) with absolute offsets.
+// Buffer positions come from the precomputed prefix sums.
+func intersectRange(x extents, prefix []int64, span segSpan, lo, hi int64, out []reqSeg) []reqSeg {
+	segs := x.segs
+	lo, hi = lo-x.disp, hi-x.disp // the window in the segments' coordinates
 	for i := firstEndingAfter(segs, span.i0, span.i1, lo); i < span.i1 && segs[i].Off < hi; i++ {
 		s := segs[i]
 		cLo := max(s.Off, lo)
 		cHi := min(s.Off+s.Len, hi)
 		if cHi > cLo {
-			out = append(out, reqSeg{off: cLo, len: cHi - cLo, bufPos: prefix[i] + (cLo - s.Off)})
+			out = append(out, reqSeg{off: x.disp + cLo, len: cHi - cLo, bufPos: prefix[i] + (cLo - s.Off)})
 		}
 	}
 	return out

@@ -135,6 +135,9 @@ type File struct {
 	// ReadAtAll: the Source or Sink it hands the round loop, with no
 	// interface box to allocate.
 	buf Bytes
+
+	// coll is the working memory every data access reuses (collective.go).
+	coll collState
 }
 
 // Open opens (or creates) name collectively over comm. Every member must
@@ -234,18 +237,52 @@ func (f *File) SetView(disp int64, filetype mpitype.Datatype) error {
 	return nil
 }
 
-// viewSegments maps [off, off+n) data bytes of the view to absolute file
-// segments, in increasing file order. The list is read-only: for an access
-// that covers the whole view it is the filetype's own typemap (a pfs.Segment
-// is an mpitype.Segment), shared with the view cache above.
-func (f *File) viewSegments(off, n int64) ([]pfs.Segment, error) {
-	if n == 0 {
-		return nil, nil
+// extents are the file extents of an access: segs shifted by disp, in
+// increasing file order. The list is read-only and lives until the next
+// access.
+type extents struct {
+	segs []pfs.Segment
+	disp int64
+}
+
+// viewSegments maps [off, off+n) data bytes of the view to file extents,
+// recorded as the flatten span (its byte count is the number of extents). A
+// whole access — what the libraries above make — is the filetype's own
+// typemap (a pfs.Segment is an mpitype.Segment), shared with core's view
+// cache, at the view's displacement: core installs a variable's view at
+// its begin, and nothing is copied or shifted. A partial access is resolved
+// into the handle's scratch (collState.view) with absolute offsets.
+func (f *File) viewSegments(off, n int64) (x extents, err error) {
+	c := &f.coll
+	switch {
+	case n == 0:
+		return extents{}, nil
+	case f.ftype.Size() == 0:
+		c.view = append(c.view[:0], pfs.Segment{Off: f.disp + off, Len: n})
+		return extents{segs: c.view}, nil
 	}
-	if f.ftype.Size() == 0 {
-		return []pfs.Segment{{Off: f.disp + off, Len: n}}, nil
+	sp := f.sp.Begin(span.Flatten)
+	if off == 0 && n == f.ftype.Size() {
+		x = extents{segs: f.ftype.Runs(), disp: f.disp}
+	} else {
+		c.view, err = f.ftype.AppendRange(c.view[:0], f.disp, off, n)
+		x.segs = c.view
 	}
-	return f.ftype.SegmentsForRangeSpan(f.disp, off, n, f.sp)
+	sp.SetBytes(int64(len(x.segs)))
+	sp.End()
+	return x, err
+}
+
+// absSegments is viewSegments for the independent paths, which hand the
+// list to the file system and sieve it: a displaced whole access is shifted
+// into the handle's scratch.
+func (f *File) absSegments(off, n int64) ([]pfs.Segment, error) {
+	x, err := f.viewSegments(off, n)
+	if err != nil || x.disp == 0 {
+		return x.segs, err
+	}
+	f.coll.view, err = f.ftype.AppendRange(f.coll.view[:0], x.disp, off, n)
+	return f.coll.view, err
 }
 
 // Size returns the current file size in bytes.

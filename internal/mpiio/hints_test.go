@@ -100,7 +100,7 @@ func TestCollectivePlanDomainsPartition(t *testing.T) {
 		{gmin: 100, gmax: 300, naggs: 6, stripe: 256, cbbuf: 4096, commSize: 6},
 	}
 	for ci, p := range cases {
-		p.bounds = evenBounds(p.gmin, p.gmax, p.naggs, p.stripe)
+		p.bounds = evenBounds(nil, p.gmin, p.gmax, p.naggs, p.stripe)
 		prevHi := p.gmin
 		covered := int64(0)
 		for a := 0; a < p.naggs; a++ {

@@ -23,7 +23,7 @@ func (f *File) ReadAtInto(off, n int64, dst Sink) error {
 	sp := f.sp.Begin(span.IndepRead)
 	defer sp.End()
 	sp.SetBytes(n)
-	segs, err := f.viewSegments(off, n)
+	segs, err := f.absSegments(off, n)
 	if err != nil {
 		return err
 	}
@@ -62,7 +62,7 @@ func (f *File) WriteAtFrom(off, n int64, src Source) error {
 	sp := f.sp.Begin(span.IndepWrite)
 	defer sp.End()
 	sp.SetBytes(n)
-	segs, err := f.viewSegments(off, n)
+	segs, err := f.absSegments(off, n)
 	if err != nil {
 		return err
 	}

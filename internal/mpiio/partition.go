@@ -7,14 +7,17 @@ package mpiio
 // buffers. One rule each, no hint selects another: DESIGN.md §12 has the
 // measurements that decided it.
 
-// evenBounds is the boundary table: equal widths rounded up to the stripe,
-// interior boundaries aligned down, boundaries at or past gmax clamped to
-// gmax. bounds[0] = gmin and bounds[naggs] = gmax exactly.
-func evenBounds(gmin, gmax int64, naggs int, stripe int64) []int64 {
+import "slices"
+
+// evenBounds is the boundary table, built in dst's storage: equal widths
+// rounded up to the stripe, interior boundaries aligned down, boundaries at
+// or past gmax clamped to gmax. bounds[0] = gmin and bounds[naggs] = gmax
+// exactly.
+func evenBounds(dst []int64, gmin, gmax int64, naggs int, stripe int64) []int64 {
 	domain := evenDomain(gmin, gmax, naggs, stripe)
-	bounds := make([]int64, naggs+1)
-	for k := range bounds {
-		bounds[k] = evenBoundary(gmin, gmax, naggs, domain, stripe, k)
+	bounds := slices.Grow(dst[:0], naggs+1)
+	for k := 0; k <= naggs; k++ {
+		bounds = append(bounds, evenBoundary(gmin, gmax, naggs, domain, stripe, k))
 	}
 	return bounds
 }
@@ -81,22 +84,22 @@ func domainCost(naggs, servers int, gmin, gmax, stripe int64) (widest, reqs int6
 	return widest, reqs
 }
 
-// evenAggRanks spreads the aggregators over the communicator: aggregator a
-// on rank a*size/naggs.
-func evenAggRanks(naggs, size int) []int {
-	out := make([]int, naggs)
-	for a := range out {
-		out[a] = a * size / naggs
+// evenAggRanks spreads the aggregators over the communicator, in dst's
+// storage: aggregator a on rank a*size/naggs.
+func evenAggRanks(dst []int, naggs, size int) []int {
+	out := slices.Grow(dst[:0], naggs)
+	for a := 0; a < naggs; a++ {
+		out = append(out, a*size/naggs)
 	}
 	return out
 }
 
 // invertAggRanks builds the rank -> aggregator index table (-1 = not an
-// aggregator).
-func invertAggRanks(aggRanks []int, size int) []int {
-	out := make([]int, size)
-	for i := range out {
-		out[i] = -1
+// aggregator) in dst's storage.
+func invertAggRanks(dst []int, aggRanks []int, size int) []int {
+	out := slices.Grow(dst[:0], size)
+	for i := 0; i < size; i++ {
+		out = append(out, -1)
 	}
 	for a, r := range aggRanks {
 		out[r] = a

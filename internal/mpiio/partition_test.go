@@ -56,7 +56,7 @@ func TestEvenBoundsInvariants(t *testing.T) {
 		{300, 17*256 + 123, 256, 5},
 	}
 	for ci, tc := range cases {
-		bounds := evenBounds(tc.gmin, tc.gmax, tc.naggs, tc.stripe)
+		bounds := evenBounds(nil, tc.gmin, tc.gmax, tc.naggs, tc.stripe)
 		checkBounds(t, "even", bounds, tc.gmin, tc.gmax, tc.stripe, tc.naggs)
 		if t.Failed() {
 			t.Fatalf("case %d failed", ci)
@@ -69,9 +69,9 @@ func TestEvenBoundsInvariants(t *testing.T) {
 func TestAggIndexInverseProperty(t *testing.T) {
 	for size := 1; size <= 64; size++ {
 		for naggs := 1; naggs <= size; naggs++ {
-			aggRanks := evenAggRanks(naggs, size)
+			aggRanks := evenAggRanks(nil, naggs, size)
 			p := collectivePlan{naggs: naggs, commSize: size,
-				aggRanks: aggRanks, aggOf: invertAggRanks(aggRanks, size)}
+				aggRanks: aggRanks, aggOf: invertAggRanks(nil, aggRanks, size)}
 			// Reference: the old linear scan over the closed-form spread.
 			ref := func(rank int) int {
 				for a := 0; a < naggs; a++ {
@@ -100,7 +100,7 @@ func TestAggIndexInverseProperty(t *testing.T) {
 // the ascending spread evenAggRanks produces.
 func TestAggIndexInversePermuted(t *testing.T) {
 	aggRanks := []int{5, 2, 7, 0} // 4 domains over 8 ranks
-	aggOf := invertAggRanks(aggRanks, 8)
+	aggOf := invertAggRanks(nil, aggRanks, 8)
 	p := collectivePlan{naggs: 4, commSize: 8, aggRanks: aggRanks, aggOf: aggOf}
 	for a, r := range aggRanks {
 		if p.aggIndex(r) != a {
@@ -130,7 +130,7 @@ func TestWindowCoverage(t *testing.T) {
 		{0, 3 * stripe, 8, 100},
 		{7, 140, 1, 4096},
 	} {
-		bounds := evenBounds(tc.gmin, tc.gmax, tc.naggs, stripe)
+		bounds := evenBounds(nil, tc.gmin, tc.gmax, tc.naggs, stripe)
 		p := collectivePlan{gmin: tc.gmin, gmax: tc.gmax, naggs: tc.naggs, bounds: bounds,
 			cbbuf: tc.cbbuf, stripe: stripe, commSize: 8, rounds: roundsFor(bounds, tc.cbbuf)}
 		covered := int64(0)
@@ -183,7 +183,7 @@ func TestNoRoundWithEveryWindowEmpty(t *testing.T) {
 			}
 			// Rank r holds the r-th quarter of [off, off+n).
 			lo, hi := tc.off+tc.n*int64(c.Rank())/4, tc.off+tc.n*int64(c.Rank()+1)/4
-			plan, ok, err := f.collectivePlan([]pfs.Segment{{Off: lo, Len: hi - lo}}, nil, true)
+			plan, ok, err := f.collectivePlan(extents{segs: []pfs.Segment{{Off: lo, Len: hi - lo}}}, nil, true)
 			if err != nil || !ok {
 				return fmt.Errorf("collectivePlan: ok=%v err=%v", ok, err)
 			}
@@ -239,7 +239,7 @@ func TestWritePlanHasOneAggregatorPerServer(t *testing.T) {
 			{true, 2, []int64{5, 5}, []int{0, 4}},
 			{false, 4, []int64{3, 3, 3, 1}, []int{0, 2, 4, 6}},
 		} {
-			plan, ok, err := f.collectivePlan([]pfs.Segment{{Off: lo, Len: hi - lo}}, nil, tc.write)
+			plan, ok, err := f.collectivePlan(extents{segs: []pfs.Segment{{Off: lo, Len: hi - lo}}}, nil, tc.write)
 			if err != nil || !ok {
 				return fmt.Errorf("write=%v: collectivePlan ok=%v err=%v", tc.write, ok, err)
 			}
@@ -317,7 +317,7 @@ func TestExplicitCBNodesWins(t *testing.T) {
 			}
 			lo, hi := gmin+(gmax-gmin)*int64(c.Rank())/8, gmin+(gmax-gmin)*int64(c.Rank()+1)/8
 			for _, write := range []bool{true, false} {
-				plan, ok, err := f.collectivePlan([]pfs.Segment{{Off: lo, Len: hi - lo}}, nil, write)
+				plan, ok, err := f.collectivePlan(extents{segs: []pfs.Segment{{Off: lo, Len: hi - lo}}}, nil, write)
 				if err != nil || !ok {
 					return fmt.Errorf("collectivePlan ok=%v err=%v", ok, err)
 				}

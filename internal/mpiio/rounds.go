@@ -70,23 +70,25 @@ package mpiio
 import (
 	"pnetcdf/internal/bufpool"
 	"pnetcdf/internal/fault"
-	"pnetcdf/internal/pfs"
 	"pnetcdf/internal/span"
 )
 
 // writeRounds runs the write rounds of one collective. The returned error is
 // already agreed (identical on every rank).
-func (f *File) writeRounds(plan collectivePlan, segs []pfs.Segment, prefix []int64,
+func (f *File) writeRounds(plan collectivePlan, x extents, prefix []int64,
 	spans []segSpan, src Source, myAgg int) error {
-	s := newWriteScratch(plan)
+	s := &f.coll.w
+	s.reset(plan.commSize)
 	parts, msgs, wv := s.parts, s.msgs, &s.wv
 	// A communicator revocation unwinds this loop as a panic from any of
 	// its collectives. Before it leaves the collective, every buffer this
 	// rank still holds is released: what it packed but never handed over and
 	// what it received (PutAll nils slots, so a partially recycled table is
 	// safe to recycle again). No request is left to join: each one's bytes
-	// have landed when it returns.
+	// have landed when it returns. However it leaves, the iovec the scratch
+	// keeps for the next collective lets go of the messages it pointed into.
 	defer func() {
+		clear(wv.iov)
 		if rec := recover(); rec != nil {
 			bufpool.PutAll(parts)
 			recycleRound(msgs)
@@ -105,7 +107,7 @@ func (f *File) writeRounds(plan collectivePlan, segs []pfs.Segment, prefix []int
 		sRound := f.sp.Begin(span.Round)
 		sRound.SetRound(int(r))
 		sPack := f.sp.Begin(span.Pack)
-		s.clip = f.packWriteRound(plan, segs, prefix, spans, src, r, parts, s.clip, sPack)
+		s.clip = f.packWriteRound(plan, x, prefix, spans, src, r, parts, s.clip, sPack)
 		sPack.End()
 		err := sparseExchange(f.comm, f.sp, parts, msgs, s.counts, pending, roundTag(r, 0), kill)
 		sRound.End()
@@ -183,11 +185,12 @@ func (f *File) killHook(point string) func() {
 // aggregator keeps up to readDepth rounds' coverage reads in flight while
 // the rounds after them pack and exchange and the rounds before them are
 // answered. The returned error is already agreed (identical on every rank).
-func (f *File) readRounds(plan collectivePlan, segs []pfs.Segment, prefix []int64,
+func (f *File) readRounds(plan collectivePlan, x extents, prefix []int64,
 	spans []segSpan, dst Sink, myAgg int) error {
 	cfg := f.fs.Config()
 	depth := readDepth(plan.rounds, cfg.NumServers, cfg.ClientCache, plan.cbbuf)
-	s := newReadScratch(plan, depth)
+	s := &f.coll.r
+	s.reset(plan.commSize, depth)
 	parts, msgs, replies, back, cov := s.parts, s.msgs, s.replies, s.back, &s.cov
 	at := func(k int64) *readRound { return &s.round[k%depth] }
 	// release drops the coverages of rounds [from, to), which will never be
@@ -237,7 +240,7 @@ func (f *File) readRounds(plan collectivePlan, segs []pfs.Segment, prefix []int6
 		sReply.End()
 		sScatter := f.sp.Begin(span.Scatter)
 		sScatter.SetRound(int(k))
-		s.clip = scatterReplies(dst, plan, segs, prefix, spans, k, back, s.clip)
+		s.clip = scatterReplies(dst, plan, x, prefix, spans, k, back, s.clip)
 		sScatter.End()
 		recycleRound(back)
 	}
@@ -259,7 +262,7 @@ func (f *File) readRounds(plan collectivePlan, segs []pfs.Segment, prefix []int6
 		sRound := f.sp.Begin(span.Round)
 		sRound.SetRound(int(r))
 		sPack := f.sp.Begin(span.Pack)
-		rd.sent, s.clip = f.packReadRound(plan, segs, prefix, spans, r, parts, s.clip, sPack)
+		rd.sent, s.clip = f.packReadRound(plan, x, prefix, spans, r, parts, s.clip, sPack)
 		sPack.End()
 		verdict := sparseExchange(f.comm, f.sp, parts, msgs, s.counts, pending, roundTag(r, 0), kill)
 		sRound.End()

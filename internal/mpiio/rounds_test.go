@@ -436,15 +436,22 @@ func readRoundFailure(t *testing.T, k, depth int64) {
 
 // TestViewTypemapIsNotWrittenThrough: an access covering the whole view hands
 // the filetype's own typemap down the stack as the request list (no copy is
-// made between SetView and the file system), so nothing below may write
-// through it — collective rounds and the independent sieving paths leave it
-// exactly as it was installed.
+// made between SetView and the file system; a displaced view travels with
+// its displacement), so nothing below may write through it — collective
+// rounds and the independent sieving paths leave it exactly as it was
+// installed, at displacement 0 (core's fused views) and displaced (core's
+// views relative to a variable, installed at its begin).
 func TestViewTypemapIsNotWrittenThrough(t *testing.T) {
+	for _, disp := range []int64{0, 1000} {
+		viewNotWrittenThrough(t, disp)
+	}
+}
+
+func viewNotWrittenThrough(t *testing.T, disp int64) {
 	const ranks, blocks, blockLen = 4, 64, 96
 	fsys := testFS()
 	info := mpi.NewInfo().Set("cb_buffer_size", "4096").Set("cb_nodes", "2")
 	runWorld(t, ranks, func(c *mpi.Comm) error {
-		// Absolute offsets, displacement 0: what core installs.
 		var segs []mpitype.Segment
 		for b := 0; b < blocks; b++ {
 			segs = append(segs, mpitype.Segment{Off: int64((b*ranks+c.Rank())*blockLen + 5), Len: blockLen})
@@ -458,7 +465,7 @@ func TestViewTypemapIsNotWrittenThrough(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if err := f.SetView(0, view); err != nil {
+		if err := f.SetView(disp, view); err != nil {
 			return err
 		}
 		buf := bytes.Repeat([]byte{byte(c.Rank() + 1)}, blocks*blockLen)
@@ -474,7 +481,7 @@ func TestViewTypemapIsNotWrittenThrough(t *testing.T) {
 			}
 			for k, s := range view.Runs() {
 				if s != before[k] {
-					return fmt.Errorf("rank %d: step %d changed typemap run %d from %v to %v", c.Rank(), i, k, before[k], s)
+					return fmt.Errorf("disp %d, rank %d: step %d changed typemap run %d from %v to %v", disp, c.Rank(), i, k, before[k], s)
 				}
 			}
 		}

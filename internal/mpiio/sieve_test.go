@@ -7,7 +7,6 @@ import (
 
 	"pnetcdf/internal/mpi"
 	"pnetcdf/internal/mpitype"
-	"pnetcdf/internal/pfs"
 )
 
 // TestSievingWriteContention: two ranks interleave fine-grained independent
@@ -193,10 +192,10 @@ func TestStripeAlignedDomains(t *testing.T) {
 	})
 }
 
-func mustView(f *File, n int64) []pfs.Segment {
-	segs, err := f.viewSegments(0, n)
+func mustView(f *File, n int64) extents {
+	x, err := f.viewSegments(0, n)
 	if err != nil {
 		panic(err)
 	}
-	return segs
+	return x
 }

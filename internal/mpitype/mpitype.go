@@ -16,8 +16,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-
-	"pnetcdf/internal/span"
 )
 
 // Segment is one contiguous run of units within a datatype's extent.
@@ -288,22 +286,29 @@ func (d Datatype) Tiled(dst []Segment, disp int64, count int64) []Segment {
 // pointer offset turns into I/O extents.
 //
 // The result is read-only: a range that is exactly one instance placed at
-// offset 0 — every access through a view built from absolute offsets, which
-// is what the libraries above install — is the typemap itself (Runs), not a
-// copy of it.
+// offset 0 — every access through a view built from absolute offsets — is
+// the typemap itself (Runs), not a copy of it.
 func (d Datatype) SegmentsForRange(disp, skipUnits, nUnits int64) ([]Segment, error) {
+	if d.size != 0 && skipUnits == 0 && nUnits == d.size && disp == 0 {
+		return d.segs, nil
+	}
+	return d.AppendRange(nil, disp, skipUnits, nUnits)
+}
+
+// AppendRange appends to dst the segments SegmentsForRange returns, always
+// as a list of its own: a caller that hands back the list it got the time
+// before allocates nothing once it is large enough. A segment that continues
+// dst's last one extends it.
+func (d Datatype) AppendRange(dst []Segment, disp, skipUnits, nUnits int64) ([]Segment, error) {
 	if d.size == 0 {
 		if nUnits == 0 {
-			return nil, nil
+			return dst, nil
 		}
-		return nil, errors.New("mpitype: reading data units through an empty type")
+		return dst, errors.New("mpitype: reading data units through an empty type")
 	}
 	tileIdx := skipUnits / d.size
 	skip := skipUnits % d.size
-	if skip == 0 && nUnits == d.size && disp+tileIdx*d.extent == 0 {
-		return d.segs, nil
-	}
-	var out []Segment
+	out := dst
 	for nUnits > 0 {
 		base := disp + tileIdx*d.extent
 		for _, s := range d.segs {
@@ -323,30 +328,10 @@ func (d Datatype) SegmentsForRange(disp, skipUnits, nUnits int64) ([]Segment, er
 			if l > nUnits {
 				l = nUnits
 			}
-			abs := Segment{Off: base + off, Len: l}
-			if n := len(out); n > 0 && out[n-1].Off+out[n-1].Len == abs.Off {
-				out[n-1].Len += abs.Len
-			} else {
-				out = append(out, abs)
-			}
+			out = appendMerged(out, Segment{Off: base + off, Len: l})
 			nUnits -= l
 		}
 		tileIdx++
 	}
 	return out, nil
-}
-
-// SegmentsForRangeSpan is SegmentsForRange wrapped in a "flatten" span on
-// rec (nil = no recording): the view-resolve step of the collective
-// pipeline, with the span's byte count carrying the number of file extents
-// the flattening produced.
-func (d Datatype) SegmentsForRangeSpan(disp, skipUnits, nUnits int64, rec *span.Recorder) ([]Segment, error) {
-	if rec == nil {
-		return d.SegmentsForRange(disp, skipUnits, nUnits)
-	}
-	sp := rec.Begin(span.Flatten)
-	segs, err := d.SegmentsForRange(disp, skipUnits, nUnits)
-	sp.SetBytes(int64(len(segs)))
-	sp.End()
-	return segs, err
 }

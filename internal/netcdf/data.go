@@ -18,9 +18,8 @@ func SliceHead(data any, n int64) (any, error) {
 	if n == 0 && data == nil {
 		return []byte{}, nil
 	}
-	if l := cdf.SliceLen(data); l >= 0 && l < int(n) { // l < 0: unsupported type
-		return nil, fmt.Errorf("%w: need %d elements, buffer has %d",
-			nctype.ErrCountMismatch, n, l)
+	if err := CheckHead(data, n); err != nil {
+		return nil, err
 	}
 	switch s := data.(type) {
 	case []int8:
@@ -47,6 +46,19 @@ func SliceHead(data any, n int64) (any, error) {
 		return s[:n], nil
 	}
 	return nil, fmt.Errorf("%w: %T", nctype.ErrTypeMismatch, data)
+}
+
+// CheckHead reports whether data is a supported slice of at least n
+// elements: the check of SliceHead, without boxing the slice it would
+// return.
+func CheckHead(data any, n int64) error {
+	switch l := cdf.SliceLen(data); {
+	case l < 0:
+		return fmt.Errorf("%w: %T", nctype.ErrTypeMismatch, data)
+	case l < int(n):
+		return fmt.Errorf("%w: need %d elements, buffer has %d", nctype.ErrCountMismatch, n, l)
+	}
+	return nil
 }
 
 // MakeLike allocates a new slice of the same element type as data with n

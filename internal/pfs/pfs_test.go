@@ -365,6 +365,64 @@ func TestChunkFillCases(t *testing.T) {
 	}
 }
 
+// TestChunkJoinedFromPieces covers the chunks a write covers entirely from
+// several iovec pieces, which joinChunk builds without a zeroing pass: pieces
+// that straddle chunk boundaries (a FLASH aggregator's iovec), a chunk in
+// exactly maxJoin pieces, one in more (made zeroed and copied into instead),
+// and a request of two segments whose pieces straddle the segment boundary.
+// Every byte reads back as written; the bytes of a chunk the request covers
+// in part that no piece covers read as zero.
+func TestChunkJoinedFromPieces(t *testing.T) {
+	fs := testFS()
+	f, _ := fs.Create("f", 0)
+	rng := rand.New(rand.NewSource(7))
+	const c = chunkSize
+	oracle := make([]byte, 10*c)
+	write := func(segs []Segment, pieces ...int64) {
+		t.Helper()
+		var iov [][]byte
+		var flat []byte
+		for _, l := range pieces {
+			p := make([]byte, l)
+			rng.Read(p)
+			iov, flat = append(iov, p), append(flat, p...)
+		}
+		for _, s := range segs {
+			flat = flat[copy(oracle[s.Off:s.Off+s.Len], flat):]
+		}
+		if len(flat) != 0 {
+			t.Fatalf("pieces hold %d bytes more than the segments", len(flat))
+		}
+		if _, err := f.WriteVec(0, segs, iov); err != nil {
+			t.Fatal(err)
+		}
+	}
+	even := func(total int64, k int) []int64 {
+		out := make([]int64, k)
+		for i := range out {
+			out[i] = total / int64(k)
+		}
+		out[k-1] += total % int64(k)
+		return out
+	}
+	write([]Segment{{Off: 0, Len: 3 * c}}, even(3*c, 7)...)            // chunks 0-2: pieces straddle them
+	write([]Segment{{Off: 3 * c, Len: c}}, even(c, maxJoin)...)        // chunk 3: exactly maxJoin pieces
+	write([]Segment{{Off: 4 * c, Len: c}}, even(c, maxJoin+1)...)      // chunk 4: too many, made zeroed
+	write([]Segment{{Off: 5 * c, Len: c}, {Off: 6*c + 100, Len: 300}}, // chunk 5 whole, chunk 6 in part
+		even(c+300, 5)...)
+	write([]Segment{{Off: 7*c + 10, Len: c - 10}}, even(c-10, 3)...) // chunk 7 in part: its head is a hole
+	got := make([]byte, f.Size())
+	if int64(len(got)) != 8*c {
+		t.Fatalf("size %d, want %d", len(got), 8*c)
+	}
+	f.ReadAt(0, got, 0)
+	for i := range got {
+		if got[i] != oracle[i] {
+			t.Fatalf("byte %d (chunk %d) = %#x, want %#x", i, i/c, got[i], oracle[i])
+		}
+	}
+}
+
 func TestSerialFileAdapter(t *testing.T) {
 	fs := testFS()
 	f, t0 := fs.Create("f", 0)

@@ -1,6 +1,7 @@
 package pfs
 
 import (
+	"bytes"
 	"sync"
 	"sync/atomic"
 )
@@ -55,10 +56,9 @@ func (s *chunkStore) grow(end int64) {
 // hundreds to a chunk. With discard, only the size is tracked (timing-only
 // bulk data) and cur skips the bytes.
 //
-// A new chunk is made zeroed, so that what no piece covers reads as a hole,
-// unless one contiguous piece fills all of it: then the chunk is made by
-// copying that piece (make + copy, which the compiler fuses into one
-// allocation that skips the zeroing pass).
+// A new chunk the write covers entirely is made from its pieces by
+// joinChunk, with no zeroing pass; one it covers in part is made zeroed, so
+// that what no piece covers reads as a hole.
 func (s *chunkStore) writeAt(off, n int64, cur *iovCursor, discard bool) {
 	s.grow(off + n)
 	if discard {
@@ -70,14 +70,14 @@ func (s *chunkStore) writeAt(off, n int64, cur *iovCursor, discard bool) {
 		m := min(chunkSize-cOff, n)
 		sh := s.shard(idx)
 		sh.mu.Lock()
-		p := cur.next(m)
 		c := sh.chunks[idx]
-		filled := c == nil && int64(len(p)) == chunkSize
+		joined := false
 		if c == nil {
-			if filled {
-				c = make([]byte, chunkSize)
-				copy(c, p)
-			} else {
+			if m == chunkSize {
+				c = joinChunk(cur)
+				joined = c != nil
+			}
+			if c == nil {
 				c = make([]byte, chunkSize)
 			}
 			if sh.chunks == nil {
@@ -85,9 +85,8 @@ func (s *chunkStore) writeAt(off, n int64, cur *iovCursor, discard bool) {
 			}
 			sh.chunks[idx] = c
 		}
-		if !filled {
-			dst := c[cOff : cOff+m]
-			for dst = dst[copy(dst, p):]; len(dst) > 0; {
+		if !joined {
+			for dst := c[cOff : cOff+m]; len(dst) > 0; {
 				dst = dst[copy(dst, cur.next(int64(len(dst)))):]
 			}
 		}
@@ -95,6 +94,31 @@ func (s *chunkStore) writeAt(off, n int64, cur *iovCursor, discard bool) {
 		off += m
 		n -= m
 	}
+}
+
+// maxJoin is the most iovec pieces joinChunk gathers for one chunk, on the
+// stack.
+const maxJoin = 64
+
+// joinChunk returns a new chunk holding the next chunkSize bytes at cur,
+// made by bytes.Join from the iovec pieces they lie in: Join allocates
+// without zeroing, and copies each piece once. When the bytes lie in more
+// than maxJoin pieces it returns nil, with cur where it was. The pieces are
+// gathered by a copy of cur into an array: a store through a slice or
+// through cur would let the iovec's memory escape to the heap at every
+// caller of the file's requests.
+func joinChunk(cur *iovCursor) []byte {
+	var pieces [maxJoin][]byte
+	ahead, k := *cur, 0
+	for n := int64(chunkSize); n > 0; k++ {
+		if k == maxJoin {
+			return nil
+		}
+		pieces[k] = ahead.next(n)
+		n -= int64(len(pieces[k]))
+	}
+	cur.i, cur.pos = ahead.i, ahead.pos
+	return bytes.Join(pieces[:k], nil)
 }
 
 // readAt fills p from the chunks at off; holes and bytes beyond EOF read as

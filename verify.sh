@@ -26,7 +26,8 @@
 #            fixed seed; the run must complete, write the clean run's file
 #            byte for byte and land the clean run's pfs_bytes_written; then
 #            the 64 MiB Figure 6 write, serial baseline included, at 1% on
-#            seeds 1-4, every cell of which must complete. (The
+#            seeds 1-4 with -stats, every cell of which must complete and
+#            whose serial baseline's table must count retries. (The
 #            fault-injection suites run in the default pass.)
 #   FT=1     rank failure (DESIGN.md §8) end to end: kill an aggregator
 #            mid-round in an 8-rank FLASH checkpoint, once in the exchange
@@ -137,9 +138,15 @@ if [ "${FAULT:-0}" = "1" ]; then
     cmp "$fdir/clean.nc" "$fdir/fault.nc"
     written() { grep -o '"pfs_bytes_written": [0-9]*' "$1"; }
     test "$(written "$fdir/clean.json")" = "$(written "$fdir/fault.json")"
+    # Each seed's -stats must hold the serial baseline's table, and its
+    # pfs_retries must be nonzero: the resumed faults set its bandwidth.
     for seed in 1 2 3 4; do
         "$fdir/pnetcdf-bench" -size 64mb -op write -procs 2,4 \
-            -fault-rate 0.01 -fault-seed "$seed"
+            -fault-rate 0.01 -fault-seed "$seed" -stats >"$fdir/fig6.txt"
+        sed -n '1,/^$/p' "$fdir/fig6.txt"
+        retries=$(awk '/^I\/O statistics: write serial netCDF/ { s = 1 }
+            s && $2 == "pfs_retries" { print $3; exit }' "$fdir/fig6.txt")
+        test "${retries:-0}" -gt 0
     done
     rm -rf "$fdir"
 fi
