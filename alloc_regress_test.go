@@ -38,7 +38,7 @@ func collectiveWriteOnce(tb testing.TB) {
 		if err != nil {
 			return err
 		}
-		ft, err := mpitype.Vector(nBlocks, blockLen, ranks*blockLen, mpitype.Contig(1))
+		ft, err := mpitype.Subarray([]int64{nBlocks, ranks * blockLen}, []int64{nBlocks, blockLen}, []int64{0, 0}, 1)
 		if err != nil {
 			return err
 		}
@@ -113,7 +113,7 @@ func roundsAllocs(tb testing.TB, read bool, cbBuffer int) (objs, bytes, rounds i
 		if err != nil {
 			return err
 		}
-		ft, err := mpitype.Vector(nBlocks, blockLen, ranks*blockLen, mpitype.Contig(1))
+		ft, err := mpitype.Subarray([]int64{nBlocks, ranks * blockLen}, []int64{nBlocks, blockLen}, []int64{0, 0}, 1)
 		if err != nil {
 			return err
 		}
@@ -466,7 +466,7 @@ func openAccessAllocs(tb testing.TB, cache int64, read bool) (objs, rounds, over
 	err := mpi.Run(ranks, mpi.DefaultNet(), func(c *mpi.Comm) error {
 		st := iostat.New()
 		c.Proc().SetStats(st)
-		ft, err := mpitype.Vector(nBlocks, blockLen, ranks*blockLen, mpitype.Contig(1))
+		ft, err := mpitype.Subarray([]int64{nBlocks, ranks * blockLen}, []int64{nBlocks, blockLen}, []int64{0, 0}, 1)
 		if err != nil {
 			return err
 		}
@@ -712,31 +712,24 @@ func TestAllocsFlashRoundTrip(t *testing.T) {
 // one-dimensional variables with two attributes each, the benchmark's
 // meta_defs — through the define rules the libraries call.
 func metaHeader(tb testing.TB, nvars int) *cdf.Header {
-	h := &cdf.Header{Version: 2}
+	f := cdf.CreateFront(nctype.Bit64Offset, nil)
 	defs := newMetaDefs(nvars)
-	if err := defs.define(headerDefiner{h}); err != nil {
+	if err := defs.define(&f); err != nil {
 		tb.Fatal(err)
 	}
+	h := f.Hdr
 	if err := h.ComputeLayout(1); err != nil {
 		tb.Fatal(err)
 	}
 	return h
 }
 
-// definer is the define surface both libraries (and, through headerDefiner,
-// a bare header) offer.
+// definer is the define surface both libraries (and the cdf.Front they
+// share) offer.
 type definer interface {
 	DefDim(name string, size int64) (int, error)
 	DefVar(name string, t nctype.Type, dimids []int) (int, error)
 	PutAttr(varid int, name string, t nctype.Type, value any) error
-}
-
-// headerDefiner makes define calls on a header in define mode.
-type headerDefiner struct{ *cdf.Header }
-
-func (h headerDefiner) PutAttr(varid int, name string, t nctype.Type, value any) error {
-	_, err := h.Header.PutAttr(varid, name, t, value, true)
-	return err
 }
 
 // metaDefs holds the definitions of the metadata-heavy shape with every
@@ -837,7 +830,9 @@ func TestAllocsHeaderCodec(t *testing.T) {
 		}
 	}
 	// Adding to the header allocates only when the list or the index grows.
-	if got := testing.AllocsPerRun(100, func() { dec.RenameVar(7, "renamed", true); dec.RenameVar(7, "variable_x", true) }); got != 0 {
+	front := cdf.CreateFront(0, nil) // define mode: a rename commits nothing
+	front.Hdr = dec
+	if got := testing.AllocsPerRun(100, func() { front.RenameVar(7, "renamed"); front.RenameVar(7, "variable_x") }); got != 0 {
 		t.Errorf("RenameVar: %v allocations, want 0", got)
 	}
 }
@@ -1161,7 +1156,7 @@ func TestAllocsIndependentSieve(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		ft, err := mpitype.Vector(per/blockLen, blockLen, ranks*blockLen, mpitype.Contig(1))
+		ft, err := mpitype.Subarray([]int64{per / blockLen, ranks * blockLen}, []int64{per / blockLen, blockLen}, []int64{0, 0}, 1)
 		if err != nil {
 			return err
 		}

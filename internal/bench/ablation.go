@@ -25,8 +25,8 @@ type AblationResult struct {
 	Baseline float64 // seconds with the alternative
 }
 
-// Speedup returns Baseline/Chosen.
-func (a AblationResult) Speedup() float64 {
+// speedup returns Baseline/Chosen.
+func (a AblationResult) speedup() float64 {
 	if a.Chosen <= 0 {
 		return 0
 	}
@@ -36,7 +36,7 @@ func (a AblationResult) Speedup() float64 {
 // String formats the comparison.
 func (a AblationResult) String() string {
 	return fmt.Sprintf("%-28s chosen %8.4fs  alternative %8.4fs  speedup %5.2fx",
-		a.Name, a.Chosen, a.Baseline, a.Speedup())
+		a.Name, a.Chosen, a.Baseline, a.speedup())
 }
 
 // legTrace, when set, has every rank of an ablation record spans, and

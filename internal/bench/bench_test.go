@@ -220,14 +220,14 @@ func TestAblationsFavorChosenDesign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if two.Speedup() <= 1 {
+	if two.speedup() <= 1 {
 		t.Fatalf("two-phase not a win: %v", two)
 	}
 	sv, err := AblationSieving(m, [3]int64{32, 32, 64}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sv.Speedup() <= 1 {
+	if sv.speedup() <= 1 {
 		t.Fatalf("sieving not a win: %v", sv)
 	}
 	hs, err := AblationHeaderStrategy(m, 200, 8)
@@ -241,14 +241,14 @@ func TestAblationsFavorChosenDesign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rb.Speedup() <= 1 {
+	if rb.speedup() <= 1 {
 		t.Fatalf("record batching not a win: %v", rb)
 	}
 	lo, err := AblationLayout(m, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lo.Speedup() <= 1 {
+	if lo.speedup() <= 1 {
 		t.Fatalf("linear layout not a win: %v", lo)
 	}
 }
@@ -258,7 +258,7 @@ func TestAblationPrefetch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Speedup() <= 1 {
+	if res.speedup() <= 1 {
 		t.Fatalf("prefetch hint not a win for small repeated reads: %v", res)
 	}
 }
@@ -268,7 +268,7 @@ func TestAblationVarAlign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Speedup() <= 1 {
+	if res.speedup() <= 1 {
 		t.Fatalf("var alignment not a win for independent writes: %v", res)
 	}
 }
@@ -282,7 +282,7 @@ func TestAblationWriteAggregators(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Speedup() <= 1 {
+	if res.speedup() <= 1 {
 		t.Fatalf("one write aggregator per server not a win: %v", res)
 	}
 }
@@ -296,7 +296,7 @@ func TestAblationReadAggregators(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Speedup() <= 1 {
+	if res.speedup() <= 1 {
 		t.Fatalf("the read aggregator rule not a win over one per rank: %v", res)
 	}
 }
@@ -309,7 +309,7 @@ func TestAblationReadDepth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Speedup() <= 1.5 {
+	if res.speedup() <= 1.5 {
 		t.Fatalf("one read round in flight per server not a clear win over two: %v", res)
 	}
 }
@@ -340,7 +340,7 @@ func TestFlashReadKillTargetsReadBack(t *testing.T) {
 	}
 	killed, err := run(FaultOptions{KillPoint: fault.KillAfterIssue, KillRank: 4, KillOccurrence: 1})
 	if rv, ok := mpi.AsRevoked(err); !ok || fmt.Sprint(rv.Failed) != "[4]" {
-		t.Fatalf("killed read-back returned %v, want *mpi.ErrRevoked naming rank 4", err)
+		t.Fatalf("killed read-back returned %v, want *mpi.revokedError naming rank 4", err)
 	}
 	if !bytes.Equal(killed, clean) {
 		t.Fatal("the kill disturbed the write before the read-back")
@@ -360,7 +360,7 @@ func TestFigure7FailedRunKeepsWhatRan(t *testing.T) {
 		Fault: FaultOptions{KillPoint: fault.KillMidExchange, KillRank: 4},
 		Stats: true, Spans: true})
 	if rv, ok := mpi.AsRevoked(err); !ok || fmt.Sprint(rv.Failed) != "[4]" {
-		t.Fatalf("killed sweep returned %v, want *mpi.ErrRevoked naming rank 4", err)
+		t.Fatalf("killed sweep returned %v, want *mpi.revokedError naming rank 4", err)
 	}
 	if fig == nil || fmt.Sprint(fig.Procs) != "[4]" || len(fig.PnetCDF) != 1 || len(fig.HDF5) != 1 {
 		t.Fatalf("chart of the failed sweep = %+v, want the 4-process run alone", fig)
@@ -397,7 +397,7 @@ func TestFigure6FailedRunKeepsWhatRan(t *testing.T) {
 		Fault: FaultOptions{KillPoint: fault.KillMidExchange, KillRank: 3},
 		Stats: true, Spans: true})
 	if rv, ok := mpi.AsRevoked(err); !ok || fmt.Sprint(rv.Failed) != "[3]" {
-		t.Fatalf("killed sweep returned %v, want *mpi.ErrRevoked naming rank 3", err)
+		t.Fatalf("killed sweep returned %v, want *mpi.revokedError naming rank 3", err)
 	}
 	if fig == nil || fig.SerialMBps <= 0 || len(fig.Points[PartX]) != 1 || len(fig.Stats[PartX]) != 1 {
 		t.Fatalf("chart of the failed sweep = %+v, want the serial baseline and the 2-process cell", fig)

@@ -21,9 +21,9 @@ type FaultOptions struct {
 	Seed uint64
 	// KillPoint, when non-empty, arms a one-shot rank kill at the named
 	// two-phase crash point (fault.KillBeforePack, fault.KillMidExchange,
-	// fault.KillAfterIssue). The survivors detect the death after
-	// mpi.FTDetectLatency of virtual time, and the run fails with the
-	// *mpi.ErrRevoked every survivor returns (DESIGN.md §8).
+	// fault.KillAfterIssue). The survivors detect the death after mpi's
+	// detection latency of 0.3 s of virtual time, and the run fails with the
+	// *mpi.revokedError every survivor returns (DESIGN.md §8).
 	KillPoint string
 	// KillRank is the world rank to kill (meaningful with KillPoint).
 	KillRank int

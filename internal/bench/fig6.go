@@ -12,10 +12,10 @@ import (
 	"pnetcdf/internal/span"
 )
 
-// Figure6 holds one chart of the paper's Figure 6: read or write bandwidth
+// figure6 holds one chart of the paper's Figure 6: read or write bandwidth
 // of a 3-D float array tt(Z,Y,X), serial netCDF (single process) against
 // PnetCDF over the seven partitions and a range of process counts.
-type Figure6 struct {
+type figure6 struct {
 	Machine string
 	Op      string // "read" or "write"
 	Dims    [3]int64
@@ -37,7 +37,7 @@ type Figure6 struct {
 	Spans   []span.Span
 	Dropped int64
 	// Failed is the run that ended the sweep, nil when none did.
-	Failed *FailedRun
+	Failed *failedRun
 }
 
 // Fig6Options configures a Figure 6 run.
@@ -50,10 +50,10 @@ type Fig6Options struct {
 	// Discard skips data retention in the simulated FS (large arrays).
 	Discard bool
 	// Stats enables per-rank iostat counters for the measured phase; the
-	// summaries land in Figure6.Stats.
+	// summaries land in figure6.Stats.
 	Stats bool
 	// Spans enables per-rank span recording; the last parallel run's merged
-	// spans land in Figure6.Spans.
+	// spans land in figure6.Spans.
 	Spans bool
 	// Fault injects deterministic transient faults into the runs.
 	Fault FaultOptions
@@ -71,7 +71,7 @@ const fig6VarName = "tt"
 // returned beside its error holds the cells measured before it, with the
 // failed run in Failed and its spans in Spans (no cell at all when the
 // serial baseline failed).
-func RunFigure6(opt Fig6Options) (*Figure6, error) {
+func RunFigure6(opt Fig6Options) (*figure6, error) {
 	if len(opt.Partitions) == 0 {
 		opt.Partitions = AllPartitions
 	}
@@ -80,7 +80,7 @@ func RunFigure6(opt Fig6Options) (*Figure6, error) {
 	if opt.Read {
 		op = "read"
 	}
-	fig := &Figure6{
+	fig := &figure6{
 		Machine: opt.Machine.Name, Op: op, Dims: opt.Dims, Bytes: nbytes,
 		Procs: opt.Procs, Points: map[Partition][]float64{},
 		Stats: map[Partition][]*iostat.Summary{},
@@ -98,7 +98,7 @@ func RunFigure6(opt Fig6Options) (*Figure6, error) {
 			mbps, pr, err := runFig6Parallel(opt, part, p)
 			fig.Spans, fig.Dropped = pr.spans()
 			if err != nil {
-				fig.Failed = &FailedRun{Partition: part, Procs: p, Stats: pr.summary()}
+				fig.Failed = &failedRun{Partition: part, Procs: p, Stats: pr.summary()}
 				return fig, fmt.Errorf("partition %v procs %d: %w", part, p, err)
 			}
 			fig.Points[part] = append(fig.Points[part], mbps)

@@ -34,10 +34,10 @@ func (f FlashFile) String() string {
 	return "?"
 }
 
-// Figure7 holds one chart of the paper's Figure 7: aggregate bandwidth of
+// figure7 holds one chart of the paper's Figure 7: aggregate bandwidth of
 // one FLASH output file, PnetCDF vs the HDF5-style library, across process
 // counts.
-type Figure7 struct {
+type figure7 struct {
 	Machine string
 	File    FlashFile
 	Block   string // "8x8x8" or "16x16x16"
@@ -53,7 +53,7 @@ type Figure7 struct {
 	Spans   []span.Span
 	Dropped int64
 	// Failed is the run that ended the sweep, nil when none did.
-	Failed *FailedRun
+	Failed *failedRun
 }
 
 // Fig7Options configures a Figure 7 run.
@@ -67,10 +67,10 @@ type Fig7Options struct {
 	// future-work comparison (§6). Only meaningful with FlashCheckpoint.
 	Read bool
 	// Stats enables per-rank iostat counters for the PnetCDF runs; the
-	// summaries land in Figure7.Stats.
+	// summaries land in figure7.Stats.
 	Stats bool
 	// Spans enables per-rank span recording for the PnetCDF runs; the last
-	// run's merged spans land in Figure7.Spans.
+	// run's merged spans land in figure7.Spans.
 	Spans bool
 	// Fault injects deterministic transient faults into the runs; the
 	// retry counters in Stats show the recovery cost.
@@ -90,7 +90,7 @@ type Fig7Options struct {
 // returned beside its error holds the process counts measured before it,
 // with the failed run in Failed and, when it was a PnetCDF run, its spans
 // in Spans.
-func RunFigure7(opt Fig7Options) (*Figure7, error) {
+func RunFigure7(opt Fig7Options) (*figure7, error) {
 	block := fmt.Sprintf("%dx%dx%d", opt.Config.NXB, opt.Config.NYB, opt.Config.NZB)
 	if opt.Read {
 		block += ", read-back"
@@ -98,7 +98,7 @@ func RunFigure7(opt Fig7Options) (*Figure7, error) {
 	if opt.Config.Queued {
 		block += ", queued"
 	}
-	fig := &Figure7{
+	fig := &figure7{
 		Machine: opt.Machine.Name,
 		File:    opt.File,
 		Block:   block,
@@ -109,13 +109,13 @@ func RunFigure7(opt Fig7Options) (*Figure7, error) {
 		fig.Spans, fig.Dropped = pr.spans()
 		if err != nil {
 			fig.Procs = fig.Procs[:i]
-			fig.Failed = &FailedRun{Procs: p, Stats: pr.summary()}
+			fig.Failed = &failedRun{Procs: p, Stats: pr.summary()}
 			return fig, fmt.Errorf("pnetcdf %d procs: %w", p, err)
 		}
 		h5, _, err := runFlashOnce(opt, p, true)
 		if err != nil {
 			fig.Procs = fig.Procs[:i]
-			fig.Failed = &FailedRun{Procs: p}
+			fig.Failed = &failedRun{Procs: p}
 			return fig, fmt.Errorf("hdf5 %d procs: %w", p, err)
 		}
 		fig.PnetCDF = append(fig.PnetCDF, nc.BandwidthMBps())

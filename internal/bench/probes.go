@@ -51,10 +51,10 @@ func (p probes) summary() *iostat.Summary {
 // spans merges the ranks' spans and sums the counts they dropped.
 func (p probes) spans() ([]span.Span, int64) { return span.Merge(p.recs) }
 
-// FailedRun is the run that ended a sweep: where in the sweep it ran, and
+// failedRun is the run that ended a sweep: where in the sweep it ran, and
 // the counters its ranks kept up to the failure (nil unless the options'
 // Stats).
-type FailedRun struct {
+type failedRun struct {
 	Partition Partition // Figure 6's; Figure 7 has none
 	Procs     int
 	Stats     *iostat.Summary

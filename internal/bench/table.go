@@ -8,7 +8,7 @@ import (
 // WriteFigure6 prints one Figure 6 chart as the table the paper plots:
 // one row per partition, one column per process count, plus the serial
 // baseline row.
-func WriteFigure6(w io.Writer, fig *Figure6) {
+func WriteFigure6(w io.Writer, fig *figure6) {
 	fmt.Fprintf(w, "%s %d MB — %s — bandwidth (MB/s)\n",
 		titleCase(fig.Op), fig.Bytes>>20, fig.Machine)
 	fmt.Fprintf(w, "  array tt(Z=%d, Y=%d, X=%d) float\n", fig.Dims[0], fig.Dims[1], fig.Dims[2])
@@ -33,7 +33,7 @@ func WriteFigure6(w io.Writer, fig *Figure6) {
 
 // WriteFigure7 prints one Figure 7 chart as a table: one row per process
 // count with both libraries' bandwidths.
-func WriteFigure7(w io.Writer, fig *Figure7) {
+func WriteFigure7(w io.Writer, fig *figure7) {
 	fmt.Fprintf(w, "FLASH I/O (%s, %s) — %s — aggregate bandwidth (MB/s)\n",
 		fig.File, fig.Block, fig.Machine)
 	fmt.Fprintf(w, "  %8s %12s %12s %8s\n", "procs", "PnetCDF", "HDF5", "ratio")

@@ -18,9 +18,9 @@ const (
 )
 
 // Pools hold *[]byte: a slice header stored in an interface directly would
-// be boxed on every Put. The boxes themselves cycle through headers — get
+// be boxed on every Put. The boxes themselves cycle through headers — GetDirty
 // empties the one it took from a class pool and parks it there, Put refills
-// one — so a Get/Put cycle allocates nothing once both pools are warm.
+// one — so a GetDirty/Put cycle allocates nothing once both pools are warm.
 var (
 	pools   [numClasses]sync.Pool
 	headers sync.Pool
@@ -39,7 +39,10 @@ func class(n int) int {
 	return c
 }
 
-func get(n int) []byte {
+// GetDirty returns a buffer of length n whose contents are unspecified: every
+// byte is overwritten before it is read. Callers must not assume any
+// capacity beyond n.
+func GetDirty(n int) []byte {
 	c := class(n)
 	if c < 0 {
 		return make([]byte, n)
@@ -54,19 +57,7 @@ func get(n int) []byte {
 	return make([]byte, n, 1<<(minShift+c))
 }
 
-// Get returns a zeroed buffer of length n. Callers must not assume any
-// capacity beyond n.
-func Get(n int) []byte {
-	b := get(n)
-	clear(b)
-	return b
-}
-
-// GetDirty returns a buffer of length n whose contents are unspecified. Use
-// when every byte will be overwritten before it is read.
-func GetDirty(n int) []byte { return get(n) }
-
-// Put returns a buffer obtained from Get/GetDirty to its pool. The caller
+// Put returns a buffer obtained from GetDirty to its pool. The caller
 // must not retain any reference to b (or slices of it) afterwards. Buffers
 // not obtained from this package (wrong capacity class) are silently
 // dropped.

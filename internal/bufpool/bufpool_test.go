@@ -4,25 +4,22 @@ import "testing"
 
 func TestGetPutRoundTrip(t *testing.T) {
 	for _, n := range []int{0, 1, 4096, 4097, 1 << 20, 1<<24 + 1} {
-		b := Get(n)
+		b := GetDirty(n)
 		if len(b) != n {
-			t.Fatalf("Get(%d) has length %d", n, len(b))
+			t.Fatalf("GetDirty(%d) has length %d", n, len(b))
 		}
 		for i := range b {
-			if b[i] != 0 {
-				t.Fatalf("Get(%d) is not zeroed at %d", n, i)
-			}
 			b[i] = 0xff
 		}
 		Put(b)
 	}
-	// Foreign buffers are dropped, not pooled: the next Get of that class
+	// Foreign buffers are dropped, not pooled: the next GetDirty of that class
 	// must still hold a full class-sized backing array.
 	Put(make([]byte, 5000))
 	if b := GetDirty(8192); cap(b) < 8192 {
 		t.Fatalf("GetDirty(8192) returned capacity %d", cap(b))
 	}
-	bufs := [][]byte{Get(10), nil, Get(5000)}
+	bufs := [][]byte{GetDirty(10), nil, GetDirty(5000)}
 	PutAll(bufs)
 	for i, b := range bufs {
 		if b != nil {

@@ -50,15 +50,15 @@ import (
 // (steps 1 and earlier — a torn journal has no valid trailer and is
 // ignored), or an unreadable in-place header plus a complete journal from
 // which the new header is recovered. A crash before the cut is harmless: the
-// new header is already live, and trailing bytes are legal — CheckLayout
+// new header is already live, and trailing bytes are legal — checkLayout
 // tolerates files larger than the header declares.
 //
 // The trailer sits at the very end so it can be found from the file size
 // alone: [imageLen 8B BE][crc32(image) 4B BE][magic "PNCJ" 4B].
 
-// CommitFile is the file CommitHeader writes through; the package performs
+// commitFile is the file CommitHeader writes through; the package performs
 // no I/O of its own.
-type CommitFile interface {
+type commitFile interface {
 	Size() (int64, error)
 	// WriteAt writes all of p at off, bypassing any cache whose write-back
 	// order is not the call order.
@@ -77,7 +77,7 @@ type CommitFile interface {
 // zero-fill. written is the number of bytes handed to f.WriteAt by the steps
 // that completed, also when err is not nil. img is the caller's again when
 // CommitHeader returns, but a first commit zeroes its magic while it runs.
-func CommitHeader(f CommitFile, img []byte, declaredEnd int64) (written int64, err error) {
+func CommitHeader(f commitFile, img []byte, declaredEnd int64) (written int64, err error) {
 	size, err := f.Size()
 	if err != nil {
 		return 0, err
@@ -110,7 +110,7 @@ func CommitHeader(f CommitFile, img []byte, declaredEnd int64) (written int64, e
 		}
 		return written, err
 	}
-	journal, jOff := EncodeJournal(img), max(size, end)
+	journal, jOff := encodeJournal(img), max(size, end)
 	if err = write(step{journal, jOff}, step{make([]byte, 4), 0}, step{img[4:], 4}, step{img[:4], 0}); err != nil {
 		return written, err
 	}
@@ -125,31 +125,31 @@ func CommitHeader(f CommitFile, img []byte, declaredEnd int64) (written int64, e
 	return written, f.SetSize(jOff)
 }
 
-// JournalMagic terminates a valid commit journal.
-const JournalMagic = "PNCJ"
+// journalMagic terminates a valid commit journal.
+const journalMagic = "PNCJ"
 
-// JournalTrailerSize is the byte size of the journal trailer.
-const JournalTrailerSize = 16
+// journalTrailerSize is the byte size of the journal trailer.
+const journalTrailerSize = 16
 
-// EncodeJournal wraps a header image in the commit-journal envelope to be
+// encodeJournal wraps a header image in the commit-journal envelope to be
 // written at EOF.
-func EncodeJournal(image []byte) []byte {
-	out := make([]byte, 0, len(image)+JournalTrailerSize)
+func encodeJournal(image []byte) []byte {
+	out := make([]byte, 0, len(image)+journalTrailerSize)
 	out = append(out, image...)
 	out = binary.BigEndian.AppendUint64(out, uint64(len(image)))
 	out = binary.BigEndian.AppendUint32(out, crc32.ChecksumIEEE(image))
-	out = append(out, JournalMagic...)
+	out = append(out, journalMagic...)
 	return out
 }
 
-// ParseJournalTrailer inspects the final JournalTrailerSize bytes of a file
+// parseJournalTrailer inspects the final journalTrailerSize bytes of a file
 // and returns the journaled image length and checksum. ok is false when no
 // journal terminates the file (wrong magic or nonsensical length).
-func ParseJournalTrailer(trailer []byte) (imageLen int64, crc uint32, ok bool) {
-	if len(trailer) != JournalTrailerSize {
+func parseJournalTrailer(trailer []byte) (imageLen int64, crc uint32, ok bool) {
+	if len(trailer) != journalTrailerSize {
 		return 0, 0, false
 	}
-	if string(trailer[12:]) != JournalMagic {
+	if string(trailer[12:]) != journalMagic {
 		return 0, 0, false
 	}
 	imageLen = int64(binary.BigEndian.Uint64(trailer[:8]))
@@ -160,8 +160,8 @@ func ParseJournalTrailer(trailer []byte) (imageLen int64, crc uint32, ok bool) {
 	return imageLen, crc, true
 }
 
-// VerifyJournalImage reports whether image matches the trailer checksum.
-func VerifyJournalImage(image []byte, crc uint32) bool {
+// verifyJournalImage reports whether image matches the trailer checksum.
+func verifyJournalImage(image []byte, crc uint32) bool {
 	return crc32.ChecksumIEEE(image) == crc
 }
 
@@ -178,7 +178,7 @@ func RecoverJournal(img []byte) []byte {
 // ReadHeader fetches and decodes the header of a file of the given size
 // through read, which fills buf from file offset off (the package performs
 // no I/O of its own). It holds a prefix of the file and, for as long as
-// Decode reports ErrTruncated, extends it — reading only the missing tail,
+// Decode reports errTruncated, extends it — reading only the missing tail,
 // so no byte is fetched twice — to the next step of 64 KiB × 4ⁿ or to the
 // end of the file.
 //
@@ -194,7 +194,7 @@ func RecoverJournal(img []byte) []byte {
 // header, and the extension stops there when that is short of where it would
 // reach. The bound only ever trims: a begin inside the bytes already held is
 // ignored, and one past the reach or the file changes nothing. A begin that
-// lies — it points into the header, which CheckLayout reports — costs the one
+// lies — it points into the header, which checkLayout reports — costs the one
 // extension it cut short, after which it is inside the bytes held. After
 // every extension the step moves past the bytes held.
 //
@@ -205,7 +205,7 @@ func RecoverJournal(img []byte) []byte {
 // probe without prediction or bound would make, and never more than four
 // times its bytes.
 //
-// Any failure other than ErrTruncated cannot be cured by more bytes — as a
+// Any failure other than errTruncated cannot be cured by more bytes — as a
 // header still truncated with the whole file read cannot — and is settled by
 // the commit journal at the file's tail: a torn in-place header is recovered
 // from it (recovered is true), otherwise the decode error stands. A
@@ -233,7 +233,7 @@ func ReadHeader(size int64, read func(buf []byte, off int64) error) (h *Header, 
 		if h, err = r.decode(blob); err == nil {
 			return h, blob[:r.pos], false, nil
 		}
-		if end >= size || !errors.Is(err, ErrTruncated) {
+		if end >= size || !errors.Is(err, errTruncated) {
 			break
 		}
 		bound, predicted = r.minBegin, r.predictEnd()
@@ -246,7 +246,7 @@ func ReadHeader(size int64, read func(buf []byte, off int64) error) (h *Header, 
 			// The journaled (new) header may declare records lost with the
 			// crash: clamp to what the file holds, in the image too, so a
 			// peer decoding it gets the same count.
-			if max := jh.MaxRecsForSize(size); jh.NumRecs > max {
+			if max := jh.maxRecsForSize(size); jh.NumRecs > max {
 				jh.NumRecs = max
 				copy(img[NumRecsOffset:], jh.EncodeNumRecs())
 			}
@@ -259,37 +259,37 @@ func ReadHeader(size int64, read func(buf []byte, off int64) error) (h *Header, 
 // readJournal reads and verifies the commit journal terminating the file,
 // returning the journaled header image or nil.
 func readJournal(size int64, read func(buf []byte, off int64) error) []byte {
-	if size < JournalTrailerSize {
+	if size < journalTrailerSize {
 		return nil
 	}
-	tr := make([]byte, JournalTrailerSize)
-	if read(tr, size-JournalTrailerSize) != nil {
+	tr := make([]byte, journalTrailerSize)
+	if read(tr, size-journalTrailerSize) != nil {
 		return nil
 	}
-	n, crc, ok := ParseJournalTrailer(tr)
-	if !ok || n > size-JournalTrailerSize {
+	n, crc, ok := parseJournalTrailer(tr)
+	if !ok || n > size-journalTrailerSize {
 		return nil
 	}
 	img := make([]byte, n)
-	if read(img, size-JournalTrailerSize-n) != nil {
+	if read(img, size-journalTrailerSize-n) != nil {
 		return nil
 	}
-	if !VerifyJournalImage(img, crc) {
+	if !verifyJournalImage(img, crc) {
 		return nil
 	}
 	return img
 }
 
-// MaxRecsForSize returns the largest record count the file size can hold —
+// maxRecsForSize returns the largest record count the file size can hold —
 // the read-time clamp against a NumRecs field that is ahead of the data
 // actually on disk (a torn numrecs write, or a writer that died between
 // growing NumRecs and flushing the records).
-func (h *Header) MaxRecsForSize(fileSize int64) int64 {
+func (h *Header) maxRecsForSize(fileSize int64) int64 {
 	recSize := h.RecSize()
-	if h.NumRecVars() == 0 || recSize <= 0 {
+	if h.numRecVars() == 0 || recSize <= 0 {
 		return h.NumRecs
 	}
-	avail := fileSize - h.RecordStart()
+	avail := fileSize - h.recordStart()
 	if avail <= 0 {
 		return 0
 	}

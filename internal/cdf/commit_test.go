@@ -9,7 +9,7 @@ import (
 	"pnetcdf/internal/nctype"
 )
 
-// memFile is an in-memory CommitFile that logs what CommitHeader did to it
+// memFile is an in-memory commitFile that logs what CommitHeader did to it
 // and can be told to die inside its n-th write, keeping a prefix of it, or
 // in the SetSize that follows its n-th write, keeping its size.
 type memFile struct {
@@ -67,7 +67,7 @@ func (m *memFile) WriteAt(p []byte, off int64) error {
 func TestCommitHeaderShapes(t *testing.T) {
 	img := fuzzSeedHeader(2)
 	n := len(img)
-	j := n + JournalTrailerSize
+	j := n + journalTrailerSize
 	for _, tc := range []struct {
 		name        string
 		old         []byte
@@ -126,7 +126,7 @@ func TestCommitHeaderShapes(t *testing.T) {
 // written counts the completed steps.
 func TestCommitHeaderCrashAtEveryStep(t *testing.T) {
 	img, old := fuzzSeedHeader(2), fuzzSeedHeader(1)
-	n, j := len(img), len(img)+JournalTrailerSize
+	n, j := len(img), len(img)+journalTrailerSize
 	const declaredEnd = 4096
 	// The recommit's fifth step is the size change, which dies whole.
 	for _, steps := range [][]int{{n, 4}, {j, 4, n - 4, 4, 0}} {
@@ -186,9 +186,9 @@ func TestCommitHeaderCrashAtEveryStep(t *testing.T) {
 func TestReadHeaderClampsRecoveredNumRecs(t *testing.T) {
 	for _, version := range []int{1, 5} {
 		h := &Header{Version: version}
-		rec, _ := h.DefDim("t", 0)
-		x, _ := h.DefDim("x", 1024) // a record outweighs the journal
-		if _, err := h.DefVar("r", nctype.Int, []int{rec, x}); err != nil {
+		rec, _ := h.defDim("t", 0)
+		x, _ := h.defDim("x", 1024) // a record outweighs the journal
+		if _, err := h.defVar("r", nctype.Int, []int{rec, x}); err != nil {
 			t.Fatal(err)
 		}
 		if err := h.ComputeLayout(1); err != nil {
@@ -198,9 +198,9 @@ func TestReadHeaderClampsRecoveredNumRecs(t *testing.T) {
 		img := h.Encode()
 		torn := append([]byte(nil), img...)
 		copy(torn, []byte{0, 0, 0, 0})
-		journal := EncodeJournal(img)
-		size := h.RecordStart() + 3*h.RecSize() + int64(len(journal))
-		want := h.MaxRecsForSize(size)
+		journal := encodeJournal(img)
+		size := h.recordStart() + 3*h.RecSize() + int64(len(journal))
+		want := h.maxRecsForSize(size)
 		if want >= h.NumRecs {
 			t.Fatalf("CDF-%d: the file holds %d records; the test needs fewer than %d", version, want, h.NumRecs)
 		}

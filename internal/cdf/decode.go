@@ -31,14 +31,14 @@ type headerReader struct {
 	names stringSlab
 }
 
-// ErrTruncated reports that the buffer ended before the header did: the one
+// errTruncated reports that the buffer ended before the header did: the one
 // decode failure that more bytes of the same file can cure. It wraps
 // nctype.ErrNotNC, which is what a truncated file is.
-var ErrTruncated = fmt.Errorf("%w: truncated header", nctype.ErrNotNC)
+var errTruncated = fmt.Errorf("%w: truncated header", nctype.ErrNotNC)
 
 func (r *headerReader) need(n int) error {
 	if r.pos+n > len(r.buf) {
-		return ErrTruncated
+		return errTruncated
 	}
 	return nil
 }
@@ -176,11 +176,11 @@ func (r *headerReader) attrs(h *Header, prev []Attr) ([]Attr, error) {
 		// Bound Nelems by the buffer before multiplying so the byte count
 		// cannot overflow, and the copy below cannot over-allocate.
 		if a.Nelems > int64(len(r.buf)) {
-			return nil, ErrTruncated
+			return nil, errTruncated
 		}
 		nbytes := a.Nelems * int64(a.Type.Size())
 		if nbytes < 0 || int64(r.pos)+nbytes > int64(len(r.buf)) {
-			return nil, ErrTruncated
+			return nil, errTruncated
 		}
 		a.Values = h.vals.carve(int(nbytes), r.atMost(valueSlabLen, 1))
 		copy(a.Values, r.buf[r.pos:])

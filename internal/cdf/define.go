@@ -73,10 +73,10 @@ func (s *stringSlab) cut(p []byte, limit int) string {
 	return s.b.String()[start:]
 }
 
-// DefDim defines a dimension and returns its ID; size 0 declares the
+// defDim defines a dimension and returns its ID; size 0 declares the
 // unlimited dimension.
-func (h *Header) DefDim(name string, size int64) (int, error) {
-	if err := CheckName(name); err != nil {
+func (h *Header) defDim(name string, size int64) (int, error) {
+	if err := checkName(name); err != nil {
 		return -1, err
 	}
 	if h.FindDim(name) >= 0 {
@@ -85,20 +85,20 @@ func (h *Header) DefDim(name string, size int64) (int, error) {
 	if size < 0 {
 		return -1, nctype.ErrBadDim
 	}
-	if size == 0 && h.UnlimitedDimID() >= 0 {
+	if size == 0 && h.unlimitedDimID() >= 0 {
 		return -1, nctype.ErrMultiUnlimited
 	}
 	if len(h.Dims) >= nctype.MaxDims {
 		// As with MaxVars below: Decode refuses a longer dim_list.
 		return -1, nctype.ErrMaxDims
 	}
-	return h.AddDim(Dim{Name: name, Len: size}), nil
+	return h.addDim(Dim{Name: name, Len: size}), nil
 }
 
-// DefVar defines a variable over previously defined dimensions and returns
+// defVar defines a variable over previously defined dimensions and returns
 // its ID. The header keeps its own copy of dimids.
-func (h *Header) DefVar(name string, t nctype.Type, dimids []int) (int, error) {
-	if err := CheckName(name); err != nil {
+func (h *Header) defVar(name string, t nctype.Type, dimids []int) (int, error) {
+	if err := checkName(name); err != nil {
 		return -1, err
 	}
 	if h.FindVar(name) >= 0 {
@@ -125,7 +125,7 @@ func (h *Header) DefVar(name string, t nctype.Type, dimids []int) (int, error) {
 	}
 	ids := h.ids.carve(len(dimids), listSlabLen)
 	copy(ids, dimids)
-	return h.AddVar(Var{Name: name, Type: t, DimIDs: ids}), nil
+	return h.addVar(Var{Name: name, Type: t, DimIDs: ids}), nil
 }
 
 // attrList returns the attribute list of variable varid, or the dataset's
@@ -154,17 +154,17 @@ func (h *Header) findAttr(varid int, name string) (*[]Attr, int, error) {
 	return attrs, i, nil
 }
 
-// PutAttr sets attribute name of varid (GlobalID: of the dataset) to value,
+// putAttr sets attribute name of varid (GlobalID: of the dataset) to value,
 // a scalar or slice of a supported type or a string for Char. In define mode
 // it replaces or appends. In data mode it may only overwrite an attribute
 // with a value no larger than the old one (the classic rule), and then
 // reports that the header must be rewritten.
-func (h *Header) PutAttr(varid int, name string, t nctype.Type, value any, define bool) (rewrite bool, err error) {
+func (h *Header) putAttr(varid int, name string, t nctype.Type, value any, define bool) (rewrite bool, err error) {
 	attrs, err := h.attrList(varid)
 	if err != nil {
 		return false, err
 	}
-	if err := CheckName(name); err != nil {
+	if err := checkName(name); err != nil {
 		return false, err
 	}
 	if !t.Valid(h.Version) {
@@ -193,8 +193,8 @@ func (h *Header) PutAttr(varid int, name string, t nctype.Type, value any, defin
 	return false, nil
 }
 
-// GetAttr returns the type and decoded value of attribute name of varid.
-func (h *Header) GetAttr(varid int, name string) (nctype.Type, any, error) {
+// getAttr returns the type and decoded value of attribute name of varid.
+func (h *Header) getAttr(varid int, name string) (nctype.Type, any, error) {
 	attrs, i, err := h.findAttr(varid, name)
 	if err != nil {
 		return 0, nil, err
@@ -205,7 +205,7 @@ func (h *Header) GetAttr(varid int, name string) (nctype.Type, any, error) {
 }
 
 // DelAttr removes attribute name of varid.
-func (h *Header) DelAttr(varid int, name string) error {
+func (h *Header) delAttr(varid int, name string) error {
 	attrs, i, err := h.findAttr(varid, name)
 	if err != nil {
 		return err
@@ -214,8 +214,8 @@ func (h *Header) DelAttr(varid int, name string) error {
 	return nil
 }
 
-// AttrNames lists the attribute names of varid in definition order.
-func (h *Header) AttrNames(varid int) ([]string, error) {
+// attrNames lists the attribute names of varid in definition order.
+func (h *Header) attrNames(varid int) ([]string, error) {
 	attrs, err := h.attrList(varid)
 	if err != nil {
 		return nil, err
@@ -229,7 +229,7 @@ func (h *Header) AttrNames(varid int) ([]string, error) {
 
 // RenameDim gives dimension id a new name. In data mode the name may not
 // grow, and the header must then be rewritten.
-func (h *Header) RenameDim(id int, name string, define bool) (rewrite bool, err error) {
+func (h *Header) renameDim(id int, name string, define bool) (rewrite bool, err error) {
 	if id < 0 || id >= len(h.Dims) {
 		return false, nctype.ErrNotDim
 	}
@@ -243,7 +243,7 @@ func (h *Header) RenameDim(id int, name string, define bool) (rewrite bool, err 
 }
 
 // RenameVar gives variable id a new name, under RenameDim's rules.
-func (h *Header) RenameVar(id int, name string, define bool) (rewrite bool, err error) {
+func (h *Header) renameVar(id int, name string, define bool) (rewrite bool, err error) {
 	if id < 0 || id >= len(h.Vars) {
 		return false, nctype.ErrNotVar
 	}
@@ -257,7 +257,7 @@ func (h *Header) RenameVar(id int, name string, define bool) (rewrite bool, err 
 }
 
 // RenameAttr renames attribute old of varid, under RenameDim's rules.
-func (h *Header) RenameAttr(varid int, old, name string, define bool) (rewrite bool, err error) {
+func (h *Header) renameAttr(varid int, old, name string, define bool) (rewrite bool, err error) {
 	attrs, i, err := h.findAttr(varid, old)
 	if err != nil {
 		return false, err
@@ -274,7 +274,7 @@ func (h *Header) RenameAttr(varid int, old, name string, define bool) (rewrite b
 // carries (at is where the list has it, or -1), and in data mode one no
 // longer than the old.
 func checkRename(kind, old, name string, at, id int, define bool) error {
-	if err := CheckName(name); err != nil {
+	if err := checkName(name); err != nil {
 		return err
 	}
 	if at >= 0 && at != id {

@@ -15,15 +15,15 @@ func definedHeader(t *testing.T, nvars int) *Header {
 	t.Helper()
 	h := &Header{Version: 2}
 	for i, n := range []int64{0, 3, 5} {
-		if _, err := h.DefDim(fmt.Sprintf("d%d", i), n); err != nil {
+		if _, err := h.defDim(fmt.Sprintf("d%d", i), n); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := h.PutAttr(GlobalID, "title", nctype.Char, "slabs", true); err != nil {
+	if _, err := h.putAttr(GlobalID, "title", nctype.Char, "slabs", true); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < nvars; i++ {
-		v, err := h.DefVar(fmt.Sprintf("v%d", i), nctype.Int, []int{0, 1, 2}[:i%4])
+		v, err := h.defVar(fmt.Sprintf("v%d", i), nctype.Int, []int{0, 1, 2}[:i%4])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -32,7 +32,7 @@ func definedHeader(t *testing.T, nvars int) *Header {
 			for k := range value {
 				value[k] = int32(1000*i + 10*j + k)
 			}
-			if _, err := h.PutAttr(v, fmt.Sprintf("a%d", j), nctype.Int, value, true); err != nil {
+			if _, err := h.putAttr(v, fmt.Sprintf("a%d", j), nctype.Int, value, true); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -118,17 +118,17 @@ func TestCarvedListsNeverAlias(t *testing.T) {
 				}},
 				{"data-mode overwrite", func() error {
 					a := (*attrs)[0]
-					rewrite, err := h.PutAttr(target, a.Name, nctype.Byte, make([]int8, len(a.Values)), false)
+					rewrite, err := h.putAttr(target, a.Name, nctype.Byte, make([]int8, len(a.Values)), false)
 					if err == nil && !rewrite {
 						err = fmt.Errorf("a data-mode overwrite does not ask for a header rewrite")
 					}
 					return err
 				}},
-				{"delete", func() error { return h.DelAttr(target, (*attrs)[0].Name) }},
+				{"delete", func() error { return h.delAttr(target, (*attrs)[0].Name) }},
 				{"Redef and a new attribute", func() error {
 					before := takeSnap(h)
 					old := h.Clone()
-					if _, err := h.PutAttr(target, "after_redef", nctype.Char, "0123456789", true); err != nil {
+					if _, err := h.putAttr(target, "after_redef", nctype.Char, "0123456789", true); err != nil {
 						return err
 					}
 					return before.sameExcept(old, -2)
@@ -161,31 +161,31 @@ func TestCarvedListsNeverAlias(t *testing.T) {
 // where each ends up in the header.
 func TestPutAttrRules(t *testing.T) {
 	h := definedHeader(t, 3)
-	if _, err := h.PutAttr(7, "x", nctype.Int, int32(1), true); err != nctype.ErrNotVar {
+	if _, err := h.putAttr(7, "x", nctype.Int, int32(1), true); err != nctype.ErrNotVar {
 		t.Fatalf("unknown variable: %v", err)
 	}
-	if rewrite, err := h.PutAttr(GlobalID, "title", nctype.Char, "slab", false); err != nil || !rewrite {
+	if rewrite, err := h.putAttr(GlobalID, "title", nctype.Char, "slab", false); err != nil || !rewrite {
 		t.Fatalf("smaller overwrite in data mode: rewrite %v, %v", rewrite, err)
 	}
-	if _, err := h.PutAttr(GlobalID, "title", nctype.Char, "longer title", false); err != nctype.ErrNotInDefine {
+	if _, err := h.putAttr(GlobalID, "title", nctype.Char, "longer title", false); err != nctype.ErrNotInDefine {
 		t.Fatalf("growing overwrite in data mode: %v", err)
 	}
-	if _, err := h.PutAttr(GlobalID, "new", nctype.Char, "x", false); err != nctype.ErrNotInDefine {
+	if _, err := h.putAttr(GlobalID, "new", nctype.Char, "x", false); err != nctype.ErrNotInDefine {
 		t.Fatalf("new attribute in data mode: %v", err)
 	}
-	if rewrite, err := h.PutAttr(GlobalID, "title", nctype.Char, "longer title", true); err != nil || rewrite {
+	if rewrite, err := h.putAttr(GlobalID, "title", nctype.Char, "longer title", true); err != nil || rewrite {
 		t.Fatalf("growing overwrite in define mode: rewrite %v, %v", rewrite, err)
 	}
-	if typ, v, err := h.GetAttr(GlobalID, "title"); err != nil || typ != nctype.Char || string(v.([]byte)) != "longer title" {
+	if typ, v, err := h.getAttr(GlobalID, "title"); err != nil || typ != nctype.Char || string(v.([]byte)) != "longer title" {
 		t.Fatalf("GetAttr = %v %q %v", typ, v, err)
 	}
-	if _, err := h.PutAttr(0, "s", nctype.Double, 2.5, true); err != nil {
+	if _, err := h.putAttr(0, "s", nctype.Double, 2.5, true); err != nil {
 		t.Fatal(err)
 	}
 	if attrs := h.Vars[0].Attrs; len(attrs) != 1 || cap(attrs) != 2 {
 		t.Fatalf("a first attribute starts a list of len 1, cap 2; got %d, %d", len(attrs), cap(attrs))
 	}
-	if names, _ := h.AttrNames(0); !slices.Equal(names, []string{"s"}) {
+	if names, _ := h.attrNames(0); !slices.Equal(names, []string{"s"}) {
 		t.Fatalf("AttrNames = %v", names)
 	}
 }

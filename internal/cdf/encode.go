@@ -175,13 +175,13 @@ func (h *Header) EncodedSize() int64 {
 	size := int64(4) + nn // magic + numrecs
 	size += 4 + nn        // dim_list tag+nelems
 	for _, d := range h.Dims {
-		size += nn + Round4(int64(len(d.Name))) + nn
+		size += nn + round4(int64(len(d.Name))) + nn
 	}
 	size += attrsEncodedSize(h.GAttrs, nn)
 	size += 4 + nn // var_list tag+nelems
 	for i := range h.Vars {
 		v := &h.Vars[i]
-		size += nn + Round4(int64(len(v.Name)))
+		size += nn + round4(int64(len(v.Name)))
 		size += nn + int64(len(v.DimIDs))*nn
 		size += attrsEncodedSize(v.Attrs, nn)
 		size += 4 + nn + offsetSize(h.Version)
@@ -192,8 +192,8 @@ func (h *Header) EncodedSize() int64 {
 func attrsEncodedSize(attrs []Attr, nn int64) int64 {
 	size := 4 + nn
 	for _, a := range attrs {
-		size += nn + Round4(int64(len(a.Name)))
-		size += 4 + nn + Round4(int64(len(a.Values)))
+		size += nn + round4(int64(len(a.Name)))
+		size += 4 + nn + round4(int64(len(a.Values)))
 	}
 	return size
 }

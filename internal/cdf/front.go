@@ -11,7 +11,7 @@ import "pnetcdf/internal/nctype"
 // what leaving define mode moves and fills are decided here.
 type Front struct {
 	Hdr  *Header
-	Mode Mode
+	Mode mode
 	// rewrite commits the header after a data-mode change: the one thing
 	// the two libraries do differently here.
 	rewrite func() error
@@ -20,17 +20,17 @@ type Front struct {
 	old *Header
 }
 
-// Mode is the state the mode checks read. A library flips Define at
+// mode is the state the mode checks read. A library flips Define at
 // EndDef/Redef and Closed at Close.
-type Mode struct {
+type mode struct {
 	Define   bool // in define mode
 	ReadOnly bool // opened without nctype.Write
 	Closed   bool
 }
 
-// CheckWrite admits a call that may change the header: the dataset is open
+// checkWrite admits a call that may change the header: the dataset is open
 // and writable.
-func (m *Mode) CheckWrite() error {
+func (m *mode) checkWrite() error {
 	switch {
 	case m.Closed:
 		return nctype.ErrClosed
@@ -40,10 +40,10 @@ func (m *Mode) CheckWrite() error {
 	return nil
 }
 
-// CheckDefine admits a definition: the dataset is open, writable and in
+// checkDefine admits a definition: the dataset is open, writable and in
 // define mode.
-func (m *Mode) CheckDefine() error {
-	if err := m.CheckWrite(); err != nil {
+func (m *mode) checkDefine() error {
+	if err := m.checkWrite(); err != nil {
 		return err
 	}
 	if !m.Define {
@@ -53,7 +53,7 @@ func (m *Mode) CheckDefine() error {
 }
 
 // CheckData admits a data access: the dataset is open and in data mode.
-func (m *Mode) CheckData() error {
+func (m *mode) CheckData() error {
 	switch {
 	case m.Closed:
 		return nctype.ErrClosed
@@ -75,13 +75,13 @@ func CreateFront(cmode int, rewrite func() error) Front {
 	if cmode&nctype.Bit64Data != 0 {
 		version = 5
 	}
-	return Front{Hdr: &Header{Version: version}, Mode: Mode{Define: true}, rewrite: rewrite}
+	return Front{Hdr: &Header{Version: version}, Mode: mode{Define: true}, rewrite: rewrite}
 }
 
 // OpenFront is the front of a dataset Open has read header h of: in data
 // mode, read-only unless omode has nctype.Write.
 func OpenFront(h *Header, omode int, rewrite func() error) Front {
-	return Front{Hdr: h, Mode: Mode{ReadOnly: omode&nctype.Write == 0}, rewrite: rewrite}
+	return Front{Hdr: h, Mode: mode{ReadOnly: omode&nctype.Write == 0}, rewrite: rewrite}
 }
 
 // Header exposes the header (read-only use: inquiry, dumps). In the
@@ -102,7 +102,7 @@ func (f *Front) NumVars() int { return len(f.Hdr.Vars) }
 func (f *Front) NumRecs() int64 { return f.Hdr.NumRecs }
 
 // UnlimitedDimID returns the record dimension's ID, or -1.
-func (f *Front) UnlimitedDimID() int { return f.Hdr.UnlimitedDimID() }
+func (f *Front) UnlimitedDimID() int { return f.Hdr.unlimitedDimID() }
 
 // DimID looks a dimension up by name (-1 if absent).
 func (f *Front) DimID(name string) int { return f.Hdr.FindDim(name) }
@@ -145,11 +145,11 @@ func (f *Front) GetAttr(varid int, name string) (nctype.Type, any, error) {
 	if f.Mode.Closed {
 		return 0, nil, nctype.ErrClosed
 	}
-	return f.Hdr.GetAttr(varid, name)
+	return f.Hdr.getAttr(varid, name)
 }
 
 // AttrNames lists an object's attribute names in definition order.
-func (f *Front) AttrNames(varid int) ([]string, error) { return f.Hdr.AttrNames(varid) }
+func (f *Front) AttrNames(varid int) ([]string, error) { return f.Hdr.attrNames(varid) }
 
 // --- Define, attribute and rename calls (the rules are define.go's) ---
 //
@@ -158,63 +158,63 @@ func (f *Front) AttrNames(varid int) ([]string, error) { return f.Hdr.AttrNames(
 
 // DefDim defines a dimension; size 0 declares the unlimited dimension.
 func (f *Front) DefDim(name string, size int64) (int, error) {
-	if err := f.Mode.CheckDefine(); err != nil {
+	if err := f.Mode.checkDefine(); err != nil {
 		return -1, err
 	}
-	return f.Hdr.DefDim(name, size)
+	return f.Hdr.defDim(name, size)
 }
 
 // DefVar defines a variable over previously defined dimensions.
 func (f *Front) DefVar(name string, t nctype.Type, dimids []int) (int, error) {
-	if err := f.Mode.CheckDefine(); err != nil {
+	if err := f.Mode.checkDefine(); err != nil {
 		return -1, err
 	}
-	return f.Hdr.DefVar(name, t, dimids)
+	return f.Hdr.defVar(name, t, dimids)
 }
 
 // PutAttr sets an attribute of a variable (or GlobalID). In data mode only
 // overwrites of equal or smaller size are allowed (the classic rule), and
 // they rewrite the header.
 func (f *Front) PutAttr(varid int, name string, t nctype.Type, value any) error {
-	if err := f.Mode.CheckWrite(); err != nil {
+	if err := f.Mode.checkWrite(); err != nil {
 		return err
 	}
-	return f.commitIf(f.Hdr.PutAttr(varid, name, t, value, f.Mode.Define))
+	return f.commitIf(f.Hdr.putAttr(varid, name, t, value, f.Mode.Define))
 }
 
 // DelAttr removes an attribute (define mode only).
 func (f *Front) DelAttr(varid int, name string) error {
-	if err := f.Mode.CheckDefine(); err != nil {
+	if err := f.Mode.checkDefine(); err != nil {
 		return err
 	}
-	return f.Hdr.DelAttr(varid, name)
+	return f.Hdr.delAttr(varid, name)
 }
 
 // RenameDim renames a dimension. In data mode the new name may not be
 // longer than the old (the header must not grow), and the header is
 // rewritten.
 func (f *Front) RenameDim(dimid int, newName string) error {
-	if err := f.Mode.CheckWrite(); err != nil {
+	if err := f.Mode.checkWrite(); err != nil {
 		return err
 	}
-	return f.commitIf(f.Hdr.RenameDim(dimid, newName, f.Mode.Define))
+	return f.commitIf(f.Hdr.renameDim(dimid, newName, f.Mode.Define))
 }
 
 // RenameVar renames a variable under RenameDim's rules.
 func (f *Front) RenameVar(varid int, newName string) error {
-	if err := f.Mode.CheckWrite(); err != nil {
+	if err := f.Mode.checkWrite(); err != nil {
 		return err
 	}
-	return f.commitIf(f.Hdr.RenameVar(varid, newName, f.Mode.Define))
+	return f.commitIf(f.Hdr.renameVar(varid, newName, f.Mode.Define))
 }
 
 // RenameAttr renames an attribute of varid (or GlobalID) under RenameDim's
 // rules.
 func (f *Front) RenameAttr(varid int, oldName, newName string) error {
-	if err := f.Mode.CheckWrite(); err != nil {
+	if err := f.Mode.checkWrite(); err != nil {
 		return err
 	}
-	return f.commitIf(f.Hdr.RenameAttr(varid, oldName, newName, f.Mode.Define))
+	return f.commitIf(f.Hdr.renameAttr(varid, oldName, newName, f.Mode.Define))
 }
 
 // commitIf rewrites the header when a data-mode change asks for it.
@@ -231,7 +231,7 @@ func (f *Front) commitIf(rewrite bool, err error) error {
 // when not nil, runs between the mode checks and the snapshot: the parallel
 // library agrees on and persists the record count there.
 func (f *Front) Redef(settle func() error) error {
-	if err := f.Mode.CheckWrite(); err != nil {
+	if err := f.Mode.checkWrite(); err != nil {
 		return err
 	}
 	if f.Mode.Define {
@@ -247,42 +247,42 @@ func (f *Front) Redef(settle func() error) error {
 	return nil
 }
 
-// EndPlan is the I/O leaving define mode takes, in order: the moves that
+// endPlan is the I/O leaving define mode takes, in order: the moves that
 // carry existing data to the new layout (Move.Copy each), the header commit,
 // and, in fill mode, Fill.
-type EndPlan struct {
+type endPlan struct {
 	Moves []Move
 	hdr   *Header
 	// fillFrom is the first variable this define mode added: Redef's
 	// snapshot's variable count, 0 after Create. Variables are matched by
-	// index, as RelocationPlan matches them, so a renamed one keeps its data.
+	// index, as relocationPlan matches them, so a renamed one keeps its data.
 	fillFrom int
 }
 
 // EndDef validates the header, lays it out under
-// ComputeLayoutAligned(hAlign, vAlign, vMin) and leaves define mode,
+// computeLayoutAligned(hAlign, vAlign, vMin) and leaves define mode,
 // returning what the library must write. agree, when not nil, runs once the
 // layout is computed and before the mode changes: the parallel library's
 // check that every process built the same header. Any error leaves the
 // dataset in define mode with its snapshot, so EndDef can be called again.
-func (f *Front) EndDef(hAlign, vAlign, vMin int64, agree func() error) (EndPlan, error) {
-	if err := f.Mode.CheckDefine(); err != nil {
-		return EndPlan{}, err
+func (f *Front) EndDef(hAlign, vAlign, vMin int64, agree func() error) (endPlan, error) {
+	if err := f.Mode.checkDefine(); err != nil {
+		return endPlan{}, err
 	}
 	if err := f.Hdr.Validate(); err != nil {
-		return EndPlan{}, err
+		return endPlan{}, err
 	}
-	if err := f.Hdr.ComputeLayoutAligned(hAlign, vAlign, vMin); err != nil {
-		return EndPlan{}, err
+	if err := f.Hdr.computeLayoutAligned(hAlign, vAlign, vMin); err != nil {
+		return endPlan{}, err
 	}
 	if agree != nil {
 		if err := agree(); err != nil {
-			return EndPlan{}, err
+			return endPlan{}, err
 		}
 	}
-	p := EndPlan{hdr: f.Hdr}
+	p := endPlan{hdr: f.Hdr}
 	if f.old != nil {
-		p.Moves = f.Hdr.RelocationPlan(f.old)
+		p.Moves = f.Hdr.relocationPlan(f.old)
 		p.fillFrom = len(f.old.Vars)
 		f.old = nil
 	}
@@ -294,7 +294,7 @@ func (f *Front) EndDef(hAlign, vAlign, vMin int64, agree func() error) (EndPlan,
 // padding included, through writeAt in pieces of at most 1 MiB. Record
 // variables are not filled here: the serial library fills records as they
 // are added, the parallel one leaves them to the caller.
-func (p EndPlan) Fill(writeAt func(b []byte, off int64) error) error {
+func (p endPlan) Fill(writeAt func(b []byte, off int64) error) error {
 	const piece = 1 << 20
 	for i := p.fillFrom; i < len(p.hdr.Vars); i++ {
 		v := &p.hdr.Vars[i]

@@ -85,18 +85,18 @@ type Header struct {
 func (h *Header) dimName(i int) string { return h.Dims[i].Name }
 func (h *Header) varName(i int) string { return h.Vars[i].Name }
 
-// AddDim appends a dimension and returns its ID, unchecked (DefDim checks).
-func (h *Header) AddDim(d Dim) int {
+// addDim appends a dimension and returns its ID, unchecked (DefDim checks).
+func (h *Header) addDim(d Dim) int {
 	h.Dims = append(h.Dims, d)
 	h.dimIdx.extend(len(h.Dims), h.dimName)
 	return len(h.Dims) - 1
 }
 
-// AddVar appends a variable and returns its ID, unchecked (DefVar checks,
+// addVar appends a variable and returns its ID, unchecked (DefVar checks,
 // and copies the dimension IDs into the header). The list doubles when full:
 // append's 1.25x steps would copy a list of thousands five times over, and a
 // Var is the largest thing a header holds many of.
-func (h *Header) AddVar(v Var) int {
+func (h *Header) addVar(v Var) int {
 	if len(h.Vars) == cap(h.Vars) {
 		h.Vars = slices.Grow(h.Vars, max(len(h.Vars), 1))
 	}
@@ -106,7 +106,7 @@ func (h *Header) AddVar(v Var) int {
 }
 
 // UnlimitedDimID returns the index of the record dimension, or -1.
-func (h *Header) UnlimitedDimID() int {
+func (h *Header) unlimitedDimID() int {
 	for i, d := range h.Dims {
 		if d.IsUnlimited() {
 			return i
@@ -173,8 +173,8 @@ func FindAttr(attrs []Attr, name string) int {
 	return -1
 }
 
-// NumRecVars counts the record variables.
-func (h *Header) NumRecVars() int {
+// numRecVars counts the record variables.
+func (h *Header) numRecVars() int {
 	n := 0
 	for i := range h.Vars {
 		if h.IsRecordVar(&h.Vars[i]) {
@@ -312,7 +312,7 @@ func (h *Header) Validate() error {
 	}
 	unlimited := 0
 	for _, d := range h.Dims {
-		if err := CheckName(d.Name); err != nil {
+		if err := checkName(d.Name); err != nil {
 			return err
 		}
 		if d.Len < 0 {
@@ -330,7 +330,7 @@ func (h *Header) Validate() error {
 	}
 	for i := range h.Vars {
 		v := &h.Vars[i]
-		if err := CheckName(v.Name); err != nil {
+		if err := checkName(v.Name); err != nil {
 			return err
 		}
 		if !v.Type.Valid(h.Version) {
@@ -359,7 +359,7 @@ func validateAttrs(attrs []Attr, version int) error {
 		return fmt.Errorf("%w: attribute %q", nctype.ErrNameInUse, attrs[i].Name)
 	}
 	for _, a := range attrs {
-		if err := CheckName(a.Name); err != nil {
+		if err := checkName(a.Name); err != nil {
 			return err
 		}
 		if !a.Type.Valid(version) {
@@ -372,10 +372,10 @@ func validateAttrs(attrs []Attr, version int) error {
 	return nil
 }
 
-// CheckName validates a netCDF object name: nonempty, at most MaxNameLen
+// checkName validates a netCDF object name: nonempty, at most MaxNameLen
 // bytes, beginning with a letter, digit or underscore, and containing no
 // control characters, slashes, or trailing spaces.
-func CheckName(name string) error {
+func checkName(name string) error {
 	if name == "" || len(name) > nctype.MaxNameLen {
 		return fmt.Errorf("%w: %q", nctype.ErrBadName, name)
 	}

@@ -121,7 +121,7 @@ func TestDecodeTruncatedEverywhere(t *testing.T) {
 		}
 		// Past the magic, a prefix of a sound header fails as truncated and
 		// nothing else: that is what lets a reader grow its probe.
-		if !errors.Is(err, nctype.ErrNotNC) || errors.Is(err, ErrTruncated) != (n >= 4) {
+		if !errors.Is(err, nctype.ErrNotNC) || errors.Is(err, errTruncated) != (n >= 4) {
 			t.Fatalf("%d-byte prefix: err = %v", n, err)
 		}
 	}
@@ -137,8 +137,8 @@ func TestLayoutFixedThenRecord(t *testing.T) {
 		t.Fatal("mask should be fixed")
 	}
 	// mask (fixed) must start right after the header, temp (record) after it.
-	if mask.Begin != Round4(h.EncodedSize()) {
-		t.Fatalf("mask.Begin=%d, want %d", mask.Begin, Round4(h.EncodedSize()))
+	if mask.Begin != round4(h.EncodedSize()) {
+		t.Fatalf("mask.Begin=%d, want %d", mask.Begin, round4(h.EncodedSize()))
 	}
 	if mask.VSize != 3*4*4 {
 		t.Fatalf("mask.VSize=%d, want 48", mask.VSize)
@@ -226,8 +226,8 @@ func TestHeaderAlignHint(t *testing.T) {
 	if err := h.ComputeLayout(1024); err != nil {
 		t.Fatal(err)
 	}
-	if h.DataStart()%1024 != 0 {
-		t.Fatalf("data start %d not aligned to 1024", h.DataStart())
+	if h.dataStart()%1024 != 0 {
+		t.Fatalf("data start %d not aligned to 1024", h.dataStart())
 	}
 }
 
@@ -261,14 +261,14 @@ func TestValidateCatchesMistakes(t *testing.T) {
 func TestCheckName(t *testing.T) {
 	good := []string{"x", "_temp", "9lives", "a-b.c", "temp_2m"}
 	for _, n := range good {
-		if err := CheckName(n); err != nil {
-			t.Errorf("CheckName(%q) = %v, want nil", n, err)
+		if err := checkName(n); err != nil {
+			t.Errorf("checkName(%q) = %v, want nil", n, err)
 		}
 	}
 	bad := []string{"", " lead", "trail ", "a/b", "a\x01b", string(make([]byte, 300))}
 	for _, n := range bad {
-		if err := CheckName(n); err == nil {
-			t.Errorf("CheckName(%q) accepted", n)
+		if err := checkName(n); err == nil {
+			t.Errorf("checkName(%q) accepted", n)
 		}
 	}
 }
@@ -293,7 +293,7 @@ func TestFileSizeAndRecordStart(t *testing.T) {
 	if err := h.ComputeLayout(1); err != nil {
 		t.Fatal(err)
 	}
-	wantEnd := h.RecordStart() + 5*h.RecSize()
+	wantEnd := h.recordStart() + 5*h.RecSize()
 	if h.FileSize() != wantEnd {
 		t.Fatalf("FileSize=%d, want %d", h.FileSize(), wantEnd)
 	}
@@ -354,15 +354,15 @@ func TestCheckLayoutCleanAndCorrupted(t *testing.T) {
 	if err := h.ComputeLayout(1); err != nil {
 		t.Fatal(err)
 	}
-	if issues := h.CheckLayout(h.FileSize()); len(issues) != 0 {
+	if issues := h.checkLayout(h.FileSize()); len(issues) != 0 {
 		t.Fatalf("clean layout flagged: %v", issues)
 	}
 	// A larger file (preallocation) is fine.
-	if issues := h.CheckLayout(h.FileSize() + 4096); len(issues) != 0 {
+	if issues := h.checkLayout(h.FileSize() + 4096); len(issues) != 0 {
 		t.Fatalf("preallocated file flagged: %v", issues)
 	}
 	// Truncated file is caught.
-	if issues := h.CheckLayout(h.FileSize() - 1); len(issues) == 0 {
+	if issues := h.checkLayout(h.FileSize() - 1); len(issues) == 0 {
 		t.Fatal("truncated file not flagged")
 	}
 	// Overlapping fixed variables are caught.
@@ -371,14 +371,14 @@ func TestCheckLayoutCleanAndCorrupted(t *testing.T) {
 	c2 := h.Clone()
 	c2.Vars = append(c2.Vars, Var{Name: "extra", DimIDs: []int{0}, Type: nctype.Int,
 		VSize: 12, Begin: c2.Vars[1].Begin + 4})
-	if issues := c2.CheckLayout(-1); len(issues) == 0 {
+	if issues := c2.checkLayout(-1); len(issues) == 0 {
 		t.Fatal("overlapping fixed slots not flagged")
 	}
 	// Wrong vsize is caught.
 	c3 := h.Clone()
 	c3.Vars[1].VSize += 4
 	found := false
-	for _, iss := range c3.CheckLayout(-1) {
+	for _, iss := range c3.checkLayout(-1) {
 		if iss.Var == "mask" {
 			found = true
 		}
@@ -389,7 +389,7 @@ func TestCheckLayoutCleanAndCorrupted(t *testing.T) {
 	// Begin inside the header is caught.
 	c4 := h.Clone()
 	c4.Vars[1].Begin = 4
-	if issues := c4.CheckLayout(-1); len(issues) == 0 {
+	if issues := c4.checkLayout(-1); len(issues) == 0 {
 		t.Fatal("begin inside header not flagged")
 	}
 }
@@ -411,8 +411,8 @@ func TestCheckFile(t *testing.T) {
 
 func TestSmallHelpers(t *testing.T) {
 	h := simpleHeader(t, 1)
-	if h.UnlimitedDimID() != 2 {
-		t.Fatalf("UnlimitedDimID = %d", h.UnlimitedDimID())
+	if h.unlimitedDimID() != 2 {
+		t.Fatalf("UnlimitedDimID = %d", h.unlimitedDimID())
 	}
 	if h.FindDim("lon") != 1 || h.FindDim("absent") != -1 {
 		t.Fatal("FindDim wrong")
@@ -420,11 +420,11 @@ func TestSmallHelpers(t *testing.T) {
 	if FindAttr(h.GAttrs, "title") != 0 || FindAttr(h.GAttrs, "x") != -1 {
 		t.Fatal("FindAttr wrong")
 	}
-	iss := LayoutIssue{Var: "v", Desc: "broken"}
+	iss := layoutIssue{Var: "v", Desc: "broken"}
 	if iss.String() != `variable "v": broken` {
 		t.Fatalf("issue string = %q", iss.String())
 	}
-	if (LayoutIssue{Desc: "file-level"}).String() != "file-level" {
+	if (layoutIssue{Desc: "file-level"}).String() != "file-level" {
 		t.Fatalf("file-level issue string wrong")
 	}
 }

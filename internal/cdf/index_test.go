@@ -79,11 +79,11 @@ func TestFindAgreesWithScan(t *testing.T) {
 
 		built := &Header{Version: 2}
 		for _, d := range lit.Dims {
-			built.AddDim(d)
+			built.addDim(d)
 		}
 		for _, v := range lit.Vars {
-			if id := built.AddVar(v); built.Vars[id].Name != v.Name {
-				t.Fatalf("AddVar returned id %d for %q", id, v.Name)
+			if id := built.addVar(v); built.Vars[id].Name != v.Name {
+				t.Fatalf("addVar returned id %d for %q", id, v.Name)
 			}
 		}
 		checkFinds(t, fmt.Sprintf("built n=%d", n), built)
@@ -92,7 +92,7 @@ func TestFindAgreesWithScan(t *testing.T) {
 		// again: the index covers a prefix, a middle, and not the tail.
 		mixed := literalHeader(min(n, nctype.MaxDims), n)
 		for i := 0; i < indexMinLen+3; i++ {
-			mixed.AddVar(Var{Name: fmt.Sprintf("added_%d", i), Type: nctype.Int, DimIDs: []int{}})
+			mixed.addVar(Var{Name: fmt.Sprintf("added_%d", i), Type: nctype.Int, DimIDs: []int{}})
 		}
 		mixed.Vars = append(mixed.Vars, Var{Name: "tail", Type: nctype.Int, DimIDs: []int{}})
 		mixed.Dims = append(mixed.Dims, Dim{Name: "tail", Len: 1})
@@ -100,17 +100,17 @@ func TestFindAgreesWithScan(t *testing.T) {
 
 		// Renames: hits under the new names, misses under the old.
 		if n > 2 {
-			built.RenameVar(1, "renamed_var", true)
-			built.RenameDim(1, "renamed_dim", true)
-			built.RenameVar(2, "var_1", true) // reuse a name just given up
+			built.renameVar(1, "renamed_var", true)
+			built.renameDim(1, "renamed_dim", true)
+			built.renameVar(2, "var_1", true) // reuse a name just given up
 			checkFinds(t, fmt.Sprintf("renamed n=%d", n), built, "var_1", "var_2", "dim_1")
 		}
 
 		clone := built.Clone()
 		checkFinds(t, fmt.Sprintf("clone n=%d", n), clone)
-		clone.AddVar(Var{Name: "only_in_clone", Type: nctype.Int, DimIDs: []int{}})
+		clone.addVar(Var{Name: "only_in_clone", Type: nctype.Int, DimIDs: []int{}})
 		if n > 0 {
-			clone.RenameVar(0, "clone_renamed", true)
+			clone.renameVar(0, "clone_renamed", true)
 		}
 		checkFinds(t, fmt.Sprintf("clone after change n=%d", n), clone, "var_0")
 		checkFinds(t, fmt.Sprintf("original after clone changed n=%d", n), built, "only_in_clone", "clone_renamed")
@@ -149,10 +149,10 @@ func TestValidateUniquenessWithAndWithoutIndex(t *testing.T) {
 
 	built := &Header{Version: 2}
 	for _, d := range literalHeader(n, 0).Dims {
-		built.AddDim(d)
+		built.addDim(d)
 	}
 	for _, v := range literalHeader(4, n).Vars {
-		built.AddVar(v)
+		built.addVar(v)
 	}
 	if err := built.Validate(); err != nil {
 		t.Fatalf("built: %v", err)
@@ -193,7 +193,7 @@ func TestValidateUniquenessWithAndWithoutIndex(t *testing.T) {
 func TestFindVarConcurrentReaders(t *testing.T) {
 	h := &Header{Version: 2}
 	for _, v := range literalHeader(0, 500).Vars {
-		h.AddVar(v)
+		h.addVar(v)
 	}
 	h.Vars = append(h.Vars, Var{Name: "tail", Type: nctype.Int, DimIDs: []int{}})
 	var wg sync.WaitGroup
@@ -270,20 +270,13 @@ type probeCase struct {
 	predicted  bool  // the prediction may carry it past restartingProbe's bytes, to at most four times them
 }
 
-// headerDefiner makes define calls on a header in define mode.
-type headerDefiner struct{ *Header }
-
-func (h headerDefiner) PutAttr(varid int, name string, t nctype.Type, value any) error {
-	_, err := h.Header.PutAttr(varid, name, t, value, true)
-	return err
-}
-
 // tightImage is the image of the header define makes, laid out tightly.
 func tightImage(t testing.TB, define func(d metashape.Definer) error) []byte {
-	h := &Header{Version: 2}
-	if err := define(headerDefiner{h}); err != nil {
+	f := CreateFront(nctype.Bit64Offset, nil)
+	if err := define(&f); err != nil {
 		t.Fatal(err)
 	}
+	h := f.Hdr
 	if err := h.ComputeLayout(1); err != nil {
 		t.Fatal(err)
 	}
@@ -408,10 +401,10 @@ func TestReadHeaderProbes(t *testing.T) {
 	bad[4+4+3] ^= 0x40 // dim_list tag
 	f := &countingFile{size: size, head: bad}
 	_, blob, recovered, err := ReadHeader(size, f.read)
-	if !errors.Is(err, nctype.ErrNotNC) || errors.Is(err, ErrTruncated) || recovered {
+	if !errors.Is(err, nctype.ErrNotNC) || errors.Is(err, errTruncated) || recovered {
 		t.Fatalf("flipped tag: err = %v, recovered = %v", err, recovered)
 	}
-	if want := int64(64<<10 + JournalTrailerSize); f.bytes > want {
+	if want := int64(64<<10 + journalTrailerSize); f.bytes > want {
 		t.Fatalf("flipped tag: read %d bytes in %d calls, want at most %d", f.bytes, f.calls, want)
 	}
 	if len(blob) != 64<<10 {
@@ -421,17 +414,17 @@ func TestReadHeaderProbes(t *testing.T) {
 	// A torn header (zeroed magic) with the new image journaled at the tail.
 	torn := append([]byte(nil), img...)
 	copy(torn, []byte{0, 0, 0, 0})
-	f = &countingFile{size: size, head: torn, tail: EncodeJournal(img)}
+	f = &countingFile{size: size, head: torn, tail: encodeJournal(img)}
 	h, blob, recovered, err := ReadHeader(size, f.read)
 	if err != nil || !recovered || h.FindVar("temp") < 0 || string(blob) != string(img) {
 		t.Fatalf("torn header: err = %v, recovered = %v", err, recovered)
 	}
-	if want := int64(64<<10 + JournalTrailerSize + len(img)); f.bytes > want {
+	if want := int64(64<<10 + journalTrailerSize + len(img)); f.bytes > want {
 		t.Fatalf("torn header: read %d bytes, want at most %d", f.bytes, want)
 	}
 
 	// Torn, and the journal's image does not verify: the decode error stands.
-	j := EncodeJournal(img)
+	j := encodeJournal(img)
 	j[0] ^= 1
 	f = &countingFile{size: size, head: torn, tail: j}
 	if _, _, recovered, err = ReadHeader(size, f.read); !errors.Is(err, nctype.ErrNotNC) || recovered {
@@ -469,8 +462,8 @@ func TestReadHeaderProbes(t *testing.T) {
 	// The same header cut short by the end of the file: truncated for good.
 	cut := big.Encode()[:80<<10]
 	f = &countingFile{size: int64(len(cut)), head: cut}
-	if _, _, _, err = ReadHeader(f.size, f.read); !errors.Is(err, ErrTruncated) {
-		t.Fatalf("file shorter than its header: err = %v, want ErrTruncated", err)
+	if _, _, _, err = ReadHeader(f.size, f.read); !errors.Is(err, errTruncated) {
+		t.Fatalf("file shorter than its header: err = %v, want errTruncated", err)
 	}
 
 	// A failing read is reported as such, with no image.

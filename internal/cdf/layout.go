@@ -6,9 +6,9 @@ import (
 	"pnetcdf/internal/nctype"
 )
 
-// Round4 rounds n up to the next multiple of four, the classic format's
+// round4 rounds n up to the next multiple of four, the classic format's
 // universal alignment unit.
-func Round4(n int64) int64 { return (n + 3) &^ 3 }
+func round4(n int64) int64 { return (n + 3) &^ 3 }
 
 // VarSlotSize returns the product of a variable's non-record dimension
 // lengths times the external type size — the unpadded external size of the
@@ -41,10 +41,10 @@ func (h *Header) VarSlotSize(v *Var) int64 {
 // can grow without moving data; PnetCDF exposes this as the
 // nc_header_align_size hint.
 func (h *Header) ComputeLayout(hAlign int64) error {
-	return h.ComputeLayoutAligned(hAlign, 1, 0)
+	return h.computeLayoutAligned(hAlign, 1, 0)
 }
 
-// ComputeLayoutAligned is the one place a begin is assigned. On top of the
+// computeLayoutAligned is the one place a begin is assigned. On top of the
 // classic rules it starts every fixed-size variable whose VSize is at least
 // vMin on a vAlign boundary; a smaller one stays packed at 4 bytes behind its
 // predecessor. The two shapes callers use:
@@ -62,14 +62,14 @@ func (h *Header) ComputeLayout(hAlign int64) error {
 // numbers, so a file's bytes are a function of its logical contents and the
 // striping unit alone. Record variables are never padded: their begins are
 // tied to one another by the record size.
-func (h *Header) ComputeLayoutAligned(hAlign, vAlign, vMin int64) error {
+func (h *Header) computeLayoutAligned(hAlign, vAlign, vMin int64) error {
 	if hAlign < 1 {
 		hAlign = 1
 	}
 	if vAlign < 1 {
 		vAlign = 1
 	}
-	nrec := h.NumRecVars()
+	nrec := h.numRecVars()
 	// First pass: per-variable slot sizes.
 	for i := range h.Vars {
 		v := &h.Vars[i]
@@ -77,7 +77,7 @@ func (h *Header) ComputeLayoutAligned(hAlign, vAlign, vMin int64) error {
 		if nrec == 1 && h.IsRecordVar(v) {
 			v.VSize = raw // single record variable: records are packed
 		} else {
-			v.VSize = Round4(raw)
+			v.VSize = round4(raw)
 		}
 		if h.Version == 1 && v.VSize > 1<<31-4 {
 			return fmt.Errorf("%w: %q needs CDF-2 or CDF-5", nctype.ErrVarSize, v.Name)
@@ -85,7 +85,7 @@ func (h *Header) ComputeLayoutAligned(hAlign, vAlign, vMin int64) error {
 	}
 	// Second pass: begins. Fixed variables first, in defined order.
 	hdrSize := h.EncodedSize()
-	offset := Round4(hdrSize)
+	offset := round4(hdrSize)
 	if r := offset % hAlign; r != 0 {
 		offset += hAlign - r
 	}
@@ -126,9 +126,9 @@ func (h *Header) checkOffset(v *Var) error {
 	return nil
 }
 
-// DataStart returns the file offset of the first data byte (the smallest
+// dataStart returns the file offset of the first data byte (the smallest
 // Begin), or the encoded header size if there are no variables.
-func (h *Header) DataStart() int64 {
+func (h *Header) dataStart() int64 {
 	start := int64(-1)
 	for i := range h.Vars {
 		if start < 0 || h.Vars[i].Begin < start {
@@ -136,15 +136,15 @@ func (h *Header) DataStart() int64 {
 		}
 	}
 	if start < 0 {
-		return Round4(h.EncodedSize())
+		return round4(h.EncodedSize())
 	}
 	return start
 }
 
-// RecordStart returns the file offset where the record section begins: the
+// recordStart returns the file offset where the record section begins: the
 // Begin of the first record variable, or the end of the fixed section if
 // there are no record variables.
-func (h *Header) RecordStart() int64 {
+func (h *Header) recordStart() int64 {
 	start := int64(-1)
 	for i := range h.Vars {
 		v := &h.Vars[i]
@@ -155,12 +155,12 @@ func (h *Header) RecordStart() int64 {
 	if start >= 0 {
 		return start
 	}
-	return h.FixedEnd()
+	return h.fixedEnd()
 }
 
-// FixedEnd returns the end offset of the fixed-variable section.
-func (h *Header) FixedEnd() int64 {
-	end := Round4(h.EncodedSize())
+// fixedEnd returns the end offset of the fixed-variable section.
+func (h *Header) fixedEnd() int64 {
+	end := round4(h.EncodedSize())
 	for i := range h.Vars {
 		v := &h.Vars[i]
 		if !h.IsRecordVar(v) && v.Begin+v.VSize > end {
@@ -173,9 +173,9 @@ func (h *Header) FixedEnd() int64 {
 // FileSize returns the total external size of the file given the current
 // number of records.
 func (h *Header) FileSize() int64 {
-	size := h.FixedEnd()
-	if h.NumRecVars() > 0 {
-		rs := h.RecordStart()
+	size := h.fixedEnd()
+	if h.numRecVars() > 0 {
+		rs := h.recordStart()
 		size = rs + h.NumRecs*h.RecSize()
 	}
 	return size

@@ -14,7 +14,7 @@ import (
 // header ends at an arbitrary offset.
 func randomSchema(rng *rand.Rand, unit int64, nfixed, nrec int) *Header {
 	h := &Header{Version: 2}
-	rec := h.AddDim(Dim{Name: "t", Len: 0})
+	rec := h.addDim(Dim{Name: "t", Len: 0})
 	types := []nctype.Type{nctype.Byte, nctype.Short, nctype.Int, nctype.Float, nctype.Double}
 	for i := 0; i < rng.Intn(4); i++ {
 		a, _ := MakeAttr(fmt.Sprintf("g%d", i), nctype.Char, string(make([]byte, 1+rng.Intn(40))))
@@ -33,22 +33,22 @@ func randomSchema(rng *rand.Rand, unit int64, nfixed, nrec int) *Header {
 		default: // several units, not a whole number of them
 			n = (4+rng.Int63n(8))*unit/int64(t.Size()) + rng.Int63n(5)
 		}
-		d := h.AddDim(Dim{Name: fmt.Sprintf("d%d", i), Len: max(n, 1)})
+		d := h.addDim(Dim{Name: fmt.Sprintf("d%d", i), Len: max(n, 1)})
 		dims := []int{d}
 		if i >= nfixed {
 			dims = []int{rec, d}
 		}
-		h.AddVar(Var{Name: fmt.Sprintf("v%d", i), Type: t, DimIDs: dims})
+		h.addVar(Var{Name: fmt.Sprintf("v%d", i), Type: t, DimIDs: dims})
 	}
 	h.NumRecs = int64(rng.Intn(4))
 	return h
 }
 
-// TestLayoutRuleProperty holds ComputeLayoutAligned(1, unit, 4*unit) — the
+// TestLayoutRuleProperty holds computeLayoutAligned(1, unit, 4*unit) — the
 // default layout — to its statement over random schemas and striping units
 // (1 = none): a fixed variable of at least four units begins on a unit, a
 // smaller one directly behind its predecessor; padding is under one unit;
-// begins are monotone, nothing overlaps, CheckLayout is clean; and the record
+// begins are monotone, nothing overlaps, checkLayout is clean; and the record
 // section is the classic one, shifted as a whole. An explicit alignment
 // (unit, 0) puts every fixed variable on the unit instead.
 func TestLayoutRuleProperty(t *testing.T) {
@@ -62,14 +62,14 @@ func TestLayoutRuleProperty(t *testing.T) {
 			t.Fatal(err)
 		}
 		every := h.Clone()
-		if err := every.ComputeLayoutAligned(1, unit, 0); err != nil {
+		if err := every.computeLayoutAligned(1, unit, 0); err != nil {
 			t.Fatal(err)
 		}
-		if err := h.ComputeLayoutAligned(1, unit, 4*unit); err != nil {
+		if err := h.computeLayoutAligned(1, unit, 4*unit); err != nil {
 			t.Fatal(err)
 		}
 		what := fmt.Sprintf("iter %d, unit %d", iter, unit)
-		end := Round4(h.EncodedSize())
+		end := round4(h.EncodedSize())
 		for i := range h.Vars {
 			v := &h.Vars[i]
 			if h.IsRecordVar(v) {
@@ -91,18 +91,18 @@ func TestLayoutRuleProperty(t *testing.T) {
 		}
 		// The record section: begins relative to its start, and the record
 		// size, are the classic layout's; it starts where the fixed one ends.
-		if h.RecordStart() != end || h.RecSize() != classic.RecSize() {
+		if h.recordStart() != end || h.RecSize() != classic.RecSize() {
 			t.Fatalf("%s: records start at %d (fixed section ends at %d), recsize %d (classic %d)",
-				what, h.RecordStart(), end, h.RecSize(), classic.RecSize())
+				what, h.recordStart(), end, h.RecSize(), classic.RecSize())
 		}
 		for i := range h.Vars {
 			if v, c := &h.Vars[i], &classic.Vars[i]; h.IsRecordVar(v) &&
-				(v.Begin-h.RecordStart() != c.Begin-classic.RecordStart() || v.VSize != c.VSize) {
+				(v.Begin-h.recordStart() != c.Begin-classic.recordStart() || v.VSize != c.VSize) {
 				t.Fatalf("%s: record variable %s moved inside the record", what, v.Name)
 			}
 		}
-		if issues := h.CheckLayout(h.FileSize()); len(issues) != 0 {
-			t.Fatalf("%s: CheckLayout: %v", what, issues)
+		if issues := h.checkLayout(h.FileSize()); len(issues) != 0 {
+			t.Fatalf("%s: checkLayout: %v", what, issues)
 		}
 		if unit == 1 && !bytes.Equal(h.Encode(), classic.Encode()) {
 			t.Fatalf("%s: unit 1 is not the classic layout", what)
@@ -110,7 +110,7 @@ func TestLayoutRuleProperty(t *testing.T) {
 	}
 }
 
-// TestRelocationPlanProperty runs RelocationPlan between random pairs of
+// TestRelocationPlanProperty runs relocationPlan between random pairs of
 // layouts of one schema — header grown or shrunk, alignment gained or lost,
 // a variable appended — over a file image and checks that every byte of every
 // old variable and record arrives, with a copy buffer smaller than most
@@ -120,7 +120,7 @@ func TestRelocationPlanProperty(t *testing.T) {
 	units := []int64{1, 64, 512}
 	for iter := 0; iter < 300; iter++ {
 		old := randomSchema(rng, 64, 1+rng.Intn(5), rng.Intn(3))
-		if err := old.ComputeLayoutAligned(1, units[rng.Intn(3)], int64(rng.Intn(2))*256); err != nil {
+		if err := old.computeLayoutAligned(1, units[rng.Intn(3)], int64(rng.Intn(2))*256); err != nil {
 			t.Fatal(err)
 		}
 		img := make([]byte, old.FileSize())
@@ -151,15 +151,15 @@ func TestRelocationPlanProperty(t *testing.T) {
 			h.GAttrs = nil
 		}
 		if rng.Intn(2) == 0 {
-			d := h.AddDim(Dim{Name: "extra", Len: 1 + rng.Int63n(300)})
+			d := h.addDim(Dim{Name: "extra", Len: 1 + rng.Int63n(300)})
 			dims := []int{d}
 			if rng.Intn(2) == 0 {
 				dims = []int{0, d}
 			}
-			h.AddVar(Var{Name: "extra", Type: nctype.Int, DimIDs: dims})
+			h.addVar(Var{Name: "extra", Type: nctype.Int, DimIDs: dims})
 		}
-		h.RenameVar(0, "renamed", true)
-		if err := h.ComputeLayoutAligned(1, units[rng.Intn(3)], int64(rng.Intn(2))*256); err != nil {
+		h.renameVar(0, "renamed", true)
+		if err := h.computeLayoutAligned(1, units[rng.Intn(3)], int64(rng.Intn(2))*256); err != nil {
 			t.Fatal(err)
 		}
 		img = append(img, make([]byte, max(0, h.FileSize()-int64(len(img))))...)
@@ -174,7 +174,7 @@ func TestRelocationPlanProperty(t *testing.T) {
 			}
 		}
 		buf := make([]byte, 1+rng.Intn(100))
-		for _, m := range h.RelocationPlan(old) {
+		for _, m := range h.relocationPlan(old) {
 			if m.From == m.To || m.N == 0 {
 				t.Fatalf("iter %d: the plan carries a move that moves nothing: %+v", iter, m)
 			}
@@ -217,36 +217,36 @@ func TestRelocationPlanMergesMoves(t *testing.T) {
 		// A new record variable widens the record: each record shifts by
 		// more than the one before it.
 		{name: "record slots of a wider record", fixed: []int64{400}, rec: []int64{40, 8}, numRecs: 3, change: func(h *Header) {
-			d := h.AddDim(Dim{Name: "extra", Len: 4})
-			h.AddVar(Var{Name: "extra", Type: nctype.Byte, DimIDs: []int{0, d}})
+			d := h.addDim(Dim{Name: "extra", Len: 4})
+			h.addVar(Var{Name: "extra", Type: nctype.Byte, DimIDs: []int{0, d}})
 		}, unit: 1, moves: 3},
 		{name: "backward", fixed: []int64{400, 1200}, rec: []int64{16}, numRecs: 2, oldAttr: true,
 			change: func(h *Header) { h.GAttrs = nil }, unit: 1, moves: 1, backward: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			old := &Header{Version: 2}
-			tdim := old.AddDim(Dim{Name: "t", Len: 0})
+			tdim := old.addDim(Dim{Name: "t", Len: 0})
 			if tc.oldAttr {
 				grow(old)
 			}
 			for i, n := range append(append([]int64{}, tc.fixed...), tc.rec...) {
-				d := old.AddDim(Dim{Name: fmt.Sprint("d", i), Len: n})
+				d := old.addDim(Dim{Name: fmt.Sprint("d", i), Len: n})
 				dims := []int{d}
 				if i >= len(tc.fixed) {
 					dims = []int{tdim, d}
 				}
-				old.AddVar(Var{Name: fmt.Sprint("v", i), Type: nctype.Byte, DimIDs: dims})
+				old.addVar(Var{Name: fmt.Sprint("v", i), Type: nctype.Byte, DimIDs: dims})
 			}
 			old.NumRecs = tc.numRecs
-			if err := old.ComputeLayoutAligned(1, 1, 0); err != nil {
+			if err := old.computeLayoutAligned(1, 1, 0); err != nil {
 				t.Fatal(err)
 			}
 			h := old.Clone()
 			tc.change(h)
-			if err := h.ComputeLayoutAligned(1, tc.unit, 0); err != nil {
+			if err := h.computeLayoutAligned(1, tc.unit, 0); err != nil {
 				t.Fatal(err)
 			}
-			moves := h.RelocationPlan(old)
+			moves := h.relocationPlan(old)
 			var total, want int64
 			for _, m := range moves {
 				total += m.N

@@ -9,7 +9,7 @@ import (
 // To.
 type Move struct{ From, To, N int64 }
 
-// RelocationPlan lists the moves that carry the data laid out by old — the
+// relocationPlan lists the moves that carry the data laid out by old — the
 // header a Redef started from — to h's layout, in an order that is safe to
 // execute one after another with Move.Copy: no move overwrites bytes a later
 // one still has to read. Variables are matched by index (a define mode only
@@ -27,7 +27,7 @@ type Move struct{ From, To, N int64 }
 // only on pieces after it: walking the file front to back, a backward move
 // runs as it is met and each maximal run of forward moves runs last piece
 // first.
-func (h *Header) RelocationPlan(old *Header) []Move {
+func (h *Header) relocationPlan(old *Header) []Move {
 	var moves []Move
 	add := func(from, to, n int64) {
 		if from != to && n > 0 {

@@ -242,7 +242,4 @@ func TestEndDefFillFailureIsCollective(t *testing.T) {
 		}
 		return nil
 	})
-	if inj.CrashArmed() {
-		t.Fatal("the crash point was never reached")
-	}
 }

@@ -106,7 +106,7 @@ func TestWaitAllOverlapRejected(t *testing.T) {
 				if want := map[bool]error{true: nctype.ErrOverlap, false: mpi.ErrPeerFailed}[c.Rank() == 0]; !errors.Is(err, want) {
 					return fmt.Errorf("rank %d: WaitAll over an overlapping batch: %v, want %v", c.Rank(), err, want)
 				}
-				if n := d.PendingRequests(); n != 0 {
+				if n := len(d.pending); n != 0 {
 					return fmt.Errorf("rank %d: %d requests still queued after the refusal", c.Rank(), n)
 				}
 				got := make([]int32, 8)
@@ -183,7 +183,7 @@ func TestIndependentFlexible(t *testing.T) {
 		// element of a padded buffer.
 		if c.Rank() == 1 {
 			buf := []int32{10, -1, 11, -1, 12, -1, 13, -1}
-			memtype, err := mpitype.Vector(4, 1, 2, mpitype.Contig(1))
+			memtype, err := mpitype.Subarray([]int64{4, 2}, []int64{4, 1}, []int64{0, 0}, 1)
 			if err != nil {
 				return err
 			}
@@ -191,7 +191,7 @@ func TestIndependentFlexible(t *testing.T) {
 				return err
 			}
 			got := make([]int32, 8)
-			gt, err := mpitype.Vector(4, 1, 2, mpitype.Contig(1))
+			gt, err := mpitype.Subarray([]int64{4, 2}, []int64{4, 1}, []int64{0, 0}, 1)
 			if err != nil {
 				return err
 			}

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"unsafe"
@@ -494,14 +495,14 @@ func TestNonblockingBatch(t *testing.T) {
 				return err
 			}
 		}
-		if d.PendingRequests() != 5 {
-			return fmt.Errorf("pending = %d", d.PendingRequests())
+		if len(d.pending) != 5 {
+			return fmt.Errorf("pending = %d", len(d.pending))
 		}
 		if err := d.WaitAll(); err != nil {
 			return err
 		}
-		if d.PendingRequests() != 0 {
-			return fmt.Errorf("pending after WaitAll = %d", d.PendingRequests())
+		if len(d.pending) != 0 {
+			return fmt.Errorf("pending after WaitAll = %d", len(d.pending))
 		}
 		// Batched reads.
 		bufs := make([][]float32, 5)
@@ -684,8 +685,8 @@ func TestCreateModesAndErrors(t *testing.T) {
 		if err := d.Close(); err != nil {
 			return err
 		}
-		if _, err := Create(c, fsys, "m.nc", nctype.NoClobber, nil); err == nil {
-			return errors.New("NoClobber create over existing file succeeded")
+		if _, err := Create(c, fsys, "m.nc", nctype.NoClobber, nil); !errors.Is(err, nctype.ErrExists) {
+			return fmt.Errorf("NoClobber create over existing file: %v, want %v", err, nctype.ErrExists)
 		}
 		if _, err := Open(c, fsys, "absent.nc", nctype.NoWrite, nil); err == nil {
 			return errors.New("open of absent file succeeded")
@@ -857,8 +858,8 @@ func TestPrefetchHint(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if len(r.PrefetchedVars()) != 1 {
-			return fmt.Errorf("prefetched %v", r.PrefetchedVars())
+		if len(prefetched(r)) != 1 {
+			return fmt.Errorf("prefetched %v", prefetched(r))
 		}
 		// Reads served from the local copy must still be exact, for every
 		// access method.
@@ -996,12 +997,12 @@ func TestPrefetchOneReadOneBroadcast(t *testing.T) {
 		for _, v := range []int{0, 1, 3} {
 			img, ok := r.cache[v]
 			if !ok {
-				return fmt.Errorf("rank %d: %s not prefetched (%v)", c.Rank(), names[v], r.PrefetchedVars())
+				return fmt.Errorf("rank %d: %s not prefetched (%v)", c.Rank(), names[v], prefetched(r))
 			}
 			imgs = append(imgs, img)
 		}
 		if _, ok := r.cache[2]; ok || len(r.cache) != 3 {
-			return fmt.Errorf("rank %d: prefetched %v", c.Rank(), r.PrefetchedVars())
+			return fmt.Errorf("rank %d: prefetched %v", c.Rank(), prefetched(r))
 		}
 		for i := 1; i < len(imgs); i++ {
 			prev := imgs[i-1]
@@ -1046,8 +1047,8 @@ func TestPrefetchInvalidatedByWrite(t *testing.T) {
 			[]int32{9, 9, 9, 9, 9, 9, 9, 9}); err != nil {
 			return err
 		}
-		if len(r.PrefetchedVars()) != 0 {
-			return fmt.Errorf("cache survived write: %v", r.PrefetchedVars())
+		if len(prefetched(r)) != 0 {
+			return fmt.Errorf("cache survived write: %v", prefetched(r))
 		}
 		got := make([]int32, 8)
 		if err := r.GetVaraAll(grid, []int64{0, 0}, []int64{1, 8}, got); err != nil {
@@ -1058,4 +1059,15 @@ func TestPrefetchInvalidatedByWrite(t *testing.T) {
 		}
 		return r.Close()
 	})
+}
+
+// prefetched lists the variable IDs that have a local prefetched copy, in
+// order.
+func prefetched(d *Dataset) []int {
+	ids := make([]int, 0, len(d.cache))
+	for id := range d.cache {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	return ids
 }

@@ -54,8 +54,8 @@ type Dataset struct {
 
 	indep bool
 
-	// hAlign, vAlign and vMin are cdf.ComputeLayoutAligned's arguments, fixed
-	// at open (see layoutHints).
+	// hAlign, vAlign and vMin are the layout rule's arguments (cdf.Front.EndDef),
+	// fixed at open (see layoutHints).
 	hAlign, vAlign, vMin int64
 	fill                 bool
 
@@ -71,8 +71,12 @@ type Dataset struct {
 	cache map[int][]byte
 
 	// views caches flattened file views per access geometry relative to a
-	// variable (viewcache.go).
-	views map[string]mpitype.Datatype
+	// variable (viewcache.go). recSize is the header's record size, which
+	// their key holds: it is set where the dataset enters data mode (Open,
+	// EndDef), the only places a layout changes, so a put or get does not
+	// walk every variable to find it.
+	views   map[string]mpitype.Datatype
+	recSize int64
 
 	// pending is the iput/iget queue; a blocking call's one op lives in its
 	// spare capacity while complete runs. geom holds the ops' start, count
@@ -115,6 +119,9 @@ func Create(comm *mpi.Comm, fsys *pfs.FS, path string, cmode int, info *mpi.Info
 		amode |= mpiio.ModeTrunc
 	}
 	f, err := mpiio.Open(comm, fsys, path, amode, info)
+	if errors.Is(err, mpiio.ErrExists) {
+		return nil, fmt.Errorf("%w: %w", nctype.ErrExists, err)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -195,7 +202,7 @@ func open(comm *mpi.Comm, fsys *pfs.FS, path string, omode int, info *mpi.Info) 
 	if herr != nil {
 		return nil, herr
 	}
-	d := &Dataset{comm: comm, fsys: fsys, f: f, path: path, persistedNumRecs: hdr.NumRecs}
+	d := &Dataset{comm: comm, fsys: fsys, f: f, path: path, persistedNumRecs: hdr.NumRecs, recSize: hdr.RecSize()}
 	d.Front = cdf.OpenFront(hdr, omode, d.rewriteHeader)
 	d.layoutHints(info)
 	d.st, d.sp = comm.Proc().Stats(), comm.Proc().Spans()
@@ -234,7 +241,7 @@ func (d *Dataset) layoutHints(info *mpi.Info) {
 func (d *Dataset) Comm() *mpi.Comm { return d.comm }
 
 // SetFill enables prefilling, at EndDef, of the fixed variables each define
-// mode adds (cdf.EndPlan.Fill; PnetCDF defaults to nofill; this mirrors
+// mode adds (cdf.Front.EndDef's plan; PnetCDF defaults to nofill; this mirrors
 // ncmpi_set_fill with NC_FILL).
 func (d *Dataset) SetFill(on bool) { d.fill = on }
 
@@ -283,6 +290,7 @@ func (d *Dataset) endDef() error {
 	if err != nil {
 		return err
 	}
+	d.recSize = d.Hdr.RecSize()
 	if len(plan.Moves) > 0 {
 		if err := d.relocate(plan.Moves); err != nil {
 			return err
@@ -463,7 +471,7 @@ func (d *Dataset) Sync() error {
 // masked by, a later successful close (and vice versa) — and the handle is
 // marked closed regardless, so a second Close is an idempotent no-op
 // rather than a second flush attempt. On a revoked communicator every step
-// fails at once with the same *mpi.ErrRevoked, which Close returns, and the
+// fails at once with the same *mpi.revokedError, which Close returns, and the
 // handle is released all the same.
 func (d *Dataset) Close() error {
 	if d.Mode.Closed {

@@ -96,9 +96,6 @@ func (d *Dataset) enqueue(write bool, varid int, start, count []int64, data any,
 	return len(d.pending) - 1, nil
 }
 
-// PendingRequests reports the queue length.
-func (d *Dataset) PendingRequests() int { return len(d.pending) }
-
 // WaitAll collectively completes all queued requests: one fused collective
 // write followed by one fused collective read, each entered only if some
 // rank has something for it. Every process must call it, even with an empty

@@ -54,7 +54,7 @@ func TestWaitAllErrorClearsQueueNoDuplicateWrite(t *testing.T) {
 		if !errors.Is(werr, fault.ErrRetriesExhausted) && !errors.Is(werr, mpi.ErrPeerFailed) {
 			return fmt.Errorf("unexpected WaitAll error: %v", werr)
 		}
-		if n := d.PendingRequests(); n != 0 {
+		if n := len(d.pending); n != 0 {
 			return fmt.Errorf("queue holds %d requests after failed WaitAll", n)
 		}
 		// Fault clears. Recover with a blocking write of known values, then
@@ -114,7 +114,7 @@ func TestNonblockingRangeErrorParity(t *testing.T) {
 		if err := d.WaitAll(); !errors.Is(err, cdf.ErrRange) {
 			return fmt.Errorf("WaitAll after out-of-range IPutVara: %v", err)
 		}
-		if n := d.PendingRequests(); n != 0 {
+		if n := len(d.pending); n != 0 {
 			return fmt.Errorf("queue holds %d requests after WaitAll", n)
 		}
 		blocking := make([]int32, 8)
@@ -226,8 +226,8 @@ func TestWaitAllServesPrefetchedReads(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if len(r.PrefetchedVars()) != 1 {
-			return fmt.Errorf("prefetched %v", r.PrefetchedVars())
+		if len(prefetched(r)) != 1 {
+			return fmt.Errorf("prefetched %v", prefetched(r))
 		}
 		// Many queued reads served from cache must cost ~no virtual time
 		// (a file read would pay pfs latency every WaitAll).

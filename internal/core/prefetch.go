@@ -110,13 +110,3 @@ func (d *Dataset) cachedRead(op *pendingOp, c *memCodec) error {
 
 // invalidate drops a variable's prefetched copy after a write.
 func (d *Dataset) invalidate(varid int) { delete(d.cache, varid) }
-
-// PrefetchedVars reports which variable IDs currently have local copies
-// (diagnostic).
-func (d *Dataset) PrefetchedVars() []int {
-	var ids []int
-	for id := range d.cache {
-		ids = append(ids, id)
-	}
-	return ids
-}

@@ -130,5 +130,5 @@ func TestFullAPISurface(t *testing.T) {
 
 // identityType builds a contiguous element-unit memory type of n elements.
 func identityType(n int64) (mpitype.Datatype, error) {
-	return mpitype.Contig(n), nil
+	return mpitype.Subarray([]int64{n}, []int64{n}, []int64{0}, 1)
 }

@@ -31,10 +31,10 @@ import (
 const viewCacheMax = 64
 
 // appendViewKey appends the cache key of req against v to b: the variable's
-// rank and dimension lengths, its element size and its record size (0 for a
-// fixed-size variable), then start, count and stride (ones when nil),
-// varint-packed.
-func appendViewKey(b []byte, h *cdf.Header, v *cdf.Var, req access.Request) []byte {
+// rank and dimension lengths, its element size and the header's record size
+// recSize (0 for a fixed-size variable), then start, count and stride (ones
+// when nil), varint-packed.
+func appendViewKey(b []byte, h *cdf.Header, v *cdf.Var, recSize int64, req access.Request) []byte {
 	b = binary.AppendUvarint(b, uint64(len(v.DimIDs)))
 	for _, id := range v.DimIDs {
 		b = binary.AppendUvarint(b, uint64(h.Dims[id].Len))
@@ -42,7 +42,7 @@ func appendViewKey(b []byte, h *cdf.Header, v *cdf.Var, req access.Request) []by
 	b = binary.AppendUvarint(b, uint64(v.Type.Size()))
 	rec := int64(0)
 	if h.IsRecordVar(v) {
-		rec = h.RecSize()
+		rec = recSize
 	}
 	b = binary.AppendUvarint(b, uint64(rec))
 	for _, x := range req.Start {
@@ -65,7 +65,7 @@ func appendViewKey(b []byte, h *cdf.Header, v *cdf.Var, req access.Request) []by
 // for its key string.
 func (d *Dataset) fileView(v *cdf.Var, req access.Request) (mpitype.Datatype, error) {
 	var buf [64]byte // append grows it for the rare long key
-	key := appendViewKey(buf[:0], d.Hdr, v, req)
+	key := appendViewKey(buf[:0], d.Hdr, v, d.recSize, req)
 	if view, ok := d.views[string(key)]; ok {
 		return view, nil
 	}

@@ -29,9 +29,9 @@ import (
 // The errors the layer injects, and the one a request that stops
 // resuming returns.
 var (
-	// ErrTransient marks an injected server error that a retry may clear
+	// errTransient marks an injected server error that a retry may clear
 	// (the EIO-after-dropped-request class of PVFS/ROMIO deployments).
-	ErrTransient = errors.New("fault: transient I/O error")
+	errTransient = errors.New("fault: transient I/O error")
 	// ErrCrashed marks an armed crash point firing: the request was cut at
 	// the chosen byte and the process is presumed dead. Permanent.
 	ErrCrashed = errors.New("fault: crash point reached")
@@ -101,7 +101,6 @@ type Injector struct {
 	// and returns ErrCrashed.
 	crashAt       int64
 	crashTruncate bool
-	injected      int64
 
 	// kill is the armed rank-kill, nil when none. killSeen counts, per
 	// (rank, point), how many times that rank has passed that kill point —
@@ -134,17 +133,6 @@ type opKey struct {
 // New returns an injector for the given configuration.
 func New(cfg Config) *Injector {
 	return &Injector{cfg: cfg, seen: map[opKey]uint64{}, crashAt: -1}
-}
-
-// Injected returns how many faults (errors, spikes, crashes, kills) the
-// injector has delivered.
-func (in *Injector) Injected() int64 {
-	if in == nil {
-		return 0
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.injected
 }
 
 // ArmCrash arms a one-shot crash point: the next read or write overlapping
@@ -208,23 +196,12 @@ func (in *Injector) KillCheck(rank int, point string) bool {
 		return false
 	}
 	in.kill = nil
-	in.injected++
 	return true
 }
 
-// CrashArmed reports whether a crash point is pending.
-func (in *Injector) CrashArmed() bool {
-	if in == nil {
-		return false
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.crashAt >= 0
-}
-
-// Outcome is one operation's fault decision.
-type Outcome struct {
-	// Err is nil, ErrTransient or ErrCrashed.
+// outcome is one operation's fault decision.
+type outcome struct {
+	// Err is nil, errTransient or ErrCrashed.
 	Err error
 	// Delay is extra virtual latency to charge (seconds).
 	Delay float64
@@ -241,8 +218,8 @@ type Outcome struct {
 // Decide returns the fault outcome for one operation covering [off, off+n)
 // issued by rank (use -1 outside an MPI context). A nil injector always
 // returns the no-fault outcome.
-func (in *Injector) Decide(rank int, op Op, off, n int64) Outcome {
-	out := Outcome{N: n, TruncateTo: -1}
+func (in *Injector) Decide(rank int, op Op, off, n int64) outcome {
+	out := outcome{N: n, TruncateTo: -1}
 	if in == nil {
 		return out
 	}
@@ -256,7 +233,6 @@ func (in *Injector) Decide(rank int, op Op, off, n int64) Outcome {
 			out.TruncateTo = in.crashAt
 		}
 		in.crashAt = -1
-		in.injected++
 		return out
 	}
 	key := opKey{rank: rank, op: op, off: off, n: n}
@@ -276,12 +252,10 @@ func (in *Injector) Decide(rank int, op Op, off, n int64) Outcome {
 	// first to suffer a spike.
 	if firstHit(unit(hash64(draw, 2, 0, 0, 0, 0)), in.cfg.LatencyRate, k) < k {
 		out.Delay = in.cfg.LatencySpike
-		in.injected++
 	}
 	if j := firstHit(unit(draw), errRate, k); j < k {
-		out.Err = ErrTransient
+		out.Err = errTransient
 		out.N = j * u
-		in.injected++
 	}
 	return out
 }

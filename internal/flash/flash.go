@@ -79,10 +79,10 @@ func CellValue(varIdx, globalBlock int, z, y, x int) float64 {
 	return float64(varIdx+1)*1e3 + float64(globalBlock) + float64(z)*0.25 + float64(y)*0.0625 + float64(x)*0.015625
 }
 
-// CornerValue is the corner-interpolated field: the average of the (up to 8)
+// cornerValue is the corner-interpolated field: the average of the (up to 8)
 // adjacent cell-centered values, which the guarded block makes available
 // without communication — exactly what the benchmark's corner plotfile does.
-func CornerValue(cfg Config, varIdx, globalBlock int, z, y, x int) float64 {
+func cornerValue(cfg Config, varIdx, globalBlock int, z, y, x int) float64 {
 	var sum float64
 	for dz := -1; dz <= 0; dz++ {
 		for dy := -1; dy <= 0; dy++ {
@@ -124,9 +124,9 @@ func (cfg Config) FillUnknown(varIdx, firstGlobalBlock, nblocks int) []float64 {
 	return buf
 }
 
-// FillCorners builds the unguarded corner data for one unknown: shape
+// fillCorners builds the unguarded corner data for one unknown: shape
 // (blocks, NZB+1, NYB+1, NXB+1).
-func (cfg Config) FillCorners(varIdx, firstGlobalBlock, nblocks int) []float32 {
+func (cfg Config) fillCorners(varIdx, firstGlobalBlock, nblocks int) []float32 {
 	cz, cy, cx := cfg.NZB+1, cfg.NYB+1, cfg.NXB+1
 	buf := make([]float32, nblocks*cz*cy*cx)
 	i := 0
@@ -135,7 +135,7 @@ func (cfg Config) FillCorners(varIdx, firstGlobalBlock, nblocks int) []float32 {
 		for z := 0; z <= cfg.NZB; z++ {
 			for y := 0; y <= cfg.NYB; y++ {
 				for x := 0; x <= cfg.NXB; x++ {
-					buf[i] = float32(CornerValue(cfg, varIdx, gb, z, y, x))
+					buf[i] = float32(cornerValue(cfg, varIdx, gb, z, y, x))
 					i++
 				}
 			}
@@ -237,7 +237,7 @@ func writePnetCDF(comm *mpi.Comm, fsys *pfs.FS, path string, cfg Config, info *m
 	}
 
 	// fail returns a failed call's error. After a rank death, which every
-	// survivor sees as the same *mpi.ErrRevoked, it closes the file first:
+	// survivor sees as the same *mpi.revokedError, it closes the file first:
 	// on a revoked communicator Close runs no collective, releases the
 	// handle and returns that same revocation.
 	fail := func(err error) (Report, error) {
@@ -267,7 +267,7 @@ func writePnetCDF(comm *mpi.Comm, fsys *pfs.FS, path string, cfg Config, info *m
 		fstart := []int64{int64(first), 0, 0, 0}
 		fcount := []int64{int64(cfg.BlocksPerProc), int64(zname), int64(yname), int64(xname)}
 		if corners {
-			buf := cfg.FillCorners(i, first, cfg.BlocksPerProc)
+			buf := cfg.fillCorners(i, first, cfg.BlocksPerProc)
 			if cfg.Queued {
 				_, err = d.IPutVara(varids[i], fstart, fcount, buf)
 			} else {
@@ -386,7 +386,7 @@ func writeH5(comm *mpi.Comm, fsys *pfs.FS, path string, cfg Config, info *mpi.In
 			Count: []int64{int64(cfg.BlocksPerProc), int64(zname), int64(yname), int64(xname)},
 		}
 		if corners {
-			buf := cfg.FillCorners(i, first, cfg.BlocksPerProc)
+			buf := cfg.fillCorners(i, first, cfg.BlocksPerProc)
 			if err := ds.WriteAll(fsel, nil, buf); err != nil {
 				return Report{}, err
 			}

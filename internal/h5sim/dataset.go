@@ -13,10 +13,10 @@ import (
 	"pnetcdf/internal/netcdf"
 )
 
-// Dataset is an open dataset: a typed n-dimensional array with contiguous
+// dataset is an open dataset: a typed n-dimensional array with contiguous
 // layout. Open/create/close are collective.
-type Dataset struct {
-	f       *File
+type dataset struct {
+	f       *file
 	path    string
 	hdrAddr int64
 
@@ -30,7 +30,7 @@ type Dataset struct {
 // dataset header block layout (within dsHeaderCap bytes):
 // magic(4) objDataset(4) type(4) rank(4) dims(8*rank) dataAddr(8)
 // dataSize(8) attrBytes...
-func (ds *Dataset) encodeHeader() ([]byte, error) {
+func (ds *dataset) encodeHeader() ([]byte, error) {
 	buf := make([]byte, 0, 256)
 	buf = append(buf, headerMagic...)
 	buf = binary.BigEndian.AppendUint32(buf, objDataset)
@@ -43,21 +43,21 @@ func (ds *Dataset) encodeHeader() ([]byte, error) {
 	buf = binary.BigEndian.AppendUint64(buf, uint64(ds.dataSize))
 	buf = append(buf, encodeAttrs(ds.attrs)...)
 	if len(buf) > dsHeaderCap {
-		return nil, ErrHeaderFul
+		return nil, errHeaderFul
 	}
 	return buf, nil
 }
 
-func decodeDatasetHeader(buf []byte) (*Dataset, error) {
+func decodeDatasetHeader(buf []byte) (*dataset, error) {
 	if len(buf) < 16 || string(buf[:4]) != string(headerMagic) ||
 		binary.BigEndian.Uint32(buf[4:]) != objDataset {
-		return nil, fmt.Errorf("%w: no dataset header", ErrNotH5)
+		return nil, fmt.Errorf("%w: no dataset header", errNotH5)
 	}
-	ds := &Dataset{typ: nctype.Type(binary.BigEndian.Uint32(buf[8:]))}
+	ds := &dataset{typ: nctype.Type(binary.BigEndian.Uint32(buf[8:]))}
 	rank := int(binary.BigEndian.Uint32(buf[12:]))
 	pos := 16
 	if len(buf) < pos+8*rank+16 {
-		return nil, ErrNotH5
+		return nil, errNotH5
 	}
 	for i := 0; i < rank; i++ {
 		ds.dims = append(ds.dims, int64(binary.BigEndian.Uint64(buf[pos:])))
@@ -77,7 +77,7 @@ func decodeDatasetHeader(buf []byte) (*Dataset, error) {
 // CreateDataset collectively creates a contiguous dataset at path. The
 // parent group must exist. Every process must call with identical
 // arguments.
-func (f *File) CreateDataset(path string, typ nctype.Type, dims []int64) (*Dataset, error) {
+func (f *file) CreateDataset(path string, typ nctype.Type, dims []int64) (*dataset, error) {
 	if f.closed {
 		return nil, fmt.Errorf("h5sim: file closed")
 	}
@@ -94,7 +94,7 @@ func (f *File) CreateDataset(path string, typ nctype.Type, dims []int64) (*Datas
 	// Deterministic allocation on all ranks.
 	hdrAddr := f.allocate(dsHeaderCap)
 	dataAddr := f.allocate(n)
-	ds := &Dataset{
+	ds := &dataset{
 		f: f, path: path, hdrAddr: hdrAddr,
 		typ: typ, dims: append([]int64(nil), dims...),
 		dataAddr: dataAddr, dataSize: n,
@@ -104,7 +104,7 @@ func (f *File) CreateDataset(path string, typ nctype.Type, dims []int64) (*Datas
 		err := func() error {
 			parts := splitPath(path)
 			if len(parts) == 0 {
-				return fmt.Errorf("%w: empty dataset path", ErrNotFound)
+				return fmt.Errorf("%w: empty dataset path", errNotFound)
 			}
 			parentAddr := f.rootAddr
 			if len(parts) > 1 {
@@ -143,7 +143,7 @@ func (f *File) CreateDataset(path string, typ nctype.Type, dims []int64) (*Datas
 // and fetch the header information of that object", §4.3). The resulting
 // small dispersed reads contend on the I/O servers as the process count
 // grows.
-func (f *File) OpenDataset(path string) (*Dataset, error) {
+func (f *file) OpenDataset(path string) (*dataset, error) {
 	if f.closed {
 		return nil, fmt.Errorf("h5sim: file closed")
 	}
@@ -162,7 +162,7 @@ func (f *File) OpenDataset(path string) (*Dataset, error) {
 	}
 	// Collective error agreement (all fail or all succeed together).
 	if f.comm.AllreduceI64([]int64{errFlag}, mpi.OpMax)[0] != 0 {
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, path)
+		return nil, fmt.Errorf("%w: %s", errNotFound, path)
 	}
 	ds, err := decodeDatasetHeader(blob)
 	if err != nil {
@@ -176,7 +176,7 @@ func (f *File) OpenDataset(path string) (*Dataset, error) {
 
 // Close collectively closes the dataset, rewriting its header (HDF5 1.4
 // updated object metadata at close).
-func (ds *Dataset) Close() error {
+func (ds *dataset) Close() error {
 	if !ds.f.ro {
 		if ds.f.comm.Rank() == 0 {
 			blob, err := ds.encodeHeader()
@@ -193,13 +193,13 @@ func (ds *Dataset) Close() error {
 }
 
 // Dims returns the dataset's shape.
-func (ds *Dataset) Dims() []int64 { return append([]int64(nil), ds.dims...) }
+func (ds *dataset) Dims() []int64 { return append([]int64(nil), ds.dims...) }
 
 // Type returns the element type.
-func (ds *Dataset) Type() nctype.Type { return ds.typ }
+func (ds *dataset) Type() nctype.Type { return ds.typ }
 
 // PutAttr stores a small attribute in the object header (collective).
-func (ds *Dataset) PutAttr(name string, typ nctype.Type, value any) error {
+func (ds *dataset) PutAttr(name string, typ nctype.Type, value any) error {
 	if ds.f.ro {
 		return nctype.ErrPerm
 	}
@@ -230,20 +230,20 @@ func (ds *Dataset) PutAttr(name string, typ nctype.Type, value any) error {
 		}
 	}
 	if mpi.DecodeI64s(ds.f.comm.Bcast(0, mpi.EncodeI64s([]int64{errFlag})))[0] != 0 {
-		return ErrHeaderFul
+		return errHeaderFul
 	}
 	return nil
 }
 
 // GetAttr returns an attribute's decoded value (local to the open handle).
-func (ds *Dataset) GetAttr(name string) (nctype.Type, any, error) {
+func (ds *dataset) GetAttr(name string) (nctype.Type, any, error) {
 	for _, a := range ds.attrs {
 		if a.name == name {
 			v, err := cdf.DecodeAttrValue(cdf.Attr{Name: a.name, Type: a.typ, Nelems: a.nelems, Values: a.data})
 			return a.typ, v, err
 		}
 	}
-	return 0, nil, fmt.Errorf("%w: attribute %s", ErrNotFound, name)
+	return 0, nil, fmt.Errorf("%w: attribute %s", errNotFound, name)
 }
 
 // Select is a hyperslab selection: Start/Count over an array of shape Dims.
@@ -357,7 +357,7 @@ func packSelection(buf any, sel *Select, n int64, proc *mpi.Proc, gather bool, l
 // memory-space hyperslab msel of buf (msel nil = buf is contiguous and
 // exactly the selection). All processes must call; empty selections are
 // allowed.
-func (ds *Dataset) WriteAll(fsel Select, msel *Select, buf any) error {
+func (ds *dataset) WriteAll(fsel Select, msel *Select, buf any) error {
 	if ds.f.ro {
 		return nctype.ErrPerm
 	}
@@ -433,7 +433,7 @@ func (ds *Dataset) WriteAll(fsel Select, msel *Select, buf any) error {
 
 // ReadAll collectively reads the file-space hyperslab fsel into the memory
 // hyperslab msel of buf.
-func (ds *Dataset) ReadAll(fsel Select, msel *Select, buf any) error {
+func (ds *dataset) ReadAll(fsel Select, msel *Select, buf any) error {
 	fsel.Dims = ds.dims
 	n, err := fsel.validate()
 	if err != nil {
@@ -480,7 +480,7 @@ func (ds *Dataset) ReadAll(fsel Select, msel *Select, buf any) error {
 
 // fileView builds the MPI-IO view for a file hyperslab, charging the
 // recursive dataspace walk.
-func (ds *Dataset) fileView(fsel *Select) (mpitype.Datatype, error) {
+func (ds *dataset) fileView(fsel *Select) (mpitype.Datatype, error) {
 	sub, err := mpitype.Subarray(ds.dims, fsel.Count, fsel.Start, typeSize(ds.typ))
 	if err != nil {
 		return mpitype.Datatype{}, err

@@ -56,15 +56,15 @@ const (
 
 // Errors.
 var (
-	ErrNotH5     = errors.New("h5sim: not an h5sim file")
-	ErrNotFound  = errors.New("h5sim: object not found")
-	ErrExists    = errors.New("h5sim: object already exists")
-	ErrHeaderFul = errors.New("h5sim: object header full (too many attributes)")
+	errNotH5     = errors.New("h5sim: not an h5sim file")
+	errNotFound  = errors.New("h5sim: object not found")
+	errExists    = errors.New("h5sim: object already exists")
+	errHeaderFul = errors.New("h5sim: object header full (too many attributes)")
 )
 
-// File is an open container. All operations are collective over the
+// file is an open container. All operations are collective over the
 // communicator unless noted.
-type File struct {
+type file struct {
 	comm *mpi.Comm
 	mf   *mpiio.File
 	ro   bool
@@ -75,12 +75,12 @@ type File struct {
 }
 
 // CreateFile collectively creates a new container with an empty root group.
-func CreateFile(comm *mpi.Comm, fsys *pfs.FS, name string, info *mpi.Info) (*File, error) {
+func CreateFile(comm *mpi.Comm, fsys *pfs.FS, name string, info *mpi.Info) (*file, error) {
 	mf, err := mpiio.Open(comm, fsys, name, mpiio.ModeRdWr|mpiio.ModeCreate|mpiio.ModeTrunc, info)
 	if err != nil {
 		return nil, err
 	}
-	f := &File{comm: comm, mf: mf, eof: superblockSize}
+	f := &file{comm: comm, mf: mf, eof: superblockSize}
 	// Root group.
 	f.rootAddr = f.allocate(groupHeaderLen)
 	tableAddr := f.allocate(4096)
@@ -98,7 +98,7 @@ func CreateFile(comm *mpi.Comm, fsys *pfs.FS, name string, info *mpi.Info) (*Fil
 
 // OpenFile collectively opens an existing container; the root reads the
 // superblock and broadcasts it.
-func OpenFile(comm *mpi.Comm, fsys *pfs.FS, name string, readonly bool, info *mpi.Info) (*File, error) {
+func OpenFile(comm *mpi.Comm, fsys *pfs.FS, name string, readonly bool, info *mpi.Info) (*file, error) {
 	amode := mpiio.ModeRdWr
 	if readonly {
 		amode = mpiio.ModeRdOnly
@@ -116,9 +116,9 @@ func OpenFile(comm *mpi.Comm, fsys *pfs.FS, name string, readonly bool, info *mp
 	}
 	blob = comm.Bcast(0, blob)
 	if string(blob[:4]) != string(superMagic) {
-		return nil, ErrNotH5
+		return nil, errNotH5
 	}
-	f := &File{comm: comm, mf: mf, ro: readonly}
+	f := &file{comm: comm, mf: mf, ro: readonly}
 	f.rootAddr = int64(binary.BigEndian.Uint64(blob[8:]))
 	f.eof = int64(binary.BigEndian.Uint64(blob[16:]))
 	return f, nil
@@ -127,13 +127,13 @@ func OpenFile(comm *mpi.Comm, fsys *pfs.FS, name string, readonly bool, info *mp
 // allocate reserves n bytes at the end of file. Deterministic across ranks:
 // it is only called inside collective operations executed in the same order
 // everywhere.
-func (f *File) allocate(n int64) int64 {
+func (f *file) allocate(n int64) int64 {
 	addr := f.eof
 	f.eof += (n + 7) &^ 7
 	return addr
 }
 
-func (f *File) writeSuperblock() error {
+func (f *file) writeSuperblock() error {
 	buf := make([]byte, superblockSize)
 	copy(buf, superMagic)
 	binary.BigEndian.PutUint32(buf[4:], 1) // version
@@ -150,7 +150,7 @@ type groupHeader struct {
 	nEntries  int64
 }
 
-func (f *File) writeGroupHeader(addr, tableAddr, tableCap, nEntries int64) error {
+func (f *file) writeGroupHeader(addr, tableAddr, tableCap, nEntries int64) error {
 	buf := make([]byte, groupHeaderLen)
 	copy(buf, headerMagic)
 	binary.BigEndian.PutUint32(buf[4:], objGroup)
@@ -162,13 +162,13 @@ func (f *File) writeGroupHeader(addr, tableAddr, tableCap, nEntries int64) error
 
 // readGroupHeader performs the dispersed-metadata small read; root-only
 // callers broadcast the result.
-func (f *File) readGroupHeader(addr int64) (groupHeader, error) {
+func (f *file) readGroupHeader(addr int64) (groupHeader, error) {
 	buf := make([]byte, groupHeaderLen)
 	if err := f.mf.ReadRaw(buf, addr); err != nil {
 		return groupHeader{}, err
 	}
 	if string(buf[:4]) != string(headerMagic) || binary.BigEndian.Uint32(buf[4:]) != objGroup {
-		return groupHeader{}, fmt.Errorf("%w: no group header at %d", ErrNotH5, addr)
+		return groupHeader{}, fmt.Errorf("%w: no group header at %d", errNotH5, addr)
 	}
 	return groupHeader{
 		tableAddr: int64(binary.BigEndian.Uint64(buf[8:])),
@@ -197,12 +197,12 @@ func decodeEntries(buf []byte, n int64) ([]groupEntry, error) {
 	pos := 0
 	for i := int64(0); i < n; i++ {
 		if pos+2 > len(buf) {
-			return nil, ErrNotH5
+			return nil, errNotH5
 		}
 		l := int(binary.BigEndian.Uint16(buf[pos:]))
 		pos += 2
 		if pos+l+8 > len(buf) {
-			return nil, ErrNotH5
+			return nil, errNotH5
 		}
 		name := string(buf[pos : pos+l])
 		pos += l
@@ -214,7 +214,7 @@ func decodeEntries(buf []byte, n int64) ([]groupEntry, error) {
 }
 
 // readEntries walks a group's table (root-only; small dispersed reads).
-func (f *File) readEntries(gh groupHeader) ([]groupEntry, error) {
+func (f *file) readEntries(gh groupHeader) ([]groupEntry, error) {
 	buf := make([]byte, gh.tableCap)
 	if err := f.mf.ReadRaw(buf, gh.tableAddr); err != nil {
 		return nil, err
@@ -224,7 +224,7 @@ func (f *File) readEntries(gh groupHeader) ([]groupEntry, error) {
 
 // lookupLocal walks path from the root on the calling rank (independent,
 // used under root-only sections). Returns the object header address.
-func (f *File) lookupLocal(path string) (int64, error) {
+func (f *file) lookupLocal(path string) (int64, error) {
 	parts := splitPath(path)
 	addr := f.rootAddr
 	for i, p := range parts {
@@ -248,7 +248,7 @@ func (f *File) lookupLocal(path string) (int64, error) {
 			}
 		}
 		if found < 0 {
-			return 0, fmt.Errorf("%w: %s", ErrNotFound, strings.Join(parts[:i+1], "/"))
+			return 0, fmt.Errorf("%w: %s", errNotFound, strings.Join(parts[:i+1], "/"))
 		}
 		addr = found
 	}
@@ -257,7 +257,7 @@ func (f *File) lookupLocal(path string) (int64, error) {
 
 // insertLocal adds (name -> addr) to the parent group of path on the calling
 // rank, growing the entry table if needed.
-func (f *File) insertLocal(parentAddr int64, name string, addr int64) error {
+func (f *file) insertLocal(parentAddr int64, name string, addr int64) error {
 	gh, err := f.readGroupHeader(parentAddr)
 	if err != nil {
 		return err
@@ -268,7 +268,7 @@ func (f *File) insertLocal(parentAddr int64, name string, addr int64) error {
 	}
 	for _, e := range entries {
 		if e.name == name {
-			return fmt.Errorf("%w: %s", ErrExists, name)
+			return fmt.Errorf("%w: %s", errExists, name)
 		}
 	}
 	entries = append(entries, groupEntry{name, addr})
@@ -301,64 +301,17 @@ func splitPath(path string) []string {
 	return parts
 }
 
-// CreateGroup collectively creates a group at path (parents must exist).
-func (f *File) CreateGroup(path string) error {
-	if f.closed {
-		return mpiio.ErrClosed
-	}
-	if f.ro {
-		return nctype.ErrPerm
-	}
-	parts := splitPath(path)
-	if len(parts) == 0 {
-		return fmt.Errorf("%w: root already exists", ErrExists)
-	}
-	// Deterministic allocations happen on every rank; I/O on the root only.
-	hdrAddr := f.allocate(groupHeaderLen)
-	tableAddr := f.allocate(4096)
-	var errFlag int64
-	if f.comm.Rank() == 0 {
-		err := func() error {
-			parentAddr := f.rootAddr
-			if len(parts) > 1 {
-				var lerr error
-				parentAddr, lerr = f.lookupLocal(strings.Join(parts[:len(parts)-1], "/"))
-				if lerr != nil {
-					return lerr
-				}
-			}
-			if err := f.writeGroupHeader(hdrAddr, tableAddr, 4096, 0); err != nil {
-				return err
-			}
-			return f.insertLocal(parentAddr, parts[len(parts)-1], hdrAddr)
-		}()
-		if err != nil {
-			errFlag = 1
-		}
-	}
-	// The insert may have grown the parent table (an allocation); ranks must
-	// agree on the allocator. Broadcast the authoritative EOF.
-	state := f.comm.Bcast(0, mpi.EncodeI64s([]int64{errFlag, f.eof}))
-	vals := mpi.DecodeI64s(state)
-	f.eof = vals[1]
-	f.comm.Barrier()
-	if vals[0] != 0 {
-		return fmt.Errorf("h5sim: create group %s failed", path)
-	}
-	return nil
-}
-
 // metadataSync models the metadata-cache coherence protocol: every process
 // exchanges a small cache digest with every other (an allgather), so the
 // cost rises with the communicator size — one of the scaling drags the
 // paper measures against parallel HDF5.
-func (f *File) metadataSync() {
+func (f *file) metadataSync() {
 	digest := make([]byte, 128)
 	f.comm.Allgather(digest)
 }
 
 // Sync collectively flushes the file, updating the superblock.
-func (f *File) Sync() error {
+func (f *file) Sync() error {
 	if f.closed {
 		return mpiio.ErrClosed
 	}
@@ -371,7 +324,7 @@ func (f *File) Sync() error {
 }
 
 // Close collectively closes the container.
-func (f *File) Close() error {
+func (f *file) Close() error {
 	if f.closed {
 		return mpiio.ErrClosed
 	}
@@ -417,19 +370,19 @@ func encodeAttrs(attrs []attr) []byte {
 
 func decodeAttrs(buf []byte) ([]attr, []byte, error) {
 	if len(buf) < 4 {
-		return nil, nil, ErrNotH5
+		return nil, nil, errNotH5
 	}
 	n := binary.BigEndian.Uint32(buf)
 	buf = buf[4:]
 	attrs := make([]attr, 0, n)
 	for i := uint32(0); i < n; i++ {
 		if len(buf) < 2 {
-			return nil, nil, ErrNotH5
+			return nil, nil, errNotH5
 		}
 		l := int(binary.BigEndian.Uint16(buf))
 		buf = buf[2:]
 		if len(buf) < l+16 {
-			return nil, nil, ErrNotH5
+			return nil, nil, errNotH5
 		}
 		a := attr{name: string(buf[:l])}
 		buf = buf[l:]
@@ -438,7 +391,7 @@ func decodeAttrs(buf []byte) ([]attr, []byte, error) {
 		dl := int(binary.BigEndian.Uint32(buf[12:]))
 		buf = buf[16:]
 		if len(buf) < dl {
-			return nil, nil, ErrNotH5
+			return nil, nil, errNotH5
 		}
 		a.data = append([]byte(nil), buf[:dl]...)
 		buf = buf[dl:]
@@ -449,7 +402,7 @@ func decodeAttrs(buf []byte) ([]attr, []byte, error) {
 
 // List collectively returns the names of a group's children, sorted (the
 // root walks the table and broadcasts). path "" or "/" lists the root.
-func (f *File) List(path string) ([]string, error) {
+func (f *file) List(path string) ([]string, error) {
 	if f.closed {
 		return nil, mpiio.ErrClosed
 	}
@@ -483,23 +436,10 @@ func (f *File) List(path string) ([]string, error) {
 		}
 	}
 	if mpi.DecodeI64s(f.comm.Bcast(0, mpi.EncodeI64s([]int64{errFlag})))[0] != 0 {
-		return nil, fmt.Errorf("%w: group %s", ErrNotFound, path)
+		return nil, fmt.Errorf("%w: group %s", errNotFound, path)
 	}
 	blob := f.comm.Bcast(0, encodeNames(names))
 	return decodeNames(blob), nil
-}
-
-// IsGroup reports whether the object at path is a group (collective).
-func (f *File) IsGroup(path string) bool {
-	var flag int64
-	if f.comm.Rank() == 0 {
-		if addr, err := f.lookupLocal(path); err == nil {
-			if _, err := f.readGroupHeader(addr); err == nil {
-				flag = 1
-			}
-		}
-	}
-	return mpi.DecodeI64s(f.comm.Bcast(0, mpi.EncodeI64s([]int64{flag})))[0] == 1
 }
 
 func encodeNames(names []string) []byte {

@@ -83,13 +83,7 @@ func TestGroupsAndNamespace(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if err := f.CreateGroup("/sim"); err != nil {
-			return err
-		}
-		if err := f.CreateGroup("/sim/step0"); err != nil {
-			return err
-		}
-		ds, err := f.CreateDataset("/sim/step0/temp", nctype.Float, []int64{4})
+		ds, err := f.CreateDataset("/temp", nctype.Float, []int64{4})
 		if err != nil {
 			return err
 		}
@@ -98,11 +92,11 @@ func TestGroupsAndNamespace(t *testing.T) {
 		}
 		ds.Close()
 		// Duplicate names rejected.
-		if _, err := f.CreateDataset("/sim/step0/temp", nctype.Float, []int64{4}); err == nil {
+		if _, err := f.CreateDataset("/temp", nctype.Float, []int64{4}); err == nil {
 			return errors.New("duplicate dataset accepted")
 		}
 		// Missing paths rejected.
-		if _, err := f.OpenDataset("/sim/step1/temp"); err == nil {
+		if _, err := f.OpenDataset("/sim/temp"); err == nil {
 			return errors.New("open of missing path succeeded")
 		}
 		f.Close()
@@ -110,7 +104,7 @@ func TestGroupsAndNamespace(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		ds, err = f.OpenDataset("/sim/step0/temp")
+		ds, err = f.OpenDataset("/temp")
 		if err != nil {
 			return err
 		}
@@ -119,7 +113,7 @@ func TestGroupsAndNamespace(t *testing.T) {
 			return err
 		}
 		if got[3] != 4 {
-			return fmt.Errorf("nested dataset = %v", got)
+			return fmt.Errorf("reopened dataset = %v", got)
 		}
 		ds.Close()
 		return f.Close()
@@ -403,18 +397,15 @@ func TestOpenFileRejectsGarbage(t *testing.T) {
 	})
 }
 
-func TestListAndIsGroup(t *testing.T) {
+func TestListGroup(t *testing.T) {
 	fsys := testFS()
 	runWorld(t, 2, func(c *mpi.Comm) error {
 		f, err := CreateFile(c, fsys, "ls.h5", nil)
 		if err != nil {
 			return err
 		}
-		if err := f.CreateGroup("/run"); err != nil {
-			return err
-		}
 		for _, n := range []string{"b", "a", "c"} {
-			ds, err := f.CreateDataset("/run/"+n, nctype.Float, []int64{1})
+			ds, err := f.CreateDataset("/"+n, nctype.Float, []int64{1})
 			if err != nil {
 				return err
 			}
@@ -424,18 +415,11 @@ func TestListAndIsGroup(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if len(root) != 1 || root[0] != "run" {
-			return fmt.Errorf("root = %v", root)
+		if fmt.Sprint(root) != "[a b c]" {
+			return fmt.Errorf("root = %v (must be sorted)", root)
 		}
-		kids, err := f.List("/run")
-		if err != nil {
-			return err
-		}
-		if fmt.Sprint(kids) != "[a b c]" {
-			return fmt.Errorf("kids = %v (must be sorted)", kids)
-		}
-		if !f.IsGroup("/run") || f.IsGroup("/run/a") {
-			return errors.New("IsGroup misclassifies")
+		if _, err := f.List("/a"); err == nil {
+			return errors.New("List of a dataset succeeded")
 		}
 		if _, err := f.List("/missing"); err == nil {
 			return errors.New("List of missing group succeeded")

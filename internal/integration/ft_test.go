@@ -1,8 +1,8 @@
 // Rank-failure scenarios across the full stack (DESIGN.md §8): a rank killed
 // mid-collective, in the paper's FLASH checkpoint, in record writes, and in a
 // matrix over every kill point, round position, direction and victim role.
-// The acceptance criteria: every rank returns (no *mpi.ErrDeadlock), every
-// survivor gets the same *mpi.ErrRevoked from the killed collective and from
+// The acceptance criteria: every rank returns (no *mpi.deadlockError), every
+// survivor gets the same *mpi.revokedError from the killed collective and from
 // every later call, Close returns, and the file is valid at its last
 // committed header, counting no record that was not written.
 package integration
@@ -40,7 +40,7 @@ func (o *killOutcome) record(rank int, errs ...error) {
 }
 
 // check asserts that victim never returned and that every other of the n
-// ranks returned, each of its calls with the *mpi.ErrRevoked naming victim.
+// ranks returned, each of its calls with the *mpi.revokedError naming victim.
 func (o *killOutcome) check(t *testing.T, n, victim int) {
 	t.Helper()
 	if _, ok := o.errs[victim]; ok {
@@ -53,7 +53,7 @@ func (o *killOutcome) check(t *testing.T, n, victim int) {
 		for i, err := range errs {
 			rv, ok := mpi.AsRevoked(err)
 			if !ok || fmt.Sprint(rv.Failed) != fmt.Sprint([]int{victim}) {
-				t.Fatalf("rank %d, call %d: %v, want *mpi.ErrRevoked naming rank %d", rank, i, err, victim)
+				t.Fatalf("rank %d, call %d: %v, want *mpi.revokedError naming rank %d", rank, i, err, victim)
 			}
 		}
 	}
@@ -64,11 +64,7 @@ func (o *killOutcome) check(t *testing.T, n, victim int) {
 func runKilled(t *testing.T, n int, fn func(c *mpi.Comm) error) {
 	t.Helper()
 	if err := mpi.Run(n, mpi.DefaultNet(), fn); err != nil {
-		var dl *mpi.ErrDeadlock
-		if errors.As(err, &dl) {
-			t.Fatalf("deadlock: %v", err)
-		}
-		t.Fatalf("world: %v", err)
+		t.Fatalf("world: %v", err) // a deadlock names itself: "mpi: deadlock: ..."
 	}
 }
 
@@ -117,9 +113,6 @@ func TestFlashCheckpointRankFailure(t *testing.T) {
 	killFS.SetFault(inj)
 	var out killOutcome
 	write(killFS, &out)
-	if inj.Injected() == 0 {
-		t.Fatal("kill never fired; scenario proves nothing")
-	}
 	out.check(t, nprocs, victim)
 
 	killed := readPFSFile(t, killFS, "chk.nc")
@@ -227,9 +220,6 @@ func recordVarRankFailure(t *testing.T, nvars int) {
 		out.record(rank, killedErr, laterErr, d.Close())
 		return nil
 	})
-	if inj.Injected() == 0 {
-		t.Fatal("kill never fired")
-	}
 	out.check(t, nprocs, victim)
 	hdr := checkValid(t, readPFSFile(t, fsys, "rec.nc"))
 	if hdr.NumRecs != 1 {
@@ -389,9 +379,6 @@ func killMatrixCell(t *testing.T, write bool, servers int, point string, occ int
 		out.record(rank, killedErr, laterErr, d.Close())
 		return nil
 	})
-	if inj.Injected() == 0 {
-		t.Fatal("kill never fired")
-	}
 	out.check(t, kmProcs, victim)
 
 	img := readPFSFile(t, fsys, "km.nc")
@@ -443,9 +430,6 @@ func TestWaitAllEmptyQueue(t *testing.T) {
 			if err := d.WaitAll(); err != nil {
 				return fmt.Errorf("empty WaitAll #%d: %w", i, err)
 			}
-			if got := d.PendingRequests(); got != 0 {
-				return fmt.Errorf("PendingRequests = %d after empty WaitAll", got)
-			}
 		}
 		// Only rank 1 queues; everyone still calls WaitAll.
 		if c.Rank() == 1 {
@@ -460,8 +444,14 @@ func TestWaitAllEmptyQueue(t *testing.T) {
 		if err := d.WaitAll(); err != nil {
 			return fmt.Errorf("mixed WaitAll: %w", err)
 		}
-		if got := d.PendingRequests(); got != 0 {
-			return fmt.Errorf("PendingRequests = %d after mixed WaitAll", got)
+		// Nothing stays queued: a read of v, which a queued write of it
+		// would refuse with nctype.ErrPending on every rank, goes through.
+		got := make([]int32, 64)
+		if err := d.GetVaraAll(v, []int64{64}, []int64{64}, got); err != nil {
+			return fmt.Errorf("read after mixed WaitAll: %w", err)
+		}
+		if got[63] != 63 {
+			return fmt.Errorf("read after mixed WaitAll: element 63 = %d", got[63])
 		}
 		return d.Close()
 	})

@@ -243,6 +243,107 @@ func TestRedefCycleWithDataUnderLoad(t *testing.T) {
 	}
 }
 
+// TestRedefRecordSizeRefreshesViews: a Redef that adds a record variable
+// changes the record size, so a put of the same shape to the first record
+// variable after it must not reuse the view flattened before it. The
+// parallel file must equal the one the serial library writes through the
+// same calls.
+func TestRedefRecordSizeRefreshesViews(t *testing.T) {
+	const nprocs, x = 2, 4
+	vals := func(pass, rank int) []int32 {
+		out := make([]int32, 2*x/nprocs)
+		for i := range out {
+			out[i] = int32(pass*100 + rank*10 + i)
+		}
+		return out
+	}
+	// The same calls in both libraries: a(t, x) gets records 0 and 1, b(t,
+	// x) joins the record section, then a's records are written again.
+	type lib interface {
+		DefDim(name string, size int64) (int, error)
+		DefVar(name string, typ nctype.Type, dimids []int) (int, error)
+		Redef() error
+		EndDef() error
+	}
+	define := func(d lib) (a, rec, xd int, err error) {
+		if rec, err = d.DefDim("t", 0); err != nil {
+			return
+		}
+		if xd, err = d.DefDim("x", x); err != nil {
+			return
+		}
+		if a, err = d.DefVar("a", nctype.Int, []int{rec, xd}); err != nil {
+			return
+		}
+		err = d.EndDef()
+		return
+	}
+	addB := func(d lib, rec, xd int) error {
+		if err := d.Redef(); err != nil {
+			return err
+		}
+		if _, err := d.DefVar("b", nctype.Int, []int{rec, xd}); err != nil {
+			return err
+		}
+		return d.EndDef()
+	}
+
+	fsys := newFS()
+	err := mpi.Run(nprocs, mpi.DefaultNet(), func(c *mpi.Comm) error {
+		d, err := core.Create(c, fsys, "recsize.nc", nctype.Clobber, nil)
+		if err != nil {
+			return err
+		}
+		a, rec, xd, err := define(d)
+		if err != nil {
+			return err
+		}
+		start, count := []int64{0, int64(c.Rank() * x / nprocs)}, []int64{2, x / nprocs}
+		if err := d.PutVaraAll(a, start, count, vals(1, c.Rank())); err != nil {
+			return err
+		}
+		if err := addB(d, rec, xd); err != nil {
+			return err
+		}
+		if err := d.PutVaraAll(a, start, count, vals(2, c.Rank())); err != nil {
+			return err
+		}
+		return d.Close()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	store := &netcdf.MemStore{}
+	sd, err := netcdf.Create(store, nctype.Clobber)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, rec, xd, err := define(sd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	put := func(pass int) {
+		for rank := 0; rank < nprocs; rank++ {
+			start, count := []int64{0, int64(rank * x / nprocs)}, []int64{2, x / nprocs}
+			if err := sd.PutVara(a, start, count, vals(pass, rank)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	put(1)
+	if err := addB(sd, rec, xd); err != nil {
+		t.Fatal(err)
+	}
+	put(2)
+	if err := sd.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if img := readPFSFile(t, fsys, "recsize.nc"); !bytes.Equal(img, store.Data) {
+		t.Fatalf("parallel file (%d B) differs from the serial library's (%d B)", len(img), len(store.Data))
+	}
+}
+
 // TestRandomizedCrossLibraryFuzz writes random subarrays in parallel and
 // mirrors every operation in an in-memory oracle; afterwards the file is
 // read with the serial library and compared element by element.
@@ -745,14 +846,11 @@ func TestRandomSchemaCrossLibrary(t *testing.T) {
 		}
 		// The serial library through the same calls writes the same bytes.
 		store := &netcdf.MemStore{}
-		var opts []netcdf.Option
-		if fill {
-			opts = append(opts, netcdf.WithFill())
-		}
-		sw, err := netcdf.Create(store, nctype.Clobber, opts...)
+		sw, err := netcdf.Create(store, nctype.Clobber)
 		if err != nil {
 			t.Fatal(err)
 		}
+		sw.SetFill(fill)
 		dimIDs, varIDs, err := define(&sw.Front)
 		if err == nil {
 			err = sw.EndDef()

@@ -41,7 +41,7 @@ func writeCheckpoint(t *testing.T, fscfg pfs.Config, nranks int, cfg flash.Confi
 		return nil
 	})
 	if err != nil {
-		t.Fatalf("%d ranks, hints %v: %v", nranks, info.Keys(), err)
+		t.Fatalf("%d ranks, hints %v: %v", nranks, info, err)
 	}
 	return readPFSFile(t, fsys, "chk.nc"), rmwBlocks, rmwBytes
 }

@@ -157,8 +157,8 @@ const (
 	NCPutTimeNs
 	NCGetTimeNs
 
-	// NumCounters is the table size; keep it last.
-	NumCounters
+	// numCounters is the table size; keep it last.
+	numCounters
 )
 
 // IORetries is PfsRetries: MPI-IO retries nothing of its own (pfs resumes
@@ -168,7 +168,7 @@ const IORetries = PfsRetries
 
 // counterNames maps counters to their snake_case wire names (used in JSON
 // and the stats table).
-var counterNames = [NumCounters]string{
+var counterNames = [numCounters]string{
 	PfsBytesRead:         "pfs_bytes_read",
 	PfsBytesWritten:      "pfs_bytes_written",
 	PfsReadCalls:         "pfs_read_calls",
@@ -224,7 +224,7 @@ var counterNames = [NumCounters]string{
 
 // String returns the counter's snake_case name.
 func (c Counter) String() string {
-	if c < 0 || c >= NumCounters {
+	if c < 0 || c >= numCounters {
 		return "unknown"
 	}
 	return counterNames[c]
@@ -245,8 +245,8 @@ func (c Counter) Layer() string {
 	}
 }
 
-// IsTime reports whether the counter holds virtual nanoseconds.
-func (c Counter) IsTime() bool {
+// isTime reports whether the counter holds virtual nanoseconds.
+func (c Counter) isTime() bool {
 	switch c {
 	case PfsSeekTimeNs, PfsTransferTimeNs, PfsBackoffTimeNs,
 		IOReadTimeNs, IOWriteTimeNs, IOOverlapTimeNs,
@@ -256,8 +256,8 @@ func (c Counter) IsTime() bool {
 	return false
 }
 
-// IsBytes reports whether the counter holds bytes.
-func (c Counter) IsBytes() bool {
+// isBytes reports whether the counter holds bytes.
+func (c Counter) isBytes() bool {
 	switch c {
 	case PfsBytesRead, PfsBytesWritten, PfsRMWBytes, MPIBytesSent,
 		IOBytesRead, IOBytesWritten, IORawBytesRead, IORawBytesWritten,
@@ -272,7 +272,7 @@ func (c Counter) IsBytes() bool {
 // *Stats is a valid disabled collector (every method is a no-op), which is
 // how the layers keep the stats-off path to a single pointer test.
 type Stats struct {
-	c [NumCounters]atomic.Int64
+	c [numCounters]atomic.Int64
 }
 
 // New returns an empty, enabled counter set.
@@ -315,12 +315,12 @@ func (s *Stats) Reset() {
 	}
 }
 
-// Snapshot is a point-in-time copy of a counter set.
-type Snapshot [NumCounters]int64
+// snapshot is a point-in-time copy of a counter set.
+type snapshot [numCounters]int64
 
-// Snapshot copies the current counter values.
-func (s *Stats) Snapshot() Snapshot {
-	var out Snapshot
+// snapshot copies the current counter values.
+func (s *Stats) snapshot() snapshot {
+	var out snapshot
 	if s == nil {
 		return out
 	}

@@ -30,7 +30,7 @@ func TestStatsAccumulate(t *testing.T) {
 	if got := s.Get(IOWriteTimeNs); got != 5e8 {
 		t.Fatalf("IOWriteTimeNs = %d", got)
 	}
-	snap := s.Snapshot()
+	snap := s.snapshot()
 	if snap[IOBytesWritten] != 123 {
 		t.Fatalf("snapshot = %d", snap[IOBytesWritten])
 	}
@@ -38,7 +38,7 @@ func TestStatsAccumulate(t *testing.T) {
 	if s.Get(IOBytesWritten) != 0 || s.Get(IOWriteTimeNs) != 0 {
 		t.Fatal("Reset did not zero")
 	}
-	// Snapshot taken before Reset is unaffected.
+	// A snapshot taken before Reset is unaffected.
 	if snap[IOBytesWritten] != 123 {
 		t.Fatal("snapshot aliased live counters")
 	}
@@ -64,7 +64,7 @@ func TestStatsConcurrentAdd(t *testing.T) {
 
 func TestCounterMetadata(t *testing.T) {
 	seen := map[string]bool{}
-	for k := Counter(0); k < NumCounters; k++ {
+	for k := Counter(0); k < numCounters; k++ {
 		name := k.String()
 		if name == "" || strings.ContainsAny(name, " \t") {
 			t.Fatalf("counter %d has bad name %q", k, name)
@@ -76,8 +76,8 @@ func TestCounterMetadata(t *testing.T) {
 		if k.Layer() == "" {
 			t.Fatalf("counter %s has no layer", name)
 		}
-		if k.IsTime() != strings.HasSuffix(name, "_ns") {
-			t.Fatalf("counter %s IsTime mismatch", name)
+		if k.isTime() != strings.HasSuffix(name, "_ns") {
+			t.Fatalf("counter %s isTime mismatch", name)
 		}
 	}
 }
@@ -91,7 +91,7 @@ func TestWriteTableSelfCheck(t *testing.T) {
 	s.Add(IORawBytesWritten, 20)
 	s.Add(IOSieveWriteAmpBytes, 6)
 	s.Add(PfsBytesWritten, 126)
-	sum := &Summary{Ranks: 1, Min: s.Snapshot(), Max: s.Snapshot(), Sum: s.Snapshot()}
+	sum := &Summary{Ranks: 1, Min: s.snapshot(), Max: s.snapshot(), Sum: s.snapshot()}
 	var buf bytes.Buffer
 	WriteTable(&buf, sum)
 	out := buf.String()

@@ -10,9 +10,9 @@ import (
 // per-process spread.
 type Summary struct {
 	Ranks int
-	Min   Snapshot
-	Max   Snapshot
-	Sum   Snapshot
+	Min   snapshot
+	Max   snapshot
+	Sum   snapshot
 }
 
 // Mean returns the per-rank mean of counter k.
@@ -30,7 +30,7 @@ func (s *Summary) Mean(k Counter) float64 {
 func Summarize(ranks []*Stats) *Summary {
 	sum := &Summary{Ranks: len(ranks)}
 	for r, st := range ranks {
-		s := st.Snapshot()
+		s := st.snapshot()
 		for i := range s {
 			if r == 0 || s[i] < sum.Min[i] {
 				sum.Min[i] = s[i]
@@ -50,8 +50,8 @@ func (s *Summary) KeyCounters() map[string]int64 {
 	if s == nil {
 		return nil
 	}
-	out := make(map[string]int64, int(NumCounters))
-	for k := Counter(0); k < NumCounters; k++ {
+	out := make(map[string]int64, int(numCounters))
+	for k := Counter(0); k < numCounters; k++ {
 		out[k.String()] = s.Sum[k]
 	}
 	return out
@@ -60,9 +60,9 @@ func (s *Summary) KeyCounters() map[string]int64 {
 // fmtVal renders a counter value with its natural unit.
 func fmtVal(k Counter, v int64) string {
 	switch {
-	case k.IsTime():
+	case k.isTime():
 		return fmtSeconds(float64(v) / 1e9)
-	case k.IsBytes():
+	case k.isBytes():
 		return fmtBytes(v)
 	default:
 		return fmt.Sprintf("%d", v)
@@ -105,7 +105,7 @@ func WriteTable(w io.Writer, s *Summary) {
 	}
 	fmt.Fprintf(w, "  iostat (%d ranks)\n", s.Ranks)
 	fmt.Fprintf(w, "    %-8s %-26s %14s %12s %12s\n", "layer", "counter", "total", "rank-min", "rank-max")
-	for k := Counter(0); k < NumCounters; k++ {
+	for k := Counter(0); k < numCounters; k++ {
 		if s.Sum[k] == 0 && s.Min[k] == 0 && s.Max[k] == 0 {
 			continue
 		}

@@ -57,13 +57,13 @@ func TestAllocsReductionsWarm(t *testing.T) {
 }
 
 // TestAsRevokedNilAllocatesNothing: asking AsRevoked about a nil error,
-// which Close does on every dataset, is free; a wrapped *ErrRevoked is still
+// which Close does on every dataset, is free; a wrapped *revokedError is still
 // found.
 func TestAsRevokedNilAllocatesNothing(t *testing.T) {
 	if got := testing.AllocsPerRun(100, func() { AsRevoked(nil) }); got != 0 {
 		t.Errorf("AsRevoked(nil) allocates %v objects, want 0", got)
 	}
-	want := &ErrRevoked{Failed: []int{3}}
+	want := &revokedError{Failed: []int{3}}
 	if rv, ok := AsRevoked(fmt.Errorf("write round 4: %w", want)); !ok || rv != want {
 		t.Errorf("AsRevoked(wrapped) = %v, %v; want %v, true", rv, ok, want)
 	}

@@ -145,7 +145,7 @@ func slowest(clocks []float64) float64 {
 
 // TestBcastLongKilledMember: a member that dies after its scatter piece
 // arrived and before the ring has moved leaves every survivor with an
-// *ErrRevoked naming it — the ring makes every member wait on every other —
+// *revokedError naming it — the ring makes every member wait on every other —
 // and the world ends without a deadlock. Every member, the interior ones
 // with a subtree still to feed included, is the victim once.
 func TestBcastLongKilledMember(t *testing.T) {
@@ -159,7 +159,7 @@ func TestBcastLongKilledMember(t *testing.T) {
 			if c.Rank() == victim {
 				ctx := c.nextOpCtx(opBcast)
 				tr := c.commTree(root)
-				c.recv(tr.rank(tr.me-tr.span()), AnyTag, ctx)
+				c.recv(tr.rank(tr.me-tr.span()), anyTag, ctx)
 				c.Die()
 			}
 			var data []byte
@@ -181,7 +181,7 @@ func TestBcastLongKilledMember(t *testing.T) {
 			}
 			rv, ok := AsRevoked(e)
 			if !ok || len(rv.Failed) != 1 || rv.Failed[0] != victim {
-				t.Fatalf("victim %d: rank %d returned %v, want *ErrRevoked naming the victim", victim, r, e)
+				t.Fatalf("victim %d: rank %d returned %v, want *revokedError naming the victim", victim, r, e)
 			}
 		}
 	}

@@ -81,7 +81,7 @@ func (c *Comm) treeRecv(t *tree, i, tag int, ctx int64) []byte {
 // reproducible), putting each child's buffer back once folded; every
 // member but the root then sends its partial to its parent in a pooled
 // buffer of its own. On the root acc ends up holding the reduction.
-func (c *Comm) reduceUp(t *tree, ctx int64, acc vec, op Op) {
+func (c *Comm) reduceUp(t *tree, ctx int64, acc vec, op reduceOp) {
 	s := t.span()
 	for m := 1; m < s; m <<= 1 {
 		if child := t.me + m; child < t.p {
@@ -168,7 +168,7 @@ func (c *Comm) bcastOwned(root int, wire []byte) []byte {
 	s := t.span()
 	tag := tagFanOut
 	if t.me != 0 {
-		m := c.recv(t.rank(t.me-s), AnyTag, ctx)
+		m := c.recv(t.rank(t.me-s), anyTag, ctx)
 		wire, tag = m.data, m.tag
 	} else if len(wire) >= bcastLong && t.p >= bcastLongMin {
 		tag = tagScatter
@@ -229,7 +229,7 @@ func (c *Comm) Allgather(data []byte) [][]byte {
 // and every member owns what it receives.
 func (c *Comm) Alltoall(parts [][]byte) [][]byte {
 	if len(parts) != c.Size() {
-		c.Abort(fmt.Errorf("mpi: Alltoall with %d parts on %d ranks", len(parts), c.Size()))
+		c.abort(fmt.Errorf("mpi: Alltoall with %d parts on %d ranks", len(parts), c.Size()))
 	}
 	ctx := c.nextOpCtx(opAlltoall)
 	out := make([][]byte, c.Size())
@@ -246,19 +246,17 @@ func (c *Comm) Alltoall(parts [][]byte) [][]byte {
 	return out
 }
 
-// Op is a reduction operator.
-type Op int
+// reduceOp is a reduction operator.
+type reduceOp int
 
 // Reduction operators, as in MPI.
 const (
-	OpSum Op = iota
+	OpSum reduceOp = iota
 	OpMin
 	OpMax
-	OpLAnd // logical and of nonzero values
-	OpBOr  // bitwise or (integers only)
 )
 
-func reduceI64(op Op, a, b int64) int64 {
+func reduceI64(op reduceOp, a, b int64) int64 {
 	switch op {
 	case OpSum:
 		return a + b
@@ -272,18 +270,11 @@ func reduceI64(op Op, a, b int64) int64 {
 			return b
 		}
 		return a
-	case OpLAnd:
-		if a != 0 && b != 0 {
-			return 1
-		}
-		return 0
-	case OpBOr:
-		return a | b
 	}
 	return a
 }
 
-func reduceF64(op Op, a, b float64) float64 {
+func reduceF64(op reduceOp, a, b float64) float64 {
 	switch op {
 	case OpSum:
 		return a + b
@@ -331,7 +322,7 @@ func (v vec) fits(c *Comm, ctx int64, wire []byte) {
 		return
 	}
 	op, seq := ctxOp(ctx)
-	c.Abort(fmt.Errorf("mpi: %s (collective %d): rank %d holds %d elements but a peer sent %d; every member must pass the same length",
+	c.abort(fmt.Errorf("mpi: %s (collective %d): rank %d holds %d elements but a peer sent %d; every member must pass the same length",
 		op, seq, c.rank, v.len(), len(wire)/8))
 }
 
@@ -348,7 +339,7 @@ func (v vec) decode(c *Comm, ctx int64, wire []byte) {
 
 // fold combines a child's wire vector, received under ctx, into v
 // elementwise: v = v op child.
-func (v vec) fold(c *Comm, ctx int64, op Op, wire []byte) {
+func (v vec) fold(c *Comm, ctx int64, op reduceOp, wire []byte) {
 	v.fits(c, ctx, wire)
 	for k := range v.i {
 		v.i[k] = reduceI64(op, v.i[k], int64(binary.BigEndian.Uint64(wire[8*k:])))
@@ -361,7 +352,7 @@ func (v vec) fold(c *Comm, ctx int64, op Op, wire []byte) {
 // allreduce reduces acc in place over the whole communicator: a fan-in to
 // rank 0 under the context of a reduce collective, then a fan-out under a
 // Bcast's — two collectives, as a Reduce followed by a Bcast.
-func (c *Comm) allreduce(acc vec, op Op, reduce opKind) {
+func (c *Comm) allreduce(acc vec, op reduceOp, reduce opKind) {
 	t := c.commTree(0)
 	c.reduceUp(&t, c.nextOpCtx(reduce), acc, op)
 	c.reduceDown(&t, c.nextOpCtx(opBcast), acc)
@@ -370,14 +361,14 @@ func (c *Comm) allreduce(acc vec, op Op, reduce opKind) {
 // AllreduceI64 reduces elementwise and distributes the result to all, like
 // MPI_Allreduce with MPI_IN_PLACE: the result overwrites vals, which is
 // returned.
-func (c *Comm) AllreduceI64(vals []int64, op Op) []int64 {
+func (c *Comm) AllreduceI64(vals []int64, op reduceOp) []int64 {
 	c.allreduce(vec{i: vals}, op, opReduceI64)
 	return vals
 }
 
 // AllreduceF64 reduces elementwise and distributes the result to all, in
 // place like AllreduceI64.
-func (c *Comm) AllreduceF64(vals []float64, op Op) []float64 {
+func (c *Comm) AllreduceF64(vals []float64, op reduceOp) []float64 {
 	c.allreduce(vec{f: vals}, op, opReduceF64)
 	return vals
 }

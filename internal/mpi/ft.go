@@ -12,18 +12,18 @@ package mpi
 //     the detector, because at that instant no message can ever be sent
 //     again and the world's state is the same on every run of the same
 //     program. If some rank is dead, the world communicator is REVOKED, at
-//     the latest clock among the parked ranks plus FTDetectLatency of
+//     the latest clock among the parked ranks plus ftDetectLatency of
 //     virtual time — the delay a real runtime's heartbeat pays, charged
 //     where the simulator charges everything else. If no rank is dead,
 //     nothing can ever wake the parked ranks: the world aborts with
-//     *ErrDeadlock, which names each of them and what it waits on. Global
+//     *deadlockError, which names each of them and what it waits on. Global
 //     quiescence, not "my source is dead", is the rule because of AnySource
 //     receives (sparseExchange, the gather collectives); and Die itself
 //     revokes nothing, because that would interrupt the survivors wherever
 //     the scheduler happened to have them.
 //
 //   - revocation: once the world is revoked, every pending and future
-//     operation panics *ErrRevoked carrying the same failed-rank set on
+//     operation panics *revokedError carrying the same failed-rank set on
 //     every survivor. The set is agreed through shared memory (one atomic
 //     pointer), not a collective, so agreement itself can never block on
 //     the dead. The I/O layers catch the panic at their collective entry
@@ -47,48 +47,48 @@ import (
 	"pnetcdf/internal/span"
 )
 
-// FTDetectLatency is the virtual time, in seconds, between the moment the
+// ftDetectLatency is the virtual time, in seconds, between the moment the
 // last survivor blocks after a rank died and the moment the world is
 // revoked: the heartbeat timeout of a real runtime, which a survivor pays
 // once per failure, so a killed run's clocks show the detection. It is a constant of the model — not a hint, flag,
 // environment variable or NetConfig field — because nothing in the
 // reproduction depends on tuning it.
-const FTDetectLatency = 0.3
+const ftDetectLatency = 0.3
 
-// ErrRevoked is the error carried by the panic every operation on a revoked
+// revokedError is the error carried by the panic every operation on a revoked
 // world raises: a rank died, and no collective can complete any more.
 // Failed holds the ranks found dead when the world was revoked (sorted).
 // Catch it at a collective entry point with CatchRevoked.
-type ErrRevoked struct {
+type revokedError struct {
 	Failed []int
 }
 
-func (e *ErrRevoked) Error() string {
+func (e *revokedError) Error() string {
 	return fmt.Sprintf("mpi: communicator revoked (failed ranks %v)", e.Failed)
 }
 
-// AsRevoked unwraps err to its *ErrRevoked, if it is one.
-func AsRevoked(err error) (*ErrRevoked, bool) {
+// AsRevoked unwraps err to its *revokedError, if it is one.
+func AsRevoked(err error) (*revokedError, bool) {
 	// The common case — a collective that succeeded — stays off the heap:
 	// errors.As needs rv's address, which moves rv there.
 	if err == nil {
 		return nil, false
 	}
-	var rv *ErrRevoked
+	var rv *revokedError
 	if errors.As(err, &rv) {
 		return rv, true
 	}
 	return nil, false
 }
 
-// CatchRevoked runs fn, converting an *ErrRevoked panic into an error
-// return. Every other panic (including ErrAborted) propagates. It is the
+// CatchRevoked runs fn, converting a *revokedError panic into an error
+// return. Every other panic (including errAborted) propagates. It is the
 // boundary at which mpiio and core turn a revocation raised deep inside a
 // collective into the error their call returns.
 func CatchRevoked(fn func() error) (err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
-			if rv, ok := rec.(*ErrRevoked); ok {
+			if rv, ok := rec.(*revokedError); ok {
 				err = rv
 				return
 			}
@@ -103,7 +103,7 @@ func CatchRevoked(fn func() error) (err error) {
 // error — leaving its peers to detect the silence.
 type rankKilled struct{}
 
-// ftState is the world's failure-detector state, part of World by value.
+// ftState is the world's failure-detector state, part of world by value.
 type ftState struct {
 	// running counts the ranks that are neither parked in recv nor
 	// gone (returned, died, unwound), plus one for a detector at work.
@@ -113,7 +113,7 @@ type ftState struct {
 	// under its own mailbox lock, after a scan of its queue found no match;
 	// whoever then makes that mailbox worth another scan — a sender, an
 	// abort, a revocation — puts the owner back on the count under the same
-	// lock, before the owner has woken (World.wake). So zero is exact:
+	// lock, before the owner has woken (world.wake). So zero is exact:
 	// every live rank is asleep on a queue that holds nothing for it, and
 	// no rank is left to send.
 	running atomic.Int32
@@ -130,28 +130,28 @@ type revocation struct {
 	at     float64
 }
 
-// ParkedRecv describes one rank blocked in a receive: who it is and what
-// it waits for. The detector reads these at quiescence; *ErrDeadlock
+// parkedRecv describes one rank blocked in a receive: who it is and what
+// it waits for. The detector reads these at quiescence; *deadlockError
 // carries them to the caller.
-type ParkedRecv struct {
+type parkedRecv struct {
 	Rank   int    // the blocked rank
 	Source int    // rank it waits for, or AnySource
-	Tag    int    // tag it waits for, or AnyTag
+	Tag    int    // tag it waits for, or anyTag
 	Op     string // collective it is inside; "" for a user Recv
 	Seq    int64  // that collective's sequence number
 
 	clock float64
 }
 
-// ErrDeadlock is the error Run returns when every live rank is blocked in a
+// deadlockError is the error Run returns when every live rank is blocked in a
 // receive and no rank has died: no message can ever arrive, and there is no
 // failure to report — a receive from a rank that returned without sending,
 // or mismatched collectives. Parked lists the blocked ranks in rank order.
-type ErrDeadlock struct {
-	Parked []ParkedRecv
+type deadlockError struct {
+	Parked []parkedRecv
 }
 
-func (e *ErrDeadlock) Error() string {
+func (e *deadlockError) Error() string {
 	var b strings.Builder
 	b.WriteString("mpi: deadlock: every live rank is blocked in a receive that no message can satisfy:")
 	for i, p := range e.Parked {
@@ -168,7 +168,7 @@ func (e *ErrDeadlock) Error() string {
 		if p.Op != "" {
 			fmt.Fprintf(&b, "collective %d %s, ", p.Seq, p.Op)
 		}
-		if p.Tag == AnyTag {
+		if p.Tag == anyTag {
 			b.WriteString("any tag)")
 		} else {
 			fmt.Fprintf(&b, "tag %d)", p.Tag)
@@ -181,7 +181,7 @@ func (e *ErrDeadlock) Error() string {
 // parked owner is put back on the running count first, on its behalf,
 // and only then marked awake: the count is already right by the time the
 // owner, or anyone else, can look (see ftState.running).
-func (w *World) wake(b *mailbox) {
+func (w *world) wake(b *mailbox) {
 	if b.parked {
 		w.ft.running.Add(1)
 		b.parked = false
@@ -192,7 +192,7 @@ func (w *World) wake(b *mailbox) {
 // rankExited takes a rank that returned, died or unwound off the running
 // count; like a parking rank, the one that brings it to zero runs the
 // detector.
-func (w *World) rankExited() {
+func (w *world) rankExited() {
 	if w.ft.running.Add(-1) == 0 {
 		w.quiescent()
 	}
@@ -205,7 +205,7 @@ func (w *World) rankExited() {
 // for a peer the walk has not reached) must not be taken for a second
 // quiescence. If the count is zero again once the credit is returned,
 // everything woken has already gone back to sleep, and that is one.
-func (w *World) quiescent() {
+func (w *world) quiescent() {
 	for {
 		w.ft.running.Add(1)
 		woke := w.detect()
@@ -221,8 +221,8 @@ func (w *World) quiescent() {
 //
 // It snapshots every parked receive BEFORE its first wake: a woken
 // survivor runs at once, and its mailbox's wait record with it.
-func (w *World) detect() bool {
-	var parked []ParkedRecv
+func (w *world) detect() bool {
+	var parked []parkedRecv
 	for _, b := range w.boxes {
 		b.mu.Lock()
 		if b.parked {
@@ -240,14 +240,14 @@ func (w *World) detect() bool {
 		}
 	}
 	if len(failed) == 0 {
-		w.abort(&ErrDeadlock{Parked: parked})
+		w.abort(&deadlockError{Parked: parked})
 		return true
 	}
 	var at float64 // latest clock among the parked ranks
 	for _, p := range parked {
 		at = max(at, p.clock)
 	}
-	w.revoke(failed, at+FTDetectLatency)
+	w.revoke(failed, at+ftDetectLatency)
 	return true
 }
 
@@ -265,7 +265,7 @@ func (c *Comm) Die() {
 // failed set, detected at virtual time at, and every parked rank is woken to
 // observe it. Only the detector calls it, and at most once: after it nobody
 // can park again.
-func (w *World) revoke(failed []int, at float64) {
+func (w *world) revoke(failed []int, at float64) {
 	w.ft.revoked.Store(&revocation{failed: failed, at: at})
 	for _, b := range w.boxes {
 		b.mu.Lock()
@@ -291,5 +291,5 @@ func (c *Comm) ftCheckRevoked() {
 		c.proc.stats.Add(iostat.FTFailuresDetected, 1)
 		c.proc.spans.Record(span.FTDetect, -1, blocked, c.proc.clock, 0, -1)
 	}
-	panic(&ErrRevoked{Failed: rv.failed})
+	panic(&revokedError{Failed: rv.failed})
 }

@@ -15,7 +15,7 @@ import (
 )
 
 // TestFTDieRevokesBlockedPeers is the core no-hang property: a rank dying
-// mid-collective leaves every survivor with the same *ErrRevoked instead
+// mid-collective leaves every survivor with the same *revokedError instead
 // of a hang, and so does every later collective.
 func TestFTDieRevokesBlockedPeers(t *testing.T) {
 	for _, n := range []int{2, 3, 4, 8} {
@@ -32,7 +32,7 @@ func TestFTDieRevokesBlockedPeers(t *testing.T) {
 				})
 				rv, ok := AsRevoked(cerr)
 				if !ok {
-					return fmt.Errorf("rank %d: got %v, want ErrRevoked", c.Rank(), cerr)
+					return fmt.Errorf("rank %d: got %v, want revokedError", c.Rank(), cerr)
 				}
 				mu.Lock()
 				failedSets[c.Rank()] = rv.Failed
@@ -68,13 +68,13 @@ func TestFTDieDuringPointToPoint(t *testing.T) {
 		case 2:
 			c.Die()
 		case 1:
-			// Recv blocked on the dead rank: must unwind as ErrRevoked.
+			// Recv blocked on the dead rank: must unwind as revokedError.
 			cerr := CatchRevoked(func() error {
 				c.Recv(2, 7)
 				return nil
 			})
 			if _, ok := AsRevoked(cerr); !ok {
-				return fmt.Errorf("rank 1: got %v, want ErrRevoked", cerr)
+				return fmt.Errorf("rank 1: got %v, want revokedError", cerr)
 			}
 		case 0:
 			// Send to the dead rank completes (dropped); the next receive
@@ -85,7 +85,7 @@ func TestFTDieDuringPointToPoint(t *testing.T) {
 				return nil
 			})
 			if _, ok := AsRevoked(cerr); !ok {
-				return fmt.Errorf("rank 0: got %v, want ErrRevoked", cerr)
+				return fmt.Errorf("rank 0: got %v, want revokedError", cerr)
 			}
 		}
 		return nil
@@ -96,7 +96,7 @@ func TestFTDieDuringPointToPoint(t *testing.T) {
 }
 
 // TestFTOperationsAfterRevokePanic: once revoked, any regular operation on
-// the communicator panics ErrRevoked — repeatedly, not just the first.
+// the communicator panics revokedError — repeatedly, not just the first.
 func TestFTOperationsAfterRevokePanic(t *testing.T) {
 	err := Run(2, DefaultNet(), func(c *Comm) error {
 		if c.Rank() == 1 {
@@ -108,7 +108,7 @@ func TestFTOperationsAfterRevokePanic(t *testing.T) {
 				return nil
 			})
 			if _, ok := AsRevoked(cerr); !ok {
-				return fmt.Errorf("attempt %d: got %v, want ErrRevoked", i, cerr)
+				return fmt.Errorf("attempt %d: got %v, want revokedError", i, cerr)
 			}
 		}
 		return nil
@@ -155,7 +155,7 @@ func TestFTCleanWorldNeverRevokes(t *testing.T) {
 
 // TestDeadlockIsTypedError: a receive from a rank that returned without
 // sending used to hang until go test's timeout; now Run returns
-// *ErrDeadlock naming every blocked rank and what it waits on.
+// *deadlockError naming every blocked rank and what it waits on.
 func TestDeadlockIsTypedError(t *testing.T) {
 	err := Run(3, DefaultNet(), func(c *Comm) error {
 		if c.Rank() == 0 {
@@ -164,9 +164,9 @@ func TestDeadlockIsTypedError(t *testing.T) {
 		c.Recv(0, 7)
 		return errors.New("a receive nobody sends to returned")
 	})
-	var dl *ErrDeadlock
+	var dl *deadlockError
 	if !errors.As(err, &dl) {
-		t.Fatalf("Run = %v, want *ErrDeadlock", err)
+		t.Fatalf("Run = %v, want *deadlockError", err)
 	}
 	if len(dl.Parked) != 2 {
 		t.Fatalf("%d parked ranks reported, want 2: %v", len(dl.Parked), err)
@@ -195,7 +195,7 @@ func TestDeadlockIsTypedError(t *testing.T) {
 		return nil
 	})
 	if !errors.As(err, &dl) {
-		t.Fatalf("Run = %v, want *ErrDeadlock", err)
+		t.Fatalf("Run = %v, want *deadlockError", err)
 	}
 	if len(dl.Parked) != 2 || dl.Parked[0].Op != "Barrier" || dl.Parked[0].Seq != 2 || dl.Parked[1].Op != "" ||
 		!strings.Contains(err.Error(), "rank 0 waits on rank 1 (collective 2 Barrier, tag 1)") ||
@@ -205,7 +205,7 @@ func TestDeadlockIsTypedError(t *testing.T) {
 }
 
 // TestFTDetectionIsDeterministic: the revocation lands at the latest clock
-// among the blocked survivors plus FTDetectLatency, on every survivor and
+// among the blocked survivors plus ftDetectLatency, on every survivor and
 // on every run.
 func TestFTDetectionIsDeterministic(t *testing.T) {
 	const n, victim = 4, 2
@@ -225,7 +225,7 @@ func TestFTDetectionIsDeterministic(t *testing.T) {
 			mu.Unlock()
 			cerr := CatchRevoked(func() error { c.Recv(victim, 1); return nil })
 			if _, ok := AsRevoked(cerr); !ok {
-				return fmt.Errorf("got %v, want ErrRevoked", cerr)
+				return fmt.Errorf("got %v, want revokedError", cerr)
 			}
 			clocks[c.Rank()] = c.Clock()
 			return nil
@@ -234,8 +234,8 @@ func TestFTDetectionIsDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		for r, got := range clocks {
-			if r != victim && got != latest+FTDetectLatency {
-				t.Fatalf("rep %d: rank %d left the receive at %v, want %v + %v", rep, r, got, latest, FTDetectLatency)
+			if r != victim && got != latest+ftDetectLatency {
+				t.Fatalf("rep %d: rank %d left the receive at %v, want %v + %v", rep, r, got, latest, ftDetectLatency)
 			}
 		}
 		if first == nil {
@@ -279,8 +279,8 @@ func TestFTRevocationIsFinal(t *testing.T) {
 
 // TestFTEverySurvivorSeesTheRevocation: the first survivor to leave returns
 // its revocation as an error, which aborts the world. Every other survivor
-// must still leave with *ErrRevoked and count its detection, not unwind
-// with ErrAborted: a revoked world is checked before an aborted one.
+// must still leave with *revokedError and count its detection, not unwind
+// with errAborted: a revoked world is checked before an aborted one.
 func TestFTEverySurvivorSeesTheRevocation(t *testing.T) {
 	const n, victim = 8, 4
 	for rep := 0; rep < 20; rep++ {
@@ -307,7 +307,7 @@ func TestFTEverySurvivorSeesTheRevocation(t *testing.T) {
 				continue
 			}
 			if _, ok := AsRevoked(got[r]); !ok {
-				t.Fatalf("rep %d: rank %d left with %v, want *ErrRevoked", rep, r, got[r])
+				t.Fatalf("rep %d: rank %d left with %v, want *revokedError", rep, r, got[r])
 			}
 			if d := stats[r].Get(iostat.FTFailuresDetected); d != 1 {
 				t.Fatalf("rep %d: rank %d counted %d detections, want 1", rep, r, d)
@@ -355,7 +355,7 @@ func TestFTDetectorStress(t *testing.T) {
 			})
 			rv, ok := AsRevoked(cerr)
 			if !ok {
-				return fmt.Errorf("rank %d: got %v, want ErrRevoked", me, cerr)
+				return fmt.Errorf("rank %d: got %v, want revokedError", me, cerr)
 			}
 			mu.Lock()
 			failed[me] = fmt.Sprint(rv.Failed)

@@ -1,9 +1,6 @@
 package mpi
 
-import (
-	"sort"
-	"strconv"
-)
+import "strconv"
 
 // Info is a set of (key, value) string hints, mirroring MPI_Info. A nil
 // *Info behaves like MPI_INFO_NULL: all lookups miss.
@@ -60,19 +57,6 @@ func (i *Info) GetBool(key string, def bool) bool {
 		return false
 	}
 	return def
-}
-
-// Keys returns the hint keys in sorted order.
-func (i *Info) Keys() []string {
-	if i == nil {
-		return nil
-	}
-	keys := make([]string, 0, len(i.kv))
-	for k := range i.kv {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // Clone copies the hint set; a nil receiver yields an empty set.

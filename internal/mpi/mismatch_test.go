@@ -19,9 +19,9 @@ func TestMismatchedCollectivesNameBoth(t *testing.T) {
 		}
 		return nil
 	})
-	var dl *ErrDeadlock
+	var dl *deadlockError
 	if !errors.As(err, &dl) {
-		t.Fatalf("Run = %v, want *ErrDeadlock", err)
+		t.Fatalf("Run = %v, want *deadlockError", err)
 	}
 	if len(dl.Parked) != 2 || dl.Parked[0].Op != "Barrier" || dl.Parked[1].Op != "Bcast" ||
 		dl.Parked[0].Seq != 1 || dl.Parked[1].Seq != 1 {

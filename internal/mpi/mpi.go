@@ -60,8 +60,8 @@ import (
 // AnySource matches a message from any rank, like MPI_ANY_SOURCE.
 const AnySource = -1
 
-// AnyTag matches any user tag, like MPI_ANY_TAG.
-const AnyTag = -1
+// anyTag matches any user tag, like MPI_ANY_TAG.
+const anyTag = -1
 
 // NetConfig describes the simulated interconnect.
 type NetConfig struct {
@@ -96,9 +96,9 @@ type mailbox struct {
 
 	// parked is true while the owner sleeps in recvCore after a scan of
 	// queue found no match; wait then describes the receive. Whoever makes
-	// the queue worth another scan clears it through World.wake.
+	// the queue worth another scan clears it through world.wake.
 	parked bool
-	wait   ParkedRecv
+	wait   parkedRecv
 
 	// dead is set by Comm.Die: the owner crashed and will never send again.
 	dead atomic.Bool
@@ -110,9 +110,9 @@ func newMailbox() *mailbox {
 	return m
 }
 
-// World is one simulated MPI job: a fixed set of ranks, their mailboxes and
+// world is one simulated MPI job: a fixed set of ranks, their mailboxes and
 // the interconnect.
-type World struct {
+type world struct {
 	size  int
 	net   NetConfig
 	boxes []*mailbox
@@ -124,9 +124,9 @@ type World struct {
 	ft ftState
 }
 
-// ErrAborted is returned by operations on a world where some rank called
+// errAborted is returned by operations on a world where some rank called
 // Abort or returned an error.
-var ErrAborted = errors.New("mpi: world aborted")
+var errAborted = errors.New("mpi: world aborted")
 
 // Proc is the per-rank execution context: its virtual clock and its
 // telemetry.
@@ -176,7 +176,7 @@ func (p *Proc) Advance(dt float64) {
 // its files over the world — so a communicator rank is the world rank. Each
 // rank holds its own *Comm value.
 type Comm struct {
-	world *World
+	world *world
 	proc  *Proc
 	rank  int
 	seq   int64 // per-rank collective sequence; in lockstep across members
@@ -191,12 +191,12 @@ type Comm struct {
 // aborts the world and is returned. A world never hangs on its own
 // messaging: when every live rank is blocked in a receive, the failure
 // detector (ft.go) either revokes the world, if a rank died, or aborts it
-// with *ErrDeadlock.
+// with *deadlockError.
 func Run(n int, net NetConfig, fn func(*Comm) error) error {
 	if n < 1 {
 		return fmt.Errorf("mpi: invalid world size %d", n)
 	}
-	w := &World{size: n, net: net, boxes: make([]*mailbox, n)}
+	w := &world{size: n, net: net, boxes: make([]*mailbox, n)}
 	w.ft.running.Store(int32(n))
 	for i := range w.boxes {
 		w.boxes[i] = newMailbox()
@@ -210,7 +210,7 @@ func Run(n int, net NetConfig, fn func(*Comm) error) error {
 			defer w.rankExited() // after the recover below: an abort comes first
 			defer func() {
 				if rec := recover(); rec != nil {
-					if err, ok := rec.(error); ok && errors.Is(err, ErrAborted) {
+					if err, ok := rec.(error); ok && errors.Is(err, errAborted) {
 						return // unwound by another rank's abort
 					}
 					if _, ok := rec.(rankKilled); ok {
@@ -242,7 +242,7 @@ func Run(n int, net NetConfig, fn func(*Comm) error) error {
 	return w.abortErr
 }
 
-func (w *World) abort(err error) {
+func (w *world) abort(err error) {
 	w.mu.Lock()
 	if w.abortErr == nil {
 		w.abortErr = err
@@ -256,11 +256,11 @@ func (w *World) abort(err error) {
 	}
 }
 
-// Abort terminates the whole world with the given error, like MPI_Abort.
+// abort terminates the whole world with the given error, like MPI_Abort.
 // It panics on the calling rank to unwind; Run reports err.
-func (c *Comm) Abort(err error) {
+func (c *Comm) abort(err error) {
 	c.world.abort(err)
-	panic(ErrAborted)
+	panic(errAborted)
 }
 
 // Rank returns the calling process's rank within the communicator.
@@ -276,7 +276,7 @@ func (c *Comm) Proc() *Proc { return c.proc }
 func (c *Comm) Clock() float64 { return c.proc.clock }
 
 // transferTime is the virtual duration for nbytes over the interconnect.
-func (w *World) transferTime(nbytes int) float64 {
+func (w *world) transferTime(nbytes int) float64 {
 	if w.net.Bandwidth <= 0 {
 		return w.net.Latency
 	}
@@ -289,7 +289,7 @@ func (w *World) transferTime(nbytes int) float64 {
 // data itself: the caller gives the slice up (package comment, "Buffer
 // ownership").
 //
-// A send on a revoked world panics *ErrRevoked. A send to a dead rank
+// A send on a revoked world panics *revokedError. A send to a dead rank
 // is dropped: nobody will ever read it, and a crash between the peer's send
 // and our delivery is exactly the reordering a real network exhibits.
 func (c *Comm) send(dst, tag int, ctx int64, data []byte) {
@@ -301,7 +301,7 @@ func (c *Comm) send(dst, tag int, ctx int64, data []byte) {
 // it already shares, and moves it piece by piece in virtual time.
 func (c *Comm) sendSized(dst, tag int, ctx int64, data []byte, n int) {
 	if dst < 0 || dst >= c.world.size {
-		c.Abort(fmt.Errorf("mpi: send to invalid rank %d (size %d)", dst, c.world.size))
+		c.abort(fmt.Errorf("mpi: send to invalid rank %d (size %d)", dst, c.world.size))
 	}
 	c.ftCheckRevoked()
 	box := c.world.boxes[dst]
@@ -321,15 +321,15 @@ func (c *Comm) sendSized(dst, tag int, ctx int64, data []byte, n int) {
 
 // recv blocks until a message matching (src, tag, ctx) is available and
 // returns it, advancing the virtual clock to the arrival time. Wildcards
-// (AnySource/AnyTag) apply to src and tag; ctx always matches exactly.
+// (AnySource/anyTag) apply to src and tag; ctx always matches exactly.
 //
 // It is also where a rank observes a failure: a revoked world unwinds the
-// receive with *ErrRevoked, checked before an abort so that every survivor
+// receive with *revokedError, checked before an abort so that every survivor
 // sees the revocation even after the first one to return it has aborted the
 // world. A receive that finds no match parks: it
 // leaves its description in the mailbox for the detector, gives up its
 // place in the world's running count, and sleeps until a sender, an abort
-// or a revocation wakes it (World.wake). The rank whose parking brings the
+// or a revocation wakes it (world.wake). The rank whose parking brings the
 // count to zero runs the detector itself (ft.go).
 func (c *Comm) recv(src, tag int, ctx int64) message {
 	w := c.world
@@ -339,7 +339,7 @@ func (c *Comm) recv(src, tag int, ctx int64) message {
 	for {
 		c.ftCheckRevoked()
 		if box.aborted {
-			panic(ErrAborted)
+			panic(errAborted)
 		}
 		for i, m := range box.queue {
 			if m.ctx != ctx {
@@ -348,7 +348,7 @@ func (c *Comm) recv(src, tag int, ctx int64) message {
 			if src != AnySource && m.src != src {
 				continue
 			}
-			if tag != AnyTag && m.tag != tag {
+			if tag != anyTag && m.tag != tag {
 				continue
 			}
 			box.queue = append(box.queue[:i], box.queue[i+1:]...)
@@ -356,7 +356,7 @@ func (c *Comm) recv(src, tag int, ctx int64) message {
 			return m
 		}
 		op, seq := ctxOp(ctx)
-		box.wait = ParkedRecv{Rank: c.rank, Source: src, Tag: tag, Op: op, Seq: seq, clock: c.proc.clock}
+		box.wait = parkedRecv{Rank: c.rank, Source: src, Tag: tag, Op: op, Seq: seq, clock: c.proc.clock}
 		box.parked = true
 		if w.ft.running.Add(-1) == 0 {
 			// The detector locks every mailbox in turn; it must not find
@@ -377,13 +377,13 @@ func (c *Comm) recv(src, tag int, ctx int64) message {
 // buffer back sends a copy.
 func (c *Comm) Send(dst, tag int, data []byte) {
 	if tag < 0 {
-		c.Abort(fmt.Errorf("mpi: negative user tag %d", tag))
+		c.abort(fmt.Errorf("mpi: negative user tag %d", tag))
 	}
 	c.send(dst, tag, 0, data)
 }
 
 // Recv blocks for a message from src (or AnySource) with the given tag (or
-// AnyTag) and returns its payload and actual source rank. The payload is the
+// anyTag) and returns its payload and actual source rank. The payload is the
 // slice the sender passed to Send, now owned by the caller.
 func (c *Comm) Recv(src, tag int) ([]byte, int) {
 	m := c.recv(src, tag, 0)
@@ -403,7 +403,7 @@ const (
 // opKind is the collective operation a context belongs to. Because the kind
 // is part of the context, members that disagree on which collective comes
 // next never consume each other's messages: each parks in its own, and the
-// detector's *ErrDeadlock names both operations.
+// detector's *deadlockError names both operations.
 type opKind int64
 
 const (

@@ -107,7 +107,7 @@ func TestRecvAnySourceAnyTag(t *testing.T) {
 		}
 		got := map[int]bool{}
 		for i := 0; i < 2; i++ {
-			data, src := c.Recv(AnySource, AnyTag)
+			data, src := c.Recv(AnySource, anyTag)
 			if int(data[0]) != src {
 				return fmt.Errorf("payload %v from %d", data, src)
 			}
@@ -231,18 +231,6 @@ func TestReduceOps(t *testing.T) {
 			if f != 0.5*float64(n) {
 				return fmt.Errorf("fsum = %v", f)
 			}
-			land := c.AllreduceI64([]int64{1}, OpLAnd)[0]
-			if land != 1 {
-				return fmt.Errorf("land all-ones = %d", land)
-			}
-			var v int64 = 1
-			if c.Rank() == n-1 {
-				v = 0
-			}
-			land = c.AllreduceI64([]int64{v}, OpLAnd)[0]
-			if land != 0 {
-				return fmt.Errorf("land with a zero = %d", land)
-			}
 			return nil
 		})
 	}
@@ -329,9 +317,8 @@ func TestInfoHints(t *testing.T) {
 	if info.GetInt("romio_cb_write", -1) != -1 {
 		t.Fatal("malformed int must fall back to default")
 	}
-	keys := info.Keys()
-	if len(keys) != 2 || keys[0] != "cb_nodes" {
-		t.Fatalf("Keys = %v", keys)
+	if len(info.kv) != 2 {
+		t.Fatalf("hints = %v, want cb_nodes and romio_cb_write", info.kv)
 	}
 	clone := info.Clone().Set("cb_nodes", "8")
 	if clone.GetInt("cb_nodes", 0) != 8 || info.GetInt("cb_nodes", 0) != 4 {

@@ -89,7 +89,7 @@ func refFanOut(c *Comm, root int, ctx int64, data []byte) []byte {
 	return data
 }
 
-func refReduceI64(c *Comm, root int, vals []int64, op Op) []int64 {
+func refReduceI64(c *Comm, root int, vals []int64, op reduceOp) []int64 {
 	ctx := c.nextOpCtx(opReduceI64)
 	res := refFanIn(c, root, ctx, func(local, child []byte) []byte {
 		if local == nil && child == nil {
@@ -107,12 +107,12 @@ func refReduceI64(c *Comm, root int, vals []int64, op Op) []int64 {
 	return DecodeI64s(res)
 }
 
-func refAllreduceI64(c *Comm, vals []int64, op Op) []int64 {
+func refAllreduceI64(c *Comm, vals []int64, op reduceOp) []int64 {
 	res := refReduceI64(c, 0, vals, op)
 	return DecodeI64s(refFanOut(c, 0, c.nextOpCtx(opBcast), EncodeI64s(res)))
 }
 
-func refReduceF64(c *Comm, root int, vals []float64, op Op) []float64 {
+func refReduceF64(c *Comm, root int, vals []float64, op reduceOp) []float64 {
 	ctx := c.nextOpCtx(opReduceF64)
 	res := refFanIn(c, root, ctx, func(local, child []byte) []byte {
 		if local == nil && child == nil {
@@ -130,15 +130,15 @@ func refReduceF64(c *Comm, root int, vals []float64, op Op) []float64 {
 	return refDecodeF64s(res)
 }
 
-func refAllreduceF64(c *Comm, vals []float64, op Op) []float64 {
+func refAllreduceF64(c *Comm, vals []float64, op reduceOp) []float64 {
 	res := refReduceF64(c, 0, vals, op)
 	return refDecodeF64s(refFanOut(c, 0, c.nextOpCtx(opBcast), refEncodeF64s(res)))
 }
 
-var allOps = []Op{OpSum, OpMin, OpMax, OpLAnd, OpBOr}
+var allOps = []reduceOp{OpSum, OpMin, OpMax}
 
 // reductionInputs returns rank's vectors of length n: int64s of mixed sign
-// and size, some zero (OpLAnd), and float64s whose magnitudes span 30
+// and size, some zero, and float64s whose magnitudes span 30
 // decades, so their sum depends on the order it is taken in.
 func reductionInputs(rank, n int) ([]int64, []float64) {
 	rng := rand.New(rand.NewSource(int64(1000*rank + n)))

@@ -60,7 +60,7 @@ func TestPointToPointBesideCollectives(t *testing.T) {
 				return fmt.Errorf("cross message %q", data)
 			}
 		case 1:
-			if data, _ := c.Recv(AnySource, AnyTag); string(data) != "user" {
+			if data, _ := c.Recv(AnySource, anyTag); string(data) != "user" {
 				return fmt.Errorf("user message %q", data)
 			}
 		}

@@ -120,7 +120,7 @@ func (f *File) dropBuf() { f.buf = nil }
 // view offset off. Every communicator member must call it (possibly with
 // n = 0). A peer crash mid-collective surfaces here as a communicator
 // revocation (mpi's failure detector is always on): every survivor returns
-// the same *mpi.ErrRevoked, and the file regions the collective had not
+// the same *mpi.revokedError, and the file regions the collective had not
 // finished are unspecified (DESIGN.md §8).
 //
 // Overlap: MPI leaves the result of ranks writing the same bytes in one
@@ -137,7 +137,7 @@ func (f *File) WriteAtAllFrom(off, n int64, src Source) error {
 		return ErrClosed
 	}
 	if f.amode&ModeRdOnly != 0 {
-		return ErrReadOnly
+		return errReadOnly
 	}
 	if !f.hints.CBWrite {
 		return f.fallbackIndependent(f.WriteAtFrom(off, n, src))
@@ -367,7 +367,7 @@ func (f *File) ReadAtAll(off int64, buf []byte) error {
 
 // ReadAtAllInto collectively reads n view-data bytes at view offset off,
 // handing them to dst as they arrive. As with WriteAtAllFrom, a peer crash
-// mid-collective returns the same *mpi.ErrRevoked on every survivor; what
+// mid-collective returns the same *mpi.revokedError on every survivor; what
 // dst holds of the request is then unspecified.
 func (f *File) ReadAtAllInto(off, n int64, dst Sink) error {
 	if f.closed {

@@ -27,7 +27,7 @@ func TestIndependentIORetriesTransients(t *testing.T) {
 	}))
 	info := mpi.NewInfo().Set("ind_rd_buffer_size", "4096").Set("ind_wr_buffer_size", "4096")
 	var mu sync.Mutex
-	var rawRetries, viewRetries int64
+	var rawRetries, viewRetries, faults int64
 	runWorld(t, ranks, func(c *mpi.Comm) error {
 		c.Proc().SetStats(iostat.New())
 		f, err := Open(c, fsys, "retry", ModeRdWr|ModeCreate, info)
@@ -51,7 +51,7 @@ func TestIndependentIORetriesTransients(t *testing.T) {
 		r0 := c.Proc().Stats().Get(iostat.PfsRetries)
 
 		// Rank r owns blocks r, r+4, ... of 512 bytes past the raw region.
-		v, err := mpitype.Vector(128, 512, ranks*512, mpitype.Contig(1))
+		v, err := mpitype.Subarray([]int64{128, ranks * 512}, []int64{128, 512}, []int64{0, 0}, 1)
 		if err != nil {
 			return err
 		}
@@ -78,10 +78,11 @@ func TestIndependentIORetriesTransients(t *testing.T) {
 		mu.Lock()
 		rawRetries += r0
 		viewRetries += c.Proc().Stats().Get(iostat.PfsRetries) - r0
+		faults += c.Proc().Stats().Get(iostat.PfsFaultsInjected)
 		mu.Unlock()
 		return f.Close()
 	})
-	if fsys.Fault().Injected() == 0 {
+	if faults == 0 {
 		t.Fatal("no faults injected; test proves nothing")
 	}
 	if rawRetries == 0 || viewRetries == 0 {
@@ -109,7 +110,7 @@ func TestSievedWriteCrashReleasesLock(t *testing.T) {
 		// Rank r owns blocks r, r+2, ... of 256 bytes, so each rank's
 		// windows cover the other's blocks: rank 0's first is [0, 4096),
 		// rank 1's [256, 4352).
-		v, err := mpitype.Vector(32, 256, 512, mpitype.Contig(1))
+		v, err := mpitype.Subarray([]int64{32, 512}, []int64{32, 256}, []int64{0, 0}, 1)
 		if err != nil {
 			return err
 		}
@@ -161,7 +162,7 @@ func TestCollectiveWriteErrorAgreement(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if err := f.SetView(int64(c.Rank())*(1<<20), mpitype.Contig(1<<20)); err != nil {
+		if err := f.SetView(int64(c.Rank())*(1<<20), contig(1<<20)); err != nil {
 			return err
 		}
 		if c.Rank() == 0 {
@@ -208,7 +209,7 @@ func TestCollectiveReadErrorAgreement(t *testing.T) {
 			fsys.SetFault(fault.New(fault.Config{Seed: 5, ReadErrRate: 1}))
 		}
 		c.Barrier()
-		if err := f.SetView(int64(c.Rank())*4096, mpitype.Contig(4096)); err != nil {
+		if err := f.SetView(int64(c.Rank())*4096, contig(4096)); err != nil {
 			return err
 		}
 		errs[c.Rank()] = f.ReadAtAll(0, make([]byte, 4096))
@@ -247,7 +248,7 @@ func TestPipelinedWriteCrashDrainsAndAgrees(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if err := f.SetView(int64(c.Rank())*(1<<20), mpitype.Contig(1<<20)); err != nil {
+		if err := f.SetView(int64(c.Rank())*(1<<20), contig(1<<20)); err != nil {
 			return err
 		}
 		if c.Rank() == 0 {
@@ -299,12 +300,13 @@ func TestPipelinedWriteCrashDrainsAndAgrees(t *testing.T) {
 func TestPipelinedTransientFaultsBitIdentical(t *testing.T) {
 	info := mpi.NewInfo().Set("cb_buffer_size", "4096").Set("cb_nodes", "2")
 	const per = 64 << 10
-	write := func(fsys *pfs.FS) ([]byte, int64) {
+	write := func(fsys *pfs.FS) (img []byte, retries, faults int64) {
 		t.Helper()
 		var mu sync.Mutex
-		var retries int64
+		stats := make([]*iostat.Stats, 4)
 		err := mpi.Run(4, mpi.DefaultNet(), func(c *mpi.Comm) error {
-			c.Proc().SetStats(iostat.New())
+			stats[c.Rank()] = iostat.New()
+			c.Proc().SetStats(stats[c.Rank()])
 			f, err := Open(c, fsys, "pimg", ModeRdWr|ModeCreate, info)
 			if err != nil {
 				return err
@@ -338,19 +340,19 @@ func TestPipelinedTransientFaultsBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		img := make([]byte, pf.Size())
+		img = make([]byte, pf.Size())
 		sf := pfs.NewSerialFile(pf, 0)
 		if _, err := sf.ReadAt(img, 0); err != nil {
 			t.Fatal(err)
 		}
-		return img, retries
+		return img, retries, faultsInjected(stats)
 	}
-	clean, _ := write(pfs.New(pfs.BlueHorizon()))
+	clean, _, _ := write(pfs.New(pfs.BlueHorizon()))
 	faulty := pfs.New(pfs.BlueHorizon())
 	in := fault.New(fault.Config{Seed: 77, ReadErrRate: 0.15, WriteErrRate: 0.15})
 	faulty.SetFault(in)
-	injected, retries := write(faulty)
-	if in.Injected() == 0 {
+	injected, retries, faults := write(faulty)
+	if faults == 0 {
 		t.Fatal("no faults injected; test proves nothing")
 	}
 	if retries == 0 {
@@ -364,22 +366,22 @@ func TestPipelinedTransientFaultsBitIdentical(t *testing.T) {
 // TestFaultedRunBitIdenticalToCleanRun: the strongest retry property — a
 // run under a transient fault rate must produce a byte-identical file to
 // the fault-free run, because every injected failure is resumed from where
-// it cut the request, to completion. (The rate is
-// set high enough that this small workload reliably draws faults; the
-// FLASH-scale 1% version lives in internal/integration.)
+// it cut the request, to completion. (The rate is high and the fault unit
+// 4 KiB, so that the collective write itself draws faults, not only the
+// serial read-back; the FLASH-scale 1% version lives in
+// internal/integration.)
 func TestFaultedRunBitIdenticalToCleanRun(t *testing.T) {
-	write := func(fsys *pfs.FS) []byte {
+	write := func(fsys *pfs.FS) ([]byte, int64) {
 		t.Helper()
+		stats := make([]*iostat.Stats, 4)
 		err := mpi.Run(4, mpi.DefaultNet(), func(c *mpi.Comm) error {
+			stats[c.Rank()] = iostat.New()
+			c.Proc().SetStats(stats[c.Rank()])
 			f, err := Open(c, fsys, "img", ModeRdWr|ModeCreate, nil)
 			if err != nil {
 				return err
 			}
-			v, err := mpitype.Vector(64, 512, 4*512, mpitype.Contig(1))
-			if err != nil {
-				return err
-			}
-			v, err = mpitype.Resized(v, 4*64*512)
+			v, err := mpitype.Subarray([]int64{64, 4 * 512}, []int64{64, 512}, []int64{0, 0}, 1)
 			if err != nil {
 				return err
 			}
@@ -407,17 +409,26 @@ func TestFaultedRunBitIdenticalToCleanRun(t *testing.T) {
 		if _, err := sf.ReadAt(img, 0); err != nil {
 			t.Fatal(err)
 		}
-		return img
+		return img, faultsInjected(stats)
 	}
-	clean := write(pfs.New(pfs.BlueHorizon()))
+	clean, _ := write(pfs.New(pfs.BlueHorizon()))
 	faulty := pfs.New(pfs.BlueHorizon())
-	in := fault.New(fault.Config{Seed: 99, ReadErrRate: 0.25, WriteErrRate: 0.25})
+	in := fault.New(fault.Config{Seed: 99, ReadErrRate: 0.25, WriteErrRate: 0.25, FaultUnit: 4096})
 	faulty.SetFault(in)
-	injected := write(faulty)
-	if in.Injected() == 0 {
+	injected, faults := write(faulty)
+	if faults == 0 {
 		t.Fatal("no faults injected; test proves nothing")
 	}
 	if !bytes.Equal(clean, injected) {
 		t.Fatal("faulted run produced different bytes than clean run")
 	}
+}
+
+// faultsInjected sums the faults the ranks' counters met.
+func faultsInjected(stats []*iostat.Stats) int64 {
+	var n int64
+	for _, s := range stats {
+		n += s.Get(iostat.PfsFaultsInjected)
+	}
+	return n
 }

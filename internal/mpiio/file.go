@@ -36,9 +36,9 @@ const (
 
 // Errors.
 var (
-	ErrNoSuchFile = errors.New("mpiio: no such file")
+	errNoSuchFile = errors.New("mpiio: no such file")
 	ErrExists     = errors.New("mpiio: file exists")
-	ErrReadOnly   = errors.New("mpiio: file opened read-only")
+	errReadOnly   = errors.New("mpiio: file opened read-only")
 	ErrClosed     = errors.New("mpiio: file is closed")
 )
 
@@ -142,7 +142,7 @@ type File struct {
 
 // Open opens (or creates) name collectively over comm. Every member must
 // call it with the same arguments. The returned handles share one underlying
-// file. On a revoked communicator it returns the *mpi.ErrRevoked.
+// file. On a revoked communicator it returns the *mpi.revokedError.
 func Open(comm *mpi.Comm, fsys *pfs.FS, name string, amode int, info *mpi.Info) (f *File, err error) {
 	if comm == nil {
 		return nil, errors.New("mpiio: nil communicator")
@@ -174,7 +174,7 @@ func open(comm *mpi.Comm, fsys *pfs.FS, name string, amode int, info *mpi.Info) 
 	verdict = mpi.DecodeI64s(comm.Bcast(0, mpi.EncodeI64s([]int64{verdict})))[0]
 	switch verdict {
 	case 1:
-		return nil, fmt.Errorf("%w: %s", ErrNoSuchFile, name)
+		return nil, fmt.Errorf("%w: %s", errNoSuchFile, name)
 	case 2:
 		return nil, fmt.Errorf("%w: %s", ErrExists, name)
 	}
@@ -206,12 +206,6 @@ func open(comm *mpi.Comm, fsys *pfs.FS, name string, amode int, info *mpi.Info) 
 	}
 	return f, nil
 }
-
-// Delete removes a file; a single-process operation like MPI_File_delete.
-func Delete(fsys *pfs.FS, name string) error { return fsys.Remove(name) }
-
-// Comm returns the communicator the file was opened on.
-func (f *File) Comm() *mpi.Comm { return f.comm }
 
 // Hints returns the resolved hint set.
 func (f *File) Hints() Hints { return f.hints }
@@ -299,7 +293,7 @@ func (f *File) SetSize(size int64) error {
 		return ErrClosed
 	}
 	if f.amode&ModeRdOnly != 0 {
-		return ErrReadOnly
+		return errReadOnly
 	}
 	if f.comm.Rank() == 0 {
 		f.pf.Truncate(size)
@@ -321,7 +315,7 @@ func (f *File) Sync() error {
 
 // Close closes the handle collectively, once every rank's writes are down.
 // On a revoked communicator it releases the handle all the same and returns
-// the *mpi.ErrRevoked.
+// the *mpi.revokedError.
 func (f *File) Close() error {
 	if f.closed {
 		return ErrClosed
@@ -391,7 +385,7 @@ func (f *File) WriteRaw(buf []byte, off int64) error {
 		return ErrClosed
 	}
 	if f.amode&ModeRdOnly != 0 {
-		return ErrReadOnly
+		return errReadOnly
 	}
 	seg := []pfs.Segment{{Off: off, Len: int64(len(buf))}}
 	if !f.behind.ordered(f.behind.stripeOf(seg)) {
@@ -411,7 +405,7 @@ func (f *File) SetSizeRaw(size int64) error {
 		return ErrClosed
 	}
 	if f.amode&ModeRdOnly != 0 {
-		return ErrReadOnly
+		return errReadOnly
 	}
 	f.pf.Truncate(size)
 	return nil

@@ -9,7 +9,6 @@ import (
 	"pnetcdf/internal/fault"
 	"pnetcdf/internal/iostat"
 	"pnetcdf/internal/mpi"
-	"pnetcdf/internal/mpitype"
 	"pnetcdf/internal/pfs"
 )
 
@@ -17,7 +16,7 @@ import (
 // loop, aggregator or not, in the first, a middle and the last round, during
 // collective writes and reads. The invariants under test are those of
 // DESIGN.md §8: no survivor hangs, every survivor returns the same
-// *mpi.ErrRevoked naming the victim, so does the handle's Close, and a
+// *mpi.revokedError naming the victim, so does the handle's Close, and a
 // kill run repeats exactly. What the collective had not finished is
 // unspecified, but no byte is ever anything a rank did not write there: each
 // byte of the file and of a read buffer is the rank's pattern or still zero.
@@ -114,7 +113,7 @@ func runFTWrite(t *testing.T, victim int, point string, occurrence int64, stride
 		if err != nil {
 			return err
 		}
-		if err := f.SetView(int64(rank)*ftioRegion, mpitype.Contig(ftioRegion)); err != nil {
+		if err := f.SetView(int64(rank)*ftioRegion, contig(ftioRegion)); err != nil {
 			return err
 		}
 		var werr error
@@ -145,7 +144,7 @@ func runFTWrite(t *testing.T, victim int, point string, occurrence int64, stride
 }
 
 // checkFTOutcome verifies the survivor invariants every killed collective
-// shares: n−1 survivors, each with the *mpi.ErrRevoked naming victim alone,
+// shares: n−1 survivors, each with the *mpi.revokedError naming victim alone,
 // a detection counted, and a Close that returned the same revocation.
 func checkFTOutcome(t *testing.T, results map[int]ftioResult, n, victim int) {
 	t.Helper()
@@ -158,7 +157,7 @@ func checkFTOutcome(t *testing.T, results map[int]ftioResult, n, victim int) {
 	for rank, res := range results {
 		rv, ok := mpi.AsRevoked(res.err)
 		if !ok || fmt.Sprint(rv.Failed) != fmt.Sprint([]int{victim}) {
-			t.Fatalf("rank %d: %v, want *mpi.ErrRevoked naming rank %d", rank, res.err, victim)
+			t.Fatalf("rank %d: %v, want *mpi.revokedError naming rank %d", rank, res.err, victim)
 		}
 		if cv, ok := mpi.AsRevoked(res.closeErr); !ok || fmt.Sprint(cv.Failed) != fmt.Sprint(rv.Failed) {
 			t.Fatalf("rank %d: Close returned %v, want the same revocation", rank, res.closeErr)
@@ -234,6 +233,10 @@ func TestFTKillWriteFailover(t *testing.T) {
 	}
 }
 
+// detectLatency is the virtual time mpi's failure detector takes to revoke
+// the world once the survivors have blocked (DESIGN.md §8).
+const detectLatency = 0.3
+
 // sameFTOutcome checks that a repeated kill run left every survivor with
 // the first run's error string and, when exact, virtual clock, and that the
 // clock contains the detection latency.
@@ -250,9 +253,9 @@ func sameFTOutcome(t *testing.T, rep int, got, first map[int]ftioResult, exact b
 		if exact && res.clock != ref.clock {
 			t.Fatalf("repeat %d: rank %d finished at %.9f s, the first run at %.9f s", rep, rank, res.clock, ref.clock)
 		}
-		if res.clock < mpi.FTDetectLatency || res.clock > mpi.FTDetectLatency+0.5 {
-			t.Fatalf("rank %d finished at %.4f s: a killed collective should cost FTDetectLatency (%.1f s) plus a fraction of a second of I/O",
-				rank, res.clock, mpi.FTDetectLatency)
+		if res.clock < detectLatency || res.clock > detectLatency+0.5 {
+			t.Fatalf("rank %d finished at %.4f s: a killed collective should cost the detection (%.1f s) plus a fraction of a second of I/O",
+				rank, res.clock, detectLatency)
 		}
 	}
 }
@@ -385,7 +388,7 @@ func ftioWriteUndisturbed(c *mpi.Comm, fsys *pfs.FS, name string, sh ftioShape) 
 	if err != nil {
 		return err
 	}
-	if err := f.SetView(int64(c.Rank())*sh.region, mpitype.Contig(sh.region)); err != nil {
+	if err := f.SetView(int64(c.Rank())*sh.region, contig(sh.region)); err != nil {
 		return err
 	}
 	if err := f.WriteAtAll(0, ftioPattern(c.Rank(), sh.region)); err != nil {
@@ -415,7 +418,7 @@ func runFTRead(t *testing.T, sh ftioShape, victim int, point string, occurrence 
 		if err != nil {
 			return err
 		}
-		if err := f.SetView(int64(rank)*sh.region, mpitype.Contig(sh.region)); err != nil {
+		if err := f.SetView(int64(rank)*sh.region, contig(sh.region)); err != nil {
 			return err
 		}
 		buf := make([]byte, sh.region)
@@ -454,7 +457,7 @@ func TestFTCleanRunByteIdentical(t *testing.T) {
 		if v := c.Proc().Stats().Get(iostat.FTFailuresDetected); v != 0 {
 			return fmt.Errorf("clean run: ft_failures_detected = %d", v)
 		}
-		if c.Clock() >= mpi.FTDetectLatency {
+		if c.Clock() >= detectLatency {
 			return fmt.Errorf("clean run finished at %.4f s: it paid for a detection", c.Clock())
 		}
 		return nil
@@ -482,7 +485,7 @@ func TestFTWithoutDetectorStillAgrees(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if err := f.SetView(int64(c.Rank())*4096, mpitype.Contig(4096)); err != nil {
+		if err := f.SetView(int64(c.Rank())*4096, contig(4096)); err != nil {
 			return err
 		}
 		if err := f.WriteAtAll(0, ftioPattern(c.Rank(), 4096)); err != nil {

@@ -57,7 +57,7 @@ func (f *File) WriteAtFrom(off, n int64, src Source) error {
 		return ErrClosed
 	}
 	if f.amode&ModeRdOnly != 0 {
-		return ErrReadOnly
+		return errReadOnly
 	}
 	sp := f.sp.Begin(span.IndepWrite)
 	defer sp.End()

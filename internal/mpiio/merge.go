@@ -22,16 +22,16 @@ import (
 // (see WriteAtAll).
 //
 // Preconditions, checked while the merge walks and reported as
-// ErrBadRoundMsg (into the round's error verdict, so every rank returns
+// errBadRoundMsg (into the round's error verdict, so every rank returns
 // together): a message holds its count and that many header entries; every
 // entry has a positive length and lies inside the aggregator's window of the
 // round; a source's offsets do not descend; and the bytes after the header
 // are exactly the entries' payload (write) or none (read request). A sender
 // built by packWriteRound/packReadRound satisfies all of them.
 
-// ErrBadRoundMsg reports a round message that breaks the two-phase wire
+// errBadRoundMsg reports a round message that breaks the two-phase wire
 // format's rules; errors.Is matches it.
-var ErrBadRoundMsg = errors.New("mpiio: malformed round message")
+var errBadRoundMsg = errors.New("mpiio: malformed round message")
 
 // mergeCursor walks one source's header. An exhausted cursor stays in
 // roundMerge.cur as the record of what its source sent.
@@ -97,11 +97,11 @@ func (m *roundMerge) start(msgs [][]byte, lo, hi int64, payload bool) (int, erro
 			continue
 		}
 		if len(msg) < 8 {
-			return 0, fmt.Errorf("%w: %d bytes from rank %d hold no entry count", ErrBadRoundMsg, len(msg), src)
+			return 0, fmt.Errorf("%w: %d bytes from rank %d hold no entry count", errBadRoundMsg, len(msg), src)
 		}
 		count := binary.BigEndian.Uint64(msg)
 		if count > uint64(len(msg)-8)/16 {
-			return 0, fmt.Errorf("%w: rank %d announces %d entries in %d bytes", ErrBadRoundMsg, src, count, len(msg))
+			return 0, fmt.Errorf("%w: rank %d announces %d entries in %d bytes", errBadRoundMsg, src, count, len(msg))
 		}
 		n := int(count)
 		c := mergeCursor{off: lo, src: src, i: -1, n: n, first: total, msg: msg}
@@ -131,7 +131,7 @@ func (c *mergeCursor) next(m *roundMerge) (more bool, err error) {
 	if c.i == c.n {
 		if left := c.left(m.payload); left != 0 {
 			return false, fmt.Errorf("%w: rank %d sent %d bytes beyond its %d entries",
-				ErrBadRoundMsg, c.src, left, c.n)
+				errBadRoundMsg, c.src, left, c.n)
 		}
 		c.msg = nil // the record that stays behind does not pin the message
 		return false, nil
@@ -142,13 +142,13 @@ func (c *mergeCursor) next(m *roundMerge) (more bool, err error) {
 	switch {
 	case l <= 0 || off < m.lo || off > m.hi || l > m.hi-off:
 		return false, fmt.Errorf("%w: entry %d of rank %d, [%d,+%d), is empty or outside the window [%d,%d)",
-			ErrBadRoundMsg, c.i, c.src, off, l, m.lo, m.hi)
+			errBadRoundMsg, c.i, c.src, off, l, m.lo, m.hi)
 	case off < c.off:
 		return false, fmt.Errorf("%w: entry %d of rank %d at %d descends below %d",
-			ErrBadRoundMsg, c.i, c.src, off, c.off)
+			errBadRoundMsg, c.i, c.src, off, c.off)
 	case m.payload && l > c.left(true):
 		return false, fmt.Errorf("%w: entry %d of rank %d claims %d payload bytes, %d remain",
-			ErrBadRoundMsg, c.i, c.src, l, c.left(true))
+			errBadRoundMsg, c.i, c.src, l, c.left(true))
 	}
 	c.off, c.len = off, l
 	return true, nil

@@ -331,8 +331,8 @@ func TestAssembleRejectsMalformedMessages(t *testing.T) {
 						t.Errorf("%s: a failed read assembly left a coverage behind", tc.name)
 					}
 				}
-				if !errors.Is(err, ErrBadRoundMsg) {
-					t.Errorf("%s (slot %d, write=%v): error %v, want ErrBadRoundMsg", tc.name, slot, write, err)
+				if !errors.Is(err, errBadRoundMsg) {
+					t.Errorf("%s (slot %d, write=%v): error %v, want errBadRoundMsg", tc.name, slot, write, err)
 				}
 			}
 		}
@@ -398,7 +398,7 @@ func fuzzSeeds(f *testing.F, write bool) {
 }
 
 // FuzzAssembleWrite feeds arbitrary bytes to the write-side wire decoder: it
-// must not panic or reach past a message, must fail only with ErrBadRoundMsg,
+// must not panic or reach past a message, must fail only with errBadRoundMsg,
 // and whatever it accepts must equal the sort-based reference.
 func FuzzAssembleWrite(f *testing.F) {
 	fuzzSeeds(f, true)
@@ -406,7 +406,7 @@ func FuzzAssembleWrite(f *testing.F) {
 		msgs := splitFuzzMsgs(data)
 		var w writeVec
 		if err := w.assemble(msgs, 4096, 8192); err != nil {
-			if !errors.Is(err, ErrBadRoundMsg) {
+			if !errors.Is(err, errBadRoundMsg) {
 				t.Fatalf("untyped error %v", err)
 			}
 			return
@@ -431,7 +431,7 @@ func FuzzAssembleRead(f *testing.F) {
 		msgs := splitFuzzMsgs(data)
 		var cov coverage
 		if err := cov.assemble(msgs, 4096, 8192); err != nil {
-			if !errors.Is(err, ErrBadRoundMsg) {
+			if !errors.Is(err, errBadRoundMsg) {
 				t.Fatalf("untyped error %v", err)
 			}
 			return

@@ -36,7 +36,7 @@ func TestOpenCreateModes(t *testing.T) {
 	fsys := testFS()
 	runWorld(t, 3, func(c *mpi.Comm) error {
 		// Open of missing file fails on every rank.
-		if _, err := Open(c, fsys, "missing", ModeRdWr, nil); !errors.Is(err, ErrNoSuchFile) {
+		if _, err := Open(c, fsys, "missing", ModeRdWr, nil); !errors.Is(err, errNoSuchFile) {
 			return fmt.Errorf("open missing: %v", err)
 		}
 		f, err := Open(c, fsys, "a", ModeRdWr|ModeCreate, nil)
@@ -99,13 +99,13 @@ func TestReadOnlyEnforced(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if err := f.WriteRaw([]byte("y"), 0); !errors.Is(err, ErrReadOnly) {
+		if err := f.WriteRaw([]byte("y"), 0); !errors.Is(err, errReadOnly) {
 			return fmt.Errorf("WriteRaw on RO: %v", err)
 		}
-		if err := writeAt(f, 0, []byte("y")); !errors.Is(err, ErrReadOnly) {
+		if err := writeAt(f, 0, []byte("y")); !errors.Is(err, errReadOnly) {
 			return fmt.Errorf("WriteAtFrom on RO: %v", err)
 		}
-		if err := f.WriteAtAll(0, []byte("y")); !errors.Is(err, ErrReadOnly) {
+		if err := f.WriteAtAll(0, []byte("y")); !errors.Is(err, errReadOnly) {
 			return fmt.Errorf("WriteAtAll on RO: %v", err)
 		}
 		return f.Close()
@@ -191,11 +191,16 @@ func TestFileViewIndependent(t *testing.T) {
 // stridedView interleaves ranks element-by-element: rank r owns bytes
 // r, r+p, r+2p, ...
 func stridedView(rank, size int, count int64) mpitype.Datatype {
-	v, err := mpitype.Vector(count, 1, int64(size), mpitype.Contig(1))
+	v, err := mpitype.Subarray([]int64{count, int64(size)}, []int64{count, 1}, []int64{0, 0}, 1)
 	if err != nil {
 		panic(err)
 	}
-	v, err = mpitype.Resized(v, count*int64(size))
+	return v
+}
+
+// contig is a view of n contiguous bytes.
+func contig(n int64) mpitype.Datatype {
+	v, err := mpitype.Subarray([]int64{n}, []int64{n}, []int64{0}, 1)
 	if err != nil {
 		panic(err)
 	}
@@ -313,7 +318,7 @@ func TestCollectiveWithIdleRanks(t *testing.T) {
 		var data []byte
 		if c.Rank() == 2 {
 			data = []byte("only rank two writes")
-			if err := f.SetView(100, mpitype.Contig(int64(len(data)))); err != nil {
+			if err := f.SetView(100, contig(int64(len(data)))); err != nil {
 				return err
 			}
 		}
@@ -514,8 +519,7 @@ func TestCollectiveFasterThanIndependentStrided(t *testing.T) {
 				return err
 			}
 			// 512-byte interleaving across ranks.
-			v, _ := mpitype.Vector(per/512, 512, 512*p, mpitype.Contig(1))
-			v, _ = mpitype.Resized(v, int64(per*p))
+			v, _ := mpitype.Subarray([]int64{per / 512, 512 * p}, []int64{per / 512, 512}, []int64{0, 0}, 1)
 			if err := f.SetView(int64(c.Rank()*512), v); err != nil {
 				return err
 			}

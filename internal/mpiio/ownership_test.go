@@ -150,7 +150,7 @@ func TestExchangeOwnershipStress(t *testing.T) {
 		}
 		// Rank r owns every p-th block: each rank sends to every
 		// aggregator in every round.
-		view, err := mpitype.Vector(nBlocks, block, p*block, mpitype.Contig(1))
+		view, err := mpitype.Subarray([]int64{nBlocks, p * block}, []int64{nBlocks, block}, []int64{0, 0}, 1)
 		if err != nil {
 			return err
 		}

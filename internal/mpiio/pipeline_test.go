@@ -39,7 +39,7 @@ func TestRoundScheduleLeavesOneFileImage(t *testing.T) {
 			copy(want[(b*ranks+r)*block:], data[r][b*block:(b+1)*block])
 		}
 	}
-	view, err := mpitype.Vector(nBlocks, block, ranks*block, mpitype.Contig(1))
+	view, err := mpitype.Subarray([]int64{nBlocks, ranks * block}, []int64{nBlocks, block}, []int64{0, 0}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestClockCoversEveryRequest(t *testing.T) {
 		per                   = block * nBlocks
 		total                 = ranks * per // 256 KiB
 	)
-	view, err := mpitype.Vector(nBlocks, block, ranks*block, mpitype.Contig(1))
+	view, err := mpitype.Subarray([]int64{nBlocks, ranks * block}, []int64{nBlocks, block}, []int64{0, 0}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,7 +41,7 @@ func TestOverlappingCollectiveWriteHighestRankWins(t *testing.T) {
 		blocks, blockLen, stride = 90, 100, 300
 		disp                     = 7
 	)
-	view, err := mpitype.Vector(blocks, blockLen, stride, mpitype.Contig(1))
+	view, err := mpitype.Subarray([]int64{blocks, stride}, []int64{blocks, blockLen}, []int64{0, 0}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func imageOf(fsys *pfs.FS, name string, n int64) ([]byte, error) {
 func TestWriteRoundFailureVerdict(t *testing.T) {
 	const block = failWindow / failProcs // one block of every rank per window
 	const windows = 2 * failRounds
-	view, err := mpitype.Vector(windows, block, failProcs*block, mpitype.Contig(1))
+	view, err := mpitype.Subarray([]int64{windows, failProcs * block}, []int64{windows, block}, []int64{0, 0}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

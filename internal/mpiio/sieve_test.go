@@ -24,11 +24,7 @@ func TestSievingWriteContention(t *testing.T) {
 			return err
 		}
 		// Rank r owns blocks r, r+2, r+4, ... of 16 bytes.
-		v, err := mpitype.Vector(blocks, blockLen, 2*blockLen, mpitype.Contig(1))
-		if err != nil {
-			return err
-		}
-		v, err = mpitype.Resized(v, 2*blocks*blockLen)
+		v, err := mpitype.Subarray([]int64{blocks, 2 * blockLen}, []int64{blocks, blockLen}, []int64{0, 0}, 1)
 		if err != nil {
 			return err
 		}
@@ -81,11 +77,7 @@ func TestCollectiveReadMatchesIndependentRead(t *testing.T) {
 			}
 		}
 		f.Sync()
-		v, err := mpitype.Vector(100, 48, 3*48, mpitype.Contig(1))
-		if err != nil {
-			return err
-		}
-		v, err = mpitype.Resized(v, 3*100*48)
+		v, err := mpitype.Subarray([]int64{100, 3 * 48}, []int64{100, 48}, []int64{0, 0}, 1)
 		if err != nil {
 			return err
 		}
@@ -117,11 +109,7 @@ func TestViewOffsetsWithinView(t *testing.T) {
 			return err
 		}
 		// View selects bytes at file offsets 0,1 then 10,11 then 20,21...
-		v, err := mpitype.Vector(10, 2, 10, mpitype.Contig(1))
-		if err != nil {
-			return err
-		}
-		v, err = mpitype.Resized(v, 100)
+		v, err := mpitype.Subarray([]int64{10, 10}, []int64{10, 2}, []int64{0, 0}, 1)
 		if err != nil {
 			return err
 		}
@@ -172,7 +160,7 @@ func TestStripeAlignedDomains(t *testing.T) {
 		}
 		// An unaligned aggregate range: each rank's megabyte starts 12345
 		// bytes into the file.
-		if err := f.SetView(12345+int64(c.Rank())*(1<<20), mpitype.Contig(1<<20)); err != nil {
+		if err := f.SetView(12345+int64(c.Rank())*(1<<20), contig(1<<20)); err != nil {
 			return err
 		}
 		plan, ok, err := f.collectivePlan(mustView(f, 1<<20), nil, true)

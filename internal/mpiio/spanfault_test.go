@@ -4,8 +4,8 @@ import (
 	"testing"
 
 	"pnetcdf/internal/fault"
+	"pnetcdf/internal/iostat"
 	"pnetcdf/internal/mpi"
-	"pnetcdf/internal/mpitype"
 	"pnetcdf/internal/span"
 )
 
@@ -58,16 +58,19 @@ func TestSpansClosedUnderTransientFaults(t *testing.T) {
 	fsys.SetFault(in)
 	const n = 4
 	recs := make([]*span.Recorder, n)
+	stats := make([]*iostat.Stats, n)
 	runWorld(t, n, func(c *mpi.Comm) error {
 		proc := c.Proc()
 		rec := span.NewRecorder(c.Rank(), proc.Clock)
 		proc.SetSpans(rec)
 		recs[c.Rank()] = rec
+		stats[c.Rank()] = iostat.New()
+		proc.SetStats(stats[c.Rank()])
 		f, err := Open(c, fsys, "spanfault", ModeRdWr|ModeCreate, nil)
 		if err != nil {
 			return err
 		}
-		if err := f.SetView(int64(c.Rank())*8192, mpitype.Contig(8192)); err != nil {
+		if err := f.SetView(int64(c.Rank())*8192, contig(8192)); err != nil {
 			return err
 		}
 		buf := make([]byte, 8192)
@@ -81,7 +84,7 @@ func TestSpansClosedUnderTransientFaults(t *testing.T) {
 		}
 		return f.Close()
 	})
-	if in.Injected() == 0 {
+	if faultsInjected(stats) == 0 {
 		t.Fatal("no faults injected; test proves nothing")
 	}
 	for r, rec := range recs {
@@ -110,16 +113,19 @@ func TestSpansClosedUnderPipelinedFaults(t *testing.T) {
 	const n = 4
 	info := mpi.NewInfo().Set("cb_buffer_size", "4096").Set("cb_nodes", "2")
 	recs := make([]*span.Recorder, n)
+	stats := make([]*iostat.Stats, n)
 	runWorld(t, n, func(c *mpi.Comm) error {
 		proc := c.Proc()
 		rec := span.NewRecorder(c.Rank(), proc.Clock)
 		proc.SetSpans(rec)
 		recs[c.Rank()] = rec
+		stats[c.Rank()] = iostat.New()
+		proc.SetStats(stats[c.Rank()])
 		f, err := Open(c, fsys, "pspan", ModeRdWr|ModeCreate, info)
 		if err != nil {
 			return err
 		}
-		if err := f.SetView(int64(c.Rank())*(64<<10), mpitype.Contig(64<<10)); err != nil {
+		if err := f.SetView(int64(c.Rank())*(64<<10), contig(64<<10)); err != nil {
 			return err
 		}
 		buf := make([]byte, 64<<10)
@@ -133,7 +139,7 @@ func TestSpansClosedUnderPipelinedFaults(t *testing.T) {
 		}
 		return f.Close()
 	})
-	if in.Injected() == 0 {
+	if faultsInjected(stats) == 0 {
 		t.Fatal("no faults injected; test proves nothing")
 	}
 	aggLeaves := 0
@@ -168,7 +174,7 @@ func TestSpansClosedAfterPipelinedCrashAbort(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if err := f.SetView(int64(c.Rank())*(1<<20), mpitype.Contig(1<<20)); err != nil {
+		if err := f.SetView(int64(c.Rank())*(1<<20), contig(1<<20)); err != nil {
 			return err
 		}
 		if c.Rank() == 0 {
@@ -208,7 +214,7 @@ func TestSpansClosedAfterCrashAbort(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if err := f.SetView(int64(c.Rank())*(1<<20), mpitype.Contig(1<<20)); err != nil {
+		if err := f.SetView(int64(c.Rank())*(1<<20), contig(1<<20)); err != nil {
 			return err
 		}
 		if c.Rank() == 0 {

@@ -28,16 +28,12 @@ type Segment struct {
 // type (size 0, extent 0).
 type Datatype struct {
 	size   int64
-	extent int64
+	extent int64     // the span one instance occupies: instance i tiles at i*extent
 	segs   []Segment // sorted by Off, non-overlapping, within [0, extent]
 }
 
 // Size returns the number of data units the type selects per instance.
 func (d Datatype) Size() int64 { return d.size }
-
-// Extent returns the span one instance occupies; tiling places instance i
-// at displacement i*Extent.
-func (d Datatype) Extent() int64 { return d.extent }
 
 // Segments returns a copy of the flattened typemap.
 func (d Datatype) Segments() []Segment {
@@ -51,21 +47,6 @@ func (d Datatype) Runs() []Segment { return d.segs }
 
 // NumSegments returns the number of contiguous pieces per instance.
 func (d Datatype) NumSegments() int { return len(d.segs) }
-
-// IsContiguous reports whether the type is one gap-free run starting at 0
-// whose extent equals its size.
-func (d Datatype) IsContiguous() bool {
-	return len(d.segs) == 0 && d.size == 0 ||
-		len(d.segs) == 1 && d.segs[0].Off == 0 && d.segs[0].Len == d.size && d.extent == d.size
-}
-
-// Contig returns a contiguous type of n units.
-func Contig(n int64) Datatype {
-	if n <= 0 {
-		return Datatype{}
-	}
-	return Datatype{size: n, extent: n, segs: []Segment{{0, n}}}
-}
 
 // FromSegments builds a type from explicit segments. extent <
 // end-of-last-segment is an error, and so are negative and overlapping
@@ -147,34 +128,6 @@ func normalize(segs []Segment) ([]Segment, error) {
 		n++
 	}
 	return out[:n], nil
-}
-
-// Vector replicates blocklen consecutive base instances count times with a
-// stride (in base extents) between block starts, like MPI_Type_vector.
-func Vector(count, blocklen, stride int64, base Datatype) (Datatype, error) {
-	if count < 0 || blocklen < 0 {
-		return Datatype{}, errors.New("mpitype: negative count/blocklen")
-	}
-	if count > 1 && stride < blocklen {
-		return Datatype{}, fmt.Errorf("mpitype: vector stride %d < blocklen %d would overlap", stride, blocklen)
-	}
-	return tile(count, stride*base.extent, blocklen, base)
-}
-
-// tile places blocklen back-to-back base instances at displacements
-// 0, blockStride, 2*blockStride, ... Adjacent runs merge as they are
-// generated (via Tiled), so a vector of a contiguous base flattens to one
-// segment per block — not one per element.
-func tile(count, blockStride, blocklen int64, base Datatype) (Datatype, error) {
-	var segs []Segment
-	for i := int64(0); i < count; i++ {
-		segs = base.Tiled(segs, i*blockStride, blocklen)
-	}
-	extent := int64(0)
-	if count > 0 {
-		extent = (count-1)*blockStride + blocklen*base.extent
-	}
-	return FromSegments(segs, extent)
 }
 
 // Subarray selects an n-dimensional block (starts[i], subsizes[i]) out of an
@@ -261,15 +214,8 @@ func appendMerged(segs []Segment, s Segment) []Segment {
 	return append(segs, s)
 }
 
-// Resized returns d with a new extent, like MPI_Type_create_resized with
-// lb = 0. The new extent may exceed or trail inside the typemap end only if
-// it still covers all segments.
-func Resized(d Datatype, extent int64) (Datatype, error) {
-	return FromSegments(d.segs, extent)
-}
-
 // Tiled appends to dst the absolute segments of count instances of d placed
-// at disp, disp+Extent, disp+2*Extent, ... with adjacent runs merged.
+// at disp, disp+extent, disp+2*extent, ... with adjacent runs merged.
 func (d Datatype) Tiled(dst []Segment, disp int64, count int64) []Segment {
 	for i := int64(0); i < count; i++ {
 		base := disp + i*d.extent

@@ -18,14 +18,26 @@ func segsEq(a, b []Segment) bool {
 	return true
 }
 
-func TestContig(t *testing.T) {
-	d := Contig(16)
-	if d.Size() != 16 || d.Extent() != 16 || !d.IsContiguous() {
-		t.Fatalf("Contig(16): size=%d extent=%d contig=%v", d.Size(), d.Extent(), d.IsContiguous())
+// contig is n contiguous units, MPI_Type_contiguous of a unit: the whole of
+// a one-dimensional array.
+func contig(n int64) Datatype {
+	d, err := Subarray([]int64{n}, []int64{n}, []int64{0}, 1)
+	if err != nil {
+		panic(err)
 	}
-	z := Contig(0)
+	return d
+}
+
+// TestContig: the whole of a one-dimensional array is one run whose extent
+// is its size; an empty one selects nothing.
+func TestContig(t *testing.T) {
+	d := contig(16)
+	if d.Size() != 16 || d.extent != 16 || !segsEq(d.Segments(), []Segment{{0, 16}}) {
+		t.Fatalf("contig(16): size=%d extent=%d segs=%v", d.Size(), d.extent, d.Segments())
+	}
+	z := contig(0)
 	if z.Size() != 0 || z.NumSegments() != 0 {
-		t.Fatal("Contig(0) not empty")
+		t.Fatal("contig(0) not empty")
 	}
 }
 
@@ -37,8 +49,8 @@ func TestFromSegmentsMergesAndValidates(t *testing.T) {
 	if !segsEq(d.Segments(), []Segment{{0, 12}, {20, 2}}) {
 		t.Fatalf("merged = %v", d.Segments())
 	}
-	if d.Size() != 14 || d.Extent() != 30 {
-		t.Fatalf("size=%d extent=%d", d.Size(), d.Extent())
+	if d.Size() != 14 || d.extent != 30 {
+		t.Fatalf("size=%d extent=%d", d.Size(), d.extent)
 	}
 	if _, err := FromSegments([]Segment{{0, 4}, {2, 4}}, 10); err == nil {
 		t.Fatal("overlap accepted")
@@ -51,9 +63,11 @@ func TestFromSegmentsMergesAndValidates(t *testing.T) {
 	}
 }
 
+// TestVector: MPI_Type_vector's strided blocks are the leading columns of
+// a two-dimensional array, one row per block, the row as long as the stride.
 func TestVector(t *testing.T) {
-	// 3 blocks of 2 units, stride 4: XX..XX..XX
-	d, err := Vector(3, 2, 4, Contig(1))
+	// 3 blocks of 2 units, stride 4: XX..XX..XX..
+	d, err := Subarray([]int64{3, 4}, []int64{3, 2}, []int64{0, 0}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,26 +75,25 @@ func TestVector(t *testing.T) {
 	if !segsEq(d.Segments(), want) {
 		t.Fatalf("vector segs = %v, want %v", d.Segments(), want)
 	}
-	if d.Size() != 6 || d.Extent() != 10 {
-		t.Fatalf("size=%d extent=%d", d.Size(), d.Extent())
+	if d.Size() != 6 || d.extent != 12 {
+		t.Fatalf("size=%d extent=%d", d.Size(), d.extent)
 	}
-	if _, err := Vector(2, 3, 2, Contig(1)); err == nil {
-		t.Fatal("overlapping vector accepted")
+	if _, err := Subarray([]int64{2, 2}, []int64{2, 3}, []int64{0, 0}, 1); err == nil {
+		t.Fatal("blocks longer than the stride accepted")
 	}
 }
 
-// TestContiguousOfVector: a vector of one-instance blocks at stride 1 is
-// MPI_Type_contiguous, and tiles its base at the base's extent.
+// TestContiguousOfVector: instances of a type tile at its extent, which may
+// end past its last run.
 func TestContiguousOfVector(t *testing.T) {
-	v, _ := Vector(2, 1, 2, Contig(1)) // X.X (extent 3)
-	d, err := Vector(2, 1, 1, v)
+	v, err := FromSegments([]Segment{{0, 1}, {2, 1}}, 3) // X.X (extent 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Tiling at extent 3: X.XX.X
 	want := []Segment{{0, 1}, {2, 2}, {5, 1}}
-	if !segsEq(d.Segments(), want) {
-		t.Fatalf("segs = %v, want %v", d.Segments(), want)
+	if got := v.Tiled(nil, 0, 2); !segsEq(got, want) {
+		t.Fatalf("segs = %v, want %v", got, want)
 	}
 }
 
@@ -94,8 +107,8 @@ func TestSubarray2D(t *testing.T) {
 	if !segsEq(d.Segments(), want) {
 		t.Fatalf("subarray = %v, want %v", d.Segments(), want)
 	}
-	if d.Extent() != 24 || d.Size() != 6 {
-		t.Fatalf("size=%d extent=%d", d.Size(), d.Extent())
+	if d.extent != 24 || d.Size() != 6 {
+		t.Fatalf("size=%d extent=%d", d.Size(), d.extent)
 	}
 }
 
@@ -114,7 +127,7 @@ func TestSubarrayFullTrailingDimsCollapse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !w.IsContiguous() || w.Size() != 40 {
+	if !segsEq(w.Segments(), []Segment{{0, 40}}) || w.extent != 40 {
 		t.Fatalf("whole-array subarray not contiguous: %v", w.Segments())
 	}
 }
@@ -124,8 +137,8 @@ func TestSubarrayZeroAndErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Size() != 0 || d.Extent() != 16 {
-		t.Fatalf("zero subarray: size=%d extent=%d", d.Size(), d.Extent())
+	if d.Size() != 0 || d.extent != 16 {
+		t.Fatalf("zero subarray: size=%d extent=%d", d.Size(), d.extent)
 	}
 	if _, err := Subarray([]int64{4}, []int64{3}, []int64{2}, 1); err == nil {
 		t.Fatal("out-of-bounds subarray accepted")
@@ -198,27 +211,28 @@ func TestQuickSubarrayOracle(t *testing.T) {
 	}
 }
 
+// TestResized: a typemap given an extent past its end, as
+// MPI_Type_create_resized gives one, tiles at that extent.
 func TestResized(t *testing.T) {
-	d, _ := FromSegments([]Segment{{0, 4}}, 4)
-	r, err := Resized(d, 16)
+	r, err := FromSegments([]Segment{{0, 4}}, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Extent() != 16 || r.Size() != 4 {
-		t.Fatalf("resized: size=%d extent=%d", r.Size(), r.Extent())
+	if r.extent != 16 || r.Size() != 4 {
+		t.Fatalf("resized: size=%d extent=%d", r.Size(), r.extent)
 	}
 	segs := r.Tiled(nil, 0, 3)
 	want := []Segment{{0, 4}, {16, 4}, {32, 4}}
 	if !segsEq(segs, want) {
 		t.Fatalf("tiled resized = %v, want %v", segs, want)
 	}
-	if _, err := Resized(d, 2); err == nil {
-		t.Fatal("shrinking below typemap end accepted")
+	if _, err := FromSegments([]Segment{{0, 4}}, 2); err == nil {
+		t.Fatal("an extent below the typemap end accepted")
 	}
 }
 
 func TestTiledMergesAcrossInstances(t *testing.T) {
-	d := Contig(8)
+	d := contig(8)
 	segs := d.Tiled(nil, 100, 4)
 	if !segsEq(segs, []Segment{{100, 32}}) {
 		t.Fatalf("contig tiling should merge: %v", segs)
@@ -226,13 +240,8 @@ func TestTiledMergesAcrossInstances(t *testing.T) {
 }
 
 func TestSegmentsForRange(t *testing.T) {
-	// Filetype X.X. (2 units data per 4-unit extent), disp 100. The raw
-	// vector extent is 3 (typemap end), so resize to 4 for clean tiling.
-	v, err := Vector(2, 1, 2, Contig(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := Resized(v, 4)
+	// Filetype X.X. (2 units data per 4-unit extent), disp 100.
+	d, err := Subarray([]int64{2, 2}, []int64{2, 1}, []int64{0, 0}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +264,7 @@ func TestSegmentsForRange(t *testing.T) {
 		t.Fatalf("skip range = %v, want %v", segs, want)
 	}
 	// Contiguous view merges into a single extent.
-	c := Contig(4)
+	c := contig(4)
 	segs, err = c.SegmentsForRange(0, 2, 10)
 	if err != nil {
 		t.Fatal(err)
@@ -283,7 +292,7 @@ func TestQuickInvariants(t *testing.T) {
 		var sum int64
 		for _, s := range d.Segments() {
 			sum += s.Len
-			if s.Off < 0 || s.Off+s.Len > d.Extent() {
+			if s.Off < 0 || s.Off+s.Len > d.extent {
 				return false
 			}
 		}
@@ -294,25 +303,25 @@ func TestQuickInvariants(t *testing.T) {
 	}
 }
 
-// TestContiguousEdgeCases: the edges of a contiguous tiling, a vector of
-// one-instance blocks at stride 1.
+// TestContiguousEdgeCases: the edges of a contiguous run of elements — the
+// whole of a one-dimensional array of elem-unit elements.
 func TestContiguousEdgeCases(t *testing.T) {
-	z, err := Vector(0, 1, 1, Contig(4))
+	z, err := Subarray([]int64{0}, []int64{0}, []int64{0}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if z.Size() != 0 || z.Extent() != 0 {
-		t.Fatalf("zero contiguous: size=%d extent=%d", z.Size(), z.Extent())
+	if z.Size() != 0 || z.extent != 0 {
+		t.Fatalf("zero contiguous: size=%d extent=%d", z.Size(), z.extent)
 	}
-	if _, err := Vector(-2, 1, 1, Contig(4)); err == nil {
+	if _, err := Subarray([]int64{-2}, []int64{-2}, []int64{0}, 4); err == nil {
 		t.Fatal("negative count accepted")
 	}
-	// Contiguous of contiguous collapses to one segment.
-	d, err := Vector(5, 1, 1, Contig(3))
+	// Contiguous elements collapse to one segment.
+	d, err := Subarray([]int64{5}, []int64{5}, []int64{0}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !d.IsContiguous() || d.Size() != 15 {
+	if !segsEq(d.Segments(), []Segment{{0, 15}}) || d.extent != 15 {
 		t.Fatalf("contig of contig: %v", d.Segments())
 	}
 }
@@ -327,7 +336,7 @@ func TestFromSegmentsAdoptsFlattenedInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if &d.Runs()[0] != &flat[0] || d.NumSegments() != 3 || d.Size() != 10 || d.Extent() != 30 {
+	if &d.Runs()[0] != &flat[0] || d.NumSegments() != 3 || d.Size() != 10 || d.extent != 30 {
 		t.Fatalf("flattened input was not adopted as is: %v size %d", d.Runs(), d.Size())
 	}
 	if got := d.Segments(); &got[0] == &flat[0] {
@@ -395,7 +404,7 @@ func unitOffsets(d Datatype, disp, skip, n int64) []Segment {
 		tile, within := k/d.Size(), k%d.Size()
 		for _, s := range d.Runs() {
 			if within < s.Len {
-				off := disp + tile*d.Extent() + s.Off + within
+				off := disp + tile*d.extent + s.Off + within
 				if m := len(out); m > 0 && out[m-1].Off+out[m-1].Len == off {
 					out[m-1].Len++
 				} else {
@@ -450,7 +459,7 @@ func TestSegmentsForRangeWholeTileFastPath(t *testing.T) {
 		}
 		if want := unitOffsets(d, disp, skip, n); !segsEq(got, want) {
 			t.Fatalf("view %v extent %d: SegmentsForRange(%d, %d, %d) = %v, want %v",
-				d.Runs(), d.Extent(), disp, skip, n, got, want)
+				d.Runs(), d.extent, disp, skip, n, got, want)
 		}
 		whole := disp == 0 && skip == 0 && n == d.Size()
 		if is := &got[0] == &d.Runs()[0]; is != whole {

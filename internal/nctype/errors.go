@@ -6,7 +6,6 @@ import "errors"
 // names follow the netCDF C library's NC_E* codes so users migrating from
 // the C API can recognize failure modes.
 var (
-	ErrBadID          = errors.New("netcdf: not a valid dataset ID")
 	ErrExists         = errors.New("netcdf: file exists and NoClobber set")
 	ErrInDefine       = errors.New("netcdf: operation not allowed in define mode")
 	ErrNotInDefine    = errors.New("netcdf: operation requires define mode")
@@ -29,7 +28,6 @@ var (
 	ErrNotNC          = errors.New("netcdf: not a netCDF file")
 	ErrVersion        = errors.New("netcdf: unsupported netCDF version")
 	ErrVarSize        = errors.New("netcdf: variable too large for format")
-	ErrNoRecVars      = errors.New("netcdf: no record variables defined")
 	ErrClosed         = errors.New("netcdf: dataset is closed")
 	ErrCountMismatch  = errors.New("netcdf: buffer length does not match edge counts")
 	ErrTypeMismatch   = errors.New("netcdf: buffer element type incompatible with request")

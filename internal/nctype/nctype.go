@@ -17,18 +17,17 @@ type Type int32
 // Classic external types (CDF-1/CDF-2). The extended types (UByte..UInt64)
 // are valid only in CDF-5 files.
 const (
-	Invalid Type = 0
-	Byte    Type = 1  // 8-bit signed integer
-	Char    Type = 2  // 8-bit character (text)
-	Short   Type = 3  // 16-bit signed integer
-	Int     Type = 4  // 32-bit signed integer
-	Float   Type = 5  // 32-bit IEEE float
-	Double  Type = 6  // 64-bit IEEE float
-	UByte   Type = 7  // CDF-5 only
-	UShort  Type = 8  // CDF-5 only
-	UInt    Type = 9  // CDF-5 only
-	Int64   Type = 10 // CDF-5 only
-	UInt64  Type = 11 // CDF-5 only
+	Byte   Type = 1  // 8-bit signed integer
+	Char   Type = 2  // 8-bit character (text)
+	Short  Type = 3  // 16-bit signed integer
+	Int    Type = 4  // 32-bit signed integer
+	Float  Type = 5  // 32-bit IEEE float
+	Double Type = 6  // 64-bit IEEE float
+	UByte  Type = 7  // CDF-5 only
+	UShort Type = 8  // CDF-5 only
+	UInt   Type = 9  // CDF-5 only
+	Int64  Type = 10 // CDF-5 only
+	UInt64 Type = 11 // CDF-5 only
 )
 
 // Size returns the external (on-disk) size of one value of type t in bytes,

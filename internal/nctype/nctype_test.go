@@ -8,7 +8,7 @@ func TestTypeSizes(t *testing.T) {
 		Short: 2, UShort: 2,
 		Int: 4, Float: 4, UInt: 4,
 		Double: 8, Int64: 8, UInt64: 8,
-		Invalid: 0, Type(99): 0,
+		Type(0): 0, Type(99): 0,
 	}
 	for typ, n := range want {
 		if typ.Size() != n {
@@ -35,7 +35,7 @@ func TestTypeValidityByVersion(t *testing.T) {
 			t.Errorf("%v invalid in CDF-5", typ)
 		}
 	}
-	if Invalid.Valid(1) || Type(42).Valid(5) {
+	if Type(0).Valid(1) || Type(42).Valid(5) {
 		t.Error("bogus types accepted")
 	}
 }
@@ -71,10 +71,10 @@ func TestOnDiskConstants(t *testing.T) {
 
 func TestErrorsDistinct(t *testing.T) {
 	errs := []error{
-		ErrBadID, ErrExists, ErrInDefine, ErrNotInDefine, ErrInvalidArg,
+		ErrExists, ErrInDefine, ErrNotInDefine, ErrInvalidArg,
 		ErrPerm, ErrNotVar, ErrNotDim, ErrNotAtt, ErrBadName, ErrBadType,
 		ErrBadDim, ErrUnlimPos, ErrMaxDims, ErrMaxVars, ErrMaxAttrs, ErrNameInUse, ErrMultiUnlimited,
-		ErrEdge, ErrStride, ErrNotNC, ErrVersion, ErrVarSize, ErrNoRecVars,
+		ErrEdge, ErrStride, ErrNotNC, ErrVersion, ErrVarSize,
 		ErrClosed, ErrCountMismatch, ErrTypeMismatch, ErrConsistency,
 		ErrIndepMode, ErrCollMode, ErrNullComm,
 	}

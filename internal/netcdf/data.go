@@ -248,7 +248,7 @@ func (d *Dataset) get(varid int, start, count, stride, imap []int64, data any) e
 func (d *Dataset) growRecords(n int64) error {
 	from := d.Hdr.NumRecs
 	d.Hdr.NumRecs = n
-	if d.fill != Fill {
+	if !d.fill {
 		return nil
 	}
 	for i := range d.Hdr.Vars {

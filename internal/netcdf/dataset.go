@@ -11,48 +11,30 @@ import (
 // calls, like NC_GLOBAL.
 const GlobalID = cdf.GlobalID
 
-// FillMode selects whether defined variables are pre-filled with netCDF fill
-// values.
-type FillMode int
-
-// Fill modes.
-const (
-	NoFill FillMode = iota // default, like PnetCDF
-	Fill                   // pre-fill at EndDef and on record growth
-)
-
 // Dataset is an open netCDF dataset accessed through a single process.
 type Dataset struct {
 	// Front holds the header, the define/read-only/closed state and the
 	// define, attribute and inquiry calls the parallel library shares.
 	cdf.Front
 
-	store Store
+	store backend
 	cache *pageCache
-	fill  FillMode
+	fill  bool // pre-fill at EndDef and on record growth; off by default, like PnetCDF
 
 	// hAlign reserves header space so later Redef calls can grow the header
 	// without moving data (also a PnetCDF hint).
 	hAlign int64
 }
 
-// Option tunes dataset creation/opening.
-type Option func(*Dataset)
-
-// WithFill enables netCDF prefilling.
-func WithFill() Option { return func(d *Dataset) { d.fill = Fill } }
+// option tunes dataset creation/opening.
+type option func(*Dataset)
 
 // WithHeaderAlign reserves align bytes of header space.
-func WithHeaderAlign(align int64) Option { return func(d *Dataset) { d.hAlign = align } }
-
-// WithCache overrides the page cache geometry.
-func WithCache(pageSize int64, pages int) Option {
-	return func(d *Dataset) { d.cache = newPageCache(d.store, pageSize, pages) }
-}
+func WithHeaderAlign(align int64) option { return func(d *Dataset) { d.hAlign = align } }
 
 // Create makes a new empty dataset on the store, entering define mode.
 // mode may include nctype.Bit64Offset (CDF-2) or nctype.Bit64Data (CDF-5).
-func Create(store Store, mode int, opts ...Option) (*Dataset, error) {
+func Create(store backend, mode int, opts ...option) (*Dataset, error) {
 	if err := store.Truncate(0); err != nil {
 		return nil, err
 	}
@@ -61,15 +43,13 @@ func Create(store Store, mode int, opts ...Option) (*Dataset, error) {
 	for _, o := range opts {
 		o(d)
 	}
-	if d.cache == nil {
-		d.cache = newPageCache(store, 32<<10, 128)
-	}
+	d.cache = newPageCache(store, 32<<10, 128)
 	return d, nil
 }
 
 // Open reads an existing dataset's header from the store. mode is
 // nctype.NoWrite or nctype.Write.
-func Open(store Store, mode int, opts ...Option) (*Dataset, error) {
+func Open(store backend, mode int, opts ...option) (*Dataset, error) {
 	size, err := store.Size()
 	if err != nil {
 		return nil, err
@@ -88,9 +68,7 @@ func Open(store Store, mode int, opts ...Option) (*Dataset, error) {
 	for _, o := range opts {
 		o(d)
 	}
-	if d.cache == nil {
-		d.cache = newPageCache(store, 32<<10, 128)
-	}
+	d.cache = newPageCache(store, 32<<10, 128)
 	if recovered && !d.Mode.ReadOnly {
 		// Repair the torn in-place header from the journaled image.
 		if err := d.writeHeader(); err != nil {
@@ -102,8 +80,8 @@ func Open(store Store, mode int, opts ...Option) (*Dataset, error) {
 
 // EndDef leaves define mode: the front computes the file layout and the
 // plan, and this library moves existing data through its page cache, writes
-// the header and (in Fill mode) pre-fills the variables this define mode
-// added.
+// the header and (in fill mode, SetFill) pre-fills the variables this define
+// mode added.
 func (d *Dataset) EndDef() error {
 	plan, err := d.Front.EndDef(d.hAlign, 1, 0, nil)
 	if err != nil {
@@ -120,11 +98,16 @@ func (d *Dataset) EndDef() error {
 	if err := d.writeHeader(); err != nil {
 		return err
 	}
-	if d.fill == Fill {
+	if d.fill {
 		return plan.Fill(d.cache.WriteAt)
 	}
 	return nil
 }
+
+// SetFill turns prefilling on or off, like nc_set_fill: in fill mode EndDef
+// fills the fixed variables each define mode adds, and growing the record
+// count fills the new records.
+func (d *Dataset) SetFill(on bool) { d.fill = on }
 
 // Redef re-enters define mode. If subsequent definitions grow the header
 // past its reserved space, EndDef moves the data (an expensive operation the

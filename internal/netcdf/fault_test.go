@@ -12,7 +12,7 @@ import (
 )
 
 // pfsFile is a simulated file for the fault tests: the library runs on it
-// through pfs.SerialFile, the store of the serial-netCDF baseline in every
+// through pfs.NewSerialFile, the store of the serial-netCDF baseline in every
 // benchmark, and faults are injected at its file system.
 type pfsFile struct {
 	fs *pfs.FS
@@ -33,7 +33,7 @@ func newPFSFile(t *testing.T, img []byte) *pfsFile {
 }
 
 // store is a fresh serial handle on the file.
-func (p *pfsFile) store() *pfs.SerialFile { return pfs.NewSerialFile(p.f, 0) }
+func (p *pfsFile) store() backend { return pfs.NewSerialFile(p.f, 0) }
 
 // image reads the file's bytes with injection off.
 func (p *pfsFile) image(t *testing.T) []byte {
@@ -92,7 +92,7 @@ func buildRecordFile(t *testing.T, nrecs int) []byte {
 const recVar = 1
 
 // shortStore is a MemStore that moves at most half of each transfer and
-// reports the short count with a nil error, as a caller-supplied Store may.
+// reports the short count with a nil error, as a caller-supplied backend may.
 type shortStore struct {
 	MemStore
 	shorts int
@@ -220,10 +220,11 @@ func TestCrashDuringHeaderCommitSweep(t *testing.T) {
 			in := fault.New(fault.Config{Seed: 1})
 			pf := newPFSFile(t, base)
 			pf.fs.SetFault(in)
-			d, err := Open(pf.store(), nctype.Write, WithCache(512, 16))
+			d, err := Open(pf.store(), nctype.Write)
 			if err != nil {
 				t.Fatal(err)
 			}
+			d.cache = newPageCache(d.store, 512, 16)
 			// Grow the file by two records, then crash during the sync.
 			vals := []int32{7, 7, 7, 7, 7, 7}
 			for r := int64(2); r < 4; r++ {
@@ -285,10 +286,11 @@ func TestRecoveredFileRepairsInPlaceHeader(t *testing.T) {
 	in := fault.New(fault.Config{Seed: 1})
 	pf := newPFSFile(t, base)
 	pf.fs.SetFault(in)
-	d, err := Open(pf.store(), nctype.Write, WithCache(512, 16))
+	d, err := Open(pf.store(), nctype.Write)
 	if err != nil {
 		t.Fatal(err)
 	}
+	d.cache = newPageCache(d.store, 512, 16)
 	vals := []int32{9, 9, 9, 9, 9, 9}
 	if err := d.PutVara(recVar, []int64{2, 0, 0}, []int64{1, 2, 3}, vals); err != nil {
 		t.Fatal(err)

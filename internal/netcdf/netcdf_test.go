@@ -16,7 +16,7 @@ import (
 //	dims: time(unlimited), lat=4, lon=6
 //	vars: double temp(time,lat,lon); int elevation(lat,lon)
 //	atts: :title = "test"; temp:units = "K"
-func newDataset(t *testing.T, opts ...Option) (*Dataset, *MemStore, int, int) {
+func newDataset(t *testing.T, opts ...option) (*Dataset, *MemStore, int, int) {
 	t.Helper()
 	store := &MemStore{}
 	d, err := Create(store, nctype.Clobber, opts...)
@@ -274,7 +274,8 @@ func TestRecordGrowthAndInterleaving(t *testing.T) {
 
 func TestFillMode(t *testing.T) {
 	store := &MemStore{}
-	d, _ := Create(store, nctype.Clobber, WithFill())
+	d, _ := Create(store, nctype.Clobber)
+	d.SetFill(true)
 	tdim, _ := d.DefDim("t", 0)
 	xdim, _ := d.DefDim("x", 4)
 	fixed, _ := d.DefVar("fixed", nctype.Int, []int{xdim})
@@ -311,7 +312,8 @@ func TestFillMode(t *testing.T) {
 // variables its define mode added, matched by index, so a variable renamed
 // in define mode keeps its data.
 func TestFillKeepsRenamedVariable(t *testing.T) {
-	d, _ := Create(&MemStore{}, nctype.Clobber, WithFill())
+	d, _ := Create(&MemStore{}, nctype.Clobber)
+	d.SetFill(true)
 	xdim, _ := d.DefDim("x", 4)
 	v, _ := d.DefVar("v", nctype.Int, []int{xdim})
 	if err := d.EndDef(); err != nil {
@@ -342,7 +344,8 @@ func TestFillKeepsRenamedVariable(t *testing.T) {
 
 func TestCustomFillValue(t *testing.T) {
 	store := &MemStore{}
-	d, _ := Create(store, nctype.Clobber, WithFill())
+	d, _ := Create(store, nctype.Clobber)
+	d.SetFill(true)
 	xdim, _ := d.DefDim("x", 3)
 	v, _ := d.DefVar("v", nctype.Int, []int{xdim})
 	if err := d.PutAttr(v, "_FillValue", nctype.Int, []int32{-999}); err != nil {
@@ -910,7 +913,7 @@ func TestSyncDoesNotGrowFile(t *testing.T) {
 
 // TestRedefShrinksHeaderAndRelocates: deleting an attribute moves every
 // variable toward the front of the file, onto the tail of its predecessor's
-// old place; the data must arrive whole (cdf.RelocationPlan runs such moves
+// old place; the data must arrive whole (cdf.Header.relocationPlan runs such moves
 // front to back).
 func TestRedefShrinksHeaderAndRelocates(t *testing.T) {
 	store := &MemStore{}
@@ -1080,10 +1083,11 @@ func TestBufferPlumbingAllTypes(t *testing.T) {
 
 func TestOptionsAndHeaderAccessors(t *testing.T) {
 	store := &MemStore{}
-	d, err := Create(store, nctype.Clobber, WithHeaderAlign(512), WithCache(1024, 4))
+	d, err := Create(store, nctype.Clobber, WithHeaderAlign(512))
 	if err != nil {
 		t.Fatal(err)
 	}
+	d.cache = newPageCache(store, 1024, 4)
 	x, _ := d.DefDim("x", 4)
 	if _, err := d.DefVar("v", nctype.Int, []int{x}); err != nil {
 		t.Fatal(err)

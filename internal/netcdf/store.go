@@ -3,7 +3,7 @@
 // use in the paper's Figure 2(a)/(b) scenarios. It implements the five
 // function families of the original API — dataset, define mode, attribute,
 // inquiry, and data access (var1 / var / vara / vars / varm) — over any
-// random-access Store, with a user-space page cache standing in for the
+// random-access backend, with a user-space page cache standing in for the
 // original library's buffering layer.
 package netcdf
 
@@ -14,10 +14,10 @@ import (
 	"os"
 )
 
-// Store is the random-access backend a Dataset runs on: a real *os.File (see
+// backend is the random-access storage a Dataset runs on: a real *os.File (see
 // OSStore), the simulated parallel file system's serial adapter
-// (pfs.SerialFile), or an in-memory buffer (MemStore).
-type Store interface {
+// (pfs.NewSerialFile), or an in-memory buffer (MemStore).
+type backend interface {
 	ReadAt(p []byte, off int64) (int, error)
 	WriteAt(p []byte, off int64) (int, error)
 	Size() (int64, error)
@@ -26,7 +26,7 @@ type Store interface {
 	Close() error
 }
 
-// OSStore adapts an *os.File to Store.
+// OSStore adapts an *os.File to backend.
 type OSStore struct{ F *os.File }
 
 // ReadAt reads, zero-filling past EOF (netCDF semantics for unwritten
@@ -64,7 +64,7 @@ func (s OSStore) Sync() error { return s.F.Sync() }
 // Close closes the file.
 func (s OSStore) Close() error { return s.F.Close() }
 
-// MemStore is an in-memory Store for tests and tools.
+// MemStore is an in-memory backend for tests and tools.
 type MemStore struct{ Data []byte }
 
 // ReadAt reads, zero-filling beyond the current size.
@@ -111,11 +111,11 @@ func (m *MemStore) Sync() error { return nil }
 func (m *MemStore) Close() error { return nil }
 
 // pageCache is a write-back LRU page cache between the Dataset and its
-// Store — the serial library's "own buffering mechanism in user space" the
+// backend — the serial library's "own buffering mechanism in user space" the
 // paper mentions. It coalesces the library's many small accesses into
 // page-sized store transfers.
 type pageCache struct {
-	store    Store
+	store    backend
 	pageSize int64
 	capacity int
 
@@ -139,7 +139,7 @@ type cachePage struct {
 // legally return n < len(p) with a nil error (as a real file system under
 // load does), and a call site that ignores the count reads garbage in the
 // unfilled tail. A read that makes no progress fails rather than spinning.
-func readFull(s Store, p []byte, off int64) error {
+func readFull(s backend, p []byte, off int64) error {
 	for len(p) > 0 {
 		n, err := s.ReadAt(p, off)
 		if err != nil {
@@ -155,7 +155,7 @@ func readFull(s Store, p []byte, off int64) error {
 }
 
 // writeFull writes len(p) bytes at off, looping on short writes.
-func writeFull(s Store, p []byte, off int64) error {
+func writeFull(s backend, p []byte, off int64) error {
 	for len(p) > 0 {
 		n, err := s.WriteAt(p, off)
 		if err != nil {
@@ -170,7 +170,7 @@ func writeFull(s Store, p []byte, off int64) error {
 	return nil
 }
 
-func newPageCache(store Store, pageSize int64, capacity int) *pageCache {
+func newPageCache(store backend, pageSize int64, capacity int) *pageCache {
 	if pageSize < 512 {
 		pageSize = 512
 	}

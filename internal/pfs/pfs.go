@@ -79,14 +79,15 @@ type Config struct {
 	// SyncCost is the virtual time for a flush barrier.
 	SyncCost float64
 	// Discard, when true, skips retention of bulk data (timing only):
-	// writes of DiscardThreshold bytes or more vanish, smaller writes —
+	// writes of discardThreshold bytes or more vanish, smaller writes —
 	// file headers, object metadata, group tables — are kept so the
 	// libraries' metadata paths still function. Benchmarks over very large
 	// synthetic files use it; tests never do.
 	Discard bool
-	// DiscardThreshold is the bulk-data cutoff for Discard (default 1 MiB).
-	DiscardThreshold int64
 }
+
+// discardThreshold is the bulk-data cutoff for Config.Discard.
+const discardThreshold = 1 << 20
 
 // BlueHorizon is the file system of SDSC Blue Horizon, the system of the
 // paper's §5.1 scalability study (Figure 6): 12 GPFS I/O nodes, ~1.5 GB/s
@@ -170,9 +171,6 @@ func New(cfg Config) *FS {
 	if cfg.PipeChunk < 1 {
 		cfg.PipeChunk = 4 << 20
 	}
-	if cfg.DiscardThreshold < 1 {
-		cfg.DiscardThreshold = 1 << 20
-	}
 	return &FS{
 		cfg:   cfg,
 		files: map[string]*fileData{},
@@ -191,12 +189,6 @@ func (fs *FS) SetFault(in *fault.Injector) { fs.inj = in }
 
 // Fault returns the installed injector (nil when faults are off).
 func (fs *FS) Fault() *fault.Injector { return fs.inj }
-
-// PeakReadBW returns the aggregate read bandwidth ceiling in bytes/second.
-func (fs *FS) PeakReadBW() float64 { return float64(fs.cfg.NumServers) * fs.cfg.ReadBW }
-
-// PeakWriteBW returns the aggregate write bandwidth ceiling in bytes/second.
-func (fs *FS) PeakWriteBW() float64 { return float64(fs.cfg.NumServers) * fs.cfg.WriteBW }
 
 // File is an open handle. Handles are cheap; all handles to one name share
 // the underlying data. Every request moves its bytes before it returns and
@@ -402,7 +394,7 @@ func (f *File) WriteBehind(t float64, segs []Segment, iov [][]byte) (left, done 
 // storeWriteVec lands the segments: each takes the next bytes at cur.
 func (f *File) storeWriteVec(segs []Segment, cur *iovCursor) {
 	for _, s := range segs {
-		f.fd.store.writeAt(s.Off, s.Len, cur, f.fs.cfg.Discard && s.Len >= f.fs.cfg.DiscardThreshold)
+		f.fd.store.writeAt(s.Off, s.Len, cur, f.fs.cfg.Discard && s.Len >= discardThreshold)
 	}
 }
 

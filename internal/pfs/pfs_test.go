@@ -152,8 +152,8 @@ func TestAggregateBandwidthSaturates(t *testing.T) {
 	nbytes := int64(256 << 20)
 	done, _ := f.WriteAt(0, make([]byte, nbytes), 0)
 	bw := float64(nbytes) / done
-	if bw > fs.PeakWriteBW()*1.01 {
-		t.Fatalf("write bandwidth %.0f exceeds peak %.0f", bw, fs.PeakWriteBW())
+	if peak := float64(fs.cfg.NumServers) * fs.cfg.WriteBW; bw > peak*1.01 {
+		t.Fatalf("write bandwidth %.0f exceeds peak %.0f", bw, peak)
 	}
 	// And it should get reasonably close for one huge contiguous write
 	// pipelined against the client link... unless the client link itself is
@@ -459,13 +459,13 @@ func TestSerialFileAdapter(t *testing.T) {
 
 // TestEveryMethodIsCharged: every simulated bandwidth number rests on each
 // byte the store moves being charged to the cost model and counted. Every
-// exported method of *File and *SerialFile needs a row (found by reflection):
+// exported method of *File and *serialFile needs a row (found by reflection):
 // one that moves 1 MiB takes at least its time at peak bandwidth and counts
 // its bytes and its one call; one that moves no bytes says why.
 func TestEveryMethodIsCharged(t *testing.T) {
 	const n = 1 << 20
 	type op func(f *File, t float64, p []byte) (float64, error)
-	serial := func(do func(s *SerialFile, p []byte) (int, error)) op {
+	serial := func(do func(s *serialFile, p []byte) (int, error)) op {
 		return func(f *File, t float64, p []byte) (float64, error) {
 			s := NewSerialFile(f, t)
 			_, err := do(s, p)
@@ -482,7 +482,7 @@ func TestEveryMethodIsCharged(t *testing.T) {
 		"File.ReadAt":       {do: func(f *File, t float64, p []byte) (float64, error) { return f.ReadAt(t, p, 0) }, read: true},
 		"File.ReadV":        {do: func(f *File, t float64, p []byte) (float64, error) { return f.ReadV(t, one, p) }, read: true},
 		"File.ReadVec":      {do: func(f *File, t float64, p []byte) (float64, error) { return f.ReadVec(t, one, halves(p)) }, read: true},
-		"SerialFile.ReadAt": {do: serial(func(s *SerialFile, p []byte) (int, error) { return s.ReadAt(p, 0) }), read: true},
+		"serialFile.ReadAt": {do: serial(func(s *serialFile, p []byte) (int, error) { return s.ReadAt(p, 0) }), read: true},
 		"File.WriteAt":      {do: func(f *File, t float64, p []byte) (float64, error) { return f.WriteAt(t, p, 0) }},
 		"File.WriteVec":     {do: func(f *File, t float64, p []byte) (float64, error) { return f.WriteVec(t, one, halves(p)) }},
 		"File.ReadAhead": {do: func(f *File, t float64, p []byte) (float64, error) {
@@ -493,7 +493,7 @@ func TestEveryMethodIsCharged(t *testing.T) {
 			_, done, err := f.WriteBehind(t, one, halves(p))
 			return done, err
 		}},
-		"SerialFile.WriteAt":  {do: serial(func(s *SerialFile, p []byte) (int, error) { return s.WriteAt(p, 0) })},
+		"serialFile.WriteAt":  {do: serial(func(s *serialFile, p []byte) (int, error) { return s.WriteAt(p, 0) })},
 		"File.Name":           {why: "returns the name"},
 		"File.Size":           {why: "returns the size"},
 		"File.Truncate":       {why: "metadata only: no transfer for the cost model to charge"},
@@ -502,15 +502,15 @@ func TestEveryMethodIsCharged(t *testing.T) {
 		"File.Sync":           {why: "charges the flush barrier; moves no bytes"},
 		"File.SetStats":       {why: "installs the collectors"},
 		"File.SetSpans":       {why: "installs the span recorder"},
-		"SerialFile.Size":     {why: "returns the size"},
-		"SerialFile.Truncate": {why: "metadata only, as File.Truncate"},
-		"SerialFile.Sync":     {why: "charges the flush barrier through File.Sync"},
-		"SerialFile.Close":    {why: "a no-op on the simulated store"},
-		"SerialFile.Clock":    {why: "returns the clock"},
-		"SerialFile.SetClock": {why: "sets the clock"},
+		"serialFile.Size":     {why: "returns the size"},
+		"serialFile.Truncate": {why: "metadata only, as File.Truncate"},
+		"serialFile.Sync":     {why: "charges the flush barrier through File.Sync"},
+		"serialFile.Close":    {why: "a no-op on the simulated store"},
+		"serialFile.Clock":    {why: "returns the clock"},
+		"serialFile.SetClock": {why: "sets the clock"},
 	}
 	methods := map[string]bool{}
-	for _, v := range []any{(*File)(nil), (*SerialFile)(nil)} {
+	for _, v := range []any{(*File)(nil), (*serialFile)(nil)} {
 		typ := reflect.TypeOf(v)
 		for i := 0; i < typ.NumMethod(); i++ {
 			name := typ.Elem().Name() + "." + typ.Method(i).Name
@@ -530,11 +530,11 @@ func TestEveryMethodIsCharged(t *testing.T) {
 		fs := testFS()
 		f, _ := fs.Create("f", 0)
 		p := make([]byte, n)
-		peak, bytes, calls := fs.PeakWriteBW(), iostat.PfsBytesWritten, iostat.PfsWriteCalls
+		peak, bytes, calls := float64(fs.cfg.NumServers)*fs.cfg.WriteBW, iostat.PfsBytesWritten, iostat.PfsWriteCalls
 		if r.read {
 			f.WriteAt(0, p, 0)
 			fs.ResetClock()
-			peak, bytes, calls = fs.PeakReadBW(), iostat.PfsBytesRead, iostat.PfsReadCalls
+			peak, bytes, calls = float64(fs.cfg.NumServers)*fs.cfg.ReadBW, iostat.PfsBytesRead, iostat.PfsReadCalls
 		}
 		st := iostat.New()
 		f.SetStats(st, -1)
@@ -644,13 +644,14 @@ func TestChargeCountsPartialBlocksOnce(t *testing.T) {
 func TestDiscardThresholdKeepsMetadata(t *testing.T) {
 	cfg := BlueHorizon()
 	cfg.Discard = true
-	cfg.DiscardThreshold = 4096
 	fs := New(cfg)
 	f, _ := fs.Create("f", 0)
-	// Small (metadata-sized) write is retained.
+	// Small (metadata-sized) writes are retained, up to just below the
+	// threshold.
 	f.WriteAt(0, []byte("superblock!"), 0)
-	// Large (bulk) write is dropped.
-	f.WriteAt(0, bytes.Repeat([]byte{0xAB}, 8192), 1024)
+	f.WriteAt(0, bytes.Repeat([]byte{0xCD}, discardThreshold-1), 1024+discardThreshold)
+	// A bulk write of the threshold or more is dropped.
+	f.WriteAt(0, bytes.Repeat([]byte{0xAB}, discardThreshold), 1024)
 	small := make([]byte, 11)
 	f.ReadAt(0, small, 0)
 	if string(small) != "superblock!" {
@@ -663,7 +664,12 @@ func TestDiscardThresholdKeepsMetadata(t *testing.T) {
 			t.Fatal("bulk data retained in discard mode")
 		}
 	}
-	if f.Size() != 1024+8192 {
+	kept := make([]byte, 16)
+	f.ReadAt(0, kept, 1024+2*discardThreshold-17)
+	if !bytes.Equal(kept, bytes.Repeat([]byte{0xCD}, 16)) {
+		t.Fatalf("a write below the threshold was dropped: %x", kept)
+	}
+	if f.Size() != 1024+2*discardThreshold-1 {
 		t.Fatalf("size = %d", f.Size())
 	}
 }

@@ -38,15 +38,3 @@ func BenchmarkSpanDisabled(b *testing.B) {
 		a.End()
 	}
 }
-
-// BenchmarkSpanEnabled measures the enabled-path cost per Begin/End pair.
-func BenchmarkSpanEnabled(b *testing.B) {
-	r := span.NewRecorder(0, nil)
-	r.SetCap(1 << 30)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		a := r.Begin(span.Round)
-		a.SetBytes(int64(i))
-		a.End()
-	}
-}

@@ -5,7 +5,7 @@ import (
 	"sort"
 )
 
-// RoundCritical names the rank and phase that bounded one two-phase round
+// roundCritical names the rank and phase that bounded one two-phase round
 // of one collective call. "Bounded" means: among all ranks participating in
 // the round, this rank's local work took longest — from its round start to
 // the end of its last child phase, less the stretches it spent only waiting
@@ -15,7 +15,7 @@ import (
 // slowest rank's work, not theirs) — and Phase is the longest working child
 // phase on that rank, never agree. Durations are within-rank, so the
 // analysis is immune to cross-rank clock skew.
-type RoundCritical struct {
+type roundCritical struct {
 	Coll  int     // collective call index (order of coll_* spans per rank)
 	Round int     // round index within the collective
 	Rank  int     // bounding rank
@@ -28,7 +28,7 @@ type RoundCritical struct {
 
 // Spread returns max/mean work, the round's load-imbalance factor
 // (1.0 = perfectly balanced).
-func (rc RoundCritical) Spread() float64 {
+func (rc roundCritical) Spread() float64 {
 	if rc.Mean <= 0 {
 		return 1
 	}
@@ -99,7 +99,7 @@ func collIndexes(spans []Span) map[int]map[int64]int {
 // unchanged. Finally the rank's wait stretches inside the charged interval
 // are taken off, so a rank whose round is long only because it waited in
 // agree is not named.
-func CriticalPath(spans []Span) []RoundCritical {
+func CriticalPath(spans []Span) []roundCritical {
 	idx := index(spans)
 	colls := collIndexes(spans)
 	idle := waits(spans)
@@ -233,9 +233,9 @@ func CriticalPath(spans []Span) []RoundCritical {
 		}
 	}
 
-	out := make([]RoundCritical, 0, len(groups))
+	out := make([]roundCritical, 0, len(groups))
 	for k, entries := range groups {
-		rc := RoundCritical{Coll: k.coll, Round: k.round, Min: -1}
+		rc := roundCritical{Coll: k.coll, Round: k.round, Min: -1}
 		var sum float64
 		for _, e := range entries {
 			sum += e.work
@@ -264,7 +264,7 @@ func CriticalPath(spans []Span) []RoundCritical {
 
 // BoundCounts tallies how often each rank bounded a round — the straggler
 // attribution summary ("rank 3 bounded 14/24 rounds").
-func BoundCounts(rounds []RoundCritical) map[int]int {
+func BoundCounts(rounds []roundCritical) map[int]int {
 	out := make(map[int]int)
 	for _, rc := range rounds {
 		out[rc.Rank]++
@@ -272,22 +272,22 @@ func BoundCounts(rounds []RoundCritical) map[int]int {
 	return out
 }
 
-// RankLoad is one rank's total time and call count in one phase.
-type RankLoad struct {
+// rankLoad is one rank's total time and call count in one phase.
+type rankLoad struct {
 	Rank    int
 	Seconds float64
 	Calls   int
 	Bytes   int64
 }
 
-// Load aggregates one phase across ranks: the per-phase load-imbalance
+// load aggregates one phase across ranks: the per-phase load-imbalance
 // histogram. PerRank covers every rank of the trace, and Min, Mean and the
 // imbalance factors are taken over all of them: a rank that recorded no span
 // of the phase (an aggregator whose window was empty, a rank that is no
 // aggregator) was idle while the busiest one worked, which is the imbalance.
-type Load struct {
+type load struct {
 	Phase   string
-	PerRank []RankLoad // sorted by rank
+	PerRank []rankLoad // sorted by rank
 	Min     float64
 	Max     float64
 	Mean    float64
@@ -298,7 +298,7 @@ type Load struct {
 
 // Imbalance returns max/mean seconds (1.0 = perfectly balanced; 0 when the
 // phase saw no time).
-func (l Load) Imbalance() float64 {
+func (l load) Imbalance() float64 {
 	if l.Mean <= 0 {
 		return 0
 	}
@@ -309,7 +309,7 @@ func (l Load) Imbalance() float64 {
 // perfectly balanced; 0 when the phase moved no bytes). For aggregator
 // phases this is the byte-load spread of the file domains — unlike Imbalance
 // it is independent of per-rank timing noise.
-func (l Load) ByteImbalance() float64 {
+func (l load) ByteImbalance() float64 {
 	var max, sum int64
 	for _, rl := range l.PerRank {
 		sum += rl.Bytes
@@ -325,7 +325,7 @@ func (l Load) ByteImbalance() float64 {
 }
 
 // Busy returns how many ranks recorded at least one span of the phase.
-func (l Load) Busy() int {
+func (l load) Busy() int {
 	n := 0
 	for _, rl := range l.PerRank {
 		if rl.Calls > 0 {
@@ -340,17 +340,17 @@ func (l Load) Busy() int {
 // wait stretches inside it (waits), so a round or a collective counts the
 // work it did, not how long it sat in an agreement; agree spans themselves
 // count whole.
-func PhaseLoad(spans []Span, phase string) Load {
+func PhaseLoad(spans []Span, phase string) load {
 	return phaseLoad(spans, phase, waits(spans))
 }
 
-func phaseLoad(spans []Span, phase string, idle map[int][]interval) Load {
-	per := make(map[int]*RankLoad)
+func phaseLoad(spans []Span, phase string, idle map[int][]interval) load {
+	per := make(map[int]*rankLoad)
 	for i := range spans {
 		s := &spans[i]
 		rl := per[s.Rank]
 		if rl == nil {
-			rl = &RankLoad{Rank: s.Rank}
+			rl = &rankLoad{Rank: s.Rank}
 			per[s.Rank] = rl
 		}
 		if s.Phase != phase {
@@ -363,7 +363,7 @@ func phaseLoad(spans []Span, phase string, idle map[int][]interval) Load {
 		rl.Calls++
 		rl.Bytes += s.Bytes
 	}
-	l := Load{Phase: phase, Min: -1}
+	l := load{Phase: phase, Min: -1}
 	var sum float64
 	for _, rl := range per {
 		l.PerRank = append(l.PerRank, *rl)
@@ -390,7 +390,7 @@ func phaseLoad(spans []Span, phase string, idle map[int][]interval) Load {
 // AllLoads computes PhaseLoad for every phase present, sorted most
 // imbalanced first (ties broken by total time, then name) — the straggler
 // attribution table.
-func AllLoads(spans []Span) []Load {
+func AllLoads(spans []Span) []load {
 	seen := make(map[string]bool)
 	var phases []string
 	for i := range spans {
@@ -399,7 +399,7 @@ func AllLoads(spans []Span) []Load {
 			phases = append(phases, p)
 		}
 	}
-	out := make([]Load, 0, len(phases))
+	out := make([]load, 0, len(phases))
 	idle := waits(spans)
 	for _, p := range phases {
 		out = append(out, phaseLoad(spans, p, idle))
@@ -504,10 +504,10 @@ func overlap(list []interval, lo, hi float64) float64 {
 	return d
 }
 
-// Histogram buckets the per-rank seconds of a Load into n equal-width
+// Histogram buckets the per-rank seconds of a load into n equal-width
 // buckets over [Min, Max], returning counts and human-readable bucket
 // labels. Useful for the aggregator load-imbalance view.
-func (l Load) Histogram(n int) (counts []int, labels []string) {
+func (l load) Histogram(n int) (counts []int, labels []string) {
 	if n < 1 || len(l.PerRank) == 0 {
 		return nil, nil
 	}

@@ -123,19 +123,3 @@ func TestGatherEmptyTraces(t *testing.T) {
 		t.Fatalf("got %d spans / %d dropped from empty traces", len(merged), dropped)
 	}
 }
-
-// TestGatherDroppedSummed: per-rank drop counts sum across the world.
-func TestGatherDroppedSummed(t *testing.T) {
-	const n = 3
-	_, dropped := gatherWorld(t, n, func(c *mpi.Comm) *span.Recorder {
-		r := span.NewRecorder(c.Rank(), nil)
-		r.SetCap(1)
-		for i := 0; i < 3; i++ { // 1 recorded, 2 dropped per rank
-			r.Begin("op").End()
-		}
-		return r
-	})
-	if dropped != int64(2*n) {
-		t.Fatalf("dropped = %d, want %d", dropped, 2*n)
-	}
-}

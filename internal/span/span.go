@@ -118,20 +118,6 @@ func NewRecorder(rank int, clock func() float64) *Recorder {
 	return &Recorder{clock: clock, rank: rank, cap: DefaultCap, next: 1}
 }
 
-// SetCap bounds the number of recorded spans (minimum 1); spans beyond the
-// cap are dropped and counted.
-func (r *Recorder) SetCap(n int) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if n < 1 {
-		n = 1
-	}
-	r.cap = n
-}
-
 // Active is a handle to a span opened by Begin. The zero value (and any
 // handle from a nil Recorder) is inert: all methods no-op. Copying is fine;
 // End is idempotent.

@@ -86,25 +86,6 @@ func TestSpanEndClosesDescendants(t *testing.T) {
 	}
 }
 
-func TestSpanCapAndDropped(t *testing.T) {
-	r := span.NewRecorder(0, nil)
-	r.SetCap(2)
-	for i := 0; i < 5; i++ {
-		a := r.Begin("op")
-		a.End()
-	}
-	r.Record("leaf", -1, 0, 1, 0, -1)
-	if n := r.Len(); n != 2 {
-		t.Fatalf("Len() = %d, want 2", n)
-	}
-	if d := r.Dropped(); d != 4 {
-		t.Fatalf("Dropped() = %d, want 4", d)
-	}
-	if r.Open() != 0 {
-		t.Fatalf("Open() = %d", r.Open())
-	}
-}
-
 func TestSpanRecordExplicit(t *testing.T) {
 	clk := &manualClock{}
 	r := span.NewRecorder(1, clk.now)
@@ -142,24 +123,6 @@ func TestSpanOpenClampedInSnapshot(t *testing.T) {
 	a.End()
 }
 
-func TestSpanReset(t *testing.T) {
-	r := span.NewRecorder(0, nil)
-	r.SetCap(1)
-	r.Begin("a").End()
-	r.Begin("b").End() // dropped
-	if r.Dropped() != 1 {
-		t.Fatalf("Dropped() = %d", r.Dropped())
-	}
-	r.Reset()
-	if r.Len() != 0 || r.Dropped() != 0 || r.Open() != 0 {
-		t.Fatalf("after Reset: len=%d dropped=%d open=%d", r.Len(), r.Dropped(), r.Open())
-	}
-	r.Begin("c").End()
-	if r.Len() != 1 {
-		t.Fatalf("Len() = %d after reset+begin", r.Len())
-	}
-}
-
 // TestSpanNilSafety: every entry point must no-op on a nil recorder and on
 // zero-value handles.
 func TestSpanNilSafety(t *testing.T) {
@@ -170,7 +133,6 @@ func TestSpanNilSafety(t *testing.T) {
 	a.AddBytes(3)
 	a.End()
 	r.Record("y", 0, 0, 1, 2, -1)
-	r.SetCap(10)
 	r.Reset()
 	if r.Len() != 0 || r.Open() != 0 || r.Dropped() != 0 || r.Spans() != nil {
 		t.Fatal("nil recorder leaked state")
