@@ -70,6 +70,55 @@ func measureAllocs(tb testing.TB, op func(testing.TB)) testing.BenchmarkResult {
 	})
 }
 
+// allocWindow measures what call allocates: it runs warm (if not nil) once,
+// then call tries times, and returns the fewest objects and the fewest bytes
+// one call allocated. In a rank (c not nil) every rank of c calls it:
+// barriers bracket each call and rank 0 reads runtime.MemStats between them,
+// so a count is all ranks' together, and it is returned on rank 0 alone
+// (the others get zeros). The collector is paused from the warm-up through
+// the last call: a collection empties the buffer pools' per-processor
+// caches, and where one lands depends on the host's load, so refilling them
+// would put noise into a window.
+func allocWindow(c *mpi.Comm, tries int, warm, call func() error) (objs, bytes int64, err error) {
+	root := c == nil || c.Rank() == 0
+	barrier := func() {
+		if c != nil {
+			c.Barrier()
+		}
+	}
+	if root {
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	}
+	barrier()
+	if warm != nil {
+		if err := warm(); err != nil {
+			return 0, 0, err
+		}
+	}
+	objs, bytes = math.MaxInt64, math.MaxInt64
+	for i := 0; i < tries; i++ {
+		var before, after runtime.MemStats
+		barrier()
+		if root {
+			runtime.ReadMemStats(&before)
+		}
+		barrier()
+		if err := call(); err != nil {
+			return 0, 0, err
+		}
+		barrier()
+		if root {
+			runtime.ReadMemStats(&after)
+			objs = min(objs, int64(after.Mallocs-before.Mallocs))
+			bytes = min(bytes, int64(after.TotalAlloc-before.TotalAlloc))
+		}
+	}
+	if !root {
+		return 0, 0, nil
+	}
+	return objs, bytes, nil
+}
+
 func TestAllocsCollectiveRound(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops buffers under the race detector; the byte pin does not hold")
@@ -96,10 +145,8 @@ func TestAllocsCollectiveRound(t *testing.T) {
 // roundsAllocs runs one 4-rank collective over an interleaved view of 128-byte
 // blocks (2064 per rank, two aggregators) with the given cb_buffer_size and
 // returns the objects and bytes all ranks together allocated inside the
-// WriteAtAll or ReadAtAll call alone, plus the rounds it took. The warm-up
-// and the measured call run with the collector paused: a collection empties
-// the buffer pools' per-processor caches, and where one lands depends on the
-// host's load, so refilling them put 0 to 3 objects of noise into a window.
+// WriteAtAll or ReadAtAll call alone, once it has run before (allocWindow),
+// plus the rounds it took.
 func roundsAllocs(tb testing.TB, read bool, cbBuffer int) (objs, bytes, rounds int64) {
 	const ranks, blockLen, nBlocks = 4, 128, 2064
 	cfg := pfs.BlueHorizon()
@@ -128,28 +175,17 @@ func roundsAllocs(tb testing.TB, read bool, cbBuffer int) (objs, bytes, rounds i
 			}
 			op = f.ReadAtAll
 		}
-		if c.Rank() == 0 {
-			defer debug.SetGCPercent(debug.SetGCPercent(-1))
-		}
-		c.Barrier()
-		if err := op(0, buf); err != nil { // warm the pools and the chunk store
+		warm := func() error { // the pools and the chunk store
+			err := op(0, buf)
+			st.Reset()
 			return err
 		}
-		r0 := st.Get(iostat.IOTwoPhaseRounds)
-		var before, after runtime.MemStats
-		c.Barrier()
-		if c.Rank() == 0 {
-			runtime.ReadMemStats(&before)
-		}
-		c.Barrier()
-		if err := op(0, buf); err != nil {
+		o, b, err := allocWindow(c, 1, warm, func() error { return op(0, buf) })
+		if err != nil {
 			return err
 		}
-		c.Barrier()
 		if c.Rank() == 0 {
-			runtime.ReadMemStats(&after)
-			objs, bytes = int64(after.Mallocs-before.Mallocs), int64(after.TotalAlloc-before.TotalAlloc)
-			rounds = st.Get(iostat.IOTwoPhaseRounds) - r0
+			objs, bytes, rounds = o, b, st.Get(iostat.IOTwoPhaseRounds)
 		}
 		return f.Close()
 	})
@@ -238,24 +274,18 @@ func getRoundsAllocs(tb testing.TB, cbBuffer int) (objs, rounds int64) {
 		if err := d.PutVaraAll(v, start, count, buf); err != nil {
 			return err
 		}
-		if err := d.GetVaraAll(v, start, count, buf); err != nil { // warm the pools and the view cache
+		get := func() error { return d.GetVaraAll(v, start, count, buf) }
+		warm := func() error { // the pools and the view cache
+			err := get()
+			st.Reset()
 			return err
 		}
-		r0 := st.Get(iostat.IOTwoPhaseRounds)
-		var before, after runtime.MemStats
-		c.Barrier()
-		if c.Rank() == 0 {
-			runtime.ReadMemStats(&before)
-		}
-		c.Barrier()
-		if err := d.GetVaraAll(v, start, count, buf); err != nil {
+		o, _, err := allocWindow(c, 1, warm, get)
+		if err != nil {
 			return err
 		}
-		c.Barrier()
 		if c.Rank() == 0 {
-			runtime.ReadMemStats(&after)
-			objs = int64(after.Mallocs - before.Mallocs)
-			rounds = st.Get(iostat.IOTwoPhaseRounds) - r0
+			objs, rounds = o, st.Get(iostat.IOTwoPhaseRounds)
 		}
 		return d.Close()
 	})
@@ -328,8 +358,7 @@ func TestAllocsOneRoundCollective(t *testing.T) {
 // ranks together allocated in a flexible put and get of the second. Fill
 // mode lands both variables' bytes at EndDef, so the second variable's
 // write finds its chunks in the store, as a rewrite would: what is counted
-// is the library's alone. The warm-up and the measured calls run with the
-// collector paused (see openAccessAllocs).
+// is the library's alone.
 func warmCollectiveAllocs(tb testing.TB) int64 {
 	const ranks, blocks, nb, guard = 8, 8, 8, 4
 	const edge = nb + 2*guard
@@ -369,26 +398,13 @@ func warmCollectiveAllocs(tb testing.TB) int64 {
 			}
 			return d.GetVaraTypeAll(v, start, count, buf, memtype)
 		}
-		if c.Rank() == 0 {
-			defer debug.SetGCPercent(debug.SetGCPercent(-1))
-		}
-		c.Barrier()
-		if err := putGet(vars[0]); err != nil {
+		o, _, err := allocWindow(c, 1,
+			func() error { return putGet(vars[0]) }, func() error { return putGet(vars[1]) })
+		if err != nil {
 			return err
 		}
-		var before, after runtime.MemStats
-		c.Barrier()
 		if c.Rank() == 0 {
-			runtime.ReadMemStats(&before)
-		}
-		c.Barrier()
-		if err := putGet(vars[1]); err != nil {
-			return err
-		}
-		c.Barrier()
-		if c.Rank() == 0 {
-			runtime.ReadMemStats(&after)
-			objs = int64(after.Mallocs - before.Mallocs)
+			objs = o
 		}
 		return d.Close()
 	})
@@ -448,11 +464,10 @@ func TestAllocsManyRoundWrite(t *testing.T) {
 // together allocated in the open and one 32-round WriteAtAll — or, with
 // read, ReadAtAll — plus the rounds it took and the io_overlap_ns recorded
 // by the time it returned. An earlier open and write, and for a read three
-// reads, warm the pools and the chunk store. The warm-up and the measured
-// call run with the collector paused: a collection in between empties the
-// buffer pools' per-processor caches, and refilling them costs objects in
-// proportion to the pooled buffers in flight. A read's rounds in flight
-// hold more of them than a write's, but a write paid too: with the
+// reads, warm the pools and the chunk store. The collector is paused
+// (allocWindow): after a collection, refilling the pools' caches costs
+// objects in proportion to the pooled buffers in flight. A read's rounds in
+// flight hold more of them than a write's, but a write paid too: with the
 // collector running, a loaded go test ./... read 148 objects against 144.
 func openAccessAllocs(tb testing.TB, cache int64, read bool) (objs, rounds, overlap int64) {
 	const ranks, blockLen, nBlocks = 4, 128, 2064
@@ -484,39 +499,33 @@ func openAccessAllocs(tb testing.TB, cache int64, read bool) (objs, rounds, over
 			}
 			return f, f.WriteAtAll(0, buf)
 		}
-		warm := []bool{false}
-		if read {
-			warm = append(warm, true, true, true)
-		}
-		if c.Rank() == 0 {
-			defer debug.SetGCPercent(debug.SetGCPercent(-1))
-		}
-		c.Barrier()
-		for _, r := range warm {
-			f, err := access(r)
-			if err != nil {
-				return err
+		warm := func() error {
+			ways := []bool{false}
+			if read {
+				ways = append(ways, true, true, true)
 			}
-			if err := f.Close(); err != nil {
-				return err
+			for _, r := range ways {
+				f, err := access(r)
+				if err != nil {
+					return err
+				}
+				if err := f.Close(); err != nil {
+					return err
+				}
 			}
+			st.Reset()
+			return nil
 		}
-		st.Reset()
-		var before, after runtime.MemStats
-		c.Barrier()
-		if c.Rank() == 0 {
-			runtime.ReadMemStats(&before)
-		}
-		c.Barrier()
-		f, err := access(read)
+		var f *mpiio.File
+		o, _, err := allocWindow(c, 1, warm, func() (err error) {
+			f, err = access(read)
+			return err
+		})
 		if err != nil {
 			return err
 		}
-		c.Barrier()
 		if c.Rank() == 0 {
-			runtime.ReadMemStats(&after)
-			objs = int64(after.Mallocs - before.Mallocs)
-			rounds = st.Get(iostat.IOTwoPhaseRounds)
+			objs, rounds = o, st.Get(iostat.IOTwoPhaseRounds)
 		}
 		overlaps[c.Rank()] = st.Get(iostat.IOOverlapTimeNs)
 		return f.Close()
@@ -539,7 +548,7 @@ func openAccessAllocs(tb testing.TB, cache int64, read bool) (objs, rounds, over
 // one-round cache settles every round but the last. Background allocation
 // only adds (a run of the whole package reads up to 2 high), so the two
 // caches are measured in alternation, with the collector paused
-// (openAccessAllocs), and the smallest of many runs of each is compared,
+// (allocWindow), and the smallest of many runs of each is compared,
 // with three objects to spare.
 func TestAllocsRoundsInFlight(t *testing.T) {
 	if raceEnabled {
@@ -576,12 +585,12 @@ func TestAllocsRoundsInFlight(t *testing.T) {
 // from the pools, and a requesting rank recomputes its clip of a round when
 // the round is answered instead of storing it (a copy that gave each round
 // in flight its own slice of request positions allocated 173 objects
-// against 153 here). Measured like
-// TestAllocsRoundsInFlight — in alternation, the smallest of many runs of
-// each, with three objects to spare — but with the collector paused from
-// the warm-up on (openAccessAllocs): the pooled coverage buffers of 12
-// rounds in flight are 10 more per aggregator than 2 rounds', and after a
-// collection refilling the pools' caches costs 4 to 6 objects more.
+// against 153 here). Measured like TestAllocsRoundsInFlight: in
+// alternation, the smallest of many runs of each, with three objects to
+// spare. The collector's pause matters more here: the pooled coverage
+// buffers of 12 rounds in flight are 10 more per aggregator than 2 rounds',
+// and after a collection refilling the pools' caches costs 4 to 6 objects
+// more.
 func TestAllocsReadRoundsInFlight(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops buffers under the race detector; the pins do not hold")
@@ -839,17 +848,17 @@ func TestAllocsHeaderCodec(t *testing.T) {
 
 // TestAllocsDefine pins what defining the metadata-heavy shape allocates in
 // each library — Create, then 4096 x (DefVar + 2 PutAttr) with the values
-// boxed beforehand — and what Clone (Redef's copy of the old layout) of the
-// header that leaves allocates. Dimension IDs, attribute lists and values are
+// boxed beforehand — and what Redef's clone of the header that leaves (its
+// copy of the old layout) allocates. Dimension IDs, attribute lists and values are
 // carved from the header's slabs and the variable list doubles, so what is
 // left is a new slab every few hundred variables. Measured: 123
 // objects in core (20 547 while every DefVar copied its IDs and every
-// PutAttr made a value and regrew a list), 119 in netcdf; Clone 24 (it made
-// four per variable).
+// PutAttr made a value and regrew a list), 119 in netcdf; the clone 24 (it
+// made four per variable).
 func TestAllocsDefine(t *testing.T) {
 	const nvars, tries = 4096, 5
 	defs := newMetaDefs(nvars)
-	check := func(lib string, objs uint64, hdr *cdf.Header) {
+	check := func(lib string, objs int64, hdr *cdf.Header) {
 		t.Helper()
 		t.Logf("%s: Create + %d x (DefVar + 2 PutAttr): %d allocations", lib, nvars, objs)
 		if objs > 256 {
@@ -858,59 +867,63 @@ func TestAllocsDefine(t *testing.T) {
 		if len(hdr.Vars) != nvars {
 			t.Fatalf("%s: %d variables defined, want %d", lib, len(hdr.Vars), nvars)
 		}
+		// Redef's one allocation is its clone of the header.
+		f := &cdf.Front{Hdr: hdr}
 		got := testing.AllocsPerRun(10, func() {
-			if !hdr.Clone().Equal(hdr) {
-				t.Fatal("Clone differs from its header")
+			f.Mode.Define = false
+			if err := f.Redef(nil); err != nil {
+				t.Fatal(err)
 			}
 		})
-		t.Logf("%s: Clone: %v allocations", lib, got)
+		t.Logf("%s: Redef's clone: %v allocations", lib, got)
 		if got > 128 {
-			t.Errorf("%s: Clone allocates %v objects, want <= 128", lib, got)
+			t.Errorf("%s: Redef's clone allocates %v objects, want <= 128", lib, got)
 		}
 	}
 
-	best, last := uint64(math.MaxUint64), (*netcdf.Dataset)(nil)
-	for try := 0; try < tries; try++ {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
+	var last *netcdf.Dataset
+	objs, _, err := allocWindow(nil, tries, nil, func() error {
 		d, err := netcdf.Create(&netcdf.MemStore{}, nctype.Bit64Offset)
 		if err != nil {
-			t.Fatal(err)
+			return err
 		}
-		if err := defs.define(d); err != nil {
-			t.Fatal(err)
-		}
-		runtime.ReadMemStats(&after)
-		best, last = min(best, after.Mallocs-before.Mallocs), d
-	}
-	check("netcdf", best, last.Header())
-
-	best = math.MaxUint64
-	fsys := pfs.New(pfs.BlueHorizon())
-	var hdr *cdf.Header
-	err := mpi.Run(1, mpi.DefaultNet(), func(c *mpi.Comm) error {
-		for try := 0; try < tries; try++ {
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			d, err := core.Create(c, fsys, "defs.nc", nctype.Bit64Offset, nil)
-			if err != nil {
-				return err
-			}
-			if err := defs.define(d); err != nil {
-				return err
-			}
-			runtime.ReadMemStats(&after)
-			best, hdr = min(best, after.Mallocs-before.Mallocs), d.Header()
-			if err := d.Close(); err != nil {
-				return err
-			}
-		}
-		return nil
+		last = d
+		return defs.define(d)
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	check("core", best, hdr)
+	check("netcdf", objs, last.Header())
+
+	fsys := pfs.New(pfs.BlueHorizon())
+	var names [tries]string
+	for i := range names {
+		names[i] = fmt.Sprintf("defs%d.nc", i)
+	}
+	var hdr *cdf.Header
+	err = mpi.Run(1, mpi.DefaultNet(), func(c *mpi.Comm) error {
+		ds := make([]*core.Dataset, 0, tries) // each try's dataset, closed after the window
+		o, _, err := allocWindow(c, tries, nil, func() error {
+			d, err := core.Create(c, fsys, names[len(ds)], nctype.Bit64Offset, nil)
+			if err != nil {
+				return err
+			}
+			ds = append(ds, d)
+			hdr = d.Header()
+			return defs.define(d)
+		})
+		objs = o
+		for _, d := range ds {
+			if cerr := d.Close(); err == nil {
+				err = cerr
+			}
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("core", objs, hdr)
 }
 
 // TestAllocsNumRecsUpdate: a record-growing put rewrites the 4- or 8-byte
@@ -938,18 +951,18 @@ func TestAllocsNumRecsUpdate(t *testing.T) {
 		hdrBytes = d.Header().EncodedSize()
 		row := []float32{1, 2}
 		put := func(r int64) error { return d.PutVaraAll(0, []int64{r, 0}, []int64{1, 2}, row) }
-		if err := put(0); err != nil { // warm the pools and the view cache
+		_, bytes, err := allocWindow(c, 1, func() error { return put(0) }, func() error { // put(0) warms the pools and the view cache
+			for r := int64(1); r <= puts; r++ {
+				if err := put(r); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		if err != nil {
 			return err
 		}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for r := int64(1); r <= puts; r++ {
-			if err := put(r); err != nil {
-				return err
-			}
-		}
-		runtime.ReadMemStats(&after)
-		perPut = int64(after.TotalAlloc-before.TotalAlloc) / puts
+		perPut = bytes / puts
 		if d.NumRecs() != puts+1 {
 			return fmt.Errorf("NumRecs = %d, want %d", d.NumRecs(), puts+1)
 		}
@@ -973,9 +986,8 @@ const (
 
 // flexCallAllocs measures what one call allocates in steady state, per rank:
 // 8 ranks on one open dataset repeat the same FLASH-shaped call n and then 2n
-// times between barriers, and the difference over n x ranks calls cancels
-// everything that is not per call. The minimum over a few tries drops the
-// runs in which a GC emptied the buffer pools. Each op of a batch takes two
+// times in allocWindow, and the difference over n x ranks calls cancels
+// everything that is not per call. Each op of a batch takes two
 // of the eight y-rows of every one of the rank's blocks, so the four ops'
 // file extents interleave: every op has eight pieces in the fused request.
 func flexCallAllocs(tb testing.TB, kind int) (objs, bytes float64) {
@@ -987,7 +999,6 @@ func flexCallAllocs(tb testing.TB, kind int) (objs, bytes float64) {
 		tb.Fatal(err)
 	}
 	fsys := pfs.New(pfs.BlueHorizon())
-	objs, bytes = math.MaxFloat64, math.MaxFloat64
 	err = mpi.Run(ranks, mpi.DefaultNet(), func(c *mpi.Comm) error {
 		d, err := core.Create(c, fsys, "percall.nc", nctype.Clobber, nil)
 		if err != nil {
@@ -1008,10 +1019,8 @@ func flexCallAllocs(tb testing.TB, kind int) (objs, bytes float64) {
 		}
 		var buf any = make([]float64, blocks*edge*edge*edge) // boxed once: the pins count the library
 		start, count := []int64{int64(c.Rank() * blocks), 0, 0, 0}, []int64{blocks, nb, nb, nb}
-		call := func() error { return d.PutVaraTypeAll(v, start, count, buf, memtype) }
-		if err := call(); err != nil { // the file's chunk store, the pools, the view cache
-			return err
-		}
+		put := func() error { return d.PutVaraTypeAll(v, start, count, buf, memtype) }
+		call := put
 		switch kind {
 		case flexGet:
 			call = func() error { return d.GetVaraTypeAll(v, start, count, buf, memtype) }
@@ -1045,36 +1054,31 @@ func flexCallAllocs(tb testing.TB, kind int) (objs, bytes float64) {
 				return batch(false)
 			}
 		}
-		segment := func(calls int) (o, b int64, err error) {
-			var before, after runtime.MemStats
-			c.Barrier()
-			if c.Rank() == 0 {
-				runtime.ReadMemStats(&before)
-			}
-			c.Barrier()
-			for i := 0; i < calls && err == nil; i++ {
-				err = call()
-			}
-			c.Barrier()
-			if c.Rank() == 0 {
-				runtime.ReadMemStats(&after)
-			}
-			return int64(after.Mallocs - before.Mallocs), int64(after.TotalAlloc - before.TotalAlloc), err
-		}
-		for try := 0; try <= tries; try++ { // try 0 warms
-			o1, b1, err := segment(n)
-			if err != nil {
-				return err
-			}
-			o2, b2, err := segment(2 * n)
-			if err != nil {
-				return err
-			}
-			if c.Rank() == 0 && try > 0 {
-				objs = min(objs, float64(o2-o1)/(n*ranks))
-				bytes = min(bytes, float64(b2-b1)/(n*ranks))
+		repeat := func(calls int) func() error {
+			return func() error {
+				for i := 0; i < calls; i++ {
+					if err := call(); err != nil {
+						return err
+					}
+				}
+				return nil
 			}
 		}
+		warm := func() error { // the file's chunk store, the pools, the view cache
+			if err := put(); err != nil {
+				return err
+			}
+			return call()
+		}
+		o1, b1, err := allocWindow(c, tries, warm, repeat(n))
+		if err != nil {
+			return err
+		}
+		o2, b2, err := allocWindow(c, tries, nil, repeat(2*n))
+		if err != nil {
+			return err
+		}
+		objs, bytes = float64(o2-o1)/(n*ranks), float64(b2-b1)/(n*ranks)
 		return d.Close()
 	})
 	if err != nil {
@@ -1150,7 +1154,7 @@ func TestAllocsIndependentSieve(t *testing.T) {
 	const ranks, blockLen, per, tries = 4, 4 << 10, 32 << 20, 2
 	const bound = 8 << 20
 	fsys := pfs.New(pfs.BlueHorizon())
-	least := [2]uint64{math.MaxUint64, math.MaxUint64} // write, read
+	var least [2]int64 // write, read
 	err := mpi.Run(ranks, mpi.DefaultNet(), func(c *mpi.Comm) error {
 		f, err := mpiio.Open(c, fsys, "sieve.nc", mpiio.ModeRdWr|mpiio.ModeCreate, nil)
 		if err != nil {
@@ -1168,22 +1172,13 @@ func TestAllocsIndependentSieve(t *testing.T) {
 			func() error { return f.WriteAtFrom(0, per, p) },
 			func() error { return f.ReadAtInto(0, per, p) },
 		}
-		for try := 0; try <= tries; try++ { // try 0 warms
-			for k, call := range calls {
-				var before, after runtime.MemStats
-				c.Barrier()
-				if c.Rank() == 0 {
-					runtime.ReadMemStats(&before)
-				}
-				c.Barrier()
-				if err := call(); err != nil {
-					return err
-				}
-				c.Barrier()
-				if c.Rank() == 0 && try > 0 {
-					runtime.ReadMemStats(&after)
-					least[k] = min(least[k], after.TotalAlloc-before.TotalAlloc)
-				}
+		for k, call := range calls {
+			_, b, err := allocWindow(c, tries, call, call)
+			if err != nil {
+				return err
+			}
+			if c.Rank() == 0 {
+				least[k] = b
 			}
 		}
 		if p.bad != 0 {

@@ -10,6 +10,7 @@ package pnetcdf_test
 // times the host lives outside internal/: benchmark/ and cmd/.)
 
 import (
+	"fmt"
 	"go/ast"
 	"go/importer"
 	"go/parser"
@@ -21,6 +22,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -82,51 +84,101 @@ func TestInternalReadsNoEnvironment(t *testing.T) {
 	})
 }
 
+// module is the module's non-test Go, type-checked once in one universe for
+// the guards that need types: each package against the *types.Package
+// already checked for its module dependencies, the standard library from the
+// compiler's export data, so an object is the same object in every package
+// that names it and types.Implements holds across packages. A package of
+// test files alone (internal/integration) has no files here.
+type module struct {
+	fset *token.FileSet
+	pkgs []modulePkg // in dependency order
+}
+
+type modulePkg struct {
+	dir   string // by path from the module root
+	files []*ast.File
+	types *types.Package
+	info  *types.Info
+}
+
+var typeCheckOnce = sync.OnceValues(typeCheckModule)
+
+// loadModule type-checks the module once per test binary.
+func loadModule(t *testing.T) *module {
+	t.Helper()
+	m, err := typeCheckOnce()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+func typeCheckModule() (*module, error) {
+	// go list -deps prints a package after all its dependencies.
+	out, err := exec.Command("go", "list", "-export", "-deps", "-f",
+		"{{.ImportPath}}\t{{.Export}}{{if not .DepOnly}}\t{{.Dir}}\t{{join .GoFiles `\t`}}{{end}}", "./...").Output()
+	if err != nil {
+		return nil, fmt.Errorf("go list: %v", err)
+	}
+	m := &module{fset: token.NewFileSet()}
+	exports := map[string]string{}
+	checked := map[string]*types.Package{}
+	std := importer.ForCompiler(m.fset, "gc", func(path string) (io.ReadCloser, error) {
+		return os.Open(exports[path])
+	})
+	conf := types.Config{Importer: importerFunc(func(path string) (*types.Package, error) {
+		if p := checked[path]; p != nil {
+			return p, nil
+		}
+		return std.Import(path)
+	})}
+	wd, _ := os.Getwd()
+	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		f := strings.Split(line, "\t")
+		exports[f[0]] = f[1]
+		if len(f) < 4 || f[3] == "" {
+			continue // the standard library, or test files alone
+		}
+		dir, _ := filepath.Rel(wd, f[2])
+		p := modulePkg{dir: filepath.ToSlash(dir), info: &types.Info{
+			Defs: map[*ast.Ident]types.Object{},
+			Uses: map[*ast.Ident]types.Object{},
+		}}
+		for _, name := range f[3:] {
+			file, err := parser.ParseFile(m.fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
+			if err != nil {
+				return nil, err
+			}
+			p.files = append(p.files, file)
+		}
+		if p.types, err = conf.Check(f[0], m.fset, p.files, p.info); err != nil {
+			return nil, fmt.Errorf("type-check %s: %v", f[0], err)
+		}
+		checked[f[0]] = p.types
+		m.pkgs = append(m.pkgs, p)
+	}
+	if len(m.pkgs) == 0 {
+		return nil, fmt.Errorf("go list found no packages: the guards would check nothing")
+	}
+	return m, nil
+}
+
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
 // TestIOErrorsAreChecked: Close, Sync, Flush and Write* return the errors
 // that matter most to a storage library — a buffered writer or a journaled
 // header commit often fails only there — so no call to one may drop its error
 // as a bare statement, a defer or a go statement. `_ =` is a visible discard
 // and passes. *bytes.Buffer and *strings.Builder never fail and are exempt.
-// Telling those apart, and a Write* that returns no error, takes types, so
-// every package of the module is type-checked against the compiler's export
-// data.
+// Telling those apart, and a Write* that returns no error, takes types: the
+// module comes from loadModule.
 func TestIOErrorsAreChecked(t *testing.T) {
-	out, err := exec.Command("go", "list", "-export", "-deps", "-f",
-		"{{.ImportPath}}\t{{.Export}}{{if not .DepOnly}}\t{{.Dir}}\t{{join .GoFiles `\t`}}{{end}}", "./...").Output()
-	if err != nil {
-		t.Fatalf("go list: %v", err)
-	}
-	exports := map[string]string{}
-	var pkgs [][]string
-	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
-		f := strings.Split(line, "\t")
-		exports[f[0]] = f[1]
-		// A package of test files alone (internal/integration) has nothing
-		// to check: its file list is empty.
-		if len(f) > 3 && f[3] != "" {
-			pkgs = append(pkgs, f)
-		}
-	}
-	fset := token.NewFileSet()
-	conf := types.Config{Importer: importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
-		return os.Open(exports[path])
-	})}
-	wd, _ := os.Getwd()
-	for _, p := range pkgs {
-		dir, _ := filepath.Rel(wd, p[2])
-		var files []*ast.File
-		for _, name := range p[3:] {
-			f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
-			if err != nil {
-				t.Fatal(err)
-			}
-			files = append(files, f)
-		}
-		info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
-		if _, err := conf.Check(p[0], fset, files, info); err != nil {
-			t.Fatalf("type-check %s: %v", p[0], err)
-		}
-		for _, f := range files {
+	m := loadModule(t)
+	for _, p := range m.pkgs {
+		for _, f := range p.files {
 			ast.Inspect(f, func(n ast.Node) bool {
 				var call *ast.CallExpr
 				how := "a bare call"
@@ -141,15 +193,12 @@ func TestIOErrorsAreChecked(t *testing.T) {
 				if call == nil {
 					return true
 				}
-				if name, ok := dropsIOError(info, call); ok {
-					t.Errorf("%s: %s's error is dropped by %s: handle it, or discard it with _ =", fset.Position(call.Pos()), name, how)
+				if name, ok := dropsIOError(p.info, call); ok {
+					t.Errorf("%s: %s's error is dropped by %s: handle it, or discard it with _ =", m.fset.Position(call.Pos()), name, how)
 				}
 				return true
 			})
 		}
-	}
-	if len(pkgs) == 0 {
-		t.Fatal("go list found no packages: the guard checked nothing")
 	}
 }
 

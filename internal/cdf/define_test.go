@@ -87,6 +87,12 @@ func (s snap) sameExcept(h *Header, target int) error {
 	return nil
 }
 
+func attrsEqual(a, b []Attr) bool {
+	return slices.EqualFunc(a, b, func(x, y Attr) bool {
+		return x.Name == y.Name && x.Type == y.Type && x.Nelems == y.Nelems && string(x.Values) == string(y.Values)
+	})
+}
+
 // TestCarvedListsNeverAlias: lists and values cut from one slab lie side by
 // side, so each must be cut to its own capacity. On a header built by define
 // calls, on the same header decoded, and on a clone of it, every change the
@@ -104,7 +110,7 @@ func TestCarvedListsNeverAlias(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		h    *Header
-	}{{"defined", built}, {"decoded", dec}, {"cloned", dec.Clone()}} {
+	}{{"defined", built}, {"decoded", dec}, {"cloned", dec.clone()}} {
 		h := tc.h
 		for target := GlobalID; target < len(h.Vars); target++ {
 			attrs, _ := h.attrList(target)
@@ -127,7 +133,7 @@ func TestCarvedListsNeverAlias(t *testing.T) {
 				{"delete", func() error { return h.delAttr(target, (*attrs)[0].Name) }},
 				{"Redef and a new attribute", func() error {
 					before := takeSnap(h)
-					old := h.Clone()
+					old := h.clone()
 					if _, err := h.putAttr(target, "after_redef", nctype.Char, "0123456789", true); err != nil {
 						return err
 					}

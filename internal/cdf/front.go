@@ -242,7 +242,7 @@ func (f *Front) Redef(settle func() error) error {
 			return err
 		}
 	}
-	f.old = f.Hdr.Clone()
+	f.old = f.Hdr.clone()
 	f.Mode.Define = true
 	return nil
 }

@@ -65,7 +65,7 @@ type Var struct {
 // from slabs it owns. Each list is cut to its own capacity, so appending to
 // one never reaches another. A Header must not be copied by value: the copy
 // would share the slabs' free space, and the two would hand the same
-// elements out twice. Clone makes an independent header.
+// elements out twice. clone makes an independent header.
 type Header struct {
 	// Version is 1 (CDF-1), 2 (CDF-2) or 5 (CDF-5).
 	Version int
@@ -197,10 +197,10 @@ func (h *Header) RecSize() int64 {
 	return total
 }
 
-// Clone returns a deep copy of the header (Redef keeps one to relocate data
+// clone returns a deep copy of the header (Redef keeps one to relocate data
 // from). Its lists and values are copied into slabs of its own, each made
 // once at exactly the size it needs.
-func (h *Header) Clone() *Header {
+func (h *Header) clone() *Header {
 	nids, nattrs, nvals := 0, len(h.GAttrs), attrBytes(h.GAttrs)
 	for i := range h.Vars {
 		nids += len(h.Vars[i].DimIDs)
@@ -247,54 +247,6 @@ func cloneInto[T any](a *arena[T], s []T) []T {
 	out := a.carve(len(s), len(s))
 	copy(out, s)
 	return out
-}
-
-// Equal reports whether two headers describe identical datasets (same
-// structure and same layout). The parallel library's define-mode
-// consistency check compares Digests instead, so no header has to travel.
-func (h *Header) Equal(o *Header) bool {
-	if h.Version != o.Version || h.NumRecs != o.NumRecs ||
-		len(h.Dims) != len(o.Dims) || len(h.GAttrs) != len(o.GAttrs) ||
-		len(h.Vars) != len(o.Vars) {
-		return false
-	}
-	for i := range h.Dims {
-		if h.Dims[i] != o.Dims[i] {
-			return false
-		}
-	}
-	if !attrsEqual(h.GAttrs, o.GAttrs) {
-		return false
-	}
-	for i := range h.Vars {
-		a, b := &h.Vars[i], &o.Vars[i]
-		if a.Name != b.Name || a.Type != b.Type || a.VSize != b.VSize ||
-			a.Begin != b.Begin || len(a.DimIDs) != len(b.DimIDs) {
-			return false
-		}
-		for j := range a.DimIDs {
-			if a.DimIDs[j] != b.DimIDs[j] {
-				return false
-			}
-		}
-		if !attrsEqual(a.Attrs, b.Attrs) {
-			return false
-		}
-	}
-	return true
-}
-
-func attrsEqual(a, b []Attr) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].Name != b[i].Name || a[i].Type != b[i].Type ||
-			a[i].Nelems != b[i].Nelems || string(a[i].Values) != string(b[i].Values) {
-			return false
-		}
-	}
-	return true
 }
 
 // Validate checks structural invariants: name validity and uniqueness, at

@@ -17,9 +17,9 @@ func simpleHeader(t *testing.T, version int) *Header {
 	t.Helper()
 	h := &Header{Version: version}
 	h.Dims = []Dim{{"lat", 3}, {"lon", 4}, {"time", 0}}
-	att, err := MakeAttr("title", nctype.Char, "t")
+	att, err := newAttr("title", nctype.Char, "t")
 	if err != nil {
-		t.Fatalf("MakeAttr: %v", err)
+		t.Fatalf("newAttr: %v", err)
 	}
 	h.GAttrs = []Attr{att}
 	h.Vars = []Var{
@@ -91,7 +91,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("v%d: Decode: %v", version, err)
 		}
-		if !got.Equal(h) {
+		if !sameHeader(got, h) {
 			t.Fatalf("v%d: decoded header differs:\n got %+v\nwant %+v", version, got, h)
 		}
 	}
@@ -226,8 +226,12 @@ func TestHeaderAlignHint(t *testing.T) {
 	if err := h.ComputeLayout(1024); err != nil {
 		t.Fatal(err)
 	}
-	if h.dataStart()%1024 != 0 {
-		t.Fatalf("data start %d not aligned to 1024", h.dataStart())
+	start := h.Vars[0].Begin // the data section starts at the smallest Begin
+	for i := range h.Vars {
+		start = min(start, h.Vars[i].Begin)
+	}
+	if start%1024 != 0 {
+		t.Fatalf("data start %d not aligned to 1024", start)
 	}
 }
 
@@ -275,16 +279,28 @@ func TestCheckName(t *testing.T) {
 
 func TestCloneIsDeep(t *testing.T) {
 	h := simpleHeader(t, 1)
-	c := h.Clone()
+	c := h.clone()
 	c.Dims[0].Len = 99
 	c.Vars[0].DimIDs[0] = 0
 	c.GAttrs[0].Values[0] = 'X'
 	if h.Dims[0].Len == 99 || h.Vars[0].DimIDs[0] == 0 || h.GAttrs[0].Values[0] == 'X' {
-		t.Fatal("Clone shares memory with the original")
+		t.Fatal("clone shares memory with the original")
 	}
-	if !h.Clone().Equal(h) {
-		t.Fatal("Clone not Equal to original")
+	if !sameHeader(h.clone(), h) {
+		t.Fatal("clone encodes differently from the original")
 	}
+}
+
+// newAttr builds an attribute whose values have an arena of their own.
+func newAttr(name string, t nctype.Type, value any) (Attr, error) {
+	var vals arena[byte]
+	return makeAttr(&vals, name, t, value)
+}
+
+// sameHeader reports whether two headers describe the same dataset: the same
+// structure and layout, so the same encoded image.
+func sameHeader(a, b *Header) bool {
+	return bytes.Equal(a.Encode(), b.Encode())
 }
 
 func TestFileSizeAndRecordStart(t *testing.T) {
@@ -366,16 +382,16 @@ func TestCheckLayoutCleanAndCorrupted(t *testing.T) {
 		t.Fatal("truncated file not flagged")
 	}
 	// Overlapping fixed variables are caught.
-	c := h.Clone()
+	c := h.clone()
 	c.Vars[0].Begin = c.Vars[1].Begin // temp is record; use two fixed
-	c2 := h.Clone()
+	c2 := h.clone()
 	c2.Vars = append(c2.Vars, Var{Name: "extra", DimIDs: []int{0}, Type: nctype.Int,
 		VSize: 12, Begin: c2.Vars[1].Begin + 4})
 	if issues := c2.checkLayout(-1); len(issues) == 0 {
 		t.Fatal("overlapping fixed slots not flagged")
 	}
 	// Wrong vsize is caught.
-	c3 := h.Clone()
+	c3 := h.clone()
 	c3.Vars[1].VSize += 4
 	found := false
 	for _, iss := range c3.checkLayout(-1) {
@@ -387,7 +403,7 @@ func TestCheckLayoutCleanAndCorrupted(t *testing.T) {
 		t.Fatal("bad vsize not flagged")
 	}
 	// Begin inside the header is caught.
-	c4 := h.Clone()
+	c4 := h.clone()
 	c4.Vars[1].Begin = 4
 	if issues := c4.checkLayout(-1); len(issues) == 0 {
 		t.Fatal("begin inside header not flagged")
@@ -431,9 +447,9 @@ func TestSmallHelpers(t *testing.T) {
 
 func TestDecodeAttrValueAllTypes(t *testing.T) {
 	mk := func(tp nctype.Type, val any) Attr {
-		a, err := MakeAttr("a", tp, val)
+		a, err := newAttr("a", tp, val)
 		if err != nil {
-			t.Fatalf("MakeAttr %v: %v", tp, err)
+			t.Fatalf("newAttr %v: %v", tp, err)
 		}
 		return a
 	}
@@ -456,7 +472,7 @@ func TestDecodeAttrValueAllTypes(t *testing.T) {
 	}
 	// CDF-5 types.
 	for _, tp := range []nctype.Type{nctype.UByte, nctype.UShort, nctype.UInt, nctype.Int64, nctype.UInt64} {
-		a, err := MakeAttr("a", tp, []uint16{3})
+		a, err := newAttr("a", tp, []uint16{3})
 		if err != nil {
 			t.Fatalf("%v: %v", tp, err)
 		}
@@ -479,7 +495,7 @@ func TestFillBytesDefaultsAndCustom(t *testing.T) {
 		}
 	}
 	// Custom _FillValue attribute wins.
-	fa, _ := MakeAttr("_FillValue", nctype.Float, []float32{-5})
+	fa, _ := newAttr("_FillValue", nctype.Float, []float32{-5})
 	v.Attrs = []Attr{fa}
 	buf = FillBytes(v, 2)
 	if err := DecodeSlice(buf, nctype.Float, got[:2]); err != nil {
@@ -513,10 +529,10 @@ func TestSliceLenAndPromote(t *testing.T) {
 	if SliceLen(struct{}{}) != -1 {
 		t.Fatal("SliceLen of unsupported type")
 	}
-	// promoteScalar via MakeAttr for every scalar kind.
+	// promoteScalar via makeAttr for every scalar kind.
 	for _, scalar := range []any{int8(1), int16(1), int32(1), int64(1), int(1),
 		uint8(1), uint16(1), uint32(1), uint64(1), float32(1), float64(1)} {
-		a, err := MakeAttr("s", nctype.Double, scalar)
+		a, err := newAttr("s", nctype.Double, scalar)
 		if err != nil || a.Nelems != 1 {
 			t.Fatalf("scalar %T: %+v %v", scalar, a, err)
 		}

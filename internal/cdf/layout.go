@@ -126,21 +126,6 @@ func (h *Header) checkOffset(v *Var) error {
 	return nil
 }
 
-// dataStart returns the file offset of the first data byte (the smallest
-// Begin), or the encoded header size if there are no variables.
-func (h *Header) dataStart() int64 {
-	start := int64(-1)
-	for i := range h.Vars {
-		if start < 0 || h.Vars[i].Begin < start {
-			start = h.Vars[i].Begin
-		}
-	}
-	if start < 0 {
-		return round4(h.EncodedSize())
-	}
-	return start
-}
-
 // recordStart returns the file offset where the record section begins: the
 // Begin of the first record variable, or the end of the fixed section if
 // there are no record variables.

@@ -17,7 +17,7 @@ func randomSchema(rng *rand.Rand, unit int64, nfixed, nrec int) *Header {
 	rec := h.addDim(Dim{Name: "t", Len: 0})
 	types := []nctype.Type{nctype.Byte, nctype.Short, nctype.Int, nctype.Float, nctype.Double}
 	for i := 0; i < rng.Intn(4); i++ {
-		a, _ := MakeAttr(fmt.Sprintf("g%d", i), nctype.Char, string(make([]byte, 1+rng.Intn(40))))
+		a, _ := newAttr(fmt.Sprintf("g%d", i), nctype.Char, string(make([]byte, 1+rng.Intn(40))))
 		h.GAttrs = append(h.GAttrs, a)
 	}
 	for i := 0; i < nfixed+nrec; i++ {
@@ -57,11 +57,11 @@ func TestLayoutRuleProperty(t *testing.T) {
 		unit := []int64{1, 4, 512, 4096, 65536, 1000}[rng.Intn(6)]
 		nrec := rng.Intn(4)
 		h := randomSchema(rng, unit, 1+rng.Intn(8), nrec)
-		classic := h.Clone()
+		classic := h.clone()
 		if err := classic.ComputeLayout(1); err != nil {
 			t.Fatal(err)
 		}
-		every := h.Clone()
+		every := h.clone()
 		if err := every.computeLayoutAligned(1, unit, 0); err != nil {
 			t.Fatal(err)
 		}
@@ -142,10 +142,10 @@ func TestRelocationPlanProperty(t *testing.T) {
 		}
 		pieces(old, func(key string, off, n int64) { want[key] = append([]byte(nil), img[off:off+n]...) })
 
-		h := old.Clone()
+		h := old.clone()
 		switch rng.Intn(3) {
 		case 0:
-			a, _ := MakeAttr("grow", nctype.Char, string(make([]byte, 1+rng.Intn(700))))
+			a, _ := newAttr("grow", nctype.Char, string(make([]byte, 1+rng.Intn(700))))
 			h.GAttrs = append(h.GAttrs, a)
 		case 1:
 			h.GAttrs = nil
@@ -195,7 +195,7 @@ func TestRelocationPlanProperty(t *testing.T) {
 // runs of equal shifts, not the variables or record slots.
 func TestRelocationPlanMergesMoves(t *testing.T) {
 	grow := func(h *Header) {
-		a, _ := MakeAttr("history", nctype.Char, "a line long enough to grow the header")
+		a, _ := newAttr("history", nctype.Char, "a line long enough to grow the header")
 		h.GAttrs = append(h.GAttrs, a)
 	}
 	for _, tc := range []struct {
@@ -241,7 +241,7 @@ func TestRelocationPlanMergesMoves(t *testing.T) {
 			if err := old.computeLayoutAligned(1, 1, 0); err != nil {
 				t.Fatal(err)
 			}
-			h := old.Clone()
+			h := old.clone()
 			tc.change(h)
 			if err := h.computeLayoutAligned(1, tc.unit, 0); err != nil {
 				t.Fatal(err)

@@ -1,6 +1,8 @@
 package cdf
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
 	"math/rand"
@@ -131,6 +133,14 @@ func TestRangeErrors(t *testing.T) {
 		{nctype.UInt, []int64{-1}},
 		{nctype.UInt64, []float64{-1}},
 		{nctype.Float, []float64{1e300}},
+		// An unsigned value above MaxInt64 must not wrap into range.
+		{nctype.Int, []uint64{math.MaxUint64}},
+		{nctype.Byte, []uint64{math.MaxUint64}},
+		{nctype.Int64, []uint64{1 << 63}},
+		// Nor may a float beyond the 64-bit types.
+		{nctype.Int64, []float64{1e30}},
+		{nctype.UInt64, []float64{1e30}},
+		{nctype.Int64, []float64{-1e30}},
 	}
 	for i, c := range cases {
 		if _, err := EncodeSlice(nil, c.tp, c.src); !errors.Is(err, ErrRange) {
@@ -138,8 +148,79 @@ func TestRangeErrors(t *testing.T) {
 		}
 	}
 	// In-range values of the same shapes must not error.
-	if _, err := EncodeSlice(nil, nctype.Byte, []int32{-128, 127}); err != nil {
-		t.Errorf("in-range byte: %v", err)
+	for _, c := range []struct {
+		tp  nctype.Type
+		src any
+	}{
+		{nctype.Byte, []int32{-128, 127}},
+		{nctype.Byte, []float64{127.9, -128.9}},
+		{nctype.Int64, []uint64{math.MaxInt64}},
+		{nctype.UInt64, []float64{1e19}},
+		{nctype.Float, []float64{math.NaN()}},
+	} {
+		if _, err := EncodeSlice(nil, c.tp, c.src); err != nil {
+			t.Errorf("in range: %v <- %v: %v", c.tp, c.src, err)
+		}
+	}
+	// Every value lands, the out-of-range one wrapped.
+	buf, err := EncodeSlice(nil, nctype.Int, []uint64{math.MaxUint64, 7})
+	if !errors.Is(err, ErrRange) || !bytes.Equal(buf, []byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 7}) {
+		t.Errorf("Int <- [MaxUint64 7]: % x, %v; want ff ff ff ff 00 00 00 07, ErrRange", buf, err)
+	}
+	if buf, _ := EncodeSlice(nil, nctype.UInt64, []float64{1e19}); binary.BigEndian.Uint64(buf) != 1e19 {
+		t.Errorf("UInt64 <- 1e19: %d", binary.BigEndian.Uint64(buf))
+	}
+}
+
+// TestReadRangeErrors: a read converts every value into memory and reports
+// ErrRange when one did not fit the memory type, as a write does.
+func TestReadRangeErrors(t *testing.T) {
+	enc := func(tp nctype.Type, src any) []byte {
+		t.Helper()
+		buf, err := EncodeSlice(nil, tp, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return buf
+	}
+	cases := []struct {
+		tp  nctype.Type
+		ext []byte
+		dst any
+	}{
+		{nctype.Double, enc(nctype.Double, []float64{1000}), make([]int8, 1)},
+		{nctype.Double, enc(nctype.Double, []float64{3e40}), make([]float32, 1)},
+		{nctype.Double, enc(nctype.Double, []float64{1e30}), make([]int64, 1)},
+		{nctype.Double, enc(nctype.Double, []float64{-1}), make([]uint32, 1)},
+		{nctype.Float, enc(nctype.Float, []float32{1e10}), make([]int32, 1)},
+		{nctype.Int, enc(nctype.Int, []int32{-1}), make([]uint8, 1)},
+		{nctype.Int, enc(nctype.Int, []int32{1 << 20}), make([]int16, 1)},
+		{nctype.Int64, enc(nctype.Int64, []int64{1 << 40}), make([]uint32, 1)},
+		{nctype.UInt, enc(nctype.UInt, []uint32{math.MaxUint32}), make([]int32, 1)},
+		{nctype.UInt64, enc(nctype.UInt64, []uint64{1 << 63}), make([]int64, 1)},
+		{nctype.UShort, enc(nctype.UShort, []uint16{300}), make([]int8, 1)},
+		{nctype.Short, enc(nctype.Short, []int16{-1}), make([]uint64, 1)},
+		{nctype.Byte, enc(nctype.Byte, []int8{-1}), make([]uint16, 1)},
+		{nctype.UByte, enc(nctype.UByte, []uint8{200}), make([]int8, 1)},
+	}
+	for i, c := range cases {
+		if err := DecodeSlice(c.ext, c.tp, c.dst); !errors.Is(err, ErrRange) {
+			t.Errorf("case %d (%T <- %v): err = %v, want ErrRange", i, c.dst, c.tp, err)
+		}
+	}
+	// Every value lands: the one after the bad one too.
+	got := make([]int8, 2)
+	if err := DecodeSlice(enc(nctype.Double, []float64{1000, -5}), nctype.Double, got); !errors.Is(err, ErrRange) || got[1] != -5 {
+		t.Errorf("[]int8 <- Double [1000 -5]: %v, %v; want ErrRange and -5 last", got, err)
+	}
+	// In range, and a NaN, convert without error.
+	f32 := make([]float32, 3)
+	if err := DecodeSlice(enc(nctype.Double, []float64{-math.MaxFloat32, 1.5, math.NaN()}), nctype.Double, f32); err != nil {
+		t.Errorf("[]float32 <- Double in range: %v", err)
+	}
+	u8 := make([]uint8, 2)
+	if err := DecodeSlice(enc(nctype.Double, []float64{255.5, -0.5}), nctype.Double, u8); err != nil || u8[0] != 255 || u8[1] != 0 {
+		t.Errorf("[]uint8 <- Double [255.5 -0.5]: %v, %v; want [255 0], nil", u8, err)
 	}
 }
 
@@ -167,20 +248,20 @@ func TestDecodeShortBuffer(t *testing.T) {
 }
 
 func TestMakeAttrScalarsAndSlices(t *testing.T) {
-	a, err := MakeAttr("x", nctype.Double, 2.5)
+	a, err := newAttr("x", nctype.Double, 2.5)
 	if err != nil || a.Nelems != 1 || len(a.Values) != 8 {
 		t.Fatalf("scalar attr: %+v err=%v", a, err)
 	}
-	a, err = MakeAttr("y", nctype.Int, []int32{1, 2, 3})
+	a, err = newAttr("y", nctype.Int, []int32{1, 2, 3})
 	if err != nil || a.Nelems != 3 || len(a.Values) != 12 {
 		t.Fatalf("slice attr: %+v err=%v", a, err)
 	}
-	a, err = MakeAttr("s", nctype.Char, "units")
+	a, err = newAttr("s", nctype.Char, "units")
 	if err != nil || a.Nelems != 5 {
 		t.Fatalf("string attr: %+v err=%v", a, err)
 	}
-	if _, err = MakeAttr("bad", nctype.Int, struct{}{}); err == nil {
-		t.Fatal("MakeAttr accepted unsupported value")
+	if _, err = newAttr("bad", nctype.Int, struct{}{}); err == nil {
+		t.Fatal("newAttr accepted unsupported value")
 	}
 }
 
@@ -258,7 +339,7 @@ func TestQuickHeaderRoundTrip(t *testing.T) {
 			return false
 		}
 		got, err := Decode(h.Encode())
-		return err == nil && got.Equal(h)
+		return err == nil && sameHeader(got, h)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)

@@ -156,7 +156,8 @@ func encodeSegsNum[S number](dst []byte, t nctype.Type, src []S, segs []mpitype.
 // DecodeSegs decodes consecutive external values of type t from src into the
 // element positions segs selects within dst — the inverse of EncodeSegs.
 // src must hold external bytes for exactly the segments' total element
-// count.
+// count. Out-of-range values yield ErrRange but conversion continues, as in
+// EncodeSegs.
 func DecodeSegs(src []byte, t nctype.Type, segs []mpitype.Segment, dst any) error {
 	if t == nctype.Char {
 		if d, ok := dst.([]byte); ok {
@@ -236,6 +237,7 @@ func decodeSegsNum[S number](src []byte, t nctype.Type, segs []mpitype.Segment, 
 		return fmt.Errorf("%w: %v", nctype.ErrBadType, t)
 	}
 	pos := int64(0)
+	var firstErr error
 	for _, s := range segs {
 		if s.Off < 0 || s.Len < 0 || s.Off+s.Len > int64(len(dst)) {
 			return fmt.Errorf("mpitype: element segment %+v outside buffer of %d", s, len(dst))
@@ -244,9 +246,12 @@ func decodeSegsNum[S number](src []byte, t nctype.Type, segs []mpitype.Segment, 
 			return nctype.ErrCountMismatch
 		}
 		if err := decodeNum(src[pos:], t, dst[s.Off:s.Off+s.Len]); err != nil {
-			return err
+			if !errors.Is(err, ErrRange) {
+				return err
+			}
+			firstErr = err
 		}
 		pos += s.Len * esz
 	}
-	return nil
+	return firstErr
 }

@@ -150,16 +150,9 @@ func (in *Injector) ArmCrash(atByte int64, truncateFile bool) {
 	in.mu.Unlock()
 }
 
-// KillRank arms a one-shot rank-kill: the next time rank passes the named
-// kill point, KillCheck tells it to die (mpiio calls Comm.Die there). Use
-// the Kill* point constants.
-func (in *Injector) KillRank(rank int, point string) {
-	in.KillRankAt(rank, point, 0)
-}
-
-// KillRankAt arms a rank-kill at the occurrence-th (0-based) passage of
-// rank through the named point, for killing mid-run rather than at the
-// first round.
+// KillRankAt arms a one-shot rank-kill at the occurrence-th (0-based)
+// passage of rank through the named point: KillCheck then tells it to die
+// (mpiio calls Comm.Die there). Use the Kill* point constants.
 func (in *Injector) KillRankAt(rank int, point string, occurrence int64) {
 	if in == nil {
 		return

@@ -183,7 +183,7 @@ func TestKillCheckFiresAtOccurrence(t *testing.T) {
 // passages, even matching ones, survive.
 func TestKillCheckOneShot(t *testing.T) {
 	in := New(Config{Seed: 1})
-	in.KillRank(0, KillBeforePack)
+	in.KillRankAt(0, KillBeforePack, 0)
 	if !in.KillCheck(0, KillBeforePack) {
 		t.Fatal("armed kill did not fire at occurrence 0")
 	}
@@ -206,7 +206,7 @@ func TestKillCheckUnarmedCountsNothing(t *testing.T) {
 			t.Fatal("unarmed injector fired")
 		}
 	}
-	in.KillRank(1, KillMidExchange)
+	in.KillRankAt(1, KillMidExchange, 0)
 	if !in.KillCheck(1, KillMidExchange) {
 		t.Fatal("kill did not fire at first post-arm passage")
 	}
@@ -215,7 +215,6 @@ func TestKillCheckUnarmedCountsNothing(t *testing.T) {
 // TestKillCheckNilSafe: the nil injector neither fires nor panics.
 func TestKillCheckNilSafe(t *testing.T) {
 	var in *Injector
-	in.KillRank(0, KillBeforePack)
 	in.KillRankAt(0, KillBeforePack, 2)
 	if in.KillCheck(0, KillBeforePack) {
 		t.Fatal("nil injector fired")

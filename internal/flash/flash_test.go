@@ -1,11 +1,13 @@
 package flash
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"testing"
 
 	"pnetcdf/internal/core"
 	"pnetcdf/internal/h5sim"
+	"pnetcdf/internal/iostat"
 	"pnetcdf/internal/mpi"
 	"pnetcdf/internal/mpitype"
 	"pnetcdf/internal/nctype"
@@ -138,10 +140,14 @@ func TestCheckpointH5RoundTrip(t *testing.T) {
 	cfg := tinyConfig()
 	fsys := pfs.New(pfs.BlueHorizon())
 	const p = 2
+	written := make([]int64, p) // each rank's pfs_bytes_written by the checkpoint
 	err := mpi.Run(p, mpi.DefaultNet(), func(c *mpi.Comm) error {
+		st := iostat.New()
+		c.Proc().SetStats(st)
 		if _, err := WriteCheckpointH5(c, fsys, "chk.h5", cfg, nil); err != nil {
 			return err
 		}
+		written[c.Rank()] = st.Get(iostat.PfsBytesWritten)
 		// Parallel verification with the h5sim reader.
 		f, err := h5sim.OpenFile(c, fsys, "chk.h5", true, nil)
 		if err != nil {
@@ -165,6 +171,23 @@ func TestCheckpointH5RoundTrip(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The checkpoint's bytes, and what writing them cost the file system,
+	// are pinned: nothing else checks the h5sim format to the byte.
+	pf, _, err := fsys.Open("chk.h5", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img := make([]byte, pf.Size())
+	if _, err := pfs.NewSerialFile(pf, 0).ReadAt(img, 0); err != nil {
+		t.Fatal(err)
+	}
+	const wantSum = "b6b24e58aeca8d486b21083f8ee9b2c99b089d455b4f15838cb5b662b4c48049"
+	if sum := fmt.Sprintf("%x", sha256.Sum256(img)); sum != wantSum {
+		t.Errorf("the checkpoint's SHA-256 is %s, want %s", sum, wantSum)
+	}
+	if got, want := written[0]+written[1], int64(18294); got != want {
+		t.Errorf("the checkpoint wrote %d pfs bytes, want %d", got, want)
 	}
 }
 

@@ -24,12 +24,11 @@ type dataset struct {
 	dims     []int64
 	dataAddr int64
 	dataSize int64
-	attrs    []attr
 }
 
 // dataset header block layout (within dsHeaderCap bytes):
 // magic(4) objDataset(4) type(4) rank(4) dims(8*rank) dataAddr(8)
-// dataSize(8) attrBytes...
+// dataSize(8) nattrs(4), where the attribute count is always zero.
 func (ds *dataset) encodeHeader() ([]byte, error) {
 	buf := make([]byte, 0, 256)
 	buf = append(buf, headerMagic...)
@@ -41,7 +40,7 @@ func (ds *dataset) encodeHeader() ([]byte, error) {
 	}
 	buf = binary.BigEndian.AppendUint64(buf, uint64(ds.dataAddr))
 	buf = binary.BigEndian.AppendUint64(buf, uint64(ds.dataSize))
-	buf = append(buf, encodeAttrs(ds.attrs)...)
+	buf = binary.BigEndian.AppendUint32(buf, 0)
 	if len(buf) > dsHeaderCap {
 		return nil, errHeaderFul
 	}
@@ -65,12 +64,6 @@ func decodeDatasetHeader(buf []byte) (*dataset, error) {
 	}
 	ds.dataAddr = int64(binary.BigEndian.Uint64(buf[pos:]))
 	ds.dataSize = int64(binary.BigEndian.Uint64(buf[pos+8:]))
-	pos += 16
-	attrs, _, err := decodeAttrs(buf[pos:])
-	if err != nil {
-		return nil, err
-	}
-	ds.attrs = attrs
 	return ds, nil
 }
 
@@ -190,60 +183,6 @@ func (ds *dataset) Close() error {
 	}
 	ds.f.metadataSync()
 	return nil
-}
-
-// Dims returns the dataset's shape.
-func (ds *dataset) Dims() []int64 { return append([]int64(nil), ds.dims...) }
-
-// Type returns the element type.
-func (ds *dataset) Type() nctype.Type { return ds.typ }
-
-// PutAttr stores a small attribute in the object header (collective).
-func (ds *dataset) PutAttr(name string, typ nctype.Type, value any) error {
-	if ds.f.ro {
-		return nctype.ErrPerm
-	}
-	a, err := cdf.MakeAttr(name, typ, value)
-	if err != nil {
-		return err
-	}
-	na := attr{name: name, typ: typ, nelems: a.Nelems, data: a.Values}
-	replaced := false
-	for i := range ds.attrs {
-		if ds.attrs[i].name == name {
-			ds.attrs[i] = na
-			replaced = true
-			break
-		}
-	}
-	if !replaced {
-		ds.attrs = append(ds.attrs, na)
-	}
-	// Header rewrite by root + sync: metadata updates are collective.
-	var errFlag int64
-	if ds.f.comm.Rank() == 0 {
-		blob, err := ds.encodeHeader()
-		if err != nil {
-			errFlag = 1
-		} else if err := ds.f.mf.WriteRaw(blob, ds.hdrAddr); err != nil {
-			errFlag = 1
-		}
-	}
-	if mpi.DecodeI64s(ds.f.comm.Bcast(0, mpi.EncodeI64s([]int64{errFlag})))[0] != 0 {
-		return errHeaderFul
-	}
-	return nil
-}
-
-// GetAttr returns an attribute's decoded value (local to the open handle).
-func (ds *dataset) GetAttr(name string) (nctype.Type, any, error) {
-	for _, a := range ds.attrs {
-		if a.name == name {
-			v, err := cdf.DecodeAttrValue(cdf.Attr{Name: a.name, Type: a.typ, Nelems: a.nelems, Values: a.data})
-			return a.typ, v, err
-		}
-	}
-	return 0, nil, fmt.Errorf("%w: attribute %s", errNotFound, name)
 }
 
 // Select is a hyperslab selection: Start/Count over an array of shape Dims.

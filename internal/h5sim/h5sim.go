@@ -51,7 +51,7 @@ const (
 
 	superblockSize = 64
 	groupHeaderLen = 64
-	dsHeaderCap    = 4096 // object header chunk; attributes must fit
+	dsHeaderCap    = 4096 // object header chunk; a dataset header must fit
 )
 
 // Errors.
@@ -59,7 +59,7 @@ var (
 	errNotH5     = errors.New("h5sim: not an h5sim file")
 	errNotFound  = errors.New("h5sim: object not found")
 	errExists    = errors.New("h5sim: object already exists")
-	errHeaderFul = errors.New("h5sim: object header full (too many attributes)")
+	errHeaderFul = errors.New("h5sim: object header full")
 )
 
 // file is an open container. All operations are collective over the
@@ -310,19 +310,6 @@ func (f *file) metadataSync() {
 	f.comm.Allgather(digest)
 }
 
-// Sync collectively flushes the file, updating the superblock.
-func (f *file) Sync() error {
-	if f.closed {
-		return mpiio.ErrClosed
-	}
-	if !f.ro && f.comm.Rank() == 0 {
-		if err := f.writeSuperblock(); err != nil {
-			return err
-		}
-	}
-	return f.mf.Sync()
-}
-
 // Close collectively closes the container.
 func (f *file) Close() error {
 	if f.closed {
@@ -345,122 +332,3 @@ func (f *file) Close() error {
 // typeSize maps the nctype vocabulary (shared with the netCDF libraries for
 // easy comparison) to element sizes.
 func typeSize(t nctype.Type) int64 { return int64(t.Size()) }
-
-// attr is an attribute stored inside the dataset object header.
-type attr struct {
-	name   string
-	typ    nctype.Type
-	nelems int64
-	data   []byte
-}
-
-func encodeAttrs(attrs []attr) []byte {
-	var buf []byte
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(attrs)))
-	for _, a := range attrs {
-		buf = binary.BigEndian.AppendUint16(buf, uint16(len(a.name)))
-		buf = append(buf, a.name...)
-		buf = binary.BigEndian.AppendUint32(buf, uint32(a.typ))
-		buf = binary.BigEndian.AppendUint64(buf, uint64(a.nelems))
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(a.data)))
-		buf = append(buf, a.data...)
-	}
-	return buf
-}
-
-func decodeAttrs(buf []byte) ([]attr, []byte, error) {
-	if len(buf) < 4 {
-		return nil, nil, errNotH5
-	}
-	n := binary.BigEndian.Uint32(buf)
-	buf = buf[4:]
-	attrs := make([]attr, 0, n)
-	for i := uint32(0); i < n; i++ {
-		if len(buf) < 2 {
-			return nil, nil, errNotH5
-		}
-		l := int(binary.BigEndian.Uint16(buf))
-		buf = buf[2:]
-		if len(buf) < l+16 {
-			return nil, nil, errNotH5
-		}
-		a := attr{name: string(buf[:l])}
-		buf = buf[l:]
-		a.typ = nctype.Type(binary.BigEndian.Uint32(buf))
-		a.nelems = int64(binary.BigEndian.Uint64(buf[4:]))
-		dl := int(binary.BigEndian.Uint32(buf[12:]))
-		buf = buf[16:]
-		if len(buf) < dl {
-			return nil, nil, errNotH5
-		}
-		a.data = append([]byte(nil), buf[:dl]...)
-		buf = buf[dl:]
-		attrs = append(attrs, a)
-	}
-	return attrs, buf, nil
-}
-
-// List collectively returns the names of a group's children, sorted (the
-// root walks the table and broadcasts). path "" or "/" lists the root.
-func (f *file) List(path string) ([]string, error) {
-	if f.closed {
-		return nil, mpiio.ErrClosed
-	}
-	var names []string
-	var errFlag int64
-	if f.comm.Rank() == 0 {
-		err := func() error {
-			addr := f.rootAddr
-			if parts := splitPath(path); len(parts) > 0 {
-				var lerr error
-				addr, lerr = f.lookupLocal(path)
-				if lerr != nil {
-					return lerr
-				}
-			}
-			gh, err := f.readGroupHeader(addr)
-			if err != nil {
-				return err
-			}
-			entries, err := f.readEntries(gh)
-			if err != nil {
-				return err
-			}
-			for _, e := range entries {
-				names = append(names, e.name)
-			}
-			return nil
-		}()
-		if err != nil {
-			errFlag = 1
-		}
-	}
-	if mpi.DecodeI64s(f.comm.Bcast(0, mpi.EncodeI64s([]int64{errFlag})))[0] != 0 {
-		return nil, fmt.Errorf("%w: group %s", errNotFound, path)
-	}
-	blob := f.comm.Bcast(0, encodeNames(names))
-	return decodeNames(blob), nil
-}
-
-func encodeNames(names []string) []byte {
-	var buf []byte
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(names)))
-	for _, n := range names {
-		buf = binary.BigEndian.AppendUint16(buf, uint16(len(n)))
-		buf = append(buf, n...)
-	}
-	return buf
-}
-
-func decodeNames(buf []byte) []string {
-	n := binary.BigEndian.Uint32(buf)
-	buf = buf[4:]
-	out := make([]string, 0, n)
-	for i := uint32(0); i < n; i++ {
-		l := int(binary.BigEndian.Uint16(buf))
-		buf = buf[2:]
-		out = append(out, string(buf[:l]))
-		buf = buf[l:]
-	}
-	return out
-}

@@ -55,8 +55,8 @@ func TestCreateWriteReadRoundTrip(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if ds.Type() != nctype.Double || len(ds.Dims()) != 2 || ds.Dims()[0] != 8 {
-			return fmt.Errorf("metadata: %v %v", ds.Type(), ds.Dims())
+		if ds.typ != nctype.Double || len(ds.dims) != 2 || ds.dims[0] != 8 {
+			return fmt.Errorf("metadata: %v %v", ds.typ, ds.dims)
 		}
 		col := make([]float64, 8)
 		fsel = Select{Start: []int64{0, int64(c.Rank())}, Count: []int64{8, 1}}
@@ -170,52 +170,6 @@ func TestMemoryHyperslabGuardCells(t *testing.T) {
 		}
 		if back[0] != 0 || back[2*8+2] != float64(c.Rank()*1000+1) {
 			return fmt.Errorf("guarded read: corner=%v interior=%v", back[0], back[2*8+2])
-		}
-		ds.Close()
-		return f.Close()
-	})
-}
-
-func TestAttributes(t *testing.T) {
-	fsys := testFS()
-	runWorld(t, 2, func(c *mpi.Comm) error {
-		f, err := CreateFile(c, fsys, "at.h5", nil)
-		if err != nil {
-			return err
-		}
-		ds, err := f.CreateDataset("/d", nctype.Int, []int64{2})
-		if err != nil {
-			return err
-		}
-		if err := ds.PutAttr("units", nctype.Char, "kelvin"); err != nil {
-			return err
-		}
-		if err := ds.PutAttr("scale", nctype.Double, 2.5); err != nil {
-			return err
-		}
-		if err := ds.PutAttr("units", nctype.Char, "C"); err != nil { // overwrite
-			return err
-		}
-		ds.Close()
-		f.Close()
-		f, err = OpenFile(c, fsys, "at.h5", true, nil)
-		if err != nil {
-			return err
-		}
-		ds, err = f.OpenDataset("/d")
-		if err != nil {
-			return err
-		}
-		_, v, err := ds.GetAttr("units")
-		if err != nil || string(v.([]byte)) != "C" {
-			return fmt.Errorf("units = %v %v", v, err)
-		}
-		_, v, err = ds.GetAttr("scale")
-		if err != nil || v.([]float64)[0] != 2.5 {
-			return fmt.Errorf("scale = %v %v", v, err)
-		}
-		if _, _, err := ds.GetAttr("absent"); err == nil {
-			return errors.New("absent attr found")
 		}
 		ds.Close()
 		return f.Close()
@@ -394,36 +348,5 @@ func TestOpenFileRejectsGarbage(t *testing.T) {
 			return errors.New("garbage accepted as h5sim file")
 		}
 		return nil
-	})
-}
-
-func TestListGroup(t *testing.T) {
-	fsys := testFS()
-	runWorld(t, 2, func(c *mpi.Comm) error {
-		f, err := CreateFile(c, fsys, "ls.h5", nil)
-		if err != nil {
-			return err
-		}
-		for _, n := range []string{"b", "a", "c"} {
-			ds, err := f.CreateDataset("/"+n, nctype.Float, []int64{1})
-			if err != nil {
-				return err
-			}
-			ds.Close()
-		}
-		root, err := f.List("/")
-		if err != nil {
-			return err
-		}
-		if fmt.Sprint(root) != "[a b c]" {
-			return fmt.Errorf("root = %v (must be sorted)", root)
-		}
-		if _, err := f.List("/a"); err == nil {
-			return errors.New("List of a dataset succeeded")
-		}
-		if _, err := f.List("/missing"); err == nil {
-			return errors.New("List of missing group succeeded")
-		}
-		return f.Close()
 	})
 }

@@ -212,7 +212,7 @@ func recordVarRankFailure(t *testing.T, nvars int) {
 		// Arm the kill only now, so it deterministically lands in record
 		// 1's collective regardless of how many rounds came before.
 		if rank == victim {
-			inj.KillRank(victim, fault.KillBeforePack)
+			inj.KillRankAt(victim, fault.KillBeforePack, 0)
 		}
 		c.Barrier()
 		killedErr := write(1)

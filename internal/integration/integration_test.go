@@ -6,6 +6,7 @@ package integration
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -880,5 +881,62 @@ func TestRandomSchemaCrossLibrary(t *testing.T) {
 			t.Errorf("trial %d (fill %v): the parallel file's %d bytes differ from the serial library's %d",
 				trial, fill, len(img), len(store.Data))
 		}
+	}
+}
+
+// TestGetOutOfRangeReportsErrRange: a read converts like a write — a Double
+// holding 1000 read into []int8 lands every value and returns NC_ERANGE, in
+// both libraries, blocking collective and independent alike.
+func TestGetOutOfRangeReportsErrRange(t *testing.T) {
+	check := func(lib string, get func(dst []int8) error) {
+		t.Helper()
+		got := make([]int8, 2)
+		if err := get(got); !errors.Is(err, cdf.ErrRange) || got[1] != -5 {
+			t.Errorf("%s: []int8 <- Double [1000 -5]: %v, %v; want ErrRange, -5 last", lib, got, err)
+		}
+	}
+	vals := []float64{1000, -5}
+	start, count := []int64{0}, []int64{2}
+
+	s, err := netcdf.Create(&netcdf.MemStore{}, nctype.Clobber)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, _ := s.DefDim("x", 2)
+	v, _ := s.DefVar("d", nctype.Double, []int{x})
+	if err := s.EndDef(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.PutVara(v, start, count, vals); err != nil {
+		t.Fatal(err)
+	}
+	check("netcdf GetVara", func(dst []int8) error { return s.GetVara(v, start, count, dst) })
+
+	fsys := newFS()
+	err = mpi.Run(2, mpi.DefaultNet(), func(c *mpi.Comm) error {
+		d, err := core.Create(c, fsys, "erange.nc", nctype.Clobber, nil)
+		if err != nil {
+			return err
+		}
+		x, _ := d.DefDim("x", 2)
+		v, _ := d.DefVar("d", nctype.Double, []int{x})
+		if err := d.EndDef(); err != nil {
+			return err
+		}
+		if err := d.PutVaraAll(v, start, count, vals); err != nil {
+			return err
+		}
+		check("core GetVaraAll", func(dst []int8) error { return d.GetVaraAll(v, start, count, dst) })
+		if err := d.BeginIndepData(); err != nil {
+			return err
+		}
+		check("core GetVara", func(dst []int8) error { return d.GetVara(v, start, count, dst) })
+		if err := d.EndIndepData(); err != nil {
+			return err
+		}
+		return d.Close()
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

@@ -1,6 +1,7 @@
 package integration
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -190,7 +191,10 @@ func driveMetadata(seed int64, steps int, d metaLib, reopen func() (metaLib, err
 			define = !define
 		default: // close (which leaves define mode) and reopen
 			op = "reopen"
-			before := d.Header().Clone()
+			before := map[string][2]int{}
+			for _, name := range pool {
+				before[name] = [2]int{d.VarID(name), d.DimID(name)}
+			}
 			if err := d.Close(); err != nil {
 				return fmt.Errorf("seed %d step %d: Close: %v", seed, step, err)
 			}
@@ -199,10 +203,9 @@ func driveMetadata(seed int64, steps int, d metaLib, reopen func() (metaLib, err
 				return fmt.Errorf("seed %d step %d: reopen: %v", seed, step, err)
 			}
 			define = false
-			// The clone taken before the close answers as the reopened
-			// header does: names and IDs survive the file.
+			// Names and IDs survive the file.
 			for _, name := range pool {
-				if before.FindVar(name) != d.VarID(name) || before.FindDim(name) != d.DimID(name) {
+				if before[name] != [2]int{d.VarID(name), d.DimID(name)} {
 					return fmt.Errorf("seed %d step %d: %s resolves differently after reopen", seed, step, name)
 				}
 			}
@@ -251,7 +254,7 @@ func TestMetadataLookupsAgreeWithScan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sh, _ := cdf.Decode(store.Data); !sh.Equal(ph) {
+		if sh, _ := cdf.Decode(store.Data); !bytes.Equal(sh.Encode(), ph.Encode()) {
 			t.Fatalf("seed %d: the two libraries' headers differ", seed)
 		}
 	}

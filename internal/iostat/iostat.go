@@ -230,9 +230,9 @@ func (c Counter) String() string {
 	return counterNames[c]
 }
 
-// Layer returns the recording layer's short name ("pfs", "mpi", "mpiio",
+// layer returns the recording layer's short name ("pfs", "mpi", "mpiio",
 // "pnetcdf").
-func (c Counter) Layer() string {
+func (c Counter) layer() string {
 	switch {
 	case c <= PfsBackoffTimeNs:
 		return "pfs"

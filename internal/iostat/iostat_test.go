@@ -73,7 +73,7 @@ func TestCounterMetadata(t *testing.T) {
 			t.Fatalf("duplicate counter name %q", name)
 		}
 		seen[name] = true
-		if k.Layer() == "" {
+		if k.layer() == "" {
 			t.Fatalf("counter %s has no layer", name)
 		}
 		if k.isTime() != strings.HasSuffix(name, "_ns") {

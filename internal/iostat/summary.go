@@ -15,14 +15,6 @@ type Summary struct {
 	Sum   snapshot
 }
 
-// Mean returns the per-rank mean of counter k.
-func (s *Summary) Mean(k Counter) float64 {
-	if s == nil || s.Ranks == 0 {
-		return 0
-	}
-	return float64(s.Sum[k]) / float64(s.Ranks)
-}
-
 // Summarize folds one run's per-rank counters, indexed by rank, into a
 // Summary over len(ranks) ranks; a nil entry (a rank that kept no counters)
 // counts as zeros. It is read once the ranks have returned, so a run that
@@ -110,7 +102,7 @@ func WriteTable(w io.Writer, s *Summary) {
 			continue
 		}
 		fmt.Fprintf(w, "    %-8s %-26s %14s %12s %12s\n",
-			k.Layer(), k.String(), fmtVal(k, s.Sum[k]), fmtVal(k, s.Min[k]), fmtVal(k, s.Max[k]))
+			k.layer(), k.String(), fmtVal(k, s.Sum[k]), fmtVal(k, s.Min[k]), fmtVal(k, s.Max[k]))
 	}
 	writeSelfCheck(w, s)
 }

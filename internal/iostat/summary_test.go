@@ -55,8 +55,8 @@ func TestReduceAcrossRanks(t *testing.T) {
 	if got := sum.Max[iostat.PfsBytesWritten]; got != 100*nprocs {
 		t.Fatalf("Max = %d, want %d (last rank)", got, 100*nprocs)
 	}
-	if got := sum.Mean(iostat.PfsWriteCalls); got != 100 {
-		t.Fatalf("Mean calls = %v, want 100", got)
+	if got := sum.Sum[iostat.PfsWriteCalls]; got != 100*nprocs {
+		t.Fatalf("Sum calls = %v, want %d (100 a rank)", got, 100*nprocs)
 	}
 	if kc := sum.KeyCounters(); kc["pfs_bytes_written"] != wantSum {
 		t.Fatalf("KeyCounters = %d", kc["pfs_bytes_written"])

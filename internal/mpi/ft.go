@@ -5,9 +5,9 @@ package mpi
 // error every survivor sees alike, in two parts:
 //
 //   - a failure detector that works by quiescence and is always on. Ranks
-//     die only via Comm.Die (the fault injector's KillRank calls it), so
-//     "dead" is ground truth here and nothing has to be guessed from
-//     silence. The world counts the ranks that are neither parked in a
+//     die only via Comm.Die (mpiio calls it where the fault injector's
+//     KillRankAt armed a kill), so "dead" is ground truth here and
+//     nothing has to be guessed from silence. The world counts the ranks that are neither parked in a
 //     receive nor gone; the goroutine that brings the count to zero runs
 //     the detector, because at that instant no message can ever be sent
 //     again and the world's state is the same on every run of the same

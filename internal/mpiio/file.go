@@ -287,20 +287,6 @@ func (f *File) Size() (int64, error) {
 	return f.pf.Size(), nil
 }
 
-// SetSize truncates or extends the file; collective.
-func (f *File) SetSize(size int64) error {
-	if f.closed {
-		return ErrClosed
-	}
-	if f.amode&ModeRdOnly != 0 {
-		return errReadOnly
-	}
-	if f.comm.Rank() == 0 {
-		f.pf.Truncate(size)
-	}
-	return f.barrier()
-}
-
 // Sync flushes the file collectively, like MPI_File_sync: every rank's
 // writes are down when it returns.
 func (f *File) Sync() error {
@@ -398,8 +384,8 @@ func (f *File) WriteRaw(buf []byte, off int64) error {
 	return nil
 }
 
-// SetSizeRaw sets the file size from this rank alone: SetSize without the
-// collective, for the root's header commit. Independent.
+// SetSizeRaw sets the file size from this rank alone, for the root's header
+// commit. Independent.
 func (f *File) SetSizeRaw(size int64) error {
 	if f.closed {
 		return ErrClosed

@@ -478,7 +478,7 @@ func TestFTWithoutDetectorStillAgrees(t *testing.T) {
 	fsys := testFS()
 	inj := fault.New(fault.Config{Seed: 1})
 	// Armed for a rank that never exists in this world: never fires.
-	inj.KillRank(17, fault.KillBeforePack)
+	inj.KillRankAt(17, fault.KillBeforePack, 0)
 	fsys.SetFault(inj)
 	runWorld(t, 2, func(c *mpi.Comm) error {
 		f, err := Open(c, fsys, "nodet", ModeRdWr|ModeCreate, ftioHints())

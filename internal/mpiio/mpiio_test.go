@@ -472,9 +472,12 @@ func TestSetSizeAndSize(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if err := f.SetSize(12345); err != nil {
-			return err
+		if c.Rank() == 0 {
+			if err := f.SetSizeRaw(12345); err != nil {
+				return err
+			}
 		}
+		c.Barrier()
 		sz, err := f.Size()
 		if err != nil {
 			return err

@@ -209,7 +209,7 @@ func TestClockCoversEveryRequest(t *testing.T) {
 				if err := f.WriteAtAll(0, buf); err != nil {
 					return err
 				}
-				n0 := rec.Len()
+				n0 := len(rec.Spans())
 				if err := f.ReadAtAll(0, buf); err != nil {
 					return err
 				}
@@ -234,7 +234,7 @@ func TestClockCoversEveryRequest(t *testing.T) {
 				if err := f.Sync(); err != nil {
 					return err
 				}
-				syncClock, nSync := c.Proc().Clock(), rec.Len()
+				syncClock, nSync := c.Proc().Clock(), len(rec.Spans())
 				if err := f.WriteAtAll(0, buf); err != nil {
 					return err
 				}

@@ -165,7 +165,7 @@ func (f *File) agree(r int64, err error) error {
 }
 
 // killPoint terminates this rank here when the fault injector armed a
-// rank-kill at this named point (fault.KillRank); a no-op otherwise.
+// rank-kill at this named point (fault.Injector.KillRankAt); a no-op otherwise.
 func (f *File) killPoint(point string) {
 	if inj := f.fs.Fault(); inj != nil && inj.KillCheck(f.comm.Rank(), point) {
 		f.comm.Die()

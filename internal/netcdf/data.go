@@ -198,7 +198,7 @@ func (d *Dataset) put(varid int, start, count, stride, imap []int64, data any) e
 	segs := access.FileSegments(d.Hdr, v, req)
 	pos := int64(0)
 	for _, s := range segs {
-		if err := d.cache.WriteAt(ext[pos:pos+s.Len], s.Off); err != nil {
+		if err := d.cache.writeAt(ext[pos:pos+s.Len], s.Off); err != nil {
 			return err
 		}
 		pos += s.Len
@@ -224,7 +224,7 @@ func (d *Dataset) get(varid int, start, count, stride, imap []int64, data any) e
 	defer bufpool.Put(ext)
 	pos := int64(0)
 	for _, s := range segs {
-		if err := d.cache.ReadAt(ext[pos:pos+s.Len], s.Off); err != nil {
+		if err := d.cache.readAt(ext[pos:pos+s.Len], s.Off); err != nil {
 			return err
 		}
 		pos += s.Len
@@ -258,7 +258,7 @@ func (d *Dataset) growRecords(n int64) error {
 		}
 		fillBuf := cdf.FillBytes(v, d.Hdr.VarSlotSize(v)/int64(v.Type.Size()))
 		for rec := from; rec < n; rec++ {
-			if err := d.cache.WriteAt(fillBuf, d.Hdr.RecordOffset(v, rec)); err != nil {
+			if err := d.cache.writeAt(fillBuf, d.Hdr.RecordOffset(v, rec)); err != nil {
 				return err
 			}
 		}

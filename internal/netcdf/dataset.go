@@ -90,7 +90,7 @@ func (d *Dataset) EndDef() error {
 	if len(plan.Moves) > 0 {
 		buf := make([]byte, 1<<20)
 		for _, m := range plan.Moves {
-			if err := m.Copy(buf, d.cache.ReadAt, d.cache.WriteAt); err != nil {
+			if err := m.Copy(buf, d.cache.readAt, d.cache.writeAt); err != nil {
 				return err
 			}
 		}
@@ -99,7 +99,7 @@ func (d *Dataset) EndDef() error {
 		return err
 	}
 	if d.fill {
-		return plan.Fill(d.cache.WriteAt)
+		return plan.Fill(d.cache.writeAt)
 	}
 	return nil
 }
@@ -142,7 +142,7 @@ func (d *Dataset) Sync() error {
 			return err
 		}
 	}
-	if err := d.cache.Flush(); err != nil {
+	if err := d.cache.flush(); err != nil {
 		return err
 	}
 	return d.store.Sync()

@@ -28,7 +28,7 @@ func TestPageCacheAbsorbsSmallWrites(t *testing.T) {
 	pc := newPageCache(store, 1024, 8)
 	// 100 tiny writes within one page: at most one backend read.
 	for i := 0; i < 100; i++ {
-		if err := pc.WriteAt([]byte{byte(i)}, int64(i)); err != nil {
+		if err := pc.writeAt([]byte{byte(i)}, int64(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -38,14 +38,14 @@ func TestPageCacheAbsorbsSmallWrites(t *testing.T) {
 	if store.reads != 1 {
 		t.Fatalf("expected 1 page fill, got %d", store.reads)
 	}
-	if err := pc.Flush(); err != nil {
+	if err := pc.flush(); err != nil {
 		t.Fatal(err)
 	}
 	if store.writes != 1 {
 		t.Fatalf("flush issued %d writes, want 1", store.writes)
 	}
 	got := make([]byte, 100)
-	if err := pc.ReadAt(got, 0); err != nil {
+	if err := pc.readAt(got, 0); err != nil {
 		t.Fatal(err)
 	}
 	for i := range got {
@@ -60,7 +60,7 @@ func TestPageCacheEvictionWritesBack(t *testing.T) {
 	pc := newPageCache(store, 512, 2) // tiny cache: 2 pages
 	// Dirty three pages; the first must be evicted and written back.
 	for p := 0; p < 3; p++ {
-		if err := pc.WriteAt([]byte{byte(p + 1)}, int64(p)*512); err != nil {
+		if err := pc.writeAt([]byte{byte(p + 1)}, int64(p)*512); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -69,7 +69,7 @@ func TestPageCacheEvictionWritesBack(t *testing.T) {
 	}
 	// The evicted page's data must be readable again (from the store).
 	got := make([]byte, 1)
-	if err := pc.ReadAt(got, 0); err != nil {
+	if err := pc.readAt(got, 0); err != nil {
 		t.Fatal(err)
 	}
 	if got[0] != 1 {
@@ -83,15 +83,15 @@ func TestPageCacheLargeWriteBypassConsistency(t *testing.T) {
 	store := &countingStore{}
 	pc := newPageCache(store, 512, 8)
 	// Dirty a page with 0xAA.
-	if err := pc.WriteAt(bytes.Repeat([]byte{0xAA}, 512), 0); err != nil {
+	if err := pc.writeAt(bytes.Repeat([]byte{0xAA}, 512), 0); err != nil {
 		t.Fatal(err)
 	}
 	// Big write (>= 4 pages) of 0xBB covering it.
-	if err := pc.WriteAt(bytes.Repeat([]byte{0xBB}, 4*512), 0); err != nil {
+	if err := pc.writeAt(bytes.Repeat([]byte{0xBB}, 4*512), 0); err != nil {
 		t.Fatal(err)
 	}
 	got := make([]byte, 512)
-	if err := pc.ReadAt(got, 0); err != nil {
+	if err := pc.readAt(got, 0); err != nil {
 		t.Fatal(err)
 	}
 	for i, b := range got {
@@ -100,14 +100,14 @@ func TestPageCacheLargeWriteBypassConsistency(t *testing.T) {
 		}
 	}
 	// Partial-edge variant: big write starting mid-page.
-	if err := pc.WriteAt(bytes.Repeat([]byte{0xCC}, 512), 0); err != nil {
+	if err := pc.writeAt(bytes.Repeat([]byte{0xCC}, 512), 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := pc.WriteAt(bytes.Repeat([]byte{0xDD}, 4*512), 256); err != nil {
+	if err := pc.writeAt(bytes.Repeat([]byte{0xDD}, 4*512), 256); err != nil {
 		t.Fatal(err)
 	}
 	head := make([]byte, 256)
-	if err := pc.ReadAt(head, 0); err != nil {
+	if err := pc.readAt(head, 0); err != nil {
 		t.Fatal(err)
 	}
 	for i, b := range head {
@@ -116,7 +116,7 @@ func TestPageCacheLargeWriteBypassConsistency(t *testing.T) {
 		}
 	}
 	tail := make([]byte, 256)
-	if err := pc.ReadAt(tail, 256); err != nil {
+	if err := pc.readAt(tail, 256); err != nil {
 		t.Fatal(err)
 	}
 	for i, b := range tail {
@@ -129,11 +129,11 @@ func TestPageCacheLargeWriteBypassConsistency(t *testing.T) {
 func TestPageCacheLargeReadSeesDirtyPages(t *testing.T) {
 	store := &countingStore{}
 	pc := newPageCache(store, 512, 8)
-	if err := pc.WriteAt([]byte{0xEE}, 100); err != nil {
+	if err := pc.writeAt([]byte{0xEE}, 100); err != nil {
 		t.Fatal(err)
 	}
 	big := make([]byte, 4*512)
-	if err := pc.ReadAt(big, 0); err != nil {
+	if err := pc.readAt(big, 0); err != nil {
 		t.Fatal(err)
 	}
 	if big[100] != 0xEE {
@@ -153,12 +153,12 @@ func TestPageCacheRandomizedOracle(t *testing.T) {
 			p := make([]byte, n)
 			rng.Read(p)
 			copy(oracle[off:], p)
-			if err := pc.WriteAt(p, off); err != nil {
+			if err := pc.writeAt(p, off); err != nil {
 				t.Fatal(err)
 			}
 		} else {
 			got := make([]byte, n)
-			if err := pc.ReadAt(got, off); err != nil {
+			if err := pc.readAt(got, off); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(got, oracle[off:off+int64(n)]) {
@@ -166,7 +166,7 @@ func TestPageCacheRandomizedOracle(t *testing.T) {
 			}
 		}
 	}
-	if err := pc.Flush(); err != nil {
+	if err := pc.flush(); err != nil {
 		t.Fatal(err)
 	}
 	// After flush, the store itself must match the oracle prefix written.

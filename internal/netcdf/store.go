@@ -223,8 +223,8 @@ func (c *pageCache) writeBack(p *cachePage) error {
 	return writeFull(c.store, p.data[:min(c.pageSize, c.end-lo)], lo)
 }
 
-// ReadAt fills p from the cached view of the store.
-func (c *pageCache) ReadAt(p []byte, off int64) error {
+// readAt fills p from the cached view of the store.
+func (c *pageCache) readAt(p []byte, off int64) error {
 	// Large reads bypass the cache (but must see dirty pages): flush the
 	// overlap first, then read straight from the store.
 	if int64(len(p)) >= 4*c.pageSize {
@@ -251,8 +251,8 @@ func (c *pageCache) ReadAt(p []byte, off int64) error {
 	return nil
 }
 
-// WriteAt writes p through the cache (write-back).
-func (c *pageCache) WriteAt(p []byte, off int64) error {
+// writeAt writes p through the cache (write-back).
+func (c *pageCache) writeAt(p []byte, off int64) error {
 	// Large aligned writes bypass the cache; overlapping pages must be
 	// dropped (they would otherwise resurrect stale data).
 	if int64(len(p)) >= 4*c.pageSize {
@@ -325,8 +325,8 @@ func (c *pageCache) discardRange(off, n int64) error {
 	return nil
 }
 
-// Flush writes all dirty pages back to the store.
-func (c *pageCache) Flush() error {
+// flush writes all dirty pages back to the store.
+func (c *pageCache) flush() error {
 	for el := c.lru.Front(); el != nil; el = el.Next() {
 		p := el.Value.(*cachePage)
 		if p.dirty {

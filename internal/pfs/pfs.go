@@ -155,7 +155,6 @@ type FS struct {
 }
 
 type fileData struct {
-	name  string
 	store chunkStore
 	rmw   rangeLock // read-modify-write range lock for data sieving writes
 }
@@ -223,7 +222,7 @@ func (f *File) SetSpans(r *span.Recorder) { f.spans = r }
 // Create opens name, truncating it to zero length, and charges OpenCost.
 func (fs *FS) Create(name string, t float64) (*File, float64) {
 	fs.mu.Lock()
-	fd := &fileData{name: name}
+	fd := &fileData{}
 	fs.files[name] = fd
 	fs.mu.Unlock()
 	return &File{fs: fs, fd: fd}, t + fs.cfg.OpenCost
@@ -247,29 +246,6 @@ func (fs *FS) Exists(name string) bool {
 	return fs.files[name] != nil
 }
 
-// Remove deletes a file.
-func (fs *FS) Remove(name string) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if fs.files[name] == nil {
-		return fmt.Errorf("pfs: remove %s: no such file", name)
-	}
-	delete(fs.files, name)
-	return nil
-}
-
-// Names returns all file names, sorted.
-func (fs *FS) Names() []string {
-	fs.mu.RLock()
-	defer fs.mu.RUnlock()
-	var out []string
-	for n := range fs.files {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // ResetClock zeroes the server queues; harnesses call it between measured
 // phases so one phase's backlog does not leak into the next.
 func (fs *FS) ResetClock() {
@@ -279,9 +255,6 @@ func (fs *FS) ResetClock() {
 	}
 	fs.srvMu.Unlock()
 }
-
-// Name returns the file's name.
-func (f *File) Name() string { return f.fd.name }
 
 // Size returns the file's current size in bytes.
 func (f *File) Size() int64 { return f.fd.store.size.Load() }

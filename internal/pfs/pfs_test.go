@@ -2,7 +2,6 @@ package pfs
 
 import (
 	"bytes"
-	"fmt"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -23,8 +22,8 @@ func TestCreateOpenRemove(t *testing.T) {
 	if t1 <= 0 {
 		t.Fatal("Create charged no time")
 	}
-	if f.Name() != "a.nc" || f.Size() != 0 {
-		t.Fatalf("fresh file: name=%q size=%d", f.Name(), f.Size())
+	if f.Size() != 0 {
+		t.Fatalf("fresh file: size=%d", f.Size())
 	}
 	if !fs.Exists("a.nc") || fs.Exists("b.nc") {
 		t.Fatal("Exists wrong")
@@ -42,12 +41,6 @@ func TestCreateOpenRemove(t *testing.T) {
 	g.ReadAt(0, buf, 0)
 	if string(buf) != "xyz" {
 		t.Fatalf("shared data: %q", buf)
-	}
-	if err := fs.Remove("a.nc"); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.Remove("a.nc"); err == nil {
-		t.Fatal("double remove succeeded")
 	}
 }
 
@@ -494,7 +487,6 @@ func TestEveryMethodIsCharged(t *testing.T) {
 			return done, err
 		}},
 		"serialFile.WriteAt":  {do: serial(func(s *serialFile, p []byte) (int, error) { return s.WriteAt(p, 0) })},
-		"File.Name":           {why: "returns the name"},
 		"File.Size":           {why: "returns the size"},
 		"File.Truncate":       {why: "metadata only: no transfer for the cost model to charge"},
 		"File.LockRMW":        {why: "a host-side range lock; the sieving read and write inside it are charged"},
@@ -552,17 +544,6 @@ func TestEveryMethodIsCharged(t *testing.T) {
 		if got := st.Get(calls); got != 1 {
 			t.Errorf("%s: %s = %d, want 1", name, calls, got)
 		}
-	}
-}
-
-func TestNamesSorted(t *testing.T) {
-	fs := testFS()
-	for _, n := range []string{"c", "a", "b"} {
-		fs.Create(n, 0)
-	}
-	names := fs.Names()
-	if fmt.Sprint(names) != "[a b c]" {
-		t.Fatalf("Names = %v", names)
 	}
 }
 

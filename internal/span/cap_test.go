@@ -11,7 +11,7 @@ func TestSpanCapAndDropped(t *testing.T) {
 		a.End()
 	}
 	r.Record("leaf", -1, 0, 1, 0, -1)
-	if n := r.Len(); n != 2 {
+	if n := len(r.Spans()); n != 2 {
 		t.Fatalf("Len() = %d, want 2", n)
 	}
 	if d := r.Dropped(); d != 4 {
@@ -31,12 +31,12 @@ func TestSpanReset(t *testing.T) {
 		t.Fatalf("Dropped() = %d", r.Dropped())
 	}
 	r.Reset()
-	if r.Len() != 0 || r.Dropped() != 0 || r.Open() != 0 {
-		t.Fatalf("after Reset: len=%d dropped=%d open=%d", r.Len(), r.Dropped(), r.Open())
+	if len(r.Spans()) != 0 || r.Dropped() != 0 || r.Open() != 0 {
+		t.Fatalf("after Reset: len=%d dropped=%d open=%d", len(r.Spans()), r.Dropped(), r.Open())
 	}
 	r.Begin("c").End()
-	if r.Len() != 1 {
-		t.Fatalf("Len() = %d after reset+begin", r.Len())
+	if len(r.Spans()) != 1 {
+		t.Fatalf("%d spans after reset+begin", len(r.Spans()))
 	}
 }
 

@@ -266,16 +266,6 @@ func (r *Recorder) Open() int {
 	return len(r.stack)
 }
 
-// Len returns the number of recorded spans.
-func (r *Recorder) Len() int {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.spans)
-}
-
 // Dropped returns how many spans were discarded because the buffer was
 // full. A nonzero value means the trace is incomplete and must be surfaced
 // loudly, never read as a full record.

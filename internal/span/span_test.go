@@ -81,7 +81,7 @@ func TestSpanEndClosesDescendants(t *testing.T) {
 	inner.End()
 	innermost.End()
 	outer.End()
-	if n := r.Len(); n != 3 {
+	if n := len(r.Spans()); n != 3 {
 		t.Fatalf("Len() = %d after duplicate Ends, want 3", n)
 	}
 }
@@ -134,7 +134,7 @@ func TestSpanNilSafety(t *testing.T) {
 	a.End()
 	r.Record("y", 0, 0, 1, 2, -1)
 	r.Reset()
-	if r.Len() != 0 || r.Open() != 0 || r.Dropped() != 0 || r.Spans() != nil {
+	if r.Open() != 0 || r.Dropped() != 0 || r.Spans() != nil {
 		t.Fatal("nil recorder leaked state")
 	}
 	var zero span.Active

@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -85,15 +86,24 @@ func TestReadmeReferencesResolve(t *testing.T) {
 }
 
 // TestExportedNamesHaveCallers: nothing under internal/ is exported unless
-// another package calls it. The module's API is the netCDF/PnetCDF dataset
+// another package calls it, and nothing under internal/ or cmd/ is declared
+// that nothing calls. The module's API is the netCDF/PnetCDF dataset
 // interface (paper §3) plus what cmd/, examples/ and benchmark/ use; a name
 // exported for a test alone, or for its own package alone, widens that
-// surface and hides dead code. Every exported function, type, var, const
-// and method in a non-test file under internal/ must be named by a non-test
-// file of another package — a top-level name as pkg.Name; a method by its
-// name as any selector, without type checking; Error and String, which the
-// standard library calls — or be on the allowlist below. The declarations
-// come from internalDeclList, the references from go/parser alone.
+// surface and hides dead code. The uses come from loadModule's type check,
+// so a use is of one object, never of a name another type shares:
+//
+//   - an exported function, type, var, const or method in a non-test file
+//     under internal/ must be used by a non-test file of another package,
+//     or be on the allowlist below;
+//   - any other function, type, var, const or method in a non-test file
+//     under internal/ or cmd/ must be used by some non-test file;
+//   - a method also counts as used where its type implements an interface
+//     method that some non-test file calls, and Error and String, which the
+//     standard library calls, always do.
+//
+// benchmark/'s and examples/' own declarations are not checked: they only
+// use.
 func TestExportedNamesHaveCallers(t *testing.T) {
 	// allowed holds the exported names that need no caller, each with why:
 	// "pkg.Name", "pkg.Type.Method", "pkg.Type.*" for a method set, or
@@ -105,8 +115,10 @@ func TestExportedNamesHaveCallers(t *testing.T) {
 		"core.Dataset.*":   "the PnetCDF dataset API",
 		"netcdf.Dataset.*": "the serial netCDF dataset API",
 		"cdf.Front.*":      "the define, attribute and inquiry calls both Datasets promote",
-		// A test hook that tests in six packages arm.
+		// Test hooks.
 		"fault.Injector.ArmCrash": "the crash point the crash-consistency tests arm",
+		"pfs.File.WriteAt":        "benchmark/'s test corrupts a file through it",
+		"span.Recorder.Open":      "the span-closure check core and mpiio tests make after a fault; Spans clamps an open span's End, so nothing else sees one",
 		// Packages only tests import: what several packages' tests share.
 		"metashape":  "the 4096-variable metadata-wall schema",
 		"behindtest": "the write-behind test harness",
@@ -118,155 +130,137 @@ func TestExportedNamesHaveCallers(t *testing.T) {
 		"bench.PartYX":  "a Figure 6 partition",
 		"bench.PartZYX": "a Figure 6 partition",
 	}
-	var exported []declaration
-	for _, d := range internalDeclList(t) {
-		ident := d.name
-		if d.method {
-			ident = d.member
-		}
-		if d.test || d.member != "" && !d.method || !ast.IsExported(ident) {
-			continue // test code, a field, or an unexported name
-		}
-		exported = append(exported, d)
-	}
-	if len(exported) == 0 {
-		t.Fatal("no exported declaration found under internal/: the guard checked nothing")
-	}
+	m := loadModule(t)
 
-	// What every non-test file that may import internal/ refers to:
-	// package-qualified names, by the directory declaring them, and
-	// selector names, by the directories using them.
-	qualified := map[string]bool{}     // "dir.Name"
-	selectors := map[string][]string{} // name → directories
-	fset := token.NewFileSet()
-	for _, root := range []string{"internal", "cmd", "examples", "benchmark"} {
-		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-				return err
+	// Every object a non-test file uses, whether another package uses it,
+	// and the interface methods called.
+	used, usedOutside := map[types.Object]bool{}, map[types.Object]bool{}
+	var ifaceCalls []*types.Func
+	for _, p := range m.pkgs {
+		for _, obj := range p.info.Uses {
+			switch o := obj.(type) {
+			case *types.Func:
+				obj = o.Origin()
+				if recv := o.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
+					ifaceCalls = append(ifaceCalls, o)
+				}
+			case *types.Var:
+				obj = o.Origin()
 			}
-			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-			if err != nil {
-				return err
+			used[obj] = true
+			usedOutside[obj] = usedOutside[obj] || obj.Pkg() != p.types
+		}
+	}
+	// implementsCalled reports whether method fn implements an interface
+	// method some non-test file calls.
+	implementsCalled := func(fn *types.Func) bool {
+		recv := fn.Type().(*types.Signature).Recv().Type()
+		if ptr, ok := recv.(*types.Pointer); ok {
+			recv = ptr.Elem()
+		}
+		named, _ := recv.(*types.Named)
+		for _, c := range ifaceCalls {
+			if c.Name() != fn.Name() {
+				continue
 			}
-			dir := filepath.ToSlash(filepath.Dir(path))
-			imports := map[string]string{} // local name → directory
-			for _, imp := range f.Imports {
-				ipath := strings.Trim(imp.Path.Value, `"`)
-				if !strings.HasPrefix(ipath, "pnetcdf/internal/") {
-					continue
-				}
-				name := ipath[strings.LastIndex(ipath, "/")+1:]
-				if imp.Name != nil {
-					name = imp.Name.Name
-				}
-				imports[name] = strings.TrimPrefix(ipath, "pnetcdf/")
-			}
-			ast.Inspect(f, func(n ast.Node) bool {
-				sel, ok := n.(*ast.SelectorExpr)
-				if !ok {
-					return true
-				}
-				if x, ok := sel.X.(*ast.Ident); ok && imports[x.Name] != "" {
-					qualified[imports[x.Name]+"."+sel.Sel.Name] = true
-				} else {
-					selectors[sel.Sel.Name] = append(selectors[sel.Sel.Name], dir)
-				}
+			iface := c.Type().(*types.Signature).Recv().Type().Underlying().(*types.Interface)
+			if named == nil || named.TypeParams().Len() > 0 ||
+				types.Implements(named, iface) || types.Implements(types.NewPointer(named), iface) {
 				return true
-			})
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
+			}
 		}
+		return false
 	}
 
-	used := map[string]bool{} // allowlist entries that matched
+	matched := map[string]bool{} // allowlist entries that covered a declaration
 	var missing []string
-	for _, d := range exported {
-		name := d.pkg + "." + d.name
-		if d.method {
-			name += "." + d.member
-		}
-		if key := allowKey(allowed, d, name); key != "" {
-			used[key] = true
+	exported, unexported := 0, 0
+	for _, p := range m.pkgs {
+		if !strings.HasPrefix(p.dir, "internal/") && !strings.HasPrefix(p.dir, "cmd/") {
 			continue
 		}
-		called := qualified[d.dir+"."+d.name]
-		if d.method {
-			called = d.member == "Error" || d.member == "String"
-			for _, dir := range selectors[d.member] {
-				called = called || dir != d.dir
+		for _, f := range p.files {
+			for _, obj := range declaredObjects(p.info, f) {
+				name, keys := p.types.Name()+"."+obj.Name(), []string{p.types.Name()}
+				ok := false // a method called through an interface or by the standard library
+				if fn, _ := obj.(*types.Func); fn != nil && fn.Type().(*types.Signature).Recv() != nil {
+					recv := types.TypeString(fn.Type().(*types.Signature).Recv().Type(), func(*types.Package) string { return "" })
+					typ := p.types.Name() + "." + strings.TrimPrefix(recv, "*")
+					name = typ + "." + obj.Name()
+					keys = append(keys, typ+".*")
+					ok = obj.Name() == "Error" || obj.Name() == "String" || implementsCalled(fn)
+				}
+				if obj.Exported() && strings.HasPrefix(p.dir, "internal/") {
+					exported++
+					ok = ok || usedOutside[obj]
+					for _, k := range append(keys, name) {
+						if !ok && allowed[k] != "" {
+							ok, matched[k] = true, true
+						}
+					}
+				} else {
+					unexported++
+					ok = ok || used[obj]
+				}
+				if !ok {
+					missing = append(missing, fmt.Sprintf("%s: %s", m.fset.Position(obj.Pos()), name))
+				}
 			}
 		}
-		if !called {
-			missing = append(missing, fmt.Sprintf("%s: %s", d.pos, name))
-		}
+	}
+	if exported == 0 {
+		t.Fatal("no exported declaration found under internal/: the guard checked nothing")
 	}
 	if len(missing) > 0 {
-		t.Errorf("%d of %d exported names under internal/ have no caller outside their package; delete or unexport each, or allowlist it with a reason:\n%s",
-			len(missing), len(exported), strings.Join(missing, "\n"))
+		t.Errorf("%d declarations have no caller: delete or unexport each, or allowlist an exported one with a reason (an exported name under internal/ needs a caller in another package):\n%s",
+			len(missing), strings.Join(missing, "\n"))
 	}
 	for key := range allowed {
-		if !used[key] {
-			t.Errorf("allowlist entry %q names no exported declaration", key)
+		if !matched[key] {
+			t.Errorf("allowlist entry %q covers no declaration that lacks a caller", key)
 		}
 	}
-	t.Logf("%d exported names under internal/, %d allowlist entries", len(exported), len(allowed))
+	t.Logf("%d exported declarations under internal/, %d other declarations under internal/ and cmd/, %d allowlist entries", exported, unexported, len(allowed))
 }
 
-// allowKey returns the allowlist entry that covers declaration d, named
-// name, or "".
-func allowKey(allowed map[string]string, d declaration, name string) string {
-	keys := []string{d.pkg, name}
-	if d.method {
-		keys = append(keys, d.pkg+"."+d.name+".*")
-	}
-	for _, k := range keys {
-		if allowed[k] != "" {
-			return k
+// declaredObjects lists the functions, methods, types, vars and consts file
+// f declares at package level, but not init, main or the blank identifier.
+func declaredObjects(info *types.Info, f *ast.File) []types.Object {
+	var objs []types.Object
+	declare := func(id *ast.Ident) {
+		if id.Name != "_" && info.Defs[id] != nil {
+			objs = append(objs, info.Defs[id])
 		}
 	}
-	return ""
+	for _, decl := range f.Decls {
+		switch decl := decl.(type) {
+		case *ast.FuncDecl:
+			if decl.Recv != nil || decl.Name.Name != "init" && (decl.Name.Name != "main" || f.Name.Name != "main") {
+				declare(decl.Name)
+			}
+		case *ast.GenDecl:
+			for _, spec := range decl.Specs {
+				switch spec := spec.(type) {
+				case *ast.ValueSpec:
+					for _, n := range spec.Names {
+						declare(n)
+					}
+				case *ast.TypeSpec:
+					declare(spec.Name)
+				}
+			}
+		}
+	}
+	return objs
 }
 
 // internalDecls maps each package under internal/ (an external test
 // package under its own name) to its top-level declarations, and each of
-// those to its fields and methods.
+// those to its fields and methods: every Go file's, test files included,
+// from go/parser alone.
 func internalDecls(t *testing.T) map[string]map[string]map[string]bool {
 	t.Helper()
 	decls := map[string]map[string]map[string]bool{}
-	for _, d := range internalDeclList(t) {
-		if decls[d.pkg] == nil {
-			decls[d.pkg] = map[string]map[string]bool{}
-		}
-		if decls[d.pkg][d.name] == nil {
-			decls[d.pkg][d.name] = map[string]bool{}
-		}
-		if d.member != "" {
-			decls[d.pkg][d.name][d.member] = true
-		}
-	}
-	return decls
-}
-
-// declaration is one name a Go file under internal/ declares: a top-level
-// function, type, var or const (member empty), or a field or method of a
-// type (member set).
-type declaration struct {
-	pkg    string // the package's name; an external test package's without "_test"
-	dir    string // the package's directory, by path from the module root
-	name   string
-	member string
-	method bool // member is a method, not a field
-	test   bool // declared in a _test.go file
-	pos    token.Position
-}
-
-// internalDeclList lists every declaration of every Go file under internal/,
-// test files included, from go/parser alone.
-func internalDeclList(t *testing.T) []declaration {
-	t.Helper()
-	var decls []declaration
 	fset := token.NewFileSet()
 	err := filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
 		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
@@ -276,21 +270,23 @@ func internalDeclList(t *testing.T) []declaration {
 		if err != nil {
 			return err
 		}
-		file := declaration{
-			pkg:  strings.TrimSuffix(f.Name.Name, "_test"),
-			dir:  filepath.ToSlash(filepath.Dir(path)),
-			test: strings.HasSuffix(path, "_test.go"),
+		pkg := strings.TrimSuffix(f.Name.Name, "_test")
+		if decls[pkg] == nil {
+			decls[pkg] = map[string]map[string]bool{}
 		}
-		declare := func(n *ast.Ident, name, member string, method bool) {
-			d := file
-			d.name, d.member, d.method, d.pos = name, member, method, fset.Position(n.Pos())
-			decls = append(decls, d)
+		declare := func(name, member string) {
+			if decls[pkg][name] == nil {
+				decls[pkg][name] = map[string]bool{}
+			}
+			if member != "" {
+				decls[pkg][name][member] = true
+			}
 		}
 		for _, decl := range f.Decls {
 			switch decl := decl.(type) {
 			case *ast.FuncDecl:
 				if decl.Recv == nil {
-					declare(decl.Name, decl.Name.Name, "", false)
+					declare(decl.Name.Name, "")
 					continue
 				}
 				recv := decl.Recv.List[0].Type
@@ -298,21 +294,21 @@ func internalDeclList(t *testing.T) []declaration {
 					recv = star.X
 				}
 				if id, ok := recv.(*ast.Ident); ok {
-					declare(decl.Name, id.Name, decl.Name.Name, true)
+					declare(id.Name, decl.Name.Name)
 				}
 			case *ast.GenDecl:
 				for _, spec := range decl.Specs {
 					switch spec := spec.(type) {
 					case *ast.ValueSpec:
 						for _, n := range spec.Names {
-							declare(n, n.Name, "", false)
+							declare(n.Name, "")
 						}
 					case *ast.TypeSpec:
-						declare(spec.Name, spec.Name.Name, "", false)
+						declare(spec.Name.Name, "")
 						if st, ok := spec.Type.(*ast.StructType); ok {
 							for _, field := range st.Fields.List {
 								for _, n := range field.Names {
-									declare(n, spec.Name.Name, n.Name, false)
+									declare(spec.Name.Name, n.Name)
 								}
 							}
 						}

@@ -12,8 +12,10 @@
 # root guards_test.go TestIOErrorsAreChecked (no dropped Close/Sync/Flush/
 # Write* error), TestLockSections (locks released on every way out; srvMu a
 # leaf), TestInternalHasNoWallClock and TestInternalReadsNoEnvironment, and
-# in the root readme_refs_test.go TestExportedNamesHaveCallers (nothing under
-# internal/ is exported unless another package names it), the
+# in the root readme_refs_test.go TestExportedNamesHaveCallers (over the
+# module type-checked once: nothing under internal/ is exported unless
+# another package uses it, and nothing under internal/ or cmd/ is declared
+# that no non-test code uses), the
 # 1-process Figure 6 write, whose cells must equal results/fig6_64mb.txt's,
 # and a FLASH checkpoint written per variable and queued, in one-round and in
 # many-round collectives, which must match.
