@@ -321,7 +321,7 @@ func TestAllocsPerGetRoundIsConstant(t *testing.T) {
 // roundsAllocs' shape allocates, all four ranks together, on a handle that
 // has done one collective before: 2 objects for the write and 0 for the
 // read, now that the view's segments, the plan, index and round tables live
-// on the handle (DESIGN.md §9). While they were made per call it took 128
+// on the handle (DESIGN.md §4). While they were made per call it took 128
 // and 134 (the classic serial round loop, before it was deleted, 201 and
 // 249). FLASH's 27 one-round collectives per checkpoint must not start
 // paying for the many-round machinery. Background allocation only ever adds
@@ -419,7 +419,7 @@ func warmCollectiveAllocs(tb testing.TB) int64 {
 // (next to) nothing — the request is checked in place, the variable shares
 // the first one's view (the cache keys on geometry relative to the
 // variable), and the plan tables, prefix sums, clip and round scratch are
-// the handle's, reset rather than rebuilt (DESIGN.md §9). Measured: 2
+// the handle's, reset rather than rebuilt (DESIGN.md §3, §4). Measured: 2
 // objects; while that state was rebuilt per call the pair made 218 —
 // validated copies of start, count and a stride of ones, a view cache miss
 // (the key held the varid), the plan, index and round tables. Background
@@ -1091,7 +1091,7 @@ func flexCallAllocs(tb testing.TB, kind int) (objs, bytes float64) {
 // put and get, and of a queued batch. The benchmark's 3% allocation bound is
 // about 95 B and 0.7 objects per call on flash_ckpt_r, which
 // TestAllocsFlashRoundTrip's payload-relative limits cannot see. A warm
-// call allocates nothing (DESIGN.md §9: the request is checked in place,
+// call allocates nothing (DESIGN.md §3, §4: the request is checked in place,
 // and the view, the plan, the index and round tables, and a batch's pieces
 // and fused extents are the handle's), so any allocation per call per rank
 // fails the object pins, and any buffer the byte pins. Measured: 0.00

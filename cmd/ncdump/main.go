@@ -97,10 +97,10 @@ func attrCDL(a cdf.Attr) string {
 	if a.Type == nctype.Char {
 		return fmt.Sprintf("%q", string(val.([]byte)))
 	}
-	return joinNumbers(val, a.Type)
+	return joinNumbers(val)
 }
 
-func joinNumbers(val any, t nctype.Type) string {
+func joinNumbers(val any) string {
 	var parts []string
 	add := func(s string) { parts = append(parts, s) }
 	switch vs := val.(type) {

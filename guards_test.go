@@ -1,7 +1,7 @@
 package pnetcdf_test
 
 // Guards that read the source for what the compiler cannot see (DESIGN.md
-// §10). The simulator has no wall clock: every duration under internal/ is
+// §9). The simulator has no wall clock: every duration under internal/ is
 // virtual time, charged by the cost models of mpi and pfs, so a run's
 // outcome — bytes, errors, clocks, and since the failure detector works by
 // quiescence also which rank notices a death when — is a function of the
@@ -142,8 +142,10 @@ func typeCheckModule() (*module, error) {
 		}
 		dir, _ := filepath.Rel(wd, f[2])
 		p := modulePkg{dir: filepath.ToSlash(dir), info: &types.Info{
-			Defs: map[*ast.Ident]types.Object{},
-			Uses: map[*ast.Ident]types.Object{},
+			Defs:       map[*ast.Ident]types.Object{},
+			Uses:       map[*ast.Ident]types.Object{},
+			Types:      map[ast.Expr]types.TypeAndValue{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
 		}}
 		for _, name := range f[3:] {
 			file, err := parser.ParseFile(m.fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)

@@ -14,7 +14,7 @@ import (
 	"pnetcdf/internal/span"
 )
 
-// Ablations quantify the design choices DESIGN.md §5 calls out. Each
+// Ablations quantify the design choices DESIGN.md §1 calls out. Each
 // returns virtual-time measurements for the choice made by PnetCDF and its
 // alternative, so "how much did this decision buy" is a number.
 
@@ -90,7 +90,7 @@ func zeroClocks(c *mpi.Comm, fsys *pfs.FS, d *core.Dataset) error {
 // server queues (zeroClocks, with d the dataset open before the leg, or
 // nil), and stores its makespan — the latest rank clock when body has
 // returned everywhere — in l on rank 0. A write leg ends in Sync, so the
-// writes still in flight at the servers are on the clock (DESIGN.md §13).
+// writes still in flight at the servers are on the clock (DESIGN.md §4).
 func timed(c *mpi.Comm, fsys *pfs.FS, d *core.Dataset, l *leg, body func() error) error {
 	if err := zeroClocks(c, fsys, d); err != nil {
 		return err
@@ -367,7 +367,7 @@ func AblationLayout(m MachineSpec, nprocs int) (AblationResult, error) {
 // file domain touches every server it spans with a request of its own, so
 // fewer, wider domains cost the servers fewer seeks; the write-behind keeps
 // the wider domain's longer client-link transfer off the aggregators' clocks
-// (DESIGN.md §12).
+// (DESIGN.md §4).
 func AblationWriteAggregators(m MachineSpec, cfg flash.Config, nprocs int) (AblationResult, error) {
 	opt := Fig7Options{Machine: m, Config: cfg, File: FlashCheckpoint, Discard: true}
 	perServer, _, err := runFlashOnce(opt, nprocs, false)
@@ -387,7 +387,7 @@ func AblationWriteAggregators(m MachineSpec, cfg flash.Config, nprocs int) (Abla
 // cb_nodes equal to the rank count gives, on a FLASH checkpoint read-back.
 // An 8^3 unknown on 8 ranks is ten stripes over two servers: one aggregator
 // per rank makes five two-stripe domains and ten server requests, the rule
-// four domains and seven (DESIGN.md §12).
+// four domains and seven (DESIGN.md §4).
 func AblationReadAggregators(m MachineSpec, cfg flash.Config, nprocs int) (AblationResult, error) {
 	opt := Fig7Options{Machine: m, Config: cfg, File: FlashCheckpoint, Read: true, Discard: true}
 	rule, _, err := runFlashOnce(opt, nprocs, false)
@@ -403,7 +403,7 @@ func AblationReadAggregators(m MachineSpec, cfg flash.Config, nprocs int) (Ablat
 }
 
 // AblationReadDepth measures how many read rounds an aggregator keeps in
-// flight (DESIGN.md §13): one per I/O server, which the machine's client
+// flight (DESIGN.md §4): one per I/O server, which the machine's client
 // cache allows, against two, which a cache of two round buffers leaves, on
 // the many-round Figure 6 shape — an X partition read back with
 // cb_buffer_size=65536 and cb_nodes=2. Both legs make the same requests;

@@ -22,7 +22,7 @@ func lastWriteEnd(spans []span.Span) float64 {
 	return end
 }
 
-// TestHarnessesTimeTheDrain: a data write is written behind (DESIGN.md §13),
+// TestHarnessesTimeTheDrain: a data write is written behind (DESIGN.md §4),
 // so a harness that stops its clock before Sync or Close reports bandwidth
 // the servers never delivered. Every harness — both figures and every
 // ablation — runs here at a small size, and the makespan each reports must
@@ -86,7 +86,7 @@ func TestHarnessesTimeTheDrain(t *testing.T) {
 }
 
 // TestMeasuredPhaseStartsDrained: EndDef returns on the root while its
-// header writes are still in flight (DESIGN.md §13), and a measured phase
+// header writes are still in flight (DESIGN.md §4), and a measured phase
 // that starts right after it (zeroClocks, as Figure 6 and the ablations
 // start theirs) begins with none: Close, the phase's first drain, has
 // nothing from before the phase to settle, so it records no drain span.

@@ -1,9 +1,9 @@
 // Package bufpool provides size-classed, sync.Pool-backed byte buffers for
 // the I/O hot paths: collective exchange rounds, data-sieving cover windows,
 // and external-representation pack buffers. The pools exist to keep steady
-// per-round allocations out of the two-phase loop (DESIGN.md "Hot path:
-// memory and locking discipline"); they are an optimization only — dropping
-// a buffer instead of returning it is always correct.
+// per-round allocations out of the two-phase loop (DESIGN.md §4); they are
+// an optimization only — dropping a buffer instead of returning it is always
+// correct.
 package bufpool
 
 import "sync"

@@ -11,11 +11,11 @@ import (
 
 // Fused run-length pack/unpack over a flattened typemap. The flexible and
 // imap APIs describe the user's memory as element segments (runs of
-// contiguous elements); the seed path materialized an intermediate linear
-// slice (gather, then encode). These codecs walk the runs directly — one
-// conversion pass per contiguous run, no intermediate allocation or copy —
-// which is what makes the strided subarray pack wall-clock competitive with
-// the contiguous one.
+// contiguous elements). These codecs walk the runs directly — one
+// conversion pass per contiguous run, no linear copy of the selection
+// gathered first — because a gather would touch every byte twice and
+// allocate a selection-sized slice, which is what keeps the strided
+// subarray pack wall-clock competitive with the contiguous one.
 
 // EncodeSegs appends the external (big-endian) representation, as type t, of
 // the elements segs selects from src. Segment offsets and lengths are in

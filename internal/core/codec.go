@@ -21,7 +21,7 @@ type codec interface {
 // memCodec is the mpiio.Source and mpiio.Sink over one op's user memory: a
 // put encodes each piece the round loop packs straight from user memory
 // into the aggregator's message, and a get decodes each reply piece straight
-// into user memory (DESIGN.md §9). A position is a byte of the op's request
+// into user memory (DESIGN.md §3). A position is a byte of the op's request
 // in external form, so element e's bytes are [e*esz, (e+1)*esz), and the
 // memory runs list where the elements live in linear order.
 //

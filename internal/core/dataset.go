@@ -48,9 +48,7 @@ type Dataset struct {
 	cdf.Front
 
 	comm *mpi.Comm
-	fsys *pfs.FS
 	f    *mpiio.File
-	path string
 
 	indep bool
 
@@ -85,7 +83,7 @@ type Dataset struct {
 	// memory of op i of a completion (first, until a longer completion grows
 	// it) and merged the one over several ops; wplan, rplan and fused are
 	// the pieces and the fused view's extents of a completion of several
-	// ops. Kept here, so a warm call allocates none of them (DESIGN.md §9).
+	// ops. Kept here, so a warm call allocates none of them (DESIGN.md §3).
 	pending   []pendingOp
 	geom      []int64
 	geomFirst [24]int64 // one op of up to 8 dimensions
@@ -125,7 +123,7 @@ func Create(comm *mpi.Comm, fsys *pfs.FS, path string, cmode int, info *mpi.Info
 	if err != nil {
 		return nil, err
 	}
-	d := &Dataset{comm: comm, fsys: fsys, f: f, path: path}
+	d := &Dataset{comm: comm, f: f}
 	d.Front = cdf.CreateFront(cmode, d.rewriteHeader)
 	d.layoutHints(info)
 	d.st, d.sp = comm.Proc().Stats(), comm.Proc().Spans()
@@ -202,7 +200,7 @@ func open(comm *mpi.Comm, fsys *pfs.FS, path string, omode int, info *mpi.Info) 
 	if herr != nil {
 		return nil, herr
 	}
-	d := &Dataset{comm: comm, fsys: fsys, f: f, path: path, persistedNumRecs: hdr.NumRecs, recSize: hdr.RecSize()}
+	d := &Dataset{comm: comm, f: f, persistedNumRecs: hdr.NumRecs, recSize: hdr.RecSize()}
 	d.Front = cdf.OpenFront(hdr, omode, d.rewriteHeader)
 	d.layoutHints(info)
 	d.st, d.sp = comm.Proc().Stats(), comm.Proc().Spans()

@@ -14,7 +14,7 @@ import (
 	"pnetcdf/internal/span"
 )
 
-// The one data path (DESIGN.md §16). Every put and get is an op record that
+// The one data path (DESIGN.md §3). Every put and get is an op record that
 // prepare (data.go) fills and complete finishes. A blocking call completes
 // its one op at once; IPutVara/IGetVara leave theirs in the queue and WaitAll
 // completes the queue. The paper's record-variable discussion (§4.2.2)

@@ -13,7 +13,7 @@ import (
 	"pnetcdf/internal/span"
 )
 
-// One prefetch policy (DESIGN.md §16): whether a read is served from the
+// One prefetch policy (DESIGN.md §3): whether a read is served from the
 // nc_prefetch_vars copy is a per-rank fact, whether the file is read is an
 // agreed one. Blocking and queued reads must behave alike in every cache
 // state — all ranks cached, one rank's copy invalidated by its own

@@ -82,7 +82,7 @@ func CellValue(varIdx, globalBlock int, z, y, x int) float64 {
 // cornerValue is the corner-interpolated field: the average of the (up to 8)
 // adjacent cell-centered values, which the guarded block makes available
 // without communication — exactly what the benchmark's corner plotfile does.
-func cornerValue(cfg Config, varIdx, globalBlock int, z, y, x int) float64 {
+func cornerValue(varIdx, globalBlock int, z, y, x int) float64 {
 	var sum float64
 	for dz := -1; dz <= 0; dz++ {
 		for dy := -1; dy <= 0; dy++ {
@@ -135,7 +135,7 @@ func (cfg Config) fillCorners(varIdx, firstGlobalBlock, nblocks int) []float32 {
 		for z := 0; z <= cfg.NZB; z++ {
 			for y := 0; y <= cfg.NYB; y++ {
 				for x := 0; x <= cfg.NXB; x++ {
-					buf[i] = float32(cornerValue(cfg, varIdx, gb, z, y, x))
+					buf[i] = float32(cornerValue(varIdx, gb, z, y, x))
 					i++
 				}
 			}

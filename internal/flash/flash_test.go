@@ -39,8 +39,7 @@ func TestFillUnknownGuardStripping(t *testing.T) {
 }
 
 func TestCornerValueIsNeighborAverage(t *testing.T) {
-	cfg := tinyConfig()
-	got := cornerValue(cfg, 0, 5, 1, 1, 1)
+	got := cornerValue(0, 5, 1, 1, 1)
 	var want float64
 	for dz := 0; dz <= 1; dz++ {
 		for dy := 0; dy <= 1; dy++ {
@@ -230,7 +229,7 @@ func TestPlotfilesBothBackends(t *testing.T) {
 	if err := sd.GetVar1(sd.VarID("dens"), []int64{3, 2, 2, 2}, one); err != nil {
 		t.Fatal(err)
 	}
-	want := float32(cornerValue(cfg, 0, 3, 2, 2, 2))
+	want := float32(cornerValue(0, 3, 2, 2, 2))
 	if one[0] != want {
 		t.Fatalf("corner dens = %v, want %v", one[0], want)
 	}

@@ -17,7 +17,6 @@ import (
 // layout. Open/create/close are collective.
 type dataset struct {
 	f       *file
-	path    string
 	hdrAddr int64
 
 	typ      nctype.Type
@@ -88,7 +87,7 @@ func (f *file) CreateDataset(path string, typ nctype.Type, dims []int64) (*datas
 	hdrAddr := f.allocate(dsHeaderCap)
 	dataAddr := f.allocate(n)
 	ds := &dataset{
-		f: f, path: path, hdrAddr: hdrAddr,
+		f: f, hdrAddr: hdrAddr,
 		typ: typ, dims: append([]int64(nil), dims...),
 		dataAddr: dataAddr, dataSize: n,
 	}
@@ -162,7 +161,6 @@ func (f *file) OpenDataset(path string) (*dataset, error) {
 		return nil, err
 	}
 	ds.f = f
-	ds.path = path
 	ds.hdrAddr = hdrAddr
 	return ds, nil
 }

@@ -110,7 +110,7 @@ func checkSteps(t *testing.T, run commitRun, phase int, name string, want int) {
 	}
 }
 
-// TestCommitStepsEndInOrder: a raw write goes behind (DESIGN.md §13), and
+// TestCommitStepsEndInOrder: a raw write goes behind (DESIGN.md §4), and
 // a commit's steps still end in the order they were issued — a magic never
 // lands before the body it closes, a publish never before the data it
 // publishes. Five phases on 4 ranks of the SDSC model, each against the

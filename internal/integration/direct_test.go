@@ -15,7 +15,7 @@ import (
 )
 
 // Every put and get converts between user memory and MPI-IO's messages piece
-// by piece (DESIGN.md §9): one op through its own codec, a batch of ops
+// by piece (DESIGN.md §3): one op through its own codec, a batch of ops
 // through the merged source and sink, which splits each piece MPI-IO asks
 // for at the ends of the ops' file extents. TestBlockingDirectMatchesQueued
 // holds three ways of spelling the same program — blocking calls, one

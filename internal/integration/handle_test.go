@@ -13,7 +13,7 @@ import (
 )
 
 // A dataset keeps the state of its calls from one call to the next
-// (DESIGN.md §9): the vectors of a queued request live in storage the
+// (DESIGN.md §3): the vectors of a queued request live in storage the
 // dataset owns, and a view is cached by its geometry relative to the
 // variable and installed at the variable's begin. These tests hold both
 // against the serial library, byte for byte.

@@ -17,7 +17,7 @@ import (
 	"pnetcdf/internal/netcdf"
 )
 
-// "Blocking ≡ queued" as a checked property (DESIGN.md §16): core has one data
+// "Blocking ≡ queued" as a checked property (DESIGN.md §3): core has one data
 // path, so how a program spells its accesses — blocking calls, IPutVara /
 // IGetVara completed by one WaitAll, any interleaving of the two, or the
 // flexible calls over a memory type that skips guard cells, blocking or

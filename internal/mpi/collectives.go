@@ -303,7 +303,7 @@ func (v vec) encode() []byte {
 		return nil
 	}
 	// Sent to a tree neighbour, whose reduceUp/reduceDown puts it back once
-	// folded or decoded (DESIGN.md §9, custody).
+	// folded or decoded (DESIGN.md §5).
 	wire := bufpool.GetDirty(8 * v.len())
 	for k, x := range v.i {
 		binary.BigEndian.PutUint64(wire[8*k:], uint64(x))

@@ -43,7 +43,7 @@
 // around a ring, each message charged only its piece (see Bcast).
 //
 // The paper's experiments ran on IBM SP-2 systems; this package is the
-// substitution for that hardware (see DESIGN.md §2).
+// substitution for that hardware (see DESIGN.md §1).
 package mpi
 
 import (
@@ -139,7 +139,7 @@ type Proc struct {
 	// the communicator.
 	stats *iostat.Stats
 
-	// spans is the rank's hierarchical span recorder (DESIGN.md §11); nil
+	// spans is the rank's hierarchical span recorder (DESIGN.md §7); nil
 	// (the default) keeps the instrumented pipeline allocation-free.
 	spans *span.Recorder
 }

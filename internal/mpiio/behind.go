@@ -1,6 +1,6 @@
 package mpiio
 
-// Write-behind (DESIGN.md §13). Every write the rank issues — a collective
+// Write-behind (DESIGN.md §4). Every write the rank issues — a collective
 // round's aggregator request, an independent request or sieve window, and a
 // raw write (WriteRaw: a header commit, a numrecs publish, a fill, a
 // relocation move) — settles the rank's clock when its bytes have left the

@@ -1,5 +1,5 @@
 // Package behindtest checks mpiio's write-behind timing contract (DESIGN.md
-// §13) over the merged spans of a run, for the tests of every layer that must
+// §4) over the merged spans of a run, for the tests of every layer that must
 // keep it. A data write is a pfs_write span recorded under a coll_write or
 // indep_write span; every other pfs_write — a header or numrecs publish, a
 // fill or a relocation — is a publish, written through.

@@ -207,7 +207,7 @@ func (f *File) packWriteRound(plan collectivePlan, x extents, prefix []int64,
 }
 
 // collState is the working memory of a handle's collective calls (DESIGN.md
-// §9, "per-call state lives on the handle"): the resolved view, the plan's
+// §4, "per-call state lives on the handle"): the resolved view, the plan's
 // tables, the per-call index over the request and each direction's round
 // scratch. The first collective makes it, a larger one grows it, and every
 // later one resets it in place, so a warm collective allocates none of it.
@@ -495,18 +495,17 @@ func stretch(reqs []reqSeg, i int) (j int, n int64) {
 // collectivePlan holds the agreed two-phase geometry (partition.go has the
 // rules). Boundaries are an explicit table: bounds[k] separates aggregator
 // k-1's file domain from aggregator k's (bounds[0] = gmin, bounds[naggs] =
-// gmax). aggRanks maps aggregator index to communicator rank; aggOf is its
-// precomputed inverse (-1 = rank serves no domain).
+// gmax, the agreed access range). aggRanks maps aggregator index to
+// communicator rank; aggOf is its precomputed inverse (-1 = rank serves no
+// domain).
 type collectivePlan struct {
-	gmin, gmax int64
-	naggs      int
-	bounds     []int64
-	aggRanks   []int
-	aggOf      []int
-	rounds     int64
-	cbbuf      int64
-	stripe     int64
-	commSize   int
+	naggs    int
+	bounds   []int64
+	aggRanks []int
+	aggOf    []int
+	rounds   int64
+	cbbuf    int64
+	commSize int
 }
 
 // agreeAbort records a collective abort and returns err unchanged; every
@@ -582,15 +581,14 @@ func (f *File) collectivePlan(x extents, localErr error, write bool) (collective
 	c.aggRanks = evenAggRanks(c.aggRanks, naggs, size)
 	c.aggOf = invertAggRanks(c.aggOf, c.aggRanks, size)
 	return collectivePlan{
-		gmin: gmin, gmax: gmax, naggs: naggs,
-		bounds: c.bounds, aggRanks: c.aggRanks, aggOf: c.aggOf,
+		naggs: naggs, bounds: c.bounds, aggRanks: c.aggRanks, aggOf: c.aggOf,
 		rounds: roundsFor(c.bounds, f.hints.CBBufferSize),
-		cbbuf:  f.hints.CBBufferSize, stripe: stripe, commSize: size,
+		cbbuf:  f.hints.CBBufferSize, commSize: size,
 	}, true, nil
 }
 
 // readDepth is how many of a collective read's rounds an aggregator keeps in
-// flight (DESIGN.md §13): one per I/O server, as many round buffers as the
+// flight (DESIGN.md §4): one per I/O server, as many round buffers as the
 // client cache holds, never fewer than two — a round's read behind the
 // previous round's replies — and never more than the rounds there are.
 // Every rank derives it from the plan and the file system's configuration,
@@ -692,7 +690,7 @@ func intersectRange(x extents, prefix []int64, span segSpan, lo, hi int64, out [
 }
 
 // recycleRound returns the messages a rank received in one exchange to the
-// pool. Buffer custody (DESIGN.md §9): a pooled message belongs to the rank
+// pool. Buffer custody (DESIGN.md §4): a pooled message belongs to the rank
 // holding it in a slot — the encoder until sparseExchange hands it over and
 // nils that slot, the receiver from then on — so every buffer sits in
 // exactly one slot of one rank, and this call on the receiving rank is its

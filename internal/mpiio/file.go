@@ -70,11 +70,11 @@ type Hints struct {
 // resolveHints resolves info on comm for a file system of factor I/O
 // servers. An explicit cb_nodes sets the aggregator count of both
 // directions. Without it a write, whose link runs behind the clock
-// (DESIGN.md §13), has one aggregator per server, so each server takes few
+// (DESIGN.md §4), has one aggregator per server, so each server takes few
 // large requests rather than one per rank; a read, whose link is on its
 // clock, keeps every rank unless the request is too small to give each rank
 // more than a stripe per server, and then takes the count that trades link
-// time against server requests best (readAggregators, DESIGN.md §12).
+// time against server requests best (readAggregators, DESIGN.md §4).
 func resolveHints(comm *mpi.Comm, info *mpi.Info, factor int) Hints {
 	h := Hints{
 		CBNodes:         comm.Size(),

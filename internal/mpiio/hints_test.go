@@ -89,36 +89,40 @@ func TestResolveHintsClamping(t *testing.T) {
 // boundary used to clamp to gmax on one side but align down on the other,
 // handing the tail stripe to two aggregators.
 func TestCollectivePlanDomainsPartition(t *testing.T) {
-	cases := []collectivePlan{
+	cases := []struct {
+		gmin, gmax int64
+		naggs      int
+		stripe     int64
+	}{
 		// gmax unaligned, even width overshoots gmax for the last aggregators.
-		{gmin: 1492, gmax: 2643408, naggs: 8, stripe: 262144, cbbuf: 16 << 20, commSize: 8},
+		{1492, 2643408, 8, 262144},
 		// aligned everything
-		{gmin: 0, gmax: 1 << 20, naggs: 4, stripe: 262144, cbbuf: 16 << 20, commSize: 4},
+		{0, 1 << 20, 4, 262144},
 		// single aggregator
-		{gmin: 7, gmax: 1000, naggs: 1, stripe: 256, cbbuf: 4096, commSize: 3},
+		{7, 1000, 1, 256},
 		// tiny range, many aggregators: most get empty windows
-		{gmin: 100, gmax: 300, naggs: 6, stripe: 256, cbbuf: 4096, commSize: 6},
+		{100, 300, 6, 256},
 	}
-	for ci, p := range cases {
-		p.bounds = evenBounds(nil, p.gmin, p.gmax, p.naggs, p.stripe)
-		prevHi := p.gmin
+	for ci, tc := range cases {
+		p := collectivePlan{naggs: tc.naggs, bounds: evenBounds(nil, tc.gmin, tc.gmax, tc.naggs, tc.stripe)}
+		prevHi := tc.gmin
 		covered := int64(0)
 		for a := 0; a < p.naggs; a++ {
 			lo, hi := p.boundary(a), p.boundary(a+1)
 			if lo != prevHi {
 				t.Errorf("case %d: aggregator %d starts at %d, previous ended at %d", ci, a, lo, prevHi)
 			}
-			if hi < lo || hi > p.gmax {
+			if hi < lo || hi > tc.gmax {
 				t.Errorf("case %d: aggregator %d domain [%d,%d) out of range", ci, a, lo, hi)
 			}
 			covered += hi - lo
 			prevHi = hi
 		}
-		if prevHi != p.gmax {
-			t.Errorf("case %d: domains end at %d, want gmax %d", ci, prevHi, p.gmax)
+		if prevHi != tc.gmax {
+			t.Errorf("case %d: domains end at %d, want gmax %d", ci, prevHi, tc.gmax)
 		}
-		if covered != p.gmax-p.gmin {
-			t.Errorf("case %d: domains cover %d bytes, want %d", ci, covered, p.gmax-p.gmin)
+		if covered != tc.gmax-tc.gmin {
+			t.Errorf("case %d: domains cover %d bytes, want %d", ci, covered, tc.gmax-tc.gmin)
 		}
 	}
 }

@@ -4,7 +4,7 @@ package mpiio
 // range [gmin, gmax) is cut into equal, stripe-aligned byte widths, one per
 // aggregator; aggregators are spread evenly over the communicator's ranks;
 // and a collective runs as many rounds as its widest domain needs staging
-// buffers. One rule each, no hint selects another: DESIGN.md §12 has the
+// buffers. One rule each, no hint selects another: DESIGN.md §4 has the
 // measurements that decided it.
 
 import "slices"
@@ -44,7 +44,7 @@ func evenBoundary(gmin, gmax int64, naggs int, domain, stripe int64, k int) int6
 }
 
 // readAggregators is a collective read's aggregator count without cb_nodes
-// (DESIGN.md §12), from what the plan's allreduce gives every rank: the
+// (DESIGN.md §4), from what the plan's allreduce gives every rank: the
 // ranks, the servers, the stripe and [gmin, gmax). A read's client link is
 // on its clock, so every rank reads while that keeps each domain wider than
 // one stripe per server. When size domains would be at most servers stripes

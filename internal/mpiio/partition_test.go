@@ -131,8 +131,8 @@ func TestWindowCoverage(t *testing.T) {
 		{7, 140, 1, 4096},
 	} {
 		bounds := evenBounds(nil, tc.gmin, tc.gmax, tc.naggs, stripe)
-		p := collectivePlan{gmin: tc.gmin, gmax: tc.gmax, naggs: tc.naggs, bounds: bounds,
-			cbbuf: tc.cbbuf, stripe: stripe, commSize: 8, rounds: roundsFor(bounds, tc.cbbuf)}
+		p := collectivePlan{naggs: tc.naggs, bounds: bounds,
+			cbbuf: tc.cbbuf, commSize: 8, rounds: roundsFor(bounds, tc.cbbuf)}
 		covered := int64(0)
 		prevEnd := tc.gmin
 		for a := 0; a < p.naggs; a++ {

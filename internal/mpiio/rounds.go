@@ -1,6 +1,6 @@
 package mpiio
 
-// The two-phase round loops (DESIGN.md §13): one per direction. A round has
+// The two-phase round loops (DESIGN.md §4): one per direction. A round has
 // a frontend every rank runs (pack, exchange) and a backend only aggregators
 // run (merge what was received, one vectored pfs request). The overlap is
 // virtual, the sequence real: a request moves its bytes before it returns,
@@ -45,8 +45,10 @@ package mpiio
 // never expected to reply. The rounds no later exchange can carry — the
 // last write round, the last depth − 1 read rounds — go to one closing
 // AgreeError. A collective of R rounds thus enters 1 + R + 1 allreduces
-// (plan, exchanges, closing agreement) where it used to enter 1 + 2R, and a
-// one-round plan keeps the classic sequence. On a failed verdict every rank
+// (plan, exchanges, closing agreement): an allreduce is a round trip through
+// every rank, so a verdict of its own per round would double a multi-round
+// collective's synchronizations for no information, and a one-round plan
+// keeps the classic sequence. On a failed verdict every rank
 // learns it from the same allreduce before any send: nothing is delivered,
 // every buffer is recycled, and all ranks return together. Every rank runs
 // the identical collective sequence, so no rank hangs, every rank returns

@@ -20,7 +20,7 @@
 //     time — the effect that makes collective I/O win.
 //
 // The cost model is the substitution for the paper's physical disk arrays
-// (DESIGN.md §2); all libraries above it move real bytes.
+// (DESIGN.md §1); all libraries above it move real bytes.
 //
 // The data plane is built not to convoy: the file table is behind an
 // RWMutex, chunk data behind per-file lock shards (store.go), and the
@@ -63,7 +63,7 @@ type Config struct {
 	ClientBW float64
 	// ClientCache is the bytes of data writes one client handle may hold in
 	// flight once they have crossed its link — GPFS's pagepool, the
-	// write-behind cache (DESIGN.md §13). Zero means no cache: every write
+	// write-behind cache (DESIGN.md §6). Zero means no cache: every write
 	// is written through.
 	ClientCache int64
 	// NetLatency is the one-way client/server request latency.
@@ -193,7 +193,7 @@ func (fs *FS) Fault() *fault.Injector { return fs.inj }
 // the underlying data. Every request moves its bytes before it returns and
 // reports its virtual completion time: a caller that overlaps a request with
 // other work does so in virtual time, by advancing its clock to that
-// completion later (DESIGN.md §13), never by leaving the request running.
+// completion later (DESIGN.md §6), never by leaving the request running.
 type File struct {
 	fs *FS
 	fd *fileData

@@ -9,7 +9,7 @@ import (
 // The chunk store behind every simulated file. Data lives in sparse 256 KiB
 // chunks spread over a fixed number of lock shards, so concurrent rank
 // goroutines writing disjoint regions of one file do not convoy on a single
-// file mutex (DESIGN.md "Hot path: memory and locking discipline").
+// file mutex (DESIGN.md §6).
 //
 // Consistency model: one chunk access is atomic; a multi-chunk request is
 // not. Concurrent requests to overlapping ranges may interleave per chunk —

@@ -6,7 +6,7 @@
 // (the simulator's virtual clock in this repo).
 //
 // The design follows the repo's nil-safe observability convention
-// (DESIGN.md §11): layers hold a *Recorder that is nil unless a harness
+// (DESIGN.md §7): layers hold a *Recorder that is nil unless a harness
 // enables tracing, every method no-ops on a nil receiver, and the disabled
 // path performs zero allocations (pinned by TestSpanDisabledZeroAlloc).
 // Begin returns an Active value handle (never a pointer), so instrumented

@@ -1,6 +1,7 @@
 package pnetcdf_test
 
 import (
+	"encoding/json"
 	"fmt"
 	"go/ast"
 	"go/parser"
@@ -14,20 +15,41 @@ import (
 	"testing"
 )
 
-// TestReadmeReferencesResolve: every backticked token in README.md that
-// names this module's code resolves. A `pkg.Name` or `*pkg.Name` must be a
-// declaration of a package under internal/, test files included, and a
-// `pkg.Type.Member` a field or method of that type; a path — `cmd/…`,
-// `internal/…`, a `*.go` or `*.md` file — must exist. Code that is deleted
-// while the README still points at it fails here. The declarations come
-// from go/parser alone, without type checking.
+// TestReadmeReferencesResolve: every backticked token in README.md,
+// DESIGN.md and EXPERIMENTS.md that names this module's code, a benchmark
+// metric or a file resolves, so a document that still names deleted code
+// fails here. A backticked name is a claim that the name exists; a deleted
+// one is written without backticks.
+//
+//   - A `pkg.Name` or `*pkg.Name` must be a declaration of a package under
+//     internal/, test files included, and a `pkg.Type.Member` a field or
+//     method of that type: a method is written with its type. The
+//     declarations come from go/parser alone, without type checking.
+//   - A `pkg.name` that is a metric BENCHMARK.json declares (`mpi.msgs`)
+//     resolves as well.
+//   - A path under cmd/, internal/, results/, benchmark/ or examples/, or
+//     any path ending in a file extension, must exist as written from the
+//     repository root; a bare file name must be some file's name.
+//   - No line reference (file.go:NN), backticked or not: line numbers move
+//     with every edit, so a document names the function instead.
 func TestReadmeReferencesResolve(t *testing.T) {
-	readme, err := os.ReadFile("README.md")
+	decls := internalDecls(t)
+	metrics := map[string]bool{}
+	var decl struct {
+		EndToEnd []struct{ Name string } `json:"end_to_end"`
+		PerLayer []struct{ Name string } `json:"per_layer"`
+	}
+	raw, err := os.ReadFile("BENCHMARK.json")
+	if err == nil {
+		err = json.Unmarshal(raw, &decl)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	decls := internalDecls(t)
-	var files []string // every file of the module, by path from the root
+	for _, m := range append(decl.EndToEnd, decl.PerLayer...) {
+		metrics[m.Name] = true
+	}
+	names := map[string]bool{} // the base name of every file of the module
 	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -36,7 +58,7 @@ func TestReadmeReferencesResolve(t *testing.T) {
 			return filepath.SkipDir
 		}
 		if !d.IsDir() {
-			files = append(files, filepath.ToSlash(path))
+			names[d.Name()] = true
 		}
 		return nil
 	})
@@ -45,43 +67,104 @@ func TestReadmeReferencesResolve(t *testing.T) {
 	}
 	ident := `[A-Za-z_][A-Za-z0-9_]*`
 	ref := regexp.MustCompile(`^\*?([a-z][a-z0-9]*)\.(` + ident + `)(?:\.(` + ident + `))?(?:\(\))?$`)
-	checked := 0
-	for _, m := range regexp.MustCompile("`([^`\n]+)`").FindAllStringSubmatch(string(readme), -1) {
-		tok := m[1]
-		if sub := ref.FindStringSubmatch(tok); sub != nil && decls[sub[1]] != nil {
-			checked++
-			members, ok := decls[sub[1]][sub[2]]
+	fileExt := regexp.MustCompile(`\.(go|md|json|txt|sh|nc)$`)
+	lineRef := regexp.MustCompile(`[A-Za-z0-9_]+\.go:[0-9]+`)
+	rooted := regexp.MustCompile(`^(cmd|internal|results|benchmark|examples)/`)
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range lineRef.FindAllString(string(text), -1) {
+			t.Errorf("%s cites %s: name the function, not the line", doc, m)
+		}
+		checked := 0
+		for _, m := range regexp.MustCompile("`([^`\n]+)`").FindAllStringSubmatch(string(text), -1) {
+			tok := m[1]
+			if sub := ref.FindStringSubmatch(tok); sub != nil && decls[sub[1]] != nil && !fileExt.MatchString(tok) {
+				checked++
+				members, ok := decls[sub[1]][sub[2]]
+				switch {
+				case sub[3] == "" && metrics[sub[1]+"."+sub[2]]:
+				case !ok:
+					t.Errorf("%s names `%s`: package %s declares no %s", doc, tok, sub[1], sub[2])
+				case sub[3] != "" && !members[sub[3]]:
+					t.Errorf("%s names `%s`: %s.%s has no field or method %s", doc, tok, sub[1], sub[2], sub[3])
+				}
+				continue
+			}
+			if strings.ContainsAny(tok, " *<…{}") || strings.Contains(tok, "...") {
+				continue // a command, a pattern or a placeholder, not a path
+			}
+			path := strings.TrimSuffix(tok, "/")
 			switch {
-			case !ok:
-				t.Errorf("README.md names `%s`: package %s declares no %s", tok, sub[1], sub[2])
-			case sub[3] != "" && !members[sub[3]]:
-				t.Errorf("README.md names `%s`: %s.%s has no field or method %s", tok, sub[1], sub[2], sub[3])
+			case rooted.MatchString(path) || strings.Contains(path, "/") && fileExt.MatchString(path):
+				checked++
+				if _, err := os.Stat(path); err != nil {
+					t.Errorf("%s names `%s`, which does not exist (a path is written from the repository root)", doc, tok)
+				}
+			case fileExt.MatchString(path):
+				checked++
+				if !names[path] {
+					t.Errorf("%s names `%s`, which is no file of the module", doc, tok)
+				}
 			}
-			continue
 		}
-		if strings.ContainsAny(tok, " *<…") || strings.Contains(tok, "...") {
-			continue // a command, a pattern or a placeholder, not a path
-		}
-		path := strings.TrimSuffix(tok, "/")
-		switch {
-		case strings.HasPrefix(path, "cmd/") || strings.HasPrefix(path, "internal/"):
-			checked++
-			if _, err := os.Stat(path); err != nil {
-				t.Errorf("README.md names `%s`, which does not exist", tok)
-			}
-		case strings.HasSuffix(path, ".go") || strings.HasSuffix(path, ".md"):
-			checked++
-			found := false
-			for _, f := range files {
-				found = found || f == path || !strings.Contains(path, "/") && filepath.Base(f) == path
-			}
-			if !found {
-				t.Errorf("README.md names `%s`, which is no file of the module", tok)
-			}
+		if checked == 0 {
+			t.Fatalf("%s names nothing of the module: the test checked nothing", doc)
 		}
 	}
+}
+
+// TestDesignSectionsResolve: every "DESIGN.md §N" outside CHANGES.md, which
+// is history, names a "## N." heading DESIGN.md has. A Go comment may break
+// the reference across lines, and a list ("DESIGN.md §3, §4") names each of
+// its sections.
+func TestDesignSectionsResolve(t *testing.T) {
+	design, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	have := map[string]bool{}
+	for _, m := range regexp.MustCompile(`(?m)^## ([0-9]+)\.`).FindAllStringSubmatch(string(design), -1) {
+		have[m[1]] = true
+	}
+	refs := regexp.MustCompile(`DESIGN\.md[\s/#*]*((?:§[0-9]+)(?:(?:,|\+|and|[\s/#])+§[0-9]+)*)`)
+	section := regexp.MustCompile(`§([0-9]+)`)
+	text := regexp.MustCompile(`\.(go|md|sh)$`)
+	checked := 0
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if strings.HasPrefix(d.Name(), ".") && path != "." && d.Name() != ".claude" {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if path == "CHANGES.md" || !text.MatchString(path) {
+			return nil
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, m := range refs.FindAllStringSubmatch(string(b), -1) {
+			for _, n := range section.FindAllStringSubmatch(m[1], -1) {
+				checked++
+				if !have[n[1]] {
+					t.Errorf("%s cites DESIGN.md §%s, which DESIGN.md has no \"## %s.\" heading for", filepath.ToSlash(path), n[1], n[1])
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if checked == 0 {
-		t.Fatal("README.md names nothing of the module: the test checked nothing")
+		t.Fatal("no DESIGN.md §N reference found: the test checked nothing")
 	}
 }
 
@@ -176,7 +259,7 @@ func TestExportedNamesHaveCallers(t *testing.T) {
 	var missing []string
 	exported, unexported := 0, 0
 	for _, p := range m.pkgs {
-		if !strings.HasPrefix(p.dir, "internal/") && !strings.HasPrefix(p.dir, "cmd/") {
+		if !checkedDir(p.dir) {
 			continue
 		}
 		for _, f := range p.files {
@@ -220,7 +303,220 @@ func TestExportedNamesHaveCallers(t *testing.T) {
 			t.Errorf("allowlist entry %q covers no declaration that lacks a caller", key)
 		}
 	}
-	t.Logf("%d exported declarations under internal/, %d other declarations under internal/ and cmd/, %d allowlist entries", exported, unexported, len(allowed))
+	fields, nfields := unreadFields(m)
+	if len(fields) > 0 {
+		t.Errorf("%d struct fields are never read by non-test code: delete each, and restate the tests that set it:\n%s",
+			len(fields), strings.Join(fields, "\n"))
+	}
+	params, nparams := unusedParams(m)
+	if len(params) > 0 {
+		t.Errorf("%d parameters are never used by their function: drop each, or name it _ where a signature is fixed:\n%s",
+			len(params), strings.Join(params, "\n"))
+	}
+	if nfields == 0 || nparams == 0 {
+		t.Fatal("no struct field or no parameter found under internal/ and cmd/: the guard checked nothing")
+	}
+	t.Logf("%d exported declarations under internal/, %d other declarations, %d struct fields and %d parameters under internal/ and cmd/, %d allowlist entries",
+		exported, unexported, nfields, nparams, len(allowed))
+}
+
+// checkedDir reports whether a package's own declarations are held to the
+// caller guards: those under internal/ and cmd/.
+func checkedDir(dir string) bool {
+	return strings.HasPrefix(dir, "internal/") || strings.HasPrefix(dir, "cmd/")
+}
+
+// unreadFields lists the struct fields declared in a non-test file under
+// internal/ or cmd/ that no non-test file reads, with the number checked. A
+// read is a selector anywhere but the left side of an assignment or an
+// increment, so a field only a composite literal or an assignment sets is
+// unread. Embedded fields are exempt, and so is every field of a struct
+// with a tag (encoding/json reads those), of a struct that is compared with
+// == or != and of one that keys a map: each of those reads all its fields.
+func unreadFields(m *module) (unread []string, checked int) {
+	read := map[*types.Var]bool{}
+	whole := map[*types.Struct]bool{} // compared, or a map key
+	structOf := func(t types.Type) *types.Struct {
+		if n, ok := types.Unalias(t).(*types.Named); ok {
+			t = n.Origin()
+		}
+		s, _ := t.Underlying().(*types.Struct)
+		return s
+	}
+	for _, p := range m.pkgs {
+		for _, tv := range p.info.Types {
+			if mt, ok := tv.Type.(*types.Map); ok {
+				if s := structOf(mt.Key()); s != nil {
+					whole[s] = true
+				}
+			}
+		}
+		for _, f := range p.files {
+			written := map[*ast.SelectorExpr]bool{}
+			ast.Inspect(f, func(n ast.Node) bool {
+				var lhs []ast.Expr
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					lhs = n.Lhs
+				case *ast.IncDecStmt:
+					lhs = []ast.Expr{n.X}
+				case *ast.BinaryExpr:
+					if n.Op == token.EQL || n.Op == token.NEQ {
+						if s := structOf(p.info.TypeOf(n.X)); s != nil {
+							whole[s] = true
+						}
+					}
+				}
+				for _, e := range lhs {
+					if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+						written[sel] = true
+					}
+				}
+				return true
+			})
+			ast.Inspect(f, func(n ast.Node) bool {
+				if sel, ok := n.(*ast.SelectorExpr); ok && !written[sel] {
+					if s := p.info.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
+						read[s.Obj().(*types.Var).Origin()] = true
+					}
+				}
+				return true
+			})
+		}
+	}
+	for _, p := range m.pkgs {
+		if !checkedDir(p.dir) {
+			continue
+		}
+		for _, f := range p.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				st, ok := n.(*ast.StructType)
+				if !ok {
+					return true
+				}
+				s, _ := p.info.TypeOf(st).(*types.Struct)
+				if s == nil || whole[s] {
+					return true
+				}
+				for i := 0; i < s.NumFields(); i++ {
+					if s.Tag(i) != "" {
+						return true
+					}
+				}
+				for i := 0; i < s.NumFields(); i++ {
+					if fv := s.Field(i); !fv.Embedded() && fv.Name() != "_" {
+						checked++
+						if !read[fv] {
+							unread = append(unread, fmt.Sprintf("%s: field %s", m.fset.Position(fv.Pos()), fv.Name()))
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	return unread, checked
+}
+
+// unusedParams lists the parameters of functions and methods declared in a
+// non-test file under internal/ or cmd/ that their body never uses, with
+// the number checked. A parameter named _ is exempt, and so is every
+// parameter of a function used as a value and of a method that implements
+// an interface method: their signature is fixed by what they stand in for.
+// The interfaces are those the module's non-test code names, and those of
+// the parameters of functions it uses (fmt.Fprintf's io.Writer, say).
+func unusedParams(m *module) (unused []string, checked int) {
+	used := map[types.Object]bool{}
+	asValue := map[types.Object]bool{} // functions and methods used other than by a call
+	var ifaces []*types.Interface
+	addIface := func(t types.Type) {
+		if it, ok := t.Underlying().(*types.Interface); ok && it.NumMethods() > 0 {
+			ifaces = append(ifaces, it)
+		}
+	}
+	for _, p := range m.pkgs {
+		for _, tv := range p.info.Types {
+			addIface(tv.Type)
+		}
+		called := map[*ast.Ident]bool{}
+		for _, f := range p.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if call, ok := n.(*ast.CallExpr); ok {
+					fun := ast.Unparen(call.Fun)
+					if ix, ok := fun.(*ast.IndexExpr); ok {
+						fun = ix.X
+					} else if ix, ok := fun.(*ast.IndexListExpr); ok {
+						fun = ix.X
+					}
+					switch fun := fun.(type) {
+					case *ast.Ident:
+						called[fun] = true
+					case *ast.SelectorExpr:
+						called[fun.Sel] = true
+					}
+				}
+				return true
+			})
+		}
+		for id, obj := range p.info.Uses {
+			used[obj] = true
+			fn, ok := obj.(*types.Func)
+			if !ok {
+				continue
+			}
+			if !called[id] {
+				asValue[fn.Origin()] = true
+			}
+			sig := fn.Type().(*types.Signature)
+			for i := 0; i < sig.Params().Len(); i++ {
+				addIface(sig.Params().At(i).Type())
+			}
+		}
+	}
+	implements := func(fn *types.Func) bool {
+		recv := fn.Type().(*types.Signature).Recv().Type()
+		if ptr, ok := recv.(*types.Pointer); ok {
+			recv = ptr.Elem()
+		}
+		for _, it := range ifaces {
+			for i := 0; i < it.NumMethods(); i++ {
+				if it.Method(i).Name() == fn.Name() &&
+					(types.Implements(recv, it) || types.Implements(types.NewPointer(recv), it)) {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	for _, p := range m.pkgs {
+		if !checkedDir(p.dir) {
+			continue
+		}
+		for _, f := range p.files {
+			for _, decl := range f.Decls {
+				fd, ok := decl.(*ast.FuncDecl)
+				if !ok || fd.Body == nil {
+					continue
+				}
+				fn := p.info.Defs[fd.Name].(*types.Func)
+				if asValue[fn] || fd.Recv != nil && implements(fn) {
+					continue
+				}
+				for _, field := range fd.Type.Params.List {
+					for _, id := range field.Names {
+						if id.Name == "_" {
+							continue
+						}
+						checked++
+						if !used[p.info.Defs[id]] {
+							unused = append(unused, fmt.Sprintf("%s: parameter %s of %s", m.fset.Position(id.Pos()), id.Name, fd.Name.Name))
+						}
+					}
+				}
+			}
+		}
+	}
+	return unused, checked
 }
 
 // declaredObjects lists the functions, methods, types, vars and consts file

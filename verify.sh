@@ -7,15 +7,18 @@
 # queued" property FuzzBlockingEquivalentToQueued — run as unit tests (seeds
 # and committed regression inputs only; no timed fuzzing in the gate), the
 # concurrent sharded-lock PFS stress test under the race detector
-# (TestConcurrentShardedStress), and the source guards (DESIGN.md §10):
+# (TestConcurrentShardedStress), and the source guards (DESIGN.md §9):
 # pfs.TestEveryMethodIsCharged (every byte charged and counted), and in the
 # root guards_test.go TestIOErrorsAreChecked (no dropped Close/Sync/Flush/
 # Write* error), TestLockSections (locks released on every way out; srvMu a
 # leaf), TestInternalHasNoWallClock and TestInternalReadsNoEnvironment, and
 # in the root readme_refs_test.go TestExportedNamesHaveCallers (over the
 # module type-checked once: nothing under internal/ is exported unless
-# another package uses it, and nothing under internal/ or cmd/ is declared
-# that no non-test code uses), the
+# another package uses it, and nothing under internal/ or cmd/ is declared,
+# no struct field kept and no parameter taken that no non-test code uses),
+# TestReadmeReferencesResolve (every backticked name, metric and path in
+# README.md, DESIGN.md and EXPERIMENTS.md exists) and
+# TestDesignSectionsResolve (every "DESIGN.md §N" names a section), the
 # 1-process Figure 6 write, whose cells must equal results/fig6_64mb.txt's,
 # and a FLASH checkpoint written per variable and queued, in one-round and in
 # many-round collectives, which must match.
