@@ -134,23 +134,24 @@ func run(pathA, pathB string) (int, error) {
 	return diffs, nil
 }
 
-func diffAttrs(owner string, as, bs []cdf.Attr) int {
+func diffAttrs(owner string, as, bs cdf.AttrList) int {
 	diffs := 0
-	for _, a := range as {
-		j := cdf.FindAttr(bs, a.Name)
+	for i := range as.Len() {
+		a := as.At(i)
+		j := bs.Find(a.Name)
 		if j < 0 {
 			fmt.Printf("%s attribute %q missing in second file\n", owner, a.Name)
 			diffs++
 			continue
 		}
-		b := bs[j]
+		b := bs.At(j)
 		if a.Type != b.Type || a.Nelems != b.Nelems || string(a.Values) != string(b.Values) {
 			fmt.Printf("%s attribute %q differs\n", owner, a.Name)
 			diffs++
 		}
 	}
-	for _, b := range bs {
-		if cdf.FindAttr(as, b.Name) < 0 {
+	for i := range bs.Len() {
+		if b := bs.At(i); as.Find(b.Name) < 0 {
 			fmt.Printf("%s attribute %q missing in first file\n", owner, b.Name)
 			diffs++
 		}

@@ -66,14 +66,16 @@ func dump(w *os.File, d *netcdf.Dataset, name string, withData bool) error {
 				decl += "(" + strings.Join(dims, ", ") + ")"
 			}
 			fmt.Fprintf(w, "\t%s %s ;\n", v.Type, decl)
-			for _, a := range v.Attrs {
+			for j := range v.Attrs.Len() {
+				a := v.Attrs.At(j)
 				fmt.Fprintf(w, "\t\t%s:%s = %s ;\n", v.Name, a.Name, attrCDL(a))
 			}
 		}
 	}
-	if len(h.GAttrs) > 0 {
+	if h.GAttrs.Len() > 0 {
 		fmt.Fprintln(w, "\n// global attributes:")
-		for _, a := range h.GAttrs {
+		for i := range h.GAttrs.Len() {
+			a := h.GAttrs.At(i)
 			fmt.Fprintf(w, "\t\t:%s = %s ;\n", a.Name, attrCDL(a))
 		}
 	}

@@ -214,7 +214,9 @@ func RecoverJournal(img []byte) []byte {
 // blob is the image h was decoded from, exactly: the header's own bytes or
 // the journaled image, its numrecs clamped with h's. It is nil only when
 // read failed; on a decode error it is everything read from the front of
-// the file, so that a caller's peers can decode it to the same error.
+// the file, so that a caller's peers can decode it to the same error. Unless
+// the header ends exactly at a probe step, it has room for one more byte: a
+// caller may append a status byte and hand the image on without copying it.
 func ReadHeader(size int64, read func(buf []byte, off int64) error) (h *Header, blob []byte, recovered bool, err error) {
 	bound, predicted := int64(0), int64(0)
 	for step := int64(64 << 10); ; {
@@ -223,7 +225,15 @@ func ReadHeader(size int64, read func(buf []byte, off int64) error) (h *Header, 
 		if held < bound && bound < end {
 			end = bound
 		}
-		grown := make([]byte, end)
+		// One byte of room past a read that stops at a begin or at the file's
+		// end, where the header may end exactly (see blob above). A step of
+		// 64 KiB × 4ⁿ gets none: the header rarely ends there, and one byte
+		// more would cost the buffer another page.
+		room := end
+		if end == bound || end == size {
+			room++
+		}
+		grown := make([]byte, end, room)
 		copy(grown, blob)
 		if rerr := read(grown[held:], held); rerr != nil {
 			return nil, nil, false, rerr
@@ -270,7 +280,7 @@ func readJournal(size int64, read func(buf []byte, off int64) error) []byte {
 	if !ok || n > size-journalTrailerSize {
 		return nil
 	}
-	img := make([]byte, n)
+	img := make([]byte, n, n+1) // ReadHeader's room for a status byte
 	if read(img, size-journalTrailerSize-n) != nil {
 		return nil
 	}

@@ -26,9 +26,11 @@ type headerReader struct {
 	nvars, varsAt, varsEnd int64
 	done                   int64
 
-	// names is where names are cut from; lists and values are cut from the
-	// slabs of the header being read.
+	// names is where names are cut from; lists are cut from the slabs of
+	// the header being read.
 	names stringSlab
+	// attrNames holds the names of the attribute list being read.
+	attrNames nameSet
 }
 
 // errTruncated reports that the buffer ended before the header did: the one
@@ -91,36 +93,45 @@ func (r *headerReader) offset() (int64, error) {
 	return v, nil
 }
 
+// skipPad passes the padding to the next 4-byte boundary, which must be
+// null bytes, as netCDF-C and PnetCDF require (NC_ENULLPAD).
 func (r *headerReader) skipPad() error {
 	for r.pos%4 != 0 {
 		if err := r.need(1); err != nil {
 			return err
+		}
+		if r.buf[r.pos] != 0 {
+			return fmt.Errorf("%w: header padding is not null", nctype.ErrNotNC)
 		}
 		r.pos++
 	}
 	return nil
 }
 
-// name reads a name. When it equals like — the name in the same place of
-// the previous list, which is what the attributes of consecutive variables
-// mostly carry — that string is shared; any other is cut from the name slab.
-func (r *headerReader) name(like string) (string, error) {
+// nameBytes reads a name in place.
+func (r *headerReader) nameBytes() ([]byte, error) {
 	n, err := r.nonNeg()
+	if err != nil {
+		return nil, err
+	}
+	if n > nctype.MaxNameLen {
+		return nil, fmt.Errorf("%w: name length %d", nctype.ErrNotNC, n)
+	}
+	if err := r.need(int(n)); err != nil {
+		return nil, err
+	}
+	p := r.buf[r.pos : r.pos+int(n)]
+	r.pos += int(n)
+	return p, r.skipPad()
+}
+
+// name reads a name, cut from the name slab.
+func (r *headerReader) name() (string, error) {
+	p, err := r.nameBytes()
 	if err != nil {
 		return "", err
 	}
-	if n < 0 || n > nctype.MaxNameLen {
-		return "", fmt.Errorf("%w: name length %d", nctype.ErrNotNC, n)
-	}
-	if err := r.need(int(n)); err != nil {
-		return "", err
-	}
-	s, p := like, r.buf[r.pos:r.pos+int(n)]
-	if string(p) != like {
-		s = r.names.cut(p, r.atMost(nameSlabLen, 1))
-	}
-	r.pos += int(n)
-	return s, r.skipPad()
+	return r.names.cut(p, r.atMost(nameSlabLen, 1)), nil
 }
 
 func (r *headerReader) tagList(wantTag uint32) (int64, error) {
@@ -139,58 +150,6 @@ func (r *headerReader) tagList(wantTag uint32) (int64, error) {
 		return n, nil
 	}
 	return 0, fmt.Errorf("%w: bad list tag %#x", nctype.ErrNotNC, tag)
-}
-
-// attrs reads an attribute list into h's slabs; prev is the list read
-// before it, whose names it may share (see name).
-func (r *headerReader) attrs(h *Header, prev []Attr) ([]Attr, error) {
-	n, err := r.tagList(nctype.TagAttribute)
-	if err != nil {
-		return nil, err
-	}
-	if n > nctype.MaxAttrs {
-		return nil, fmt.Errorf("%w: %d attributes", nctype.ErrNotNC, n)
-	}
-	minSize := 2*nonNegSize(r.version) + 4
-	attrs := h.attrs.carve(r.atMost(n, minSize), r.atMost(listSlabLen, minSize))[:0]
-	for i := int64(0); i < n; i++ {
-		var a Attr
-		like := ""
-		if i < int64(len(prev)) {
-			like = prev[i].Name
-		}
-		if a.Name, err = r.name(like); err != nil {
-			return nil, err
-		}
-		t, err := r.uint32()
-		if err != nil {
-			return nil, err
-		}
-		a.Type = nctype.Type(t)
-		if a.Type.Size() == 0 {
-			return nil, fmt.Errorf("%w: attribute type %d", nctype.ErrNotNC, t)
-		}
-		if a.Nelems, err = r.nonNeg(); err != nil {
-			return nil, err
-		}
-		// Bound Nelems by the buffer before multiplying so the byte count
-		// cannot overflow, and the copy below cannot over-allocate.
-		if a.Nelems > int64(len(r.buf)) {
-			return nil, errTruncated
-		}
-		nbytes := a.Nelems * int64(a.Type.Size())
-		if nbytes < 0 || int64(r.pos)+nbytes > int64(len(r.buf)) {
-			return nil, errTruncated
-		}
-		a.Values = h.vals.carve(int(nbytes), r.atMost(valueSlabLen, 1))
-		copy(a.Values, r.buf[r.pos:])
-		r.pos += int(nbytes)
-		if err := r.skipPad(); err != nil {
-			return nil, err
-		}
-		attrs = append(attrs, a)
-	}
-	return attrs, nil
 }
 
 // predictEnd is where a header that decode found truncated inside its
@@ -243,7 +202,7 @@ func (r *headerReader) decode(buf []byte) (*Header, error) {
 	h.Dims = make([]Dim, 0, r.atMost(ndims, 2*nn))
 	for i := int64(0); i < ndims; i++ {
 		var d Dim
-		if d.Name, err = r.name(""); err != nil {
+		if d.Name, err = r.name(); err != nil {
 			return nil, err
 		}
 		if d.Len, err = r.nonNeg(); err != nil {
@@ -252,7 +211,7 @@ func (r *headerReader) decode(buf []byte) (*Header, error) {
 		h.Dims = append(h.Dims, d)
 	}
 	// gatt_list
-	if h.GAttrs, err = r.attrs(h, nil); err != nil {
+	if h.GAttrs, err = r.attrs(h); err != nil {
 		return nil, err
 	}
 	// var_list
@@ -265,10 +224,9 @@ func (r *headerReader) decode(buf []byte) (*Header, error) {
 	}
 	h.Vars = make([]Var, 0, r.atMost(nvars, 4*nn+8+offsetSize(version)))
 	r.nvars, r.varsAt = nvars, int64(r.pos)
-	var prev []Attr
 	for i := int64(0); i < nvars; i++ {
 		var v Var
-		if v.Name, err = r.name(""); err != nil {
+		if v.Name, err = r.name(); err != nil {
 			return nil, err
 		}
 		nd, err := r.nonNeg()
@@ -292,11 +250,8 @@ func (r *headerReader) decode(buf []byte) (*Header, error) {
 			}
 			v.DimIDs[j] = int(id)
 		}
-		if v.Attrs, err = r.attrs(h, prev); err != nil {
+		if v.Attrs, err = r.attrs(h); err != nil {
 			return nil, err
-		}
-		if len(v.Attrs) > 0 {
-			prev = v.Attrs
 		}
 		t, err := r.uint32()
 		if err != nil {

@@ -2,7 +2,6 @@ package cdf
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 
 	"pnetcdf/internal/nctype"
@@ -17,22 +16,24 @@ import (
 // GlobalID addresses the dataset itself in attribute calls (NC_GLOBAL).
 const GlobalID = -1
 
-// Slab ceilings. A header cuts its dimension-ID lists, attribute lists and
-// attribute values from a few shared arrays (arena), and Decode cuts names
-// from shared buffers (stringSlab). A new one is as large as all cut before
-// it, but no larger than these, so what a header can strand at the end of
-// its slabs stays small next to what it holds.
+// Slab ceilings. A header cuts its dimension-ID lists and attribute lists
+// from a few shared arrays (arena), and Decode cuts names from shared
+// buffers (stringSlab). A new one is as large as all cut before it, but no
+// larger than these, so what a header can strand at the end of its slabs
+// stays small next to what it holds.
 const (
-	listSlabLen  = 1024     // elements of a dimension-ID or attribute-list slab
-	valueSlabLen = 4 << 10  // bytes of an attribute-value slab
-	nameSlabLen  = 16 << 10 // bytes of a name slab
+	listSlabLen = 1024     // elements of a dimension-ID slab
+	attrSlabLen = 16 << 10 // bytes of an attribute-list slab
+	nameSlabLen = 16 << 10 // bytes of a name slab
 )
 
 // arena hands out slices cut from shared backing arrays, so that a header's
 // many short lists cost a handful of allocations, not one each.
 type arena[T any] struct {
-	free  []T
-	taken int
+	slab  []T // the current backing array
+	used  int // elements of slab handed out
+	last  int // where in slab the latest cut starts
+	taken int // elements handed out from every slab
 }
 
 // carve returns n zeroed elements with capacity n: appending to one list
@@ -44,13 +45,21 @@ func (a *arena[T]) carve(n, limit int) []T {
 	if n == 0 {
 		return []T{}
 	}
-	if len(a.free) < n {
-		a.free = make([]T, max(n, min(a.taken, limit)))
+	if len(a.slab)-a.used < n {
+		a.slab, a.used = make([]T, max(n, min(a.taken, limit))), 0
 	}
-	s := a.free[:n:n]
-	a.free = a.free[n:]
-	a.taken += n
-	return s
+	a.last, a.used, a.taken = a.used, a.used+n, a.taken+n
+	return a.slab[a.last:a.used:a.used]
+}
+
+// grow returns s n elements longer, in place, when s is the latest cut and
+// its slab has n more elements free; ok is false otherwise.
+func (a *arena[T]) grow(s []T, n int) (grown []T, ok bool) {
+	if len(s) == 0 || a.used-a.last != len(s) || &s[0] != &a.slab[a.last] || len(a.slab)-a.used < n {
+		return nil, false
+	}
+	a.used, a.taken = a.used+n, a.taken+n
+	return a.slab[a.last:a.used:a.used], true
 }
 
 // stringSlab cuts strings from shared buffers the way arena cuts slices. A
@@ -128,39 +137,28 @@ func (h *Header) defVar(name string, t nctype.Type, dimids []int) (int, error) {
 	return h.addVar(Var{Name: name, Type: t, DimIDs: ids}), nil
 }
 
-// attrList returns the attribute list of variable varid, or the dataset's
-// for GlobalID.
-func (h *Header) attrList(varid int) (*[]Attr, error) {
-	if varid == GlobalID {
-		return &h.GAttrs, nil
-	}
-	if varid < 0 || varid >= len(h.Vars) {
-		return nil, nctype.ErrNotVar
-	}
-	return &h.Vars[varid].Attrs, nil
-}
-
-// findAttr returns the attribute list of varid and the position of the
-// attribute called name in it.
-func (h *Header) findAttr(varid int, name string) (*[]Attr, int, error) {
-	attrs, err := h.attrList(varid)
+// findAttr returns the attribute list of varid, the attribute called name
+// in it, and where that attribute's bytes start.
+func (h *Header) findAttr(varid int, name string) (*AttrList, attrAt, int, error) {
+	l, err := h.attrList(varid)
 	if err != nil {
-		return nil, -1, err
+		return nil, attrAt{}, 0, err
 	}
-	i := FindAttr(*attrs, name)
+	a, at, i := l.lookup(name)
 	if i < 0 {
-		return nil, -1, fmt.Errorf("%w: %q", nctype.ErrNotAtt, name)
+		return nil, attrAt{}, 0, fmt.Errorf("%w: %q", nctype.ErrNotAtt, name)
 	}
-	return attrs, i, nil
+	return l, a, at, nil
 }
 
 // putAttr sets attribute name of varid (GlobalID: of the dataset) to value,
 // a scalar or slice of a supported type or a string for Char. In define mode
-// it replaces or appends. In data mode it may only overwrite an attribute
-// with a value no larger than the old one (the classic rule), and then
-// reports that the header must be rewritten.
+// it replaces or appends. In data mode it may only overwrite an attribute,
+// with a value whose padded external size is no larger than the old one's —
+// the header cannot grow, as in netCDF-C and PnetCDF — and then reports that
+// the header must be rewritten.
 func (h *Header) putAttr(varid int, name string, t nctype.Type, value any, define bool) (rewrite bool, err error) {
-	attrs, err := h.attrList(varid)
+	l, err := h.attrList(varid)
 	if err != nil {
 		return false, err
 	}
@@ -170,59 +168,58 @@ func (h *Header) putAttr(varid int, name string, t nctype.Type, value any, defin
 	if !t.Valid(h.Version) {
 		return false, nctype.ErrBadType
 	}
-	a, err := makeAttr(&h.vals, name, t, value)
-	if err != nil {
-		return false, err
+	value = promoteScalar(value)
+	n := SliceLen(value)
+	if n < 0 {
+		return false, fmt.Errorf("%w: attribute value %T", nctype.ErrTypeMismatch, value)
 	}
-	i := FindAttr(*attrs, name)
+	encode := func(dst []byte) ([]byte, error) { return EncodeSlice(dst, t, value) }
+	old, at, i := l.lookup(name)
 	switch {
-	case i >= 0 && (define || len(a.Values) <= len((*attrs)[i].Values)):
-		(*attrs)[i] = a
+	case i >= 0 && (define || round4(int64(n*t.Size())) <= round4(int64(len(old.values)))):
+		if err := h.setAttr(l, at, old.next, name, t, n, encode); err != nil {
+			return false, err
+		}
 		return !define, nil
 	case !define:
 		return false, nctype.ErrNotInDefine
-	case len(*attrs) >= nctype.MaxAttrs:
+	case l.Len() >= nctype.MaxAttrs:
 		return false, nctype.ErrMaxAttrs
 	}
-	if cap(*attrs) == 0 {
-		// A first attribute starts a list with room for a second; a longer
-		// list regrows through append.
-		*attrs = h.attrs.carve(2, listSlabLen)[:0]
-	}
-	*attrs = append(*attrs, a)
-	return false, nil
+	return false, h.setAttr(l, at, at, name, t, n, encode)
 }
 
 // getAttr returns the type and decoded value of attribute name of varid.
 func (h *Header) getAttr(varid int, name string) (nctype.Type, any, error) {
-	attrs, i, err := h.findAttr(varid, name)
+	_, a, _, err := h.findAttr(varid, name)
 	if err != nil {
 		return 0, nil, err
 	}
-	a := (*attrs)[i]
-	v, err := DecodeAttrValue(a)
-	return a.Type, v, err
+	v, err := DecodeAttrValue(Attr{Type: a.typ, Nelems: a.nelems, Values: a.values})
+	return a.typ, v, err
 }
 
 // DelAttr removes attribute name of varid.
 func (h *Header) delAttr(varid int, name string) error {
-	attrs, i, err := h.findAttr(varid, name)
+	l, a, at, err := h.findAttr(varid, name)
 	if err != nil {
 		return err
 	}
-	*attrs = slices.Delete(*attrs, i, i+1)
+	h.cutAttr(l, at, a.next)
 	return nil
 }
 
 // attrNames lists the attribute names of varid in definition order.
 func (h *Header) attrNames(varid int) ([]string, error) {
-	attrs, err := h.attrList(varid)
+	l, err := h.attrList(varid)
 	if err != nil {
 		return nil, err
 	}
-	names := make([]string, len(*attrs))
-	for i, a := range *attrs {
-		names[i] = a.Name
+	names := make([]string, 0, l.Len())
+	for off := 0; off < len(l.xdr); {
+		a := l.parse(off)
+		names = append(names, string(a.name))
+		off = a.next
 	}
 	return names, nil
 }
@@ -237,7 +234,7 @@ func (h *Header) renameDim(id int, name string, define bool) (rewrite bool, err 
 		return false, err
 	}
 	h.dimIdx.extend(len(h.Dims), h.dimName)
-	h.dimIdx.rename(id, h.Dims[id].Name, name)
+	h.dimIdx.rename(id, h.Dims[id].Name, name, h.dimName)
 	h.Dims[id].Name = name
 	return !define, nil
 }
@@ -251,22 +248,29 @@ func (h *Header) renameVar(id int, name string, define bool) (rewrite bool, err 
 		return false, err
 	}
 	h.varIdx.extend(len(h.Vars), h.varName)
-	h.varIdx.rename(id, h.Vars[id].Name, name)
+	h.varIdx.rename(id, h.Vars[id].Name, name, h.varName)
 	h.Vars[id].Name = name
 	return !define, nil
 }
 
 // RenameAttr renames attribute old of varid, under RenameDim's rules.
 func (h *Header) renameAttr(varid int, old, name string, define bool) (rewrite bool, err error) {
-	attrs, i, err := h.findAttr(varid, old)
+	l, a, at, err := h.findAttr(varid, old)
 	if err != nil {
 		return false, err
 	}
-	if err := checkRename("attribute", old, name, FindAttr(*attrs, name), i, define); err != nil {
+	_, to, j := l.lookup(name) // positions are compared as byte offsets
+	if j < 0 {
+		to = -1
+	}
+	if err := checkRename("attribute", old, name, to, at, define); err != nil {
 		return false, err
 	}
-	(*attrs)[i].Name = name
-	return !define, nil
+	// Type, count and values stay as they are: external bytes already.
+	err = h.setAttr(l, at, a.next, name, a.typ, int(a.nelems), func(dst []byte) ([]byte, error) {
+		return append(dst, a.values...), nil
+	})
+	return !define, err
 }
 
 // checkRename holds a rename of element id from old to name against the

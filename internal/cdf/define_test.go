@@ -52,8 +52,8 @@ type snap struct {
 }
 
 func takeSnap(h *Header) snap {
-	deep := func(as []Attr) []Attr {
-		out := slices.Clone(as)
+	deep := func(l AttrList) []Attr {
+		out := attrsOf(l)
 		for i := range out {
 			out[i].Values = slices.Clone(out[i].Values)
 		}
@@ -70,7 +70,7 @@ func takeSnap(h *Header) snap {
 // sameExcept reports the first list of h, other than target's (GlobalID for
 // the global attributes), that no longer matches s.
 func (s snap) sameExcept(h *Header, target int) error {
-	if target != GlobalID && !attrsEqual(s.gattrs, h.GAttrs) {
+	if target != GlobalID && !attrsEqual(s.gattrs, attrsOf(h.GAttrs)) {
 		return fmt.Errorf("the global attributes changed")
 	}
 	for i := range s.ids {
@@ -80,7 +80,7 @@ func (s snap) sameExcept(h *Header, target int) error {
 		if !slices.Equal(s.ids[i], h.Vars[i].DimIDs) {
 			return fmt.Errorf("variable %d's dimension IDs changed: %v, were %v", i, h.Vars[i].DimIDs, s.ids[i])
 		}
-		if !attrsEqual(s.attrs[i], h.Vars[i].Attrs) {
+		if !attrsEqual(s.attrs[i], attrsOf(h.Vars[i].Attrs)) {
 			return fmt.Errorf("variable %d's attributes changed", i)
 		}
 	}
@@ -93,13 +93,14 @@ func attrsEqual(a, b []Attr) bool {
 	})
 }
 
-// TestCarvedListsNeverAlias: lists and values cut from one slab lie side by
-// side, so each must be cut to its own capacity. On a header built by define
-// calls, on the same header decoded, and on a clone of it, every change the
-// libraries make to one variable's lists — an append to its dimension IDs
-// and to its attributes, a data-mode overwrite, a delete, and Redef (a
-// clone) followed by a new attribute — leaves every other variable's IDs,
-// attribute list and attribute values as they were, and the clone Redef
+// TestCarvedListsNeverAlias: lists cut from one slab lie side by side, so
+// each must be cut to its own capacity, and an attribute list grows in place
+// only into free space. On a header built by define calls, on the same
+// header decoded, and on a clone of it, every change the libraries make to
+// one variable's lists — an append to its dimension IDs, a new attribute, a
+// data-mode overwrite, a rename, a delete, and Redef (a clone) followed by a
+// new attribute — leaves every other variable's IDs and attributes as they
+// were, a copy of the changed list reading as it did, and the clone Redef
 // keeps as it was taken.
 func TestCarvedListsNeverAlias(t *testing.T) {
 	built := definedHeader(t, 300)
@@ -118,19 +119,23 @@ func TestCarvedListsNeverAlias(t *testing.T) {
 				what string
 				do   func() error
 			}{
-				{"append to the attributes", func() error {
-					*attrs = append(*attrs, Attr{Name: "appended", Type: nctype.Byte, Nelems: 1, Values: []byte{0xEE}})
-					return nil
+				{"a new attribute", func() error {
+					_, err := h.putAttr(target, "appended", nctype.Byte, int8(-18), true)
+					return err
 				}},
 				{"data-mode overwrite", func() error {
-					a := (*attrs)[0]
+					a := attrs.At(0)
 					rewrite, err := h.putAttr(target, a.Name, nctype.Byte, make([]int8, len(a.Values)), false)
 					if err == nil && !rewrite {
 						err = fmt.Errorf("a data-mode overwrite does not ask for a header rewrite")
 					}
 					return err
 				}},
-				{"delete", func() error { return h.delAttr(target, (*attrs)[0].Name) }},
+				{"rename", func() error {
+					_, err := h.renameAttr(target, attrs.At(0).Name, "renamed_attribute", true)
+					return err
+				}},
+				{"delete", func() error { return h.delAttr(target, attrs.At(0).Name) }},
 				{"Redef and a new attribute", func() error {
 					before := takeSnap(h)
 					old := h.clone()
@@ -150,10 +155,14 @@ func TestCarvedListsNeverAlias(t *testing.T) {
 				}})
 			}
 			for _, c := range changes {
-				s := takeSnap(h)
+				s, copied := takeSnap(h), *attrs
+				was := attrsOf(copied)
 				err := c.do()
 				if err == nil {
 					err = s.sameExcept(h, target)
+				}
+				if err == nil && !attrsEqual(was, attrsOf(copied)) {
+					err = fmt.Errorf("a copy of the changed list no longer reads as it did")
 				}
 				if err != nil {
 					t.Fatalf("%s header, variable %d, %s: %v", tc.name, target, c.what, err)
@@ -176,6 +185,44 @@ func TestPutAttrRules(t *testing.T) {
 	if _, err := h.putAttr(GlobalID, "title", nctype.Char, "longer title", false); err != nctype.ErrNotInDefine {
 		t.Fatalf("growing overwrite in data mode: %v", err)
 	}
+	// The data-mode rule compares padded external sizes: "F" takes 4 bytes,
+	// and so do "Fa", "Fab" and "Fabc", so each may follow it and the header
+	// does not grow; "Fabcd" takes 8. Likewise one short (padded to 4 bytes)
+	// may become two, but not three.
+	if _, err := h.putAttr(GlobalID, "note", nctype.Char, "F", true); err != nil {
+		t.Fatal(err)
+	}
+	size := h.EncodedSize()
+	for _, note := range []string{"Fa", "Fab", "Fabc"} {
+		if rewrite, err := h.putAttr(GlobalID, "note", nctype.Char, note, false); err != nil || !rewrite {
+			t.Fatalf("overwrite with %q in data mode: rewrite %v, %v", note, rewrite, err)
+		}
+	}
+	if _, err := h.putAttr(GlobalID, "note", nctype.Char, "Fabcd", false); err != nctype.ErrNotInDefine {
+		t.Fatalf("overwrite past the padding in data mode: %v", err)
+	}
+	if got := h.EncodedSize(); got != size {
+		t.Fatalf("data-mode overwrites took the header from %d to %d bytes", size, got)
+	}
+	if _, err := h.putAttr(0, "range", nctype.Short, int16(1), true); err != nil {
+		t.Fatal(err)
+	}
+	size = h.EncodedSize()
+	if _, err := h.putAttr(0, "range", nctype.Short, []int16{-1, 1}, false); err != nil {
+		t.Fatalf("one short to two in data mode: %v", err)
+	}
+	if _, err := h.putAttr(0, "range", nctype.Short, []int16{-1, 0, 1}, false); err != nctype.ErrNotInDefine {
+		t.Fatalf("one short to three in data mode: %v", err)
+	}
+	if got := h.EncodedSize(); got != size {
+		t.Fatalf("data-mode overwrites took the header from %d to %d bytes", size, got)
+	}
+	if _, v, err := h.getAttr(0, "range"); err != nil || !slices.Equal(v.([]int16), []int16{-1, 1}) {
+		t.Fatalf("range = %v, %v", v, err)
+	}
+	if err := h.delAttr(0, "range"); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := h.putAttr(GlobalID, "new", nctype.Char, "x", false); err != nctype.ErrNotInDefine {
 		t.Fatalf("new attribute in data mode: %v", err)
 	}
@@ -188,8 +235,8 @@ func TestPutAttrRules(t *testing.T) {
 	if _, err := h.putAttr(0, "s", nctype.Double, 2.5, true); err != nil {
 		t.Fatal(err)
 	}
-	if attrs := h.Vars[0].Attrs; len(attrs) != 1 || cap(attrs) != 2 {
-		t.Fatalf("a first attribute starts a list of len 1, cap 2; got %d, %d", len(attrs), cap(attrs))
+	if attrs := h.Vars[0].Attrs; attrs.Len() != 1 || len(attrs.xdr) != 4+4+4+4+8 {
+		t.Fatalf("a first attribute makes a list of its encoding alone; got %d attributes in %d bytes", attrs.Len(), len(attrs.xdr))
 	}
 	if names, _ := h.attrNames(0); !slices.Equal(names, []string{"s"}) {
 		t.Fatalf("AttrNames = %v", names)

@@ -28,8 +28,9 @@ func offsetSize(version int) int64 {
 
 // headerWriter appends a header's encoding to buf. With a sink it is
 // Digest's: at each boundary, once buf is half full, buf drains into the sink
-// and starts over. Every boundary is 4-byte aligned in the stream, so pad4's
-// arithmetic on len(buf) stays right.
+// and starts over, and an attribute list that would overflow buf goes to the
+// sink straight from the header. Every boundary is 4-byte aligned in the
+// stream, so pad4's arithmetic on len(buf) stays right.
 type headerWriter struct {
 	buf     []byte
 	version int
@@ -45,6 +46,19 @@ func (w *headerWriter) boundary() {
 }
 
 func (w *headerWriter) bytes(b []byte) { w.buf = append(w.buf, b...) }
+
+// list writes an attribute list: its tag and count, then its bytes as the
+// header holds them.
+func (w *headerWriter) list(l AttrList) {
+	w.tagList(nctype.TagAttribute, l.Len())
+	if w.sink != nil && len(l.xdr) > cap(w.buf)-len(w.buf) {
+		_, _ = w.sink.Write(w.buf)
+		_, _ = w.sink.Write(l.xdr)
+		w.buf = w.buf[:0]
+		return
+	}
+	w.bytes(l.xdr)
+}
 
 func (w *headerWriter) pad4() {
 	for len(w.buf)%4 != 0 {
@@ -88,18 +102,6 @@ func (w *headerWriter) tagList(tag uint32, n int) {
 	w.nonNeg(int64(n))
 }
 
-func (w *headerWriter) attrs(attrs []Attr) {
-	w.tagList(nctype.TagAttribute, len(attrs))
-	for _, a := range attrs {
-		w.name(a.Name)
-		w.uint32(uint32(a.Type))
-		w.nonNeg(a.Nelems)
-		w.bytes(a.Values)
-		w.pad4()
-		w.boundary()
-	}
-}
-
 // Encode serializes the header to its on-disk byte representation.
 // ComputeLayout must have been called (Begin/VSize populated).
 func (h *Header) Encode() []byte {
@@ -112,9 +114,9 @@ func (h *Header) Encode() []byte {
 const digestChunk = 4 << 10
 
 // Digest returns the SHA-256 of Encode's image without holding the image:
-// the encoding streams through a buffer of at most digestChunk bytes (one
-// attribute value longer than that grows it). Processes that must agree on a
-// header compare digests instead of images.
+// the encoding streams through a buffer of digestChunk bytes, and attribute
+// lists that would overflow it go to the hash straight from the header.
+// Processes that must agree on a header compare digests instead of images.
 func (h *Header) Digest() [sha256.Size]byte {
 	sum := sha256.New()
 	w := &headerWriter{buf: make([]byte, 0, min(h.EncodedSize(), digestChunk)), version: h.Version, sink: sum}
@@ -136,7 +138,8 @@ func (h *Header) write(w *headerWriter) {
 		w.boundary()
 	}
 	// gatt_list
-	w.attrs(h.GAttrs)
+	w.list(h.GAttrs)
+	w.boundary()
 	// var_list
 	w.tagList(nctype.TagVariable, len(h.Vars))
 	for i := range h.Vars {
@@ -146,7 +149,7 @@ func (h *Header) write(w *headerWriter) {
 		for _, id := range v.DimIDs {
 			w.nonNeg(int64(id))
 		}
-		w.attrs(v.Attrs)
+		w.list(v.Attrs)
 		w.uint32(uint32(v.Type))
 		w.nonNeg(v.VSize)
 		w.offset(v.Begin)
@@ -189,11 +192,4 @@ func (h *Header) EncodedSize() int64 {
 	return size
 }
 
-func attrsEncodedSize(attrs []Attr, nn int64) int64 {
-	size := 4 + nn
-	for _, a := range attrs {
-		size += nn + round4(int64(len(a.Name)))
-		size += 4 + nn + round4(int64(len(a.Values)))
-	}
-	return size
-}
+func attrsEncodedSize(l AttrList, nn int64) int64 { return 4 + nn + int64(len(l.xdr)) }

@@ -18,13 +18,13 @@ import (
 func fuzzSeedHeader(version int) []byte {
 	h := &Header{Version: version}
 	h.Dims = []Dim{{Name: "time", Len: 0}, {Name: "x", Len: 7}, {Name: "y", Len: 3}}
-	h.GAttrs = []Attr{
+	h.GAttrs = listOf(version,
 		mkAttr("title", nctype.Char, []byte("fuzz seed")),
 		mkAttr("level", nctype.Int, []byte{0, 0, 0, 9}),
-	}
+	)
 	h.Vars = []Var{
 		{Name: "grid", Type: nctype.Double, DimIDs: []int{1, 2},
-			Attrs: []Attr{mkAttr("units", nctype.Char, []byte("m"))}},
+			Attrs: listOf(version, mkAttr("units", nctype.Char, []byte("m")))},
 		{Name: "temp", Type: nctype.Float, DimIDs: []int{0, 1}},
 		{Name: "flag", Type: nctype.Byte, DimIDs: []int{}},
 	}
@@ -40,14 +40,14 @@ func fuzzSeedHeader(version int) []byte {
 func bigSeedHeader(version, attrLen int) []byte {
 	h := &Header{Version: version}
 	h.Dims = []Dim{{Name: "time", Len: 0}, {Name: "x", Len: 5}}
-	h.GAttrs = []Attr{mkAttr("history", nctype.Char, bytes.Repeat([]byte("h"), attrLen))}
+	h.GAttrs = listOf(version, mkAttr("history", nctype.Char, bytes.Repeat([]byte("h"), attrLen)))
 	for i := 0; i < 300; i++ {
 		dims := []int{1}
 		if i%2 == 0 {
 			dims = []int{0, 1} // a record variable
 		}
 		h.Vars = append(h.Vars, Var{Name: fmt.Sprintf("var_%0*d", 1+i%7, i), Type: nctype.Short, DimIDs: dims,
-			Attrs: []Attr{mkAttr("units", nctype.Char, []byte("m s-1")[:1+i%5])}})
+			Attrs: listOf(version, mkAttr("units", nctype.Char, []byte("m s-1")[:1+i%5]))})
 	}
 	if err := h.ComputeLayout(1); err != nil {
 		panic(err)
@@ -57,6 +57,33 @@ func bigSeedHeader(version, attrLen int) []byte {
 
 func mkAttr(name string, t nctype.Type, vals []byte) Attr {
 	return Attr{Name: name, Type: t, Nelems: int64(len(vals)) / int64(t.Size()), Values: vals}
+}
+
+// listOf encodes attrs as an attribute list of a header of the given
+// version, as a file holds it: duplicate names and all, which the define
+// methods refuse.
+func listOf(version int, attrs ...Attr) AttrList {
+	if len(attrs) == 0 {
+		return AttrList{}
+	}
+	w := headerWriter{version: version}
+	for _, a := range attrs {
+		w.name(a.Name)
+		w.uint32(uint32(a.Type))
+		w.nonNeg(a.Nelems)
+		w.bytes(a.Values)
+		w.pad4()
+	}
+	return AttrList{xdr: w.buf}
+}
+
+// attrsOf parses every attribute of l.
+func attrsOf(l AttrList) []Attr {
+	out := []Attr{}
+	for i := range l.Len() {
+		out = append(out, l.At(i))
+	}
+	return out
 }
 
 // hostileCountImages builds tiny buffers that declare the largest counts

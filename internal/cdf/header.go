@@ -28,22 +28,13 @@ type Dim struct {
 // IsUnlimited reports whether d is the record dimension.
 func (d Dim) IsUnlimited() bool { return d.Len == nctype.UnlimitedDim }
 
-// Attr is an attribute: a name plus a small typed vector. Values holds the
-// external (big-endian) representation; Nelems is the number of values.
-type Attr struct {
-	Name   string
-	Type   nctype.Type
-	Nelems int64
-	Values []byte
-}
-
 // Var describes one variable: its shape (dimension IDs into the header's
 // dimension list), attributes, external type, and file layout (Begin offset
 // and VSize, the per-record or whole-array external size).
 type Var struct {
 	Name   string
 	DimIDs []int
-	Attrs  []Attr
+	Attrs  AttrList
 	Type   nctype.Type
 
 	// VSize is the external size in bytes of the variable's fixed part: the
@@ -61,25 +52,24 @@ type Var struct {
 // libraries change a header through the define methods (define.go), which
 // keep the name indexes behind FindDim and FindVar current.
 //
-// A header cuts its dimension-ID lists, attribute lists and attribute values
-// from slabs it owns. Each list is cut to its own capacity, so appending to
-// one never reaches another. A Header must not be copied by value: the copy
-// would share the slabs' free space, and the two would hand the same
-// elements out twice. clone makes an independent header.
+// A header cuts its dimension-ID lists and attribute lists from slabs it
+// owns. Each list is cut to its own capacity, so appending to one never
+// reaches another. A Header must not be copied by value: the copy would
+// share the slabs' free space, and the two would hand the same elements out
+// twice. clone makes an independent header.
 type Header struct {
 	// Version is 1 (CDF-1), 2 (CDF-2) or 5 (CDF-5).
 	Version int
 	// NumRecs is the current number of records along the unlimited dimension.
 	NumRecs int64
 	Dims    []Dim
-	GAttrs  []Attr
+	GAttrs  AttrList
 	Vars    []Var
 
 	dimIdx, varIdx nameIndex
 
 	ids   arena[int]
-	attrs arena[Attr]
-	vals  arena[byte]
+	lists arena[byte]
 }
 
 func (h *Header) dimName(i int) string { return h.Dims[i].Name }
@@ -138,7 +128,7 @@ func (h *Header) VarShape(v *Var) []int64 {
 
 // FindDim returns the ID of the dimension with the given name, or -1.
 func (h *Header) FindDim(name string) int {
-	if id, ok := h.dimIdx.lookup(name); ok && id < len(h.Dims) && h.Dims[id].Name == name {
+	if id := h.dimIdx.lookup(name, len(h.Dims), h.dimName); id >= 0 {
 		return id
 	}
 	for i := h.dimIdx.n; i < len(h.Dims); i++ {
@@ -152,21 +142,11 @@ func (h *Header) FindDim(name string) int {
 // FindVar returns the ID of the variable with the given name, or -1. It
 // only reads the header, so concurrent lookups are safe.
 func (h *Header) FindVar(name string) int {
-	if id, ok := h.varIdx.lookup(name); ok && id < len(h.Vars) && h.Vars[id].Name == name {
+	if id := h.varIdx.lookup(name, len(h.Vars), h.varName); id >= 0 {
 		return id
 	}
 	for i := h.varIdx.n; i < len(h.Vars); i++ {
 		if h.Vars[i].Name == name {
-			return i
-		}
-	}
-	return -1
-}
-
-// FindAttr returns the index of the named attribute in attrs, or -1.
-func FindAttr(attrs []Attr, name string) int {
-	for i := range attrs {
-		if attrs[i].Name == name {
 			return i
 		}
 	}
@@ -198,45 +178,26 @@ func (h *Header) RecSize() int64 {
 }
 
 // clone returns a deep copy of the header (Redef keeps one to relocate data
-// from). Its lists and values are copied into slabs of its own, each made
-// once at exactly the size it needs.
+// from). Its lists are copied into slabs of its own, each made once at
+// exactly the size it needs.
 func (h *Header) clone() *Header {
-	nids, nattrs, nvals := 0, len(h.GAttrs), attrBytes(h.GAttrs)
+	nids, nbytes := 0, len(h.GAttrs.xdr)
 	for i := range h.Vars {
 		nids += len(h.Vars[i].DimIDs)
-		nattrs += len(h.Vars[i].Attrs)
-		nvals += attrBytes(h.Vars[i].Attrs)
+		nbytes += len(h.Vars[i].Attrs.xdr)
 	}
 	c := &Header{Version: h.Version, NumRecs: h.NumRecs, Dims: slices.Clone(h.Dims)}
-	c.ids.free = make([]int, nids)
-	c.attrs.free = make([]Attr, nattrs)
-	c.vals.free = make([]byte, nvals)
-	c.GAttrs = c.cloneAttrs(h.GAttrs)
+	c.ids.slab = make([]int, nids)
+	c.lists.slab = make([]byte, nbytes)
+	c.GAttrs.xdr = cloneInto(&c.lists, h.GAttrs.xdr)
 	c.Vars = make([]Var, len(h.Vars))
 	for i, v := range h.Vars {
 		v.DimIDs = cloneInto(&c.ids, v.DimIDs)
-		v.Attrs = c.cloneAttrs(v.Attrs)
+		v.Attrs.xdr = cloneInto(&c.lists, v.Attrs.xdr)
 		c.Vars[i] = v
 	}
 	c.dimIdx, c.varIdx = h.dimIdx.clone(), h.varIdx.clone()
 	return c
-}
-
-func attrBytes(as []Attr) int {
-	n := 0
-	for i := range as {
-		n += len(as[i].Values)
-	}
-	return n
-}
-
-// cloneAttrs copies as, and every value in it, into h's slabs.
-func (h *Header) cloneAttrs(as []Attr) []Attr {
-	out := cloneInto(&h.attrs, as)
-	for i := range out {
-		out[i].Values = cloneInto(&h.vals, out[i].Values)
-	}
-	return out
 }
 
 // cloneInto copies s into a slice carved from a; nil stays nil.
@@ -251,7 +212,9 @@ func cloneInto[T any](a *arena[T], s []T) []T {
 
 // Validate checks structural invariants: name validity and uniqueness, at
 // most one unlimited dimension used only in the leading position, valid
-// dimension IDs, and valid types for the format version.
+// dimension IDs, and valid types for the format version. Attribute lists
+// are held to the same rules where they are made — by Decode and the define
+// methods, the only code that can make one — so Validate does not walk them.
 func (h *Header) Validate() error {
 	if h.Version != 1 && h.Version != 2 && h.Version != 5 {
 		return fmt.Errorf("%w: version %d", nctype.ErrVersion, h.Version)
@@ -277,9 +240,6 @@ func (h *Header) Validate() error {
 	if unlimited > 1 {
 		return nctype.ErrMultiUnlimited
 	}
-	if err := validateAttrs(h.GAttrs, h.Version); err != nil {
-		return err
-	}
 	for i := range h.Vars {
 		v := &h.Vars[i]
 		if err := checkName(v.Name); err != nil {
@@ -299,27 +259,6 @@ func (h *Header) Validate() error {
 				return fmt.Errorf("%w: variable %q", nctype.ErrUnlimPos, v.Name)
 			}
 		}
-		if err := validateAttrs(v.Attrs, h.Version); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func validateAttrs(attrs []Attr, version int) error {
-	if i := firstDupUnindexed(len(attrs), func(i int) string { return attrs[i].Name }); i >= 0 {
-		return fmt.Errorf("%w: attribute %q", nctype.ErrNameInUse, attrs[i].Name)
-	}
-	for _, a := range attrs {
-		if err := checkName(a.Name); err != nil {
-			return err
-		}
-		if !a.Type.Valid(version) {
-			return fmt.Errorf("%w: attribute %q type %v", nctype.ErrBadType, a.Name, a.Type)
-		}
-		if int64(len(a.Values)) != a.Nelems*int64(a.Type.Size()) {
-			return fmt.Errorf("%w: attribute %q value size", nctype.ErrInvalidArg, a.Name)
-		}
 	}
 	return nil
 }
@@ -327,8 +266,8 @@ func validateAttrs(attrs []Attr, version int) error {
 // checkName validates a netCDF object name: nonempty, at most MaxNameLen
 // bytes, beginning with a letter, digit or underscore, and containing no
 // control characters, slashes, or trailing spaces.
-func checkName(name string) error {
-	if name == "" || len(name) > nctype.MaxNameLen {
+func checkName[S ~string | ~[]byte](name S) error {
+	if len(name) == 0 || len(name) > nctype.MaxNameLen {
 		return fmt.Errorf("%w: %q", nctype.ErrBadName, name)
 	}
 	c := name[0]

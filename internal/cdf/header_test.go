@@ -21,7 +21,7 @@ func simpleHeader(t *testing.T, version int) *Header {
 	if err != nil {
 		t.Fatalf("newAttr: %v", err)
 	}
-	h.GAttrs = []Attr{att}
+	h.GAttrs = listOf(version, att)
 	h.Vars = []Var{
 		{Name: "temp", DimIDs: []int{2, 0, 1}, Type: nctype.Float},
 		{Name: "mask", DimIDs: []int{0, 1}, Type: nctype.Int},
@@ -282,8 +282,8 @@ func TestCloneIsDeep(t *testing.T) {
 	c := h.clone()
 	c.Dims[0].Len = 99
 	c.Vars[0].DimIDs[0] = 0
-	c.GAttrs[0].Values[0] = 'X'
-	if h.Dims[0].Len == 99 || h.Vars[0].DimIDs[0] == 0 || h.GAttrs[0].Values[0] == 'X' {
+	c.GAttrs.At(0).Values[0] = 'X'
+	if h.Dims[0].Len == 99 || h.Vars[0].DimIDs[0] == 0 || h.GAttrs.At(0).Values[0] == 'X' {
 		t.Fatal("clone shares memory with the original")
 	}
 	if !sameHeader(h.clone(), h) {
@@ -291,10 +291,14 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 }
 
-// newAttr builds an attribute whose values have an arena of their own.
+// newAttr builds an attribute through the define rules, on a CDF-5 header of
+// its own.
 func newAttr(name string, t nctype.Type, value any) (Attr, error) {
-	var vals arena[byte]
-	return makeAttr(&vals, name, t, value)
+	h := &Header{Version: 5}
+	if _, err := h.putAttr(GlobalID, name, t, value, true); err != nil {
+		return Attr{}, err
+	}
+	return h.GAttrs.At(0), nil
 }
 
 // sameHeader reports whether two headers describe the same dataset: the same
@@ -433,8 +437,8 @@ func TestSmallHelpers(t *testing.T) {
 	if h.FindDim("lon") != 1 || h.FindDim("absent") != -1 {
 		t.Fatal("FindDim wrong")
 	}
-	if FindAttr(h.GAttrs, "title") != 0 || FindAttr(h.GAttrs, "x") != -1 {
-		t.Fatal("FindAttr wrong")
+	if h.GAttrs.Find("title") != 0 || h.GAttrs.Find("x") != -1 {
+		t.Fatal("Find wrong")
 	}
 	iss := layoutIssue{Var: "v", Desc: "broken"}
 	if iss.String() != `variable "v": broken` {
@@ -496,7 +500,7 @@ func TestFillBytesDefaultsAndCustom(t *testing.T) {
 	}
 	// Custom _FillValue attribute wins.
 	fa, _ := newAttr("_FillValue", nctype.Float, []float32{-5})
-	v.Attrs = []Attr{fa}
+	v.Attrs = listOf(1, fa)
 	buf = FillBytes(v, 2)
 	if err := DecodeSlice(buf, nctype.Float, got[:2]); err != nil {
 		t.Fatal(err)
@@ -529,12 +533,47 @@ func TestSliceLenAndPromote(t *testing.T) {
 	if SliceLen(struct{}{}) != -1 {
 		t.Fatal("SliceLen of unsupported type")
 	}
-	// promoteScalar via makeAttr for every scalar kind.
+	// promoteScalar via putAttr for every scalar kind.
 	for _, scalar := range []any{int8(1), int16(1), int32(1), int64(1), int(1),
 		uint8(1), uint16(1), uint32(1), uint64(1), float32(1), float64(1)} {
 		a, err := newAttr("s", nctype.Double, scalar)
 		if err != nil || a.Nelems != 1 {
 			t.Fatalf("scalar %T: %+v %v", scalar, a, err)
 		}
+	}
+}
+
+// TestDecodeRefusesBadAttributeLists: Decode holds each attribute list to
+// the rules the define methods keep — a valid, unique name and a type the
+// version has — and to null padding, since Validate does not walk lists.
+func TestDecodeRefusesBadAttributeLists(t *testing.T) {
+	byteAttr := func(name string) Attr { return mkAttr(name, nctype.Byte, []byte{7}) }
+	for _, tc := range []struct {
+		name  string
+		attrs []Attr
+		want  error
+	}{
+		{"bad name", []Attr{byteAttr("a/b")}, nctype.ErrBadName},
+		{"empty name", []Attr{byteAttr("ok"), byteAttr("")}, nctype.ErrBadName},
+		{"repeated name", []Attr{byteAttr("x"), byteAttr("y"), byteAttr("x")}, nctype.ErrNameInUse},
+		{"CDF-5 type in CDF-1", []Attr{mkAttr("big", nctype.Int64, make([]byte, 8))}, nctype.ErrBadType},
+	} {
+		h := simpleHeader(t, 1)
+		h.Vars[1].Attrs = listOf(1, tc.attrs...)
+		if _, err := Decode(h.Encode()); !errors.Is(err, tc.want) {
+			t.Errorf("%s: Decode = %v, want %v", tc.name, err, tc.want)
+		}
+	}
+	// A byte of the padding after a one-byte value that is not null.
+	h := simpleHeader(t, 1)
+	h.Vars[1].Attrs = listOf(1, byteAttr("pad"))
+	img := h.Encode()
+	at := bytes.Index(img, []byte{0, 0, 0, byte(nctype.Byte), 0, 0, 0, 1, 7, 0, 0, 0})
+	if at < 0 {
+		t.Fatal("the attribute's encoding was not found")
+	}
+	img[at+9] = 1
+	if _, err := Decode(img); !errors.Is(err, nctype.ErrNotNC) {
+		t.Fatalf("non-null padding: Decode = %v, want ErrNotNC", err)
 	}
 }

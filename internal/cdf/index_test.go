@@ -171,18 +171,23 @@ func TestValidateUniquenessWithAndWithoutIndex(t *testing.T) {
 		t.Fatalf("stale index, no duplicate: %v", err)
 	}
 
-	// A long attribute list takes the hashed path, a short one the scan.
+	// Attribute lists are checked where they are made: Decode finds a
+	// repeated name in a long list, which takes the hashed path, and in a
+	// short one, which takes the scan.
 	for _, k := range []int{3, 3 * indexMinLen} {
 		h := literalHeader(1, 1)
-		for i := 0; i < k; i++ {
-			h.Vars[0].Attrs = append(h.Vars[0].Attrs, mkAttr(fmt.Sprintf("a%d", i), nctype.Byte, []byte{1}))
+		attrs := make([]Attr, k)
+		for i := range attrs {
+			attrs[i] = mkAttr(fmt.Sprintf("a%d", i), nctype.Byte, []byte{1})
 		}
-		if err := h.Validate(); err != nil {
+		h.Vars[0].Attrs = listOf(h.Version, attrs...)
+		if _, err := Decode(h.Encode()); err != nil {
 			t.Fatalf("%d attributes: %v", k, err)
 		}
-		h.Vars[0].Attrs[k-1].Name = "a1"
-		if err := dup(h); err != nil {
-			t.Fatalf("%d attributes with a duplicate: %v", k, err)
+		attrs[k-1].Name = "a1"
+		h.Vars[0].Attrs = listOf(h.Version, attrs...)
+		if _, err := Decode(h.Encode()); !errors.Is(err, nctype.ErrNameInUse) {
+			t.Fatalf("%d attributes with a duplicate: Decode = %v, want ErrNameInUse", k, err)
 		}
 	}
 }
@@ -324,11 +329,11 @@ func probeCases(t testing.TB) []probeCase {
 	meta := tightImage(t, metashape.New(4096, 1).Define)
 	fatFirst := func(h *Header) {
 		for i := range h.Vars[:200] {
-			h.Vars[i].Attrs = []Attr{mkAttr("long_name", nctype.Char, make([]byte, 400))}
+			h.Vars[i].Attrs = listOf(h.Version, mkAttr("long_name", nctype.Char, make([]byte, 400)))
 		}
 	}
 	longGAttr := func(h *Header) {
-		h.GAttrs = []Attr{mkAttr("history", nctype.Char, make([]byte, 300<<10))}
+		h.GAttrs = listOf(h.Version, mkAttr("history", nctype.Char, make([]byte, 300<<10)))
 	}
 	fatThinLong := tightImage(t, func(d metashape.Definer) error {
 		n, err := d.DefDim("n", 16)

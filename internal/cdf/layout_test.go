@@ -17,8 +17,7 @@ func randomSchema(rng *rand.Rand, unit int64, nfixed, nrec int) *Header {
 	rec := h.addDim(Dim{Name: "t", Len: 0})
 	types := []nctype.Type{nctype.Byte, nctype.Short, nctype.Int, nctype.Float, nctype.Double}
 	for i := 0; i < rng.Intn(4); i++ {
-		a, _ := newAttr(fmt.Sprintf("g%d", i), nctype.Char, string(make([]byte, 1+rng.Intn(40))))
-		h.GAttrs = append(h.GAttrs, a)
+		h.putAttr(GlobalID, fmt.Sprintf("g%d", i), nctype.Char, string(make([]byte, 1+rng.Intn(40))), true)
 	}
 	for i := 0; i < nfixed+nrec; i++ {
 		t := types[rng.Intn(len(types))]
@@ -145,10 +144,9 @@ func TestRelocationPlanProperty(t *testing.T) {
 		h := old.clone()
 		switch rng.Intn(3) {
 		case 0:
-			a, _ := newAttr("grow", nctype.Char, string(make([]byte, 1+rng.Intn(700))))
-			h.GAttrs = append(h.GAttrs, a)
+			h.putAttr(GlobalID, "grow", nctype.Char, string(make([]byte, 1+rng.Intn(700))), true)
 		case 1:
-			h.GAttrs = nil
+			h.GAttrs = AttrList{}
 		}
 		if rng.Intn(2) == 0 {
 			d := h.addDim(Dim{Name: "extra", Len: 1 + rng.Int63n(300)})
@@ -195,8 +193,7 @@ func TestRelocationPlanProperty(t *testing.T) {
 // runs of equal shifts, not the variables or record slots.
 func TestRelocationPlanMergesMoves(t *testing.T) {
 	grow := func(h *Header) {
-		a, _ := newAttr("history", nctype.Char, "a line long enough to grow the header")
-		h.GAttrs = append(h.GAttrs, a)
+		h.putAttr(GlobalID, "history", nctype.Char, "a line long enough to grow the header", true)
 	}
 	for _, tc := range []struct {
 		name     string
@@ -221,7 +218,7 @@ func TestRelocationPlanMergesMoves(t *testing.T) {
 			h.addVar(Var{Name: "extra", Type: nctype.Byte, DimIDs: []int{0, d}})
 		}, unit: 1, moves: 3},
 		{name: "backward", fixed: []int64{400, 1200}, rec: []int64{16}, numRecs: 2, oldAttr: true,
-			change: func(h *Header) { h.GAttrs = nil }, unit: 1, moves: 1, backward: true},
+			change: func(h *Header) { h.GAttrs = AttrList{} }, unit: 1, moves: 1, backward: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			old := &Header{Version: 2}

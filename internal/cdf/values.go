@@ -49,8 +49,8 @@ func DecodeAttrValue(a Attr) (any, error) {
 func FillBytes(v *Var, n int64) []byte {
 	esz := int64(v.Type.Size())
 	one := make([]byte, esz)
-	if i := FindAttr(v.Attrs, "_FillValue"); i >= 0 && v.Attrs[i].Type == v.Type && v.Attrs[i].Nelems >= 1 {
-		copy(one, v.Attrs[i].Values[:esz])
+	if a, _, i := v.Attrs.lookup("_FillValue"); i >= 0 && a.typ == v.Type && a.nelems >= 1 {
+		copy(one, a.values[:esz])
 	} else {
 		var enc []byte
 		var err error

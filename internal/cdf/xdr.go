@@ -339,22 +339,7 @@ func SliceLen(buf any) int {
 	return -1
 }
 
-// makeAttr builds an Attr from a Go value (scalar or slice of a supported
-// type, or a string for Char attributes), encoding the value straight into a
-// slice carved from vals.
-func makeAttr(vals *arena[byte], name string, t nctype.Type, value any) (Attr, error) {
-	value = promoteScalar(value)
-	n := SliceLen(value)
-	if n < 0 {
-		return Attr{}, fmt.Errorf("%w: attribute value %T", nctype.ErrTypeMismatch, value)
-	}
-	buf, err := EncodeSlice(vals.carve(n*t.Size(), valueSlabLen)[:0], t, value)
-	if err != nil {
-		return Attr{}, err
-	}
-	return Attr{Name: name, Type: t, Nelems: int64(n), Values: buf}, nil
-}
-
+// promoteScalar turns a scalar attribute value into a slice of one.
 func promoteScalar(v any) any {
 	switch s := v.(type) {
 	case int8:

@@ -495,9 +495,9 @@ func TestDefinitionLimits(t *testing.T) {
 		if err != nil {
 			return fmt.Errorf("reopen at the limits: %w", err)
 		}
-		if r.NumVars() != nctype.MaxVars || len(r.Header().GAttrs) != nctype.MaxAttrs || len(r.Header().Dims) != nctype.MaxDims {
+		if r.NumVars() != nctype.MaxVars || r.Header().GAttrs.Len() != nctype.MaxAttrs || len(r.Header().Dims) != nctype.MaxDims {
 			return fmt.Errorf("reopened %d variables, %d global attributes and %d dimensions, want %d, %d and %d",
-				r.NumVars(), len(r.Header().GAttrs), len(r.Header().Dims), nctype.MaxVars, nctype.MaxAttrs, nctype.MaxDims)
+				r.NumVars(), r.Header().GAttrs.Len(), len(r.Header().Dims), nctype.MaxVars, nctype.MaxAttrs, nctype.MaxDims)
 		}
 		return r.Close()
 	})

@@ -155,9 +155,10 @@ func open(comm *mpi.Comm, fsys *pfs.FS, path string, omode int, info *mpi.Info) 
 	}
 	// The root fetches the header (cdf.ReadHeader: a growing prefix, then the
 	// commit journal when the in-place header is torn) and broadcasts it
-	// behind a status byte, so a root-side read failure is a collective error
-	// rather than a hang. The broadcast takes that buffer over: building it is
-	// the one copy of the image the root makes.
+	// followed by a status byte, so a root-side read failure is a collective
+	// error rather than a hang. The byte goes into the room ReadHeader leaves
+	// after the image, and the broadcast takes the buffer over as it was
+	// read: the root copies the image only when no room was left.
 	var hdr *cdf.Header
 	var blob []byte
 	var herr error // this rank's failure to read or decode the header
@@ -179,10 +180,10 @@ func open(comm *mpi.Comm, fsys *pfs.FS, path string, omode int, info *mpi.Info) 
 		} else if recovered {
 			status = statusRecovered
 		}
-		wire = append([]byte{status}, blob...)
+		wire = append(blob, status)
 	}
 	wire = comm.BcastOwned(0, wire)
-	status := wire[0]
+	status := wire[len(wire)-1]
 	if status == statusReadFailed {
 		if herr != nil {
 			return nil, herr
@@ -193,7 +194,7 @@ func open(comm *mpi.Comm, fsys *pfs.FS, path string, omode int, info *mpi.Info) 
 	// The root keeps the header it decoded while probing; the others decode
 	// the broadcast image: the header's own bytes, or — when the root could
 	// not decode them — all it read, which they decode to the same error.
-	blob = wire[1:]
+	blob = wire[:len(wire)-1]
 	if comm.Rank() != 0 {
 		hdr, herr = cdf.Decode(blob)
 	}

@@ -566,7 +566,7 @@ func TestCDF2AndCDF5(t *testing.T) {
 }
 
 func TestAttrLifecycle(t *testing.T) {
-	d, _, tempID, _ := newDataset(t)
+	d, store, tempID, _ := newDataset(t)
 	d.Redef()
 	if err := d.PutAttr(tempID, "valid_range", nctype.Double, []float64{-50, 50}); err != nil {
 		t.Fatal(err)
@@ -586,16 +586,39 @@ func TestAttrLifecycle(t *testing.T) {
 		t.Fatalf("double delete: %v", err)
 	}
 	d.EndDef()
-	// In data mode: same-size overwrite OK, larger rejected.
-	if err := d.PutAttr(tempID, "units", nctype.Char, "F"); err != nil {
-		t.Fatal(err)
+	// In data mode an overwrite may not grow the header: its padded
+	// external size, not its byte count, may not grow (as netCDF-C and
+	// PnetCDF compare xsz). "C", "F", "Fa" and "Fahr" all take 4 bytes.
+	size := d.Header().EncodedSize()
+	for _, units := range []string{"F", "Fa", "Fahr"} {
+		if err := d.PutAttr(tempID, "units", nctype.Char, units); err != nil {
+			t.Fatalf("overwrite with %q in data mode: %v", units, err)
+		}
 	}
-	if err := d.PutAttr(tempID, "units", nctype.Char, "Fahrenheit"); !errors.Is(err, nctype.ErrNotInDefine) {
-		t.Fatalf("grow att in data mode: %v", err)
+	for _, units := range []string{"Fahre", "Fahrenheit"} {
+		if err := d.PutAttr(tempID, "units", nctype.Char, units); !errors.Is(err, nctype.ErrNotInDefine) {
+			t.Fatalf("grow att to %q in data mode: %v", units, err)
+		}
+	}
+	if got := d.Header().EncodedSize(); got != size {
+		t.Fatalf("data-mode overwrites took the header from %d to %d bytes", size, got)
 	}
 	_, v, _ := d.GetAttr(tempID, "units")
-	if string(v.([]byte)) != "F" {
+	if string(v.([]byte)) != "Fahr" {
 		t.Fatalf("units = %q", v)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, issues, err := cdf.CheckFile(store.Data); err != nil || len(issues) > 0 {
+		t.Fatalf("file after data-mode overwrites: %v %v", issues, err)
+	}
+	r, err := Open(store, nctype.NoWrite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, v, err := r.GetAttr(tempID, "units"); err != nil || string(v.([]byte)) != "Fahr" {
+		t.Fatalf("reopened units = %q, %v", v, err)
 	}
 }
 
@@ -1171,7 +1194,7 @@ func TestDefinitionLimits(t *testing.T) {
 	if n := len(r.Header().Vars); n != nctype.MaxVars {
 		t.Fatalf("reopened %d variables, want %d", n, nctype.MaxVars)
 	}
-	if n := len(r.Header().GAttrs); n != nctype.MaxAttrs {
+	if n := r.Header().GAttrs.Len(); n != nctype.MaxAttrs {
 		t.Fatalf("reopened %d global attributes, want %d", n, nctype.MaxAttrs)
 	}
 	if n := len(r.Header().Dims); n != nctype.MaxDims {
