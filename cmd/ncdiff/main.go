@@ -134,28 +134,30 @@ func run(pathA, pathB string) (int, error) {
 	return diffs, nil
 }
 
+// diffAttrs walks each list once: b's attributes go into a map by name, and
+// those a's walk leaves in it are reported in b's order by a second walk.
 func diffAttrs(owner string, as, bs cdf.AttrList) int {
 	diffs := 0
-	for i := range as.Len() {
-		a := as.At(i)
-		j := bs.Find(a.Name)
-		if j < 0 {
+	inB := map[string]cdf.Attr{}
+	bs.Walk(func(b cdf.Attr) { inB[b.Name] = b })
+	as.Walk(func(a cdf.Attr) {
+		b, ok := inB[a.Name]
+		delete(inB, a.Name)
+		switch {
+		case !ok:
 			fmt.Printf("%s attribute %q missing in second file\n", owner, a.Name)
 			diffs++
-			continue
-		}
-		b := bs.At(j)
-		if a.Type != b.Type || a.Nelems != b.Nelems || string(a.Values) != string(b.Values) {
+		case a.Type != b.Type || a.Nelems != b.Nelems || string(a.Values) != string(b.Values):
 			fmt.Printf("%s attribute %q differs\n", owner, a.Name)
 			diffs++
 		}
-	}
-	for i := range bs.Len() {
-		if b := bs.At(i); as.Find(b.Name) < 0 {
+	})
+	bs.Walk(func(b cdf.Attr) {
+		if _, ok := inB[b.Name]; ok {
 			fmt.Printf("%s attribute %q missing in first file\n", owner, b.Name)
 			diffs++
 		}
-	}
+	})
 	return diffs
 }
 

@@ -66,18 +66,16 @@ func dump(w *os.File, d *netcdf.Dataset, name string, withData bool) error {
 				decl += "(" + strings.Join(dims, ", ") + ")"
 			}
 			fmt.Fprintf(w, "\t%s %s ;\n", v.Type, decl)
-			for j := range v.Attrs.Len() {
-				a := v.Attrs.At(j)
+			v.Attrs.Walk(func(a cdf.Attr) {
 				fmt.Fprintf(w, "\t\t%s:%s = %s ;\n", v.Name, a.Name, attrCDL(a))
-			}
+			})
 		}
 	}
 	if h.GAttrs.Len() > 0 {
 		fmt.Fprintln(w, "\n// global attributes:")
-		for i := range h.GAttrs.Len() {
-			a := h.GAttrs.At(i)
+		h.GAttrs.Walk(func(a cdf.Attr) {
 			fmt.Fprintf(w, "\t\t:%s = %s ;\n", a.Name, attrCDL(a))
-		}
+		})
 	}
 	if withData && len(h.Vars) > 0 {
 		fmt.Fprintln(w, "data:")

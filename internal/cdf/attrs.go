@@ -43,19 +43,25 @@ type attrAt struct {
 	next   int
 }
 
-// parse reads the attribute that starts at off. A list is checked when it
-// is made (Decode, and the define methods), so parsing checks nothing.
-func (l AttrList) parse(off int) attrAt {
-	wide, nn := binary.BigEndian.Uint32(l.xdr) == 0, 4
-	if wide {
-		nn = 8
+// width returns the byte width of the list's NON_NEG fields: 8 when the
+// first word is zero, else 4.
+func (l AttrList) width() int {
+	if len(l.xdr) > 0 && binary.BigEndian.Uint32(l.xdr) == 0 {
+		return 8
 	}
+	return 4
+}
+
+// parse reads the attribute that starts at off, whose list's NON_NEG fields
+// are nn bytes wide. A list is checked when it is made (Decode, and the
+// define methods), so parsing checks nothing.
+func (l AttrList) parse(off, nn int) attrAt {
 	var a attrAt
-	n := l.word(off, wide)
+	n := l.word(off, nn)
 	a.name = l.xdr[off+nn : off+nn+n]
 	off += nn + int(round4(int64(n)))
 	a.typ = nctype.Type(binary.BigEndian.Uint32(l.xdr[off:]))
-	a.nelems = int64(l.word(off+4, wide))
+	a.nelems = int64(l.word(off+4, nn))
 	off += 4 + nn
 	size := int(a.nelems) * a.typ.Size()
 	a.values = l.xdr[off : off+size : off+size]
@@ -63,50 +69,58 @@ func (l AttrList) parse(off int) attrAt {
 	return a
 }
 
-// word reads the NON_NEG field at off: 8 bytes when wide, else 4.
-func (l AttrList) word(off int, wide bool) int {
-	if wide {
+// word reads the nn-byte NON_NEG field at off.
+func (l AttrList) word(off, nn int) int {
+	if nn == 8 {
 		return int(binary.BigEndian.Uint64(l.xdr[off:]))
 	}
 	return int(binary.BigEndian.Uint32(l.xdr[off:]))
 }
 
+// next returns the name of the attribute at off and where the attribute
+// after it starts, reading only the type and the element count on the way.
+func (l AttrList) next(off, nn int) (name []byte, next int) {
+	n := l.word(off, nn)
+	name = l.xdr[off+nn : off+nn+n]
+	off += nn + int(round4(int64(n)))
+	size := l.word(off+4, nn) * nctype.Type(binary.BigEndian.Uint32(l.xdr[off:])).Size()
+	return name, off + 4 + nn + int(round4(int64(size)))
+}
+
 // lookup returns the attribute called name, where its bytes start, and its
-// position; the position is -1 when no attribute has the name.
-func (l AttrList) lookup(name string) (a attrAt, at, i int) {
+// position, with ok set. When no attribute has the name it returns the end
+// of the list and, as i, the number of attributes: the walk that missed
+// counted them.
+func (l AttrList) lookup(name string) (a attrAt, at, i int, ok bool) {
+	nn := l.width()
 	for off := 0; off < len(l.xdr); i++ {
-		a = l.parse(off)
-		if string(a.name) == name {
-			return a, off, i
+		got, next := l.next(off, nn)
+		if string(got) == name {
+			return l.parse(off, nn), off, i, true
 		}
-		off = a.next
+		off = next
 	}
-	return attrAt{}, len(l.xdr), -1
+	return attrAt{}, len(l.xdr), i, false
 }
 
 // Len returns the number of attributes.
 func (l AttrList) Len() int {
-	n := 0
+	n, nn := 0, l.width()
 	for off := 0; off < len(l.xdr); n++ {
-		off = l.parse(off).next
+		_, off = l.next(off, nn)
 	}
 	return n
 }
 
-// At returns attribute i, which must be in range.
-func (l AttrList) At(i int) Attr {
-	off := 0
-	for ; i > 0; i-- {
-		off = l.parse(off).next
+// Walk calls f with each attribute, in definition order, in one pass over
+// the list.
+func (l AttrList) Walk(f func(Attr)) {
+	nn := l.width()
+	for off := 0; off < len(l.xdr); {
+		a := l.parse(off, nn)
+		f(Attr{Name: string(a.name), Type: a.typ, Nelems: a.nelems, Values: a.values})
+		off = a.next
 	}
-	a := l.parse(off)
-	return Attr{Name: string(a.name), Type: a.typ, Nelems: a.nelems, Values: a.values}
-}
-
-// Find returns the position of the attribute called name, or -1.
-func (l AttrList) Find(name string) int {
-	_, _, i := l.lookup(name)
-	return i
 }
 
 // attrList returns the attribute list of variable varid, or the dataset's
@@ -126,8 +140,10 @@ func (h *Header) attrList(varid int) (*AttrList, error) {
 // nothing at the end of the list to append one. An append grows the list in
 // place when it was the last thing cut from h's slab and the slab has room,
 // so a variable's attributes, defined one after another, lie in one piece;
-// any other change makes a new list. An error from values leaves l as it
-// was.
+// any other change makes a new list. A new list longer than half a slab
+// may take a slab of twice its length, so the appends after it grow in
+// place and a long list is not copied whole on every append. An error from
+// values leaves l as it was.
 func (h *Header) setAttr(l *AttrList, at, end int, name string, t nctype.Type, n int, values func([]byte) ([]byte, error)) error {
 	size := int(2*nonNegSize(h.Version) + 4 + round4(int64(len(name))) + round4(int64(n*t.Size())))
 	w := headerWriter{version: h.Version}
@@ -138,7 +154,8 @@ func (h *Header) setAttr(l *AttrList, at, end int, name string, t nctype.Type, n
 	if ok {
 		w.buf = grown[:at]
 	} else {
-		w.buf = append(h.lists.carve(len(l.xdr)-(end-at)+size, attrSlabLen)[:0], l.xdr[:at]...)
+		need := len(l.xdr) - (end - at) + size
+		w.buf = append(h.lists.carve(need, max(attrSlabLen, 2*need))[:0], l.xdr[:at]...)
 	}
 	w.name(name)
 	w.uint32(uint32(t))

@@ -144,8 +144,8 @@ func (h *Header) findAttr(varid int, name string) (*AttrList, attrAt, int, error
 	if err != nil {
 		return nil, attrAt{}, 0, err
 	}
-	a, at, i := l.lookup(name)
-	if i < 0 {
+	a, at, _, ok := l.lookup(name)
+	if !ok {
 		return nil, attrAt{}, 0, fmt.Errorf("%w: %q", nctype.ErrNotAtt, name)
 	}
 	return l, a, at, nil
@@ -174,16 +174,16 @@ func (h *Header) putAttr(varid int, name string, t nctype.Type, value any, defin
 		return false, fmt.Errorf("%w: attribute value %T", nctype.ErrTypeMismatch, value)
 	}
 	encode := func(dst []byte) ([]byte, error) { return EncodeSlice(dst, t, value) }
-	old, at, i := l.lookup(name)
+	old, at, i, ok := l.lookup(name)
 	switch {
-	case i >= 0 && (define || round4(int64(n*t.Size())) <= round4(int64(len(old.values)))):
+	case ok && (define || round4(int64(n*t.Size())) <= round4(int64(len(old.values)))):
 		if err := h.setAttr(l, at, old.next, name, t, n, encode); err != nil {
 			return false, err
 		}
 		return !define, nil
 	case !define:
 		return false, nctype.ErrNotInDefine
-	case l.Len() >= nctype.MaxAttrs:
+	case i >= nctype.MaxAttrs: // the lookup that missed counted the list
 		return false, nctype.ErrMaxAttrs
 	}
 	return false, h.setAttr(l, at, at, name, t, n, encode)
@@ -216,11 +216,7 @@ func (h *Header) attrNames(varid int) ([]string, error) {
 		return nil, err
 	}
 	names := make([]string, 0, l.Len())
-	for off := 0; off < len(l.xdr); {
-		a := l.parse(off)
-		names = append(names, string(a.name))
-		off = a.next
-	}
+	l.Walk(func(a Attr) { names = append(names, a.Name) })
 	return names, nil
 }
 
@@ -259,8 +255,8 @@ func (h *Header) renameAttr(varid int, old, name string, define bool) (rewrite b
 	if err != nil {
 		return false, err
 	}
-	_, to, j := l.lookup(name) // positions are compared as byte offsets
-	if j < 0 {
+	_, to, _, ok := l.lookup(name) // positions are compared as byte offsets
+	if !ok {
 		to = -1
 	}
 	if err := checkRename("attribute", old, name, to, at, define); err != nil {

@@ -124,7 +124,7 @@ func TestCarvedListsNeverAlias(t *testing.T) {
 					return err
 				}},
 				{"data-mode overwrite", func() error {
-					a := attrs.At(0)
+					a := firstAttr(*attrs)
 					rewrite, err := h.putAttr(target, a.Name, nctype.Byte, make([]int8, len(a.Values)), false)
 					if err == nil && !rewrite {
 						err = fmt.Errorf("a data-mode overwrite does not ask for a header rewrite")
@@ -132,10 +132,10 @@ func TestCarvedListsNeverAlias(t *testing.T) {
 					return err
 				}},
 				{"rename", func() error {
-					_, err := h.renameAttr(target, attrs.At(0).Name, "renamed_attribute", true)
+					_, err := h.renameAttr(target, firstAttr(*attrs).Name, "renamed_attribute", true)
 					return err
 				}},
-				{"delete", func() error { return h.delAttr(target, attrs.At(0).Name) }},
+				{"delete", func() error { return h.delAttr(target, firstAttr(*attrs).Name) }},
 				{"Redef and a new attribute", func() error {
 					before := takeSnap(h)
 					old := h.clone()

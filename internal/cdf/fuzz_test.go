@@ -80,9 +80,7 @@ func listOf(version int, attrs ...Attr) AttrList {
 // attrsOf parses every attribute of l.
 func attrsOf(l AttrList) []Attr {
 	out := []Attr{}
-	for i := range l.Len() {
-		out = append(out, l.At(i))
-	}
+	l.Walk(func(a Attr) { out = append(out, a) })
 	return out
 }
 

@@ -282,8 +282,8 @@ func TestCloneIsDeep(t *testing.T) {
 	c := h.clone()
 	c.Dims[0].Len = 99
 	c.Vars[0].DimIDs[0] = 0
-	c.GAttrs.At(0).Values[0] = 'X'
-	if h.Dims[0].Len == 99 || h.Vars[0].DimIDs[0] == 0 || h.GAttrs.At(0).Values[0] == 'X' {
+	firstAttr(c.GAttrs).Values[0] = 'X'
+	if h.Dims[0].Len == 99 || h.Vars[0].DimIDs[0] == 0 || firstAttr(h.GAttrs).Values[0] == 'X' {
 		t.Fatal("clone shares memory with the original")
 	}
 	if !sameHeader(h.clone(), h) {
@@ -298,7 +298,17 @@ func newAttr(name string, t nctype.Type, value any) (Attr, error) {
 	if _, err := h.putAttr(GlobalID, name, t, value, true); err != nil {
 		return Attr{}, err
 	}
-	return h.GAttrs.At(0), nil
+	return firstAttr(h.GAttrs), nil
+}
+
+// firstAttr returns the first attribute of l, which must have one.
+func firstAttr(l AttrList) (first Attr) {
+	l.Walk(func(a Attr) {
+		if first.Name == "" {
+			first = a
+		}
+	})
+	return first
 }
 
 // sameHeader reports whether two headers describe the same dataset: the same
@@ -437,8 +447,11 @@ func TestSmallHelpers(t *testing.T) {
 	if h.FindDim("lon") != 1 || h.FindDim("absent") != -1 {
 		t.Fatal("FindDim wrong")
 	}
-	if h.GAttrs.Find("title") != 0 || h.GAttrs.Find("x") != -1 {
-		t.Fatal("Find wrong")
+	if _, _, i, ok := h.GAttrs.lookup("title"); !ok || i != 0 {
+		t.Fatal("lookup of the first attribute wrong")
+	}
+	if _, _, n, ok := h.GAttrs.lookup("x"); ok || n != h.GAttrs.Len() {
+		t.Fatal("lookup of a missing attribute wrong")
 	}
 	iss := layoutIssue{Var: "v", Desc: "broken"}
 	if iss.String() != `variable "v": broken` {

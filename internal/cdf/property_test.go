@@ -390,17 +390,17 @@ func checkAgainstModel(h *Header, m *refModel, attrs bool) error {
 
 // sameAttrs holds l to want, parsing it in place.
 func sameAttrs(l AttrList, want []refAttr) error {
-	off := 0
+	off, nn := 0, l.width()
 	for i, w := range want {
 		if off == len(l.xdr) {
 			return fmt.Errorf("%d attributes, want %d", i, len(want))
 		}
-		a := l.parse(off)
+		a := l.parse(off, nn)
 		if string(a.name) != w.name || a.typ != w.typ || a.nelems != int64(w.nelems) || string(a.values) != string(w.ext) {
 			return fmt.Errorf("attribute %d is %q %v of %d elements %x, want %q %v of %d %x",
 				i, a.name, a.typ, a.nelems, a.values, w.name, w.typ, w.nelems, w.ext)
 		}
-		if _, at, _ := l.lookup(w.name); at != off {
+		if _, at, _, _ := l.lookup(w.name); at != off {
 			return fmt.Errorf("attribute %q is found at byte %d, not %d", w.name, at, off)
 		}
 		off = a.next

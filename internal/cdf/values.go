@@ -49,7 +49,7 @@ func DecodeAttrValue(a Attr) (any, error) {
 func FillBytes(v *Var, n int64) []byte {
 	esz := int64(v.Type.Size())
 	one := make([]byte, esz)
-	if a, _, i := v.Attrs.lookup("_FillValue"); i >= 0 && a.typ == v.Type && a.nelems >= 1 {
+	if a, _, _, ok := v.Attrs.lookup("_FillValue"); ok && a.typ == v.Type && a.nelems >= 1 {
 		copy(one, a.values[:esz])
 	} else {
 		var enc []byte

@@ -32,7 +32,7 @@ func handleVals(v, r int) []int32 {
 // defineHandleVars defines two fixed variables and two record variables of
 // one shape each, [handleRanks*handleRows, handleCols], and ends define
 // mode. It returns the varids: fixed a, fixed b, record r, record s.
-func defineHandleVars(d onePathLib) ([4]int, error) {
+func defineHandleVars(d harnessLib) ([4]int, error) {
 	var ids [4]int
 	t, err := d.DefDim("t", 0)
 	if err != nil {

@@ -111,8 +111,9 @@ func layoutCfg(nranks int) flash.Config {
 // logical contents and the striping unit — not on how many ranks wrote it,
 // how many aggregators or rounds the collectives took, how many I/O servers
 // the file system has (and so how many aggregators a write takes by
-// default), or on hints the library no longer knows (retiredHints: the file
-// and the resolved hint set are what they are without them).
+// default), or on hints the library no longer knows (cb_partition and
+// cb_partition_buckets, which resolve to what their absence does:
+// mpiio.TestResolveHintsClamping).
 func TestDefaultLayoutIsFunctionOfSchema(t *testing.T) {
 	var want [32]byte
 	for i, tc := range []struct {
@@ -130,13 +131,13 @@ func TestDefaultLayoutIsFunctionOfSchema(t *testing.T) {
 		{8, [][2]string{{"cb_nodes", "8"}, {"cb_buffer_size", "8192"}}, 0}, // many rounds
 		{4, [][2]string{{"cb_nodes", "2"}, {"cb_buffer_size", "65536"}}, 0},
 		{8, [][2]string{{"cb_partition", "even"}}, 0},
-		{8, retiredHints, 0},
-		{4, [][2]string{retiredHints[0], {"cb_nodes", "2"}, {"cb_buffer_size", "8192"}}, 0},
+		{8, [][2]string{{"cb_partition", "balanced"}, {"cb_partition_buckets", "16"}}, 0},
+		{4, [][2]string{{"cb_partition", "balanced"}, {"cb_nodes", "2"}, {"cb_buffer_size", "8192"}}, 0},
 		{2, [][2]string{{"romio_cb_write", "disable"}}, 0},
 	} {
-		info, known := sweepHints(tc.hints)
-		if got, want := resolvedHints(t, tc.nranks, info), resolvedHints(t, tc.nranks, known); got != want {
-			t.Errorf("%d ranks, hints %v: resolved to %+v, without the retired ones to %+v", tc.nranks, tc.hints, got, want)
+		info := mpi.NewInfo()
+		for _, kv := range tc.hints {
+			info.Set(kv[0], kv[1])
 		}
 		fscfg := smallStripes()
 		if tc.servers != 0 {

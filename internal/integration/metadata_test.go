@@ -157,8 +157,9 @@ func driveMetadata(seed int64, steps int, d metaLib, reopen func() (metaLib, err
 			}
 			id, name := rng.Intn(len(h.Vars)), pool[rng.Intn(4)]
 			op = fmt.Sprintf("PutAttr %d %s", id, name)
-			isNew := h.Vars[id].Attrs.Find(name) < 0
-			err := d.PutAttr(id, name, nctype.Int, []int32{int32(step)})
+			_, _, err := d.(inqLib).GetAttr(id, name)
+			isNew := errors.Is(err, nctype.ErrNotAtt)
+			err = d.PutAttr(id, name, nctype.Int, []int32{int32(step)})
 			if !define && isNew {
 				if !errors.Is(err, nctype.ErrNotInDefine) {
 					return fmt.Errorf("seed %d step %d: %s in data mode: %v", seed, step, op, err)
@@ -172,7 +173,8 @@ func driveMetadata(seed int64, steps int, d metaLib, reopen func() (metaLib, err
 			}
 			id, name := rng.Intn(len(h.Vars)), pool[rng.Intn(4)]
 			op = fmt.Sprintf("DelAttr %d %s", id, name)
-			had := h.Vars[id].Attrs.Find(name) >= 0
+			_, _, err := d.(inqLib).GetAttr(id, name)
+			had := err == nil
 			if err := d.DelAttr(id, name); had != (err == nil) {
 				return fmt.Errorf("seed %d step %d: %s: %v", seed, step, op, err)
 			}

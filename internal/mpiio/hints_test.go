@@ -72,9 +72,18 @@ func TestResolveHintsClamping(t *testing.T) {
 		}
 
 		// Hints are advisory: a key this library does not know changes
-		// nothing.
-		if h = resolveHints(c, mpi.NewInfo().Set("no_such_hint", "1"), servers); h != def {
-			t.Errorf("an unknown hint changed the resolved set: %+v, want %+v", h, def)
+		// nothing, alone or beside known ones. cb_partition and
+		// cb_partition_buckets are keys an older version acted on, so job
+		// scripts still set them.
+		for _, unknown := range [][2]string{{"no_such_hint", "1"}, {"cb_partition", "balanced"}, {"cb_partition_buckets", "16"}} {
+			if h = resolveHints(c, mpi.NewInfo().Set(unknown[0], unknown[1]), servers); h != def {
+				t.Errorf("%s=%s changed the resolved set: %+v, want %+v", unknown[0], unknown[1], h, def)
+			}
+			known := mpi.NewInfo().Set("cb_nodes", "2").Set("cb_buffer_size", "8192")
+			want := resolveHints(c, known, servers)
+			if h = resolveHints(c, known.Set(unknown[0], unknown[1]), servers); h != want {
+				t.Errorf("%s=%s beside cb_nodes and cb_buffer_size: %+v, want %+v", unknown[0], unknown[1], h, want)
+			}
 		}
 		return nil
 	})

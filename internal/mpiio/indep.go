@@ -46,12 +46,14 @@ func (f *File) ReadAtInto(off, n int64, dst Sink) error {
 }
 
 // WriteAtFrom writes the n view-data bytes src supplies at view offset off
-// independently. Noncontiguous views use data sieving when enabled: each
-// covering window is read, filled from src in memory, and written back
-// under the file's read-modify-write lock — ROMIO's romio_ds_write
-// strategy. Otherwise src fills one pooled buffer of n bytes, written in one
-// request (see ReadAtInto). Either way each request is a write behind
-// (behind.go).
+// independently. With data sieving enabled, each covering window is read,
+// filled from src in memory, and written back under the file's
+// read-modify-write lock — ROMIO's romio_ds_write strategy — and a window of
+// one segment is written as it is, under the same lock, so that it cannot
+// land between another rank's read of a window and its write-back. Without
+// sieving no writer reads back, and src fills one pooled buffer of n bytes,
+// written in one request (see ReadAtInto). Either way each request is a
+// write behind (behind.go).
 func (f *File) WriteAtFrom(off, n int64, src Source) error {
 	if f.closed {
 		return ErrClosed
@@ -67,7 +69,7 @@ func (f *File) WriteAtFrom(off, n int64, src Source) error {
 		return err
 	}
 	t0 := f.comm.Clock()
-	if len(segs) <= 1 || !f.hints.DSWrite {
+	if len(segs) == 0 || !f.hints.DSWrite {
 		buf := bufpool.GetDirty(int(n))
 		defer bufpool.Put(buf)
 		src.Fill(buf, 0)
@@ -132,22 +134,22 @@ func (f *File) readWindow(run []pfs.Segment, pos int64, dst Sink) error {
 }
 
 // writeWindow writes run's bytes, which src supplies from view-data
-// position pos on, as a write behind (behind.go). A
-// run of one segment is a plain write. A longer run is a read-modify-write of
-// its covering extent under the file's range lock on exactly that extent, so
-// sieving writers to disjoint windows proceed in parallel.
+// position pos on, as a write behind (behind.go), under the file's range
+// lock on exactly its covering extent, so sieving writers to disjoint
+// windows proceed in parallel. A run of one segment is a plain write. A
+// longer run is a read-modify-write of its covering extent.
 func (f *File) writeWindow(run []pfs.Segment, pos int64, src Source) error {
 	lo, hi := cover(run)
 	win := bufpool.GetDirty(int(hi - lo))
 	defer bufpool.Put(win)
 	seg, iov := []pfs.Segment{{Off: lo, Len: hi - lo}}, [][]byte{win}
+	f.pf.LockRMW(lo, hi-lo)
+	defer f.pf.UnlockRMW(lo, hi-lo)
 	if len(run) == 1 {
 		src.Fill(win, pos)
 		_, err := f.writeBehind(seg, iov, hi-lo, -1)
 		return err
 	}
-	f.pf.LockRMW(lo, hi-lo)
-	defer f.pf.UnlockRMW(lo, hi-lo)
 	if err := f.read(seg, win); err != nil {
 		return err
 	}

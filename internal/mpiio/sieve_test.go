@@ -3,6 +3,7 @@ package mpiio
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"pnetcdf/internal/mpi"
@@ -50,6 +51,43 @@ func TestSievingWriteContention(t *testing.T) {
 						c.Rank(), b, i, raw[b*blockLen+i], want)
 				}
 			}
+		}
+		return f.Close()
+	})
+}
+
+// TestPlainWriteWaitsForSieveLock: with sieving on, a one-segment
+// independent write waits for a sieving writer's range lock. Rank 0 holds
+// the lock over a window, as a read-modify-write does between its read and
+// its write-back; rank 1's write into the window must not finish before
+// rank 0 lets go, or the write-back would cover it with the stale bytes.
+func TestPlainWriteWaitsForSieveLock(t *testing.T) {
+	fsys := testFS()
+	locked, written := make(chan struct{}), make(chan struct{})
+	runWorld(t, 2, func(c *mpi.Comm) error {
+		f, err := Open(c, fsys, "rmw", ModeRdWr|ModeCreate, nil)
+		if err != nil {
+			return err
+		}
+		if c.Rank() == 0 {
+			f.pf.LockRMW(0, 64)
+			close(locked)
+			for i := 0; i < 1000; i++ {
+				runtime.Gosched()
+			}
+			select {
+			case <-written:
+				err = fmt.Errorf("a one-segment write landed inside a window held for a read-modify-write")
+			default:
+			}
+			f.pf.UnlockRMW(0, 64)
+		} else {
+			<-locked
+			err = writeAt(f, 16, bytes.Repeat([]byte{'B'}, 16))
+			close(written)
+		}
+		if err != nil {
+			return err
 		}
 		return f.Close()
 	})

@@ -3,9 +3,11 @@
 # race-test, then the allocation pins without the race detector. The
 # default pass includes
 # the seed corpora of the native fuzz targets — FuzzDecode, the two-phase
-# wire decoders FuzzAssembleWrite/FuzzAssembleRead and the "blocking ≡
-# queued" property FuzzBlockingEquivalentToQueued — run as unit tests (seeds
-# and committed regression inputs only; no timed fuzzing in the gate), the
+# wire decoders FuzzAssembleWrite/FuzzAssembleRead and the serial-equivalence
+# harness FuzzBlockingEquivalentToQueued (one seeded program run at sampled
+# ranks, ways, memory layouts and hints against the serial library) — run as
+# unit tests (seeds and committed regression inputs only; no timed fuzzing in
+# the gate), the
 # concurrent sharded-lock PFS stress test under the race detector
 # (TestConcurrentShardedStress), and the source guards (DESIGN.md §9):
 # pfs.TestEveryMethodIsCharged (every byte charged and counted), and in the
