@@ -19,7 +19,8 @@ import (
 //
 // A header changes a list by appending to it in place or by making a new
 // one, never by writing over bytes the list already holds, so a copy of an
-// AttrList goes on reading as it did.
+// AttrList goes on reading as it did, and a list may be the bytes of the
+// buffer Decode read it from, or another header's.
 type AttrList struct {
 	xdr []byte
 }
@@ -140,10 +141,12 @@ func (h *Header) attrList(varid int) (*AttrList, error) {
 // nothing at the end of the list to append one. An append grows the list in
 // place when it was the last thing cut from h's slab and the slab has room,
 // so a variable's attributes, defined one after another, lie in one piece;
-// any other change makes a new list. A new list longer than half a slab
-// may take a slab of twice its length, so the appends after it grow in
-// place and a long list is not copied whole on every append. An error from
-// values leaves l as it was.
+// any other change makes a new list. So no change writes over a byte l
+// holds: a decoded list, the buffer's bytes, is never h's latest cut, and a
+// list h shares with a clone is grown only past the clone's copy's end. A
+// new list longer than half a slab may take a slab of twice its length, so
+// the appends after it grow in place and a long list is not copied whole on
+// every append. An error from values leaves l as it was.
 func (h *Header) setAttr(l *AttrList, at, end int, name string, t nctype.Type, n int, values func([]byte) ([]byte, error)) error {
 	size := int(2*nonNegSize(h.Version) + 4 + round4(int64(len(name))) + round4(int64(n*t.Size())))
 	w := headerWriter{version: h.Version}
@@ -179,13 +182,14 @@ func (h *Header) cutAttr(l *AttrList, at, end int) {
 	l.xdr = append(append(buf[:0], l.xdr[:at]...), l.xdr[end:]...)
 }
 
-// attrs reads an attribute list and copies it into h's slab. It checks
-// what parse relies on — names of 1 to MaxNameLen bytes, known types, values
-// within the buffer, null padding — and what the define methods hold every
-// list to: valid and unique names, types the version has. Validate does not
-// walk lists again. The copy is the list's own: it never aliases the buffer,
-// which the processes of an open may share.
-func (r *headerReader) attrs(h *Header) (AttrList, error) {
+// attrs reads an attribute list and returns it as the buffer holds it, cut
+// to its own capacity. It checks what parse relies on — names of 1 to
+// MaxNameLen bytes, known types, values within the buffer, null padding —
+// and what the define methods hold every list to: valid and unique names,
+// types the version has. Validate does not walk lists again. The list aliases
+// the buffer, which the processes of an open may share: no header writes
+// over bytes a list holds (setAttr), so reading it in place is safe.
+func (r *headerReader) attrs() (AttrList, error) {
 	n, err := r.tagList(nctype.TagAttribute)
 	if err != nil {
 		return AttrList{}, err
@@ -237,9 +241,7 @@ func (r *headerReader) attrs(h *Header) (AttrList, error) {
 	if n == 0 {
 		return AttrList{}, nil
 	}
-	xdr := h.lists.carve(r.pos-start, r.atMost(attrSlabLen, 1))
-	copy(xdr, r.buf[start:])
-	return AttrList{xdr: xdr}, nil
+	return AttrList{xdr: r.buf[start:r.pos:r.pos]}, nil
 }
 
 // nameSet finds a name an attribute list repeats: each of the first

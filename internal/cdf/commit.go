@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+
+	"pnetcdf/internal/bufpool"
 )
 
 // Crash-consistent header commit support: CommitHeader writes a header,
@@ -212,12 +214,21 @@ func RecoverJournal(img []byte) []byte {
 // recovered header's record count is clamped to what size can hold.
 //
 // blob is the image h was decoded from, exactly: the header's own bytes or
-// the journaled image, its numrecs clamped with h's. It is nil only when
-// read failed; on a decode error it is everything read from the front of
-// the file, so that a caller's peers can decode it to the same error. Unless
-// the header ends exactly at a probe step, it has room for one more byte: a
-// caller may append a status byte and hand the image on without copying it.
+// the journaled image, its numrecs clamped with h's. h's attribute lists
+// alias it, as Decode's alias their buffer, so the caller must not write it
+// while h lives. A header the first probe holds comes back in a buffer of
+// its own size, so an open dataset does not keep the probe alive. blob is
+// nil only when read failed; on a decode error it is everything read from
+// the front of the file, so that a caller's peers can decode it to the same
+// error. Unless the header ends exactly at a probe step, it has room for
+// one more byte: a caller may append a status byte and hand the image on
+// without copying it.
 func ReadHeader(size int64, read func(buf []byte, off int64) error) (h *Header, blob []byte, recovered bool, err error) {
+	// The first probe is a bufpool buffer and goes back to the pool: a
+	// header it holds is copied out, its lists moved to the copy (listsAt),
+	// and a longer probe copies its bytes.
+	var first []byte
+	defer func() { bufpool.Put(first) }()
 	bound, predicted := int64(0), int64(0)
 	for step := int64(64 << 10); ; {
 		held := int64(len(blob))
@@ -233,15 +244,30 @@ func ReadHeader(size int64, read func(buf []byte, off int64) error) (h *Header, 
 		if end == bound || end == size {
 			room++
 		}
-		grown := make([]byte, end, room)
-		copy(grown, blob)
+		var grown []byte
+		if held == 0 {
+			first = bufpool.GetDirty(int(end))
+			grown = first
+		} else {
+			grown = make([]byte, end, room)
+			copy(grown, blob)
+		}
 		if rerr := read(grown[held:], held); rerr != nil {
 			return nil, nil, false, rerr
 		}
 		blob = grown
 		var r headerReader
 		if h, err = r.decode(blob); err == nil {
-			return h, blob[:r.pos], false, nil
+			img := blob[:r.pos]
+			if held == 0 {
+				img = append(make([]byte, 0, len(img)+1), img...)
+				h.listsAt(func(l *AttrList, off int64) {
+					if n := off + int64(len(l.xdr)); n > off {
+						l.xdr = img[off:n:n]
+					}
+				})
+			}
+			return h, img, false, nil
 		}
 		if end >= size || !errors.Is(err, errTruncated) {
 			break
@@ -262,6 +288,9 @@ func ReadHeader(size int64, read func(buf []byte, off int64) error) (h *Header, 
 			}
 			return jh, img, true, nil
 		}
+	}
+	if len(blob) == len(first) {
+		first = nil // it is blob, which goes to the caller
 	}
 	return nil, blob, false, err
 }

@@ -26,8 +26,8 @@ type headerReader struct {
 	nvars, varsAt, varsEnd int64
 	done                   int64
 
-	// names is where names are cut from; lists are cut from the slabs of
-	// the header being read.
+	// names is where names are cut from; dimension-ID lists are cut from
+	// the slab of the header being read.
 	names stringSlab
 	// attrNames holds the names of the attribute list being read.
 	attrNames nameSet
@@ -167,7 +167,10 @@ func (r *headerReader) predictEnd() int64 {
 }
 
 // Decode parses an on-disk header image. The buffer must contain at least
-// the complete header; trailing bytes (data) are ignored.
+// the complete header; trailing bytes (data) are ignored. The header keeps
+// reading buf — its attribute lists are buf's bytes — so the caller must not
+// write to the bytes of the header in buf while the header lives; past its
+// end it may.
 func Decode(buf []byte) (*Header, error) {
 	var r headerReader
 	return r.decode(buf)
@@ -211,7 +214,7 @@ func (r *headerReader) decode(buf []byte) (*Header, error) {
 		h.Dims = append(h.Dims, d)
 	}
 	// gatt_list
-	if h.GAttrs, err = r.attrs(h); err != nil {
+	if h.GAttrs, err = r.attrs(); err != nil {
 		return nil, err
 	}
 	// var_list
@@ -250,7 +253,7 @@ func (r *headerReader) decode(buf []byte) (*Header, error) {
 			}
 			v.DimIDs[j] = int(id)
 		}
-		if v.Attrs, err = r.attrs(h); err != nil {
+		if v.Attrs, err = r.attrs(); err != nil {
 			return nil, err
 		}
 		t, err := r.uint32()

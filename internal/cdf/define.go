@@ -16,11 +16,11 @@ import (
 // GlobalID addresses the dataset itself in attribute calls (NC_GLOBAL).
 const GlobalID = -1
 
-// Slab ceilings. A header cuts its dimension-ID lists and attribute lists
-// from a few shared arrays (arena), and Decode cuts names from shared
-// buffers (stringSlab). A new one is as large as all cut before it, but no
-// larger than these, so what a header can strand at the end of its slabs
-// stays small next to what it holds.
+// Slab ceilings. A header cuts its dimension-ID lists and the attribute
+// lists it defines from a few shared arrays (arena), and Decode cuts names
+// from shared buffers (stringSlab). A new one is as large as all cut before
+// it, but no larger than these, so what a header can strand at the end of
+// its slabs stays small next to what it holds.
 const (
 	listSlabLen = 1024     // elements of a dimension-ID slab
 	attrSlabLen = 16 << 10 // bytes of an attribute-list slab

@@ -1,6 +1,7 @@
 package cdf
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
 	"testing"
@@ -95,18 +96,39 @@ func attrsEqual(a, b []Attr) bool {
 
 // TestCarvedListsNeverAlias: lists cut from one slab lie side by side, so
 // each must be cut to its own capacity, and an attribute list grows in place
-// only into free space. On a header built by define calls, on the same
-// header decoded, and on a clone of it, every change the libraries make to
-// one variable's lists — an append to its dimension IDs, a new attribute, a
-// data-mode overwrite, a rename, a delete, and Redef (a clone) followed by a
-// new attribute — leaves every other variable's IDs and attributes as they
-// were, a copy of the changed list reading as it did, and the clone Redef
-// keeps as it was taken.
+// only into free space; a decoded list is the image's bytes, and a clone
+// shares its header's lists, so no change may write over a list. On a header
+// built by define calls, on the same header decoded, and on a clone of it,
+// every change the libraries make to one variable's lists — a data-mode
+// overwrite (first, while a decoded list is still the image's bytes), a new
+// attribute, a data-mode overwrite again, a rename, a delete, Redef (a clone)
+// followed by a new attribute, and an append to its dimension IDs — leaves
+// every other variable's IDs and attributes as they were, a copy of the
+// changed list reading as it did, the clone Redef keeps as it was taken, and
+// both the image and a sibling header decoded from it as they were: the
+// sibling reads and encodes as before.
 func TestCarvedListsNeverAlias(t *testing.T) {
 	built := definedHeader(t, 300)
-	dec, err := Decode(built.Encode())
+	img := built.Encode()
+	pristine := slices.Clone(img)
+	dec, err := Decode(img)
 	if err != nil {
 		t.Fatal(err)
+	}
+	sibling, err := Decode(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Encode copies every list, so a sibling that encodes as the image
+	// reads as it did too.
+	unshared := func() error {
+		if !bytes.Equal(img, pristine) {
+			return fmt.Errorf("the decoded image changed")
+		}
+		if !bytes.Equal(sibling.Encode(), pristine) {
+			return fmt.Errorf("the sibling decoded from the image encodes differently")
+		}
+		return nil
 	}
 	for _, tc := range []struct {
 		name string
@@ -115,22 +137,28 @@ func TestCarvedListsNeverAlias(t *testing.T) {
 		h := tc.h
 		for target := GlobalID; target < len(h.Vars); target++ {
 			attrs, _ := h.attrList(target)
+			overwrite := func() error {
+				a := firstAttr(*attrs)
+				if a.Name == "" {
+					return nil // no attribute yet; the overwrite after "a new attribute" has one
+				}
+				rewrite, err := h.putAttr(target, a.Name, nctype.Byte, make([]int8, len(a.Values)), false)
+				if err == nil && !rewrite {
+					err = fmt.Errorf("a data-mode overwrite does not ask for a header rewrite")
+				}
+				return err
+			}
 			changes := []struct {
 				what string
 				do   func() error
 			}{
+				// First, while a decoded list is still the image's bytes.
+				{"data-mode overwrite", overwrite},
 				{"a new attribute", func() error {
 					_, err := h.putAttr(target, "appended", nctype.Byte, int8(-18), true)
 					return err
 				}},
-				{"data-mode overwrite", func() error {
-					a := firstAttr(*attrs)
-					rewrite, err := h.putAttr(target, a.Name, nctype.Byte, make([]int8, len(a.Values)), false)
-					if err == nil && !rewrite {
-						err = fmt.Errorf("a data-mode overwrite does not ask for a header rewrite")
-					}
-					return err
-				}},
+				{"data-mode overwrite after a new attribute", overwrite},
 				{"rename", func() error {
 					_, err := h.renameAttr(target, firstAttr(*attrs).Name, "renamed_attribute", true)
 					return err
@@ -163,6 +191,9 @@ func TestCarvedListsNeverAlias(t *testing.T) {
 				}
 				if err == nil && !attrsEqual(was, attrsOf(copied)) {
 					err = fmt.Errorf("a copy of the changed list no longer reads as it did")
+				}
+				if err == nil {
+					err = unshared()
 				}
 				if err != nil {
 					t.Fatalf("%s header, variable %d, %s: %v", tc.name, target, c.what, err)

@@ -173,12 +173,21 @@ func (h *Header) EncodeNumRecs() []byte {
 // EncodedSize returns the exact byte length Encode will produce, without
 // allocating the encoding. Layout computation needs this to place the first
 // variable.
-func (h *Header) EncodedSize() int64 {
+func (h *Header) EncodedSize() int64 { return h.listsAt(nil) }
+
+// listsAt returns the byte length of h's encoding and, when at is not nil,
+// calls it with each attribute list and the offset of the list's bytes in
+// the encoding — in an image h was decoded from, too, since every field
+// before a list has a size its value fixes.
+func (h *Header) listsAt(at func(l *AttrList, off int64)) int64 {
 	nn := nonNegSize(h.Version)
 	size := int64(4) + nn // magic + numrecs
 	size += 4 + nn        // dim_list tag+nelems
 	for _, d := range h.Dims {
 		size += nn + round4(int64(len(d.Name))) + nn
+	}
+	if at != nil {
+		at(&h.GAttrs, size+4+nn)
 	}
 	size += attrsEncodedSize(h.GAttrs, nn)
 	size += 4 + nn // var_list tag+nelems
@@ -186,6 +195,9 @@ func (h *Header) EncodedSize() int64 {
 		v := &h.Vars[i]
 		size += nn + round4(int64(len(v.Name)))
 		size += nn + int64(len(v.DimIDs))*nn
+		if at != nil {
+			at(&v.Attrs, size+4+nn)
+		}
 		size += attrsEncodedSize(v.Attrs, nn)
 		size += 4 + nn + offsetSize(h.Version)
 	}

@@ -119,13 +119,16 @@ func (f *Front) InqDim(dimid int) (string, int64, error) {
 	return dim.Name, dim.Len, nil
 }
 
-// InqVar returns a variable's name, type and dimension IDs.
+// InqVar returns a variable's name, type and dimension IDs. The IDs are the
+// list the header keeps, cut to its length: the caller must not write to it,
+// and it reads the same for as long as the header lives.
 func (f *Front) InqVar(varid int) (string, nctype.Type, []int, error) {
 	v, err := f.Hdr.VarByID(varid)
 	if err != nil {
 		return "", 0, nil, err
 	}
-	return v.Name, v.Type, append([]int(nil), v.DimIDs...), nil
+	n := len(v.DimIDs)
+	return v.Name, v.Type, v.DimIDs[:n:n], nil
 }
 
 // VarShape returns a variable's current dimension lengths (the record

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 
 	"pnetcdf/internal/nctype"
@@ -280,5 +282,21 @@ func FuzzDecode(f *testing.F) {
 		}
 		_ = h.FileSize()
 		_ = h.RecSize()
+		// The header reads data in place, and no define change writes over
+		// it: a new attribute and a deleted one leave the input as it was.
+		input := slices.Clone(data)
+		if _, err := h.putAttr(GlobalID, "fuzz_added", nctype.Char, "x", true); err != nil && !errors.Is(err, nctype.ErrMaxAttrs) {
+			t.Fatalf("define-mode PutAttr on a decoded header: %v", err)
+		}
+		for varid := GlobalID; varid < min(len(h.Vars), 4); varid++ {
+			if l, _ := h.attrList(varid); l.Len() > 0 {
+				if err := h.delAttr(varid, firstAttr(*l).Name); err != nil {
+					t.Fatalf("DelAttr on a decoded header: %v", err)
+				}
+			}
+		}
+		if !bytes.Equal(data, input) {
+			t.Fatalf("a define change to the decoded header wrote into its input")
+		}
 	})
 }

@@ -52,11 +52,13 @@ type Var struct {
 // libraries change a header through the define methods (define.go), which
 // keep the name indexes behind FindDim and FindVar current.
 //
-// A header cuts its dimension-ID lists and attribute lists from slabs it
-// owns. Each list is cut to its own capacity, so appending to one never
-// reaches another. A Header must not be copied by value: the copy would
-// share the slabs' free space, and the two would hand the same elements out
-// twice. clone makes an independent header.
+// A header cuts the dimension-ID lists and attribute lists it defines from
+// slabs it owns; Decode's attribute lists are the decoded buffer's bytes.
+// Each list is cut to its own capacity, so appending to one never reaches
+// another, and no header writes over the elements of a list it holds, so
+// headers may share lists. A Header must not be copied by value: the copy
+// would share the slabs' free space, and the two would hand the same
+// elements out twice. clone makes a header that changes independently.
 type Header struct {
 	// Version is 1 (CDF-1), 2 (CDF-2) or 5 (CDF-5).
 	Version int
@@ -177,37 +179,16 @@ func (h *Header) RecSize() int64 {
 	return total
 }
 
-// clone returns a deep copy of the header (Redef keeps one to relocate data
-// from). Its lists are copied into slabs of its own, each made once at
-// exactly the size it needs.
+// clone returns a copy of the header that Redef keeps to relocate data
+// from. It copies Dims, Vars and the name indexes, and shares every
+// dimension-ID and attribute list with h: no header writes over the elements
+// of a list it holds (setAttr), so neither header's changes reach the other.
 func (h *Header) clone() *Header {
-	nids, nbytes := 0, len(h.GAttrs.xdr)
-	for i := range h.Vars {
-		nids += len(h.Vars[i].DimIDs)
-		nbytes += len(h.Vars[i].Attrs.xdr)
+	return &Header{
+		Version: h.Version, NumRecs: h.NumRecs, GAttrs: h.GAttrs,
+		Dims: slices.Clone(h.Dims), Vars: slices.Clone(h.Vars),
+		dimIdx: h.dimIdx.clone(), varIdx: h.varIdx.clone(),
 	}
-	c := &Header{Version: h.Version, NumRecs: h.NumRecs, Dims: slices.Clone(h.Dims)}
-	c.ids.slab = make([]int, nids)
-	c.lists.slab = make([]byte, nbytes)
-	c.GAttrs.xdr = cloneInto(&c.lists, h.GAttrs.xdr)
-	c.Vars = make([]Var, len(h.Vars))
-	for i, v := range h.Vars {
-		v.DimIDs = cloneInto(&c.ids, v.DimIDs)
-		v.Attrs.xdr = cloneInto(&c.lists, v.Attrs.xdr)
-		c.Vars[i] = v
-	}
-	c.dimIdx, c.varIdx = h.dimIdx.clone(), h.varIdx.clone()
-	return c
-}
-
-// cloneInto copies s into a slice carved from a; nil stays nil.
-func cloneInto[T any](a *arena[T], s []T) []T {
-	if s == nil {
-		return nil
-	}
-	out := a.carve(len(s), len(s))
-	copy(out, s)
-	return out
 }
 
 // Validate checks structural invariants: name validity and uniqueness, at

@@ -277,17 +277,34 @@ func TestCheckName(t *testing.T) {
 	}
 }
 
+// TestCloneIsDeep: a clone copies what a header writes in place — its
+// dimensions, its variables and the name indexes — and shares the lists,
+// which no header writes over. A change to the clone, through the define
+// methods or to an entry of Dims or Vars, leaves the original as it was, and
+// the clone encodes as the original did.
 func TestCloneIsDeep(t *testing.T) {
 	h := simpleHeader(t, 1)
+	want := h.Encode()
 	c := h.clone()
-	c.Dims[0].Len = 99
-	c.Vars[0].DimIDs[0] = 0
-	firstAttr(c.GAttrs).Values[0] = 'X'
-	if h.Dims[0].Len == 99 || h.Vars[0].DimIDs[0] == 0 || firstAttr(h.GAttrs).Values[0] == 'X' {
-		t.Fatal("clone shares memory with the original")
-	}
-	if !sameHeader(h.clone(), h) {
+	if !sameHeader(c, h) {
 		t.Fatal("clone encodes differently from the original")
+	}
+	c.Dims[0].Len = 99
+	c.Vars[0].Begin = 1
+	if _, err := c.renameVar(0, "renamed", true); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.putAttr(GlobalID, "title", nctype.Char, "X", false); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.putAttr(1, "units", nctype.Char, "m", true); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.delAttr(GlobalID, "title"); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(h.Encode(), want) || h.FindVar("renamed") >= 0 || h.FindVar("temp") != 0 {
+		t.Fatal("a change to the clone reached the original")
 	}
 }
 

@@ -450,6 +450,30 @@ func TestReadHeaderProbes(t *testing.T) {
 		if want, _ := Decode(tc.img); !sameHeader(h, want) {
 			t.Fatalf("%s: decoded a different header", tc.name)
 		}
+		// A header the first probe holds comes back in a buffer of its own
+		// size and the status byte's room, and h's lists are the image's
+		// bytes: its first and last are checked.
+		if f.calls == 1 && cap(blob) != len(blob)+1 {
+			t.Fatalf("%s: a header of %d bytes comes back in a buffer of %d", tc.name, len(blob), cap(blob))
+		}
+		first, last := h.GAttrs.xdr, h.GAttrs.xdr
+		for i := range h.Vars {
+			if l := h.Vars[i].Attrs.xdr; len(l) > 0 {
+				if len(first) == 0 {
+					first = l
+				}
+				last = l
+			}
+		}
+		for _, l := range [][]byte{first, last} {
+			in := len(l) == 0
+			for i := 0; i < len(blob) && !in; i++ {
+				in = &blob[i] == &l[0]
+			}
+			if !in {
+				t.Fatalf("%s: a list of the header is not in the image handed back", tc.name)
+			}
+		}
 		calls, bytes := restartingProbe(int64(len(tc.img)), tc.size)
 		if tc.predicted {
 			bytes *= 4

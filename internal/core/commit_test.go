@@ -7,8 +7,10 @@ import (
 	"strings"
 	"testing"
 
+	"pnetcdf/internal/cdf"
 	"pnetcdf/internal/fault"
 	"pnetcdf/internal/iostat"
+	"pnetcdf/internal/metashape"
 	"pnetcdf/internal/mpi"
 	"pnetcdf/internal/nctype"
 	"pnetcdf/internal/netcdf"
@@ -241,5 +243,105 @@ func TestEndDefFillFailureIsCollective(t *testing.T) {
 			return fmt.Errorf("rank %d: EndDef = %v, want %v", c.Rank(), err, want)
 		}
 		return nil
+	})
+}
+
+// TestOpenSharesTheImage: the ranks of an open share the one header image the
+// root read and broadcast, and the attribute lists Decode returns are its
+// bytes. Every rank of an 8-rank open of the 4096-variable metadata file
+// makes the same attribute changes — data-mode overwrites and renames within
+// the padding, which take as many bytes as what they replace, then Redef,
+// deletes and EndDef — and none may write into a list it holds: under -race
+// such a write into the shared image is a race between the ranks. The file
+// then reopens, on every rank, to the serial library's bytes after the same
+// changes.
+func TestOpenSharesTheImage(t *testing.T) {
+	const ranks, nvars = 8, 4096
+	shape := metashape.New(nvars, 1)
+	type changer interface {
+		PutAttr(varid int, name string, t nctype.Type, value any) error
+		RenameAttr(varid int, oldName, newName string) error
+		DelAttr(varid int, name string) error
+		Redef() error
+		EndDef() error
+	}
+	varids := []int{GlobalID, 0, nvars / 2, nvars - 1}
+	change := func(d changer) error {
+		for _, v := range varids {
+			var err error
+			if v == GlobalID {
+				err = errors.Join(
+					d.PutAttr(v, "history_1", nctype.Char, "overwritten within the pad"),
+					d.RenameAttr(v, "history_2", "renamed_2"))
+			} else {
+				err = errors.Join(
+					d.PutAttr(v, "units", nctype.Char, "m s-1"),
+					d.RenameAttr(v, "scale_factor", "scale_fac"))
+			}
+			if err != nil {
+				return err
+			}
+		}
+		if err := d.Redef(); err != nil {
+			return err
+		}
+		for _, v := range varids {
+			name := "units"
+			if v == GlobalID {
+				name = "history_0"
+			}
+			if err := d.DelAttr(v, name); err != nil {
+				return err
+			}
+		}
+		return d.EndDef()
+	}
+
+	fsys := testFS()
+	runWorld(t, ranks, func(c *mpi.Comm) error {
+		d, err := Create(c, fsys, "shared.nc", nctype.Bit64Offset, nil)
+		if err != nil {
+			return err
+		}
+		return errors.Join(shape.Define(d), d.Close())
+	})
+	runWorld(t, ranks, func(c *mpi.Comm) error {
+		d, err := Open(c, fsys, "shared.nc", nctype.Write, nil)
+		if err != nil {
+			return err
+		}
+		return errors.Join(change(d), d.Close())
+	})
+
+	ms := &netcdf.MemStore{}
+	s, err := netcdf.Create(ms, nctype.Bit64Offset)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := errors.Join(shape.Define(s), s.Close()); err != nil {
+		t.Fatal(err)
+	}
+	if s, err = netcdf.Open(ms, nctype.Write); err != nil {
+		t.Fatal(err)
+	}
+	if err := errors.Join(change(s), s.Close()); err != nil {
+		t.Fatal(err)
+	}
+	if got := readAll(t, fsys, "shared.nc"); !bytes.Equal(got, ms.Data) {
+		t.Fatalf("the changed file (%d bytes) differs from the serial library's (%d bytes)", len(got), len(ms.Data))
+	}
+	want, err := cdf.Decode(ms.Data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runWorld(t, ranks, func(c *mpi.Comm) error {
+		d, err := Open(c, fsys, "shared.nc", nctype.NoWrite, nil)
+		if err != nil {
+			return err
+		}
+		if !bytes.Equal(d.Header().Encode(), want.Encode()) {
+			return fmt.Errorf("rank %d reopened another header than the serial library wrote", c.Rank())
+		}
+		return d.Close()
 	})
 }

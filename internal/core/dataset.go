@@ -157,8 +157,8 @@ func open(comm *mpi.Comm, fsys *pfs.FS, path string, omode int, info *mpi.Info) 
 	// commit journal when the in-place header is torn) and broadcasts it
 	// followed by a status byte, so a root-side read failure is a collective
 	// error rather than a hang. The byte goes into the room ReadHeader leaves
-	// after the image, and the broadcast takes the buffer over as it was
-	// read: the root copies the image only when no room was left.
+	// after the image, and the broadcast takes over the buffer ReadHeader
+	// hands back: the root copies the image only when no room was left.
 	var hdr *cdf.Header
 	var blob []byte
 	var herr error // this rank's failure to read or decode the header
