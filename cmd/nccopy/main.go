@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"os"
 
+	"pnetcdf/internal/cdf"
 	"pnetcdf/internal/cmdutil"
 	"pnetcdf/internal/nctype"
 	"pnetcdf/internal/netcdf"
@@ -166,39 +167,10 @@ func copyVarData(src, dst *netcdf.Dataset, varid int) error {
 	if n == 0 {
 		return nil
 	}
-	buf, err := netcdf.MakeLike(bufferFor(typ), n)
-	if err != nil {
-		return err
-	}
+	buf := cdf.NewSlice(typ, n)
 	if err := src.GetVar(varid, buf); err != nil {
 		return err
 	}
 	start := make([]int64, len(shape))
 	return dst.PutVara(varid, start, shape, buf)
-}
-
-// bufferFor returns a zero-length slice of the natural Go type for t.
-func bufferFor(t nctype.Type) any {
-	switch t {
-	case nctype.Char, nctype.UByte:
-		return []uint8{}
-	case nctype.Byte:
-		return []int8{}
-	case nctype.Short:
-		return []int16{}
-	case nctype.UShort:
-		return []uint16{}
-	case nctype.Int:
-		return []int32{}
-	case nctype.UInt:
-		return []uint32{}
-	case nctype.Float:
-		return []float32{}
-	case nctype.Int64:
-		return []int64{}
-	case nctype.UInt64:
-		return []uint64{}
-	default:
-		return []float64{}
-	}
 }

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"testing"
 
+	"pnetcdf/internal/cdf"
 	"pnetcdf/internal/nctype"
 	"pnetcdf/internal/netcdf"
 )
@@ -87,8 +88,7 @@ func sameContent(a, b *netcdf.Dataset) error {
 		for _, s := range shape {
 			n *= s
 		}
-		da, _ := netcdf.MakeLike(bufferFor(va.Type), n)
-		db, _ := netcdf.MakeLike(bufferFor(va.Type), n)
+		da, db := cdf.NewSlice(va.Type, n), cdf.NewSlice(va.Type, n)
 		if err := a.GetVar(i, da); err != nil {
 			return err
 		}

@@ -13,8 +13,11 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 
 	"pnetcdf/internal/cdf"
@@ -40,7 +43,7 @@ func main() {
 	cmdutil.Fatal("ncdump", f.Close())
 }
 
-func dump(w *os.File, d *netcdf.Dataset, name string, withData bool) error {
+func dump(w io.Writer, d *netcdf.Dataset, name string, withData bool) error {
 	h := d.Header()
 	fmt.Fprintf(w, "netcdf %s {\n", name)
 	if len(h.Dims) > 0 {
@@ -97,58 +100,29 @@ func attrCDL(a cdf.Attr) string {
 	if a.Type == nctype.Char {
 		return fmt.Sprintf("%q", string(val.([]byte)))
 	}
-	return joinNumbers(val)
+	return joinNumbers(val, cdlSuffix[a.Type], math.MaxInt)
 }
 
-func joinNumbers(val any) string {
-	var parts []string
-	add := func(s string) { parts = append(parts, s) }
-	switch vs := val.(type) {
-	case []int8:
-		for _, v := range vs {
-			add(fmt.Sprintf("%db", v))
-		}
-	case []int16:
-		for _, v := range vs {
-			add(fmt.Sprintf("%ds", v))
-		}
-	case []int32:
-		for _, v := range vs {
-			add(fmt.Sprintf("%d", v))
-		}
-	case []int64:
-		for _, v := range vs {
-			add(fmt.Sprintf("%dL", v))
-		}
-	case []uint8:
-		for _, v := range vs {
-			add(fmt.Sprintf("%dub", v))
-		}
-	case []uint16:
-		for _, v := range vs {
-			add(fmt.Sprintf("%dus", v))
-		}
-	case []uint32:
-		for _, v := range vs {
-			add(fmt.Sprintf("%du", v))
-		}
-	case []uint64:
-		for _, v := range vs {
-			add(fmt.Sprintf("%dull", v))
-		}
-	case []float32:
-		for _, v := range vs {
-			add(fmt.Sprintf("%gf", v))
-		}
-	case []float64:
-		for _, v := range vs {
-			add(fmt.Sprintf("%g", v))
-		}
+// cdlSuffix types an attribute's numbers in CDL: ncgen reads a bare integer
+// as an int and a bare real as a double, and a lone L as an int too.
+var cdlSuffix = map[nctype.Type]string{
+	nctype.Byte: "b", nctype.Short: "s", nctype.Float: "f",
+	nctype.UByte: "ub", nctype.UShort: "us", nctype.UInt: "u",
+	nctype.Int64: "LL", nctype.UInt64: "ULL",
+}
+
+// joinNumbers formats the first limit numbers of val, a numeric slice, each
+// followed by suffix.
+func joinNumbers(val any, suffix string, limit int) string {
+	rv := reflect.ValueOf(val)
+	parts := make([]string, min(rv.Len(), limit))
+	for i := range parts {
+		parts[i] = fmt.Sprint(rv.Index(i)) + suffix
 	}
 	return strings.Join(parts, ", ")
 }
 
-func dumpVarData(w *os.File, d *netcdf.Dataset, varid int) error {
+func dumpVarData(w io.Writer, d *netcdf.Dataset, varid int) error {
 	h := d.Header()
 	v := &h.Vars[varid]
 	shape := h.VarShape(v)
@@ -167,31 +141,7 @@ func dumpVarData(w *os.File, d *netcdf.Dataset, varid int) error {
 		shown = maxShown
 		truncated = true
 	}
-	var buf any
-	switch v.Type {
-	case nctype.Char:
-		buf = make([]byte, n)
-	case nctype.Byte:
-		buf = make([]int8, n)
-	case nctype.Short:
-		buf = make([]int16, n)
-	case nctype.Int:
-		buf = make([]int32, n)
-	case nctype.Float:
-		buf = make([]float32, n)
-	case nctype.Double:
-		buf = make([]float64, n)
-	case nctype.UByte:
-		buf = make([]uint8, n)
-	case nctype.UShort:
-		buf = make([]uint16, n)
-	case nctype.UInt:
-		buf = make([]uint32, n)
-	case nctype.Int64:
-		buf = make([]int64, n)
-	case nctype.UInt64:
-		buf = make([]uint64, n)
-	}
+	buf := cdf.NewSlice(v.Type, n)
 	if err := d.GetVar(varid, buf); err != nil {
 		return err
 	}
@@ -199,7 +149,7 @@ func dumpVarData(w *os.File, d *netcdf.Dataset, varid int) error {
 	if v.Type == nctype.Char {
 		fmt.Fprintf(w, "%q", string(truncateBytes(buf.([]byte), int(shown))))
 	} else {
-		fmt.Fprint(w, joinNumbersN(buf, int(shown)))
+		fmt.Fprint(w, joinNumbers(buf, "", int(shown)))
 	}
 	if truncated {
 		fmt.Fprintf(w, ", ... (%d values total)", n)
@@ -213,56 +163,4 @@ func truncateBytes(b []byte, n int) []byte {
 		return b[:n]
 	}
 	return b
-}
-
-func joinNumbersN(val any, n int) string {
-	var parts []string
-	add := func(s string) {
-		if len(parts) < n {
-			parts = append(parts, s)
-		}
-	}
-	switch vs := val.(type) {
-	case []int8:
-		for _, v := range vs {
-			add(fmt.Sprintf("%d", v))
-		}
-	case []int16:
-		for _, v := range vs {
-			add(fmt.Sprintf("%d", v))
-		}
-	case []int32:
-		for _, v := range vs {
-			add(fmt.Sprintf("%d", v))
-		}
-	case []int64:
-		for _, v := range vs {
-			add(fmt.Sprintf("%d", v))
-		}
-	case []uint8:
-		for _, v := range vs {
-			add(fmt.Sprintf("%d", v))
-		}
-	case []uint16:
-		for _, v := range vs {
-			add(fmt.Sprintf("%d", v))
-		}
-	case []uint32:
-		for _, v := range vs {
-			add(fmt.Sprintf("%d", v))
-		}
-	case []uint64:
-		for _, v := range vs {
-			add(fmt.Sprintf("%d", v))
-		}
-	case []float32:
-		for _, v := range vs {
-			add(fmt.Sprintf("%g", v))
-		}
-	case []float64:
-		for _, v := range vs {
-			add(fmt.Sprintf("%g", v))
-		}
-	}
-	return strings.Join(parts, ", ")
 }

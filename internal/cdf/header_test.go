@@ -538,11 +538,31 @@ func TestFillBytesDefaultsAndCustom(t *testing.T) {
 	if got[0] != -5 || got[1] != -5 {
 		t.Fatalf("custom fill = %v", got[:2])
 	}
-	// Every default type produces the right width.
-	for _, tp := range []nctype.Type{nctype.Byte, nctype.Char, nctype.Short, nctype.Int, nctype.Double, nctype.Int64} {
-		w := &Var{Name: "w", Type: tp}
-		if len(FillBytes(w, 4)) != 4*tp.Size() {
-			t.Fatalf("fill width for %v", tp)
+	// Every type's default is netCDF's NC_FILL_* value.
+	defaults := []struct {
+		typ  nctype.Type
+		want any
+	}{
+		{nctype.Byte, []int8{-127}},
+		{nctype.Char, []byte{0}},
+		{nctype.Short, []int16{-32767}},
+		{nctype.Int, []int32{-2147483647}},
+		{nctype.Float, []float32{9.9692099683868690e+36}},
+		{nctype.Double, []float64{9.9692099683868690e+36}},
+		{nctype.UByte, []uint8{255}},
+		{nctype.UShort, []uint16{65535}},
+		{nctype.UInt, []uint32{4294967295}},
+		{nctype.Int64, []int64{-9223372036854775806}},
+		{nctype.UInt64, []uint64{18446744073709551614}},
+	}
+	for _, c := range defaults {
+		one, err := EncodeSlice(nil, c.typ, c.want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := FillBytes(&Var{Name: "w", Type: c.typ}, 4)
+		if !bytes.Equal(got, bytes.Repeat(one, 4)) {
+			t.Fatalf("default fill of %v = % x, want 4 of % x", c.typ, got, one)
 		}
 	}
 }

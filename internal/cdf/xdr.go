@@ -1,7 +1,6 @@
 package cdf
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -25,85 +24,25 @@ type number interface {
 // the supported numeric slice types, or []byte/string when t is Char.
 // Numeric values are converted with C-style truncation; out-of-range values
 // yield ErrRange but are still written (wrapped), matching netCDF semantics.
-// DecodeSlice converts and reports the same way.
-// A contiguous buffer is a single-run case of EncodeSegs, so the identity
-// fast paths apply here too.
+// DecodeSlice converts and reports the same way. A contiguous buffer is
+// EncodeSegs with one run.
 func EncodeSlice(dst []byte, t nctype.Type, src any) ([]byte, error) {
-	if t == nctype.Char {
-		switch s := src.(type) {
-		case []byte:
-			return append(dst, s...), nil
-		case string:
-			return append(dst, s...), nil
-		}
-		return dst, fmt.Errorf("%w: memory type %T with external char", nctype.ErrTypeMismatch, src)
-	}
 	n := SliceLen(src)
 	if n < 0 {
 		return dst, fmt.Errorf("%w: unsupported memory type %T", nctype.ErrTypeMismatch, src)
 	}
-	return EncodeSegs(dst, t, src, []mpitype.Segment{{Off: 0, Len: int64(n)}})
+	return EncodeSegs(dst, t, src, []mpitype.Segment{{Len: int64(n)}})
 }
 
-// encodeNum converts src to external type t, appending to dst. The output
-// region is presized in one step and filled by index, so the conversion loop
-// carries no append bookkeeping and a caller that recycles dst across calls
-// (ext-buffer pooling in core) triggers no growth at all. Every value is
-// converted; ErrRange reports one or more that did not fit.
-func encodeNum[S number](dst []byte, t nctype.Type, src []S) ([]byte, error) {
-	esz := t.Size()
-	if esz == 0 || t == nctype.Char {
-		if t == nctype.Char {
-			return dst, nctype.ErrTypeMismatch
-		}
-		return dst, fmt.Errorf("%w: %v", nctype.ErrBadType, t)
+// DecodeSlice decodes len(dst-slice) external values of type t from src into
+// dst, which must be a supported numeric slice, or []byte when t is Char.
+// src must hold at least n*t.Size() bytes. It is DecodeSegs with one run.
+func DecodeSlice(src []byte, t nctype.Type, dst any) error {
+	n := SliceLen(dst)
+	if n < 0 {
+		return fmt.Errorf("%w: unsupported memory type %T", nctype.ErrTypeMismatch, dst)
 	}
-	base := len(dst)
-	n := len(src) * esz
-	if cap(dst)-base >= n {
-		// Extend within capacity without clearing: every byte of the
-		// extension is overwritten below.
-		dst = dst[:base+n]
-	} else {
-		dst = append(dst, make([]byte, n)...)
-	}
-	out := dst[base:]
-	c, bad := newConversion(typeOf[S](), t), false
-	switch {
-	case t == nctype.Double:
-		for i, v := range src {
-			binary.BigEndian.PutUint64(out[i*8:], math.Float64bits(float64(v)))
-		}
-	case t == nctype.Float:
-		for i, v := range src {
-			bad = bad || c.check && misses(c, v)
-			binary.BigEndian.PutUint32(out[i*4:], math.Float32bits(float32(v)))
-		}
-	case esz == 1:
-		for i, v := range src {
-			bad = bad || c.check && misses(c, v)
-			out[i] = byte(wrap(v))
-		}
-	case esz == 2:
-		for i, v := range src {
-			bad = bad || c.check && misses(c, v)
-			binary.BigEndian.PutUint16(out[i*2:], uint16(wrap(v)))
-		}
-	case esz == 4:
-		for i, v := range src {
-			bad = bad || c.check && misses(c, v)
-			binary.BigEndian.PutUint32(out[i*4:], uint32(wrap(v)))
-		}
-	default:
-		for i, v := range src {
-			bad = bad || c.check && misses(c, v)
-			binary.BigEndian.PutUint64(out[i*8:], wrap(v))
-		}
-	}
-	if bad {
-		return dst, ErrRange
-	}
-	return dst, nil
+	return DecodeSegs(src, t, []mpitype.Segment{{Len: int64(n)}}, dst)
 }
 
 // wrap is the two's-complement bits an integer conversion of v stores: a
@@ -128,12 +67,14 @@ type conversion struct {
 	flo, fhi float64
 }
 
+// newConversion is the check of values of type from converted to type to.
+// An identity pair returns at once: no value can miss its own type.
 func newConversion(from, to nctype.Type) conversion {
 	var c conversion
-	switch to {
-	case nctype.Double:
+	switch {
+	case from == to || to == nctype.Double:
 		return c
-	case nctype.Float:
+	case to == nctype.Float:
 		c.flo, c.fhi = -math.MaxFloat32, math.Nextafter(math.MaxFloat32, math.Inf(1))
 		c.check = from == nctype.Double
 		return c
@@ -151,7 +92,7 @@ func newConversion(from, to nctype.Type) conversion {
 }
 
 // misses reports whether v leaves c's range. Callers test c.check first:
-// this small a function inlines into the conversion loops.
+// this small a function inlines into the check loops.
 func misses[V number](c conversion, v V) bool {
 	switch {
 	case V(1)/2 != 0: // floating point
@@ -187,126 +128,32 @@ func rangeOf(t nctype.Type) (lo int64, hi uint64) {
 	return 0, 0
 }
 
-// DecodeSlice decodes len(dst-slice) external values of type t from src into
-// dst, which must be a supported numeric slice, or []byte when t is Char.
-// src must hold at least n*t.Size() bytes.
-func DecodeSlice(src []byte, t nctype.Type, dst any) error {
-	if t == nctype.Char {
-		if d, ok := dst.([]byte); ok {
-			if len(src) < len(d) {
-				return nctype.ErrCountMismatch
-			}
-			copy(d, src)
-			return nil
-		}
-		return fmt.Errorf("%w: memory type %T with external char", nctype.ErrTypeMismatch, dst)
-	}
-	n := SliceLen(dst)
-	if n < 0 || isString(dst) {
-		return fmt.Errorf("%w: unsupported memory type %T", nctype.ErrTypeMismatch, dst)
-	}
-	return DecodeSegs(src, t, []mpitype.Segment{{Off: 0, Len: int64(n)}}, dst)
-}
-
-func isString(v any) bool {
-	_, ok := v.(string)
-	return ok
-}
-
-// decodeNum converts len(dst) external values of type t from src into dst.
-// Every value is converted; ErrRange reports one or more that did not fit.
-func decodeNum[S number](src []byte, t nctype.Type, dst []S) error {
-	esz := t.Size()
-	if esz == 0 {
-		return fmt.Errorf("%w: %v", nctype.ErrBadType, t)
-	}
-	if len(src) < len(dst)*esz {
-		return nctype.ErrCountMismatch
-	}
-	c, bad := newConversion(t, typeOf[S]()), false
+// NewSlice makes n elements of the memory type that holds external type t
+// unconverted ([]byte for Char), or returns nil when t is no type.
+func NewSlice(t nctype.Type, n int64) any {
 	switch t {
+	case nctype.Char, nctype.UByte:
+		return make([]uint8, n)
 	case nctype.Byte:
-		for i := range dst {
-			x := int8(src[i])
-			dst[i], bad = S(x), bad || c.check && misses(c, x)
-		}
-	case nctype.UByte:
-		for i := range dst {
-			x := src[i]
-			dst[i], bad = S(x), bad || c.check && misses(c, x)
-		}
+		return make([]int8, n)
 	case nctype.Short:
-		for i := range dst {
-			x := int16(binary.BigEndian.Uint16(src[i*2:]))
-			dst[i], bad = S(x), bad || c.check && misses(c, x)
-		}
+		return make([]int16, n)
 	case nctype.UShort:
-		for i := range dst {
-			x := binary.BigEndian.Uint16(src[i*2:])
-			dst[i], bad = S(x), bad || c.check && misses(c, x)
-		}
+		return make([]uint16, n)
 	case nctype.Int:
-		for i := range dst {
-			x := int32(binary.BigEndian.Uint32(src[i*4:]))
-			dst[i], bad = S(x), bad || c.check && misses(c, x)
-		}
+		return make([]int32, n)
 	case nctype.UInt:
-		for i := range dst {
-			x := binary.BigEndian.Uint32(src[i*4:])
-			dst[i], bad = S(x), bad || c.check && misses(c, x)
-		}
+		return make([]uint32, n)
 	case nctype.Int64:
-		for i := range dst {
-			x := int64(binary.BigEndian.Uint64(src[i*8:]))
-			dst[i], bad = S(x), bad || c.check && misses(c, x)
-		}
+		return make([]int64, n)
 	case nctype.UInt64:
-		for i := range dst {
-			x := binary.BigEndian.Uint64(src[i*8:])
-			dst[i], bad = S(x), bad || c.check && misses(c, x)
-		}
+		return make([]uint64, n)
 	case nctype.Float:
-		for i := range dst {
-			x := math.Float32frombits(binary.BigEndian.Uint32(src[i*4:]))
-			dst[i], bad = S(x), bad || c.check && misses(c, x)
-		}
+		return make([]float32, n)
 	case nctype.Double:
-		for i := range dst {
-			x := math.Float64frombits(binary.BigEndian.Uint64(src[i*8:]))
-			dst[i], bad = S(x), bad || c.check && misses(c, x)
-		}
-	default:
-		return fmt.Errorf("%w: %v", nctype.ErrBadType, t)
-	}
-	if bad {
-		return ErrRange
+		return make([]float64, n)
 	}
 	return nil
-}
-
-// typeOf is the external type that holds memory type S unconverted.
-func typeOf[S number]() nctype.Type {
-	switch any(S(0)).(type) {
-	case int8:
-		return nctype.Byte
-	case uint8:
-		return nctype.UByte
-	case int16:
-		return nctype.Short
-	case uint16:
-		return nctype.UShort
-	case int32:
-		return nctype.Int
-	case uint32:
-		return nctype.UInt
-	case int64:
-		return nctype.Int64
-	case uint64:
-		return nctype.UInt64
-	case float32:
-		return nctype.Float
-	}
-	return nctype.Double
 }
 
 // SliceLen returns the number of elements in any supported buffer type, or

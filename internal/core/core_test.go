@@ -8,6 +8,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"pnetcdf/internal/cdf"
 	"pnetcdf/internal/fault"
 	"pnetcdf/internal/iostat"
 	"pnetcdf/internal/mpi"
@@ -753,6 +754,48 @@ func TestFillModeParallel(t *testing.T) {
 		for _, x := range got {
 			if x != nctype.FillFloat {
 				return fmt.Errorf("fill = %v", got)
+			}
+		}
+		return d.Close()
+	})
+}
+
+// TestFillModeCDF5 reads back each CDF-5 type's fixed variable in a
+// fill-mode file: netCDF's default fill value.
+func TestFillModeCDF5(t *testing.T) {
+	fills := []struct {
+		typ  nctype.Type
+		want string
+	}{
+		{nctype.UByte, "255"},
+		{nctype.UShort, "65535"},
+		{nctype.UInt, "4294967295"},
+		{nctype.Int64, "-9223372036854775806"},
+		{nctype.UInt64, "18446744073709551614"},
+	}
+	fsys := testFS()
+	runWorld(t, 2, func(c *mpi.Comm) error {
+		d, err := Create(c, fsys, "fill5.nc", nctype.Clobber|nctype.Bit64Data, nil)
+		if err != nil {
+			return err
+		}
+		d.SetFill(true)
+		x, _ := d.DefDim("x", 3)
+		for _, f := range fills {
+			if _, err := d.DefVar("v_"+f.typ.String(), f.typ, []int{x}); err != nil {
+				return err
+			}
+		}
+		if err := d.EndDef(); err != nil {
+			return err
+		}
+		for v, f := range fills {
+			got := cdf.NewSlice(f.typ, 3)
+			if err := d.GetVaraAll(v, []int64{0}, []int64{3}, got); err != nil {
+				return err
+			}
+			if want := "[" + strings.Repeat(f.want+" ", 2) + f.want + "]"; fmt.Sprint(got) != want {
+				return fmt.Errorf("%v fill = %v, want %s", f.typ, got, want)
 			}
 		}
 		return d.Close()

@@ -211,9 +211,7 @@ func (d *Dataset) prepare(write bool, varid int, start, count, stride []int64, d
 	}
 	op := pendingOp{write: write, varid: varid, v: v, geom: len(d.geom), req: d.own(req), data: data, memsegs: memsegs}
 	if memsegs == nil {
-		if data == nil && req.NElems == 0 {
-			op.data = []byte{} // an idle participant in a collective
-		} else if err := netcdf.CheckHead(data, req.NElems); err != nil {
+		if op.data, err = netcdf.CheckHead(data, req.NElems); err != nil {
 			return pendingOp{}, err
 		}
 	}

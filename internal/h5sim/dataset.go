@@ -317,14 +317,11 @@ func (ds *dataset) WriteAll(fsel Select, msel *Select, buf any) error {
 		if err != nil {
 			return err
 		}
-	} else {
-		linear, err = netcdf.SliceHead(buf, n)
-		if err != nil {
-			return err
-		}
+	} else if linear, err = netcdf.CheckHead(buf, n); err != nil {
+		return err
 	}
 	// Convert to the file representation (charged as a linear copy).
-	ext, encErr := cdf.EncodeSlice(nil, ds.typ, linear)
+	ext, encErr := cdf.EncodeSegs(nil, ds.typ, linear, []mpitype.Segment{{Len: n}})
 	if encErr != nil && encErr != cdf.ErrRange {
 		return encErr
 	}
@@ -390,11 +387,11 @@ func (ds *dataset) ReadAll(fsel Select, msel *Select, buf any) error {
 	ds.f.comm.Barrier()
 	ds.f.comm.Proc().Advance(float64(len(ext)) / memcpyBytesPerSec)
 	if msel == nil {
-		linear, err := netcdf.SliceHead(buf, n)
+		linear, err := netcdf.CheckHead(buf, n)
 		if err != nil {
 			return err
 		}
-		return cdf.DecodeSlice(ext, ds.typ, linear)
+		return cdf.DecodeSegs(ext, ds.typ, []mpitype.Segment{{Len: n}}, linear)
 	}
 	mn, err := msel.validate()
 	if err != nil {

@@ -127,7 +127,7 @@ const (
 // UnlimitedDim is the dimension length value that marks the record dimension.
 const UnlimitedDim = 0
 
-// FillValue defaults per type, matching the netCDF classic fill values.
+// FillValue defaults per type, matching netCDF's NC_FILL_* values.
 const (
 	FillByte   int8    = -127
 	FillChar   byte    = 0
@@ -135,4 +135,9 @@ const (
 	FillInt    int32   = -2147483647
 	FillFloat  float32 = 9.9692099683868690e+36
 	FillDouble float64 = 9.9692099683868690e+36
+	FillUByte  uint8   = 255
+	FillUShort uint16  = 65535
+	FillUInt   uint32  = 4294967295
+	FillInt64  int64   = -9223372036854775806
+	FillUInt64 uint64  = 18446744073709551614
 )

@@ -11,55 +11,25 @@ import (
 
 // --- Buffer plumbing shared with the parallel library ---
 
-// SliceHead returns the first n elements of any supported slice type.
-// A nil buffer is accepted for zero-element requests (idle participants in
-// collective calls).
-func SliceHead(data any, n int64) (any, error) {
-	if n == 0 && data == nil {
-		return []byte{}, nil
+// CheckHead returns data if it is a supported slice of at least n
+// elements. A nil buffer is accepted for a zero-element request (an idle
+// participant in a collective) and comes back as an empty one.
+func CheckHead(data any, n int64) (any, error) {
+	if data == nil && n == 0 {
+		return noData, nil
 	}
-	if err := CheckHead(data, n); err != nil {
-		return nil, err
-	}
-	switch s := data.(type) {
-	case []int8:
-		return s[:n], nil
-	case []int16:
-		return s[:n], nil
-	case []int32:
-		return s[:n], nil
-	case []int64:
-		return s[:n], nil
-	case []uint8:
-		return s[:n], nil
-	case []uint16:
-		return s[:n], nil
-	case []uint32:
-		return s[:n], nil
-	case []uint64:
-		return s[:n], nil
-	case []float32:
-		return s[:n], nil
-	case []float64:
-		return s[:n], nil
-	case string:
-		return s[:n], nil
-	}
-	return nil, fmt.Errorf("%w: %T", nctype.ErrTypeMismatch, data)
-}
-
-// CheckHead reports whether data is a supported slice of at least n
-// elements: the check of SliceHead, without boxing the slice it would
-// return.
-func CheckHead(data any, n int64) error {
 	switch l := cdf.SliceLen(data); {
 	case l < 0:
-		return fmt.Errorf("%w: %T", nctype.ErrTypeMismatch, data)
+		return nil, fmt.Errorf("%w: %T", nctype.ErrTypeMismatch, data)
 	case l < int(n):
-		return fmt.Errorf("%w: need %d elements, buffer has %d", nctype.ErrCountMismatch, n, l)
+		return nil, fmt.Errorf("%w: need %d elements, buffer has %d", nctype.ErrCountMismatch, n, l)
 	}
-	return nil
+	return data, nil
 }
+
+// noData is the empty buffer a nil one stands for, boxed once so that an
+// idle participant allocates nothing.
+var noData any = []byte{}
 
 // MakeLike allocates a new slice of the same element type as data with n
 // elements.
@@ -170,21 +140,16 @@ func (d *Dataset) put(varid int, start, count, stride, imap []int64, data any) e
 	if err != nil {
 		return err
 	}
+	if imap == nil {
+		if data, err = CheckHead(data, req.NElems); err != nil {
+			return err
+		}
+	}
 	// Pack straight from user memory into a pooled external buffer; strided
 	// (imap) memory converts run-length over the flattened typemap.
 	ext := bufpool.GetDirty(int(req.NElems) * v.Type.Size())[:0]
 	defer func() { bufpool.Put(ext) }()
-	var encErr error
-	if imap == nil {
-		var linear any
-		linear, err = SliceHead(data, req.NElems)
-		if err != nil {
-			return err
-		}
-		ext, encErr = cdf.EncodeSlice(ext, v.Type, linear)
-	} else {
-		ext, encErr = cdf.EncodeSegs(ext, v.Type, data, memsegs)
-	}
+	ext, encErr := cdf.EncodeSegs(ext, v.Type, data, memsegs)
 	if encErr != nil && encErr != cdf.ErrRange {
 		return encErr
 	}
@@ -229,16 +194,14 @@ func (d *Dataset) get(varid int, start, count, stride, imap []int64, data any) e
 		}
 		pos += s.Len
 	}
-	if imap == nil {
-		linear, err := SliceHead(data, req.NElems)
-		if err != nil {
-			return err
-		}
-		return cdf.DecodeSlice(ext, v.Type, linear)
-	}
 	memsegs, err := access.MemSegments(req.Count, imap)
 	if err != nil {
 		return err
+	}
+	if imap == nil {
+		if data, err = CheckHead(data, req.NElems); err != nil {
+			return err
+		}
 	}
 	return cdf.DecodeSegs(ext, v.Type, memsegs, data)
 }

@@ -308,6 +308,58 @@ func TestFillMode(t *testing.T) {
 	}
 }
 
+// cdf5Fills is netCDF's default fill value of each CDF-5 type, as text.
+var cdf5Fills = []struct {
+	typ  nctype.Type
+	want string
+}{
+	{nctype.UByte, "255"},
+	{nctype.UShort, "65535"},
+	{nctype.UInt, "4294967295"},
+	{nctype.Int64, "-9223372036854775806"},
+	{nctype.UInt64, "18446744073709551614"},
+}
+
+// TestFillModeCDF5 reads back a fill-mode CDF-5 file's unwritten values:
+// each new type's fixed variable, and the record a later put skips.
+func TestFillModeCDF5(t *testing.T) {
+	d, err := Create(&MemStore{}, nctype.Clobber|nctype.Bit64Data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.SetFill(true)
+	tdim, _ := d.DefDim("t", 0)
+	xdim, _ := d.DefDim("x", 3)
+	for _, c := range cdf5Fills {
+		if _, err := d.DefVar("fixed_"+c.typ.String(), c.typ, []int{xdim}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.DefVar("rec_"+c.typ.String(), c.typ, []int{tdim, xdim}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.EndDef(); err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range cdf5Fills {
+		rec := 2*i + 1
+		if err := d.PutVara(rec, []int64{1, 0}, []int64{1, 3}, cdf.NewSlice(c.typ, 3)); err != nil {
+			t.Fatal(err)
+		}
+		fixed, rec0 := cdf.NewSlice(c.typ, 3), cdf.NewSlice(c.typ, 3)
+		if err := d.GetVar(2*i, fixed); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.GetVara(rec, []int64{0, 0}, []int64{1, 3}, rec0); err != nil {
+			t.Fatal(err)
+		}
+		want := "[" + strings.Repeat(c.want+" ", 2) + c.want + "]"
+		if fmt.Sprint(fixed) != want || fmt.Sprint(rec0) != want {
+			t.Fatalf("%v reads %v fixed and %v in a skipped record, want fill %s", c.typ, fixed, rec0, c.want)
+		}
+	}
+}
+
 // TestFillKeepsRenamedVariable: in fill mode an EndDef fills only the
 // variables its define mode added, matched by index, so a variable renamed
 // in define mode keeps its data.
@@ -1066,7 +1118,7 @@ func TestGetVarWholeRecordVariable(t *testing.T) {
 }
 
 func TestBufferPlumbingAllTypes(t *testing.T) {
-	// MakeLike and SliceHead must support every memory type.
+	// MakeLike and CheckHead must support every memory type.
 	bufs := []any{
 		[]int8{1, 2, 3}, []int16{1, 2, 3}, []int32{1, 2, 3}, []int64{1, 2, 3},
 		[]uint8{1, 2, 3}, []uint16{1, 2, 3}, []uint32{1, 2, 3}, []uint64{1, 2, 3},
@@ -1080,16 +1132,23 @@ func TestBufferPlumbingAllTypes(t *testing.T) {
 		if fmt.Sprintf("%T", m) != fmt.Sprintf("%T", b) || cdf.SliceLen(m) != 2 {
 			t.Fatalf("MakeLike(%T) made a %T of %d", b, m, cdf.SliceLen(m))
 		}
-		h, err := SliceHead(b, 2)
+		h, err := CheckHead(b, 2)
 		if err != nil {
-			t.Fatalf("SliceHead(%T): %v", b, err)
+			t.Fatalf("CheckHead(%T): %v", b, err)
 		}
-		if fmt.Sprintf("%T", h) != fmt.Sprintf("%T", b) || cdf.SliceLen(h) != 2 {
-			t.Fatalf("SliceHead(%T) gave a %T of %d", b, h, cdf.SliceLen(h))
+		if fmt.Sprintf("%T", h) != fmt.Sprintf("%T", b) || cdf.SliceLen(h) != 3 {
+			t.Fatalf("CheckHead(%T) gave a %T of %d", b, h, cdf.SliceLen(h))
 		}
-		if _, err := SliceHead(b, 4); !errors.Is(err, nctype.ErrCountMismatch) {
-			t.Fatalf("SliceHead(%T) past its end: %v", b, err)
+		if _, err := CheckHead(b, 4); !errors.Is(err, nctype.ErrCountMismatch) {
+			t.Fatalf("CheckHead(%T) past its end: %v", b, err)
 		}
+	}
+	// A nil buffer stands for an empty one in a zero-element request only.
+	if h, err := CheckHead(nil, 0); err != nil || cdf.SliceLen(h) != 0 {
+		t.Fatalf("CheckHead(nil, 0) = %v, %v", h, err)
+	}
+	if _, err := CheckHead(nil, 1); !errors.Is(err, nctype.ErrTypeMismatch) {
+		t.Fatalf("CheckHead(nil, 1): %v, want a type mismatch", err)
 	}
 	// Unsupported types are a type mismatch, whatever their length.
 	for _, b := range []any{struct{}{}, []int{1, 2, 3}} {
@@ -1097,8 +1156,8 @@ func TestBufferPlumbingAllTypes(t *testing.T) {
 			t.Fatalf("MakeLike accepted unsupported %T", b)
 		}
 		for _, n := range []int64{0, 2} {
-			if _, err := SliceHead(b, n); !errors.Is(err, nctype.ErrTypeMismatch) {
-				t.Fatalf("SliceHead(%T, %d): %v, want a type mismatch", b, n, err)
+			if _, err := CheckHead(b, n); !errors.Is(err, nctype.ErrTypeMismatch) {
+				t.Fatalf("CheckHead(%T, %d): %v, want a type mismatch", b, n, err)
 			}
 		}
 	}

@@ -2,7 +2,9 @@
 # Repo verification: build, vet, gofmt (the tree must be formatted),
 # race-test, then the allocation pins without the race detector. The
 # default pass includes
-# the seed corpora of the native fuzz targets — FuzzDecode, the two-phase
+# the seed corpora of the native fuzz targets — FuzzDecode and
+# FuzzConvertRuns (the value codec, every memory and external type pair,
+# against a one-value-at-a-time reference), the two-phase
 # wire decoders FuzzAssembleWrite/FuzzAssembleRead and the serial-equivalence
 # harness FuzzBlockingEquivalentToQueued (one seeded program run at sampled
 # ranks, ways, memory layouts and hints against the serial library) — run as
